@@ -84,20 +84,25 @@
 //! comparison lands in the same report. Like every non-default invocation
 //! it refuses to write the committed artifact.
 //!
-//! `--mode` selects the serve engine and what the binary measures:
+//! `--mode` selects the plan the serve loop runs under and what the
+//! binary measures:
 //!
-//! - `sim` (the default) — the deterministic simulated-clock oracle;
-//!   the only mode the committed artifact is generated from;
-//! - `wall` — the same streams served by the *parallel* engine
+//! - `sim` (the default) — the reference plan, one scheduler shard over
+//!   the whole pool (`ServeMode::Deterministic`); the only mode the
+//!   committed artifact is generated from;
+//! - `wall` — the same streams served under the *sharded* plan
 //!   (`--threads <n>`, default 8 executor threads), with each stream's
 //!   report object gaining an `engine` section recording wall-clock
 //!   milliseconds and requests/sec of the runtime itself (not the
 //!   simulated hardware) per policy. The simulated-cycle bars are
-//!   byte-identical to `sim` — the parallel engine's contract — so the
-//!   `engine` object is strictly additive;
+//!   byte-identical to `sim` — the plan never changes an outcome — so
+//!   the `engine` object is strictly additive;
 //! - `diff` — the differential smoke: every stream × policy pair served
-//!   by both engines, asserting per-request outcome equality (the same
-//!   contract `tests/differential.rs` pins), then a small JSON summary.
+//!   under both plans, asserting per-request outcome equality (the same
+//!   property `tests/differential.rs` pins), then a small JSON summary.
+//!
+//! `wall` and `diff` print, per stream, the plan that actually ran
+//! (`ServeReport::engine`: scheduler shards and executor threads).
 //!
 //! Non-`sim` modes never write the committed artifact: they require an
 //! `--out` whose file name differs from `BENCH_runtime.json`.
@@ -146,14 +151,14 @@ fn stream_selected(filter: Option<&[String]>, name: &str) -> bool {
 /// What the binary measures (`--mode`).
 #[derive(Clone, Copy, PartialEq)]
 enum BenchMode {
-    /// Simulated-cycle bars from the deterministic oracle (the default;
-    /// the only mode the committed artifact is generated from).
+    /// Simulated-cycle bars from the reference plan (the default; the
+    /// only mode the committed artifact is generated from).
     Sim,
-    /// The same bars served by the parallel engine, plus wall-clock
+    /// The same bars served under the sharded plan, plus wall-clock
     /// requests/sec of the runtime itself per stream and policy.
     Wall,
-    /// Differential smoke: every stream × policy pair through both
-    /// engines, asserting per-request outcome equality.
+    /// Differential smoke: every stream × policy pair under both plans,
+    /// asserting per-request outcome equality.
     Diff,
 }
 
@@ -235,6 +240,8 @@ fn run_stream(
     if !stream_selected(streams, stream_name) {
         return results;
     }
+    // the plan depends on the mode and the pool's shape, not the policy
+    let mut plan = None;
     for (label, cfg) in &policies(include_batch, slack, cutoff) {
         if let Some(filter) = filter {
             if !filter.iter().any(|f| f == label) {
@@ -256,6 +263,7 @@ fn run_stream(
             report.metrics.sim_failures, 0,
             "{stream_name}/{label}: simulation failed"
         );
+        plan = Some(report.engine);
         results.push((label.to_string(), report.metrics, wall));
     }
     if let Some((knobs, base_pool)) = &tuned {
@@ -323,6 +331,9 @@ fn run_stream(
         })
         .collect();
     println!("== {stream_name} ==");
+    if let (Some(plan), ServeMode::Parallel { .. }) = (plan, serve_mode) {
+        println!("engine plan: {plan}");
+    }
     print!(
         "{}",
         markdown_table(
@@ -420,12 +431,13 @@ fn engine_json(results: &[PolicyRow], threads: usize) -> String {
 }
 
 /// The differential smoke (`--mode diff`): every stream × policy pair
-/// served by both engines — a fresh runtime per engine, so module-cache
-/// provenance matches too — asserting the per-request outcomes (routing,
-/// writes, cycles, latencies, prediction samples) are identical, then a
-/// small JSON summary. This is the same contract `tests/differential.rs`
-/// pins; the binary form exists so CI can run it at an arbitrary request
-/// count and thread count without recompiling tests.
+/// served under the reference plan and the sharded plan — a fresh
+/// runtime per serve, so module-cache provenance matches too — asserting
+/// the per-request outcomes (routing, writes, cycles, latencies,
+/// prediction samples) are identical, then a small JSON summary. This is
+/// the same property `tests/differential.rs` pins; the binary form exists
+/// so CI can run it at an arbitrary request count and thread count
+/// without recompiling tests.
 fn run_diff(
     requests: usize,
     threads: usize,
@@ -491,6 +503,8 @@ fn run_diff(
 
     let mut pairs = 0usize;
     for (stream_name, stream, include_batch, pool) in &pairs_under_test {
+        // the plans depend on the pool's shape, not the policy
+        let mut plans = None;
         for (label, cfg) in &policies(*include_batch, slack, cutoff) {
             if let Some(filter) = filter {
                 if !filter.iter().any(|f| f == label) {
@@ -544,7 +558,11 @@ fn run_diff(
                 "{stream_name}/{label}: identical over {} requests ({threads} threads)",
                 stream.len()
             );
+            plans = Some((oracle.engine, parallel.engine));
             pairs += 1;
+        }
+        if let Some((reference, sharded)) = plans {
+            println!("{stream_name}: reference plan {reference}; sharded plan {sharded}\n");
         }
     }
     assert!(
@@ -559,7 +577,7 @@ fn run_diff(
     );
     json::validate(&out).expect("differential report must be strict JSON");
     std::fs::write(out_path, &out).expect("write differential report");
-    println!("\n{pairs} stream × policy pairs identical across engines; summary: {out_path}");
+    println!("{pairs} stream × policy pairs identical across plans; summary: {out_path}");
 }
 
 /// The stream's static-analysis summary: the config-write lints and the
@@ -901,7 +919,7 @@ fn main() {
     );
     if mode == BenchMode::Wall {
         println!(
-            "wall mode: parallel engine, {threads} executor threads — \
+            "wall mode: sharded plan, thread budget {threads} — \
              measuring the runtime's own requests/sec\n"
         );
     }

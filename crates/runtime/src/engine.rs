@@ -1,56 +1,66 @@
-//! Serve engines: the deterministic simulated-clock loop (the test
-//! oracle) and the sharded parallel engine behind the same facade.
+//! The serve engine: one shard loop, run under a plan.
 //!
 //! [`Runtime::serve`] resolves modules, sorts the dispatch order, and
-//! builds the worker pool, then hands the *serve loop proper* to one of
-//! two engines selected by [`ServeConfig::mode`]:
+//! builds the worker pool, then hands the *serve loop proper* to
+//! `engine::run`, which only **plans** — which pool groups share a
+//! scheduler shard, and which lane carries their dispatches — and runs
+//! the single shard loop (`run_shard`) once per shard:
 //!
-//! - [`ServeMode::Deterministic`] (the default) runs the single-threaded
-//!   simulated-clock loop: one scheduler over the whole pool, every
-//!   blocking and decision point a function of simulated time only.
-//!   This is the **oracle** — its per-request outcomes (writes, cycles,
-//!   latencies, prediction samples) define correct behaviour, and its
-//!   reports are byte-identical across runs and host thread counts.
-//! - [`ServeMode::Parallel`] shards the serve loop **per pool group**:
-//!   each group gets its own scheduler shard processing that group's
-//!   subsequence of the arrival order, while a pool of executor threads
-//!   owns the workers and runs dispatches as jobs arrive over channels.
-//!   Completions flow back to the owning shard over a per-shard channel
-//!   instead of the loop blocking on one worker at a time. A thread
-//!   budget of 1 runs the same shards sequentially on the calling
-//!   thread with inline execution — the fully serial baseline that
-//!   wall-clock scaling is measured against.
+//! - **plan** ([`EnginePlan`], reported as [`ServeReport::engine`]).
+//!   [`ServeMode::Deterministic`] (the default) and every serve with a
+//!   bounded [`ServeBudget`] run **one shard owning every group**: one
+//!   scheduler, one refiner, the global `(arrival, id, slot)` order.
+//!   This is the *reference configuration* — its per-request outcomes
+//!   (writes, cycles, latencies, prediction samples) define correct
+//!   behaviour, and its reports are byte-identical across runs and host
+//!   thread counts. [`ServeMode::Parallel`] buckets the groups by base
+//!   platform name and runs one shard per bucket.
+//! - **shards.** A shard owns a set of pool groups: it walks their
+//!   subsequence of the arrival order against its own scheduler, routes
+//!   only among their workers, and retires measured cycles into its own
+//!   refiner rows.
+//! - **lane** (`ShardLane`). *Threaded*: executor threads own the
+//!   workers (worker `w` belongs to executor `w % threads`) and run
+//!   dispatches as jobs arrive over channels, completions flowing back
+//!   on the owning shard's channel, one thread per shard. The reference
+//!   plan uses this lane with one executor per worker. *Inline*
+//!   (`Parallel { threads: 1 }`): the shards run one after another on
+//!   the calling thread and execute every dispatch themselves — the
+//!   fully serial baseline that wall-clock scaling is measured against.
 //!
-//! # Why sharding preserves the oracle's outcomes
+//! # Why the plan never changes an outcome
 //!
-//! The deterministic loop's processing of each group's subsequence is
-//! independent of every other group:
+//! The loop's processing of one group's subsequence is independent of
+//! every group it shares no state with:
 //!
 //! - routing reads only the group's candidate workers (policies score
 //!   `candidates` exclusively, and `fifo` keeps per-group round-robin
 //!   counters);
 //! - commits touch only the chosen worker's queue and shadow state;
-//! - refiner rows are keyed `(module key, platform)`, and a group's
-//!   module keys name its *base* platform — so observation state is
-//!   disjoint across groups whenever base platform names are distinct;
 //! - batch coalescing scans only the group's own arrival subsequence
 //!   (other groups' requests never interpose);
 //! - worker cycle counts are pure functions of the worker's own job
 //!   sequence (machines share no state), so per-worker completions are
-//!   identical however executor threads interleave them.
+//!   identical however executor threads interleave them;
+//! - refiner rows are keyed `(module key, platform)`, and a group's
+//!   module keys name its *base* platform — so observation state is
+//!   disjoint across groups exactly when their base platform names are.
 //!
-//! Each shard therefore replays exactly the decisions the global loop
-//! makes for its group, and the merged per-request outcomes are equal
-//! by construction. The one configuration that breaks the argument —
-//! two groups sharing a base platform *name* (their modules would share
-//! refiner rows) — makes the parallel engine silently fall back to the
-//! deterministic loop: the engine choice is a performance knob, never a
-//! semantic one. The contract is enforced end to end by
-//! `tests/differential.rs`, which runs every bench stream × policy pair
-//! through both engines and asserts outcome-by-outcome equality.
+//! The last clause is the planning rule: groups sharing a base platform
+//! name share refiner rows, so they share a shard (and with it one
+//! `(finish, slot)` retirement order); groups that share nothing may be
+//! split, and each shard then makes exactly the decisions the one-shard
+//! plan makes for its groups. The plan is a performance knob, never a
+//! semantic one. `tests/differential.rs` states that as a property of
+//! the one loop — schedule-independence — by serving every bench
+//! stream × policy pair under the reference plan and under sharded
+//! plans at several thread budgets and asserting outcome-by-outcome
+//! equality; the loop body's own reference is the committed output of
+//! the reference plan (`BENCH_runtime.json`, `TUNED.json`).
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
-//! [`ServeConfig::mode`]: crate::runtime::ServeConfig::mode
+//! [`ServeReport::engine`]: crate::runtime::ServeReport::engine
+//! [`ServeBudget`]: crate::runtime::ServeBudget
 
 use crate::cache::CompiledModule;
 use crate::error::ServeError;
@@ -60,39 +70,67 @@ use crate::scheduler::{CommitOutcome, Scheduler};
 use crate::worker::{Completion, Job, Worker};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::TrafficRequest;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
-/// Which serve engine processes the dispatch loop.
+/// How the serve loop is planned onto scheduler shards and threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
-    /// The single-threaded simulated-clock loop — the deterministic test
-    /// oracle. Reports are byte-identical across runs; this is the
-    /// default, and the only mode benchmark artifacts are committed
-    /// from.
+    /// The reference plan: one scheduler shard over the whole pool on
+    /// the simulated clock, one executor thread per worker. Reports are
+    /// byte-identical across runs; this is the default, and the only
+    /// mode benchmark artifacts are committed from.
     #[default]
     Deterministic,
-    /// The sharded engine: one scheduler shard per pool group, with
-    /// dispatch execution spread over `threads` executor threads that
-    /// own the workers. Produces per-request outcomes identical to the
-    /// deterministic oracle (see the module docs for the argument and
-    /// the fallback case); wall-clock throughput scales with `threads`.
+    /// The sharded plan: one scheduler shard per set of pool groups
+    /// sharing a base platform name, with dispatch execution spread over
+    /// `threads` executor threads that own the workers. Produces
+    /// per-request outcomes identical to the reference plan (see the
+    /// module docs for the argument); wall-clock throughput scales with
+    /// `threads`.
     Parallel {
         /// The engine's thread budget (clamped to at least 1). `1` runs
         /// the shards one after another on the calling thread, executing
         /// every dispatch inline — the fully serial baseline wall-clock
         /// speedups are measured against. `>= 2` spawns one thread per
-        /// scheduler shard plus `threads` executor threads; worker `w`
-        /// is owned by executor `w % threads`, so `threads >=` pool
-        /// worker count gives every worker its own executor.
+        /// scheduler shard plus `threads` executor threads (at most one
+        /// per worker); worker `w` is owned by executor `w % threads`,
+        /// so `threads >=` pool worker count gives every worker its own
+        /// executor.
         threads: usize,
     },
 }
 
-/// Everything the serve loop needs, prepared by `Runtime::serve`'s
+/// The plan a serve actually ran under — what [`ServeConfig::mode`], the
+/// budget and the pool's shape resolved to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnginePlan {
+    /// Scheduler shards. 1 under [`ServeMode::Deterministic`] or a
+    /// bounded budget; otherwise one per distinct base platform name
+    /// among the pool's groups (groups sharing a name share a shard).
+    pub shards: usize,
+    /// Executor threads the dispatches ran on; 0 means the inline lane
+    /// (every dispatch executed on the calling thread).
+    pub executor_threads: usize,
+}
+
+impl fmt::Display for EnginePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} scheduler shard(s), ", self.shards)?;
+        match self.executor_threads {
+            0 => write!(f, "inline execution"),
+            n => write!(f, "{n} executor thread(s)"),
+        }
+    }
+}
+
+/// Everything the serve loop reads, prepared by `Runtime::serve`'s
 /// prologue (module resolution, pool construction, store restore).
+#[derive(Clone, Copy)]
 pub(crate) struct EngineInput<'a> {
     pub stream: &'a [TrafficRequest],
     /// Dispatch order: stream slots sorted by `(arrival, id, slot)`.
@@ -101,13 +139,10 @@ pub(crate) struct EngineInput<'a> {
     pub modules: &'a [Option<Arc<CompiledModule>>],
     /// Per-slot pool-group index.
     pub group_idx: &'a [usize],
-    /// Per-group worker indices, ascending.
+    /// Per-group worker indices, ascending (and ascending across groups).
     pub groups: &'a [Vec<usize>],
     /// Per-worker platform descriptors.
     pub worker_descs: &'a [AcceleratorDescriptor],
-    /// The worker pool itself (consumed: engines move workers onto
-    /// execution threads).
-    pub workers: Vec<Worker>,
     /// Persisted cost rows to seed the refiner(s) with.
     pub cost_seed: &'a [CostSnapshotEntry],
     /// Per-group boost power caps (`None` leaves boosting unbounded).
@@ -129,6 +164,8 @@ fn group_of_worker(groups: &[Vec<usize>], worker_count: usize) -> Vec<usize> {
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
 /// (latency replay, metrics, store flush).
 pub(crate) struct EngineOutput {
+    /// The plan the loop ran under.
+    pub plan: EnginePlan,
     /// Per-slot completions, in stream order.
     pub completions: Vec<Completion>,
     /// Per-slot worker assignment.
@@ -205,230 +242,256 @@ impl BudgetTracker {
     }
 }
 
-/// Runs the serve loop under the engine `input.cfg.mode` selects. A
-/// budgeted serve always runs on the deterministic oracle — the abort
-/// argument (`BudgetTracker`) is stated against the oracle's pull order,
-/// so like the duplicate-base-name case this overrides the performance
-/// knob rather than weakening the contract.
-pub(crate) fn run(input: EngineInput<'_>) -> Result<EngineOutput, ServeError> {
-    match input.cfg.mode {
-        ServeMode::Deterministic => run_deterministic(input),
-        ServeMode::Parallel { .. } if input.cfg.budget.is_some_and(|b| !b.is_unbounded()) => {
-            run_deterministic(input)
+/// One scheduler shard of a plan: the pool groups it owns and what the
+/// loop needs to serve them.
+struct Shard<'a> {
+    /// Owned pool groups, ascending.
+    groups: Vec<usize>,
+    /// The owned groups' subsequence of the dispatch order.
+    order: Vec<usize>,
+    /// The persisted cost rows this shard's refiner starts from.
+    seed: Cow<'a, [CostSnapshotEntry]>,
+}
+
+/// How a shard dispatches jobs and collects their completions.
+enum ShardLane<'a> {
+    /// Jobs go to executor `worker % job_txs.len()`; completions come
+    /// back on the shard's own channel, in execution order.
+    Threaded {
+        job_txs: Vec<mpsc::Sender<(usize, Job)>>,
+        comp_rx: mpsc::Receiver<Completion>,
+    },
+    /// The shard executes each job itself at dispatch time, so a
+    /// "receive" just replays the stashed result.
+    Inline {
+        workers: &'a mut [Worker],
+        done: VecDeque<Completion>,
+    },
+}
+
+impl ShardLane<'_> {
+    fn dispatch(&mut self, worker: usize, job: Job) {
+        match self {
+            ShardLane::Threaded { job_txs, .. } => job_txs[worker % job_txs.len()]
+                .send((worker, job))
+                .expect("executor thread alive while jobs pend"),
+            ShardLane::Inline { workers, done } => done.push_back(workers[worker].execute(&job)),
         }
-        ServeMode::Parallel { threads } => run_parallel(input, threads.max(1)),
+    }
+
+    fn recv(&mut self) -> Completion {
+        match self {
+            ShardLane::Threaded { comp_rx, .. } => {
+                comp_rx.recv().expect("executor alive while jobs pend")
+            }
+            ShardLane::Inline { done, .. } => done
+                .pop_front()
+                .expect("inline dispatches complete synchronously"),
+        }
     }
 }
 
-/// The deterministic oracle: one scheduler over the whole pool, one
-/// thread per worker running ahead eagerly, the loop pulling completions
-/// only when the simulated clock proves their dispatch has started.
+/// What one scheduler shard hands back to be merged into stream order;
+/// the per-request vectors are indexed by position in `order`.
+struct ShardResult {
+    order: Vec<usize>,
+    assignment: Vec<usize>,
+    outcomes: Vec<CommitOutcome>,
+    completions: Vec<Option<Completion>>,
+    batched_requests: u64,
+    /// Rows [`Scheduler::seed_refiner`] accepted from the shard's seed.
+    seeded: u64,
+    /// The shard refiner's final rows, re-keyed to platform names.
+    snapshot: Vec<CostSnapshotEntry>,
+}
+
+/// Plans the serve (see the module docs) and runs the shard loop under
+/// that plan, merging the shards' results back into stream order.
 ///
-/// With a [`ServeBudget`] configured, every pulled completion's (final)
-/// latency and setup writes feed a [`BudgetTracker`]; the loop stops
-/// scheduling the moment a bound is provably exceeded, drains the
-/// in-flight tail to join the worker threads cleanly, and returns
-/// [`ServeError::BudgetExceeded`] instead of an output.
-fn run_deterministic(input: EngineInput<'_>) -> Result<EngineOutput, ServeError> {
+/// A bounded [`ServeBudget`] forces the one-shard plan on the threaded
+/// lane whatever `cfg.mode` says: the abort argument ([`BudgetTracker`])
+/// is stated against that plan's pull order, so the budget overrides the
+/// performance knob rather than weakening the contract.
+pub(crate) fn run(
+    input: EngineInput<'_>,
+    mut workers: Vec<Worker>,
+) -> Result<EngineOutput, ServeError> {
     let EngineInput {
         stream,
-        order,
-        modules,
-        group_idx,
         groups,
         worker_descs,
-        workers,
         cost_seed,
-        power_caps,
         cfg,
+        ..
     } = input;
-    let module_of = |i: usize| modules[i].as_ref().expect("resolved by the prologue");
     let worker_count = workers.len();
+    let budget = cfg.budget.filter(|b| !b.is_unbounded());
+    let base_of = |g: usize| worker_descs[groups[g][0]].name.as_str();
 
-    let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
-        .with_refinement(cfg.refine_cost)
-        .with_slack(cfg.load_slack)
-        .with_power_caps(group_of_worker(groups, worker_count), power_caps.to_vec());
-    let ewma_entries_seeded = scheduler.seed_refiner(cost_seed);
-    let elide = scheduler.elides();
+    // plan: which groups share a shard, and how many executors run them
+    let new_shard = |groups: Vec<usize>| Shard {
+        groups,
+        order: Vec::new(),
+        seed: Cow::Borrowed(&[]),
+    };
+    let mut shards: Vec<Shard<'_>> = Vec::new();
+    let executor_threads = match cfg.mode {
+        ServeMode::Parallel { threads } if budget.is_none() => {
+            for g in 0..groups.len() {
+                match shards
+                    .iter_mut()
+                    .find(|shard| base_of(shard.groups[0]) == base_of(g))
+                {
+                    Some(shard) => shard.groups.push(g),
+                    None => shards.push(new_shard(vec![g])),
+                }
+            }
+            if threads <= 1 {
+                0
+            } else {
+                threads.min(worker_count)
+            }
+        }
+        _ => {
+            shards.push(new_shard((0..groups.len()).collect()));
+            worker_count
+        }
+    };
+    let plan = EnginePlan {
+        shards: shards.len(),
+        executor_threads,
+    };
+    let mut shard_of_group = vec![0usize; groups.len()];
+    for (s, shard) in shards.iter().enumerate() {
+        for &g in &shard.groups {
+            shard_of_group[g] = s;
+        }
+    }
+
+    // each shard's subsequence of the dispatch order, and every slot's
+    // position within its shard's
+    let mut local_of = vec![0usize; stream.len()];
+    for &slot in input.order {
+        let shard_order = &mut shards[shard_of_group[input.group_idx[slot]]].order;
+        local_of[slot] = shard_order.len();
+        shard_order.push(slot);
+    }
+
+    // Persisted cost rows: one shard takes them all. Several shards split
+    // them by the base platform each row's module was compiled for — the
+    // shard owning that base is the only one that can read or write the
+    // row. Rows for a base no shard compiles (a store written by a
+    // differently shaped pool) are routing-dead, but the one-shard
+    // refiner would still carry every such row whose platform the pool
+    // fields, so those pass through to the final snapshot verbatim to
+    // keep store flushes identical. With refinement off nothing is
+    // seeded, so nothing is carried.
+    let mut cost_snapshot: Vec<CostSnapshotEntry> = Vec::new();
+    if plan.shards == 1 {
+        shards[0].seed = Cow::Borrowed(cost_seed);
+    } else if cfg.refine_cost {
+        for entry in cost_seed {
+            let (platform, key, _) = entry;
+            match shards
+                .iter_mut()
+                .find(|shard| base_of(shard.groups[0]) == key.accelerator)
+            {
+                Some(shard) => shard.seed.to_mut().push(entry.clone()),
+                None if worker_descs.iter().any(|d| d.name == *platform) => {
+                    cost_snapshot.push(entry.clone());
+                }
+                None => {}
+            }
+        }
+    }
+    let mut ewma_entries_seeded = cost_snapshot.len() as u64;
+    // only the one-shard plan is ever budgeted, so the first shard takes
+    // the tracker
+    let mut tracker = budget.map(|b| BudgetTracker::new(b, stream.len()));
+
+    let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
     let mut assignment = vec![0usize; stream.len()];
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
     let mut batched_requests = 0u64;
-    let max_batch = cfg.max_batch.max(1);
-    let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
-    let mut budget = cfg
-        .budget
-        .filter(|b| !b.is_unbounded())
-        .map(|b| BudgetTracker::new(b, stream.len()));
-    let mut abort: Option<ServeError> = None;
-    thread::scope(|scope| {
-        let mut job_txs = Vec::new();
-        let mut result_rxs = Vec::new();
-        for worker in workers {
-            let (job_tx, job_rx) = mpsc::channel::<Job>();
-            let (result_tx, result_rx) = mpsc::channel::<Completion>();
-            job_txs.push(job_tx);
-            result_rxs.push(result_rx);
-            scope.spawn(move || worker.run_loop(job_rx, result_tx));
+    let mut merge = |mut shard: ShardResult| {
+        batched_requests += shard.batched_requests;
+        ewma_entries_seeded += shard.seeded;
+        cost_snapshot.extend(shard.snapshot);
+        for (at, slot) in shard.order.into_iter().enumerate() {
+            assignment[slot] = shard.assignment[at];
+            outcomes[slot] = shard.outcomes[at];
+            completions[slot] = shard.completions[at].take();
         }
+    };
+    if executor_threads == 0 {
+        for shard in shards {
+            let lane = ShardLane::Inline {
+                workers: &mut workers,
+                done: VecDeque::new(),
+            };
+            merge(run_shard(input, &local_of, shard, lane, tracker.take())?);
+        }
+    } else {
+        thread::scope(|scope| {
+            let (job_txs, job_rxs): (Vec<_>, Vec<_>) = (0..executor_threads)
+                .map(|_| mpsc::channel::<(usize, Job)>())
+                .unzip();
+            let (comp_txs, comp_rxs): (Vec<_>, Vec<_>) = (0..plan.shards)
+                .map(|_| mpsc::channel::<Completion>())
+                .unzip();
+            let comp_tx_of_worker: Vec<mpsc::Sender<Completion>> =
+                group_of_worker(groups, worker_count)
+                    .into_iter()
+                    .map(|g| comp_txs[shard_of_group[g]].clone())
+                    .collect();
+            drop(comp_txs);
 
-        // per-worker dispatches sent but not yet pulled back, oldest
-        // first; `finish_known[w]` is the simulated finish of the last
-        // pulled dispatch, so the head's start cycle is exact
-        let mut inflight: Vec<VecDeque<usize>> = vec![VecDeque::new(); worker_count];
-        let mut finish_known = vec![0u64; worker_count];
-        // pulled completions whose finish is still in the future,
-        // retired in deterministic (finish, slot) order
-        let mut unretired: BTreeSet<(u64, usize)> = BTreeSet::new();
-        let mut scheduled = vec![false; stream.len()];
-
-        let mut cursor = 0usize;
-        loop {
-            while cursor < order.len() && scheduled[order[cursor]] {
-                cursor += 1;
+            // executor `e` owns workers `e, e + threads, ..` (worker `w`
+            // sits at `owned[w / threads]`) and executes jobs in arrival
+            // order; a worker's jobs all come from its group's single
+            // shard, so per-sender channel FIFO preserves each worker's
+            // dispatch sequence exactly as the shard committed it
+            let mut owned: Vec<Vec<Worker>> = (0..executor_threads).map(|_| Vec::new()).collect();
+            for (w, worker) in workers.into_iter().enumerate() {
+                owned[w % executor_threads].push(worker);
             }
-            if cursor == order.len() {
-                break;
-            }
-            // heads are taken at advancing positions of the
-            // arrival-sorted order (batch coalescing skips ahead only
-            // for *members*), so this clock is monotone
-            let head = order[cursor];
-            let now = stream[head].arrival;
-
-            // pull every completion the clock proves has *started*
-            // (its worker-queue predecessors all finished by now) —
-            // the worker thread is already executing it, so the recv
-            // blocks at most for real work already in progress
-            for w in 0..worker_count {
-                while let Some(&slot) = inflight[w].front() {
-                    let start = finish_known[w].max(stream[slot].arrival);
-                    if start > now {
-                        break;
-                    }
-                    let completion = result_rxs[w].recv().expect("worker alive while jobs pend");
-                    debug_assert_eq!(completion.slot, slot);
-                    let finish = start + completion.counters.cycles;
-                    finish_known[w] = finish;
-                    if completion.sim_error.is_none() {
-                        unretired.insert((finish, slot));
-                    }
-                    // a pulled completion's latency is final — the clock
-                    // proved its start — so the budget verdict is exact
-                    if let Some(tracker) = budget.as_mut() {
-                        if let Err(e) =
-                            tracker.admit(finish - stream[slot].arrival, completion.emitted_writes)
-                        {
-                            abort = Some(e);
-                        }
-                    }
-                    completions[slot] = Some(completion);
-                    inflight[w].pop_front();
-                    if abort.is_some() {
-                        break;
-                    }
-                }
-                if abort.is_some() {
-                    break;
-                }
-            }
-            if abort.is_some() {
-                // stop scheduling; fall through to the tail drain so the
-                // worker threads join cleanly
-                break;
-            }
-            // retire completed dispatches into the cost refiner, in
-            // simulated completion order
-            while let Some(&(finish, slot)) = unretired.iter().next() {
-                if finish > now {
-                    break;
-                }
-                unretired.remove(&(finish, slot));
-                let completion = completions[slot].as_ref().expect("pulled above");
-                scheduler.observe(
-                    assignment[slot],
-                    module_of(slot),
-                    outcomes[slot].bucket,
-                    completion.freq,
-                    completion.counters.cycles,
-                );
-            }
-
-            // route the batch head, then coalesce same-module requests
-            // adjacent in this group's arrival order (requests bound
-            // for other accelerator groups never interpose), stopping
-            // at the batch cutoff: once the worker's estimated
-            // outstanding cycles reach the horizon, further requests
-            // are better served by a fresh routing decision than by
-            // joining the queue
-            let g = group_idx[head];
-            let worker = scheduler.choose(g, &groups[g], module_of(head), now);
-            let mut members = 0usize;
-            let mut scan = cursor;
-            while scan < order.len() {
-                let slot = order[scan];
-                scan += 1;
-                if scheduled[slot] || group_idx[slot] != g {
-                    continue;
-                }
-                if members > 0 {
-                    if members >= max_batch || module_of(slot).key != module_of(head).key {
-                        break;
-                    }
-                    if let Some(cutoff) = cfg.batch_cutoff {
-                        if scheduler.outstanding(worker, stream[slot].arrival) >= cutoff {
+            for (mut owned, job_rx) in owned.into_iter().zip(job_rxs) {
+                let comp_txs = comp_tx_of_worker.clone();
+                scope.spawn(move || {
+                    while let Ok((w, job)) = job_rx.recv() {
+                        let completion = owned[w / executor_threads].execute(&job);
+                        // a closed channel is a shard that returned early
+                        // (a budget abort): its queued jobs have no reader
+                        if comp_txs[w].send(completion).is_err() {
                             break;
                         }
                     }
-                }
-                outcomes[slot] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
-                assignment[slot] = worker;
-                scheduled[slot] = true;
-                inflight[worker].push_back(slot);
-                job_txs[worker]
-                    .send(Job {
-                        request: stream[slot].clone(),
-                        module: Arc::clone(module_of(slot)),
-                        slot,
-                        elide,
-                    })
-                    .expect("worker thread alive while jobs pend");
-                members += 1;
+                });
             }
-            batched_requests += (members - 1) as u64;
-        }
+            drop(comp_tx_of_worker);
 
-        // drain the tail: close the job channels and collect whatever is
-        // still in flight, in per-worker dispatch order so the budget
-        // tracker sees every completion's exact latency — the bounds are
-        // thereby *exact*: a budgeted run completes if and only if its
-        // final metrics are within budget
-        drop(job_txs);
-        for (w, result_rx) in result_rxs.into_iter().enumerate() {
-            while let Some(slot) = inflight[w].pop_front() {
-                let completion = result_rx.recv().expect("worker alive while jobs pend");
-                debug_assert_eq!(completion.slot, slot);
-                let start = finish_known[w].max(stream[slot].arrival);
-                let finish = start + completion.counters.cycles;
-                finish_known[w] = finish;
-                if abort.is_none() {
-                    if let Some(tracker) = budget.as_mut() {
-                        if let Err(e) =
-                            tracker.admit(finish - stream[slot].arrival, completion.emitted_writes)
-                        {
-                            abort = Some(e);
-                        }
-                    }
-                }
-                completions[slot] = Some(completion);
+            let local_of = &local_of;
+            let handles: Vec<_> = shards
+                .into_iter()
+                .zip(comp_rxs)
+                .map(|(shard, comp_rx)| {
+                    let lane = ShardLane::Threaded {
+                        job_txs: job_txs.clone(),
+                        comp_rx,
+                    };
+                    let tracker = tracker.take();
+                    scope.spawn(move || run_shard(input, local_of, shard, lane, tracker))
+                })
+                .collect();
+            drop(job_txs);
+            for handle in handles {
+                merge(handle.join().expect("scheduler shard panicked")?);
             }
-        }
-    });
-    if let Some(e) = abort {
-        return Err(e);
+            Ok::<(), ServeError>(())
+        })?;
     }
-    let cost_snapshot = snapshot_by_name(&scheduler);
     Ok(EngineOutput {
+        plan,
         completions: completions
             .into_iter()
             .map(|c| c.expect("every dispatched job completes"))
@@ -452,399 +515,142 @@ fn snapshot_by_name(scheduler: &Scheduler) -> Vec<CostSnapshotEntry> {
         .collect()
 }
 
-/// Shared read-only context every scheduler shard runs against.
-#[derive(Clone, Copy)]
-struct Shared<'a> {
-    stream: &'a [TrafficRequest],
-    order: &'a [usize],
-    modules: &'a [Option<Arc<CompiledModule>>],
-    group_idx: &'a [usize],
-    groups: &'a [Vec<usize>],
-    worker_descs: &'a [AcceleratorDescriptor],
-    power_caps: &'a [Option<usize>],
-    cfg: &'a ServeConfig,
-    worker_count: usize,
-}
-
-/// How a shard dispatches jobs and collects their completions: over the
-/// executor channels (the threaded engine), or inline on the calling
-/// thread (the single-thread budget — the shard executes each job itself
-/// at dispatch time, so a "receive" just replays the stashed result).
-enum ShardLane {
-    /// Jobs go to executor `worker % threads`; completions come back on
-    /// the shard's own channel.
-    Threaded {
-        job_txs: Vec<mpsc::Sender<(usize, Job)>>,
-        comp_rx: mpsc::Receiver<Completion>,
-        threads: usize,
-    },
-    /// The shard owns its group's workers and executes synchronously.
-    Inline {
-        workers: HashMap<usize, Worker>,
-        done: VecDeque<Completion>,
-    },
-}
-
-impl ShardLane {
-    fn dispatch(&mut self, worker: usize, job: Job) {
-        match self {
-            ShardLane::Threaded {
-                job_txs, threads, ..
-            } => job_txs[worker % *threads]
-                .send((worker, job))
-                .expect("executor thread alive while jobs pend"),
-            ShardLane::Inline { workers, done } => {
-                let completion = workers
-                    .get_mut(&worker)
-                    .expect("worker owned by this shard")
-                    .execute(&job);
-                done.push_back(completion);
-            }
-        }
-    }
-
-    fn recv(&mut self) -> Completion {
-        match self {
-            ShardLane::Threaded { comp_rx, .. } => {
-                comp_rx.recv().expect("executor alive while jobs pend")
-            }
-            ShardLane::Inline { done, .. } => done
-                .pop_front()
-                .expect("inline dispatches complete synchronously"),
-        }
-    }
-}
-
-/// What one scheduler shard hands back to be merged into stream order.
-struct ShardResult {
-    /// `(slot, worker, outcome, completion)` per request of the group.
-    slots: Vec<(usize, usize, CommitOutcome, Completion)>,
-    batched_requests: u64,
-    /// The shard refiner's final rows, re-keyed to platform names.
-    snapshot: Vec<CostSnapshotEntry>,
-}
-
-/// The parallel engine: one scheduler shard per pool group, execution
-/// spread over `threads` executor threads owning the workers. Budgeted
-/// serves never reach this engine (`run` routes them to the oracle), so
-/// the only error path is the fallback's.
-fn run_parallel(input: EngineInput<'_>, threads: usize) -> Result<EngineOutput, ServeError> {
-    // Two groups sharing a base platform *name* would share refiner rows
-    // (module keys name the base platform), coupling the shards' cost
-    // state. That shape cannot be decomposed, so serve it on the oracle
-    // instead — the engine choice is a performance knob, not a semantic
-    // one.
-    let mut base_names = HashSet::new();
-    for group in input.groups {
-        if !base_names.insert(input.worker_descs[group[0]].name.as_str()) {
-            return run_deterministic(input);
-        }
-    }
-
-    let n_groups = input.groups.len();
-    let worker_count = input.workers.len();
-    // Split the persisted cost rows by owning shard: shard `g` seeds the
-    // rows naming one of its member platforms for modules compiled
-    // against its base. Rows the pool fields but no shard can own (a
-    // member platform shared with another group, keyed by a foreign
-    // base) are routing-dead — no shard ever reads or writes them — but
-    // the oracle's refiner would still carry them, so they pass through
-    // to the final snapshot verbatim to keep store flushes identical.
-    let member_names: Vec<HashSet<&str>> = input
-        .groups
-        .iter()
-        .map(|group| {
-            group
-                .iter()
-                .map(|&w| input.worker_descs[w].name.as_str())
-                .collect()
-        })
-        .collect();
-    let fielded: HashSet<&str> = input.worker_descs.iter().map(|d| d.name.as_str()).collect();
-    let mut shard_seeds: Vec<Vec<CostSnapshotEntry>> = vec![Vec::new(); n_groups];
-    let mut passthrough: Vec<CostSnapshotEntry> = Vec::new();
-    let mut ewma_entries_seeded = 0u64;
-    if input.cfg.refine_cost {
-        for entry in input.cost_seed {
-            let (name, key, _) = entry;
-            if !fielded.contains(name.as_str()) {
-                continue;
-            }
-            // counted exactly as `LoadTracker::seed_refiner` would
-            ewma_entries_seeded += 1;
-            let owner = (0..n_groups).find(|&g| {
-                member_names[g].contains(name.as_str())
-                    && input.worker_descs[input.groups[g][0]].name == key.accelerator
-            });
-            match owner {
-                Some(g) => shard_seeds[g].push(entry.clone()),
-                None => passthrough.push(entry.clone()),
-            }
-        }
-    }
-
-    let shared = Shared {
-        stream: input.stream,
-        order: input.order,
-        modules: input.modules,
-        group_idx: input.group_idx,
-        groups: input.groups,
-        worker_descs: input.worker_descs,
-        power_caps: input.power_caps,
-        cfg: input.cfg,
-        worker_count,
-    };
-
-    let stream_len = input.stream.len();
-    let mut completions: Vec<Option<Completion>> = (0..stream_len).map(|_| None).collect();
-    let mut assignment = vec![0usize; stream_len];
-    let mut outcomes = vec![CommitOutcome::default(); stream_len];
-    let mut batched_requests = 0u64;
-    let mut cost_snapshot = passthrough;
-    let mut merge = |shard: ShardResult| {
-        batched_requests += shard.batched_requests;
-        cost_snapshot.extend(shard.snapshot);
-        for (slot, worker, outcome, completion) in shard.slots {
-            assignment[slot] = worker;
-            outcomes[slot] = outcome;
-            completions[slot] = Some(completion);
-        }
-    };
-    if threads == 1 {
-        // the single-thread budget: same shards, same decisions, but run
-        // one after another on the calling thread with every dispatch
-        // executed inline — the fully serial baseline that wall-clock
-        // speedups at higher budgets are measured against
-        let mut workers: Vec<Option<Worker>> = input.workers.into_iter().map(Some).collect();
-        for (g, seed) in shard_seeds.into_iter().enumerate() {
-            let owned: HashMap<usize, Worker> = input.groups[g]
-                .iter()
-                .map(|&w| (w, workers[w].take().expect("each worker has one group")))
-                .collect();
-            let lane = ShardLane::Inline {
-                workers: owned,
-                done: VecDeque::new(),
-            };
-            merge(run_shard(shared, g, seed, lane));
-        }
-        return Ok(EngineOutput {
-            completions: completions
-                .into_iter()
-                .map(|c| c.expect("every dispatched job completes"))
-                .collect(),
-            assignment,
-            outcomes,
-            batched_requests,
-            ewma_entries_seeded,
-            cost_snapshot,
-        });
-    }
-    thread::scope(|scope| {
-        // executor channels: worker `w` is owned by executor `w % threads`
-        let mut exec_txs = Vec::with_capacity(threads);
-        let mut exec_rxs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = mpsc::channel::<(usize, Job)>();
-            exec_txs.push(tx);
-            exec_rxs.push(rx);
-        }
-        // per-shard completion channels, addressed per worker
-        let mut shard_comp_txs = Vec::with_capacity(n_groups);
-        let mut shard_comp_rxs = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            let (tx, rx) = mpsc::channel::<Completion>();
-            shard_comp_txs.push(tx);
-            shard_comp_rxs.push(rx);
-        }
-        let mut worker_group = vec![0usize; worker_count];
-        for (g, group) in input.groups.iter().enumerate() {
-            for &w in group {
-                worker_group[w] = g;
-            }
-        }
-        let comp_tx_of_worker: Vec<mpsc::Sender<Completion>> = (0..worker_count)
-            .map(|w| shard_comp_txs[worker_group[w]].clone())
-            .collect();
-        drop(shard_comp_txs);
-
-        // executor threads own the workers and execute jobs in arrival
-        // order; a worker's jobs all come from its group's single shard,
-        // so per-sender channel FIFO preserves each worker's dispatch
-        // sequence exactly as the shard committed it
-        let mut owned: Vec<HashMap<usize, Worker>> = (0..threads).map(|_| HashMap::new()).collect();
-        for (w, worker) in input.workers.into_iter().enumerate() {
-            owned[w % threads].insert(w, worker);
-        }
-        for (mut workers, job_rx) in owned.into_iter().zip(exec_rxs) {
-            let comp_txs = comp_tx_of_worker.clone();
-            scope.spawn(move || {
-                while let Ok((w, job)) = job_rx.recv() {
-                    let completion = workers
-                        .get_mut(&w)
-                        .expect("job routed to its owning executor")
-                        .execute(&job);
-                    if comp_txs[w].send(completion).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(comp_tx_of_worker);
-
-        // scheduler shards: one per pool group
-        let mut handles = Vec::with_capacity(n_groups);
-        for (g, (comp_rx, seed)) in shard_comp_rxs.into_iter().zip(shard_seeds).enumerate() {
-            let lane = ShardLane::Threaded {
-                job_txs: exec_txs.clone(),
-                comp_rx,
-                threads,
-            };
-            handles.push(scope.spawn(move || run_shard(shared, g, seed, lane)));
-        }
-        drop(exec_txs);
-
-        for handle in handles {
-            merge(handle.join().expect("scheduler shard panicked"));
-        }
-    });
-    Ok(EngineOutput {
-        completions: completions
-            .into_iter()
-            .map(|c| c.expect("every dispatched job completes"))
-            .collect(),
-        assignment,
-        outcomes,
-        batched_requests,
-        ewma_entries_seeded,
-        cost_snapshot,
-    })
-}
-
-/// One scheduler shard: replays the oracle's loop over group `g`'s
-/// subsequence of the arrival order, against a full-width scheduler (so
-/// platform indices match the oracle's) that only ever routes within the
-/// group's candidates.
+/// The serve loop: walks `shard`'s subsequence of the arrival order on
+/// the simulated clock against a full-width scheduler (so platform
+/// indices mean the same in every shard) that only ever routes within
+/// the owned groups' candidates. Executors run ahead eagerly; the loop
+/// pulls a completion only once the clock proves its dispatch has
+/// started, so every decision is a function of simulated time alone.
+///
+/// With a [`BudgetTracker`], every pulled completion's (final) latency
+/// and setup writes are admitted to it, tail drain included, and the
+/// loop returns [`ServeError::BudgetExceeded`] the moment a bound is
+/// provably exceeded — the bounds are thereby *exact*: a budgeted run
+/// completes if and only if its final metrics are within budget.
 fn run_shard(
-    shared: Shared<'_>,
-    g: usize,
-    seed: Vec<CostSnapshotEntry>,
-    mut lane: ShardLane,
-) -> ShardResult {
-    let Shared {
+    input: EngineInput<'_>,
+    local_of: &[usize],
+    shard: Shard<'_>,
+    mut lane: ShardLane<'_>,
+    mut budget: Option<BudgetTracker>,
+) -> Result<ShardResult, ServeError> {
+    let EngineInput {
         stream,
-        order,
         modules,
         group_idx,
         groups,
         worker_descs,
         power_caps,
         cfg,
-        worker_count,
-    } = shared;
-    let module_of = |i: usize| modules[i].as_ref().expect("resolved by the prologue");
-    let members = &groups[g];
+        ..
+    } = input;
+    let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
+    let worker_count = worker_descs.len();
+    let order = shard.order;
+    // ascending worker index: the pull order budget aborts are exact in
+    let members: Vec<usize> = shard
+        .groups
+        .iter()
+        .flat_map(|&g| groups[g].iter().copied())
+        .collect();
 
     let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
         .with_power_caps(group_of_worker(groups, worker_count), power_caps.to_vec());
-    scheduler.seed_refiner(&seed);
+    let seeded = scheduler.seed_refiner(&shard.seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
 
-    // this group's subsequence of the arrival order
-    let my_order: Vec<usize> = order
-        .iter()
-        .copied()
-        .filter(|&i| group_idx[i] == g)
-        .collect();
-
-    // completions arrive on one lane for all member workers, in
-    // execution order, which need not match the simulated-clock order the
-    // shard consumes them in — buffer strays by slot until needed
-    let mut pending: HashMap<usize, Completion> = HashMap::new();
-    fn wait_for(
-        slot: usize,
-        lane: &mut ShardLane,
-        pending: &mut HashMap<usize, Completion>,
-    ) -> Completion {
-        loop {
-            if let Some(completion) = pending.remove(&slot) {
-                return completion;
-            }
-            let completion = lane.recv();
-            pending.insert(completion.slot, completion);
-        }
-    }
-
-    let mut slots: Vec<(usize, usize, CommitOutcome, Completion)> =
-        Vec::with_capacity(my_order.len());
-    let mut assignment: HashMap<usize, usize> = HashMap::new();
-    let mut outcomes: HashMap<usize, CommitOutcome> = HashMap::new();
-    let mut completions: HashMap<usize, Completion> = HashMap::new();
+    // per-request state, indexed by position in `order`; a completion is
+    // stashed on arrival (the lane delivers in execution order, which
+    // need not match the simulated-clock order the loop consumes in)
+    let mut assignment = vec![0usize; order.len()];
+    let mut outcomes = vec![CommitOutcome::default(); order.len()];
+    let mut completions: Vec<Option<Completion>> = (0..order.len()).map(|_| None).collect();
+    let mut scheduled = vec![false; order.len()];
+    // per-worker dispatches sent but not yet pulled, oldest first;
+    // `finish_known[w]` is the simulated finish of the last pulled
+    // dispatch, so the head's start cycle is exact
     let mut inflight: Vec<VecDeque<usize>> = vec![VecDeque::new(); worker_count];
     let mut finish_known = vec![0u64; worker_count];
-    let mut unretired: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut scheduled = vec![false; stream.len()];
+    // pulled completions whose finish is still in the future, retired in
+    // deterministic (finish, slot) order
+    let mut unretired: BTreeSet<(u64, usize, usize)> = BTreeSet::new();
     let mut batched_requests = 0u64;
 
     let mut cursor = 0usize;
     loop {
-        while cursor < my_order.len() && scheduled[my_order[cursor]] {
+        while cursor < order.len() && scheduled[cursor] {
             cursor += 1;
         }
-        if cursor == my_order.len() {
-            break;
-        }
-        let head = my_order[cursor];
-        let now = stream[head].arrival;
+        // heads are taken at advancing positions of the arrival-sorted
+        // order (batch coalescing skips ahead only for *members*), so
+        // this clock is monotone; past the last head it is unbounded,
+        // which makes the pull below the tail drain
+        let head = order.get(cursor).copied();
+        let now = head.map_or(u64::MAX, |head| stream[head].arrival);
 
-        // pull every member completion the clock proves has started —
-        // exactly the oracle's pull rule, restricted to this group's
-        // workers
-        for &w in members {
-            while let Some(&slot) = inflight[w].front() {
+        // pull every completion the clock proves has *started* (its
+        // worker-queue predecessors all finished by now) — an executor
+        // is already running it, so the wait is at most for real work
+        // in progress. A pulled completion's latency is final, so the
+        // budget verdict on it is exact.
+        for &w in &members {
+            while let Some(&at) = inflight[w].front() {
+                let slot = order[at];
                 let start = finish_known[w].max(stream[slot].arrival);
                 if start > now {
                     break;
                 }
-                let completion = wait_for(slot, &mut lane, &mut pending);
-                debug_assert_eq!(completion.slot, slot);
+                while completions[at].is_none() {
+                    let arrived = lane.recv();
+                    let stash = local_of[arrived.slot];
+                    completions[stash] = Some(arrived);
+                }
+                let completion = completions[at].as_ref().expect("stashed above");
                 let finish = start + completion.counters.cycles;
                 finish_known[w] = finish;
-                if completion.sim_error.is_none() {
-                    unretired.insert((finish, slot));
-                }
-                completions.insert(slot, completion);
                 inflight[w].pop_front();
+                if completion.sim_error.is_none() {
+                    unretired.insert((finish, slot, at));
+                }
+                if let Some(tracker) = budget.as_mut() {
+                    tracker.admit(finish - stream[slot].arrival, completion.emitted_writes)?;
+                }
             }
         }
-        // retire completed dispatches into this shard's cost refiner, in
+        let Some(head) = head else {
+            break;
+        };
+        // retire completed dispatches into the cost refiner, in
         // simulated completion order
-        while let Some(&(finish, slot)) = unretired.iter().next() {
+        while let Some(&(finish, slot, at)) = unretired.first() {
             if finish > now {
                 break;
             }
-            unretired.remove(&(finish, slot));
-            let completion = &completions[&slot];
+            unretired.pop_first();
+            let completion = completions[at].as_ref().expect("pulled above");
             scheduler.observe(
-                assignment[&slot],
+                assignment[at],
                 module_of(slot),
-                outcomes[&slot].bucket,
+                outcomes[at].bucket,
                 completion.freq,
                 completion.counters.cycles,
             );
         }
 
-        // route the batch head, then coalesce — the oracle's scan over
-        // this group's subsequence, verbatim
-        let worker = scheduler.choose(g, members, module_of(head), now);
+        // route the batch head, then coalesce same-module requests
+        // adjacent in this group's arrival order (requests bound for
+        // other accelerator groups never interpose), stopping at the
+        // batch cutoff: once the worker's estimated outstanding cycles
+        // reach the horizon, further requests are better served by a
+        // fresh routing decision than by joining the queue
+        let g = group_idx[head];
+        let worker = scheduler.choose(g, &groups[g], module_of(head), now);
         let mut batch = 0usize;
-        let mut scan = cursor;
-        while scan < my_order.len() {
-            let slot = my_order[scan];
-            scan += 1;
-            if scheduled[slot] {
+        for (at, &slot) in order.iter().enumerate().skip(cursor) {
+            if scheduled[at] || group_idx[slot] != g {
                 continue;
             }
             if batch > 0 {
@@ -857,13 +663,10 @@ fn run_shard(
                     }
                 }
             }
-            outcomes.insert(
-                slot,
-                scheduler.commit(worker, module_of(slot), stream[slot].arrival),
-            );
-            assignment.insert(slot, worker);
-            scheduled[slot] = true;
-            inflight[worker].push_back(slot);
+            outcomes[at] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
+            assignment[at] = worker;
+            scheduled[at] = true;
+            inflight[worker].push_back(at);
             lane.dispatch(
                 worker,
                 Job {
@@ -878,25 +681,15 @@ fn run_shard(
         batched_requests += (batch - 1) as u64;
     }
 
-    // drain the tail: everything dispatched executes before the lane
-    // closes, so each remaining inflight slot's completion is already on
-    // its way (or, inline, already stashed)
-    for &w in members {
-        while let Some(slot) = inflight[w].pop_front() {
-            let completion = wait_for(slot, &mut lane, &mut pending);
-            completions.insert(slot, completion);
-        }
-    }
-
-    let snapshot = snapshot_by_name(&scheduler);
-    for (slot, completion) in completions {
-        slots.push((slot, assignment[&slot], outcomes[&slot], completion));
-    }
-    ShardResult {
-        slots,
+    Ok(ShardResult {
+        order,
+        assignment,
+        outcomes,
+        completions,
         batched_requests,
-        snapshot,
-    }
+        seeded,
+        snapshot: snapshot_by_name(&scheduler),
+    })
 }
 
 #[cfg(test)]
@@ -1001,9 +794,9 @@ mod tests {
 
     #[test]
     fn duplicate_base_names_fall_back_to_the_oracle() {
-        // two groups fielding the same base platform cannot be sharded
-        // (their modules share refiner rows); the parallel engine must
-        // still serve them correctly — by falling back
+        // two groups fielding the same base platform share refiner rows
+        // (module keys name the base), so the plan keeps them on one
+        // shard — and says so — whatever the thread budget
         let gemmini = AcceleratorDescriptor::gemmini();
         let pool = PoolConfig {
             groups: vec![
@@ -1037,5 +830,11 @@ mod tests {
         );
         assert_eq!(oracle.metrics, parallel.metrics);
         assert_eq!(oracle.latencies, parallel.latencies);
+        let one_shard = EnginePlan {
+            shards: 1,
+            executor_threads: 4,
+        };
+        assert_eq!(oracle.engine, one_shard);
+        assert_eq!(parallel.engine, one_shard);
     }
 }

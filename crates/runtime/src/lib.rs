@@ -160,7 +160,7 @@ pub use cache::{
     build_module, CacheKey, CacheStats, CompiledModule, CostModel, CostRefiner, CostRow,
     ModuleCache, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
 };
-pub use engine::ServeMode;
+pub use engine::{EnginePlan, ServeMode};
 pub use error::ServeError;
 pub use metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,

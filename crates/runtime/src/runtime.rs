@@ -32,7 +32,7 @@
 //! [`SchedulePolicy`]: crate::policy::SchedulePolicy
 
 use crate::cache::{CacheKey, CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, ServeMode};
+use crate::engine::{self, EnginePlan, ServeMode};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
@@ -263,11 +263,13 @@ pub fn measured_class_service_times(
 /// the tracker, so a budgeted serve completes if and only if the full
 /// run's final p99 and setup-write totals are within the bounds.
 ///
-/// Budgeted serves always run on the deterministic oracle engine
-/// regardless of [`ServeConfig::mode`] — like the parallel engine's
-/// duplicate-base-name fallback, the budget makes engine choice a
-/// correctness matter, and the oracle is the engine whose pull order the
-/// abort argument is stated against.
+/// A bounded budget always serves under the one-shard plan on the
+/// threaded lane, whatever [`ServeConfig::mode`] says (the plan that ran
+/// is reported in [`ServeReport::engine`]): the abort argument is stated
+/// against that plan's pull order — worker by worker in ascending index
+/// — so the budget overrides the performance knob rather than weakening
+/// the contract. An all-`None` budget bounds nothing and leaves the plan
+/// to `mode`.
 ///
 /// An aborted run flushes nothing to a warm-start store (the flush sits
 /// after the engine in [`Runtime::serve`], and the abort returns early),
@@ -329,19 +331,20 @@ pub struct ServeConfig {
     /// [`WarmStartStats`]. `None` (the default) serves fully cold and
     /// keeps the run byte-identical to the pre-store behaviour.
     pub store: Option<PathBuf>,
-    /// Which serve engine processes the dispatch loop:
-    /// [`ServeMode::Deterministic`] (the default) is the single-threaded
-    /// simulated-clock oracle whose reports are byte-identical across
-    /// runs; [`ServeMode::Parallel`] shards the scheduler per pool group
-    /// and spreads execution over executor threads, producing identical
-    /// per-request outcomes at real wall-clock parallelism (see
-    /// [`crate::engine`] for the contract).
+    /// How the one serve loop is planned onto scheduler shards and
+    /// threads: [`ServeMode::Deterministic`] (the default) is the
+    /// reference plan — one shard over the whole pool, reports
+    /// byte-identical across runs; [`ServeMode::Parallel`] runs one shard
+    /// per set of groups sharing a base platform name and spreads
+    /// execution over executor threads, producing identical per-request
+    /// outcomes at real wall-clock parallelism (see [`crate::engine`] for
+    /// the argument). The plan that ran is in [`ServeReport::engine`].
     pub mode: ServeMode,
     /// Early-termination bounds for capped tuning runs (see
     /// [`ServeBudget`]). `None` (the default) serves the full stream
-    /// unconditionally; `Some` routes the serve to the deterministic
-    /// oracle and aborts with [`ServeError::BudgetExceeded`] as soon as
-    /// a bound is provably violated.
+    /// unconditionally; a bounded `Some` serves under the one-shard plan
+    /// and aborts with [`ServeError::BudgetExceeded`] as soon as a bound
+    /// is provably violated.
     ///
     /// [`ServeError::BudgetExceeded`]:
     ///     crate::error::ServeError::BudgetExceeded
@@ -404,6 +407,10 @@ pub struct ServeReport {
     pub latencies: Vec<u64>,
     /// Per-request cycle predictions vs. observations, in stream order.
     pub predictions: Vec<PredictionSample>,
+    /// The plan the serve loop actually ran under. Deliberately outside
+    /// [`ServeMetrics`]: the plan never changes an outcome, so reports
+    /// served under different plans compare (and render) equal.
+    pub engine: EnginePlan,
 }
 
 /// A pooled serving runtime with a persistent module cache.
@@ -571,45 +578,38 @@ impl Runtime {
             .collect::<HashSet<_>>()
             .len() as u64;
 
-        let accel_of_worker: Vec<String> = workers
-            .iter()
-            .map(|w| w.accelerator().to_string())
-            .collect();
-        let worker_count = workers.len();
-
         // The serve loop proper: scheduling interleaved with execution,
-        // behind the engine `cfg.mode` selects. The deterministic oracle
-        // advances one simulated clock over the whole pool; the parallel
-        // engine shards it per group with identical per-request outcomes
-        // (see `crate::engine`). Either way, every dispatch the clock
-        // proves *complete* retires its measured cycles into the
-        // scheduler's cost refiner, so later queue estimates learn from
-        // the stream itself.
+        // under the plan `cfg.mode` selects — one scheduler shard over
+        // the whole pool, or one per set of groups sharing no state, with
+        // identical per-request outcomes (see `crate::engine`). Either
+        // way, every dispatch the clock proves *complete* retires its
+        // measured cycles into the scheduler's cost refiner, so later
+        // queue estimates learn from the stream itself.
         let power_caps: Vec<Option<usize>> = self.pool.groups.iter().map(|g| g.power_cap).collect();
         // A budget abort returns here — before the flush-on-finish block
         // below — so a capped run can never persist partial EWMA state.
-        let engine_out = engine::run(engine::EngineInput {
-            stream,
-            order: &order,
-            modules: &modules,
-            group_idx: &group_idx,
-            groups: &groups,
-            worker_descs: &worker_descs,
+        let engine_out = engine::run(
+            engine::EngineInput {
+                stream,
+                order: &order,
+                modules: &modules,
+                group_idx: &group_idx,
+                groups: &groups,
+                worker_descs: &worker_descs,
+                cost_seed: &cost_seed,
+                power_caps: &power_caps,
+                cfg,
+            },
             workers,
-            cost_seed: &cost_seed,
-            power_caps: &power_caps,
-            cfg,
-        })?;
+        )?;
         warm_start.ewma_entries_seeded = engine_out.ewma_entries_seeded;
         let completions: Vec<Completion> = engine_out.completions;
-        let assignment = engine_out.assignment;
         let outcomes = engine_out.outcomes;
-        let batched_requests = engine_out.batched_requests;
 
         // per-worker dispatch sequences (for latency replay)
-        let mut dispatch_order: Vec<Vec<usize>> = vec![Vec::new(); worker_count];
+        let mut dispatch_order: Vec<Vec<usize>> = vec![Vec::new(); worker_descs.len()];
         for &i in &order {
-            dispatch_order[assignment[i]].push(i);
+            dispatch_order[engine_out.assignment[i]].push(i);
         }
 
         // deterministic latency replay: each worker executes its dispatch
@@ -641,7 +641,7 @@ impl Runtime {
             }
             worker_metrics.push(WorkerMetrics {
                 index: w,
-                accelerator: accel_of_worker[w].clone(),
+                accelerator: worker_descs[w].name.clone(),
                 requests: slots.len() as u64,
                 busy_cycles: busy,
                 finish: ready,
@@ -748,7 +748,7 @@ impl Runtime {
                 misses: cache_after.misses - cache_before.misses,
             },
             warm_start: cfg.store.is_some().then_some(warm_start),
-            batched_requests,
+            batched_requests: engine_out.batched_requests,
             workers: worker_metrics,
         };
         Ok(ServeReport {
@@ -756,6 +756,7 @@ impl Runtime {
             completions,
             latencies,
             predictions,
+            engine: engine_out.plan,
         })
     }
 }
@@ -1219,6 +1220,32 @@ mod tests {
             .unwrap();
         assert_eq!(oracle.metrics, budgeted.metrics);
         assert_eq!(oracle.latencies, budgeted.latencies);
+        assert_eq!(oracle.engine, budgeted.engine);
+
+        // an aborting bound: the verdict — down to how many completions
+        // were admitted before it — is the same under either mode, and
+        // the serve returns (its executor threads join) after the abort
+        let aborting = |mode| {
+            Runtime::new(pool())
+                .serve(
+                    &stream,
+                    &ServeConfig {
+                        mode,
+                        budget: Some(ServeBudget {
+                            p99_bound: Some(oracle.metrics.latency.p50),
+                            max_setup_writes: Some(oracle.metrics.setup_writes / 2),
+                        }),
+                        ..ServeConfig::default()
+                    },
+                )
+                .unwrap_err()
+        };
+        let reference = aborting(ServeMode::Deterministic);
+        assert!(
+            matches!(reference, ServeError::BudgetExceeded { completed, .. } if completed < 200),
+            "{reference:?}"
+        );
+        assert_eq!(reference, aborting(ServeMode::Parallel { threads: 4 }));
     }
 
     #[test]

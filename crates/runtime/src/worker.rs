@@ -21,7 +21,6 @@ use crate::plan::RegMap;
 use accfg_sim::{AccelSim, Counters, FreqState, Machine};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{check_result, fill_inputs, TrafficRequest};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// One dispatched unit of work.
@@ -196,16 +195,6 @@ impl Worker {
             }
         }
         completion
-    }
-
-    /// Thread entry point: executes jobs until the channel closes.
-    pub fn run_loop(mut self, jobs: Receiver<Job>, results: Sender<Completion>) {
-        while let Ok(job) = jobs.recv() {
-            let completion = self.execute(&job);
-            if results.send(completion).is_err() {
-                break;
-            }
-        }
     }
 }
 

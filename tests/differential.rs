@@ -1,18 +1,28 @@
-//! Differential testing of the parallel serve engine against the
-//! deterministic oracle.
+//! Schedule-independence of the serve loop.
 //!
-//! The single-threaded simulated-clock loop (`ServeMode::Deterministic`)
-//! is the *oracle*: its per-request outcomes define correct behaviour.
-//! The sharded parallel engine (`ServeMode::Parallel`) must reproduce
-//! those outcomes exactly — writes, cycles, latencies, prediction
-//! samples, routing — at every thread budget. This suite pins that
-//! contract over every `serve_bench` stream × policy pair (at reduced
-//! request counts), and property-tests it over random streams, pool
-//! shapes, slack horizons, and batch settings with the thread budget
-//! varied across 1/2/8.
+//! The runtime has one serve loop (`engine::run_shard`); `ServeMode`
+//! only chooses the *plan* it runs under. `ServeMode::Deterministic` —
+//! one scheduler shard over the whole pool — is the *reference
+//! configuration*: its per-request outcomes define correct behaviour.
+//! Every sharded plan (`ServeMode::Parallel`, one shard per set of pool
+//! groups sharing a base platform name, on the inline or the threaded
+//! lane) must reproduce those outcomes exactly — writes, cycles,
+//! latencies, prediction samples, routing — at every thread budget. This
+//! suite pins that property over every `serve_bench` stream × policy
+//! pair (at reduced request counts), and property-tests it over random
+//! streams, pool shapes, slack horizons, and batch settings with the
+//! thread budget varied across 1/2/8. It also pins what the plans are
+//! (`ServeReport::engine`), and that warm starts split persisted cost
+//! rows across shards without changing an outcome or a store byte. The
+//! loop body's own reference is the committed output of the reference
+//! plan: `BENCH_runtime.json` and `TUNED.json` regenerate byte-identically.
 
 use configuration_wall::prelude::*;
-use configuration_wall::runtime::{measured_class_service_times, Policy, ServeMode, ServeReport};
+use configuration_wall::runtime::{
+    load_costs, measured_class_service_times, EnginePlan, Policy, PoolGroup, ServeBudget,
+    ServeMode, ServeReport,
+};
+use configuration_wall::store::LogStore;
 use configuration_wall::workloads::{
     mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, BurstyConfig,
     ClosedLoopConfig, TrafficClass, TrafficRequest,
@@ -297,6 +307,269 @@ fn contention_stream_matches() {
         &open_loop(mixed_serving_classes(), 250, 120, 0xC047E47),
         &[1, 2],
     );
+}
+
+/// Serves `stream` on a fresh runtime over `pool`.
+fn serve(pool: &PoolConfig, stream: &[TrafficRequest], cfg: &ServeConfig) -> ServeReport {
+    Runtime::new(pool.clone())
+        .serve(stream, cfg)
+        .expect("serve succeeds")
+}
+
+/// The plan `Parallel { threads }` resolves to on a pool of `workers`
+/// workers whose groups carry `shards` distinct base platform names.
+fn sharded_plan(shards: usize, threads: usize, workers: usize) -> EnginePlan {
+    EnginePlan {
+        shards,
+        executor_threads: if threads <= 1 {
+            0
+        } else {
+            threads.min(workers)
+        },
+    }
+}
+
+#[test]
+fn groups_sharing_a_base_name_share_a_shard() {
+    // two groups fielding the same base platform share refiner rows
+    // (module keys name the base), so they must share a scheduler shard;
+    // the third group shares nothing and gets its own
+    let gemmini = AcceleratorDescriptor::gemmini();
+    let opengemm = AcceleratorDescriptor::opengemm();
+    let group = |family: &str, desc: &AcceleratorDescriptor| PoolGroup {
+        family: family.into(),
+        members: vec![desc.clone(), desc.clone()],
+        power_cap: None,
+    };
+    let pool = PoolConfig {
+        groups: vec![
+            group("a", &gemmini),
+            group("b", &gemmini),
+            group("opengemm", &opengemm),
+        ],
+        ..uniform_pool()
+    };
+    let mut stream = open_loop(mixed_serving_classes(), 300, 100, 0x5A4ED);
+    for (i, request) in stream.iter_mut().enumerate() {
+        if request.accelerator == "gemmini" {
+            request.accelerator = if i % 2 == 0 { "a".into() } else { "b".into() };
+        }
+    }
+    let one_shard = EnginePlan {
+        shards: 1,
+        executor_threads: 6,
+    };
+    for policy in [Policy::FifoElide, Policy::ConfigAffinity, Policy::Cost] {
+        let cfg = ServeConfig {
+            policy,
+            ..ServeConfig::default()
+        };
+        let oracle = serve(&pool, &stream, &cfg);
+        assert_eq!(oracle.engine, one_shard);
+        for threads in THREADS {
+            let parallel = ServeConfig {
+                mode: ServeMode::Parallel { threads },
+                ..cfg.clone()
+            };
+            let sharded = serve(&pool, &stream, &parallel);
+            let context = format!("shared base/{} x{threads}", policy.label());
+            assert_identical(&oracle, &sharded, &context);
+            assert_eq!(sharded.engine, sharded_plan(2, threads, 6), "{context}");
+            // a bounded budget overrides the thread budget: one shard
+            let budgeted = serve(
+                &pool,
+                &stream,
+                &ServeConfig {
+                    budget: Some(ServeBudget {
+                        p99_bound: Some(u64::MAX),
+                        max_setup_writes: None,
+                    }),
+                    ..parallel
+                },
+            );
+            assert_identical(&oracle, &budgeted, &format!("{context} budgeted"));
+            assert_eq!(budgeted.engine, one_shard, "{context} budgeted");
+        }
+    }
+}
+
+#[test]
+fn bench_pools_plan_one_shard_per_group() {
+    // distinct base names everywhere: nothing forces groups together
+    let stream = open_loop(mixed_serving_classes(), 40, 200, 0x9147);
+    for (name, pool) in [
+        ("uniform", uniform_pool()),
+        ("hetero", hetero_pool()),
+        ("contention", contention_pool()),
+    ] {
+        let cfg = ServeConfig::default();
+        let reference = serve(&pool, &stream, &cfg);
+        assert_eq!(
+            reference.engine,
+            EnginePlan {
+                shards: 1,
+                executor_threads: 4
+            },
+            "{name}"
+        );
+        for threads in THREADS {
+            let report = serve(
+                &pool,
+                &stream,
+                &ServeConfig {
+                    mode: ServeMode::Parallel { threads },
+                    ..cfg.clone()
+                },
+            );
+            assert_eq!(
+                report.engine,
+                sharded_plan(2, threads, 4),
+                "{name} x{threads}"
+            );
+        }
+    }
+}
+
+fn temp_store(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("accfg_differential_tests");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join(format!("{name}_{}.store", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Warm-starts `pool` from a copy of the store at `seeded` under the
+/// reference plan and under every sharded plan, and asserts the split of
+/// the persisted cost rows across shards changes nothing: outcomes and
+/// `warm_start` provenance (inside the metrics) equal the reference's,
+/// and the flushed store files are byte-identical. Returns the
+/// reference serve's report and store bytes.
+fn check_warm_start_across_plans(
+    name: &str,
+    pool: &PoolConfig,
+    seeded: &std::path::Path,
+    stream: &[TrafficRequest],
+    policy: Policy,
+) -> (ServeReport, Vec<u8>) {
+    let serve_copy = |mode: ServeMode, tag: &str| {
+        let path = temp_store(&format!("{name}_{tag}"));
+        std::fs::copy(seeded, &path).expect("copy the seeded store");
+        let report = serve(
+            pool,
+            stream,
+            &ServeConfig {
+                policy,
+                mode,
+                store: Some(path.clone()),
+                ..ServeConfig::default()
+            },
+        );
+        let bytes = std::fs::read(&path).expect("read the flushed store");
+        let _ = std::fs::remove_file(&path);
+        (report, bytes)
+    };
+    let (reference, reference_bytes) = serve_copy(ServeMode::Deterministic, "det");
+    for threads in THREADS {
+        let (report, bytes) = serve_copy(ServeMode::Parallel { threads }, &format!("par{threads}"));
+        let context = format!("{name} warm start x{threads}");
+        assert_identical(&reference, &report, &context);
+        assert_eq!(reference_bytes, bytes, "{context}: store files diverge");
+    }
+    (reference, reference_bytes)
+}
+
+#[test]
+fn warm_start_cost_rows_split_across_shards_without_a_trace() {
+    for (name, pool, classes) in [
+        ("uniform", uniform_pool(), mixed_serving_classes()),
+        ("hetero", hetero_pool(), mixed_platform_classes()),
+    ] {
+        // the cost policy routes on the refined estimates, so a row
+        // seeded into the wrong shard would move a routing decision
+        let seeded = temp_store(&format!("{name}_seeded"));
+        let populate = ServeConfig {
+            policy: Policy::Cost,
+            store: Some(seeded.clone()),
+            ..ServeConfig::default()
+        };
+        serve(
+            &pool,
+            &open_loop(classes.clone(), 300, 200, 0x5EED0),
+            &populate,
+        );
+        let (reference, _) = check_warm_start_across_plans(
+            name,
+            &pool,
+            &seeded,
+            &open_loop(classes, 300, 200, 0x5EED1),
+            Policy::Cost,
+        );
+        let warm = reference.metrics.warm_start.expect("store configured");
+        assert!(warm.ewma_entries_seeded > 0, "{name}: nothing was seeded");
+        assert_eq!(
+            reference.metrics.cache.misses, 0,
+            "{name}: modules restored"
+        );
+        let _ = std::fs::remove_file(&seeded);
+    }
+}
+
+#[test]
+fn cost_rows_no_shard_owns_pass_through() {
+    // a store written by the hetero pool, read by a pool whose gemmini
+    // group fields only the turbo variant: the turbo rows of modules
+    // compiled for the `gemmini` base name a platform the new pool
+    // fields but a base no shard compiles for — the one-shard refiner
+    // carries them, so the sharded plans must pass them through
+    let seeded = temp_store("reshaped_seeded");
+    let populate = ServeConfig {
+        policy: Policy::Cost,
+        store: Some(seeded.clone()),
+        ..ServeConfig::default()
+    };
+    let classes = mixed_platform_classes();
+    serve(
+        &hetero_pool(),
+        &open_loop(classes.clone(), 300, 200, 0x5EED2),
+        &populate,
+    );
+    let orphaned = |store: &LogStore| {
+        load_costs(store)
+            .expect("cost rows decode")
+            .into_iter()
+            .filter(|(platform, key, _)| {
+                platform == "gemmini-turbo" && key.accelerator == "gemmini"
+            })
+            .collect::<Vec<_>>()
+    };
+    let before = orphaned(&LogStore::open(&seeded).expect("open the seeded store"));
+    assert!(!before.is_empty(), "the hetero serve learned turbo rows");
+
+    let reshaped = PoolConfig::new(vec![
+        AcceleratorDescriptor::gemmini(),
+        AcceleratorDescriptor::opengemm(),
+    ])
+    .with_workers_per_accelerator(1)
+    .with_variant("gemmini", AcceleratorDescriptor::gemmini_turbo());
+    let (reference, bytes) = check_warm_start_across_plans(
+        "reshaped",
+        &reshaped,
+        &seeded,
+        &open_loop(classes, 200, 200, 0x5EED3),
+        Policy::Cost,
+    );
+    // the orphaned rows count as seeded (the one-shard refiner holds
+    // them) and survive the flush untouched
+    let warm = reference.metrics.warm_start.expect("store configured");
+    assert!(warm.ewma_entries_seeded >= before.len() as u64);
+    let flushed = temp_store("reshaped_flushed");
+    std::fs::write(&flushed, bytes).expect("write the flushed store back");
+    assert_eq!(
+        orphaned(&LogStore::open(&flushed).expect("open the flushed store")),
+        before
+    );
+    let _ = std::fs::remove_file(&flushed);
+    let _ = std::fs::remove_file(&seeded);
 }
 
 fn stream_from_picks(
