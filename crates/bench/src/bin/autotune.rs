@@ -47,9 +47,15 @@ const DEFAULT_HELD_OUT: &str = "contention,hetero";
 
 fn resolve(name: &str, requests: usize) -> (Vec<TrafficRequest>, PoolConfig) {
     streams::named_stream(name, requests).unwrap_or_else(|| {
+        let catalog = streams::catalog(1);
+        let tunable: Vec<&str> = catalog
+            .iter()
+            .filter(|entry| entry.tunable)
+            .map(|entry| entry.name)
+            .collect();
         panic!(
-            "unknown or untunable stream `{name}` \
-             (tunable: mixed, shape_heavy, bursty, hetero, contention)"
+            "unknown or untunable stream `{name}` (tunable: {})",
+            tunable.join(", ")
         )
     })
 }

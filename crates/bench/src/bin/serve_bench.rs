@@ -3,7 +3,31 @@
 //! across arrival processes, shape mixes, and pool provisioning — over
 //! both evaluation platforms and their heterogeneous variants.
 //!
-//! Policies:
+//! # Plan → catalog → rows
+//!
+//! The binary is one loop. The command line is parsed into a
+//! [`BenchPlan`] — requests, mode, thread budget, slack, cutoff override,
+//! policy filter, stream filter, tuned table — and nothing else carries a
+//! knob. `BenchPlan::catalog` filters the bench catalog
+//! ([`accfg_bench::streams::catalog`], the single definition of the seven
+//! streams and their pools, shared with `autotune`, `benchmark/` and the
+//! integration tests) by `--streams`; for each entry, `calibrate`
+//! resolves the request sequence (a no-op except for
+//! `closed_loop_measured`) and `run_stream` serves
+//! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
+//! a [`ServeConfig`] over `BenchPlan::base_config` — plus the `tuned` row,
+//! and prints the stream's table. `--mode diff` walks the same catalog
+//! and rows with two plans per pair instead of one.
+//!
+//! Every report row records the module-cache delta of its own serve, so
+//! runtime sharing is part of the report: one [`Runtime`] per pool
+//! ([`BenchPool`]), created on first use and reused by every later
+//! stream of that pool in catalog order — including the calibration
+//! serve of `closed_loop_measured`, which runs on the uniform runtime at
+//! that stream's place in the order. `--mode diff` instead uses a fresh
+//! runtime per serve, calibration included.
+//!
+//! # Policy rows
 //!
 //! - `fifo` — the production baseline: round-robin routing, every dispatch
 //!   reprograms its full configuration;
@@ -24,9 +48,12 @@
 //!   traffic into a busy window; ties prefer the hotter worker, so
 //!   boost residency concentrates instead of scattering. Identical to
 //!   `cost` on identity-timing pools — it earns its keep on the
-//!   `contention` stream.
+//!   `contention` stream, where `cost` is its ablation baseline.
 //!
-//! Streams:
+//! The `+batch` rows appear only on `mixed`
+//! ([`BenchStream::batch_rows`]).
+//!
+//! # Catalog streams
 //!
 //! - `mixed` — the canonical six-shape open-loop mix (routing and balance
 //!   both matter);
@@ -38,39 +65,42 @@
 //!   driven by a static per-request service estimate;
 //! - `closed_loop_measured` — the same population, but each client's
 //!   feedback uses the *measured* mean service time of its request's
-//!   class (from a `fifo+elide` calibration serve of the static stream),
-//!   so heavy shapes hold their clients proportionally longer;
+//!   class (from a `fifo+elide` calibration serve of the static stream —
+//!   [`BenchStream::calibrated`]), so heavy shapes hold their clients
+//!   proportionally longer;
 //! - `hetero` — the mixed-platform mix served by a *heterogeneous* pool:
 //!   each family pairs its base platform with a differently provisioned
 //!   variant (`gemmini`+`gemmini-turbo`, `opengemm`+`opengemm-lite`),
 //!   where write-count affinity scoring is blind to provisioning and
-//!   cycle-cost routing earns its keep.
-//!
+//!   cycle-cost routing earns its keep (asserted: `cost` writes no more
+//!   than `affinity`);
 //! - `contention` — the canonical mix at a tighter arrival gap, served
 //!   by a pool whose platforms run their *reference timing models*
 //!   (shared memory-bandwidth contention + DVFS frequency states,
-//!   [`AcceleratorDescriptor::with_reference_timing`]): dispatch cost is
+//!   `AcceleratorDescriptor::with_reference_timing`): dispatch cost is
 //!   no longer write-linear, the analytic anchors go wrong under load,
 //!   and the per-(module, warmth) EWMA has a real gap to close — the
 //!   stream that exercises the refiner (and the `cost` policy's cycle
 //!   predictions) hardest. Its report rows carry the extra `timing`
 //!   object (contention cycles, launches per frequency state).
 //!
+//! # Report and flags
+//!
 //! Writes the raw per-stream, per-policy metrics to `BENCH_runtime.json`
 //! (validated as strict JSON before the file lands). Each stream object
-//! opens with a `static_analysis` summary — `accfg-analyze`'s lint
+//! opens with a `static_analysis` summary
+//! ([`accfg_bench::streams::static_totals`]: `accfg-analyze`'s lint
 //! counts and static elidable-write lower bound over the stream's raw
-//! per-class modules, weighted by request count — ahead of the
-//! per-policy sections, whose bytes it leaves untouched. Pass
-//! `--requests <n>` for a reduced smoke run, `--out <path>` to write the
-//! report elsewhere (CI uses both to avoid clobbering the committed
-//! artifact), `--policies <a,b,...>` to exercise a subset of the policy
-//! labels without paying for all of them, `--streams <a,b,...>` to
-//! serve a subset of the stream names the same way (CI's thermal smoke
-//! runs `--policies thermal --streams contention`), and
-//! `--slack <cycles>` to sweep the load-slack horizon (sets both
-//! `load_slack` and the batch cutoff, via
-//! [`ServeConfig::with_load_slack`]) without recompiling.
+//! per-class modules, weighted by request count) ahead of the per-policy
+//! sections, whose bytes it leaves untouched. Pass `--requests <n>` for a
+//! reduced smoke run, `--out <path>` to write the report elsewhere (CI
+//! uses both to avoid clobbering the committed artifact),
+//! `--policies <a,b,...>` to exercise a subset of the policy labels
+//! without paying for all of them, `--streams <a,b,...>` to serve a
+//! subset of the catalog the same way (CI's thermal smoke runs
+//! `--policies thermal --streams contention`), and `--slack <cycles>` to
+//! sweep the load-slack horizon without recompiling — the batch cutoff
+//! follows it ([`BatchCutoff::FollowSlack`]).
 //! `--batch-cutoff <cycles|none>` decouples the cutoff from the horizon:
 //! it overrides the queue-depth cutoff for every policy row (`none`
 //! disables the cap, i.e. uncapped coalescing) while `--slack` keeps
@@ -118,35 +148,17 @@
 //! invocation against the same path starts warm in its first pass —
 //! that is the cross-process warm start the CI smoke checks.
 
-use accfg_analyze::{lint_module, LintKind};
+use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
 use accfg_bench::tune::{parse_table, KnobConfig};
-use accfg_bench::{json, markdown_table, streams};
+use accfg_bench::{json, markdown_table};
 use accfg_runtime::{
-    measured_class_service_times, Policy, PoolConfig, Runtime, ServeConfig, ServeMetrics,
-    ServeMode, LOAD_SLACK_CYCLES,
+    BatchCutoff, Policy, Runtime, ServeConfig, ServeMetrics, ServeMode, LOAD_SLACK_CYCLES,
 };
-use accfg_targets::AcceleratorDescriptor;
-use accfg_workloads::{matmul_ir, MatmulSpec, TrafficRequest};
+use std::collections::HashMap;
 
 const DEFAULT_REQUESTS: usize = 12_000;
 const DEFAULT_THREADS: usize = 8;
-
-/// Every stream name the sim/wall/diff modes can serve, in report order —
-/// the vocabulary `--streams` validates against.
-const STREAM_NAMES: [&str; 7] = [
-    "mixed",
-    "shape_heavy",
-    "bursty",
-    "closed_loop",
-    "closed_loop_measured",
-    "hetero",
-    "contention",
-];
-
-/// Whether `--streams` (when given) selects this stream name.
-fn stream_selected(filter: Option<&[String]>, name: &str) -> bool {
-    filter.is_none_or(|f| f.iter().any(|s| s == name))
-}
+const DEFAULT_OUT: &str = "BENCH_runtime.json";
 
 /// What the binary measures (`--mode`).
 #[derive(Clone, Copy, PartialEq)]
@@ -162,98 +174,140 @@ enum BenchMode {
     Diff,
 }
 
-fn policies(
-    include_batch: bool,
+/// What the command line decided, held once: the catalog a run walks,
+/// the policy rows it serves and the configuration every serve starts
+/// from all derive from this struct, so a new switch is threaded through
+/// here rather than through every call.
+struct BenchPlan {
+    /// `--requests`: requests per stream.
+    requests: usize,
+    /// `--mode`.
+    mode: BenchMode,
+    /// `--threads`: the sharded plan's thread budget (`wall` and `diff`).
+    threads: usize,
+    /// `--slack`: the load-slack horizon of every serve.
     slack: u64,
-    cutoff: Option<Option<u64>>,
-) -> Vec<(&'static str, ServeConfig)> {
-    // with_load_slack keeps the cutoff pinned to the horizon; an explicit
-    // --batch-cutoff decouples them for every policy row
-    let slacked = ServeConfig::default().with_load_slack(slack);
-    let slacked = ServeConfig {
-        batch_cutoff: cutoff.unwrap_or(slacked.batch_cutoff),
-        ..slacked
-    };
-    let base = |policy| ServeConfig {
-        policy,
-        ..slacked.clone()
-    };
-    let batched = |policy| ServeConfig {
-        policy,
-        max_batch: 8,
-        ..slacked.clone()
-    };
-    let mut out = vec![
-        ("fifo", base(Policy::Fifo)),
-        ("fifo+elide", base(Policy::FifoElide)),
-    ];
-    if include_batch {
-        out.push(("fifo+elide+batch", batched(Policy::FifoElide)));
-    }
-    out.push(("affinity", base(Policy::ConfigAffinity)));
-    if include_batch {
-        out.push(("affinity+batch", batched(Policy::ConfigAffinity)));
-    }
-    out.push(("cost", base(Policy::Cost)));
-    out.push(("thermal", base(Policy::Thermal)));
-    out
+    /// `--batch-cutoff`; absent, the cutoff follows `slack`.
+    cutoff: BatchCutoff,
+    /// `--policies`: the policy-row labels to serve (`None` = all).
+    policy_filter: Option<Vec<String>>,
+    /// `--streams`: the catalog names to serve (`None` = all).
+    stream_filter: Option<Vec<String>>,
+    /// `--tuned`: every stream named in the table gains a `tuned` row.
+    tuned: Option<Vec<(String, KnobConfig)>>,
 }
 
-fn uniform_streams(requests: usize) -> Vec<(&'static str, Vec<TrafficRequest>, bool)> {
-    let closed_loop = streams::closed_loop_config(requests)
-        .stream()
-        .expect("valid closed-loop mix");
-    // the batch variants only on the canonical mix: they change placement,
-    // not the routing-vs-balance story the extra streams characterize
-    vec![
-        ("mixed", streams::mixed_stream(requests), true),
-        ("shape_heavy", streams::shape_heavy_stream(requests), false),
-        ("bursty", streams::bursty_stream(requests), false),
-        ("closed_loop", closed_loop, false),
-    ]
+/// Whether a `--policies` / `--streams` filter (when given) keeps `name`.
+fn passes(filter: &Option<Vec<String>>, name: &str) -> bool {
+    filter.as_ref().is_none_or(|f| f.iter().any(|s| s == name))
+}
+
+/// The report's policy rows over `base`, in report order; `batch_rows`
+/// adds the two `+batch` variants.
+fn policy_rows(batch_rows: bool, base: &ServeConfig) -> Vec<(&'static str, ServeConfig)> {
+    let row = |policy, max_batch| ServeConfig {
+        policy,
+        max_batch,
+        ..base.clone()
+    };
+    let mut rows = vec![
+        ("fifo", row(Policy::Fifo, 1)),
+        ("fifo+elide", row(Policy::FifoElide, 1)),
+        ("fifo+elide+batch", row(Policy::FifoElide, 8)),
+        ("affinity", row(Policy::ConfigAffinity, 1)),
+        ("affinity+batch", row(Policy::ConfigAffinity, 8)),
+        ("cost", row(Policy::Cost, 1)),
+        ("thermal", row(Policy::Thermal, 1)),
+    ];
+    rows.retain(|(_, cfg)| batch_rows || cfg.max_batch == 1);
+    rows
+}
+
+impl BenchPlan {
+    /// The plan the serve loop runs under: the sharded plan in wall
+    /// mode, otherwise the reference plan (`diff` serves its reference
+    /// side under it and overrides the mode for the sharded side).
+    fn serve_mode(&self) -> ServeMode {
+        match self.mode {
+            BenchMode::Wall => ServeMode::Parallel {
+                threads: self.threads,
+            },
+            BenchMode::Sim | BenchMode::Diff => ServeMode::Deterministic,
+        }
+    }
+
+    /// The configuration every serve of the run starts from.
+    fn base_config(&self) -> ServeConfig {
+        ServeConfig {
+            load_slack: self.slack,
+            batch_cutoff: self.cutoff,
+            mode: self.serve_mode(),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// The selected catalog entries, in report order.
+    fn catalog(&self) -> Vec<BenchStream> {
+        let mut catalog = streams::catalog(self.requests);
+        catalog.retain(|entry| passes(&self.stream_filter, entry.name));
+        catalog
+    }
+
+    /// The selected policy rows for a stream.
+    fn policies(&self, batch_rows: bool) -> Vec<(&'static str, ServeConfig)> {
+        let mut rows = policy_rows(batch_rows, &self.base_config());
+        rows.retain(|(label, _)| passes(&self.policy_filter, label));
+        rows
+    }
+
+    /// The tuned knobs for a stream, if `--tuned` names it.
+    fn tuned(&self, stream: &str) -> Option<KnobConfig> {
+        let table = self.tuned.as_ref()?;
+        table.iter().find(|(n, _)| n == stream).map(|(_, k)| *k)
+    }
 }
 
 /// One policy's measurements over a stream: label, the (deterministic)
 /// serve metrics, and the wall-clock seconds the serve itself took —
 /// the runtime's own speed, only reported in wall mode.
-type PolicyRow = (String, ServeMetrics, f64);
+type PolicyRow = (&'static str, ServeMetrics, f64);
 
-/// Runs every (selected) policy over one stream and prints its table.
-/// A stream deselected by `--streams` serves nothing and returns no
-/// rows, so the caller drops its report section entirely. With `tuned`
-/// (from `--tuned`), a `tuned` row joins the table: the tuned knobs
-/// served on a fresh runtime over the tuned pool.
-#[allow(clippy::too_many_arguments)]
-fn run_stream(
-    runtime: &mut Runtime,
-    stream_name: &str,
-    stream: &[TrafficRequest],
-    include_batch: bool,
-    filter: Option<&[String]>,
-    streams: Option<&[String]>,
-    slack: u64,
-    cutoff: Option<Option<u64>>,
-    serve_mode: ServeMode,
-    tuned: Option<(KnobConfig, PoolConfig)>,
-) -> Vec<PolicyRow> {
-    let mut results: Vec<PolicyRow> = Vec::new();
-    if !stream_selected(streams, stream_name) {
-        return results;
-    }
-    // the plan depends on the mode and the pool's shape, not the policy
-    let mut plan = None;
-    for (label, cfg) in &policies(include_batch, slack, cutoff) {
-        if let Some(filter) = filter {
-            if !filter.iter().any(|f| f == label) {
-                continue;
-            }
-        }
+/// Resolves a catalog entry into the stream its rows serve. Only
+/// `closed_loop_measured` needs work: one calibration serve of its
+/// static-estimate sequence on `runtime`, at the entry's place in the
+/// serve order, from which [`BenchStream::calibrated`] re-drives the
+/// client feedback.
+fn calibrate(plan: &BenchPlan, runtime: &mut Runtime, mut entry: BenchStream) -> BenchStream {
+    if let Some(generator) = &entry.calibration {
         let cfg = ServeConfig {
-            mode: serve_mode,
-            ..cfg.clone()
+            policy: streams::CALIBRATION_POLICY,
+            ..plan.base_config()
         };
+        let calibration = runtime
+            .serve(&entry.requests, &cfg)
+            .expect("calibration serve succeeds");
+        let (service_times, requests) = entry.calibrated(&calibration);
+        println!(
+            "closed-loop calibration: measured per-class service times {service_times:?} \
+             (static estimate was {})\n",
+            generator.service_estimate
+        );
+        entry.requests = requests;
+    }
+    entry
+}
+
+/// Serves every selected policy row (plus the `tuned` row, if `--tuned`
+/// names the stream) over one catalog entry on its pool's `runtime`,
+/// prints the stream's table, wall report and headline, and returns the
+/// rows — empty when no selected policy applies, so the caller drops the
+/// stream's report section.
+fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> Vec<PolicyRow> {
+    let stream_name = entry.name;
+    let mut results: Vec<PolicyRow> = Vec::new();
+    let mut serve_row = |runtime: &mut Runtime, label: &'static str, cfg: &ServeConfig| {
         let started = std::time::Instant::now();
-        let report = runtime.serve(stream, &cfg).expect("serve succeeds");
+        let report = runtime.serve(&entry.requests, cfg).expect("serve succeeds");
         let wall = started.elapsed().as_secs_f64();
         assert_eq!(
             report.metrics.check_failures, 0,
@@ -263,30 +317,24 @@ fn run_stream(
             report.metrics.sim_failures, 0,
             "{stream_name}/{label}: simulation failed"
         );
-        plan = Some(report.engine);
-        results.push((label.to_string(), report.metrics, wall));
+        results.push((label, report.metrics, wall));
+        report.engine
+    };
+    // the plan depends on the mode and the pool's shape, not the policy
+    let mut engine_plan = None;
+    for (label, cfg) in &plan.policies(entry.batch_rows) {
+        engine_plan = Some(serve_row(runtime, label, cfg));
     }
-    if let Some((knobs, base_pool)) = &tuned {
+    if let Some(knobs) = plan.tuned(stream_name) {
         // the tuned knobs span the pool too (power cap, DVFS variant), so
         // the row gets its own runtime over the tuned pool — a policy
         // filter never hides it: replaying the table is the row's point
-        let mut tuned_runtime = Runtime::new(knobs.apply_pool(base_pool));
+        let mut tuned_runtime = Runtime::new(knobs.apply_pool(&entry.pool.build()));
         let cfg = ServeConfig {
-            mode: serve_mode,
+            mode: plan.serve_mode(),
             ..knobs.serve_config()
         };
-        let started = std::time::Instant::now();
-        let report = tuned_runtime.serve(stream, &cfg).expect("serve succeeds");
-        let wall = started.elapsed().as_secs_f64();
-        assert_eq!(
-            report.metrics.check_failures, 0,
-            "{stream_name}/tuned: functional checks failed"
-        );
-        assert_eq!(
-            report.metrics.sim_failures, 0,
-            "{stream_name}/tuned: simulation failed"
-        );
-        results.push(("tuned".to_string(), report.metrics, wall));
+        serve_row(&mut tuned_runtime, "tuned", &cfg);
     }
     if results.is_empty() {
         // e.g. --policies affinity+batch on a stream that runs no batch
@@ -298,19 +346,18 @@ fn run_stream(
     let find = |label: &str| {
         results
             .iter()
-            .find(|(l, _, _)| l == label)
+            .find(|(l, _, _)| *l == label)
             .map(|(_, m, _)| m)
     };
-    let fifo = find("fifo").cloned();
+    let fifo = find("fifo");
     let elide_p99 = find("fifo+elide").map(|m| m.latency.p99);
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|(label, m, _)| {
             vec![
-                label.clone(),
+                label.to_string(),
                 m.setup_writes.to_string(),
-                fifo.as_ref()
-                    .map(|f| format!("{:.1}%", 100.0 * m.write_savings_vs(f)))
+                fifo.map(|f| format!("{:.1}%", 100.0 * m.write_savings_vs(f)))
                     .unwrap_or_else(|| "-".into()),
                 m.makespan.to_string(),
                 format!("{:.1}", m.throughput_per_mcycle()),
@@ -331,8 +378,8 @@ fn run_stream(
         })
         .collect();
     println!("== {stream_name} ==");
-    if let (Some(plan), ServeMode::Parallel { .. }) = (plan, serve_mode) {
-        println!("engine plan: {plan}");
+    if let (Some(engine_plan), BenchMode::Wall) = (engine_plan, plan.mode) {
+        println!("engine plan: {engine_plan}");
     }
     print!(
         "{}",
@@ -366,7 +413,7 @@ fn run_stream(
             m.prediction.anchor_mae()
         );
     }
-    if let Some(fifo) = &fifo {
+    if let Some(fifo) = fifo {
         // elision guarantees the resident-aware policies never write more
         // than the cold baseline
         for label in ["affinity", "cost", "thermal"] {
@@ -386,6 +433,48 @@ fn run_stream(
         }
     }
     println!();
+    if plan.mode == BenchMode::Wall {
+        report_wall(stream_name, &results, plan.threads);
+    }
+    if let (Some(cost), Some(affinity)) = (find("cost"), find("affinity")) {
+        match entry.pool {
+            BenchPool::Uniform => {}
+            BenchPool::Hetero => {
+                // the heterogeneous acceptance bar: cycle-cost routing
+                // beats write-count affinity on its own metric
+                assert!(
+                    cost.setup_writes <= affinity.setup_writes,
+                    "{stream_name}: cost wrote {} setup registers, affinity {}",
+                    cost.setup_writes,
+                    affinity.setup_writes
+                );
+                println!(
+                    "{stream_name}: cost {} setup writes vs affinity {} ({:.1}% fewer), \
+                     p99 {} vs {} cycles",
+                    cost.setup_writes,
+                    affinity.setup_writes,
+                    100.0 * cost.write_savings_vs(affinity),
+                    cost.latency.p99,
+                    affinity.latency.p99,
+                );
+            }
+            // dispatch cost depends on worker load here, so the analytic
+            // anchors drift and the EWMA refiner has a real gap to close
+            BenchPool::Contention => println!(
+                "{stream_name}: anchor MAE {:.1} vs ewma MAE {:.1} under affinity \
+                 ({} contended host cycles, launches cold/warm/boost \
+                 {}/{}/{}); cost p99 {} vs affinity p99 {} cycles",
+                affinity.prediction.anchor_mae(),
+                affinity.prediction.ewma_mae(),
+                affinity.contention_cycles,
+                affinity.freq_launches[0],
+                affinity.freq_launches[1],
+                affinity.freq_launches[2],
+                cost.latency.p99,
+                affinity.latency.p99,
+            ),
+        }
+    }
     results
 }
 
@@ -430,87 +519,26 @@ fn engine_json(results: &[PolicyRow], threads: usize) -> String {
     )
 }
 
-/// The differential smoke (`--mode diff`): every stream × policy pair
-/// served under the reference plan and the sharded plan — a fresh
-/// runtime per serve, so module-cache provenance matches too — asserting
-/// the per-request outcomes (routing, writes, cycles, latencies,
-/// prediction samples) are identical, then a small JSON summary. This is
-/// the same property `tests/differential.rs` pins; the binary form exists
-/// so CI can run it at an arbitrary request count and thread count
-/// without recompiling tests.
-fn run_diff(
-    requests: usize,
-    threads: usize,
-    out_path: &str,
-    slack: u64,
-    cutoff: Option<Option<u64>>,
-    filter: Option<&[String]>,
-    stream_filter: Option<&[String]>,
-) {
-    let mut pairs_under_test: Vec<(&'static str, Vec<TrafficRequest>, bool, PoolConfig)> =
-        uniform_streams(requests)
-            .into_iter()
-            .filter(|(name, _, _)| stream_selected(stream_filter, name))
-            .map(|(name, stream, include_batch)| {
-                (name, stream, include_batch, streams::uniform_pool())
-            })
-            .collect();
-    if stream_selected(stream_filter, "closed_loop_measured") {
-        // the measured closed loop calibrates off a fifo+elide oracle
-        // serve, exactly as the sim-mode report does
-        let closed_cfg = streams::closed_loop_config(requests);
-        let calibration_stream = closed_cfg.stream().expect("valid closed-loop mix");
-        let calibration = Runtime::new(streams::uniform_pool())
-            .serve(
-                &calibration_stream,
-                &ServeConfig {
-                    policy: Policy::FifoElide,
-                    ..ServeConfig::default().with_load_slack(slack)
-                },
-            )
-            .expect("calibration serve succeeds");
-        let service_times = measured_class_service_times(
-            &closed_cfg.classes,
-            &calibration_stream,
-            &calibration,
-            closed_cfg.service_estimate,
-        );
-        pairs_under_test.push((
-            "closed_loop_measured",
-            closed_cfg
-                .stream_with_service_times(&service_times)
-                .expect("valid measured closed-loop mix"),
-            false,
-            streams::uniform_pool(),
-        ));
-    }
-    if stream_selected(stream_filter, "hetero") {
-        pairs_under_test.push((
-            "hetero",
-            streams::hetero_stream(requests),
-            false,
-            streams::hetero_pool(),
-        ));
-    }
-    if stream_selected(stream_filter, "contention") {
-        pairs_under_test.push((
-            "contention",
-            streams::contention_stream(requests),
-            false,
-            streams::contention_pool(),
-        ));
-    }
-
+/// The differential smoke (`--mode diff`): every selected stream × policy
+/// pair served under the reference plan and the sharded plan — a fresh
+/// runtime per serve (calibration included), so module-cache provenance
+/// matches too — asserting the per-request outcomes (routing, writes,
+/// cycles, latencies, prediction samples) are identical, then a small
+/// JSON summary. This is the same property `tests/differential.rs` pins;
+/// the binary form exists so CI can run it at an arbitrary request count
+/// and thread count without recompiling tests.
+fn run_diff(plan: &BenchPlan, out_path: &str) {
+    let (requests, threads) = (plan.requests, plan.threads);
+    let catalog = plan.catalog();
+    let streams_selected = catalog.len();
     let mut pairs = 0usize;
-    for (stream_name, stream, include_batch, pool) in &pairs_under_test {
+    for entry in catalog {
+        let pool = entry.pool.build();
+        let entry = calibrate(plan, &mut Runtime::new(pool.clone()), entry);
+        let (stream_name, stream) = (entry.name, &entry.requests);
         // the plans depend on the pool's shape, not the policy
         let mut plans = None;
-        for (label, cfg) in &policies(*include_batch, slack, cutoff) {
-            if let Some(filter) = filter {
-                if !filter.iter().any(|f| f == label) {
-                    continue;
-                }
-            }
+        for (label, cfg) in &plan.policies(entry.batch_rows) {
             let oracle = Runtime::new(pool.clone())
                 .serve(stream, cfg)
                 .expect("oracle serve succeeds");
@@ -573,54 +601,39 @@ fn run_diff(
     let out = format!(
         "{{\n  \"differential\": {{\"requests\": {requests}, \"threads\": {threads}, \
          \"streams\": {}, \"pairs\": {pairs}, \"identical\": true}}\n}}\n",
-        pairs_under_test.len()
+        streams_selected
     );
     json::validate(&out).expect("differential report must be strict JSON");
     std::fs::write(out_path, &out).expect("write differential report");
     println!("{pairs} stream × policy pairs identical across plans; summary: {out_path}");
 }
 
-/// The stream's static-analysis summary: the config-write lints and the
-/// static elidable-write lower bound of `accfg-analyze`, computed over the
-/// *raw* per-class modules (exactly what the runtime compiles), weighted
-/// by each class's request count. `elidable_bound` is the write-execution
-/// count the analysis proves value-resident, so the measured dynamic
-/// savings of any eliding policy — raw writes minus emitted writes — must
-/// be at least this much; `tests/serving.rs` asserts that relation.
-fn stream_static_analysis(stream: &[TrafficRequest]) -> String {
-    let mut classes: Vec<(String, MatmulSpec, u64)> = Vec::new();
-    for req in stream {
-        match classes
-            .iter_mut()
-            .find(|(a, s, _)| *a == req.accelerator && *s == req.spec)
-        {
-            Some((_, _, n)) => *n += 1,
-            None => classes.push((req.accelerator.clone(), req.spec, 1)),
-        }
-    }
-    let (mut dead, mut redundant, mut clobbered) = (0usize, 0usize, 0usize);
-    let (mut static_writes, mut elidable) = (0u64, 0u64);
-    for (accel, spec, n) in &classes {
-        let desc = match accel.as_str() {
-            "gemmini" => AcceleratorDescriptor::gemmini(),
-            "opengemm" => AcceleratorDescriptor::opengemm(),
-            other => panic!("stream class targets unknown accelerator `{other}`"),
-        };
-        let report = lint_module(&matmul_ir(&desc, spec));
-        dead += report.count(LintKind::DeadWrite);
-        redundant += report.count(LintKind::RedundantWrite);
-        clobbered += report.count(LintKind::ClobberedLaunch);
-        static_writes += n * report.static_writes;
-        elidable += n * report.elidable_bound;
-    }
+/// The `static_analysis` report object of a stream (see
+/// [`streams::static_totals`]).
+fn static_analysis_json(totals: &StaticTotals) -> String {
     format!(
-        "{{\"dead_writes\": {dead}, \"redundant_writes\": {redundant}, \
-         \"clobbered_launches\": {clobbered}, \"static_writes\": {static_writes}, \
-         \"elidable_bound\": {elidable}}}"
+        "{{\"dead_writes\": {}, \"redundant_writes\": {}, \
+         \"clobbered_launches\": {}, \"static_writes\": {}, \
+         \"elidable_bound\": {}}}",
+        totals.dead_writes,
+        totals.redundant_writes,
+        totals.clobbered_launches,
+        totals.static_writes,
+        totals.elidable_bound
     )
 }
 
-const DEFAULT_OUT: &str = "BENCH_runtime.json";
+/// One metrics row as a member of a second-level report object:
+/// `    "label": { … }`, without the trailing comma or newline.
+fn metrics_member(label: &str, metrics: &ServeMetrics) -> String {
+    let body = metrics
+        .to_json()
+        .lines()
+        .map(|l| format!("    {l}"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    format!("    \"{label}\": {}", body.trim_start())
+}
 
 /// The warm-start mode (`--store <path>`): serve the contention stream
 /// twice against one persistent store — cold pass flushes compiled
@@ -628,12 +641,12 @@ const DEFAULT_OUT: &str = "BENCH_runtime.json";
 /// both metric rows under a `warm_start` section. Against a store file
 /// left by an earlier invocation even the "cold" pass starts warm;
 /// the cross-pass assertions only apply to a genuinely cold first pass.
-fn run_warm_start(requests: usize, store_path: &str, out_path: &str, slack: u64) {
-    let stream = streams::contention_stream(requests);
+fn run_warm_start(plan: &BenchPlan, store_path: &str, out_path: &str) {
+    let stream = streams::contention_stream(plan.requests);
     let cfg = ServeConfig {
         policy: Policy::ConfigAffinity,
         store: Some(std::path::PathBuf::from(store_path)),
-        ..ServeConfig::default().with_load_slack(slack)
+        ..plan.base_config()
     };
 
     let mut results: Vec<(&'static str, ServeMetrics)> = Vec::new();
@@ -699,48 +712,65 @@ fn run_warm_start(requests: usize, store_path: &str, out_path: &str, slack: u64)
         warm.prediction.ewma_mae(),
     );
 
-    let mut out = String::from("{\n  \"warm_start\": {\n");
-    for (i, (pass, m)) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let body = m
-            .to_json()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        out.push_str(&format!("    \"{pass}\": {}{comma}\n", body.trim_start()));
-    }
-    out.push_str("  }\n}\n");
+    let members: Vec<String> = results
+        .iter()
+        .map(|(pass, m)| metrics_member(pass, m))
+        .collect();
+    let out = format!(
+        "{{\n  \"warm_start\": {{\n{}\n  }}\n}}\n",
+        members.join(",\n")
+    );
     json::validate(&out).expect("benchmark report must be strict JSON");
     std::fs::write(out_path, &out).expect("write benchmark report");
     println!("raw metrics: {out_path} (validated as strict JSON)");
 }
 
+/// The catalog's stream names — the vocabulary `--streams` accepts.
+fn stream_names() -> Vec<&'static str> {
+    let catalog = streams::catalog(1);
+    catalog.iter().map(|entry| entry.name).collect()
+}
+
+/// Parses a comma-separated `--policies` / `--streams` value, rejecting
+/// any name outside `known`.
+fn selection(what: &str, list: &str, known: &[&str]) -> Vec<String> {
+    let selected: Vec<String> = list.split(',').map(str::to_string).collect();
+    for name in &selected {
+        assert!(
+            known.contains(&name.as_str()),
+            "unknown {what} `{name}` (known: {})",
+            known.join(", ")
+        );
+    }
+    selected
+}
+
 fn main() {
-    let mut requests = DEFAULT_REQUESTS;
+    let mut plan = BenchPlan {
+        requests: DEFAULT_REQUESTS,
+        mode: BenchMode::Sim,
+        threads: DEFAULT_THREADS,
+        slack: LOAD_SLACK_CYCLES,
+        cutoff: BatchCutoff::FollowSlack,
+        policy_filter: None,
+        stream_filter: None,
+        tuned: None,
+    };
     let mut out_path = String::from(DEFAULT_OUT);
-    let mut policy_filter: Option<Vec<String>> = None;
-    let mut stream_filter: Option<Vec<String>> = None;
-    let mut slack = LOAD_SLACK_CYCLES;
     let mut store_path: Option<String> = None;
-    let mut mode = BenchMode::Sim;
-    let mut threads: Option<usize> = None;
-    // outer None = flag absent (cutoff follows the slack horizon);
-    // Some(None) = `--batch-cutoff none` (uncapped coalescing)
-    let mut batch_cutoff: Option<Option<u64>> = None;
-    let mut tuned_path: Option<String> = None;
+    let mut threads_given = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--requests" => {
-                requests = args
+                plan.requests = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| n > 0)
                     .expect("--requests takes a positive integer");
             }
             "--slack" => {
-                slack = args
+                plan.slack = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &u64| n > 0)
@@ -756,22 +786,26 @@ fn main() {
                 let value = args
                     .next()
                     .expect("--batch-cutoff takes a cycle count or `none`");
-                batch_cutoff = Some(match value.as_str() {
-                    "none" => None,
-                    _ => Some(
+                plan.cutoff = match value.as_str() {
+                    "none" => BatchCutoff::Uncapped,
+                    _ => BatchCutoff::Cycles(
                         value
                             .parse()
                             .ok()
                             .filter(|&c: &u64| c > 0)
                             .expect("--batch-cutoff takes a positive cycle count or `none`"),
                     ),
-                });
+                };
             }
             "--tuned" => {
-                tuned_path = Some(args.next().expect("--tuned takes a tuned-table path"));
+                let path = args.next().expect("--tuned takes a tuned-table path");
+                let text = std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| panic!("--tuned: cannot read {path}: {e}"));
+                plan.tuned =
+                    Some(parse_table(&text).unwrap_or_else(|e| panic!("--tuned: {path}: {e}")));
             }
             "--mode" => {
-                mode = match args.next().as_deref() {
+                plan.mode = match args.next().as_deref() {
                     Some("sim") => BenchMode::Sim,
                     Some("wall") => BenchMode::Wall,
                     Some("diff") => BenchMode::Diff,
@@ -779,42 +813,24 @@ fn main() {
                 };
             }
             "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .expect("--threads takes a positive integer"),
-                );
+                plan.threads = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n: &usize| n > 0)
+                    .expect("--threads takes a positive integer");
+                threads_given = true;
             }
             "--policies" => {
                 let list = args
                     .next()
                     .expect("--policies takes a comma-separated list");
-                let known: Vec<&str> = policies(true, LOAD_SLACK_CYCLES, None)
-                    .iter()
-                    .map(|(l, _)| *l)
-                    .collect();
-                let selected: Vec<String> = list.split(',').map(str::to_string).collect();
-                for label in &selected {
-                    assert!(
-                        known.contains(&label.as_str()),
-                        "unknown policy `{label}` (known: {})",
-                        known.join(", ")
-                    );
-                }
-                policy_filter = Some(selected);
+                let rows = policy_rows(true, &ServeConfig::default());
+                let known: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
+                plan.policy_filter = Some(selection("policy", &list, &known));
             }
             "--streams" => {
                 let list = args.next().expect("--streams takes a comma-separated list");
-                let selected: Vec<String> = list.split(',').map(str::to_string).collect();
-                for name in &selected {
-                    assert!(
-                        STREAM_NAMES.contains(&name.as_str()),
-                        "unknown stream `{name}` (known: {})",
-                        STREAM_NAMES.join(", ")
-                    );
-                }
-                stream_filter = Some(selected);
+                plan.stream_filter = Some(selection("stream", &list, &stream_names()));
             }
             other => panic!(
                 "unknown argument `{other}` (supported: --requests <n>, \
@@ -832,15 +848,15 @@ fn main() {
     // partial wall-mode invocation mistyped as sim must not land on the
     // deterministic artifact either.
     assert!(
-        (policy_filter.is_none()
-            && stream_filter.is_none()
-            && slack == LOAD_SLACK_CYCLES
-            && requests == DEFAULT_REQUESTS
+        (plan.policy_filter.is_none()
+            && plan.stream_filter.is_none()
+            && plan.slack == LOAD_SLACK_CYCLES
+            && plan.requests == DEFAULT_REQUESTS
             && store_path.is_none()
-            && mode == BenchMode::Sim
-            && threads.is_none()
-            && batch_cutoff.is_none()
-            && tuned_path.is_none())
+            && plan.mode == BenchMode::Sim
+            && !threads_given
+            && plan.cutoff == BatchCutoff::FollowSlack
+            && plan.tuned.is_none())
             || std::path::Path::new(&out_path).file_name()
                 != std::path::Path::new(DEFAULT_OUT).file_name(),
         "--policies/--streams/--slack/--batch-cutoff/--tuned/--requests/\
@@ -848,278 +864,83 @@ fn main() {
          with a file name other than {DEFAULT_OUT} so it cannot clobber \
          the committed artifact"
     );
-    let tuned_table: Option<Vec<(String, KnobConfig)>> = tuned_path.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("--tuned: cannot read {path}: {e}"));
-        parse_table(&text).unwrap_or_else(|e| panic!("--tuned: {path}: {e}"))
-    });
     if let Some(store) = &store_path {
         assert!(
-            policy_filter.is_none(),
+            plan.policy_filter.is_none(),
             "--store runs the warm-start passes under the affinity policy; \
              it cannot be combined with --policies"
         );
         assert!(
-            stream_filter.is_none(),
+            plan.stream_filter.is_none(),
             "--store always serves the contention stream for both passes; \
              it cannot be combined with --streams"
         );
         assert!(
-            mode == BenchMode::Sim,
+            plan.mode == BenchMode::Sim,
             "--store runs its passes on the deterministic engine; \
              it cannot be combined with --mode"
         );
         assert!(
-            batch_cutoff.is_none() && tuned_table.is_none(),
+            plan.cutoff == BatchCutoff::FollowSlack && plan.tuned.is_none(),
             "--store serves a fixed affinity configuration; it cannot be \
              combined with --batch-cutoff or --tuned"
         );
-        run_warm_start(requests, store, &out_path, slack);
+        run_warm_start(&plan, store, &out_path);
         return;
     }
-    let filter = policy_filter.as_deref();
-    let streams_wanted = stream_filter.as_deref();
-    let threads = threads.unwrap_or(DEFAULT_THREADS);
-    if mode == BenchMode::Diff {
+    if plan.mode == BenchMode::Diff {
         assert!(
-            tuned_table.is_none(),
+            plan.tuned.is_none(),
             "--tuned adds report rows to the sim/wall tables; \
              it cannot be combined with --mode diff"
         );
-        run_diff(
-            requests,
-            threads,
-            &out_path,
-            slack,
-            batch_cutoff,
-            filter,
-            streams_wanted,
-        );
+        run_diff(&plan, &out_path);
         return;
     }
-    let serve_mode = match mode {
-        BenchMode::Sim => ServeMode::Deterministic,
-        _ => ServeMode::Parallel { threads },
-    };
-
-    // a stream appears in the tuned table -> its section gains a `tuned`
-    // row served over the given base pool with the table's knobs applied
-    let tuned_knobs = |name: &str| {
-        tuned_table
-            .as_ref()
-            .and_then(|t| t.iter().find(|(n, _)| n == name))
-            .map(|(_, k)| *k)
-    };
-
-    let mut runtime = Runtime::new(streams::uniform_pool());
 
     println!(
-        "serve_bench: {requests} requests per stream, 2 workers/accelerator, \
-         slack horizon {slack} cycles\n"
+        "serve_bench: {} requests per stream, 2 workers/accelerator, \
+         slack horizon {} cycles\n",
+        plan.requests, plan.slack
     );
-    if mode == BenchMode::Wall {
+    if plan.mode == BenchMode::Wall {
         println!(
-            "wall mode: sharded plan, thread budget {threads} — \
-             measuring the runtime's own requests/sec\n"
+            "wall mode: sharded plan, thread budget {} — \
+             measuring the runtime's own requests/sec\n",
+            plan.threads
         );
     }
 
+    // one runtime per pool, created on first use and shared by every
+    // later stream of that pool in catalog order: each row's module-cache
+    // delta depends on what its runtime served before it
+    let mut runtimes: HashMap<BenchPool, Runtime> = HashMap::new();
     // (stream name, static-analysis JSON object, per-policy rows)
-    type StreamSection<'a> = (&'a str, String, Vec<PolicyRow>);
-    let mut all: Vec<StreamSection> = Vec::new();
-    for (stream_name, stream, include_batch) in &uniform_streams(requests) {
-        let results = run_stream(
-            &mut runtime,
-            stream_name,
-            stream,
-            *include_batch,
-            filter,
-            streams_wanted,
-            slack,
-            batch_cutoff,
-            serve_mode,
-            tuned_knobs(stream_name).map(|k| (k, streams::uniform_pool())),
-        );
-        if mode == BenchMode::Wall {
-            report_wall(stream_name, &results, threads);
-        }
+    let mut sections: Vec<(&'static str, String, Vec<PolicyRow>)> = Vec::new();
+    for entry in plan.catalog() {
+        let runtime = runtimes
+            .entry(entry.pool)
+            .or_insert_with(|| Runtime::new(entry.pool.build()));
+        let entry = calibrate(&plan, runtime, entry);
+        let results = run_stream(&plan, runtime, &entry);
         if !results.is_empty() {
-            all.push((stream_name, stream_static_analysis(stream), results));
+            let totals = streams::static_totals(&entry.requests);
+            sections.push((entry.name, static_analysis_json(&totals), results));
         }
-    }
-
-    // closed-loop fidelity: re-drive the client feedback with the
-    // *measured* mean service time of each class, taken from a
-    // calibration serve (fifo+elide — routing-neutral state tracking) of
-    // the static-estimate stream above. A `--streams` filter that drops
-    // this stream also skips the calibration serve it would pay for.
-    if stream_selected(streams_wanted, "closed_loop_measured") {
-        let closed_cfg = streams::closed_loop_config(requests);
-        let calibration_stream = closed_cfg.stream().expect("valid closed-loop mix");
-        let calibration = runtime
-            .serve(
-                &calibration_stream,
-                &ServeConfig {
-                    policy: Policy::FifoElide,
-                    mode: serve_mode,
-                    ..ServeConfig::default().with_load_slack(slack)
-                },
-            )
-            .expect("calibration serve succeeds");
-        let service_times = measured_class_service_times(
-            &closed_cfg.classes,
-            &calibration_stream,
-            &calibration,
-            closed_cfg.service_estimate,
-        );
-        println!(
-            "closed-loop calibration: measured per-class service times {service_times:?} \
-             (static estimate was {})\n",
-            closed_cfg.service_estimate
-        );
-        let measured_stream = closed_cfg
-            .stream_with_service_times(&service_times)
-            .expect("valid measured closed-loop mix");
-        let measured_results = run_stream(
-            &mut runtime,
-            "closed_loop_measured",
-            &measured_stream,
-            false,
-            filter,
-            streams_wanted,
-            slack,
-            batch_cutoff,
-            serve_mode,
-            tuned_knobs("closed_loop_measured").map(|k| (k, streams::uniform_pool())),
-        );
-        if mode == BenchMode::Wall {
-            report_wall("closed_loop_measured", &measured_results, threads);
-        }
-        if !measured_results.is_empty() {
-            all.push((
-                "closed_loop_measured",
-                stream_static_analysis(&measured_stream),
-                measured_results,
-            ));
-        }
-    }
-
-    // the heterogeneous pool: same capacity (2 workers/family), but each
-    // family pairs its base platform with a differently provisioned
-    // variant — its own runtime, so module caches stay per-pool
-    let mut hetero_runtime = Runtime::new(streams::hetero_pool());
-    let hetero_stream = streams::hetero_stream(requests);
-    let hetero_results = run_stream(
-        &mut hetero_runtime,
-        "hetero",
-        &hetero_stream,
-        false,
-        filter,
-        streams_wanted,
-        slack,
-        batch_cutoff,
-        serve_mode,
-        tuned_knobs("hetero").map(|k| (k, streams::hetero_pool())),
-    );
-    if mode == BenchMode::Wall {
-        report_wall("hetero", &hetero_results, threads);
-    }
-    let hetero_find = |label: &str| {
-        hetero_results
-            .iter()
-            .find(|(l, _, _)| l == label)
-            .map(|(_, m, _)| m)
-    };
-    if let (Some(cost), Some(affinity)) = (hetero_find("cost"), hetero_find("affinity")) {
-        // the heterogeneous acceptance bar: cycle-cost routing beats
-        // write-count affinity on its own metric
-        assert!(
-            cost.setup_writes <= affinity.setup_writes,
-            "hetero: cost wrote {} setup registers, affinity {}",
-            cost.setup_writes,
-            affinity.setup_writes
-        );
-        println!(
-            "hetero: cost {} setup writes vs affinity {} ({:.1}% fewer), \
-             p99 {} vs {} cycles",
-            cost.setup_writes,
-            affinity.setup_writes,
-            100.0 * cost.write_savings_vs(affinity),
-            cost.latency.p99,
-            affinity.latency.p99,
-        );
-    }
-    if !hetero_results.is_empty() {
-        all.push((
-            "hetero",
-            stream_static_analysis(&hetero_stream),
-            hetero_results,
-        ));
-    }
-
-    // the timing-model stream: the canonical mix at a tighter arrival
-    // gap over the reference contention + DVFS pool — dispatch cost now
-    // depends on worker load, so the analytic anchors drift and the
-    // EWMA refiner has a real gap to close
-    let mut contention_runtime = Runtime::new(streams::contention_pool());
-    let contention_stream = streams::contention_stream(requests);
-    let contention_results = run_stream(
-        &mut contention_runtime,
-        "contention",
-        &contention_stream,
-        false,
-        filter,
-        streams_wanted,
-        slack,
-        batch_cutoff,
-        serve_mode,
-        tuned_knobs("contention").map(|k| (k, streams::contention_pool())),
-    );
-    if mode == BenchMode::Wall {
-        report_wall("contention", &contention_results, threads);
-    }
-    let contention_find = |label: &str| {
-        contention_results
-            .iter()
-            .find(|(l, _, _)| l == label)
-            .map(|(_, m, _)| m)
-    };
-    if let (Some(cost), Some(affinity)) = (contention_find("cost"), contention_find("affinity")) {
-        println!(
-            "contention: anchor MAE {:.1} vs ewma MAE {:.1} under affinity \
-             ({} contended host cycles, launches cold/warm/boost \
-             {}/{}/{}); cost p99 {} vs affinity p99 {} cycles",
-            affinity.prediction.anchor_mae(),
-            affinity.prediction.ewma_mae(),
-            affinity.contention_cycles,
-            affinity.freq_launches[0],
-            affinity.freq_launches[1],
-            affinity.freq_launches[2],
-            cost.latency.p99,
-            affinity.latency.p99,
-        );
-    }
-    if !contention_results.is_empty() {
-        all.push((
-            "contention",
-            stream_static_analysis(&contention_stream),
-            contention_results,
-        ));
     }
     assert!(
-        !all.is_empty(),
+        !sections.is_empty(),
         "every stream was skipped by --policies/--streams"
     );
 
     // per-class SLO view of the canonical mix under affinity
-    if let Some(mixed_affinity) = all
+    if let Some((_, mixed_affinity, _)) = sections
         .iter()
         .find(|(stream, _, _)| *stream == "mixed")
-        .and_then(|(_, _, results)| results.iter().find(|(label, _, _)| label == "affinity"))
+        .and_then(|(_, _, results)| results.iter().find(|(label, _, _)| *label == "affinity"))
     {
         println!("\n== mixed / affinity, per class ==");
         let class_rows: Vec<Vec<String>> = mixed_affinity
-            .1
             .per_class
             .iter()
             .map(|c| {
@@ -1139,8 +960,8 @@ fn main() {
     }
 
     let mut out = String::from("{\n");
-    for (si, (stream_name, static_analysis, results)) in all.iter().enumerate() {
-        let stream_comma = if si + 1 == all.len() { "" } else { "," };
+    for (si, (stream_name, static_analysis, results)) in sections.iter().enumerate() {
+        let stream_comma = if si + 1 == sections.len() { "" } else { "," };
         out.push_str(&format!("  \"{stream_name}\": {{\n"));
         // the static-analysis summary leads the stream object so every
         // per-policy section below keeps its exact bytes from earlier
@@ -1148,26 +969,44 @@ fn main() {
         out.push_str(&format!("    \"static_analysis\": {static_analysis},\n"));
         // the engine section only exists in wall mode: deterministic-mode
         // reports keep their exact committed bytes
-        if mode == BenchMode::Wall {
+        if plan.mode == BenchMode::Wall {
             out.push_str(&format!(
                 "    \"engine\": {},\n",
-                engine_json(results, threads)
+                engine_json(results, plan.threads)
             ));
         }
-        for (i, (label, m, _)) in results.iter().enumerate() {
-            let comma = if i + 1 == results.len() { "" } else { "," };
-            let body = m
-                .to_json()
-                .lines()
-                .map(|l| format!("    {l}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            out.push_str(&format!("    \"{label}\": {}{comma}\n", body.trim_start()));
-        }
-        out.push_str(&format!("  }}{stream_comma}\n"));
+        let members: Vec<String> = results
+            .iter()
+            .map(|(label, m, _)| metrics_member(label, m))
+            .collect();
+        out.push_str(&format!("{}\n  }}{stream_comma}\n", members.join(",\n")));
     }
     out.push_str("}\n");
     json::validate(&out).expect("benchmark report must be strict JSON");
     std::fs::write(&out_path, &out).expect("write benchmark report");
     println!("\nraw metrics: {out_path} (validated as strict JSON)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn streams_flag_accepts_exactly_the_catalog_names() {
+        let catalog = streams::catalog(8);
+        assert_eq!(catalog.len(), 7);
+        let known = stream_names();
+        for entry in &catalog {
+            assert_eq!(
+                selection("stream", entry.name, &known),
+                vec![entry.name.to_string()]
+            );
+        }
+        let all = known.join(",");
+        assert_eq!(selection("stream", &all, &known).len(), 7);
+        for bad in ["warmup", "mixed,warmup", "Mixed", ""] {
+            let rejected = std::panic::catch_unwind(|| selection("stream", bad, &known));
+            assert!(rejected.is_err(), "--streams {bad:?} must be rejected");
+        }
+    }
 }

@@ -7,26 +7,20 @@
 //! grammar (RFC 8259) — objects, arrays, strings with escapes, numbers
 //! without leading zeros, `true`/`false`/`null`, no trailing commas, no
 //! trailing garbage — and reports the byte offset of the first violation.
-//! [`parse`] applies the same grammar but builds a [`Json`] value tree,
+//! [`parse`] is the one grammar walker: it builds a [`Json`] value tree
 //! for the binaries that *consume* hand-rendered reports (`serve_bench
-//! --tuned` reading `autotune`'s table).
+//! --tuned` reading `autotune`'s table), rejects duplicate keys and lone
+//! surrogates, and caps nesting at [`MAX_DEPTH`] so no input can overflow
+//! the stack; [`validate`] is `parse` with the tree dropped.
 
-/// Validates that `input` is exactly one well-formed JSON value.
+/// Validates that `input` is exactly one well-formed JSON value: a
+/// [`parse`] whose tree is dropped, so the two can never disagree (it
+/// rejects duplicate object keys and lone surrogate escapes too).
 ///
 /// # Errors
 /// Returns a message with the byte offset of the first syntax violation.
 pub fn validate(input: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the top-level value"));
-    }
-    Ok(())
+    parse(input).map(drop)
 }
 
 /// A parsed JSON value. Object members keep their document order (the
@@ -92,16 +86,18 @@ impl Json {
     }
 }
 
-/// Parses `input` as exactly one well-formed JSON value — the same
-/// strict grammar as [`validate`], built into a [`Json`] tree.
+/// Parses `input` as exactly one well-formed JSON value, built into a
+/// [`Json`] tree.
 ///
 /// # Errors
-/// Returns a message with the byte offset of the first syntax violation
-/// (or of a duplicate object key).
+/// Returns a message with the byte offset of the first syntax violation,
+/// of a duplicate object key, or of the container that would nest deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -112,9 +108,17 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded document (200 000 `[`s in a file handed to
+/// `serve_bench --tuned`) would overflow the stack and abort the process;
+/// the reports nest 4 deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -141,73 +145,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
     fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
             Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
         }
     }
 
@@ -248,8 +191,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => self.parse_string().map(Json::Str),
             Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
@@ -265,6 +208,18 @@ impl Parser<'_> {
             }
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one container a nesting level down, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than the limit of {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<Json, String> {
@@ -526,6 +481,29 @@ mod tests {
         }
         let err = parse(r#"{"a": 1, "a": 2}"#).unwrap_err();
         assert!(err.contains("duplicate object key"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // 200 000 levels would abort the process in an unbounded
+        // recursive descent; both container kinds must hit the cap
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let hostile = open.repeat(200_000);
+            for err in [
+                validate(&hostile).unwrap_err(),
+                parse(&hostile).unwrap_err(),
+            ] {
+                assert!(err.contains("limit of 128"), "{err}");
+                assert!(
+                    err.contains(&format!("byte {}", MAX_DEPTH * open.len())),
+                    "{err}"
+                );
+            }
+            let nested = |n: usize| format!("{}1{}", open.repeat(n), close.repeat(n));
+            assert!(validate(&nested(100)).is_ok() && parse(&nested(100)).is_ok());
+            assert!(validate(&nested(MAX_DEPTH)).is_ok());
+            assert!(validate(&nested(MAX_DEPTH + 1)).is_err());
+        }
     }
 
     #[test]

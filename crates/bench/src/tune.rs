@@ -146,7 +146,7 @@ impl Default for KnobConfig {
         Self {
             policy: cfg.policy,
             load_slack: cfg.load_slack,
-            batch_cutoff: cfg.batch_cutoff,
+            batch_cutoff: cfg.batch_cutoff.resolve(cfg.load_slack),
             max_batch: cfg.max_batch,
             power_cap: None,
             dvfs: DvfsVariant::Reference,
@@ -173,7 +173,7 @@ impl KnobConfig {
             policy: self.policy,
             max_batch: self.max_batch,
             load_slack: self.load_slack,
-            batch_cutoff: self.batch_cutoff,
+            batch_cutoff: self.batch_cutoff.into(),
             ..ServeConfig::default()
         }
     }
@@ -232,16 +232,8 @@ impl KnobConfig {
             .get("policy")
             .and_then(Json::as_str)
             .ok_or("knobs: missing or non-string `policy`")?;
-        let policy = [
-            Policy::Fifo,
-            Policy::FifoElide,
-            Policy::ConfigAffinity,
-            Policy::Cost,
-            Policy::Thermal,
-        ]
-        .into_iter()
-        .find(|p| p.label() == policy_label)
-        .ok_or_else(|| format!("knobs: unknown policy `{policy_label}`"))?;
+        let policy = Policy::from_label(policy_label)
+            .ok_or_else(|| format!("knobs: unknown policy `{policy_label}`"))?;
         let field = |name: &str| {
             v.get(name)
                 .and_then(Json::as_u64)
@@ -515,7 +507,7 @@ fn neighbors(center: &KnobConfig, thermal: bool) -> Vec<KnobConfig> {
         if (64..=1024).contains(&slack) {
             let mut k = *center;
             k.load_slack = slack;
-            // a capped cutoff follows the horizon, as with_load_slack does
+            // a capped cutoff follows the horizon, like BatchCutoff::FollowSlack
             k.batch_cutoff = k.batch_cutoff.map(|_| slack);
             out.push(k);
         }
@@ -572,46 +564,54 @@ fn neighbors(center: &KnobConfig, thermal: bool) -> Vec<KnobConfig> {
     out
 }
 
-/// Evaluates one candidate under the racing budget and folds it into the
-/// incumbent. The budget: p99 no worse than the *weaker* of the default
-/// and the incumbent (anything above cannot win the lexicographic
-/// comparison), writes no worse than the default (anything above is
-/// ineligible). Ties on the exact objective break by [`KnobConfig::rank`]
-/// — an evaluation-order-independent rule, so the winner is identical
-/// however racing reorders or aborts the losers.
-#[allow(clippy::too_many_arguments)]
-fn consider(
-    pool: &PoolConfig,
-    stream: &[TrafficRequest],
-    cand: KnobConfig,
-    default: &Objective,
+/// The search state of one [`tune_stream`] call.
+struct Race<'a> {
+    pool: &'a PoolConfig,
+    stream: &'a [TrafficRequest],
+    /// The default knobs' objective: the bar every candidate must dominate.
+    default: Objective,
     racing: bool,
-    best: &mut Option<(KnobConfig, Objective)>,
-    completed: &mut Vec<(KnobConfig, Objective)>,
-    evaluations: &mut u64,
-    aborts: &mut u64,
-) {
-    let budget = racing.then(|| ServeBudget {
-        p99_bound: Some(
-            best.as_ref()
-                .map_or(default.p99, |(_, b)| b.p99.min(default.p99)),
-        ),
-        max_setup_writes: Some(default.setup_writes),
-    });
-    *evaluations += 1;
-    match evaluate(pool, stream, &cand, budget) {
-        Eval::Aborted => *aborts += 1,
-        Eval::Complete(obj) => {
-            completed.push((cand, obj));
-            if obj.dominates(default) {
-                let wins = match best {
-                    None => true,
-                    Some((bk, bo)) => {
-                        obj.key() < bo.key() || (obj.key() == bo.key() && cand.rank() < bk.rank())
+    best: Option<(KnobConfig, Objective)>,
+    completed: Vec<(KnobConfig, Objective)>,
+    evaluations: u64,
+    aborts: u64,
+}
+
+impl Race<'_> {
+    /// Evaluates one candidate under the racing budget and folds it into
+    /// the incumbent. The budget: p99 no worse than the *weaker* of the
+    /// default and the incumbent (anything above cannot win the
+    /// lexicographic comparison), writes no worse than the default
+    /// (anything above is ineligible). Ties on the exact objective break
+    /// by [`KnobConfig::rank`] — an evaluation-order-independent rule, so
+    /// the winner is identical however racing reorders or aborts the
+    /// losers.
+    fn consider(&mut self, cand: KnobConfig) {
+        let default = self.default;
+        let budget = self.racing.then(|| ServeBudget {
+            p99_bound: Some(
+                self.best
+                    .as_ref()
+                    .map_or(default.p99, |(_, b)| b.p99.min(default.p99)),
+            ),
+            max_setup_writes: Some(default.setup_writes),
+        });
+        self.evaluations += 1;
+        match evaluate(self.pool, self.stream, &cand, budget) {
+            Eval::Aborted => self.aborts += 1,
+            Eval::Complete(obj) => {
+                self.completed.push((cand, obj));
+                if obj.dominates(&default) {
+                    let wins = match &self.best {
+                        None => true,
+                        Some((bk, bo)) => {
+                            obj.key() < bo.key()
+                                || (obj.key() == bo.key() && cand.rank() < bk.rank())
+                        }
+                    };
+                    if wins {
+                        self.best = Some((cand, obj));
                     }
-                };
-                if wins {
-                    *best = Some((cand, obj));
                 }
             }
         }
@@ -635,11 +635,17 @@ pub fn tune_stream(
         Eval::Complete(obj) => obj,
         Eval::Aborted => unreachable!("unbudgeted serves never abort"),
     };
-    let mut evaluations = 1u64;
-    let mut aborts = 0u64;
+    let mut race = Race {
+        pool,
+        stream,
+        default,
+        racing: opts.racing,
+        best: None,
+        completed: vec![(default_knobs, default)],
+        evaluations: 1,
+        aborts: 0,
+    };
     let mut attempted: Vec<KnobConfig> = vec![default_knobs];
-    let mut completed: Vec<(KnobConfig, Objective)> = vec![(default_knobs, default)];
-    let mut best: Option<(KnobConfig, Objective)> = None;
     let thermal = space
         .iter()
         .any(|k| k.power_cap.is_some() || k.dvfs != DvfsVariant::Reference);
@@ -651,22 +657,12 @@ pub fn tune_stream(
             continue;
         }
         attempted.push(cand);
-        consider(
-            pool,
-            stream,
-            cand,
-            &default,
-            opts.racing,
-            &mut best,
-            &mut completed,
-            &mut evaluations,
-            &mut aborts,
-        );
+        race.consider(cand);
     }
 
     // phase 2: sequential model-based refinement around the incumbent
     for _ in 0..opts.refine_rounds {
-        let center = best.map_or(default_knobs, |(k, _)| k);
+        let center = race.best.map_or(default_knobs, |(k, _)| k);
         let mut proposals: Vec<KnobConfig> = Vec::new();
         for k in neighbors(&center, thermal) {
             let k = k.canonical();
@@ -679,37 +675,27 @@ pub fn tune_stream(
         }
         let scores: Vec<f64> = proposals
             .iter()
-            .map(|k| surrogate(&completed, k, &default))
+            .map(|k| surrogate(&race.completed, k, &default))
             .collect();
         let mut ranked: Vec<usize> = (0..proposals.len()).collect();
         ranked.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap().then(a.cmp(&b)));
         for &i in &ranked {
             let cand = proposals[i];
             attempted.push(cand);
-            consider(
-                pool,
-                stream,
-                cand,
-                &default,
-                opts.racing,
-                &mut best,
-                &mut completed,
-                &mut evaluations,
-                &mut aborts,
-            );
+            race.consider(cand);
         }
     }
 
-    let improved = best.is_some();
-    let (knobs, objective) = best.unwrap_or((default_knobs, default));
+    let improved = race.best.is_some();
+    let (knobs, objective) = race.best.unwrap_or((default_knobs, default));
     TuneResult {
         stream: name.to_string(),
         default_objective: default,
         knobs,
         objective,
         improved,
-        evaluations,
-        aborts,
+        evaluations: race.evaluations,
+        aborts: race.aborts,
     }
 }
 
@@ -810,7 +796,10 @@ mod tests {
         let reference = ServeConfig::default();
         assert_eq!(cfg.policy, reference.policy);
         assert_eq!(cfg.load_slack, reference.load_slack);
-        assert_eq!(cfg.batch_cutoff, reference.batch_cutoff);
+        assert_eq!(
+            cfg.batch_cutoff.resolve(cfg.load_slack),
+            reference.batch_cutoff.resolve(reference.load_slack)
+        );
         assert_eq!(cfg.max_batch, reference.max_batch);
         // canonicalization is a no-op on the defaults
         assert_eq!(knobs.canonical(), knobs);

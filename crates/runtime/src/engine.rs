@@ -561,6 +561,7 @@ fn run_shard(
     let seeded = scheduler.seed_refiner(&shard.seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
+    let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
 
     // per-request state, indexed by position in `order`; a completion is
     // stashed on arrival (the lane delivers in execution order, which
@@ -657,7 +658,7 @@ fn run_shard(
                 if batch >= max_batch || module_of(slot).key != module_of(head).key {
                     break;
                 }
-                if let Some(cutoff) = cfg.batch_cutoff {
+                if let Some(cutoff) = batch_cutoff {
                     if scheduler.outstanding(worker, stream[slot].arrival) >= cutoff {
                         break;
                     }
@@ -724,13 +725,7 @@ mod tests {
     #[test]
     fn parallel_matches_the_oracle_per_request() {
         let stream = stream(250, 21);
-        for policy in [
-            Policy::Fifo,
-            Policy::FifoElide,
-            Policy::ConfigAffinity,
-            Policy::Cost,
-            Policy::Thermal,
-        ] {
+        for policy in Policy::ALL {
             let base = ServeConfig {
                 policy,
                 ..ServeConfig::default()

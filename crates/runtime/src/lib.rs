@@ -173,8 +173,8 @@ pub use persist::{
 pub use plan::{delta_writes, DispatchPlan, LaunchSpec, RegMap, WriteCmd};
 pub use policy::{AffinityPolicy, CostPolicy, FifoPolicy, Policy, SchedulePolicy, ThermalPolicy};
 pub use runtime::{
-    measured_class_service_times, PoolConfig, PoolGroup, PredictionSample, Runtime, ServeBudget,
-    ServeConfig, ServeReport,
+    measured_class_service_times, BatchCutoff, PoolConfig, PoolGroup, PredictionSample, Runtime,
+    ServeBudget, ServeConfig, ServeReport,
 };
 pub use scheduler::{CommitOutcome, LoadTracker, Scheduler, LOAD_SLACK_CYCLES};
 pub use worker::{Completion, Job, Worker};

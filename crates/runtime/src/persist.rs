@@ -179,10 +179,25 @@ fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
     w.put_u64(plan.cold_writes);
 }
 
+/// Reads an element count and rejects one the remaining bytes cannot hold
+/// (every element encodes to at least one byte) before anything is
+/// allocated for it: a record claiming `u32::MAX` instructions must be a
+/// codec error, not a 96 GiB allocation that aborts the process.
+fn read_count(r: &mut ByteReader, what: &str) -> Result<usize, StoreError> {
+    let count = r.u32()? as usize;
+    if count > r.remaining() {
+        return Err(StoreError::codec(format!(
+            "{what} count {count} exceeds the {} remaining bytes",
+            r.remaining()
+        )));
+    }
+    Ok(count)
+}
+
 fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
     let style = read_style(r)?;
-    let count = r.u32()?;
-    let mut launches = Vec::with_capacity(count as usize);
+    let count = read_count(r, "launch")?;
+    let mut launches = Vec::with_capacity(count);
     for _ in 0..count {
         launches.push(LaunchSpec {
             registers: read_regmap(r)?,
@@ -413,13 +428,13 @@ fn put_program(w: &mut ByteWriter, program: &Program) {
 
 fn read_program(r: &mut ByteReader) -> Result<Program, StoreError> {
     let reg_count = r.usize()?;
-    let inst_count = r.u32()?;
-    let mut insts = Vec::with_capacity(inst_count as usize);
+    let inst_count = read_count(r, "instruction")?;
+    let mut insts = Vec::with_capacity(inst_count);
     for _ in 0..inst_count {
         insts.push(read_inst(r)?);
     }
-    let label_count = r.u32()?;
-    let mut label_targets = Vec::with_capacity(label_count as usize);
+    let label_count = read_count(r, "label-target")?;
+    let mut label_targets = Vec::with_capacity(label_count);
     for _ in 0..label_count {
         label_targets.push(r.usize()?);
     }
@@ -628,6 +643,55 @@ mod tests {
                 let module = build_module(&desc, spec, opt).unwrap();
                 let decoded = decode_module(&encode_module(&module)).unwrap();
                 assert_eq!(decoded, module);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_element_counts_are_codec_errors_not_allocations() {
+        // anyone who can write the store file can recompute its checksum,
+        // so a count field is outside input: patched to u32::MAX it must
+        // be rejected before `Vec::with_capacity` sees it
+        let len = |put: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            put(&mut w);
+            w.finish().len()
+        };
+        for (desc, spec) in [
+            (
+                AcceleratorDescriptor::opengemm(),
+                MatmulSpec::opengemm_paper(16).unwrap(),
+            ),
+            (
+                AcceleratorDescriptor::gemmini(),
+                MatmulSpec::gemmini_paper(32).unwrap(),
+            ),
+        ] {
+            let module = build_module(&desc, spec, OptLevel::All).unwrap();
+            let bytes = encode_module(&module);
+            // key, four layout words, then the program: reg_count, insts…
+            let program_at = len(&|w| put_cache_key(w, &module.key)) + 4 * 8;
+            let plan_at = program_at + len(&|w| put_program(w, &module.program));
+            let labels = module.program.label_targets().len();
+            for (what, at, count) in [
+                ("instruction", program_at + 8, module.program.insts().len()),
+                ("label-target", plan_at - 8 * labels - 4, labels),
+                (
+                    "launch",
+                    plan_at + len(&|w| put_style(w, module.plan.style)),
+                    module.plan.launches.len(),
+                ),
+            ] {
+                let field: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
+                assert_eq!(u32::from_le_bytes(field) as usize, count, "{what} offset");
+                let mut patched = bytes.clone();
+                patched[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                match decode_module(&patched) {
+                    Err(StoreError::Codec { detail }) => {
+                        assert!(detail.contains(what), "{detail}")
+                    }
+                    other => panic!("{what} count u32::MAX decoded to {other:?}"),
+                }
             }
         }
     }

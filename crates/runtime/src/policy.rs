@@ -88,6 +88,22 @@ pub enum Policy {
 }
 
 impl Policy {
+    /// Every policy, in report order (baseline first).
+    pub const ALL: [Policy; 5] = [
+        Policy::Fifo,
+        Policy::FifoElide,
+        Policy::ConfigAffinity,
+        Policy::Cost,
+        Policy::Thermal,
+    ];
+
+    /// The policy whose [`Policy::label`] is `label` (`None` for anything
+    /// else — report-only row labels like `tuned` or `affinity+batch`
+    /// are not policies).
+    pub fn from_label(label: &str) -> Option<Policy> {
+        Policy::ALL.into_iter().find(|p| p.label() == label)
+    }
+
     /// Short lowercase label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -472,18 +488,16 @@ mod tests {
         assert_eq!(Policy::ConfigAffinity.label(), "affinity");
         assert_eq!(Policy::Cost.label(), "cost");
         assert_eq!(Policy::Thermal.label(), "thermal");
-        // the built objects agree with the enum metadata
-        for policy in [
-            Policy::Fifo,
-            Policy::FifoElide,
-            Policy::ConfigAffinity,
-            Policy::Cost,
-            Policy::Thermal,
-        ] {
+        // the built objects agree with the enum metadata, and every
+        // label names its policy
+        for policy in Policy::ALL {
             let built = policy.build(1);
             assert_eq!(built.label(), policy.label());
             assert_eq!(built.elides(), policy.elides());
+            assert_eq!(Policy::from_label(policy.label()), Some(policy));
         }
+        assert_eq!(Policy::from_label("tuned"), None);
+        assert_eq!(Policy::from_label("affinity+batch"), None);
     }
 
     #[test]

@@ -293,6 +293,41 @@ impl ServeBudget {
     }
 }
 
+/// Where batch coalescing stops: the queue-depth horizon (the target
+/// worker's estimated outstanding cycles, measured at the candidate's
+/// arrival) past which a request gets a fresh routing decision instead of
+/// joining the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BatchCutoff {
+    /// The cutoff *is* [`ServeConfig::load_slack`] (the default): routing
+    /// and batching share one horizon, so setting `load_slack` moves both.
+    #[default]
+    FollowSlack,
+    /// An explicit horizon in cycles, decoupled from `load_slack`.
+    Cycles(u64),
+    /// Coalesce up to `max_batch` unconditionally — the pre-cutoff
+    /// behaviour whose tail cost `serve_bench` documents.
+    Uncapped,
+}
+
+impl BatchCutoff {
+    /// The horizon in cycles under `load_slack` (`None` = uncapped).
+    pub fn resolve(self, load_slack: u64) -> Option<u64> {
+        match self {
+            BatchCutoff::FollowSlack => Some(load_slack),
+            BatchCutoff::Cycles(cycles) => Some(cycles),
+            BatchCutoff::Uncapped => None,
+        }
+    }
+}
+
+impl From<Option<u64>> for BatchCutoff {
+    /// An already-resolved horizon: `Some` is explicit, `None` uncapped.
+    fn from(cutoff: Option<u64>) -> Self {
+        cutoff.map_or(BatchCutoff::Uncapped, BatchCutoff::Cycles)
+    }
+}
+
 /// Per-serve-run configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -307,17 +342,13 @@ pub struct ServeConfig {
     /// worker's queue may run ahead of its group's best candidate before
     /// policy scoring prefers balance over resident-state overlap.
     /// Defaults to [`LOAD_SLACK_CYCLES`] (256, the PR 2 sweep's choice).
-    /// Note `batch_cutoff` does not follow this field automatically when
-    /// set directly — use [`ServeConfig::with_load_slack`] to sweep the
-    /// horizon with both knobs in lockstep (as `serve_bench --slack`
-    /// does).
+    /// The batch cutoff follows it unless `batch_cutoff` says otherwise.
     pub load_slack: u64,
     /// Queue-depth-aware batch cutoff: stop coalescing further requests
     /// into a batch once the target worker's estimated outstanding cycles
-    /// (measured at the candidate's arrival) reach this horizon. `None`
-    /// coalesces up to `max_batch` unconditionally — the pre-cutoff
-    /// behaviour whose tail cost `serve_bench` documents.
-    pub batch_cutoff: Option<u64>,
+    /// reach the horizon — by default `load_slack` itself (see
+    /// [`BatchCutoff`] for the explicit and uncapped overrides).
+    pub batch_cutoff: BatchCutoff,
     /// Online cost refinement: feed each retired dispatch's measured
     /// cycles into a per-`(module, warmth bucket)` EWMA and let it sharpen
     /// the scheduler's queue estimates. `false` pins the estimates to the
@@ -358,27 +389,12 @@ impl Default for ServeConfig {
             opt: OptLevel::All,
             max_batch: 1,
             load_slack: LOAD_SLACK_CYCLES,
-            batch_cutoff: Some(LOAD_SLACK_CYCLES),
+            batch_cutoff: BatchCutoff::FollowSlack,
             refine_cost: true,
             store: None,
             mode: ServeMode::Deterministic,
             budget: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Sets the load-slack horizon *and* keeps `batch_cutoff` in lockstep:
-    /// a capped cutoff follows `slack`, while an uncapped (`None`) cutoff
-    /// stays uncapped — sweeping the horizon should not silently re-enable
-    /// the cutoff ablation. Setting `load_slack` directly instead leaves
-    /// `batch_cutoff` untouched, which is almost never what a knob sweep
-    /// wants.
-    #[must_use]
-    pub fn with_load_slack(mut self, slack: u64) -> Self {
-        self.load_slack = slack;
-        self.batch_cutoff = self.batch_cutoff.map(|_| slack);
-        self
     }
 }
 
@@ -889,13 +905,7 @@ mod tests {
     fn heterogeneous_pool_serves_functionally_under_every_policy() {
         let stream = stream(200, 9);
         let mut rt = Runtime::new(hetero_pool());
-        for policy in [
-            Policy::Fifo,
-            Policy::FifoElide,
-            Policy::ConfigAffinity,
-            Policy::Cost,
-            Policy::Thermal,
-        ] {
+        for policy in Policy::ALL {
             let report = rt
                 .serve(
                     &stream,
@@ -1105,19 +1115,48 @@ mod tests {
     }
 
     #[test]
-    fn with_load_slack_keeps_batch_cutoff_in_lockstep() {
-        let cfg = ServeConfig::default().with_load_slack(512);
-        assert_eq!(cfg.load_slack, 512);
-        assert_eq!(cfg.batch_cutoff, Some(512));
-        // an uncapped cutoff is an explicit ablation choice; sweeping the
-        // horizon must not silently re-enable it
-        let uncapped = ServeConfig {
-            batch_cutoff: None,
-            ..ServeConfig::default()
-        }
-        .with_load_slack(64);
-        assert_eq!(uncapped.load_slack, 64);
-        assert_eq!(uncapped.batch_cutoff, None);
+    fn batch_cutoff_follows_load_slack_unless_overridden() {
+        assert_eq!(BatchCutoff::default().resolve(512), Some(512));
+        assert_eq!(BatchCutoff::Cycles(64).resolve(512), Some(64));
+        assert_eq!(BatchCutoff::Uncapped.resolve(512), None);
+        assert_eq!(BatchCutoff::from(Some(64)), BatchCutoff::Cycles(64));
+        assert_eq!(BatchCutoff::from(None), BatchCutoff::Uncapped);
+
+        // one worker per platform at a 50-cycle gap: queues run deep, so
+        // where the cutoff sits decides how far batches grow
+        let stream = stream(400, 11);
+        let serve = |load_slack, batch_cutoff| {
+            Runtime::new(pool())
+                .serve(
+                    &stream,
+                    &ServeConfig {
+                        policy: Policy::FifoElide,
+                        max_batch: 8,
+                        load_slack,
+                        batch_cutoff,
+                        ..ServeConfig::default()
+                    },
+                )
+                .unwrap()
+        };
+        // setting `load_slack` alone moves both horizons: the report is
+        // the one the removed `with_load_slack(512)` builder produced
+        // (slack 512, cutoff 512) ...
+        let followed = serve(512, BatchCutoff::FollowSlack);
+        let spelled_out = serve(512, BatchCutoff::Cycles(512));
+        assert_eq!(followed.metrics, spelled_out.metrics);
+        assert_eq!(followed.latencies, spelled_out.latencies);
+        // ... and not the one a cutoff left at the default horizon gives
+        let stale = serve(512, BatchCutoff::Cycles(LOAD_SLACK_CYCLES));
+        assert!(followed.metrics.batched_requests > stale.metrics.batched_requests);
+
+        // an uncapped cutoff is an explicit ablation choice: changing the
+        // slack must not re-enable the cap
+        let uncapped = serve(64, BatchCutoff::Uncapped);
+        let never_reached = serve(64, BatchCutoff::Cycles(u64::MAX));
+        assert_eq!(uncapped.metrics, never_reached.metrics);
+        let capped = serve(64, BatchCutoff::FollowSlack);
+        assert!(uncapped.metrics.batched_requests > capped.metrics.batched_requests);
     }
 
     #[test]

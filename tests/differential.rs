@@ -17,55 +17,20 @@
 //! loop body's own reference is the committed output of the reference
 //! plan: `BENCH_runtime.json` and `TUNED.json` regenerate byte-identically.
 
+use accfg_bench::streams::{self, contention_pool, hetero_pool, uniform_pool};
 use configuration_wall::prelude::*;
 use configuration_wall::runtime::{
-    load_costs, measured_class_service_times, EnginePlan, Policy, PoolGroup, ServeBudget,
-    ServeMode, ServeReport,
+    load_costs, EnginePlan, Policy, PoolGroup, ServeBudget, ServeMode, ServeReport,
 };
 use configuration_wall::store::LogStore;
 use configuration_wall::workloads::{
-    mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, BurstyConfig,
-    ClosedLoopConfig, TrafficClass, TrafficRequest,
+    mixed_platform_classes, mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
 };
 use proptest::prelude::*;
 
 /// The thread budgets the contract is pinned at: fully serial, fewer
 /// executors than workers, and one executor per worker with headroom.
 const THREADS: [usize; 3] = [1, 2, 8];
-
-const POLICIES: [Policy; 5] = [
-    Policy::Fifo,
-    Policy::FifoElide,
-    Policy::ConfigAffinity,
-    Policy::Cost,
-    Policy::Thermal,
-];
-
-fn uniform_pool() -> PoolConfig {
-    PoolConfig::new(vec![
-        AcceleratorDescriptor::gemmini(),
-        AcceleratorDescriptor::opengemm(),
-    ])
-    .with_workers_per_accelerator(2)
-}
-
-fn hetero_pool() -> PoolConfig {
-    PoolConfig::new(vec![
-        AcceleratorDescriptor::gemmini(),
-        AcceleratorDescriptor::opengemm(),
-    ])
-    .with_workers_per_accelerator(2)
-    .with_variant("gemmini", AcceleratorDescriptor::gemmini_turbo())
-    .with_variant("opengemm", AcceleratorDescriptor::opengemm_lite())
-}
-
-fn contention_pool() -> PoolConfig {
-    PoolConfig::new(vec![
-        AcceleratorDescriptor::gemmini().with_reference_timing(),
-        AcceleratorDescriptor::opengemm().with_reference_timing(),
-    ])
-    .with_workers_per_accelerator(2)
-}
 
 /// Outcome-by-outcome equality: aggregate metrics (module-cache
 /// provenance included — both serves run on fresh runtimes), per-request
@@ -150,7 +115,7 @@ fn serve_both(
 
 /// Every policy × thread budget over one stream.
 fn check_stream(name: &str, pool: PoolConfig, stream: &[TrafficRequest], threads: &[usize]) {
-    for policy in POLICIES {
+    for policy in Policy::ALL {
         let cfg = ServeConfig {
             policy,
             ..ServeConfig::default()
@@ -189,7 +154,7 @@ fn mixed_stream_matches() {
     check_stream(
         "mixed",
         uniform_pool(),
-        &open_loop(mixed_serving_classes(), 400, 200, 0xC0FFEE),
+        &streams::mixed_stream(400),
         &THREADS,
     );
 }
@@ -198,7 +163,7 @@ fn mixed_stream_matches() {
 fn mixed_stream_matches_with_batching() {
     // the batch scan is the one decision that reads ahead in the group's
     // arrival order — pin it separately from the plain per-policy sweep
-    let stream = open_loop(mixed_serving_classes(), 400, 200, 0xC0FFEE);
+    let stream = streams::mixed_stream(400);
     for policy in [Policy::FifoElide, Policy::ConfigAffinity] {
         let cfg = ServeConfig {
             policy,
@@ -220,40 +185,20 @@ fn shape_heavy_stream_matches() {
     check_stream(
         "shape_heavy",
         uniform_pool(),
-        &open_loop(shape_heavy_classes(), 300, 400, 0x5EED),
+        &streams::shape_heavy_stream(300),
         &[1, 2],
     );
 }
 
 #[test]
 fn bursty_stream_matches() {
-    let stream = BurstyConfig {
-        classes: mixed_serving_classes(),
-        requests: 300,
-        burst_len: 24,
-        burst_gap: 60,
-        idle_gap: 12_000,
-        seed: 0xB0257,
-    }
-    .stream()
-    .expect("valid bursty mix");
+    let stream = streams::bursty_stream(300);
     check_stream("bursty", uniform_pool(), &stream, &[1, 2]);
-}
-
-fn closed_loop_config(requests: usize) -> ClosedLoopConfig {
-    ClosedLoopConfig {
-        classes: mixed_serving_classes(),
-        requests,
-        clients: 12,
-        think_time: 400,
-        service_estimate: 250,
-        seed: 0xC105ED,
-    }
 }
 
 #[test]
 fn closed_loop_stream_matches() {
-    let stream = closed_loop_config(300)
+    let stream = streams::closed_loop_config(300)
         .stream()
         .expect("valid closed-loop mix");
     check_stream("closed_loop", uniform_pool(), &stream, &[1, 2]);
@@ -261,29 +206,23 @@ fn closed_loop_stream_matches() {
 
 #[test]
 fn closed_loop_measured_stream_matches() {
-    // calibrated exactly as serve_bench builds the stream: measured mean
-    // service times from a fifo+elide serve of the static-estimate stream
-    let cfg = closed_loop_config(300);
-    let calibration_stream = cfg.stream().expect("valid closed-loop mix");
-    let calibration = Runtime::new(uniform_pool())
-        .serve(
-            &calibration_stream,
-            &ServeConfig {
-                policy: Policy::FifoElide,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("calibration serve succeeds");
-    let service_times = measured_class_service_times(
-        &cfg.classes,
-        &calibration_stream,
-        &calibration,
-        cfg.service_estimate,
+    // calibrated exactly as serve_bench builds the stream: the catalog
+    // entry, resolved against a calibration serve of its static-estimate
+    // sequence
+    let entry = streams::catalog(300)
+        .into_iter()
+        .find(|entry| entry.name == "closed_loop_measured")
+        .expect("the catalog carries the measured closed loop");
+    let calibration = serve(
+        &entry.pool.build(),
+        &entry.requests,
+        &ServeConfig {
+            policy: streams::CALIBRATION_POLICY,
+            ..ServeConfig::default()
+        },
     );
-    let stream = cfg
-        .stream_with_service_times(&service_times)
-        .expect("valid measured closed-loop mix");
-    check_stream("closed_loop_measured", uniform_pool(), &stream, &[1, 2]);
+    let (_, stream) = entry.calibrated(&calibration);
+    check_stream("closed_loop_measured", entry.pool.build(), &stream, &[1, 2]);
 }
 
 #[test]
@@ -291,7 +230,7 @@ fn hetero_stream_matches() {
     check_stream(
         "hetero",
         hetero_pool(),
-        &open_loop(mixed_platform_classes(), 300, 300, 0x4E7E60),
+        &streams::hetero_stream(300),
         &[1, 2],
     );
 }
@@ -304,7 +243,7 @@ fn contention_stream_matches() {
     check_stream(
         "contention",
         contention_pool(),
-        &open_loop(mixed_serving_classes(), 250, 120, 0xC047E47),
+        &streams::contention_stream(250),
         &[1, 2],
     );
 }
@@ -621,9 +560,8 @@ proptest! {
                 .with_variant("opengemm", AcceleratorDescriptor::opengemm_lite());
         }
         let cfg = ServeConfig {
-            policy: POLICIES[policy_idx],
+            policy: Policy::ALL[policy_idx],
             load_slack: slack,
-            batch_cutoff: Some(slack),
             max_batch,
             ..ServeConfig::default()
         };
@@ -653,7 +591,7 @@ proptest! {
         .stream()
         .unwrap();
         let cfg = ServeConfig {
-            policy: POLICIES[policy_idx],
+            policy: Policy::ALL[policy_idx],
             ..ServeConfig::default()
         };
         serve_both(&uniform_pool(), &stream, &cfg, &[THREADS[threads_idx]], "random bursty");

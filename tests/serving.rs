@@ -6,52 +6,28 @@
 //! more setup registers than the FIFO baseline — on arbitrary open-loop
 //! *and* bursty streams.
 
+use accfg_bench::streams::{self, contention_stream};
 use configuration_wall::prelude::*;
-use configuration_wall::runtime::{Policy, ServeReport};
+use configuration_wall::runtime::{BatchCutoff, Policy, ServeReport};
 use configuration_wall::workloads::{
-    mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, BurstyConfig, TrafficClass,
-    TrafficRequest,
+    mixed_platform_classes, mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+/// A fresh runtime over the bench catalog's uniform pool.
 fn runtime() -> Runtime {
-    Runtime::new(
-        PoolConfig::new(vec![
-            AcceleratorDescriptor::gemmini(),
-            AcceleratorDescriptor::opengemm(),
-        ])
-        .with_workers_per_accelerator(2),
-    )
+    Runtime::new(streams::uniform_pool())
 }
 
-/// The heterogeneous pool of `serve_bench`'s `hetero` stream: same
-/// capacity as [`runtime`] (2 workers/family), but each family pairs its
-/// base platform with a differently provisioned variant.
+/// A fresh runtime over the heterogeneous pool of the `hetero` stream.
 fn hetero_runtime() -> Runtime {
-    Runtime::new(
-        PoolConfig::new(vec![
-            AcceleratorDescriptor::gemmini(),
-            AcceleratorDescriptor::opengemm(),
-        ])
-        .with_workers_per_accelerator(2)
-        .with_variant("gemmini", AcceleratorDescriptor::gemmini_turbo())
-        .with_variant("opengemm", AcceleratorDescriptor::opengemm_lite()),
-    )
+    Runtime::new(streams::hetero_pool())
 }
 
-/// The timing-model pool of `serve_bench`'s `contention` stream: the two
-/// base platforms with their reference contention budgets and DVFS tables
-/// enabled — same capacity as [`runtime`], but dispatch cost now depends
-/// on each worker's load.
+/// A fresh runtime over the timing-model pool of the `contention` stream.
 fn contention_runtime() -> Runtime {
-    Runtime::new(
-        PoolConfig::new(vec![
-            AcceleratorDescriptor::gemmini().with_reference_timing(),
-            AcceleratorDescriptor::opengemm().with_reference_timing(),
-        ])
-        .with_workers_per_accelerator(2),
-    )
+    Runtime::new(streams::contention_pool())
 }
 
 fn serve(rt: &mut Runtime, stream: &[TrafficRequest], policy: Policy) -> ServeReport {
@@ -65,8 +41,8 @@ fn serve(rt: &mut Runtime, stream: &[TrafficRequest], policy: Policy) -> ServeRe
     .expect("serve succeeds")
 }
 
-/// Serve reports for the canonical mixed 4k stream (4,000 requests, mean
-/// gap 200, seed `0xC0FFEE`), computed once and shared by the three tests
+/// Serve reports for the canonical mixed 4k stream (the catalog's `mixed`
+/// at 4,000 requests), computed once and shared by the three tests
 /// that pin bars on it. Every serve is deterministic — the shared fixture
 /// only deduplicates work, it cannot change any report. None of the
 /// consuming tests read module-cache statistics, so serving all seven
@@ -87,14 +63,7 @@ struct Mixed4k {
 fn mixed_4k() -> &'static Mixed4k {
     static FIXTURE: OnceLock<Mixed4k> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let stream = TrafficConfig {
-            classes: mixed_serving_classes(),
-            requests: 4_000,
-            mean_gap: 200,
-            seed: 0xC0FFEE,
-        }
-        .open_loop_stream()
-        .unwrap();
+        let stream = streams::mixed_stream(4_000);
         let mut rt = runtime();
         let fifo = serve(&mut rt, &stream, Policy::Fifo);
         let elide = serve(&mut rt, &stream, Policy::FifoElide);
@@ -116,7 +85,7 @@ fn mixed_4k() -> &'static Mixed4k {
                 &ServeConfig {
                     policy: Policy::FifoElide,
                     max_batch: 8,
-                    batch_cutoff: None,
+                    batch_cutoff: BatchCutoff::Uncapped,
                     ..ServeConfig::default()
                 },
             )
@@ -249,14 +218,7 @@ fn affinity_and_cost_tail_latency_stay_near_round_robin() {
 /// elision on writes and hold the p99 bound there.
 #[test]
 fn shape_heavy_stream_keeps_both_properties() {
-    let stream = TrafficConfig {
-        classes: shape_heavy_classes(),
-        requests: 2_000,
-        mean_gap: 400,
-        seed: 0x5EED,
-    }
-    .open_loop_stream()
-    .unwrap();
+    let stream = streams::shape_heavy_stream(2_000);
     let mut rt = runtime();
     let elide = serve(&mut rt, &stream, Policy::FifoElide);
     let affinity = serve(&mut rt, &stream, Policy::ConfigAffinity);
@@ -278,16 +240,8 @@ fn shape_heavy_stream_keeps_both_properties() {
 /// latencies, and queue-depth histograms.
 #[test]
 fn bursty_serving_is_reproducible() {
-    let cfg = BurstyConfig {
-        classes: mixed_serving_classes(),
-        requests: 1_500,
-        burst_len: 24,
-        burst_gap: 60,
-        idle_gap: 12_000,
-        seed: 0xB0257,
-    };
-    let stream = cfg.stream().unwrap();
-    assert_eq!(stream, cfg.stream().unwrap());
+    let stream = streams::bursty_stream(1_500);
+    assert_eq!(stream, streams::bursty_stream(1_500));
     let run = || {
         let mut rt = runtime();
         let report = serve(&mut rt, &stream, Policy::ConfigAffinity);
@@ -380,14 +334,7 @@ fn ewma_refinement_beats_static_anchors_on_mixed() {
 fn contention_stream_exercises_the_refiner() {
     // baseline: the canonical mixed stream on the identity-timing pool,
     // where dispatch cost is near-linear in writes and anchors are tight
-    let mixed = TrafficConfig {
-        classes: mixed_serving_classes(),
-        requests: 2_000,
-        mean_gap: 200,
-        seed: 0xC0FFEE,
-    }
-    .open_loop_stream()
-    .unwrap();
+    let mixed = streams::mixed_stream(2_000);
     let mut identity_rt = runtime();
     let baseline = serve(&mut identity_rt, &mixed, Policy::ConfigAffinity);
     assert_eq!(baseline.metrics.contention_cycles, 0);
@@ -395,14 +342,7 @@ fn contention_stream_exercises_the_refiner() {
 
     // the contention stream: same mix, tighter arrivals, reference timing
     // (serve_bench's `contention` stream at a reduced request count)
-    let contention = TrafficConfig {
-        classes: mixed_serving_classes(),
-        requests: 2_000,
-        mean_gap: 120,
-        seed: 0xC047E47,
-    }
-    .open_loop_stream()
-    .unwrap();
+    let contention = contention_stream(2_000);
     let mut rt = contention_runtime();
     let affinity = serve(&mut rt, &contention, Policy::ConfigAffinity);
     let cost = serve(&mut rt, &contention, Policy::Cost);
@@ -497,14 +437,7 @@ fn timed_serving_is_reproducible() {
 /// double as the no-regression guard.
 #[test]
 fn thermal_beats_cost_on_the_contention_tail() {
-    let stream = TrafficConfig {
-        classes: mixed_serving_classes(),
-        requests: 12_000,
-        mean_gap: 120,
-        seed: 0xC047E47,
-    }
-    .open_loop_stream()
-    .unwrap();
+    let stream = contention_stream(12_000);
     let mut rt = contention_runtime();
     let cost = serve(&mut rt, &stream, Policy::Cost);
     let thermal = serve(&mut rt, &stream, Policy::Thermal);
@@ -579,7 +512,6 @@ fn load_slack_is_a_serving_knob() {
             &ServeConfig {
                 policy,
                 load_slack: slack,
-                batch_cutoff: Some(slack),
                 ..ServeConfig::default()
             },
         )
@@ -611,14 +543,7 @@ fn load_slack_is_a_serving_knob() {
 /// provisioning-blind score ping-pongs them across the slack horizon.
 #[test]
 fn cost_beats_affinity_on_heterogeneous_pools() {
-    let stream = TrafficConfig {
-        classes: mixed_platform_classes(),
-        requests: 1_000,
-        mean_gap: 300,
-        seed: 0x4E7E60,
-    }
-    .open_loop_stream()
-    .unwrap();
+    let stream = streams::hetero_stream(1_000);
     let mut rt = hetero_runtime();
     let fifo = serve(&mut rt, &stream, Policy::Fifo);
     let affinity = serve(&mut rt, &stream, Policy::ConfigAffinity);
@@ -683,19 +608,6 @@ fn temp_store(name: &str) -> std::path::PathBuf {
     let path = dir.join(format!("{name}_{}.store", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
-}
-
-/// The contention stream at test scale (serve_bench's warm-start stream
-/// at a reduced request count).
-fn contention_stream(requests: usize) -> Vec<TrafficRequest> {
-    TrafficConfig {
-        classes: mixed_serving_classes(),
-        requests,
-        mean_gap: 120,
-        seed: 0xC047E47,
-    }
-    .open_loop_stream()
-    .unwrap()
 }
 
 /// The persistent warm-start acceptance bars, pinned on the contention
@@ -800,37 +712,6 @@ fn warm_start_store_files_are_byte_identical() {
     let _ = std::fs::remove_file(&b);
 }
 
-/// Sums `accfg-analyze`'s static counters over a stream's raw per-class
-/// modules — exactly the modules the serving runtime compiles — weighted
-/// by each class's request count. Returns `(static_writes, elidable
-/// bound)`. `static_writes` counts only *guaranteed* write executions, so
-/// it never exceeds what a run of the raw module actually writes.
-fn stream_static_totals(stream: &[TrafficRequest]) -> (u64, u64) {
-    use configuration_wall::analyze::lint_module;
-    let mut classes: Vec<(String, MatmulSpec, u64)> = Vec::new();
-    for req in stream {
-        match classes
-            .iter_mut()
-            .find(|(a, s, _)| *a == req.accelerator && *s == req.spec)
-        {
-            Some((_, _, n)) => *n += 1,
-            None => classes.push((req.accelerator.clone(), req.spec, 1)),
-        }
-    }
-    let (mut static_writes, mut bound) = (0u64, 0u64);
-    for (accel, spec, n) in &classes {
-        let desc = match accel.as_str() {
-            "gemmini" => AcceleratorDescriptor::gemmini(),
-            "opengemm" => AcceleratorDescriptor::opengemm(),
-            other => panic!("unknown accelerator `{other}`"),
-        };
-        let report = lint_module(&matmul_ir(&desc, spec));
-        static_writes += n * report.static_writes;
-        bound += n * report.elidable_bound;
-    }
-    (static_writes, bound)
-}
-
 /// The static-vs-dynamic elision bar: per stream, the static
 /// elidable-write lower bound (value-resident write executions
 /// `accfg-analyze` proves on the *raw* per-class modules) must not exceed
@@ -840,44 +721,14 @@ fn stream_static_totals(stream: &[TrafficRequest]) -> (u64, u64) {
 /// resident, on every stream the benchmark serves.
 #[test]
 fn static_elidable_bound_never_exceeds_measured_elision() {
-    let uniform_streams = [
-        (
-            "mixed",
-            TrafficConfig {
-                classes: mixed_serving_classes(),
-                requests: 2_000,
-                mean_gap: 200,
-                seed: 0xC0FFEE,
-            },
-        ),
-        (
-            "shape_heavy",
-            TrafficConfig {
-                classes: shape_heavy_classes(),
-                requests: 1_000,
-                mean_gap: 400,
-                seed: 0x5EED,
-            },
-        ),
+    let checks = [
+        ("mixed", streams::mixed_stream(2_000), runtime()),
+        ("shape_heavy", streams::shape_heavy_stream(1_000), runtime()),
+        ("hetero", streams::hetero_stream(1_000), hetero_runtime()),
     ];
-    let mut checks: Vec<(&str, Vec<TrafficRequest>, Runtime)> = uniform_streams
-        .into_iter()
-        .map(|(name, cfg)| (name, cfg.open_loop_stream().unwrap(), runtime()))
-        .collect();
-    checks.push((
-        "hetero",
-        TrafficConfig {
-            classes: mixed_platform_classes(),
-            requests: 1_000,
-            mean_gap: 300,
-            seed: 0x4E7E60,
-        }
-        .open_loop_stream()
-        .unwrap(),
-        hetero_runtime(),
-    ));
     for (name, stream, mut rt) in checks {
-        let (static_writes, bound) = stream_static_totals(&stream);
+        let totals = streams::static_totals(&stream);
+        let (static_writes, bound) = (totals.static_writes, totals.elidable_bound);
         assert!(bound > 0, "{name}: trivial bound proves nothing");
         for policy in [Policy::FifoElide, Policy::ConfigAffinity, Policy::Cost] {
             let report = serve(&mut rt, &stream, policy);
@@ -1187,9 +1038,9 @@ fn tuned_mixed_knobs_dominate_the_default_configuration() {
         .map(|(_, knobs)| *knobs)
         .expect("TUNED.json has a mixed row");
 
-    let stream = accfg_bench::streams::mixed_stream(4_000);
+    let stream = streams::mixed_stream(4_000);
     let default = &mixed_4k().affinity.metrics;
-    let mut rt = Runtime::new(knobs.apply_pool(&accfg_bench::streams::uniform_pool()));
+    let mut rt = Runtime::new(knobs.apply_pool(&streams::uniform_pool()));
     let tuned = rt
         .serve(&stream, &knobs.serve_config())
         .expect("tuned serve succeeds")
