@@ -12,7 +12,7 @@
 //!   8×8×8 GeMM array (1024 ops/cycle), configured by CSR writes with an
 //!   explicit launch register and a polled status register.
 
-use crate::memory::{MemError, Memory};
+use crate::memory::{le_i32, MemError, Memory};
 use crate::timing::{DvfsState, FreqState, TimingModel};
 
 /// How the accelerator accepts configuration while running (Section 2.2).
@@ -443,9 +443,69 @@ impl AccelSim {
 /// Functionally executes one tile `C = act(A·B + D)` on memory, returning
 /// the MAC count.
 ///
+/// The result — memory and return value, faults included — is that of
+/// [`execute_tile_elementwise`], which is the definition. A tile whose
+/// operands are row-major and lie in memory, with C overlapping none of
+/// A, B and D (every tile this repository's lowerings emit), is computed
+/// a row at a time over [`Memory::bytes`] views instead: one bounds check
+/// per operand row, and an inner loop over contiguous `n`-long slices.
+///
 /// # Errors
 /// Fails when any element access is out of bounds.
 pub fn execute_tile(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
+    if !row_sliceable(op, mem) {
+        return execute_tile_elementwise(op, mem);
+    }
+    let relu = op.flags & flags::RELU != 0;
+    let accumulate = op.flags & flags::ACCUMULATE != 0;
+    // in range: `row_sliceable` placed every region inside `mem`
+    let (n, k, stride_b) = (op.n as usize, op.k as usize, op.stride_b as usize);
+    let b_len = (k - 1) * stride_b + n;
+    let mut acc_row = vec![0i32; n];
+    for i in 0..op.m {
+        if op.d_addr != 0 {
+            let d_row = mem.bytes(strided_addr(op.d_addr, i, op.stride_d, 0), 4 * n)?;
+            for (acc, w) in acc_row.iter_mut().zip(d_row.chunks_exact(4)) {
+                *acc = le_i32(w);
+            }
+        } else {
+            acc_row.fill(0);
+        }
+        let a_row = mem.bytes(strided_addr(op.a_addr, i, op.stride_a, 0), k)?;
+        let b = mem.bytes(op.b_addr, b_len)?;
+        for (kk, &a) in a_row.iter().enumerate() {
+            let a = a as i8 as i32;
+            let b_row = &b[kk * stride_b..][..n];
+            for (acc, &b) in acc_row.iter_mut().zip(b_row) {
+                *acc = acc.wrapping_add(a.wrapping_mul(b as i8 as i32));
+            }
+        }
+        let c_row = mem.bytes_mut(strided_addr(op.c_addr, i, op.stride_c, 0), 4 * n)?;
+        for (out, &sum) in c_row.chunks_exact_mut(4).zip(&acc_row) {
+            let mut v = sum;
+            if accumulate {
+                v = v.wrapping_add(le_i32(out));
+            }
+            if relu {
+                v = v.max(0);
+            }
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+    Ok(op.m * op.n * op.k)
+}
+
+/// [`execute_tile`] by its definition: one bounds-checked access per
+/// operand, elements in `i`, `j`, `k` order, so a fault leaves exactly
+/// the elements before it written and an output that overlaps an input
+/// is read back as the hardware would. The oracle the row-sliced path is
+/// tested against, and the path [`execute_tile`] takes for transposed
+/// operands, overlapping regions and tiles that fault.
+///
+/// # Errors
+/// Fails when any element access is out of bounds, including an address
+/// that does not fit in 64 bits.
+pub fn execute_tile_elementwise(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
     let transpose_a = op.flags & flags::TRANSPOSE_A != 0;
     let transpose_b = op.flags & flags::TRANSPOSE_B != 0;
     let relu = op.flags & flags::RELU != 0;
@@ -453,26 +513,26 @@ pub fn execute_tile(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
     for i in 0..op.m {
         for j in 0..op.n {
             let mut acc: i32 = if op.d_addr != 0 {
-                mem.read_i32(op.d_addr + i * op.stride_d + 4 * j)?
+                mem.read_i32(strided_addr(op.d_addr, i, op.stride_d, 4 * j))?
             } else {
                 0
             };
             for k in 0..op.k {
                 let a_addr = if transpose_a {
-                    op.a_addr + k * op.stride_a + i
+                    strided_addr(op.a_addr, k, op.stride_a, i)
                 } else {
-                    op.a_addr + i * op.stride_a + k
+                    strided_addr(op.a_addr, i, op.stride_a, k)
                 };
                 let b_addr = if transpose_b {
-                    op.b_addr + j * op.stride_b + k
+                    strided_addr(op.b_addr, j, op.stride_b, k)
                 } else {
-                    op.b_addr + k * op.stride_b + j
+                    strided_addr(op.b_addr, k, op.stride_b, j)
                 };
                 let a = mem.read_i8(a_addr)? as i32;
                 let b = mem.read_i8(b_addr)? as i32;
                 acc = acc.wrapping_add(a.wrapping_mul(b));
             }
-            let c_addr = op.c_addr + i * op.stride_c + 4 * j;
+            let c_addr = strided_addr(op.c_addr, i, op.stride_c, 4 * j);
             if accumulate {
                 acc = acc.wrapping_add(mem.read_i32(c_addr)?);
             }
@@ -485,9 +545,46 @@ pub fn execute_tile(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
     Ok(op.m * op.n * op.k)
 }
 
+/// `base + row * stride + offset`, saturating. Bases and strides are
+/// program-written registers (a negative stride decodes to a huge `u64`):
+/// an address that does not fit in 64 bits becomes `u64::MAX`, which no
+/// memory holds, so the access faults instead of wrapping to a valid
+/// address.
+fn strided_addr(base: u64, row: u64, stride: u64, offset: u64) -> u64 {
+    base.saturating_add(row.saturating_mul(stride))
+        .saturating_add(offset)
+}
+
+/// Whether [`execute_tile`] may compute `op` a row at a time: no operand
+/// is transposed, all four regions lie inside `mem` (so no access can
+/// fault part-way through a row) and C overlaps none of A, B and D (so no
+/// element is read after the tile wrote it).
+fn row_sliceable(op: &TileOp, mem: &Memory) -> bool {
+    // the byte extent of `rows` rows, `None` unless it lies inside `mem`
+    let region = |base: u64, rows: u64, stride: u64, row_bytes: u64| {
+        let len = rows
+            .checked_sub(1)?
+            .checked_mul(stride)?
+            .checked_add(row_bytes)?;
+        mem.bytes(base, usize::try_from(len).ok()?).ok()?;
+        Some(base..base + len)
+    };
+    let clear_of_c = || {
+        let c = region(op.c_addr, op.m, op.stride_c, op.n.checked_mul(4)?)?;
+        let clear = |r: std::ops::Range<u64>| r.end <= c.start || c.end <= r.start;
+        Some(
+            clear(region(op.a_addr, op.m, op.stride_a, op.k)?)
+                && clear(region(op.b_addr, op.k, op.stride_b, op.n)?)
+                && (op.d_addr == 0 || clear(region(op.d_addr, op.m, op.stride_d, 4 * op.n)?)),
+        )
+    };
+    op.flags & (flags::TRANSPOSE_A | flags::TRANSPOSE_B) == 0 && clear_of_c() == Some(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup_tile(mem: &mut Memory) -> TileOp {
         // A = [[1,2],[3,4]], B = [[5,6],[7,8]] at i8; C at 0x100
@@ -654,6 +751,47 @@ mod tests {
     }
 
     #[test]
+    fn negative_stride_is_a_fault_not_a_wrapped_address() {
+        // registers are program-written i64s: row 1 of A sits at
+        // 8 + 1 * (2^64 - 1), which used to panic on overflow in debug
+        // builds and wrap to the valid address 7 in release builds
+        let mut mem = Memory::new(0x200);
+        let mut op = setup_tile(&mut mem);
+        (op.a_addr, op.stride_a) = (0x08, -1i64 as u64);
+        assert!(matches!(
+            execute_tile(&op, &mut mem),
+            Err(LaunchError::Mem(_))
+        ));
+    }
+
+    #[test]
+    fn row_slicing_is_chosen_from_the_tile_alone() {
+        let mut mem = Memory::new(0x200);
+        let op = setup_tile(&mut mem);
+        assert!(row_sliceable(&op, &mem));
+        let with = |edit: fn(&mut TileOp)| {
+            let mut edited = op;
+            edit(&mut edited);
+            row_sliceable(&edited, &mem)
+        };
+        // strides are free to pad rows, and to alias them within a region
+        assert!(with(|op| op.stride_b = 7));
+        assert!(with(|op| op.stride_c = 0));
+        assert!(with(|op| op.flags = flags::RELU | flags::ACCUMULATE));
+        assert!(with(|op| (op.d_addr, op.stride_d) = (0x180, 8)));
+        assert!(!with(|op| op.flags = flags::TRANSPOSE_A));
+        assert!(!with(|op| op.flags = flags::TRANSPOSE_B));
+        // C on top of A, B or D; any region past the end of memory
+        assert!(!with(|op| op.c_addr = 0x02));
+        assert!(!with(|op| op.c_addr = 0x0c));
+        assert!(!with(|op| (op.d_addr, op.stride_d) = (0x108, 8)));
+        assert!(!with(|op| op.a_addr = 0x1fe));
+        assert!(!with(|op| op.c_addr = 0x1f4));
+        assert!(!with(|op| op.stride_a = u64::MAX));
+        assert!(!with(|op| op.m = 0));
+    }
+
+    #[test]
     fn reset_clock_rebases_drained_busy_window() {
         let mut mem = Memory::new(0x400);
         mem.write_i8_slice(0x00, &[1; 16]).unwrap();
@@ -709,5 +847,95 @@ mod tests {
     fn peak_ops() {
         assert_eq!(AccelParams::gemmini_like().peak_ops_per_cycle(), 512);
         assert_eq!(AccelParams::opengemm_like().peak_ops_per_cycle(), 1024);
+    }
+
+    /// Memory for the kernel property: one slot per matrix, each wide
+    /// enough for 40 rows at the largest stride, read either way round.
+    const SLOTS: [u64; 4] = [0x0040, 0x1000, 0x2000, 0x4000];
+    const CAPACITY: usize = 0x6000;
+
+    fn noise(seed: u64) -> Memory {
+        let mut mem = Memory::new(CAPACITY);
+        let mut state = seed | 1;
+        for byte in mem.bytes_mut(0, CAPACITY).unwrap() {
+            // xorshift64: full-range operands, so sums wrap
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = (state >> 24) as u8;
+        }
+        mem
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The row-sliced kernel is the element-wise definition: same
+        /// bytes, same outcome, for every flag combination, with and
+        /// without bias, with padded and with aliasing strides, with C
+        /// laid over each input, and with each region pushed off the end
+        /// of memory in turn.
+        #[test]
+        fn kernel_equals_its_definition(
+            dims in (1u64..41, 1u64..41, 1u64..41),
+            pads in (-3i64..9, -3i64..9, -3i64..9, -3i64..9),
+            bias in any::<bool>(),
+            c_over in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            let (m, n, k) = dims;
+            let stride = |row_bytes: u64, pad: i64| row_bytes.saturating_add_signed(pad);
+            let base = TileOp {
+                a_addr: SLOTS[0],
+                b_addr: SLOTS[1],
+                // two cases in six lay C over A, B or D (when present)
+                c_addr: match c_over {
+                    0 => SLOTS[0] + seed % k,
+                    1 => SLOTS[1] + seed % n,
+                    2 if bias => SLOTS[3] + 4 * (seed % n),
+                    _ => SLOTS[2],
+                },
+                d_addr: if bias { SLOTS[3] } else { 0 },
+                m,
+                n,
+                k,
+                stride_a: stride(k, pads.0),
+                stride_b: stride(n, pads.1),
+                stride_c: stride(4 * n, 4 * pads.2),
+                stride_d: stride(4 * n, 4 * pads.3),
+                flags: 0,
+            };
+            let image = noise(seed);
+            let mut sliced_runs = 0;
+            for flag_bits in 0..16 {
+                // 0: as laid out; 1..: A, B, C, D (if any) straddling the end
+                for pushed in 0..if bias { 5 } else { 4 } {
+                    let mut op = TileOp { flags: flag_bits, ..base };
+                    // nearer the end than any operand is long: its tail is out
+                    let past_end = CAPACITY as u64 - seed % m.min(n).min(k);
+                    match pushed {
+                        1 => op.a_addr = past_end,
+                        2 => op.b_addr = past_end,
+                        3 => op.c_addr = past_end,
+                        4 => op.d_addr = past_end,
+                        _ => {}
+                    }
+                    sliced_runs += usize::from(row_sliceable(&op, &image));
+                    let (mut fast, mut slow) = (image.clone(), image.clone());
+                    let got = execute_tile(&op, &mut fast);
+                    let want = execute_tile_elementwise(&op, &mut slow);
+                    prop_assert!(fast == slow, "memory differs for {op:?}");
+                    match (&got, &want) {
+                        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                        (Err(LaunchError::Mem(_)), Err(LaunchError::Mem(_))) => {}
+                        _ => panic!("{got:?} vs {want:?} for {op:?}"),
+                    }
+                    prop_assert_eq!(want.is_err(), pushed != 0, "{op:?}");
+                }
+            }
+            // the untransposed, unpushed, non-overlapping runs take the fast path
+            let overlapping = c_over < 2 || (c_over == 2 && bias);
+            prop_assert_eq!(sliced_runs, if overlapping { 0 } else { 4 });
+        }
     }
 }

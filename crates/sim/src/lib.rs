@@ -55,8 +55,8 @@ pub mod timeline;
 pub mod timing;
 
 pub use accel::{
-    execute_tile, flags, regmap, AccelParams, AccelSim, AccelStats, ConfigScheme, LaunchError,
-    TileOp,
+    execute_tile, execute_tile_elementwise, flags, regmap, AccelParams, AccelSim, AccelStats,
+    ConfigScheme, LaunchError, TileOp,
 };
 pub use host::HostModel;
 pub use isa::{AluOp, BranchCond, Inst, Label, Program, ProgramBuilder, Reg, Width};

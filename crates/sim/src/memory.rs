@@ -97,9 +97,7 @@ impl Memory {
     /// Fails on out-of-bounds access.
     pub fn read_i32(&self, addr: u64) -> Result<i32, MemError> {
         let a = self.check(addr, 4)?;
-        Ok(i32::from_le_bytes(
-            self.bytes[a..a + 4].try_into().expect("4 bytes"),
-        ))
+        Ok(le_i32(&self.bytes[a..a + 4]))
     }
 
     /// Writes a little-endian i32.
@@ -133,14 +131,33 @@ impl Memory {
         Ok(())
     }
 
+    /// Borrows the `len` bytes starting at `addr` after one bounds check,
+    /// so a loop over a region proven in bounds pays no per-element check.
+    ///
+    /// # Errors
+    /// Fails if any byte of the region is out of bounds.
+    pub fn bytes(&self, addr: u64, len: usize) -> Result<&[u8], MemError> {
+        let a = self.check(addr, len)?;
+        Ok(&self.bytes[a..a + len])
+    }
+
+    /// The mutable twin of [`Memory::bytes`].
+    ///
+    /// # Errors
+    /// Fails if any byte of the region is out of bounds.
+    pub fn bytes_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemError> {
+        let a = self.check(addr, len)?;
+        Ok(&mut self.bytes[a..a + len])
+    }
+
     /// Copies a slice of i8 values into memory starting at `addr`.
     ///
     /// # Errors
     /// Fails on out-of-bounds access.
     pub fn write_i8_slice(&mut self, addr: u64, values: &[i8]) -> Result<(), MemError> {
-        let a = self.check(addr, values.len())?;
-        for (i, &v) in values.iter().enumerate() {
-            self.bytes[a + i] = v as u8;
+        let region = self.bytes_mut(addr, values.len())?;
+        for (byte, &v) in region.iter_mut().zip(values) {
+            *byte = v as u8;
         }
         Ok(())
     }
@@ -148,14 +165,18 @@ impl Memory {
     /// Reads `count` i32 values starting at `addr`.
     ///
     /// # Errors
-    /// Fails on out-of-bounds access.
+    /// Fails on out-of-bounds access, including a `count` whose byte
+    /// length does not fit an address.
     pub fn read_i32_slice(&self, addr: u64, count: usize) -> Result<Vec<i32>, MemError> {
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            out.push(self.read_i32(addr + 4 * i as u64)?);
-        }
-        Ok(out)
+        // a saturated length exceeds every capacity, so it faults below
+        let region = self.bytes(addr, count.saturating_mul(4))?;
+        Ok(region.chunks_exact(4).map(le_i32).collect())
     }
+}
+
+/// Decodes one little-endian i32 from a 4-byte slice of a region view.
+pub(crate) fn le_i32(word: &[u8]) -> i32 {
+    i32::from_le_bytes(word.try_into().expect("4 bytes"))
 }
 
 #[cfg(test)]
@@ -199,5 +220,28 @@ mod tests {
         m.write_i32(8, 7).unwrap();
         m.write_i32(12, 9).unwrap();
         assert_eq!(m.read_i32_slice(8, 2).unwrap(), vec![7, 9]);
+    }
+
+    #[test]
+    fn region_views_are_checked_once_for_the_whole_region() {
+        let mut m = Memory::new(16);
+        m.bytes_mut(12, 4).unwrap().copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(m.bytes(13, 3).unwrap(), &[2, 3, 4]);
+        assert_eq!(m.bytes(16, 0).unwrap(), &[] as &[u8]);
+        // one byte past the end, a wrapping end, and the faulting region reported whole
+        assert!(m.bytes_mut(13, 4).is_err());
+        assert!(m.bytes(u64::MAX, 2).is_err());
+        let e = m.bytes(8, 9).unwrap_err();
+        assert_eq!((e.addr, e.size, e.capacity), (8, 9, 16));
+    }
+
+    #[test]
+    fn slice_helpers_fault_without_partial_effects() {
+        let mut m = Memory::new(8);
+        assert!(m.write_i8_slice(6, &[1, 2, 3]).is_err());
+        assert_eq!(m, Memory::new(8));
+        assert!(m.read_i32_slice(4, 2).is_err());
+        // a count whose byte length overflows is a fault, not an allocation
+        assert!(m.read_i32_slice(4, usize::MAX).is_err());
     }
 }
