@@ -435,6 +435,11 @@ impl ModuleCache {
         self.entries.is_empty()
     }
 
+    /// `true` if a module is cached under `key` (no counter moves).
+    pub fn contains(&self, key: &CacheKey) -> bool {
+        self.entries.contains_key(key)
+    }
+
     /// Returns the compiled module for `(desc, spec, opt)`, building it on
     /// first use.
     ///

@@ -143,7 +143,8 @@ pub(crate) struct EngineInput<'a> {
     pub groups: &'a [Vec<usize>],
     /// Per-worker platform descriptors.
     pub worker_descs: &'a [AcceleratorDescriptor],
-    /// Persisted cost rows to seed the refiner(s) with.
+    /// Persisted cost rows to seed the refiner(s) with: every one belongs
+    /// to a module in `modules` and names a platform in `worker_descs`.
     pub cost_seed: &'a [CostSnapshotEntry],
     /// Per-group boost power caps (`None` leaves boosting unbounded).
     pub power_caps: &'a [Option<usize>],
@@ -174,10 +175,8 @@ pub(crate) struct EngineOutput {
     pub outcomes: Vec<CommitOutcome>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
-    /// Persisted cost rows the refiner was seeded with.
-    pub ewma_entries_seeded: u64,
     /// The refiner's final rows, re-keyed from pool-local platform index
-    /// to platform name — ready for [`crate::persist::save_costs`].
+    /// to platform name — ready for [`crate::persist::WarmStart::flush`].
     pub cost_snapshot: Vec<CostSnapshotEntry>,
 }
 
@@ -299,8 +298,6 @@ struct ShardResult {
     outcomes: Vec<CommitOutcome>,
     completions: Vec<Option<Completion>>,
     batched_requests: u64,
-    /// Rows [`Scheduler::seed_refiner`] accepted from the shard's seed.
-    seeded: u64,
     /// The shard refiner's final rows, re-keyed to platform names.
     snapshot: Vec<CostSnapshotEntry>,
 }
@@ -380,31 +377,21 @@ pub(crate) fn run(
     // Persisted cost rows: one shard takes them all. Several shards split
     // them by the base platform each row's module was compiled for — the
     // shard owning that base is the only one that can read or write the
-    // row. Rows for a base no shard compiles (a store written by a
-    // differently shaped pool) are routing-dead, but the one-shard
-    // refiner would still carry every such row whose platform the pool
-    // fields, so those pass through to the final snapshot verbatim to
-    // keep store flushes identical. With refinement off nothing is
-    // seeded, so nothing is carried.
-    let mut cost_snapshot: Vec<CostSnapshotEntry> = Vec::new();
+    // row, and there always is one: `Runtime::serve` loads rows only for
+    // modules the stream resolved.
     if plan.shards == 1 {
         shards[0].seed = Cow::Borrowed(cost_seed);
-    } else if cfg.refine_cost {
+    } else {
         for entry in cost_seed {
-            let (platform, key, _) = entry;
-            match shards
+            shards
                 .iter_mut()
-                .find(|shard| base_of(shard.groups[0]) == key.accelerator)
-            {
-                Some(shard) => shard.seed.to_mut().push(entry.clone()),
-                None if worker_descs.iter().any(|d| d.name == *platform) => {
-                    cost_snapshot.push(entry.clone());
-                }
-                None => {}
-            }
+                .find(|shard| base_of(shard.groups[0]) == entry.1.accelerator)
+                .expect("a seeded row's module was resolved for some group")
+                .seed
+                .to_mut()
+                .push(entry.clone());
         }
     }
-    let mut ewma_entries_seeded = cost_snapshot.len() as u64;
     // only the one-shard plan is ever budgeted, so the first shard takes
     // the tracker
     let mut tracker = budget.map(|b| BudgetTracker::new(b, stream.len()));
@@ -413,9 +400,9 @@ pub(crate) fn run(
     let mut assignment = vec![0usize; stream.len()];
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
     let mut batched_requests = 0u64;
+    let mut cost_snapshot: Vec<CostSnapshotEntry> = Vec::new();
     let mut merge = |mut shard: ShardResult| {
         batched_requests += shard.batched_requests;
-        ewma_entries_seeded += shard.seeded;
         cost_snapshot.extend(shard.snapshot);
         for (at, slot) in shard.order.into_iter().enumerate() {
             assignment[slot] = shard.assignment[at];
@@ -499,7 +486,6 @@ pub(crate) fn run(
         assignment,
         outcomes,
         batched_requests,
-        ewma_entries_seeded,
         cost_snapshot,
     })
 }
@@ -558,7 +544,7 @@ fn run_shard(
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
         .with_power_caps(group_of_worker(groups, worker_count), power_caps.to_vec());
-    let seeded = scheduler.seed_refiner(&shard.seed);
+    scheduler.seed_refiner(&shard.seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
     let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
@@ -688,7 +674,6 @@ fn run_shard(
         outcomes,
         completions,
         batched_requests,
-        seeded,
         snapshot: snapshot_by_name(&scheduler),
     })
 }

@@ -48,8 +48,9 @@
 //!   `accfg-dedup` pass, built on [`accfg::regstate`];
 //! - **persistent warm starts** ([`persist`] over the `accfg-store` log):
 //!   point `store` in [`ServeConfig`] at a store file and the serve
-//!   restores previously compiled modules and learned EWMA cost state on
-//!   start, then flushes its own back on finish — a fresh process skips
+//!   restores the compiled modules its stream resolves and their learned
+//!   EWMA cost rows, key by key, then flushes what it built or changed
+//!   back on finish — a fresh process skips
 //!   the compile cold starts and prediction re-convergence the fleet
 //!   already paid for, with provenance reported in [`WarmStartStats`];
 //! - **metrics** ([`ServeMetrics`]): requests, simulated cycles, p50/p99
@@ -167,8 +168,8 @@ pub use metrics::{
     WarmStartStats, WorkerMetrics, DEPTH_BUCKETS,
 };
 pub use persist::{
-    decode_module, encode_module, load_costs, load_modules, save_costs, save_modules,
-    CostSnapshotEntry,
+    decode_module, encode_module, load_cost_row, load_costs, load_module, load_modules, save_costs,
+    save_modules, CostSnapshotEntry, WarmStart,
 };
 pub use plan::{delta_writes, DispatchPlan, LaunchSpec, RegMap, WriteCmd};
 pub use policy::{AffinityPolicy, CostPolicy, FifoPolicy, Policy, SchedulePolicy, ThermalPolicy};

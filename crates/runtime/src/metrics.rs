@@ -178,13 +178,19 @@ impl PredictionStats {
 /// store-less reports keep their exact shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartStats {
-    /// Compiled modules restored from the store into the module cache.
+    /// Compiled modules decoded from the store into the module cache:
+    /// the distinct stream keys the cache missed and the store held.
     pub modules_restored: u64,
-    /// Cost-refiner rows (platform × module) seeded from the store.
+    /// Cost-refiner rows seeded from the store: the rows it held for the
+    /// stream's distinct modules on the pool's platforms.
     pub ewma_entries_seeded: u64,
-    /// Distinct modules the stream requested that a restored entry
-    /// satisfied — compile builds this run did not pay.
+    /// Compile builds this run did not pay. Restore is per key on first
+    /// resolve, so this equals `modules_restored`; both stay for the
+    /// report's shape.
     pub builds_avoided: u64,
+    /// Torn store tails dropped on open (0 or 1 per serve; see
+    /// `accfg_store::LogStore::recovery`). Rendered only when nonzero.
+    pub torn_tails_recovered: u64,
 }
 
 /// Per-worker accounting.
@@ -386,12 +392,20 @@ impl ServeMetrics {
         // serve_bench stream) stay byte-identical to the pre-store
         // artifact — same pattern as the conditional "timing" object
         if let Some(warm) = &self.warm_start {
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "  \"warm_start\": {{ \"modules_restored\": {}, \"ewma_entries_seeded\": {}, \
-                 \"builds_avoided\": {} }},",
+                 \"builds_avoided\": {}",
                 warm.modules_restored, warm.ewma_entries_seeded, warm.builds_avoided
             );
+            if warm.torn_tails_recovered > 0 {
+                let _ = write!(
+                    out,
+                    ", \"torn_tails_recovered\": {}",
+                    warm.torn_tails_recovered
+                );
+            }
+            out.push_str(" },\n");
         }
         let _ = writeln!(out, "  \"batched_requests\": {},", self.batched_requests);
         out.push_str("  \"workers\": [\n");
@@ -601,6 +615,7 @@ mod tests {
             modules_restored: 6,
             ewma_entries_seeded: 12,
             builds_avoided: 6,
+            torn_tails_recovered: 0,
         });
         let j = m.to_json();
         assert!(
@@ -609,6 +624,14 @@ mod tests {
                  \"builds_avoided\": 6 },"
             ),
             "{j}"
+        );
+        // a dropped store tail is a reported event, and only then a member
+        m.warm_start.as_mut().unwrap().torn_tails_recovered = 1;
+        assert!(
+            m.to_json()
+                .contains("\"builds_avoided\": 6, \"torn_tails_recovered\": 1 },"),
+            "{}",
+            m.to_json()
         );
         // a cold first pass still reports the (zeroed) provenance object
         let mut cold = metrics();

@@ -21,14 +21,22 @@
 //! index: indices are assigned per serve call by first appearance, so they
 //! do not survive a process restart, while names are pinned to one
 //! provisioning by the runtime's ambiguity guard
-//! ([`ServeError::AmbiguousVariantName`]). On load, names the current pool
-//! does not field are skipped silently — a store written by a bigger
+//! ([`ServeError::AmbiguousVariantName`]). Rows for names the current
+//! pool does not field are never asked for — a store written by a bigger
 //! heterogeneous fleet safely warm-starts a subset pool.
 //!
-//! Module rows are validated the same way on load: a module is restored
-//! only when the pool fields a base descriptor with the module's
+//! Module rows are validated on load: a module is restored only when the
+//! resolving pool family's base descriptor carries the module's
 //! accelerator name and the persisted plan's configuration style matches
-//! it. Everything else decodes but stays on disk.
+//! it. Everything else stays on disk.
+//!
+//! Each namespace has two readers. A serve goes through [`WarmStart`],
+//! which reads **per key** ([`load_module`], [`load_cost_row`]): only the
+//! modules the stream resolves and the cache misses, only their cost rows
+//! on the pool's platforms — so a warm start costs the working set, not
+//! the store, and records the stream never names are neither decoded nor
+//! rewritten. The whole-store readers ([`load_modules`], [`load_costs`])
+//! are for tools and tests.
 //!
 //! Determinism contract: save functions sort rows by encoded key before
 //! writing, and the codec is canonical, so identical runs drive identical
@@ -39,12 +47,15 @@
 //! [`CostRefiner`]: crate::CostRefiner
 
 use crate::cache::{CacheKey, CompiledModule, CostModel, CostRow, ModuleCache, WARMTH_BUCKETS};
+use crate::metrics::WarmStartStats;
 use crate::plan::{DispatchPlan, LaunchSpec, RegMap};
 use accfg::pipeline::OptLevel;
 use accfg_sim::{AluOp, BranchCond, Inst, Label, Program, Reg, Width};
-use accfg_store::{ByteReader, ByteWriter, KeyValueStore, StoreError};
+use accfg_store::{ByteReader, ByteWriter, KeyValueStore, LogStore, StoreError};
 use accfg_targets::{AcceleratorDescriptor, ConfigStyle};
 use accfg_workloads::{MatmulLayout, MatmulSpec};
+use std::collections::{BTreeSet, HashSet};
+use std::path::Path;
 
 /// Key-namespace prefix for compiled-module records.
 pub const MODULE_PREFIX: u8 = b'm';
@@ -501,6 +512,24 @@ pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
     })
 }
 
+/// Writes `rows` in encoded-key order, so identical inputs drive identical
+/// `put` sequences whatever order they were collected in. Returns the
+/// number of rows written (including unchanged ones the store elides).
+fn put_sorted(
+    store: &mut dyn KeyValueStore,
+    mut rows: Vec<(Vec<u8>, Vec<u8>)>,
+) -> Result<u64, StoreError> {
+    rows.sort();
+    for (key, value) in &rows {
+        store.put(key, value)?;
+    }
+    Ok(rows.len() as u64)
+}
+
+fn module_row(module: &CompiledModule) -> (Vec<u8>, Vec<u8>) {
+    (module_key_bytes(&module.key), encode_module(module))
+}
+
 /// Persists every cached module, sorted by encoded key so identical
 /// caches drive identical write sequences. Returns the number of modules
 /// written (including unchanged ones the store elides as no-ops).
@@ -508,17 +537,47 @@ pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
 /// # Errors
 /// Propagates store I/O failures.
 pub fn save_modules(store: &mut dyn KeyValueStore, cache: &ModuleCache) -> Result<u64, StoreError> {
-    let mut rows: Vec<(Vec<u8>, Vec<u8>)> = cache
-        .snapshot()
-        .iter()
-        .map(|module| (module_key_bytes(&module.key), encode_module(module)))
-        .collect();
-    rows.sort();
-    let count = rows.len() as u64;
-    for (key, value) in rows {
-        store.put(&key, &value)?;
+    let rows = cache.snapshot().iter().map(|m| module_row(m)).collect();
+    put_sorted(store, rows)
+}
+
+/// Whether a pool whose family base is `desc` can field `module`: the
+/// names match and the persisted plan's configuration style is executable
+/// there.
+fn fields(desc: &AcceleratorDescriptor, module: &CompiledModule) -> bool {
+    desc.name == module.key.accelerator && module.plan.executable_on(desc)
+}
+
+/// Decodes the module record stored under `store_key`, rejecting one
+/// whose own key encodes differently.
+fn decode_filed_module(store_key: &[u8], value: &[u8]) -> Result<CompiledModule, StoreError> {
+    let module = decode_module(value)?;
+    if module_key_bytes(&module.key) != store_key {
+        return Err(StoreError::codec("module filed under the wrong key"));
     }
-    Ok(count)
+    Ok(module)
+}
+
+/// Loads the one module filed under `key`, if the store holds it and
+/// `desc` (the base descriptor of the pool family resolving it) can field
+/// it — the per-key reader a store-backed serve restores through. A
+/// record `desc` cannot field is left on disk untouched and reported as
+/// absent.
+///
+/// # Errors
+/// [`StoreError::Codec`] if the record fails to decode or is filed under
+/// a key other than its own.
+pub fn load_module(
+    store: &dyn KeyValueStore,
+    desc: &AcceleratorDescriptor,
+    key: &CacheKey,
+) -> Result<Option<CompiledModule>, StoreError> {
+    let store_key = module_key_bytes(key);
+    let Some(value) = store.get(&store_key) else {
+        return Ok(None);
+    };
+    let module = decode_filed_module(&store_key, value)?;
+    Ok(fields(desc, &module).then_some(module))
 }
 
 /// Loads every persisted module the pool described by `descriptors` (one
@@ -526,7 +585,8 @@ pub fn save_modules(store: &mut dyn KeyValueStore, cache: &ModuleCache) -> Resul
 /// accelerator name must match a descriptor and its plan's configuration
 /// style must be executable there. Non-matching modules are left on disk
 /// untouched — that is what makes one store safely shareable across
-/// differently-shaped pools.
+/// differently-shaped pools. The whole-store reader, for tools and tests;
+/// a serve restores per key through [`load_module`].
 ///
 /// # Errors
 /// [`StoreError::Codec`] if a live module record fails to decode.
@@ -539,18 +599,23 @@ pub fn load_modules(
         let value = store
             .get(&key)
             .ok_or_else(|| StoreError::codec("module key vanished during scan"))?;
-        let module = decode_module(value)?;
-        if module_key_bytes(&module.key) != key {
-            return Err(StoreError::codec("module filed under the wrong key"));
-        }
-        let fielded = descriptors
-            .iter()
-            .any(|desc| desc.name == module.key.accelerator && module.plan.executable_on(desc));
-        if fielded {
+        let module = decode_filed_module(&key, value)?;
+        if descriptors.iter().any(|desc| fields(desc, &module)) {
             modules.push(module);
         }
     }
     Ok(modules)
+}
+
+fn cost_row(entry: &CostSnapshotEntry) -> (Vec<u8>, Vec<u8>) {
+    let (platform, key, buckets) = entry;
+    let mut w = ByteWriter::new();
+    for row in buckets {
+        for &slot in row {
+            w.put_i64(slot);
+        }
+    }
+    (cost_key_bytes(platform, key), w.finish())
 }
 
 /// Persists cost-refiner rows (platform-name keyed), sorted by encoded
@@ -562,29 +627,50 @@ pub fn save_costs(
     store: &mut dyn KeyValueStore,
     entries: &[CostSnapshotEntry],
 ) -> Result<u64, StoreError> {
-    let mut rows: Vec<(Vec<u8>, Vec<u8>)> = entries
-        .iter()
-        .map(|(platform, key, buckets)| {
-            let mut w = ByteWriter::new();
-            for row in buckets {
-                for &slot in row {
-                    w.put_i64(slot);
-                }
-            }
-            (cost_key_bytes(platform, key), w.finish())
-        })
-        .collect();
-    rows.sort();
-    let count = rows.len() as u64;
-    for (key, value) in rows {
-        store.put(&key, &value)?;
-    }
-    Ok(count)
+    put_sorted(store, entries.iter().map(cost_row).collect())
 }
 
-/// Loads every persisted cost row, in sorted key order. Platform-name
-/// filtering happens at seeding time (names the pool does not field are
-/// skipped there), so this returns the full fleet snapshot.
+/// Decodes one cost value: the mode-agnostic row comes first in both
+/// formats; unseen sentinels (`-1`) fill the keyed rows when the value
+/// predates frequency-keyed refinement and carries only the agnostic row.
+fn decode_cost_row(value: &[u8]) -> Result<CostRow, StoreError> {
+    let mut r = ByteReader::new(value);
+    let mut buckets: CostRow = [[-1i64; WARMTH_BUCKETS]; crate::cache::COST_ROWS];
+    for slot in &mut buckets[crate::cache::COST_ROW_AGNOSTIC] {
+        *slot = r.i64()?;
+    }
+    if !r.is_exhausted() {
+        for row in buckets.iter_mut().skip(1) {
+            for slot in row {
+                *slot = r.i64()?;
+            }
+        }
+        r.expect_exhausted("cost row")?;
+    }
+    Ok(buckets)
+}
+
+/// Loads the one cost row of `module` on the platform named `platform`,
+/// if the store holds it — the per-key reader a store-backed serve seeds
+/// its refiner through.
+///
+/// # Errors
+/// [`StoreError::Codec`] if the record fails to decode.
+pub fn load_cost_row(
+    store: &dyn KeyValueStore,
+    platform: &str,
+    module: &CacheKey,
+) -> Result<Option<CostRow>, StoreError> {
+    store
+        .get(&cost_key_bytes(platform, module))
+        .map(decode_cost_row)
+        .transpose()
+}
+
+/// Loads every persisted cost row, in sorted key order: the full fleet
+/// snapshot, for tools and tests (platform names a pool does not field
+/// are skipped at seeding time); a serve loads per key through
+/// [`load_cost_row`].
 ///
 /// # Errors
 /// [`StoreError::Codec`] if a live cost record fails to decode.
@@ -599,25 +685,139 @@ pub fn load_costs(store: &dyn KeyValueStore) -> Result<Vec<CostSnapshotEntry>, S
         let platform = kr.str()?;
         let cache_key = read_cache_key(&mut kr)?;
         kr.expect_exhausted("cost key")?;
-        let mut r = ByteReader::new(value);
-        // the mode-agnostic row comes first in both formats; unseen
-        // sentinels (`-1`) fill the keyed rows when the value predates
-        // frequency-keyed refinement and carries only the agnostic row
-        let mut buckets: CostRow = [[-1i64; WARMTH_BUCKETS]; crate::cache::COST_ROWS];
-        for slot in &mut buckets[crate::cache::COST_ROW_AGNOSTIC] {
-            *slot = r.i64()?;
-        }
-        if !r.is_exhausted() {
-            for row in buckets.iter_mut().skip(1) {
-                for slot in row {
-                    *slot = r.i64()?;
-                }
-            }
-            r.expect_exhausted("cost row")?;
-        }
-        entries.push((platform, cache_key, buckets));
+        entries.push((platform, cache_key, decode_cost_row(value)?));
     }
     Ok(entries)
+}
+
+/// The store side of one store-backed serve: the opened [`LogStore`], the
+/// keys this serve decoded from it, and the provenance it reports.
+///
+/// Restore is per key, on first resolve: [`WarmStart::restore_module`]
+/// reads only keys the stream names and the module cache misses, and
+/// [`WarmStart::cost_rows`] only for the modules the stream resolved — so
+/// a serve pays for its working set, not for the store. Records the
+/// stream never names are neither decoded nor rewritten; a corrupt one
+/// among them stays on disk unnoticed, while a corrupt record the stream
+/// does resolve is a typed [`StoreError::Codec`].
+#[derive(Debug)]
+pub struct WarmStart {
+    store: LogStore,
+    /// Module keys decoded from `store` during this serve: their records
+    /// are already byte-identical to what a flush would write.
+    restored: HashSet<CacheKey>,
+    /// Cost rows [`WarmStart::cost_rows`] handed out for seeding.
+    seeded: u64,
+}
+
+impl WarmStart {
+    /// Opens (creating if absent) the store at `path`. A corrupt *tail*
+    /// is recovered from and reported by [`WarmStart::flush`] as
+    /// [`WarmStartStats::torn_tails_recovered`]; anything worse is a
+    /// typed error.
+    ///
+    /// # Errors
+    /// See [`LogStore::open`].
+    pub fn open(path: &Path) -> Result<Self, StoreError> {
+        Ok(Self {
+            store: LogStore::open(path)?,
+            restored: HashSet::new(),
+            seeded: 0,
+        })
+    }
+
+    /// Installs the stored module for `(desc, spec, opt)` into `cache` if
+    /// the cache misses it and the store holds one `desc` can field. A
+    /// module the cache already holds is never looked up: a fresh build
+    /// wins over a stored record.
+    ///
+    /// # Errors
+    /// See [`load_module`].
+    pub fn restore_module(
+        &mut self,
+        cache: &mut ModuleCache,
+        desc: &AcceleratorDescriptor,
+        spec: MatmulSpec,
+        opt: OptLevel,
+    ) -> Result<(), StoreError> {
+        let key = CacheKey {
+            accelerator: desc.name.clone(),
+            spec,
+            opt,
+        };
+        if cache.contains(&key) {
+            return Ok(());
+        }
+        if let Some(module) = load_module(&self.store, desc, &key)? {
+            cache.restore(module);
+            self.restored.insert(key);
+        }
+        Ok(())
+    }
+
+    /// The stored cost rows of the distinct `modules` on the distinct
+    /// `platforms` (repeats in either are skipped); every row found
+    /// seeds the refiner of the shard compiling its module.
+    ///
+    /// # Errors
+    /// See [`load_cost_row`].
+    pub fn cost_rows<'a>(
+        &mut self,
+        platforms: impl IntoIterator<Item = &'a str>,
+        modules: impl IntoIterator<Item = &'a CompiledModule>,
+    ) -> Result<Vec<CostSnapshotEntry>, StoreError> {
+        let platforms: BTreeSet<&str> = platforms.into_iter().collect();
+        let mut seen = HashSet::new();
+        let mut rows = Vec::new();
+        for module in modules {
+            if !seen.insert(&module.key) {
+                continue;
+            }
+            for &platform in &platforms {
+                if let Some(row) = load_cost_row(&self.store, platform, &module.key)? {
+                    rows.push((platform.to_string(), module.key.clone(), row));
+                }
+            }
+        }
+        self.seeded = rows.len() as u64;
+        Ok(rows)
+    }
+
+    /// Flush-on-finish: persists what the serve built or changed — the
+    /// cached modules that were not decoded from this store, and the
+    /// refiner's `snapshot` (seeded from [`WarmStart::cost_rows`], so it
+    /// holds only rows the serve could touch) — syncs, and returns the
+    /// serve's provenance. Writes are
+    /// sorted and identical values elided at the log layer, so an
+    /// identical re-run leaves the file byte-for-byte unchanged; skipping
+    /// the decoded modules is byte-neutral because
+    /// `encode_module(&decode_module(b)?) == b`.
+    ///
+    /// # Errors
+    /// Propagates store I/O failures.
+    pub fn flush(
+        mut self,
+        cache: &ModuleCache,
+        snapshot: &[CostSnapshotEntry],
+    ) -> Result<WarmStartStats, StoreError> {
+        let built = cache
+            .snapshot()
+            .iter()
+            .filter(|module| !self.restored.contains(&module.key))
+            .map(|module| module_row(module))
+            .collect();
+        put_sorted(&mut self.store, built)?;
+        save_costs(&mut self.store, snapshot)?;
+        self.store.sync()?;
+        // every decoded module spared exactly one build
+        let restored = self.restored.len() as u64;
+        Ok(WarmStartStats {
+            modules_restored: restored,
+            ewma_entries_seeded: self.seeded,
+            builds_avoided: restored,
+            torn_tails_recovered: u64::from(self.store.recovery().is_some()),
+        })
+    }
 }
 
 #[cfg(test)]

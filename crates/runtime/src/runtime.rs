@@ -31,23 +31,22 @@
 //!
 //! [`SchedulePolicy`]: crate::policy::SchedulePolicy
 
-use crate::cache::{CacheKey, CacheStats, CompiledModule, ModuleCache};
+use crate::cache::{CacheStats, CompiledModule, ModuleCache};
 use crate::engine::{self, EnginePlan, ServeMode};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
-    WarmStartStats, WorkerMetrics,
+    WorkerMetrics,
 };
-use crate::persist::{self, CostSnapshotEntry};
+use crate::persist::WarmStart;
 use crate::policy::Policy;
 use crate::scheduler::LOAD_SLACK_CYCLES;
 use crate::worker::{Completion, Worker};
 use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
-use accfg_store::{KeyValueStore, LogStore};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{TrafficClass, TrafficRequest};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -356,11 +355,15 @@ pub struct ServeConfig {
     /// metrics compare against).
     pub refine_cost: bool,
     /// Path of a persistent warm-start store (`accfg-store` log file;
-    /// created if absent). When set, the serve restores previously
-    /// compiled modules and learned EWMA cost rows on start and flushes
-    /// its own back on finish, reporting provenance in
-    /// [`WarmStartStats`]. `None` (the default) serves fully cold and
-    /// keeps the run byte-identical to the pre-store behaviour.
+    /// created if absent). When set, the serve restores the compiled
+    /// modules its stream resolves and their learned EWMA cost rows —
+    /// per key, so the cost follows the working set, not the store — and
+    /// flushes what it built or changed back on finish, reporting
+    /// provenance in [`WarmStartStats`]. `None` (the default) serves
+    /// fully cold and keeps the run byte-identical to the pre-store
+    /// behaviour.
+    ///
+    /// [`WarmStartStats`]: crate::metrics::WarmStartStats
     pub store: Option<PathBuf>,
     /// How the one serve loop is planned onto scheduler shards and
     /// threads: [`ServeMode::Deterministic`] (the default) is the
@@ -513,31 +516,11 @@ impl Runtime {
         }
         let cache_before = self.cache.stats;
 
-        // warm start: open the persistent store (if configured), restore
-        // every module this pool can field into the cache, and hold the
-        // fleet's cost rows for seeding once the scheduler exists. A
-        // corrupt store *tail* is recovered from with a warning; anything
-        // worse is a typed error.
-        let mut store: Option<LogStore> = None;
-        let mut restored_keys: HashSet<CacheKey> = HashSet::new();
-        let mut cost_seed: Vec<CostSnapshotEntry> = Vec::new();
-        let mut warm_start = WarmStartStats::default();
-        if let Some(path) = &cfg.store {
-            let opened = LogStore::open(path)?;
-            if let Some(tail) = opened.recovery() {
-                eprintln!("accfg-store: {} in {}", tail, path.display());
-            }
-            let bases: Vec<&AcceleratorDescriptor> =
-                self.pool.groups.iter().map(|g| &g.members[0]).collect();
-            for module in persist::load_modules(&opened, &bases)? {
-                restored_keys.insert(module.key.clone());
-                if self.cache.restore(module) {
-                    warm_start.modules_restored += 1;
-                }
-            }
-            cost_seed = persist::load_costs(&opened)?;
-            store = Some(opened);
-        }
+        // warm start: open the persistent store (if configured). Nothing
+        // is read from it yet — modules come back one key at a time as
+        // the stream resolves them, cost rows once the working set is
+        // known (see `WarmStart`).
+        let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
 
         // worker pool: one routing group per family, workers run their
         // own (possibly variant) platform descriptors
@@ -571,28 +554,32 @@ impl Runtime {
         let mut order: Vec<usize> = (0..stream.len()).collect();
         order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
 
-        // resolve modules (and groups) through the cache, in dispatch order
+        // resolve modules (and groups) in dispatch order: through the
+        // cache, on a miss through the store, and only then by compiling
+        // — a module this runtime already holds wins over a stored one
         let mut modules: Vec<Option<Arc<CompiledModule>>> = vec![None; stream.len()];
         let mut group_idx = vec![0usize; stream.len()];
         for &i in &order {
             let request = &stream[i];
             let g = group_of(&request.accelerator)?;
-            let module =
-                self.cache
-                    .get_or_build(&self.pool.groups[g].members[0], request.spec, cfg.opt)?;
-            modules[i] = Some(module);
+            let base = &self.pool.groups[g].members[0];
+            if let Some(warm) = &mut warm_start {
+                warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
+            }
+            modules[i] = Some(self.cache.get_or_build(base, request.spec, cfg.opt)?);
             group_idx[i] = g;
         }
 
-        // compile builds the restored modules saved this run: distinct
-        // stream keys a restored entry satisfied instead of a fresh build
-        warm_start.builds_avoided = modules
-            .iter()
-            .flatten()
-            .map(|m| &m.key)
-            .filter(|key| restored_keys.contains(*key))
-            .collect::<HashSet<_>>()
-            .len() as u64;
+        // the persisted cost rows of the working set: the stream's
+        // modules on the pool's platforms (with refinement off nothing
+        // would be seeded, so nothing is read)
+        let cost_seed = match &mut warm_start {
+            Some(warm) if cfg.refine_cost => warm.cost_rows(
+                worker_descs.iter().map(|desc| desc.name.as_str()),
+                modules.iter().filter_map(|module| module.as_deref()),
+            )?,
+            _ => Vec::new(),
+        };
 
         // The serve loop proper: scheduling interleaved with execution,
         // under the plan `cfg.mode` selects — one scheduler shard over
@@ -618,7 +605,6 @@ impl Runtime {
             },
             workers,
         )?;
-        warm_start.ewma_entries_seeded = engine_out.ewma_entries_seeded;
         let completions: Vec<Completion> = engine_out.completions;
         let outcomes = engine_out.outcomes;
 
@@ -718,16 +704,10 @@ impl Runtime {
             })
             .collect();
 
-        // flush-on-finish: persist every compiled module and the refiner's
-        // learned rows (re-keyed from pool-local platform index to
-        // platform name) back to the store. Saves are sorted and identical
-        // values are elided at the log layer, so an identical re-run
-        // leaves the file byte-for-byte unchanged.
-        if let Some(store) = &mut store {
-            persist::save_modules(store, &self.cache)?;
-            persist::save_costs(store, &engine_out.cost_snapshot)?;
-            store.sync()?;
-        }
+        // flush-on-finish: persist what this serve built or changed
+        let warm_start = warm_start
+            .map(|warm| warm.flush(&self.cache, &engine_out.cost_snapshot))
+            .transpose()?;
 
         let cache_after = self.cache.stats;
         let metrics = ServeMetrics {
@@ -763,7 +743,7 @@ impl Runtime {
                 hits: cache_after.hits - cache_before.hits,
                 misses: cache_after.misses - cache_before.misses,
             },
-            warm_start: cfg.store.is_some().then_some(warm_start),
+            warm_start,
             batched_requests: engine_out.batched_requests,
             workers: worker_metrics,
         };
@@ -780,6 +760,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist;
+    use accfg_store::LogStore;
     use accfg_workloads::{mixed_serving_classes, TrafficClass, TrafficConfig};
 
     fn pool() -> PoolConfig {

@@ -61,18 +61,20 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     hash
 }
 
-fn encode_record(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
+/// Appends one record to `out`: the payload is written in place after an
+/// eight-byte header that is patched once its checksum is known.
+fn encode_record(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
     let payload_len = 1 + 4 + key.len() + value.len();
-    let mut rec = Vec::with_capacity(8 + payload_len);
-    let mut payload = Vec::with_capacity(payload_len);
-    payload.push(op);
-    payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    payload.extend_from_slice(key);
-    payload.extend_from_slice(value);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec
+    out.reserve(8 + payload_len);
+    let header = out.len();
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    out.push(op);
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let checksum = fnv1a(&out[header + 8..]);
+    out[header + 4..header + 8].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Append-only log-structured key-value store backed by one file.
@@ -80,12 +82,11 @@ fn encode_record(op: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
 pub struct LogStore {
     path: PathBuf,
     file: File,
-    index: BTreeMap<Vec<u8>, Vec<u8>>,
+    /// Key → (sequence number of its last write, value).
+    index: BTreeMap<Vec<u8>, (u64, Vec<u8>)>,
     recovery: Option<TailCorruption>,
     /// Logical clock: one tick per applied record (replayed or appended).
     seq: u64,
-    /// Key → sequence number of its last write.
-    ages: BTreeMap<Vec<u8>, u64>,
     /// Compact automatically after a sync once the file doubles past
     /// `compact_baseline`. Off by default (byte-stability contract).
     auto_compact: bool,
@@ -112,7 +113,6 @@ impl LogStore {
         };
 
         let mut index = BTreeMap::new();
-        let mut ages = BTreeMap::new();
         let mut seq = 0u64;
         let mut recovery = None;
         let valid_len;
@@ -161,7 +161,7 @@ impl LogStore {
                     recovery = Some(corrupt("record checksum mismatch"));
                     break;
                 }
-                Self::apply_payload(&mut index, &mut ages, &mut seq, payload)?;
+                Self::apply_payload(&mut index, &mut seq, payload)?;
                 offset += 8 + payload_len;
             }
             valid_len = offset as u64;
@@ -181,7 +181,6 @@ impl LogStore {
             index,
             recovery,
             seq,
-            ages,
             auto_compact: false,
             compact_baseline: valid_len,
         })
@@ -190,8 +189,7 @@ impl LogStore {
     /// Applies one checksum-verified payload to the index, advancing the
     /// logical clock and the key's last-write age.
     fn apply_payload(
-        index: &mut BTreeMap<Vec<u8>, Vec<u8>>,
-        ages: &mut BTreeMap<Vec<u8>, u64>,
+        index: &mut BTreeMap<Vec<u8>, (u64, Vec<u8>)>,
         seq: &mut u64,
         payload: &[u8],
     ) -> Result<(), StoreError> {
@@ -211,12 +209,10 @@ impl LogStore {
         match op {
             OP_PUT => {
                 *seq += 1;
-                ages.insert(key.clone(), *seq);
-                index.insert(key, value);
+                index.insert(key, (*seq, value));
             }
             OP_REMOVE => {
                 *seq += 1;
-                ages.remove(&key);
                 index.remove(&key);
             }
             _ => return Err(malformed()),
@@ -233,7 +229,7 @@ impl LogStore {
 
     /// The sequence number of `key`'s last write, if the key is live.
     pub fn key_seq(&self, key: &[u8]) -> Option<u64> {
-        self.ages.get(key).copied()
+        self.index.get(key).map(|&(seq, _)| seq)
     }
 
     /// Opts in to (or out of) automatic compaction: after each
@@ -254,9 +250,9 @@ impl LogStore {
     /// keys stay evicted.
     pub fn evict_older_than(&mut self, min_seq: u64) -> Result<usize, StoreError> {
         let cold: Vec<Vec<u8>> = self
-            .ages
+            .index
             .iter()
-            .filter(|&(_, &age)| age < min_seq)
+            .filter(|(_, &(age, _))| age < min_seq)
             .map(|(key, _)| key.clone())
             .collect();
         for key in &cold {
@@ -286,8 +282,8 @@ impl LogStore {
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let tmp = self.path.with_extension("compact");
         let mut bytes = MAGIC.to_vec();
-        for (key, value) in &self.index {
-            bytes.extend_from_slice(&encode_record(OP_PUT, key, value));
+        for (key, (_, value)) in &self.index {
+            encode_record(&mut bytes, OP_PUT, key, value);
         }
         fs::write(&tmp, &bytes).map_err(|e| StoreError::io("write", &tmp, &e))?;
         fs::rename(&tmp, &self.path).map_err(|e| StoreError::io("rename", &self.path, &e))?;
@@ -299,17 +295,17 @@ impl LogStore {
         // Renumber ages exactly as a reopen-and-replay of the compacted
         // file would: one put per live key, in sorted key order.
         self.seq = 0;
-        self.ages.clear();
-        for key in self.index.keys() {
+        for (age, _) in self.index.values_mut() {
             self.seq += 1;
-            self.ages.insert(key.clone(), self.seq);
+            *age = self.seq;
         }
         self.compact_baseline = bytes.len() as u64;
         Ok(())
     }
 
     fn append(&mut self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let rec = encode_record(op, key, value);
+        let mut rec = Vec::new();
+        encode_record(&mut rec, op, key, value);
         self.file
             .write_all(&rec)
             .map_err(|e| StoreError::io("append", &self.path, &e))
@@ -318,17 +314,16 @@ impl LogStore {
 
 impl KeyValueStore for LogStore {
     fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.index.get(key).map(Vec::as_slice)
+        self.index.get(key).map(|(_, value)| value.as_slice())
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        if self.index.get(key).map(Vec::as_slice) == Some(value) {
+        if self.get(key) == Some(value) {
             return Ok(()); // identical value: keep the file byte-stable
         }
         self.append(OP_PUT, key, value)?;
         self.seq += 1;
-        self.ages.insert(key.to_vec(), self.seq);
-        self.index.insert(key.to_vec(), value.to_vec());
+        self.index.insert(key.to_vec(), (self.seq, value.to_vec()));
         Ok(())
     }
 
@@ -338,7 +333,6 @@ impl KeyValueStore for LogStore {
         }
         self.append(OP_REMOVE, key, &[])?;
         self.seq += 1;
-        self.ages.remove(key);
         self.index.remove(key);
         Ok(())
     }

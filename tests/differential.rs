@@ -12,19 +12,22 @@
 //! pair (at reduced request counts), and property-tests it over random
 //! streams, pool shapes, slack horizons, and batch settings with the
 //! thread budget varied across 1/2/8. It also pins what the plans are
-//! (`ServeReport::engine`), and that warm starts split persisted cost
-//! rows across shards without changing an outcome or a store byte. The
+//! (`ServeReport::engine`), that warm starts split persisted cost rows
+//! across shards without changing an outcome or a store byte, and that a
+//! warm start reads only its stream's working set under every plan. The
 //! loop body's own reference is the committed output of the reference
 //! plan: `BENCH_runtime.json` and `TUNED.json` regenerate byte-identically.
 
 use accfg_bench::streams::{self, contention_pool, hetero_pool, uniform_pool};
 use configuration_wall::prelude::*;
+use configuration_wall::runtime::persist::{cost_key_bytes, module_key_bytes};
 use configuration_wall::runtime::{
-    load_costs, EnginePlan, Policy, PoolGroup, ServeBudget, ServeMode, ServeReport,
+    load_costs, CacheKey, EnginePlan, Policy, PoolGroup, ServeBudget, ServeMode, ServeReport,
 };
-use configuration_wall::store::LogStore;
+use configuration_wall::store::{KeyValueStore, LogStore};
 use configuration_wall::workloads::{
-    mixed_platform_classes, mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
+    mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, BurstyConfig, TrafficClass,
+    TrafficRequest,
 };
 use proptest::prelude::*;
 
@@ -454,12 +457,13 @@ fn warm_start_cost_rows_split_across_shards_without_a_trace() {
 }
 
 #[test]
-fn cost_rows_no_shard_owns_pass_through() {
+fn orphaned_cost_rows_are_never_loaded_and_survive_the_flush() {
     // a store written by the hetero pool, read by a pool whose gemmini
     // group fields only the turbo variant: the turbo rows of modules
     // compiled for the `gemmini` base name a platform the new pool
-    // fields but a base no shard compiles for — the one-shard refiner
-    // carries them, so the sharded plans must pass them through
+    // fields but a base no group compiles for. No stream the new pool
+    // serves can resolve such a module, so the rows are never read —
+    // under any plan — and the flush never rewrites them
     let seeded = temp_store("reshaped_seeded");
     let populate = ServeConfig {
         policy: Policy::Cost,
@@ -472,17 +476,31 @@ fn cost_rows_no_shard_owns_pass_through() {
         &open_loop(classes.clone(), 300, 200, 0x5EED2),
         &populate,
     );
+    // (store key, raw value) of every orphaned row, and how many rows
+    // the reshaped pool *can* own: its bases are `gemmini-turbo` and
+    // `opengemm`, and only the latter has modules in this store
+    let rows = |store: &LogStore| load_costs(store).expect("cost rows decode");
     let orphaned = |store: &LogStore| {
-        load_costs(store)
-            .expect("cost rows decode")
-            .into_iter()
+        rows(store)
+            .iter()
             .filter(|(platform, key, _)| {
                 platform == "gemmini-turbo" && key.accelerator == "gemmini"
             })
+            .map(|(platform, key, _)| {
+                let store_key = cost_key_bytes(platform, key);
+                let value = store.get(&store_key).expect("row is live").to_vec();
+                (store_key, value)
+            })
             .collect::<Vec<_>>()
     };
-    let before = orphaned(&LogStore::open(&seeded).expect("open the seeded store"));
+    let before_store = LogStore::open(&seeded).expect("open the seeded store");
+    let before = orphaned(&before_store);
     assert!(!before.is_empty(), "the hetero serve learned turbo rows");
+    let owned = rows(&before_store)
+        .iter()
+        .filter(|(platform, key, _)| platform == "opengemm" && key.accelerator == "opengemm")
+        .count() as u64;
+    drop(before_store);
 
     let reshaped = PoolConfig::new(vec![
         AcceleratorDescriptor::gemmini(),
@@ -497,10 +515,11 @@ fn cost_rows_no_shard_owns_pass_through() {
         &open_loop(classes, 200, 200, 0x5EED3),
         Policy::Cost,
     );
-    // the orphaned rows count as seeded (the one-shard refiner holds
-    // them) and survive the flush untouched
+    // the orphaned rows are not counted as seeded: what is seeded is
+    // exactly the rows of the modules the stream resolved
     let warm = reference.metrics.warm_start.expect("store configured");
-    assert!(warm.ewma_entries_seeded >= before.len() as u64);
+    assert_eq!(warm.ewma_entries_seeded, owned);
+    // ...and they survive the flush byte for byte
     let flushed = temp_store("reshaped_flushed");
     std::fs::write(&flushed, bytes).expect("write the flushed store back");
     assert_eq!(
@@ -509,6 +528,89 @@ fn cost_rows_no_shard_owns_pass_through() {
     );
     let _ = std::fs::remove_file(&flushed);
     let _ = std::fs::remove_file(&seeded);
+}
+
+#[test]
+fn warm_start_outcome_depends_only_on_the_working_set() {
+    // irrelevance: what a store holds beyond the records a stream
+    // resolves changes nothing — not the report, not the bytes the flush
+    // appends. Serve a short stream over the full 16-module store and
+    // over a store holding only that stream's module records and their
+    // cost rows, under every plan
+    let pool = uniform_pool();
+    let stream = streams::shape_heavy_stream(400);
+    // a tight gap queues requests up, so the short serve lands in warmth
+    // buckets the populating one never saw and has rows to write back
+    let prefix = &open_loop(shape_heavy_classes(), 12, 40, 0x5EED4)[..];
+    let full = temp_store("irrelevance_full");
+    let with_store = |path: &std::path::Path, mode: ServeMode| ServeConfig {
+        policy: Policy::Cost,
+        store: Some(path.to_path_buf()),
+        mode,
+        ..ServeConfig::default()
+    };
+    serve(&pool, &stream, &with_store(&full, ServeMode::Deterministic));
+
+    let minimal = temp_store("irrelevance_minimal");
+    let (full_modules, kept_modules) = {
+        let source = LogStore::open(&full).expect("open the full store");
+        let mut subset = LogStore::open(&minimal).expect("create the minimal store");
+        let mut copy = |key: Vec<u8>| {
+            if let Some(value) = source.get(&key) {
+                subset.put(&key, value).expect("copy a record");
+            }
+        };
+        for request in prefix {
+            let key = CacheKey {
+                accelerator: request.accelerator.clone(),
+                spec: request.spec,
+                opt: OptLevel::All,
+            };
+            copy(module_key_bytes(&key));
+            for platform in ["gemmini", "opengemm"] {
+                copy(cost_key_bytes(platform, &key));
+            }
+        }
+        subset.sync().expect("sync the minimal store");
+        let modules = |store: &LogStore| store.keys_with_prefix(b"m").len();
+        (modules(&source), modules(&subset))
+    };
+    assert_eq!(full_modules, 16);
+    assert!(
+        kept_modules < full_modules,
+        "the prefix must be a strict subset"
+    );
+
+    let serve_copy = |seeded: &std::path::Path, mode: ServeMode, tag: &str| {
+        let path = temp_store(&format!("irrelevance_{tag}"));
+        std::fs::copy(seeded, &path).expect("copy the store");
+        let before = std::fs::metadata(&path).expect("stat").len() as usize;
+        let report = serve(&pool, prefix, &with_store(&path, mode));
+        let bytes = std::fs::read(&path).expect("read the flushed store");
+        let _ = std::fs::remove_file(&path);
+        (report, bytes[before..].to_vec())
+    };
+    let modes = std::iter::once(ServeMode::Deterministic)
+        .chain(THREADS.map(|threads| ServeMode::Parallel { threads }));
+    for mode in modes {
+        let (over_full, appended_full) = serve_copy(&full, mode, "over_full");
+        let (over_minimal, appended_minimal) = serve_copy(&minimal, mode, "over_minimal");
+        let context = format!("irrelevance under {mode:?}");
+        assert_identical(&over_full, &over_minimal, &context);
+        assert_eq!(
+            appended_full, appended_minimal,
+            "{context}: flushes diverge"
+        );
+        assert!(
+            !appended_full.is_empty(),
+            "{context}: the serve relearned rows"
+        );
+        let warm = over_full.metrics.warm_start.expect("store configured");
+        assert_eq!(warm.modules_restored, kept_modules as u64, "{context}");
+        assert_eq!(over_full.metrics.cache.misses, 0, "{context}");
+    }
+    let _ = std::fs::remove_file(&full);
+    let _ = std::fs::remove_file(&minimal);
 }
 
 fn stream_from_picks(

@@ -3,16 +3,21 @@
 //! backends byte-faithfully (on arbitrary cache contents, via proptest),
 //! a corrupt store tail is dropped — not fatal — with everything before
 //! it intact, and the typed layers compose with the log store exactly as
-//! the serving runtime uses them.
+//! the serving runtime uses them — per key, so a serve restores its
+//! stream's working set and nothing else, a corrupt record fails only
+//! the serve that resolves it, and a torn tail is a counted event.
 
+use accfg_bench::streams::{mixed_stream, shape_heavy_stream, uniform_pool};
 use configuration_wall::core::pipeline::OptLevel;
+use configuration_wall::runtime::persist::module_key_bytes;
 use configuration_wall::runtime::{
-    build_module, encode_module, load_costs, load_modules, save_costs, save_modules, CacheKey,
-    CostRow, CostSnapshotEntry, ModuleCache, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
+    build_module, decode_module, encode_module, load_costs, load_modules, save_costs, save_modules,
+    CacheKey, CostRow, CostSnapshotEntry, ModuleCache, Runtime, ServeConfig, ServeError,
+    ServeReport, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
 };
-use configuration_wall::store::{LogStore, MemStore};
+use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError};
 use configuration_wall::targets::AcceleratorDescriptor;
-use configuration_wall::workloads::mixed_serving_classes;
+use configuration_wall::workloads::{mixed_serving_classes, TrafficRequest};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -89,6 +94,23 @@ proptest! {
             prop_assert!(restored.restore(module));
         }
         prop_assert_eq!(canonical(&original), canonical(&restored));
+    }
+
+    /// Every module record the repo writes re-encodes to itself:
+    /// `encode_module(&decode_module(b)?) == b`. This is what lets a
+    /// flush skip the modules it decoded from the store — writing them
+    /// back would be an identical-value put, which the log elides.
+    #[test]
+    fn stored_module_records_re_encode_to_themselves(
+        picks in prop::collection::vec((0usize..6, 0u8..4), 1..8),
+    ) {
+        let mut store = MemStore::new();
+        save_modules(&mut store, &cache_from_picks(&picks)).expect("save modules");
+        for key in store.keys_with_prefix(b"m") {
+            let record = store.get(&key).expect("live key");
+            let module = decode_module(record).expect("record decodes");
+            prop_assert_eq!(&encode_module(&module)[..], record);
+        }
     }
 
     /// Arbitrary learned cost rows — the agnostic row plus every
@@ -246,7 +268,6 @@ fn old_format_cost_store_files_keep_loading() {
     let path = temp_store("old_format_cost");
     {
         let mut store = LogStore::open(&path).expect("open store");
-        use configuration_wall::store::KeyValueStore;
         store.put(&store_key, &value).expect("put old-format row");
     }
     let reopened = LogStore::open(&path).expect("reopen store");
@@ -269,5 +290,164 @@ fn old_format_cost_store_files_keep_loading() {
     let upgraded = LogStore::open(&path).expect("reopen upgraded");
     assert!(upgraded.recovery().is_none());
     assert_eq!(load_costs(&upgraded).expect("load upgraded"), loaded);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Serves `stream` on a fresh uniform-pool runtime against the store at
+/// `path`.
+fn serve_with_store(
+    stream: &[TrafficRequest],
+    path: &std::path::Path,
+) -> Result<ServeReport, ServeError> {
+    Runtime::new(uniform_pool()).serve(
+        stream,
+        &ServeConfig {
+            store: Some(path.to_path_buf()),
+            ..ServeConfig::default()
+        },
+    )
+}
+
+/// The store key of the module `request` resolves to on the uniform pool.
+fn module_key_of(request: &TrafficRequest) -> Vec<u8> {
+    module_key_bytes(&CacheKey {
+        accelerator: request.accelerator.clone(),
+        spec: request.spec,
+        opt: OptLevel::All,
+    })
+}
+
+/// Restore is per key: a serve decodes exactly the distinct modules its
+/// stream names that the store holds — one request over a sixteen-module
+/// store decodes one module — and compiles exactly the ones it does not
+/// hold.
+#[test]
+fn a_serve_restores_exactly_the_modules_its_stream_resolves() {
+    let path = temp_store("working_set");
+    let stream = shape_heavy_stream(300);
+    // populate from everything but the first two requests' shapes
+    let absent_keys: Vec<Vec<u8>> = stream[..2].iter().map(module_key_of).collect();
+    let populate: Vec<TrafficRequest> = stream
+        .iter()
+        .filter(|request| !absent_keys.contains(&module_key_of(request)))
+        .cloned()
+        .collect();
+    serve_with_store(&populate, &path).expect("populating serve");
+    let stored = LogStore::open(&path).expect("open").keys_with_prefix(b"m");
+    assert_eq!(stored.len(), 14);
+
+    let one = serve_with_store(&populate[..1], &path).expect("one-request serve");
+    let warm = one.metrics.warm_start.expect("store configured");
+    assert_eq!((warm.modules_restored, warm.builds_avoided), (1, 1));
+    assert_eq!((one.metrics.cache.hits, one.metrics.cache.misses), (1, 0));
+    // one module on the pool's two platforms: at most two rows, and the
+    // populating serve learned at least the one it ran on
+    assert!((1..=2).contains(&warm.ewma_entries_seeded), "{warm:?}");
+
+    // a stream over shapes the store holds and shapes it does not
+    let mixed = &stream[..40];
+    let distinct: std::collections::BTreeSet<Vec<u8>> = mixed.iter().map(module_key_of).collect();
+    let found = distinct.iter().filter(|key| stored.contains(key)).count() as u64;
+    let absent = distinct.len() as u64 - found;
+    assert!(found > 2 && absent == 2, "{found} found, {absent} absent");
+    let report = serve_with_store(mixed, &path).expect("mixed serve");
+    let warm = report.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.modules_restored, found);
+    assert_eq!(warm.builds_avoided, found);
+    assert_eq!(report.metrics.cache.misses, absent);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checksum-valid but undecodable module record is a typed error for a
+/// serve that resolves it and invisible to one that does not (the record
+/// stays on disk); a module the runtime already holds wins over the
+/// stored one, which the flush then repairs.
+#[test]
+fn a_corrupt_module_record_fails_only_the_serve_that_resolves_it() {
+    let path = temp_store("corrupt_record");
+    let stream = shape_heavy_stream(300);
+    serve_with_store(&stream, &path).expect("populating serve");
+    let victim = module_key_of(&stream[0]);
+    let bystanders: Vec<TrafficRequest> = stream
+        .iter()
+        .filter(|request| module_key_of(request) != victim)
+        .cloned()
+        .collect();
+    let good = {
+        // rewrite the record through the store, so its checksum is valid
+        // and only the typed layer can notice: the flipped byte is the
+        // length prefix of the key's accelerator name
+        let mut store = LogStore::open(&path).expect("open");
+        let good = store.get(&victim).expect("victim is stored").to_vec();
+        let mut bad = good.clone();
+        bad[0] ^= 0xFF;
+        store.put(&victim, &bad).expect("plant the corrupt record");
+        store.sync().expect("sync");
+        good
+    };
+
+    let unaffected = serve_with_store(&bystanders, &path).expect("the stream never resolves it");
+    assert_eq!(unaffected.metrics.cache.misses, 0);
+    assert_ne!(
+        LogStore::open(&path).expect("open").get(&victim),
+        Some(&good[..]),
+        "an unresolved corrupt record is left on disk"
+    );
+    match serve_with_store(&stream[..1], &path) {
+        Err(ServeError::Store(StoreError::Codec { .. })) => {}
+        other => panic!("resolving the corrupt record gave {other:?}"),
+    }
+
+    // a runtime that built the module before it met the store never asks
+    // the store for it, and its flush overwrites the corrupt record
+    let mut runtime = Runtime::new(uniform_pool());
+    runtime
+        .serve(&stream[..1], &ServeConfig::default())
+        .expect("store-less serve builds the module");
+    let report = runtime
+        .serve(
+            &stream[..1],
+            &ServeConfig {
+                store: Some(path.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("the fresh-built module wins");
+    let warm = report.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.modules_restored, 0);
+    assert_eq!(
+        LogStore::open(&path).expect("open").get(&victim),
+        Some(&good[..])
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A store truncated mid-record still warm-starts the serve: the torn
+/// tail is dropped, counted in the report (and only then rendered), and
+/// gone by the next serve.
+#[test]
+fn a_torn_store_tail_is_counted_in_the_report() {
+    let path = temp_store("torn_serve");
+    let stream = mixed_stream(200);
+    let cold = serve_with_store(&stream, &path).expect("populating serve");
+    let cold_stats = cold.metrics.warm_start.expect("store configured");
+    assert_eq!(cold_stats.torn_tails_recovered, 0);
+    assert!(!cold.metrics.to_json().contains("torn_tails_recovered"));
+
+    let bytes = std::fs::read(&path).expect("read the store");
+    std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("tear the last record");
+    let torn = serve_with_store(&stream, &path).expect("a torn tail is not fatal");
+    let torn_stats = torn.metrics.warm_start.expect("store configured");
+    assert_eq!(torn_stats.torn_tails_recovered, 1);
+    assert_eq!(torn_stats.modules_restored, 6);
+    assert!(torn
+        .metrics
+        .to_json()
+        .contains("\"builds_avoided\": 6, \"torn_tails_recovered\": 1 },"));
+    assert_eq!(torn.metrics.check_failures, 0);
+
+    let healed = serve_with_store(&stream, &path).expect("clean reopen");
+    let healed_stats = healed.metrics.warm_start.expect("store configured");
+    assert_eq!(healed_stats.torn_tails_recovered, 0);
     let _ = std::fs::remove_file(&path);
 }
