@@ -191,6 +191,11 @@ pub struct WarmStartStats {
     /// Torn store tails dropped on open (0 or 1 per serve; see
     /// `accfg_store::LogStore::recovery`). Rendered only when nonzero.
     pub torn_tails_recovered: u64,
+    /// Stored modules the stream resolved that the resolving family's
+    /// base could not field (same key, another configuration style): not
+    /// restored, rebuilt, and overwritten by the flush. Rendered only
+    /// when nonzero.
+    pub records_unfieldable: u64,
 }
 
 /// Per-worker accounting.
@@ -398,12 +403,14 @@ impl ServeMetrics {
                  \"builds_avoided\": {}",
                 warm.modules_restored, warm.ewma_entries_seeded, warm.builds_avoided
             );
-            if warm.torn_tails_recovered > 0 {
-                let _ = write!(
-                    out,
-                    ", \"torn_tails_recovered\": {}",
-                    warm.torn_tails_recovered
-                );
+            // events, not provenance: members only when they happened
+            for (name, count) in [
+                ("torn_tails_recovered", warm.torn_tails_recovered),
+                ("records_unfieldable", warm.records_unfieldable),
+            ] {
+                if count > 0 {
+                    let _ = write!(out, ", \"{name}\": {count}");
+                }
             }
             out.push_str(" },\n");
         }
@@ -616,6 +623,7 @@ mod tests {
             ewma_entries_seeded: 12,
             builds_avoided: 6,
             torn_tails_recovered: 0,
+            records_unfieldable: 0,
         });
         let j = m.to_json();
         assert!(
@@ -630,6 +638,14 @@ mod tests {
         assert!(
             m.to_json()
                 .contains("\"builds_avoided\": 6, \"torn_tails_recovered\": 1 },"),
+            "{}",
+            m.to_json()
+        );
+        // so is a stored module the pool could not field
+        m.warm_start.as_mut().unwrap().records_unfieldable = 2;
+        assert!(
+            m.to_json()
+                .contains("\"torn_tails_recovered\": 1, \"records_unfieldable\": 2 },"),
             "{}",
             m.to_json()
         );

@@ -558,11 +558,24 @@ fn decode_filed_module(store_key: &[u8], value: &[u8]) -> Result<CompiledModule,
     Ok(module)
 }
 
+/// Decodes the record filed under `key`, if the store holds one —
+/// whether or not the base resolving it can field it.
+fn stored_module(
+    store: &dyn KeyValueStore,
+    key: &CacheKey,
+) -> Result<Option<CompiledModule>, StoreError> {
+    let store_key = module_key_bytes(key);
+    store
+        .get(&store_key)
+        .map(|value| decode_filed_module(&store_key, value))
+        .transpose()
+}
+
 /// Loads the one module filed under `key`, if the store holds it and
 /// `desc` (the base descriptor of the pool family resolving it) can field
 /// it — the per-key reader a store-backed serve restores through. A
 /// record `desc` cannot field is left on disk untouched and reported as
-/// absent.
+/// absent (a serve counts it: [`WarmStartStats::records_unfieldable`]).
 ///
 /// # Errors
 /// [`StoreError::Codec`] if the record fails to decode or is filed under
@@ -572,12 +585,7 @@ pub fn load_module(
     desc: &AcceleratorDescriptor,
     key: &CacheKey,
 ) -> Result<Option<CompiledModule>, StoreError> {
-    let store_key = module_key_bytes(key);
-    let Some(value) = store.get(&store_key) else {
-        return Ok(None);
-    };
-    let module = decode_filed_module(&store_key, value)?;
-    Ok(fields(desc, &module).then_some(module))
+    Ok(stored_module(store, key)?.filter(|module| fields(desc, module)))
 }
 
 /// Loads every persisted module the pool described by `descriptors` (one
@@ -708,6 +716,8 @@ pub struct WarmStart {
     restored: HashSet<CacheKey>,
     /// Cost rows [`WarmStart::cost_rows`] handed out for seeding.
     seeded: u64,
+    /// Stored modules the resolving base could not field (then rebuilt).
+    unfieldable: u64,
 }
 
 impl WarmStart {
@@ -723,11 +733,13 @@ impl WarmStart {
             store: LogStore::open(path)?,
             restored: HashSet::new(),
             seeded: 0,
+            unfieldable: 0,
         })
     }
 
     /// Installs the stored module for `(desc, spec, opt)` into `cache` if
-    /// the cache misses it and the store holds one `desc` can field. A
+    /// the cache misses it and the store holds one `desc` can field; one
+    /// it cannot field is counted and the caller's build replaces it. A
     /// module the cache already holds is never looked up: a fresh build
     /// wins over a stored record.
     ///
@@ -748,9 +760,13 @@ impl WarmStart {
         if cache.contains(&key) {
             return Ok(());
         }
-        if let Some(module) = load_module(&self.store, desc, &key)? {
-            cache.restore(module);
-            self.restored.insert(key);
+        match stored_module(&self.store, &key)? {
+            Some(module) if fields(desc, &module) => {
+                cache.restore(module);
+                self.restored.insert(key);
+            }
+            Some(_) => self.unfieldable += 1,
+            None => {}
         }
         Ok(())
     }
@@ -816,6 +832,7 @@ impl WarmStart {
             ewma_entries_seeded: self.seeded,
             builds_avoided: restored,
             torn_tails_recovered: u64::from(self.store.recovery().is_some()),
+            records_unfieldable: self.unfieldable,
         })
     }
 }

@@ -20,8 +20,9 @@ pub enum StoreError {
         /// The rendered OS error.
         message: String,
     },
-    /// The file exists but does not start with the store magic — it is not
-    /// an accfg store (or is a store from an incompatible format version).
+    /// The file exists but starts with neither store magic — it is not an
+    /// accfg store (or is a store from a format version this build does
+    /// not know).
     BadMagic {
         /// The offending file.
         path: String,
@@ -79,6 +80,10 @@ impl Error for StoreError {}
 pub struct TailCorruption {
     /// Byte offset of the first unusable record.
     pub offset: u64,
+    /// How much of the file went with it: its length minus the valid
+    /// prefix. A torn append drops a fraction of one record; a bit flip in
+    /// the middle of the file drops every valid record behind it too.
+    pub dropped_bytes: u64,
     /// Why replay stopped there.
     pub detail: String,
 }
@@ -87,8 +92,8 @@ impl fmt::Display for TailCorruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dropped corrupt store tail at offset {}: {}",
-            self.offset, self.detail
+            "dropped corrupt store tail at offset {} ({} bytes lost): {}",
+            self.offset, self.dropped_bytes, self.detail
         )
     }
 }

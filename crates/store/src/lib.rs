@@ -31,7 +31,7 @@ mod mem;
 
 pub use codec::{ByteReader, ByteWriter};
 pub use error::{StoreError, TailCorruption};
-pub use log::{LogStore, MAGIC};
+pub use log::{LogStore, MAGIC, MAGIC_V1};
 pub use mem::MemStore;
 
 /// Byte-oriented key-value storage with sorted scans.

@@ -5,21 +5,26 @@
 //! it intact, and the typed layers compose with the log store exactly as
 //! the serving runtime uses them — per key, so a serve restores its
 //! stream's working set and nothing else, a corrupt record fails only
-//! the serve that resolves it, and a torn tail is a counted event.
+//! the serve that resolves it, and a torn tail is a counted event. A
+//! committed v1-format store file (written by the last commit before the
+//! v2 record checksum) pins that old files keep loading, stay v1 under
+//! appends, and move to v2 only through `compact()`.
 
-use accfg_bench::streams::{mixed_stream, shape_heavy_stream, uniform_pool};
+use accfg_bench::streams::{
+    contention_pool, contention_stream, mixed_stream, shape_heavy_stream, uniform_pool,
+};
 use configuration_wall::core::pipeline::OptLevel;
 use configuration_wall::runtime::persist::module_key_bytes;
 use configuration_wall::runtime::{
     build_module, decode_module, encode_module, load_costs, load_modules, save_costs, save_modules,
-    CacheKey, CostRow, CostSnapshotEntry, ModuleCache, Runtime, ServeConfig, ServeError,
-    ServeReport, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
+    CacheKey, CostRow, CostSnapshotEntry, ModuleCache, Policy, PoolConfig, Runtime, ServeConfig,
+    ServeError, ServeReport, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
 };
-use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError};
+use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError, MAGIC, MAGIC_V1};
 use configuration_wall::targets::AcceleratorDescriptor;
 use configuration_wall::workloads::{mixed_serving_classes, TrafficRequest};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
 /// A fresh temp-file path for one test's store (removed up front so a
@@ -450,4 +455,208 @@ fn a_torn_store_tail_is_counted_in_the_report() {
     let healed_stats = healed.metrics.warm_start.expect("store configured");
     assert_eq!(healed_stats.torn_tails_recovered, 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A stored module the resolving family's base cannot field — same key,
+/// another configuration style — is not restored and not silent: the
+/// serve counts it, rebuilds, and its flush files the rebuilt module
+/// over the stale record.
+#[test]
+fn an_unfieldable_stored_module_is_counted_and_rebuilt() {
+    let path = temp_store("unfieldable");
+    let request = TrafficRequest {
+        accelerator: "gemmini".into(),
+        ..mixed_stream(200)
+            .into_iter()
+            .find(|request| request.accelerator == "opengemm")
+            .expect("the mixed stream serves both platforms")
+    };
+    let serve_on = |base: AcceleratorDescriptor| {
+        Runtime::new(PoolConfig::new(vec![base]))
+            .serve(
+                std::slice::from_ref(&request),
+                &ServeConfig {
+                    store: Some(path.clone()),
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("serve succeeds")
+    };
+
+    // a RoccPairs pool stores its module under ("gemmini", spec, opt) …
+    let rocc = serve_on(AcceleratorDescriptor::gemmini());
+    assert_eq!(rocc.metrics.cache.misses, 1);
+    let stored = LogStore::open(&path).expect("open");
+    let rocc_record = stored
+        .get(&module_key_of(&request))
+        .expect("filed")
+        .to_vec();
+    drop(stored);
+
+    // … which a Csr base of the same name then resolves
+    let mut csr_base = AcceleratorDescriptor::opengemm();
+    csr_base.name = "gemmini".into();
+    let csr = serve_on(csr_base.clone());
+    let warm = csr.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.records_unfieldable, 1);
+    assert_eq!((warm.modules_restored, warm.builds_avoided), (0, 0));
+    assert_eq!(csr.metrics.cache.misses, 1, "rebuilt, not restored");
+    assert_eq!(csr.metrics.check_failures, 0);
+    assert!(
+        csr.metrics
+            .to_json()
+            .contains("\"builds_avoided\": 0, \"records_unfieldable\": 1 },"),
+        "{}",
+        csr.metrics.to_json()
+    );
+    assert!(!rocc.metrics.to_json().contains("records_unfieldable"));
+    assert_ne!(
+        LogStore::open(&path)
+            .expect("open")
+            .get(&module_key_of(&request)),
+        Some(&rocc_record[..]),
+        "the flush files the rebuilt module over the stale one"
+    );
+
+    // the record is now the Csr pool's own: restored, nothing to count
+    let again = serve_on(csr_base);
+    let warm = again.metrics.warm_start.expect("store configured");
+    assert_eq!((warm.records_unfieldable, warm.modules_restored), (0, 1));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The committed v1 store: what the last commit before the v2 checksum
+/// wrote for `serve_bench --requests 600 --store` (a cold and a warm pass
+/// of the contention stream under the affinity policy).
+const V1_FIXTURE: &[u8] = include_bytes!("fixtures/store_v1.log");
+
+/// A store's whole observable state: key → (age, value), and the clock.
+type StoreView = (BTreeMap<Vec<u8>, (u64, Vec<u8>)>, u64);
+
+/// An independent reader of the v1 format — byte-serial FNV-1a, every
+/// record checked, owned copies — standing in for the build that wrote
+/// the fixture.
+fn replay_v1(bytes: &[u8]) -> StoreView {
+    let fnv1a = |payload: &[u8]| {
+        payload.iter().fold(0x811c_9dc5u32, |hash, &b| {
+            (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        })
+    };
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    assert_eq!(&bytes[..8], MAGIC_V1);
+    let (mut index, mut seq, mut offset) = (BTreeMap::new(), 0u64, 8);
+    while offset < bytes.len() {
+        let payload = &bytes[offset + 8..offset + 8 + word(offset) as usize];
+        assert_eq!(fnv1a(payload), word(offset + 4), "record at {offset}");
+        let key = payload[5..5 + word(offset + 9) as usize].to_vec();
+        seq += 1;
+        match payload[0] {
+            0 => index.insert(key.clone(), (seq, payload[5 + key.len()..].to_vec())),
+            _ => index.remove(&key),
+        };
+        offset += 8 + payload.len();
+    }
+    (index, seq)
+}
+
+/// Asserts `store` holds exactly `expected`: keys, values, ages, clock.
+fn assert_same_view(store: &LogStore, expected: &StoreView) {
+    let (index, seq) = expected;
+    assert_eq!(
+        store.keys_with_prefix(b""),
+        index.keys().cloned().collect::<Vec<_>>()
+    );
+    for (key, (age, value)) in index {
+        assert_eq!(store.get(key), Some(&value[..]));
+        assert_eq!(store.key_seq(key), Some(*age));
+    }
+    assert_eq!(store.seq(), *seq);
+}
+
+#[test]
+fn a_v1_store_file_loads_stays_v1_and_compacts_to_v2() {
+    let expected = replay_v1(V1_FIXTURE);
+    // what the writing build saw: six modules, their six cost rows, and
+    // the six cold-pass rows the warm pass superseded
+    assert_eq!((expected.0.len(), expected.1), (12, 18));
+
+    let path = temp_store("v1_fixture");
+    std::fs::write(&path, V1_FIXTURE).expect("copy the fixture");
+    let mut store = LogStore::open(&path).expect("a v1 file opens");
+    assert!(store.recovery().is_none());
+    assert_same_view(&store, &expected);
+
+    // identical puts are elided in a v1 file too
+    for (key, (_, value)) in &expected.0 {
+        store.put(key, value).expect("identical put");
+    }
+    store.sync().expect("sync");
+    assert_eq!(std::fs::read(&path).expect("read"), V1_FIXTURE);
+
+    // an append keeps the file v1 — FNV-1a records behind the old magic —
+    // so the reference reader still accepts every byte of it
+    store.put(b"appended", b"by the new build").expect("append");
+    store.remove(b"appended").expect("tombstone");
+    store.put(b"appended", b"twice").expect("append");
+    drop(store);
+    let grown = std::fs::read(&path).expect("read");
+    assert!(grown.starts_with(V1_FIXTURE));
+    let grown_view = replay_v1(&grown);
+    assert_eq!(grown_view.1, 21);
+    let mut store = LogStore::open(&path).expect("reopen");
+    assert!(store.recovery().is_none());
+    assert_same_view(&store, &grown_view);
+
+    // compaction is the one way to v2: same live entries, ages renumbered
+    // in key order exactly as a replay of the new file numbers them
+    store.compact().expect("compact");
+    let compacted = std::fs::read(&path).expect("read");
+    assert!(compacted.starts_with(MAGIC));
+    assert!(compacted.len() < V1_FIXTURE.len());
+    for store in [store, LogStore::open(&path).expect("reopen as v2")] {
+        assert!(store.recovery().is_none());
+        assert_eq!(store.seq(), 13);
+        for (age, (key, (_, value))) in grown_view.0.iter().enumerate() {
+            assert_eq!(store.get(key), Some(&value[..]));
+            assert_eq!(store.key_seq(key), Some(age as u64 + 1));
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Re-serving the fixture's own workload warm-starts from it (zero
+/// builds), leaves two copies byte-identical to each other, and only
+/// ever appends v1 records behind the committed bytes.
+#[test]
+fn a_v1_store_file_warm_starts_its_serve_and_stays_byte_stable() {
+    let stream = contention_stream(600);
+    let reserve = |name: &str| {
+        let path = temp_store(name);
+        std::fs::write(&path, V1_FIXTURE).expect("copy the fixture");
+        let report = Runtime::new(contention_pool())
+            .serve(
+                &stream,
+                &ServeConfig {
+                    policy: Policy::ConfigAffinity,
+                    store: Some(path.clone()),
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("serve succeeds");
+        let warm = report.metrics.warm_start.expect("store configured");
+        assert_eq!((warm.modules_restored, report.metrics.cache.misses), (6, 0));
+        assert_eq!(warm.ewma_entries_seeded, 6);
+        assert_eq!(report.metrics.check_failures, 0);
+        let bytes = std::fs::read(&path).expect("read");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let (a, b) = (reserve("v1_reserve_a"), reserve("v1_reserve_b"));
+    assert_eq!(a, b, "identical re-serves diverged");
+    assert!(a.starts_with(V1_FIXTURE));
+    // the serve's refined cost rows went in as v1 records; the modules
+    // it restored were not rewritten
+    let (index, seq) = replay_v1(&a);
+    assert_eq!(index.len(), 12);
+    assert!(seq > 18 && seq <= 24, "{seq}");
 }
