@@ -3,7 +3,7 @@
 //! Searches the serving knob space — routing policy, `load_slack`,
 //! `batch_cutoff`, `max_batch`, and (on timing-model pools) the thermal
 //! knobs `power_cap` and DVFS table variant — per stream, using capped-run
-//! racing plus surrogate-ordered local refinement (see `accfg_bench::tune`).
+//! racing plus local refinement around the incumbent (see `accfg_bench::tune`).
 //! Tuning runs on the *seed* streams only; the winning configuration is
 //! then transferred unchanged to the *held-out* streams and reported there,
 //! the standard guard against overfitting a tuner to its own benchmark.

@@ -745,6 +745,13 @@ fn selection(what: &str, list: &str, known: &[&str]) -> Vec<String> {
     selected
 }
 
+/// Refuses an input file: one line on stderr and a failing exit status,
+/// not a panic.
+fn refuse(message: &str) -> ! {
+    eprintln!("serve_bench: {message}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut plan = BenchPlan {
         requests: DEFAULT_REQUESTS,
@@ -800,9 +807,10 @@ fn main() {
             "--tuned" => {
                 let path = args.next().expect("--tuned takes a tuned-table path");
                 let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("--tuned: cannot read {path}: {e}"));
-                plan.tuned =
-                    Some(parse_table(&text).unwrap_or_else(|e| panic!("--tuned: {path}: {e}")));
+                    .unwrap_or_else(|e| refuse(&format!("--tuned: cannot read {path}: {e}")));
+                plan.tuned = Some(
+                    parse_table(&text).unwrap_or_else(|e| refuse(&format!("--tuned: {path}: {e}"))),
+                );
             }
             "--mode" => {
                 plan.mode = match args.next().as_deref() {
@@ -898,6 +906,17 @@ fn main() {
         return;
     }
 
+    // refuse a tuned row its stream's pool cannot serve now, not after
+    // every stock row before it has run
+    let catalog = plan.catalog();
+    for entry in &catalog {
+        if let Some(knobs) = plan.tuned(entry.name) {
+            if let Err(e) = knobs.check_pool(&entry.pool.build()) {
+                refuse(&format!("--tuned: stream `{}`: {e}", entry.name));
+            }
+        }
+    }
+
     println!(
         "serve_bench: {} requests per stream, 2 workers/accelerator, \
          slack horizon {} cycles\n",
@@ -917,7 +936,7 @@ fn main() {
     let mut runtimes: HashMap<BenchPool, Runtime> = HashMap::new();
     // (stream name, static-analysis JSON object, per-policy rows)
     let mut sections: Vec<(&'static str, String, Vec<PolicyRow>)> = Vec::new();
-    for entry in plan.catalog() {
+    for entry in catalog {
         let runtime = runtimes
             .entry(entry.pool)
             .or_insert_with(|| Runtime::new(entry.pool.build()));

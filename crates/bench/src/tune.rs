@@ -6,8 +6,8 @@
 //! the knob space per stream and emits the configuration that minimizes
 //! the serving objective (p99 latency, then setup writes). Because a
 //! simulated serve is a *noise-free* evaluation — the same stream and
-//! knobs always produce byte-identical metrics — two classic AutoML
-//! techniques apply in their strongest form:
+//! knobs always produce byte-identical metrics — capped racing applies
+//! in its strongest form, and the search is two plain phases:
 //!
 //! 1. **Capped-run racing** (LeapsAndBounds-style): every candidate
 //!    serve carries a [`ServeBudget`] derived from the default config
@@ -22,13 +22,12 @@
 //!    candidate above it is ineligible). [`tune_stream`] therefore
 //!    returns the *same* winner with racing on or off, a property
 //!    `tests/autotune.rs` pins.
-//! 2. **Sequential model-based refinement** (FLASH-style): after the
-//!    grid pass, a few rounds of local search around the incumbent. A
-//!    deterministic distance-weighted surrogate over all completed
-//!    evaluations ranks each round's neighbor proposals most-promising
-//!    first — the order maximizes how quickly the racing budget
-//!    tightens, and provably never changes the winner (every proposal
-//!    is still evaluated).
+//! 2. **Local refinement**: after the grid pass, a few rounds of local
+//!    search around the incumbent. Each round proposes the incumbent's
+//!    one-step neighbors (`neighbors`) and races every one not yet
+//!    attempted, in proposal order — the order cannot change the winner
+//!    (every proposal is evaluated, and ties break by an
+//!    order-independent rule).
 //!
 //! The searched knobs: routing policy, `load_slack`, `batch_cutoff`,
 //! `max_batch`, and — on pools with reference timing models — the
@@ -200,6 +199,19 @@ impl KnobConfig {
         pool
     }
 
+    /// Asks the runtime whether it serves `base` under these knobs: an
+    /// empty stream runs its pool validation (the power cap's range
+    /// included) and nothing else, so a loaded table can be refused up
+    /// front instead of failing its row mid-run.
+    ///
+    /// # Errors
+    /// The runtime's own verdict, e.g. [`ServeError::InvalidPowerCap`].
+    pub fn check_pool(&self, base: &PoolConfig) -> Result<(), ServeError> {
+        Runtime::new(self.apply_pool(base))
+            .serve(&[], &self.serve_config())
+            .map(drop)
+    }
+
     /// The knobs as a single-line JSON object (the `knobs` value in
     /// `TUNED.json`).
     pub fn to_json(&self) -> String {
@@ -226,7 +238,8 @@ impl KnobConfig {
     /// Parses [`KnobConfig::to_json`] back from a parsed [`Json`] value.
     ///
     /// # Errors
-    /// Returns a message naming the missing or malformed member.
+    /// Returns a message naming the missing or malformed member; a
+    /// `power_cap` of 0 is refused here because no pool can honour it.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let policy_label = v
             .get("policy")
@@ -251,12 +264,16 @@ impl KnobConfig {
             .get("dvfs")
             .and_then(Json::as_str)
             .ok_or("knobs: missing or non-string `dvfs`")?;
+        let power_cap = nullable("power_cap")?.map(|c| c as usize);
+        if power_cap == Some(0) {
+            return Err("knobs: `power_cap` must be at least 1 (or null)".into());
+        }
         Ok(Self {
             policy,
             load_slack: field("load_slack")?,
             batch_cutoff: nullable("batch_cutoff")?,
             max_batch: field("max_batch")? as usize,
-            power_cap: nullable("power_cap")?.map(|c| c as usize),
+            power_cap,
             dvfs: DvfsVariant::from_label(dvfs_label)
                 .ok_or_else(|| format!("knobs: unknown dvfs variant `{dvfs_label}`"))?,
         })
@@ -416,7 +433,7 @@ pub fn knob_space(thermal: bool) -> Vec<KnobConfig> {
 /// Search options for [`tune_stream`].
 #[derive(Debug, Clone, Copy)]
 pub struct TuneOptions {
-    /// FLASH-style local-refinement rounds after the grid pass.
+    /// Local-refinement rounds after the grid pass.
     pub refine_rounds: usize,
     /// Capped-run racing: evaluate candidates under a [`ServeBudget`]
     /// derived from the default and the incumbent. Off, every candidate
@@ -452,51 +469,6 @@ pub struct TuneResult {
     pub evaluations: u64,
     /// Candidate serves the racing budget cut short.
     pub aborts: u64,
-}
-
-/// Knob-space distance for the refinement surrogate: a weighted Hamming
-/// distance over the categorical knobs plus log-scale distance on the
-/// cycle horizons.
-fn distance(a: &KnobConfig, b: &KnobConfig) -> f64 {
-    let log2 = |v: u64| (v.max(1) as f64).log2();
-    let mut d = 0.0;
-    if a.policy != b.policy {
-        d += 4.0;
-    }
-    d += (log2(a.load_slack) - log2(b.load_slack)).abs();
-    d += match (a.batch_cutoff, b.batch_cutoff) {
-        (None, None) => 0.0,
-        (Some(x), Some(y)) => (log2(x) - log2(y)).abs(),
-        _ => 2.0,
-    };
-    if a.max_batch != b.max_batch {
-        d += 2.0;
-    }
-    if a.power_cap != b.power_cap {
-        d += 2.0;
-    }
-    if a.dvfs != b.dvfs {
-        d += 2.0;
-    }
-    d
-}
-
-/// The refinement surrogate: an inverse-square-distance-weighted mean of
-/// every completed evaluation's objective, normalized by the default's —
-/// lower predicts better. Purely deterministic (fixed iteration order),
-/// and used only to *order* a round's proposals, never to skip one, so
-/// it can bias speed but not the winner.
-fn surrogate(completed: &[(KnobConfig, Objective)], cand: &KnobConfig, default: &Objective) -> f64 {
-    let (mut weight_sum, mut p99, mut writes) = (0.0f64, 0.0f64, 0.0f64);
-    for (knobs, obj) in completed {
-        let d = 1.0 + distance(knobs, cand);
-        let w = 1.0 / (d * d);
-        weight_sum += w;
-        p99 += w * obj.p99 as f64;
-        writes += w * obj.setup_writes as f64;
-    }
-    p99 / weight_sum / default.p99.max(1) as f64
-        + writes / weight_sum / default.setup_writes.max(1) as f64
 }
 
 /// One-step knob perturbations of `center` — the refinement phase's
@@ -572,7 +544,6 @@ struct Race<'a> {
     default: Objective,
     racing: bool,
     best: Option<(KnobConfig, Objective)>,
-    completed: Vec<(KnobConfig, Objective)>,
     evaluations: u64,
     aborts: u64,
 }
@@ -600,7 +571,6 @@ impl Race<'_> {
         match evaluate(self.pool, self.stream, &cand, budget) {
             Eval::Aborted => self.aborts += 1,
             Eval::Complete(obj) => {
-                self.completed.push((cand, obj));
                 if obj.dominates(&default) {
                     let wins = match &self.best {
                         None => true,
@@ -619,8 +589,8 @@ impl Race<'_> {
 }
 
 /// Tunes one stream over `space`: a racing grid pass, then
-/// `opts.refine_rounds` rounds of surrogate-ordered local refinement
-/// around the incumbent. Deterministic end to end; with racing on or
+/// `opts.refine_rounds` rounds of local refinement around the
+/// incumbent. Deterministic end to end; with racing on or
 /// off the winner (knobs *and* objective) is identical — only
 /// `evaluations`/`aborts` and the cycles spent differ.
 pub fn tune_stream(
@@ -641,7 +611,6 @@ pub fn tune_stream(
         default,
         racing: opts.racing,
         best: None,
-        completed: vec![(default_knobs, default)],
         evaluations: 1,
         aborts: 0,
     };
@@ -660,29 +629,20 @@ pub fn tune_stream(
         race.consider(cand);
     }
 
-    // phase 2: sequential model-based refinement around the incumbent
+    // phase 2: local refinement around the incumbent, each round's
+    // center fixed before its neighbors are raced
     for _ in 0..opts.refine_rounds {
         let center = race.best.map_or(default_knobs, |(k, _)| k);
-        let mut proposals: Vec<KnobConfig> = Vec::new();
+        let before = attempted.len();
         for k in neighbors(&center, thermal) {
             let k = k.canonical();
-            if !attempted.contains(&k) && !proposals.contains(&k) {
-                proposals.push(k);
+            if !attempted.contains(&k) {
+                attempted.push(k);
+                race.consider(k);
             }
         }
-        if proposals.is_empty() {
+        if attempted.len() == before {
             break;
-        }
-        let scores: Vec<f64> = proposals
-            .iter()
-            .map(|k| surrogate(&race.completed, k, &default))
-            .collect();
-        let mut ranked: Vec<usize> = (0..proposals.len()).collect();
-        ranked.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap().then(a.cmp(&b)));
-        for &i in &ranked {
-            let cand = proposals[i];
-            attempted.push(cand);
-            race.consider(cand);
         }
     }
 
@@ -881,19 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_is_symmetric_and_zero_on_self() {
-        let a = KnobConfig::default();
-        let b = KnobConfig {
-            policy: Policy::Cost,
-            load_slack: 512,
-            ..a
-        };
-        assert_eq!(distance(&a, &a), 0.0);
-        assert_eq!(distance(&a, &b), distance(&b, &a));
-        assert!(distance(&a, &b) > 0.0);
-    }
-
-    #[test]
     fn table_round_trips() {
         let entries = vec![StreamEntry {
             name: "mixed".into(),
@@ -919,5 +866,107 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, "mixed");
         assert_eq!(rows[0].1, entries[0].knobs);
+    }
+
+    /// A one-stream table holding the default knobs with the text `from`
+    /// replaced by `to`.
+    fn table_with(from: &str, to: &str) -> String {
+        let knobs = KnobConfig::default().to_json();
+        assert!(knobs.contains(from), "{knobs} has no {from}");
+        format!(
+            r#"{{"streams": {{"mixed": {{"knobs": {}}}}}}}"#,
+            knobs.replacen(from, to, 1)
+        )
+    }
+
+    #[test]
+    fn malformed_tables_are_errors_not_panics() {
+        // the helper's own output parses, so each case below fails for
+        // the one thing it changes
+        let rows = parse_table(&table_with(r#""power_cap": null"#, r#""power_cap": 1"#)).unwrap();
+        assert_eq!(rows[0].1.power_cap, Some(1));
+
+        for (what, text) in [
+            ("no `streams`", r#"{"autotune": {}}"#.to_string()),
+            ("`streams` not an object", r#"{"streams": [1, 2]}"#.into()),
+            ("no `knobs`", r#"{"streams": {"mixed": {}}}"#.into()),
+            (
+                "`knobs` not an object",
+                r#"{"streams": {"mixed": {"knobs": 7}}}"#.into(),
+            ),
+            ("truncated", r#"{"streams": "#.into()),
+            (
+                "cap 0",
+                table_with(r#""power_cap": null"#, r#""power_cap": 0"#),
+            ),
+            (
+                "negative cap",
+                table_with(r#""power_cap": null"#, r#""power_cap": -1"#),
+            ),
+            (
+                "fractional cap",
+                table_with(r#""power_cap": null"#, r#""power_cap": 1.5"#),
+            ),
+            (
+                "unknown policy",
+                table_with(r#""policy": "affinity""#, r#""policy": "lifo""#),
+            ),
+            (
+                "policy not a string",
+                table_with(r#""policy": "affinity""#, r#""policy": 3"#),
+            ),
+            (
+                "unknown dvfs",
+                table_with(r#""dvfs": "reference""#, r#""dvfs": "turbo""#),
+            ),
+            (
+                "negative slack",
+                table_with(r#""load_slack": 256"#, r#""load_slack": -256"#),
+            ),
+            (
+                "fractional slack",
+                table_with(r#""load_slack": 256"#, r#""load_slack": 256.5"#),
+            ),
+            (
+                "null slack",
+                table_with(r#""load_slack": 256"#, r#""load_slack": null"#),
+            ),
+            (
+                "fractional batch",
+                table_with(r#""max_batch": 1"#, r#""max_batch": 0.5"#),
+            ),
+            (
+                "string cutoff",
+                table_with(r#""batch_cutoff": 256"#, r#""batch_cutoff": "none""#),
+            ),
+        ] {
+            assert!(parse_table(&text).is_err(), "{what}: accepted {text}");
+        }
+    }
+
+    #[test]
+    fn a_cap_above_a_group_is_refused_against_the_pool() {
+        let capped = |cap| KnobConfig {
+            power_cap: cap,
+            ..KnobConfig::default()
+        };
+        // two workers per group
+        let mut pool = crate::streams::uniform_pool();
+        assert_eq!(capped(None).check_pool(&pool), Ok(()));
+        assert_eq!(capped(Some(2)).check_pool(&pool), Ok(()));
+        assert!(matches!(
+            capped(Some(3)).check_pool(&pool),
+            Err(ServeError::InvalidPowerCap {
+                cap: 3,
+                workers: 2,
+                ..
+            })
+        ));
+        // the cap applies to every group, so the smallest one decides
+        pool.groups[1].members.truncate(1);
+        assert!(matches!(
+            capped(Some(2)).check_pool(&pool),
+            Err(ServeError::InvalidPowerCap { family, cap: 2, workers: 1 }) if family == "opengemm"
+        ));
     }
 }

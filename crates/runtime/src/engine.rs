@@ -19,14 +19,15 @@
 //!   subsequence of the arrival order against its own scheduler, routes
 //!   only among their workers, and retires measured cycles into its own
 //!   refiner rows.
-//! - **lane** (`ShardLane`). *Threaded*: executor threads own the
-//!   workers (worker `w` belongs to executor `w % threads`) and run
-//!   dispatches as jobs arrive over channels, completions flowing back
-//!   on the owning shard's channel, one thread per shard. The reference
-//!   plan uses this lane with one executor per worker. *Inline*
-//!   (`Parallel { threads: 1 }`): the shards run one after another on
-//!   the calling thread and execute every dispatch themselves — the
-//!   fully serial baseline that wall-clock scaling is measured against.
+//! - **lane** (`ShardLane`). *Inline* — the reference plan, every
+//!   budgeted serve, and `Parallel { threads: 1 }`: the shards run one
+//!   after another on the calling thread and execute every dispatch
+//!   themselves; nothing is spawned and no channel is opened. *Threaded*
+//!   — `Parallel { threads >= 2 }` without a bounded budget, and nothing
+//!   else: executor threads own the workers (worker `w` belongs to
+//!   executor `w % threads`) and run dispatches as jobs arrive over
+//!   channels, completions flowing back on the owning shard's channel,
+//!   one thread per shard.
 //!
 //! # Why the plan never changes an outcome
 //!
@@ -81,7 +82,8 @@ use std::thread;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
     /// The reference plan: one scheduler shard over the whole pool on
-    /// the simulated clock, one executor thread per worker. Reports are
+    /// the simulated clock, every dispatch executed on the calling
+    /// thread — no executor threads, no channels. Reports are
     /// byte-identical across runs; this is the default, and the only
     /// mode benchmark artifacts are committed from.
     #[default]
@@ -128,51 +130,54 @@ impl fmt::Display for EnginePlan {
     }
 }
 
-/// Everything the serve loop reads, prepared by `Runtime::serve`'s
-/// prologue (module resolution, pool construction, store restore).
+/// A pool flattened for one serve, indexed the way the scheduler and the
+/// loop index it.
+pub(crate) struct PoolShape {
+    /// Per-worker platform descriptors.
+    pub worker_descs: Vec<AcceleratorDescriptor>,
+    /// Per-group worker indices, ascending (and ascending across groups).
+    pub groups: Vec<Vec<usize>>,
+    /// Per-worker group index: `groups` inverted.
+    pub worker_group: Vec<usize>,
+    /// Per-group boost power caps (`None` leaves boosting unbounded).
+    pub power_caps: Vec<Option<usize>>,
+}
+
+/// A stream resolved against the pool and the module cache.
+pub(crate) struct Resolved {
+    /// Dispatch order: stream slots sorted by `(arrival, id, slot)`.
+    pub order: Vec<usize>,
+    /// Per-slot compiled module, resolved for every slot in `order`.
+    pub modules: Vec<Option<Arc<CompiledModule>>>,
+    /// Per-slot pool-group index.
+    pub group_idx: Vec<usize>,
+    /// Persisted cost rows to seed the refiner(s) with: every one belongs
+    /// to a module in `modules` and names a platform of the pool.
+    pub cost_seed: Vec<CostSnapshotEntry>,
+}
+
+/// Everything the serve loop reads, prepared by `Runtime::serve`'s first
+/// two steps (pool flattening; module resolution and store restore).
 #[derive(Clone, Copy)]
 pub(crate) struct EngineInput<'a> {
     pub stream: &'a [TrafficRequest],
-    /// Dispatch order: stream slots sorted by `(arrival, id, slot)`.
-    pub order: &'a [usize],
-    /// Per-slot compiled module, resolved for every slot in `order`.
-    pub modules: &'a [Option<Arc<CompiledModule>>],
-    /// Per-slot pool-group index.
-    pub group_idx: &'a [usize],
-    /// Per-group worker indices, ascending (and ascending across groups).
-    pub groups: &'a [Vec<usize>],
-    /// Per-worker platform descriptors.
-    pub worker_descs: &'a [AcceleratorDescriptor],
-    /// Persisted cost rows to seed the refiner(s) with: every one belongs
-    /// to a module in `modules` and names a platform in `worker_descs`.
-    pub cost_seed: &'a [CostSnapshotEntry],
-    /// Per-group boost power caps (`None` leaves boosting unbounded).
-    pub power_caps: &'a [Option<usize>],
+    pub pool: &'a PoolShape,
+    pub resolved: &'a Resolved,
     pub cfg: &'a ServeConfig,
 }
 
-/// Per-worker group membership, inverted from the per-group lists.
-fn group_of_worker(groups: &[Vec<usize>], worker_count: usize) -> Vec<usize> {
-    let mut worker_group = vec![0usize; worker_count];
-    for (g, group) in groups.iter().enumerate() {
-        for &w in group {
-            worker_group[w] = g;
-        }
-    }
-    worker_group
-}
-
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
-/// (latency replay, metrics, store flush).
+/// (metrics, store flush).
 pub(crate) struct EngineOutput {
     /// The plan the loop ran under.
     pub plan: EnginePlan,
     /// Per-slot completions, in stream order.
     pub completions: Vec<Completion>,
-    /// Per-slot worker assignment.
-    pub assignment: Vec<usize>,
     /// Per-slot commit predictions.
     pub outcomes: Vec<CommitOutcome>,
+    /// Per-slot simulated finish cycle, as the loop computed it when it
+    /// pulled the completion (`start = max(previous finish, arrival)`).
+    pub finish: Vec<u64>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
     /// The refiner's final rows, re-keyed from pool-local platform index
@@ -260,21 +265,22 @@ enum ShardLane<'a> {
         job_txs: Vec<mpsc::Sender<(usize, Job)>>,
         comp_rx: mpsc::Receiver<Completion>,
     },
-    /// The shard executes each job itself at dispatch time, so a
-    /// "receive" just replays the stashed result.
-    Inline {
-        workers: &'a mut [Worker],
-        done: VecDeque<Completion>,
-    },
+    /// The shard executes each job itself at dispatch time; there is
+    /// never anything to receive.
+    Inline(&'a mut [Worker]),
 }
 
 impl ShardLane<'_> {
-    fn dispatch(&mut self, worker: usize, job: Job) {
+    /// Hands `job` to `worker`; the inline lane returns its completion.
+    fn dispatch(&mut self, worker: usize, job: Job) -> Option<Completion> {
         match self {
-            ShardLane::Threaded { job_txs, .. } => job_txs[worker % job_txs.len()]
-                .send((worker, job))
-                .expect("executor thread alive while jobs pend"),
-            ShardLane::Inline { workers, done } => done.push_back(workers[worker].execute(&job)),
+            ShardLane::Threaded { job_txs, .. } => {
+                job_txs[worker % job_txs.len()]
+                    .send((worker, job))
+                    .expect("executor thread alive while jobs pend");
+                None
+            }
+            ShardLane::Inline(workers) => Some(workers[worker].execute(&job)),
         }
     }
 
@@ -283,9 +289,7 @@ impl ShardLane<'_> {
             ShardLane::Threaded { comp_rx, .. } => {
                 comp_rx.recv().expect("executor alive while jobs pend")
             }
-            ShardLane::Inline { done, .. } => done
-                .pop_front()
-                .expect("inline dispatches complete synchronously"),
+            ShardLane::Inline(_) => unreachable!("inline dispatches complete at dispatch"),
         }
     }
 }
@@ -294,9 +298,9 @@ impl ShardLane<'_> {
 /// the per-request vectors are indexed by position in `order`.
 struct ShardResult {
     order: Vec<usize>,
-    assignment: Vec<usize>,
     outcomes: Vec<CommitOutcome>,
     completions: Vec<Option<Completion>>,
+    finish: Vec<u64>,
     batched_requests: u64,
     /// The shard refiner's final rows, re-keyed to platform names.
     snapshot: Vec<CostSnapshotEntry>,
@@ -305,25 +309,20 @@ struct ShardResult {
 /// Plans the serve (see the module docs) and runs the shard loop under
 /// that plan, merging the shards' results back into stream order.
 ///
-/// A bounded [`ServeBudget`] forces the one-shard plan on the threaded
-/// lane whatever `cfg.mode` says: the abort argument ([`BudgetTracker`])
-/// is stated against that plan's pull order, so the budget overrides the
-/// performance knob rather than weakening the contract.
+/// A bounded [`ServeBudget`] forces the reference plan — one shard on
+/// the inline lane — whatever `cfg.mode` says: the abort argument
+/// ([`BudgetTracker`]) is stated against that plan's pull order, so the
+/// budget overrides the performance knob rather than weakening the
+/// contract.
 pub(crate) fn run(
     input: EngineInput<'_>,
     mut workers: Vec<Worker>,
 ) -> Result<EngineOutput, ServeError> {
-    let EngineInput {
-        stream,
-        groups,
-        worker_descs,
-        cost_seed,
-        cfg,
-        ..
-    } = input;
+    let (stream, pool, resolved, cfg) = (input.stream, input.pool, input.resolved, input.cfg);
+    let groups = &pool.groups;
     let worker_count = workers.len();
     let budget = cfg.budget.filter(|b| !b.is_unbounded());
-    let base_of = |g: usize| worker_descs[groups[g][0]].name.as_str();
+    let base_of = |g: usize| pool.worker_descs[groups[g][0]].name.as_str();
 
     // plan: which groups share a shard, and how many executors run them
     let new_shard = |groups: Vec<usize>| Shard {
@@ -351,7 +350,7 @@ pub(crate) fn run(
         }
         _ => {
             shards.push(new_shard((0..groups.len()).collect()));
-            worker_count
+            0
         }
     };
     let plan = EnginePlan {
@@ -368,8 +367,8 @@ pub(crate) fn run(
     // each shard's subsequence of the dispatch order, and every slot's
     // position within its shard's
     let mut local_of = vec![0usize; stream.len()];
-    for &slot in input.order {
-        let shard_order = &mut shards[shard_of_group[input.group_idx[slot]]].order;
+    for &slot in &resolved.order {
+        let shard_order = &mut shards[shard_of_group[resolved.group_idx[slot]]].order;
         local_of[slot] = shard_order.len();
         shard_order.push(slot);
     }
@@ -380,9 +379,9 @@ pub(crate) fn run(
     // row, and there always is one: `Runtime::serve` loads rows only for
     // modules the stream resolved.
     if plan.shards == 1 {
-        shards[0].seed = Cow::Borrowed(cost_seed);
+        shards[0].seed = Cow::Borrowed(&resolved.cost_seed);
     } else {
-        for entry in cost_seed {
+        for entry in &resolved.cost_seed {
             shards
                 .iter_mut()
                 .find(|shard| base_of(shard.groups[0]) == entry.1.accelerator)
@@ -392,30 +391,26 @@ pub(crate) fn run(
                 .push(entry.clone());
         }
     }
-    // only the one-shard plan is ever budgeted, so the first shard takes
-    // the tracker
+    // only the reference plan (one shard, inline) is ever budgeted
     let mut tracker = budget.map(|b| BudgetTracker::new(b, stream.len()));
 
     let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
-    let mut assignment = vec![0usize; stream.len()];
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
+    let mut finish = vec![0u64; stream.len()];
     let mut batched_requests = 0u64;
     let mut cost_snapshot: Vec<CostSnapshotEntry> = Vec::new();
     let mut merge = |mut shard: ShardResult| {
         batched_requests += shard.batched_requests;
         cost_snapshot.extend(shard.snapshot);
         for (at, slot) in shard.order.into_iter().enumerate() {
-            assignment[slot] = shard.assignment[at];
             outcomes[slot] = shard.outcomes[at];
+            finish[slot] = shard.finish[at];
             completions[slot] = shard.completions[at].take();
         }
     };
     if executor_threads == 0 {
         for shard in shards {
-            let lane = ShardLane::Inline {
-                workers: &mut workers,
-                done: VecDeque::new(),
-            };
+            let lane = ShardLane::Inline(&mut workers);
             merge(run_shard(input, &local_of, shard, lane, tracker.take())?);
         }
     } else {
@@ -426,11 +421,11 @@ pub(crate) fn run(
             let (comp_txs, comp_rxs): (Vec<_>, Vec<_>) = (0..plan.shards)
                 .map(|_| mpsc::channel::<Completion>())
                 .unzip();
-            let comp_tx_of_worker: Vec<mpsc::Sender<Completion>> =
-                group_of_worker(groups, worker_count)
-                    .into_iter()
-                    .map(|g| comp_txs[shard_of_group[g]].clone())
-                    .collect();
+            let comp_tx_of_worker: Vec<mpsc::Sender<Completion>> = pool
+                .worker_group
+                .iter()
+                .map(|&g| comp_txs[shard_of_group[g]].clone())
+                .collect();
             drop(comp_txs);
 
             // executor `e` owns workers `e, e + threads, ..` (worker `w`
@@ -447,8 +442,8 @@ pub(crate) fn run(
                 scope.spawn(move || {
                     while let Ok((w, job)) = job_rx.recv() {
                         let completion = owned[w / executor_threads].execute(&job);
-                        // a closed channel is a shard that returned early
-                        // (a budget abort): its queued jobs have no reader
+                        // a closed channel is a shard that panicked: its
+                        // queued jobs have no reader, the join reports it
                         if comp_txs[w].send(completion).is_err() {
                             break;
                         }
@@ -466,8 +461,7 @@ pub(crate) fn run(
                         job_txs: job_txs.clone(),
                         comp_rx,
                     };
-                    let tracker = tracker.take();
-                    scope.spawn(move || run_shard(input, local_of, shard, lane, tracker))
+                    scope.spawn(move || run_shard(input, local_of, shard, lane, None))
                 })
                 .collect();
             drop(job_txs);
@@ -483,8 +477,8 @@ pub(crate) fn run(
             .into_iter()
             .map(|c| c.expect("every dispatched job completes"))
             .collect(),
-        assignment,
         outcomes,
+        finish,
         batched_requests,
         cost_snapshot,
     })
@@ -504,9 +498,12 @@ fn snapshot_by_name(scheduler: &Scheduler) -> Vec<CostSnapshotEntry> {
 /// The serve loop: walks `shard`'s subsequence of the arrival order on
 /// the simulated clock against a full-width scheduler (so platform
 /// indices mean the same in every shard) that only ever routes within
-/// the owned groups' candidates. Executors run ahead eagerly; the loop
+/// the owned groups' candidates. The lane may run ahead (executor
+/// threads do, the inline lane executes at dispatch time); the loop
 /// pulls a completion only once the clock proves its dispatch has
-/// started, so every decision is a function of simulated time alone.
+/// started, so every decision is a function of simulated time alone —
+/// and so is the pull order (the clock, then ascending worker index),
+/// which is why a budget's verdict does not depend on the lane.
 ///
 /// With a [`BudgetTracker`], every pulled completion's (final) latency
 /// and setup writes are admitted to it, tail drain included, and the
@@ -520,16 +517,9 @@ fn run_shard(
     mut lane: ShardLane<'_>,
     mut budget: Option<BudgetTracker>,
 ) -> Result<ShardResult, ServeError> {
-    let EngineInput {
-        stream,
-        modules,
-        group_idx,
-        groups,
-        worker_descs,
-        power_caps,
-        cfg,
-        ..
-    } = input;
+    let (stream, pool, cfg) = (input.stream, input.pool, input.cfg);
+    let (groups, worker_descs) = (&pool.groups, &pool.worker_descs);
+    let (modules, group_idx) = (&input.resolved.modules, &input.resolved.group_idx);
     let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
     let worker_count = worker_descs.len();
     let order = shard.order;
@@ -543,18 +533,19 @@ fn run_shard(
     let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
-        .with_power_caps(group_of_worker(groups, worker_count), power_caps.to_vec());
+        .with_power_caps(pool.worker_group.clone(), pool.power_caps.clone());
     scheduler.seed_refiner(&shard.seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
     let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
 
     // per-request state, indexed by position in `order`; a completion is
-    // stashed on arrival (the lane delivers in execution order, which
-    // need not match the simulated-clock order the loop consumes in)
-    let mut assignment = vec![0usize; order.len()];
+    // stashed on arrival (at dispatch on the inline lane; the threaded
+    // lane delivers in execution order, which need not match the
+    // simulated-clock order the loop consumes in)
     let mut outcomes = vec![CommitOutcome::default(); order.len()];
     let mut completions: Vec<Option<Completion>> = (0..order.len()).map(|_| None).collect();
+    let mut finishes = vec![0u64; order.len()];
     let mut scheduled = vec![false; order.len()];
     // per-worker dispatches sent but not yet pulled, oldest first;
     // `finish_known[w]` is the simulated finish of the last pulled
@@ -579,8 +570,8 @@ fn run_shard(
         let now = head.map_or(u64::MAX, |head| stream[head].arrival);
 
         // pull every completion the clock proves has *started* (its
-        // worker-queue predecessors all finished by now) — an executor
-        // is already running it, so the wait is at most for real work
+        // worker-queue predecessors all finished by now) — the lane has
+        // run it or is running it, so the wait is at most for real work
         // in progress. A pulled completion's latency is final, so the
         // budget verdict on it is exact.
         for &w in &members {
@@ -597,6 +588,7 @@ fn run_shard(
                 }
                 let completion = completions[at].as_ref().expect("stashed above");
                 let finish = start + completion.counters.cycles;
+                finishes[at] = finish;
                 finish_known[w] = finish;
                 inflight[w].pop_front();
                 if completion.sim_error.is_none() {
@@ -619,7 +611,7 @@ fn run_shard(
             unretired.pop_first();
             let completion = completions[at].as_ref().expect("pulled above");
             scheduler.observe(
-                assignment[at],
+                completion.worker,
                 module_of(slot),
                 outcomes[at].bucket,
                 completion.freq,
@@ -651,10 +643,9 @@ fn run_shard(
                 }
             }
             outcomes[at] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
-            assignment[at] = worker;
             scheduled[at] = true;
             inflight[worker].push_back(at);
-            lane.dispatch(
+            completions[at] = lane.dispatch(
                 worker,
                 Job {
                     request: stream[slot].clone(),
@@ -670,9 +661,9 @@ fn run_shard(
 
     Ok(ShardResult {
         order,
-        assignment,
         outcomes,
         completions,
+        finish: finishes,
         batched_requests,
         snapshot: snapshot_by_name(&scheduler),
     })
@@ -810,11 +801,21 @@ mod tests {
         );
         assert_eq!(oracle.metrics, parallel.metrics);
         assert_eq!(oracle.latencies, parallel.latencies);
-        let one_shard = EnginePlan {
-            shards: 1,
-            executor_threads: 4,
-        };
-        assert_eq!(oracle.engine, one_shard);
-        assert_eq!(parallel.engine, one_shard);
+        // the reference runs inline; this pool under a thread budget is
+        // what still covers one shard feeding several executors
+        assert_eq!(
+            oracle.engine,
+            EnginePlan {
+                shards: 1,
+                executor_threads: 0,
+            }
+        );
+        assert_eq!(
+            parallel.engine,
+            EnginePlan {
+                shards: 1,
+                executor_threads: 4,
+            }
+        );
     }
 }

@@ -59,10 +59,11 @@
 //!   ([`PredictionStats`]).
 //!
 //! Everything is deterministic: routing happens at simulated-time decision
-//! points before jobs reach the worker threads, cost observations retire
-//! on the simulated clock, and latencies are replayed from per-request
-//! cycle counts — so a stream serves to bit-identical reports on every
-//! run. The full design is documented in `docs/ARCHITECTURE.md`.
+//! points, cost observations retire on the simulated clock, and latencies
+//! are read off that same clock — so a stream serves to bit-identical
+//! reports on every run, with or without executor threads (none are
+//! spawned unless [`ServeMode::Parallel`] asks for two or more). The full
+//! design is documented in `docs/ARCHITECTURE.md`.
 //!
 //! ```
 //! use accfg_runtime::{PoolConfig, Runtime, ServeConfig};

@@ -10,19 +10,21 @@
 //!    through the run's [`SchedulePolicy`] (round-robin, config-affinity,
 //!    or cycle-cost routing), cutting a batch off once the target
 //!    worker's estimated outstanding cycles reach the slack horizon;
-//! 3. worker threads execute their dispatch sequences on persistent
-//!    simulated machines, eliding configuration writes already resident;
+//! 3. workers execute their dispatch sequences on persistent simulated
+//!    machines, eliding configuration writes already resident — on the
+//!    calling thread, unless [`ServeMode::Parallel`] asks for executor
+//!    threads;
 //! 4. as the simulated clock passes each dispatch's completion, its
 //!    *measured* cycles retire into the scheduler's online cost refiner,
 //!    sharpening the queue estimates later routing decisions use;
-//! 5. completions are folded into [`ServeMetrics`], with latencies
-//!    replayed deterministically from per-request cycle counts.
+//! 5. completions are folded into [`ServeMetrics`], with latencies taken
+//!    from the finish cycles the serve loop computed on that clock.
 //!
-//! Scheduling interleaves with execution — the serve loop blocks on a
+//! Scheduling interleaves with execution — the serve loop takes a
 //! worker's next completion exactly when the simulated clock proves that
-//! dispatch has started — but every decision point is a function of
+//! dispatch has started — and every decision point is a function of
 //! simulated time only, so two serves of the same stream produce
-//! bit-identical reports regardless of thread interleaving.
+//! bit-identical reports whether or not threads are involved.
 //!
 //! Pools may be heterogeneous: a [`PoolGroup`] can mix differently
 //! provisioned platform variants of one family (validated for
@@ -32,11 +34,11 @@
 //! [`SchedulePolicy`]: crate::policy::SchedulePolicy
 
 use crate::cache::{CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, EnginePlan, ServeMode};
+use crate::engine::{self, EngineInput, EngineOutput, EnginePlan, PoolShape, Resolved, ServeMode};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
-    WorkerMetrics,
+    WarmStartStats, WorkerMetrics,
 };
 use crate::persist::WarmStart;
 use crate::policy::Policy;
@@ -46,7 +48,7 @@ use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{TrafficClass, TrafficRequest};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -262,13 +264,17 @@ pub fn measured_class_service_times(
 /// the tracker, so a budgeted serve completes if and only if the full
 /// run's final p99 and setup-write totals are within the bounds.
 ///
-/// A bounded budget always serves under the one-shard plan on the
-/// threaded lane, whatever [`ServeConfig::mode`] says (the plan that ran
-/// is reported in [`ServeReport::engine`]): the abort argument is stated
-/// against that plan's pull order — worker by worker in ascending index
-/// — so the budget overrides the performance knob rather than weakening
-/// the contract. An all-`None` budget bounds nothing and leaves the plan
-/// to `mode`.
+/// A bounded budget always serves under the reference plan — one shard,
+/// no executor threads — whatever [`ServeConfig::mode`] says (the plan
+/// that ran is reported in [`ServeReport::engine`]): the abort argument
+/// is stated against that plan's pull order, so the budget overrides the
+/// performance knob rather than weakening the contract. The pull order
+/// itself does not depend on how dispatches are executed: which
+/// completions are pulled at a step is decided by the simulated clock
+/// (a dispatch is pulled once its start cycle is proven), and within a
+/// step workers are visited in ascending index — nothing a thread's
+/// timing can reorder. An all-`None` budget bounds nothing and leaves
+/// the plan to `mode`.
 ///
 /// An aborted run flushes nothing to a warm-start store (the flush sits
 /// after the engine in [`Runtime::serve`], and the abort returns early),
@@ -367,12 +373,13 @@ pub struct ServeConfig {
     pub store: Option<PathBuf>,
     /// How the one serve loop is planned onto scheduler shards and
     /// threads: [`ServeMode::Deterministic`] (the default) is the
-    /// reference plan — one shard over the whole pool, reports
-    /// byte-identical across runs; [`ServeMode::Parallel`] runs one shard
-    /// per set of groups sharing a base platform name and spreads
-    /// execution over executor threads, producing identical per-request
-    /// outcomes at real wall-clock parallelism (see [`crate::engine`] for
-    /// the argument). The plan that ran is in [`ServeReport::engine`].
+    /// reference plan — one shard over the whole pool on the calling
+    /// thread, reports byte-identical across runs;
+    /// [`ServeMode::Parallel`] runs one shard per set of groups sharing a
+    /// base platform name and spreads execution over executor threads,
+    /// producing identical per-request outcomes at real wall-clock
+    /// parallelism (see [`crate::engine`] for the argument). The plan
+    /// that ran is in [`ServeReport::engine`].
     pub mode: ServeMode,
     /// Early-termination bounds for capped tuning runs (see
     /// [`ServeBudget`]). `None` (the default) serves the full stream
@@ -472,12 +479,110 @@ impl Runtime {
         stream: &[TrafficRequest],
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
-        if self.pool.groups.is_empty() || self.pool.groups.iter().any(|g| g.members.is_empty()) {
+        let (pool, workers) = self.pool.flatten()?;
+        let cache_before = self.cache.stats;
+        // warm start: open the persistent store (if configured). Nothing
+        // is read from it yet — modules come back one key at a time as
+        // the stream resolves them, cost rows once the working set is
+        // known (see `WarmStart`).
+        let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
+        let resolved = self.resolve(stream, cfg, &pool.worker_descs, warm_start.as_mut())?;
+
+        // The serve loop proper: scheduling interleaved with execution,
+        // under the plan `cfg.mode` selects (see `crate::engine`). A
+        // budget abort returns here — before the flush below — so a
+        // capped run can never persist partial EWMA state.
+        let input = EngineInput {
+            stream,
+            pool: &pool,
+            resolved: &resolved,
+            cfg,
+        };
+        let engine_out = engine::run(input, workers)?;
+
+        // flush-on-finish: persist what this serve built or changed
+        let warm_start = warm_start
+            .map(|warm| warm.flush(&self.cache, &engine_out.cost_snapshot))
+            .transpose()?;
+        let cache = CacheStats {
+            hits: self.cache.stats.hits - cache_before.hits,
+            misses: self.cache.stats.misses - cache_before.misses,
+        };
+        Ok(summarise(
+            stream,
+            cfg.policy,
+            &resolved.order,
+            &pool.worker_descs,
+            engine_out,
+            cache,
+            warm_start,
+        ))
+    }
+
+    /// Resolves every request's pool group and compiled module in
+    /// dispatch order — through the cache, on a miss through the store,
+    /// and only then by compiling, so a module this runtime already holds
+    /// wins over a stored one — then fetches the working set's persisted
+    /// cost rows.
+    fn resolve(
+        &mut self,
+        stream: &[TrafficRequest],
+        cfg: &ServeConfig,
+        worker_descs: &[AcceleratorDescriptor],
+        mut warm_start: Option<&mut WarmStart>,
+    ) -> Result<Resolved, ServeError> {
+        // dispatch order: by arrival, ties by id then slot
+        let mut order: Vec<usize> = (0..stream.len()).collect();
+        order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
+
+        let mut modules: Vec<Option<Arc<CompiledModule>>> = vec![None; stream.len()];
+        let mut group_idx = vec![0usize; stream.len()];
+        for &i in &order {
+            let request = &stream[i];
+            let g = self
+                .pool
+                .groups
+                .iter()
+                .position(|g| g.family == request.accelerator)
+                .ok_or_else(|| ServeError::UnknownAccelerator(request.accelerator.clone()))?;
+            let base = &self.pool.groups[g].members[0];
+            if let Some(warm) = warm_start.as_deref_mut() {
+                warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
+            }
+            modules[i] = Some(self.cache.get_or_build(base, request.spec, cfg.opt)?);
+            group_idx[i] = g;
+        }
+
+        // the persisted cost rows of the working set: the stream's
+        // modules on the pool's platforms (with refinement off nothing
+        // would be seeded, so nothing is read)
+        let cost_seed = match warm_start {
+            Some(warm) if cfg.refine_cost => warm.cost_rows(
+                worker_descs.iter().map(|desc| desc.name.as_str()),
+                modules.iter().filter_map(|module| module.as_deref()),
+            )?,
+            _ => Vec::new(),
+        };
+        Ok(Resolved {
+            order,
+            modules,
+            group_idx,
+            cost_seed,
+        })
+    }
+}
+
+impl PoolConfig {
+    /// Validates the pool's shape and builds its workers: one routing
+    /// group per family, workers running their own (possibly variant)
+    /// platform descriptors.
+    fn flatten(&self) -> Result<(PoolShape, Vec<Worker>), ServeError> {
+        if self.groups.is_empty() || self.groups.iter().any(|g| g.members.is_empty()) {
             return Err(ServeError::EmptyPool);
         }
-        // heterogeneous groups must agree on the configuration interface:
-        // every member replays plans compiled for the group's base
-        for group in &self.pool.groups {
+        for group in &self.groups {
+            // heterogeneous groups must agree on the configuration
+            // interface: every member replays plans compiled for the base
             let base = &group.members[0];
             for member in &group.members[1..] {
                 if !base.plan_compatible(member) {
@@ -491,7 +596,7 @@ impl Runtime {
         // a power cap must actually bound something: 0 forbids boosting
         // outright and a cap beyond the group's size caps nothing — both
         // are configuration bugs, rejected instead of silently clamped
-        for group in &self.pool.groups {
+        for group in &self.groups {
             if let Some(cap) = group.power_cap {
                 if cap == 0 || cap > group.members.len() {
                     return Err(ServeError::InvalidPowerCap {
@@ -506,254 +611,191 @@ impl Runtime {
         // scheduler keys platform cost anchors and refinement state by
         // name, so a same-name-but-different variant would silently share
         // another platform's estimates
-        let members = || self.pool.groups.iter().flat_map(|g| &g.members);
-        for (i, a) in members().enumerate() {
-            if members().take(i).any(|b| a.name == b.name && a != b) {
+        let worker_descs: Vec<AcceleratorDescriptor> = self
+            .groups
+            .iter()
+            .flat_map(|g| g.members.iter().cloned())
+            .collect();
+        for (i, a) in worker_descs.iter().enumerate() {
+            if worker_descs[..i].iter().any(|b| a.name == b.name && a != b) {
                 return Err(ServeError::AmbiguousVariantName {
                     name: a.name.clone(),
                 });
             }
         }
-        let cache_before = self.cache.stats;
-
-        // warm start: open the persistent store (if configured). Nothing
-        // is read from it yet — modules come back one key at a time as
-        // the stream resolves them, cost rows once the working set is
-        // known (see `WarmStart`).
-        let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
-
-        // worker pool: one routing group per family, workers run their
-        // own (possibly variant) platform descriptors
-        let mut workers = Vec::new();
-        let mut worker_descs: Vec<AcceleratorDescriptor> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for pool_group in &self.pool.groups {
-            let mut group = Vec::new();
-            for desc in &pool_group.members {
-                let index = workers.len();
-                group.push(index);
-                worker_descs.push(desc.clone());
-                workers.push(Worker::new(
-                    index,
-                    desc.clone(),
-                    self.pool.mem_bytes,
-                    self.pool.fuel,
-                ));
-            }
-            groups.push(group);
+        let (mut groups, mut worker_group) = (Vec::new(), Vec::new());
+        for (g, group) in self.groups.iter().enumerate() {
+            let first = worker_group.len();
+            worker_group.resize(first + group.members.len(), g);
+            groups.push((first..worker_group.len()).collect());
         }
-        let group_of = |accelerator: &str| -> Result<usize, ServeError> {
-            self.pool
-                .groups
-                .iter()
-                .position(|g| g.family == accelerator)
-                .ok_or_else(|| ServeError::UnknownAccelerator(accelerator.to_string()))
-        };
-
-        // dispatch order: by arrival, ties by id then slot
-        let mut order: Vec<usize> = (0..stream.len()).collect();
-        order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
-
-        // resolve modules (and groups) in dispatch order: through the
-        // cache, on a miss through the store, and only then by compiling
-        // — a module this runtime already holds wins over a stored one
-        let mut modules: Vec<Option<Arc<CompiledModule>>> = vec![None; stream.len()];
-        let mut group_idx = vec![0usize; stream.len()];
-        for &i in &order {
-            let request = &stream[i];
-            let g = group_of(&request.accelerator)?;
-            let base = &self.pool.groups[g].members[0];
-            if let Some(warm) = &mut warm_start {
-                warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
-            }
-            modules[i] = Some(self.cache.get_or_build(base, request.spec, cfg.opt)?);
-            group_idx[i] = g;
-        }
-
-        // the persisted cost rows of the working set: the stream's
-        // modules on the pool's platforms (with refinement off nothing
-        // would be seeded, so nothing is read)
-        let cost_seed = match &mut warm_start {
-            Some(warm) if cfg.refine_cost => warm.cost_rows(
-                worker_descs.iter().map(|desc| desc.name.as_str()),
-                modules.iter().filter_map(|module| module.as_deref()),
-            )?,
-            _ => Vec::new(),
-        };
-
-        // The serve loop proper: scheduling interleaved with execution,
-        // under the plan `cfg.mode` selects — one scheduler shard over
-        // the whole pool, or one per set of groups sharing no state, with
-        // identical per-request outcomes (see `crate::engine`). Either
-        // way, every dispatch the clock proves *complete* retires its
-        // measured cycles into the scheduler's cost refiner, so later
-        // queue estimates learn from the stream itself.
-        let power_caps: Vec<Option<usize>> = self.pool.groups.iter().map(|g| g.power_cap).collect();
-        // A budget abort returns here — before the flush-on-finish block
-        // below — so a capped run can never persist partial EWMA state.
-        let engine_out = engine::run(
-            engine::EngineInput {
-                stream,
-                order: &order,
-                modules: &modules,
-                group_idx: &group_idx,
-                groups: &groups,
-                worker_descs: &worker_descs,
-                cost_seed: &cost_seed,
-                power_caps: &power_caps,
-                cfg,
-            },
-            workers,
-        )?;
-        let completions: Vec<Completion> = engine_out.completions;
-        let outcomes = engine_out.outcomes;
-
-        // per-worker dispatch sequences (for latency replay)
-        let mut dispatch_order: Vec<Vec<usize>> = vec![Vec::new(); worker_descs.len()];
-        for &i in &order {
-            dispatch_order[engine_out.assignment[i]].push(i);
-        }
-
-        // deterministic latency replay: each worker executes its dispatch
-        // sequence back-to-back on the simulated clock; along the way,
-        // record the queue depth each request observed at its arrival
-        // (how many earlier dispatches on its worker were still pending)
-        let mut latencies = vec![0u64; stream.len()];
-        let mut worker_metrics = Vec::new();
-        let mut queue_depth = DepthHistogram::new();
-        for (w, slots) in dispatch_order.iter().enumerate() {
-            let mut ready = 0u64;
-            let mut busy = 0u64;
-            let mut finishes: Vec<u64> = Vec::with_capacity(slots.len());
-            let mut drained = 0usize;
-            for &i in slots {
-                let cycles = completions[i].counters.cycles;
-                let start = ready.max(stream[i].arrival);
-                let finish = start + cycles;
-                latencies[i] = finish - stream[i].arrival;
-                ready = finish;
-                busy += cycles;
-                // finishes are monotone and arrivals nondecreasing per
-                // worker, so a single pointer drains completed work
-                while drained < finishes.len() && finishes[drained] <= stream[i].arrival {
-                    drained += 1;
-                }
-                queue_depth.record((finishes.len() - drained) as u64);
-                finishes.push(finish);
-            }
-            worker_metrics.push(WorkerMetrics {
-                index: w,
-                accelerator: worker_descs[w].name.clone(),
-                requests: slots.len() as u64,
-                busy_cycles: busy,
-                finish: ready,
-            });
-        }
-
-        // per-class latency distributions (the SLO view), keyed by
-        // accelerator + shape, in sorted label order
-        let mut class_latencies: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (i, request) in stream.iter().enumerate() {
-            class_latencies
-                .entry(class_label(&request.accelerator, &request.spec))
-                .or_default()
-                .push(latencies[i]);
-        }
-        let per_class: Vec<ClassLatency> = class_latencies
-            .into_iter()
-            .map(|(class, lat)| ClassLatency {
-                class,
-                requests: lat.len() as u64,
-                latency: LatencyStats::from_latencies(&lat),
-            })
-            .collect();
-
-        // observed-vs-predicted error, for both predictors on the same
-        // dispatch sequence (simulation failures carry no valid cycles).
-        // Each sample also lands in the per-frequency-mode breakdown,
-        // where the ewma column is the *frequency-keyed* estimate for the
-        // mode the dispatch actually ran in — summed across modes it is
-        // the keyed estimator's MAE, next to `prediction`'s mode-agnostic
-        // one.
-        let mut prediction = PredictionStats::default();
-        let mut freq_prediction = [PredictionStats::default(); FREQ_STATES];
-        let predictions: Vec<PredictionSample> = completions
+        let workers = worker_descs
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                let sample = PredictionSample {
-                    anchor: outcomes[i].anchor_cycles,
-                    ewma: outcomes[i].predicted_cycles,
-                    observed: if c.sim_error.is_none() {
-                        c.counters.cycles
-                    } else {
-                        0
-                    },
-                };
-                if c.sim_error.is_none() {
-                    prediction.samples += 1;
-                    prediction.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
-                    prediction.ewma_abs_error += sample.ewma.abs_diff(sample.observed);
-                    let keyed = &mut freq_prediction[c.freq.index()];
-                    keyed.samples += 1;
-                    keyed.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
-                    keyed.ewma_abs_error +=
-                        outcomes[i].keyed_cycles[c.freq.index()].abs_diff(sample.observed);
-                }
-                sample
-            })
+            .map(|(index, desc)| Worker::new(index, desc.clone(), self.mem_bytes, self.fuel))
             .collect();
-
-        // flush-on-finish: persist what this serve built or changed
-        let warm_start = warm_start
-            .map(|warm| warm.flush(&self.cache, &engine_out.cost_snapshot))
-            .transpose()?;
-
-        let cache_after = self.cache.stats;
-        let metrics = ServeMetrics {
-            policy: cfg.policy.label().to_string(),
-            requests: stream.len() as u64,
-            check_failures: completions
-                .iter()
-                .filter(|c| c.check_error.is_some())
-                .count() as u64,
-            sim_failures: completions.iter().filter(|c| c.sim_error.is_some()).count() as u64,
-            setup_writes: completions.iter().map(|c| c.emitted_writes).sum(),
-            cold_setup_writes: completions.iter().map(|c| c.cold_writes).sum(),
-            config_bytes: completions.iter().map(|c| c.counters.config_bytes).sum(),
-            launches: completions.iter().map(|c| c.counters.launches).sum(),
-            sim_cycles: completions.iter().map(|c| c.counters.cycles).sum(),
-            contention_cycles: completions
-                .iter()
-                .map(|c| c.counters.contention_cycles)
-                .sum(),
-            freq_launches: completions.iter().fold([0u64; 3], |mut acc, c| {
-                for (slot, n) in acc.iter_mut().zip(c.counters.freq_launches) {
-                    *slot += n;
-                }
-                acc
-            }),
-            makespan: worker_metrics.iter().map(|w| w.finish).max().unwrap_or(0),
-            latency: LatencyStats::from_latencies(&latencies),
-            per_class,
-            queue_depth,
-            prediction,
-            freq_prediction,
-            cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-            },
-            warm_start,
-            batched_requests: engine_out.batched_requests,
-            workers: worker_metrics,
+        let shape = PoolShape {
+            worker_descs,
+            groups,
+            worker_group,
+            power_caps: self.groups.iter().map(|g| g.power_cap).collect(),
         };
-        Ok(ServeReport {
-            metrics,
-            completions,
-            latencies,
-            predictions,
-            engine: engine_out.plan,
+        Ok((shape, workers))
+    }
+}
+
+/// Folds the engine's per-slot completions, commit predictions and finish
+/// cycles into the report; `cache` and `warm_start` are this serve's
+/// cache delta and store provenance, passed through.
+fn summarise(
+    stream: &[TrafficRequest],
+    policy: Policy,
+    order: &[usize],
+    worker_descs: &[AcceleratorDescriptor],
+    engine_out: EngineOutput,
+    cache: CacheStats,
+    warm_start: Option<WarmStartStats>,
+) -> ServeReport {
+    let EngineOutput {
+        plan,
+        completions,
+        outcomes,
+        finish,
+        batched_requests,
+        ..
+    } = engine_out;
+
+    let latencies: Vec<u64> = finish
+        .iter()
+        .zip(stream)
+        .map(|(finish, request)| finish - request.arrival)
+        .collect();
+
+    // per-worker totals, and the queue depth each request observed at its
+    // arrival: how many earlier dispatches on its worker were still
+    // pending. Per worker, finishes are monotone and arrivals
+    // nondecreasing in dispatch order, so popping the front drains
+    // exactly the completed work.
+    let mut worker_metrics: Vec<WorkerMetrics> = worker_descs
+        .iter()
+        .enumerate()
+        .map(|(index, desc)| WorkerMetrics {
+            index,
+            accelerator: desc.name.clone(),
+            requests: 0,
+            busy_cycles: 0,
+            finish: 0,
         })
+        .collect();
+    let mut pending: Vec<VecDeque<u64>> = vec![VecDeque::new(); worker_descs.len()];
+    let mut queue_depth = DepthHistogram::new();
+    for &i in order {
+        let w = completions[i].worker;
+        let worker = &mut worker_metrics[w];
+        worker.requests += 1;
+        worker.busy_cycles += completions[i].counters.cycles;
+        worker.finish = finish[i];
+        while pending[w].front().is_some_and(|&f| f <= stream[i].arrival) {
+            pending[w].pop_front();
+        }
+        queue_depth.record(pending[w].len() as u64);
+        pending[w].push_back(finish[i]);
+    }
+
+    // per-class latency distributions (the SLO view), keyed by
+    // accelerator + shape, in sorted label order
+    let mut class_latencies: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    for (i, request) in stream.iter().enumerate() {
+        class_latencies
+            .entry(class_label(&request.accelerator, &request.spec))
+            .or_default()
+            .push(latencies[i]);
+    }
+    let per_class: Vec<ClassLatency> = class_latencies
+        .into_iter()
+        .map(|(class, lat)| ClassLatency {
+            class,
+            requests: lat.len() as u64,
+            latency: LatencyStats::from_latencies(&lat),
+        })
+        .collect();
+
+    // observed-vs-predicted error, for both predictors on the same
+    // dispatch sequence (simulation failures carry no valid cycles).
+    // Each sample also lands in the per-frequency-mode breakdown,
+    // where the ewma column is the *frequency-keyed* estimate for the
+    // mode the dispatch actually ran in — summed across modes it is
+    // the keyed estimator's MAE, next to `prediction`'s mode-agnostic
+    // one.
+    let mut prediction = PredictionStats::default();
+    let mut freq_prediction = [PredictionStats::default(); FREQ_STATES];
+    let predictions: Vec<PredictionSample> = completions
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let sample = PredictionSample {
+                anchor: outcomes[i].anchor_cycles,
+                ewma: outcomes[i].predicted_cycles,
+                observed: if c.sim_error.is_none() {
+                    c.counters.cycles
+                } else {
+                    0
+                },
+            };
+            if c.sim_error.is_none() {
+                prediction.samples += 1;
+                prediction.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
+                prediction.ewma_abs_error += sample.ewma.abs_diff(sample.observed);
+                let keyed = &mut freq_prediction[c.freq.index()];
+                keyed.samples += 1;
+                keyed.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
+                keyed.ewma_abs_error +=
+                    outcomes[i].keyed_cycles[c.freq.index()].abs_diff(sample.observed);
+            }
+            sample
+        })
+        .collect();
+
+    let metrics = ServeMetrics {
+        policy: policy.label().to_string(),
+        requests: stream.len() as u64,
+        check_failures: completions
+            .iter()
+            .filter(|c| c.check_error.is_some())
+            .count() as u64,
+        sim_failures: completions.iter().filter(|c| c.sim_error.is_some()).count() as u64,
+        setup_writes: completions.iter().map(|c| c.emitted_writes).sum(),
+        cold_setup_writes: completions.iter().map(|c| c.cold_writes).sum(),
+        config_bytes: completions.iter().map(|c| c.counters.config_bytes).sum(),
+        launches: completions.iter().map(|c| c.counters.launches).sum(),
+        sim_cycles: completions.iter().map(|c| c.counters.cycles).sum(),
+        contention_cycles: completions
+            .iter()
+            .map(|c| c.counters.contention_cycles)
+            .sum(),
+        freq_launches: completions.iter().fold([0u64; 3], |mut acc, c| {
+            for (slot, n) in acc.iter_mut().zip(c.counters.freq_launches) {
+                *slot += n;
+            }
+            acc
+        }),
+        makespan: worker_metrics.iter().map(|w| w.finish).max().unwrap_or(0),
+        latency: LatencyStats::from_latencies(&latencies),
+        per_class,
+        queue_depth,
+        prediction,
+        freq_prediction,
+        cache,
+        warm_start,
+        batched_requests,
+        workers: worker_metrics,
+    };
+    ServeReport {
+        metrics,
+        completions,
+        latencies,
+        predictions,
+        engine: plan,
     }
 }
 
@@ -1244,8 +1286,7 @@ mod tests {
         assert_eq!(oracle.engine, budgeted.engine);
 
         // an aborting bound: the verdict — down to how many completions
-        // were admitted before it — is the same under either mode, and
-        // the serve returns (its executor threads join) after the abort
+        // were admitted before it — is the same under either mode
         let aborting = |mode| {
             Runtime::new(pool())
                 .serve(

@@ -159,9 +159,9 @@ impl Worker {
         completion.emitted_writes = emitted_writes;
 
         // the dispatch starts when the queue has drained and the request
-        // has arrived — the same rule the serve loop and the latency
-        // replay use — so the gap since the last finish is the worker's
-        // real simulated idle time, which cools the DVFS automaton
+        // has arrived — the same rule the serve loop pulls completions
+        // by — so the gap since the last finish is the worker's real
+        // simulated idle time, which cools the DVFS automaton
         let start = self.clock.max(job.request.arrival);
         self.machine.accel.note_idle(start - self.clock);
 

@@ -80,19 +80,13 @@
 //! against an existing store leaves the file byte-for-byte unchanged, and
 //! two identical runs against fresh stores produce byte-identical files.
 //! Compaction is explicit ([`LogStore::compact`]) and rewrites live entries
-//! in sorted key order — by default never triggered implicitly, so it
-//! cannot perturb that contract mid-run. Deployments that prefer bounded
-//! files over byte-stability can opt in to
-//! [`LogStore::set_auto_compact`], which compacts after a
-//! [`KeyValueStore::sync`] once the log has doubled past its last
-//! compacted size; being keyed to sync points, it is still a
-//! deterministic function of the workload.
+//! in sorted key order — never triggered implicitly, so it cannot perturb
+//! that contract mid-run.
 //!
 //! Every applied record also advances a logical *sequence number* (the
-//! append age), and the store remembers each key's last-write sequence —
-//! [`LogStore::evict_older_than`] uses it to drop cold entries (e.g. cost
-//! models for shapes a serving mix stopped sending) without timestamps,
-//! which would break run-to-run determinism.
+//! append age), and the store remembers each key's last-write sequence
+//! ([`LogStore::seq`], [`LogStore::key_seq`]) — an age without
+//! timestamps, which would break run-to-run determinism.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -249,11 +243,6 @@ pub struct LogStore {
     recovery: Option<TailCorruption>,
     /// Logical clock: one tick per applied record (replayed or appended).
     seq: u64,
-    /// Compact automatically after a sync once the file doubles past
-    /// `compact_baseline`. Off by default (byte-stability contract).
-    auto_compact: bool,
-    /// File size right after open or the last compaction.
-    compact_baseline: u64,
 }
 
 impl LogStore {
@@ -340,7 +329,6 @@ impl LogStore {
                 .map_err(|e| StoreError::io("truncate", &path, &e))?;
         }
         Ok(Self {
-            compact_baseline: image.len() as u64,
             path,
             file,
             format,
@@ -348,7 +336,6 @@ impl LogStore {
             index,
             recovery,
             seq,
-            auto_compact: false,
         })
     }
 
@@ -393,35 +380,6 @@ impl LogStore {
     /// The sequence number of `key`'s last write, if the key is live.
     pub fn key_seq(&self, key: &[u8]) -> Option<u64> {
         self.index.get(key).map(|entry| entry.seq)
-    }
-
-    /// Opts in to (or out of) automatic compaction: after each
-    /// [`KeyValueStore::sync`], the log is compacted once it has at least
-    /// doubled past its size at open or last compaction. Off by default,
-    /// because implicit rewrites void the byte-stability contract.
-    pub fn set_auto_compact(&mut self, enabled: bool) {
-        self.auto_compact = enabled;
-    }
-
-    /// Removes every live key last written before sequence `min_seq`,
-    /// returning how many were evicted. Appends ordinary tombstones, so
-    /// the space is reclaimed by the next [`LogStore::compact`].
-    ///
-    /// # Errors
-    ///
-    /// Fails only on I/O errors while appending tombstones; already-evicted
-    /// keys stay evicted.
-    pub fn evict_older_than(&mut self, min_seq: u64) -> Result<usize, StoreError> {
-        let cold: Vec<Vec<u8>> = self
-            .index
-            .iter()
-            .filter(|(_, entry)| entry.seq < min_seq)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &cold {
-            self.remove(key)?;
-        }
-        Ok(cold.len())
     }
 
     /// The file backing this store.
@@ -473,7 +431,6 @@ impl LogStore {
                 value,
             };
         }
-        self.compact_baseline = self.image.len() as u64;
         Ok(())
     }
 
@@ -540,12 +497,7 @@ impl KeyValueStore for LogStore {
     fn sync(&mut self) -> Result<(), StoreError> {
         self.file
             .sync_all()
-            .map_err(|e| StoreError::io("sync", &self.path, &e))?;
-        // the image is the file, so its length is the file's
-        if self.auto_compact && self.image.len() as u64 >= 2 * self.compact_baseline.max(64) {
-            self.compact()?;
-        }
-        Ok(())
+            .map_err(|e| StoreError::io("sync", &self.path, &e))
     }
 }
 
@@ -685,8 +637,8 @@ mod tests {
     }
 
     #[test]
-    fn seq_ages_and_eviction_survive_reopen() {
-        let path = temp_path("evict");
+    fn seq_ages_survive_reopen() {
+        let path = temp_path("seq_ages");
         {
             let mut store = LogStore::open(&path).unwrap();
             store.put(b"old", b"1").unwrap(); // seq 1
@@ -701,48 +653,16 @@ mod tests {
         let mut store = LogStore::open(&path).unwrap();
         assert_eq!(store.seq(), 3);
         assert_eq!(store.key_seq(b"mid"), Some(2));
-
-        let evicted = store.evict_older_than(3).unwrap();
-        assert_eq!(evicted, 2);
-        assert_eq!(store.get(b"old"), None);
-        assert_eq!(store.get(b"mid"), None);
-        assert_eq!(store.get(b"new"), Some(&b"3"[..]));
-        // Tombstones tick the clock too (seq 4 and 5).
-        assert_eq!(store.seq(), 5);
-        assert_eq!(store.evict_older_than(3).unwrap(), 0);
-
-        store.sync().unwrap();
-        let store = LogStore::open(&path).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get(b"new"), Some(&b"3"[..]));
+        // A tombstone ticks the clock too.
+        store.remove(b"old").unwrap();
+        assert_eq!(store.seq(), 4);
+        assert_eq!(store.key_seq(b"old"), None);
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn auto_compact_shrinks_a_churning_log_after_sync() {
-        let path = temp_path("autocompact");
-        let mut store = LogStore::open(&path).unwrap();
-        store.set_auto_compact(true);
-        for round in 0..200u32 {
-            store.put(b"churn", &round.to_le_bytes()).unwrap();
-            store.sync().unwrap();
-        }
-        // Without compaction the file would hold 200 records (> 4 KiB);
-        // auto-compaction keeps it near one live record.
-        let len = fs::metadata(&path).unwrap().len();
-        assert!(len < 512, "auto-compaction left {len} bytes");
-        assert_eq!(store.get(b"churn"), Some(&199u32.to_le_bytes()[..]));
-
-        // Ages were renumbered to match what a reopen replays.
-        assert_eq!(store.key_seq(b"churn"), Some(store.seq()));
-        let reopened = LogStore::open(&path).unwrap();
-        assert_eq!(reopened.key_seq(b"churn"), Some(reopened.seq()));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sync_without_opt_in_never_rewrites_the_file() {
-        let path = temp_path("no_autocompact");
+    fn sync_never_rewrites_the_file() {
+        let path = temp_path("sync_stable");
         let mut store = LogStore::open(&path).unwrap();
         for round in 0..50u32 {
             store.put(b"churn", &round.to_le_bytes()).unwrap();

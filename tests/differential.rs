@@ -88,10 +88,30 @@ fn assert_identical(oracle: &ServeReport, parallel: &ServeReport, context: &str)
     }
 }
 
+/// Arrival-to-completion latencies recomputed outside the engine: every
+/// worker runs the requests routed to it back to back in dispatch order
+/// (`(arrival, id, slot)`), a dispatch starting once its predecessor has
+/// finished and its request has arrived.
+fn replayed_latencies(stream: &[TrafficRequest], report: &ServeReport) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..stream.len()).collect();
+    order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
+    let mut ready = vec![0u64; report.metrics.workers.len()];
+    let mut latencies = vec![0u64; stream.len()];
+    for i in order {
+        let completion = &report.completions[i];
+        let start = ready[completion.worker].max(stream[i].arrival);
+        ready[completion.worker] = start + completion.counters.cycles;
+        latencies[i] = ready[completion.worker] - stream[i].arrival;
+    }
+    latencies
+}
+
 /// Serves `stream` under `cfg` on the oracle once, then on the parallel
 /// engine at each thread budget in `threads` — every serve on a fresh
 /// runtime, so cache statistics match — and asserts each parallel report
-/// is identical to the oracle's.
+/// is identical to the oracle's. The oracle's latencies, which the report
+/// takes from the finish cycles the serve loop computed, must also equal
+/// an independent worker-by-worker replay of the completions' cycles.
 fn serve_both(
     pool: &PoolConfig,
     stream: &[TrafficRequest],
@@ -102,6 +122,11 @@ fn serve_both(
     let oracle = Runtime::new(pool.clone())
         .serve(stream, cfg)
         .expect("oracle serve succeeds");
+    assert_eq!(
+        oracle.latencies,
+        replayed_latencies(stream, &oracle),
+        "{context}: latencies diverge from a replay of the completions"
+    );
     for &t in threads {
         let parallel = Runtime::new(pool.clone())
             .serve(
@@ -297,9 +322,10 @@ fn groups_sharing_a_base_name_share_a_shard() {
             request.accelerator = if i % 2 == 0 { "a".into() } else { "b".into() };
         }
     }
+    // the reference and every budgeted serve: one shard, nothing spawned
     let one_shard = EnginePlan {
         shards: 1,
-        executor_threads: 6,
+        executor_threads: 0,
     };
     for policy in [Policy::FifoElide, Policy::ConfigAffinity, Policy::Cost] {
         let cfg = ServeConfig {
@@ -317,7 +343,8 @@ fn groups_sharing_a_base_name_share_a_shard() {
             let context = format!("shared base/{} x{threads}", policy.label());
             assert_identical(&oracle, &sharded, &context);
             assert_eq!(sharded.engine, sharded_plan(2, threads, 6), "{context}");
-            // a bounded budget overrides the thread budget: one shard
+            // a bounded budget overrides the thread budget: the reference
+            // plan, inline
             let budgeted = serve(
                 &pool,
                 &stream,
@@ -350,7 +377,7 @@ fn bench_pools_plan_one_shard_per_group() {
             reference.engine,
             EnginePlan {
                 shards: 1,
-                executor_threads: 4
+                executor_threads: 0
             },
             "{name}"
         );
