@@ -20,7 +20,7 @@
 //! ```
 //!
 //! joined across `scf.if` branches and `scf.for` back-edges (a shrinking
-//! fixpoint, the same field semantics as `accfg::dedup::known_fields`).
+//! fixpoint, the same field semantics as `accfg::dedup::ReachingFields`).
 //! Three consumers ship on top:
 //!
 //! - [`validate::validate_translation`] — translation validation: a

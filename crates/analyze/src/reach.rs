@@ -6,14 +6,20 @@
 //! register file, and ops with unknown side effects poison every register
 //! (the interpreter's `CLOBBER_POISON`). Branches of `scf.if` join, and
 //! `scf.for` bodies run to a fixpoint over the back-edge — the same
-//! shrinking-intersection semantics as `accfg::dedup`'s `known_fields`,
+//! shrinking-intersection semantics as `accfg::dedup`'s `ReachingFields`,
 //! generalized from "state visible to one setup" to "register file visible
 //! to every launch".
 
-use accfg::{accelerator, setup_fields, state_effect, StateEffect};
+use accfg::{setup_fields, state_effect, StateEffect};
 use accfg_ir::analysis::value_visible_at;
 use accfg_ir::{Module, OpId, Opcode, ValueDef, ValueId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// The name of the accelerator an accfg op addresses (the analysis keys
+/// its state by name, so results compare across modules).
+fn accelerator(m: &Module, op: OpId) -> String {
+    m.name(accfg::accelerator(m, op)).to_string()
+}
 
 /// Abstract value of one configuration field at one program point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,13 +237,13 @@ impl<'m> Engine<'m> {
                 continue;
             }
             let accel = accelerator(m, op);
-            for (index, (field, value)) in setup_fields(m, op).into_iter().enumerate() {
+            for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
                 site_ids.insert((op, index), writes.len());
                 writes.push(WriteSite {
                     op,
                     index,
                     accelerator: accel.clone(),
-                    field,
+                    field: field.to_string(),
                     value,
                     mult: 0,
                     redundant: false,
@@ -265,7 +271,8 @@ impl<'m> Engine<'m> {
         mult: u64,
         once_mult: u64,
     ) {
-        for op in self.m.block_ops(block) {
+        let m = self.m;
+        for &op in m.block_ops(block) {
             self.exec_op(op, state, pending, collect, mult, once_mult);
         }
     }
@@ -290,10 +297,10 @@ impl<'m> Engine<'m> {
         match m.op(op).opcode {
             Opcode::AccfgSetup => {
                 let accel = accelerator(m, op);
-                for (index, (field, value)) in setup_fields(m, op).into_iter().enumerate() {
+                for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
                     let site = self.site_ids[&(op, index)];
-                    let key = (accel.clone(), field.clone());
-                    let cur = state.get(&accel).and_then(|f| f.get(&field)).copied();
+                    let key = (accel.clone(), field.to_string());
+                    let cur = state.get(&accel).and_then(|f| f.get(field)).copied();
                     let redundant = cur == Some(AbsVal::Known(value));
                     if redundant {
                         // the register already holds this exact value: the
@@ -313,7 +320,7 @@ impl<'m> Engine<'m> {
                     state
                         .entry(accel.clone())
                         .or_default()
-                        .insert(field, AbsVal::Known(value));
+                        .insert(field.to_string(), AbsVal::Known(value));
                 }
             }
             Opcode::AccfgLaunch => {
@@ -512,7 +519,8 @@ impl<'m> Engine<'m> {
     }
 
     fn bound_block(&mut self, block: accfg_ir::BlockId, state: &mut State, bm: u64) {
-        for op in self.m.block_ops(block) {
+        let m = self.m;
+        for &op in m.block_ops(block) {
             self.bound_op(op, state, bm);
         }
     }
@@ -528,9 +536,9 @@ impl<'m> Engine<'m> {
         match m.op(op).opcode {
             Opcode::AccfgSetup => {
                 let accel = accelerator(m, op);
-                for (index, (field, value)) in setup_fields(m, op).into_iter().enumerate() {
+                for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
                     let site = self.site_ids[&(op, index)];
-                    let cur = state.get(&accel).and_then(|f| f.get(&field)).copied();
+                    let cur = state.get(&accel).and_then(|f| f.get(field)).copied();
                     // Equal SSA value, or two constants of equal payload:
                     // the steady entry only keeps `Known` facts whose
                     // runtime value is iteration-invariant, so either test
@@ -551,7 +559,7 @@ impl<'m> Engine<'m> {
                     state
                         .entry(accel.clone())
                         .or_default()
-                        .insert(field, AbsVal::Known(value));
+                        .insert(field.to_string(), AbsVal::Known(value));
                 }
             }
             Opcode::AccfgLaunch => {}

@@ -20,7 +20,7 @@ use accfg::dialect::setup_set_fields;
 use accfg::{interpret, setup_fields, ExecTrace};
 use accfg_analyze::reach::{analyze_func, resolve, Resolved};
 use accfg_analyze::{lint_module, AbsVal};
-use accfg_ir::{verify, FuncBuilder, Module, Type, ValueId};
+use accfg_ir::{verify, FuncBuilder, Module, Symbol, Type, ValueId};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -181,8 +181,8 @@ fn prune_flagged(m: &mut Module) -> u64 {
         }
     }
     for (op, drop) in drop_per_op {
-        let kept: Vec<(String, ValueId)> = setup_fields(m, op)
-            .into_iter()
+        let kept: Vec<(Symbol, ValueId)> = setup_fields(m, op)
+            .iter()
             .enumerate()
             .filter(|(i, _)| !drop.contains(i))
             .map(|(_, fv)| fv)

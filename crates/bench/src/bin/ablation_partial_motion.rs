@@ -49,7 +49,7 @@ fn overlapped_writes(m: &Module) -> usize {
     let mut count = 0;
     let mut awaits_seen = 0;
     let mut launches_seen = 0;
-    for op in ops {
+    for &op in ops {
         match m.op(op).opcode {
             Opcode::AccfgAwait => awaits_seen += 1,
             Opcode::AccfgLaunch => launches_seen += 1,

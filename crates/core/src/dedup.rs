@@ -1,13 +1,14 @@
 //! Configuration deduplication (Section 5.4): remove writes of values that
 //! the accelerator's configuration registers already hold.
 //!
-//! The analysis walks the use-def chain of state values backwards to build,
-//! for every `accfg.setup`, a map of fields whose contents are statically
-//! known at its input. SSA-value equality is the proxy for runtime-value
-//! equality (Section 5.4: "the same SSA-value will always contain the same
-//! value at runtime"). Loop-carried states are solved with a shrinking
-//! fixpoint: the registers known at loop entry are the intersection of what
-//! is known at the initial state and at the back-edge (yield) state.
+//! [`ReachingFields`] computes, for every state value, the fields whose
+//! register contents are statically known in that state; a setup then drops
+//! each field its input state already holds with the same SSA value.
+//! SSA-value equality is the proxy for runtime-value equality (Section 5.4:
+//! "the same SSA-value will always contain the same value at runtime").
+//! Loop-carried states are solved with a shrinking fixpoint: the registers
+//! known at loop entry are the intersection of what is known at the initial
+//! state and at the back-edge (yield) state.
 //!
 //! Two cleanup rewrites from the paper follow: [`RemoveEmptySetups`] and
 //! [`MergeSetups`].
@@ -16,14 +17,142 @@ use crate::dialect::{
     self, setup_fields, setup_input_state, setup_set_fields, setup_set_input_state, setup_state,
     StateEffect,
 };
-use accfg_ir::{Changed, Module, OpId, Opcode, Pass, ValueDef, ValueId};
-use std::collections::HashMap;
+use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Symbol, ValueDef, ValueId};
 
-/// Field name → the SSA value known to be in the register.
-type FieldMap = HashMap<String, ValueId>;
+/// Per field, the SSA value known to be in its register: a dense vector
+/// indexed by the field name's [`Symbol`]. Empty stands for "nothing
+/// known", so values that never carry a state cost nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FieldMap(Vec<Option<ValueId>>);
 
-/// Assumptions for loop-carried state values during the fixpoint.
-type Assumptions = HashMap<ValueId, FieldMap>;
+impl FieldMap {
+    /// The value known to be in `field`'s register, if any.
+    pub fn get(&self, field: Symbol) -> Option<ValueId> {
+        self.0.get(field.index()).copied().flatten()
+    }
+
+    /// Keeps only what `other` agrees on. Returns `true` if anything went.
+    fn meet(&mut self, other: &FieldMap) -> bool {
+        let mut shrunk = false;
+        for (i, slot) in self.0.iter_mut().enumerate() {
+            if slot.is_some() && *slot != other.0.get(i).copied().flatten() {
+                *slot = None;
+                shrunk = true;
+            }
+        }
+        shrunk
+    }
+}
+
+/// The reaching-fields analysis: one forward solve over the module that
+/// leaves, for every state value, the register contents statically known
+/// in that state.
+///
+/// A setup's state knows what its input state knows, overridden by the
+/// fields it writes. An `scf.if` result knows what both branches' yields
+/// agree on. A loop-carried state starts from what the loop's init state
+/// knows and shrinks to what the back edge confirms — the body is re-solved
+/// under the shrunk assumption until nothing more goes (every round removes
+/// at least one field, so it ends); the loop's result knows what init and
+/// back edge agree on, since the loop may run zero times. Everything else —
+/// function arguments, states of foreign ops — knows nothing.
+#[derive(Debug)]
+pub struct ReachingFields {
+    /// Indexed by value.
+    known: Vec<FieldMap>,
+    /// Length of a non-empty map: the module's symbol count.
+    width: usize,
+}
+
+impl ReachingFields {
+    /// Solves every function of `m`.
+    pub fn solve(m: &Module) -> Self {
+        let mut solver = Self {
+            known: vec![FieldMap::default(); m.value_count()],
+            width: m.symbol_count(),
+        };
+        for &func in m.funcs() {
+            solver.solve_block(m, m.body_block(func, 0));
+        }
+        solver
+    }
+
+    /// The register contents statically known in `state`.
+    pub fn known_fields(&self, state: ValueId) -> &FieldMap {
+        &self.known[state.index()]
+    }
+
+    /// `known[dst] = known[src]`, into `dst`'s own storage (a loop body is
+    /// solved several times over the same values).
+    fn copy(&mut self, dst: ValueId, src: ValueId) {
+        let mut map = std::mem::take(&mut self.known[dst.index()]);
+        map.clone_from(&self.known[src.index()]);
+        self.known[dst.index()] = map;
+    }
+
+    /// `known[dst] ∩= known[other]`. Returns `true` if `known[dst]` shrank.
+    fn meet(&mut self, dst: ValueId, other: ValueId) -> bool {
+        let mut map = std::mem::take(&mut self.known[dst.index()]);
+        let shrunk = map.meet(&self.known[other.index()]);
+        self.known[dst.index()] = map;
+        shrunk
+    }
+
+    fn solve_block(&mut self, m: &Module, block: BlockId) {
+        for &op in m.block_ops(block) {
+            let data = m.op(op);
+            match data.opcode {
+                Opcode::AccfgSetup => {
+                    let state = setup_state(m, op);
+                    match setup_input_state(m, op) {
+                        Some(input) => self.copy(state, input),
+                        None => self.known[state.index()].0.clear(),
+                    }
+                    let map = &mut self.known[state.index()].0;
+                    map.resize(self.width, None);
+                    for (name, value) in setup_fields(m, op).iter() {
+                        map[name.index()] = Some(value);
+                    }
+                }
+                Opcode::If => {
+                    let yields = [0, 1].map(|r| {
+                        let branch = m.body_block(op, r);
+                        self.solve_block(m, branch);
+                        &m.op(m.terminator(branch)).operands
+                    });
+                    for (i, &result) in data.results.iter().enumerate() {
+                        self.copy(result, yields[0][i]);
+                        self.meet(result, yields[1][i]);
+                    }
+                }
+                Opcode::For => {
+                    let body = m.body_block(op, 0);
+                    let inits = &data.operands[3..];
+                    let args = &m.block(body).args[1..];
+                    let yields = &m.op(m.terminator(body)).operands;
+                    for (&arg, &init) in args.iter().zip(inits) {
+                        self.copy(arg, init);
+                    }
+                    loop {
+                        self.solve_block(m, body);
+                        let mut shrunk = false;
+                        for (&arg, &yielded) in args.iter().zip(yields) {
+                            shrunk |= self.meet(arg, yielded);
+                        }
+                        if !shrunk {
+                            break;
+                        }
+                    }
+                    for (i, &result) in data.results.iter().enumerate() {
+                        self.copy(result, inits[i]);
+                        self.meet(result, yields[i]);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+}
 
 /// The configuration-deduplication pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,6 +164,12 @@ impl Pass for Deduplicate {
     }
 
     fn run(&self, m: &mut Module) -> Changed {
+        // Solved once, on the IR as the pass finds it. Dropping a field
+        // whose value its input state already holds leaves what every state
+        // knows exactly as it was (the setup's own state still knows the
+        // value, through its input), so the solution stays right as the
+        // setups below are rewritten one by one.
+        let reaching = ReachingFields::solve(m);
         let mut changed = Changed::No;
         for op in m.walk_module() {
             if !m.is_alive(op) || m.op(op).opcode != Opcode::AccfgSetup {
@@ -43,115 +178,18 @@ impl Pass for Deduplicate {
             let Some(input) = setup_input_state(m, op) else {
                 continue;
             };
-            let known = known_fields(m, input, &mut Assumptions::new());
+            let known = reaching.known_fields(input);
+            let redundant = |&(name, value): &(Symbol, ValueId)| known.get(name) == Some(value);
             let fields = setup_fields(m, op);
-            let retained: Vec<(String, ValueId)> = fields
-                .iter()
-                .filter(|(name, value)| known.get(name) != Some(value))
-                .cloned()
-                .collect();
-            if retained.len() < fields.len() {
+            if fields.iter().any(|f| redundant(&f)) {
+                let retained: Vec<(Symbol, ValueId)> =
+                    fields.iter().filter(|f| !redundant(f)).collect();
                 setup_set_fields(m, op, &retained);
                 changed = Changed::Yes;
             }
         }
         changed
     }
-}
-
-/// Computes the register contents statically known in `state`.
-///
-/// `assumptions` carries optimistic in-progress facts for loop block
-/// arguments, refined by the shrinking fixpoint in `block_arg_fields`.
-pub fn known_fields(m: &Module, state: ValueId, assumptions: &mut Assumptions) -> FieldMap {
-    if let Some(a) = assumptions.get(&state) {
-        return a.clone();
-    }
-    match m.value(state).def {
-        ValueDef::OpResult { op, index } => match m.op(op).opcode {
-            Opcode::AccfgSetup => {
-                let mut known = match setup_input_state(m, op) {
-                    Some(input) => known_fields(m, input, assumptions),
-                    None => FieldMap::new(),
-                };
-                for (name, value) in setup_fields(m, op) {
-                    known.insert(name, value);
-                }
-                known
-            }
-            Opcode::If => {
-                let a = branch_yield_operand(m, op, 0, index as usize);
-                let b = branch_yield_operand(m, op, 1, index as usize);
-                let ka = known_fields(m, a, assumptions);
-                let kb = known_fields(m, b, assumptions);
-                intersect(&ka, &kb)
-            }
-            Opcode::For => {
-                // state after the loop = state at the back edge, but the
-                // loop may run zero iterations, so intersect with the init
-                let init = m.op(op).operands[3 + index as usize];
-                let body = m.body_block(op, 0);
-                let yielded = m.op(m.terminator(body)).operands[index as usize];
-                let arg = m.block(body).args[1 + index as usize];
-                let entry = block_arg_fields(m, arg, init, yielded, assumptions);
-                assumptions.insert(arg, entry);
-                let kb = known_fields(m, yielded, assumptions);
-                assumptions.remove(&arg);
-                let ki = known_fields(m, init, assumptions);
-                intersect(&ki, &kb)
-            }
-            _ => FieldMap::new(),
-        },
-        ValueDef::BlockArg { block, index } => {
-            let Some(owner) = m.block_parent_op(block) else {
-                return FieldMap::new(); // function argument: nothing known
-            };
-            if m.op(owner).opcode != Opcode::For || index == 0 {
-                return FieldMap::new();
-            }
-            let init = m.op(owner).operands[3 + (index as usize - 1)];
-            let yielded = m.op(m.terminator(block)).operands[index as usize - 1];
-            block_arg_fields(m, state, init, yielded, assumptions)
-        }
-    }
-}
-
-/// Shrinking fixpoint for a loop-carried state block argument: start from
-/// everything known at the init state, then repeatedly intersect with what
-/// the back edge provides under the current assumption, until stable.
-fn block_arg_fields(
-    m: &Module,
-    arg: ValueId,
-    init: ValueId,
-    yielded: ValueId,
-    assumptions: &mut Assumptions,
-) -> FieldMap {
-    if let Some(a) = assumptions.get(&arg) {
-        return a.clone();
-    }
-    let mut current = known_fields(m, init, assumptions);
-    loop {
-        assumptions.insert(arg, current.clone());
-        let back = known_fields(m, yielded, assumptions);
-        assumptions.remove(&arg);
-        let next = intersect(&current, &back);
-        if next == current {
-            return current;
-        }
-        current = next;
-    }
-}
-
-fn branch_yield_operand(m: &Module, if_op: OpId, region: usize, index: usize) -> ValueId {
-    let block = m.body_block(if_op, region);
-    m.op(m.terminator(block)).operands[index]
-}
-
-fn intersect(a: &FieldMap, b: &FieldMap) -> FieldMap {
-    a.iter()
-        .filter(|(k, v)| b.get(*k) == Some(v))
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
 }
 
 /// Removes `accfg.setup` ops that write no fields (Section 5.4.1's first
@@ -185,7 +223,7 @@ impl Pass for RemoveEmptySetups {
                 None => {
                     // an input-less empty setup carries no information: any
                     // setup chained from it can simply drop its input
-                    for u in m.uses_of(state) {
+                    for u in m.uses_of(state).to_vec() {
                         if m.op(u.op).opcode == Opcode::AccfgSetup
                             && u.operand_index == 0
                             && setup_input_state(m, u.op) == Some(state)
@@ -275,8 +313,8 @@ fn try_merge_into(m: &mut Module, s2: OpId) -> bool {
     }
 
     // merged field list: S1's fields, overridden/extended by S2's
-    let mut merged = setup_fields(m, s1);
-    for (name, value) in setup_fields(m, s2) {
+    let mut merged: Vec<(Symbol, ValueId)> = setup_fields(m, s1).iter().collect();
+    for (name, value) in setup_fields(m, s2).iter() {
         if let Some(slot) = merged.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = value;
         } else {

@@ -6,45 +6,72 @@
 //! removing deduplicated fields, and classifying which ops preserve
 //! accelerator configuration state (Section 5.1's effects model).
 
-use accfg_ir::{AttrMap, Attribute, Effects, Module, OpId, Opcode, Type, ValueId};
+use accfg_ir::{Attribute, Effects, Module, OpId, Opcode, Symbol, ValueId};
 
-/// Reads the `accelerator` attribute of any accfg op.
+/// The accelerator an accfg op addresses, as a symbol of its module
+/// (`m.name(..)` is the string).
 ///
 /// # Panics
-/// Panics if the op lacks the attribute (such ops do not pass the verifier).
-pub fn accelerator(m: &Module, op: OpId) -> String {
-    m.str_attr(op, "accelerator")
-        .expect("accfg op has an `accelerator` attribute")
-        .to_string()
+/// Panics if the op names none (such ops do not pass the verifier).
+pub fn accelerator(m: &Module, op: OpId) -> Symbol {
+    m.op(op)
+        .accelerator
+        .expect("accfg op names its accelerator")
+}
+
+/// The `(name, value)` field pairs of an `accfg.setup`: a view borrowed
+/// from the module.
+#[derive(Debug, Clone, Copy)]
+pub struct SetupFields<'m> {
+    m: &'m Module,
+    names: &'m [Symbol],
+    values: &'m [ValueId],
+}
+
+impl<'m> SetupFields<'m> {
+    /// Number of fields the setup writes.
+    pub fn len(&self) -> usize {
+        self.names.len().min(self.values.len())
+    }
+
+    /// `true` for a setup that writes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The pairs, in the setup's order, names as the module's symbols.
+    pub fn iter(&self) -> impl Iterator<Item = (Symbol, ValueId)> + 'm {
+        self.names.iter().copied().zip(self.values.iter().copied())
+    }
+
+    /// The pairs, in the setup's order, names spelled out.
+    pub fn named(&self) -> impl Iterator<Item = (&'m str, ValueId)> + 'm {
+        let m = self.m;
+        self.iter().map(move |(name, value)| (m.name(name), value))
+    }
+
+    /// The values written, in the setup's order.
+    pub fn values(&self) -> &'m [ValueId] {
+        &self.values[..self.len()]
+    }
 }
 
 /// The `(name, value)` field pairs of an `accfg.setup`.
-pub fn setup_fields(m: &Module, setup: OpId) -> Vec<(String, ValueId)> {
-    debug_assert_eq!(m.op(setup).opcode, Opcode::AccfgSetup);
-    let names: Vec<String> = m
-        .attr(setup, "fields")
-        .and_then(Attribute::as_array)
-        .map(|a| {
-            a.iter()
-                .filter_map(|x| x.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
-    let skip = usize::from(setup_input_state(m, setup).is_some());
-    names
-        .into_iter()
-        .zip(m.op(setup).operands[skip..].iter().copied())
-        .collect()
+pub fn setup_fields(m: &Module, setup: OpId) -> SetupFields<'_> {
+    let data = m.op(setup);
+    debug_assert_eq!(data.opcode, Opcode::AccfgSetup);
+    SetupFields {
+        m,
+        names: &data.fields,
+        values: &data.operands[usize::from(data.has_input_state)..],
+    }
 }
 
 /// The input state operand of an `accfg.setup`, if it has one.
 pub fn setup_input_state(m: &Module, setup: OpId) -> Option<ValueId> {
-    debug_assert_eq!(m.op(setup).opcode, Opcode::AccfgSetup);
-    let has = m
-        .attr(setup, "has_input_state")
-        .and_then(Attribute::as_bool)
-        .unwrap_or(false);
-    has.then(|| m.op(setup).operands[0])
+    let data = m.op(setup);
+    debug_assert_eq!(data.opcode, Opcode::AccfgSetup);
+    data.has_input_state.then(|| data.operands[0])
 }
 
 /// The state produced by an `accfg.setup`.
@@ -53,63 +80,47 @@ pub fn setup_state(m: &Module, setup: OpId) -> ValueId {
     m.op(setup).results[0]
 }
 
+/// `[input state?, field values...]`: the operand list of a setup.
+fn setup_operands(input: Option<ValueId>, values: impl Iterator<Item = ValueId>) -> Vec<ValueId> {
+    let mut operands = Vec::with_capacity(values.size_hint().0 + 1);
+    operands.extend(input);
+    operands.extend(values);
+    operands
+}
+
 /// Sets or clears the input state of a setup, keeping fields unchanged.
 pub fn setup_set_input_state(m: &mut Module, setup: OpId, input: Option<ValueId>) {
-    let fields: Vec<ValueId> = {
-        let skip = usize::from(setup_input_state(m, setup).is_some());
-        m.op(setup).operands[skip..].to_vec()
-    };
-    let mut operands = Vec::with_capacity(fields.len() + 1);
-    if let Some(s) = input {
-        operands.push(s);
-    }
-    operands.extend(fields);
+    let values = setup_fields(m, setup).values().iter().copied();
+    let operands = setup_operands(input, values);
     m.set_operands(setup, operands);
-    m.set_attr(setup, "has_input_state", Attribute::Bool(input.is_some()));
+    m.set_has_input_state(setup, input.is_some());
 }
 
 /// Replaces the full field list of a setup (keeping its input state).
-pub fn setup_set_fields(m: &mut Module, setup: OpId, fields: &[(String, ValueId)]) {
+pub fn setup_set_fields(m: &mut Module, setup: OpId, fields: &[(Symbol, ValueId)]) {
     let input = setup_input_state(m, setup);
-    let mut operands = Vec::with_capacity(fields.len() + 1);
-    if let Some(s) = input {
-        operands.push(s);
-    }
-    operands.extend(fields.iter().map(|(_, v)| *v));
-    m.set_operands(setup, operands);
-    m.set_attr(
-        setup,
-        "fields",
-        Attribute::str_array(fields.iter().map(|(n, _)| n.clone())),
-    );
+    m.set_operands(setup, setup_operands(input, fields.iter().map(|f| f.1)));
+    m.set_setup_fields(setup, fields.iter().map(|f| f.0).collect());
 }
 
 /// Creates a detached `accfg.setup` op.
 pub fn make_setup(
     m: &mut Module,
-    accelerator: &str,
+    accelerator: Symbol,
     input: Option<ValueId>,
-    fields: &[(String, ValueId)],
+    fields: &[(Symbol, ValueId)],
 ) -> OpId {
-    let mut attrs = AttrMap::new();
-    attrs.insert("accelerator".into(), Attribute::Str(accelerator.into()));
-    attrs.insert(
-        "fields".into(),
-        Attribute::str_array(fields.iter().map(|(n, _)| n.clone())),
-    );
-    attrs.insert("has_input_state".into(), Attribute::Bool(input.is_some()));
-    let mut operands = Vec::with_capacity(fields.len() + 1);
-    if let Some(s) = input {
-        operands.push(s);
-    }
-    operands.extend(fields.iter().map(|(_, v)| *v));
-    m.create_op(
+    let op = m.create_op(
         Opcode::AccfgSetup,
-        operands,
-        vec![Type::state(accelerator)],
-        attrs,
+        setup_operands(input, fields.iter().map(|f| f.1)),
+        [m.state_type(accelerator)],
+        Default::default(),
         vec![],
-    )
+    );
+    m.set_accelerator(op, accelerator);
+    m.set_setup_fields(op, fields.iter().map(|f| f.0).collect());
+    m.set_has_input_state(op, input.is_some());
+    op
 }
 
 /// How an op interacts with accelerator configuration state.
@@ -163,26 +174,41 @@ pub fn subtree_has_clobber(m: &Module, root: OpId) -> bool {
 }
 
 /// All `accfg.setup` ops for `accel` nested under `root` (inclusive).
-pub fn setups_for(m: &Module, root: OpId, accel: &str) -> Vec<OpId> {
-    m.walk_collect(root)
-        .into_iter()
-        .filter(|&o| {
-            m.op(o).opcode == Opcode::AccfgSetup && m.str_attr(o, "accelerator") == Some(accel)
-        })
-        .collect()
+pub fn setups_for(m: &Module, root: OpId, accel: Symbol) -> Vec<OpId> {
+    let mut setups = Vec::new();
+    m.walk(root, &mut |o| {
+        let data = m.op(o);
+        if data.opcode == Opcode::AccfgSetup && data.accelerator == Some(accel) {
+            setups.push(o);
+        }
+    });
+    setups
 }
 
-/// The accelerator names referenced by any accfg op under `root`.
-pub fn accelerators_used(m: &Module, root: OpId) -> Vec<String> {
-    let mut names: Vec<String> = m
-        .walk_collect(root)
-        .into_iter()
-        .filter(|&o| m.op(o).opcode.is_accfg())
-        .filter_map(|o| m.str_attr(o, "accelerator").map(str::to_string))
-        .collect();
-    names.sort();
-    names.dedup();
-    names
+/// The accelerators addressed by the accfg ops under `root` that `keep`
+/// accepts, each once, ordered by name (so nothing downstream depends on
+/// the order names were interned in).
+pub(crate) fn accelerators_where(
+    m: &Module,
+    root: OpId,
+    keep: impl Fn(Opcode) -> bool,
+) -> Vec<Symbol> {
+    let mut accels: Vec<Symbol> = Vec::new();
+    m.walk(root, &mut |o| {
+        let data = m.op(o);
+        if let (true, Some(accel)) = (keep(data.opcode), data.accelerator) {
+            if !accels.contains(&accel) {
+                accels.push(accel);
+            }
+        }
+    });
+    accels.sort_unstable_by_key(|&a| m.name(a));
+    accels
+}
+
+/// The accelerators referenced by any accfg op under `root`, by name.
+pub fn accelerators_used(m: &Module, root: OpId) -> Vec<Symbol> {
+    accelerators_where(m, root, Opcode::is_accfg)
 }
 
 #[cfg(test)]
@@ -200,17 +226,17 @@ mod tests {
         b.await_token("gemm", t);
         b.ret(vec![]);
         let func = m.func_by_name("f").unwrap();
-        let setup = setups_for(&m, func, "gemm")[0];
+        let setup = setups_for(&m, func, m.symbol("gemm").unwrap())[0];
         (m, setup)
     }
 
     #[test]
     fn reads_fields() {
         let (m, setup) = setup_module();
-        let fields = setup_fields(&m, setup);
+        let fields: Vec<_> = setup_fields(&m, setup).iter().collect();
         assert_eq!(fields.len(), 2);
-        assert_eq!(fields[0].0, "x");
-        assert_eq!(fields[1].0, "y");
+        assert_eq!(m.name(fields[0].0), "x");
+        assert_eq!(m.name(fields[1].0), "y");
         assert_eq!(setup_input_state(&m, setup), None);
     }
 
@@ -230,10 +256,13 @@ mod tests {
     #[test]
     fn replaces_field_list() {
         let (mut m, setup) = setup_module();
-        let fields = setup_fields(&m, setup);
+        let fields: Vec<_> = setup_fields(&m, setup).iter().collect();
         setup_set_fields(&mut m, setup, &fields[..1]);
         assert_eq!(setup_fields(&m, setup).len(), 1);
-        assert_eq!(setup_fields(&m, setup)[0].0, "x");
+        assert_eq!(
+            m.name(setup_fields(&m, setup).iter().next().unwrap().0),
+            "x"
+        );
     }
 
     #[test]
@@ -289,6 +318,10 @@ mod tests {
         b.await_token("alpha", t2);
         b.ret(vec![]);
         let func = m.func_by_name("f").unwrap();
-        assert_eq!(accelerators_used(&m, func), vec!["alpha", "beta"]);
+        let used: Vec<&str> = accelerators_used(&m, func)
+            .into_iter()
+            .map(|a| m.name(a))
+            .collect();
+        assert_eq!(used, vec!["alpha", "beta"]);
     }
 }

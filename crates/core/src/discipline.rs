@@ -47,17 +47,16 @@ pub fn verify_discipline(m: &Module) -> Result<(), DisciplineError> {
         for op in m.walk_collect(func) {
             if m.op(op).opcode == Opcode::AccfgLaunch {
                 let token = m.op(op).results[0];
-                let awaits: Vec<_> = m
+                let awaits = m
                     .uses_of(token)
-                    .into_iter()
+                    .iter()
                     .filter(|u| m.op(u.op).opcode == Opcode::AccfgAwait)
-                    .collect();
-                if awaits.len() != 1 {
+                    .count();
+                if awaits != 1 {
                     return Err(DisciplineError {
                         op,
                         message: format!(
-                            "launch token must be awaited exactly once, found {} awaits",
-                            awaits.len()
+                            "launch token must be awaited exactly once, found {awaits} awaits"
                         ),
                     });
                 }
@@ -71,17 +70,17 @@ pub fn verify_discipline(m: &Module) -> Result<(), DisciplineError> {
 
 fn check_block(m: &Module, block: BlockId) -> Result<(), DisciplineError> {
     // newest state value defined in this block, per accelerator
-    let mut newest: HashMap<String, ValueId> = HashMap::new();
+    let mut newest: HashMap<&str, ValueId> = HashMap::new();
     for &arg in &m.block(block).args {
         if let Type::State(accel) = m.value_type(arg) {
-            newest.insert(accel.clone(), arg);
+            newest.insert(accel, arg);
         }
     }
-    for op in m.block_ops(block) {
+    for &op in m.block_ops(block) {
         // a state operand must be the newest known state of its accelerator
         for &operand in &m.op(op).operands {
             if let Type::State(accel) = m.value_type(operand) {
-                if let Some(&n) = newest.get(accel) {
+                if let Some(&n) = newest.get(&**accel) {
                     if n != operand {
                         return Err(DisciplineError {
                             op,
@@ -96,12 +95,11 @@ fn check_block(m: &Module, block: BlockId) -> Result<(), DisciplineError> {
         }
         for &result in &m.op(op).results {
             if let Type::State(accel) = m.value_type(result) {
-                newest.insert(accel.clone(), result);
+                newest.insert(accel, result);
             }
         }
-        for ri in 0..m.op(op).regions.len() {
-            let region = m.op(op).regions[ri];
-            for b in m.region(region).blocks.clone() {
+        for &region in &m.op(op).regions {
+            for &b in &m.region(region).blocks {
                 check_block(m, b)?;
             }
         }
@@ -113,11 +111,15 @@ fn check_block(m: &Module, block: BlockId) -> Result<(), DisciplineError> {
 /// the IR (each setup's field count, loops counted once). A cheap progress
 /// metric used by tests and benches: deduplication must never increase it.
 pub fn static_setup_field_count(m: &Module) -> usize {
-    m.walk_module()
-        .into_iter()
-        .filter(|&o| m.op(o).opcode == Opcode::AccfgSetup)
-        .map(|o| dialect::setup_fields(m, o).len())
-        .sum()
+    let mut count = 0;
+    for &func in m.funcs() {
+        m.walk(func, &mut |o| {
+            if m.op(o).opcode == Opcode::AccfgSetup {
+                count += dialect::setup_fields(m, o).len();
+            }
+        });
+    }
+    count
 }
 
 #[cfg(test)]

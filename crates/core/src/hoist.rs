@@ -13,7 +13,7 @@ use crate::dialect::{
     self, make_setup, setup_fields, setup_input_state, setup_set_fields, setup_state,
 };
 use accfg_ir::analysis::value_visible_at;
-use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Type, ValueDef, ValueId};
+use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueDef, ValueId};
 
 /// Sinks setups into the branches of the `scf.if` producing their input
 /// state.
@@ -28,9 +28,17 @@ impl Pass for HoistSetupIntoBranch {
     fn run(&self, m: &mut Module) -> Changed {
         let mut changed = Changed::No;
         loop {
-            let candidate = m.walk_module().into_iter().find(|&op| {
-                m.is_alive(op) && m.op(op).opcode == Opcode::AccfgSetup && can_sink(m, op)
-            });
+            let mut candidate = None;
+            for &func in m.funcs() {
+                m.walk(func, &mut |op| {
+                    if candidate.is_none()
+                        && m.op(op).opcode == Opcode::AccfgSetup
+                        && can_sink(m, op)
+                    {
+                        candidate = Some(op);
+                    }
+                });
+            }
             match candidate {
                 Some(setup) => {
                     sink_into_branches(m, setup);
@@ -65,10 +73,10 @@ fn can_sink(m: &Module, setup: OpId) -> bool {
     if m.op(setup).parent != m.op(if_op).parent {
         return false;
     }
-    setup_fields(m, setup).iter().all(|(_, v)| {
+    setup_fields(m, setup).values().iter().all(|&v| {
         (0..2).all(|r| {
             let yield_op = m.terminator(m.body_block(if_op, r));
-            value_visible_at(m, *v, yield_op)
+            value_visible_at(m, v, yield_op)
         })
     })
 }
@@ -76,16 +84,14 @@ fn can_sink(m: &Module, setup: OpId) -> bool {
 fn sink_into_branches(m: &mut Module, setup: OpId) {
     let (if_op, index) = input_if(m, setup).expect("checked by can_sink");
     let accel = dialect::accelerator(m, setup);
-    let fields = setup_fields(m, setup);
+    let fields: Vec<(Symbol, ValueId)> = setup_fields(m, setup).iter().collect();
     for r in 0..2 {
         let block = m.body_block(if_op, r);
         let yield_op = m.terminator(block);
         let branch_state = m.op(yield_op).operands[index as usize];
-        let clone = make_setup(m, &accel, Some(branch_state), &fields);
+        let clone = make_setup(m, accel, Some(branch_state), &fields);
         m.move_op_before(clone, yield_op);
-        let mut operands = m.op(yield_op).operands.clone();
-        operands[index as usize] = setup_state(m, clone);
-        m.set_operands(yield_op, operands);
+        m.set_operand(yield_op, index as usize, setup_state(m, clone));
     }
     let joined = m.op(if_op).results[index as usize];
     let result = setup_state(m, setup);
@@ -128,23 +134,21 @@ fn hoist_from_loop(m: &mut Module, for_op: OpId) -> Changed {
     let mut changed = Changed::No;
     // one threaded state per accelerator: find state-typed iter args
     let body = m.body_block(for_op, 0);
-    let state_args: Vec<(usize, String)> = m
-        .block(body)
-        .args
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &a)| match m.value_type(a) {
-            Type::State(accel) => Some((i, accel.clone())),
+    for arg_index in 0..m.block(body).args.len() {
+        // a state type's name is interned: some accfg op of the module
+        // produced (or the builder typed) the state this argument carries
+        let accel = match m.value_type(m.block(body).args[arg_index]) {
+            Type::State(name) => m.symbol(name),
             _ => None,
-        })
-        .collect();
-    for (arg_index, accel) in state_args {
-        changed = changed.or(hoist_accel_fields(m, for_op, arg_index, &accel));
+        };
+        if let Some(accel) = accel {
+            changed = changed.or(hoist_accel_fields(m, for_op, arg_index, accel));
+        }
     }
     changed
 }
 
-fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: &str) -> Changed {
+fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: Symbol) -> Changed {
     let setups = dialect::setups_for(m, for_op, accel);
     if setups.is_empty() {
         return Changed::No;
@@ -152,10 +156,10 @@ fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: &st
     // candidate fields: written by some setup with a loop-invariant value
     // that is visible before the loop, and never written with a *different*
     // value by any setup in the body
-    let mut candidates: Vec<(String, ValueId)> = Vec::new();
-    let mut conflicted: Vec<String> = Vec::new();
+    let mut candidates: Vec<(Symbol, ValueId)> = Vec::new();
+    let mut conflicted: Vec<Symbol> = Vec::new();
     for &s in &setups {
-        for (name, value) in setup_fields(m, s) {
+        for (name, value) in setup_fields(m, s).iter() {
             if conflicted.contains(&name) {
                 continue;
             }
@@ -190,11 +194,12 @@ fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: &st
 
     // strip the hoisted fields from every in-loop writer
     for &s in &setups {
-        let remaining: Vec<(String, ValueId)> = setup_fields(m, s)
-            .into_iter()
-            .filter(|(n, _)| !candidates.iter().any(|(c, _)| c == n))
-            .collect();
-        if remaining.len() != setup_fields(m, s).len() {
+        let hoisted = |n: Symbol| candidates.iter().any(|&(c, _)| c == n);
+        if setup_fields(m, s).iter().any(|(n, _)| hoisted(n)) {
+            let remaining: Vec<(Symbol, ValueId)> = setup_fields(m, s)
+                .iter()
+                .filter(|&(n, _)| !hoisted(n))
+                .collect();
             setup_set_fields(m, s, &remaining);
         }
     }

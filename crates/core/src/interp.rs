@@ -141,7 +141,8 @@ impl<'m> Interp<'m> {
     /// Runs every op in `block`; returns the yield/return operand values.
     fn run_block(&mut self, block: accfg_ir::BlockId) -> Result<Vec<i64>, InterpError> {
         let mut terminator_values = Vec::new();
-        for op in self.m.block_ops(block) {
+        let m = self.m;
+        for &op in m.block_ops(block) {
             if self.fuel == 0 {
                 return Err(InterpError::OutOfFuel);
             }
@@ -197,23 +198,32 @@ impl<'m> Interp<'m> {
                 self.env.insert(data.results[0], v);
             }
             Opcode::AccfgSetup => {
-                let accel = dialect::accelerator(m, op);
-                let fields = dialect::setup_fields(m, op);
-                let file = self.regs.entry(accel).or_default();
-                for (name, value_id) in fields {
+                let accel = m.name(dialect::accelerator(m, op));
+                if !self.regs.contains_key(accel) {
+                    self.regs.insert(accel.to_string(), BTreeMap::new());
+                }
+                let file = self.regs.get_mut(accel).expect("inserted above");
+                for (name, value_id) in dialect::setup_fields(m, op).iter() {
                     let value = *self.env.get(&value_id).unwrap_or(&0);
-                    if file.get(&name) == Some(&value) {
-                        self.trace.elided_writes += 1;
+                    match file.get_mut(m.name(name)) {
+                        Some(held) => {
+                            if *held == value {
+                                self.trace.elided_writes += 1;
+                            }
+                            *held = value;
+                        }
+                        None => {
+                            file.insert(m.name(name).to_string(), value);
+                        }
                     }
-                    file.insert(name, value);
                     self.trace.setup_writes += 1;
                 }
             }
             Opcode::AccfgLaunch => {
-                let accel = dialect::accelerator(m, op);
-                let registers = self.regs.entry(accel.clone()).or_default().clone();
+                let accel = m.name(dialect::accelerator(m, op));
+                let registers = self.regs.get(accel).cloned().unwrap_or_default();
                 self.trace.launches.push(LaunchRecord {
-                    accelerator: accel,
+                    accelerator: accel.to_string(),
                     registers,
                 });
             }

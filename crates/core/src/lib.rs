@@ -74,10 +74,10 @@ pub mod pipeline;
 pub mod regstate;
 pub mod trace_states;
 
-pub use dedup::{Deduplicate, MergeSetups, RemoveEmptySetups};
+pub use dedup::{Deduplicate, MergeSetups, ReachingFields, RemoveEmptySetups};
 pub use dialect::{
     accelerator, accelerators_used, make_setup, setup_fields, setup_input_state, setup_state,
-    setups_for, state_effect, StateEffect,
+    setups_for, state_effect, SetupFields, StateEffect,
 };
 pub use discipline::{static_setup_field_count, verify_discipline, DisciplineError};
 pub use hoist::{HoistInvariantSetupFields, HoistSetupIntoBranch};

@@ -19,7 +19,7 @@
 //! impure producer blocks the rewrite.
 
 use crate::dialect::{self, setup_fields, setup_input_state, setup_state};
-use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Type, ValueId};
+use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueId};
 use std::collections::{HashMap, HashSet};
 
 /// Which accelerators an overlap pass may touch. Overlap is only sound on
@@ -106,17 +106,20 @@ fn enclosing_func(m: &Module, op: OpId) -> OpId {
 /// speculated fields) — so we require that *no* launch of this accelerator
 /// appears after the loop in the function (pre-order follows execution
 /// order in this structured IR).
-fn speculation_is_observable(m: &Module, for_op: OpId, accel: &str) -> bool {
-    let func = enclosing_func(m, for_op);
-    let preorder = m.walk_collect(func);
-    let start = preorder
-        .iter()
-        .position(|&o| o == for_op)
-        .expect("loop is in its function");
-    let subtree_len = m.walk_collect(for_op).len();
-    preorder[start + subtree_len..].iter().any(|&o| {
-        m.op(o).opcode == Opcode::AccfgLaunch && m.str_attr(o, "accelerator") == Some(accel)
-    })
+fn speculation_is_observable(m: &Module, for_op: OpId, accel: Symbol) -> bool {
+    let (mut past_loop_entry, mut observed) = (false, false);
+    m.walk(enclosing_func(m, for_op), &mut |o| {
+        if o == for_op {
+            past_loop_entry = true;
+        } else if past_loop_entry
+            && m.op(o).opcode == Opcode::AccfgLaunch
+            && m.op(o).accelerator == Some(accel)
+            && !m.is_ancestor(for_op, o)
+        {
+            observed = true;
+        }
+    });
+    observed
 }
 
 fn match_loop(m: &Module, for_op: OpId, filter: &AccelFilter) -> Option<LoopShape> {
@@ -126,7 +129,7 @@ fn match_loop(m: &Module, for_op: OpId, filter: &AccelFilter) -> Option<LoopShap
     let mut setup = None;
     let mut launch = None;
     let mut await_op = None;
-    for &op in &ops {
+    for &op in ops {
         match m.op(op).opcode {
             Opcode::AccfgSetup if setup.is_none() => setup = Some(op),
             Opcode::AccfgLaunch if launch.is_none() => launch = Some(op),
@@ -138,24 +141,24 @@ fn match_loop(m: &Module, for_op: OpId, filter: &AccelFilter) -> Option<LoopShap
     }
     let (setup, launch, await_op) = (setup?, launch?, await_op?);
     let accel = dialect::accelerator(m, setup);
-    if !filter.allows(&accel) {
+    if !filter.allows(m.name(accel)) {
         return None;
     }
-    if speculation_is_observable(m, for_op, &accel) {
+    if speculation_is_observable(m, for_op, accel) {
         return None;
     }
     // the setup must chain from the loop's state argument ...
     let state_arg = setup_input_state(m, setup)?;
-    let args = m.block(body).args.clone();
+    let args = &m.block(body).args;
     let state_arg_index = args.iter().position(|&a| a == state_arg)?;
     if state_arg_index == 0 {
         return None; // that's the induction variable
     }
     // ... the launch must fire the setup's state, the await its token
-    if m.op(launch).operands != vec![setup_state(m, setup)] {
+    if m.op(launch).operands != [setup_state(m, setup)] {
         return None;
     }
-    if m.op(launch).results.clone() != m.op(await_op).operands {
+    if m.op(launch).results != m.op(await_op).operands {
         return None;
     }
     // program order: setup < launch < await
@@ -180,10 +183,9 @@ fn match_loop(m: &Module, for_op: OpId, filter: &AccelFilter) -> Option<LoopShap
 /// The pure ops inside the loop body that (transitively) produce the setup's
 /// field operands, in block order.
 fn setup_cone(m: &Module, body: BlockId, setup: OpId) -> Option<Vec<OpId>> {
-    let mut wanted: HashSet<ValueId> = setup_fields(m, setup).iter().map(|(_, v)| *v).collect();
+    let mut wanted: HashSet<ValueId> = setup_fields(m, setup).values().iter().copied().collect();
     let mut cone = Vec::new();
-    let ops = m.block_ops(body);
-    for &op in ops.iter().rev() {
+    for &op in m.block_ops(body).iter().rev() {
         if op == setup {
             continue;
         }
@@ -247,8 +249,8 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
         let clone = m.clone_op(op, &mut next_mapping);
         m.move_op_before(clone, shape.setup);
     }
-    let fields: Vec<(String, ValueId)> = setup_fields(m, shape.setup)
-        .into_iter()
+    let fields: Vec<(Symbol, ValueId)> = setup_fields(m, shape.setup)
+        .iter()
         .map(|(n, v)| (n, *next_mapping.get(&v).unwrap_or(&v)))
         .collect();
     dialect::setup_set_fields(m, shape.setup, &fields);
@@ -329,7 +331,7 @@ impl Pass for OverlapInBlock {
 
 fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, partial: bool) -> bool {
     let accel = dialect::accelerator(m, setup);
-    if !filter.allows(&accel) {
+    if !filter.allows(m.name(accel)) {
         return false;
     }
     let Some(input) = setup_input_state(m, setup) else {
@@ -340,30 +342,22 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
     // the LAST such launch. A state is usually launched once, but
     // deduplication can collapse identical setups and leave one state with
     // several launches.
-    let launches: Vec<OpId> = m
-        .uses_of(input)
-        .into_iter()
-        .filter_map(|u| (m.op(u.op).opcode == Opcode::AccfgLaunch).then_some(u.op))
-        .collect();
-    if launches.is_empty() {
-        return false;
-    }
+    let launches = || {
+        m.uses_of(input)
+            .iter()
+            .filter_map(|u| (m.op(u.op).opcode == Opcode::AccfgLaunch).then_some(u.op))
+    };
     // all launches must be in the setup's own block so positions compare
-    if launches
-        .iter()
-        .any(|&l| m.op(l).parent != m.op(setup).parent)
-    {
+    if launches().any(|l| m.op(l).parent != m.op(setup).parent) {
         return false;
     }
-    let launch = launches
-        .iter()
-        .copied()
-        .max_by_key(|&l| m.op_position(l).expect("attached"))
-        .expect("non-empty");
+    let Some(launch) = launches().max_by_key(|&l| m.op_position(l).expect("attached")) else {
+        return false;
+    };
     let token = m.op(launch).results[0];
     let await_op = m
         .uses_of(token)
-        .into_iter()
+        .iter()
         .find_map(|u| (m.op(u.op).opcode == Opcode::AccfgAwait).then_some(u.op));
     let Some(await_op) = await_op else {
         return false;
@@ -392,12 +386,13 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
 
     // per-field movability: a field may move if every producer of its value
     // between the await and the setup is pure
-    let fields = setup_fields(m, setup);
     let mut movable_fields = Vec::new();
     let mut blocked_fields = Vec::new();
     let mut cone: Vec<OpId> = Vec::new();
-    for (name, value) in &fields {
-        let mut wanted: HashSet<ValueId> = HashSet::from([*value]);
+    let mut wanted: HashSet<ValueId> = HashSet::new();
+    for (name, value) in setup_fields(m, setup).iter() {
+        wanted.clear();
+        wanted.insert(value);
         let mut field_cone = Vec::new();
         let mut pure = true;
         for &op in between.iter().rev() {
@@ -415,14 +410,14 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
             field_cone.push(op);
         }
         if pure {
-            movable_fields.push((name.clone(), *value));
+            movable_fields.push((name, value));
             for op in field_cone {
                 if !cone.contains(&op) {
                     cone.push(op);
                 }
             }
         } else {
-            blocked_fields.push((name.clone(), *value));
+            blocked_fields.push((name, value));
         }
     }
     // restore block order for the union cone
@@ -442,7 +437,7 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
 
     // partial motion: split off the movable fields into their own setup
     // chained in front of the remainder, then move only that part
-    let movable = dialect::make_setup(m, &accel, Some(input), &movable_fields);
+    let movable = dialect::make_setup(m, accel, Some(input), &movable_fields);
     let movable_state = setup_state(m, movable);
     m.move_op_before(movable, setup);
     dialect::setup_set_input_state(m, setup, Some(movable_state));

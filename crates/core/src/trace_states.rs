@@ -13,11 +13,11 @@
 use crate::dialect::{
     self, make_setup, setup_input_state, setup_set_input_state, setup_state, StateEffect,
 };
-use accfg_ir::{BlockId, Module, OpId, Opcode, Pass, Type, ValueId};
+use accfg_ir::{BlockId, Module, OpId, Opcode, Pass, Symbol, Type, ValueId};
 use std::collections::HashMap;
 
 /// Per-accelerator live configuration state at a program point.
-type LiveStates = HashMap<String, ValueId>;
+type LiveStates = HashMap<Symbol, ValueId>;
 
 /// The state-tracing pass (step 2 of the pipeline in Figure 8).
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,7 +42,7 @@ impl Pass for TraceStates {
 /// Traces one block, updating `live` in place. Returns whether IR changed.
 fn trace_block(m: &mut Module, block: BlockId, live: &mut LiveStates) -> bool {
     let mut changed = false;
-    for op in m.block_ops(block) {
+    for op in m.block_ops(block).to_vec() {
         if !m.is_alive(op) {
             continue;
         }
@@ -73,17 +73,9 @@ fn trace_block(m: &mut Module, block: BlockId, live: &mut LiveStates) -> bool {
     changed
 }
 
-/// Accelerators that have at least one setup in the subtree under `root`.
-fn accels_with_setups(m: &Module, root: OpId) -> Vec<String> {
-    let mut names: Vec<String> = m
-        .walk_collect(root)
-        .into_iter()
-        .filter(|&o| m.op(o).opcode == Opcode::AccfgSetup)
-        .filter_map(|o| m.str_attr(o, "accelerator").map(str::to_string))
-        .collect();
-    names.sort();
-    names.dedup();
-    names
+/// The accelerators that have a setup under `root`, ordered by name.
+fn accels_with_setups(m: &Module, root: OpId) -> Vec<Symbol> {
+    dialect::accelerators_where(m, root, |opcode| opcode == Opcode::AccfgSetup)
 }
 
 fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
@@ -110,8 +102,8 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     let block = m.op(for_op).parent.expect("loop is attached");
     let pos = m.op_position(for_op).expect("loop is attached");
     let mut inits = Vec::new();
-    for accel in &accels {
-        let init = match live.get(accel) {
+    for &accel in &accels {
+        let init = match live.get(&accel) {
             Some(&s) => s,
             None => {
                 let empty = make_setup(m, accel, None, &[]);
@@ -125,16 +117,16 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     // rebuild the loop with one extra iter-arg per accelerator
     let mut operands = m.op(for_op).operands.clone();
     operands.extend(inits.iter().copied());
-    let extra_types: Vec<Type> = accels.iter().map(Type::state).collect();
+    let extra_types: Vec<Type> = accels.iter().map(|&a| m.state_type(a)).collect();
     let old_result_count = m.op(for_op).results.len();
     let new_for = m.rebuild_op(for_op, operands, extra_types);
 
     let body = m.body_block(new_for, 0);
     let mut body_live = live.clone();
     let mut args = Vec::new();
-    for accel in &accels {
-        let arg = m.add_block_arg(body, Type::state(accel));
-        body_live.insert(accel.clone(), arg);
+    for &accel in &accels {
+        let arg = m.add_block_arg(body, m.state_type(accel));
+        body_live.insert(accel, arg);
         args.push(arg);
     }
 
@@ -151,7 +143,7 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     // after the loop, the live state is the loop's new result
     for (i, accel) in accels.iter().enumerate() {
         let result = m.op(new_for).results[old_result_count + i];
-        live.insert(accel.clone(), result);
+        live.insert(*accel, result);
     }
     true
 }
@@ -190,7 +182,7 @@ fn trace_if(m: &mut Module, if_op: OpId, live: &mut LiveStates) -> bool {
     let mut threaded = Vec::new();
     for accel in &accels {
         match (branch_final[0].get(accel), branch_final[1].get(accel)) {
-            (Some(&a), Some(&b)) => threaded.push((accel.clone(), a, b)),
+            (Some(&a), Some(&b)) => threaded.push((*accel, a, b)),
             _ => {
                 live.remove(accel);
             }
@@ -202,7 +194,7 @@ fn trace_if(m: &mut Module, if_op: OpId, live: &mut LiveStates) -> bool {
 
     let old_result_count = m.op(if_op).results.len();
     let operands = m.op(if_op).operands.clone();
-    let extra_types: Vec<Type> = threaded.iter().map(|(a, _, _)| Type::state(a)).collect();
+    let extra_types: Vec<Type> = threaded.iter().map(|&(a, _, _)| m.state_type(a)).collect();
     let new_if = m.rebuild_op(if_op, operands, extra_types);
     for (ri, pick) in [0usize, 1].iter().enumerate() {
         let block = m.body_block(new_if, *pick);
@@ -215,7 +207,7 @@ fn trace_if(m: &mut Module, if_op: OpId, live: &mut LiveStates) -> bool {
     }
     for (i, (accel, _, _)) in threaded.iter().enumerate() {
         let result = m.op(new_if).results[old_result_count + i];
-        live.insert(accel.clone(), result);
+        live.insert(*accel, result);
     }
     true
 }

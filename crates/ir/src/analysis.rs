@@ -2,21 +2,11 @@
 
 use crate::module::{BlockId, Module, OpId, ValueDef, ValueId};
 
-/// The chain of blocks enclosing `op`, innermost first, paired with the
-/// position (within that block) of the op — or of the ancestor op that
-/// contains `op` — at that level.
-fn enclosing_positions(m: &Module, op: OpId) -> Vec<(BlockId, usize)> {
-    let mut out = Vec::new();
-    let mut cur = op;
-    while let Some(block) = m.op(cur).parent {
-        let pos = m.op_position(cur).expect("attached op has a position");
-        out.push((block, pos));
-        match m.block_parent_op(block) {
-            Some(parent) => cur = parent,
-            None => break,
-        }
-    }
-    out
+/// The chain of blocks enclosing `op`, innermost first, each paired with the
+/// op at that level: `op` itself, then the ancestor op that contains it.
+fn enclosing_blocks(m: &Module, op: OpId) -> impl Iterator<Item = (BlockId, OpId)> + '_ {
+    std::iter::successors(Some(op), move |&cur| m.parent_op(cur))
+        .map_while(move |cur| m.op(cur).parent.map(|block| (block, cur)))
 }
 
 /// `true` if `value` is visible (defined and in scope) at the program point
@@ -50,7 +40,7 @@ pub fn value_visible_at(m: &Module, value: ValueId, op: OpId) -> bool {
     match m.value(value).def {
         ValueDef::BlockArg { block, .. } => {
             // visible iff `block` is one of op's enclosing blocks
-            enclosing_positions(m, op).iter().any(|&(b, _)| b == block)
+            enclosing_blocks(m, op).any(|(b, _)| b == block)
         }
         ValueDef::OpResult { op: def_op, .. } => {
             if def_op == op {
@@ -62,12 +52,11 @@ pub fn value_visible_at(m: &Module, value: ValueId, op: OpId) -> bool {
             let Some(def_pos) = m.op_position(def_op) else {
                 return false;
             };
-            for (b, pos) in enclosing_positions(m, op) {
-                if b == def_block {
-                    return def_pos < pos;
-                }
-            }
-            false
+            // ... iff the definition precedes, in its own block, the op (or
+            // the ancestor of the op) that sits in that block
+            enclosing_blocks(m, op)
+                .find(|&(b, _)| b == def_block)
+                .is_some_and(|(_, at)| def_pos < m.op_position(at).expect("attached"))
         }
     }
 }

@@ -4,6 +4,7 @@
 //! escape hatch that tells the accfg passes whether an opaque operation
 //! preserves or clobbers accelerator configuration state.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -175,8 +176,10 @@ fn escape(s: &str) -> String {
 /// An ordered attribute dictionary, keyed by attribute name.
 ///
 /// Ordering is deterministic (lexicographic) so printed IR is stable, which
-/// the printer/parser round-trip tests rely on.
-pub type AttrMap = BTreeMap<String, Attribute>;
+/// the printer/parser round-trip tests rely on. The names the dialects use
+/// are literals and are stored as such; only a name read from IR text owns
+/// its string.
+pub type AttrMap = BTreeMap<Cow<'static, str>, Attribute>;
 
 #[cfg(test)]
 mod tests {

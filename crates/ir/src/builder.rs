@@ -7,6 +7,7 @@
 use crate::attrs::{AttrMap, Attribute, Effects};
 use crate::module::{BlockId, Module, OpId, ValueId};
 use crate::op::{CmpPredicate, Opcode};
+use crate::symbol::Symbol;
 use crate::types::Type;
 
 /// Builds a function body by appending ops at an insertion point.
@@ -75,7 +76,7 @@ impl<'m> FuncBuilder<'m> {
         &mut self,
         opcode: Opcode,
         operands: Vec<ValueId>,
-        result_types: Vec<Type>,
+        result_types: impl IntoIterator<Item = Type>,
         attrs: AttrMap,
         regions: Vec<crate::module::RegionId>,
     ) -> OpId {
@@ -96,7 +97,7 @@ impl<'m> FuncBuilder<'m> {
     pub fn const_int(&mut self, value: i64, ty: Type) -> ValueId {
         let mut attrs = AttrMap::new();
         attrs.insert("value".into(), Attribute::Int(value));
-        let op = self.push(Opcode::Constant, vec![], vec![ty], attrs, vec![]);
+        let op = self.push(Opcode::Constant, vec![], [ty], attrs, vec![]);
         self.one_result(op)
     }
 
@@ -109,7 +110,7 @@ impl<'m> FuncBuilder<'m> {
     pub fn binary(&mut self, opcode: Opcode, lhs: ValueId, rhs: ValueId) -> ValueId {
         debug_assert!(opcode.is_binary_arith(), "{opcode} is not binary arith");
         let ty = self.module.value_type(lhs).clone();
-        let op = self.push(opcode, vec![lhs, rhs], vec![ty], AttrMap::new(), vec![]);
+        let op = self.push(opcode, vec![lhs, rhs], [ty], AttrMap::new(), vec![]);
         self.one_result(op)
     }
 
@@ -167,7 +168,7 @@ impl<'m> FuncBuilder<'m> {
     pub fn cmpi(&mut self, pred: CmpPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let mut attrs = AttrMap::new();
         attrs.insert("predicate".into(), Attribute::Str(pred.name().into()));
-        let op = self.push(Opcode::CmpI, vec![lhs, rhs], vec![Type::I1], attrs, vec![]);
+        let op = self.push(Opcode::CmpI, vec![lhs, rhs], [Type::I1], attrs, vec![]);
         self.one_result(op)
     }
 
@@ -177,7 +178,7 @@ impl<'m> FuncBuilder<'m> {
         let op = self.push(
             Opcode::Select,
             vec![cond, t, f],
-            vec![ty],
+            [ty],
             AttrMap::new(),
             vec![],
         );
@@ -207,50 +208,43 @@ impl<'m> FuncBuilder<'m> {
         input_state: Option<ValueId>,
         fields: &[(&str, ValueId)],
     ) -> ValueId {
-        let mut attrs = AttrMap::new();
-        attrs.insert("accelerator".into(), Attribute::Str(accelerator.into()));
-        attrs.insert(
-            "fields".into(),
-            Attribute::str_array(fields.iter().map(|(n, _)| *n)),
-        );
-        attrs.insert(
-            "has_input_state".into(),
-            Attribute::Bool(input_state.is_some()),
-        );
+        let accel = self.module.intern(accelerator);
+        let names = fields.iter().map(|(n, _)| self.module.intern(n)).collect();
         let mut operands = Vec::with_capacity(fields.len() + 1);
-        if let Some(s) = input_state {
-            operands.push(s);
-        }
+        operands.extend(input_state);
         operands.extend(fields.iter().map(|(_, v)| *v));
-        let op = self.push(
-            Opcode::AccfgSetup,
-            operands,
-            vec![Type::state(accelerator)],
-            attrs,
-            vec![],
-        );
+        let state = self.module.state_type(accel);
+        let op = self.accfg_op(Opcode::AccfgSetup, accel, operands, Some(state));
+        self.module.set_setup_fields(op, names);
+        self.module.set_has_input_state(op, input_state.is_some());
         self.one_result(op)
+    }
+
+    /// Pushes an accfg op addressing `accel`.
+    fn accfg_op(
+        &mut self,
+        opcode: Opcode,
+        accel: Symbol,
+        operands: Vec<ValueId>,
+        result_type: Option<Type>,
+    ) -> OpId {
+        let op = self.push(opcode, operands, result_type, AttrMap::new(), vec![]);
+        self.module.set_accelerator(op, accel);
+        op
     }
 
     /// `accfg.launch`, producing a token.
     pub fn launch(&mut self, accelerator: &str, state: ValueId) -> ValueId {
-        let mut attrs = AttrMap::new();
-        attrs.insert("accelerator".into(), Attribute::Str(accelerator.into()));
-        let op = self.push(
-            Opcode::AccfgLaunch,
-            vec![state],
-            vec![Type::token(accelerator)],
-            attrs,
-            vec![],
-        );
+        let accel = self.module.intern(accelerator);
+        let token = self.module.token_type(accel);
+        let op = self.accfg_op(Opcode::AccfgLaunch, accel, vec![state], Some(token));
         self.one_result(op)
     }
 
     /// `accfg.await` on a token.
     pub fn await_token(&mut self, accelerator: &str, token: ValueId) -> OpId {
-        let mut attrs = AttrMap::new();
-        attrs.insert("accelerator".into(), Attribute::Str(accelerator.into()));
-        self.push(Opcode::AccfgAwait, vec![token], vec![], attrs, vec![])
+        let accel = self.module.intern(accelerator);
+        self.accfg_op(Opcode::AccfgAwait, accel, vec![token], None)
     }
 
     // --- target ------------------------------------------------------------------
@@ -443,12 +437,9 @@ mod tests {
             crate::module::ValueDef::OpResult { op, .. } => op,
             _ => panic!(),
         };
-        let fields = m.attr(setup_op, "fields").unwrap().as_array().unwrap();
+        let fields = &m.op(setup_op).fields;
         assert_eq!(fields.len(), 2);
-        assert_eq!(
-            m.attr(setup_op, "has_input_state").unwrap().as_bool(),
-            Some(false)
-        );
+        assert!(!m.op(setup_op).has_input_state);
     }
 
     #[test]
@@ -464,10 +455,7 @@ mod tests {
             _ => panic!(),
         };
         assert_eq!(m.op(setup1).operands[0], s0);
-        assert_eq!(
-            m.attr(setup1, "has_input_state").unwrap().as_bool(),
-            Some(true)
-        );
+        assert!(m.op(setup1).has_input_state);
     }
 
     #[test]

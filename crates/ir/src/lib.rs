@@ -6,7 +6,9 @@
 //! its `accfg` abstraction on top of MLIR/xDSL; this crate rebuilds the
 //! slice of that infrastructure the paper's passes rely on:
 //!
-//! - an arena-based, region-structured SSA [`Module`] ([`module`])
+//! - an arena-based, region-structured SSA [`Module`] ([`module`]) that
+//!   maintains what MLIR's context and use-lists would: interned names
+//!   ([`Symbol`]), a use-def index, and a mutation stamp
 //! - the `func`, `arith`, `scf`, `accfg`, and `target` dialects ([`op`])
 //! - a closure-based [`FuncBuilder`] ([`builder`])
 //! - a textual printer/parser pair for readable round-trippable IR
@@ -51,7 +53,9 @@ pub mod parser;
 pub mod pass;
 pub mod passes;
 pub mod printer;
+pub mod symbol;
 pub mod types;
+mod uses;
 
 pub use attrs::{AttrMap, Attribute, Effects};
 pub use builder::FuncBuilder;
@@ -60,6 +64,7 @@ pub use op::{CmpPredicate, OpData, Opcode};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Changed, Pass, PassManager, PassValidator, PipelineError, PipelineStats};
 pub use printer::{print_func, print_module};
+pub use symbol::Symbol;
 pub use types::Type;
 pub use verifier::{verify, VerifyError};
 

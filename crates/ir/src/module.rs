@@ -7,12 +7,34 @@
 //!
 //! Regions in this IR always contain exactly one block (structured control
 //! flow only: `scf.for` / `scf.if`), which is all the paper's passes need.
+//!
+//! Three things are maintained alongside the arena, because the passes ask
+//! for them constantly and MLIR would hand them over for free:
+//!
+//! - a **symbol table** of accelerator and setup-field names
+//!   ([`Module::intern`]), so passes compare and index names as integers;
+//! - a **use-def index** ([`Module::uses_of`]): for every value, the
+//!   operands of live ops that read it. Invariant: it equals a scan of the
+//!   arena at all times, and each value's uses are in ascending
+//!   (op, operand index) order — the order the scan it replaced produced,
+//!   so no pass output depends on which of the two answered;
+//! - a **mutation stamp** ([`Module::stamp`]): every mutator moves it to a
+//!   value no module has held before, so "the stamp did not move" proves
+//!   "the IR did not change" and the pass manager can skip re-verifying a
+//!   module a pass left alone.
+//!
+//! All three rely on every mutation going through a `&mut self` method of
+//! [`Module`]; there is no mutable access to the stored data.
 
 use crate::attrs::{AttrMap, Attribute};
 use crate::op::{OpData, Opcode};
+use crate::symbol::{Symbol, SymbolTable};
 use crate::types::Type;
+use crate::uses::UseLists;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -101,13 +123,21 @@ pub struct RegionData {
 }
 
 /// A use of a value: which op uses it, at which operand position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Ordered by op, then operand position — the order of [`Module::uses_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Use {
     /// The using operation.
     pub op: OpId,
     /// The operand index within that operation.
     pub operand_index: usize,
 }
+
+/// The source of mutation stamps, shared by every module in the process so
+/// that no two distinct IR states — of one module or of two — ever carry
+/// the same stamp. `Relaxed` suffices: the counter hands out unique
+/// numbers and publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// The IR module: the arena that owns all IR entities plus the list of
 /// top-level functions.
@@ -133,6 +163,10 @@ pub struct Module {
     blocks: Vec<BlockData>,
     regions: Vec<RegionData>,
     funcs: Vec<OpId>,
+    symbols: SymbolTable,
+    /// Per value: the operands of live ops that read it, ascending.
+    uses: UseLists,
+    stamp: u64,
 }
 
 impl Module {
@@ -156,17 +190,14 @@ impl Module {
         &self.values[v.index()].ty
     }
 
+    /// Number of values ever created (the bound of [`ValueId::index`]).
+    pub fn value_count(&self) -> usize {
+        self.values.len()
+    }
+
     /// The data of an op.
     pub fn op(&self, op: OpId) -> &OpData {
         &self.ops[op.index()]
-    }
-
-    /// Mutable access to an op's data.
-    ///
-    /// Prefer the structured mutators ([`Module::set_attr`],
-    /// [`Module::set_operand`], ...) where available.
-    pub fn op_mut(&mut self, op: OpId) -> &mut OpData {
-        &mut self.ops[op.index()]
     }
 
     /// The data of a block.
@@ -217,10 +248,67 @@ impl Module {
         self.ops.iter().filter(|o| o.alive).count()
     }
 
+    /// The mutation stamp: equal before and after a stretch of code only if
+    /// that code changed nothing in the module.
+    ///
+    /// Every mutator draws a fresh stamp from one process-wide counter, so
+    /// the guarantee also covers a wholesale `*module = other`: two modules
+    /// share a stamp only if one is an unmodified clone of the other (or
+    /// both are new and empty).
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    fn touch(&mut self) {
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    }
+
+    // --- names -------------------------------------------------------------
+
+    /// Interns `name`, returning the symbol every later call with the same
+    /// string returns.
+    pub fn intern(&mut self, name: &str) -> Symbol {
+        let (symbol, added) = self.symbols.intern(name);
+        if added {
+            self.touch();
+        }
+        symbol
+    }
+
+    /// The symbol of `name` if some op of this module has interned it.
+    pub fn symbol(&self, name: &str) -> Option<Symbol> {
+        self.symbols.get(name)
+    }
+
+    /// The string behind a symbol.
+    ///
+    /// # Panics
+    /// Panics if the symbol was not interned in this module (or a module it
+    /// was cloned from).
+    pub fn name(&self, symbol: Symbol) -> &str {
+        self.symbols.name(symbol)
+    }
+
+    /// Number of interned names (the bound of [`Symbol::index`]).
+    pub fn symbol_count(&self) -> usize {
+        self.symbols.len()
+    }
+
+    /// `!accfg.state<"accelerator">`, sharing the interned name.
+    pub fn state_type(&self, accelerator: Symbol) -> Type {
+        Type::State(self.symbols.name(accelerator).clone())
+    }
+
+    /// `!accfg.token<"accelerator">`, sharing the interned name.
+    pub fn token_type(&self, accelerator: Symbol) -> Type {
+        Type::Token(self.symbols.name(accelerator).clone())
+    }
+
     // --- construction ------------------------------------------------------
 
     /// Creates a detached region.
     pub fn create_region(&mut self) -> RegionId {
+        self.touch();
         let id = RegionId(self.regions.len() as u32);
         self.regions.push(RegionData::default());
         id
@@ -228,6 +316,7 @@ impl Module {
 
     /// Creates a block and appends it to `region`.
     pub fn create_block(&mut self, region: RegionId) -> BlockId {
+        self.touch();
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BlockData {
             parent: Some(region),
@@ -237,42 +326,45 @@ impl Module {
         id
     }
 
+    fn new_value(&mut self, def: ValueDef, ty: Type) -> ValueId {
+        let v = ValueId(self.values.len() as u32);
+        self.values.push(ValueData { def, ty });
+        self.uses.push_value();
+        v
+    }
+
     /// Appends a new argument of type `ty` to `block`, returning its value.
     pub fn add_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
+        self.touch();
         let index = self.blocks[block.index()].args.len() as u32;
-        let v = ValueId(self.values.len() as u32);
-        self.values.push(ValueData {
-            def: ValueDef::BlockArg { block, index },
-            ty,
-        });
+        let v = self.new_value(ValueDef::BlockArg { block, index }, ty);
         self.blocks[block.index()].args.push(v);
         v
     }
 
     /// Creates a detached operation, materializing one result value per type
     /// in `result_types`.
+    ///
+    /// An `accfg` op additionally needs its accelerator
+    /// ([`Module::set_accelerator`]) and, for a setup, its field names
+    /// ([`Module::set_setup_fields`], [`Module::set_has_input_state`])
+    /// before it verifies.
     pub fn create_op(
         &mut self,
         opcode: Opcode,
         operands: Vec<ValueId>,
-        result_types: Vec<Type>,
+        result_types: impl IntoIterator<Item = Type>,
         attrs: AttrMap,
         regions: Vec<RegionId>,
     ) -> OpId {
+        self.touch();
         let op = OpId(self.ops.len() as u32);
         let results = result_types
             .into_iter()
             .enumerate()
             .map(|(index, ty)| {
-                let v = ValueId(self.values.len() as u32);
-                self.values.push(ValueData {
-                    def: ValueDef::OpResult {
-                        op,
-                        index: index as u32,
-                    },
-                    ty,
-                });
-                v
+                let index = index as u32;
+                self.new_value(ValueDef::OpResult { op, index }, ty)
             })
             .collect();
         for &r in &regions {
@@ -286,7 +378,11 @@ impl Module {
             regions,
             parent: None,
             alive: true,
+            accelerator: None,
+            fields: Vec::new(),
+            has_input_state: false,
         });
+        self.index_operands(op);
         op
     }
 
@@ -294,7 +390,29 @@ impl Module {
     /// function of the module.
     pub fn add_func(&mut self, func: OpId) {
         debug_assert_eq!(self.ops[func.index()].opcode, Opcode::Func);
+        self.touch();
         self.funcs.push(func);
+    }
+
+    /// Names the accelerator an `accfg` op addresses.
+    pub fn set_accelerator(&mut self, op: OpId, accelerator: Symbol) {
+        self.touch();
+        self.ops[op.index()].accelerator = Some(accelerator);
+    }
+
+    /// Names the field operands of an `accfg.setup`, in operand order. The
+    /// operands themselves are set with [`Module::set_operands`]; the
+    /// verifier checks that the two agree.
+    pub fn set_setup_fields(&mut self, setup: OpId, fields: Vec<Symbol>) {
+        self.touch();
+        self.ops[setup.index()].fields = fields;
+    }
+
+    /// Says whether operand 0 of an `accfg.setup` is an input state (the
+    /// field operands then start at 1).
+    pub fn set_has_input_state(&mut self, setup: OpId, has_input_state: bool) {
+        self.touch();
+        self.ops[setup.index()].has_input_state = has_input_state;
     }
 
     // --- structural mutation -------------------------------------------------
@@ -308,6 +426,7 @@ impl Module {
             self.ops[op.index()].parent.is_none(),
             "op already attached; detach first"
         );
+        self.touch();
         self.ops[op.index()].parent = Some(block);
         self.blocks[block.index()].ops.push(op);
     }
@@ -321,6 +440,7 @@ impl Module {
             self.ops[op.index()].parent.is_none(),
             "op already attached; detach first"
         );
+        self.touch();
         self.ops[op.index()].parent = Some(block);
         self.blocks[block.index()].ops.insert(index, op);
     }
@@ -328,6 +448,7 @@ impl Module {
     /// Detaches `op` from its parent block (keeping it alive).
     pub fn detach_op(&mut self, op: OpId) {
         if let Some(block) = self.ops[op.index()].parent.take() {
+            self.touch();
             self.blocks[block.index()].ops.retain(|&o| o != op);
         }
     }
@@ -372,89 +493,107 @@ impl Module {
             "erasing op {op} whose results still have uses"
         );
         self.detach_op(op);
-        let regions = self.ops[op.index()].regions.clone();
-        for r in regions {
-            let blocks = self.regions[r.index()].blocks.clone();
-            for b in blocks {
-                let ops = self.blocks[b.index()].ops.clone();
-                for inner in ops {
-                    // erase without the uses check: the whole subtree dies
-                    self.erase_subtree(inner);
-                }
-            }
-        }
-        self.ops[op.index()].alive = false;
-        self.ops[op.index()].operands.clear();
+        self.tombstone_subtree(op);
     }
 
-    fn erase_subtree(&mut self, op: OpId) {
-        self.detach_op(op);
-        let regions = self.ops[op.index()].regions.clone();
-        for r in regions {
-            let blocks = self.regions[r.index()].blocks.clone();
-            for b in blocks {
-                let ops = self.blocks[b.index()].ops.clone();
-                for inner in ops {
-                    self.erase_subtree(inner);
+    /// Tombstones `op` and everything nested under it. No uses check below
+    /// the root: the whole subtree dies together.
+    fn tombstone_subtree(&mut self, op: OpId) {
+        for ri in 0..self.ops[op.index()].regions.len() {
+            let region = self.ops[op.index()].regions[ri];
+            for bi in 0..self.regions[region.index()].blocks.len() {
+                let block = self.regions[region.index()].blocks[bi];
+                for inner in std::mem::take(&mut self.blocks[block.index()].ops) {
+                    self.ops[inner.index()].parent = None;
+                    self.tombstone_subtree(inner);
                 }
             }
         }
-        self.ops[op.index()].alive = false;
-        self.ops[op.index()].operands.clear();
+        self.tombstone(op);
+    }
+
+    /// Marks one op dead and drops its operands (and their uses).
+    fn tombstone(&mut self, op: OpId) {
+        self.touch();
+        self.unindex_operands(op);
+        let data = &mut self.ops[op.index()];
+        data.alive = false;
+        data.operands.clear();
     }
 
     /// Sets (or replaces) an attribute on `op`.
-    pub fn set_attr(&mut self, op: OpId, name: impl Into<String>, attr: Attribute) {
+    pub fn set_attr(&mut self, op: OpId, name: impl Into<Cow<'static, str>>, attr: Attribute) {
+        self.touch();
         self.ops[op.index()].attrs.insert(name.into(), attr);
     }
 
     /// Removes an attribute from `op`, returning it if present.
     pub fn remove_attr(&mut self, op: OpId, name: &str) -> Option<Attribute> {
+        self.touch();
         self.ops[op.index()].attrs.remove(name)
     }
 
     /// Replaces operand `index` of `op` with `value`.
     pub fn set_operand(&mut self, op: OpId, index: usize, value: ValueId) {
-        self.ops[op.index()].operands[index] = value;
+        self.touch();
+        let old = std::mem::replace(&mut self.ops[op.index()].operands[index], value);
+        if self.ops[op.index()].alive {
+            let site = Use {
+                op,
+                operand_index: index,
+            };
+            self.uses.remove(old, site);
+            self.uses.insert(value, site);
+        }
     }
 
     /// Replaces the full operand list of `op`.
     pub fn set_operands(&mut self, op: OpId, operands: Vec<ValueId>) {
+        self.touch();
+        self.unindex_operands(op);
         self.ops[op.index()].operands = operands;
+        self.index_operands(op);
     }
 
     // --- use-def -------------------------------------------------------------
 
-    /// All uses of `value` across the module (live ops only).
-    ///
-    /// Computed by a linear scan; modules in this codebase are small (tiling
-    /// loops, not whole programs), so this is cheap and always consistent.
-    pub fn uses_of(&self, value: ValueId) -> Vec<Use> {
-        let mut uses = Vec::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            if !op.alive {
-                continue;
-            }
-            for (operand_index, &operand) in op.operands.iter().enumerate() {
-                if operand == value {
-                    uses.push(Use {
-                        op: OpId(i as u32),
-                        operand_index,
-                    });
-                }
-            }
-        }
-        uses
+    /// All uses of `value` by live ops, in ascending (op, operand index)
+    /// order. Costs nothing: the module maintains the list.
+    pub fn uses_of(&self, value: ValueId) -> &[Use] {
+        self.uses.of(value)
     }
 
     /// Replaces every use of `old` with `new`.
     pub fn replace_all_uses(&mut self, old: ValueId, new: ValueId) {
-        for op in self.ops.iter_mut().filter(|o| o.alive) {
-            for operand in op.operands.iter_mut() {
-                if *operand == old {
-                    *operand = new;
-                }
-            }
+        if old == new {
+            return;
+        }
+        self.touch();
+        while let Some(site) = self.uses.pop(old) {
+            self.ops[site.op.index()].operands[site.operand_index] = new;
+            self.uses.insert(new, site);
+        }
+    }
+
+    /// Records every operand of `op` as a use (a live op's only).
+    fn index_operands(&mut self, op: OpId) {
+        if !self.ops[op.index()].alive {
+            return;
+        }
+        for operand_index in 0..self.ops[op.index()].operands.len() {
+            let value = self.ops[op.index()].operands[operand_index];
+            self.uses.insert(value, Use { op, operand_index });
+        }
+    }
+
+    /// Forgets every operand of `op` as a use.
+    fn unindex_operands(&mut self, op: OpId) {
+        if !self.ops[op.index()].alive {
+            return;
+        }
+        for operand_index in 0..self.ops[op.index()].operands.len() {
+            let value = self.ops[op.index()].operands[operand_index];
+            self.uses.remove(value, Use { op, operand_index });
         }
     }
 
@@ -483,6 +622,9 @@ impl Module {
     }
 
     /// Collects every live op in the module, pre-order per function.
+    ///
+    /// A snapshot, for loops that mutate as they go; a loop that only reads
+    /// walks in place with [`Module::walk`].
     pub fn walk_module(&self) -> Vec<OpId> {
         let mut out = Vec::new();
         for &f in &self.funcs {
@@ -491,9 +633,10 @@ impl Module {
         out
     }
 
-    /// All live ops in `block`, in order. (Clone of the op list.)
-    pub fn block_ops(&self, block: BlockId) -> Vec<OpId> {
-        self.blocks[block.index()].ops.clone()
+    /// The ops of `block`, in order. A loop that restructures the block as
+    /// it goes iterates over a copy (`.to_vec()`).
+    pub fn block_ops(&self, block: BlockId) -> &[OpId] {
+        &self.blocks[block.index()].ops
     }
 
     /// The single block of `region`.
@@ -576,33 +719,38 @@ impl Module {
         new_operands: Vec<ValueId>,
         extra_result_types: Vec<Type>,
     ) -> OpId {
-        let old = self.ops[op.index()].clone();
-        let mut result_types: Vec<Type> = old
-            .results
+        let old = &mut self.ops[op.index()];
+        let opcode = old.opcode;
+        // the old op is tombstoned below: what it owns moves, not copies
+        let attrs = std::mem::take(&mut old.attrs);
+        let regions = std::mem::take(&mut old.regions);
+        let fields = std::mem::take(&mut old.fields);
+        let (accelerator, has_input_state) = (old.accelerator, old.has_input_state);
+        let old_results = std::mem::take(&mut old.results);
+        let parent = old.parent;
+
+        let mut result_types: Vec<Type> = old_results
             .iter()
             .map(|&r| self.values[r.index()].ty.clone())
             .collect();
         result_types.extend(extra_result_types);
-        let new_op = self.create_op(
-            old.opcode,
-            new_operands,
-            result_types,
-            old.attrs.clone(),
-            old.regions.clone(),
-        );
-        if let Some(block) = old.parent {
+        let new_op = self.create_op(opcode, new_operands, result_types, attrs, regions);
+        let new = &mut self.ops[new_op.index()];
+        new.accelerator = accelerator;
+        new.fields = fields;
+        new.has_input_state = has_input_state;
+        if let Some(block) = parent {
             let index = self.op_position(op).expect("op attached");
-            self.detach_op(op);
-            self.insert_op(block, index, new_op);
+            self.blocks[block.index()].ops[index] = new_op;
+            self.ops[new_op.index()].parent = Some(block);
+            self.ops[op.index()].parent = None;
         }
-        let new_results = self.ops[new_op.index()].results.clone();
-        for (&old_r, &new_r) in old.results.iter().zip(new_results.iter()) {
+        for (i, &old_r) in old_results.iter().enumerate() {
+            let new_r = self.ops[new_op.index()].results[i];
             self.replace_all_uses(old_r, new_r);
         }
-        // tombstone the old op without touching the transferred regions
-        self.ops[op.index()].alive = false;
-        self.ops[op.index()].operands.clear();
-        self.ops[op.index()].regions.clear();
+        self.ops[op.index()].results = old_results;
+        self.tombstone(op);
         new_op
     }
 
@@ -649,11 +797,35 @@ impl Module {
             new_regions.push(new_region);
         }
         let new_op = self.create_op(data.opcode, operands, result_types, data.attrs, new_regions);
-        let new_results = self.ops[new_op.index()].results.clone();
-        for (&old_r, &new_r) in data.results.iter().zip(new_results.iter()) {
+        let new = &mut self.ops[new_op.index()];
+        new.accelerator = data.accelerator;
+        new.fields = data.fields;
+        new.has_input_state = data.has_input_state;
+        for (&old_r, &new_r) in data.results.iter().zip(new.results.iter()) {
             mapping.insert(old_r, new_r);
         }
         new_op
+    }
+
+    /// The use-def index recomputed by the linear scan it replaced: the
+    /// oracle the index is tested against.
+    #[cfg(test)]
+    fn uses_by_scan(&self, value: ValueId) -> Vec<Use> {
+        let mut uses = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            if !op.alive {
+                continue;
+            }
+            for (operand_index, &operand) in op.operands.iter().enumerate() {
+                if operand == value {
+                    uses.push(Use {
+                        op: OpId(i as u32),
+                        operand_index,
+                    });
+                }
+            }
+        }
+        uses
     }
 }
 
@@ -661,6 +833,7 @@ impl Module {
 mod tests {
     use super::*;
     use crate::op::Opcode;
+    use proptest::prelude::*;
 
     fn int_const(m: &mut Module, block: BlockId, v: i64) -> (OpId, ValueId) {
         let mut attrs = AttrMap::new();
@@ -844,5 +1017,165 @@ mod tests {
         let (func, _) = test_func(&mut m);
         assert_eq!(m.func_by_name("test"), Some(func));
         assert_eq!(m.func_by_name("missing"), None);
+    }
+
+    /// Asserts the use-def invariant: for every value, the maintained list
+    /// is exactly what a scan of the arena finds, in the scan's order.
+    fn assert_index_matches_scan(m: &Module, after: &str) {
+        for v in 0..m.value_count() {
+            let v = ValueId(v as u32);
+            assert_eq!(m.uses_of(v), m.uses_by_scan(v), "uses of {v} after {after}");
+        }
+    }
+
+    /// A loop-shaped op: one region, one block with an argument, a body op
+    /// using the argument and `outer`, and a terminator.
+    fn region_op(m: &mut Module, outer: ValueId) -> OpId {
+        let region = m.create_region();
+        let body = m.create_block(region);
+        let arg = m.add_block_arg(body, Type::Index);
+        let inner = m.create_op(
+            Opcode::AddI,
+            vec![arg, outer],
+            [Type::Index],
+            AttrMap::new(),
+            vec![],
+        );
+        m.append_op(body, inner);
+        let inner_result = m.op(inner).results[0];
+        let term = m.create_op(
+            Opcode::Yield,
+            vec![inner_result],
+            [],
+            AttrMap::new(),
+            vec![],
+        );
+        m.append_op(body, term);
+        m.create_op(
+            Opcode::For,
+            vec![outer, outer, outer],
+            [Type::Index],
+            AttrMap::new(),
+            vec![region],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After any sequence of mutators — well-formed IR or not — the
+        /// use-def index equals the linear scan it replaced, and every
+        /// mutator moved the stamp.
+        #[test]
+        fn use_index_equals_the_scan_after_any_mutator_sequence(
+            actions in prop::collection::vec((0u8..11, any::<u16>(), any::<u16>(), any::<u16>()), 1..80)
+        ) {
+            let mut m = Module::new();
+            let (_, block) = test_func(&mut m);
+            let (_, seed) = int_const(&mut m, block, 0);
+            let mut live: Vec<OpId> = m.block(block).ops.clone();
+            for &(kind, a, b, c) in &actions {
+                let value = |m: &Module, pick: u16| ValueId(u32::from(pick) % m.value_count() as u32);
+                let op = live[usize::from(a) % live.len()];
+                let stamp = m.stamp();
+                let what = match kind {
+                    0 => {
+                        live.push(int_const(&mut m, block, i64::from(a)).0);
+                        "create_op (no operands)"
+                    }
+                    1 => {
+                        let operands = vec![value(&m, a), value(&m, b), value(&m, a)];
+                        let new = m.create_op(Opcode::Opaque, operands, [Type::I64], AttrMap::new(), vec![]);
+                        let at = usize::from(c) % (m.block(block).ops.len() + 1);
+                        m.insert_op(block, at, new);
+                        live.push(new);
+                        "create_op + insert_op"
+                    }
+                    2 if !m.op(op).operands.is_empty() => {
+                        let index = usize::from(b) % m.op(op).operands.len();
+                        m.set_operand(op, index, value(&m, c));
+                        "set_operand"
+                    }
+                    3 => {
+                        let operands = (0..b % 4).map(|i| value(&m, c.wrapping_add(i))).collect();
+                        m.set_operands(op, operands);
+                        "set_operands"
+                    }
+                    4 => {
+                        m.replace_all_uses(value(&m, b), value(&m, c));
+                        "replace_all_uses"
+                    }
+                    5 if live.len() > 1 && m.op(op).results.iter().all(|&r| m.uses_of(r).is_empty()) => {
+                        m.erase_op(op);
+                        live.retain(|&o| o != op);
+                        "erase_op"
+                    }
+                    6 => {
+                        let operands = vec![value(&m, b), value(&m, c)];
+                        let new = m.rebuild_op(op, operands, vec![Type::I1]);
+                        live.retain(|&o| o != op);
+                        live.push(new);
+                        "rebuild_op"
+                    }
+                    7 => {
+                        let mut mapping = HashMap::from([(value(&m, b), value(&m, c))]);
+                        let new = m.clone_op(op, &mut mapping);
+                        m.append_op(block, new);
+                        live.push(new);
+                        "clone_op"
+                    }
+                    8 => {
+                        let outer = value(&m, b);
+                        let new = region_op(&mut m, outer);
+                        m.append_op(block, new);
+                        live.push(new);
+                        "create_op (with a region)"
+                    }
+                    9 if live.len() > 1 => {
+                        let other = live[usize::from(b) % live.len()];
+                        if other != op {
+                            m.move_op_before(op, other);
+                        }
+                        "move_op_before"
+                    }
+                    _ => {
+                        // reads leave the stamp alone
+                        let _ = (m.uses_of(seed), m.walk_module(), m.live_op_count());
+                        prop_assert_eq!(m.stamp(), stamp);
+                        continue;
+                    }
+                };
+                prop_assert!(
+                    m.stamp() != stamp || what == "replace_all_uses" || what == "move_op_before",
+                    "{what} left the stamp where it was"
+                );
+                assert_index_matches_scan(&m, what);
+            }
+        }
+    }
+
+    #[test]
+    fn stamps_tell_modules_and_states_apart() {
+        let build = || {
+            let mut m = Module::new();
+            let (_, block) = test_func(&mut m);
+            int_const(&mut m, block, 1);
+            m
+        };
+        let (a, b) = (build(), build());
+        // equal content built separately: unrelated stamps
+        assert_ne!(a.stamp(), b.stamp());
+        // a clone is the same state until either side moves
+        let mut c = a.clone();
+        assert_eq!(a.stamp(), c.stamp());
+        let name = c.intern("fresh");
+        assert_ne!(a.stamp(), c.stamp());
+        // interning a known name, like every read, changes nothing
+        let stamp = c.stamp();
+        assert_eq!(c.intern("fresh"), name);
+        assert_eq!((c.symbol("fresh"), c.name(name)), (Some(name), "fresh"));
+        assert_eq!(c.stamp(), stamp);
+        // new and empty is the one state two modules may share
+        assert_eq!(Module::new().stamp(), Module::new().stamp());
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::attrs::AttrMap;
 use crate::module::{BlockId, RegionId, ValueId};
+use crate::symbol::Symbol;
 use std::fmt;
 
 /// Every operation kind known to the IR.
@@ -59,16 +60,18 @@ pub enum Opcode {
     Yield,
 
     // --- accfg dialect (Section 5.1) ---------------------------------------
-    /// `accfg.setup`: writes configuration registers. Attrs: `accelerator`
-    /// (Str), `fields` (Array of Str, parallel to the field operands),
-    /// `has_input_state` (Bool). Operands: `[input_state?, field values...]`.
-    /// One result of `!accfg.state`.
+    /// `accfg.setup`: writes configuration registers. Names its
+    /// [`accelerator`](OpData::accelerator) and its
+    /// [`fields`](OpData::fields) (parallel to the field operands), and
+    /// says whether it [`has_input_state`](OpData::has_input_state).
+    /// Operands: `[input_state?, field values...]`. One result of
+    /// `!accfg.state`.
     AccfgSetup,
-    /// `accfg.launch`: launches the accelerator with a given state. Attr
-    /// `accelerator`. Operand: state. Result: `!accfg.token`.
+    /// `accfg.launch`: launches its [`accelerator`](OpData::accelerator)
+    /// with a given state. Operand: state. Result: `!accfg.token`.
     AccfgLaunch,
-    /// `accfg.await`: blocks until the token's computation completes.
-    /// Attr `accelerator`. Operand: token. No results.
+    /// `accfg.await`: blocks until the token's computation completes on
+    /// its [`accelerator`](OpData::accelerator). Operand: token. No results.
     AccfgAwait,
 
     // --- target dialect (post-lowering, step 5 of Figure 8) ----------------
@@ -303,6 +306,16 @@ pub struct OpData {
     pub parent: Option<BlockId>,
     /// Tombstone: erased ops stay in the arena but are skipped everywhere.
     pub alive: bool,
+    /// The accelerator an `accfg` op addresses, interned in the module
+    /// ([`Module::set_accelerator`](crate::Module::set_accelerator)); `None`
+    /// on every other op.
+    pub accelerator: Option<Symbol>,
+    /// `accfg.setup` only: the interned field names, parallel to the field
+    /// operands ([`Module::set_setup_fields`](crate::Module::set_setup_fields)).
+    pub fields: Vec<Symbol>,
+    /// `accfg.setup` only: operand 0 is the input state the setup is a
+    /// delta against.
+    pub has_input_state: bool,
 }
 
 #[cfg(test)]

@@ -35,11 +35,19 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// How deep regions (`scf.for` / `scf.if` bodies) and attribute arrays may
+/// nest. The parser, like the walker, verifier and printer behind it,
+/// recurses once per level, so unbounded nesting in input text would
+/// overflow the stack and abort the process (10 000 nested `scf.for` did,
+/// on the main thread of a release build); generated IR nests 3 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a module from its textual form.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first syntax problem encountered.
+/// Returns a [`ParseError`] describing the first syntax problem encountered,
+/// or naming the `{` or `[` that would nest deeper than [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -63,6 +71,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         pos: 0,
         module: Module::new(),
         values: HashMap::new(),
+        depth: 0,
     };
     p.parse_module()?;
     Ok(p.module)
@@ -325,6 +334,8 @@ struct Parser {
     pos: usize,
     module: Module,
     values: HashMap<String, ValueId>,
+    /// Region bodies and attribute arrays currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -405,6 +416,23 @@ impl Parser {
     fn parse_operand(&mut self) -> Result<ValueId, ParseError> {
         let name = self.parse_value_name()?;
         self.lookup(&name)
+    }
+
+    /// Runs `inner` one nesting level down, refusing to pass [`MAX_DEPTH`].
+    /// Call it with the parser positioned just past the opening bracket,
+    /// so the error names that bracket.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            self.pos -= 1;
+            return self.err(format!("nesting deeper than the limit of {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let out = inner(self);
+        self.depth -= 1;
+        out
     }
 
     fn parse_module(&mut self) -> Result<(), ParseError> {
@@ -597,7 +625,7 @@ impl Parser {
                 };
                 self.expect(Tok::Equal)?;
                 let value = self.parse_attr()?;
-                attrs.insert(key, value);
+                attrs.insert(key.into(), value);
                 if !matches!(self.peek(), Tok::Comma) {
                     break;
                 }
@@ -614,20 +642,20 @@ impl Parser {
             Tok::Str(s) => Ok(Attribute::Str(s)),
             Tok::Ident(s) if s == "true" => Ok(Attribute::Bool(true)),
             Tok::Ident(s) if s == "false" => Ok(Attribute::Bool(false)),
-            Tok::LBracket => {
+            Tok::LBracket => self.nested(|p| {
                 let mut items = Vec::new();
-                if *self.peek() != Tok::RBracket {
+                if *p.peek() != Tok::RBracket {
                     loop {
-                        items.push(self.parse_attr()?);
-                        if !matches!(self.peek(), Tok::Comma) {
+                        items.push(p.parse_attr()?);
+                        if !matches!(p.peek(), Tok::Comma) {
                             break;
                         }
-                        self.bump();
+                        p.bump();
                     }
                 }
-                self.expect(Tok::RBracket)?;
+                p.expect(Tok::RBracket)?;
                 Ok(Attribute::Array(items))
-            }
+            }),
             Tok::Hash => {
                 self.expect_ident("accfg.effects")?;
                 self.expect(Tok::Lt)?;
@@ -681,8 +709,8 @@ impl Parser {
                 };
                 self.expect(Tok::Gt)?;
                 match kind.as_str() {
-                    "accfg.state" => Ok(Type::State(accel)),
-                    "accfg.token" => Ok(Type::Token(accel)),
+                    "accfg.state" => Ok(Type::state(accel)),
+                    "accfg.token" => Ok(Type::token(accel)),
                     other => self.err(format!("unknown accfg type `{other}`")),
                 }
             }
@@ -691,6 +719,29 @@ impl Parser {
                 self.err(format!("expected type, found {other:?}"))
             }
         }
+    }
+
+    /// Appends an accfg op addressing `accel` to `block`. What the printed
+    /// form spells outside the attribute dictionary is not an attribute: a
+    /// dictionary entry named like it is dropped, as the printer always
+    /// skipped it.
+    fn accfg_op(
+        &mut self,
+        block: BlockId,
+        opcode: Opcode,
+        accel: &str,
+        operands: Vec<ValueId>,
+        result_types: Vec<Type>,
+        mut attrs: AttrMap,
+    ) -> OpId {
+        attrs.remove("accelerator");
+        let op = self
+            .module
+            .create_op(opcode, operands, result_types, attrs, vec![]);
+        let accel = self.module.intern(accel);
+        self.module.set_accelerator(op, accel);
+        self.module.append_op(block, op);
+        op
     }
 
     fn parse_setup(
@@ -726,7 +777,7 @@ impl Parser {
                 };
                 self.expect(Tok::Equal)?;
                 operands.push(self.parse_operand()?);
-                field_names.push(fname);
+                field_names.push(self.module.intern(&fname));
                 if !matches!(self.peek(), Tok::Comma) {
                     break;
                 }
@@ -735,15 +786,13 @@ impl Parser {
         }
         self.expect(Tok::RParen)?;
         let mut attrs = self.parse_attr_dict()?;
+        attrs.remove("fields");
+        attrs.remove("has_input_state");
         self.expect(Tok::Colon)?;
         let ty = self.parse_type()?;
-        attrs.insert("accelerator".into(), Attribute::Str(accel));
-        attrs.insert("fields".into(), Attribute::str_array(field_names));
-        attrs.insert("has_input_state".into(), Attribute::Bool(has_input));
-        let op = self
-            .module
-            .create_op(Opcode::AccfgSetup, operands, vec![ty], attrs, vec![]);
-        self.module.append_op(block, op);
+        let op = self.accfg_op(block, Opcode::AccfgSetup, &accel, operands, vec![ty], attrs);
+        self.module.set_setup_fields(op, field_names);
+        self.module.set_has_input_state(op, has_input);
         self.bind_results(op, result_names)
     }
 
@@ -761,14 +810,17 @@ impl Parser {
         };
         self.expect_ident("with")?;
         let state = self.parse_operand()?;
-        let mut attrs = self.parse_attr_dict()?;
+        let attrs = self.parse_attr_dict()?;
         self.expect(Tok::Colon)?;
         let ty = self.parse_type()?;
-        attrs.insert("accelerator".into(), Attribute::Str(accel));
-        let op = self
-            .module
-            .create_op(Opcode::AccfgLaunch, vec![state], vec![ty], attrs, vec![]);
-        self.module.append_op(block, op);
+        let op = self.accfg_op(
+            block,
+            Opcode::AccfgLaunch,
+            &accel,
+            vec![state],
+            vec![ty],
+            attrs,
+        );
         self.bind_results(op, result_names)
     }
 
@@ -785,12 +837,15 @@ impl Parser {
             }
         };
         let token = self.parse_operand()?;
-        let mut attrs = self.parse_attr_dict()?;
-        attrs.insert("accelerator".into(), Attribute::Str(accel));
-        let op = self
-            .module
-            .create_op(Opcode::AccfgAwait, vec![token], vec![], attrs, vec![]);
-        self.module.append_op(block, op);
+        let attrs = self.parse_attr_dict()?;
+        let op = self.accfg_op(
+            block,
+            Opcode::AccfgAwait,
+            &accel,
+            vec![token],
+            vec![],
+            attrs,
+        );
         self.bind_results(op, result_names)
     }
 
@@ -845,7 +900,7 @@ impl Parser {
         }
         let attrs = self.parse_attr_dict()?;
         self.expect(Tok::LBrace)?;
-        self.parse_block_body(body)?;
+        self.nested(|p| p.parse_block_body(body))?;
         let op = self
             .module
             .create_op(Opcode::For, operands, result_types, attrs, vec![region]);
@@ -873,12 +928,12 @@ impl Parser {
         self.expect(Tok::LBrace)?;
         let then_region = self.module.create_region();
         let then_block = self.module.create_block(then_region);
-        self.parse_block_body(then_block)?;
+        self.nested(|p| p.parse_block_body(then_block))?;
         self.expect_ident("else")?;
         self.expect(Tok::LBrace)?;
         let else_region = self.module.create_region();
         let else_block = self.module.create_block(else_region);
-        self.parse_block_body(else_block)?;
+        self.nested(|p| p.parse_block_body(else_block))?;
         let op = self.module.create_op(
             Opcode::If,
             vec![cond],

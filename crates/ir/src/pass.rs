@@ -1,6 +1,12 @@
 //! Pass infrastructure: the [`Pass`] trait and a [`PassManager`] that runs
-//! pipelines with optional verification between passes — a miniature of
-//! MLIR's pass manager, sufficient for the pipeline in Figure 8 of the paper.
+//! pipelines, re-verifying the module after every pass that touched it — a
+//! miniature of MLIR's pass manager, sufficient for the pipeline in Figure 8
+//! of the paper.
+//!
+//! "Touched" is read off the module, not taken from the pass: the manager
+//! compares [`Module::stamp`] around each pass and re-checks **iff the
+//! stamp moved**. A pass that reports [`Changed::No`] after mutating is
+//! still checked; a pass that changed nothing costs no check.
 
 use crate::module::Module;
 use crate::verifier::{verify, VerifyError};
@@ -53,7 +59,8 @@ pub trait Pass {
 
 /// A differential checker comparing a module snapshot against its rewrite.
 ///
-/// Called by [`PassManager::validate_each`] with `(before, after, pass)`;
+/// Called by [`PassManager::validate_each`] with `(before, after, pass)`
+/// after every pass that moved the module's stamp;
 /// returning `Err` aborts the pipeline with a [`PipelineError`] attributing
 /// the failure to `pass`. The IR crate defines only the hook; semantic
 /// validators (e.g. translation validation of the reaching configuration
@@ -123,18 +130,13 @@ impl PipelineStats {
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    verify_each: bool,
     validator: Option<PassValidator>,
 }
 
 impl PassManager {
-    /// Creates an empty pipeline with per-pass verification enabled.
+    /// Creates an empty pipeline.
     pub fn new() -> Self {
-        Self {
-            passes: Vec::new(),
-            verify_each: true,
-            validator: None,
-        }
+        Self::default()
     }
 
     /// Appends a pass to the pipeline.
@@ -143,17 +145,11 @@ impl PassManager {
         self
     }
 
-    /// Enables or disables verification after every pass.
-    pub fn verify_each(&mut self, enable: bool) -> &mut Self {
-        self.verify_each = enable;
-        self
-    }
-
-    /// Installs a differential validator run after every pass, mirroring
-    /// [`PassManager::verify_each`]: the module is snapshotted before each
-    /// pass and `validator(before, after, pass_name)` must accept the
-    /// rewrite. Translation validation of accfg configuration state plugs
-    /// in here.
+    /// Installs a differential validator run, like the verifier, after
+    /// every pass that touched the module: `validator(before, after,
+    /// pass_name)` must accept the rewrite, `before` being a snapshot of the
+    /// module as the pass found it. Translation validation of accfg
+    /// configuration state plugs in here.
     pub fn validate_each(
         &mut self,
         validator: impl Fn(&Module, &Module, &str) -> Result<(), String> + 'static,
@@ -171,36 +167,40 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns a [`PipelineError`] if verification fails after a pass (when
-    /// enabled) or before the first pass.
+    /// Returns a [`PipelineError`] if the input does not verify, or if
+    /// verification (or the installed validator) fails after a pass that
+    /// touched the module.
     pub fn run(&self, module: &mut Module) -> Result<PipelineStats, PipelineError> {
-        if self.verify_each {
-            verify(module).map_err(|error| PipelineError {
-                pass: "<input>".into(),
-                error,
-            })?;
-        }
+        verify(module).map_err(|error| PipelineError {
+            pass: "<input>".into(),
+            error,
+        })?;
+        // what the next pass to touch the module will be validated against
+        let mut snapshot = self.validator.as_ref().map(|_| module.clone());
         let mut stats = PipelineStats::default();
         for pass in &self.passes {
-            let before = self.validator.as_ref().map(|_| module.clone());
+            let stamp = module.stamp();
             let changed = pass.run(module);
             stats
                 .passes
                 .push((pass.name().to_string(), changed.changed()));
-            if self.verify_each {
-                verify(module).map_err(|error| PipelineError {
-                    pass: pass.name().to_string(),
-                    error,
-                })?;
+            if module.stamp() == stamp {
+                // untouched, so still verified, and `validate(m, m)` holds
+                continue;
             }
-            if let (Some(validator), Some(before)) = (&self.validator, before) {
-                validator(&before, module, pass.name()).map_err(|message| PipelineError {
+            verify(module).map_err(|error| PipelineError {
+                pass: pass.name().to_string(),
+                error,
+            })?;
+            if let (Some(validator), Some(before)) = (&self.validator, &mut snapshot) {
+                validator(before, module, pass.name()).map_err(|message| PipelineError {
                     pass: pass.name().to_string(),
                     error: VerifyError {
                         op: None,
                         message: format!("translation validation failed: {message}"),
                     },
                 })?;
+                *before = module.clone();
             }
         }
         Ok(stats)
@@ -234,7 +234,6 @@ impl fmt::Debug for PassManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PassManager")
             .field("passes", &self.pass_names())
-            .field("verify_each", &self.verify_each)
             .field("validate_each", &self.validator.is_some())
             .finish()
     }
@@ -350,6 +349,104 @@ mod tests {
         pm.add(NoOpPass);
         pm.validate_each(|_, _, _| Ok(()));
         pm.run(&mut m).unwrap();
+    }
+
+    /// Erases the terminator like [`BreakingPass`], but claims it did
+    /// nothing.
+    struct LyingBreaker;
+    impl Pass for LyingBreaker {
+        fn name(&self) -> &str {
+            "lying-breaker"
+        }
+        fn run(&self, m: &mut Module) -> Changed {
+            BreakingPass.run(m);
+            Changed::No
+        }
+    }
+
+    /// Replaces the whole module with an invalid one it built elsewhere,
+    /// through no mutator of the module it was given.
+    struct SwapPass;
+    impl Pass for SwapPass {
+        fn name(&self) -> &str {
+            "swap"
+        }
+        fn run(&self, m: &mut Module) -> Changed {
+            let mut other = simple_module();
+            BreakingPass.run(&mut other);
+            *m = other;
+            Changed::No
+        }
+    }
+
+    #[test]
+    fn a_pass_that_mutates_is_checked_whatever_it_reports() {
+        for (pass, name) in [
+            (Box::new(LyingBreaker) as Box<dyn Pass>, "lying-breaker"),
+            (Box::new(SwapPass), "swap"),
+        ] {
+            let mut m = simple_module();
+            let mut pm = PassManager::new();
+            pm.passes.push(pass);
+            let e = pm.run(&mut m).unwrap_err();
+            assert_eq!(e.pass, name);
+            assert!(e.error.message.contains("terminator"), "{e}");
+        }
+    }
+
+    /// Sets every constant to `self.0`.
+    struct SetConst(i64);
+    impl Pass for SetConst {
+        fn name(&self) -> &str {
+            "set-const"
+        }
+        fn run(&self, m: &mut Module) -> Changed {
+            let func = m.funcs()[0];
+            for op in m.walk_collect(func) {
+                if m.op(op).opcode == crate::op::Opcode::Constant {
+                    m.set_attr(op, "value", crate::attrs::Attribute::Int(self.0));
+                }
+            }
+            Changed::Yes
+        }
+    }
+
+    #[test]
+    fn only_passes_that_touch_the_module_are_checked() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let constant = |m: &Module| {
+            let consts = crate::analysis::ops_with_opcode(m, m.funcs()[0], crate::Opcode::Constant);
+            m.int_attr(consts[0], "value").unwrap()
+        };
+        // the validator runs under the same condition as the verifier, so
+        // counting its calls counts the verifier's
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        let mut pm = PassManager::new();
+        pm.add(NoOpPass)
+            .add(SetConst(5))
+            .add(NoOpPass)
+            .add(NoOpPass)
+            .add(SetConst(7))
+            .add(NoOpPass);
+        pm.validate_each(move |before, after, pass| {
+            log.borrow_mut()
+                .push((pass.to_string(), constant(before), constant(after)));
+            Ok(())
+        });
+        let mut m = simple_module();
+        let stats = pm.run(&mut m).unwrap();
+        assert_eq!(stats.passes.len(), 6);
+        // two checks for six passes, each against the module as its pass
+        // found it: the snapshot follows the module past a checked pass
+        assert_eq!(
+            *seen.borrow(),
+            [
+                ("set-const".to_string(), 1, 5),
+                ("set-const".to_string(), 5, 7)
+            ]
+        );
     }
 
     #[test]

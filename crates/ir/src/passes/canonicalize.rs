@@ -52,7 +52,7 @@ impl Pass for Canonicalize {
 fn make_constant(m: &mut Module, before: OpId, value: i64, ty: crate::Type) -> crate::ValueId {
     let mut attrs = AttrMap::new();
     attrs.insert("value".into(), Attribute::Int(value));
-    let c = m.create_op(Opcode::Constant, vec![], vec![ty], attrs, vec![]);
+    let c = m.create_op(Opcode::Constant, vec![], [ty], attrs, vec![]);
     m.move_op_before(c, before);
     m.op(c).results[0]
 }
@@ -157,7 +157,7 @@ fn fold_if(m: &mut Module, op: OpId) -> Changed {
     };
     let region_index = if c != 0 { 0 } else { 1 };
     let branch_block = m.body_block(op, region_index);
-    let branch_ops = m.block_ops(branch_block);
+    let branch_ops = m.block_ops(branch_block).to_vec();
     let (yield_op, body_ops) = branch_ops
         .split_last()
         .expect("verified if-branch has a terminator");

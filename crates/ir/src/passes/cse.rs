@@ -1,11 +1,10 @@
 //! Common-subexpression elimination.
 
-use crate::attrs::Attribute;
-use crate::module::{BlockId, Module, OpId, ValueId};
-use crate::op::Opcode;
+use crate::module::{BlockId, Module, OpId};
 use crate::pass::{Changed, Pass};
-use crate::types::Type;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Scoped value-numbering CSE over pure operations.
 ///
@@ -19,12 +18,15 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cse;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    opcode: Opcode,
-    operands: Vec<ValueId>,
-    attrs: Vec<(String, Attribute)>,
-    result_types: Vec<Type>,
+/// The expressions available at the op being visited: one table for the
+/// whole region tree, keyed by the hash of an op's structure, plus the keys
+/// in insertion order so that leaving a region can retract what it added.
+/// A key maps to the op that first computed the expression; nothing is
+/// copied out of the module.
+#[derive(Default)]
+struct Available {
+    by_hash: HashMap<u64, OpId>,
+    inserted: Vec<u64>,
 }
 
 impl Pass for Cse {
@@ -34,71 +36,82 @@ impl Pass for Cse {
 
     fn run(&self, m: &mut Module) -> Changed {
         let mut changed = Changed::No;
-        for func in m.funcs().to_vec() {
-            let block = m.body_block(func, 0);
-            let mut scopes: Vec<HashMap<Key, Vec<ValueId>>> = vec![HashMap::new()];
-            changed = changed.or(run_block(m, block, &mut scopes));
+        let mut available = Available::default();
+        for fi in 0..m.funcs().len() {
+            let block = m.body_block(m.funcs()[fi], 0);
+            changed = changed.or(run_block(m, block, &mut available));
         }
         changed
     }
 }
 
-fn key_of(m: &Module, op: OpId) -> Key {
+/// Hash of everything [`same_expression`] compares.
+fn structure_hash(m: &Module, op: OpId) -> u64 {
     let data = m.op(op);
-    Key {
-        opcode: data.opcode,
-        operands: data.operands.clone(),
-        attrs: data
-            .attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-        result_types: data
+    let mut h = DefaultHasher::new();
+    data.opcode.hash(&mut h);
+    data.operands.hash(&mut h);
+    data.attrs.hash(&mut h);
+    for &r in &data.results {
+        m.value_type(r).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// `true` if two pure ops compute the same value: same opcode, operands,
+/// attributes and result types.
+fn same_expression(m: &Module, a: OpId, b: OpId) -> bool {
+    let (da, db) = (m.op(a), m.op(b));
+    da.opcode == db.opcode
+        && da.operands == db.operands
+        && da.attrs == db.attrs
+        && da.results.len() == db.results.len()
+        && da
             .results
             .iter()
-            .map(|&r| m.value_type(r).clone())
-            .collect(),
-    }
+            .zip(&db.results)
+            .all(|(&ra, &rb)| m.value_type(ra) == m.value_type(rb))
 }
 
-fn lookup(scopes: &[HashMap<Key, Vec<ValueId>>], key: &Key) -> Option<Vec<ValueId>> {
-    scopes.iter().rev().find_map(|s| s.get(key).cloned())
-}
-
-fn run_block(
-    m: &mut Module,
-    block: BlockId,
-    scopes: &mut Vec<HashMap<Key, Vec<ValueId>>>,
-) -> Changed {
+fn run_block(m: &mut Module, block: BlockId, available: &mut Available) -> Changed {
     let mut changed = Changed::No;
-    for op in m.block_ops(block) {
+    let scope_start = available.inserted.len();
+    for op in m.block_ops(block).to_vec() {
         if !m.is_alive(op) {
             continue;
         }
         let data = m.op(op);
         if data.opcode.is_pure() && data.regions.is_empty() {
-            let key = key_of(m, op);
-            if let Some(existing) = lookup(scopes, &key) {
-                let results = m.op(op).results.clone();
-                for (&r, &e) in results.iter().zip(existing.iter()) {
-                    m.replace_all_uses(r, e);
+            let hash = structure_hash(m, op);
+            match available.by_hash.get(&hash) {
+                Some(&existing) if same_expression(m, op, existing) => {
+                    for i in 0..m.op(op).results.len() {
+                        m.replace_all_uses(m.op(op).results[i], m.op(existing).results[i]);
+                    }
+                    m.erase_op(op);
+                    changed = Changed::Yes;
+                    continue;
                 }
-                m.erase_op(op);
-                changed = Changed::Yes;
-                continue;
+                // a different expression under the same hash keeps the
+                // table entry; this one is merely not shared
+                Some(_) => {}
+                None => {
+                    available.by_hash.insert(hash, op);
+                    available.inserted.push(hash);
+                }
             }
-            let results = m.op(op).results.clone();
-            scopes.last_mut().expect("scope stack").insert(key, results);
         }
-        // recurse into regions with a fresh scope each
+        // each region is a scope of its own, opened and closed by the call
         for ri in 0..m.op(op).regions.len() {
             let region = m.op(op).regions[ri];
-            for b in m.region(region).blocks.clone() {
-                scopes.push(HashMap::new());
-                changed = changed.or(run_block(m, b, scopes));
-                scopes.pop();
+            for bi in 0..m.region(region).blocks.len() {
+                let inner = m.region(region).blocks[bi];
+                changed = changed.or(run_block(m, inner, available));
             }
         }
+    }
+    for hash in available.inserted.drain(scope_start..) {
+        available.by_hash.remove(&hash);
     }
     changed
 }
@@ -108,6 +121,7 @@ mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::printer::print_module;
+    use crate::types::Type;
     use crate::verifier::verify;
 
     #[test]

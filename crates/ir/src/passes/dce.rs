@@ -34,8 +34,7 @@ impl Pass for Dce {
         loop {
             let mut removed_any = false;
             // reverse pre-order ≈ users before producers, so one sweep kills chains
-            let ops: Vec<_> = m.walk_module().into_iter().rev().collect();
-            for op in ops {
+            for op in m.walk_module().into_iter().rev() {
                 if !m.is_alive(op) || !m.op(op).opcode.is_pure() {
                     continue;
                 }

@@ -47,7 +47,7 @@ impl Pass for Licm {
 fn hoist_from_loop(m: &mut Module, for_op: OpId) -> bool {
     let body = m.body_block(for_op, 0);
     let mut moved = false;
-    for op in m.block_ops(body) {
+    for op in m.block_ops(body).to_vec() {
         if !m.is_alive(op) {
             continue;
         }

@@ -11,7 +11,6 @@
 //! Everything else uses a uniform generic form that the companion
 //! [`parser`](crate::parser) reads back, enabling round-trip tests.
 
-use crate::attrs::Attribute;
 use crate::module::{BlockId, Module, OpId, ValueId};
 use crate::op::Opcode;
 use std::collections::HashMap;
@@ -98,7 +97,8 @@ impl<'m> Printer<'m> {
     }
 
     fn print_block_ops(&mut self, block: BlockId) {
-        for op in self.m.block_ops(block) {
+        let m = self.m;
+        for &op in m.block_ops(block) {
             self.print_op(op);
         }
     }
@@ -123,15 +123,8 @@ impl<'m> Printer<'m> {
         write!(self.out, "{} = ", names.join(", ")).unwrap();
     }
 
-    fn print_attrs(&mut self, op: OpId, skip: &[&str]) {
-        let attrs: Vec<(String, Attribute)> = self
-            .m
-            .op(op)
-            .attrs
-            .iter()
-            .filter(|(k, _)| !skip.contains(&k.as_str()))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+    fn print_attrs(&mut self, op: OpId) {
+        let attrs = &self.m.op(op).attrs;
         if attrs.is_empty() {
             return;
         }
@@ -158,7 +151,7 @@ impl<'m> Printer<'m> {
             self.out.push_str(&n);
         }
         self.out.push(')');
-        self.print_attrs(op, &[]);
+        self.print_attrs(op);
         let results = self.m.op(op).results.clone();
         if !results.is_empty() {
             let tys: Vec<String> = results
@@ -170,76 +163,55 @@ impl<'m> Printer<'m> {
         self.out.push('\n');
     }
 
+    /// The accelerator name of an accfg op (empty if it was never set —
+    /// such an op does not verify, but still prints).
+    fn accelerator(&self, op: OpId) -> &'m str {
+        self.m.op(op).accelerator.map_or("", |a| self.m.name(a))
+    }
+
     fn print_setup(&mut self, op: OpId) {
         self.pad();
         self.print_results_prefix(op);
-        let accel = self
-            .m
-            .str_attr(op, "accelerator")
-            .unwrap_or_default()
-            .to_string();
+        let accel = self.accelerator(op);
         write!(self.out, "accfg.setup \"{accel}\"").unwrap();
-        let has_input = self
-            .m
-            .attr(op, "has_input_state")
-            .and_then(Attribute::as_bool)
-            .unwrap_or(false);
-        let operands = self.m.op(op).operands.clone();
-        let mut field_operands = operands.as_slice();
-        if has_input {
-            let n = self.name(operands[0]);
+        let data = self.m.op(op);
+        let mut field_operands = data.operands.as_slice();
+        if data.has_input_state {
+            let n = self.name(field_operands[0]);
             write!(self.out, " from {n}").unwrap();
-            field_operands = &operands[1..];
+            field_operands = &field_operands[1..];
         }
-        let field_names: Vec<String> = self
-            .m
-            .attr(op, "fields")
-            .and_then(Attribute::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|x| x.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
         self.out.push_str(" to (");
-        for (i, (fname, v)) in field_names.iter().zip(field_operands.iter()).enumerate() {
+        for (i, (&field, &v)) in data.fields.iter().zip(field_operands).enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let n = self.name(*v);
-            write!(self.out, "\"{fname}\" = {n}").unwrap();
+            let n = self.name(v);
+            write!(self.out, "\"{}\" = {n}", self.m.name(field)).unwrap();
         }
         self.out.push(')');
-        self.print_attrs(op, &["accelerator", "fields", "has_input_state"]);
-        let result = self.m.op(op).results[0];
+        self.print_attrs(op);
+        let result = data.results[0];
         writeln!(self.out, " : {}", self.m.value_type(result)).unwrap();
     }
 
     fn print_launch(&mut self, op: OpId) {
         self.pad();
         self.print_results_prefix(op);
-        let accel = self
-            .m
-            .str_attr(op, "accelerator")
-            .unwrap_or_default()
-            .to_string();
+        let accel = self.accelerator(op);
         let state = self.name(self.m.op(op).operands[0]);
         write!(self.out, "accfg.launch \"{accel}\" with {state}").unwrap();
-        self.print_attrs(op, &["accelerator"]);
+        self.print_attrs(op);
         let result = self.m.op(op).results[0];
         writeln!(self.out, " : {}", self.m.value_type(result)).unwrap();
     }
 
     fn print_await(&mut self, op: OpId) {
         self.pad();
-        let accel = self
-            .m
-            .str_attr(op, "accelerator")
-            .unwrap_or_default()
-            .to_string();
+        let accel = self.accelerator(op);
         let token = self.name(self.m.op(op).operands[0]);
         write!(self.out, "accfg.await \"{accel}\" {token}").unwrap();
-        self.print_attrs(op, &["accelerator"]);
+        self.print_attrs(op);
         self.out.push('\n');
     }
 
@@ -281,7 +253,7 @@ impl<'m> Printer<'m> {
                 .collect();
             write!(self.out, " -> ({})", tys.join(", ")).unwrap();
         }
-        self.print_attrs(op, &[]);
+        self.print_attrs(op);
         self.out.push_str(" {\n");
         self.indent += 1;
         self.print_block_ops(body);
@@ -303,7 +275,7 @@ impl<'m> Printer<'m> {
                 .collect();
             write!(self.out, " -> ({})", tys.join(", ")).unwrap();
         }
-        self.print_attrs(op, &[]);
+        self.print_attrs(op);
         self.out.push_str(" then {\n");
         self.indent += 1;
         let then_block = self.m.body_block(op, 0);

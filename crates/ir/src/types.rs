@@ -6,8 +6,17 @@
 //! `!accfg.token<"name">` introduced in Section 5.1 of the paper.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An IR value type.
+///
+/// The accelerator name of a state or token type is a shared string, so
+/// cloning any type allocates nothing; a module hands out types over its
+/// own interned copy of the name ([`Module::state_type`],
+/// [`Module::token_type`]).
+///
+/// [`Module::state_type`]: crate::Module::state_type
+/// [`Module::token_type`]: crate::Module::token_type
 ///
 /// # Examples
 ///
@@ -35,20 +44,20 @@ pub enum Type {
     Index,
     /// `!accfg.state<"accel">`: the configuration-register state of an
     /// accelerator after a `accfg.setup`.
-    State(String),
+    State(Arc<str>),
     /// `!accfg.token<"accel">`: an in-flight computation produced by
     /// `accfg.launch`, consumed by `accfg.await`.
-    Token(String),
+    Token(Arc<str>),
 }
 
 impl Type {
     /// Builds a `!accfg.state` type for the named accelerator.
-    pub fn state(accelerator: impl Into<String>) -> Self {
+    pub fn state(accelerator: impl Into<Arc<str>>) -> Self {
         Type::State(accelerator.into())
     }
 
     /// Builds a `!accfg.token` type for the named accelerator.
-    pub fn token(accelerator: impl Into<String>) -> Self {
+    pub fn token(accelerator: impl Into<Arc<str>>) -> Self {
         Type::Token(accelerator.into())
     }
 
@@ -73,7 +82,7 @@ impl Type {
     /// The accelerator name carried by a state or token type, if any.
     pub fn accelerator(&self) -> Option<&str> {
         match self {
-            Type::State(a) | Type::Token(a) => Some(a),
+            Type::State(a) | Type::Token(a) => Some(&**a),
             _ => None,
         }
     }

@@ -4,11 +4,9 @@
 //! paper) is checked in the `accfg` crate; this verifier covers everything
 //! an MLIR-style framework would check generically.
 
-use crate::attrs::Attribute;
-use crate::module::{BlockId, Module, OpId, ValueId};
+use crate::module::{BlockId, Module, OpId};
 use crate::op::{CmpPredicate, Opcode};
 use crate::types::Type;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -39,6 +37,10 @@ impl Error for VerifyError {}
 /// Returns the first violated invariant: SSA visibility, terminator
 /// placement, operand/result arity, or type mismatches.
 pub fn verify(m: &Module) -> Result<(), VerifyError> {
+    // which values are in scope at the op being checked, by value index:
+    // set where a value is defined, cleared where its block ends, so one
+    // map serves every function
+    let mut visible = vec![false; m.value_count()];
     for &f in m.funcs() {
         if !m.is_alive(f) {
             return Err(VerifyError {
@@ -59,7 +61,6 @@ pub fn verify(m: &Module) -> Result<(), VerifyError> {
                 message: "func.func must have exactly one region".into(),
             });
         }
-        let mut visible = HashSet::new();
         verify_region_block(m, f, 0, &mut visible)?;
     }
     Ok(())
@@ -76,7 +77,7 @@ fn verify_region_block(
     m: &Module,
     owner: OpId,
     region_index: usize,
-    visible: &mut HashSet<ValueId>,
+    visible: &mut [bool],
 ) -> Result<(), VerifyError> {
     let region = m.op(owner).regions[region_index];
     let blocks = &m.region(region).blocks;
@@ -84,16 +85,15 @@ fn verify_region_block(
         return Err(err(owner, "regions must contain exactly one block"));
     }
     let block = blocks[0];
-    let added_args: Vec<ValueId> = m.block(block).args.clone();
-    for &a in &added_args {
-        visible.insert(a);
+    let args = &m.block(block).args;
+    for &a in args {
+        visible[a.index()] = true;
     }
 
     let ops = m.block_ops(block);
     if ops.is_empty() {
         return Err(err(owner, "block must end with a terminator"));
     }
-    let mut newly_visible = Vec::new();
     for (i, &op) in ops.iter().enumerate() {
         if !m.is_alive(op) {
             return Err(err(op, "dead op still attached to a block"));
@@ -107,7 +107,7 @@ fn verify_region_block(
             return Err(err(op, "block does not end with a terminator"));
         }
         for &operand in &data.operands {
-            if !visible.contains(&operand) {
+            if visible.get(operand.index()) != Some(&true) {
                 return Err(err(
                     op,
                     format!("operand {operand} is not visible at this point (use before def?)"),
@@ -116,21 +116,31 @@ fn verify_region_block(
         }
         verify_op(m, op, block)?;
         for &r in &data.results {
-            visible.insert(r);
-            newly_visible.push(r);
+            visible[r.index()] = true;
         }
         for ri in 0..data.regions.len() {
             verify_region_block(m, op, ri, visible)?;
         }
     }
     // values defined in this block (and its args) go out of scope
-    for a in added_args {
-        visible.remove(&a);
+    for &a in args {
+        visible[a.index()] = false;
     }
-    for v in newly_visible {
-        visible.remove(&v);
+    for &op in ops {
+        for &r in &m.op(op).results {
+            visible[r.index()] = false;
+        }
     }
     Ok(())
+}
+
+/// The accelerator name of an accfg op.
+fn accelerator_of(m: &Module, op: OpId) -> Result<&str, VerifyError> {
+    let opcode = m.op(op).opcode;
+    m.op(op)
+        .accelerator
+        .map(|a| m.name(a))
+        .ok_or_else(|| err(op, format!("{opcode} requires an accelerator")))
 }
 
 fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
@@ -175,12 +185,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
                 .ok_or_else(|| err(op, "scf.yield outside any op"))?;
             match m.op(parent).opcode {
                 Opcode::For | Opcode::If => {
-                    let expected: Vec<&Type> = m
-                        .op(parent)
-                        .results
-                        .iter()
-                        .map(|&r| m.value_type(r))
-                        .collect();
+                    let expected = &m.op(parent).results;
                     if data.operands.len() != expected.len() {
                         return Err(err(
                             op,
@@ -192,7 +197,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
                         ));
                     }
                     for (i, &e) in expected.iter().enumerate() {
-                        if operand_ty(i) != e {
+                        if operand_ty(i) != m.value_type(e) {
                             return Err(err(
                                 op,
                                 format!("scf.yield operand {i} type mismatch with parent result"),
@@ -301,25 +306,16 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::AccfgSetup => {
-            let accel = m
-                .str_attr(op, "accelerator")
-                .ok_or_else(|| err(op, "accfg.setup requires `accelerator` attribute"))?
-                .to_string();
-            if data.results.len() != 1 || result_ty(0) != &Type::state(&accel) {
+            let accel = accelerator_of(m, op)?;
+            let is_state = |ty: &Type| matches!(ty, Type::State(a) if **a == *accel);
+            if data.results.len() != 1 || !is_state(result_ty(0)) {
                 return Err(err(
                     op,
                     "accfg.setup result must be the accelerator's state type",
                 ));
             }
-            let has_input = m
-                .attr(op, "has_input_state")
-                .and_then(Attribute::as_bool)
-                .unwrap_or(false);
-            let field_count = m
-                .attr(op, "fields")
-                .and_then(Attribute::as_array)
-                .map(|a| a.len())
-                .ok_or_else(|| err(op, "accfg.setup requires `fields` array attribute"))?;
+            let has_input = data.has_input_state;
+            let field_count = data.fields.len();
             let expected = field_count + usize::from(has_input);
             if data.operands.len() != expected {
                 return Err(err(
@@ -332,7 +328,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
                     ),
                 ));
             }
-            if has_input && operand_ty(0) != &Type::state(&accel) {
+            if has_input && !is_state(operand_ty(0)) {
                 return Err(err(op, "accfg.setup input state type mismatch"));
             }
             let start = usize::from(has_input);
@@ -344,24 +340,20 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::AccfgLaunch => {
-            let accel = m
-                .str_attr(op, "accelerator")
-                .ok_or_else(|| err(op, "accfg.launch requires `accelerator` attribute"))?
-                .to_string();
-            if data.operands.len() != 1 || operand_ty(0) != &Type::state(&accel) {
+            let accel = accelerator_of(m, op)?;
+            if data.operands.len() != 1 || !matches!(operand_ty(0), Type::State(a) if **a == *accel)
+            {
                 return Err(err(op, "accfg.launch must take the accelerator's state"));
             }
-            if data.results.len() != 1 || result_ty(0) != &Type::token(&accel) {
+            if data.results.len() != 1 || !matches!(result_ty(0), Type::Token(a) if **a == *accel) {
                 return Err(err(op, "accfg.launch must produce the accelerator's token"));
             }
             Ok(())
         }
         Opcode::AccfgAwait => {
-            let accel = m
-                .str_attr(op, "accelerator")
-                .ok_or_else(|| err(op, "accfg.await requires `accelerator` attribute"))?
-                .to_string();
-            if data.operands.len() != 1 || operand_ty(0) != &Type::token(&accel) {
+            let accel = accelerator_of(m, op)?;
+            if data.operands.len() != 1 || !matches!(operand_ty(0), Type::Token(a) if **a == *accel)
+            {
                 return Err(err(op, "accfg.await must take the accelerator's token"));
             }
             if !data.results.is_empty() {

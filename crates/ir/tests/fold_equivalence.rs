@@ -110,7 +110,7 @@ fn eval(m: &Module, a0: i64, a1: i64) -> i64 {
     env.insert(params[0], a0);
     env.insert(params[1], a1);
     let mut csr0 = 0;
-    for op in m.block_ops(block) {
+    for &op in m.block_ops(block) {
         let data = m.op(op);
         let get = |env: &HashMap<ValueId, i64>, v: ValueId| *env.get(&v).unwrap_or(&0);
         match data.opcode {

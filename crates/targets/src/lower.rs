@@ -158,7 +158,8 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_block(&mut self, block: BlockId) -> Result<(), LowerError> {
-        for op in self.m.block_ops(block) {
+        let m = self.m;
+        for &op in m.block_ops(block) {
             self.lower_op(op)?;
         }
         Ok(())
@@ -352,11 +353,11 @@ impl<'a> Lowerer<'a> {
     }
 
     fn check_accel(&self, op: OpId) -> Result<(), LowerError> {
-        let found = accfg_accel(self.m, op);
+        let found = self.m.name(accfg_accel(self.m, op));
         if found != self.desc.name {
             return Err(LowerError::WrongAccelerator {
                 expected: self.desc.name.clone(),
-                found,
+                found: found.to_string(),
             });
         }
         Ok(())
@@ -364,16 +365,16 @@ impl<'a> Lowerer<'a> {
 
     fn lower_setup(&mut self, op: OpId) -> Result<(), LowerError> {
         self.check_accel(op)?;
-        let fields = setup_fields(self.m, op);
+        let fields = setup_fields(self.m, op).named();
         match self.desc.style {
             ConfigStyle::Csr => {
                 for (name, value) in fields {
                     let spec = self
                         .desc
-                        .field(&name)
+                        .field(name)
                         .ok_or_else(|| LowerError::UnknownField {
                             accelerator: self.desc.name.clone(),
-                            field: name.clone(),
+                            field: name.to_string(),
                         })?;
                     let vr = self.reg_for(value);
                     self.pb.csr_write(spec.reg, vr);
@@ -386,10 +387,10 @@ impl<'a> Lowerer<'a> {
                 for (name, value) in fields {
                     let spec = self
                         .desc
-                        .field(&name)
+                        .field(name)
                         .ok_or_else(|| LowerError::UnknownField {
                             accelerator: self.desc.name.clone(),
-                            field: name.clone(),
+                            field: name.to_string(),
                         })?;
                     let vr = self.reg_for(value);
                     written.insert(spec.reg, vr);

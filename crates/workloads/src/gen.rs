@@ -12,48 +12,49 @@ use accfg_ir::{CmpPredicate, FuncBuilder, Module, Type, ValueId};
 use accfg_sim::{flags as accel_flags, regmap};
 use accfg_targets::AcceleratorDescriptor;
 
-/// The target's names for the canonical tile-descriptor roles.
+/// The target's names for the canonical tile-descriptor roles, borrowed
+/// from its descriptor.
 #[derive(Debug, Clone)]
-struct Names {
-    a: String,
-    b: String,
-    c: String,
-    m: String,
-    n: String,
-    k: String,
-    stride_a: String,
-    stride_b: String,
-    stride_c: String,
-    d: Option<String>,
-    stride_d: Option<String>,
-    flags: String,
+struct Names<'d> {
+    a: &'d str,
+    b: &'d str,
+    c: &'d str,
+    m: &'d str,
+    n: &'d str,
+    k: &'d str,
+    stride_a: &'d str,
+    stride_b: &'d str,
+    stride_c: &'d str,
+    d: Option<&'d str>,
+    stride_d: Option<&'d str>,
+    flags: &'d str,
     /// OpenGeMM-style data-streamer CSRs (absent on RoCC targets).
     streamers: Option<StreamerNames>,
 }
 
 #[derive(Debug, Clone)]
 struct StreamerNames {
-    a_bound: String,
-    a_stride: String,
-    b_bound: String,
-    b_stride: String,
-    c_bound: String,
-    c_stride: String,
-    a_bound2: String,
-    a_stride2: String,
-    b_bound2: String,
-    b_stride2: String,
-    c_bound2: String,
-    c_stride2: String,
+    a_bound: &'static str,
+    a_stride: &'static str,
+    b_bound: &'static str,
+    b_stride: &'static str,
+    c_bound: &'static str,
+    c_stride: &'static str,
+    a_bound2: &'static str,
+    a_stride2: &'static str,
+    b_bound2: &'static str,
+    b_stride2: &'static str,
+    c_bound2: &'static str,
+    c_stride2: &'static str,
 }
 
-impl Names {
-    fn from_descriptor(desc: &AcceleratorDescriptor) -> Self {
+impl<'d> Names<'d> {
+    fn from_descriptor(desc: &'d AcceleratorDescriptor) -> Self {
         let get = |reg: u16| {
             desc.field_by_reg(reg)
                 .unwrap_or_else(|| panic!("descriptor lacks a field for config register {reg}"))
                 .name
-                .clone()
+                .as_str()
         };
         Self {
             a: get(regmap::A_ADDR),
@@ -65,22 +66,22 @@ impl Names {
             stride_a: get(regmap::STRIDE_A),
             stride_b: get(regmap::STRIDE_B),
             stride_c: get(regmap::STRIDE_C),
-            d: desc.field_by_reg(regmap::D_ADDR).map(|f| f.name.clone()),
-            stride_d: desc.field_by_reg(regmap::STRIDE_D).map(|f| f.name.clone()),
+            d: desc.field_by_reg(regmap::D_ADDR).map(|f| f.name.as_str()),
+            stride_d: desc.field_by_reg(regmap::STRIDE_D).map(|f| f.name.as_str()),
             flags: get(regmap::FLAGS),
             streamers: desc.field("streamer_A_bound").map(|_| StreamerNames {
-                a_bound: "streamer_A_bound".into(),
-                a_stride: "streamer_A_stride".into(),
-                b_bound: "streamer_B_bound".into(),
-                b_stride: "streamer_B_stride".into(),
-                c_bound: "streamer_C_bound".into(),
-                c_stride: "streamer_C_stride".into(),
-                a_bound2: "streamer_A_bound2".into(),
-                a_stride2: "streamer_A_stride2".into(),
-                b_bound2: "streamer_B_bound2".into(),
-                b_stride2: "streamer_B_stride2".into(),
-                c_bound2: "streamer_C_bound2".into(),
-                c_stride2: "streamer_C_stride2".into(),
+                a_bound: "streamer_A_bound",
+                a_stride: "streamer_A_stride",
+                b_bound: "streamer_B_bound",
+                b_stride: "streamer_B_stride",
+                c_bound: "streamer_C_bound",
+                c_stride: "streamer_C_stride",
+                a_bound2: "streamer_A_bound2",
+                a_stride2: "streamer_A_stride2",
+                b_bound2: "streamer_B_bound2",
+                b_stride2: "streamer_B_stride2",
+                c_bound2: "streamer_C_bound2",
+                c_stride2: "streamer_C_stride2",
             }),
         }
     }
@@ -90,7 +91,7 @@ impl Names {
 #[allow(clippy::too_many_arguments)]
 fn emit_invocation(
     b: &mut FuncBuilder<'_>,
-    names: &Names,
+    names: &Names<'_>,
     accel: &str,
     spec: &MatmulSpec,
     a: ValueId,
@@ -106,20 +107,22 @@ fn emit_invocation(
     let stride_a = b.const_index(spec.k);
     let stride_b = b.const_index(spec.n);
     let stride_c = b.const_index(4 * spec.n);
-    let mut fields: Vec<(&str, ValueId)> = vec![
-        (&names.a, a),
-        (&names.b, bb),
-        (&names.c, c),
-        (&names.m, tile_m),
-        (&names.n, tile_n),
-        (&names.k, tile_k),
-        (&names.stride_a, stride_a),
-        (&names.stride_b, stride_b),
-        (&names.stride_c, stride_c),
-        (&names.flags, flags),
-    ];
+    // room for the largest setup (OpenGeMM's 24 fields) in one allocation
+    let mut fields: Vec<(&str, ValueId)> = Vec::with_capacity(24);
+    fields.extend([
+        (names.a, a),
+        (names.b, bb),
+        (names.c, c),
+        (names.m, tile_m),
+        (names.n, tile_n),
+        (names.k, tile_k),
+        (names.stride_a, stride_a),
+        (names.stride_b, stride_b),
+        (names.stride_c, stride_c),
+        (names.flags, flags),
+    ]);
     // targets with a bias input get its registers written (disabled = 0)
-    if let (Some(dn), Some(sdn)) = (&names.d, &names.stride_d) {
+    if let (Some(dn), Some(sdn)) = (names.d, names.stride_d) {
         let d = b.const_index(0);
         let stride_d = b.const_index(0);
         fields.push((dn, d));
@@ -135,24 +138,24 @@ fn emit_invocation(
         let b_stride = b.muli(stride_b, eight);
         let c_bound = b.divui(tile_m, eight);
         let c_stride = b.muli(stride_c, eight);
-        fields.push((&st.a_bound, a_bound));
-        fields.push((&st.a_stride, a_stride));
-        fields.push((&st.b_bound, b_bound));
-        fields.push((&st.b_stride, b_stride));
-        fields.push((&st.c_bound, c_bound));
-        fields.push((&st.c_stride, c_stride));
+        fields.push((st.a_bound, a_bound));
+        fields.push((st.a_stride, a_stride));
+        fields.push((st.b_bound, b_bound));
+        fields.push((st.b_stride, b_stride));
+        fields.push((st.c_bound, c_bound));
+        fields.push((st.c_stride, c_stride));
         // inner (spatial) dimension of each streamer: 8-wide vectors
         let a_bound2 = b.divui(tile_m, eight);
         let elem_row = b.muli(eight, eight);
         let b_bound2 = b.divui(tile_k, eight);
         let four = four_bytes(b);
         let c_stride2 = b.muli(four, eight);
-        fields.push((&st.a_bound2, a_bound2));
-        fields.push((&st.a_stride2, eight));
-        fields.push((&st.b_bound2, b_bound2));
-        fields.push((&st.b_stride2, elem_row));
-        fields.push((&st.c_bound2, a_bound2));
-        fields.push((&st.c_stride2, c_stride2));
+        fields.push((st.a_bound2, a_bound2));
+        fields.push((st.a_stride2, eight));
+        fields.push((st.b_bound2, b_bound2));
+        fields.push((st.b_stride2, elem_row));
+        fields.push((st.c_bound2, a_bound2));
+        fields.push((st.c_stride2, c_stride2));
     }
     let state = b.setup(accel, &fields);
     let token = b.launch(accel, state);
@@ -253,7 +256,7 @@ pub fn tiled_collapsed_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Mo
     let lb = b.const_index(0);
     let ub = b.const_index(ti * tj * tk);
     let one = b.const_index(1);
-    let accel = desc.name.clone();
+    let accel = desc.name.as_str();
     b.build_for(lb, ub, one, vec![], |b, t, _| {
         // recover (i, j, kk) from the linear index; grid dims of 1 are
         // resolved at generation time (a C frontend would not divide by 1)
@@ -280,7 +283,7 @@ pub fn tiled_collapsed_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Mo
         } else {
             b.const_index(base_flags(&spec))
         };
-        emit_invocation(b, &names, &accel, &spec, a, bb, c, flags);
+        emit_invocation(b, &names, accel, &spec, a, bb, c, flags);
         vec![]
     });
     b.ret(vec![]);
@@ -300,7 +303,7 @@ pub fn tiled_nested_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Modul
     let (mut b, args) = FuncBuilder::new_func(&mut m, "matmul", vec![Type::I64; 3]);
     let lb = b.const_index(0);
     let one = b.const_index(1);
-    let accel = desc.name.clone();
+    let accel = desc.name.as_str();
 
     // innermost: one invocation at tile indices (i, j, kk)
     let body = |b: &mut FuncBuilder<'_>, i: ValueId, j: ValueId, kk: ValueId| {
@@ -314,7 +317,7 @@ pub fn tiled_nested_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Modul
         } else {
             b.const_index(base_flags(&spec))
         };
-        emit_invocation(b, &names, &accel, &spec, a, bb, c, flags);
+        emit_invocation(b, &names, accel, &spec, a, bb, c, flags);
     };
     let k_level = |b: &mut FuncBuilder<'_>, i: ValueId, j: ValueId| {
         if tk == 1 {
@@ -370,7 +373,7 @@ pub fn gemmini_ws_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Module 
         desc.field_by_reg(reg)
             .expect("gemmini descriptor has auxiliary fields")
             .name
-            .clone()
+            .as_str()
     };
     let aux = GemminiAuxNames {
         d: name(regmap::D_ADDR),
@@ -390,14 +393,14 @@ pub fn gemmini_ws_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Module 
     };
     let (ti, tj, tk) = spec.tiles();
     let spec = *spec;
-    let accel = desc.name.clone();
+    let accel = desc.name.as_str();
     let mut m = Module::new();
     let (mut b, args) = FuncBuilder::new_func(&mut m, "matmul", vec![Type::I64; 3]);
     if ti * tj * tk == 1 {
         let zero = b.const_index(0);
         let flags = b.const_index(base_flags(&spec));
         emit_gemmini_invocation(
-            &mut b, &names, &aux, &accel, &spec, args[0], args[1], args[2], flags, zero,
+            &mut b, &names, &aux, accel, &spec, args[0], args[1], args[2], flags, zero,
         );
         b.ret(vec![]);
         return m;
@@ -431,28 +434,28 @@ pub fn gemmini_ws_ir(desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> Module 
         } else {
             b.const_index(base_flags(&spec))
         };
-        emit_gemmini_invocation(b, &names, &aux, &accel, &spec, a, bb, c, flags, kk);
+        emit_gemmini_invocation(b, &names, &aux, accel, &spec, a, bb, c, flags, kk);
         vec![]
     });
     b.ret(vec![]);
     m
 }
 
-struct GemminiAuxNames {
-    d: String,
-    stride_d: String,
-    spad_a: String,
-    spad_b: String,
-    spad_c: String,
-    spad_d: String,
-    loop_sizes: String,
-    loop_pads: String,
-    config_ex: String,
-    config_ld_a: String,
-    config_ld_b: String,
-    config_ld_d: String,
-    config_st: String,
-    mvin_scale: String,
+struct GemminiAuxNames<'d> {
+    d: &'d str,
+    stride_d: &'d str,
+    spad_a: &'d str,
+    spad_b: &'d str,
+    spad_c: &'d str,
+    spad_d: &'d str,
+    loop_sizes: &'d str,
+    loop_pads: &'d str,
+    config_ex: &'d str,
+    config_ld_a: &'d str,
+    config_ld_b: &'d str,
+    config_ld_d: &'d str,
+    config_st: &'d str,
+    mvin_scale: &'d str,
 }
 
 /// One full `gemmini.h`-style invocation: derived parameters, packing, and
@@ -460,8 +463,8 @@ struct GemminiAuxNames {
 #[allow(clippy::too_many_arguments)]
 fn emit_gemmini_invocation(
     b: &mut FuncBuilder<'_>,
-    names: &Names,
-    aux: &GemminiAuxNames,
+    names: &Names<'_>,
+    aux: &GemminiAuxNames<'_>,
     accel: &str,
     spec: &MatmulSpec,
     a: ValueId,
@@ -541,34 +544,33 @@ fn emit_gemmini_invocation(
     let st_hi = b.shli(stride_c, s16);
     let config_st = b.ori(st_hi, act);
 
-    let fields: Vec<(String, ValueId)> = vec![
-        (names.a.clone(), a),
-        (names.b.clone(), bb),
-        (names.c.clone(), c),
-        (aux.d.clone(), d_addr),
-        (names.m.clone(), tile_i),
-        (names.n.clone(), tile_j),
-        (names.k.clone(), tile_k),
-        (names.stride_a.clone(), stride_a),
-        (names.stride_b.clone(), stride_b),
-        (names.stride_c.clone(), stride_c),
-        (aux.stride_d.clone(), stride_d),
-        (names.flags.clone(), flags),
-        (aux.spad_a.clone(), spad_a),
-        (aux.spad_b.clone(), spad_b),
-        (aux.spad_c.clone(), spad_c),
-        (aux.spad_d.clone(), spad_d),
-        (aux.loop_sizes.clone(), loop_sizes),
-        (aux.loop_pads.clone(), loop_pads),
-        (aux.config_ex.clone(), config_ex),
-        (aux.config_ld_a.clone(), config_ld_a),
-        (aux.config_ld_b.clone(), config_ld_b),
-        (aux.config_ld_d.clone(), config_ld_d),
-        (aux.config_st.clone(), config_st),
-        (aux.mvin_scale.clone(), scale),
+    let fields = [
+        (names.a, a),
+        (names.b, bb),
+        (names.c, c),
+        (aux.d, d_addr),
+        (names.m, tile_i),
+        (names.n, tile_j),
+        (names.k, tile_k),
+        (names.stride_a, stride_a),
+        (names.stride_b, stride_b),
+        (names.stride_c, stride_c),
+        (aux.stride_d, stride_d),
+        (names.flags, flags),
+        (aux.spad_a, spad_a),
+        (aux.spad_b, spad_b),
+        (aux.spad_c, spad_c),
+        (aux.spad_d, spad_d),
+        (aux.loop_sizes, loop_sizes),
+        (aux.loop_pads, loop_pads),
+        (aux.config_ex, config_ex),
+        (aux.config_ld_a, config_ld_a),
+        (aux.config_ld_b, config_ld_b),
+        (aux.config_ld_d, config_ld_d),
+        (aux.config_st, config_st),
+        (aux.mvin_scale, scale),
     ];
-    let refs: Vec<(&str, ValueId)> = fields.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let state = b.setup(accel, &refs);
+    let state = b.setup(accel, &fields);
     let token = b.launch(accel, state);
     b.await_token(accel, token);
 }

@@ -10,12 +10,19 @@
 //! 2. printed IR parses back to IR that prints identically (round-trip);
 //! 3. every pipeline output still passes the verifier and the accfg
 //!    discipline lint;
-//! 4. deduplication never increases the number of configuration writes.
+//! 4. deduplication never increases the number of configuration writes;
+//! 5. the pass manager's shortcut is sound: a pass that leaves the module's
+//!    mutation stamp where it was left the printed IR byte-identical, and
+//!    so did every pass that reported `Changed::No`.
 
 use configuration_wall::core::pipeline::{pipeline, OptLevel};
-use configuration_wall::core::{interpret, verify_discipline, AccelFilter};
+use configuration_wall::core::{
+    interpret, verify_discipline, AccelFilter, Deduplicate, HoistInvariantSetupFields,
+    HoistSetupIntoBranch, MergeSetups, OverlapInBlock, RemoveEmptySetups, RotateLoops, TraceStates,
+};
+use configuration_wall::ir::passes::{Canonicalize, Cse, Dce, Licm};
 use configuration_wall::ir::{
-    parse_module, print_module, verify, Effects, FuncBuilder, Module, Type,
+    parse_module, print_module, verify, Effects, FuncBuilder, Module, Pass, Type,
 };
 use proptest::prelude::*;
 
@@ -140,8 +147,61 @@ fn build(segments: &[Segment]) -> Module {
     m
 }
 
+/// The passes of `pipeline(OptLevel::All, AccelFilter::All)`, one by one
+/// (the manager does not hand its passes out; the names are checked
+/// against it so the two cannot drift apart).
+fn all_level_passes() -> Vec<Box<dyn Pass>> {
+    let passes: Vec<Box<dyn Pass>> = vec![
+        Box::new(Canonicalize),
+        Box::new(Cse),
+        Box::new(Licm),
+        Box::new(TraceStates),
+        Box::new(HoistSetupIntoBranch),
+        Box::new(HoistInvariantSetupFields),
+        Box::new(Deduplicate),
+        Box::new(RemoveEmptySetups),
+        Box::new(MergeSetups),
+        Box::new(RotateLoops::default()),
+        Box::new(OverlapInBlock::default()),
+        Box::new(Canonicalize),
+        Box::new(Cse),
+        Box::new(Dce),
+    ];
+    let names: Vec<&str> = passes.iter().map(|p| p.name()).collect();
+    assert_eq!(
+        names,
+        pipeline(OptLevel::All, AccelFilter::All).pass_names()
+    );
+    passes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn an_unmoved_stamp_and_changed_no_both_mean_identical_ir(segments in program()) {
+        let mut module = build(&segments);
+        let mut printed = print_module(&module);
+        for pass in all_level_passes() {
+            let stamp = module.stamp();
+            let changed = pass.run(&mut module);
+            let after = print_module(&module);
+            if module.stamp() == stamp {
+                // what lets the manager skip the verifier and the validator
+                prop_assert_eq!(&after, &printed, "`{}` moved no stamp", pass.name());
+            }
+            if !changed.changed() {
+                // a pass that lies about this fails here, not in production
+                prop_assert_eq!(&after, &printed, "`{}` reported no change", pass.name());
+            }
+            verify(&module).unwrap();
+            printed = after;
+        }
+        // and the walk above is the pipeline
+        let mut piped = build(&segments);
+        pipeline(OptLevel::All, AccelFilter::All).run(&mut piped).unwrap();
+        prop_assert_eq!(print_module(&piped), printed);
+    }
 
     #[test]
     fn pipeline_preserves_launch_traces(segments in program(), a in -64i64..64, c in 0i64..2) {
