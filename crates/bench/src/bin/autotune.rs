@@ -32,7 +32,7 @@ use accfg_bench::tune::{
     evaluate, knob_space, render_table, tune_stream, Eval, KnobConfig, Objective, StreamEntry,
     TuneOptions,
 };
-use accfg_bench::{markdown_table, streams};
+use accfg_bench::{cli, markdown_table, streams};
 use accfg_runtime::PoolConfig;
 use accfg_workloads::TrafficRequest;
 
@@ -45,18 +45,103 @@ const DEFAULT_TUNE: &str = "mixed,bursty";
 /// The default held-out streams (reported only).
 const DEFAULT_HELD_OUT: &str = "contention,hetero";
 
+/// The catalog streams the tuner can run — the vocabulary `--tune-streams`
+/// and `--held-out` accept.
+fn tunable_streams() -> Vec<&'static str> {
+    let catalog = streams::catalog(1);
+    catalog
+        .iter()
+        .filter(|entry| entry.tunable)
+        .map(|entry| entry.name)
+        .collect()
+}
+
 fn resolve(name: &str, requests: usize) -> (Vec<TrafficRequest>, PoolConfig) {
-    streams::named_stream(name, requests).unwrap_or_else(|| {
-        let catalog = streams::catalog(1);
-        let tunable: Vec<&str> = catalog
-            .iter()
-            .filter(|entry| entry.tunable)
-            .map(|entry| entry.name)
-            .collect();
-        panic!(
-            "unknown or untunable stream `{name}` (tunable: {})",
-            tunable.join(", ")
-        )
+    streams::named_stream(name, requests).expect("parse_args admits only tunable streams")
+}
+
+/// What the command line asked for.
+struct Cli {
+    /// `--requests`: requests per evaluation serve.
+    requests: usize,
+    /// `--out`.
+    out_path: String,
+    /// `--refine-rounds`, `--no-racing`.
+    opts: TuneOptions,
+    /// `--tune-streams`: the seed streams, tuned on.
+    tune_streams: Vec<String>,
+    /// `--held-out`: the streams the transferred configuration is reported on.
+    held_out: Vec<String>,
+}
+
+/// Parses the arguments after the binary's name.
+///
+/// # Errors
+/// Everything the command line alone can get wrong — a missing or
+/// malformed value, an unknown flag or stream, an invocation that would
+/// overwrite the committed table — as the line `main` prints before
+/// exiting with status 2.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut requests = DEFAULT_REQUESTS;
+    let mut out_path = DEFAULT_OUT.to_string();
+    let mut opts = TuneOptions::default();
+    let mut tune_names = DEFAULT_TUNE.to_string();
+    let mut held_out_names = DEFAULT_HELD_OUT.to_string();
+    let args = &mut args;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--requests" => requests = cli::number(args, &arg, "a positive count", 1)?,
+            "--out" => out_path = cli::value(args, &arg, "a file path")?,
+            "--refine-rounds" => opts.refine_rounds = cli::number(args, &arg, "a count", 0)?,
+            "--no-racing" => opts.racing = false,
+            "--tune-streams" => tune_names = cli::value(args, &arg, "a comma-separated list")?,
+            "--held-out" => held_out_names = cli::value(args, &arg, "a comma-separated list")?,
+            "--store" => {
+                return Err(
+                    "autotune does not support --store: candidate serves are capped and may \
+                     abort, and an aborted serve must not feed a warm-start store"
+                        .to_string(),
+                )
+            }
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}` (supported: --requests, --out, \
+                     --refine-rounds, --no-racing, --tune-streams, --held-out)"
+                ))
+            }
+        }
+    }
+    // an empty list is no stream at all, not the stream ``
+    let split = |names: &str| match names {
+        "" => Ok(Vec::new()),
+        _ => cli::selection("tunable stream", names, &tunable_streams()),
+    };
+    let (tune_streams, held_out) = (split(&tune_names)?, split(&held_out_names)?);
+    if tune_streams.is_empty() {
+        return Err("--tune-streams must name a stream".to_string());
+    }
+    // Non-default invocations must not clobber the committed default table.
+    let defaults = TuneOptions::default();
+    let default_invocation = requests == DEFAULT_REQUESTS
+        && opts.racing == defaults.racing
+        && opts.refine_rounds == defaults.refine_rounds
+        && tune_names == DEFAULT_TUNE
+        && held_out_names == DEFAULT_HELD_OUT;
+    if !default_invocation
+        && std::path::Path::new(&out_path).file_name()
+            == std::path::Path::new(DEFAULT_OUT).file_name()
+    {
+        return Err(format!(
+            "refusing to overwrite the default {DEFAULT_OUT} with a non-default \
+             invocation; pass --out to write elsewhere"
+        ));
+    }
+    Ok(Cli {
+        requests,
+        out_path,
+        opts,
+        tune_streams,
+        held_out,
     })
 }
 
@@ -68,76 +153,13 @@ fn must_complete(eval: Eval) -> Objective {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut requests = DEFAULT_REQUESTS;
-    let mut out_path = DEFAULT_OUT.to_string();
-    let mut opts = TuneOptions::default();
-    let mut tune_names = DEFAULT_TUNE.to_string();
-    let mut held_out_names = DEFAULT_HELD_OUT.to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--requests" => {
-                requests = value(i).parse().expect("--requests takes a count");
-                i += 2;
-            }
-            "--out" => {
-                out_path = value(i).clone();
-                i += 2;
-            }
-            "--refine-rounds" => {
-                opts.refine_rounds = value(i).parse().expect("--refine-rounds takes a count");
-                i += 2;
-            }
-            "--no-racing" => {
-                opts.racing = false;
-                i += 1;
-            }
-            "--tune-streams" => {
-                tune_names = value(i).clone();
-                i += 2;
-            }
-            "--held-out" => {
-                held_out_names = value(i).clone();
-                i += 2;
-            }
-            "--store" => panic!(
-                "autotune does not support --store: candidate serves are capped and may \
-                 abort, and an aborted serve must not feed a warm-start store"
-            ),
-            other => panic!(
-                "unknown argument `{other}` (supported: --requests, --out, \
-                 --refine-rounds, --no-racing, --tune-streams, --held-out)"
-            ),
-        }
-    }
-    let tune_streams: Vec<&str> = tune_names.split(',').filter(|s| !s.is_empty()).collect();
-    let held_out: Vec<&str> = held_out_names
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .collect();
-    assert!(
-        !tune_streams.is_empty(),
-        "--tune-streams must name a stream"
-    );
-
-    // Non-default invocations must not clobber the committed default table.
-    let defaults = TuneOptions::default();
-    assert!(
-        (requests == DEFAULT_REQUESTS
-            && opts.racing == defaults.racing
-            && opts.refine_rounds == defaults.refine_rounds
-            && tune_names == DEFAULT_TUNE
-            && held_out_names == DEFAULT_HELD_OUT)
-            || std::path::Path::new(&out_path).file_name()
-                != std::path::Path::new(DEFAULT_OUT).file_name(),
-        "refusing to overwrite the default {DEFAULT_OUT} with a non-default \
-         invocation; pass --out to write elsewhere"
-    );
+    let Cli {
+        requests,
+        out_path,
+        opts,
+        tune_streams,
+        held_out,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::refuse("autotune", &e));
 
     // Tune every seed stream independently.
     let mut entries: Vec<StreamEntry> = Vec::new();
@@ -290,4 +312,112 @@ fn main() {
         )
     );
     println!("tuned table written to {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The refusal for `line`, or `None` if it parses.
+    fn refusal(line: &[&str]) -> Option<String> {
+        parse_args(line.iter().map(|arg| arg.to_string())).err()
+    }
+
+    #[test]
+    fn every_flag_refuses_a_missing_value() {
+        for flag in [
+            "--requests",
+            "--out",
+            "--refine-rounds",
+            "--tune-streams",
+            "--held-out",
+        ] {
+            let message = refusal(&["--out", "x.json", flag]).expect(flag);
+            assert!(message.starts_with(&format!("{flag} takes ")), "{message}");
+        }
+    }
+
+    #[test]
+    fn every_flag_refuses_a_malformed_value() {
+        for (flag, bad, says) in [
+            (
+                "--requests",
+                "-1",
+                "--requests takes a positive count (got `-1`)",
+            ),
+            (
+                "--requests",
+                "0",
+                "--requests takes a positive count (got `0`)",
+            ),
+            (
+                "--requests",
+                "many",
+                "--requests takes a positive count (got `many`)",
+            ),
+            (
+                "--refine-rounds",
+                "-2",
+                "--refine-rounds takes a count (got `-2`)",
+            ),
+            (
+                "--refine-rounds",
+                "2.5",
+                "--refine-rounds takes a count (got `2.5`)",
+            ),
+            (
+                "--tune-streams",
+                "mixed,nope",
+                "unknown tunable stream `nope` (known: ",
+            ),
+            (
+                "--held-out",
+                "Mixed",
+                "unknown tunable stream `Mixed` (known: ",
+            ),
+            ("--tune-streams", ",", "unknown tunable stream `` (known: "),
+            ("--tune-streams", "", "--tune-streams must name a stream"),
+            ("--store", "s.store", "autotune does not support --store: "),
+        ] {
+            let message = refusal(&["--out", "x.json", flag, bad]).expect(flag);
+            assert!(message.starts_with(says), "{flag} {bad}: {message}");
+        }
+        let message = refusal(&["--frobnicate"]).unwrap();
+        assert!(message.starts_with("unknown argument `--frobnicate` (supported: "));
+    }
+
+    #[test]
+    fn only_the_default_invocation_may_write_the_committed_table() {
+        assert_eq!(refusal(&[]), None);
+        assert_eq!(refusal(&["--out", "elsewhere.json", "--no-racing"]), None);
+        for line in [
+            &["--requests", "600"][..],
+            &["--no-racing"],
+            &["--refine-rounds", "0"],
+            &["--held-out", "contention"],
+            &["--requests", "600", "--out", "elsewhere/TUNED.json"],
+        ] {
+            let message = refusal(line).unwrap();
+            assert!(message.starts_with("refusing to overwrite the default TUNED.json"));
+        }
+        let cli = parse_args(
+            [
+                "--requests",
+                "600",
+                "--out",
+                "x.json",
+                "--tune-streams",
+                "mixed",
+                "--held-out",
+                "",
+            ]
+            .map(String::from)
+            .into_iter(),
+        )
+        .ok()
+        .unwrap();
+        assert_eq!((cli.requests, cli.out_path.as_str()), (600, "x.json"));
+        assert_eq!(cli.tune_streams, ["mixed"]);
+        assert!(cli.held_out.is_empty() && cli.opts.racing);
+    }
 }

@@ -150,7 +150,7 @@
 
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
 use accfg_bench::tune::{parse_table, KnobConfig};
-use accfg_bench::{json, markdown_table};
+use accfg_bench::{cli, json, markdown_table};
 use accfg_runtime::{
     BatchCutoff, Policy, Runtime, ServeConfig, ServeMetrics, ServeMode, LOAD_SLACK_CYCLES,
 };
@@ -731,28 +731,29 @@ fn stream_names() -> Vec<&'static str> {
     catalog.iter().map(|entry| entry.name).collect()
 }
 
-/// Parses a comma-separated `--policies` / `--streams` value, rejecting
-/// any name outside `known`.
-fn selection(what: &str, list: &str, known: &[&str]) -> Vec<String> {
-    let selected: Vec<String> = list.split(',').map(str::to_string).collect();
-    for name in &selected {
-        assert!(
-            known.contains(&name.as_str()),
-            "unknown {what} `{name}` (known: {})",
-            known.join(", ")
-        );
-    }
-    selected
-}
-
-/// Refuses an input file: one line on stderr and a failing exit status,
-/// not a panic.
+/// Refuses the command line or an input file: one line on stderr and a
+/// failing exit status, not a panic.
 fn refuse(message: &str) -> ! {
-    eprintln!("serve_bench: {message}");
-    std::process::exit(2);
+    cli::refuse("serve_bench", message)
 }
 
-fn main() {
+/// What the command line asked for.
+struct Cli {
+    plan: BenchPlan,
+    /// `--out`.
+    out_path: String,
+    /// `--store`: run the warm-start passes over this file instead.
+    store_path: Option<String>,
+}
+
+/// Parses the arguments after the binary's name.
+///
+/// # Errors
+/// Everything the command line alone can get wrong — a missing or
+/// malformed value, an unknown flag, policy or stream, an unreadable or
+/// malformed `--tuned` table, a combination the binary does not serve —
+/// as the line [`refuse`] prints.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut plan = BenchPlan {
         requests: DEFAULT_REQUESTS,
         mode: BenchMode::Sim,
@@ -766,87 +767,61 @@ fn main() {
     let mut out_path = String::from(DEFAULT_OUT);
     let mut store_path: Option<String> = None;
     let mut threads_given = false;
-    let mut args = std::env::args().skip(1);
+    let args = &mut args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--requests" => {
-                plan.requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--requests takes a positive integer");
-            }
-            "--slack" => {
-                plan.slack = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .expect("--slack takes a positive cycle count");
-            }
-            "--out" => {
-                out_path = args.next().expect("--out takes a file path");
-            }
-            "--store" => {
-                store_path = Some(args.next().expect("--store takes a file path"));
-            }
+            "--requests" => plan.requests = cli::number(args, &arg, "a positive integer", 1)?,
+            "--slack" => plan.slack = cli::number(args, &arg, "a positive cycle count", 1)?,
+            "--out" => out_path = cli::value(args, &arg, "a file path")?,
+            "--store" => store_path = Some(cli::value(args, &arg, "a file path")?),
             "--batch-cutoff" => {
-                let value = args
-                    .next()
-                    .expect("--batch-cutoff takes a cycle count or `none`");
-                plan.cutoff = match value.as_str() {
-                    "none" => BatchCutoff::Uncapped,
-                    _ => BatchCutoff::Cycles(
-                        value
-                            .parse()
-                            .ok()
-                            .filter(|&c: &u64| c > 0)
-                            .expect("--batch-cutoff takes a positive cycle count or `none`"),
-                    ),
+                let takes = "a positive cycle count or `none`";
+                let value = cli::value(args, &arg, takes)?;
+                plan.cutoff = if value == "none" {
+                    BatchCutoff::Uncapped
+                } else {
+                    let cycles = cli::number(&mut std::iter::once(value), &arg, takes, 1)?;
+                    BatchCutoff::Cycles(cycles)
                 };
             }
             "--tuned" => {
-                let path = args.next().expect("--tuned takes a tuned-table path");
+                let path = cli::value(args, &arg, "a tuned-table path")?;
                 let text = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| refuse(&format!("--tuned: cannot read {path}: {e}")));
-                plan.tuned = Some(
-                    parse_table(&text).unwrap_or_else(|e| refuse(&format!("--tuned: {path}: {e}"))),
-                );
+                    .map_err(|e| format!("--tuned: cannot read {path}: {e}"))?;
+                plan.tuned = Some(parse_table(&text).map_err(|e| format!("--tuned: {path}: {e}"))?);
             }
             "--mode" => {
-                plan.mode = match args.next().as_deref() {
-                    Some("sim") => BenchMode::Sim,
-                    Some("wall") => BenchMode::Wall,
-                    Some("diff") => BenchMode::Diff,
-                    other => panic!("--mode takes sim, wall, or diff (got {other:?})"),
+                let takes = "sim, wall, or diff";
+                plan.mode = match cli::value(args, &arg, takes)?.as_str() {
+                    "sim" => BenchMode::Sim,
+                    "wall" => BenchMode::Wall,
+                    "diff" => BenchMode::Diff,
+                    other => return Err(format!("--mode takes {takes} (got `{other}`)")),
                 };
             }
             "--threads" => {
-                plan.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .expect("--threads takes a positive integer");
+                plan.threads = cli::number(args, &arg, "a positive integer", 1)?;
                 threads_given = true;
             }
             "--policies" => {
-                let list = args
-                    .next()
-                    .expect("--policies takes a comma-separated list");
+                let list = cli::value(args, &arg, "a comma-separated list")?;
                 let rows = policy_rows(true, &ServeConfig::default());
                 let known: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
-                plan.policy_filter = Some(selection("policy", &list, &known));
+                plan.policy_filter = Some(cli::selection("policy", &list, &known)?);
             }
             "--streams" => {
-                let list = args.next().expect("--streams takes a comma-separated list");
-                plan.stream_filter = Some(selection("stream", &list, &stream_names()));
+                let list = cli::value(args, &arg, "a comma-separated list")?;
+                plan.stream_filter = Some(cli::selection("stream", &list, &stream_names())?);
             }
-            other => panic!(
-                "unknown argument `{other}` (supported: --requests <n>, \
-                 --out <path>, --policies <a,b,...>, --streams <a,b,...>, \
-                 --slack <cycles>, --batch-cutoff <cycles|none>, \
-                 --tuned <path>, --store <path>, --mode <sim|wall|diff>, \
-                 --threads <n>)"
-            ),
+            other => {
+                return Err(format!(
+                    "unknown argument `{other}` (supported: --requests <n>, \
+                     --out <path>, --policies <a,b,...>, --streams <a,b,...>, \
+                     --slack <cycles>, --batch-cutoff <cycles|none>, \
+                     --tuned <path>, --store <path>, --mode <sim|wall|diff>, \
+                     --threads <n>)"
+                ))
+            }
         }
     }
     // a filtered, slack-swept, reduced, warm-start, or non-sim-mode run
@@ -855,53 +830,75 @@ fn main() {
     // path cannot slip past). `--threads` counts even in sim mode — a
     // partial wall-mode invocation mistyped as sim must not land on the
     // deterministic artifact either.
-    assert!(
-        (plan.policy_filter.is_none()
-            && plan.stream_filter.is_none()
-            && plan.slack == LOAD_SLACK_CYCLES
-            && plan.requests == DEFAULT_REQUESTS
-            && store_path.is_none()
-            && plan.mode == BenchMode::Sim
-            && !threads_given
-            && plan.cutoff == BatchCutoff::FollowSlack
-            && plan.tuned.is_none())
-            || std::path::Path::new(&out_path).file_name()
-                != std::path::Path::new(DEFAULT_OUT).file_name(),
-        "--policies/--streams/--slack/--batch-cutoff/--tuned/--requests/\
-         --store/--mode/--threads write a non-canonical report; pass --out \
-         with a file name other than {DEFAULT_OUT} so it cannot clobber \
-         the committed artifact"
-    );
-    if let Some(store) = &store_path {
-        assert!(
-            plan.policy_filter.is_none(),
+    let canonical = plan.policy_filter.is_none()
+        && plan.stream_filter.is_none()
+        && plan.slack == LOAD_SLACK_CYCLES
+        && plan.requests == DEFAULT_REQUESTS
+        && store_path.is_none()
+        && plan.mode == BenchMode::Sim
+        && !threads_given
+        && plan.cutoff == BatchCutoff::FollowSlack
+        && plan.tuned.is_none();
+    if !canonical
+        && std::path::Path::new(&out_path).file_name()
+            == std::path::Path::new(DEFAULT_OUT).file_name()
+    {
+        return Err(format!(
+            "--policies/--streams/--slack/--batch-cutoff/--tuned/--requests/\
+             --store/--mode/--threads write a non-canonical report; pass --out \
+             with a file name other than {DEFAULT_OUT} so it cannot clobber \
+             the committed artifact"
+        ));
+    }
+    let with_store = store_path.is_some();
+    let refusals = [
+        (
+            with_store && plan.policy_filter.is_some(),
             "--store runs the warm-start passes under the affinity policy; \
-             it cannot be combined with --policies"
-        );
-        assert!(
-            plan.stream_filter.is_none(),
+             it cannot be combined with --policies",
+        ),
+        (
+            with_store && plan.stream_filter.is_some(),
             "--store always serves the contention stream for both passes; \
-             it cannot be combined with --streams"
-        );
-        assert!(
-            plan.mode == BenchMode::Sim,
+             it cannot be combined with --streams",
+        ),
+        (
+            with_store && plan.mode != BenchMode::Sim,
             "--store runs its passes on the deterministic engine; \
-             it cannot be combined with --mode"
-        );
-        assert!(
-            plan.cutoff == BatchCutoff::FollowSlack && plan.tuned.is_none(),
+             it cannot be combined with --mode",
+        ),
+        (
+            with_store && (plan.cutoff != BatchCutoff::FollowSlack || plan.tuned.is_some()),
             "--store serves a fixed affinity configuration; it cannot be \
-             combined with --batch-cutoff or --tuned"
-        );
+             combined with --batch-cutoff or --tuned",
+        ),
+        (
+            !with_store && plan.mode == BenchMode::Diff && plan.tuned.is_some(),
+            "--tuned adds report rows to the sim/wall tables; \
+             it cannot be combined with --mode diff",
+        ),
+    ];
+    if let Some((_, why)) = refusals.iter().find(|(hit, _)| *hit) {
+        return Err(why.to_string());
+    }
+    Ok(Cli {
+        plan,
+        out_path,
+        store_path,
+    })
+}
+
+fn main() {
+    let Cli {
+        plan,
+        out_path,
+        store_path,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
+    if let Some(store) = &store_path {
         run_warm_start(&plan, store, &out_path);
         return;
     }
     if plan.mode == BenchMode::Diff {
-        assert!(
-            plan.tuned.is_none(),
-            "--tuned adds report rows to the sim/wall tables; \
-             it cannot be combined with --mode diff"
-        );
         run_diff(&plan, &out_path);
         return;
     }
@@ -1017,15 +1014,186 @@ mod tests {
         let known = stream_names();
         for entry in &catalog {
             assert_eq!(
-                selection("stream", entry.name, &known),
-                vec![entry.name.to_string()]
+                cli::selection("stream", entry.name, &known),
+                Ok(vec![entry.name.to_string()])
             );
         }
         let all = known.join(",");
-        assert_eq!(selection("stream", &all, &known).len(), 7);
+        assert_eq!(cli::selection("stream", &all, &known).unwrap().len(), 7);
         for bad in ["warmup", "mixed,warmup", "Mixed", ""] {
-            let rejected = std::panic::catch_unwind(|| selection("stream", bad, &known));
+            let rejected = cli::selection("stream", bad, &known);
             assert!(rejected.is_err(), "--streams {bad:?} must be rejected");
         }
+    }
+
+    /// The refusal for `line`, or `None` if it parses.
+    fn refusal(line: &[&str]) -> Option<String> {
+        parse_args(line.iter().map(|arg| arg.to_string())).err()
+    }
+
+    #[test]
+    fn every_flag_refuses_a_missing_value() {
+        for flag in [
+            "--requests",
+            "--slack",
+            "--out",
+            "--store",
+            "--batch-cutoff",
+            "--tuned",
+            "--mode",
+            "--threads",
+            "--policies",
+            "--streams",
+        ] {
+            let message = refusal(&["--out", "x.json", flag]).expect(flag);
+            assert!(message.starts_with(&format!("{flag} takes ")), "{message}");
+        }
+    }
+
+    #[test]
+    fn every_flag_refuses_a_malformed_value() {
+        for (flag, bad, says) in [
+            (
+                "--requests",
+                "x",
+                "--requests takes a positive integer (got `x`)",
+            ),
+            (
+                "--requests",
+                "0",
+                "--requests takes a positive integer (got `0`)",
+            ),
+            (
+                "--requests",
+                "-1",
+                "--requests takes a positive integer (got `-1`)",
+            ),
+            (
+                "--slack",
+                "1e3",
+                "--slack takes a positive cycle count (got `1e3`)",
+            ),
+            (
+                "--slack",
+                "0",
+                "--slack takes a positive cycle count (got `0`)",
+            ),
+            (
+                "--threads",
+                "two",
+                "--threads takes a positive integer (got `two`)",
+            ),
+            (
+                "--threads",
+                "0",
+                "--threads takes a positive integer (got `0`)",
+            ),
+            (
+                "--batch-cutoff",
+                "None",
+                "--batch-cutoff takes a positive cycle count or `none` (got `None`)",
+            ),
+            (
+                "--batch-cutoff",
+                "0",
+                "--batch-cutoff takes a positive cycle count or `none` (got `0`)",
+            ),
+            (
+                "--mode",
+                "fast",
+                "--mode takes sim, wall, or diff (got `fast`)",
+            ),
+            ("--policies", "lifo", "unknown policy `lifo` (known: "),
+            (
+                "--streams",
+                "mixed,warmup",
+                "unknown stream `warmup` (known: ",
+            ),
+            (
+                "--tuned",
+                "/nonexistent/tuned.json",
+                "--tuned: cannot read /nonexistent/tuned.json: ",
+            ),
+        ] {
+            let message = refusal(&["--out", "x.json", flag, bad]).expect(flag);
+            assert!(message.starts_with(says), "{flag} {bad}: {message}");
+        }
+        let message = refusal(&["--frobnicate"]).unwrap();
+        assert!(message.starts_with("unknown argument `--frobnicate` (supported: "));
+    }
+
+    #[test]
+    fn a_malformed_tuned_table_is_refused_with_its_path() {
+        let path =
+            std::env::temp_dir().join(format!("serve_bench_cli_{}.json", std::process::id()));
+        std::fs::write(&path, "{ not a table").unwrap();
+        let shown = path.display().to_string();
+        let message = refusal(&["--out", "x.json", "--tuned", &shown]).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            message.starts_with(&format!("--tuned: {shown}: ")),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn refused_combinations_are_errors_and_the_rest_parses() {
+        // a non-canonical report may not land on the committed artifact
+        for line in [
+            &["--requests", "600"][..],
+            &["--threads", "2"],
+            &["--mode", "wall"],
+            &["--requests", "600", "--out", "elsewhere/BENCH_runtime.json"],
+        ] {
+            assert!(refusal(line).unwrap().contains("non-canonical report"));
+        }
+        for (line, says) in [
+            (&["--store", "s", "--policies", "cost"][..], "--policies"),
+            (&["--store", "s", "--streams", "mixed"], "--streams"),
+            (&["--store", "s", "--mode", "wall"], "--mode"),
+            (
+                &["--store", "s", "--batch-cutoff", "none"],
+                "--batch-cutoff or --tuned",
+            ),
+        ] {
+            let message = refusal(&[&["--out", "x.json"], line].concat()).unwrap();
+            assert!(
+                message.ends_with(&format!("combined with {says}")),
+                "{message}"
+            );
+        }
+        assert_eq!(refusal(&[]), None);
+        let cli = parse_args(
+            [
+                "--requests",
+                "300",
+                "--slack",
+                "128",
+                "--batch-cutoff",
+                "none",
+                "--mode",
+                "diff",
+                "--threads",
+                "2",
+                "--policies",
+                "cost,thermal",
+                "--streams",
+                "contention",
+                "--out",
+                "x.json",
+            ]
+            .map(String::from)
+            .into_iter(),
+        )
+        .ok()
+        .unwrap();
+        assert_eq!(
+            (cli.plan.requests, cli.plan.slack, cli.plan.threads),
+            (300, 128, 2)
+        );
+        assert!(cli.plan.cutoff == BatchCutoff::Uncapped && cli.plan.mode == BenchMode::Diff);
+        assert_eq!(cli.plan.policy_filter.unwrap(), ["cost", "thermal"]);
+        assert_eq!(cli.plan.stream_filter.unwrap(), ["contention"]);
+        assert_eq!((cli.out_path.as_str(), cli.store_path), ("x.json", None));
     }
 }

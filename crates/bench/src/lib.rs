@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod corpus;
 pub mod csv;
 pub mod json;

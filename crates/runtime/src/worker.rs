@@ -118,16 +118,6 @@ impl Worker {
     /// functionally check the result.
     pub fn execute(&mut self, job: &Job) -> Completion {
         let module = &job.module;
-        // heterogeneous pools replay one compiled plan on platform
-        // variants; the runtime validates group compatibility up front,
-        // so a mismatch here is a scheduler routing bug
-        debug_assert!(
-            module.plan.executable_on(&self.desc),
-            "module for `{}` dispatched to incompatible worker {} (`{}`)",
-            module.key.accelerator,
-            self.index,
-            self.desc.name
-        );
         let spec = module.key.spec;
         let mut completion = Completion {
             slot: job.slot,
@@ -140,6 +130,18 @@ impl Worker {
             check_error: None,
             sim_error: None,
         };
+        // heterogeneous pools replay one compiled plan on platform
+        // variants; the runtime validates group compatibility up front,
+        // so a mismatch here is a scheduler routing bug — reported as a
+        // failed dispatch, with this worker's memory and resident state
+        // as they were, never run (one comparison a dispatch)
+        if !module.plan.executable_on(&self.desc) {
+            completion.sim_error = Some(format!(
+                "module for `{}` dispatched to incompatible worker {} (`{}`)",
+                module.key.accelerator, self.index, self.desc.name
+            ));
+            return completion;
+        }
         if let Err(e) = fill_inputs(
             &mut self.machine.mem,
             &spec,
@@ -386,6 +388,30 @@ mod tests {
             elide: true,
         });
         assert_eq!(retry.emitted_writes, module.plan.cold_writes);
+    }
+
+    #[test]
+    fn a_misrouted_module_is_a_failed_dispatch_that_touches_nothing() {
+        let gemmini = AcceleratorDescriptor::gemmini();
+        let spec = MatmulSpec::gemmini_paper(16).unwrap();
+        let module = Arc::new(build_module(&gemmini, spec, OptLevel::Dedup).unwrap());
+        let mut worker = Worker::new(3, AcceleratorDescriptor::opengemm(), 1 << 20, 10_000_000);
+        let before = (worker.machine.mem.clone(), worker.resident.clone());
+        let misrouted = worker.execute(&Job {
+            request: request(9, "gemmini", spec, 1),
+            module,
+            slot: 4,
+            elide: true,
+        });
+        assert_eq!(
+            misrouted.sim_error.as_deref(),
+            Some("module for `gemmini` dispatched to incompatible worker 3 (`opengemm`)")
+        );
+        assert_eq!((misrouted.slot, misrouted.request_id), (4, 9));
+        assert_eq!(misrouted.counters, Counters::default());
+        assert_eq!(misrouted.emitted_writes, 0);
+        assert!(before == (worker.machine.mem.clone(), worker.resident.clone()));
+        assert_eq!(worker.clock, 0);
     }
 
     #[test]

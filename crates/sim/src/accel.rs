@@ -256,6 +256,9 @@ pub struct AccelSim {
     busy_until: u64,
     dvfs: DvfsState,
     last_launch_state: FreqState,
+    /// The packed operands of the launch in progress, kept so a launch
+    /// allocates only when its tile outgrows every earlier one.
+    scratch: TileScratch,
     /// Execution statistics.
     pub stats: AccelStats,
 }
@@ -277,6 +280,7 @@ impl AccelSim {
             busy_until: 0,
             dvfs: DvfsState::default(),
             last_launch_state: FreqState::Cold,
+            scratch: TileScratch::default(),
             stats: AccelStats::default(),
         }
     }
@@ -418,7 +422,7 @@ impl AccelSim {
                 k: raw[regmap::K as usize],
             });
         }
-        let macs = execute_tile(&op, mem)?;
+        let macs = self.scratch.execute(&op, mem)?;
         // DVFS: the launch runs at the rate of the current frequency
         // state; without DVFS this is exactly the nominal MAC rate
         let state = match &self.timing.dvfs {
@@ -447,58 +451,147 @@ impl AccelSim {
 /// [`execute_tile_elementwise`], which is the definition. A tile whose
 /// operands are row-major and lie in memory, with C overlapping none of
 /// A, B and D (every tile this repository's lowerings emit), is computed
-/// a row at a time over [`Memory::bytes`] views instead: one bounds check
-/// per operand row, and an inner loop over contiguous `n`-long slices.
+/// as dot products over packed operands instead: B is transposed and
+/// widened to i16 once per tile, each row of A once per row, and every C
+/// element is the product of two contiguous i16 rows. An i8 · i8 product
+/// is exact in 16 bits and the wrapping i32 sum does not depend on its
+/// order, so the bytes written are the definition's.
 ///
 /// # Errors
 /// Fails when any element access is out of bounds.
 pub fn execute_tile(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
-    if !row_sliceable(op, mem) {
-        return execute_tile_elementwise(op, mem);
+    TileScratch::default().execute(op, mem)
+}
+
+/// Elements per step of [`dot`], and the multiple packed rows are padded to.
+const LANES: usize = 16;
+
+/// The packed operands of one tile. An [`AccelSim`] keeps one across
+/// launches; [`execute_tile`] starts from an empty one.
+#[derive(Debug, Clone, Default)]
+struct TileScratch {
+    /// Bᵀ as i16: column `j` of B is the `j`-th run of `k` rounded up to
+    /// [`LANES`] elements.
+    b_cols: Vec<i16>,
+    /// The current row of A as i16, zero from `k` to the padded length, so
+    /// whatever a column of `b_cols` holds past `k` contributes nothing.
+    a_row: Vec<i16>,
+    /// The current row of `A·B + D`.
+    acc_row: Vec<i32>,
+}
+
+impl TileScratch {
+    /// [`execute_tile`], packing into `self`.
+    fn execute(&mut self, op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
+        if !row_sliceable(op, mem) {
+            return execute_tile_elementwise(op, mem);
+        }
+        let relu = op.flags & flags::RELU != 0;
+        let accumulate = op.flags & flags::ACCUMULATE != 0;
+        // in range: `row_sliceable` placed every region inside `mem`
+        let (n, k, stride_b) = (op.n as usize, op.k as usize, op.stride_b as usize);
+        let b = mem.bytes(op.b_addr, (k - 1) * stride_b + n)?;
+        let padded_k = self.pack_b(b, n, k, stride_b);
+        self.a_row.clear();
+        self.a_row.resize(padded_k, 0);
+        self.acc_row.resize(n, 0);
+        // rows in order: a C stride may alias rows, and under ACCUMULATE
+        // row `i + 1` then reads what row `i` wrote
+        for i in 0..op.m {
+            let a_row = mem.bytes(strided_addr(op.a_addr, i, op.stride_a, 0), k)?;
+            for (wide, &a) in self.a_row.iter_mut().zip(a_row) {
+                *wide = a as i8 as i16;
+            }
+            for (acc, b_col) in self
+                .acc_row
+                .iter_mut()
+                .zip(self.b_cols.chunks_exact(padded_k))
+            {
+                *acc = dot(&self.a_row, b_col);
+            }
+            if op.d_addr != 0 {
+                let d_row = mem.bytes(strided_addr(op.d_addr, i, op.stride_d, 0), 4 * n)?;
+                for (acc, w) in self.acc_row.iter_mut().zip(d_row.chunks_exact(4)) {
+                    *acc = acc.wrapping_add(le_i32(w));
+                }
+            }
+            let c_row = mem.bytes_mut(strided_addr(op.c_addr, i, op.stride_c, 0), 4 * n)?;
+            for (out, &sum) in c_row.chunks_exact_mut(4).zip(&self.acc_row) {
+                let mut v = sum;
+                if accumulate {
+                    v = v.wrapping_add(le_i32(out));
+                }
+                if relu {
+                    v = v.max(0);
+                }
+                out.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        Ok(op.m * op.n * op.k)
     }
-    let relu = op.flags & flags::RELU != 0;
-    let accumulate = op.flags & flags::ACCUMULATE != 0;
-    // in range: `row_sliceable` placed every region inside `mem`
-    let (n, k, stride_b) = (op.n as usize, op.k as usize, op.stride_b as usize);
-    let b_len = (k - 1) * stride_b + n;
-    let mut acc_row = vec![0i32; n];
-    for i in 0..op.m {
-        if op.d_addr != 0 {
-            let d_row = mem.bytes(strided_addr(op.d_addr, i, op.stride_d, 0), 4 * n)?;
-            for (acc, w) in acc_row.iter_mut().zip(d_row.chunks_exact(4)) {
-                *acc = le_i32(w);
-            }
-        } else {
-            acc_row.fill(0);
-        }
-        let a_row = mem.bytes(strided_addr(op.a_addr, i, op.stride_a, 0), k)?;
-        let b = mem.bytes(op.b_addr, b_len)?;
-        for (kk, &a) in a_row.iter().enumerate() {
-            let a = a as i8 as i32;
-            let b_row = &b[kk * stride_b..][..n];
-            for (acc, &b) in acc_row.iter_mut().zip(b_row) {
-                *acc = acc.wrapping_add(a.wrapping_mul(b as i8 as i32));
+
+    /// Fills `b_cols` from the `k` rows of `n` bytes that start every
+    /// `stride_b` bytes of `b`, and returns the length of a packed column.
+    fn pack_b(&mut self, b: &[u8], n: usize, k: usize, stride_b: usize) -> usize {
+        let padded_k = k.next_multiple_of(LANES);
+        self.b_cols.resize(n * padded_k, 0);
+        // a transpose, LANES rows of B at a time: the reads stay within
+        // LANES cache lines and every column receives a contiguous run
+        for k0 in (0..k).step_by(LANES) {
+            let rows = &b[k0 * stride_b..];
+            let run = (k - k0).min(LANES);
+            for j in 0..n {
+                let b_col = &mut self.b_cols[j * padded_k + k0..][..run];
+                let mut t = 0;
+                while t < run {
+                    b_col[t] = rows[t * stride_b + j] as i8 as i16;
+                    t += 1;
+                }
             }
         }
-        let c_row = mem.bytes_mut(strided_addr(op.c_addr, i, op.stride_c, 0), 4 * n)?;
-        for (out, &sum) in c_row.chunks_exact_mut(4).zip(&acc_row) {
-            let mut v = sum;
-            if accumulate {
-                v = v.wrapping_add(le_i32(out));
-            }
-            if relu {
-                v = v.max(0);
-            }
-            out.copy_from_slice(&v.to_le_bytes());
-        }
+        padded_k
     }
-    Ok(op.m * op.n * op.k)
+}
+
+/// `Σ a[l] · b[l]`, wrapping, over two rows of one length that is a
+/// multiple of [`LANES`].
+///
+/// [`LANES`] independent partial sums over fixed-width chunks is the shape
+/// LLVM lowers to packed 16-bit multiply-adds (`pmaddwd` on baseline
+/// x86-64: eight products and four pair sums an instruction); the pair
+/// sums are formed in 32 bits, so two `(-128)²` products do not overflow.
+///
+/// The loops that run once per MAC (here) and once per packed element
+/// ([`TileScratch::pack_b`]) are `while` loops over indices: the debug-build
+/// suites run them too, and there an iterator adaptor's `next` is a call
+/// per element.
+#[inline]
+fn dot(a: &[i16], b: &[i16]) -> i32 {
+    let b = &b[..a.len()];
+    let mut lanes = [0i32; LANES];
+    let mut at = 0;
+    while at + LANES <= a.len() {
+        let (a, b) = (&a[at..at + LANES], &b[at..at + LANES]);
+        let mut l = 0;
+        while l < LANES {
+            lanes[l] = lanes[l].wrapping_add(a[l] as i32 * b[l] as i32);
+            l += 1;
+        }
+        at += LANES;
+    }
+    let mut sum = 0i32;
+    let mut l = 0;
+    while l < LANES {
+        sum = sum.wrapping_add(lanes[l]);
+        l += 1;
+    }
+    sum
 }
 
 /// [`execute_tile`] by its definition: one bounds-checked access per
 /// operand, elements in `i`, `j`, `k` order, so a fault leaves exactly
 /// the elements before it written and an output that overlaps an input
-/// is read back as the hardware would. The oracle the row-sliced path is
+/// is read back as the hardware would. The oracle the packed path is
 /// tested against, and the path [`execute_tile`] takes for transposed
 /// operands, overlapping regions and tiles that fault.
 ///
@@ -555,10 +648,13 @@ fn strided_addr(base: u64, row: u64, stride: u64, offset: u64) -> u64 {
         .saturating_add(offset)
 }
 
-/// Whether [`execute_tile`] may compute `op` a row at a time: no operand
-/// is transposed, all four regions lie inside `mem` (so no access can
-/// fault part-way through a row) and C overlaps none of A, B and D (so no
-/// element is read after the tile wrote it).
+/// Whether [`execute_tile`] may compute `op` a row at a time from packed
+/// operands: no operand is transposed, all four regions lie inside `mem`
+/// (so no access can fault part-way through a row), C overlaps none of A,
+/// B and D (so no element is read after the tile wrote it), and B packed
+/// has no more elements than `mem` has bytes (true of every B whose rows
+/// do not alias; a `stride_b` below `n` must not buy an allocation the
+/// memory it was read from could not hold).
 fn row_sliceable(op: &TileOp, mem: &Memory) -> bool {
     // the byte extent of `rows` rows, `None` unless it lies inside `mem`
     let region = |base: u64, rows: u64, stride: u64, row_bytes: u64| {
@@ -575,7 +671,8 @@ fn row_sliceable(op: &TileOp, mem: &Memory) -> bool {
         Some(
             clear(region(op.a_addr, op.m, op.stride_a, op.k)?)
                 && clear(region(op.b_addr, op.k, op.stride_b, op.n)?)
-                && (op.d_addr == 0 || clear(region(op.d_addr, op.m, op.stride_d, 4 * op.n)?)),
+                && (op.d_addr == 0 || clear(region(op.d_addr, op.m, op.stride_d, 4 * op.n)?))
+                && op.n.checked_mul(op.k)? <= mem.capacity() as u64,
         )
     };
     op.flags & (flags::TRANSPOSE_A | flags::TRANSPOSE_B) == 0 && clear_of_c() == Some(true)
@@ -855,9 +952,13 @@ mod tests {
     const CAPACITY: usize = 0x6000;
 
     fn noise(seed: u64) -> Memory {
-        let mut mem = Memory::new(CAPACITY);
+        noise_of(CAPACITY, seed)
+    }
+
+    fn noise_of(capacity: usize, seed: u64) -> Memory {
+        let mut mem = Memory::new(capacity);
         let mut state = seed | 1;
-        for byte in mem.bytes_mut(0, CAPACITY).unwrap() {
+        for byte in mem.bytes_mut(0, capacity).unwrap() {
             // xorshift64: full-range operands, so sums wrap
             state ^= state << 13;
             state ^= state >> 7;
@@ -865,6 +966,146 @@ mod tests {
             *byte = (state >> 24) as u8;
         }
         mem
+    }
+
+    /// Runs `op` on `image` through the packed path and through the
+    /// definition, and returns the memory both left.
+    fn packed_as_defined(op: &TileOp, image: &Memory) -> Memory {
+        assert!(row_sliceable(op, image), "{op:?}");
+        let (mut fast, mut slow) = (image.clone(), image.clone());
+        let got = execute_tile(op, &mut fast).unwrap();
+        assert_eq!(got, execute_tile_elementwise(op, &mut slow).unwrap());
+        assert!(fast == slow, "memory differs for {op:?}");
+        fast
+    }
+
+    #[test]
+    fn extreme_operands_at_every_depth() {
+        // A at 0, B at 0x1000, D at 0x2000, C at 0x3000; m and n are
+        // multiples of nothing, the depths straddle one lane group and many
+        let (m, n) = (5u64, 7u64);
+        for k in [1, 2, 7, 8, 9, 15, 16, 17, 511, 512, 513] {
+            let op = TileOp {
+                a_addr: 0,
+                b_addr: 0x1000,
+                c_addr: 0x3000,
+                d_addr: 0x2000,
+                m,
+                n,
+                k,
+                stride_a: k,
+                stride_b: n,
+                stride_c: 4 * n,
+                stride_d: 4 * n,
+                flags: 0,
+            };
+            // (A, B) as (even, odd) elements
+            for (a, b) in [
+                ([-128, -128], [-128, -128]),
+                ([127, 127], [127, 127]),
+                ([-128, 127], [127, -128]),
+                ([-128, 127], [-128, 127]),
+            ] {
+                let mut image = Memory::new(0x4000);
+                for (base, len, pattern) in [(0, m * k, a), (0x1000, k * n, b)] {
+                    for at in 0..len {
+                        image.write_i8(base + at, pattern[at as usize % 2]).unwrap();
+                    }
+                }
+                // the bias wraps the sum either way round
+                for at in 0..m * n {
+                    let d = if at % 2 == 0 { i32::MAX } else { i32::MIN };
+                    image.write_i32(0x2000 + 4 * at, d).unwrap();
+                }
+                for flags in [0, flags::RELU, flags::ACCUMULATE] {
+                    packed_as_defined(&TileOp { flags, ..op }, &image);
+                }
+                let unbiased = packed_as_defined(&TileOp { d_addr: 0, ..op }, &image);
+                if (a, b, k) == ([-128, -128], [-128, -128], 2) {
+                    // one pair of products, and it does not fit in 16 bits
+                    assert_eq!(unbiased.read_i32(0x3000).unwrap(), 32768);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulation_reads_what_an_aliased_row_wrote() {
+        // nine rows of C on top of one another (stride 0) or one element
+        // apart (stride 4): under ACCUMULATE every row reads its
+        // predecessor's output, and nothing but row order makes that right
+        let image = noise(0xacc);
+        for stride_c in [0, 4] {
+            for flags in [flags::ACCUMULATE, flags::ACCUMULATE | flags::RELU, 0] {
+                packed_as_defined(
+                    &TileOp {
+                        a_addr: SLOTS[0],
+                        b_addr: SLOTS[1],
+                        c_addr: SLOTS[2],
+                        d_addr: SLOTS[3],
+                        m: 9,
+                        n: 5,
+                        k: 19,
+                        stride_a: 19,
+                        stride_b: 5,
+                        stride_c,
+                        stride_d: 20,
+                        flags,
+                    },
+                    &image,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_papers_tiles() {
+        // one OpenGeMM tile (8 x 512 x 8) and one Gemmini tile
+        // (64 x 512 x 64) of the 512-cubed sweep point, strides included
+        let image = noise_of(0x10_0000, 0x512);
+        for tile in [8, 64] {
+            packed_as_defined(
+                &TileOp {
+                    a_addr: 0x0_1000,
+                    b_addr: 0x4_1000,
+                    c_addr: 0x8_1000,
+                    d_addr: 0,
+                    m: tile,
+                    n: tile,
+                    k: 512,
+                    stride_a: 512,
+                    stride_b: 512,
+                    stride_c: 4 * 512,
+                    stride_d: 0,
+                    flags: 0,
+                },
+                &image,
+            );
+        }
+    }
+
+    #[test]
+    fn a_packed_b_never_outgrows_the_memory_it_came_from() {
+        // `stride_b` 0 makes B one row read `k` times: the regions fit in
+        // a few hundred bytes, B packed would be n * k elements
+        let mut mem = Memory::new(0x400);
+        let op = TileOp {
+            a_addr: 0,
+            b_addr: 0x100,
+            c_addr: 0x200,
+            d_addr: 0,
+            m: 1,
+            n: 16,
+            k: 0x100,
+            stride_a: 0,
+            stride_b: 0,
+            stride_c: 0,
+            stride_d: 0,
+            flags: 0,
+        };
+        assert!(!row_sliceable(&op, &mem));
+        assert!(row_sliceable(&TileOp { k: 0x40, ..op }, &mem));
+        assert_eq!(execute_tile(&op, &mut mem), Ok(16 * 0x100));
     }
 
     proptest! {
