@@ -11,9 +11,10 @@
 //!
 //! The representation matches the interpreter's launch records
 //! ([`LaunchRecord::registers`]): an ordered map from register (field) name
-//! to value. [`diff`] is generic over the key so callers tracking hardware
-//! register *indices* (e.g. the `accfg-runtime` dispatcher) reuse the same
-//! logic.
+//! to value. [`diff`] is generic over the key, so it states the same
+//! question over hardware register *indices*: the `accfg-runtime`
+//! dispatcher answers that one with a walk over a dense register file and
+//! is property-tested against this function as its definition.
 //!
 //! [`Deduplicate`]: crate::dedup::Deduplicate
 //! [`LaunchRecord::registers`]: crate::interp::LaunchRecord

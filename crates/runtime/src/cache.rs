@@ -248,7 +248,8 @@ impl CostRefiner {
     /// module's estimates: the mode-agnostic row first (exactly the
     /// un-keyed refiner's update), then `mode`'s keyed row. The first
     /// observation of a slot seeds the EWMA exactly; later ones move it
-    /// by α = 1/8 of the residual.
+    /// by α = 1/8 of the residual. The key is cloned only by a module's
+    /// first observation, which inserts its rows.
     pub fn observe(
         &mut self,
         key: &CacheKey,
@@ -257,27 +258,53 @@ impl CostRefiner {
         mode: FreqState,
         cycles: u64,
     ) {
-        let platforms = self.ewma.entry(key.clone()).or_default();
-        if platforms.len() <= platform {
-            platforms.resize(platform + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
-        }
-        let bucket = bucket.min(WARMTH_BUCKETS - 1);
-        let observed = (cycles as i64) << EWMA_FRAC_BITS;
-        for row in [COST_ROW_AGNOSTIC, mode_row(mode)] {
-            let slot = &mut platforms[platform][row][bucket];
-            if *slot == UNSEEN {
-                *slot = observed;
-            } else {
-                *slot += (observed - *slot) >> EWMA_ALPHA_SHIFT;
+        let fold = |platforms: &mut Vec<CostRow>| {
+            if platforms.len() <= platform {
+                platforms.resize(platform + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
             }
+            let bucket = bucket.min(WARMTH_BUCKETS - 1);
+            let observed = (cycles as i64) << EWMA_FRAC_BITS;
+            for row in [COST_ROW_AGNOSTIC, mode_row(mode)] {
+                let slot = &mut platforms[platform][row][bucket];
+                if *slot == UNSEEN {
+                    *slot = observed;
+                } else {
+                    *slot += (observed - *slot) >> EWMA_ALPHA_SHIFT;
+                }
+            }
+        };
+        if let Some(platforms) = self.ewma.get_mut(key) {
+            fold(platforms);
+            return;
         }
+        fold(self.ewma.entry(key.clone()).or_default());
+    }
+
+    /// The learned rows of the module keyed by `key` on `platform`, if it
+    /// has any: the one map probe a caller pricing several slots of one
+    /// module pays ([`CostRefiner::quote`] reads them out).
+    pub fn row(&self, key: &CacheKey, platform: usize) -> Option<&CostRow> {
+        self.ewma.get(key)?.get(platform)
+    }
+
+    /// What `row` quotes for `bucket`: the mode-agnostic estimate
+    /// (`mode` = `None`), or `mode`'s frequency-keyed estimate falling back
+    /// to the mode-agnostic one while the keyed slot is cold. `None` when
+    /// nothing has been observed there.
+    pub fn quote(row: &CostRow, bucket: usize, mode: Option<FreqState>) -> Option<u64> {
+        let slot = |r: usize| {
+            let slot = *row[r].get(bucket)?;
+            (slot != UNSEEN).then_some((slot >> EWMA_FRAC_BITS) as u64)
+        };
+        mode.and_then(|mode| slot(mode_row(mode)))
+            .or_else(|| slot(COST_ROW_AGNOSTIC))
     }
 
     /// The mode-agnostic refined estimate for `bucket` of the module keyed
     /// by `key` on `platform`, or `None` while that bucket has no
     /// observations there.
     pub fn refined(&self, key: &CacheKey, platform: usize, bucket: usize) -> Option<u64> {
-        self.row_slot(key, platform, COST_ROW_AGNOSTIC, bucket)
+        Self::quote(self.row(key, platform)?, bucket, None)
     }
 
     /// The frequency-keyed refined estimate for `bucket` at `mode`,
@@ -290,13 +317,7 @@ impl CostRefiner {
         bucket: usize,
         mode: FreqState,
     ) -> Option<u64> {
-        self.row_slot(key, platform, mode_row(mode), bucket)
-            .or_else(|| self.refined(key, platform, bucket))
-    }
-
-    fn row_slot(&self, key: &CacheKey, platform: usize, row: usize, bucket: usize) -> Option<u64> {
-        let slot = *self.ewma.get(key)?.get(platform)?.get(row)?.get(bucket)?;
-        (slot != UNSEEN).then_some((slot >> EWMA_FRAC_BITS) as u64)
+        Self::quote(self.row(key, platform)?, bucket, Some(mode))
     }
 
     /// Predicted cycles for a dispatch of the module keyed by `key`

@@ -24,6 +24,17 @@ pub enum ServeError {
         /// The missing field.
         field: String,
     },
+    /// A descriptor maps a field to a configuration register the simulated
+    /// accelerator does not have (`reg >= regmap::COUNT`): a plan naming
+    /// it could be neither diffed nor executed.
+    RegisterOutOfRange {
+        /// The accelerator.
+        accelerator: String,
+        /// The offending field.
+        field: String,
+        /// The register index its descriptor entry names.
+        reg: u16,
+    },
     /// A descriptor maps a field into the RoCC launch-semantic register
     /// pair, which the dispatcher reserves for the launch command.
     LaunchPairField {
@@ -99,6 +110,16 @@ impl fmt::Display for ServeError {
             ServeError::UnknownField { accelerator, field } => {
                 write!(f, "accelerator `{accelerator}` has no field `{field}`")
             }
+            ServeError::RegisterOutOfRange {
+                accelerator,
+                field,
+                reg,
+            } => write!(
+                f,
+                "field `{field}` of `{accelerator}` maps to configuration register {reg}, \
+                 past the {}-register file",
+                crate::plan::RegMap::SLOTS
+            ),
             ServeError::LaunchPairField { accelerator, field } => write!(
                 f,
                 "field `{field}` of `{accelerator}` maps into the launch-semantic register pair"

@@ -45,7 +45,9 @@
 //!   persistent [`Machine`](accfg_sim::Machine)s whose configuration
 //!   registers survive between requests, so dispatched programs carry only
 //!   the writes that change state — the dynamic counterpart of the
-//!   `accfg-dedup` pass, built on [`accfg::regstate`];
+//!   `accfg-dedup` pass: one walk over a dense register file
+//!   ([`RegMap`]), held to [`accfg::regstate`]'s definition by a
+//!   property test;
 //! - **persistent warm starts** ([`persist`] over the `accfg-store` log):
 //!   point `store` in [`ServeConfig`] at a store file and the serve
 //!   restores the compiled modules its stream resolves and their learned

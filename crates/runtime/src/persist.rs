@@ -155,9 +155,17 @@ fn put_style(w: &mut ByteWriter, style: ConfigStyle) {
 fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
     match r.u8()? {
         0 => Ok(ConfigStyle::Csr),
-        1 => Ok(ConfigStyle::RoccPairs {
-            launch_funct: r.u8()?,
-        }),
+        1 => {
+            let launch_funct = r.u8()?;
+            // the launch command writes the pair (2f, 2f + 1) like any other
+            if usize::from(launch_funct) * 2 + 1 >= RegMap::SLOTS {
+                return Err(StoreError::codec(format!(
+                    "launch funct {launch_funct} names a register pair past the {}-register file",
+                    RegMap::SLOTS
+                )));
+            }
+            Ok(ConfigStyle::RoccPairs { launch_funct })
+        }
         tag => Err(StoreError::codec(format!("invalid config-style tag {tag}"))),
     }
 }
@@ -170,12 +178,31 @@ fn put_regmap(w: &mut ByteWriter, regs: &RegMap) {
     }
 }
 
+/// Reads a register file as [`put_regmap`] writes one: registers strictly
+/// ascending, every one inside the simulated accelerator's file. Anything
+/// else — a register the worker's machine could not be told to write, one
+/// listed twice, one out of order — is not something `encode_module`
+/// produces and would not re-encode to itself, so it is a codec error here
+/// rather than a panic (or a silently different module) at dispatch.
 fn read_regmap(r: &mut ByteReader) -> Result<RegMap, StoreError> {
     let count = r.u32()?;
     let mut regs = RegMap::new();
+    let mut previous = None;
     for _ in 0..count {
         let reg = r.u16()?;
         let value = r.i64()?;
+        if usize::from(reg) >= RegMap::SLOTS {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is past the {}-register file",
+                RegMap::SLOTS
+            )));
+        }
+        if previous.is_some_and(|previous| previous >= reg) {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is listed out of ascending order"
+            )));
+        }
+        previous = Some(reg);
         regs.insert(reg, value);
     }
     Ok(regs)
@@ -1030,5 +1057,156 @@ mod tests {
             decode_module(&bytes),
             Err(StoreError::Codec { .. })
         ));
+    }
+
+    /// Byte offset of the plan inside `encode_module(module)`: the key,
+    /// four layout words and the program come first.
+    fn plan_offset(module: &CompiledModule) -> usize {
+        let mut w = ByteWriter::new();
+        put_cache_key(&mut w, &module.key);
+        put_program(&mut w, &module.program);
+        w.finish().len() + 4 * 8
+    }
+
+    /// `encode_module(module)` with the `index`-th register of the plan's
+    /// first launch renamed to `reg`.
+    fn with_plan_register(module: &CompiledModule, index: usize, reg: u16) -> Vec<u8> {
+        let style_len = match module.plan.style {
+            ConfigStyle::Csr => 1,
+            ConfigStyle::RoccPairs { .. } => 2,
+        };
+        // style, launch count, the first launch's register count, then
+        // (u16 register, i64 value) entries
+        let at = plan_offset(module) + style_len + 4 + 4 + index * (2 + 8);
+        let mut bytes = encode_module(module);
+        let (&was, _) = module.plan.launches[0]
+            .registers
+            .iter()
+            .nth(index)
+            .expect("the first launch programs that many registers");
+        assert_eq!(bytes[at..at + 2], was.to_le_bytes(), "register offset");
+        bytes[at..at + 2].copy_from_slice(&reg.to_le_bytes());
+        bytes
+    }
+
+    fn codec_detail(bytes: &[u8]) -> String {
+        match decode_module(bytes) {
+            Err(StoreError::Codec { detail }) => detail,
+            other => panic!("hostile plan decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_plan_register_the_simulator_lacks_is_a_codec_error() {
+        // a record's checksum only says the bytes are the bytes that were
+        // written: a plan naming register 40 used to decode, re-encode to
+        // itself, and panic the worker that first dispatched it
+        for (desc, spec) in [
+            (
+                AcceleratorDescriptor::opengemm(),
+                MatmulSpec::opengemm_paper(16).unwrap(),
+            ),
+            (
+                AcceleratorDescriptor::gemmini(),
+                MatmulSpec::gemmini_paper(32).unwrap(),
+            ),
+        ] {
+            let module = build_module(&desc, spec, OptLevel::All).unwrap();
+            let held = module.plan.launches[0].registers.len();
+            assert!(held >= 3);
+            let registers: Vec<u16> = module.plan.launches[0]
+                .registers
+                .iter()
+                .map(|(&reg, _)| reg)
+                .collect();
+            // renamed to itself the record is the record
+            assert_eq!(
+                decode_module(&with_plan_register(&module, 1, registers[1])).unwrap(),
+                module
+            );
+            // past the file — the first index that is, and the last u16
+            for reg in [RegMap::SLOTS as u16, 40, u16::MAX] {
+                let detail = codec_detail(&with_plan_register(&module, held - 1, reg));
+                assert!(detail.contains("past the 28-register file"), "{detail}");
+            }
+            // listed twice, and out of order: `put_regmap` writes neither,
+            // and neither would re-encode to the bytes it was decoded from
+            for (index, reg) in [(1, registers[0]), (1, registers[2]), (0, registers[1])] {
+                let detail = codec_detail(&with_plan_register(&module, index, reg));
+                assert!(detail.contains("out of ascending order"), "{detail}");
+            }
+        }
+
+        // a RoCC launch command writes its own pair like any other
+        let module = build_module(
+            &AcceleratorDescriptor::gemmini(),
+            MatmulSpec::gemmini_paper(32).unwrap(),
+            OptLevel::All,
+        )
+        .unwrap();
+        let funct_at = plan_offset(&module) + 1;
+        let mut bytes = encode_module(&module);
+        assert_eq!(bytes[funct_at], 13);
+        for funct in [14, 255] {
+            bytes[funct_at] = funct;
+            let detail = codec_detail(&bytes);
+            assert!(detail.contains("launch funct"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn a_hostile_plan_record_fails_only_the_serve_that_resolves_it() {
+        use crate::runtime::{PoolConfig, Runtime, ServeConfig};
+        use crate::ServeError;
+        use accfg_workloads::TrafficRequest;
+
+        let path = std::env::temp_dir().join(format!(
+            "accfg-runtime-hostile-plan-{}.store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let desc = AcceleratorDescriptor::opengemm();
+        let request = |id: u64, size: i64| TrafficRequest {
+            id,
+            accelerator: desc.name.clone(),
+            spec: MatmulSpec::opengemm_paper(size).unwrap(),
+            arrival: 100 * id,
+            seed: id,
+        };
+        let serve = |stream: &[TrafficRequest]| {
+            Runtime::new(PoolConfig::new(vec![desc.clone()])).serve(
+                stream,
+                &ServeConfig {
+                    store: Some(path.clone()),
+                    ..ServeConfig::default()
+                },
+            )
+        };
+        let (victim, bystander) = (request(0, 16), request(1, 24));
+        serve(&[victim.clone(), bystander.clone()]).expect("populating serve");
+
+        // plant the hostile record through the store: the checksum is
+        // valid, only the typed layer can refuse it
+        let module = build_module(&desc, victim.spec, OptLevel::All).unwrap();
+        let key = module_key_bytes(&module.key);
+        {
+            let mut store = LogStore::open(&path).expect("open");
+            assert_eq!(store.get(&key), Some(&encode_module(&module)[..]));
+            store
+                .put(&key, &with_plan_register(&module, 0, 40))
+                .expect("plant the record");
+            store.sync().expect("sync");
+        }
+
+        let unaffected = serve(std::slice::from_ref(&bystander)).expect("never resolves it");
+        assert_eq!(unaffected.metrics.cache.misses, 0);
+        assert_eq!(unaffected.metrics.sim_failures, 0);
+        match serve(&[bystander, victim]) {
+            Err(ServeError::Store(StoreError::Codec { detail })) => {
+                assert!(detail.contains("register 40"), "{detail}")
+            }
+            other => panic!("resolving the hostile record gave {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

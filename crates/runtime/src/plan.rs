@@ -8,7 +8,16 @@
 //! the target descriptor's field table. Dispatching a plan onto a worker
 //! whose accelerator already holds part of that state only writes the
 //! difference: the paper's deduplication (Section 5.4), applied *across
-//! requests* at serve time via [`accfg::regstate`].
+//! requests* at serve time.
+//!
+//! Register files are [`RegMap`]s: the simulator's own representation, a
+//! fixed file of [`regmap::COUNT`] slots plus a presence mask, so scoring
+//! a candidate worker is a stack copy and a walk over a few machine words.
+//! One private walk (`delta_walk`) serves every consumer — the scheduler's
+//! scoring and shadow commit, the cold-cost quote, the emitted program —
+//! and [`accfg::regstate::diff`] over ordered maps stays its definition:
+//! the property test at the bottom of this file holds the walk to it
+//! launch by launch.
 //!
 //! RoCC-style targets write configuration in register *pairs*; a pair is
 //! rewritten whenever either half differs, which is why pair-granular
@@ -17,13 +26,176 @@
 
 use crate::error::ServeError;
 use accfg::interp::ExecTrace;
-use accfg::regstate;
-use accfg_sim::{Program, ProgramBuilder};
+use accfg_sim::{regmap, Program, ProgramBuilder};
 use accfg_targets::{AcceleratorDescriptor, ConfigStyle};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Index;
 
-/// A concrete register file keyed by hardware configuration-register index.
-pub type RegMap = BTreeMap<u16, i64>;
+/// Slots in a [`RegMap`]: every configuration register the simulated
+/// accelerator has.
+const SLOTS: usize = regmap::COUNT;
+
+// the presence mask is a `u32`, and a RoCC pair `(2f, 2f + 1)` must lie
+// wholly inside the file or wholly outside it
+const _: () = assert!(SLOTS <= 32 && SLOTS.is_multiple_of(2));
+
+/// `0..SLOTS`, so iteration can lend out `&u16` keys the way the ordered
+/// map this type replaced did.
+static REGS: [u16; SLOTS] = {
+    let mut regs = [0u16; SLOTS];
+    let mut r = 0;
+    while r < SLOTS {
+        regs[r] = r as u16;
+        r += 1;
+    }
+    regs
+};
+
+/// A concrete configuration register file keyed by hardware register
+/// index: what a worker's accelerator holds (resident state, the
+/// scheduler's shadow of it) or what one launch must observe.
+///
+/// Dense — one slot per register of the simulated accelerator
+/// ([`RegMap::SLOTS`] = [`regmap::COUNT`]) plus a mask of which slots are
+/// *held* — and map-shaped: `insert` / `get` / `len`, ascending iteration
+/// over `(&register, &value)`, equality as a mapping. A register that was
+/// never written is absent, not zero: a dispatch onto a blank file writes
+/// every register its launches name, zeros included. Copying one is 232
+/// bytes and no heap, which is what lets the scheduler score every
+/// candidate worker of every request against a scratch copy.
+///
+/// Registers past the file do not exist: [`RegMap::get`] answers `None`
+/// for them and [`RegMap::insert`] panics, so every door a register index
+/// comes in through ([`DispatchPlan::from_trace`],
+/// [`decode_module`](crate::persist::decode_module)) checks it against
+/// [`RegMap::SLOTS`] first.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct RegMap {
+    /// Slot values. A slot whose `held` bit is clear is 0 — so the derived
+    /// equality is equality as a mapping, and a RoCC half a launch never
+    /// programs reads as the 0 it is driven to.
+    values: [i64; SLOTS],
+    /// Bit `r` is set when register `r` holds `values[r]`.
+    held: u32,
+}
+
+impl RegMap {
+    /// Registers in the file; valid indices are `0..SLOTS`.
+    pub const SLOTS: usize = SLOTS;
+
+    /// A blank file: no register held.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every register.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Number of registers held.
+    pub fn len(&self) -> usize {
+        self.held.count_ones() as usize
+    }
+
+    /// `true` if no register is held.
+    pub fn is_empty(&self) -> bool {
+        self.held == 0
+    }
+
+    /// The value `reg` holds; `None` if it was never written or lies past
+    /// the file.
+    pub fn get(&self, reg: &u16) -> Option<&i64> {
+        let slot = usize::from(*reg);
+        (slot < SLOTS && self.held >> slot & 1 == 1).then(|| &self.values[slot])
+    }
+
+    /// Records that `reg` holds `value`.
+    ///
+    /// # Panics
+    /// Panics if `reg` lies past the file (`reg >= RegMap::SLOTS`).
+    pub fn insert(&mut self, reg: u16, value: i64) {
+        let slot = usize::from(reg);
+        assert!(
+            slot < SLOTS,
+            "configuration register {reg} is past the {SLOTS}-register file"
+        );
+        self.values[slot] = value;
+        self.held |= 1 << slot;
+    }
+
+    /// The held registers, ascending.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            values: &self.values,
+            rest: self.held,
+        }
+    }
+}
+
+/// Ascending iterator over a [`RegMap`]'s held registers.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    values: &'a [i64; SLOTS],
+    /// Held registers not yet yielded.
+    rest: u32,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a u16, &'a i64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest == 0 {
+            return None;
+        }
+        let slot = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some((&REGS[slot], &self.values[slot]))
+    }
+}
+
+impl<'a> IntoIterator for &'a RegMap {
+    type Item = (&'a u16, &'a i64);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+impl Index<&u16> for RegMap {
+    type Output = i64;
+
+    /// # Panics
+    /// Panics if `reg` is not held.
+    fn index(&self, reg: &u16) -> &i64 {
+        self.get(reg)
+            .unwrap_or_else(|| panic!("configuration register {reg} is not held"))
+    }
+}
+
+impl FromIterator<(u16, i64)> for RegMap {
+    fn from_iter<I: IntoIterator<Item = (u16, i64)>>(iter: I) -> Self {
+        let mut regs = Self::new();
+        for (reg, value) in iter {
+            regs.insert(reg, value);
+        }
+        regs
+    }
+}
+
+impl<const N: usize> From<[(u16, i64); N]> for RegMap {
+    fn from(pairs: [(u16, i64); N]) -> Self {
+        pairs.into_iter().collect()
+    }
+}
+
+impl fmt::Debug for RegMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self).finish()
+    }
+}
 
 /// The full register file one launch must observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +244,9 @@ impl DispatchPlan {
     ///
     /// # Errors
     /// Fails if the trace references a field the descriptor does not
-    /// declare, or if a field maps into a RoCC launch-semantic pair (those
-    /// registers belong to the launch command).
+    /// declare, if a field maps to a register the simulated accelerator
+    /// does not have, or if a field maps into a RoCC launch-semantic pair
+    /// (those registers belong to the launch command).
     pub fn from_trace(trace: &ExecTrace, desc: &AcceleratorDescriptor) -> Result<Self, ServeError> {
         let mut launches = Vec::with_capacity(trace.launches.len());
         for record in &trace.launches {
@@ -83,6 +256,13 @@ impl DispatchPlan {
                     accelerator: desc.name.clone(),
                     field: name.clone(),
                 })?;
+                if usize::from(spec.reg) >= SLOTS {
+                    return Err(ServeError::RegisterOutOfRange {
+                        accelerator: desc.name.clone(),
+                        field: name.clone(),
+                        reg: spec.reg,
+                    });
+                }
                 if let ConfigStyle::RoccPairs { launch_funct } = desc.style {
                     if spec.reg / 2 == u16::from(launch_funct) {
                         return Err(ServeError::LaunchPairField {
@@ -100,13 +280,7 @@ impl DispatchPlan {
             launches,
             cold_writes: 0,
         };
-        plan.cold_writes = {
-            let mut blank = RegMap::new();
-            plan.launches
-                .iter()
-                .map(|l| delta_writes(&mut blank, l, plan.style).len() as u64)
-                .sum()
-        };
+        plan.cold_writes = plan.apply_writes(&mut RegMap::new());
         Ok(plan)
     }
 
@@ -123,10 +297,11 @@ impl DispatchPlan {
     }
 
     /// The register writes a dispatch would emit against `resident`,
-    /// without mutating it — the affinity scheduler's scoring function.
+    /// without mutating it — the affinity scheduler's scoring function,
+    /// run once per candidate worker per request (the scratch copy lives
+    /// on the stack).
     pub fn writes_against(&self, resident: &RegMap) -> u64 {
-        let mut resident = resident.clone();
-        self.apply_writes(&mut resident)
+        self.apply_writes(&mut resident.clone())
     }
 
     /// Counts the register writes a dispatch emits against `resident`
@@ -136,7 +311,7 @@ impl DispatchPlan {
     pub fn apply_writes(&self, resident: &mut RegMap) -> u64 {
         self.launches
             .iter()
-            .map(|l| delta_writes(resident, l, self.style).len() as u64)
+            .map(|launch| delta_walk(resident, &launch.registers, self.style, |_| {}))
             .sum()
     }
 
@@ -146,9 +321,9 @@ impl DispatchPlan {
     /// writes it carries.
     ///
     /// This is the single place dispatch programs are assembled: pool
-    /// workers replay it per request, and the module cache runs it at
-    /// build time to measure the cold and warm cycle costs the scheduler
-    /// predicts queue depth with.
+    /// workers replay it per request. The program is sized before it is
+    /// filled — a counting walk over a scratch copy of `resident` costs
+    /// less than one reallocation — so a dispatch allocates once.
     ///
     /// Debug and `validate`-feature builds additionally run
     /// [`DispatchPlan::verify_delta_reconstruction`] over the assembled
@@ -158,26 +333,30 @@ impl DispatchPlan {
     pub fn delta_program(&self, resident: &mut RegMap) -> (Program, u64) {
         #[cfg(any(debug_assertions, feature = "validate"))]
         let start = resident.clone();
-        let mut writes = 0u64;
-        let mut pb = ProgramBuilder::new();
+        // instructions per configuration write and per launch
+        let (per_write, per_launch) = match self.style {
+            ConfigStyle::Csr => (2, 1),
+            ConfigStyle::RoccPairs { .. } => (3, 3),
+        };
+        let writes = self.writes_against(resident);
+        let mut pb = ProgramBuilder::with_capacity(
+            writes as usize * per_write + self.launches.len() * per_launch + 2,
+        );
         for launch in &self.launches {
-            for cmd in delta_writes(resident, launch, self.style) {
-                writes += 1;
-                match cmd {
-                    WriteCmd::Csr { reg, value } => {
-                        let r = pb.reg();
-                        pb.li(r, value);
-                        pb.csr_write(reg, r);
-                    }
-                    WriteCmd::Rocc { funct, lo, hi } => {
-                        let r1 = pb.reg();
-                        let r2 = pb.reg();
-                        pb.li(r1, lo);
-                        pb.li(r2, hi);
-                        pb.rocc(funct, r1, r2);
-                    }
+            delta_walk(resident, &launch.registers, self.style, |cmd| match cmd {
+                WriteCmd::Csr { reg, value } => {
+                    let r = pb.reg();
+                    pb.li(r, value);
+                    pb.csr_write(reg, r);
                 }
-            }
+                WriteCmd::Rocc { funct, lo, hi } => {
+                    let r1 = pb.reg();
+                    let r2 = pb.reg();
+                    pb.li(r1, lo);
+                    pb.li(r2, hi);
+                    pb.rocc(funct, r1, r2);
+                }
+            });
             match self.style {
                 ConfigStyle::Csr => pb.launch(),
                 ConfigStyle::RoccPairs { launch_funct } => {
@@ -227,6 +406,15 @@ impl DispatchPlan {
         };
         let mut env: BTreeMap<u32, i64> = BTreeMap::new();
         let mut regs = start.clone();
+        let write = |regs: &mut RegMap, reg: u16, value: i64| {
+            if usize::from(reg) >= SLOTS {
+                return Err(format!(
+                    "write to register {reg}, past the {SLOTS}-register file"
+                ));
+            }
+            regs.insert(reg, value);
+            Ok(())
+        };
         let mut next_launch = 0usize;
         let check_launch = |regs: &RegMap, next_launch: &mut usize| -> Result<(), String> {
             let Some(launch) = self.launches.get(*next_launch) else {
@@ -261,7 +449,7 @@ impl DispatchPlan {
                     let value = *env
                         .get(&rs.0)
                         .ok_or_else(|| format!("csr_write {csr} reads unset host register {rs}"))?;
-                    regs.insert(csr, value);
+                    write(&mut regs, csr, value)?;
                 }
                 Inst::RoccCmd { funct, rs1, rs2 } => {
                     if launch_funct == Some(funct) {
@@ -274,8 +462,8 @@ impl DispatchPlan {
                             .ok_or_else(|| format!("rocc {funct} reads unset host register {r}"))
                     };
                     let base = u16::from(funct) * 2;
-                    regs.insert(base, read(rs1)?);
-                    regs.insert(base + 1, read(rs2)?);
+                    write(&mut regs, base, read(rs1)?)?;
+                    write(&mut regs, base + 1, read(rs2)?)?;
                 }
                 Inst::Launch => check_launch(&regs, &mut next_launch)?,
                 Inst::AwaitIdle | Inst::Halt => {}
@@ -296,57 +484,96 @@ impl DispatchPlan {
     }
 }
 
-/// Computes the writes that move `resident` to `launch`'s register file,
-/// applying them to `resident`.
+/// The one delta walk: moves `resident` to `launch`'s register file under
+/// `style`, hands every write to `emit` in program order and returns how
+/// many there were.
 ///
-/// CSR targets write single registers; RoCC targets write whole pairs, so
-/// a pair with one stale half rewrites both (a half the launch file never
-/// programs is driven to 0, the lowering's zero-register fallback).
+/// A register is *stale* when the launch programs it and `resident` — as
+/// the launch found it, before any of this launch's writes — does not
+/// already hold the launch's value there; a register `resident` holds and
+/// the launch never names is left alone (configuration registers persist,
+/// they are never unset). That is [`accfg::regstate::diff`] over these two
+/// files, computed as a mask. CSR targets write each stale register,
+/// ascending. RoCC targets write pairs `(2f, 2f + 1)`, ascending by `f`: a
+/// pair with a stale half is rewritten whole, a half the launch never
+/// programs is driven to 0 (the lowering's zero-register fallback — never
+/// to the resident value, so a warm dispatch writes a subset of a cold
+/// one's pairs), and both halves are held afterwards.
+fn delta_walk(
+    resident: &mut RegMap,
+    launch: &RegMap,
+    style: ConfigStyle,
+    mut emit: impl FnMut(WriteCmd),
+) -> u64 {
+    let mut differs = 0u32;
+    for slot in 0..SLOTS {
+        differs |= u32::from(resident.values[slot] != launch.values[slot]) << slot;
+    }
+    let stale = launch.held & (differs | !resident.held);
+    match style {
+        ConfigStyle::Csr => {
+            let mut rest = stale;
+            while rest != 0 {
+                let slot = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let value = launch.values[slot];
+                resident.values[slot] = value;
+                emit(WriteCmd::Csr {
+                    reg: slot as u16,
+                    value,
+                });
+            }
+            resident.held |= stale;
+            u64::from(stale.count_ones())
+        }
+        ConfigStyle::RoccPairs { .. } => {
+            // bit `2f` marks pair `f`
+            let pairs = (stale | stale >> 1) & 0x5555_5555;
+            let mut rest = pairs;
+            while rest != 0 {
+                let slot = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                // an unprogrammed half reads 0 here: `RegMap`'s invariant
+                let (lo, hi) = (launch.values[slot], launch.values[slot + 1]);
+                resident.values[slot] = lo;
+                resident.values[slot + 1] = hi;
+                emit(WriteCmd::Rocc {
+                    funct: (slot / 2) as u8,
+                    lo,
+                    hi,
+                });
+            }
+            resident.held |= pairs | pairs << 1;
+            u64::from(pairs.count_ones())
+        }
+    }
+}
+
+/// The writes that move `resident` to `launch`'s register file, applying
+/// them to `resident`: the dispatcher's delta walk collected into a list,
+/// for callers that want to look at the writes themselves (the serve path
+/// never materialises them — it counts them, or assembles them straight
+/// into a program).
+///
+/// CSR targets write single registers, ascending; RoCC targets write whole
+/// pairs, so a pair with one stale half rewrites both (a half the launch
+/// file never programs is driven to 0, the lowering's zero-register
+/// fallback, and is held afterwards).
 pub fn delta_writes(
     resident: &mut RegMap,
     launch: &LaunchSpec,
     style: ConfigStyle,
 ) -> Vec<WriteCmd> {
-    match style {
-        ConfigStyle::Csr => regstate::diff(resident, &launch.registers)
-            .into_iter()
-            .map(|(reg, value)| {
-                resident.insert(reg, value);
-                WriteCmd::Csr { reg, value }
-            })
-            .collect(),
-        ConfigStyle::RoccPairs { .. } => {
-            let mut functs: Vec<u16> = regstate::diff(resident, &launch.registers)
-                .into_iter()
-                .map(|(reg, _)| reg / 2)
-                .collect();
-            functs.dedup(); // diff is reg-sorted, so pair ids arrive grouped
-            functs
-                .into_iter()
-                .map(|funct| {
-                    // halves the launch file never programs are driven to 0
-                    // (the lowering's zero-register fallback); never to the
-                    // resident value, so a warm-start dispatch can only
-                    // write a subset of what a cold one writes
-                    let half = |reg: u16| launch.registers.get(&reg).copied().unwrap_or(0);
-                    let lo = half(funct * 2);
-                    let hi = half(funct * 2 + 1);
-                    resident.insert(funct * 2, lo);
-                    resident.insert(funct * 2 + 1, hi);
-                    WriteCmd::Rocc {
-                        funct: funct as u8,
-                        lo,
-                        hi,
-                    }
-                })
-                .collect()
-        }
-    }
+    let mut cmds = Vec::new();
+    delta_walk(resident, &launch.registers, style, |cmd| cmds.push(cmd));
+    cmds
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accfg::regstate;
+    use proptest::prelude::*;
 
     fn launch(regs: &[(u16, i64)]) -> LaunchSpec {
         LaunchSpec {
@@ -590,5 +817,241 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An ordered-map register file, as the runtime held them before
+    /// [`RegMap`] went dense.
+    type OrderedFile = BTreeMap<u16, i64>;
+
+    /// The definition [`delta_walk`] is held to: the ordered-map
+    /// formulation over [`regstate::diff`] that the runtime dispatched
+    /// through before the dense file replaced it.
+    fn reference_delta_writes(
+        resident: &mut OrderedFile,
+        launch: &OrderedFile,
+        style: ConfigStyle,
+    ) -> Vec<WriteCmd> {
+        match style {
+            ConfigStyle::Csr => regstate::diff(resident, launch)
+                .into_iter()
+                .map(|(reg, value)| {
+                    resident.insert(reg, value);
+                    WriteCmd::Csr { reg, value }
+                })
+                .collect(),
+            ConfigStyle::RoccPairs { .. } => {
+                let mut functs: Vec<u16> = regstate::diff(resident, launch)
+                    .into_iter()
+                    .map(|(reg, _)| reg / 2)
+                    .collect();
+                functs.dedup(); // diff is reg-sorted, so pair ids arrive grouped
+                functs
+                    .into_iter()
+                    .map(|funct| {
+                        let half = |reg: u16| launch.get(&reg).copied().unwrap_or(0);
+                        let lo = half(funct * 2);
+                        let hi = half(funct * 2 + 1);
+                        resident.insert(funct * 2, lo);
+                        resident.insert(funct * 2 + 1, hi);
+                        WriteCmd::Rocc {
+                            funct: funct as u8,
+                            lo,
+                            hi,
+                        }
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    fn as_pairs(regs: &RegMap) -> Vec<(u16, i64)> {
+        regs.iter().map(|(&reg, &value)| (reg, value)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Launch by launch, from any resident file: the same writes in
+        /// the same order, the same count from the counting walk, and the
+        /// same file afterwards (held set included) as the ordered-map
+        /// definition — and the plan-level consumers agree with the sum.
+        #[test]
+        fn the_dense_walk_equals_its_definition(
+            resident in prop::collection::vec((0u16..SLOTS as u16, -2i64..3), 0..SLOTS + 8),
+            launches in prop::collection::vec(
+                prop::collection::vec((0u16..SLOTS as u16, -2i64..3), 0..SLOTS + 8),
+                1..6,
+            ),
+            rocc in any::<bool>(),
+        ) {
+            // the launch command owns the last pair of a RoCC file
+            // (`from_trace` refuses a field there); CSR files use them all
+            let (style, regs) = if rocc {
+                (ConfigStyle::RoccPairs { launch_funct: 13 }, SLOTS as u16 - 2)
+            } else {
+                (ConfigStyle::Csr, SLOTS as u16)
+            };
+            let file = |pairs: &[(u16, i64)]| -> OrderedFile {
+                pairs.iter().map(|&(reg, value)| (reg % regs, value)).collect()
+            };
+            let mut ordered = file(&resident);
+            let mut dense: RegMap = ordered.iter().map(|(&reg, &value)| (reg, value)).collect();
+            let start = dense.clone();
+            let plan = DispatchPlan {
+                style,
+                launches: launches
+                    .iter()
+                    .map(|pairs| LaunchSpec {
+                        registers: file(pairs).into_iter().collect(),
+                    })
+                    .collect(),
+                cold_writes: 0,
+            };
+
+            let mut total = 0u64;
+            for (pairs, spec) in launches.iter().zip(&plan.launches) {
+                let expected = reference_delta_writes(&mut ordered, &file(pairs), style);
+                let counted = delta_walk(&mut dense.clone(), &spec.registers, style, |_| {});
+                let cmds = delta_writes(&mut dense, spec, style);
+                prop_assert_eq!(&cmds, &expected);
+                prop_assert_eq!(counted, expected.len() as u64);
+                prop_assert_eq!(dense.len(), ordered.len());
+                prop_assert_eq!(
+                    as_pairs(&dense),
+                    ordered.iter().map(|(&reg, &value)| (reg, value)).collect::<Vec<_>>()
+                );
+                total += counted;
+            }
+
+            prop_assert_eq!(plan.writes_against(&start), total);
+            let mut applied = start.clone();
+            prop_assert_eq!(plan.apply_writes(&mut applied), total);
+            prop_assert_eq!(&applied, &dense);
+            // (debug builds also run the reconstruction proof in here)
+            let mut programmed = start.clone();
+            let (program, writes) = plan.delta_program(&mut programmed);
+            prop_assert_eq!(writes, total);
+            prop_assert_eq!(&programmed, &dense);
+            plan.verify_delta_reconstruction(&program, &start).unwrap();
+        }
+    }
+
+    #[test]
+    fn rocc_pairs_are_judged_against_the_file_the_launch_found() {
+        let style = ConfigStyle::RoccPairs { launch_funct: 13 };
+        let walk = |resident: &[(u16, i64)], regs: &[(u16, i64)]| {
+            let mut resident: RegMap = resident.iter().copied().collect();
+            let cmds = delta_writes(&mut resident, &launch(regs), style);
+            (cmds, as_pairs(&resident))
+        };
+        let rocc = |funct, lo, hi| WriteCmd::Rocc { funct, lo, hi };
+
+        // one stale half: the pair goes out whole, its fresh half included
+        let (cmds, after) = walk(&[(2, 5), (3, 6)], &[(2, 5), (3, 7)]);
+        assert_eq!(cmds, vec![rocc(1, 5, 7)]);
+        assert_eq!(after, vec![(2, 5), (3, 7)]);
+
+        // an unprogrammed half of a stale pair is driven to 0 — not left
+        // at the resident 9 — and is held afterwards
+        let (cmds, after) = walk(&[(4, 1), (5, 9)], &[(4, 2)]);
+        assert_eq!(cmds, vec![rocc(2, 2, 0)]);
+        assert_eq!(after, vec![(4, 2), (5, 0)]);
+        // ... while an unprogrammed half of a *fresh* pair is not looked at
+        let (cmds, after) = walk(&[(4, 2), (5, 9)], &[(4, 2)]);
+        assert_eq!(cmds, vec![]);
+        assert_eq!(after, vec![(4, 2), (5, 9)]);
+
+        // a pair the resident holds and the launch never mentions persists
+        let (cmds, after) = walk(&[(0, 1), (1, 2), (6, 3), (7, 4)], &[(0, 1), (1, 2)]);
+        assert_eq!(cmds, vec![]);
+        assert_eq!(after, vec![(0, 1), (1, 2), (6, 3), (7, 4)]);
+
+        // a launch that names only the high half, onto a blank file: the
+        // low half is written as 0 and held; a 0 the launch *does* program
+        // over a blank file is a write too (absent is not zero)
+        let (cmds, after) = walk(&[], &[(9, 7)]);
+        assert_eq!(cmds, vec![rocc(4, 0, 7)]);
+        assert_eq!(after, vec![(8, 0), (9, 7)]);
+        let (cmds, after) = walk(&[], &[(10, 0)]);
+        assert_eq!(cmds, vec![rocc(5, 0, 0)]);
+        assert_eq!(after, vec![(10, 0), (11, 0)]);
+    }
+
+    #[test]
+    fn a_regmap_is_a_mapping() {
+        let mut regs = RegMap::new();
+        assert!(regs.is_empty());
+        assert_eq!(regs.len(), 0);
+        regs.insert(9, 4);
+        regs.insert(2, 0);
+        regs.insert(9, 5);
+        regs.insert(27, -1);
+        assert_eq!(regs.len(), 3);
+        // ascending, whatever the insertion order
+        assert_eq!(as_pairs(&regs), vec![(2, 0), (9, 5), (27, -1)]);
+        assert_eq!(regs[&9], 5);
+        // a held zero is held; an absent register and one past the file
+        // are both `None`
+        assert_eq!(regs.get(&2), Some(&0));
+        assert_eq!(regs.get(&3), None);
+        assert_eq!(regs.get(&(SLOTS as u16)), None);
+        assert_eq!(regs.get(&u16::MAX), None);
+        assert_eq!(format!("{regs:?}"), "{2: 0, 9: 5, 27: -1}");
+
+        // equality is equality as a mapping: insertion order and
+        // overwritten values leave no trace, a held zero differs from absent
+        let mut other = RegMap::from([(27, -1), (9, 0), (2, 0)]);
+        assert_ne!(regs, other);
+        other.insert(9, 5);
+        assert_eq!(regs, other);
+        assert_ne!(RegMap::from([(2, 0)]), RegMap::new());
+        regs.clear();
+        assert_eq!(regs, RegMap::new());
+        assert_eq!(regs.get(&9), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 28-register file")]
+    fn a_regmap_has_no_register_past_the_file() {
+        RegMap::new().insert(SLOTS as u16, 1);
+    }
+
+    #[test]
+    fn a_field_mapped_past_the_register_file_is_a_typed_build_error() {
+        use accfg::pipeline::OptLevel;
+        use accfg_workloads::MatmulSpec;
+        // a custom descriptor whose table points one field at register 40:
+        // the simulator has 28, so a plan naming it could be neither
+        // diffed nor run
+        let field = "streamer_A_bound";
+        let spec = MatmulSpec::opengemm_paper(16).unwrap();
+        let mut desc = AcceleratorDescriptor::opengemm();
+        field_at(&mut desc, field, 40);
+        let err = crate::cache::build_module(&desc, spec, OptLevel::All).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::RegisterOutOfRange {
+                accelerator: "opengemm".into(),
+                field: field.into(),
+                reg: 40,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "field `streamer_A_bound` of `opengemm` maps to configuration register 40, \
+             past the 28-register file"
+        );
+        // the file's last register is one; the next is not
+        field_at(&mut desc, field, SLOTS as u16 - 1);
+        assert!(crate::cache::build_module(&desc, spec, OptLevel::All).is_ok());
+        field_at(&mut desc, field, SLOTS as u16);
+        assert!(matches!(
+            crate::cache::build_module(&desc, spec, OptLevel::All),
+            Err(ServeError::RegisterOutOfRange { reg: 28, .. })
+        ));
+    }
+
+    fn field_at(desc: &mut AcceleratorDescriptor, name: &str, reg: u16) {
+        desc.fields.iter_mut().find(|f| f.name == name).unwrap().reg = reg;
     }
 }

@@ -128,8 +128,8 @@ impl Policy {
             Policy::Fifo => Box::new(FifoPolicy::new(false, groups)),
             Policy::FifoElide => Box::new(FifoPolicy::new(true, groups)),
             Policy::ConfigAffinity => Box::new(AffinityPolicy),
-            Policy::Cost => Box::new(CostPolicy),
-            Policy::Thermal => Box::new(ThermalPolicy),
+            Policy::Cost => Box::new(CostPolicy::default()),
+            Policy::Thermal => Box::new(ThermalPolicy::default()),
         }
     }
 }
@@ -185,6 +185,40 @@ pub trait SchedulePolicy: fmt::Debug + Send {
 /// [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
 fn pressure(gap: u64, slack: u64) -> u64 {
     gap / slack.max(1)
+}
+
+/// One candidate as the completion-minimising policies ([`CostPolicy`],
+/// [`ThermalPolicy`]) score it: `(predicted finish, writes, chill,
+/// outstanding, worker)`, `chill` being `thermal`'s heat rank (0 under
+/// `cost`).
+type Scored = (u64, u64, u64, u64, usize);
+
+/// The winner among `scored`: completions within the `slack` horizon of
+/// the earliest compete on writes (then heat, finish, queue depth, index);
+/// beyond it, the earliest predicted finish wins. The score has to be held
+/// for every candidate before any can be ranked — the horizon hangs off
+/// the minimum — which is why both policies keep a scratch list.
+fn earliest_within_slack(scored: &[Scored], slack: u64) -> usize {
+    let min_completion = scored
+        .iter()
+        .map(|&(finish, ..)| finish)
+        .min()
+        .expect("nonempty");
+    scored
+        .iter()
+        .map(|&(finish, writes, chill, outstanding, w)| {
+            (
+                pressure(finish - min_completion, slack),
+                writes,
+                chill,
+                finish,
+                outstanding,
+                w,
+            )
+        })
+        .min()
+        .expect("nonempty")
+        .5
 }
 
 /// Round-robin routing per group, the `fifo` / `fifo+elide` baselines: a
@@ -314,8 +348,12 @@ impl SchedulePolicy for AffinityPolicy {
 /// pools keep affinity's write savings.
 ///
 /// [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
-#[derive(Debug)]
-pub struct CostPolicy;
+#[derive(Debug, Default)]
+pub struct CostPolicy {
+    /// The candidates of the decision in progress; kept between decisions
+    /// so a warmed policy routes without allocating.
+    scored: Vec<Scored>,
+}
 
 impl SchedulePolicy for CostPolicy {
     fn label(&self) -> &'static str {
@@ -332,41 +370,16 @@ impl SchedulePolicy for CostPolicy {
     ) -> usize {
         assert!(!candidates.is_empty(), "scheduling against an empty group");
         // score every candidate once — writes_for walks the plan against
-        // the shadow state and predicted_cycles may consult per-platform
-        // anchors, so this is the routing hot path
-        let scored: Vec<(u64, u64, u64, usize)> = candidates
-            .iter()
-            .map(|&w| {
-                let writes = load.writes_for(w, module);
-                let outstanding = load.outstanding(w, now);
-                let dispatch = load.predicted_cycles(w, module, writes);
-                (outstanding + dispatch, writes, outstanding, w)
-            })
-            .collect();
-        let min_completion = scored
-            .iter()
-            .map(|&(finish, ..)| finish)
-            .min()
-            .expect("nonempty");
-        scored
-            .into_iter()
-            .map(|(finish, writes, outstanding, w)| {
-                // completions within the slack horizon of the best compete
-                // on writes; beyond it, the earliest predicted finish wins
-                (
-                    (
-                        pressure(finish - min_completion, load.slack()),
-                        writes,
-                        finish,
-                        outstanding,
-                        w,
-                    ),
-                    w,
-                )
-            })
-            .min_by_key(|(key, _)| *key)
-            .expect("nonempty")
-            .1
+        // the shadow state and predicted_cycles probes the refiner, so
+        // this is the routing hot path
+        self.scored.clear();
+        self.scored.extend(candidates.iter().map(|&w| {
+            let writes = load.writes_for(w, module);
+            let outstanding = load.outstanding(w, now);
+            let dispatch = load.predicted_cycles(w, module, writes);
+            (outstanding + dispatch, writes, 0, outstanding, w)
+        }));
+        earliest_within_slack(&self.scored, load.slack())
     }
 }
 
@@ -400,8 +413,11 @@ impl SchedulePolicy for CostPolicy {
 ///
 /// [`ContentionParams::host_penalty`]:
 ///     accfg_sim::ContentionParams::host_penalty
-#[derive(Debug)]
-pub struct ThermalPolicy;
+#[derive(Debug, Default)]
+pub struct ThermalPolicy {
+    /// The candidates of the decision in progress (see [`CostPolicy`]).
+    scored: Vec<Scored>,
+}
 
 impl SchedulePolicy for ThermalPolicy {
     fn label(&self) -> &'static str {
@@ -417,51 +433,25 @@ impl SchedulePolicy for ThermalPolicy {
         now: u64,
     ) -> usize {
         assert!(!candidates.is_empty(), "scheduling against an empty group");
-        let scored: Vec<(u64, u64, u64, u64, usize)> = candidates
-            .iter()
-            .map(|&w| {
-                let writes = load.writes_for(w, module);
-                let outstanding = load.outstanding(w, now);
-                let mode = load.predicted_mode(w, now);
-                let dispatch = load.predicted_cycles_for_mode(w, module, writes, mode);
-                // a busy worker's configuration traffic lands inside its
-                // busy window and runs at leftover bandwidth
-                let desc = load.descriptor(w);
-                let contended = match desc.timing.contention {
-                    Some(c) if outstanding > 0 => {
-                        c.host_penalty(writes * desc.accel.csr_payload_bytes)
-                    }
-                    _ => 0,
-                };
-                let finish = outstanding + dispatch + contended;
-                // prefer hotter candidates on ties (smaller rank = hotter)
-                let chill = (FREQ_STATES - 1 - mode.index()) as u64;
-                (finish, writes, chill, outstanding, w)
-            })
-            .collect();
-        let min_completion = scored
-            .iter()
-            .map(|&(finish, ..)| finish)
-            .min()
-            .expect("nonempty");
-        scored
-            .into_iter()
-            .map(|(finish, writes, chill, outstanding, w)| {
-                (
-                    (
-                        pressure(finish - min_completion, load.slack()),
-                        writes,
-                        chill,
-                        finish,
-                        outstanding,
-                        w,
-                    ),
-                    w,
-                )
-            })
-            .min_by_key(|(key, _)| *key)
-            .expect("nonempty")
-            .1
+        self.scored.clear();
+        self.scored.extend(candidates.iter().map(|&w| {
+            let writes = load.writes_for(w, module);
+            let outstanding = load.outstanding(w, now);
+            let mode = load.predicted_mode(w, now);
+            let dispatch = load.predicted_cycles_for_mode(w, module, writes, mode);
+            // a busy worker's configuration traffic lands inside its
+            // busy window and runs at leftover bandwidth
+            let desc = load.descriptor(w);
+            let contended = match desc.timing.contention {
+                Some(c) if outstanding > 0 => c.host_penalty(writes * desc.accel.csr_payload_bytes),
+                _ => 0,
+            };
+            let finish = outstanding + dispatch + contended;
+            // prefer hotter candidates on ties (smaller rank = hotter)
+            let chill = (FREQ_STATES - 1 - mode.index()) as u64;
+            (finish, writes, chill, outstanding, w)
+        }));
+        earliest_within_slack(&self.scored, load.slack())
     }
 }
 
@@ -660,8 +650,8 @@ mod tests {
         let d0 = load.predicted_cycles(0, &probe, w0);
         let d1 = load.predicted_cycles(1, &probe, w1);
         load.set_ready(0, LOAD_SLACK_CYCLES - 1 + d1 - d0);
-        let mut thermal = ThermalPolicy;
-        let mut cost = CostPolicy;
+        let mut thermal = ThermalPolicy::default();
+        let mut cost = CostPolicy::default();
         assert_eq!(cost.choose(&load, 0, &[0, 1], &probe, 0), 0);
         assert_eq!(thermal.choose(&load, 0, &[0, 1], &probe, 0), 1);
     }

@@ -88,7 +88,17 @@ pub struct PoolGroup {
 pub struct PoolConfig {
     /// The routing groups (one per served accelerator family).
     pub groups: Vec<PoolGroup>,
-    /// Memory per worker machine, in bytes.
+    /// The most memory a worker machine may have, in bytes — a cap, not
+    /// a size. A serve gives each worker `min(mem_bytes, need)`, `need`
+    /// being the furthest `layout.end` among the modules the stream
+    /// resolved for the worker's group, so raising the cap costs nothing
+    /// and a pool pays (allocation, zeroing, page faults — per serve,
+    /// since every serve starts from fresh workers) for the shapes it is
+    /// actually sent. A request whose layout does not fit under the cap
+    /// still fails its input fill (a `sim_error` completion; the rest of
+    /// the stream is served). An address past `need` faults even when it
+    /// is under the cap: no program compiled for a resolved module
+    /// touches one.
     pub mem_bytes: usize,
     /// Per-dispatch dynamic instruction budget.
     pub fuel: u64,
@@ -479,7 +489,7 @@ impl Runtime {
         stream: &[TrafficRequest],
         cfg: &ServeConfig,
     ) -> Result<ServeReport, ServeError> {
-        let (pool, workers) = self.pool.flatten()?;
+        let pool = self.pool.flatten()?;
         let cache_before = self.cache.stats;
         // warm start: open the persistent store (if configured). Nothing
         // is read from it yet — modules come back one key at a time as
@@ -487,6 +497,7 @@ impl Runtime {
         // known (see `WarmStart`).
         let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
         let resolved = self.resolve(stream, cfg, &pool.worker_descs, warm_start.as_mut())?;
+        let workers = self.pool.workers(&pool, &resolved);
 
         // The serve loop proper: scheduling interleaved with execution,
         // under the plan `cfg.mode` selects (see `crate::engine`). A
@@ -573,10 +584,10 @@ impl Runtime {
 }
 
 impl PoolConfig {
-    /// Validates the pool's shape and builds its workers: one routing
-    /// group per family, workers running their own (possibly variant)
-    /// platform descriptors.
-    fn flatten(&self) -> Result<(PoolShape, Vec<Worker>), ServeError> {
+    /// Validates the pool and flattens it into the shape the scheduler
+    /// and the loop index: one routing group per family, workers running
+    /// their own (possibly variant) platform descriptors.
+    fn flatten(&self) -> Result<PoolShape, ServeError> {
         if self.groups.is_empty() || self.groups.iter().any(|g| g.members.is_empty()) {
             return Err(ServeError::EmptyPool);
         }
@@ -629,18 +640,36 @@ impl PoolConfig {
             worker_group.resize(first + group.members.len(), g);
             groups.push((first..worker_group.len()).collect());
         }
-        let workers = worker_descs
-            .iter()
-            .enumerate()
-            .map(|(index, desc)| Worker::new(index, desc.clone(), self.mem_bytes, self.fuel))
-            .collect();
-        let shape = PoolShape {
+        Ok(PoolShape {
             worker_descs,
             groups,
             worker_group,
             power_caps: self.groups.iter().map(|g| g.power_cap).collect(),
-        };
-        Ok((shape, workers))
+        })
+    }
+
+    /// Builds one fresh worker per pool slot, each with the memory its
+    /// group's resolved modules need — the furthest `layout.end` among
+    /// them — or [`PoolConfig::mem_bytes`] if that is less: the cap still
+    /// fails the request that does not fit, and a serve no longer zeroes
+    /// (and faults in) the whole cap per worker for shapes a fraction of
+    /// its size. A group the stream never addresses gets empty memories.
+    fn workers(&self, pool: &PoolShape, resolved: &Resolved) -> Vec<Worker> {
+        let mut need = vec![0usize; pool.groups.len()];
+        for (module, &g) in resolved.modules.iter().zip(&resolved.group_idx) {
+            if let Some(module) = module {
+                // a (stored) layout ending below zero needs nothing it can get
+                need[g] = need[g].max(usize::try_from(module.layout.end).unwrap_or(0));
+            }
+        }
+        pool.worker_descs
+            .iter()
+            .zip(&pool.worker_group)
+            .enumerate()
+            .map(|(index, (desc, &g))| {
+                Worker::new(index, desc.clone(), self.mem_bytes.min(need[g]), self.fuel)
+            })
+            .collect()
     }
 }
 
@@ -1101,6 +1130,195 @@ mod tests {
             no_workers.serve(&[], &ServeConfig::default()),
             Err(ServeError::EmptyPool)
         ));
+    }
+
+    /// The memory each worker of `pool` would be built with for `stream`.
+    fn worker_memories(pool: PoolConfig, stream: &[TrafficRequest]) -> Vec<usize> {
+        let mut rt = Runtime::new(pool);
+        let shape = rt.pool.flatten().unwrap();
+        let resolved = rt
+            .resolve(stream, &ServeConfig::default(), &shape.worker_descs, None)
+            .unwrap();
+        let workers = rt.pool.workers(&shape, &resolved);
+        workers.iter().map(Worker::mem_bytes).collect()
+    }
+
+    #[test]
+    fn worker_memory_follows_the_serve_not_the_cap() {
+        let stream = stream(150, 16);
+        let capped = |mem_bytes| PoolConfig {
+            mem_bytes,
+            ..pool()
+        };
+        // the mixed shapes end at 0x7000 (gemmini 64-cubed) and 0x4000
+        // (every opengemm one): that is what the workers get, whether the
+        // cap is the default 2 MiB or a gibibyte nobody has to zero
+        let need = vec![0x7000, 0x7000, 0x4000, 0x4000];
+        assert_eq!(worker_memories(capped(1 << 21), &stream), need);
+        assert_eq!(worker_memories(capped(1 << 30), &stream), need);
+        let serve = |mem_bytes| {
+            Runtime::new(capped(mem_bytes))
+                .serve(&stream, &ServeConfig::default())
+                .unwrap()
+        };
+        let (small, large) = (serve(1 << 21), serve(1 << 30));
+        assert_eq!(small.metrics, large.metrics);
+        assert_eq!(small.latencies, large.latencies);
+        assert_eq!(small.predictions, large.predictions);
+        assert_eq!(small.metrics.sim_failures + small.metrics.check_failures, 0);
+        // a group the stream never addresses is given nothing
+        let gemmini_only: Vec<TrafficRequest> = stream
+            .iter()
+            .filter(|r| r.accelerator == "gemmini" && r.spec.m < 64)
+            .cloned()
+            .collect();
+        assert_eq!(
+            worker_memories(capped(1 << 21), &gemmini_only),
+            vec![0x4000, 0x4000, 0, 0]
+        );
+    }
+
+    #[test]
+    fn a_shape_past_the_memory_cap_fails_its_fill_and_nothing_else() {
+        // gemmini 128-cubed lays B at 0x5000 and ends at 0x19000; the other
+        // two shapes end at 0x4000. Under a 0x5000-byte cap the workers are
+        // built at the cap — need is above it — and the big shape fails
+        // exactly as it did when every worker was `mem_bytes` long
+        let request = |id: u64, accelerator: &str, spec| TrafficRequest {
+            id,
+            accelerator: accelerator.into(),
+            spec,
+            arrival: 40 * id,
+            seed: id,
+        };
+        let big = accfg_workloads::MatmulSpec::gemmini_paper(128).unwrap();
+        let stream: Vec<TrafficRequest> = (0..30)
+            .map(|id| match id % 3 {
+                0 => request(
+                    id,
+                    "gemmini",
+                    accfg_workloads::MatmulSpec::gemmini_paper(16).unwrap(),
+                ),
+                1 => request(id, "gemmini", big),
+                _ => request(
+                    id,
+                    "opengemm",
+                    accfg_workloads::MatmulSpec::opengemm_paper(16).unwrap(),
+                ),
+            })
+            .collect();
+        let pool = PoolConfig {
+            mem_bytes: 0x5000,
+            ..pool()
+        };
+        assert_eq!(
+            worker_memories(pool.clone(), &stream),
+            vec![0x5000, 0x5000, 0x4000, 0x4000]
+        );
+        let report = Runtime::new(pool)
+            .serve(&stream, &ServeConfig::default())
+            .unwrap();
+        assert_eq!(report.metrics.requests, 30);
+        assert_eq!(report.metrics.sim_failures, 10);
+        assert_eq!(report.metrics.check_failures, 0);
+        for (request, completion) in stream.iter().zip(&report.completions) {
+            if request.spec == big {
+                assert_eq!(
+                    completion.sim_error.as_deref(),
+                    Some(
+                        "input fill failed: memory access of 16384 bytes at 0x5000 \
+                         exceeds capacity 0x5000"
+                    )
+                );
+            } else {
+                assert!(completion.sim_error.is_none(), "{:?}", completion.sim_error);
+                assert!(completion.counters.launches > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_stream_builds_empty_workers_and_still_validates_the_pool() {
+        let mut rt = Runtime::new(pool());
+        let report = rt.serve(&[], &ServeConfig::default()).unwrap();
+        assert_eq!(report.metrics.requests, 0);
+        assert_eq!(report.metrics.workers.len(), 4);
+        assert_eq!(worker_memories(pool(), &[]), vec![0; 4]);
+
+        // validation runs before anything is resolved, in the order it
+        // always has: an incompatible member, then a power cap out of
+        // range, then an ambiguous variant name — shown on a pool with all
+        // three faults, repaired one at a time, under a stream whose only
+        // request could not be resolved at all
+        let mut unresolvable = stream(1, 17);
+        unresolvable[0].accelerator = "tpu".into();
+        let mut doctored = AcceleratorDescriptor::gemmini();
+        doctored.accel.macs_per_cycle *= 4;
+        let mut pool = pool().with_power_cap("gemmini", 3);
+        pool.groups[0].members[1] = doctored;
+        pool.groups[1].members[1] = AcceleratorDescriptor::gemmini();
+        for stream in [&[][..], &unresolvable[..]] {
+            let mut pool = pool.clone();
+            let serve = |pool: &PoolConfig| {
+                let mut rt = Runtime::new(pool.clone());
+                let err = rt.serve(stream, &ServeConfig::default()).unwrap_err();
+                assert_eq!(rt.cache_stats(), CacheStats::default());
+                err
+            };
+            assert!(matches!(
+                serve(&pool),
+                ServeError::IncompatiblePool { family, member }
+                    if family == "opengemm" && member == "gemmini"
+            ));
+            pool.groups[1].members[1] = AcceleratorDescriptor::opengemm();
+            assert!(matches!(
+                serve(&pool),
+                ServeError::InvalidPowerCap {
+                    cap: 3,
+                    workers: 2,
+                    ..
+                }
+            ));
+            pool.groups[0].power_cap = None;
+            assert!(matches!(
+                serve(&pool),
+                ServeError::AmbiguousVariantName { name } if name == "gemmini"
+            ));
+        }
+    }
+
+    #[test]
+    fn a_launch_command_past_the_register_file_fails_dispatches_not_the_serve() {
+        // a custom descriptor can put its RoCC launch command anywhere;
+        // past the simulator's register file every dispatch is a counted
+        // simulator fault — the machine used to index out of bounds
+        let mut desc = AcceleratorDescriptor::gemmini();
+        desc.style = accfg_targets::ConfigStyle::RoccPairs { launch_funct: 14 };
+        desc.accel.rocc_launch_funct = Some(14);
+        let stream: Vec<TrafficRequest> = stream(60, 18)
+            .into_iter()
+            .filter(|request| request.accelerator == "gemmini")
+            .collect();
+        assert!(stream.len() > 10);
+        for policy in Policy::ALL {
+            let report = Runtime::new(PoolConfig::new(vec![desc.clone()]))
+                .serve(
+                    &stream,
+                    &ServeConfig {
+                        policy,
+                        ..ServeConfig::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(report.metrics.sim_failures, stream.len() as u64);
+            assert_eq!(report.metrics.check_failures, 0);
+            for completion in &report.completions {
+                assert_eq!(
+                    completion.sim_error.as_deref(),
+                    Some("configuration register 29 is past the 28-register file")
+                );
+            }
+        }
     }
 
     #[test]

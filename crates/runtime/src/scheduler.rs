@@ -434,20 +434,21 @@ impl LoadTracker {
         let platform = self.worker_platform[worker];
         let bucket = anchors.bucket(writes);
         let anchor_cycles = anchors.predict(writes);
-        let (predicted_cycles, keyed_cycles) = if self.refine {
-            let agnostic = self
-                .refiner
-                .predict(&module.key, platform, &anchors, writes);
-            let mut keyed = [0u64; FREQ_STATES];
-            for mode in FreqState::ALL {
-                keyed[mode.index()] =
-                    self.refiner
-                        .predict_for_mode(&module.key, platform, &anchors, writes, mode);
-            }
-            (agnostic, keyed)
+        // the module's learned rows are fetched once; the mode-agnostic
+        // charge and the three keyed quotes are all read out of them (with
+        // refinement off there are none, and every quote is the anchor's)
+        let row = if self.refine {
+            self.refiner.row(&module.key, platform)
         } else {
-            (anchor_cycles, [anchor_cycles; FREQ_STATES])
+            None
         };
+        let quote = |mode: Option<FreqState>| {
+            row.and_then(|row| CostRefiner::quote(row, bucket, mode))
+                .unwrap_or(anchor_cycles)
+        };
+        let predicted_cycles = quote(None);
+        // (`FreqState::ALL` is in index order)
+        let keyed_cycles = FreqState::ALL.map(|mode| quote(Some(mode)));
         // advance the shadow DVFS automaton with the predicted busy
         // window, mirroring the worker-side sequence (cool over the idle
         // gap, read the launch state, account the busy cycles)

@@ -114,6 +114,12 @@ impl Worker {
         &self.desc.name
     }
 
+    /// Bytes of memory the worker's machine was built with.
+    #[cfg(test)]
+    pub(crate) fn mem_bytes(&self) -> usize {
+        self.machine.mem.capacity()
+    }
+
     /// Executes one job: fill inputs, build the delta program, run it, and
     /// functionally check the result.
     pub fn execute(&mut self, job: &Job) -> Completion {

@@ -1,43 +1,72 @@
-//! A deterministic allocation budget for a warm dispatch.
+//! Deterministic allocation budgets for a warm request: its dispatch, and
+//! the routing decision before it.
 //!
-//! What `Worker::execute` does per request — `fill_inputs` →
+//! **Dispatch.** What `Worker::execute` does per request — `fill_inputs` →
 //! `DispatchPlan::delta_program` → `Machine::run` → `check_result` — is
 //! taken here through the same public functions on a machine built as
 //! `Worker::new` builds it, with the counting allocator of `build_allocs`
 //! around each stage. The first two dispatches warm the machine (its
 //! register file, the accelerator's packed-operand scratch, the resident
-//! register map); the third is counted. Two requests: OpenGeMM 24-cubed
+//! register file); the third is counted. Two requests: OpenGeMM 24-cubed
 //! (nine launches of 8 x 24 x 8) and Gemmini 64-cubed (one launch of
 //! 64 x 64 x 64), both at `OptLevel::All`.
 //!
 //! Asserted: `Machine::run` on the warmed machine allocates nothing — the
-//! launches pack into scratch the `AccelSim` owns — a warm
-//! `Worker::execute` makes exactly the allocations of its four stages, and
-//! the sum stays under the measured figure + 15 %.
+//! launches pack into scratch the `AccelSim` owns — `delta_program`
+//! allocates once (the program, sized by a counting walk before it is
+//! filled), a warm `Worker::execute` makes exactly the allocations of its
+//! four stages, and the sum stays under the measured figure + 15 %.
 //!
 //! Allocations per warm dispatch (release build), the commit before the
-//! packed-dot tile executor and the block-compared check → at it:
+//! dense register file → at it:
 //!
 //! ```text
 //!                     fill_inputs delta_program Machine::run check_result     sum
-//! opengemm 24-cubed        0 → 0     23 → 23       9 → 0       1 → 2      33 → 25
-//! gemmini 64-cubed         0 → 0      2 →  2       1 → 0       1 → 2       4 →  4
+//! opengemm 24-cubed        0 → 0     23 →  1       0 → 0       2 → 2      25 →  3
+//! gemmini 64-cubed         0 → 0      2 →  1       0 → 0       2 → 2       4 →  3
 //! ```
 //!
-//! (`Machine::run` was one accumulator row per launch; `check_result` was
-//! the whole expected C and is now B widened plus one block of rows — one
-//! allocation more, half the bytes. What is left is `delta_program`: the
-//! program it assembles and the register it names per write.)
-//! Debug builds add `delta_program`'s reconstruction proof to its column
-//! (35 and 9), so the budget is asserted in release builds only.
+//! (`delta_program` was two `Vec`s per launch out of `regstate::diff` over
+//! ordered maps, plus the program's growth; what is left of a dispatch is
+//! that one program and `check_result`'s widened B and block of rows.)
+//! Debug builds add `delta_program`'s reconstruction proof to its column,
+//! so the budget is asserted in release builds only.
 //!
-//! Run with `--nocapture` to see the table (CI does).
+//! **Routing.** A `Scheduler` over the `mixed` pool (two Gemmini, two
+//! OpenGeMM workers) is stepped through the six `mixed` modules the way
+//! the serve loop steps it — `observe` the previous dispatch, `choose`,
+//! `commit` — under `affinity`, `cost` and `thermal` (the last on the
+//! reference-timing descriptors, so its DVFS and contention terms are
+//! live). After a warm-up that has seen every module on every worker, 600
+//! further requests must allocate **nothing**: scoring a candidate copies
+//! the shadow register file to the stack, the completion-minimising
+//! policies keep their candidate list between decisions, and the refiner
+//! clones a key only to insert a module's first row.
+//!
+//! Allocations over those 600 requests, same two commits:
+//!
+//! ```text
+//!            choose + commit + observe
+//! affinity              25 606 → 0
+//! cost                  26 198 → 0
+//! thermal               26 328 → 0
+//! ```
+//!
+//! (At the parent, ~43 a request: per candidate per `choose` a `BTreeMap`
+//! clone and two `Vec`s per launch out of the diff, the same two `Vec`s
+//! per launch again at `commit`, the candidate `Vec` of `cost` /
+//! `thermal`, and the key's accelerator `String` per `observe`.) Asserted
+//! in every profile.
+//!
+//! Run with `--nocapture` to see both tables (CI does).
 
 use accfg::OptLevel;
-use accfg_runtime::{build_module, Job, RegMap, Worker};
+use accfg_runtime::{build_module, CompiledModule, Job, Policy, RegMap, Scheduler, Worker};
 use accfg_sim::{AccelSim, Machine};
 use accfg_targets::AcceleratorDescriptor;
-use accfg_workloads::{check_result, fill_inputs, MatmulSpec, TrafficRequest};
+use accfg_workloads::{
+    check_result, fill_inputs, mixed_serving_classes, MatmulSpec, TrafficRequest,
+};
 use common::counted;
 use std::sync::Arc;
 
@@ -46,7 +75,14 @@ mod common;
 const MEM_BYTES: usize = 1 << 20;
 const FUEL: u64 = 10_000_000;
 
+/// One test: the counting allocator is process-wide, so the two budgets
+/// run one after the other, never on two test threads.
 #[test]
+fn a_warm_request_stays_within_its_allocation_budgets() {
+    a_warm_dispatch_stays_within_its_allocation_budget();
+    warm_routing_allocates_nothing();
+}
+
 fn a_warm_dispatch_stays_within_its_allocation_budget() {
     println!(
         "{:<20} {:>11} {:>13} {:>12} {:>12} {:>5} {:>15}",
@@ -63,15 +99,15 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
             "opengemm 24-cubed",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::opengemm_paper(24).expect("a multiple of 8"),
-            // measured 25
-            28,
+            // measured 3
+            3,
         ),
         (
             "gemmini 64-cubed",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::gemmini_paper(64).expect("one tile"),
-            // measured 4
-            4,
+            // measured 3
+            3,
         ),
     ] {
         let module = Arc::new(build_module(&desc, spec, OptLevel::All).expect("the module builds"));
@@ -129,7 +165,91 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
         assert_eq!(executed, sum, "{label}: a stage is missing");
         if !cfg!(debug_assertions) && !cfg!(feature = "validate") {
             // (the reconstruction proof of the other builds is not budgeted)
+            assert!(
+                delta <= 1,
+                "{label}: delta_program allocated {delta} times, not once for its program"
+            );
             assert!(sum <= budget, "{label}: {sum} allocations, budget {budget}");
         }
+    }
+}
+
+fn warm_routing_allocates_nothing() {
+    const WARM_UP: usize = 240;
+    const COUNTED: usize = 600;
+    println!();
+    println!(
+        "{:<12} {:>25}   ({COUNTED} warm requests)",
+        "allocations", "choose + commit + observe"
+    );
+    for (policy, reference_timing) in [
+        (Policy::ConfigAffinity, false),
+        (Policy::Cost, false),
+        (Policy::Thermal, true),
+    ] {
+        let timed = |desc: AcceleratorDescriptor| {
+            if reference_timing {
+                desc.with_reference_timing()
+            } else {
+                desc
+            }
+        };
+        let bases = [
+            timed(AcceleratorDescriptor::gemmini()),
+            timed(AcceleratorDescriptor::opengemm()),
+        ];
+        // the `mixed` pool: two workers a family, one group each
+        let workers: Vec<AcceleratorDescriptor> =
+            bases.iter().flat_map(|d| [d.clone(), d.clone()]).collect();
+        let groups = [[0usize, 1], [2, 3]];
+        let modules: Vec<(usize, CompiledModule)> = mixed_serving_classes()
+            .into_iter()
+            .map(|class| {
+                let g = bases
+                    .iter()
+                    .position(|d| d.name == class.accelerator)
+                    .expect("a mixed class names one of the two families");
+                let module = build_module(&bases[g], class.spec, OptLevel::All);
+                (g, module.expect("the module builds"))
+            })
+            .collect();
+
+        let mut scheduler = Scheduler::new(policy, &workers, groups.len());
+        // a fixed, aperiodic walk over the six modules; the gap keeps the
+        // queues short enough that both workers of a group stay in play
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut retire = None;
+        let mut now = 0u64;
+        let mut step = |scheduler: &mut Scheduler| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (g, module) = &modules[(state >> 33) as usize % modules.len()];
+            if let Some((worker, module, bucket, mode, cycles)) = retire.take() {
+                scheduler.observe(worker, module, bucket, mode, cycles);
+            }
+            let worker = scheduler.choose(*g, &groups[*g], module, now);
+            let outcome = scheduler.commit(worker, module, now);
+            // "measured" a little off the charge, in a mode that moves
+            let mode = accfg_sim::FreqState::ALL[(state >> 20) as usize % 3];
+            let cycles = outcome.predicted_cycles + (state >> 40) % 17;
+            retire = Some((worker, module, outcome.bucket, mode, cycles));
+            now += 60;
+        };
+        for _ in 0..WARM_UP {
+            step(&mut scheduler);
+        }
+        let ((), allocations) = counted(|| {
+            for _ in 0..COUNTED {
+                step(&mut scheduler);
+            }
+        });
+        println!("{:<12} {allocations:>25}", policy.label());
+        assert_eq!(
+            allocations,
+            0,
+            "{}: a warmed scheduler allocated while routing",
+            policy.label()
+        );
     }
 }

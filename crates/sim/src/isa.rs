@@ -490,6 +490,15 @@ impl ProgramBuilder {
         Self::default()
     }
 
+    /// Creates an empty builder with room for `insts` instructions, for a
+    /// caller that knows the program's length before emitting it.
+    pub fn with_capacity(insts: usize) -> Self {
+        Self {
+            insts: Vec::with_capacity(insts),
+            ..Self::default()
+        }
+    }
+
     /// Allocates a fresh virtual register.
     pub fn reg(&mut self) -> Reg {
         let r = Reg(self.next_reg);

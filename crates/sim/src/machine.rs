@@ -7,7 +7,7 @@
 //! sequential-configuration platforms, whenever it touches a configuration
 //! register while the accelerator is busy.
 
-use crate::accel::{AccelSim, ConfigScheme, LaunchError};
+use crate::accel::{regmap, AccelSim, ConfigScheme, LaunchError};
 use crate::host::HostModel;
 use crate::isa::{Inst, Program};
 use crate::memory::{MemError, Memory};
@@ -28,6 +28,13 @@ pub enum SimError {
         /// Instructions executed before giving up.
         executed: u64,
     },
+    /// A configuration instruction named a register the accelerator does
+    /// not have (a `CsrWrite` index, or either half of a `RoccCmd` pair,
+    /// at or past [`regmap::COUNT`]).
+    NoSuchRegister {
+        /// The register index the instruction named.
+        index: u16,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -38,6 +45,11 @@ impl fmt::Display for SimError {
             SimError::OutOfFuel { executed } => {
                 write!(f, "out of fuel after {executed} instructions")
             }
+            SimError::NoSuchRegister { index } => write!(
+                f,
+                "configuration register {index} is past the {}-register file",
+                regmap::COUNT
+            ),
         }
     }
 }
@@ -307,15 +319,20 @@ impl Machine {
                 }
                 Inst::Jump { target } => next_pc = program.resolve(target),
                 Inst::CsrWrite { csr, rs } => {
+                    if usize::from(csr) >= regmap::COUNT {
+                        return Err(SimError::NoSuchRegister { index: csr });
+                    }
                     self.accel.write_reg(csr, self.regs[rs.0 as usize]);
                     c.config_bytes += self.accel.params.csr_payload_bytes;
                 }
                 Inst::RoccCmd { funct, rs1, rs2 } => {
                     // funct f writes the register pair (2f, 2f+1): 16 bytes
-                    self.accel
-                        .write_reg(u16::from(funct) * 2, self.regs[rs1.0 as usize]);
-                    self.accel
-                        .write_reg(u16::from(funct) * 2 + 1, self.regs[rs2.0 as usize]);
+                    let (lo, hi) = (u16::from(funct) * 2, u16::from(funct) * 2 + 1);
+                    if usize::from(hi) >= regmap::COUNT {
+                        return Err(SimError::NoSuchRegister { index: hi });
+                    }
+                    self.accel.write_reg(lo, self.regs[rs1.0 as usize]);
+                    self.accel.write_reg(hi, self.regs[rs2.0 as usize]);
                     c.config_bytes += 16;
                     if self.accel.params.rocc_launch_funct == Some(funct) {
                         let done = self.accel.launch(&mut self.mem, cycle)?;
@@ -758,6 +775,52 @@ mod tests {
             .filter(|a| matches!(a.kind, crate::timeline::AnnotationKind::Frequency { .. }))
             .count() as u64;
         assert_eq!(freq_notes, c.launches);
+    }
+
+    #[test]
+    fn a_register_past_the_file_is_a_fault_not_a_panic() {
+        // programs reach a machine from stored records and hand-written
+        // descriptors as well as from the lowering: naming a register the
+        // accelerator does not have stops the run with a typed error
+        let csr = |index: u16| {
+            let mut p = ProgramBuilder::new();
+            let r = p.reg();
+            p.li(r, 7);
+            p.csr_write(index, r);
+            p.halt();
+            machine(AccelParams::opengemm_like()).run(&p.finish(), 100)
+        };
+        assert!(csr(regmap::COUNT as u16 - 1).is_ok());
+        assert_eq!(
+            csr(regmap::COUNT as u16),
+            Err(SimError::NoSuchRegister { index: 28 })
+        );
+        assert_eq!(
+            csr(40).unwrap_err().to_string(),
+            "configuration register 40 is past the 28-register file"
+        );
+        assert_eq!(
+            csr(u16::MAX),
+            Err(SimError::NoSuchRegister { index: u16::MAX })
+        );
+
+        // a RoCC command writes the pair (2f, 2f + 1): funct 13 is the
+        // file's last pair, funct 14 the first past it, 255 the furthest
+        let rocc = |funct: u8| {
+            let mut p = ProgramBuilder::new();
+            let (r1, r2) = (p.reg(), p.reg());
+            p.li(r1, 1);
+            p.li(r2, 2);
+            p.rocc(funct, r1, r2);
+            p.halt();
+            let mut params = AccelParams::gemmini_like();
+            params.rocc_launch_funct = None;
+            let mut m = machine(params);
+            m.run(&p.finish(), 100).map(|_| m.accel.stats.reg_writes)
+        };
+        assert_eq!(rocc(13), Ok(2));
+        assert_eq!(rocc(14), Err(SimError::NoSuchRegister { index: 29 }));
+        assert_eq!(rocc(255), Err(SimError::NoSuchRegister { index: 511 }));
     }
 
     #[test]
