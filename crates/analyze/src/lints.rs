@@ -125,38 +125,37 @@ impl LintReport {
 pub fn lint_module(m: &Module) -> LintReport {
     let mut report = LintReport::default();
     for cfg in analyze_module(m) {
+        // a finding is where symbols become the names a reader sees
+        let site = |kind, accelerator, field: &str| LintSite {
+            kind,
+            func: cfg.func.clone(),
+            accelerator: m.name(accelerator).to_string(),
+            field: field.to_string(),
+        };
         report.elidable_bound += cfg.steady_elidable;
         for write in &cfg.writes {
             report.static_writes += write.mult;
             if write.redundant {
                 report.elidable_bound += write.mult;
             }
+            let field = m.name(write.field);
             if write.dead {
-                report.sites.push(LintSite {
-                    kind: LintKind::DeadWrite,
-                    func: cfg.func.clone(),
-                    accelerator: write.accelerator.clone(),
-                    field: write.field.clone(),
-                });
+                report
+                    .sites
+                    .push(site(LintKind::DeadWrite, write.accelerator, field));
             }
             if write.redundant {
-                report.sites.push(LintSite {
-                    kind: LintKind::RedundantWrite,
-                    func: cfg.func.clone(),
-                    accelerator: write.accelerator.clone(),
-                    field: write.field.clone(),
-                });
+                report
+                    .sites
+                    .push(site(LintKind::RedundantWrite, write.accelerator, field));
             }
         }
         for launch in &cfg.launches {
-            for (field, val) in &launch.fields {
-                if *val == AbsVal::Clobbered {
-                    report.sites.push(LintSite {
-                        kind: LintKind::ClobberedLaunch,
-                        func: cfg.func.clone(),
-                        accelerator: launch.accelerator.clone(),
-                        field: field.clone(),
-                    });
+            for (field, val) in launch.named(m) {
+                if val == AbsVal::Clobbered {
+                    report
+                        .sites
+                        .push(site(LintKind::ClobberedLaunch, launch.accelerator, field));
                 }
             }
         }

@@ -10,16 +10,10 @@
 //! generalized from "state visible to one setup" to "register file visible
 //! to every launch".
 
-use accfg::{setup_fields, state_effect, StateEffect};
+use accfg::{accelerator, setup_fields, state_effect, ConfigState, FieldMap, StateEffect};
 use accfg_ir::analysis::value_visible_at;
-use accfg_ir::{Module, OpId, Opcode, ValueDef, ValueId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// The name of the accelerator an accfg op addresses (the analysis keys
-/// its state by name, so results compare across modules).
-fn accelerator(m: &Module, op: OpId) -> String {
-    m.name(accfg::accelerator(m, op)).to_string()
-}
+use accfg_ir::{BlockId, Module, OpId, Opcode, Symbol, ValueDef, ValueId};
+use std::collections::{BTreeSet, HashMap};
 
 /// Abstract value of one configuration field at one program point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,10 +29,13 @@ pub enum AbsVal {
 }
 
 impl AbsVal {
-    fn join(a: AbsVal, b: AbsVal) -> AbsVal {
-        match (a, b) {
-            (AbsVal::Known(x), AbsVal::Known(y)) if x == y => AbsVal::Known(x),
-            (AbsVal::Clobbered, _) | (_, AbsVal::Clobbered) => AbsVal::Clobbered,
+    /// What a field holds where two paths meet; `None` is a path that never
+    /// wrote it (well-defined per path, but the register keeps whatever was
+    /// resident before, so a one-sided `Known` is no longer one value).
+    fn join(a: Option<AbsVal>, b: Option<&AbsVal>) -> AbsVal {
+        match (a, b.copied()) {
+            (Some(AbsVal::Known(x)), Some(AbsVal::Known(y))) if x == y => AbsVal::Known(x),
+            (Some(AbsVal::Clobbered), _) | (_, Some(AbsVal::Clobbered)) => AbsVal::Clobbered,
             _ => AbsVal::Divergent,
         }
     }
@@ -86,18 +83,31 @@ pub fn describe(m: &Module, val: AbsVal) -> String {
     }
 }
 
-/// Field name → abstract value, for one accelerator.
-pub type FieldState = BTreeMap<String, AbsVal>;
-
-/// The reaching register file at one `accfg.launch` site.
+/// The reaching register file at one `accfg.launch` site. Accelerator and
+/// fields are symbols of the analyzed module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchState {
     /// The launch op.
     pub op: OpId,
     /// Accelerator launched.
-    pub accelerator: String,
+    pub accelerator: Symbol,
     /// The abstract register file the launch observes.
-    pub fields: FieldState,
+    pub fields: FieldMap<AbsVal>,
+}
+
+impl LaunchState {
+    /// The fields spelled out and in name order, for diagnostics — and for
+    /// looking them up in another module, where the symbols mean nothing.
+    pub fn named<'m>(&self, m: &'m Module) -> Vec<(&'m str, AbsVal)> {
+        let mut fields: Vec<_> = self.fields.iter().map(|(f, &v)| (m.name(f), v)).collect();
+        fields.sort_unstable_by_key(|&(name, _)| name);
+        fields
+    }
+
+    /// What the field called `name` holds.
+    pub fn get(&self, m: &Module, name: &str) -> Option<AbsVal> {
+        self.fields.get(m.symbol(name)?).copied()
+    }
 }
 
 /// One static setup-field write site.
@@ -108,9 +118,9 @@ pub struct WriteSite {
     /// Index of the field within the setup's field list.
     pub index: usize,
     /// Accelerator configured.
-    pub accelerator: String,
+    pub accelerator: Symbol,
     /// Field written.
-    pub field: String,
+    pub field: Symbol,
     /// SSA value written.
     pub value: ValueId,
     /// Executions per function call the analysis can *guarantee*
@@ -142,79 +152,101 @@ pub struct FuncConfig {
     pub steady_elidable: u64,
 }
 
-/// Accelerator name → its abstract register file. Bottom (unreachable) is
-/// never materialized: the engine only walks reachable structure.
-type State = BTreeMap<String, FieldState>;
-
-/// (accelerator, field) → write sites whose value is the field's current
-/// last write on some path and has not yet been observed by a launch.
-type Pending = BTreeMap<(String, String), BTreeSet<usize>>;
-
-fn join_state(a: &State, b: &State) -> State {
-    let mut out = State::new();
-    let accels: BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    for accel in accels {
-        let fa = a.get(accel);
-        let fb = b.get(accel);
-        let mut fields = FieldState::new();
-        let names: BTreeSet<&String> = fa
-            .map(|f| f.keys().collect::<BTreeSet<_>>())
-            .unwrap_or_default()
-            .into_iter()
-            .chain(
-                fb.map(|f| f.keys().collect::<BTreeSet<_>>())
-                    .unwrap_or_default(),
-            )
-            .collect();
-        for name in names {
-            let va = fa.and_then(|f| f.get(name).copied());
-            let vb = fb.and_then(|f| f.get(name).copied());
-            let joined = match (va, vb) {
-                (Some(x), Some(y)) => AbsVal::join(x, y),
-                // written on one path only: well-defined per path, but the
-                // other path leaves whatever was resident before
-                (Some(AbsVal::Clobbered), None) | (None, Some(AbsVal::Clobbered)) => {
-                    AbsVal::Clobbered
-                }
-                (Some(_), None) | (None, Some(_)) => AbsVal::Divergent,
-                (None, None) => unreachable!("name came from one of the maps"),
-            };
-            fields.insert(name.clone(), joined);
-        }
-        out.insert(accel.clone(), fields);
-    }
-    out
+/// What the walk carries along one path.
+#[derive(Clone, Default, PartialEq)]
+struct Flow {
+    /// Per accelerator, its abstract register file. Bottom (unreachable) is
+    /// never materialized: the engine only walks reachable structure.
+    state: ConfigState<AbsVal>,
+    /// Per field, the write sites whose value is the field's current last
+    /// write on some path and has not yet been observed by a launch.
+    pending: ConfigState<BTreeSet<usize>>,
 }
 
-fn join_pending(a: &Pending, b: &Pending) -> Pending {
-    let mut out = a.clone();
-    for (key, sites) in b {
-        out.entry(key.clone()).or_default().extend(sites);
+impl Flow {
+    /// Where this path and `other` meet: a site is pending if it is on
+    /// either.
+    fn join(&mut self, other: &Flow) {
+        self.state.join_files(&other.state, AbsVal::join);
+        self.pending.join_files(&other.pending, |ours, theirs| {
+            let mut sites = ours.unwrap_or_default();
+            sites.extend(theirs.into_iter().flatten());
+            sites
+        });
     }
-    out
 }
 
-/// Evaluates `v` if it is an `arith.constant`.
-fn const_val(m: &Module, v: ValueId) -> Option<i64> {
-    if let ValueDef::OpResult { op, .. } = m.value(v).def {
-        if m.op(op).opcode == Opcode::Constant {
-            return m.int_attr(op, "value");
+/// What a walk over a region is for.
+#[derive(Clone, Copy)]
+enum Walk {
+    /// The one walk that records launches and per-site facts. `mult` is the
+    /// guaranteed execution count of this program point per function call
+    /// (products of constant trip counts). `once` is the execution count
+    /// *not already covered* by an enclosing loop's steady-state walk — a
+    /// loop body keeps only its first iteration's share, because iterations
+    /// two onward are credited by the [`Walk::Steady`] walk triggered at
+    /// that loop. The split partitions the iteration space so the steady
+    /// counts never overlap.
+    Collect { mult: u64, once: u64 },
+    /// The flow only: one round of a fixpoint.
+    Quiet,
+    /// The steady-state bound walk: over a loop body entered this many
+    /// times with the steady register state, crediting
+    /// [`Engine::steady_elidable`] for every write execution whose value is
+    /// provably already resident. Sites the collecting walk flagged
+    /// `redundant` or `dead` are skipped — their full multiplicity is
+    /// counted through the flags.
+    Steady(u64),
+}
+
+impl Walk {
+    /// The walk of a region that each execution of this one enters `trips`
+    /// guaranteed times: 0 for a branch or a loop of no known trip count.
+    fn times(self, trips: u64) -> Walk {
+        match self {
+            Walk::Collect { mult, once } => Walk::Collect {
+                mult: mult.saturating_mul(trips),
+                once: if trips >= 1 { once } else { 0 },
+            },
+            Walk::Quiet => Walk::Quiet,
+            Walk::Steady(entries) => Walk::Steady(entries.saturating_mul(trips)),
         }
     }
-    None
+}
+
+/// Kleene iteration: `entry ← step(entry)` from `seed` until it stops
+/// moving. Every caller's step is a join over a finite lattice, so the chain
+/// converges; the cap only guards against surprises, and the flag says
+/// whether it was hit (`false`: `entry` is not a fixpoint).
+fn fixpoint<T: PartialEq>(seed: T, mut step: impl FnMut(&T) -> T) -> (T, bool) {
+    let mut entry = seed;
+    for _ in 0..64 {
+        let next = step(&entry);
+        if next == entry {
+            return (entry, true);
+        }
+        entry = next;
+    }
+    (entry, false)
 }
 
 /// Trip count of an `scf.for` with constant bounds, matching the
-/// interpreter's `while iv < ub { iv += step.max(1) }`.
+/// interpreter's `while iv < ub { iv += step.max(1) }`, which also stops
+/// when `iv + step` no longer fits an `i64`. `None` — no guaranteed
+/// multiplicity — when the bounds are not constants or lie further apart
+/// than an `i64` can say.
 fn const_trip_count(m: &Module, op: OpId) -> Option<u64> {
-    let operands = &m.op(op).operands;
-    let lb = const_val(m, operands[0])?;
-    let ub = const_val(m, operands[1])?;
-    let step = const_val(m, operands[2])?.max(1);
+    let constant = |operand: usize| match resolve(m, m.op(op).operands[operand]) {
+        Resolved::Const(c) => Some(c),
+        _ => None,
+    };
+    let (lb, ub, step) = (constant(0)?, constant(1)?, constant(2)?.max(1));
     if ub <= lb {
         return Some(0);
     }
-    Some(((ub - lb + step - 1) / step) as u64)
+    let span = ub.checked_sub(lb)?;
+    // ceil(span / step) for span >= 1, with no intermediate past `span`
+    Some(((span - 1) / step + 1) as u64)
 }
 
 struct Engine<'m> {
@@ -236,14 +268,14 @@ impl<'m> Engine<'m> {
             if m.op(op).opcode != Opcode::AccfgSetup {
                 continue;
             }
-            let accel = accelerator(m, op);
-            for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
+            let accelerator = accelerator(m, op);
+            for (index, (field, value)) in setup_fields(m, op).iter().enumerate() {
                 site_ids.insert((op, index), writes.len());
                 writes.push(WriteSite {
                     op,
                     index,
-                    accelerator: accel.clone(),
-                    field: field.to_string(),
+                    accelerator,
+                    field,
                     value,
                     mult: 0,
                     redundant: false,
@@ -262,72 +294,70 @@ impl<'m> Engine<'m> {
         }
     }
 
-    fn exec_block(
-        &mut self,
-        block: accfg_ir::BlockId,
-        state: &mut State,
-        pending: &mut Pending,
-        collect: bool,
-        mult: u64,
-        once_mult: u64,
-    ) {
+    fn exec_block(&mut self, block: BlockId, flow: &mut Flow, walk: Walk) {
         let m = self.m;
         for &op in m.block_ops(block) {
-            self.exec_op(op, state, pending, collect, mult, once_mult);
+            self.exec_op(op, flow, walk);
         }
     }
 
-    /// `mult` is the guaranteed execution count of this program point per
-    /// function call (products of constant trip counts). `once_mult` is the
-    /// execution count *not already covered* by an enclosing loop's
-    /// steady-state bound walk — a loop body keeps only its first
-    /// iteration's share, because iterations two onward are credited by
-    /// the [`Engine::bound_block`] pass triggered at that loop. The split
-    /// partitions the iteration space so the steady counts never overlap.
-    fn exec_op(
-        &mut self,
-        op: OpId,
-        state: &mut State,
-        pending: &mut Pending,
-        collect: bool,
-        mult: u64,
-        once_mult: u64,
-    ) {
+    fn exec_op(&mut self, op: OpId, flow: &mut Flow, walk: Walk) {
         let m = self.m;
+        let collect = matches!(walk, Walk::Collect { .. });
         match m.op(op).opcode {
             Opcode::AccfgSetup => {
                 let accel = accelerator(m, op);
-                for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
+                for (index, (field, value)) in setup_fields(m, op).iter().enumerate() {
                     let site = self.site_ids[&(op, index)];
-                    let key = (accel.clone(), field.to_string());
-                    let cur = state.get(&accel).and_then(|f| f.get(field)).copied();
-                    let redundant = cur == Some(AbsVal::Known(value));
-                    if redundant {
-                        // the register already holds this exact value: the
-                        // earlier writes' effect persists, nothing is killed
-                        pending.entry(key).or_default().insert(site);
-                    } else {
-                        if let Some(old) = pending.insert(key, BTreeSet::from([site])) {
-                            if collect {
-                                self.killed.extend(old);
-                            }
+                    let held = flow
+                        .state
+                        .get(accel)
+                        .and_then(|file| file.get(field))
+                        .copied();
+                    let redundant = held == Some(AbsVal::Known(value));
+                    let pending = flow.pending.or_default(accel).or_default(field);
+                    if !redundant {
+                        // (a redundant write leaves the earlier writes'
+                        // effect in place: nothing is killed)
+                        let old = std::mem::take(pending);
+                        if collect {
+                            self.killed.extend(old);
                         }
                     }
-                    if collect {
-                        self.writes[site].mult = mult;
-                        self.writes[site].redundant = redundant;
+                    pending.insert(site);
+                    match walk {
+                        Walk::Collect { mult, .. } => {
+                            self.writes[site].mult = mult;
+                            self.writes[site].redundant = redundant;
+                        }
+                        Walk::Steady(entries) => {
+                            // Equal SSA value, or two constants of equal
+                            // payload: the steady entry only keeps `Known`
+                            // facts whose runtime value is
+                            // iteration-invariant, so either test proves
+                            // the register already holds this value.
+                            let same = |v| match (resolve(m, v), resolve(m, value)) {
+                                (Resolved::Const(a), Resolved::Const(b)) => a == b,
+                                _ => v == value,
+                            };
+                            let resident = matches!(held, Some(AbsVal::Known(v)) if same(v));
+                            let flagged = self.writes[site].redundant || self.writes[site].dead;
+                            if resident && !flagged {
+                                self.steady_elidable = self.steady_elidable.saturating_add(entries);
+                            }
+                        }
+                        Walk::Quiet => {}
                     }
-                    state
-                        .entry(accel.clone())
-                        .or_default()
-                        .insert(field.to_string(), AbsVal::Known(value));
+                    flow.state
+                        .or_default(accel)
+                        .set(field, AbsVal::Known(value));
                 }
             }
             Opcode::AccfgLaunch => {
                 let accel = accelerator(m, op);
-                let fields = state.get(&accel).cloned().unwrap_or_default();
                 if collect {
-                    for val in fields.values() {
+                    let fields = flow.state.get(accel).cloned().unwrap_or_default();
+                    for (_, val) in fields.iter() {
                         if let AbsVal::Known(v) = val {
                             // Known facts never outlive their value's scope
                             // — except constants, whose runtime value does
@@ -341,106 +371,73 @@ impl<'m> Engine<'m> {
                     }
                     self.launches.push(LaunchState {
                         op,
-                        accelerator: accel.clone(),
+                        accelerator: accel,
                         fields,
                     });
                 }
                 // the launch observes the accelerator's whole register file
-                let observed_keys: Vec<_> = pending
-                    .keys()
-                    .filter(|(a, _)| *a == accel)
-                    .cloned()
-                    .collect();
-                for key in observed_keys {
-                    if let Some(sites) = pending.remove(&key) {
-                        if collect {
-                            self.observed.extend(sites);
-                        }
-                    }
+                let seen = std::mem::take(flow.pending.or_default(accel));
+                if collect {
+                    self.observed
+                        .extend(seen.iter().flat_map(|(_, sites)| sites));
                 }
             }
             Opcode::If => {
-                let mut then_state = state.clone();
-                let mut then_pending = pending.clone();
-                // branch bodies are not guaranteed to execute: mult 0
-                self.exec_block(
-                    m.body_block(op, 0),
-                    &mut then_state,
-                    &mut then_pending,
-                    collect,
-                    0,
-                    0,
-                );
-                self.exec_block(m.body_block(op, 1), state, pending, collect, 0, 0);
-                *state = join_state(&then_state, state);
-                *pending = join_pending(&then_pending, pending);
+                // branch bodies are not guaranteed to execute
+                let mut then = flow.clone();
+                self.exec_block(m.body_block(op, 0), &mut then, walk.times(0));
+                self.exec_block(m.body_block(op, 1), flow, walk.times(0));
+                flow.join(&then);
             }
             Opcode::For => {
                 let body = m.body_block(op, 0);
-                let pre_state = state.clone();
-                let pre_pending = pending.clone();
-                let mut entry_state = pre_state.clone();
-                let mut entry_pending = pre_pending.clone();
-                // Kleene iteration over the back-edge; the chain is
-                // non-decreasing in a finite lattice, so it converges —
-                // the cap only guards against surprises, degrading to the
-                // sound all-Clobbered post-fixpoint.
-                let mut converged = false;
-                for _ in 0..64 {
-                    let mut s = entry_state.clone();
-                    let mut p = entry_pending.clone();
-                    self.exec_block(body, &mut s, &mut p, false, 0, 0);
-                    let next_state = join_state(&pre_state, &s);
-                    let next_pending = join_pending(&pre_pending, &p);
-                    if next_state == entry_state && next_pending == entry_pending {
-                        converged = true;
-                        break;
-                    }
-                    entry_state = next_state;
-                    entry_pending = next_pending;
-                }
+                let pre = flow.clone();
+                // the entry of an arbitrary iteration: what reaches the
+                // loop, joined with what the back edge brings round
+                let (mut entry, converged) = fixpoint(pre.clone(), |entry| {
+                    let mut exit = entry.clone();
+                    self.exec_block(body, &mut exit, Walk::Quiet);
+                    exit.join(&pre);
+                    exit
+                });
                 if !converged {
-                    for fields in entry_state.values_mut() {
-                        for val in fields.values_mut() {
-                            *val = AbsVal::Clobbered;
-                        }
-                    }
+                    // the sound post-fixpoint
+                    entry.state.fill_all(AbsVal::Clobbered);
                 }
-                let trips = const_trip_count(m, op);
-                let body_mult = mult.saturating_mul(trips.unwrap_or(0));
-                // the body's first iteration stays this walk's to count;
-                // iterations two onward belong to the steady pass below
-                let body_once = if trips.is_some_and(|n| n >= 1) {
-                    once_mult
-                } else {
-                    0
-                };
-                let mut s = entry_state;
-                let mut p = entry_pending;
-                self.exec_block(body, &mut s, &mut p, collect, body_mult, body_once);
+                // a loop that did not settle keeps its trip count where sites
+                // are counted (the poisoned entry is sound for any count);
+                // a steady walk credits it nothing
+                let steady = matches!(walk, Walk::Steady(_));
+                let trips = const_trip_count(m, op).filter(|_| converged || !steady);
+                *flow = entry;
+                self.exec_block(body, flow, walk.times(trips.unwrap_or(0)));
                 if trips.is_some_and(|n| n >= 1) {
                     // the loop provably runs: the body's exit state holds,
                     // with facts that cannot leave the region demoted
-                    *state = self.launder(op, s);
-                    *pending = p;
+                    self.launder(op, &mut flow.state);
                 } else {
                     // the loop may run zero times: join with the pre-state
-                    *state = join_state(&pre_state, &s);
-                    *pending = join_pending(&pre_pending, &p);
+                    flow.join(&pre);
                 }
                 // From the second iteration on, the body re-enters over the
                 // register state its previous iteration left behind: writes
                 // of iteration-invariant values it already made are
                 // value-resident there. Count those executions now that the
-                // collecting walk above fixed the per-site flags (the walk
-                // skips flagged sites, whose full multiplicity is already
-                // accounted).
-                if collect && converged && once_mult > 0 {
-                    if let Some(n) = trips.filter(|&n| n >= 2) {
-                        if let Some(steady) = self.steady_entry(op, body, &pre_state) {
-                            let mut s = steady;
-                            self.bound_block(body, &mut s, once_mult.saturating_mul(n - 1));
-                        }
+                // collecting walk above fixed the per-site flags (the steady
+                // walk skips flagged sites, whose full multiplicity is
+                // already accounted). A nested loop inside a steady region
+                // is credited whole, at once — its entry fixpoint holds for
+                // *every* iteration there — which is disjoint from what its
+                // own steady walk claimed in the enclosing collect region.
+                let steady_entries = match walk {
+                    Walk::Collect { once, .. } if converged => {
+                        once.saturating_mul(trips.unwrap_or(0).saturating_sub(1))
+                    }
+                    _ => 0,
+                };
+                if steady_entries > 0 {
+                    if let Some(mut steady) = self.steady_entry(op, body, &pre) {
+                        self.exec_block(body, &mut steady, Walk::Steady(steady_entries));
                     }
                 }
             }
@@ -453,16 +450,12 @@ impl<'m> Engine<'m> {
                     // dispatch replays it), so pending writes count as
                     // observed: deleting them would change which registers
                     // a post-clobber launch sees.
-                    for fields in state.values_mut() {
-                        for val in fields.values_mut() {
-                            *val = AbsVal::Clobbered;
-                        }
-                    }
-                    let sites: Vec<_> = pending.values().flatten().copied().collect();
-                    pending.clear();
+                    flow.state.fill_all(AbsVal::Clobbered);
                     if collect {
-                        self.observed.extend(sites);
+                        let pending = flow.pending.iter().flat_map(|(_, file)| file.iter());
+                        self.observed.extend(pending.flat_map(|(_, sites)| sites));
                     }
+                    flow.pending.clear();
                 }
                 StateEffect::Preserves | StateEffect::Accfg | StateEffect::Structural => {}
             },
@@ -474,154 +467,36 @@ impl<'m> Engine<'m> {
     /// while the register holds the *previous* iteration's — only values
     /// visible before the loop, or constants, denote the same runtime
     /// value in both. Everything else degrades to `Divergent`.
-    fn launder(&self, for_op: OpId, mut s: State) -> State {
-        for fields in s.values_mut() {
-            for val in fields.values_mut() {
-                if let AbsVal::Known(v) = *val {
-                    let invariant = matches!(resolve(self.m, v), Resolved::Const(_))
-                        || value_visible_at(self.m, v, for_op);
-                    if !invariant {
-                        *val = AbsVal::Divergent;
-                    }
+    fn launder(&self, for_op: OpId, state: &mut ConfigState<AbsVal>) {
+        for val in state.values_mut().flat_map(FieldMap::values_mut) {
+            if let AbsVal::Known(v) = *val {
+                let invariant = matches!(resolve(self.m, v), Resolved::Const(_))
+                    || value_visible_at(self.m, v, for_op);
+                if !invariant {
+                    *val = AbsVal::Divergent;
                 }
             }
         }
-        s
     }
 
-    /// The register state every iteration from the second onward is
-    /// guaranteed to enter with: the join over `launder(F^k(pre))` for
-    /// k ≥ 1, computed by Kleene iteration. `None` if it fails to
-    /// stabilize within the cap.
-    fn steady_entry(
-        &mut self,
-        for_op: OpId,
-        body: accfg_ir::BlockId,
-        pre: &State,
-    ) -> Option<State> {
-        let mut entry = {
-            let mut s = pre.clone();
-            let mut p = Pending::new();
-            self.exec_block(body, &mut s, &mut p, false, 0, 0);
-            self.launder(for_op, s)
+    /// What every iteration from the second onward is guaranteed to enter
+    /// with: the join over `launder(F^k(pre))` for k ≥ 1, nothing pending.
+    /// `None` if it fails to stabilize within the cap.
+    fn steady_entry(&mut self, for_op: OpId, body: BlockId, pre: &Flow) -> Option<Flow> {
+        let mut laundered_exit = |entry: &Flow| {
+            let mut exit = entry.clone();
+            self.exec_block(body, &mut exit, Walk::Quiet);
+            self.launder(for_op, &mut exit.state);
+            exit.pending.clear();
+            exit
         };
-        for _ in 0..64 {
-            let mut s = entry.clone();
-            let mut p = Pending::new();
-            self.exec_block(body, &mut s, &mut p, false, 0, 0);
-            let next = join_state(&entry, &self.launder(for_op, s));
-            if next == entry {
-                return Some(entry);
-            }
-            entry = next;
-        }
-        None
-    }
-
-    fn bound_block(&mut self, block: accfg_ir::BlockId, state: &mut State, bm: u64) {
-        let m = self.m;
-        for &op in m.block_ops(block) {
-            self.bound_op(op, state, bm);
-        }
-    }
-
-    /// The steady-state bound walk: a state-only pass over a loop body
-    /// entered `bm` times with the steady register state, crediting
-    /// [`Engine::steady_elidable`] for every write execution whose value
-    /// is provably already resident. Sites the collecting walk flagged
-    /// `redundant` or `dead` are skipped — their full multiplicity is
-    /// counted through the flags.
-    fn bound_op(&mut self, op: OpId, state: &mut State, bm: u64) {
-        let m = self.m;
-        match m.op(op).opcode {
-            Opcode::AccfgSetup => {
-                let accel = accelerator(m, op);
-                for (index, (field, value)) in setup_fields(m, op).named().enumerate() {
-                    let site = self.site_ids[&(op, index)];
-                    let cur = state.get(&accel).and_then(|f| f.get(field)).copied();
-                    // Equal SSA value, or two constants of equal payload:
-                    // the steady entry only keeps `Known` facts whose
-                    // runtime value is iteration-invariant, so either test
-                    // proves the register already holds this value.
-                    let resident = match cur {
-                        Some(AbsVal::Known(v)) => {
-                            v == value
-                                || matches!(
-                                    (resolve(m, v), resolve(m, value)),
-                                    (Resolved::Const(a), Resolved::Const(b)) if a == b
-                                )
-                        }
-                        _ => false,
-                    };
-                    if resident && !self.writes[site].redundant && !self.writes[site].dead {
-                        self.steady_elidable = self.steady_elidable.saturating_add(bm);
-                    }
-                    state
-                        .entry(accel.clone())
-                        .or_default()
-                        .insert(field.to_string(), AbsVal::Known(value));
-                }
-            }
-            Opcode::AccfgLaunch => {}
-            Opcode::If => {
-                // branch bodies are not guaranteed to execute: credit 0
-                let mut then_state = state.clone();
-                self.bound_block(m.body_block(op, 0), &mut then_state, 0);
-                self.bound_block(m.body_block(op, 1), state, 0);
-                *state = join_state(&then_state, state);
-            }
-            Opcode::For => {
-                // A nested loop inside a steady region: its entry fixpoint
-                // holds for *every* iteration here, so the whole nest is
-                // credited at once (bm · trips) — disjoint from the counts
-                // the nested loop's own steady pass claimed, which live in
-                // the enclosing collect region.
-                let body = m.body_block(op, 0);
-                let pre_state = state.clone();
-                let mut entry = pre_state.clone();
-                let mut converged = false;
-                for _ in 0..64 {
-                    let mut s = entry.clone();
-                    let mut p = Pending::new();
-                    self.exec_block(body, &mut s, &mut p, false, 0, 0);
-                    let next = join_state(&pre_state, &s);
-                    if next == entry {
-                        converged = true;
-                        break;
-                    }
-                    entry = next;
-                }
-                if !converged {
-                    for fields in entry.values_mut() {
-                        for val in fields.values_mut() {
-                            *val = AbsVal::Clobbered;
-                        }
-                    }
-                }
-                let trips = if converged {
-                    const_trip_count(m, op).unwrap_or(0)
-                } else {
-                    0
-                };
-                let mut s = entry;
-                self.bound_block(body, &mut s, bm.saturating_mul(trips));
-                if trips >= 1 {
-                    *state = self.launder(op, s);
-                } else {
-                    *state = join_state(&pre_state, &s);
-                }
-            }
-            _ => match state_effect(m, op) {
-                StateEffect::Clobbers => {
-                    for fields in state.values_mut() {
-                        for val in fields.values_mut() {
-                            *val = AbsVal::Clobbered;
-                        }
-                    }
-                }
-                StateEffect::Preserves | StateEffect::Accfg | StateEffect::Structural => {}
-            },
-        }
+        let after_one = laundered_exit(pre);
+        let (entry, converged) = fixpoint(after_one, |entry| {
+            let mut next = laundered_exit(entry);
+            next.join(entry);
+            next
+        });
+        converged.then_some(entry)
     }
 }
 
@@ -633,17 +508,19 @@ pub fn analyze_func(m: &Module, func: OpId) -> FuncConfig {
         .unwrap_or("<anonymous>")
         .to_string();
     let mut engine = Engine::new(m, func);
-    let mut state = State::new();
-    let mut pending = Pending::new();
-    engine.exec_block(m.body_block(func, 0), &mut state, &mut pending, true, 1, 1);
+    let mut flow = Flow::default();
+    let whole = Walk::Collect { mult: 1, once: 1 };
+    engine.exec_block(m.body_block(func, 0), &mut flow, whole);
     // a write is dead iff no path lets a launch observe it: it was
     // overwritten at least once, never observed, and does not survive to
     // the function's end on any path
-    let exit_pending: BTreeSet<usize> = pending.values().flatten().copied().collect();
     for (site, write) in engine.writes.iter_mut().enumerate() {
+        let pending = flow.pending.get(write.accelerator);
         write.dead = engine.killed.contains(&site)
             && !engine.observed.contains(&site)
-            && !exit_pending.contains(&site);
+            && !pending
+                .and_then(|file| file.get(write.field))
+                .is_some_and(|sites| sites.contains(&site));
     }
     FuncConfig {
         func: name,
@@ -667,9 +544,9 @@ mod tests {
     use super::*;
     use accfg_ir::{FuncBuilder, Module, Type};
 
-    fn known(fields: &FieldState, name: &str) -> Option<ValueId> {
-        match fields.get(name) {
-            Some(AbsVal::Known(v)) => Some(*v),
+    fn known(m: &Module, launch: &LaunchState, name: &str) -> Option<ValueId> {
+        match launch.get(m, name) {
+            Some(AbsVal::Known(v)) => Some(v),
             _ => None,
         }
     }
@@ -688,13 +565,13 @@ mod tests {
         let func = m.func_by_name("f").unwrap();
         let cfg = analyze_func(&m, func);
         assert_eq!(cfg.launches.len(), 1);
-        let fields = &cfg.launches[0].fields;
-        assert_eq!(known(fields, "x"), Some(c));
-        assert_eq!(known(fields, "y"), Some(c));
+        let launch = &cfg.launches[0];
+        assert_eq!(known(&m, launch, "x"), Some(c));
+        assert_eq!(known(&m, launch, "y"), Some(c));
         // the first x write is overwritten before the launch: dead
         let dead: Vec<_> = cfg.writes.iter().filter(|w| w.dead).collect();
         assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].field, "x");
+        assert_eq!(m.name(dead[0].field), "x");
         assert_eq!(dead[0].value, args[0]);
         assert!(!cfg.writes.iter().any(|w| w.redundant));
     }
@@ -743,14 +620,14 @@ mod tests {
         let func = m.func_by_name("f").unwrap();
         let cfg = analyze_func(&m, func);
         assert_eq!(cfg.launches.len(), 1);
-        let fields = &cfg.launches[0].fields;
-        assert_eq!(fields.get("x"), Some(&AbsVal::Divergent));
-        assert_eq!(known(fields, "same"), Some(args[0]));
+        let launch = &cfg.launches[0];
+        assert_eq!(launch.get(&m, "x"), Some(AbsVal::Divergent));
+        assert_eq!(known(&m, launch, "same"), Some(args[0]));
         // branch writes are guarded: their guaranteed multiplicity is 0
         assert!(cfg
             .writes
             .iter()
-            .filter(|w| w.field == "x")
+            .filter(|w| m.name(w.field) == "x")
             .all(|w| w.mult == 0));
     }
 
@@ -773,15 +650,23 @@ mod tests {
         let func = m.func_by_name("f").unwrap();
         let cfg = analyze_func(&m, func);
         assert_eq!(cfg.launches.len(), 1);
-        let fields = &cfg.launches[0].fields;
+        let launch = &cfg.launches[0];
         // "inv" written before the loop survives the back-edge join
-        assert_eq!(known(fields, "inv"), Some(args[0]));
+        assert_eq!(known(&m, launch, "inv"), Some(args[0]));
         // "var" is iv-dependent but still Known at the launch site itself
-        assert!(matches!(fields.get("var"), Some(AbsVal::Known(_))));
+        assert!(matches!(launch.get(&m, "var"), Some(AbsVal::Known(_))));
         // constant trip count multiplies write sites inside the loop
-        let var = cfg.writes.iter().find(|w| w.field == "var").unwrap();
+        let var = cfg
+            .writes
+            .iter()
+            .find(|w| m.name(w.field) == "var")
+            .unwrap();
         assert_eq!(var.mult, 4);
-        let inv = cfg.writes.iter().find(|w| w.field == "inv").unwrap();
+        let inv = cfg
+            .writes
+            .iter()
+            .find(|w| m.name(w.field) == "inv")
+            .unwrap();
         assert_eq!(inv.mult, 1);
     }
 
@@ -797,7 +682,7 @@ mod tests {
 
         let func = m.func_by_name("f").unwrap();
         let cfg = analyze_func(&m, func);
-        assert_eq!(cfg.launches[0].fields.get("x"), Some(&AbsVal::Clobbered));
+        assert_eq!(cfg.launches[0].get(&m, "x"), Some(AbsVal::Clobbered));
         // the clobbered write is not reported dead: no setup overwrote it
         assert!(!cfg.writes.iter().any(|w| w.dead));
     }

@@ -22,7 +22,7 @@
 //! `Clobbered`, or dropped), any written field dropped entirely, and a new
 //! definite `Known` appearing on a field the original never wrote.
 
-use crate::reach::{analyze_module, describe, AbsVal, FuncConfig, Resolved};
+use crate::reach::{analyze_module, describe, resolve, AbsVal, FuncConfig, Resolved};
 use accfg_ir::Module;
 use std::fmt;
 
@@ -136,34 +136,35 @@ fn check_func(
         });
     }
     for (i, (lb, la)) in before.launches.iter().zip(&after.launches).enumerate() {
-        if lb.accelerator != la.accelerator {
+        // symbols mean nothing across two modules: everything below that
+        // crosses from one side to the other goes through the name
+        let accelerator = before_m.name(lb.accelerator);
+        if accelerator != after_m.name(la.accelerator) {
             return Err(ValidationError::AcceleratorMismatch {
                 func: before.func.clone(),
                 launch: i,
-                before: lb.accelerator.clone(),
-                after: la.accelerator.clone(),
+                before: accelerator.to_string(),
+                after: after_m.name(la.accelerator).to_string(),
             });
         }
         let mut diff = |field: &str, expected: String, actual: String| {
             diffs.push(LaunchDiff {
                 func: before.func.clone(),
                 launch: i,
-                accelerator: lb.accelerator.clone(),
+                accelerator: accelerator.to_string(),
                 field: field.to_string(),
                 expected,
                 actual,
             });
         };
-        for (field, &bval) in &lb.fields {
-            let aval = la.fields.get(field).copied();
+        for (field, bval) in lb.named(before_m) {
+            let aval = la.get(after_m, field);
             match bval {
-                AbsVal::Known(v) if definite(crate::reach::resolve(before_m, v)) => {
+                AbsVal::Known(v) if definite(resolve(before_m, v)) => {
                     // a definite guarantee must survive exactly
                     let ok = matches!(
                         aval,
-                        Some(AbsVal::Known(w))
-                            if crate::reach::resolve(after_m, w)
-                                == crate::reach::resolve(before_m, v)
+                        Some(AbsVal::Known(w)) if resolve(after_m, w) == resolve(before_m, v)
                     );
                     if !ok {
                         diff(
@@ -182,14 +183,14 @@ fn check_func(
                 AbsVal::Clobbered => {} // no guarantee to preserve
             }
         }
-        for (field, &aval) in &la.fields {
-            if lb.fields.contains_key(field) {
+        for (field, aval) in la.named(after_m) {
+            if lb.get(before_m, field).is_some() {
                 continue;
             }
             // a new definite value on a never-written field changes what
             // the launch observes on targets with persistent registers
             if let AbsVal::Known(w) = aval {
-                if definite(crate::reach::resolve(after_m, w)) {
+                if definite(resolve(after_m, w)) {
                     diff(field, "<unwritten>".into(), describe(after_m, aval));
                 }
             }

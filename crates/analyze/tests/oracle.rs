@@ -15,12 +15,16 @@
 //! 3. **Bound soundness** — `elidable_bound` never exceeds the measured
 //!    write savings of that deletion, and `static_writes` never exceeds
 //!    the executed write count.
+//!
+//! Beside the random modules, loops whose constant bounds sit at the edges
+//! of `i64` arrive as IR text: the static trip count and the interpreter's
+//! iteration count must agree there too, and neither may overflow.
 
 use accfg::dialect::setup_set_fields;
 use accfg::{interpret, setup_fields, ExecTrace};
 use accfg_analyze::reach::{analyze_func, resolve, Resolved};
 use accfg_analyze::{lint_module, AbsVal};
-use accfg_ir::{verify, FuncBuilder, Module, Symbol, Type, ValueId};
+use accfg_ir::{parse_module, verify, FuncBuilder, Module, Symbol, Type, ValueId};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -204,7 +208,8 @@ fn check_module(actions: &[Action], a0: i64, a1: i64, flag: bool) {
     // every static launch site carries a definite, unique __site tag
     let mut by_site = BTreeMap::new();
     for launch in &cfg.launches {
-        let Some(AbsVal::Known(v)) = launch.fields.get("__site") else {
+        let site_tag = m.symbol("__site").expect("every launch is tagged");
+        let Some(AbsVal::Known(v)) = launch.fields.get(site_tag) else {
             panic!("launch lost its __site tag: {:?}", launch.fields);
         };
         let Resolved::Const(id) = resolve(&m, *v) else {
@@ -215,22 +220,22 @@ fn check_module(actions: &[Action], a0: i64, a1: i64, flag: bool) {
 
     // oracle 1: Known facts hold on every dynamic instance of the site
     for rec in &trace.launches {
-        let site = rec.registers["__site"];
+        let site = rec.get("__site").expect("every launch is tagged");
         let launch = by_site[&site];
-        assert_eq!(launch.accelerator, rec.accelerator);
-        for (field, val) in &launch.fields {
+        assert_eq!(m.name(launch.accelerator), rec.accelerator());
+        for (field, val) in launch.fields.iter() {
+            let field = m.name(field);
             if let AbsVal::Known(v) = val {
-                let got = rec.registers.get(field.as_str());
+                let got = rec.get(field);
                 match resolve(&m, *v) {
                     Resolved::Const(c) => assert_eq!(
                         got,
-                        Some(&c),
-                        "site {site} field {field}: Known const {c}, registers {:?}",
-                        rec.registers
+                        Some(c),
+                        "site {site} field {field}: Known const {c}, registers {rec:?}"
                     ),
                     Resolved::Arg(i) => assert_eq!(
                         got,
-                        Some(&args[i]),
+                        Some(args[i]),
                         "site {site} field {field}: Known arg {i}"
                     ),
                     Resolved::Opaque => assert!(
@@ -306,4 +311,68 @@ fn oracle_exercises_structured_modules() {
     assert!(cfg.launches.len() >= 3, "tape should produce several sites");
     check_module(&actions, 5, -2, true);
     check_module(&actions, 0, 0, false);
+}
+
+/// Parsed, verified IR text: one `scf.for` over constant bounds, a setup
+/// and a launch per iteration.
+fn constant_bound_loop(lb: i64, ub: i64, step: i64) -> Module {
+    let text = format!(
+        r#"
+        func.func @f() {{
+          %lb = arith.constant() {{value = {lb}}} : index
+          %ub = arith.constant() {{value = {ub}}} : index
+          %st = arith.constant() {{value = {step}}} : index
+          scf.for %i = %lb to %ub step %st {{
+            %s = accfg.setup "acc" to ("i" = %i) : !accfg.state<"acc">
+            %t = accfg.launch "acc" with %s : !accfg.token<"acc">
+            accfg.await "acc" %t
+            scf.yield()
+          }}
+          func.return()
+        }}
+        "#
+    );
+    let module = parse_module(&text).expect("the loop parses");
+    verify(&module).expect("the loop verifies");
+    module
+}
+
+/// `iv += step` in the interpreter and `ub - lb + step - 1` in the trip
+/// count both overflowed on bounds a parsed module may carry: a panic in
+/// debug builds; in release builds an induction variable that wrapped
+/// negative and spun until the fuel ran out, and a wrapped — huge, unsound —
+/// guaranteed multiplicity.
+#[test]
+fn loop_bounds_at_the_edges_of_i64_neither_panic_nor_spin() {
+    const MAX: i64 = i64::MAX;
+    const MIN: i64 = i64::MIN;
+    let mult = |m: &Module| analyze_func(m, m.func_by_name("f").unwrap()).writes[0].mult;
+    // (lb, ub, step, iterations, guaranteed multiplicity): the static count
+    // is exact wherever `ub - lb` is an `i64`, and claims nothing elsewhere
+    for (lb, ub, step, iterations, guaranteed) in [
+        (MAX - 1, MAX, 5, 1, 1),
+        (MAX - 10, MAX, 3, 4, 4),
+        (0, MAX, MAX, 1, 1),
+        (MIN, MIN + 1, 1, 1, 1),
+        (MIN, MIN + 7, MAX, 1, 1),
+        (MIN, MAX, MAX, 3, 0),
+        (-2, MAX, MAX, 2, 0),
+        (5, 5, 1, 0, 0),
+        (MAX, MIN, 1, 0, 0),
+    ] {
+        let what = format!("for {lb} to {ub} step {step}");
+        let m = constant_bound_loop(lb, ub, step);
+        let trace = interpret(&m, "f", &[], 1_000).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(trace.launches.len(), iterations, "{what}");
+        if let Some(last) = trace.launches.last() {
+            let last_iv = i128::from(lb) + (iterations as i128 - 1) * i128::from(step);
+            assert_eq!(last.get("i").map(i128::from), Some(last_iv), "{what}");
+        }
+        assert_eq!(mult(&m), guaranteed, "{what}");
+    }
+    // the whole of i64 one step at a time: a bounded run ends on fuel, and
+    // the analysis guarantees no execution count
+    let m = constant_bound_loop(MIN, MAX, 1);
+    assert!(interpret(&m, "f", &[], 1_000).is_err());
+    assert_eq!(mult(&m), 0);
 }

@@ -1,5 +1,6 @@
-//! Regenerates EXPERIMENTS.md: runs every experiment and records
-//! paper-vs-measured for each table and figure.
+//! Writes EXPERIMENTS.md (generated output, git-ignored) to the working
+//! directory: runs every experiment and records paper-vs-measured for each
+//! table and figure.
 use accfg::pipeline::OptLevel;
 use accfg_bench::*;
 use accfg_roofline::{effective_config_bandwidth, ConfigRoofline};
@@ -21,7 +22,7 @@ fn main() {
          pass pipeline, lowering to the target instruction stream, simulating\n\
          it cycle-accurately, and *functionally checking the matmul result*\n\
          against a reference implementation. Absolute numbers come from our\n\
-         simulator substrate (see DESIGN.md §1); the paper's numbers come\n\
+         simulator substrate (see docs/ARCHITECTURE.md); the paper's numbers come\n\
          from spike / Verilated RTL, so the comparison is about shape:\n\
          who wins, by roughly what factor, and where the crossovers fall.\n"
     )

@@ -17,7 +17,7 @@
 //! | `fig10_gemmini` | Figure 10 (Gemmini C vs accfg attainable perf) |
 //! | `fig11_opengemm` | Figure 11 (OpenGeMM base vs optimized, measured) |
 //! | `fig12_roofline_scatter` | Figure 12 (per-pass ablation on the roofline) |
-//! | `make_experiments` | regenerates EXPERIMENTS.md from all of the above |
+//! | `make_experiments` | runs all of the above and writes `EXPERIMENTS.md` (generated output, git-ignored) |
 //! | `serve_bench` | the serving-runtime characterization (`BENCH_runtime.json`) |
 //! | `microbench` | deterministic simulated-cycle micro-benchmarks (replaces the old criterion benches) |
 //! | `autotune` | the deterministic serving-knob autotuner (`TUNED.json`) |

@@ -17,32 +17,8 @@ use crate::dialect::{
     self, setup_fields, setup_input_state, setup_set_fields, setup_set_input_state, setup_state,
     StateEffect,
 };
+use crate::fieldmap::FieldMap;
 use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Symbol, ValueDef, ValueId};
-
-/// Per field, the SSA value known to be in its register: a dense vector
-/// indexed by the field name's [`Symbol`]. Empty stands for "nothing
-/// known", so values that never carry a state cost nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FieldMap(Vec<Option<ValueId>>);
-
-impl FieldMap {
-    /// The value known to be in `field`'s register, if any.
-    pub fn get(&self, field: Symbol) -> Option<ValueId> {
-        self.0.get(field.index()).copied().flatten()
-    }
-
-    /// Keeps only what `other` agrees on. Returns `true` if anything went.
-    fn meet(&mut self, other: &FieldMap) -> bool {
-        let mut shrunk = false;
-        for (i, slot) in self.0.iter_mut().enumerate() {
-            if slot.is_some() && *slot != other.0.get(i).copied().flatten() {
-                *slot = None;
-                shrunk = true;
-            }
-        }
-        shrunk
-    }
-}
 
 /// The reaching-fields analysis: one forward solve over the module that
 /// leaves, for every state value, the register contents statically known
@@ -58,18 +34,16 @@ impl FieldMap {
 /// function arguments, states of foreign ops — knows nothing.
 #[derive(Debug)]
 pub struct ReachingFields {
-    /// Indexed by value.
-    known: Vec<FieldMap>,
-    /// Length of a non-empty map: the module's symbol count.
-    width: usize,
+    /// Indexed by value: per field, the SSA value known to be in its
+    /// register. Values that never carry a state keep an empty map.
+    known: Vec<FieldMap<ValueId>>,
 }
 
 impl ReachingFields {
     /// Solves every function of `m`.
     pub fn solve(m: &Module) -> Self {
         let mut solver = Self {
-            known: vec![FieldMap::default(); m.value_count()],
-            width: m.symbol_count(),
+            known: vec![FieldMap::new(); m.value_count()],
         };
         for &func in m.funcs() {
             solver.solve_block(m, m.body_block(func, 0));
@@ -78,7 +52,7 @@ impl ReachingFields {
     }
 
     /// The register contents statically known in `state`.
-    pub fn known_fields(&self, state: ValueId) -> &FieldMap {
+    pub fn known_fields(&self, state: ValueId) -> &FieldMap<ValueId> {
         &self.known[state.index()]
     }
 
@@ -106,12 +80,12 @@ impl ReachingFields {
                     let state = setup_state(m, op);
                     match setup_input_state(m, op) {
                         Some(input) => self.copy(state, input),
-                        None => self.known[state.index()].0.clear(),
+                        None => self.known[state.index()].clear(),
                     }
-                    let map = &mut self.known[state.index()].0;
-                    map.resize(self.width, None);
+                    let map = &mut self.known[state.index()];
+                    map.reserve(m.symbol_count());
                     for (name, value) in setup_fields(m, op).iter() {
-                        map[name.index()] = Some(value);
+                        map.set(name, value);
                     }
                 }
                 Opcode::If => {
@@ -179,7 +153,7 @@ impl Pass for Deduplicate {
                 continue;
             };
             let known = reaching.known_fields(input);
-            let redundant = |&(name, value): &(Symbol, ValueId)| known.get(name) == Some(value);
+            let redundant = |&(name, value): &(Symbol, ValueId)| known.get(name) == Some(&value);
             let fields = setup_fields(m, op);
             if fields.iter().any(|f| redundant(&f)) {
                 let retained: Vec<(Symbol, ValueId)> =

@@ -13,24 +13,78 @@
 //! deduplicating across them produces a detectably different trace.
 
 use accfg_ir::passes::eval_binary;
-use accfg_ir::{CmpPredicate, Module, OpId, Opcode, ValueId};
-use std::collections::{BTreeMap, HashMap};
+use accfg_ir::{CmpPredicate, Module, Names, OpId, Opcode, Symbol, ValueId};
 use std::error::Error;
 use std::fmt;
 
 use crate::dialect;
+use crate::fieldmap::{ConfigState, FieldMap};
 
 /// The poison value written to every register by a clobbering op.
 pub const CLOBBER_POISON: i64 = i64::MIN + 0xC10BB;
 
 /// One recorded `accfg.launch`: which accelerator, and the complete
 /// configuration register file it observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The accelerator and the fields are symbols of the interpreted module, and
+/// the record keeps a handle on that module's names. Two records are equal
+/// when they name the same accelerator holding the same values in fields of
+/// the same *names* — whatever order their modules interned those names in,
+/// so traces of separately built modules compare. Records whose modules
+/// share a name table (one module, or a clone that has interned nothing
+/// since) compare symbol by symbol without reading a name.
+#[derive(Clone)]
 pub struct LaunchRecord {
+    names: Names,
+    accelerator: Symbol,
+    registers: FieldMap<i64>,
+}
+
+impl LaunchRecord {
     /// The launched accelerator.
-    pub accelerator: String,
-    /// Register name → value at launch time.
-    pub registers: BTreeMap<String, i64>,
+    pub fn accelerator(&self) -> &str {
+        self.names.name(self.accelerator)
+    }
+
+    /// The value the field called `field` held at launch time.
+    pub fn get(&self, field: &str) -> Option<i64> {
+        self.registers.get(self.names.symbol(field)?).copied()
+    }
+
+    /// The fields held at launch time, in symbol order: each as the symbol
+    /// the interpreted module gave its name (every record of one trace
+    /// numbers its fields alike), the name, and the value.
+    pub fn fields(&self) -> impl Iterator<Item = (Symbol, &str, i64)> {
+        self.registers
+            .iter()
+            .map(|(field, &value)| (field, self.names.name(field), value))
+    }
+}
+
+impl PartialEq for LaunchRecord {
+    fn eq(&self, other: &Self) -> bool {
+        if self.names.same_table(&other.names) {
+            return self.accelerator == other.accelerator && self.registers == other.registers;
+        }
+        self.accelerator() == other.accelerator()
+            && self.fields().count() == other.fields().count()
+            && self
+                .fields()
+                .all(|(_, field, v)| other.get(field) == Some(v))
+    }
+}
+
+impl Eq for LaunchRecord {}
+
+/// `"accelerator" {"field": value, ..}`: names, as a failed assertion on two
+/// traces should show them.
+impl fmt::Debug for LaunchRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?} ", self.accelerator())?;
+        f.debug_map()
+            .entries(self.fields().map(|(_, field, v)| (field, v)))
+            .finish()
+    }
 }
 
 /// The observable result of executing a function.
@@ -102,13 +156,13 @@ pub fn interpret(
         .ok_or_else(|| InterpError::NoSuchFunc(name.to_string()))?;
     let mut interp = Interp {
         m,
-        env: HashMap::new(),
-        regs: HashMap::new(),
+        env: vec![0; m.value_count()],
+        regs: ConfigState::new(),
         trace: ExecTrace::default(),
         fuel,
     };
     let block = m.body_block(func, 0);
-    let params = m.block(block).args.clone();
+    let params = &m.block(block).args;
     if params.len() != args.len() {
         return Err(InterpError::ArgCount {
             expected: params.len(),
@@ -116,7 +170,7 @@ pub fn interpret(
         });
     }
     for (&p, &a) in params.iter().zip(args.iter()) {
-        interp.env.insert(p, a);
+        interp.set(p, a);
     }
     interp.run_block(block)?;
     Ok(interp.trace)
@@ -124,18 +178,22 @@ pub fn interpret(
 
 struct Interp<'m> {
     m: &'m Module,
-    env: HashMap<ValueId, i64>,
-    /// accelerator name → persistent configuration register file
-    regs: HashMap<String, BTreeMap<String, i64>>,
+    /// Indexed by value. State/token values carry no integer; like every
+    /// value not yet assigned they read as 0 when (never validly) read.
+    env: Vec<i64>,
+    /// Per accelerator, its persistent configuration register file.
+    regs: ConfigState<i64>,
     trace: ExecTrace,
     fuel: u64,
 }
 
 impl<'m> Interp<'m> {
     fn get(&self, v: ValueId) -> i64 {
-        // state/token values carry no integer; they default to 0 when (never
-        // validly) read as integers
-        *self.env.get(&v).unwrap_or(&0)
+        self.env[v.index()]
+    }
+
+    fn set(&mut self, v: ValueId, value: i64) {
+        self.env[v.index()] = value;
     }
 
     /// Runs every op in `block`; returns the yield/return operand values.
@@ -171,13 +229,13 @@ impl<'m> Interp<'m> {
         match opcode {
             Opcode::Constant => {
                 let v = m.int_attr(op, "value").expect("verified constant");
-                self.env.insert(data.results[0], v);
+                self.set(data.results[0], v);
             }
             o if o.is_binary_arith() => {
                 let l = self.get(data.operands[0]);
                 let r = self.get(data.operands[1]);
                 let v = eval_binary(o, l, r).expect("binary arith evaluates");
-                self.env.insert(data.results[0], v);
+                self.set(data.results[0], v);
             }
             Opcode::CmpI => {
                 let pred = m
@@ -186,7 +244,7 @@ impl<'m> Interp<'m> {
                     .expect("verified predicate");
                 let l = self.get(data.operands[0]);
                 let r = self.get(data.operands[1]);
-                self.env.insert(data.results[0], i64::from(pred.eval(l, r)));
+                self.set(data.results[0], i64::from(pred.eval(l, r)));
             }
             Opcode::Select => {
                 let c = self.get(data.operands[0]);
@@ -195,36 +253,25 @@ impl<'m> Interp<'m> {
                 } else {
                     self.get(data.operands[2])
                 };
-                self.env.insert(data.results[0], v);
+                self.set(data.results[0], v);
             }
             Opcode::AccfgSetup => {
-                let accel = m.name(dialect::accelerator(m, op));
-                if !self.regs.contains_key(accel) {
-                    self.regs.insert(accel.to_string(), BTreeMap::new());
-                }
-                let file = self.regs.get_mut(accel).expect("inserted above");
-                for (name, value_id) in dialect::setup_fields(m, op).iter() {
-                    let value = *self.env.get(&value_id).unwrap_or(&0);
-                    match file.get_mut(m.name(name)) {
-                        Some(held) => {
-                            if *held == value {
-                                self.trace.elided_writes += 1;
-                            }
-                            *held = value;
-                        }
-                        None => {
-                            file.insert(m.name(name).to_string(), value);
-                        }
+                let file = self.regs.or_default(dialect::accelerator(m, op));
+                file.reserve(m.symbol_count());
+                for (field, value_id) in dialect::setup_fields(m, op).iter() {
+                    let value = self.env[value_id.index()];
+                    if file.set(field, value) == Some(value) {
+                        self.trace.elided_writes += 1;
                     }
                     self.trace.setup_writes += 1;
                 }
             }
             Opcode::AccfgLaunch => {
-                let accel = m.name(dialect::accelerator(m, op));
-                let registers = self.regs.get(accel).cloned().unwrap_or_default();
+                let accelerator = dialect::accelerator(m, op);
                 self.trace.launches.push(LaunchRecord {
-                    accelerator: accel.to_string(),
-                    registers,
+                    names: m.names(),
+                    accelerator,
+                    registers: self.regs.get(accelerator).cloned().unwrap_or_default(),
                 });
             }
             Opcode::AccfgAwait => {}
@@ -234,47 +281,44 @@ impl<'m> Interp<'m> {
                 let step = self.get(data.operands[2]).max(1);
                 let inits: Vec<i64> = data.operands[3..].iter().map(|&v| self.get(v)).collect();
                 let body = m.body_block(op, 0);
-                let args = m.block(body).args.clone();
+                let args = &m.block(body).args;
                 let mut iters = inits;
                 let mut iv = lb;
                 while iv < ub {
-                    self.env.insert(args[0], iv);
+                    self.set(args[0], iv);
                     for (&a, &v) in args[1..].iter().zip(iters.iter()) {
-                        self.env.insert(a, v);
+                        self.set(a, v);
                     }
                     iters = self.run_block(body)?;
-                    iv += step;
+                    // an induction variable that cannot take another step
+                    // has passed every representable bound
+                    match iv.checked_add(step) {
+                        Some(next) => iv = next,
+                        None => break,
+                    }
                 }
-                let results = m.op(op).results.clone();
-                for (&r, &v) in results.iter().zip(iters.iter()) {
-                    self.env.insert(r, v);
+                for (&r, &v) in data.results.iter().zip(iters.iter()) {
+                    self.set(r, v);
                 }
             }
             Opcode::If => {
                 let cond = self.get(data.operands[0]);
                 let block = m.body_block(op, if cond != 0 { 0 } else { 1 });
                 let yields = self.run_block(block)?;
-                let results = m.op(op).results.clone();
-                for (&r, &v) in results.iter().zip(yields.iter()) {
-                    self.env.insert(r, v);
+                for (&r, &v) in data.results.iter().zip(yields.iter()) {
+                    self.set(r, v);
                 }
             }
             Opcode::Call | Opcode::Opaque => {
                 match dialect::state_effect(m, op) {
                     dialect::StateEffect::Preserves => {}
-                    _ => {
-                        // poison every known register so illegal dedup
-                        // across this op changes the trace
-                        for file in self.regs.values_mut() {
-                            for v in file.values_mut() {
-                                *v = CLOBBER_POISON;
-                            }
-                        }
-                    }
+                    // poison every known register so illegal dedup across
+                    // this op changes the trace
+                    _ => self.regs.fill_all(CLOBBER_POISON),
                 }
                 // foreign results are deterministic zeros
-                for &r in &m.op(op).results {
-                    self.env.insert(r, 0);
+                for &r in &data.results {
+                    self.set(r, 0);
                 }
             }
             Opcode::Func | Opcode::Return | Opcode::Yield => unreachable!("handled by caller"),
@@ -309,10 +353,10 @@ mod tests {
 
         let trace = interpret(&m, "f", &[], 1000).unwrap();
         assert_eq!(trace.launches.len(), 2);
-        assert_eq!(trace.launches[0].registers["x"], 5);
-        assert_eq!(trace.launches[0].registers["y"], 9);
-        assert_eq!(trace.launches[1].registers["x"], 5); // retained
-        assert_eq!(trace.launches[1].registers["y"], 5);
+        assert_eq!(trace.launches[0].get("x"), Some(5));
+        assert_eq!(trace.launches[0].get("y"), Some(9));
+        assert_eq!(trace.launches[1].get("x"), Some(5)); // retained
+        assert_eq!(trace.launches[1].get("y"), Some(5));
         assert_eq!(trace.setup_writes, 3);
     }
 
@@ -333,7 +377,7 @@ mod tests {
         let trace = interpret(&m, "f", &[], 1000).unwrap();
         assert_eq!(trace.launches.len(), 3);
         for (i, l) in trace.launches.iter().enumerate() {
-            assert_eq!(l.registers["i"], i as i64);
+            assert_eq!(l.get("i"), Some(i as i64));
         }
     }
 
@@ -350,8 +394,8 @@ mod tests {
         b.ret(vec![]);
         let t1 = interpret(&m, "f", &[1], 1000).unwrap();
         let t0 = interpret(&m, "f", &[0], 1000).unwrap();
-        assert_eq!(t1.launches[0].registers["v"], 10);
-        assert_eq!(t0.launches[0].registers["v"], 20);
+        assert_eq!(t1.launches[0].get("v"), Some(10));
+        assert_eq!(t0.launches[0].get("v"), Some(20));
     }
 
     #[test]
@@ -368,8 +412,8 @@ mod tests {
         b.await_token("acc", t2);
         b.ret(vec![]);
         let trace = interpret(&m, "f", &[], 1000).unwrap();
-        assert_eq!(trace.launches[0].registers["x"], 5);
-        assert_eq!(trace.launches[1].registers["x"], CLOBBER_POISON);
+        assert_eq!(trace.launches[0].get("x"), Some(5));
+        assert_eq!(trace.launches[1].get("x"), Some(CLOBBER_POISON));
     }
 
     #[test]
@@ -386,7 +430,68 @@ mod tests {
         b.await_token("acc", t2);
         b.ret(vec![]);
         let trace = interpret(&m, "f", &[], 1000).unwrap();
-        assert_eq!(trace.launches[1].registers["x"], 5);
+        assert_eq!(trace.launches[1].get("x"), Some(5));
+    }
+
+    /// One launch of "acc" after a setup writing `fields` in that order
+    /// (which is the order the module interns their names in).
+    fn one_launch(fields: &[(&str, i64)]) -> Module {
+        let mut m = Module::new();
+        let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+        let values: Vec<_> = fields
+            .iter()
+            .map(|&(name, v)| (name, b.const_index(v)))
+            .collect();
+        let s = b.setup("acc", &values);
+        let t = b.launch("acc", s);
+        b.await_token("acc", t);
+        b.ret(vec![]);
+        m
+    }
+
+    #[test]
+    fn records_compare_by_field_name_across_modules() {
+        let launches = |m: &Module| interpret(m, "f", &[], 1000).unwrap().launches;
+        let xy = one_launch(&[("x", 1), ("y", 2)]);
+        // the same file, names interned in the other order: compared by
+        // symbol number these two differ
+        let yx = one_launch(&[("y", 2), ("x", 1)]);
+        assert_ne!(xy.symbol("x"), yx.symbol("x"));
+        assert_eq!(launches(&xy), launches(&yx));
+        assert_eq!(launches(&yx), launches(&xy));
+        // another file whose symbols happen to hold what `xy`'s hold:
+        // compared by symbol number these two are equal
+        let swapped = one_launch(&[("y", 1), ("x", 2)]);
+        assert_ne!(launches(&xy), launches(&swapped));
+        // one value, one field more, one field fewer, another name
+        assert_ne!(launches(&xy), launches(&one_launch(&[("y", 3), ("x", 1)])));
+        assert_ne!(
+            launches(&xy),
+            launches(&one_launch(&[("y", 2), ("x", 1), ("z", 0)]))
+        );
+        assert_ne!(launches(&xy), launches(&one_launch(&[("x", 1)])));
+        assert_ne!(launches(&xy), launches(&one_launch(&[("x", 1), ("w", 2)])));
+
+        // a module that went on to intern names the trace never sees (here
+        // the way a builder does; a clone shares its source's table until
+        // then, and forks it — both sides of the fork still compare)
+        let mut grown = xy.clone();
+        assert!(launches(&xy)[0]
+            .names
+            .same_table(&launches(&grown)[0].names));
+        grown.intern("scratch");
+        let grown_launches = launches(&grown);
+        assert!(!launches(&xy)[0].names.same_table(&grown_launches[0].names));
+        assert_eq!(launches(&xy), grown_launches);
+        assert_eq!(grown_launches, launches(&yx));
+        assert_eq!(grown_launches[0].accelerator(), "acc");
+        assert_eq!(
+            grown_launches[0].fields().collect::<Vec<_>>(),
+            [
+                (grown.symbol("x").unwrap(), "x", 1),
+                (grown.symbol("y").unwrap(), "y", 2)
+            ]
+        );
     }
 
     #[test]

@@ -67,6 +67,7 @@
 pub mod dedup;
 pub mod dialect;
 pub mod discipline;
+pub mod fieldmap;
 pub mod hoist;
 pub mod interp;
 pub mod overlap;
@@ -80,9 +81,10 @@ pub use dialect::{
     setups_for, state_effect, SetupFields, StateEffect,
 };
 pub use discipline::{static_setup_field_count, verify_discipline, DisciplineError};
+pub use fieldmap::{ConfigState, FieldMap};
 pub use hoist::{HoistInvariantSetupFields, HoistSetupIntoBranch};
 pub use interp::{interpret, ExecTrace, InterpError, LaunchRecord, CLOBBER_POISON};
 pub use overlap::{AccelFilter, OverlapInBlock, RotateLoops};
 pub use pipeline::{pipeline, OptLevel};
-pub use regstate::{launch_write_plan, RegisterFile};
+pub use regstate::launch_write_plan;
 pub use trace_states::TraceStates;

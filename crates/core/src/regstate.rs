@@ -9,21 +9,22 @@
 //! register files: given the state an accelerator currently holds and the
 //! state a launch must observe, which writes are actually needed?
 //!
-//! The representation matches the interpreter's launch records
-//! ([`LaunchRecord::registers`]): an ordered map from register (field) name
-//! to value. [`diff`] is generic over the key, so it states the same
-//! question over hardware register *indices*: the `accfg-runtime`
-//! dispatcher answers that one with a walk over a dense register file and
-//! is property-tested against this function as its definition.
+//! [`diff`] and [`writes_needed`] state the question in the plainest terms
+//! there are — ordered maps, any key — and are the *definition* the fast
+//! answer is held to: the `accfg-runtime` dispatcher walks a dense file of
+//! hardware register indices and is property-tested against [`diff`]. On
+//! the compiler's side of the same idea, the interpreter counts the writes
+//! whose register already held the value
+//! ([`ExecTrace::elided_writes`](crate::interp::ExecTrace::elided_writes)),
+//! and [`launch_write_plan`] lists the writes that are left, launch by
+//! launch: the dynamic lower bound the dedup pass approaches statically.
 //!
 //! [`Deduplicate`]: crate::dedup::Deduplicate
-//! [`LaunchRecord::registers`]: crate::interp::LaunchRecord
 
+use crate::fieldmap::FieldMap;
 use crate::interp::ExecTrace;
+use accfg_ir::Symbol;
 use std::collections::BTreeMap;
-
-/// A concrete configuration register file: field name → value.
-pub type RegisterFile = BTreeMap<String, i64>;
 
 /// The writes needed to move a register file from `current` to `target`:
 /// every `(key, value)` in `target` that `current` does not already hold.
@@ -62,23 +63,24 @@ pub fn writes_needed<K: Ord>(current: &BTreeMap<K, i64>, target: &BTreeMap<K, i6
 }
 
 /// The minimal per-launch write lists for an execution trace, assuming
-/// persistent configuration registers and starting from `initial`.
+/// persistent configuration registers and starting from `initial`. Fields
+/// are symbols of the interpreted module, in `initial` as in the result.
 ///
 /// This is the dynamic lower bound the dedup pass approaches statically:
 /// launch *i*'s list contains exactly the registers whose value differs
 /// from the file the previous launch observed. Summing the lengths gives
 /// the fewest field writes any correct schedule of the trace can perform.
-pub fn launch_write_plan(trace: &ExecTrace, initial: &RegisterFile) -> Vec<Vec<(String, i64)>> {
+pub fn launch_write_plan(trace: &ExecTrace, initial: &FieldMap<i64>) -> Vec<Vec<(Symbol, i64)>> {
     let mut resident = initial.clone();
     trace
         .launches
         .iter()
         .map(|launch| {
-            let writes = diff(&resident, &launch.registers);
-            for (k, v) in &writes {
-                resident.insert(k.clone(), *v);
-            }
-            writes
+            launch
+                .fields()
+                .filter(|&(field, _, value)| resident.set(field, value) != Some(value))
+                .map(|(field, _, value)| (field, value))
+                .collect()
         })
         .collect()
 }
@@ -91,7 +93,7 @@ mod tests {
     use crate::AccelFilter;
     use accfg_ir::{FuncBuilder, Module, Type};
 
-    fn file(pairs: &[(&str, i64)]) -> RegisterFile {
+    fn file(pairs: &[(&str, i64)]) -> BTreeMap<String, i64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
@@ -141,17 +143,26 @@ mod tests {
         m
     }
 
+    /// A register file of `m`'s accelerator, fields by name.
+    fn resident(m: &Module, pairs: &[(&str, i64)]) -> FieldMap<i64> {
+        let mut file = FieldMap::new();
+        for &(field, value) in pairs {
+            file.set(m.symbol(field).unwrap(), value);
+        }
+        file
+    }
+
     #[test]
     fn plan_writes_invariant_fields_once() {
         let m = tiled_module();
         let trace = interpret(&m, "f", &[0x1000], 100_000).unwrap();
-        let plan = launch_write_plan(&trace, &RegisterFile::new());
+        let plan = launch_write_plan(&trace, &FieldMap::new());
         assert_eq!(plan.len(), 4);
         // first launch configures both fields, later ones only the address
         assert_eq!(plan[0].len(), 2);
         for writes in &plan[1..] {
             assert_eq!(writes.len(), 1);
-            assert_eq!(writes[0].0, "A");
+            assert_eq!(m.name(writes[0].0), "A");
         }
     }
 
@@ -161,7 +172,7 @@ mod tests {
         let trace = interpret(&m, "f", &[0x1000], 100_000).unwrap();
         // a resident file already holding the invariant field and the first
         // tile's address: the first launch needs nothing at all
-        let resident = file(&[("size", 64), ("A", 0x1000)]);
+        let resident = resident(&m, &[("size", 64), ("A", 0x1000)]);
         let plan = launch_write_plan(&trace, &resident);
         assert!(plan[0].is_empty(), "{:?}", plan[0]);
     }
@@ -175,7 +186,7 @@ mod tests {
         let dedup_trace = interpret(&deduped, "f", &[0x1000], 100_000).unwrap();
 
         let trace = interpret(&tiled_module(), "f", &[0x1000], 100_000).unwrap();
-        let dynamic: usize = launch_write_plan(&trace, &RegisterFile::new())
+        let dynamic: usize = launch_write_plan(&trace, &FieldMap::new())
             .iter()
             .map(Vec::len)
             .sum();

@@ -64,7 +64,7 @@ pub use op::{CmpPredicate, OpData, Opcode};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Changed, Pass, PassManager, PassValidator, PipelineError, PipelineStats};
 pub use printer::{print_func, print_module};
-pub use symbol::Symbol;
+pub use symbol::{Names, Symbol};
 pub use types::Type;
 pub use verifier::{verify, VerifyError};
 

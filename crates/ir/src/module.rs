@@ -28,7 +28,7 @@
 
 use crate::attrs::{AttrMap, Attribute};
 use crate::op::{OpData, Opcode};
-use crate::symbol::{Symbol, SymbolTable};
+use crate::symbol::{Names, Symbol, SymbolTable};
 use crate::types::Type;
 use crate::uses::UseLists;
 use std::borrow::Cow;
@@ -292,6 +292,12 @@ impl Module {
     /// Number of interned names (the bound of [`Symbol::index`]).
     pub fn symbol_count(&self) -> usize {
         self.symbols.len()
+    }
+
+    /// A handle on the names interned so far, for values that must spell
+    /// their symbols after the module is gone. Allocates nothing.
+    pub fn names(&self) -> Names {
+        self.symbols.names().clone()
     }
 
     /// `!accfg.state<"accelerator">`, sharing the interned name.

@@ -26,6 +26,7 @@
 
 use crate::error::ServeError;
 use accfg::interp::ExecTrace;
+use accfg::FieldMap;
 use accfg_sim::{regmap, Program, ProgramBuilder};
 use accfg_targets::{AcceleratorDescriptor, ConfigStyle};
 use std::collections::BTreeMap;
@@ -238,6 +239,31 @@ pub enum WriteCmd {
     },
 }
 
+/// The hardware register `desc` maps the setup field called `field` to,
+/// checked to be one a dispatch may write.
+fn config_register(desc: &AcceleratorDescriptor, field: &str) -> Result<u16, ServeError> {
+    let spec = desc.field(field).ok_or_else(|| ServeError::UnknownField {
+        accelerator: desc.name.clone(),
+        field: field.to_string(),
+    })?;
+    if usize::from(spec.reg) >= SLOTS {
+        return Err(ServeError::RegisterOutOfRange {
+            accelerator: desc.name.clone(),
+            field: field.to_string(),
+            reg: spec.reg,
+        });
+    }
+    if let ConfigStyle::RoccPairs { launch_funct } = desc.style {
+        if spec.reg / 2 == u16::from(launch_funct) {
+            return Err(ServeError::LaunchPairField {
+                accelerator: desc.name.clone(),
+                field: field.to_string(),
+            });
+        }
+    }
+    Ok(spec.reg)
+}
+
 impl DispatchPlan {
     /// Builds a plan from an interpreter trace, mapping the trace's field
     /// names to hardware registers through `desc`'s field table.
@@ -248,30 +274,23 @@ impl DispatchPlan {
     /// does not have, or if a field maps into a RoCC launch-semantic pair
     /// (those registers belong to the launch command).
     pub fn from_trace(trace: &ExecTrace, desc: &AcceleratorDescriptor) -> Result<Self, ServeError> {
+        // A field's register is looked up once per trace, not once per
+        // launch that holds it: the records of one trace number their fields
+        // alike, and the name kept beside the register says when one does not.
+        let mut register_of = FieldMap::<(&str, u16)>::new();
         let mut launches = Vec::with_capacity(trace.launches.len());
         for record in &trace.launches {
             let mut registers = RegMap::new();
-            for (name, &value) in &record.registers {
-                let spec = desc.field(name).ok_or_else(|| ServeError::UnknownField {
-                    accelerator: desc.name.clone(),
-                    field: name.clone(),
-                })?;
-                if usize::from(spec.reg) >= SLOTS {
-                    return Err(ServeError::RegisterOutOfRange {
-                        accelerator: desc.name.clone(),
-                        field: name.clone(),
-                        reg: spec.reg,
-                    });
-                }
-                if let ConfigStyle::RoccPairs { launch_funct } = desc.style {
-                    if spec.reg / 2 == u16::from(launch_funct) {
-                        return Err(ServeError::LaunchPairField {
-                            accelerator: desc.name.clone(),
-                            field: name.clone(),
-                        });
+            for (field, name, value) in record.fields() {
+                let reg = match register_of.get(field) {
+                    Some(&(held, reg)) if held == name => reg,
+                    _ => {
+                        let reg = config_register(desc, name)?;
+                        register_of.set(field, (name, reg));
+                        reg
                     }
-                }
-                registers.insert(spec.reg, value);
+                };
+                registers.insert(reg, value);
             }
             launches.push(LaunchSpec { registers });
         }

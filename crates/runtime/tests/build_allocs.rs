@@ -7,22 +7,41 @@
 //! 8x8x64 tiles (a two-deep loop nest, the expensive half of the
 //! `cold_shapes` grid), Gemmini 24x16x64 untiled (one straight-line setup),
 //! and then the benchmark's whole 1 152-shape `cold_shapes` grid. It prints
-//! the allocations of each stage and asserts that the totals stay under the
-//! figures measured when the IR substrate was rebuilt (interned names, a
-//! maintained use-def index, stamp-gated re-verification, one
-//! reaching-fields solve per dedup), plus 15 %.
+//! the allocations of each stage and asserts that the pipeline, the two
+//! stages that handle launch records (`interpret`, `from_trace`) and the
+//! total stay under the figures measured when they were last rebuilt, plus
+//! 15 %.
 //!
-//! Allocations per module, the commit before that rebuild → at it:
+//! Allocations per module: before the IR substrate was rebuilt (interned
+//! names, a maintained use-def index, stamp-gated re-verification, one
+//! reaching-fields solve per dedup), at that rebuild, with dense serve-time
+//! register files (`from_trace`, `cost`), and with launch records that are
+//! one symbol-indexed `FieldMap<i64>` each:
 //!
 //! ```text
-//!                            matmul_ir  pipeline compile interpret from_trace cost     sum
-//! opengemm 24x16x64 / 8x8x64  276 → 175 2296 → 312 71 → 26 308 → 233  44 → 44   35  3030 →  825
-//! gemmini 24x16x64 untiled    103 →  65  381 →  73 33 → 14  43 →  37  12 → 12   11   583 →  212
-//! cold_shapes grid mean       187 → 118 1203 → 188 51 → 20 291 → 229  47 → 47   36  1815 →  637
+//!                  matmul_ir pipeline compile interpret from_trace cost  sum
+//! opengemm 24x16x64 / 8x8x64
+//!   before the rebuild   276     2296      71       308         44   35 3030
+//!   at the rebuild       175      312      26       233         44   35  825
+//!   dense register files 175      312      26       233          1    0  747
+//!   → at this PR         176      312      26        24          5    0  543
+//! gemmini 24x16x64 untiled
+//!   before the rebuild   103      381      33        43         12   11  583
+//!   at the rebuild        65       73      14        37         12   11  212
+//!   dense register files  65       73      14        37          1    0  190
+//!   → at this PR          66       73      14         5          4    0  162
+//! cold_shapes grid mean
+//!   before the rebuild   187     1203      51       291         47   36 1815
+//!   at the rebuild       118      188      20       229         47   36  637
+//!   dense register files 118      188      20       229          1    0  556
+//!   → at this PR         119      188      20        21          4.5  0  353
 //! ```
 //!
-//! `interpret` is now the largest stage: its `BTreeMap<String, i64>` per
-//! launch is `LaunchRecord`, the test oracle's public shape, and stays.
+//! A launch record costs one allocation — the copy of the accelerator's
+//! register file — however many fields the file holds; the names the
+//! record spells them with are the module's own table, shared. `from_trace`
+//! is the plan's launch list plus the growth of its field → register memo,
+//! which learns how far the trace's symbols reach only as it meets them.
 //!
 //! Run with `--nocapture` to see the table (CI does).
 
@@ -93,6 +112,8 @@ impl Stages {
         );
         [
             ("the pipeline", self.pipeline, budget.pipeline),
+            ("interpret", self.interpret, budget.interpret),
+            ("from_trace", self.from_trace, budget.from_trace),
             ("the build stages", self.sum(), budget.build),
         ]
         .into_iter()
@@ -111,6 +132,8 @@ impl Stages {
 /// budget was set, + 15 %.
 struct Budget {
     pipeline: u64,
+    interpret: u64,
+    from_trace: u64,
     build: u64,
 }
 
@@ -154,20 +177,24 @@ fn build_module_stays_within_its_allocation_budget() {
             "opengemm 24x16x64 / 8x8x64",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::new((24, 16, 64), (8, 8, 64)).expect("multiples of 8"),
-            // measured 312 and 825
+            // measured 312, 24, 5 and 543
             Budget {
                 pipeline: 358,
-                build: 948,
+                interpret: 27,
+                from_trace: 5,
+                build: 624,
             },
         ),
         (
             "gemmini 24x16x64 untiled",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::new((24, 16, 64), (24, 16, 64)).expect("untiled shape"),
-            // measured 73 and 212
+            // measured 73, 5, 4 and 162
             Budget {
                 pipeline: 83,
-                build: 243,
+                interpret: 5,
+                from_trace: 4,
+                build: 186,
             },
         ),
     ] {
@@ -188,11 +215,12 @@ fn build_module_stays_within_its_allocation_budget() {
     for (desc, spec) in &shapes {
         stages.add(desc, spec);
     }
-    // measured 188.0 and 637.3 (the rebuild's targets were 400 and 1 000,
-    // from 1 203 and 1 815)
+    // measured 188.0, 20.8, 4.5 and 352.7
     let budget = Budget {
         pipeline: 216,
-        build: 732,
+        interpret: 23,
+        from_trace: 5,
+        build: 405,
     };
     let modules = shapes.len() as u64;
     over_budget.extend(stages.report("cold_shapes grid mean (1152)", modules, &budget));

@@ -271,3 +271,35 @@ fn larger_problems_are_less_configuration_bound() {
     }
     assert!(last_perf < desc.accel.peak_ops_per_cycle() as f64);
 }
+
+#[test]
+fn a_trace_spliced_from_two_modules_plans_every_field_by_its_name() {
+    use configuration_wall::runtime::DispatchPlan;
+    // `from_trace` remembers each field's register by the field's symbol;
+    // these two modules give "M" and "K" each other's symbols
+    let one_launch = |fields: &[(&str, i64)]| {
+        let mut m = Module::new();
+        let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+        let values: Vec<_> = fields
+            .iter()
+            .map(|&(name, v)| (name, b.const_index(v)))
+            .collect();
+        let s = b.setup("opengemm", &values);
+        let t = b.launch("opengemm", s);
+        b.await_token("opengemm", t);
+        b.ret(vec![]);
+        interpret(&m, "f", &[], 1_000).unwrap()
+    };
+    let mut trace = one_launch(&[("M", 8), ("K", 64)]);
+    trace
+        .launches
+        .extend(one_launch(&[("K", 32), ("M", 16)]).launches);
+    let desc = AcceleratorDescriptor::opengemm();
+    let plan = DispatchPlan::from_trace(&trace, &desc).unwrap();
+    let held = |launch: usize, field: &str| {
+        let reg = desc.field(field).unwrap().reg;
+        plan.launches[launch].registers.get(&reg).copied()
+    };
+    assert_eq!((held(0, "M"), held(0, "K")), (Some(8), Some(64)));
+    assert_eq!((held(1, "M"), held(1, "K")), (Some(16), Some(32)));
+}
