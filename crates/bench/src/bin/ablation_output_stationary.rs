@@ -6,55 +6,10 @@
 //! (with accumulation), so far more configuration flows per launch — we
 //! measure it and compare the dedup uplift against the weight-stationary
 //! flow of Figure 10.
-use accfg::pipeline::OptLevel;
-use accfg_bench::{geomean, markdown_table, measure, run_gemmini, GemminiFlavor};
-use accfg_targets::AcceleratorDescriptor;
-use accfg_workloads::{gemmini_ws_ir, MatmulSpec};
-
-fn os_measure(size: i64, level: Option<OptLevel>, label: &str) -> accfg_bench::Measurement {
-    let desc = AcceleratorDescriptor::gemmini();
-    // output-stationary: 64×64 output tiles with a tiled (accumulating)
-    // reduction — one full gemmini.h-style invocation per 64³ block
-    let tile = size.min(64);
-    let spec = MatmulSpec::new((size, size, size), (tile, tile, tile)).unwrap();
-    measure(&desc, &spec, gemmini_ws_ir(&desc, &spec), level, label)
-}
+use accfg_bench::paper;
 
 fn main() {
-    const PEAK: f64 = 512.0;
     println!("Extension: Gemmini output-stationary flow (forecast in §6.1)\n");
-    let mut rows = Vec::new();
-    let mut os_uplift = Vec::new();
-    let mut ws_uplift = Vec::new();
-    for size in [64i64, 128, 256] {
-        let c = os_measure(size, None, "C");
-        let a = os_measure(size, Some(OptLevel::Dedup), "accfg");
-        let (pc, pa) = (c.attainable_sequential(PEAK), a.attainable_sequential(PEAK));
-        os_uplift.push(pa / pc);
-        let wc = run_gemmini(size, GemminiFlavor::CBaseline).attainable_sequential(PEAK);
-        let wa = run_gemmini(size, GemminiFlavor::Accfg).attainable_sequential(PEAK);
-        ws_uplift.push(wa / wc);
-        rows.push(vec![
-            size.to_string(),
-            format!("{pc:.0} -> {pa:.0} ({:+.1} %)", 100.0 * (pa / pc - 1.0)),
-            format!("{wc:.0} -> {wa:.0} ({:+.1} %)", 100.0 * (wa / wc - 1.0)),
-        ]);
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "size",
-                "output-stationary C -> accfg",
-                "weight-stationary C -> accfg"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "\ngeomean uplift: OS {:+.1} % vs WS {:+.1} % — the paper's forecast holds: \
-         the flow with more per-launch configuration gains more from accfg.",
-        100.0 * (geomean(&os_uplift) - 1.0),
-        100.0 * (geomean(&ws_uplift) - 1.0),
-    );
+    let os = paper::output_stationary();
+    print!("{}", os.beside_weight_stationary(&paper::fig10()));
 }

@@ -1,62 +1,18 @@
 //! Reproduces Figure 10: attainable performance of Gemmini's
 //! weight-stationary tiled matmul, C baseline vs the accfg flow, via the
 //! Equation 3 proxy over traced instruction counts (the paper's method).
-use accfg_bench::{geomean, markdown_table, run_gemmini, GemminiFlavor, FIG10_SIZES};
-
-/// The values read off the paper's Figure 10, for comparison.
-const PAPER_C: [f64; 5] = [137.0, 379.0, 419.0, 482.0, 500.0];
-const PAPER_ACCFG: [f64; 5] = [171.0, 406.0, 482.0, 506.0, 511.0];
+use accfg_bench::{csv, paper};
 
 fn main() {
-    const PEAK: f64 = 512.0;
     println!("Figure 10: Gemmini weight-stationary tiled matmul");
-    println!("(attainable ops/cycle via Eq. 3 from traced counters; peak = {PEAK})\n");
-    let mut rows = Vec::new();
-    let mut uplifts = Vec::new();
-    let mut measurements = Vec::new();
-    for (idx, &size) in FIG10_SIZES.iter().enumerate() {
-        let c = run_gemmini(size, GemminiFlavor::CBaseline);
-        let a = run_gemmini(size, GemminiFlavor::Accfg);
-        let (pc, pa) = (c.attainable_sequential(PEAK), a.attainable_sequential(PEAK));
-        uplifts.push(pa / pc);
-        measurements.push(c.clone());
-        measurements.push(a.clone());
-        rows.push(vec![
-            size.to_string(),
-            format!("{pc:.0}"),
-            format!("{pa:.0}"),
-            format!("{:+.1} %", 100.0 * (pa / pc - 1.0)),
-            format!("{:.0}", PAPER_C[idx]),
-            format!("{:.0}", PAPER_ACCFG[idx]),
-            format!("{:+.1} %", 100.0 * (PAPER_ACCFG[idx] / PAPER_C[idx] - 1.0)),
-        ]);
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "size",
-                "C (ours)",
-                "accfg (ours)",
-                "uplift (ours)",
-                "C (paper)",
-                "accfg (paper)",
-                "uplift (paper)"
-            ],
-            &rows,
-        )
-    );
-    let ours = 100.0 * (geomean(&uplifts) - 1.0);
-    let paper: Vec<f64> = PAPER_ACCFG
-        .iter()
-        .zip(PAPER_C)
-        .map(|(a, c)| a / c)
-        .collect();
     println!(
-        "\ngeomean uplift: {ours:+.1} % (paper: {:+.1} %)",
-        100.0 * (geomean(&paper) - 1.0)
+        "(attainable ops/cycle via Eq. 3 from traced counters; peak = {})\n",
+        paper::GEMMINI_PEAK
     );
-    if let Ok(path) = accfg_bench::csv::write_csv("fig10_gemmini", &measurements) {
-        println!("raw data: {}", path.display());
+    let fig10 = paper::fig10();
+    print!("{}", fig10.fig10());
+    match csv::write_csv("fig10_gemmini", &fig10.runs) {
+        Ok(path) => println!("raw data: {}", path.display()),
+        Err(e) => eprintln!("warning: results/fig10_gemmini.csv not written: {e}"),
     }
 }

@@ -2,51 +2,15 @@
 //! OpenGeMM platform, base MLIR flow vs full accfg optimizations
 //! (cycle-level simulation of the tiling loop, memory copies off).
 use accfg::pipeline::OptLevel;
-use accfg_bench::{geomean, markdown_table, run_opengemm, FIG11_SIZES};
-
-/// The speedups reported in the paper's Figure 11.
-const PAPER_SPEEDUP: [f64; 6] = [1.86, 2.71, 2.71, 2.05, 1.63, 1.35];
+use accfg_bench::{csv, paper, FIG11_SIZES};
 
 fn main() {
     println!("Figure 11: OpenGeMM tiled matmul, measured ops/cycle");
     println!("(peak = 1024 ops/cycle; concurrent configuration)\n");
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut measurements = Vec::new();
-    for (idx, &size) in FIG11_SIZES.iter().enumerate() {
-        let base = run_opengemm(size, OptLevel::Base);
-        let all = run_opengemm(size, OptLevel::All);
-        let s = all.perf() / base.perf();
-        speedups.push(s);
-        measurements.push(base.clone());
-        measurements.push(all.clone());
-        rows.push(vec![
-            size.to_string(),
-            format!("{:.1}", base.perf()),
-            format!("{:.1}", all.perf()),
-            format!("x{s:.2}"),
-            format!("x{:.2}", PAPER_SPEEDUP[idx]),
-        ]);
-    }
-    print!(
-        "{}",
-        markdown_table(
-            &[
-                "size",
-                "base (ops/cyc)",
-                "optimized (ops/cyc)",
-                "speedup (ours)",
-                "speedup (paper)"
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "\ngeomean speedup: x{:.2} (paper: x{:.2})",
-        geomean(&speedups),
-        geomean(&PAPER_SPEEDUP)
-    );
-    if let Ok(path) = accfg_bench::csv::write_csv("fig11_opengemm", &measurements) {
-        println!("raw data: {}", path.display());
+    let sweep = paper::opengemm_sweep(&FIG11_SIZES, &[OptLevel::Base, OptLevel::All]);
+    print!("{}", sweep.fig11());
+    match csv::write_csv("fig11_opengemm", &sweep.runs) {
+        Ok(path) => println!("raw data: {}", path.display()),
+        Err(e) => eprintln!("warning: results/fig11_opengemm.csv not written: {e}"),
     }
 }

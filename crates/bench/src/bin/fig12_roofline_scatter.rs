@@ -3,7 +3,7 @@
 //! right (higher I_OC); overlap moves them up; both together give the
 //! largest gain.
 use accfg::pipeline::OptLevel;
-use accfg_bench::{run_opengemm, FIG12_SIZES};
+use accfg_bench::{paper, FIG12_SIZES};
 use accfg_roofline::{render, ConfigRoofline, PlotConfig, Series};
 
 fn main() {
@@ -21,33 +21,23 @@ fn main() {
         roofline.knee()
     );
 
-    let mut series = Vec::new();
-    let markers = [
-        ('b', OptLevel::Base),
-        ('d', OptLevel::Dedup),
-        ('o', OptLevel::Overlap),
-        ('a', OptLevel::All),
-    ];
-    println!("| size | level | I_OC (ops/B) | P (ops/cyc) |");
-    println!("|---|---|---|---|");
-    for (marker, level) in markers {
-        let mut points = Vec::new();
-        for &size in &FIG12_SIZES {
-            let m = run_opengemm(size, level);
-            println!(
-                "| {size} | {} | {:.1} | {:.1} |",
-                level.label(),
-                m.i_oc(),
-                m.perf()
-            );
-            points.push((m.i_oc(), m.perf()));
-        }
-        series.push(Series {
-            label: level.label().to_string(),
-            marker,
-            points,
-        });
-    }
+    let sweep = paper::opengemm_sweep(&FIG12_SIZES, &OptLevel::ALL_LEVELS);
+    print!("{}", sweep.fig12());
+    let series: Vec<Series> = ['b', 'd', 'o', 'a']
+        .into_iter()
+        .zip(OptLevel::ALL_LEVELS)
+        .map(|(marker, level)| {
+            let point = |&size| {
+                let m = sweep.at(size, level);
+                (m.i_oc(), m.perf())
+            };
+            Series {
+                label: level.label().to_string(),
+                marker,
+                points: FIG12_SIZES.iter().map(point).collect(),
+            }
+        })
+        .collect();
     let seq = |x: f64| roofline.attainable_sequential(x);
     let conc = |x: f64| roofline.attainable_concurrent(x);
     let cfg = PlotConfig {

@@ -3,39 +3,15 @@
 //!
 //! Legend (as in the paper): `E` host execution, `C` host configures,
 //! `#` accelerator execution, `.` idle/waiting.
-use accfg::pipeline::{pipeline, OptLevel};
-use accfg::AccelFilter;
-use accfg_sim::{AccelSim, Activity, Machine, Timeline};
-use accfg_targets::{compile, AcceleratorDescriptor};
-use accfg_workloads::{fill_inputs, matmul_ir, MatmulLayout, MatmulSpec};
-
-fn trace(level: OptLevel) -> (Timeline, accfg_sim::Counters) {
-    let desc = AcceleratorDescriptor::opengemm();
-    let spec = MatmulSpec::opengemm_paper(32).unwrap();
-    let mut m = matmul_ir(&desc, &spec);
-    pipeline(level, AccelFilter::All).run(&mut m).unwrap();
-    let layout = MatmulLayout::at(0x1000, &spec);
-    let prog = compile(
-        &m,
-        "matmul",
-        &desc,
-        &[layout.a_addr, layout.b_addr, layout.c_addr],
-    )
-    .unwrap();
-    let mut machine = Machine::new(
-        desc.host.clone(),
-        AccelSim::new(desc.accel.clone()),
-        layout.end as usize,
-    );
-    fill_inputs(&mut machine.mem, &spec, &layout, 2).unwrap();
-    let mut timeline = Timeline::new();
-    let counters = machine
-        .run_traced(&prog, 10_000_000, &mut timeline)
-        .unwrap();
-    (timeline, counters)
-}
+use accfg::pipeline::OptLevel;
+use accfg_bench::prepare;
+use accfg_sim::{Activity, Timeline};
+use accfg_targets::AcceleratorDescriptor;
+use accfg_workloads::{check_result, matmul_ir, MatmulSpec};
 
 fn main() {
+    let desc = AcceleratorDescriptor::opengemm();
+    let spec = MatmulSpec::opengemm_paper(32).unwrap();
     println!("Figure 2: execution timeline (32x32x32 tiled matmul on OpenGeMM)");
     println!("E host execution   C host configures   # accelerator execution   . waiting\n");
     for (title, level) in [
@@ -45,7 +21,13 @@ fn main() {
             OptLevel::All,
         ),
     ] {
-        let (timeline, counters) = trace(level);
+        let (mut machine, prog, layout) =
+            prepare(&desc, &spec, matmul_ir(&desc, &spec), Some(level));
+        let mut timeline = Timeline::new();
+        let counters = machine
+            .run_traced(&prog, 10_000_000, &mut timeline)
+            .unwrap();
+        check_result(&machine.mem, &spec, &layout).unwrap();
         println!("-- {title} --");
         print!("{}", timeline.render(100));
         println!(

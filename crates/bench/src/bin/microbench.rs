@@ -1,22 +1,19 @@
 //! Deterministic micro-benchmarks, cycle-counted on the simulator clock.
 //!
-//! The earlier criterion benches measured host wall-clock time, which
-//! needed the crates.io `criterion` crate (unavailable offline) and made
-//! every number machine-dependent. Everything this workspace cares about
-//! is *simulated* cost, which the simulator counts exactly — so these
-//! micro-benches report simulated cycles and instruction counts instead:
-//! byte-identical on every machine and every run, and diffable in CI.
+//! Everything this workspace cares about is *simulated* cost, which the
+//! simulator counts exactly — so these micro-benches report simulated
+//! cycles and instruction counts: byte-identical on every machine and
+//! every run, and diffable in CI.
 //!
 //! Suites:
 //!
 //! - `cosimulation` — end-to-end co-simulation cost of the OpenGeMM tiled
-//!   matmul across sizes (the old `benches/simulator.rs` subject);
+//!   matmul across sizes;
 //! - `host_cpi_sensitivity` — Gemmini total cycles and effective
 //!   configuration bandwidth as the host CPI scales (the knee-shifting
 //!   ablation);
 //! - `pipeline_levels` — what each optimization level of the accfg
-//!   pipeline buys on the simulated program (the old `benches/passes.rs`
-//!   and `benches/figures.rs` subjects, measured in simulated cycles);
+//!   pipeline buys on the simulated program;
 //! - `timing_model` — the identity vs. reference [`TimingModel`]: what
 //!   shared-bandwidth contention and DVFS cost a back-to-back dispatch
 //!   pair, per platform;
@@ -30,39 +27,24 @@
 //!
 //! [`TimingModel`]: accfg_sim::TimingModel
 
-use accfg::pipeline::{pipeline, OptLevel};
-use accfg_bench::markdown_table;
-use accfg_sim::{AccelSim, Counters, DvfsParams, HostModel, Machine};
-use accfg_targets::{compile, AcceleratorDescriptor};
-use accfg_workloads::{
-    check_result, fill_inputs, gemmini_ws_ir, matmul_ir, MatmulLayout, MatmulSpec,
-};
+use accfg::pipeline::OptLevel;
+use accfg_bench::tune::DvfsVariant;
+use accfg_bench::{markdown_table, measure};
+use accfg_sim::{Counters, HostModel};
+use accfg_targets::AcceleratorDescriptor;
+use accfg_workloads::{gemmini_ws_ir, matmul_ir, MatmulSpec};
 
-/// Compiles `desc`'s tiled matmul at `level` and runs it on a fresh
-/// machine charged under the descriptor's timing model, functionally
-/// checked.
-fn run_once(desc: &AcceleratorDescriptor, spec: &MatmulSpec, level: OptLevel) -> Counters {
-    let mut module = matmul_ir(desc, spec);
-    pipeline(level, desc.overlap_filter())
-        .run(&mut module)
-        .expect("pipeline runs");
-    let layout = MatmulLayout::at(0x1000, spec);
-    let prog = compile(
-        &module,
-        "matmul",
-        desc,
-        &[layout.a_addr, layout.b_addr, layout.c_addr],
-    )
-    .expect("lowering succeeds");
-    let mut machine = Machine::new(
-        desc.host.clone(),
-        AccelSim::with_timing(desc.accel.clone(), desc.timing),
-        layout.end as usize,
-    );
-    fill_inputs(&mut machine.mem, spec, &layout, 0x5EED).expect("inputs fit");
-    let counters = machine.run(&prog, 1_000_000_000).expect("simulation");
-    check_result(&machine.mem, spec, &layout).expect("functional result");
-    counters
+/// The counters of `desc`'s tiled matmul at `level`, measured (and
+/// functionally checked) under the descriptor's timing model.
+fn counters(desc: &AcceleratorDescriptor, spec: &MatmulSpec, level: OptLevel) -> Counters {
+    let module = matmul_ir(desc, spec);
+    measure(desc, spec, module, Some(level), level.label()).counters
+}
+
+/// Launches per frequency state, `cold/warm/boost`.
+fn freq_mix(c: &Counters) -> String {
+    let [cold, warm, boost] = c.freq_launches;
+    format!("{cold}/{warm}/{boost}")
 }
 
 fn cosimulation() {
@@ -72,9 +54,9 @@ fn cosimulation() {
         .iter()
         .map(|&size| {
             let spec = MatmulSpec::opengemm_paper(size).expect("valid size");
-            let c = run_once(&desc, &spec, OptLevel::All);
+            let c = counters(&desc, &spec, OptLevel::All);
             // the simulator clock is exact: a second run must agree
-            assert_eq!(c, run_once(&desc, &spec, OptLevel::All), "nondeterminism");
+            assert_eq!(c, counters(&desc, &spec, OptLevel::All), "nondeterminism");
             vec![
                 size.to_string(),
                 c.cycles.to_string(),
@@ -121,26 +103,8 @@ fn host_cpi_sensitivity() {
                 poll: cpi,
             };
             let spec = MatmulSpec::gemmini_paper(64).expect("valid size");
-            let mut module = gemmini_ws_ir(&desc, &spec);
-            pipeline(OptLevel::Dedup, desc.overlap_filter())
-                .run(&mut module)
-                .expect("pipeline runs");
-            let layout = MatmulLayout::at(0x1000, &spec);
-            let prog = compile(
-                &module,
-                "matmul",
-                &desc,
-                &[layout.a_addr, layout.b_addr, layout.c_addr],
-            )
-            .expect("lowering succeeds");
-            let mut machine = Machine::new(
-                desc.host.clone(),
-                AccelSim::new(desc.accel.clone()),
-                layout.end as usize,
-            );
-            fill_inputs(&mut machine.mem, &spec, &layout, 0x5EED).expect("inputs fit");
-            let c = machine.run(&prog, 1_000_000_000).expect("simulation");
-            check_result(&machine.mem, &spec, &layout).expect("functional result");
+            let module = gemmini_ws_ir(&desc, &spec);
+            let c = measure(&desc, &spec, module, Some(OptLevel::Dedup), "dedup").counters;
             vec![
                 cpi.to_string(),
                 c.cycles.to_string(),
@@ -163,7 +127,7 @@ fn pipeline_levels() {
     println!("== pipeline_levels: OpenGeMM 64³, simulated cost per opt level ==");
     let desc = AcceleratorDescriptor::opengemm();
     let spec = MatmulSpec::opengemm_paper(64).expect("valid size");
-    let base_cycles = run_once(&desc, &spec, OptLevel::Base).cycles;
+    let base_cycles = counters(&desc, &spec, OptLevel::Base).cycles;
     let rows: Vec<Vec<String>> = [
         OptLevel::Base,
         OptLevel::Dedup,
@@ -172,7 +136,7 @@ fn pipeline_levels() {
     ]
     .iter()
     .map(|&level| {
-        let c = run_once(&desc, &spec, level);
+        let c = counters(&desc, &spec, level);
         // dedup-only and overlap-only are not ordered against each
         // other, but no level may lose to the unoptimized baseline
         assert!(c.cycles <= base_cycles, "{level:?} regressed past Base");
@@ -214,18 +178,15 @@ fn timing_model() {
         }
         .expect("valid size");
         let timed = base.clone().with_reference_timing();
-        let ident = run_once(&base, &spec, OptLevel::All);
-        let rich = run_once(&timed, &spec, OptLevel::All);
+        let ident = counters(&base, &spec, OptLevel::All);
+        let rich = counters(&timed, &spec, OptLevel::All);
         assert_eq!(ident.contention_cycles, 0);
         rows.push(vec![
             base.name.clone(),
             ident.cycles.to_string(),
             rich.cycles.to_string(),
             rich.contention_cycles.to_string(),
-            format!(
-                "{}/{}/{}",
-                rich.freq_launches[0], rich.freq_launches[1], rich.freq_launches[2]
-            ),
+            freq_mix(&rich),
         ]);
     }
     print!(
@@ -254,41 +215,15 @@ fn dvfs_sensitivity() {
     // the reference table plus one-knob perturbations: ramp points moved
     // both ways, and a cooldown window short enough to fire in the
     // config-write gaps *between* launches of a single program
-    let variants: [(&str, DvfsParams); 4] = [
-        ("reference", reference),
-        (
-            "eager-ramp",
-            DvfsParams {
-                warm_busy_cycles: reference.warm_busy_cycles / 4,
-                boost_busy_cycles: reference.boost_busy_cycles / 4,
-                ..reference
-            },
-        ),
-        (
-            "lazy-ramp",
-            DvfsParams {
-                warm_busy_cycles: reference.warm_busy_cycles * 4,
-                boost_busy_cycles: reference.boost_busy_cycles * 4,
-                ..reference
-            },
-        ),
-        (
-            "skittish-cooldown",
-            DvfsParams {
-                cooldown_idle_cycles: 4,
-                ..reference
-            },
-        ),
-    ];
     let spec = MatmulSpec::opengemm_paper(64).expect("valid size");
-    let runs: Vec<(&str, Counters)> = variants
+    let runs: Vec<(&str, Counters)> = DvfsVariant::ALL
         .iter()
-        .map(|&(label, dvfs)| {
+        .map(|variant| {
             let mut desc = AcceleratorDescriptor::opengemm().with_reference_timing();
-            desc.timing.dvfs = Some(dvfs);
-            let c = run_once(&desc, &spec, OptLevel::All);
-            assert_eq!(c, run_once(&desc, &spec, OptLevel::All), "nondeterminism");
-            (label, c)
+            desc.timing.dvfs = Some(variant.apply(reference));
+            let c = counters(&desc, &spec, OptLevel::All);
+            assert_eq!(c, counters(&desc, &spec, OptLevel::All), "nondeterminism");
+            (variant.label(), c)
         })
         .collect();
     let launches = |c: &Counters| c.freq_launches.iter().sum::<u64>();
@@ -317,10 +252,7 @@ fn dvfs_sensitivity() {
                 label.to_string(),
                 c.cycles.to_string(),
                 c.contention_cycles.to_string(),
-                format!(
-                    "{}/{}/{}",
-                    c.freq_launches[0], c.freq_launches[1], c.freq_launches[2]
-                ),
+                freq_mix(c),
             ]
         })
         .collect();

@@ -1,53 +1,9 @@
 //! Reproduces the worked example of Section 4.6: the configuration roofline
 //! of Gemmini's output-stationary 64×64×64 matmul, first from the paper's
 //! published trace numbers, then from our own simulated trace.
-use accfg_bench::{run_gemmini, GemminiFlavor};
-use accfg_roofline::{effective_config_bandwidth, ConfigRoofline};
+use accfg_bench::paper;
 
 fn main() {
     println!("Section 4.6: configuration roofline for Gemmini\n");
-
-    // --- the paper's numbers, recomputed through our model ----------------
-    let peak = 512.0;
-    let bw_config = 16.0 / (3.0 * 3.0); // 16 B per RoCC, 3 instrs, 3 CPI
-    let ops = 2.0 * 64.0 * 64.0 * 64.0; // the paper prints 525,288 (typo)
-    let setup_instrs = 160.0;
-    let calc_instrs = 775.0;
-    let config_bytes = setup_instrs * 16.0;
-    let i_oc = ops / config_bytes;
-
-    println!("paper inputs: {ops} ops, {setup_instrs} setup instrs, {calc_instrs} calc instrs");
-    println!("BW_config          = {bw_config:.3} B/cycle   (paper: 1.77)");
-    println!("I_OC               = {i_oc:.2} ops/byte   (paper: 205.19, incl. its ops typo)");
-
-    let r = ConfigRoofline {
-        peak,
-        config_bandwidth: bw_config,
-    };
-    let util = 100.0 * r.utilization_sequential(i_oc);
-    println!("Eq. 3 utilization  = {util:.2} %        (paper: 41.49 %)");
-
-    let bw_eff = effective_config_bandwidth(config_bytes, calc_instrs * 3.0, setup_instrs * 3.0);
-    let r_eff = ConfigRoofline {
-        peak,
-        config_bandwidth: bw_eff,
-    };
-    let util_eff = 100.0 * r_eff.utilization_sequential(i_oc);
-    println!("BW_config,eff      = {bw_eff:.3} B/cycle   (paper: 0.913)");
-    println!("Eq. 3 (effective)  = {util_eff:.2} %        (paper: 26.78 %)");
-
-    // --- the same quantities traced from our simulator --------------------
-    println!("\nsimulated 64-wide strip (weight-stationary, C baseline):");
-    let m = run_gemmini(64, GemminiFlavor::CBaseline);
-    println!(
-        "  {} setup instrs, {} calc instrs, {} config bytes",
-        m.counters.insts_config, m.counters.insts_calc, m.counters.config_bytes
-    );
-    println!(
-        "  I_OC = {:.2} ops/byte, BW_eff = {:.3} B/cycle, attainable = {:.1} ops/cycle ({:.1} % of peak)",
-        m.i_oc(),
-        m.bw_eff(),
-        m.attainable_sequential(peak),
-        100.0 * m.attainable_sequential(peak) / peak,
-    );
+    print!("{}", paper::sec46(&paper::fig10()));
 }

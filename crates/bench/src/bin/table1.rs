@@ -1,23 +1,8 @@
 //! Reproduces Table 1: the configuration fields of the Gemmini
 //! weight-stationary matmul sequence, with meanings and bit widths.
-use accfg_targets::AcceleratorDescriptor;
 
 fn main() {
-    let desc = AcceleratorDescriptor::gemmini();
     println!("Table 1: fields of the gemmini_loop_ws-style sequence");
     println!("(C = A·B + D weight-stationary matrix multiplication)\n");
-    print!("{}", desc.field_table_markdown());
-    println!(
-        "\nTotal architectural configuration state: {} bits ({} bytes)",
-        desc.total_config_bits(),
-        desc.total_config_bits().div_ceil(8),
-    );
-    println!(
-        "Configuration interface: 16 bytes per RoCC command, \
-         launch-semantic final command (funct {})",
-        match desc.style {
-            accfg_targets::ConfigStyle::RoccPairs { launch_funct } => launch_funct,
-            accfg_targets::ConfigStyle::Csr => unreachable!("gemmini is RoCC"),
-        }
-    );
+    print!("{}", accfg_bench::paper::table1());
 }

@@ -5,6 +5,11 @@
 //! it cycle-accurately, functionally check the result, and derive the
 //! roofline quantities the paper plots.
 //!
+//! [`paper`] computes the paper's numbers-bearing artefacts as values,
+//! each with one renderer; the figure / table binaries print those
+//! renderers and [`measure`] is the one measured-kernel recipe under all of
+//! them.
+//!
 //! Binaries (run with `cargo run -p accfg-bench --bin <name>`):
 //!
 //! | binary | reproduces |
@@ -17,9 +22,9 @@
 //! | `fig10_gemmini` | Figure 10 (Gemmini C vs accfg attainable perf) |
 //! | `fig11_opengemm` | Figure 11 (OpenGeMM base vs optimized, measured) |
 //! | `fig12_roofline_scatter` | Figure 12 (per-pass ablation on the roofline) |
-//! | `make_experiments` | runs all of the above and writes `EXPERIMENTS.md` (generated output, git-ignored) |
+//! | `make_experiments` | composes the renderers above into `EXPERIMENTS.md` (generated output, git-ignored) |
 //! | `serve_bench` | the serving-runtime characterization (`BENCH_runtime.json`) |
-//! | `microbench` | deterministic simulated-cycle micro-benchmarks (replaces the old criterion benches) |
+//! | `microbench` | deterministic simulated-cycle micro-benchmarks |
 //! | `autotune` | the deterministic serving-knob autotuner (`TUNED.json`) |
 
 #![warn(missing_docs)]
@@ -28,12 +33,13 @@ pub mod cli;
 pub mod corpus;
 pub mod csv;
 pub mod json;
+pub mod paper;
 pub mod streams;
 pub mod tune;
 
 use accfg::pipeline::{pipeline, OptLevel};
 use accfg_roofline::ConfigRoofline;
-use accfg_sim::{AccelSim, Counters, Machine};
+use accfg_sim::{AccelSim, Counters, Machine, Program};
 use accfg_targets::{compile, AcceleratorDescriptor};
 use accfg_workloads::{
     check_result, fill_inputs, gemmini_ws_ir, matmul_ir, MatmulLayout, MatmulSpec,
@@ -102,19 +108,26 @@ impl GemminiFlavor {
             GemminiFlavor::Accfg => "accfg (ours)",
         }
     }
+
+    /// The pipeline the flow compiles with: none pins the IR as written.
+    pub(crate) fn level(self) -> Option<OptLevel> {
+        (self == GemminiFlavor::Accfg).then_some(OptLevel::Dedup)
+    }
 }
 
-/// Builds, compiles, runs, and functionally checks one workload.
+/// Everything [`measure`] does before the run: `module` through the
+/// `level` pipeline (`None` pins the IR as written), lowered for `desc`,
+/// and a fresh machine under the descriptor's timing model with the
+/// inputs filled — for callers that drive the machine themselves.
 ///
 /// # Panics
 /// Panics if any stage fails — harnesses want loud failures.
-pub fn measure(
+pub fn prepare(
     desc: &AcceleratorDescriptor,
     spec: &MatmulSpec,
     mut module: accfg_ir::Module,
     level: Option<OptLevel>,
-    label: impl Into<String>,
-) -> Measurement {
+) -> (Machine, Program, MatmulLayout) {
     if let Some(level) = level {
         pipeline(level, desc.overlap_filter())
             .run(&mut module)
@@ -130,10 +143,25 @@ pub fn measure(
     .expect("lowering succeeds");
     let mut machine = Machine::new(
         desc.host.clone(),
-        AccelSim::new(desc.accel.clone()),
+        AccelSim::with_timing(desc.accel.clone(), desc.timing),
         layout.end as usize,
     );
     fill_inputs(&mut machine.mem, spec, &layout, 0x5EED + spec.m as u64).expect("inputs fit");
+    (machine, prog, layout)
+}
+
+/// Builds, compiles, runs, and functionally checks one workload.
+///
+/// # Panics
+/// Panics if any stage fails — harnesses want loud failures.
+pub fn measure(
+    desc: &AcceleratorDescriptor,
+    spec: &MatmulSpec,
+    module: accfg_ir::Module,
+    level: Option<OptLevel>,
+    label: impl Into<String>,
+) -> Measurement {
+    let (mut machine, prog, layout) = prepare(desc, spec, module, level);
     let counters = machine.run(&prog, 1_000_000_000).expect("simulation");
     check_result(&machine.mem, spec, &layout).expect("functional result matches reference");
     Measurement {
@@ -151,11 +179,7 @@ pub fn run_gemmini(size: i64, flavor: GemminiFlavor) -> Measurement {
     let desc = AcceleratorDescriptor::gemmini();
     let spec = MatmulSpec::gemmini_paper(size).expect("valid gemmini size");
     let module = gemmini_ws_ir(&desc, &spec);
-    let (level, label) = match flavor {
-        GemminiFlavor::CBaseline => (None, flavor.label()),
-        GemminiFlavor::Accfg => (Some(OptLevel::Dedup), flavor.label()),
-    };
-    measure(&desc, &spec, module, level, label)
+    measure(&desc, &spec, module, flavor.level(), flavor.label())
 }
 
 /// Runs the OpenGeMM tiled-matmul experiment of Figures 11/12 for one size

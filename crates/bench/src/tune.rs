@@ -750,6 +750,31 @@ mod tests {
     use super::*;
 
     #[test]
+    fn dvfs_variants_are_the_four_tables_microbench_sweeps() {
+        // the tables `microbench dvfs_sensitivity` typed out by hand before
+        // it iterated `DvfsVariant::ALL`, over OpenGeMM's reference table
+        let reference = accfg_targets::AcceleratorDescriptor::opengemm()
+            .with_reference_timing()
+            .timing
+            .dvfs
+            .expect("reference timing carries a DVFS table");
+        let table = |warm, boost, cooldown| DvfsParams {
+            warm_busy_cycles: warm,
+            boost_busy_cycles: boost,
+            cooldown_idle_cycles: cooldown,
+            speed_pct: [40, 100, 160],
+        };
+        let expected = [
+            ("reference", table(1_024, 4_096, 8_192)),
+            ("eager-ramp", table(256, 1_024, 8_192)),
+            ("lazy-ramp", table(4_096, 16_384, 8_192)),
+            ("skittish-cooldown", table(1_024, 4_096, 4)),
+        ];
+        let applied = DvfsVariant::ALL.map(|v| (v.label(), v.apply(reference)));
+        assert_eq!(applied, expected);
+    }
+
+    #[test]
     fn default_knobs_mirror_the_serve_config_defaults() {
         let knobs = KnobConfig::default();
         let cfg = knobs.serve_config();
