@@ -6,8 +6,8 @@
 //! # Plan → catalog → rows
 //!
 //! The binary is one loop. The command line is parsed into a
-//! [`BenchPlan`] — requests, mode, thread budget, slack, cutoff override,
-//! policy filter, stream filter, tuned table — and nothing else carries a
+//! [`BenchPlan`] — requests, slack, cutoff override, policy filter,
+//! stream filter, tuned table — and nothing else carries a
 //! knob. `BenchPlan::catalog` filters the bench catalog
 //! ([`accfg_bench::streams::catalog`], the single definition of the seven
 //! streams and their pools, shared with `autotune`, `benchmark/` and the
@@ -16,16 +16,18 @@
 //! `closed_loop_measured`) and `run_stream` serves
 //! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
 //! a [`ServeConfig`] over `BenchPlan::base_config` — plus the `tuned` row,
-//! and prints the stream's table. `--mode diff` walks the same catalog
-//! and rows with two plans per pair instead of one.
+//! and prints the stream's table. Every serve runs the reference plan
+//! (`ServeMode::Deterministic`), the one the committed artifact comes
+//! from; the host's requests/sec is `benchmark/run.sh`'s to measure, and
+//! that sharded plans serve the same outcomes is `tests/differential.rs`'s
+//! to check.
 //!
 //! Every report row records the module-cache delta of its own serve, so
 //! runtime sharing is part of the report: one [`Runtime`] per pool
 //! ([`BenchPool`]), created on first use and reused by every later
 //! stream of that pool in catalog order — including the calibration
 //! serve of `closed_loop_measured`, which runs on the uniform runtime at
-//! that stream's place in the order. `--mode diff` instead uses a fresh
-//! runtime per serve, calibration included.
+//! that stream's place in the order.
 //!
 //! # Policy rows
 //!
@@ -114,29 +116,6 @@
 //! comparison lands in the same report. Like every non-default invocation
 //! it refuses to write the committed artifact.
 //!
-//! `--mode` selects the plan the serve loop runs under and what the
-//! binary measures:
-//!
-//! - `sim` (the default) — the reference plan, one scheduler shard over
-//!   the whole pool (`ServeMode::Deterministic`); the only mode the
-//!   committed artifact is generated from;
-//! - `wall` — the same streams served under the *sharded* plan
-//!   (`--threads <n>`, default 8 executor threads), with each stream's
-//!   report object gaining an `engine` section recording wall-clock
-//!   milliseconds and requests/sec of the runtime itself (not the
-//!   simulated hardware) per policy. The simulated-cycle bars are
-//!   byte-identical to `sim` — the plan never changes an outcome — so
-//!   the `engine` object is strictly additive;
-//! - `diff` — the differential smoke: every stream × policy pair served
-//!   under both plans, asserting per-request outcome equality (the same
-//!   property `tests/differential.rs` pins), then a small JSON summary.
-//!
-//! `wall` and `diff` print, per stream, the plan that actually ran
-//! (`ServeReport::engine`: scheduler shards and executor threads).
-//!
-//! Non-`sim` modes never write the committed artifact: they require an
-//! `--out` whose file name differs from `BENCH_runtime.json`.
-//!
 //! `--store <path>` switches the binary into the *warm-start* mode: the
 //! `contention` stream is served twice against the given persistent
 //! store — a cold pass into a fresh runtime that flushes its compiled
@@ -151,28 +130,11 @@
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
 use accfg_bench::tune::{parse_table, KnobConfig};
 use accfg_bench::{cli, json, markdown_table};
-use accfg_runtime::{
-    BatchCutoff, Policy, Runtime, ServeConfig, ServeMetrics, ServeMode, LOAD_SLACK_CYCLES,
-};
+use accfg_runtime::{BatchCutoff, Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
 use std::collections::HashMap;
 
 const DEFAULT_REQUESTS: usize = 12_000;
-const DEFAULT_THREADS: usize = 8;
 const DEFAULT_OUT: &str = "BENCH_runtime.json";
-
-/// What the binary measures (`--mode`).
-#[derive(Clone, Copy, PartialEq)]
-enum BenchMode {
-    /// Simulated-cycle bars from the reference plan (the default; the
-    /// only mode the committed artifact is generated from).
-    Sim,
-    /// The same bars served under the sharded plan, plus wall-clock
-    /// requests/sec of the runtime itself per stream and policy.
-    Wall,
-    /// Differential smoke: every stream × policy pair under both plans,
-    /// asserting per-request outcome equality.
-    Diff,
-}
 
 /// What the command line decided, held once: the catalog a run walks,
 /// the policy rows it serves and the configuration every serve starts
@@ -181,10 +143,6 @@ enum BenchMode {
 struct BenchPlan {
     /// `--requests`: requests per stream.
     requests: usize,
-    /// `--mode`.
-    mode: BenchMode,
-    /// `--threads`: the sharded plan's thread budget (`wall` and `diff`).
-    threads: usize,
     /// `--slack`: the load-slack horizon of every serve.
     slack: u64,
     /// `--batch-cutoff`; absent, the cutoff follows `slack`.
@@ -224,24 +182,11 @@ fn policy_rows(batch_rows: bool, base: &ServeConfig) -> Vec<(&'static str, Serve
 }
 
 impl BenchPlan {
-    /// The plan the serve loop runs under: the sharded plan in wall
-    /// mode, otherwise the reference plan (`diff` serves its reference
-    /// side under it and overrides the mode for the sharded side).
-    fn serve_mode(&self) -> ServeMode {
-        match self.mode {
-            BenchMode::Wall => ServeMode::Parallel {
-                threads: self.threads,
-            },
-            BenchMode::Sim | BenchMode::Diff => ServeMode::Deterministic,
-        }
-    }
-
     /// The configuration every serve of the run starts from.
     fn base_config(&self) -> ServeConfig {
         ServeConfig {
             load_slack: self.slack,
             batch_cutoff: self.cutoff,
-            mode: self.serve_mode(),
             ..ServeConfig::default()
         }
     }
@@ -267,10 +212,8 @@ impl BenchPlan {
     }
 }
 
-/// One policy's measurements over a stream: label, the (deterministic)
-/// serve metrics, and the wall-clock seconds the serve itself took —
-/// the runtime's own speed, only reported in wall mode.
-type PolicyRow = (&'static str, ServeMetrics, f64);
+/// One policy's measurements over a stream: label and the serve metrics.
+type PolicyRow = (&'static str, ServeMetrics);
 
 /// Resolves a catalog entry into the stream its rows serve. Only
 /// `closed_loop_measured` needs work: one calibration serve of its
@@ -299,16 +242,14 @@ fn calibrate(plan: &BenchPlan, runtime: &mut Runtime, mut entry: BenchStream) ->
 
 /// Serves every selected policy row (plus the `tuned` row, if `--tuned`
 /// names the stream) over one catalog entry on its pool's `runtime`,
-/// prints the stream's table, wall report and headline, and returns the
+/// prints the stream's table and headline, and returns the
 /// rows — empty when no selected policy applies, so the caller drops the
 /// stream's report section.
 fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> Vec<PolicyRow> {
     let stream_name = entry.name;
     let mut results: Vec<PolicyRow> = Vec::new();
     let mut serve_row = |runtime: &mut Runtime, label: &'static str, cfg: &ServeConfig| {
-        let started = std::time::Instant::now();
         let report = runtime.serve(&entry.requests, cfg).expect("serve succeeds");
-        let wall = started.elapsed().as_secs_f64();
         assert_eq!(
             report.metrics.check_failures, 0,
             "{stream_name}/{label}: functional checks failed"
@@ -317,24 +258,17 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
             report.metrics.sim_failures, 0,
             "{stream_name}/{label}: simulation failed"
         );
-        results.push((label, report.metrics, wall));
-        report.engine
+        results.push((label, report.metrics));
     };
-    // the plan depends on the mode and the pool's shape, not the policy
-    let mut engine_plan = None;
     for (label, cfg) in &plan.policies(entry.batch_rows) {
-        engine_plan = Some(serve_row(runtime, label, cfg));
+        serve_row(runtime, label, cfg);
     }
     if let Some(knobs) = plan.tuned(stream_name) {
         // the tuned knobs span the pool too (power cap, DVFS variant), so
         // the row gets its own runtime over the tuned pool — a policy
         // filter never hides it: replaying the table is the row's point
         let mut tuned_runtime = Runtime::new(knobs.apply_pool(&entry.pool.build()));
-        let cfg = ServeConfig {
-            mode: plan.serve_mode(),
-            ..knobs.serve_config()
-        };
-        serve_row(&mut tuned_runtime, "tuned", &cfg);
+        serve_row(&mut tuned_runtime, "tuned", &knobs.serve_config());
     }
     if results.is_empty() {
         // e.g. --policies affinity+batch on a stream that runs no batch
@@ -343,17 +277,12 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
         return results;
     }
 
-    let find = |label: &str| {
-        results
-            .iter()
-            .find(|(l, _, _)| *l == label)
-            .map(|(_, m, _)| m)
-    };
+    let find = |label: &str| results.iter().find(|(l, _)| *l == label).map(|(_, m)| m);
     let fifo = find("fifo");
     let elide_p99 = find("fifo+elide").map(|m| m.latency.p99);
     let rows: Vec<Vec<String>> = results
         .iter()
-        .map(|(label, m, _)| {
+        .map(|(label, m)| {
             vec![
                 label.to_string(),
                 m.setup_writes.to_string(),
@@ -378,9 +307,6 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
         })
         .collect();
     println!("== {stream_name} ==");
-    if let (Some(engine_plan), BenchMode::Wall) = (engine_plan, plan.mode) {
-        println!("engine plan: {engine_plan}");
-    }
     print!(
         "{}",
         markdown_table(
@@ -405,7 +331,7 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
 
     // the refined estimates must not be worse than the static anchors on
     // the dispatches the scheduler actually charged for
-    for (label, m, _) in results.iter().filter(|(_, m, _)| m.prediction.samples > 0) {
+    for (label, m) in results.iter().filter(|(_, m)| m.prediction.samples > 0) {
         assert!(
             m.prediction.ewma_abs_error <= m.prediction.anchor_abs_error,
             "{stream_name}/{label}: ewma MAE {:.1} > anchor MAE {:.1}",
@@ -433,9 +359,6 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
         }
     }
     println!();
-    if plan.mode == BenchMode::Wall {
-        report_wall(stream_name, &results, plan.threads);
-    }
     if let (Some(cost), Some(affinity)) = (find("cost"), find("affinity")) {
         match entry.pool {
             BenchPool::Uniform => {}
@@ -476,136 +399,6 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
         }
     }
     results
-}
-
-/// Wall mode's per-policy requests/sec of the runtime itself. The serve
-/// outcomes are engine-independent, so this is pure added information on
-/// top of the simulated-cycle bars.
-fn report_wall(stream_name: &str, results: &[PolicyRow], threads: usize) {
-    for (label, m, wall) in results {
-        let rps = m.requests as f64 / wall.max(f64::MIN_POSITIVE);
-        assert!(
-            rps > 0.0,
-            "{stream_name}/{label}: wall-clock throughput must be positive"
-        );
-        println!(
-            "{stream_name}/{label}: {:.1} ms wall ({threads} threads), \
-             {rps:.0} requests/sec",
-            wall * 1e3
-        );
-    }
-    println!();
-}
-
-/// The wall-mode `engine` JSON object for one stream: wall-clock
-/// milliseconds and requests/sec per policy, at the executor thread count
-/// the run used. Emitted as a single report line so the per-policy metric
-/// sections below keep their exact deterministic-mode bytes.
-fn engine_json(results: &[PolicyRow], threads: usize) -> String {
-    let policies: Vec<String> = results
-        .iter()
-        .map(|(label, m, wall)| {
-            let wall = wall.max(f64::MIN_POSITIVE);
-            format!(
-                "\"{label}\": {{\"wall_ms\": {:.3}, \"requests_per_sec\": {:.1}}}",
-                wall * 1e3,
-                m.requests as f64 / wall
-            )
-        })
-        .collect();
-    format!(
-        "{{\"mode\": \"wall\", \"threads\": {threads}, \"policies\": {{{}}}}}",
-        policies.join(", ")
-    )
-}
-
-/// The differential smoke (`--mode diff`): every selected stream × policy
-/// pair served under the reference plan and the sharded plan — a fresh
-/// runtime per serve (calibration included), so module-cache provenance
-/// matches too — asserting the per-request outcomes (routing, writes,
-/// cycles, latencies, prediction samples) are identical, then a small
-/// JSON summary. This is the same property `tests/differential.rs` pins;
-/// the binary form exists so CI can run it at an arbitrary request count
-/// and thread count without recompiling tests.
-fn run_diff(plan: &BenchPlan, out_path: &str) {
-    let (requests, threads) = (plan.requests, plan.threads);
-    let catalog = plan.catalog();
-    let streams_selected = catalog.len();
-    let mut pairs = 0usize;
-    for entry in catalog {
-        let pool = entry.pool.build();
-        let entry = calibrate(plan, &mut Runtime::new(pool.clone()), entry);
-        let (stream_name, stream) = (entry.name, &entry.requests);
-        // the plans depend on the pool's shape, not the policy
-        let mut plans = None;
-        for (label, cfg) in &plan.policies(entry.batch_rows) {
-            let oracle = Runtime::new(pool.clone())
-                .serve(stream, cfg)
-                .expect("oracle serve succeeds");
-            let parallel = Runtime::new(pool.clone())
-                .serve(
-                    stream,
-                    &ServeConfig {
-                        mode: ServeMode::Parallel { threads },
-                        ..cfg.clone()
-                    },
-                )
-                .expect("parallel serve succeeds");
-            assert_eq!(
-                oracle.metrics, parallel.metrics,
-                "{stream_name}/{label}: metrics diverge"
-            );
-            assert_eq!(
-                oracle.latencies, parallel.latencies,
-                "{stream_name}/{label}: latencies diverge"
-            );
-            assert_eq!(
-                oracle.predictions, parallel.predictions,
-                "{stream_name}/{label}: prediction samples diverge"
-            );
-            for (slot, (o, p)) in oracle
-                .completions
-                .iter()
-                .zip(&parallel.completions)
-                .enumerate()
-            {
-                assert_eq!(
-                    o.worker, p.worker,
-                    "{stream_name}/{label}: request {slot} routed differently"
-                );
-                assert_eq!(
-                    o.emitted_writes, p.emitted_writes,
-                    "{stream_name}/{label}: request {slot} wrote differently"
-                );
-                assert_eq!(
-                    o.counters.cycles, p.counters.cycles,
-                    "{stream_name}/{label}: request {slot} took different cycles"
-                );
-            }
-            println!(
-                "{stream_name}/{label}: identical over {} requests ({threads} threads)",
-                stream.len()
-            );
-            plans = Some((oracle.engine, parallel.engine));
-            pairs += 1;
-        }
-        if let Some((reference, sharded)) = plans {
-            println!("{stream_name}: reference plan {reference}; sharded plan {sharded}\n");
-        }
-    }
-    assert!(
-        pairs > 0,
-        "every stream × policy pair was skipped by --policies/--streams"
-    );
-
-    let out = format!(
-        "{{\n  \"differential\": {{\"requests\": {requests}, \"threads\": {threads}, \
-         \"streams\": {}, \"pairs\": {pairs}, \"identical\": true}}\n}}\n",
-        streams_selected
-    );
-    json::validate(&out).expect("differential report must be strict JSON");
-    std::fs::write(out_path, &out).expect("write differential report");
-    println!("{pairs} stream × policy pairs identical across plans; summary: {out_path}");
 }
 
 /// The `static_analysis` report object of a stream (see
@@ -737,6 +530,34 @@ fn refuse(message: &str) -> ! {
     cli::refuse("serve_bench", message)
 }
 
+/// A flag of the command line.
+#[derive(Clone, Copy)]
+enum Flag {
+    Requests,
+    Out,
+    Policies,
+    Streams,
+    Slack,
+    BatchCutoff,
+    Tuned,
+    Store,
+}
+
+/// Every flag with its spelling and what it takes: the one table
+/// [`parse_args`] looks an argument up in, and the one both refusals that
+/// list flags are rendered from — a flag is accepted and advertised
+/// together or not at all.
+const FLAGS: [(Flag, &str, &str); 8] = [
+    (Flag::Requests, "--requests", "<n>"),
+    (Flag::Out, "--out", "<path>"),
+    (Flag::Policies, "--policies", "<a,b,...>"),
+    (Flag::Streams, "--streams", "<a,b,...>"),
+    (Flag::Slack, "--slack", "<cycles>"),
+    (Flag::BatchCutoff, "--batch-cutoff", "<cycles|none>"),
+    (Flag::Tuned, "--tuned", "<path>"),
+    (Flag::Store, "--store", "<path>"),
+];
+
 /// What the command line asked for.
 struct Cli {
     plan: BenchPlan,
@@ -756,8 +577,6 @@ struct Cli {
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut plan = BenchPlan {
         requests: DEFAULT_REQUESTS,
-        mode: BenchMode::Sim,
-        threads: DEFAULT_THREADS,
         slack: LOAD_SLACK_CYCLES,
         cutoff: BatchCutoff::FollowSlack,
         policy_filter: None,
@@ -766,15 +585,24 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     };
     let mut out_path = String::from(DEFAULT_OUT);
     let mut store_path: Option<String> = None;
-    let mut threads_given = false;
     let args = &mut args;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => plan.requests = cli::number(args, &arg, "a positive integer", 1)?,
-            "--slack" => plan.slack = cli::number(args, &arg, "a positive cycle count", 1)?,
-            "--out" => out_path = cli::value(args, &arg, "a file path")?,
-            "--store" => store_path = Some(cli::value(args, &arg, "a file path")?),
-            "--batch-cutoff" => {
+        let Some(&(flag, ..)) = FLAGS.iter().find(|(_, name, _)| *name == arg) else {
+            let supported: Vec<String> = FLAGS
+                .iter()
+                .map(|(_, name, takes)| format!("{name} {takes}"))
+                .collect();
+            return Err(format!(
+                "unknown argument `{arg}` (supported: {})",
+                supported.join(", ")
+            ));
+        };
+        match flag {
+            Flag::Requests => plan.requests = cli::number(args, &arg, "a positive integer", 1)?,
+            Flag::Slack => plan.slack = cli::number(args, &arg, "a positive cycle count", 1)?,
+            Flag::Out => out_path = cli::value(args, &arg, "a file path")?,
+            Flag::Store => store_path = Some(cli::value(args, &arg, "a file path")?),
+            Flag::BatchCutoff => {
                 let takes = "a positive cycle count or `none`";
                 let value = cli::value(args, &arg, takes)?;
                 plan.cutoff = if value == "none" {
@@ -784,70 +612,48 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     BatchCutoff::Cycles(cycles)
                 };
             }
-            "--tuned" => {
+            Flag::Tuned => {
                 let path = cli::value(args, &arg, "a tuned-table path")?;
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("--tuned: cannot read {path}: {e}"))?;
                 plan.tuned = Some(parse_table(&text).map_err(|e| format!("--tuned: {path}: {e}"))?);
             }
-            "--mode" => {
-                let takes = "sim, wall, or diff";
-                plan.mode = match cli::value(args, &arg, takes)?.as_str() {
-                    "sim" => BenchMode::Sim,
-                    "wall" => BenchMode::Wall,
-                    "diff" => BenchMode::Diff,
-                    other => return Err(format!("--mode takes {takes} (got `{other}`)")),
-                };
-            }
-            "--threads" => {
-                plan.threads = cli::number(args, &arg, "a positive integer", 1)?;
-                threads_given = true;
-            }
-            "--policies" => {
+            Flag::Policies => {
                 let list = cli::value(args, &arg, "a comma-separated list")?;
                 let rows = policy_rows(true, &ServeConfig::default());
                 let known: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
                 plan.policy_filter = Some(cli::selection("policy", &list, &known)?);
             }
-            "--streams" => {
+            Flag::Streams => {
                 let list = cli::value(args, &arg, "a comma-separated list")?;
                 plan.stream_filter = Some(cli::selection("stream", &list, &stream_names())?);
             }
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}` (supported: --requests <n>, \
-                     --out <path>, --policies <a,b,...>, --streams <a,b,...>, \
-                     --slack <cycles>, --batch-cutoff <cycles|none>, \
-                     --tuned <path>, --store <path>, --mode <sim|wall|diff>, \
-                     --threads <n>)"
-                ))
-            }
         }
     }
-    // a filtered, slack-swept, reduced, warm-start, or non-sim-mode run
-    // produces a report that is not the committed artifact: refuse to
-    // overwrite it (by file name, so alternate spellings of the same
-    // path cannot slip past). `--threads` counts even in sim mode — a
-    // partial wall-mode invocation mistyped as sim must not land on the
-    // deterministic artifact either.
+    // a filtered, slack-swept, reduced, tuned or warm-start run produces
+    // a report that is not the committed artifact: refuse to overwrite it
+    // (by file name, so alternate spellings of the same path cannot slip
+    // past)
     let canonical = plan.policy_filter.is_none()
         && plan.stream_filter.is_none()
         && plan.slack == LOAD_SLACK_CYCLES
         && plan.requests == DEFAULT_REQUESTS
         && store_path.is_none()
-        && plan.mode == BenchMode::Sim
-        && !threads_given
         && plan.cutoff == BatchCutoff::FollowSlack
         && plan.tuned.is_none();
     if !canonical
         && std::path::Path::new(&out_path).file_name()
             == std::path::Path::new(DEFAULT_OUT).file_name()
     {
+        let others: Vec<&str> = FLAGS
+            .iter()
+            .filter(|(flag, ..)| !matches!(flag, Flag::Out))
+            .map(|(_, name, _)| *name)
+            .collect();
         return Err(format!(
-            "--policies/--streams/--slack/--batch-cutoff/--tuned/--requests/\
-             --store/--mode/--threads write a non-canonical report; pass --out \
-             with a file name other than {DEFAULT_OUT} so it cannot clobber \
-             the committed artifact"
+            "{} write a non-canonical report; pass --out with a file name other \
+             than {DEFAULT_OUT} so it cannot clobber the committed artifact",
+            others.join("/")
         ));
     }
     let with_store = store_path.is_some();
@@ -863,19 +669,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
              it cannot be combined with --streams",
         ),
         (
-            with_store && plan.mode != BenchMode::Sim,
-            "--store runs its passes on the deterministic engine; \
-             it cannot be combined with --mode",
-        ),
-        (
             with_store && (plan.cutoff != BatchCutoff::FollowSlack || plan.tuned.is_some()),
             "--store serves a fixed affinity configuration; it cannot be \
              combined with --batch-cutoff or --tuned",
-        ),
-        (
-            !with_store && plan.mode == BenchMode::Diff && plan.tuned.is_some(),
-            "--tuned adds report rows to the sim/wall tables; \
-             it cannot be combined with --mode diff",
         ),
     ];
     if let Some((_, why)) = refusals.iter().find(|(hit, _)| *hit) {
@@ -898,10 +694,6 @@ fn main() {
         run_warm_start(&plan, store, &out_path);
         return;
     }
-    if plan.mode == BenchMode::Diff {
-        run_diff(&plan, &out_path);
-        return;
-    }
 
     // refuse a tuned row its stream's pool cannot serve now, not after
     // every stock row before it has run
@@ -919,13 +711,6 @@ fn main() {
          slack horizon {} cycles\n",
         plan.requests, plan.slack
     );
-    if plan.mode == BenchMode::Wall {
-        println!(
-            "wall mode: sharded plan, thread budget {} — \
-             measuring the runtime's own requests/sec\n",
-            plan.threads
-        );
-    }
 
     // one runtime per pool, created on first use and shared by every
     // later stream of that pool in catalog order: each row's module-cache
@@ -950,10 +735,10 @@ fn main() {
     );
 
     // per-class SLO view of the canonical mix under affinity
-    if let Some((_, mixed_affinity, _)) = sections
+    if let Some((_, mixed_affinity)) = sections
         .iter()
         .find(|(stream, _, _)| *stream == "mixed")
-        .and_then(|(_, _, results)| results.iter().find(|(label, _, _)| *label == "affinity"))
+        .and_then(|(_, _, results)| results.iter().find(|(label, _)| *label == "affinity"))
     {
         println!("\n== mixed / affinity, per class ==");
         let class_rows: Vec<Vec<String>> = mixed_affinity
@@ -983,17 +768,9 @@ fn main() {
         // per-policy section below keeps its exact bytes from earlier
         // report formats
         out.push_str(&format!("    \"static_analysis\": {static_analysis},\n"));
-        // the engine section only exists in wall mode: deterministic-mode
-        // reports keep their exact committed bytes
-        if plan.mode == BenchMode::Wall {
-            out.push_str(&format!(
-                "    \"engine\": {},\n",
-                engine_json(results, plan.threads)
-            ));
-        }
         let members: Vec<String> = results
             .iter()
-            .map(|(label, m, _)| metrics_member(label, m))
+            .map(|(label, m)| metrics_member(label, m))
             .collect();
         out.push_str(&format!("{}\n  }}{stream_comma}\n", members.join(",\n")));
     }
@@ -1033,18 +810,7 @@ mod tests {
 
     #[test]
     fn every_flag_refuses_a_missing_value() {
-        for flag in [
-            "--requests",
-            "--slack",
-            "--out",
-            "--store",
-            "--batch-cutoff",
-            "--tuned",
-            "--mode",
-            "--threads",
-            "--policies",
-            "--streams",
-        ] {
+        for (_, flag, _) in FLAGS {
             let message = refusal(&["--out", "x.json", flag]).expect(flag);
             assert!(message.starts_with(&format!("{flag} takes ")), "{message}");
         }
@@ -1079,16 +845,6 @@ mod tests {
                 "--slack takes a positive cycle count (got `0`)",
             ),
             (
-                "--threads",
-                "two",
-                "--threads takes a positive integer (got `two`)",
-            ),
-            (
-                "--threads",
-                "0",
-                "--threads takes a positive integer (got `0`)",
-            ),
-            (
                 "--batch-cutoff",
                 "None",
                 "--batch-cutoff takes a positive cycle count or `none` (got `None`)",
@@ -1098,10 +854,12 @@ mod tests {
                 "0",
                 "--batch-cutoff takes a positive cycle count or `none` (got `0`)",
             ),
+            // flags the binary no longer has are unknown arguments
+            ("--mode", "x", "unknown argument `--mode` (supported: "),
             (
-                "--mode",
-                "fast",
-                "--mode takes sim, wall, or diff (got `fast`)",
+                "--threads",
+                "2",
+                "unknown argument `--threads` (supported: ",
             ),
             ("--policies", "lifo", "unknown policy `lifo` (known: "),
             (
@@ -1118,8 +876,18 @@ mod tests {
             let message = refusal(&["--out", "x.json", flag, bad]).expect(flag);
             assert!(message.starts_with(says), "{flag} {bad}: {message}");
         }
+        // the refusal advertises exactly the flags that parse
         let message = refusal(&["--frobnicate"]).unwrap();
-        assert!(message.starts_with("unknown argument `--frobnicate` (supported: "));
+        let supported = message
+            .strip_prefix("unknown argument `--frobnicate` (supported: ")
+            .and_then(|rest| rest.strip_suffix(')'))
+            .expect(&message);
+        for usage in supported.split(", ") {
+            let flag = usage.split(' ').next().unwrap();
+            let missing_value = refusal(&["--out", "x.json", flag]).expect(flag);
+            assert!(missing_value.starts_with(&format!("{flag} takes ")));
+        }
+        assert_eq!(supported.split(", ").count(), FLAGS.len());
     }
 
     #[test]
@@ -1141,16 +909,16 @@ mod tests {
         // a non-canonical report may not land on the committed artifact
         for line in [
             &["--requests", "600"][..],
-            &["--threads", "2"],
-            &["--mode", "wall"],
+            &["--slack", "128"],
             &["--requests", "600", "--out", "elsewhere/BENCH_runtime.json"],
         ] {
-            assert!(refusal(line).unwrap().contains("non-canonical report"));
+            let message = refusal(line).unwrap();
+            assert!(message.contains("--store write a non-canonical report; pass --out"));
+            assert!(!message.contains("--out/") && !message.contains("--mode"));
         }
         for (line, says) in [
             (&["--store", "s", "--policies", "cost"][..], "--policies"),
             (&["--store", "s", "--streams", "mixed"], "--streams"),
-            (&["--store", "s", "--mode", "wall"], "--mode"),
             (
                 &["--store", "s", "--batch-cutoff", "none"],
                 "--batch-cutoff or --tuned",
@@ -1171,10 +939,6 @@ mod tests {
                 "128",
                 "--batch-cutoff",
                 "none",
-                "--mode",
-                "diff",
-                "--threads",
-                "2",
                 "--policies",
                 "cost,thermal",
                 "--streams",
@@ -1187,11 +951,8 @@ mod tests {
         )
         .ok()
         .unwrap();
-        assert_eq!(
-            (cli.plan.requests, cli.plan.slack, cli.plan.threads),
-            (300, 128, 2)
-        );
-        assert!(cli.plan.cutoff == BatchCutoff::Uncapped && cli.plan.mode == BenchMode::Diff);
+        assert_eq!((cli.plan.requests, cli.plan.slack), (300, 128));
+        assert!(cli.plan.cutoff == BatchCutoff::Uncapped);
         assert_eq!(cli.plan.policy_filter.unwrap(), ["cost", "thermal"]);
         assert_eq!(cli.plan.stream_filter.unwrap(), ["contention"]);
         assert_eq!((cli.out_path.as_str(), cli.store_path), ("x.json", None));

@@ -7,7 +7,7 @@
 //! that serves it; everything else here is a piece of it. Every builder is
 //! deterministic — fixed seeds, fixed gaps — so "the `mixed` stream at
 //! 4000 requests" is the same byte-identical request sequence whether
-//! `autotune` tunes on it, `serve_bench` reports it, `--mode diff` checks
+//! `autotune` tunes on it, `serve_bench` reports it, `benchmark/` times
 //! it, or a test pins a bar on it. That is also what makes `autotune`'s
 //! tuned-config table directly consumable by `serve_bench --tuned`.
 

@@ -12,9 +12,9 @@
 //! - a **compiled-module cache** ([`ModuleCache`]) keyed by
 //!   `(accelerator, shape, opt level)`, so repeated shapes skip the
 //!   IR-build → pass-pipeline → lower path entirely;
-//! - a **pluggable scheduler** ([`Scheduler`] = [`LoadTracker`]
-//!   accounting + a [`SchedulePolicy`] implementation, selected by
-//!   [`Policy`]): the tracker mirrors each worker's last-programmed
+//! - a **scheduler** ([`Scheduler`] = [`LoadTracker`] accounting + one
+//!   scored walk over its candidates, priced as the run's [`Policy`]
+//!   says): the tracker mirrors each worker's last-programmed
 //!   register file and holds load as *estimated outstanding cycles*
 //!   (predicted by per-platform [`CostModel`] anchors); policies route
 //!   over it — round-robin (`fifo`, `fifo+elide`), write-minimizing
@@ -63,9 +63,10 @@
 //! Everything is deterministic: routing happens at simulated-time decision
 //! points, cost observations retire on the simulated clock, and latencies
 //! are read off that same clock — so a stream serves to bit-identical
-//! reports on every run, with or without executor threads (none are
-//! spawned unless [`ServeMode::Parallel`] asks for two or more). The full
-//! design is documented in `docs/ARCHITECTURE.md`.
+//! reports on every run. Nothing spawns: a dispatch executes on the
+//! calling thread where the serve loop commits it, and parallelism is
+//! across [`Runtime`]s. The full design is documented in
+//! `docs/ARCHITECTURE.md`.
 //!
 //! ```
 //! use accfg_runtime::{PoolConfig, Runtime, ServeConfig};
@@ -175,7 +176,7 @@ pub use persist::{
     save_modules, CostSnapshotEntry, WarmStart,
 };
 pub use plan::{delta_writes, DispatchPlan, LaunchSpec, RegMap, WriteCmd};
-pub use policy::{AffinityPolicy, CostPolicy, FifoPolicy, Policy, SchedulePolicy, ThermalPolicy};
+pub use policy::Policy;
 pub use runtime::{
     measured_class_service_times, BatchCutoff, PoolConfig, PoolGroup, PredictionSample, Runtime,
     ServeBudget, ServeConfig, ServeReport,

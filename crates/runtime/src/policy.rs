@@ -1,49 +1,62 @@
-//! Pluggable scheduling policies: the [`SchedulePolicy`] trait and its
-//! built-in implementations.
+//! Routing policies: the [`Policy`] selector and the one scored walk every
+//! policy but round-robin routes by.
 //!
 //! The scheduler is split into two layers. The *accounting core*
-//! ([`LoadTracker`]) owns everything every policy needs but none may
-//! corrupt: shadow resident register files, per-worker outstanding-cycle
-//! queues, per-platform cost anchors, and the online EWMA refiner. The
-//! *policy* layer — this module — owns only the routing decision: given
-//! read access to the tracker, pick one worker from a group's candidates.
-//! Adding a policy (deadline-aware, multi-tenant, power-capped, ...)
-//! means implementing one trait method; commit accounting, refinement,
-//! batching, and metrics come for free and stay policy-agnostic.
+//! ([`LoadTracker`]) owns everything routing needs but may not corrupt:
+//! shadow resident register files, per-worker outstanding-cycle queues,
+//! per-platform cost anchors, and the online EWMA refiner. This module
+//! owns only the routing decision, and reaches the tracker by `&`: each
+//! candidate worker is `score`d once and `earliest_within_slack` ranks
+//! the scores. [`Scheduler::choose`] is that walk (or `fifo`'s per-group
+//! counter); commit accounting, refinement, batching, and metrics stay
+//! policy-agnostic.
 //!
-//! Built-in policies:
+//! What a policy is, is what it charges a candidate on top of its queue:
 //!
-//! - [`FifoPolicy`] — strict round-robin per group, with or without
-//!   resident-state elision (the `fifo` and `fifo+elide` baselines);
-//! - [`AffinityPolicy`] — minimize new configuration writes among workers
-//!   within the [`LOAD_SLACK_CYCLES`] outstanding-cycle horizon of the
-//!   group's shortest queue (`affinity`);
-//! - [`CostPolicy`] — minimize *refined predicted cycles to completion*
-//!   (queue drain plus the platform's predicted dispatch cycles), the
-//!   policy heterogeneous pools need (`cost`);
-//! - [`ThermalPolicy`] — like `cost`, but frequency-state-aware: each
-//!   candidate's dispatch is priced at the DVFS mode the tracker's shadow
-//!   automaton predicts it would launch in, a busy worker's score is
-//!   charged the contention penalty of pushing this dispatch's
-//!   configuration traffic into its busy window, and ties prefer the
-//!   hotter worker — concentrating load to hold boost instead of
-//!   spreading it (`thermal`).
+//! - `fifo`, `fifo+elide` — never scored: strict round-robin per group,
+//!   with or without resident-state elision (the config-oblivious
+//!   baselines);
+//! - `affinity` — a dispatch price of 0: candidates within the
+//!   [`LOAD_SLACK_CYCLES`] outstanding-cycle horizon of the group's
+//!   shortest queue compete on new configuration writes, beyond it balance
+//!   wins. Pure min-writes routing degenerates — once one worker is warm
+//!   it scores below a blank worker for *every* shape, the rest of the
+//!   group starves and tail latency explodes — so stickiness is worth at
+//!   most the horizon;
+//! - `cost` — the *refined predicted cycles* of this dispatch on the
+//!   candidate's platform (the EWMA estimate where its warmth bucket has
+//!   been observed, the platform's analytic anchors when cold), so the
+//!   slack competition is over predicted *completion*: a warm worker's
+//!   cheaper dispatch buys exactly as much queue headroom as the writes it
+//!   elides are worth there, and a heavyweight module goes to the variant
+//!   that finishes it sooner — what heterogeneous pools need and raw write
+//!   counts cannot express;
+//! - `thermal` — `cost`, evaluated under the timing state the dispatch
+//!   would actually run in: priced at the DVFS mode
+//!   [`LoadTracker::predicted_mode`] says the candidate would launch in
+//!   (power cap applied, frequency-keyed EWMA rows where observed), plus,
+//!   on a still-busy candidate, the host-side contention penalty of
+//!   pushing this dispatch's configuration traffic into its busy window
+//!   ([`ContentionParams::host_penalty`] over the writes' payload bytes),
+//!   with ties inside the horizon going to the *hotter* worker — load
+//!   concentrates enough to reach and hold boost instead of ping-ponging.
+//!   Under the identity timing model every term degenerates and it scores
+//!   exactly like `cost`.
 //!
-//! [`Policy`] is the serializable configuration handle: a `Copy` enum the
-//! `ServeConfig` carries, turned into a boxed policy object per serve run
-//! by [`Policy::build`].
+//! Elision — not routing — is what guarantees no eliding policy writes
+//! more than the cold `fifo` baseline, so no score can break that.
 //!
+//! [`Scheduler::choose`]: crate::scheduler::Scheduler::choose
 //! [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
+//! [`ContentionParams::host_penalty`]:
+//!     accfg_sim::ContentionParams::host_penalty
 
 use crate::cache::CompiledModule;
 use crate::scheduler::LoadTracker;
 use accfg_sim::FREQ_STATES;
-use std::fmt;
 
-/// The routing-and-dispatch policy selector carried by `ServeConfig`.
-///
-/// Each variant names a [`SchedulePolicy`] implementation;
-/// [`Policy::build`] instantiates it for one serve run.
+/// The routing-and-dispatch policy selector carried by `ServeConfig` (the
+/// module docs say how each variant scores a candidate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Policy {
     /// The production baseline: round-robin over compatible workers, and
@@ -120,54 +133,6 @@ impl Policy {
     pub fn elides(self) -> bool {
         !matches!(self, Policy::Fifo)
     }
-
-    /// Instantiates the policy object for a pool with `groups` accelerator
-    /// groups.
-    pub fn build(self, groups: usize) -> Box<dyn SchedulePolicy> {
-        match self {
-            Policy::Fifo => Box::new(FifoPolicy::new(false, groups)),
-            Policy::FifoElide => Box::new(FifoPolicy::new(true, groups)),
-            Policy::ConfigAffinity => Box::new(AffinityPolicy),
-            Policy::Cost => Box::new(CostPolicy::default()),
-            Policy::Thermal => Box::new(ThermalPolicy::default()),
-        }
-    }
-}
-
-/// One routing policy: picks a worker for each dispatch, reading (never
-/// writing) the scheduler's load and residency accounting.
-///
-/// Implementations may keep private routing state (e.g. round-robin
-/// counters) but all load accounting lives in the [`LoadTracker`], which
-/// the serve loop commits through regardless of policy — so batching
-/// cutoffs, prediction metrics, and refinement behave identically under
-/// every policy.
-pub trait SchedulePolicy: fmt::Debug + Send {
-    /// Short lowercase label for reports.
-    fn label(&self) -> &'static str;
-
-    /// `true` if dispatches under this policy skip writes whose values
-    /// are already resident on the worker (the cold `fifo` baseline is
-    /// the only built-in that reprograms everything).
-    fn elides(&self) -> bool {
-        true
-    }
-
-    /// Picks a worker from `candidates` (the group's workers, ascending)
-    /// for a dispatch of `module` arriving at serve-loop cycle `now`.
-    /// `group` identifies the accelerator group (for per-group routing
-    /// state such as round-robin counters).
-    ///
-    /// # Panics
-    /// Implementations may panic if `candidates` is empty.
-    fn choose(
-        &mut self,
-        load: &LoadTracker,
-        group: usize,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize;
 }
 
 /// Buckets a worker's cycle gap over the group's best candidate into a
@@ -187,18 +152,54 @@ fn pressure(gap: u64, slack: u64) -> u64 {
     gap / slack.max(1)
 }
 
-/// One candidate as the completion-minimising policies ([`CostPolicy`],
-/// [`ThermalPolicy`]) score it: `(predicted finish, writes, chill,
-/// outstanding, worker)`, `chill` being `thermal`'s heat rank (0 under
-/// `cost`).
-type Scored = (u64, u64, u64, u64, usize);
+/// One candidate as [`score`] prices it: `(predicted finish, writes,
+/// chill, outstanding, worker)`, `chill` being `thermal`'s heat rank (0
+/// otherwise).
+pub(crate) type Scored = (u64, u64, u64, u64, usize);
+
+/// Prices a dispatch of `module` to `worker` at serve-loop cycle `now`
+/// under `policy`: the worker's outstanding cycles plus what the policy
+/// charges the dispatch itself (see the module docs). Reads the tracker,
+/// never writes it. `writes_for` walks the plan against the shadow state
+/// and the cycle quotes probe the refiner, so this is the routing hot
+/// path — once per candidate per decision.
+pub(crate) fn score(
+    policy: Policy,
+    load: &LoadTracker,
+    worker: usize,
+    module: &CompiledModule,
+    now: u64,
+) -> Scored {
+    let writes = load.writes_for(worker, module);
+    let outstanding = load.outstanding(worker, now);
+    let (dispatch, chill) = match policy {
+        // (the round-robin pair never gets here)
+        Policy::Fifo | Policy::FifoElide | Policy::ConfigAffinity => (0, 0),
+        Policy::Cost => (load.predicted_cycles(worker, module, writes), 0),
+        Policy::Thermal => {
+            let mode = load.predicted_mode(worker, now);
+            let dispatch = load.predicted_cycles_for_mode(worker, module, writes, mode);
+            // a busy worker's configuration traffic lands inside its
+            // busy window and runs at leftover bandwidth
+            let desc = load.descriptor(worker);
+            let contended = match desc.timing.contention {
+                Some(c) if outstanding > 0 => c.host_penalty(writes * desc.accel.csr_payload_bytes),
+                _ => 0,
+            };
+            // prefer hotter candidates on ties (smaller rank = hotter)
+            let chill = (FREQ_STATES - 1 - mode.index()) as u64;
+            (dispatch + contended, chill)
+        }
+    };
+    (outstanding + dispatch, writes, chill, outstanding, worker)
+}
 
 /// The winner among `scored`: completions within the `slack` horizon of
 /// the earliest compete on writes (then heat, finish, queue depth, index);
 /// beyond it, the earliest predicted finish wins. The score has to be held
 /// for every candidate before any can be ranked — the horizon hangs off
-/// the minimum — which is why both policies keep a scratch list.
-fn earliest_within_slack(scored: &[Scored], slack: u64) -> usize {
+/// the minimum — which is why the scheduler keeps a scratch list.
+pub(crate) fn earliest_within_slack(scored: &[Scored], slack: u64) -> usize {
     let min_completion = scored
         .iter()
         .map(|&(finish, ..)| finish)
@@ -221,240 +222,6 @@ fn earliest_within_slack(scored: &[Scored], slack: u64) -> usize {
         .5
 }
 
-/// Round-robin routing per group, the `fifo` / `fifo+elide` baselines: a
-/// config-oblivious load balancer that dispatches in arrival order.
-#[derive(Debug)]
-pub struct FifoPolicy {
-    elide: bool,
-    round_robin: Vec<usize>,
-}
-
-impl FifoPolicy {
-    /// A round-robin policy over `groups` accelerator groups; `elide`
-    /// selects between the cold baseline and `fifo+elide`.
-    pub fn new(elide: bool, groups: usize) -> Self {
-        Self {
-            elide,
-            round_robin: vec![0; groups],
-        }
-    }
-}
-
-impl SchedulePolicy for FifoPolicy {
-    fn label(&self) -> &'static str {
-        if self.elide {
-            "fifo+elide"
-        } else {
-            "fifo"
-        }
-    }
-
-    fn elides(&self) -> bool {
-        self.elide
-    }
-
-    fn choose(
-        &mut self,
-        _load: &LoadTracker,
-        group: usize,
-        candidates: &[usize],
-        _module: &CompiledModule,
-        _now: u64,
-    ) -> usize {
-        assert!(!candidates.is_empty(), "scheduling against an empty group");
-        let slot = self.round_robin[group] % candidates.len();
-        self.round_robin[group] += 1;
-        candidates[slot]
-    }
-}
-
-/// Config-affinity routing: minimize the new configuration writes among
-/// workers whose *estimated outstanding cycles* are within
-/// [`LOAD_SLACK_CYCLES`] of the group's shortest queue, so stickiness
-/// cannot starve the pool or build head-of-line queues.
-///
-/// Pure min-writes routing degenerates: once one worker is warm it scores
-/// below a blank worker for *every* shape, so the rest of the group
-/// starves and tail latency explodes. Bucketing the queue-depth gap by
-/// the slack keeps dispatches sticky over short horizons (where the
-/// write savings are) while bounding the queue a request can land behind.
-/// Elision — not routing — is what guarantees affinity never writes more
-/// than the cold FIFO baseline, so this trade-off cannot break that
-/// property.
-///
-/// [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
-#[derive(Debug)]
-pub struct AffinityPolicy;
-
-impl SchedulePolicy for AffinityPolicy {
-    fn label(&self) -> &'static str {
-        "affinity"
-    }
-
-    fn choose(
-        &mut self,
-        load: &LoadTracker,
-        _group: usize,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize {
-        assert!(!candidates.is_empty(), "scheduling against an empty group");
-        let min_outstanding = candidates
-            .iter()
-            .map(|&w| load.outstanding(w, now))
-            .min()
-            .expect("nonempty");
-        let mut best = candidates[0];
-        let mut best_key = (u64::MAX, u64::MAX, u64::MAX, usize::MAX);
-        for &w in candidates {
-            let writes = load.writes_for(w, module);
-            // workers within the slack horizon of the shortest queue
-            // compete on writes; beyond it, balance wins
-            let outstanding = load.outstanding(w, now);
-            let key = (
-                pressure(outstanding - min_outstanding, load.slack()),
-                writes,
-                outstanding,
-                w,
-            );
-            if key < best_key {
-                best_key = key;
-                best = w;
-            }
-        }
-        best
-    }
-}
-
-/// Cycle-cost routing: minimize the *refined predicted cycles to
-/// completion* — the worker's outstanding-cycle queue plus this
-/// dispatch's predicted cycles on that worker's platform (the EWMA
-/// estimate where its warmth bucket has been observed, the platform's
-/// analytic anchors when cold).
-///
-/// This generalizes [`AffinityPolicy`] along both of its axes. The slack
-/// competition is measured on predicted *completion*, not queue depth
-/// alone — so a warm worker's cheaper dispatch buys it exactly as much
-/// queue headroom as the writes it elides are worth on its platform, no
-/// more. And the per-platform cost models let the score weigh a
-/// configuration write against a differently provisioned accelerator's
-/// compute rate, which raw write counts cannot express: on a
-/// heterogeneous pool, affinity happily pins a heavyweight module to a
-/// slow variant because stickiness is free in its score, while `cost`
-/// routes it to the platform that actually finishes it sooner.
-/// Candidates within [`LOAD_SLACK_CYCLES`] (or the run's configured
-/// slack) of the best completion still compete on writes, so uniform
-/// pools keep affinity's write savings.
-///
-/// [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
-#[derive(Debug, Default)]
-pub struct CostPolicy {
-    /// The candidates of the decision in progress; kept between decisions
-    /// so a warmed policy routes without allocating.
-    scored: Vec<Scored>,
-}
-
-impl SchedulePolicy for CostPolicy {
-    fn label(&self) -> &'static str {
-        "cost"
-    }
-
-    fn choose(
-        &mut self,
-        load: &LoadTracker,
-        _group: usize,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize {
-        assert!(!candidates.is_empty(), "scheduling against an empty group");
-        // score every candidate once — writes_for walks the plan against
-        // the shadow state and predicted_cycles probes the refiner, so
-        // this is the routing hot path
-        self.scored.clear();
-        self.scored.extend(candidates.iter().map(|&w| {
-            let writes = load.writes_for(w, module);
-            let outstanding = load.outstanding(w, now);
-            let dispatch = load.predicted_cycles(w, module, writes);
-            (outstanding + dispatch, writes, 0, outstanding, w)
-        }));
-        earliest_within_slack(&self.scored, load.slack())
-    }
-}
-
-/// Frequency-aware cycle-cost routing: [`CostPolicy`]'s completion score,
-/// evaluated under the timing state the dispatch would actually run in.
-///
-/// Three refinements over `cost`, all read from the tracker's shadow DVFS
-/// mirror and the platform's timing tables:
-///
-/// - **Mode-keyed pricing.** The dispatch's predicted cycles are quoted
-///   at the DVFS mode [`LoadTracker::predicted_mode`] says the candidate
-///   would launch in (power cap applied), using the frequency-keyed EWMA
-///   rows where observed. A boosted worker's genuinely cheaper dispatch
-///   is visible to the score instead of being averaged into one drifting
-///   bucket mean — which is what lets the policy keep feeding a hot
-///   worker rather than spreading load and cooling every clock down.
-/// - **Contention windows.** A candidate that is still busy charges the
-///   host-side contention penalty of pushing this dispatch's
-///   configuration traffic into its busy window
-///   ([`ContentionParams::host_penalty`] over the writes' payload
-///   bytes); an idle candidate configures at full bandwidth. Traffic-
-///   heavy dispatches therefore steer away from workers in the middle of
-///   a busy window even when raw queue depth ties.
-/// - **Heat tie-break.** Within the slack horizon, equal scores prefer
-///   the *hotter* worker, so sustained streams concentrate instead of
-///   ping-ponging — concentration is what reaches (and holds) boost.
-///
-/// Under the identity timing model every term degenerates (all modes
-/// cold, no contention, constant tie-break) and the policy scores
-/// exactly like [`CostPolicy`].
-///
-/// [`ContentionParams::host_penalty`]:
-///     accfg_sim::ContentionParams::host_penalty
-#[derive(Debug, Default)]
-pub struct ThermalPolicy {
-    /// The candidates of the decision in progress (see [`CostPolicy`]).
-    scored: Vec<Scored>,
-}
-
-impl SchedulePolicy for ThermalPolicy {
-    fn label(&self) -> &'static str {
-        "thermal"
-    }
-
-    fn choose(
-        &mut self,
-        load: &LoadTracker,
-        _group: usize,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize {
-        assert!(!candidates.is_empty(), "scheduling against an empty group");
-        self.scored.clear();
-        self.scored.extend(candidates.iter().map(|&w| {
-            let writes = load.writes_for(w, module);
-            let outstanding = load.outstanding(w, now);
-            let mode = load.predicted_mode(w, now);
-            let dispatch = load.predicted_cycles_for_mode(w, module, writes, mode);
-            // a busy worker's configuration traffic lands inside its
-            // busy window and runs at leftover bandwidth
-            let desc = load.descriptor(w);
-            let contended = match desc.timing.contention {
-                Some(c) if outstanding > 0 => c.host_penalty(writes * desc.accel.csr_payload_bytes),
-                _ => 0,
-            };
-            let finish = outstanding + dispatch + contended;
-            // prefer hotter candidates on ties (smaller rank = hotter)
-            let chill = (FREQ_STATES - 1 - mode.index()) as u64;
-            (finish, writes, chill, outstanding, w)
-        }));
-        earliest_within_slack(&self.scored, load.slack())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +232,23 @@ mod tests {
     use accfg_sim::FreqState;
     use accfg_targets::AcceleratorDescriptor;
     use accfg_workloads::MatmulSpec;
+    use proptest::prelude::*;
+
+    /// The routing decision straight off a tracker: what `Scheduler::choose`
+    /// does for a scoring policy, without a scheduler around it.
+    fn pick(
+        policy: Policy,
+        load: &LoadTracker,
+        candidates: &[usize],
+        module: &CompiledModule,
+        now: u64,
+    ) -> usize {
+        let scored: Vec<Scored> = candidates
+            .iter()
+            .map(|&w| score(policy, load, w, module, now))
+            .collect();
+        earliest_within_slack(&scored, load.slack())
+    }
 
     #[test]
     fn policy_predicates() {
@@ -478,12 +262,8 @@ mod tests {
         assert_eq!(Policy::ConfigAffinity.label(), "affinity");
         assert_eq!(Policy::Cost.label(), "cost");
         assert_eq!(Policy::Thermal.label(), "thermal");
-        // the built objects agree with the enum metadata, and every
-        // label names its policy
+        // every label names its policy
         for policy in Policy::ALL {
-            let built = policy.build(1);
-            assert_eq!(built.label(), policy.label());
-            assert_eq!(built.elides(), policy.elides());
             assert_eq!(Policy::from_label(policy.label()), Some(policy));
         }
         assert_eq!(Policy::from_label("tuned"), None);
@@ -650,10 +430,38 @@ mod tests {
         let d0 = load.predicted_cycles(0, &probe, w0);
         let d1 = load.predicted_cycles(1, &probe, w1);
         load.set_ready(0, LOAD_SLACK_CYCLES - 1 + d1 - d0);
-        let mut thermal = ThermalPolicy::default();
-        let mut cost = CostPolicy::default();
-        assert_eq!(cost.choose(&load, 0, &[0, 1], &probe, 0), 0);
-        assert_eq!(thermal.choose(&load, 0, &[0, 1], &probe, 0), 1);
+        assert_eq!(pick(Policy::Cost, &load, &[0, 1], &probe, 0), 0);
+        assert_eq!(pick(Policy::Thermal, &load, &[0, 1], &probe, 0), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `affinity` is `earliest_within_slack` at a dispatch price of 0:
+        /// the rule the policy had when it ranked candidates itself —
+        /// argmin of `(pressure(out - min_out), writes, out, w)`, kept here
+        /// as the reference — picks the same worker from any candidate set
+        /// under any slack, 0 included.
+        #[test]
+        fn zero_price_scores_rank_as_the_affinity_rule_did(
+            loads in prop::collection::vec((0u64..2048, 0u64..40), 1..9),
+            slack in 0u64..1024,
+        ) {
+            let min_outstanding = loads.iter().map(|&(out, _)| out).min().expect("nonempty");
+            let reference = loads
+                .iter()
+                .enumerate()
+                .map(|(w, &(out, writes))| (pressure(out - min_outstanding, slack), writes, out, w))
+                .min()
+                .expect("nonempty")
+                .3;
+            let scored: Vec<Scored> = loads
+                .iter()
+                .enumerate()
+                .map(|(w, &(out, writes))| (out, writes, 0, out, w))
+                .collect();
+            prop_assert_eq!(earliest_within_slack(&scored, slack), reference);
+        }
     }
 
     #[test]

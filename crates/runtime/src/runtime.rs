@@ -7,13 +7,13 @@
 //!    cache (repeated shapes skip IR build, passes, and lowering);
 //! 2. the scheduler assigns each request — or each *batch* of same-module
 //!    requests adjacent in their group's arrival order — to a worker
-//!    through the run's [`SchedulePolicy`] (round-robin, config-affinity,
-//!    or cycle-cost routing), cutting a batch off once the target
-//!    worker's estimated outstanding cycles reach the slack horizon;
+//!    under the run's [`Policy`] (round-robin, config-affinity,
+//!    cycle-cost or frequency-aware routing), cutting a batch off once
+//!    the target worker's estimated outstanding cycles reach the slack
+//!    horizon;
 //! 3. workers execute their dispatch sequences on persistent simulated
-//!    machines, eliding configuration writes already resident — on the
-//!    calling thread, unless [`ServeMode::Parallel`] asks for executor
-//!    threads;
+//!    machines, eliding configuration writes already resident — each
+//!    dispatch on the calling thread, where the loop commits it;
 //! 4. as the simulated clock passes each dispatch's completion, its
 //!    *measured* cycles retire into the scheduler's online cost refiner,
 //!    sharpening the queue estimates later routing decisions use;
@@ -24,14 +24,12 @@
 //! worker's next completion exactly when the simulated clock proves that
 //! dispatch has started — and every decision point is a function of
 //! simulated time only, so two serves of the same stream produce
-//! bit-identical reports whether or not threads are involved.
+//! bit-identical reports.
 //!
 //! Pools may be heterogeneous: a [`PoolGroup`] can mix differently
 //! provisioned platform variants of one family (validated for
 //! plan-compatibility at serve time), with modules compiled once against
 //! the group's base platform and cost estimates re-anchored per variant.
-//!
-//! [`SchedulePolicy`]: crate::policy::SchedulePolicy
 
 use crate::cache::{CacheStats, CompiledModule, ModuleCache};
 use crate::engine::{self, EngineInput, EngineOutput, EnginePlan, PoolShape, Resolved, ServeMode};
@@ -274,17 +272,15 @@ pub fn measured_class_service_times(
 /// the tracker, so a budgeted serve completes if and only if the full
 /// run's final p99 and setup-write totals are within the bounds.
 ///
-/// A bounded budget always serves under the reference plan — one shard,
-/// no executor threads — whatever [`ServeConfig::mode`] says (the plan
-/// that ran is reported in [`ServeReport::engine`]): the abort argument
-/// is stated against that plan's pull order, so the budget overrides the
-/// performance knob rather than weakening the contract. The pull order
-/// itself does not depend on how dispatches are executed: which
-/// completions are pulled at a step is decided by the simulated clock
-/// (a dispatch is pulled once its start cycle is proven), and within a
-/// step workers are visited in ascending index — nothing a thread's
-/// timing can reorder. An all-`None` budget bounds nothing and leaves
-/// the plan to `mode`.
+/// A bounded budget always serves under the reference plan — one shard —
+/// whatever [`ServeConfig::mode`] says (the plan that ran is reported in
+/// [`ServeReport::engine`]): the abort argument is stated against that
+/// plan's pull order, so the budget overrides the plan rather than
+/// weakening the contract. The pull order is a function of the stream
+/// alone: which completions are pulled at a step is decided by the
+/// simulated clock (a dispatch is pulled once its start cycle is
+/// proven), and within a step workers are visited in ascending index.
+/// An all-`None` budget bounds nothing and leaves the plan to `mode`.
 ///
 /// An aborted run flushes nothing to a warm-start store (the flush sits
 /// after the engine in [`Runtime::serve`], and the abort returns early),
@@ -381,15 +377,13 @@ pub struct ServeConfig {
     ///
     /// [`WarmStartStats`]: crate::metrics::WarmStartStats
     pub store: Option<PathBuf>,
-    /// How the one serve loop is planned onto scheduler shards and
-    /// threads: [`ServeMode::Deterministic`] (the default) is the
-    /// reference plan — one shard over the whole pool on the calling
-    /// thread, reports byte-identical across runs;
+    /// How the one serve loop is planned onto scheduler shards:
+    /// [`ServeMode::Deterministic`] (the default) is the reference plan —
+    /// one shard over the whole pool, reports byte-identical across runs;
     /// [`ServeMode::Parallel`] runs one shard per set of groups sharing a
-    /// base platform name and spreads execution over executor threads,
-    /// producing identical per-request outcomes at real wall-clock
-    /// parallelism (see [`crate::engine`] for the argument). The plan
-    /// that ran is in [`ServeReport::engine`].
+    /// base platform name, one after another, producing identical
+    /// per-request outcomes (see [`crate::engine`] for the argument). The
+    /// plan that ran is in [`ServeReport::engine`].
     pub mode: ServeMode,
     /// Early-termination bounds for capped tuning runs (see
     /// [`ServeBudget`]). `None` (the default) serves the full stream

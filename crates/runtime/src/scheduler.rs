@@ -1,14 +1,15 @@
 //! The scheduling core: load/residency accounting ([`LoadTracker`]) and
-//! the per-run [`Scheduler`] that pairs it with a pluggable routing
-//! policy.
+//! the per-run [`Scheduler`] that routes over it under a [`Policy`].
 //!
 //! The scheduler mirrors every worker's resident configuration register
 //! file (a shadow copy, updated with exactly the deltas the worker will
 //! apply) and holds each worker's load as *estimated outstanding cycles*.
-//! Routing itself is delegated to a [`SchedulePolicy`] implementation
-//! (see [`crate::policy`]): round-robin (`fifo`, `fifo+elide`),
-//! write-minimizing within a load-slack horizon (`affinity`), or
-//! completion-cycle-minimizing over per-platform cost models (`cost`).
+//! Routing is one walk ([`Scheduler::choose`]; the scores are
+//! [`crate::policy`]'s): round-robin (`fifo`, `fifo+elide`), or every
+//! candidate priced once and the earliest within the load-slack horizon
+//! taken — on writes alone (`affinity`), on predicted completion over
+//! per-platform cost models (`cost`), or on completion at the predicted
+//! frequency state (`thermal`).
 //! The accounting here is policy-agnostic: every policy's commits flow
 //! through the same queue and shadow bookkeeping, so batching cutoffs,
 //! prediction metrics, and refinement behave identically under all of
@@ -47,16 +48,16 @@
 //! refined estimates — and every routing decision made from them — remain
 //! a pure function of the request stream.
 //!
-//! Routing decisions are made synchronously in the serve loop — before
-//! jobs reach the worker threads — so scheduling, and with it every
-//! metric, is deterministic regardless of thread interleaving.
+//! Routing decisions are made in the serve loop at points of the
+//! simulated clock — a dispatch executes where it is committed — so
+//! scheduling, and with it every metric, is deterministic.
 //!
 //! [`CostModel::predict`]: crate::cache::CostModel::predict
 //! [`CostRefiner`]: crate::cache::CostRefiner
 
 use crate::cache::{CacheKey, CompiledModule, CostModel, CostRefiner};
 use crate::plan::RegMap;
-use crate::policy::{Policy, SchedulePolicy};
+use crate::policy::{self, Policy, Scored};
 use accfg_sim::{DvfsParams, DvfsState, FreqState, FREQ_STATES};
 use accfg_targets::AcceleratorDescriptor;
 use std::cell::RefCell;
@@ -121,7 +122,7 @@ pub struct CommitOutcome {
 /// register files, outstanding-cycle queues, per-platform cost anchors,
 /// and the online cost refiner.
 ///
-/// Policies read this (via [`SchedulePolicy::choose`]); only the serve
+/// Scoring reads this by `&` (see [`Scheduler::choose`]); only the serve
 /// loop writes it, through [`LoadTracker::commit`] and
 /// [`LoadTracker::observe`] — so no policy can corrupt the accounting
 /// every other subsystem (batch cutoff, prediction metrics, refinement)
@@ -545,11 +546,16 @@ impl LoadTracker {
     }
 }
 
-/// Scheduler state across one serve run: a routing policy paired with the
-/// load/residency accounting it reads.
+/// Scheduler state across one serve run: the routing policy, its private
+/// routing state, and the load/residency accounting it reads.
 #[derive(Debug)]
 pub struct Scheduler {
-    policy: Box<dyn SchedulePolicy>,
+    policy: Policy,
+    /// Per-group round-robin counters (`fifo`, `fifo+elide`).
+    round_robin: Vec<usize>,
+    /// The candidates of the decision in progress; kept between decisions
+    /// so a warmed scheduler routes without allocating.
+    scored: Vec<Scored>,
     load: LoadTracker,
 }
 
@@ -559,7 +565,9 @@ impl Scheduler {
     /// refinement enabled.
     pub fn new(policy: Policy, workers: &[AcceleratorDescriptor], groups: usize) -> Self {
         Self {
-            policy: policy.build(groups),
+            policy,
+            round_robin: vec![0; groups],
+            scored: Vec::new(),
             load: LoadTracker::new(workers),
         }
     }
@@ -592,15 +600,16 @@ impl Scheduler {
         self.policy.elides()
     }
 
-    /// The load/residency accounting (read-only; policies score from it).
+    /// The load/residency accounting (read-only; scoring reads it).
     pub fn load(&self) -> &LoadTracker {
         &self.load
     }
 
     /// Picks a worker from `candidates` (the group's workers, ascending)
-    /// for a dispatch of `module` arriving at serve-loop cycle `now`.
-    /// `group` identifies the accelerator group for per-group routing
-    /// state.
+    /// for a dispatch of `module` arriving at serve-loop cycle `now`: the
+    /// next in `group`'s round-robin turn under `fifo` / `fifo+elide`,
+    /// otherwise the candidate `policy::score` prices earliest within the
+    /// slack horizon.
     ///
     /// # Panics
     /// Panics if `candidates` is empty.
@@ -611,15 +620,26 @@ impl Scheduler {
         module: &CompiledModule,
         now: u64,
     ) -> usize {
-        self.policy
-            .choose(&self.load, group, candidates, module, now)
+        assert!(!candidates.is_empty(), "scheduling against an empty group");
+        if matches!(self.policy, Policy::Fifo | Policy::FifoElide) {
+            let turn = self.round_robin[group] % candidates.len();
+            self.round_robin[group] += 1;
+            return candidates[turn];
+        }
+        let (policy, load) = (self.policy, &self.load);
+        self.scored.clear();
+        self.scored.extend(
+            candidates
+                .iter()
+                .map(|&w| policy::score(policy, load, w, module, now)),
+        );
+        policy::earliest_within_slack(&self.scored, load.slack())
     }
 
     /// Records a dispatch of `module` to `worker` at serve-loop cycle
     /// `now` in the load tracker (see [`LoadTracker::commit`]).
     pub fn commit(&mut self, worker: usize, module: &CompiledModule, now: u64) -> CommitOutcome {
-        let elide = self.policy.elides();
-        self.load.commit(worker, module, now, elide)
+        self.load.commit(worker, module, now, self.policy.elides())
     }
 
     /// Feeds one retired dispatch's measured `cycles` back into the cost

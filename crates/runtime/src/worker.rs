@@ -21,17 +21,18 @@ use crate::plan::RegMap;
 use accfg_sim::{AccelSim, Counters, FreqState, Machine};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{check_result, fill_inputs, TrafficRequest};
-use std::sync::Arc;
 
-/// One dispatched unit of work.
-#[derive(Debug, Clone)]
-pub struct Job {
+/// One dispatched unit of work. It borrows what it names: a dispatch
+/// executes where the serve loop commits it, so nothing is cloned to
+/// outlive the stream or the module cache.
+#[derive(Debug, Clone, Copy)]
+pub struct Job<'a> {
     /// The request being served.
-    pub request: TrafficRequest,
+    pub request: &'a TrafficRequest,
     /// The compiled module to replay.
-    pub module: Arc<CompiledModule>,
+    pub module: &'a CompiledModule,
     /// Position of the request in the caller's stream slice (echoed back
-    /// in the completion, so results can be collected out of order).
+    /// in the completion).
     pub slot: usize,
     /// Whether the dispatch may elide writes already resident on the
     /// worker (`false` under the cold [`Policy::Fifo`] baseline).
@@ -122,8 +123,8 @@ impl Worker {
 
     /// Executes one job: fill inputs, build the delta program, run it, and
     /// functionally check the result.
-    pub fn execute(&mut self, job: &Job) -> Completion {
-        let module = &job.module;
+    pub fn execute(&mut self, job: &Job<'_>) -> Completion {
+        let module = job.module;
         let spec = module.key.spec;
         let mut completion = Completion {
             slot: job.slot,
@@ -230,12 +231,12 @@ mod tests {
         // across same-shape requests
         let spec = MatmulSpec::opengemm_paper(8).unwrap();
         assert_eq!(spec.invocations(), 1);
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
 
         let first = worker.execute(&Job {
-            request: request(0, "opengemm", spec, 1),
-            module: Arc::clone(&module),
+            request: &request(0, "opengemm", spec, 1),
+            module: &module,
             slot: 0,
             elide: true,
         });
@@ -244,8 +245,8 @@ mod tests {
         assert_eq!(first.emitted_writes, module.plan.cold_writes);
 
         let second = worker.execute(&Job {
-            request: request(1, "opengemm", spec, 2),
-            module: Arc::clone(&module),
+            request: &request(1, "opengemm", spec, 2),
+            module: &module,
             slot: 0,
             elide: true,
         });
@@ -262,13 +263,13 @@ mod tests {
         let desc = AcceleratorDescriptor::opengemm();
         let spec = MatmulSpec::opengemm_paper(16).unwrap();
         assert!(spec.invocations() > 1);
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         let jobs: Vec<Completion> = (0..3)
             .map(|i| {
                 worker.execute(&Job {
-                    request: request(i, "opengemm", spec, i),
-                    module: Arc::clone(&module),
+                    request: &request(i, "opengemm", spec, i),
+                    module: &module,
                     slot: 0,
                     elide: true,
                 })
@@ -289,12 +290,12 @@ mod tests {
     fn cold_dispatch_ignores_resident_state() {
         let desc = AcceleratorDescriptor::opengemm();
         let spec = MatmulSpec::opengemm_paper(8).unwrap();
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         for i in 0..2 {
             let c = worker.execute(&Job {
-                request: request(i, "opengemm", spec, i),
-                module: Arc::clone(&module),
+                request: &request(i, "opengemm", spec, i),
+                module: &module,
                 slot: 0,
                 elide: false,
             });
@@ -309,16 +310,16 @@ mod tests {
         let desc = AcceleratorDescriptor::gemmini();
         let small = MatmulSpec::gemmini_paper(16).unwrap();
         let large = MatmulSpec::gemmini_paper(64).unwrap();
-        let small_m = Arc::new(build_module(&desc, small, OptLevel::Dedup).unwrap());
-        let large_m = Arc::new(build_module(&desc, large, OptLevel::Dedup).unwrap());
+        let small_m = build_module(&desc, small, OptLevel::Dedup).unwrap();
+        let large_m = build_module(&desc, large, OptLevel::Dedup).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         for (i, (spec, module)) in [(small, &small_m), (large, &large_m), (small, &small_m)]
             .into_iter()
             .enumerate()
         {
             let c = worker.execute(&Job {
-                request: request(i as u64, "gemmini", spec, 7 + i as u64),
-                module: Arc::clone(module),
+                request: &request(i as u64, "gemmini", spec, 7 + i as u64),
+                module,
                 slot: 0,
                 elide: true,
             });
@@ -332,18 +333,18 @@ mod tests {
         let desc = AcceleratorDescriptor::opengemm().with_reference_timing();
         let cooldown = desc.timing.dvfs.unwrap().cooldown_idle_cycles;
         let spec = MatmulSpec::opengemm_paper(32).unwrap();
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         let dispatch = |worker: &mut Worker, id: u64, arrival: u64| {
             let c = worker.execute(&Job {
-                request: TrafficRequest {
+                request: &TrafficRequest {
                     id,
                     accelerator: "opengemm".into(),
                     spec,
                     arrival,
                     seed: id,
                 },
-                module: Arc::clone(&module),
+                module: &module,
                 slot: 0,
                 elide: true,
             });
@@ -371,14 +372,14 @@ mod tests {
     fn sim_error_resets_resident_state_and_busy_window() {
         let desc = AcceleratorDescriptor::opengemm();
         let spec = MatmulSpec::opengemm_paper(8).unwrap();
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
         // memory covers A and B but not the C region: input fill succeeds,
         // the accelerator's store faults mid-run
         assert!(module.layout.c_addr > 0x2100);
         let mut worker = Worker::new(0, desc, 0x2100, 10_000_000);
         let failed = worker.execute(&Job {
-            request: request(0, "opengemm", spec, 1),
-            module: Arc::clone(&module),
+            request: &request(0, "opengemm", spec, 1),
+            module: &module,
             slot: 0,
             elide: true,
         });
@@ -388,8 +389,8 @@ mod tests {
         assert!(!worker.machine.accel.is_busy(0));
         assert!(worker.resident.is_empty());
         let retry = worker.execute(&Job {
-            request: request(1, "opengemm", spec, 2),
-            module: Arc::clone(&module),
+            request: &request(1, "opengemm", spec, 2),
+            module: &module,
             slot: 0,
             elide: true,
         });
@@ -400,12 +401,12 @@ mod tests {
     fn a_misrouted_module_is_a_failed_dispatch_that_touches_nothing() {
         let gemmini = AcceleratorDescriptor::gemmini();
         let spec = MatmulSpec::gemmini_paper(16).unwrap();
-        let module = Arc::new(build_module(&gemmini, spec, OptLevel::Dedup).unwrap());
+        let module = build_module(&gemmini, spec, OptLevel::Dedup).unwrap();
         let mut worker = Worker::new(3, AcceleratorDescriptor::opengemm(), 1 << 20, 10_000_000);
         let before = (worker.machine.mem.clone(), worker.resident.clone());
         let misrouted = worker.execute(&Job {
-            request: request(9, "gemmini", spec, 1),
-            module,
+            request: &request(9, "gemmini", spec, 1),
+            module: &module,
             slot: 4,
             elide: true,
         });
@@ -426,19 +427,19 @@ mod tests {
         // program on a fresh machine
         let desc = AcceleratorDescriptor::opengemm();
         let spec = MatmulSpec::opengemm_paper(24).unwrap();
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).unwrap());
+        let module = build_module(&desc, spec, OptLevel::All).unwrap();
 
         let mut worker = Worker::new(0, desc.clone(), 1 << 20, 10_000_000);
         // warm the worker with a different seed first
         worker.execute(&Job {
-            request: request(0, "opengemm", spec, 11),
-            module: Arc::clone(&module),
+            request: &request(0, "opengemm", spec, 11),
+            module: &module,
             slot: 0,
             elide: true,
         });
         let delta = worker.execute(&Job {
-            request: request(1, "opengemm", spec, 22),
-            module: Arc::clone(&module),
+            request: &request(1, "opengemm", spec, 22),
+            module: &module,
             slot: 0,
             elide: true,
         });

@@ -58,32 +58,62 @@
 //! `thermal`, and the key's accelerator `String` per `observe`.) Asserted
 //! in every profile.
 //!
-//! Run with `--nocapture` to see both tables (CI does).
+//! **Serve.** The whole of `Runtime::serve` around those two: on a warmed
+//! `Runtime` (every module cached), the `mixed` stream under `affinity` is
+//! served at `n` = 600 and at `2n` requests, and the difference — what `n`
+//! more requests cost, the per-serve setup cancelled — is divided by `n`.
+//! It must stay within the measured figure + 15 % (release builds), so the
+//! engine adds nothing per dispatch beyond its worker's stages and the
+//! report's per-request rows: the resolve probe's cache key (a `String`)
+//! and the class label of the latency fold (a `String` that `format!`
+//! grows once or twice, ~2.45 a request on this mix); the loop's queues
+//! and the report's vectors grow by doubling and vanish from the quotient.
+//!
+//! Allocations per further request, the commit before the one-lane engine
+//! → at it:
+//!
+//! ```text
+//!                     serve(2n) - serve(n), per request   of which Worker::execute
+//! mixed / affinity                            7.45 → 6.45                          3
+//! ```
+//!
+//! (The one that went is the request's accelerator `String`, cloned into
+//! every `Job` so it could cross a channel; the `Arc` bump beside it never
+//! allocated. The budget is under one allocation a request wide, so that
+//! clone cannot come back inside it.)
+//!
+//! Run with `--nocapture` to see the three tables (CI does).
 
 use accfg::OptLevel;
-use accfg_runtime::{build_module, CompiledModule, Job, Policy, RegMap, Scheduler, Worker};
+use accfg_runtime::{
+    build_module, CompiledModule, Job, Policy, PoolConfig, RegMap, Runtime, Scheduler, ServeConfig,
+    Worker,
+};
 use accfg_sim::{AccelSim, Machine};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{
-    check_result, fill_inputs, mixed_serving_classes, MatmulSpec, TrafficRequest,
+    check_result, fill_inputs, mixed_serving_classes, MatmulSpec, TrafficConfig, TrafficRequest,
 };
 use common::counted;
-use std::sync::Arc;
 
 mod common;
 
 const MEM_BYTES: usize = 1 << 20;
 const FUEL: u64 = 10_000_000;
 
-/// One test: the counting allocator is process-wide, so the two budgets
+/// One test: the counting allocator is process-wide, so the three budgets
 /// run one after the other, never on two test threads.
 #[test]
 fn a_warm_request_stays_within_its_allocation_budgets() {
-    a_warm_dispatch_stays_within_its_allocation_budget();
+    let execute = a_warm_dispatch_stays_within_its_allocation_budget();
     warm_routing_allocates_nothing();
+    a_warm_serve_adds_nothing_per_dispatch(execute);
 }
 
-fn a_warm_dispatch_stays_within_its_allocation_budget() {
+/// Returns what a warm `Worker::execute` allocates (the larger of the two
+/// requests').
+fn a_warm_dispatch_stays_within_its_allocation_budget() -> u64 {
+    let mut execute = 0;
     println!(
         "{:<20} {:>11} {:>13} {:>12} {:>12} {:>5} {:>15}",
         "allocations",
@@ -110,7 +140,7 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
             3,
         ),
     ] {
-        let module = Arc::new(build_module(&desc, spec, OptLevel::All).expect("the module builds"));
+        let module = build_module(&desc, spec, OptLevel::All).expect("the module builds");
         let mut machine = Machine::new(
             desc.host.clone(),
             AccelSim::with_timing(desc.accel.clone(), desc.timing),
@@ -136,15 +166,16 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
         let mut worker = Worker::new(0, desc.clone(), MEM_BYTES, FUEL);
         let mut executed = 0;
         for seed in 0..3 {
+            let request = TrafficRequest {
+                id: seed,
+                accelerator: desc.name.clone(),
+                spec,
+                arrival: 0,
+                seed,
+            };
             let job = Job {
-                request: TrafficRequest {
-                    id: seed,
-                    accelerator: desc.name.clone(),
-                    spec,
-                    arrival: 0,
-                    seed,
-                },
-                module: Arc::clone(&module),
+                request: &request,
+                module: &module,
                 slot: 0,
                 elide: true,
             };
@@ -163,6 +194,7 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
             "{label}: a launch on a warmed accelerator allocated"
         );
         assert_eq!(executed, sum, "{label}: a stage is missing");
+        execute = execute.max(executed);
         if !cfg!(debug_assertions) && !cfg!(feature = "validate") {
             // (the reconstruction proof of the other builds is not budgeted)
             assert!(
@@ -172,6 +204,7 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() {
             assert!(sum <= budget, "{label}: {sum} allocations, budget {budget}");
         }
     }
+    execute
 }
 
 fn warm_routing_allocates_nothing() {
@@ -250,6 +283,60 @@ fn warm_routing_allocates_nothing() {
             0,
             "{}: a warmed scheduler allocated while routing",
             policy.label()
+        );
+    }
+}
+
+fn a_warm_serve_adds_nothing_per_dispatch(execute: u64) {
+    const N: usize = 600;
+    // measured 3 869 over N further requests (4 469 with a `String` a `Job`)
+    const BUDGET: u64 = 4_449;
+    // `serve_bench`'s `mixed` stream and pool
+    let stream = TrafficConfig {
+        classes: mixed_serving_classes(),
+        requests: 2 * N,
+        mean_gap: 200,
+        seed: 0xC0FFEE,
+    }
+    .open_loop_stream()
+    .expect("a valid mix");
+    let mut runtime = Runtime::new(
+        PoolConfig::new(vec![
+            AcceleratorDescriptor::gemmini(),
+            AcceleratorDescriptor::opengemm(),
+        ])
+        .with_workers_per_accelerator(2),
+    );
+    let cfg = ServeConfig {
+        policy: Policy::ConfigAffinity,
+        ..ServeConfig::default()
+    };
+    let mut serve = |requests: usize| {
+        let (report, allocations) = counted(|| runtime.serve(&stream[..requests], &cfg));
+        let metrics = report.expect("the stream serves").metrics;
+        assert_eq!(metrics.sim_failures + metrics.check_failures, 0);
+        (metrics.cache.misses, allocations)
+    };
+    // the first serve compiles the six modules; the counted ones hit
+    serve(2 * N);
+    let (short_misses, short) = serve(N);
+    let (long_misses, long) = serve(2 * N);
+    assert_eq!((short_misses, long_misses), (0, 0), "the cache is warm");
+    let further = long - short;
+    println!();
+    println!(
+        "{:<18} {:>9} {:>10} {:>12}   (Worker::execute: {execute})",
+        "allocations", "serve(n)", "serve(2n)", "per request"
+    );
+    println!(
+        "{:<18} {short:>9} {long:>10} {:>12.2}",
+        "mixed / affinity",
+        further as f64 / N as f64
+    );
+    if !cfg!(debug_assertions) && !cfg!(feature = "validate") {
+        assert!(
+            further <= BUDGET,
+            "{N} further requests allocated {further} times, budget {BUDGET}"
         );
     }
 }

@@ -4,19 +4,20 @@
 //! only chooses the *plan* it runs under. `ServeMode::Deterministic` —
 //! one scheduler shard over the whole pool — is the *reference
 //! configuration*: its per-request outcomes define correct behaviour.
-//! Every sharded plan (`ServeMode::Parallel`, one shard per set of pool
-//! groups sharing a base platform name, on the inline or the threaded
-//! lane) must reproduce those outcomes exactly — writes, cycles,
-//! latencies, prediction samples, routing — at every thread budget. This
-//! suite pins that property over every `serve_bench` stream × policy
-//! pair (at reduced request counts), and property-tests it over random
-//! streams, pool shapes, slack horizons, and batch settings with the
-//! thread budget varied across 1/2/8. It also pins what the plans are
-//! (`ServeReport::engine`), that warm starts split persisted cost rows
-//! across shards without changing an outcome or a store byte, and that a
-//! warm start reads only its stream's working set under every plan. The
-//! loop body's own reference is the committed output of the reference
-//! plan: `BENCH_runtime.json` and `TUNED.json` regenerate byte-identically.
+//! The sharded plan (`ServeMode::Parallel`, one shard per set of pool
+//! groups sharing a base platform name, served one after another) must
+//! reproduce those outcomes exactly — writes, cycles, latencies,
+//! prediction samples, routing. This suite pins that property, *reference
+//! plan vs sharded plan*, over every `serve_bench` stream × policy pair
+//! (at reduced request counts), and property-tests it over random
+//! streams, pool shapes, slack horizons, and batch settings. It also
+//! pins what the plans are (`ServeReport::engine`), that a bounded budget
+//! forces one shard, that `Parallel`'s `threads` field selects nothing,
+//! that warm starts split persisted cost rows across shards without
+//! changing an outcome or a store byte, and that a warm start reads only
+//! its stream's working set under either plan. The loop body's own
+//! reference is the committed output of the reference plan:
+//! `BENCH_runtime.json` and `TUNED.json` regenerate byte-identically.
 
 use accfg_bench::streams::{self, contention_pool, hetero_pool, uniform_pool};
 use configuration_wall::prelude::*;
@@ -31,9 +32,8 @@ use configuration_wall::workloads::{
 };
 use proptest::prelude::*;
 
-/// The thread budgets the contract is pinned at: fully serial, fewer
-/// executors than workers, and one executor per worker with headroom.
-const THREADS: [usize; 3] = [1, 2, 8];
+/// The sharded plan (`threads` selects nothing — pinned below).
+const SHARDED: ServeMode = ServeMode::Parallel { threads: 1 };
 
 /// Outcome-by-outcome equality: aggregate metrics (module-cache
 /// provenance included — both serves run on fresh runtimes), per-request
@@ -106,19 +106,13 @@ fn replayed_latencies(stream: &[TrafficRequest], report: &ServeReport) -> Vec<u6
     latencies
 }
 
-/// Serves `stream` under `cfg` on the oracle once, then on the parallel
-/// engine at each thread budget in `threads` — every serve on a fresh
-/// runtime, so cache statistics match — and asserts each parallel report
-/// is identical to the oracle's. The oracle's latencies, which the report
-/// takes from the finish cycles the serve loop computed, must also equal
-/// an independent worker-by-worker replay of the completions' cycles.
-fn serve_both(
-    pool: &PoolConfig,
-    stream: &[TrafficRequest],
-    cfg: &ServeConfig,
-    threads: &[usize],
-    context: &str,
-) {
+/// Serves `stream` under `cfg` on the reference plan, then on the sharded
+/// plan — each on a fresh runtime, so cache statistics match — and
+/// asserts the sharded report is identical to the oracle's. The oracle's
+/// latencies, which the report takes from the finish cycles the serve
+/// loop computed, must also equal an independent worker-by-worker replay
+/// of the completions' cycles.
+fn serve_both(pool: &PoolConfig, stream: &[TrafficRequest], cfg: &ServeConfig, context: &str) {
     let oracle = Runtime::new(pool.clone())
         .serve(stream, cfg)
         .expect("oracle serve succeeds");
@@ -127,34 +121,26 @@ fn serve_both(
         replayed_latencies(stream, &oracle),
         "{context}: latencies diverge from a replay of the completions"
     );
-    for &t in threads {
-        let parallel = Runtime::new(pool.clone())
-            .serve(
-                stream,
-                &ServeConfig {
-                    mode: ServeMode::Parallel { threads: t },
-                    ..cfg.clone()
-                },
-            )
-            .expect("parallel serve succeeds");
-        assert_identical(&oracle, &parallel, &format!("{context} x{t}"));
-    }
+    let sharded = Runtime::new(pool.clone())
+        .serve(
+            stream,
+            &ServeConfig {
+                mode: SHARDED,
+                ..cfg.clone()
+            },
+        )
+        .expect("sharded serve succeeds");
+    assert_identical(&oracle, &sharded, context);
 }
 
-/// Every policy × thread budget over one stream.
-fn check_stream(name: &str, pool: PoolConfig, stream: &[TrafficRequest], threads: &[usize]) {
+/// Every policy over one stream.
+fn check_stream(name: &str, pool: PoolConfig, stream: &[TrafficRequest]) {
     for policy in Policy::ALL {
         let cfg = ServeConfig {
             policy,
             ..ServeConfig::default()
         };
-        serve_both(
-            &pool,
-            stream,
-            &cfg,
-            threads,
-            &format!("{name}/{}", policy.label()),
-        );
+        serve_both(&pool, stream, &cfg, &format!("{name}/{}", policy.label()));
     }
 }
 
@@ -176,15 +162,7 @@ fn open_loop(
 
 #[test]
 fn mixed_stream_matches() {
-    // the flagship stream gets the full thread sweep; the other streams
-    // pin the inline (1) and shared-executor (2) paths and leave the
-    // wide budget to the proptests and the CI differential smoke
-    check_stream(
-        "mixed",
-        uniform_pool(),
-        &streams::mixed_stream(400),
-        &THREADS,
-    );
+    check_stream("mixed", uniform_pool(), &streams::mixed_stream(400));
 }
 
 #[test]
@@ -202,7 +180,6 @@ fn mixed_stream_matches_with_batching() {
             &uniform_pool(),
             &stream,
             &cfg,
-            &[2, 8],
             &format!("mixed+batch/{}", policy.label()),
         );
     }
@@ -214,14 +191,13 @@ fn shape_heavy_stream_matches() {
         "shape_heavy",
         uniform_pool(),
         &streams::shape_heavy_stream(300),
-        &[1, 2],
     );
 }
 
 #[test]
 fn bursty_stream_matches() {
     let stream = streams::bursty_stream(300);
-    check_stream("bursty", uniform_pool(), &stream, &[1, 2]);
+    check_stream("bursty", uniform_pool(), &stream);
 }
 
 #[test]
@@ -229,7 +205,7 @@ fn closed_loop_stream_matches() {
     let stream = streams::closed_loop_config(300)
         .stream()
         .expect("valid closed-loop mix");
-    check_stream("closed_loop", uniform_pool(), &stream, &[1, 2]);
+    check_stream("closed_loop", uniform_pool(), &stream);
 }
 
 #[test]
@@ -250,17 +226,12 @@ fn closed_loop_measured_stream_matches() {
         },
     );
     let (_, stream) = entry.calibrated(&calibration);
-    check_stream("closed_loop_measured", entry.pool.build(), &stream, &[1, 2]);
+    check_stream("closed_loop_measured", entry.pool.build(), &stream);
 }
 
 #[test]
 fn hetero_stream_matches() {
-    check_stream(
-        "hetero",
-        hetero_pool(),
-        &streams::hetero_stream(300),
-        &[1, 2],
-    );
+    check_stream("hetero", hetero_pool(), &streams::hetero_stream(300));
 }
 
 #[test]
@@ -272,7 +243,6 @@ fn contention_stream_matches() {
         "contention",
         contention_pool(),
         &streams::contention_stream(250),
-        &[1, 2],
     );
 }
 
@@ -281,19 +251,6 @@ fn serve(pool: &PoolConfig, stream: &[TrafficRequest], cfg: &ServeConfig) -> Ser
     Runtime::new(pool.clone())
         .serve(stream, cfg)
         .expect("serve succeeds")
-}
-
-/// The plan `Parallel { threads }` resolves to on a pool of `workers`
-/// workers whose groups carry `shards` distinct base platform names.
-fn sharded_plan(shards: usize, threads: usize, workers: usize) -> EnginePlan {
-    EnginePlan {
-        shards,
-        executor_threads: if threads <= 1 {
-            0
-        } else {
-            threads.min(workers)
-        },
-    }
 }
 
 #[test]
@@ -322,11 +279,8 @@ fn groups_sharing_a_base_name_share_a_shard() {
             request.accelerator = if i % 2 == 0 { "a".into() } else { "b".into() };
         }
     }
-    // the reference and every budgeted serve: one shard, nothing spawned
-    let one_shard = EnginePlan {
-        shards: 1,
-        executor_threads: 0,
-    };
+    // the reference and every budgeted serve: one shard
+    let one_shard = EnginePlan { shards: 1 };
     for policy in [Policy::FifoElide, Policy::ConfigAffinity, Policy::Cost] {
         let cfg = ServeConfig {
             policy,
@@ -334,31 +288,28 @@ fn groups_sharing_a_base_name_share_a_shard() {
         };
         let oracle = serve(&pool, &stream, &cfg);
         assert_eq!(oracle.engine, one_shard);
-        for threads in THREADS {
-            let parallel = ServeConfig {
-                mode: ServeMode::Parallel { threads },
-                ..cfg.clone()
-            };
-            let sharded = serve(&pool, &stream, &parallel);
-            let context = format!("shared base/{} x{threads}", policy.label());
-            assert_identical(&oracle, &sharded, &context);
-            assert_eq!(sharded.engine, sharded_plan(2, threads, 6), "{context}");
-            // a bounded budget overrides the thread budget: the reference
-            // plan, inline
-            let budgeted = serve(
-                &pool,
-                &stream,
-                &ServeConfig {
-                    budget: Some(ServeBudget {
-                        p99_bound: Some(u64::MAX),
-                        max_setup_writes: None,
-                    }),
-                    ..parallel
-                },
-            );
-            assert_identical(&oracle, &budgeted, &format!("{context} budgeted"));
-            assert_eq!(budgeted.engine, one_shard, "{context} budgeted");
-        }
+        let parallel = ServeConfig {
+            mode: SHARDED,
+            ..cfg.clone()
+        };
+        let sharded = serve(&pool, &stream, &parallel);
+        let context = format!("shared base/{}", policy.label());
+        assert_identical(&oracle, &sharded, &context);
+        assert_eq!(sharded.engine, EnginePlan { shards: 2 }, "{context}");
+        // a bounded budget overrides the mode: the reference plan
+        let budgeted = serve(
+            &pool,
+            &stream,
+            &ServeConfig {
+                budget: Some(ServeBudget {
+                    p99_bound: Some(u64::MAX),
+                    max_setup_writes: None,
+                }),
+                ..parallel
+            },
+        );
+        assert_identical(&oracle, &budgeted, &format!("{context} budgeted"));
+        assert_eq!(budgeted.engine, one_shard, "{context} budgeted");
     }
 }
 
@@ -373,29 +324,42 @@ fn bench_pools_plan_one_shard_per_group() {
     ] {
         let cfg = ServeConfig::default();
         let reference = serve(&pool, &stream, &cfg);
-        assert_eq!(
-            reference.engine,
-            EnginePlan {
-                shards: 1,
-                executor_threads: 0
+        assert_eq!(reference.engine, EnginePlan { shards: 1 }, "{name}");
+        let report = serve(
+            &pool,
+            &stream,
+            &ServeConfig {
+                mode: SHARDED,
+                ..cfg.clone()
             },
-            "{name}"
         );
-        for threads in THREADS {
-            let report = serve(
-                &pool,
-                &stream,
-                &ServeConfig {
-                    mode: ServeMode::Parallel { threads },
-                    ..cfg.clone()
-                },
-            );
-            assert_eq!(
-                report.engine,
-                sharded_plan(2, threads, 4),
-                "{name} x{threads}"
-            );
-        }
+        assert_eq!(report.engine, EnginePlan { shards: 2 }, "{name}");
+    }
+}
+
+#[test]
+fn every_thread_budget_is_the_same_sharded_plan() {
+    // `Parallel { threads }` keeps its shape for the repository benchmark,
+    // which constructs it at 1 and 2; the field selects nothing, so the
+    // reports are equal in every field, `engine` included (`Debug` prints
+    // them all) — and 0 is as good a value as any
+    let stream = streams::mixed_stream(120);
+    let report = |threads: usize| {
+        let cfg = ServeConfig {
+            mode: ServeMode::Parallel { threads },
+            ..ServeConfig::default()
+        };
+        serve(&uniform_pool(), &stream, &cfg)
+    };
+    let first = report(0);
+    assert_eq!(first.engine, EnginePlan { shards: 2 });
+    assert_eq!(first.metrics.sim_failures + first.metrics.check_failures, 0);
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            format!("{first:?}"),
+            format!("{:?}", report(threads)),
+            "x{threads}"
+        );
     }
 }
 
@@ -408,7 +372,7 @@ fn temp_store(name: &str) -> std::path::PathBuf {
 }
 
 /// Warm-starts `pool` from a copy of the store at `seeded` under the
-/// reference plan and under every sharded plan, and asserts the split of
+/// reference plan and under the sharded plan, and asserts the split of
 /// the persisted cost rows across shards changes nothing: outcomes and
 /// `warm_start` provenance (inside the metrics) equal the reference's,
 /// and the flushed store files are byte-identical. Returns the
@@ -438,12 +402,10 @@ fn check_warm_start_across_plans(
         (report, bytes)
     };
     let (reference, reference_bytes) = serve_copy(ServeMode::Deterministic, "det");
-    for threads in THREADS {
-        let (report, bytes) = serve_copy(ServeMode::Parallel { threads }, &format!("par{threads}"));
-        let context = format!("{name} warm start x{threads}");
-        assert_identical(&reference, &report, &context);
-        assert_eq!(reference_bytes, bytes, "{context}: store files diverge");
-    }
+    let (report, bytes) = serve_copy(SHARDED, "par");
+    let context = format!("{name} warm start");
+    assert_identical(&reference, &report, &context);
+    assert_eq!(reference_bytes, bytes, "{context}: store files diverge");
     (reference, reference_bytes)
 }
 
@@ -490,7 +452,7 @@ fn orphaned_cost_rows_are_never_loaded_and_survive_the_flush() {
     // compiled for the `gemmini` base name a platform the new pool
     // fields but a base no group compiles for. No stream the new pool
     // serves can resolve such a module, so the rows are never read —
-    // under any plan — and the flush never rewrites them
+    // under either plan — and the flush never rewrites them
     let seeded = temp_store("reshaped_seeded");
     let populate = ServeConfig {
         policy: Policy::Cost,
@@ -563,7 +525,7 @@ fn warm_start_outcome_depends_only_on_the_working_set() {
     // resolves changes nothing — not the report, not the bytes the flush
     // appends. Serve a short stream over the full 16-module store and
     // over a store holding only that stream's module records and their
-    // cost rows, under every plan
+    // cost rows, under either plan
     let pool = uniform_pool();
     let stream = streams::shape_heavy_stream(400);
     // a tight gap queues requests up, so the short serve lands in warmth
@@ -617,9 +579,7 @@ fn warm_start_outcome_depends_only_on_the_working_set() {
         let _ = std::fs::remove_file(&path);
         (report, bytes[before..].to_vec())
     };
-    let modes = std::iter::once(ServeMode::Deterministic)
-        .chain(THREADS.map(|threads| ServeMode::Parallel { threads }));
-    for mode in modes {
+    for mode in [ServeMode::Deterministic, SHARDED] {
         let (over_full, appended_full) = serve_copy(&full, mode, "over_full");
         let (over_minimal, appended_minimal) = serve_copy(&minimal, mode, "over_minimal");
         let context = format!("irrelevance under {mode:?}");
@@ -664,7 +624,7 @@ proptest! {
 
     /// The contract holds on arbitrary open-loop streams over arbitrary
     /// pool shapes (1–3 workers per family, optionally heterogeneous),
-    /// slack horizons, and batch settings, at every thread budget.
+    /// slack horizons, and batch settings.
     #[test]
     fn parallel_matches_the_oracle_on_random_streams(
         picks in prop::collection::vec(0usize..6, 20..100),
@@ -675,7 +635,6 @@ proptest! {
         slack in 64u64..1024,
         max_batch in 1usize..8,
         policy_idx in 0usize..5,
-        threads_idx in 0usize..3,
     ) {
         let stream = stream_from_picks(&mixed_serving_classes(), &picks, gap, seed);
         let mut pool = PoolConfig::new(vec![
@@ -694,7 +653,7 @@ proptest! {
             max_batch,
             ..ServeConfig::default()
         };
-        serve_both(&pool, &stream, &cfg, &[THREADS[threads_idx]], "random open-loop");
+        serve_both(&pool, &stream, &cfg, "random open-loop");
     }
 
     /// The same property under bursty arrivals — deep queues make the
@@ -707,7 +666,6 @@ proptest! {
         idle_gap in 0u64..20_000,
         seed in any::<u64>(),
         policy_idx in 0usize..5,
-        threads_idx in 0usize..3,
     ) {
         let stream = BurstyConfig {
             classes: mixed_serving_classes(),
@@ -723,6 +681,6 @@ proptest! {
             policy: Policy::ALL[policy_idx],
             ..ServeConfig::default()
         };
-        serve_both(&uniform_pool(), &stream, &cfg, &[THREADS[threads_idx]], "random bursty");
+        serve_both(&uniform_pool(), &stream, &cfg, "random bursty");
     }
 }
