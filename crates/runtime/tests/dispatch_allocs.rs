@@ -28,7 +28,9 @@
 //!
 //! (`delta_program` was two `Vec`s per launch out of `regstate::diff` over
 //! ordered maps, plus the program's growth; what is left of a dispatch is
-//! that one program and `check_result`'s widened B and block of rows.)
+//! that one program and `check_result`'s two buffers — the packed operands,
+//! Bᵀ widened to i16 with one widened row of A behind it, and one row of
+//! C. Before PR 25 the same two were B widened and a block of four rows.)
 //! Debug builds add `delta_program`'s reconstruction proof to its column,
 //! so the budget is asserted in release builds only.
 //!

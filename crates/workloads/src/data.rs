@@ -24,22 +24,23 @@ impl SplitMix {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// A small i8 in `[-8, 7]`, keeping i32 accumulators far from overflow
-    /// even at depth 512.
-    pub fn next_small_i8(&mut self) -> i8 {
-        ((self.next_u64() >> 33) % 16) as i8 - 8
-    }
 }
 
-/// An element count as a length; a negative one (a spec assembled field
-/// by field around [`MatmulSpec::new`]) becomes a length no memory holds,
-/// so the region view faults.
-fn count(elements: i64) -> usize {
-    usize::try_from(elements).unwrap_or(usize::MAX)
+/// The element count `rows · cols` as a length. One that is negative (a
+/// spec assembled field by field around [`MatmulSpec::new`]) or that
+/// overflows becomes a length no memory holds, so the region view faults.
+fn count(rows: i64, cols: i64) -> usize {
+    rows.checked_mul(cols)
+        .and_then(|c| usize::try_from(c).ok())
+        .unwrap_or(usize::MAX)
 }
 
-/// Fills A and B with small pseudorandom i8 values.
+/// Fills A and B with small pseudorandom i8 values in `[-8, 7]`, which
+/// keep i32 accumulators far from overflow even at depth 512.
+///
+/// One generator draws for A, then B. Each draw fills sixteen bytes:
+/// byte `i` of the run is nibble `i` of the draw, less 8. A matrix whose
+/// length is not a multiple of sixteen ends on a fresh draw's low nibbles.
 ///
 /// # Errors
 /// Fails if the layout exceeds the memory capacity — before writing
@@ -50,100 +51,143 @@ pub fn fill_inputs(
     layout: &MatmulLayout,
     seed: u64,
 ) -> Result<(), MemError> {
-    let (a_len, b_len) = (count(spec.m * spec.k), count(spec.k * spec.n));
+    let (a_len, b_len) = (count(spec.m, spec.k), count(spec.k, spec.n));
     mem.bytes(layout.b_addr as u64, b_len)?;
     let mut rng = SplitMix::new(seed);
-    for byte in mem.bytes_mut(layout.a_addr as u64, a_len)? {
-        *byte = rng.next_small_i8() as u8;
-    }
-    for byte in mem.bytes_mut(layout.b_addr as u64, b_len)? {
-        *byte = rng.next_small_i8() as u8;
-    }
+    fill_nibbles(mem.bytes_mut(layout.a_addr as u64, a_len)?, &mut rng);
+    fill_nibbles(mem.bytes_mut(layout.b_addr as u64, b_len)?, &mut rng);
     Ok(())
 }
 
-/// Rows of C the reference produces per pass over B.
-const ROW_BLOCK: usize = 4;
+/// Sixteen bytes of `[-8, 7]` from each draw of `rng`, the last run short.
+fn fill_nibbles(bytes: &mut [u8], rng: &mut SplitMix) {
+    for run in bytes.chunks_mut(16) {
+        let mut word = rng.next_u64();
+        // a `while`: in the debug-build suites an adaptor's `next` would be
+        // a call per byte
+        let mut i = 0;
+        while i < run.len() {
+            run[i] = (word as u8 & 0xF).wrapping_sub(8);
+            word >>= 4;
+            i += 1;
+        }
+    }
+}
 
-/// The reference `act(A · B)`, [`ROW_BLOCK`] rows at a time.
+/// Elements in a lane group: the unit [`dot`] steps by, and the multiple
+/// a packed row is padded to.
+const LANES: usize = 16;
+
+/// The reference `act(A · B)`, one row of C at a time, as dot products
+/// over operands packed once.
 ///
-/// B is widened to i16 once. A block is then one pass over it: each row
-/// of B, scaled by one element from each of [`ROW_BLOCK`] rows of A, is
-/// added into as many `n`-long rows of C. An i8 · i8 product is exact in
-/// 16 bits, so the scaling is a 16-bit multiply and only the sum is 32
-/// bits wide.
-struct RowBlocks<'m> {
+/// Bᵀ is widened to i16, each column zero-padded to whole lane groups; one
+/// row of A, widened the same way, sits behind the columns. Every element
+/// of a row of C is then the dot product of two contiguous runs of lane
+/// groups. An i8 · i8 product is exact in 16 bits and the wrapping i32 sum
+/// does not depend on its order.
+struct Reference<'m> {
     a: &'m [u8],
-    b: Vec<i16>,
+    /// `n` columns of Bᵀ, `groups` lane groups each, then the current row
+    /// of A (zero from `k` on, like every column).
+    packed: Vec<[i16; LANES]>,
+    /// The current row of C.
+    row: Vec<i32>,
     m: usize,
     n: usize,
     k: usize,
+    groups: usize,
     relu: bool,
-    block: Vec<i32>,
 }
 
-impl<'m> RowBlocks<'m> {
-    /// Views A and B in `mem`; `None` when the product is empty (a
-    /// dimension that is not positive), which makes C all zeros.
+impl<'m> Reference<'m> {
+    /// Views A and B in `mem` and packs B; `None` when the product is
+    /// empty (a dimension that is not positive), which makes C all zeros.
     fn new(
         mem: &'m Memory,
         spec: &MatmulSpec,
         layout: &MatmulLayout,
     ) -> Result<Option<Self>, MemError> {
-        let a = mem.bytes(layout.a_addr as u64, count(spec.m * spec.k))?;
-        let b = mem.bytes(layout.b_addr as u64, count(spec.k * spec.n))?;
+        let a = mem.bytes(layout.a_addr as u64, count(spec.m, spec.k))?;
+        let b = mem.bytes(layout.b_addr as u64, count(spec.k, spec.n))?;
         let dim = |d: i64| usize::try_from(d).ok().filter(|&d| d > 0);
         let (Some(m), Some(n), Some(k)) = (dim(spec.m), dim(spec.n), dim(spec.k)) else {
             return Ok(None);
         };
+        let groups = k.div_ceil(LANES);
+        let mut packed = vec![[0; LANES]; (n + 1) * groups];
+        // a transpose, LANES rows of B at a time: the reads stay within
+        // LANES cache lines and every column receives a whole lane group
+        for g in 0..groups {
+            let (k0, run) = (g * LANES, (k - g * LANES).min(LANES));
+            for j in 0..n {
+                let group = &mut packed[j * groups + g];
+                let mut t = 0;
+                while t < run {
+                    group[t] = b[(k0 + t) * n + j] as i8 as i16;
+                    t += 1;
+                }
+            }
+        }
         Ok(Some(Self {
             a,
-            b: b.iter().map(|&b| b as i8 as i16).collect(),
+            packed,
+            row: vec![0; n],
             m,
             n,
             k,
+            groups,
             relu: spec.relu,
-            block: vec![0; ROW_BLOCK * n],
         }))
     }
 
-    /// The first row of every block, in order.
-    fn firsts(&self) -> impl Iterator<Item = usize> {
-        (0..self.m).step_by(ROW_BLOCK)
-    }
-
-    /// Rows `first..first + ROW_BLOCK` of C, or as many as C has, row-major.
-    fn rows(&mut self, first: usize) -> &[i32] {
-        let (m, n, k) = (self.m, self.n, self.k);
-        // a block past the last row repeats it, and drops the repeats below
-        let a: [&[u8]; ROW_BLOCK] =
-            std::array::from_fn(|r| &self.a[(first + r).min(m - 1) * k..][..k]);
-        self.block.fill(0);
-        let (c0, rest) = self.block.split_at_mut(n);
-        let (c1, rest) = rest.split_at_mut(n);
-        let (c2, c3) = rest.split_at_mut(n);
-        for (kk, b_row) in self.b.chunks_exact(n).enumerate() {
-            let [a0, a1, a2, a3] = a.map(|a_row| a_row[kk] as i8 as i16);
-            // a `while` over the index: the debug-build suites run this
-            // loop too, and there a `Zip::next` is a call per element
-            let mut j = 0;
-            while j < n {
-                let b = b_row[j];
-                c0[j] = c0[j].wrapping_add(a0.wrapping_mul(b) as i32);
-                c1[j] = c1[j].wrapping_add(a1.wrapping_mul(b) as i32);
-                c2[j] = c2[j].wrapping_add(a2.wrapping_mul(b) as i32);
-                c3[j] = c3[j].wrapping_add(a3.wrapping_mul(b) as i32);
-                j += 1;
-            }
+    /// Row `i` of C. (Inlined into the row loop of each caller, so the
+    /// check's loop is the one that vectorises.)
+    #[inline(always)]
+    fn row(&mut self, i: usize) -> &[i32] {
+        let (b_cols, a_row) = self.packed.split_at_mut(self.n * self.groups);
+        let a = &self.a[i * self.k..][..self.k];
+        for (wide, &a) in a_row.as_flattened_mut().iter_mut().zip(a) {
+            *wide = a as i8 as i16;
         }
-        let rows = &mut self.block[..(m - first).min(ROW_BLOCK) * n];
+        // the dot inlined into a loop that writes a slice: behind a closure
+        // or an early return LLVM leaves it scalar
+        for (c, b_col) in self.row.iter_mut().zip(b_cols.chunks_exact(self.groups)) {
+            *c = dot(a_row, b_col);
+        }
         if self.relu {
-            for acc in rows.iter_mut() {
-                *acc = (*acc).max(0);
+            for c in &mut self.row {
+                *c = (*c).max(0);
             }
         }
-        rows
+        &self.row
     }
+}
+
+/// `Σ a[l] · b[l]`, wrapping, over two runs of lane groups of one length.
+///
+/// [`LANES`] independent partial sums over fixed-width groups is the shape
+/// LLVM lowers to packed 16-bit multiply-adds (`pmaddwd` on baseline
+/// x86-64), whose pair sums are formed in 32 bits, so two `(-128)²`
+/// products do not overflow. The lanes are spelled out, not looped over:
+/// the debug-build suites run this loop too, and there a constant index
+/// into a lane group costs nothing where a lane counter costs a bounds
+/// check and an overflow check per MAC (release code is the same).
+#[inline]
+fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
+    let mut lanes = [0i32; LANES];
+    macro_rules! each_lane {
+        ($($l:literal)*) => {{
+            let mut g = 0;
+            while g < a.len() {
+                let (a, b) = (&a[g], &b[g]);
+                $(lanes[$l] = lanes[$l].wrapping_add((a[$l] as i32).wrapping_mul(b[$l] as i32));)*
+                g += 1;
+            }
+            0i32 $(.wrapping_add(lanes[$l]))*
+        }};
+    }
+    each_lane!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
 }
 
 /// Computes the reference `C = act(A · B)` from the matrices in memory.
@@ -158,38 +202,38 @@ pub fn reference_c(
     spec: &MatmulSpec,
     layout: &MatmulLayout,
 ) -> Result<Vec<i32>, MemError> {
-    let len = count(spec.m * spec.n);
-    let Some(mut blocks) = RowBlocks::new(mem, spec, layout)? else {
+    let len = count(spec.m, spec.n);
+    let Some(mut reference) = Reference::new(mem, spec, layout)? else {
         return Ok(vec![0; len]);
     };
     let mut c = Vec::with_capacity(len);
-    for first in blocks.firsts() {
-        c.extend_from_slice(blocks.rows(first));
+    for i in 0..reference.m {
+        c.extend_from_slice(reference.row(i));
     }
     Ok(c)
 }
 
 /// Compares the C region in memory against the reference result, element
-/// by element, a block of reference rows at a time: the reference is
-/// never held whole.
+/// by element, a reference row at a time: the reference is never held
+/// whole.
 ///
 /// # Errors
 /// Returns a description of the first mismatching element, or a memory
 /// fault.
 pub fn check_result(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<(), String> {
-    let blocks = RowBlocks::new(mem, spec, layout).map_err(|e| e.to_string())?;
+    let reference = Reference::new(mem, spec, layout).map_err(|e| e.to_string())?;
     let c = mem
         .bytes(
             layout.c_addr as u64,
-            count(spec.m * spec.n).saturating_mul(4),
+            count(spec.m, spec.n).saturating_mul(4),
         )
         .map_err(|e| e.to_string())?;
-    let Some(mut blocks) = blocks else {
+    let Some(mut reference) = reference else {
         return compare(std::iter::repeat(0), c, 0, spec.n);
     };
-    for first in blocks.firsts() {
-        let start = first * blocks.n;
-        compare(blocks.rows(first).iter().copied(), c, start, spec.n)?;
+    for i in 0..reference.m {
+        let start = i * reference.n;
+        compare(reference.row(i).iter().copied(), c, start, spec.n)?;
     }
     Ok(())
 }
@@ -213,14 +257,96 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn rng_is_deterministic_and_small() {
+    fn rng_is_deterministic() {
         let mut a = SplitMix::new(42);
         let mut b = SplitMix::new(42);
         for _ in 0..100 {
-            let va = a.next_small_i8();
-            assert_eq!(va, b.next_small_i8());
-            assert!((-8..=7).contains(&va));
+            assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    /// `len` fill bytes from `rng` by the definition: byte `i` is nibble
+    /// `i % 16` of draw `i / 16`, less 8.
+    fn nibble_stream(rng: &mut SplitMix, len: usize) -> Vec<i8> {
+        let words: Vec<u64> = (0..len.div_ceil(16)).map(|_| rng.next_u64()).collect();
+        (0..len)
+            .map(|i| ((words[i / 16] >> (4 * (i % 16))) & 0xF) as i8 - 8)
+            .collect()
+    }
+
+    #[test]
+    fn fill_is_pinned_by_a_known_answer() {
+        // the operand stream is a definition: a change here is a new one
+        let (_, layout, mem) = filled((4, 4, 8), 0x5EED);
+        let a: Vec<i8> = mem
+            .bytes(layout.a_addr as u64, 32)
+            .unwrap()
+            .iter()
+            .map(|&b| b as i8)
+            .collect();
+        assert_eq!(
+            a,
+            [
+                -4, 3, 1, 2, -8, 7, -5, -8, 5, 1, 5, 7, -7, 7, 1, -8, -3, -1, -4, 0, 7, 3, 3, -7,
+                -2, -7, -4, -1, -6, -5, -3, -3
+            ]
+        );
+    }
+
+    #[test]
+    fn b_continues_the_stream_of_a() {
+        // A is 21 bytes: one full draw and a short tail
+        for seed in [0, 7, u64::MAX] {
+            let (_, layout, mem) = filled((3, 5, 7), seed);
+            let mut rng = SplitMix::new(seed);
+            let (a, b) = (nibble_stream(&mut rng, 21), nibble_stream(&mut rng, 35));
+            let read = |addr: i64, len: usize| -> Vec<i8> {
+                let bytes = mem.bytes(addr as u64, len).unwrap();
+                bytes.iter().map(|&b| b as i8).collect()
+            };
+            assert_eq!(read(layout.a_addr, 21), a);
+            assert_eq!(read(layout.b_addr, 35), b);
+        }
+    }
+
+    #[test]
+    fn fill_is_small_and_uniform() {
+        // A is 64 KiB
+        let (_, layout, mem) = filled((256, 16, 256), 0xF111);
+        let a = mem.bytes(layout.a_addr as u64, 1 << 16).unwrap();
+        let b = mem.bytes(layout.b_addr as u64, 1 << 12).unwrap();
+        assert!(a.iter().chain(b).all(|&v| (-8..=7).contains(&(v as i8))));
+        let mut histogram = [0usize; 16];
+        for &v in a {
+            histogram[(v as i8 + 8) as usize] += 1;
+        }
+        let uniform = (1 << 16) / 16;
+        for (v, &seen) in histogram.iter().enumerate() {
+            assert!(
+                seen.abs_diff(uniform) * 20 <= uniform,
+                "{} seen {seen} times in 64 KiB",
+                v as i32 - 8
+            );
+        }
+    }
+
+    #[test]
+    fn counts_that_overflow_fault_and_touch_nothing() {
+        // a valid spec whose m · k is 2^64: it wrapped to 0 in release
+        // builds and panicked in debug ones
+        let spec = MatmulSpec::new((1 << 62, 1, 4), (1, 1, 1)).unwrap();
+        let layout = MatmulLayout {
+            a_addr: 0,
+            b_addr: 0x1000,
+            c_addr: 0x2000,
+            end: 0x3000,
+        };
+        let mut mem = Memory::new(0x3000);
+        let fault = mem.bytes(0, usize::MAX).unwrap_err();
+        assert_eq!(fill_inputs(&mut mem, &spec, &layout, 1), Err(fault));
+        assert_eq!(mem, Memory::new(0x3000));
+        assert_eq!(check_result(&mem, &spec, &layout), Err(fault.to_string()));
+        assert_eq!(reference_c(&mem, &spec, &layout), Err(fault));
     }
 
     #[test]
@@ -299,6 +425,14 @@ mod tests {
         (spec, layout, mem)
     }
 
+    /// Overwrites A and B with every i8, not only `[-8, 7]`.
+    fn fill_full_range(mem: &mut Memory, layout: &MatmulLayout, seed: u64) {
+        let mut rng = SplitMix::new(seed);
+        for byte in mem.bytes_mut(0, layout.c_addr as usize).unwrap() {
+            *byte = rng.next_u64() as u8;
+        }
+    }
+
     fn write_c(mem: &mut Memory, layout: &MatmulLayout, c: &[i32]) {
         for (idx, &v) in c.iter().enumerate() {
             mem.write_i32(layout.c_addr as u64 + 4 * idx as u64, v)
@@ -337,9 +471,32 @@ mod tests {
     }
 
     #[test]
+    fn the_padded_layout_at_its_corners() {
+        // depths either side of one, two and three lane groups; one column,
+        // two, and one past a lane group's worth
+        for k in [1, 15, 16, 17, 31, 32, 33] {
+            for n in [1, 2, 17] {
+                for m in [1, 5] {
+                    let (mut spec, layout, mut mem) = filled((m, n, k), 0);
+                    fill_full_range(&mut mem, &layout, (m * n * k) as u64);
+                    for relu in [false, true] {
+                        spec.relu = relu;
+                        assert_eq!(
+                            reference_c(&mem, &spec, &layout).unwrap(),
+                            definition_c(&mem, &spec, &layout),
+                            "(m, n, k) = {:?}, relu {relu}",
+                            (m, n, k)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn the_papers_shapes() {
-        // a 64 x 512 x 64 strip of the 512-cubed sweep point, and a row
-        // block's worth of its 8-wide OpenGeMM tiles
+        // a 64 x 512 x 64 strip of the 512-cubed sweep point, and a
+        // tile row's worth of its 8-wide OpenGeMM tiles
         for dims in [(64, 64, 512), (8, 8, 512)] {
             let (spec, layout, mem) = filled(dims, 0x512);
             assert_eq!(
@@ -351,7 +508,7 @@ mod tests {
 
     #[test]
     fn check_reports_the_row_major_first_of_two_mismatches() {
-        // the pairs sit in one row, in one block of rows, and in two blocks
+        // the pairs sit in one row, in rows 1 and 3, and far apart
         let (spec, layout, mut mem) = filled((9, 6, 5), 11);
         let reference = reference_c(&mem, &spec, &layout).unwrap();
         for (first, second) in [(7, 9), (8, 21), (13, 50), (0, 53)] {
@@ -366,6 +523,24 @@ mod tests {
             assert_eq!(
                 check_result(&mem, &spec, &layout),
                 Err(format!("C[{i}][{j}] = {got}, expected {want}"))
+            );
+        }
+    }
+
+    #[test]
+    fn check_names_a_corrupted_last_column_past_a_lane_group() {
+        // k = 17: every column's last operand is alone in its lane group
+        let (spec, layout, mut mem) = filled((4, 6, 17), 17);
+        let reference = reference_c(&mem, &spec, &layout).unwrap();
+        for i in 0..4 {
+            write_c(&mut mem, &layout, &reference);
+            let idx = i * 6 + 5;
+            let (got, want) = (reference[idx].wrapping_add(1), reference[idx]);
+            mem.write_i32(layout.c_addr as u64 + 4 * idx as u64, got)
+                .unwrap();
+            assert_eq!(
+                check_result(&mem, &spec, &layout),
+                Err(format!("C[{i}][5] = {got}, expected {want}"))
             );
         }
     }
@@ -419,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn check_handles_fewer_rows_than_a_block_and_one_column() {
+    fn check_handles_short_matrices_and_one_column() {
         for dims in [(1, 1, 1), (3, 1, 9), (2, 5, 3), (7, 1, 2), (1, 9, 4)] {
             let (mut spec, layout, mut mem) = filled(dims, 5);
             for relu in [false, true] {
@@ -428,7 +603,7 @@ mod tests {
                 assert_eq!(reference, definition_c(&mem, &spec, &layout));
                 write_c(&mut mem, &layout, &reference);
                 check_result(&mem, &spec, &layout).unwrap();
-                // the last element of the last (short) block
+                // the last element of the last row
                 let last = reference.len() - 1;
                 let (got, want) = (reference[last].wrapping_sub(1), reference[last]);
                 mem.write_i32(layout.c_addr as u64 + 4 * last as u64, got)
@@ -445,7 +620,7 @@ mod tests {
     proptest! {
         #[test]
         fn reference_equals_the_definition(
-            // across the row block and 64
+            // across lane groups and 64
             dims in (1i64..70, 1i64..70, 1i64..70),
             relu in any::<bool>(),
             full_range in any::<bool>(),
@@ -457,11 +632,7 @@ mod tests {
             let mut mem = Memory::new(layout.end as usize);
             fill_inputs(&mut mem, &spec, &layout, seed).unwrap();
             if full_range {
-                // every i8, not only [-8, 7]
-                let mut rng = SplitMix::new(seed);
-                for byte in mem.bytes_mut(0, layout.c_addr as usize).unwrap() {
-                    *byte = rng.next_u64() as u8;
-                }
+                fill_full_range(&mut mem, &layout, seed);
             }
             let reference = reference_c(&mem, &spec, &layout).unwrap();
             prop_assert_eq!(&reference, &definition_c(&mem, &spec, &layout));
