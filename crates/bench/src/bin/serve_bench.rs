@@ -16,11 +16,11 @@
 //! `closed_loop_measured`) and `run_stream` serves
 //! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
 //! a [`ServeConfig`] over `BenchPlan::base_config` — plus the `tuned` row,
-//! and prints the stream's table. Every serve runs the reference plan
-//! (`ServeMode::Deterministic`), the one the committed artifact comes
-//! from; the host's requests/sec is `benchmark/run.sh`'s to measure, and
-//! that sharded plans serve the same outcomes is `tests/differential.rs`'s
-//! to check.
+//! and prints the stream's table. Every serve is one run of the runtime's
+//! one serve loop, on the simulated clock, so the report is a function of
+//! the [`BenchPlan`] alone (CI regenerates the committed artifact and
+//! `cmp`s it);
+//! the host's requests/sec is `benchmark/run.sh`'s to measure.
 //!
 //! Every report row records the module-cache delta of its own serve, so
 //! runtime sharing is part of the report: one [`Runtime`] per pool

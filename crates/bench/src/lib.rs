@@ -22,7 +22,7 @@
 //! | `fig10_gemmini` | Figure 10 (Gemmini C vs accfg attainable perf) |
 //! | `fig11_opengemm` | Figure 11 (OpenGeMM base vs optimized, measured) |
 //! | `fig12_roofline_scatter` | Figure 12 (per-pass ablation on the roofline) |
-//! | `make_experiments` | composes the renderers above into `EXPERIMENTS.md` (generated output, git-ignored) |
+//! | `make_experiments` | composes the renderers above into `EXPERIMENTS.md` (committed; CI `cmp`s a fresh run against it) |
 //! | `serve_bench` | the serving-runtime characterization (`BENCH_runtime.json`) |
 //! | `microbench` | deterministic simulated-cycle micro-benchmarks |
 //! | `autotune` | the deterministic serving-knob autotuner (`TUNED.json`) |

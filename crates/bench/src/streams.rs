@@ -1,6 +1,6 @@
 //! The bench catalog: the one definition of every canonical stream and
 //! pool, shared by `serve_bench`, `autotune`, `benchmark/`, and the
-//! integration tests (`tests/serving.rs` and `tests/differential.rs` take
+//! integration tests (`tests/serving.rs` and `tests/persistence.rs` take
 //! their fixtures from here instead of re-typing seeds and gaps).
 //!
 //! [`catalog`] lists the seven streams in report order, each with the pool
@@ -356,8 +356,8 @@ mod tests {
 
     #[test]
     fn calibrated_equals_the_written_out_recipe() {
-        // the reference: the recipe exactly as serve_bench, its diff mode
-        // and tests/differential.rs each spelled it before the catalog
+        // the reference: the recipe exactly as serve_bench and the
+        // integration tests each spelled it before the catalog
         let cfg = closed_loop_config(300);
         let calibration_stream = cfg.stream().expect("valid closed-loop mix");
         let calibration = Runtime::new(uniform_pool())

@@ -1,59 +1,20 @@
-//! The serve engine: one shard loop, run under a plan.
+//! The serve engine: the one serve loop.
 //!
 //! [`Runtime::serve`] resolves modules, sorts the dispatch order, and
 //! builds the worker pool, then hands the *serve loop proper* to
-//! `engine::run`, which only **plans** — which pool groups share a
-//! scheduler shard — and runs the single shard loop (`run_shard`) once
-//! per shard, one shard after another on the calling thread. A dispatch
-//! executes where it is committed; nothing is spawned and no channel is
-//! opened.
+//! `engine::run`: one scheduler and one cost refiner over the whole pool,
+//! walking the global `(arrival, id, slot)` order on the simulated clock.
+//! A dispatch executes on the calling thread where the loop commits it;
+//! nothing is spawned and no channel is opened. Its per-request outcomes
+//! (writes, cycles, latencies, prediction samples) define correct
+//! behaviour, and its reports are byte-identical across runs — the
+//! committed `BENCH_runtime.json` and `TUNED.json` are its output.
 //!
-//! - **plan** ([`EnginePlan`], reported as [`ServeReport::engine`]).
-//!   [`ServeMode::Deterministic`] (the default) and every serve with a
-//!   bounded [`ServeBudget`] run **one shard owning every group**: one
-//!   scheduler, one refiner, the global `(arrival, id, slot)` order.
-//!   This is the *reference configuration* — its per-request outcomes
-//!   (writes, cycles, latencies, prediction samples) define correct
-//!   behaviour, and its reports are byte-identical across runs.
-//!   [`ServeMode::Parallel`] buckets the groups by base platform name and
-//!   runs one shard per bucket.
-//! - **shards.** A shard owns a set of pool groups: it walks their
-//!   subsequence of the arrival order against its own scheduler, routes
-//!   only among their workers, and retires measured cycles into its own
-//!   refiner rows.
-//!
-//! # Why the plan never changes an outcome
-//!
-//! The loop's processing of one group's subsequence is independent of
-//! every group it shares no state with:
-//!
-//! - routing reads only the group's candidate workers (scoring prices
-//!   `candidates` exclusively, and `fifo` keeps per-group round-robin
-//!   counters);
-//! - commits touch only the chosen worker's queue and shadow state;
-//! - batch coalescing scans only the group's own arrival subsequence
-//!   (other groups' requests never interpose);
-//! - worker cycle counts are pure functions of the worker's own job
-//!   sequence (machines share no state);
-//! - refiner rows are keyed `(module key, platform)`, and a group's
-//!   module keys name its *base* platform — so observation state is
-//!   disjoint across groups exactly when their base platform names are.
-//!
-//! The last clause is the planning rule: groups sharing a base platform
-//! name share refiner rows, so they share a shard (and with it one
-//! `(finish, slot)` retirement order); groups that share nothing may be
-//! split, and each shard then makes exactly the decisions the one-shard
-//! plan makes for its groups. The plan is never a semantic knob.
-//! `tests/differential.rs` states that as a property of the one loop —
-//! schedule-independence — by serving every bench stream × policy pair
-//! under the reference plan and under the sharded plan and asserting
-//! outcome-by-outcome equality; the loop body's own reference is the
-//! committed output of the reference plan (`BENCH_runtime.json`,
-//! `TUNED.json`).
+//! `docs/ARCHITECTURE.md` § "The serve loop" states the pull order, why
+//! budget aborts are exact, and the schedule-independence argument any
+//! future parallel lane would have to be planned from (ROADMAP item 2).
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
-//! [`ServeReport::engine`]: crate::runtime::ServeReport::engine
-//! [`ServeBudget`]: crate::runtime::ServeBudget
 
 use crate::cache::CompiledModule;
 use crate::error::ServeError;
@@ -63,41 +24,8 @@ use crate::scheduler::{CommitOutcome, Scheduler};
 use crate::worker::{Completion, Job, Worker};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::TrafficRequest;
-use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-
-/// How the serve loop is planned onto scheduler shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// The reference plan: one scheduler shard over the whole pool on
-    /// the simulated clock. Reports are byte-identical across runs; this
-    /// is the default, and the only mode benchmark artifacts are
-    /// committed from.
-    #[default]
-    Deterministic,
-    /// The sharded plan: one scheduler shard per set of pool groups
-    /// sharing a base platform name, served one after another on the
-    /// calling thread. Produces per-request outcomes identical to the
-    /// reference plan (see the module docs for the argument).
-    Parallel {
-        /// Ignored: every value selects the same sharded plan. What is
-        /// left of a thread budget, kept because `benchmark/` constructs
-        /// the variant with it; the rename to a field-less variant is
-        /// ROADMAP item 8(a)'s.
-        threads: usize,
-    },
-}
-
-/// The plan a serve actually ran under — what [`ServeConfig::mode`], the
-/// budget and the pool's shape resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnginePlan {
-    /// Scheduler shards. 1 under [`ServeMode::Deterministic`] or a
-    /// bounded budget; otherwise one per distinct base platform name
-    /// among the pool's groups (groups sharing a name share a shard).
-    pub shards: usize,
-}
 
 /// A pool flattened for one serve, indexed the way the scheduler and the
 /// loop index it.
@@ -120,8 +48,8 @@ pub(crate) struct Resolved {
     pub modules: Vec<Option<Arc<CompiledModule>>>,
     /// Per-slot pool-group index.
     pub group_idx: Vec<usize>,
-    /// Persisted cost rows to seed the refiner(s) with: every one belongs
-    /// to a module in `modules` and names a platform of the pool.
+    /// Persisted cost rows to seed the refiner with: every one belongs to
+    /// a module in `modules` and names a platform of the pool.
     pub cost_seed: Vec<CostSnapshotEntry>,
 }
 
@@ -138,8 +66,6 @@ pub(crate) struct EngineInput<'a> {
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
 /// (metrics, store flush).
 pub(crate) struct EngineOutput {
-    /// The plan the loop ran under.
-    pub plan: EnginePlan,
     /// Per-slot completions, in stream order.
     pub completions: Vec<Completion>,
     /// Per-slot commit predictions.
@@ -215,119 +141,6 @@ impl BudgetTracker {
     }
 }
 
-/// One scheduler shard of a plan: the pool groups it owns and what the
-/// loop needs to serve them.
-struct Shard<'a> {
-    /// Owned pool groups, ascending.
-    groups: Vec<usize>,
-    /// The owned groups' subsequence of the dispatch order.
-    order: Vec<usize>,
-    /// The persisted cost rows this shard's refiner starts from.
-    seed: Cow<'a, [CostSnapshotEntry]>,
-}
-
-/// Plans the serve (see the module docs) and runs the shard loop under
-/// that plan, every shard writing its requests' stream slots of the one
-/// output.
-///
-/// A bounded [`ServeBudget`] forces the reference plan — one shard —
-/// whatever `cfg.mode` says: the abort argument ([`BudgetTracker`]) is
-/// stated against that plan's pull order, so the budget overrides the
-/// plan rather than weakening the contract.
-pub(crate) fn run(
-    input: EngineInput<'_>,
-    mut workers: Vec<Worker>,
-) -> Result<EngineOutput, ServeError> {
-    let (stream, pool, resolved, cfg) = (input.stream, input.pool, input.resolved, input.cfg);
-    let groups = &pool.groups;
-    let budget = cfg.budget.filter(|b| !b.is_unbounded());
-    let base_of = |g: usize| pool.worker_descs[groups[g][0]].name.as_str();
-
-    // plan: which groups share a shard
-    let new_shard = |groups: Vec<usize>| Shard {
-        groups,
-        order: Vec::new(),
-        seed: Cow::Borrowed(&[]),
-    };
-    let mut shards: Vec<Shard<'_>> = Vec::new();
-    match cfg.mode {
-        ServeMode::Parallel { .. } if budget.is_none() => {
-            for g in 0..groups.len() {
-                match shards
-                    .iter_mut()
-                    .find(|shard| base_of(shard.groups[0]) == base_of(g))
-                {
-                    Some(shard) => shard.groups.push(g),
-                    None => shards.push(new_shard(vec![g])),
-                }
-            }
-        }
-        _ => shards.push(new_shard((0..groups.len()).collect())),
-    }
-    let mut shard_of_group = vec![0usize; groups.len()];
-    for (s, shard) in shards.iter().enumerate() {
-        for &g in &shard.groups {
-            shard_of_group[g] = s;
-        }
-    }
-    // each shard's subsequence of the dispatch order
-    for &slot in &resolved.order {
-        shards[shard_of_group[resolved.group_idx[slot]]]
-            .order
-            .push(slot);
-    }
-
-    // Persisted cost rows: one shard takes them all. Several shards split
-    // them by the base platform each row's module was compiled for — the
-    // shard owning that base is the only one that can read or write the
-    // row, and there always is one: `Runtime::serve` loads rows only for
-    // modules the stream resolved.
-    if shards.len() == 1 {
-        shards[0].seed = Cow::Borrowed(&resolved.cost_seed);
-    } else {
-        for entry in &resolved.cost_seed {
-            shards
-                .iter_mut()
-                .find(|shard| base_of(shard.groups[0]) == entry.1.accelerator)
-                .expect("a seeded row's module was resolved for some group")
-                .seed
-                .to_mut()
-                .push(entry.clone());
-        }
-    }
-    // only the reference plan (one shard) is ever budgeted
-    let mut tracker = budget.map(|b| BudgetTracker::new(b, stream.len()));
-
-    let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
-    let mut out = EngineOutput {
-        plan: EnginePlan {
-            shards: shards.len(),
-        },
-        completions: Vec::new(),
-        outcomes: vec![CommitOutcome::default(); stream.len()],
-        finish: vec![0u64; stream.len()],
-        batched_requests: 0,
-        cost_snapshot: Vec::new(),
-    };
-    for shard in shards {
-        let budget = tracker.take();
-        run_shard(
-            input,
-            shard,
-            &mut workers,
-            budget,
-            &mut completions,
-            &mut out,
-        )?;
-    }
-    // (collected in place: an `Option<Completion>` is a `Completion` wide)
-    out.completions = completions
-        .into_iter()
-        .map(|c| c.expect("every request is dispatched"))
-        .collect();
-    Ok(out)
-}
-
 /// The refiner's rows re-keyed from platform index to platform name.
 fn snapshot_by_name(scheduler: &Scheduler) -> Vec<CostSnapshotEntry> {
     let variants = scheduler.load().variants();
@@ -339,51 +152,52 @@ fn snapshot_by_name(scheduler: &Scheduler) -> Vec<CostSnapshotEntry> {
         .collect()
 }
 
-/// The serve loop: walks `shard`'s subsequence of the arrival order on
-/// the simulated clock against a full-width scheduler (so platform
-/// indices mean the same in every shard) that only ever routes within
-/// the owned groups' candidates, filling its requests' stream slots of
-/// `completions` and `out`. A dispatch executes on its worker the moment
-/// it is committed — ahead of the simulated clock — but the loop *pulls*
-/// its completion (fixes its finish cycle, queues it for retirement,
-/// admits it to the budget) only once the clock proves the dispatch has
-/// started, so every decision is a function of simulated time alone, and
-/// so is the pull order (the clock, then ascending worker index).
+/// The serve loop: walks the dispatch order on the simulated clock
+/// against one scheduler seeded from the persisted cost rows, routing
+/// each request among its group's workers. A dispatch executes on its
+/// worker the moment it is committed — ahead of the simulated clock — but
+/// the loop *pulls* its completion (fixes its finish cycle, queues it for
+/// retirement, admits it to the budget) only once the clock proves the
+/// dispatch has started, so every decision is a function of simulated
+/// time alone, and so is the pull order (the clock, then ascending worker
+/// index).
 ///
-/// With a [`BudgetTracker`], every pulled completion's (final) latency
-/// and setup writes are admitted to it, tail drain included, and the
-/// loop returns [`ServeError::BudgetExceeded`] the moment a bound is
-/// provably exceeded — the bounds are thereby *exact*: a budgeted run
-/// completes if and only if its final metrics are within budget.
-fn run_shard(
+/// With a bounded [`ServeBudget`], every pulled completion's (final)
+/// latency and setup writes are admitted to a [`BudgetTracker`], tail
+/// drain included, and the loop returns [`ServeError::BudgetExceeded`]
+/// the moment a bound is provably exceeded — the bounds are thereby
+/// *exact*: a budgeted run completes if and only if its final metrics are
+/// within budget.
+pub(crate) fn run(
     input: EngineInput<'_>,
-    shard: Shard<'_>,
-    workers: &mut [Worker],
-    mut budget: Option<BudgetTracker>,
-    completions: &mut [Option<Completion>],
-    out: &mut EngineOutput,
-) -> Result<(), ServeError> {
+    mut workers: Vec<Worker>,
+) -> Result<EngineOutput, ServeError> {
     let (stream, pool, cfg) = (input.stream, input.pool, input.cfg);
     let (groups, worker_descs) = (&pool.groups, &pool.worker_descs);
-    let (modules, group_idx) = (&input.resolved.modules, &input.resolved.group_idx);
+    let (order, modules, group_idx) = (
+        &input.resolved.order,
+        &input.resolved.modules,
+        &input.resolved.group_idx,
+    );
     let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
-    let order = shard.order;
-    // ascending worker index: the pull order budget aborts are exact in
-    let members: Vec<usize> = shard
-        .groups
-        .iter()
-        .flat_map(|&g| groups[g].iter().copied())
-        .collect();
+    let mut budget = cfg
+        .budget
+        .filter(|b| !b.is_unbounded())
+        .map(|b| BudgetTracker::new(b, stream.len()));
 
     let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
         .with_power_caps(pool.worker_group.clone(), pool.power_caps.clone());
-    scheduler.seed_refiner(&shard.seed);
+    scheduler.seed_refiner(&input.resolved.cost_seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
     let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
 
+    let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
+    let mut outcomes = vec![CommitOutcome::default(); stream.len()];
+    let mut finish = vec![0u64; stream.len()];
+    let mut batched_requests = 0u64;
     // per-worker dispatches executed but not yet pulled, oldest first;
     // `finish_known[w]` is the simulated finish of the last pulled
     // dispatch, so the head's start cycle is exact
@@ -407,25 +221,25 @@ fn run_shard(
         let now = head.map_or(u64::MAX, |head| stream[head].arrival);
 
         // pull every completion the clock proves has *started* (its
-        // worker-queue predecessors all finished by now). A pulled
-        // completion's latency is final, so the budget verdict on it is
-        // exact.
-        for &w in &members {
-            while let Some(&slot) = inflight[w].front() {
-                let start = finish_known[w].max(stream[slot].arrival);
+        // worker-queue predecessors all finished by now), in ascending
+        // worker index. A pulled completion's latency is final, so the
+        // budget verdict on it is exact.
+        for (queue, known) in inflight.iter_mut().zip(&mut finish_known) {
+            while let Some(&slot) = queue.front() {
+                let start = (*known).max(stream[slot].arrival);
                 if start > now {
                     break;
                 }
                 let completion = completions[slot].as_ref().expect("executed at commit");
-                let finish = start + completion.counters.cycles;
-                out.finish[slot] = finish;
-                finish_known[w] = finish;
-                inflight[w].pop_front();
+                let end = start + completion.counters.cycles;
+                finish[slot] = end;
+                *known = end;
+                queue.pop_front();
                 if completion.sim_error.is_none() {
-                    unretired.insert((finish, slot));
+                    unretired.insert((end, slot));
                 }
                 if let Some(tracker) = budget.as_mut() {
-                    tracker.admit(finish - stream[slot].arrival, completion.emitted_writes)?;
+                    tracker.admit(end - stream[slot].arrival, completion.emitted_writes)?;
                 }
             }
         }
@@ -434,8 +248,8 @@ fn run_shard(
         };
         // retire completed dispatches into the cost refiner, in
         // simulated completion order
-        while let Some(&(finish, slot)) = unretired.first() {
-            if finish > now {
+        while let Some(&(end, slot)) = unretired.first() {
+            if end > now {
                 break;
             }
             unretired.pop_first();
@@ -443,7 +257,7 @@ fn run_shard(
             scheduler.observe(
                 completion.worker,
                 module_of(slot),
-                out.outcomes[slot].bucket,
+                outcomes[slot].bucket,
                 completion.freq,
                 completion.counters.cycles,
             );
@@ -472,7 +286,7 @@ fn run_shard(
                     }
                 }
             }
-            out.outcomes[slot] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
+            outcomes[slot] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
             inflight[worker].push_back(slot);
             completions[slot] = Some(workers[worker].execute(&Job {
                 request: &stream[slot],
@@ -482,123 +296,17 @@ fn run_shard(
             }));
             batch += 1;
         }
-        out.batched_requests += (batch - 1) as u64;
+        batched_requests += (batch - 1) as u64;
     }
-    out.cost_snapshot.extend(snapshot_by_name(&scheduler));
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::policy::Policy;
-    use crate::runtime::{PoolConfig, Runtime, ServeConfig};
-    use accfg_workloads::{mixed_serving_classes, TrafficConfig};
-
-    fn pool() -> PoolConfig {
-        PoolConfig::new(vec![
-            AcceleratorDescriptor::gemmini(),
-            AcceleratorDescriptor::opengemm(),
-        ])
-    }
-
-    fn stream(requests: usize, seed: u64) -> Vec<TrafficRequest> {
-        TrafficConfig {
-            classes: mixed_serving_classes(),
-            requests,
-            mean_gap: 80,
-            seed,
-        }
-        .open_loop_stream()
-        .unwrap()
-    }
-
-    fn serve(pool: PoolConfig, stream: &[TrafficRequest], cfg: &ServeConfig) -> crate::ServeReport {
-        Runtime::new(pool).serve(stream, cfg).unwrap()
-    }
-
-    #[test]
-    fn parallel_matches_the_oracle_per_request() {
-        let stream = stream(250, 21);
-        for policy in Policy::ALL {
-            let base = ServeConfig {
-                policy,
-                ..ServeConfig::default()
-            };
-            let oracle = serve(pool(), &stream, &base);
-            let parallel = serve(
-                pool(),
-                &stream,
-                &ServeConfig {
-                    mode: ServeMode::Parallel { threads: 1 },
-                    ..base.clone()
-                },
-            );
-            assert_eq!(oracle.metrics, parallel.metrics, "{}", policy.label());
-            assert_eq!(oracle.latencies, parallel.latencies);
-            assert_eq!(oracle.predictions, parallel.predictions);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_the_oracle_with_batching() {
-        let stream = stream(300, 22);
-        let base = ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        };
-        let oracle = serve(pool(), &stream, &base);
-        let parallel = serve(
-            pool(),
-            &stream,
-            &ServeConfig {
-                mode: ServeMode::Parallel { threads: 2 },
-                ..base
-            },
-        );
-        assert_eq!(oracle.metrics, parallel.metrics);
-        assert_eq!(oracle.latencies, parallel.latencies);
-    }
-
-    #[test]
-    fn duplicate_base_names_fall_back_to_the_oracle() {
-        // two groups fielding the same base platform share refiner rows
-        // (module keys name the base), so the plan keeps them on one
-        // shard — and says so
-        let gemmini = AcceleratorDescriptor::gemmini();
-        let pool = PoolConfig {
-            groups: vec![
-                crate::runtime::PoolGroup {
-                    family: "a".into(),
-                    members: vec![gemmini.clone(), gemmini.clone()],
-                    power_cap: None,
-                },
-                crate::runtime::PoolGroup {
-                    family: "b".into(),
-                    members: vec![gemmini.clone(), gemmini],
-                    power_cap: None,
-                },
-            ],
-            mem_bytes: 1 << 21,
-            fuel: 100_000_000,
-        };
-        let mut stream = stream(80, 24);
-        for (i, request) in stream.iter_mut().enumerate() {
-            request.accelerator = if i % 2 == 0 { "a".into() } else { "b".into() };
-            request.spec = accfg_workloads::MatmulSpec::gemmini_paper(16).unwrap();
-        }
-        let oracle = serve(pool.clone(), &stream, &ServeConfig::default());
-        let parallel = serve(
-            pool,
-            &stream,
-            &ServeConfig {
-                mode: ServeMode::Parallel { threads: 4 },
-                ..ServeConfig::default()
-            },
-        );
-        assert_eq!(oracle.metrics, parallel.metrics);
-        assert_eq!(oracle.latencies, parallel.latencies);
-        assert_eq!(oracle.engine, EnginePlan { shards: 1 });
-        assert_eq!(parallel.engine, EnginePlan { shards: 1 });
-    }
+    Ok(EngineOutput {
+        // (collected in place: an `Option<Completion>` is a `Completion` wide)
+        completions: completions
+            .into_iter()
+            .map(|c| c.expect("every request is dispatched"))
+            .collect(),
+        outcomes,
+        finish,
+        batched_requests,
+        cost_snapshot: snapshot_by_name(&scheduler),
+    })
 }

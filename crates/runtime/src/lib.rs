@@ -165,7 +165,6 @@ pub use cache::{
     build_module, CacheKey, CacheStats, CompiledModule, CostModel, CostRefiner, CostRow,
     ModuleCache, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
 };
-pub use engine::{EnginePlan, ServeMode};
 pub use error::ServeError;
 pub use metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
@@ -181,6 +180,8 @@ pub use runtime::{
     measured_class_service_times, BatchCutoff, PoolConfig, PoolGroup, PredictionSample, Runtime,
     ServeBudget, ServeConfig, ServeReport,
 };
+// inert, kept for `benchmark/` only (see `ServeConfig::mode`)
+pub use runtime::ServeMode;
 pub use scheduler::{CommitOutcome, LoadTracker, Scheduler, LOAD_SLACK_CYCLES};
 pub use worker::{Completion, Job, Worker};
 

@@ -800,7 +800,7 @@ impl WarmStart {
 
     /// The stored cost rows of the distinct `modules` on the distinct
     /// `platforms` (repeats in either are skipped); every row found
-    /// seeds the refiner of the shard compiling its module.
+    /// seeds the serve's refiner.
     ///
     /// # Errors
     /// See [`load_cost_row`].

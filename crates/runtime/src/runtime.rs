@@ -32,7 +32,7 @@
 //! the group's base platform and cost estimates re-anchored per variant.
 
 use crate::cache::{CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, EngineInput, EngineOutput, EnginePlan, PoolShape, Resolved, ServeMode};
+use crate::engine::{self, EngineInput, EngineOutput, PoolShape, Resolved};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
@@ -272,15 +272,11 @@ pub fn measured_class_service_times(
 /// the tracker, so a budgeted serve completes if and only if the full
 /// run's final p99 and setup-write totals are within the bounds.
 ///
-/// A bounded budget always serves under the reference plan — one shard —
-/// whatever [`ServeConfig::mode`] says (the plan that ran is reported in
-/// [`ServeReport::engine`]): the abort argument is stated against that
-/// plan's pull order, so the budget overrides the plan rather than
-/// weakening the contract. The pull order is a function of the stream
-/// alone: which completions are pulled at a step is decided by the
-/// simulated clock (a dispatch is pulled once its start cycle is
-/// proven), and within a step workers are visited in ascending index.
-/// An all-`None` budget bounds nothing and leaves the plan to `mode`.
+/// The abort argument is stated against the serve loop's pull order,
+/// which is a function of the stream alone: which completions are pulled
+/// at a step is decided by the simulated clock (a dispatch is pulled once
+/// its start cycle is proven), and within a step workers are visited in
+/// ascending index. An all-`None` budget bounds nothing.
 ///
 /// An aborted run flushes nothing to a warm-start store (the flush sits
 /// after the engine in [`Runtime::serve`], and the abort returns early),
@@ -339,6 +335,28 @@ impl From<Option<u64>> for BatchCutoff {
     }
 }
 
+/// A compatibility shim with no effect: every value runs the one serve
+/// loop — [`ServeConfig::mode`] is read by nothing — so reports served
+/// under any two values are identical.
+///
+/// It survives because the repository benchmark (`benchmark/`)
+/// constructs both variants. The follow-up is a change to that harness
+/// (ROADMAP item 2): it stops constructing the type, retires the
+/// `runtime.engine.oracle_req_per_s`, `par2_req_per_s` and
+/// `handoff_us_per_req` metrics that time it, and deletes the type and
+/// the field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ServeMode {
+    /// The default.
+    #[default]
+    Deterministic,
+    /// Identical to `Deterministic`.
+    Parallel {
+        /// Ignored.
+        threads: usize,
+    },
+}
+
 /// Per-serve-run configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -377,19 +395,14 @@ pub struct ServeConfig {
     ///
     /// [`WarmStartStats`]: crate::metrics::WarmStartStats
     pub store: Option<PathBuf>,
-    /// How the one serve loop is planned onto scheduler shards:
-    /// [`ServeMode::Deterministic`] (the default) is the reference plan —
-    /// one shard over the whole pool, reports byte-identical across runs;
-    /// [`ServeMode::Parallel`] runs one shard per set of groups sharing a
-    /// base platform name, one after another, producing identical
-    /// per-request outcomes (see [`crate::engine`] for the argument). The
-    /// plan that ran is in [`ServeReport::engine`].
+    /// Inert: read by nothing, every value runs the one serve loop. Kept
+    /// only because the repository benchmark (`benchmark/`) still sets it.
     pub mode: ServeMode,
     /// Early-termination bounds for capped tuning runs (see
     /// [`ServeBudget`]). `None` (the default) serves the full stream
-    /// unconditionally; a bounded `Some` serves under the one-shard plan
-    /// and aborts with [`ServeError::BudgetExceeded`] as soon as a bound
-    /// is provably violated.
+    /// unconditionally; a bounded `Some` aborts with
+    /// [`ServeError::BudgetExceeded`] as soon as a bound is provably
+    /// violated.
     ///
     /// [`ServeError::BudgetExceeded`]:
     ///     crate::error::ServeError::BudgetExceeded
@@ -437,10 +450,6 @@ pub struct ServeReport {
     pub latencies: Vec<u64>,
     /// Per-request cycle predictions vs. observations, in stream order.
     pub predictions: Vec<PredictionSample>,
-    /// The plan the serve loop actually ran under. Deliberately outside
-    /// [`ServeMetrics`]: the plan never changes an outcome, so reports
-    /// served under different plans compare (and render) equal.
-    pub engine: EnginePlan,
 }
 
 /// A pooled serving runtime with a persistent module cache.
@@ -493,10 +502,10 @@ impl Runtime {
         let resolved = self.resolve(stream, cfg, &pool.worker_descs, warm_start.as_mut())?;
         let workers = self.pool.workers(&pool, &resolved);
 
-        // The serve loop proper: scheduling interleaved with execution,
-        // under the plan `cfg.mode` selects (see `crate::engine`). A
-        // budget abort returns here — before the flush below — so a
-        // capped run can never persist partial EWMA state.
+        // The serve loop proper: scheduling interleaved with execution
+        // (see `crate::engine`). A budget abort returns here — before the
+        // flush below — so a capped run can never persist partial EWMA
+        // state.
         let input = EngineInput {
             stream,
             pool: &pool,
@@ -680,7 +689,6 @@ fn summarise(
     warm_start: Option<WarmStartStats>,
 ) -> ServeReport {
     let EngineOutput {
-        plan,
         completions,
         outcomes,
         finish,
@@ -818,7 +826,6 @@ fn summarise(
         completions,
         latencies,
         predictions,
-        engine: plan,
     }
 }
 
@@ -1472,54 +1479,52 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_serves_run_on_the_oracle() {
-        // a budget overrides the engine knob: parallel mode with a budget
-        // must reproduce the oracle's outcomes (the abort argument is
-        // stated against the oracle's pull order)
+    fn an_exceeded_budget_aborts_before_the_stream_ends() {
+        // both bounds far below the full run's: the verdict comes before
+        // every completion has been admitted
         let stream = stream(200, 15);
-        let oracle = Runtime::new(pool())
+        let full = Runtime::new(pool())
             .serve(&stream, &ServeConfig::default())
             .unwrap();
-        let budgeted = Runtime::new(pool())
+        let err = Runtime::new(pool())
             .serve(
                 &stream,
                 &ServeConfig {
-                    mode: ServeMode::Parallel { threads: 4 },
                     budget: Some(ServeBudget {
-                        p99_bound: Some(u64::MAX),
-                        max_setup_writes: Some(u64::MAX),
+                        p99_bound: Some(full.metrics.latency.p50),
+                        max_setup_writes: Some(full.metrics.setup_writes / 2),
                     }),
                     ..ServeConfig::default()
                 },
             )
-            .unwrap();
-        assert_eq!(oracle.metrics, budgeted.metrics);
-        assert_eq!(oracle.latencies, budgeted.latencies);
-        assert_eq!(oracle.engine, budgeted.engine);
-
-        // an aborting bound: the verdict — down to how many completions
-        // were admitted before it — is the same under either mode
-        let aborting = |mode| {
-            Runtime::new(pool())
-                .serve(
-                    &stream,
-                    &ServeConfig {
-                        mode,
-                        budget: Some(ServeBudget {
-                            p99_bound: Some(oracle.metrics.latency.p50),
-                            max_setup_writes: Some(oracle.metrics.setup_writes / 2),
-                        }),
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap_err()
-        };
-        let reference = aborting(ServeMode::Deterministic);
+            .unwrap_err();
         assert!(
-            matches!(reference, ServeError::BudgetExceeded { completed, .. } if completed < 200),
-            "{reference:?}"
+            matches!(err, ServeError::BudgetExceeded { completed, .. } if completed < 200),
+            "{err:?}"
         );
-        assert_eq!(reference, aborting(ServeMode::Parallel { threads: 4 }));
+    }
+
+    #[test]
+    fn every_serve_mode_runs_the_one_loop() {
+        // `benchmark/` sets the inert `mode` (and compares the reports
+        // request by request): every value, `threads` included, must
+        // serve the same report in every field
+        let stream = stream(120, 19);
+        let report = |mode| {
+            let cfg = ServeConfig {
+                mode,
+                ..ServeConfig::default()
+            };
+            format!("{:?}", Runtime::new(pool()).serve(&stream, &cfg).unwrap())
+        };
+        let reference = report(ServeMode::Deterministic);
+        for threads in [0, 1, 2] {
+            assert_eq!(
+                report(ServeMode::Parallel { threads }),
+                reference,
+                "{threads}"
+            );
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use accfg::{interpret, AccelFilter};
     pub use accfg_ir::{FuncBuilder, Module, PassManager, Type};
     pub use accfg_roofline::{ConfigRoofline, ProcessorRoofline, Roofsurface};
-    pub use accfg_runtime::{Policy, PoolConfig, Runtime, ServeConfig, ServeMode};
+    pub use accfg_runtime::{Policy, PoolConfig, Runtime, ServeConfig};
     pub use accfg_sim::{AccelParams, AccelSim, HostModel, Machine, TimingModel};
     pub use accfg_targets::{compile, AcceleratorDescriptor};
     pub use accfg_workloads::{matmul_ir, MatmulLayout, MatmulSpec, TrafficConfig};

@@ -11,10 +11,10 @@
 //! appends, and move to v2 only through `compact()`.
 
 use accfg_bench::streams::{
-    contention_pool, contention_stream, mixed_stream, shape_heavy_stream, uniform_pool,
+    contention_pool, contention_stream, hetero_pool, mixed_stream, shape_heavy_stream, uniform_pool,
 };
 use configuration_wall::core::pipeline::OptLevel;
-use configuration_wall::runtime::persist::module_key_bytes;
+use configuration_wall::runtime::persist::{cost_key_bytes, module_key_bytes};
 use configuration_wall::runtime::{
     build_module, decode_module, encode_module, load_costs, load_modules, save_costs, save_modules,
     CacheKey, CostRow, CostSnapshotEntry, ModuleCache, Policy, PoolConfig, Runtime, ServeConfig,
@@ -22,7 +22,10 @@ use configuration_wall::runtime::{
 };
 use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError, MAGIC, MAGIC_V1};
 use configuration_wall::targets::AcceleratorDescriptor;
-use configuration_wall::workloads::{mixed_serving_classes, TrafficRequest};
+use configuration_wall::workloads::{
+    mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, TrafficClass,
+    TrafficConfig, TrafficRequest,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -523,6 +526,185 @@ fn an_unfieldable_stored_module_is_counted_and_rebuilt() {
     let warm = again.metrics.warm_start.expect("store configured");
     assert_eq!((warm.records_unfieldable, warm.modules_restored), (0, 1));
     let _ = std::fs::remove_file(&path);
+}
+
+fn open_loop(
+    classes: Vec<TrafficClass>,
+    requests: usize,
+    mean_gap: u64,
+    seed: u64,
+) -> Vec<TrafficRequest> {
+    TrafficConfig {
+        classes,
+        requests,
+        mean_gap,
+        seed,
+    }
+    .open_loop_stream()
+    .expect("valid mix")
+}
+
+/// Serves `stream` on a fresh runtime over `pool` under the cost policy
+/// (it routes on the refined estimates, so a seeded row moves routing)
+/// against the store at `path`.
+fn serve_cost(pool: &PoolConfig, stream: &[TrafficRequest], path: &std::path::Path) -> ServeReport {
+    Runtime::new(pool.clone())
+        .serve(
+            stream,
+            &ServeConfig {
+                policy: Policy::Cost,
+                store: Some(path.to_path_buf()),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("serve succeeds")
+}
+
+/// A heterogeneous pool warm-starts like a uniform one: every module of
+/// the stream comes back from the store, and the variants' learned cost
+/// rows seed the refiner.
+#[test]
+fn a_hetero_pool_warm_starts_its_modules_and_cost_rows() {
+    let path = temp_store("hetero_warm");
+    let classes = mixed_platform_classes();
+    serve_cost(
+        &hetero_pool(),
+        &open_loop(classes.clone(), 300, 200, 0x5EED0),
+        &path,
+    );
+    let report = serve_cost(
+        &hetero_pool(),
+        &open_loop(classes, 300, 200, 0x5EED1),
+        &path,
+    );
+    let warm = report.metrics.warm_start.expect("store configured");
+    assert!(warm.ewma_entries_seeded > 0, "nothing was seeded");
+    assert_eq!(report.metrics.cache.misses, 0, "modules restored");
+    assert_eq!(report.metrics.check_failures, 0);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn orphaned_cost_rows_are_never_loaded_and_survive_the_flush() {
+    // a store written by the hetero pool, read by a pool whose gemmini
+    // group fields only the turbo variant: the turbo rows of modules
+    // compiled for the `gemmini` base name a platform the new pool
+    // fields but a base no group compiles for. No stream the new pool
+    // serves can resolve such a module, so the rows are never read and
+    // the flush never rewrites them
+    let path = temp_store("reshaped");
+    let classes = mixed_platform_classes();
+    serve_cost(
+        &hetero_pool(),
+        &open_loop(classes.clone(), 300, 200, 0x5EED2),
+        &path,
+    );
+    // (store key, raw value) of every orphaned row, and how many rows
+    // the reshaped pool *can* own: its bases are `gemmini-turbo` and
+    // `opengemm`, and only the latter has modules in this store
+    let rows = |store: &LogStore| load_costs(store).expect("cost rows decode");
+    let orphaned = |store: &LogStore| {
+        rows(store)
+            .iter()
+            .filter(|(platform, key, _)| {
+                platform == "gemmini-turbo" && key.accelerator == "gemmini"
+            })
+            .map(|(platform, key, _)| {
+                let store_key = cost_key_bytes(platform, key);
+                let value = store.get(&store_key).expect("row is live").to_vec();
+                (store_key, value)
+            })
+            .collect::<Vec<_>>()
+    };
+    let before_store = LogStore::open(&path).expect("open the seeded store");
+    let before = orphaned(&before_store);
+    assert!(!before.is_empty(), "the hetero serve learned turbo rows");
+    let owned = rows(&before_store)
+        .iter()
+        .filter(|(platform, key, _)| platform == "opengemm" && key.accelerator == "opengemm")
+        .count() as u64;
+    drop(before_store);
+
+    let reshaped = PoolConfig::new(vec![
+        AcceleratorDescriptor::gemmini(),
+        AcceleratorDescriptor::opengemm(),
+    ])
+    .with_workers_per_accelerator(1)
+    .with_variant("gemmini", AcceleratorDescriptor::gemmini_turbo());
+    let report = serve_cost(&reshaped, &open_loop(classes, 200, 200, 0x5EED3), &path);
+    // the orphaned rows are not counted as seeded: what is seeded is
+    // exactly the rows of the modules the stream resolved
+    let warm = report.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.ewma_entries_seeded, owned);
+    // ...and they survive the flush byte for byte
+    assert_eq!(
+        orphaned(&LogStore::open(&path).expect("open the flushed store")),
+        before
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn warm_start_outcome_depends_only_on_the_working_set() {
+    // irrelevance: what a store holds beyond the records a stream
+    // resolves changes nothing — not the report, not the bytes the flush
+    // appends. Serve a short stream over the full 16-module store and
+    // over a store holding only that stream's module records and their
+    // cost rows
+    let pool = uniform_pool();
+    // a tight gap queues requests up, so the short serve lands in warmth
+    // buckets the populating one never saw and has rows to write back
+    let prefix = &open_loop(shape_heavy_classes(), 12, 40, 0x5EED4)[..];
+    let full = temp_store("irrelevance_full");
+    serve_cost(&pool, &shape_heavy_stream(400), &full);
+
+    let minimal = temp_store("irrelevance_minimal");
+    let (full_modules, kept_modules) = {
+        let source = LogStore::open(&full).expect("open the full store");
+        let mut subset = LogStore::open(&minimal).expect("create the minimal store");
+        let mut copy = |key: Vec<u8>| {
+            if let Some(value) = source.get(&key) {
+                subset.put(&key, value).expect("copy a record");
+            }
+        };
+        for request in prefix {
+            let key = CacheKey {
+                accelerator: request.accelerator.clone(),
+                spec: request.spec,
+                opt: OptLevel::All,
+            };
+            copy(module_key_bytes(&key));
+            for platform in ["gemmini", "opengemm"] {
+                copy(cost_key_bytes(platform, &key));
+            }
+        }
+        subset.sync().expect("sync the minimal store");
+        let modules = |store: &LogStore| store.keys_with_prefix(b"m").len();
+        (modules(&source), modules(&subset))
+    };
+    assert_eq!(full_modules, 16);
+    assert!(
+        kept_modules < full_modules,
+        "the prefix must be a strict subset"
+    );
+
+    // the report and the bytes its flush appended to the store
+    let serve_over = |path: &std::path::Path| {
+        let before = std::fs::metadata(path).expect("stat").len() as usize;
+        let report = serve_cost(&pool, prefix, path);
+        let bytes = std::fs::read(path).expect("read the flushed store");
+        (report, bytes[before..].to_vec())
+    };
+    let (over_full, appended_full) = serve_over(&full);
+    let (over_minimal, appended_minimal) = serve_over(&minimal);
+    assert_eq!(format!("{over_full:?}"), format!("{over_minimal:?}"));
+    assert_eq!(appended_full, appended_minimal, "flushes diverge");
+    assert!(!appended_full.is_empty(), "the serve relearned rows");
+    let warm = over_full.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.modules_restored, kept_modules as u64);
+    assert_eq!(over_full.metrics.cache.misses, 0);
+    let _ = std::fs::remove_file(&full);
+    let _ = std::fs::remove_file(&minimal);
 }
 
 /// The committed v1 store: what the last commit before the v2 checksum
