@@ -539,17 +539,15 @@ pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
     })
 }
 
-/// Writes `rows` in encoded-key order, so identical inputs drive identical
-/// `put` sequences whatever order they were collected in. Returns the
-/// number of rows written (including unchanged ones the store elides).
+/// Writes `rows` as one batch, in encoded-key order, so identical inputs
+/// drive identical writes whatever order they were collected in. Returns
+/// the number of rows written (including unchanged ones the store elides).
 fn put_sorted(
     store: &mut dyn KeyValueStore,
     mut rows: Vec<(Vec<u8>, Vec<u8>)>,
 ) -> Result<u64, StoreError> {
     rows.sort();
-    for (key, value) in &rows {
-        store.put(key, value)?;
-    }
+    store.put_all(&rows)?;
     Ok(rows.len() as u64)
 }
 

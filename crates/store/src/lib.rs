@@ -8,7 +8,7 @@
 //! its module and cost snapshots on top of:
 //!
 //! - [`KeyValueStore`] — the storage trait (byte keys, byte values,
-//!   sorted prefix scans, explicit `sync`);
+//!   batched puts, sorted prefix scans, explicit `sync`);
 //! - [`LogStore`] — the on-disk implementation: one file of
 //!   length-prefixed, checksummed records replayed last-write-wins on
 //!   open, with explicit [`LogStore::compact`] and torn-tail recovery
@@ -49,6 +49,24 @@ pub trait KeyValueStore {
     /// # Errors
     /// Fails only on I/O errors in durable implementations.
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError>;
+
+    /// Stores every `(key, value)` row of `rows`, leaving the store as
+    /// [`put`](KeyValueStore::put) of each row, in order, would: a later
+    /// row for a key replaces an earlier one, and a row whose value the
+    /// key already holds — stored, or set by an earlier row of the batch —
+    /// is elided. Rows may come in any order; a batch sorted by key is the
+    /// one an implementation can file in one pass.
+    ///
+    /// The default loops `put`, so a failure may leave a prefix of the
+    /// batch stored. [`LogStore`] appends the whole batch in one write and
+    /// on a failure stores none of it.
+    ///
+    /// # Errors
+    /// Fails only on I/O errors in durable implementations.
+    fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
+        rows.iter()
+            .try_for_each(|(key, value)| self.put(key, value))
+    }
 
     /// Removes `key`; removing an absent key is a no-op.
     ///

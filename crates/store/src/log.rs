@@ -57,23 +57,37 @@
 //!
 //! # Replay, the image and the index
 //!
-//! [`LogStore::open`] reads the file into one `Vec<u8>` — the *image* —
-//! and walks its records front to back, verifying **every** record's
-//! checksum before applying it last-write-wins to a `BTreeMap` from key
-//! to `(sequence number, value range in the image)`. Values are never
-//! copied out: [`KeyValueStore::get`] returns a slice of the image, and
-//! since only verified records are indexed, no unverified byte is
-//! reachable through the trait. A truncated or checksum-failing record
-//! can only be the *tail* of an interrupted append, so replay stops
-//! there, reports the drop via [`LogStore::recovery`], and truncates
-//! image and file back to the last valid record; everything before the
-//! corruption survives. `put` / `remove` encode the new record at the end
-//! of the image and write exactly those bytes to the file; if the write
-//! fails the image is truncated back, so image and index never run ahead
+//! [`LogStore::open`] makes one read, one checksum pass and one sort. It
+//! reads the file into one `Vec<u8>` — the *image* — and walks its
+//! records front to back, verifying **every** record's checksum. A
+//! truncated or checksum-failing record can only be the *tail* of an
+//! interrupted append, so the walk stops there, reports the drop via
+//! [`LogStore::recovery`], and truncates image and file back to the last
+//! valid record; everything before the corruption survives. A second walk
+//! over the verified records collects one *slot* per record — the offsets
+//! of its key and value in the image, and its sequence number — and one
+//! stable sort by key bytes (a merge of the sorted runs the flushes
+//! appended), followed by a pass that keeps each key's last slot and
+//! drops keys whose last record is a tombstone, leaves the index a
+//! front-to-back last-write-wins replay would: one sorted `Vec` of slots,
+//! one per live key.
+//!
+//! Neither keys nor values are ever copied out of the image:
+//! [`KeyValueStore::get`] and [`LogStore::key_seq`] binary-search the
+//! slots and `get` returns a slice of the image; since only verified
+//! records have slots, no unverified byte is reachable through the trait.
+//! `put` / `remove` encode the new record at the end of the image, write
+//! exactly those bytes to the file, and only then insert, update or drop
+//! the key's slot — a key appended after open lives in the image like
+//! every other. [`KeyValueStore::put_all`] encodes a whole batch, writes
+//! it with one `write_all`, then updates the slots of keys the index
+//! holds in place and merges the new keys in, in one pass. A failed
+//! write truncates the image (and the file, as far as it lets us) back
+//! and leaves the index and the clock as they were, so neither runs ahead
 //! of the file. The image is therefore always the file's valid content,
 //! superseded records and tombstones included: the store's heap footprint
-//! is the file size (plus keys) until [`LogStore::compact`] swaps in the
-//! rewritten image.
+//! is the file size plus one slot per live key until
+//! [`LogStore::compact`] swaps in the rewritten image and its slots.
 //!
 //! Determinism contract: [`LogStore::put`] skips the append when the key
 //! already holds the identical value, so re-running an identical workload
@@ -88,10 +102,8 @@
 //! ([`LogStore::seq`], [`LogStore::key_seq`]) — an age without
 //! timestamps, which would break run-to-run determinism.
 
-use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::error::{StoreError, TailCorruption};
@@ -110,6 +122,9 @@ const OP_REMOVE: u8 = 1;
 
 /// Bytes before a record's payload: its length and its checksum.
 const RECORD_HEADER: usize = 8;
+
+/// Bytes of a payload before its key: the op and the key length.
+const KEY_AT: usize = 1 + 4;
 
 /// A file's format version: which function checksums its records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,40 +210,213 @@ fn lane_sum(payload: &[u8]) -> u32 {
     (sum ^ (sum >> 32)) as u32
 }
 
+/// One record as the index holds it: offsets into the image, never a
+/// copy of its bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Where the key starts.
+    key: usize,
+    /// Where the value starts (and the key ends).
+    value: usize,
+    /// Where the value (and the record) ends.
+    end: usize,
+    /// Sequence number of the write.
+    seq: u64,
+}
+
+impl Slot {
+    fn key(self, image: &[u8]) -> &[u8] {
+        &image[self.key..self.value]
+    }
+
+    fn value(self, image: &[u8]) -> &[u8] {
+        &image[self.value..self.end]
+    }
+
+    /// Whether the record is a put rather than a tombstone.
+    fn is_put(self, image: &[u8]) -> bool {
+        image[self.key - KEY_AT] == OP_PUT
+    }
+}
+
+/// Where `key` is, or would go, in `slots`, which are sorted by the key
+/// bytes they locate in `image`.
+fn search(slots: &[Slot], image: &[u8], key: &[u8]) -> Result<usize, usize> {
+    slots.binary_search_by(|slot| slot.key(image).cmp(key))
+}
+
 /// Appends one record to `out` — the payload written in place after a
-/// header that is patched once its checksum is known — and returns where
-/// in `out` the value landed.
+/// header that is patched once its checksum is known — and returns its
+/// slot, aged `seq`.
 fn encode_record(
     out: &mut Vec<u8>,
     format: Format,
     op: u8,
     key: &[u8],
     value: &[u8],
-) -> Range<usize> {
-    let payload_len = 1 + 4 + key.len() + value.len();
+    seq: u64,
+) -> Slot {
+    let payload_len = KEY_AT + key.len() + value.len();
     out.reserve(RECORD_HEADER + payload_len);
     let header = out.len();
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.extend_from_slice(&[0; 4]);
     out.push(op);
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    let key_at = out.len();
     out.extend_from_slice(key);
     out.extend_from_slice(value);
     let checksum = format.checksum(&out[header + RECORD_HEADER..]);
     out[header + 4..header + RECORD_HEADER].copy_from_slice(&checksum.to_le_bytes());
-    out.len() - value.len()..out.len()
+    Slot {
+        key: key_at,
+        value: key_at + key.len(),
+        end: out.len(),
+        seq,
+    }
 }
 
-/// What the index holds per live key.
-#[derive(Debug)]
-struct Entry {
-    /// Sequence number of the key's last write.
-    seq: u64,
-    /// Where in the image its value lies.
-    value: Range<usize>,
+/// The record at `offset` in `image`: its checksum and its payload, or
+/// what is torn about it.
+fn record_at(image: &[u8], offset: usize) -> Result<(u32, &[u8]), &'static str> {
+    let (header, rest) = image[offset..]
+        .split_first_chunk::<RECORD_HEADER>()
+        .ok_or("truncated record header")?;
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let payload_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let payload = rest.get(..payload_len).ok_or("truncated record payload")?;
+    Ok((u32::from_le_bytes([c0, c1, c2, c3]), payload))
 }
 
-type Index = BTreeMap<Vec<u8>, Entry>;
+/// Walks the records after `image`'s magic, verifying each checksum.
+/// Returns where the valid records end, how many there are, and the tail
+/// that does not verify, if any.
+fn verify(image: &[u8], format: Format) -> (usize, usize, Option<TailCorruption>) {
+    let mut offset = MAGIC.len();
+    let mut records = 0;
+    while offset < image.len() {
+        let verified = record_at(image, offset).and_then(|(checksum, payload)| {
+            if format.checksum(payload) == checksum {
+                Ok(payload.len())
+            } else {
+                Err("record checksum mismatch")
+            }
+        });
+        match verified {
+            Ok(payload_len) => {
+                offset += RECORD_HEADER + payload_len;
+                records += 1;
+            }
+            Err(detail) => {
+                let tail = TailCorruption {
+                    offset: offset as u64,
+                    dropped_bytes: (image.len() - offset) as u64,
+                    detail: detail.to_string(),
+                };
+                return (offset, records, Some(tail));
+            }
+        }
+    }
+    (offset, records, None)
+}
+
+/// The index a front-to-back, last-write-wins replay of the `records`
+/// verified records of `image` leaves: every live key's newest slot,
+/// sorted by key, the `n`th record aged `n`.
+///
+/// # Errors
+///
+/// A record whose payload is self-inconsistent: its checksum matched, so
+/// it is not a torn write but a record this build cannot interpret.
+fn replay(image: &[u8], records: usize) -> Result<Vec<Slot>, StoreError> {
+    let malformed = || StoreError::codec("record payload is self-inconsistent");
+    let mut slots = Vec::with_capacity(records);
+    let mut offset = MAGIC.len();
+    for seq in 1..=records as u64 {
+        let (_, payload) = record_at(image, offset).map_err(|_| malformed())?;
+        let (&op, rest) = payload.split_first().ok_or_else(malformed)?;
+        let (key_len, rest) = rest.split_first_chunk::<4>().ok_or_else(malformed)?;
+        let key_len = u32::from_le_bytes(*key_len) as usize;
+        if !matches!(op, OP_PUT | OP_REMOVE) || key_len > rest.len() {
+            return Err(malformed());
+        }
+        let key = offset + RECORD_HEADER + KEY_AT;
+        offset += RECORD_HEADER + payload.len();
+        slots.push(Slot {
+            key,
+            value: key + key_len,
+            end: offset,
+            seq,
+        });
+    }
+    sort_runs(image, &mut slots);
+    // equal keys are adjacent and in log order: keep each one's last slot
+    slots.dedup_by(|later, kept| {
+        let same = later.key(image) == kept.key(image);
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    slots.retain(|slot| slot.is_put(image));
+    Ok(slots)
+}
+
+/// Sorts `slots` by key, keeping log order among equal keys: a natural
+/// merge sort. Every flush appends a sorted batch, so a log is a few long
+/// sorted runs (a store one serve filled is two), and merging adjacent
+/// runs pairwise until one is left takes a few linear passes. The one
+/// scratch buffer is allocated whatever the number of records.
+fn sort_runs(image: &[u8], slots: &mut Vec<Slot>) {
+    let run_end = |slots: &[Slot], from: usize| {
+        (from + 1..slots.len())
+            .find(|&i| slots[i].key(image) < slots[i - 1].key(image))
+            .unwrap_or(slots.len())
+    };
+    let mut merged = Vec::with_capacity(slots.len());
+    while run_end(slots, 0) < slots.len() {
+        let mut from = 0;
+        while from < slots.len() {
+            let mid = run_end(slots, from);
+            let end = run_end(slots, mid);
+            let (mut left, mut right) = (&slots[from..mid], &slots[mid..end]);
+            while let (Some(&l), Some(&r)) = (left.first(), right.first()) {
+                // a tie takes the left run's slot, the older one
+                if r.key(image) < l.key(image) {
+                    merged.push(r);
+                    right = &right[1..];
+                } else {
+                    merged.push(l);
+                    left = &left[1..];
+                }
+            }
+            merged.extend_from_slice(left);
+            merged.extend_from_slice(right);
+            from = end;
+        }
+        std::mem::swap(slots, &mut merged);
+        merged.clear();
+    }
+}
+
+/// Makes a rename in `path`'s directory durable where the platform can
+/// sync a directory (Unix); elsewhere the rename is as durable as the
+/// platform makes it.
+fn sync_dir(path: &Path) -> Result<(), StoreError> {
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| StoreError::io("sync", dir, &e))?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
 
 /// Append-only log-structured key-value store backed by one file.
 #[derive(Debug)]
@@ -239,7 +427,8 @@ pub struct LogStore {
     format: Format,
     /// The file's verified content: magic, then every valid record.
     image: Vec<u8>,
-    index: Index,
+    /// One slot per live key — its newest record — sorted by key.
+    index: Vec<Slot>,
     recovery: Option<TailCorruption>,
     /// Logical clock: one tick per applied record (replayed or appended).
     seq: u64,
@@ -290,35 +479,10 @@ impl LogStore {
             }
         };
 
-        let mut index = Index::new();
-        let mut seq = 0u64;
-        let mut offset = MAGIC.len();
-        while offset < image.len() {
-            let torn = |detail: &str| TailCorruption {
-                offset: offset as u64,
-                dropped_bytes: (image.len() - offset) as u64,
-                detail: detail.to_string(),
-            };
-            let Some((header, rest)) = image[offset..].split_first_chunk::<RECORD_HEADER>() else {
-                recovery = Some(torn("truncated record header"));
-                break;
-            };
-            let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
-            let payload_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-            let checksum = u32::from_le_bytes([c0, c1, c2, c3]);
-            let Some(payload) = rest.get(..payload_len) else {
-                recovery = Some(torn("truncated record payload"));
-                break;
-            };
-            if format.checksum(payload) != checksum {
-                recovery = Some(torn("record checksum mismatch"));
-                break;
-            }
-            offset += RECORD_HEADER;
-            Self::apply_payload(&mut index, &mut seq, payload, offset)?;
-            offset += payload_len;
-        }
-        image.truncate(offset);
+        let (valid, records, tail) = verify(&image, format);
+        recovery = recovery.or(tail);
+        image.truncate(valid);
+        let index = replay(&image, records)?;
 
         let file = OpenOptions::new()
             .append(true)
@@ -335,39 +499,14 @@ impl LogStore {
             image,
             index,
             recovery,
-            seq,
+            // every record, put or tombstone, ticked the clock once
+            seq: records as u64,
         })
     }
 
-    /// Applies one checksum-verified payload, which starts at `at` in the
-    /// image, to the index, advancing the logical clock and the key's
-    /// last-write age.
-    fn apply_payload(
-        index: &mut Index,
-        seq: &mut u64,
-        payload: &[u8],
-        at: usize,
-    ) -> Result<(), StoreError> {
-        // The checksum already matched, so a malformed payload here is not
-        // a torn write — it is a record this build cannot interpret.
-        let malformed = || StoreError::codec("record payload is self-inconsistent");
-        let (&op, rest) = payload.split_first().ok_or_else(malformed)?;
-        let (key_len, rest) = rest.split_first_chunk::<4>().ok_or_else(malformed)?;
-        let key_len = u32::from_le_bytes(*key_len) as usize;
-        let key = rest.get(..key_len).ok_or_else(malformed)?;
-        match op {
-            OP_PUT => {
-                *seq += 1;
-                let value = at + 5 + key_len..at + payload.len();
-                index.insert(key.to_vec(), Entry { seq: *seq, value });
-            }
-            OP_REMOVE => {
-                *seq += 1;
-                index.remove(key);
-            }
-            _ => return Err(malformed()),
-        }
-        Ok(())
+    /// Where `key` is, or would go, in the index.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        search(&self.index, &self.image, key)
     }
 
     /// The logical clock: the number of records applied so far, counting
@@ -379,7 +518,7 @@ impl LogStore {
 
     /// The sequence number of `key`'s last write, if the key is live.
     pub fn key_seq(&self, key: &[u8]) -> Option<u64> {
-        self.index.get(key).map(|entry| entry.seq)
+        self.find(key).ok().map(|i| self.index[i].seq)
     }
 
     /// The file backing this store.
@@ -394,25 +533,35 @@ impl LogStore {
 
     /// Rewrites the log — as a v2 file, whatever it was — to hold exactly
     /// the live entries, in sorted key order, dropping superseded records
-    /// and tombstones. Atomic: writes a sibling `.compact` file, then
-    /// renames it over the log.
+    /// and tombstones. Atomic and durable: writes and syncs a sibling
+    /// `.compact` file, renames it over the log, then syncs the directory
+    /// (on Unix), so a crash leaves either the old log or the whole new
+    /// one.
     ///
     /// # Errors
     ///
     /// Fails only on I/O errors; the original file is untouched until the
-    /// final rename.
+    /// rename. A failed directory sync is reported after the store has
+    /// moved to the compacted file.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let tmp = self.path.with_extension("compact");
         let mut image = MAGIC.to_vec();
-        let values: Vec<Range<usize>> = self
+        // ages renumbered exactly as a reopen-and-replay of the compacted
+        // file would: one put per live key, in sorted key order
+        let index: Vec<Slot> = self
             .index
             .iter()
-            .map(|(key, entry)| {
-                let value = &self.image[entry.value.clone()];
-                encode_record(&mut image, Format::V2, OP_PUT, key, value)
+            .zip(1..)
+            .map(|(slot, seq)| {
+                let (key, value) = (slot.key(&self.image), slot.value(&self.image));
+                encode_record(&mut image, Format::V2, OP_PUT, key, value, seq)
             })
             .collect();
-        fs::write(&tmp, &image).map_err(|e| StoreError::io("write", &tmp, &e))?;
+        let mut file = File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, &e))?;
+        file.write_all(&image)
+            .map_err(|e| StoreError::io("write", &tmp, &e))?;
+        file.sync_all()
+            .map_err(|e| StoreError::io("sync", &tmp, &e))?;
         fs::rename(&tmp, &self.path).map_err(|e| StoreError::io("rename", &self.path, &e))?;
         self.file = OpenOptions::new()
             .append(true)
@@ -420,73 +569,140 @@ impl LogStore {
             .map_err(|e| StoreError::io("open", &self.path, &e))?;
         self.format = Format::V2;
         self.image = image;
+        self.seq = index.len() as u64;
+        self.index = index;
         self.recovery = None;
-        // Renumber ages exactly as a reopen-and-replay of the compacted
-        // file would: one put per live key, in sorted key order.
-        self.seq = 0;
-        for (entry, value) in self.index.values_mut().zip(values) {
-            self.seq += 1;
-            *entry = Entry {
-                seq: self.seq,
-                value,
-            };
-        }
-        Ok(())
+        sync_dir(&self.path)
     }
 
-    /// Encodes one record at the end of the image and appends exactly
-    /// those bytes to the file, returning where the value lies. On a
-    /// failed write the image is cut back (and the file too, as far as it
-    /// lets us), so neither the image nor the caller's index update runs
-    /// ahead of the file.
-    fn append(&mut self, op: u8, key: &[u8], value: &[u8]) -> Result<Range<usize>, StoreError> {
-        let start = self.image.len();
-        let value = encode_record(&mut self.image, self.format, op, key, value);
+    /// Writes the records encoded at the end of the image since `start`
+    /// to the file. On a failed write the image is cut back to `start`
+    /// (and the file too, as far as it lets us), so the image never runs
+    /// ahead of the file; callers touch the index and the clock only once
+    /// this succeeds.
+    fn write_from(&mut self, start: usize) -> Result<(), StoreError> {
         if let Err(err) = self.file.write_all(&self.image[start..]) {
             self.image.truncate(start);
             let _ = self.file.set_len(start as u64);
             return Err(StoreError::io("append", &self.path, &err));
         }
-        Ok(value)
+        Ok(())
+    }
+
+    /// Files `staged` — sorted, one slot per key, each newer than the
+    /// index's — into the index: a key the index holds takes its new slot
+    /// in place, and the new keys are merged in from the back, each slot
+    /// moving at most once.
+    fn merge(&mut self, mut staged: Vec<Slot>) {
+        let (image, index) = (&self.image, &mut self.index);
+        staged.retain(|&slot| match search(index, image, slot.key(image)) {
+            Ok(i) => {
+                index[i] = slot;
+                false
+            }
+            Err(_) => true,
+        });
+        let mut old = index.len();
+        index.extend_from_slice(&staged);
+        let mut free = index.len();
+        for &slot in staged.iter().rev() {
+            while old > 0 && index[old - 1].key(image) > slot.key(image) {
+                old -= 1;
+                free -= 1;
+                index[free] = index[old];
+            }
+            free -= 1;
+            index[free] = slot;
+        }
     }
 }
 
 impl KeyValueStore for LogStore {
     fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.index
-            .get(key)
-            .map(|entry| &self.image[entry.value.clone()])
+        let i = self.find(key).ok()?;
+        Some(self.index[i].value(&self.image))
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        if self.get(key) == Some(value) {
+        let at = self.find(key);
+        if at.is_ok_and(|i| self.index[i].value(&self.image) == value) {
             return Ok(()); // identical value: keep the file byte-stable
         }
-        let value = self.append(OP_PUT, key, value)?;
-        self.seq += 1;
-        let entry = Entry {
-            seq: self.seq,
+        let start = self.image.len();
+        let slot = encode_record(
+            &mut self.image,
+            self.format,
+            OP_PUT,
+            key,
             value,
-        };
-        self.index.insert(key.to_vec(), entry);
+            self.seq + 1,
+        );
+        self.write_from(start)?;
+        self.seq = slot.seq;
+        match at {
+            Ok(i) => self.index[i] = slot,
+            Err(i) => self.index.insert(i, slot),
+        }
+        Ok(())
+    }
+
+    /// Encodes the batch's records at the end of the image, writes them
+    /// with one `write_all`, then files their slots into the index in one
+    /// merge. A failed write stores none of the batch.
+    fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
+        let start = self.image.len();
+        let mut seq = self.seq;
+        // the batch's newest record per key, sorted by key
+        let mut staged: Vec<Slot> = Vec::with_capacity(rows.len());
+        for (key, value) in rows {
+            let at = search(&staged, &self.image, key);
+            let current = match at {
+                Ok(i) => Some(staged[i]),
+                Err(_) => self.find(key).ok().map(|i| self.index[i]),
+            };
+            if current.is_some_and(|slot| slot.value(&self.image) == value.as_slice()) {
+                continue; // identical value, stored or earlier in the batch
+            }
+            seq += 1;
+            let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value, seq);
+            match at {
+                Ok(i) => staged[i] = slot,
+                Err(i) => staged.insert(i, slot),
+            }
+        }
+        self.write_from(start)?;
+        self.seq = seq;
+        self.merge(staged);
         Ok(())
     }
 
     fn remove(&mut self, key: &[u8]) -> Result<(), StoreError> {
-        if !self.index.contains_key(key) {
+        let Ok(i) = self.find(key) else {
             return Ok(());
-        }
-        self.append(OP_REMOVE, key, &[])?;
+        };
+        let start = self.image.len();
+        encode_record(
+            &mut self.image,
+            self.format,
+            OP_REMOVE,
+            key,
+            &[],
+            self.seq + 1,
+        );
+        self.write_from(start)?;
         self.seq += 1;
-        self.index.remove(key);
+        self.index.remove(i);
         Ok(())
     }
 
     fn keys_with_prefix(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
-        self.index
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
+        let image = &self.image;
+        let from = self.index.partition_point(|slot| slot.key(image) < prefix);
+        let live = &self.index[from..];
+        let len = live.partition_point(|slot| slot.key(image).starts_with(prefix));
+        live[..len]
+            .iter()
+            .map(|slot| slot.key(image).to_vec())
             .collect()
     }
 
@@ -791,6 +1007,19 @@ mod tests {
             Err(StoreError::Io { .. })
         ));
         assert!(matches!(store.remove(b"k"), Err(StoreError::Io { .. })));
+        // a batch that updates the key, adds keys on both sides of it and
+        // repeats the stored value stores none of its rows
+        let batch = [
+            (b"a".to_vec(), b"new key".to_vec()),
+            (b"k".to_vec(), b"old".to_vec()),
+            (b"k".to_vec(), b"newer".to_vec()),
+            (b"z".to_vec(), b"new key".to_vec()),
+        ];
+        assert!(matches!(store.put_all(&batch), Err(StoreError::Io { .. })));
+        for absent in [&b"a"[..], b"z"] {
+            assert_eq!((store.get(absent), store.key_seq(absent)), (None, None));
+        }
+        assert_eq!(store.len(), 1);
         assert_eq!(store.get(b"k"), Some(&b"old"[..]));
         assert_eq!((store.seq(), store.key_seq(b"k")), (1, Some(1)));
         assert_eq!(store.image, before);
@@ -798,12 +1027,58 @@ mod tests {
 
         // the store is still usable once writes go through again
         store.file = append_handle;
+        store.put_all(&batch).unwrap();
+        assert_eq!(store.get(b"k"), Some(&b"newer"[..]));
+        assert_eq!((store.seq(), store.key_seq(b"z")), (4, Some(4)));
         store.put(b"k", b"new").unwrap();
         assert_eq!(store.image, fs::read(&path).unwrap());
         let reopened = LogStore::open(&path).unwrap();
         assert!(reopened.recovery().is_none());
         assert_eq!(reopened.get(b"k"), Some(&b"new"[..]));
+        assert_eq!(reopened.keys_with_prefix(b""), [&b"a"[..], b"k", b"z"]);
+        assert_eq!(reopened.seq(), 5);
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn put_all_writes_what_a_put_per_row_writes() {
+        // out of key order, a key twice, a stored value repeated, a value
+        // repeated inside the batch: the file, clock and ages must be those
+        // of one `put` per row, in order
+        let rows: Vec<(Vec<u8>, Vec<u8>)> = [
+            ("m", "1"),
+            ("b", "kept"),
+            ("m", "2"),
+            ("a", "3"),
+            ("m", "2"),
+            ("z", "4"),
+            ("a", "5"),
+        ]
+        .iter()
+        .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+        .collect();
+        let (one_by_one, batched) = (temp_path("rows_put"), temp_path("rows_put_all"));
+        let mut stores = [&one_by_one, &batched].map(|path| {
+            let mut store = LogStore::open(path).unwrap();
+            store.put(b"b", b"kept").unwrap();
+            store.put(b"q", b"stored").unwrap();
+            store
+        });
+        for (key, value) in &rows {
+            stores[0].put(key, value).unwrap();
+        }
+        stores[1].put_all(&rows).unwrap();
+        assert_eq!(fs::read(&one_by_one).unwrap(), fs::read(&batched).unwrap());
+        assert_eq!(stores[0].image, stores[1].image);
+        assert_eq!(stores[0].seq(), stores[1].seq());
+        let keys = stores[0].keys_with_prefix(b"");
+        assert_eq!(keys, stores[1].keys_with_prefix(b""));
+        for key in &keys {
+            let [a, b] = &stores;
+            assert_eq!((a.get(key), a.key_seq(key)), (b.get(key), b.key_seq(key)));
+        }
+        fs::remove_file(&one_by_one).unwrap();
+        fs::remove_file(&batched).unwrap();
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Model-based property for [`LogStore`]: random put / identical put /
-//! remove / sync / compact / reopen histories, over both file formats,
-//! checked step by step against [`MemStore`] plus a hand-kept clock — and
-//! against the file itself, which must at every step be byte-for-byte
-//! the image the store serves from.
+//! batched put / remove / sync / compact / reopen histories, over both
+//! file formats, checked step by step against [`MemStore`] plus a
+//! hand-kept clock — and against the file itself, which must at every step
+//! be byte-for-byte the image the store serves from. The batches pin the
+//! index's merge: last write wins, identical values are elided (also
+//! inside a batch), and ages are those of one `put` per row.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +30,11 @@ enum Step {
     Put(usize),
     /// Re-put the key's current value: must be elided.
     PutSame(usize),
+    /// One `put_all` of a sorted batch over the keys, two bits of the
+    /// mask per key, key 0 lowest: 0 leaves the key out, 1 puts a new
+    /// value, 2 re-puts its current value (elided; left out if the key is
+    /// absent), 3 puts a new value twice (the second row elided).
+    PutAll(usize),
     Remove(usize),
     Sync,
     Compact,
@@ -39,6 +46,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0usize..KEYS).prop_map(Step::Put),
         (0usize..KEYS).prop_map(Step::Put),
         (0usize..KEYS).prop_map(Step::PutSame),
+        (0usize..1 << (2 * KEYS)).prop_map(Step::PutAll),
         (0usize..KEYS).prop_map(Step::Remove),
         (0usize..1).prop_map(|_| Step::Sync),
         (0usize..1).prop_map(|_| Step::Compact),
@@ -70,6 +78,22 @@ impl Model {
             self.contents.remove(key).expect("mem remove");
             self.seq += 1;
         }
+    }
+
+    /// The rows of [`Step::PutAll`]`(mask)` at step `i`, sorted by key.
+    fn batch(&self, mask: usize, i: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rows = Vec::new();
+        for k in 0..KEYS {
+            let key = key_of(k);
+            let new = format!("batch-{i}-{k}-").repeat(1 + 2 * k).into_bytes();
+            match mask >> (2 * k) & 3 {
+                1 => rows.push((key, new)),
+                2 => rows.extend(self.contents.get(&key).map(|same| (key, same.to_vec()))),
+                3 => rows.extend([(key.clone(), new.clone()), (key, new)]),
+                _ => {}
+            }
+        }
+        rows
     }
 
     /// What a compaction (or a replay of the compacted file) leaves: one
@@ -109,6 +133,13 @@ proptest! {
                             let before = store.seq();
                             store.put(&key_of(k), &value).expect("identical put");
                             prop_assert_eq!(store.seq(), before, "an identical put ticked");
+                        }
+                    }
+                    Step::PutAll(mask) => {
+                        let rows = model.batch(mask, i);
+                        store.put_all(&rows).expect("put_all");
+                        for (key, value) in &rows {
+                            model.put(key, value);
                         }
                     }
                     Step::Remove(k) => {
