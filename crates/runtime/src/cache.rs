@@ -193,38 +193,36 @@ impl CostModel {
 /// interpolated linearly, which is exact at the cold and
 /// steady-state-warm extremes but drifts for partially-warm dispatches.
 /// The refiner learns each bucket's actual cycle cost from the stream
-/// itself; once a bucket has an observation, [`CostRefiner::predict`]
-/// quotes the EWMA instead of the interpolation, and the scheduler's
-/// outstanding-cycle estimates — and with them the affinity slack
-/// horizon, the batch cutoff, and the `cost` policy's completion
-/// estimates — sharpen as the run warms up.
+/// itself; once a bucket has an observation, [`CostRefiner::quote`]
+/// returns the EWMA, the scheduler charges it instead of the
+/// interpolation, and its outstanding-cycle estimates — and with them
+/// the affinity slack horizon, the batch cutoff, and the `cost` policy's
+/// completion estimates — sharpen as the run warms up.
 ///
 /// Heterogeneous pools run one module on *differently provisioned*
 /// platform variants (same configuration interface, different geometry
 /// and speed), so observations are kept per platform: `platform` is the
-/// pool-assigned index of the worker's platform variant
-/// ([`LoadTracker::platform`]), and a measurement taken on one variant
-/// never contaminates another's estimates. Uniform pools only ever use
-/// one platform index per module, which reduces to the old behaviour
-/// exactly.
+/// index the [`Scheduler`] assigned the worker's platform variant, and a
+/// measurement taken on one variant never contaminates another's
+/// estimates. Uniform pools only ever use one platform index per module.
 ///
 /// Under a DVFS timing model one warmth bucket still mixes launches that
 /// ran cold, warm, and boosted — three different compute rates — so the
 /// agnostic EWMA tracks a drifting mixture mean. Observations therefore
 /// also land in a *frequency-keyed* row per [`FreqState`]
 /// ([`CostRefiner::observe`] takes the mode the launch actually ran at):
-/// [`CostRefiner::predict_for_mode`] quotes the keyed row when it has
-/// been observed, falls back to the mode-agnostic row while the keyed
-/// row is cold, and to the anchors before any observation at all. The
-/// mode-agnostic row is updated exactly as before, so every consumer of
-/// [`CostRefiner::predict`] is bit-identical with or without the keyed
-/// rows.
+/// a keyed [`CostRefiner::quote`] reads the keyed row when it has been
+/// observed and falls back to the mode-agnostic row while the keyed row
+/// is cold (the scheduler falls back to the anchors before any
+/// observation at all). The mode-agnostic row is updated exactly as
+/// without the keyed rows, so every mode-agnostic quote is bit-identical
+/// with or without them.
 ///
 /// Estimates are integer fixed-point, so refinement is a pure function of
 /// the request stream: two serves of the same stream produce bit-identical
 /// estimates, predictions, and therefore schedules.
 ///
-/// [`LoadTracker::platform`]: crate::scheduler::LoadTracker::platform
+/// [`Scheduler`]: crate::scheduler::Scheduler
 #[derive(Debug, Clone, Default)]
 pub struct CostRefiner {
     /// Per-module, per-platform fixed-point EWMA cycles (outer index:
@@ -298,57 +296,6 @@ impl CostRefiner {
         };
         mode.and_then(|mode| slot(mode_row(mode)))
             .or_else(|| slot(COST_ROW_AGNOSTIC))
-    }
-
-    /// The mode-agnostic refined estimate for `bucket` of the module keyed
-    /// by `key` on `platform`, or `None` while that bucket has no
-    /// observations there.
-    pub fn refined(&self, key: &CacheKey, platform: usize, bucket: usize) -> Option<u64> {
-        Self::quote(self.row(key, platform)?, bucket, None)
-    }
-
-    /// The frequency-keyed refined estimate for `bucket` at `mode`,
-    /// falling back to the mode-agnostic row while the keyed slot is
-    /// cold, or `None` when neither has an observation.
-    pub fn refined_for_mode(
-        &self,
-        key: &CacheKey,
-        platform: usize,
-        bucket: usize,
-        mode: FreqState,
-    ) -> Option<u64> {
-        Self::quote(self.row(key, platform)?, bucket, Some(mode))
-    }
-
-    /// Predicted cycles for a dispatch of the module keyed by `key`
-    /// emitting `writes` configuration writes on `platform`: the warmth
-    /// bucket's mode-agnostic EWMA when it has been observed there, the
-    /// interpolation of `anchors` (the platform's analytic cost model)
-    /// otherwise.
-    pub fn predict(
-        &self,
-        key: &CacheKey,
-        platform: usize,
-        anchors: &CostModel,
-        writes: u64,
-    ) -> u64 {
-        self.refined(key, platform, anchors.bucket(writes))
-            .unwrap_or_else(|| anchors.predict(writes))
-    }
-
-    /// Predicted cycles for the same dispatch assuming it launches in
-    /// frequency state `mode`: keyed row first, mode-agnostic row while
-    /// the keyed row is cold, anchors before any observation at all.
-    pub fn predict_for_mode(
-        &self,
-        key: &CacheKey,
-        platform: usize,
-        anchors: &CostModel,
-        writes: u64,
-        mode: FreqState,
-    ) -> u64 {
-        self.refined_for_mode(key, platform, anchors.bucket(writes), mode)
-            .unwrap_or_else(|| anchors.predict(writes))
     }
 
     /// Number of modules with at least one observed bucket.
@@ -700,43 +647,51 @@ mod tests {
         assert_eq!(flat.bucket(0), WARMTH_BUCKETS - 1);
     }
 
-    #[test]
-    fn refiner_seeds_then_tracks_observations() {
-        let module = build_module(
+    /// What `refiner` quotes for `bucket` of the module keyed by `key` on
+    /// `platform` (mode-agnostic, or keyed by `mode`): its row's
+    /// [`CostRefiner::quote`], `None` before the module's first
+    /// observation there.
+    fn quoted(
+        refiner: &CostRefiner,
+        key: &CacheKey,
+        platform: usize,
+        bucket: usize,
+        mode: Option<FreqState>,
+    ) -> Option<u64> {
+        CostRefiner::quote(refiner.row(key, platform)?, bucket, mode)
+    }
+
+    fn opengemm_16() -> CompiledModule {
+        build_module(
             &AcceleratorDescriptor::opengemm(),
             MatmulSpec::opengemm_paper(16).unwrap(),
             OptLevel::All,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn refiner_seeds_then_tracks_observations() {
+        let module = opengemm_16();
+        let key = &module.key;
         let mut refiner = CostRefiner::new();
-        let anchors = module.cost;
-        // unseen: falls back to the static anchors
-        assert_eq!(
-            refiner.predict(&module.key, 0, &anchors, anchors.cold_writes),
-            anchors.cold_cycles
-        );
+        let cold_bucket = module.cost.bucket(module.cost.cold_writes);
+        // unseen: no row, nothing quoted (the scheduler charges the anchors)
+        assert_eq!(refiner.row(key, 0), None);
+        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), None);
         assert_eq!(refiner.modules_observed(), 0);
         // the first observation seeds the bucket exactly
-        let cold_bucket = anchors.bucket(anchors.cold_writes);
-        refiner.observe(&module.key, 0, cold_bucket, FreqState::Cold, 400);
-        assert_eq!(refiner.refined(&module.key, 0, cold_bucket), Some(400));
-        assert_eq!(
-            refiner.predict(&module.key, 0, &anchors, anchors.cold_writes),
-            400
-        );
+        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 400);
+        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(400));
         assert_eq!(refiner.modules_observed(), 1);
         // repeated identical observations keep the estimate fixed
-        refiner.observe(&module.key, 0, cold_bucket, FreqState::Cold, 400);
-        assert_eq!(refiner.refined(&module.key, 0, cold_bucket), Some(400));
+        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 400);
+        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(400));
         // a shifted observation moves the estimate toward it by α = 1/8
-        refiner.observe(&module.key, 0, cold_bucket, FreqState::Cold, 480);
-        assert_eq!(refiner.refined(&module.key, 0, cold_bucket), Some(410));
+        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 480);
+        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(410));
         // other buckets are untouched
-        assert_eq!(refiner.refined(&module.key, 0, 0), None);
-        assert_eq!(
-            refiner.predict(&module.key, 0, &anchors, 0),
-            anchors.predict(0)
-        );
+        assert_eq!(quoted(&refiner, key, 0, 0, None), None);
     }
 
     #[test]
@@ -744,40 +699,25 @@ mod tests {
         // a heterogeneous pool runs one module on differently provisioned
         // variants: an observation on one platform must not leak into
         // another's estimates
-        let module = build_module(
-            &AcceleratorDescriptor::opengemm(),
-            MatmulSpec::opengemm_paper(16).unwrap(),
-            OptLevel::All,
-        )
-        .unwrap();
-        let anchors = module.cost;
+        let module = opengemm_16();
+        let key = &module.key;
         let mut refiner = CostRefiner::new();
-        refiner.observe(&module.key, 1, 0, FreqState::Cold, 777);
-        assert_eq!(refiner.refined(&module.key, 1, 0), Some(777));
-        assert_eq!(refiner.refined(&module.key, 0, 0), None);
-        assert_eq!(
-            refiner.predict(&module.key, 0, &anchors, 0),
-            anchors.predict(0)
-        );
-        assert_eq!(refiner.predict(&module.key, 1, &anchors, 0), 777);
+        refiner.observe(key, 1, 0, FreqState::Cold, 777);
+        assert_eq!(quoted(&refiner, key, 1, 0, None), Some(777));
+        assert_eq!(quoted(&refiner, key, 0, 0, None), None);
         // one module, two platforms: still one observed module
         assert_eq!(refiner.modules_observed(), 1);
     }
 
     #[test]
     fn refiner_converges_to_a_steady_observation() {
-        let module = build_module(
-            &AcceleratorDescriptor::opengemm(),
-            MatmulSpec::opengemm_paper(16).unwrap(),
-            OptLevel::All,
-        )
-        .unwrap();
+        let module = opengemm_16();
         let mut refiner = CostRefiner::new();
         refiner.observe(&module.key, 0, 0, FreqState::Cold, 1000);
         for _ in 0..64 {
             refiner.observe(&module.key, 0, 0, FreqState::Cold, 200);
         }
-        let estimate = refiner.refined(&module.key, 0, 0).unwrap();
+        let estimate = quoted(&refiner, &module.key, 0, 0, None).unwrap();
         assert!(
             estimate.abs_diff(200) <= 2,
             "estimate {estimate} far from 200"
@@ -786,49 +726,30 @@ mod tests {
 
     #[test]
     fn frequency_keyed_rows_separate_the_modes() {
-        let module = build_module(
-            &AcceleratorDescriptor::opengemm(),
-            MatmulSpec::opengemm_paper(16).unwrap(),
-            OptLevel::All,
-        )
-        .unwrap();
-        let anchors = module.cost;
+        let module = opengemm_16();
+        let key = &module.key;
         let mut refiner = CostRefiner::new();
         // a bucket fed a mix of boosted (fast) and cold (slow) launches:
         // the agnostic row tracks the mixture, the keyed rows stay pure
-        refiner.observe(&module.key, 0, 0, FreqState::Boost, 100);
-        refiner.observe(&module.key, 0, 0, FreqState::Cold, 900);
+        refiner.observe(key, 0, 0, FreqState::Boost, 100);
+        refiner.observe(key, 0, 0, FreqState::Cold, 900);
+        let boost = Some(FreqState::Boost);
+        assert_eq!(quoted(&refiner, key, 0, 0, boost), Some(100));
         assert_eq!(
-            refiner.refined_for_mode(&module.key, 0, 0, FreqState::Boost),
-            Some(100)
-        );
-        assert_eq!(
-            refiner.refined_for_mode(&module.key, 0, 0, FreqState::Cold),
+            quoted(&refiner, key, 0, 0, Some(FreqState::Cold)),
             Some(900)
         );
         // the agnostic row saw both and drifted off either cluster
-        let mixed = refiner.refined(&module.key, 0, 0).unwrap();
+        let mixed = quoted(&refiner, key, 0, 0, None).unwrap();
         assert!(mixed > 100 && mixed < 900, "agnostic estimate {mixed}");
         // an unobserved mode falls back to the agnostic row…
         assert_eq!(
-            refiner.refined_for_mode(&module.key, 0, 0, FreqState::Warm),
+            quoted(&refiner, key, 0, 0, Some(FreqState::Warm)),
             Some(mixed)
         );
-        assert_eq!(
-            refiner.predict_for_mode(&module.key, 0, &anchors, 0, FreqState::Warm),
-            mixed
-        );
-        // …and an unobserved bucket falls all the way back to the anchors
-        assert_eq!(
-            refiner.predict_for_mode(
-                &module.key,
-                0,
-                &anchors,
-                anchors.cold_writes,
-                FreqState::Boost
-            ),
-            anchors.cold_cycles
-        );
+        // …and an unobserved bucket quotes nothing in any mode
+        let cold_bucket = module.cost.bucket(module.cost.cold_writes);
+        assert_eq!(quoted(&refiner, key, 0, cold_bucket, boost), None);
         // keyed observations round-trip through snapshot/seed
         let rows = refiner.snapshot();
         assert_eq!(rows.len(), 1);
@@ -836,11 +757,8 @@ mod tests {
         for (key, platform, row) in rows {
             restored.seed(key, platform, row);
         }
-        assert_eq!(
-            restored.refined_for_mode(&module.key, 0, 0, FreqState::Boost),
-            Some(100)
-        );
-        assert_eq!(restored.refined(&module.key, 0, 0), Some(mixed));
+        assert_eq!(quoted(&restored, key, 0, 0, boost), Some(100));
+        assert_eq!(quoted(&restored, key, 0, 0, None), Some(mixed));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::cache::CompiledModule;
 use crate::error::ServeError;
+use crate::metrics::nearest_rank;
 use crate::persist::CostSnapshotEntry;
 use crate::runtime::{ServeBudget, ServeConfig};
 use crate::scheduler::{CommitOutcome, Scheduler};
@@ -75,8 +76,8 @@ pub(crate) struct EngineOutput {
     pub finish: Vec<u64>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
-    /// The refiner's final rows, re-keyed from pool-local platform index
-    /// to platform name — ready for [`crate::persist::WarmStart::flush`].
+    /// The refiner's final rows keyed by platform name
+    /// ([`Scheduler::cost_snapshot`]).
     pub cost_snapshot: Vec<CostSnapshotEntry>,
 }
 
@@ -99,14 +100,12 @@ struct BudgetTracker {
 
 impl BudgetTracker {
     fn new(budget: ServeBudget, stream_len: usize) -> Self {
-        // the same nearest-rank convention as LatencyStats::percentile:
-        // rank = ceil(0.99 * n) clamped to 1..=n
-        let n = stream_len as u64;
-        let rank = (((stream_len as f64) * 0.99).ceil() as u64).clamp(1.min(n), n);
+        // the p99 rank `LatencyStats::from_latencies` reports
+        let rank = nearest_rank(stream_len, 0.99);
         Self {
             budget,
             exceed_count: 0,
-            allowed_exceed: n - rank,
+            allowed_exceed: (stream_len - rank) as u64,
             writes: 0,
             completed: 0,
         }
@@ -139,17 +138,6 @@ impl BudgetTracker {
         }
         Ok(())
     }
-}
-
-/// The refiner's rows re-keyed from platform index to platform name.
-fn snapshot_by_name(scheduler: &Scheduler) -> Vec<CostSnapshotEntry> {
-    let variants = scheduler.load().variants();
-    scheduler
-        .refiner()
-        .snapshot()
-        .into_iter()
-        .map(|(key, platform, buckets)| (variants[platform].name.clone(), key, buckets))
-        .collect()
 }
 
 /// The serve loop: walks the dispatch order on the simulated clock
@@ -307,6 +295,28 @@ pub(crate) fn run(
         outcomes,
         finish,
         batched_requests,
-        cost_snapshot: snapshot_by_name(&scheduler),
+        cost_snapshot: scheduler.cost_snapshot(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::LatencyStats;
+
+    #[test]
+    fn the_budget_tolerates_exactly_what_the_reported_p99_does() {
+        // over sorted latencies 1..=n the reported p99 *is* its rank, so a
+        // budget may see exactly `n - p99` latencies above the bound
+        let budget = ServeBudget {
+            p99_bound: Some(0),
+            max_setup_writes: None,
+        };
+        for n in 0..=300usize {
+            let latencies: Vec<u64> = (1..=n as u64).collect();
+            let p99 = LatencyStats::from_latencies(&latencies).p99;
+            let tracker = BudgetTracker::new(budget, n);
+            assert_eq!(tracker.allowed_exceed, n as u64 - p99, "n = {n}");
+        }
+    }
 }

@@ -12,16 +12,16 @@
 //! - a **compiled-module cache** ([`ModuleCache`]) keyed by
 //!   `(accelerator, shape, opt level)`, so repeated shapes skip the
 //!   IR-build → pass-pipeline → lower path entirely;
-//! - a **scheduler** ([`Scheduler`] = [`LoadTracker`] accounting + one
+//! - a **scheduler** ([`Scheduler`]: load/residency accounting + one
 //!   scored walk over its candidates, priced as the run's [`Policy`]
-//!   says): the tracker mirrors each worker's last-programmed
-//!   register file and holds load as *estimated outstanding cycles*
-//!   (predicted by per-platform [`CostModel`] anchors); policies route
-//!   over it — round-robin (`fifo`, `fifo+elide`), write-minimizing
-//!   within the [`LOAD_SLACK_CYCLES`] horizon (`affinity`),
+//!   says): it mirrors each worker's last-programmed register file and
+//!   holds load as *estimated outstanding cycles* (predicted by
+//!   per-platform [`CostModel`] anchors); policies route over it —
+//!   round-robin (`fifo`, `fifo+elide`), write-minimizing within the
+//!   [`LOAD_SLACK_CYCLES`] horizon (`affinity`),
 //!   completion-cycle-minimizing (`cost`), the policy heterogeneous
 //!   pools need, or frequency-state-aware (`thermal`), which prices
-//!   each candidate at the DVFS mode the tracker's shadow automaton
+//!   each candidate at the DVFS mode the scheduler's shadow automaton
 //!   predicts and steers traffic out of contended busy windows;
 //! - **heterogeneous pools** ([`PoolGroup`]): one routing family may mix
 //!   differently provisioned platform variants (same configuration
@@ -182,7 +182,7 @@ pub use runtime::{
 };
 // inert, kept for `benchmark/` only (see `ServeConfig::mode`)
 pub use runtime::ServeMode;
-pub use scheduler::{CommitOutcome, LoadTracker, Scheduler, LOAD_SLACK_CYCLES};
+pub use scheduler::{CommitOutcome, Scheduler, LOAD_SLACK_CYCLES};
 pub use worker::{Completion, Job, Worker};
 
 #[cfg(test)]

@@ -28,6 +28,12 @@ fn escape_json(s: &str) -> String {
     out
 }
 
+/// The 1-based nearest rank of the `p`-th percentile of `n` sorted
+/// samples: `ceil(p · n)` clamped to `1..=n` (0 when there are none).
+pub(crate) fn nearest_rank(n: usize, p: f64) -> usize {
+    ((n as f64 * p).ceil() as usize).clamp(1.min(n), n)
+}
+
 /// Latency distribution over served requests, in simulated cycles.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
@@ -46,19 +52,14 @@ impl LatencyStats {
     ///
     /// Percentiles use the nearest-rank (ceiling) definition: the p-th
     /// percentile is the smallest sample value such that at least `p` of
-    /// the samples are ≤ it. The earlier `round`-based index selection
-    /// underreported p99 on small samples (e.g. it picked the 66th of 67
-    /// sorted values where nearest-rank requires the 67th).
+    /// the samples are ≤ it.
     pub fn from_latencies(latencies: &[u64]) -> Self {
         if latencies.is_empty() {
             return Self::default();
         }
         let mut sorted = latencies.to_vec();
         sorted.sort_unstable();
-        let pick = |p: f64| {
-            let rank = (sorted.len() as f64 * p).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
+        let pick = |p: f64| sorted[nearest_rank(sorted.len(), p) - 1];
         Self {
             p50: pick(0.50),
             p99: pick(0.99),

@@ -1,11 +1,10 @@
 //! Routing policies: the [`Policy`] selector and the one scored walk every
 //! policy but round-robin routes by.
 //!
-//! The scheduler is split into two layers. The *accounting core*
-//! ([`LoadTracker`]) owns everything routing needs but may not corrupt:
+//! The [`Scheduler`] owns everything routing needs but may not corrupt —
 //! shadow resident register files, per-worker outstanding-cycle queues,
 //! per-platform cost anchors, and the online EWMA refiner. This module
-//! owns only the routing decision, and reaches the tracker by `&`: each
+//! owns only the routing decision, and reads the scheduler by `&`: each
 //! candidate worker is `score`d once and `earliest_within_slack` ranks
 //! the scores. [`Scheduler::choose`] is that walk (or `fifo`'s per-group
 //! counter); commit accounting, refinement, batching, and metrics stay
@@ -32,9 +31,9 @@
 //!   that finishes it sooner — what heterogeneous pools need and raw write
 //!   counts cannot express;
 //! - `thermal` — `cost`, evaluated under the timing state the dispatch
-//!   would actually run in: priced at the DVFS mode
-//!   [`LoadTracker::predicted_mode`] says the candidate would launch in
-//!   (power cap applied, frequency-keyed EWMA rows where observed), plus,
+//!   would actually run in: priced at the DVFS mode the scheduler's
+//!   shadow automaton says the candidate would launch in (power cap
+//!   applied, frequency-keyed EWMA rows where observed), plus,
 //!   on a still-busy candidate, the host-side contention penalty of
 //!   pushing this dispatch's configuration traffic into its busy window
 //!   ([`ContentionParams::host_penalty`] over the writes' payload bytes),
@@ -46,13 +45,14 @@
 //! Elision — not routing — is what guarantees no eliding policy writes
 //! more than the cold `fifo` baseline, so no score can break that.
 //!
+//! [`Scheduler`]: crate::scheduler::Scheduler
 //! [`Scheduler::choose`]: crate::scheduler::Scheduler::choose
 //! [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
 //! [`ContentionParams::host_penalty`]:
 //!     accfg_sim::ContentionParams::host_penalty
 
 use crate::cache::CompiledModule;
-use crate::scheduler::LoadTracker;
+use crate::scheduler::Scheduler;
 use accfg_sim::FREQ_STATES;
 
 /// The routing-and-dispatch policy selector carried by `ServeConfig` (the
@@ -136,16 +136,14 @@ impl Policy {
 }
 
 /// Buckets a worker's cycle gap over the group's best candidate into a
-/// balance-pressure class, under the run's `slack` horizon (the tracker's
-/// [`LoadTracker::slack`], default [`LOAD_SLACK_CYCLES`]).
+/// balance-pressure class, under the run's `slack` horizon (the
+/// scheduler's, default [`LOAD_SLACK_CYCLES`]).
 ///
 /// Workers whose gap is strictly within the slack compete on writes
 /// (bucket 0); a worker *exactly at* the slack boundary is not tied with
-/// the best — it lands in bucket 1, where balance wins. Earlier revisions
-/// expressed this as a raw integer division of dispatch counts, which
-/// left the boundary semantics implicit; the bucketing is now pinned by a
-/// unit test on both sides of the boundary. A slack of 0 clamps to 1
-/// cycle — pure balance with stickiness only on exact ties.
+/// the best — it lands in bucket 1, where balance wins (pinned by a unit
+/// test on both sides of the boundary). A slack of 0 clamps to 1 cycle —
+/// pure balance with stickiness only on exact ties.
 ///
 /// [`LOAD_SLACK_CYCLES`]: crate::scheduler::LOAD_SLACK_CYCLES
 fn pressure(gap: u64, slack: u64) -> u64 {
@@ -159,29 +157,29 @@ pub(crate) type Scored = (u64, u64, u64, u64, usize);
 
 /// Prices a dispatch of `module` to `worker` at serve-loop cycle `now`
 /// under `policy`: the worker's outstanding cycles plus what the policy
-/// charges the dispatch itself (see the module docs). Reads the tracker,
-/// never writes it. `writes_for` walks the plan against the shadow state
-/// and the cycle quotes probe the refiner, so this is the routing hot
-/// path — once per candidate per decision.
+/// charges the dispatch itself (see the module docs). Reads the
+/// scheduler, never writes it. `writes_for` walks the plan against the
+/// shadow state and `price` probes the refiner, so this is the routing
+/// hot path — once per candidate per decision.
 pub(crate) fn score(
     policy: Policy,
-    load: &LoadTracker,
+    s: &Scheduler,
     worker: usize,
     module: &CompiledModule,
     now: u64,
 ) -> Scored {
-    let writes = load.writes_for(worker, module);
-    let outstanding = load.outstanding(worker, now);
+    let writes = s.writes_for(worker, module);
+    let outstanding = s.outstanding(worker, now);
     let (dispatch, chill) = match policy {
         // (the round-robin pair never gets here)
         Policy::Fifo | Policy::FifoElide | Policy::ConfigAffinity => (0, 0),
-        Policy::Cost => (load.predicted_cycles(worker, module, writes), 0),
+        Policy::Cost => (s.price(worker, module, writes, None), 0),
         Policy::Thermal => {
-            let mode = load.predicted_mode(worker, now);
-            let dispatch = load.predicted_cycles_for_mode(worker, module, writes, mode);
+            let mode = s.predicted_mode(worker, now);
+            let dispatch = s.price(worker, module, writes, Some(mode));
             // a busy worker's configuration traffic lands inside its
             // busy window and runs at leftover bandwidth
-            let desc = load.descriptor(worker);
+            let desc = s.descriptor(worker);
             let contended = match desc.timing.contention {
                 Some(c) if outstanding > 0 => c.host_penalty(writes * desc.accel.csr_payload_bytes),
                 _ => 0,
@@ -226,29 +224,13 @@ pub(crate) fn earliest_within_slack(scored: &[Scored], slack: u64) -> usize {
 mod tests {
     use super::*;
     use crate::cache::build_module;
-    use crate::scheduler::{Scheduler, LOAD_SLACK_CYCLES};
+    use crate::scheduler::LOAD_SLACK_CYCLES;
     use crate::testutil::{single_tile_module, uniform};
     use accfg::pipeline::OptLevel;
     use accfg_sim::FreqState;
     use accfg_targets::AcceleratorDescriptor;
     use accfg_workloads::MatmulSpec;
     use proptest::prelude::*;
-
-    /// The routing decision straight off a tracker: what `Scheduler::choose`
-    /// does for a scoring policy, without a scheduler around it.
-    fn pick(
-        policy: Policy,
-        load: &LoadTracker,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize {
-        let scored: Vec<Scored> = candidates
-            .iter()
-            .map(|&w| score(policy, load, w, module, now))
-            .collect();
-        earliest_within_slack(&scored, load.slack())
-    }
 
     #[test]
     fn policy_predicates() {
@@ -343,8 +325,8 @@ mod tests {
         // the turbo variant's predicted dispatch is cheaper by more than
         // the slack horizon for this compute-heavy shape
         let cold = heavy.plan.cold_writes;
-        let slow = s.load().predicted_cycles(0, &heavy, cold);
-        let fast = s.load().predicted_cycles(1, &heavy, cold);
+        let slow = s.price(0, &heavy, cold, None);
+        let fast = s.price(1, &heavy, cold, None);
         assert!(
             slow > fast + LOAD_SLACK_CYCLES,
             "variant gap too small: {slow} vs {fast}"
@@ -392,12 +374,12 @@ mod tests {
         }
         let drained = (0..2).map(|w| s.outstanding(w, 0)).max().unwrap();
         // inside the cooldown window worker 1's heat survives the drain
-        assert_eq!(s.load().predicted_mode(0, drained), FreqState::Cold);
-        assert_ne!(s.load().predicted_mode(1, drained), FreqState::Cold);
+        assert_eq!(s.predicted_mode(0, drained), FreqState::Cold);
+        assert_ne!(s.predicted_mode(1, drained), FreqState::Cold);
         // identical shadows: a repeat ties on writes (0) and predicted
         // completion, so only the tie-break separates the candidates
-        assert_eq!(s.load().writes_for(0, &m), 0);
-        assert_eq!(s.load().writes_for(1, &m), 0);
+        assert_eq!(s.writes_for(0, &m), 0);
+        assert_eq!(s.writes_for(1, &m), 0);
         assert_eq!(s.choose(0, &[0, 1], &m, drained), 1);
     }
 
@@ -414,24 +396,28 @@ mod tests {
         let probe = single_tile_module(16);
         let desc = AcceleratorDescriptor::opengemm().with_reference_timing();
         let workers = [desc.clone(), desc.clone()];
-        let mut load = LoadTracker::new(&workers);
-        load.commit(0, &warm_shape, 0, true);
-        let w0 = load.writes_for(0, &probe);
-        let w1 = load.writes_for(1, &probe);
-        assert!(
-            w0 > 0 && w0 < w1,
-            "probe must partially overlap: {w0} vs {w1}"
-        );
-        let contention = desc.timing.contention.expect("reference timing");
-        let penalty = contention.host_penalty(w0 * desc.accel.csr_payload_bytes);
-        assert!(penalty > 0, "config traffic must contend");
-        // park worker 0's queue so the completion gap is one cycle short
-        // of the slack horizon before the penalty and past it after
-        let d0 = load.predicted_cycles(0, &probe, w0);
-        let d1 = load.predicted_cycles(1, &probe, w1);
-        load.set_ready(0, LOAD_SLACK_CYCLES - 1 + d1 - d0);
-        assert_eq!(pick(Policy::Cost, &load, &[0, 1], &probe, 0), 0);
-        assert_eq!(pick(Policy::Thermal, &load, &[0, 1], &probe, 0), 1);
+        // the same history under each policy: worker 0 holds the warm
+        // shape, and its queue is parked so the completion gap is one cycle
+        // short of the slack horizon before the penalty and past it after
+        let warmed = |policy| {
+            let mut s = Scheduler::new(policy, &workers, 1);
+            s.commit(0, &warm_shape, 0);
+            let w0 = s.writes_for(0, &probe);
+            let w1 = s.writes_for(1, &probe);
+            assert!(
+                w0 > 0 && w0 < w1,
+                "probe must partially overlap: {w0} vs {w1}"
+            );
+            let contention = desc.timing.contention.expect("reference timing");
+            let penalty = contention.host_penalty(w0 * desc.accel.csr_payload_bytes);
+            assert!(penalty > 0, "config traffic must contend");
+            let d0 = s.price(0, &probe, w0, None);
+            let d1 = s.price(1, &probe, w1, None);
+            s.set_ready(0, LOAD_SLACK_CYCLES - 1 + d1 - d0);
+            s
+        };
+        assert_eq!(warmed(Policy::Cost).choose(0, &[0, 1], &probe, 0), 0);
+        assert_eq!(warmed(Policy::Thermal).choose(0, &[0, 1], &probe, 0), 1);
     }
 
     proptest! {

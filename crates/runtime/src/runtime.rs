@@ -69,7 +69,7 @@ pub struct PoolGroup {
     pub members: Vec<AcceleratorDescriptor>,
     /// Boost power cap: the maximum number of this group's workers the
     /// scheduler's shadow DVFS automaton will predict as simultaneously
-    /// boosted (`None` = unbounded). Enforced in the load tracker — a
+    /// boosted (`None` = unbounded). Enforced in the scheduler — a
     /// candidate whose mirror would boost past the cap is predicted (and
     /// charged) at warm — which is what makes frequency-aware routing a
     /// real trade-off instead of "boost everything". Validated at serve

@@ -1,5 +1,5 @@
-//! The scheduling core: load/residency accounting ([`LoadTracker`]) and
-//! the per-run [`Scheduler`] that routes over it under a [`Policy`].
+//! The per-serve [`Scheduler`]: load/residency accounting and the routing
+//! walk over it under a [`Policy`].
 //!
 //! The scheduler mirrors every worker's resident configuration register
 //! file (a shadow copy, updated with exactly the deltas the worker will
@@ -10,10 +10,11 @@
 //! taken — on writes alone (`affinity`), on predicted completion over
 //! per-platform cost models (`cost`), or on completion at the predicted
 //! frequency state (`thermal`).
-//! The accounting here is policy-agnostic: every policy's commits flow
-//! through the same queue and shadow bookkeeping, so batching cutoffs,
-//! prediction metrics, and refinement behave identically under all of
-//! them.
+//! The accounting is policy-agnostic: every policy's commits flow through
+//! the same queue and shadow bookkeeping, so batching cutoffs, prediction
+//! metrics, and refinement behave identically under all of them. Scoring
+//! reads the scheduler by `&`; only [`Scheduler::commit`] and
+//! [`Scheduler::observe`] write the accounting.
 //!
 //! Load is tracked as a queue *depth in cycles*, not a dispatch count:
 //! each commit extends the worker's estimated drain time by the module's
@@ -27,35 +28,36 @@
 //!
 //! Pools may be *heterogeneous*: workers of one routing group can run
 //! differently provisioned platform variants (same configuration
-//! interface, different geometry and speed). The tracker assigns each
+//! interface, different geometry and speed). The scheduler assigns each
 //! distinct variant a platform index, re-derives analytic cost anchors
 //! per `(module, platform)`, and keys the online refiner by platform, so
 //! both queue accounting and the `cost` policy's scores reflect what a
-//! dispatch actually costs *on that worker*.
+//! dispatch actually costs *on that worker*. It is also the one owner of
+//! the index↔name mapping persisted rows cross
+//! ([`Scheduler::seed_refiner`], [`Scheduler::cost_snapshot`]).
 //!
 //! Predictions start from analytic anchors and are *refined online*: as
 //! the serve loop retires completed dispatches it feeds their measured
 //! cycles back through [`Scheduler::observe`], and the
 //! per-`(module, platform, warmth bucket)` EWMA held by [`CostRefiner`]
-//! takes over from the static interpolation wherever it has data. Each
-//! observation carries the worker's DVFS frequency state at retirement,
-//! so the refiner additionally keeps frequency-keyed rows; the tracker
-//! mirrors every worker's DVFS automaton in shadow (advanced at commit
-//! with predicted busy windows, optionally bounded by a per-group boost
-//! power cap) so frequency-aware policies can ask what state a candidate
-//! would launch in — see [`LoadTracker::predicted_mode`]. Because
-//! retirement happens at deterministic points of the simulated clock, the
-//! refined estimates — and every routing decision made from them — remain
-//! a pure function of the request stream.
-//!
-//! Routing decisions are made in the serve loop at points of the
-//! simulated clock — a dispatch executes where it is committed — so
-//! scheduling, and with it every metric, is deterministic.
+//! takes over from the static interpolation wherever it has data. Every
+//! predicted cycle count is one read: the row's quote for the bucket
+//! (mode-agnostic, or keyed by a frequency state), else the anchors'.
+//! Each observation carries the worker's DVFS frequency state at
+//! retirement, so the refiner additionally keeps frequency-keyed rows;
+//! the scheduler mirrors every worker's DVFS automaton in shadow
+//! (advanced at commit with predicted busy windows, optionally bounded by
+//! a per-group boost power cap) so frequency-aware policies can ask what
+//! state a candidate would launch in. Because retirement happens at
+//! deterministic points of the simulated clock, the refined estimates —
+//! and every routing decision made from them — remain a pure function of
+//! the request stream.
 //!
 //! [`CostModel::predict`]: crate::cache::CostModel::predict
 //! [`CostRefiner`]: crate::cache::CostRefiner
 
-use crate::cache::{CacheKey, CompiledModule, CostModel, CostRefiner};
+use crate::cache::{CacheKey, CompiledModule, CostModel, CostRefiner, CostRow};
+use crate::persist::CostSnapshotEntry;
 use crate::plan::RegMap;
 use crate::policy::{self, Policy, Scored};
 use accfg_sim::{DvfsParams, DvfsState, FreqState, FREQ_STATES};
@@ -79,7 +81,7 @@ use std::collections::HashMap;
 /// baseline, so this trade-off cannot break that property.
 ///
 /// The horizon is per-run configuration, not a constant: set it with
-/// [`ServeConfig::load_slack`] (or [`LoadTracker::with_slack`] when
+/// [`ServeConfig::load_slack`] (or [`Scheduler::with_slack`] when
 /// driving the scheduler directly); `serve_bench --slack <cycles>` sweeps
 /// it without recompiling. This value (256, chosen by the PR 2 sweep:
 /// 96–256 near-equivalent, 384+ degrades) is the default everywhere.
@@ -118,17 +120,27 @@ pub struct CommitOutcome {
     pub keyed_cycles: [u64; FREQ_STATES],
 }
 
-/// The policy-agnostic accounting core of the scheduler: shadow resident
-/// register files, outstanding-cycle queues, per-platform cost anchors,
-/// and the online cost refiner.
-///
-/// Scoring reads this by `&` (see [`Scheduler::choose`]); only the serve
-/// loop writes it, through [`LoadTracker::commit`] and
-/// [`LoadTracker::observe`] — so no policy can corrupt the accounting
-/// every other subsystem (batch cutoff, prediction metrics, refinement)
-/// depends on.
+/// `row`'s quote for a dispatch emitting `writes` — mode-agnostic
+/// (`mode` = `None`) or keyed by `mode` — else the interpolation of
+/// `anchors`: the one rule every predicted cycle count is read by.
+fn quote(row: Option<&CostRow>, anchors: &CostModel, writes: u64, mode: Option<FreqState>) -> u64 {
+    row.and_then(|row| CostRefiner::quote(row, anchors.bucket(writes), mode))
+        .unwrap_or_else(|| anchors.predict(writes))
+}
+
+/// Scheduler state across one serve run: the routing policy and its
+/// private routing state, plus the policy-agnostic accounting every
+/// policy's commits flow through — shadow resident register files,
+/// outstanding-cycle queues, per-platform cost anchors, the online cost
+/// refiner, and the shadow DVFS automata.
 #[derive(Debug)]
-pub struct LoadTracker {
+pub struct Scheduler {
+    policy: Policy,
+    /// Per-group round-robin counters (`fifo`, `fifo+elide`).
+    round_robin: Vec<usize>,
+    /// The candidates of the decision in progress; kept between decisions
+    /// so a warmed scheduler routes without allocating.
+    scored: Vec<Scored>,
     shadows: Vec<RegMap>,
     /// Estimated cycle at which each worker's committed queue drains.
     ready: Vec<u64>,
@@ -142,6 +154,8 @@ pub struct LoadTracker {
     /// A pure cache — values are a function of `(module, platform)` — so
     /// interior mutability cannot leak nondeterminism into scoring.
     variant_anchors: RefCell<HashMap<CacheKey, Vec<Option<CostModel>>>>,
+    /// Whether observations (and persisted rows) enter the refiner; with
+    /// it off the refiner stays empty and every quote is the anchors'.
     refine: bool,
     refiner: CostRefiner,
     /// The load-slack horizon policies bucket queue gaps by.
@@ -158,15 +172,16 @@ pub struct LoadTracker {
     /// "holding a boost slot" while that commit is still queued.
     last_mode: Vec<FreqState>,
     /// Per-worker routing-group index (all workers share group 0 unless
-    /// configured via [`LoadTracker::with_power_caps`]).
+    /// configured via [`Scheduler::with_power_caps`]).
     worker_group: Vec<usize>,
     /// Per-group cap on simultaneously boosted workers (`None` = no cap).
     power_cap: Vec<Option<usize>>,
 }
 
-impl LoadTracker {
-    /// A tracker for the given per-worker platform descriptors, with
-    /// online cost refinement enabled.
+impl Scheduler {
+    /// A scheduler under `policy` for the given per-worker platform
+    /// descriptors across `groups` accelerator groups, with online cost
+    /// refinement enabled.
     ///
     /// # Panics
     /// Panics if two descriptors share a name but differ in provisioning:
@@ -174,11 +189,11 @@ impl LoadTracker {
     /// name, so a same-name variant would silently share another
     /// platform's estimates. `Runtime::serve` reports this as
     /// [`ServeError::AmbiguousVariantName`] before constructing a
-    /// tracker; direct users of this API fail loudly here instead.
+    /// scheduler; direct users of this API fail loudly here instead.
     ///
     /// [`ServeError::AmbiguousVariantName`]:
     ///     crate::error::ServeError::AmbiguousVariantName
-    pub fn new(workers: &[AcceleratorDescriptor]) -> Self {
+    pub fn new(policy: Policy, workers: &[AcceleratorDescriptor], groups: usize) -> Self {
         let mut variants: Vec<AcceleratorDescriptor> = Vec::new();
         let mut worker_platform = Vec::with_capacity(workers.len());
         for desc in workers {
@@ -201,6 +216,9 @@ impl LoadTracker {
         }
         let dvfs = variants.iter().map(|v| v.timing.dvfs).collect();
         Self {
+            policy,
+            round_robin: vec![0; groups],
+            scored: Vec::new(),
             shadows: vec![RegMap::new(); workers.len()],
             ready: vec![0; workers.len()],
             worker_platform,
@@ -217,12 +235,30 @@ impl LoadTracker {
         }
     }
 
+    /// Enables or disables online cost refinement (on by default). With
+    /// refinement off, queue estimates use only the static anchors — the
+    /// ablation `serve_bench` quantifies prediction error against.
+    #[must_use]
+    pub fn with_refinement(mut self, refine: bool) -> Self {
+        self.refine = refine;
+        self
+    }
+
+    /// Sets the load-slack horizon (cycles) policies bucket queue gaps
+    /// by; defaults to [`LOAD_SLACK_CYCLES`]. A slack of 0 disables
+    /// stickiness entirely (every nonzero gap prefers balance).
+    #[must_use]
+    pub fn with_slack(mut self, slack: u64) -> Self {
+        self.slack = slack;
+        self
+    }
+
     /// Installs routing-group membership and per-group boost power caps
     /// (`worker_group[w]` is worker `w`'s group; `caps[g]` is group `g`'s
     /// cap, `None` for uncapped). The cap bounds how many of a group's
-    /// workers the *scheduler's shadow automaton* treats as boosted at
-    /// once: a candidate whose mirror would reach [`FreqState::Boost`]
-    /// while the group's cap is exhausted is predicted (and charged) at
+    /// workers the *shadow automaton* treats as boosted at once: a
+    /// candidate whose mirror would reach [`FreqState::Boost`] while the
+    /// group's cap is exhausted is predicted (and charged) at
     /// [`FreqState::Warm`] instead, so frequency-aware scoring steers
     /// load away from over-committing boost. Validation (cap in
     /// `1..=group size`) happens at pool construction.
@@ -237,43 +273,15 @@ impl LoadTracker {
         self
     }
 
-    /// Sets the load-slack horizon (cycles) policies bucket queue gaps
-    /// by; defaults to [`LOAD_SLACK_CYCLES`]. A slack of 0 disables
-    /// stickiness entirely (every nonzero gap prefers balance).
-    #[must_use]
-    pub fn with_slack(mut self, slack: u64) -> Self {
-        self.slack = slack;
-        self
-    }
-
-    /// The load-slack horizon in cycles.
-    pub fn slack(&self) -> u64 {
-        self.slack
-    }
-
-    /// Number of workers tracked.
-    pub fn workers(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// The platform-variant index of `worker` (workers sharing a
-    /// descriptor share refiner state).
-    pub fn platform(&self, worker: usize) -> usize {
-        self.worker_platform[worker]
+    /// `true` if dispatches under the active policy skip writes already
+    /// resident on the worker.
+    pub fn elides(&self) -> bool {
+        self.policy.elides()
     }
 
     /// The platform descriptor `worker` runs.
-    pub fn descriptor(&self, worker: usize) -> &AcceleratorDescriptor {
+    pub(crate) fn descriptor(&self, worker: usize) -> &AcceleratorDescriptor {
         &self.variants[self.worker_platform[worker]]
-    }
-
-    /// Enables or disables online cost refinement (on by default). With
-    /// refinement off, queue estimates use only the static anchors — the
-    /// ablation `serve_bench` quantifies prediction error against.
-    #[must_use]
-    pub fn with_refinement(mut self, refine: bool) -> Self {
-        self.refine = refine;
-        self
     }
 
     /// The cost anchors for a dispatch of `module` on `worker`'s
@@ -287,7 +295,7 @@ impl LoadTracker {
     /// The runtime guarantees a descriptor name identifies one
     /// provisioning per pool (`ServeError::AmbiguousVariantName`), so
     /// matching the module's compile platform by name is sound.
-    pub fn anchors(&self, worker: usize, module: &CompiledModule) -> CostModel {
+    pub(crate) fn anchors(&self, worker: usize, module: &CompiledModule) -> CostModel {
         let platform = self.worker_platform[worker];
         let desc = &self.variants[platform];
         if desc.name == module.key.accelerator {
@@ -315,66 +323,47 @@ impl LoadTracker {
     /// The configuration writes a dispatch of `module` would emit against
     /// `worker`'s shadow resident state — the write term of every scoring
     /// function.
-    pub fn writes_for(&self, worker: usize, module: &CompiledModule) -> u64 {
+    pub(crate) fn writes_for(&self, worker: usize, module: &CompiledModule) -> u64 {
         module.plan.writes_against(&self.shadows[worker])
     }
 
     /// Predicted execution cycles of a dispatch of `module` emitting
-    /// `writes` on `worker`: the platform's EWMA estimate where the
-    /// warmth bucket has been observed (and refinement is on), the
-    /// platform's anchor interpolation otherwise.
-    pub fn predicted_cycles(&self, worker: usize, module: &CompiledModule, writes: u64) -> u64 {
-        let anchors = self.anchors(worker, module);
-        if self.refine {
-            self.refiner
-                .predict(&module.key, self.worker_platform[worker], &anchors, writes)
-        } else {
-            anchors.predict(writes)
-        }
-    }
-
-    /// Predicted execution cycles of a dispatch of `module` emitting
-    /// `writes` on `worker` *given* that its launches run at frequency
-    /// `mode`: the frequency-keyed EWMA where that keyed bucket has been
-    /// observed, falling back to the mode-agnostic EWMA, then the anchor
-    /// interpolation. The scoring primitive of the `thermal` policy.
-    pub fn predicted_cycles_for_mode(
+    /// `writes` on `worker`: mode-agnostic (`mode` = `None`, what `cost`
+    /// charges) or given that its launches run at `mode` (what `thermal`
+    /// charges) — see [`quote`].
+    pub(crate) fn price(
         &self,
         worker: usize,
         module: &CompiledModule,
         writes: u64,
-        mode: FreqState,
+        mode: Option<FreqState>,
     ) -> u64 {
-        let anchors = self.anchors(worker, module);
-        if self.refine {
-            self.refiner.predict_for_mode(
-                &module.key,
-                self.worker_platform[worker],
-                &anchors,
-                writes,
-                mode,
-            )
-        } else {
-            anchors.predict(writes)
-        }
+        let row = self.refiner.row(&module.key, self.worker_platform[worker]);
+        quote(row, &self.anchors(worker, module), writes, mode)
     }
 
-    /// The frequency state the shadow DVFS automaton predicts `worker`'s
-    /// next dispatch would launch at, were it committed at serve-loop
-    /// cycle `now` (the launch itself happens once the queue drains, at
-    /// `max(ready, now)`). [`FreqState::Cold`] without a DVFS table. A
-    /// boost prediction is clamped to warm when the worker's group has a
-    /// power cap and its other workers already hold every boost slot.
-    pub fn predicted_mode(&self, worker: usize, now: u64) -> FreqState {
-        let Some(params) = self.dvfs[self.worker_platform[worker]] else {
-            return FreqState::Cold;
-        };
+    /// `worker`'s shadow DVFS automaton advanced to the launch of a
+    /// dispatch committed at serve-loop cycle `now` (the launch happens
+    /// once the queue drains, at `max(ready, now)`), and the frequency
+    /// state it launches at — boost clamped to warm when the worker's
+    /// group has a power cap and its other workers already hold every
+    /// boost slot. `None` without a DVFS table.
+    fn launch(&self, worker: usize, now: u64) -> Option<(DvfsState, FreqState)> {
+        let params = self.dvfs[self.worker_platform[worker]]?;
         let mut mirror = self.mirror[worker];
-        let mode = mirror.launch_state(&params, self.ready[worker].max(now));
+        let mut mode = mirror.launch_state(&params, self.ready[worker].max(now));
         if mode == FreqState::Boost && !self.boost_slot_free(worker, now) {
-            return FreqState::Warm;
+            mode = FreqState::Warm;
         }
-        mode
+        Some((mirror, mode))
+    }
+
+    /// The frequency state `worker`'s next dispatch would launch at, were
+    /// it committed at serve-loop cycle `now` ([`FreqState::Cold`] without
+    /// a DVFS table).
+    pub(crate) fn predicted_mode(&self, worker: usize, now: u64) -> FreqState {
+        self.launch(worker, now)
+            .map_or(FreqState::Cold, |(_, mode)| mode)
     }
 
     /// `true` if `worker` may be counted boosted at `now` under its
@@ -400,6 +389,40 @@ impl LoadTracker {
         held < cap
     }
 
+    /// Picks a worker from `candidates` (the group's workers, ascending)
+    /// for a dispatch of `module` arriving at serve-loop cycle `now`: the
+    /// next in `group`'s round-robin turn under `fifo` / `fifo+elide`,
+    /// otherwise the candidate `policy::score` prices earliest within the
+    /// slack horizon.
+    ///
+    /// # Panics
+    /// Panics if `candidates` is empty.
+    pub fn choose(
+        &mut self,
+        group: usize,
+        candidates: &[usize],
+        module: &CompiledModule,
+        now: u64,
+    ) -> usize {
+        assert!(!candidates.is_empty(), "scheduling against an empty group");
+        if matches!(self.policy, Policy::Fifo | Policy::FifoElide) {
+            let turn = self.round_robin[group] % candidates.len();
+            self.round_robin[group] += 1;
+            return candidates[turn];
+        }
+        // the scratch list is lent out so scoring can read `self` whole
+        let mut scored = std::mem::take(&mut self.scored);
+        scored.clear();
+        scored.extend(
+            candidates
+                .iter()
+                .map(|&w| policy::score(self.policy, self, w, module, now)),
+        );
+        let pick = policy::earliest_within_slack(&scored, self.slack);
+        self.scored = scored;
+        pick
+    }
+
     /// The estimated cycles of committed work still queued on `worker` at
     /// serve-loop time `now` — completed work has drained.
     pub fn outstanding(&self, worker: usize, now: u64) -> u64 {
@@ -408,7 +431,7 @@ impl LoadTracker {
 
     /// Records a dispatch of `module` to `worker` at serve-loop cycle
     /// `now`: updates the shadow resident state with the same deltas the
-    /// worker will apply (when `elide` is set), extends the worker's
+    /// worker will apply (when the policy elides), extends the worker's
     /// queue by the dispatch's predicted execution cycles on that
     /// worker's platform, and returns what was predicted so the serve
     /// loop can measure it against the observed cost.
@@ -416,14 +439,8 @@ impl LoadTracker {
     /// Queue accounting runs under *every* policy — the round-robin
     /// policies never read it for routing, but the batch cutoff and the
     /// prediction-error metrics do.
-    pub fn commit(
-        &mut self,
-        worker: usize,
-        module: &CompiledModule,
-        now: u64,
-        elide: bool,
-    ) -> CommitOutcome {
-        let writes = if elide {
+    pub fn commit(&mut self, worker: usize, module: &CompiledModule, now: u64) -> CommitOutcome {
+        let writes = if self.policy.elides() {
             // the dispatch's cost follows the writes it actually emits
             // against this worker's resident state
             module.plan.apply_writes(&mut self.shadows[worker])
@@ -432,45 +449,30 @@ impl LoadTracker {
             module.plan.cold_writes
         };
         let anchors = self.anchors(worker, module);
-        let platform = self.worker_platform[worker];
-        let bucket = anchors.bucket(writes);
-        let anchor_cycles = anchors.predict(writes);
         // the module's learned rows are fetched once; the mode-agnostic
-        // charge and the three keyed quotes are all read out of them (with
-        // refinement off there are none, and every quote is the anchor's)
-        let row = if self.refine {
-            self.refiner.row(&module.key, platform)
-        } else {
-            None
-        };
-        let quote = |mode: Option<FreqState>| {
-            row.and_then(|row| CostRefiner::quote(row, bucket, mode))
-                .unwrap_or(anchor_cycles)
-        };
-        let predicted_cycles = quote(None);
+        // charge and the three keyed quotes are all read out of them
+        let row = self.refiner.row(&module.key, self.worker_platform[worker]);
+        let predicted_cycles = quote(row, &anchors, writes, None);
         // (`FreqState::ALL` is in index order)
-        let keyed_cycles = FreqState::ALL.map(|mode| quote(Some(mode)));
+        let keyed_cycles = FreqState::ALL.map(|mode| quote(row, &anchors, writes, Some(mode)));
         // advance the shadow DVFS automaton with the predicted busy
         // window, mirroring the worker-side sequence (cool over the idle
         // gap, read the launch state, account the busy cycles)
         let start = self.ready[worker].max(now);
-        let mode = match self.dvfs[platform] {
-            Some(params) => {
-                let mut mode = self.mirror[worker].launch_state(&params, start);
-                if mode == FreqState::Boost && !self.boost_slot_free(worker, now) {
-                    mode = FreqState::Warm;
-                }
-                self.mirror[worker].note_busy(start + predicted_cycles, predicted_cycles);
+        let end = start + predicted_cycles;
+        self.last_mode[worker] = match self.launch(worker, now) {
+            Some((mut mirror, mode)) => {
+                mirror.note_busy(end, predicted_cycles);
+                self.mirror[worker] = mirror;
                 mode
             }
             None => FreqState::Cold,
         };
-        self.last_mode[worker] = mode;
-        self.ready[worker] = start + predicted_cycles;
+        self.ready[worker] = end;
         CommitOutcome {
             writes,
-            bucket,
-            anchor_cycles,
+            bucket: anchors.bucket(writes),
+            anchor_cycles: anchors.predict(writes),
             predicted_cycles,
             keyed_cycles,
         }
@@ -506,20 +508,13 @@ impl LoadTracker {
         &self.refiner
     }
 
-    /// The distinct platform variants of the pool, in platform-index
-    /// order — the index↔name mapping the persistence layer re-keys
-    /// refiner snapshots with.
-    pub fn variants(&self) -> &[AcceleratorDescriptor] {
-        &self.variants
-    }
-
     /// Seeds the refiner from persisted rows keyed by platform *name*,
     /// resolving each name to this pool's platform index. Rows naming
     /// platforms this pool does not field are skipped (a fleet-wide store
     /// safely warm-starts a subset pool); with refinement disabled nothing
-    /// is seeded, matching [`LoadTracker::observe`]. Returns the number of
+    /// is seeded, matching [`Scheduler::observe`]. Returns the number of
     /// rows seeded.
-    pub fn seed_refiner(&mut self, entries: &[crate::persist::CostSnapshotEntry]) -> u64 {
+    pub fn seed_refiner(&mut self, entries: &[CostSnapshotEntry]) -> u64 {
         if !self.refine {
             return 0;
         }
@@ -533,6 +528,17 @@ impl LoadTracker {
         seeded
     }
 
+    /// The refiner's rows keyed by platform *name* — the mirror of
+    /// [`Scheduler::seed_refiner`], ready for
+    /// [`crate::persist::WarmStart::flush`].
+    pub fn cost_snapshot(&self) -> Vec<CostSnapshotEntry> {
+        self.refiner
+            .snapshot()
+            .into_iter()
+            .map(|(key, platform, rows)| (self.variants[platform].name.clone(), key, rows))
+            .collect()
+    }
+
     /// The shadow resident state of `worker` (for tests and diagnostics).
     pub fn shadow(&self, worker: usize) -> &RegMap {
         &self.shadows[worker]
@@ -543,138 +549,6 @@ impl LoadTracker {
     #[cfg(test)]
     pub(crate) fn set_ready(&mut self, worker: usize, ready: u64) {
         self.ready[worker] = ready;
-    }
-}
-
-/// Scheduler state across one serve run: the routing policy, its private
-/// routing state, and the load/residency accounting it reads.
-#[derive(Debug)]
-pub struct Scheduler {
-    policy: Policy,
-    /// Per-group round-robin counters (`fifo`, `fifo+elide`).
-    round_robin: Vec<usize>,
-    /// The candidates of the decision in progress; kept between decisions
-    /// so a warmed scheduler routes without allocating.
-    scored: Vec<Scored>,
-    load: LoadTracker,
-}
-
-impl Scheduler {
-    /// A scheduler under `policy` for the given per-worker platform
-    /// descriptors across `groups` accelerator groups, with online cost
-    /// refinement enabled.
-    pub fn new(policy: Policy, workers: &[AcceleratorDescriptor], groups: usize) -> Self {
-        Self {
-            policy,
-            round_robin: vec![0; groups],
-            scored: Vec::new(),
-            load: LoadTracker::new(workers),
-        }
-    }
-
-    /// Enables or disables online cost refinement (on by default).
-    #[must_use]
-    pub fn with_refinement(mut self, refine: bool) -> Self {
-        self.load = self.load.with_refinement(refine);
-        self
-    }
-
-    /// Sets the load-slack horizon (see [`LoadTracker::with_slack`]).
-    #[must_use]
-    pub fn with_slack(mut self, slack: u64) -> Self {
-        self.load = self.load.with_slack(slack);
-        self
-    }
-
-    /// Installs routing-group membership and per-group boost power caps
-    /// (see [`LoadTracker::with_power_caps`]).
-    #[must_use]
-    pub fn with_power_caps(mut self, worker_group: Vec<usize>, caps: Vec<Option<usize>>) -> Self {
-        self.load = self.load.with_power_caps(worker_group, caps);
-        self
-    }
-
-    /// `true` if dispatches under the active policy skip writes already
-    /// resident on the worker.
-    pub fn elides(&self) -> bool {
-        self.policy.elides()
-    }
-
-    /// The load/residency accounting (read-only; scoring reads it).
-    pub fn load(&self) -> &LoadTracker {
-        &self.load
-    }
-
-    /// Picks a worker from `candidates` (the group's workers, ascending)
-    /// for a dispatch of `module` arriving at serve-loop cycle `now`: the
-    /// next in `group`'s round-robin turn under `fifo` / `fifo+elide`,
-    /// otherwise the candidate `policy::score` prices earliest within the
-    /// slack horizon.
-    ///
-    /// # Panics
-    /// Panics if `candidates` is empty.
-    pub fn choose(
-        &mut self,
-        group: usize,
-        candidates: &[usize],
-        module: &CompiledModule,
-        now: u64,
-    ) -> usize {
-        assert!(!candidates.is_empty(), "scheduling against an empty group");
-        if matches!(self.policy, Policy::Fifo | Policy::FifoElide) {
-            let turn = self.round_robin[group] % candidates.len();
-            self.round_robin[group] += 1;
-            return candidates[turn];
-        }
-        let (policy, load) = (self.policy, &self.load);
-        self.scored.clear();
-        self.scored.extend(
-            candidates
-                .iter()
-                .map(|&w| policy::score(policy, load, w, module, now)),
-        );
-        policy::earliest_within_slack(&self.scored, load.slack())
-    }
-
-    /// Records a dispatch of `module` to `worker` at serve-loop cycle
-    /// `now` in the load tracker (see [`LoadTracker::commit`]).
-    pub fn commit(&mut self, worker: usize, module: &CompiledModule, now: u64) -> CommitOutcome {
-        self.load.commit(worker, module, now, self.policy.elides())
-    }
-
-    /// Feeds one retired dispatch's measured `cycles` back into the cost
-    /// refiner (see [`LoadTracker::observe`]).
-    pub fn observe(
-        &mut self,
-        worker: usize,
-        module: &CompiledModule,
-        bucket: usize,
-        mode: FreqState,
-        cycles: u64,
-    ) {
-        self.load.observe(worker, module, bucket, mode, cycles);
-    }
-
-    /// The cost refiner's current estimates (for tests and diagnostics).
-    pub fn refiner(&self) -> &CostRefiner {
-        self.load.refiner()
-    }
-
-    /// Seeds the refiner from persisted platform-name-keyed rows (see
-    /// [`LoadTracker::seed_refiner`]).
-    pub fn seed_refiner(&mut self, entries: &[crate::persist::CostSnapshotEntry]) -> u64 {
-        self.load.seed_refiner(entries)
-    }
-
-    /// The estimated cycles of committed work still queued on `worker` at
-    /// serve-loop time `now`.
-    pub fn outstanding(&self, worker: usize, now: u64) -> u64 {
-        self.load.outstanding(worker, now)
-    }
-
-    /// The shadow resident state of `worker` (for tests and diagnostics).
-    pub fn shadow(&self, worker: usize) -> &RegMap {
-        self.load.shadow(worker)
     }
 }
 
@@ -691,7 +565,11 @@ mod tests {
     fn tracker_rejects_same_name_different_provisioning() {
         let mut doctored = AcceleratorDescriptor::gemmini();
         doctored.accel.macs_per_cycle *= 4;
-        let _ = LoadTracker::new(&[AcceleratorDescriptor::gemmini(), doctored]);
+        let _ = Scheduler::new(
+            Policy::ConfigAffinity,
+            &[AcceleratorDescriptor::gemmini(), doctored],
+            1,
+        );
     }
 
     #[test]
@@ -777,19 +655,19 @@ mod tests {
         assert!(m.plan.writes_against(s.shadow(1)) > 0);
 
         // one cycle inside the horizon: stickiness wins despite the queue
-        s.load.set_ready(0, LOAD_SLACK_CYCLES - 1);
-        s.load.set_ready(1, 0);
+        s.set_ready(0, LOAD_SLACK_CYCLES - 1);
+        s.set_ready(1, 0);
         assert_eq!(s.choose(0, &[0, 1], &m, 0), 0);
 
         // exactly at the boundary: the warm worker falls into pressure
         // bucket 1 and the blank-but-short queue wins
-        s.load.set_ready(0, LOAD_SLACK_CYCLES);
+        s.set_ready(0, LOAD_SLACK_CYCLES);
         assert_eq!(s.choose(0, &[0, 1], &m, 0), 1);
 
         // the boundary drains with the clock: the same gap measured later
         // is back inside the horizon
-        s.load.set_ready(0, LOAD_SLACK_CYCLES + 10);
-        s.load.set_ready(1, 11);
+        s.set_ready(0, LOAD_SLACK_CYCLES + 10);
+        s.set_ready(1, 11);
         assert_eq!(s.choose(0, &[0, 1], &m, 11), 0);
     }
 
@@ -802,20 +680,20 @@ mod tests {
         let slack = 128;
         assert_ne!(slack, LOAD_SLACK_CYCLES, "test needs a non-default");
         let mut s = Scheduler::new(Policy::ConfigAffinity, &uniform(2), 1).with_slack(slack);
-        assert_eq!(s.load().slack(), slack);
+        assert_eq!(s.slack, slack);
         s.commit(0, &m, 0);
         assert_eq!(m.plan.writes_against(s.shadow(0)), 0);
 
-        s.load.set_ready(0, slack - 1);
-        s.load.set_ready(1, 0);
+        s.set_ready(0, slack - 1);
+        s.set_ready(1, 0);
         assert_eq!(s.choose(0, &[0, 1], &m, 0), 0);
-        s.load.set_ready(0, slack);
+        s.set_ready(0, slack);
         assert_eq!(s.choose(0, &[0, 1], &m, 0), 1);
         // under the default horizon the same gap would still be sticky
         let mut default = Scheduler::new(Policy::ConfigAffinity, &uniform(2), 1);
         default.commit(0, &m, 0);
-        default.load.set_ready(0, slack);
-        default.load.set_ready(1, 0);
+        default.set_ready(0, slack);
+        default.set_ready(1, 0);
         assert_eq!(default.choose(0, &[0, 1], &m, 0), 0);
     }
 
@@ -904,9 +782,13 @@ mod tests {
         assert_eq!(refined.bucket, warm_probe.bucket);
         assert_eq!(refined.predicted_cycles, warm_probe.anchor_cycles + 500);
         assert_eq!(refined.anchor_cycles, warm_probe.anchor_cycles);
-        // with refinement disabled the same observation changes nothing
+        // with refinement disabled nothing enters the refiner — neither
+        // persisted rows nor observations — so every quote is the anchors'
+        let rows = s.cost_snapshot();
+        assert!(!rows.is_empty());
         let mut fixed =
             Scheduler::new(Policy::ConfigAffinity, &uniform(1), 1).with_refinement(false);
+        assert_eq!(fixed.seed_refiner(&rows), 0);
         fixed.commit(0, &m, 0);
         let probe = fixed.commit(0, &m, 0);
         fixed.observe(
@@ -919,6 +801,13 @@ mod tests {
         assert_eq!(fixed.refiner().modules_observed(), 0);
         let unrefined = fixed.commit(0, &m, 0);
         assert_eq!(unrefined.predicted_cycles, unrefined.anchor_cycles);
+        assert_eq!(
+            unrefined.keyed_cycles,
+            [unrefined.anchor_cycles; FREQ_STATES]
+        );
+        // the same rows do seed a refining scheduler
+        let mut seeded = Scheduler::new(Policy::ConfigAffinity, &uniform(1), 1);
+        assert_eq!(seeded.seed_refiner(&rows), rows.len() as u64);
     }
 
     #[test]
@@ -945,12 +834,11 @@ mod tests {
             AcceleratorDescriptor::gemmini_turbo(),
             AcceleratorDescriptor::gemmini(),
         ];
-        let load = LoadTracker::new(&workers);
-        assert_eq!(load.workers(), 3);
-        assert_eq!(load.platform(0), 0);
-        assert_eq!(load.platform(1), 1);
-        assert_eq!(load.platform(2), 0);
-        assert_eq!(load.descriptor(1).name, "gemmini-turbo");
+        let s = Scheduler::new(Policy::Cost, &workers, 1);
+        assert_eq!(s.worker_platform, [0, 1, 0]);
+        assert_eq!(s.variants.len(), 2);
+        assert_eq!(s.descriptor(1).name, "gemmini-turbo");
+        assert_eq!(s.descriptor(2).name, "gemmini");
     }
 
     #[test]
@@ -968,15 +856,14 @@ mod tests {
             AcceleratorDescriptor::gemmini(),
             AcceleratorDescriptor::gemmini_turbo(),
         ];
-        let load = LoadTracker::new(&workers);
-        assert_eq!(load.anchors(0, &heavy), heavy.cost);
-        let turbo = load.anchors(1, &heavy);
+        let mut s = Scheduler::new(Policy::Cost, &workers, 1);
+        assert_eq!(s.anchors(0, &heavy), heavy.cost);
+        let turbo = s.anchors(1, &heavy);
         assert!(turbo.cold_cycles < heavy.cost.cold_cycles);
         // write structure is platform-independent: same plan, same writes
         assert_eq!(turbo.cold_writes, heavy.cost.cold_writes);
         assert_eq!(turbo.warm_writes, heavy.cost.warm_writes);
         // and commit charges the variant's cheaper prediction
-        let mut s = Scheduler::new(Policy::Cost, &workers, 1);
         let base_outcome = s.commit(0, &heavy, 0);
         let mut t = Scheduler::new(Policy::Cost, &workers, 1);
         let turbo_outcome = t.commit(1, &heavy, 0);
@@ -992,12 +879,12 @@ mod tests {
             AcceleratorDescriptor::opengemm(),
             AcceleratorDescriptor::opengemm_lite(),
         ];
-        let mut load = LoadTracker::new(&workers);
+        let mut s = Scheduler::new(Policy::Cost, &workers, 1);
         let bucket = m.cost.bucket(m.plan.cold_writes);
-        load.observe(0, &m, bucket, FreqState::Cold, 100);
-        load.observe(1, &m, bucket, FreqState::Cold, 900);
-        assert_eq!(load.predicted_cycles(0, &m, m.plan.cold_writes), 100);
-        assert_eq!(load.predicted_cycles(1, &m, m.plan.cold_writes), 900);
+        s.observe(0, &m, bucket, FreqState::Cold, 100);
+        s.observe(1, &m, bucket, FreqState::Cold, 900);
+        assert_eq!(s.price(0, &m, m.plan.cold_writes, None), 100);
+        assert_eq!(s.price(1, &m, m.plan.cold_writes, None), 900);
     }
 
     #[test]
@@ -1005,26 +892,22 @@ mod tests {
         // the same bucket observed under two frequency modes keeps two
         // keyed estimates; the agnostic charge is the drifting mix
         let m = single_tile_module(8);
-        let mut load = LoadTracker::new(&uniform(1));
+        let mut s = Scheduler::new(Policy::Thermal, &uniform(1), 1);
         let bucket = m.cost.bucket(m.plan.cold_writes);
-        load.observe(0, &m, bucket, FreqState::Boost, 100);
-        load.observe(0, &m, bucket, FreqState::Cold, 900);
+        s.observe(0, &m, bucket, FreqState::Boost, 100);
+        s.observe(0, &m, bucket, FreqState::Cold, 900);
         let writes = m.plan.cold_writes;
-        assert_eq!(
-            load.predicted_cycles_for_mode(0, &m, writes, FreqState::Boost),
-            100
-        );
-        assert_eq!(
-            load.predicted_cycles_for_mode(0, &m, writes, FreqState::Cold),
-            900
-        );
+        assert_eq!(s.price(0, &m, writes, Some(FreqState::Boost)), 100);
+        assert_eq!(s.price(0, &m, writes, Some(FreqState::Cold)), 900);
         // an unobserved mode falls back to the agnostic EWMA
-        let agnostic = load.predicted_cycles(0, &m, writes);
-        assert_eq!(
-            load.predicted_cycles_for_mode(0, &m, writes, FreqState::Warm),
-            agnostic
-        );
+        let agnostic = s.price(0, &m, writes, None);
+        assert_eq!(s.price(0, &m, writes, Some(FreqState::Warm)), agnostic);
         assert!((100..=900).contains(&agnostic));
+        // and a commit of that shape reads the same four quotes
+        let outcome = s.commit(0, &m, 0);
+        assert_eq!(outcome.writes, writes);
+        assert_eq!(outcome.predicted_cycles, agnostic);
+        assert_eq!(outcome.keyed_cycles, [900, agnostic, 100]);
     }
 
     #[test]
@@ -1033,13 +916,13 @@ mod tests {
         // predicted mode is cold and keyed predictions match the agnostic
         let m = single_tile_module(8);
         let mut s = Scheduler::new(Policy::Cost, &uniform(2), 1);
-        assert_eq!(s.load().predicted_mode(0, 0), FreqState::Cold);
+        assert_eq!(s.predicted_mode(0, 0), FreqState::Cold);
         let outcome = s.commit(0, &m, 0);
         assert_eq!(
             outcome.keyed_cycles,
             [outcome.predicted_cycles; FREQ_STATES]
         );
-        assert_eq!(s.load().predicted_mode(0, 0), FreqState::Cold);
+        assert_eq!(s.predicted_mode(0, 0), FreqState::Cold);
     }
 
     #[test]
@@ -1051,11 +934,11 @@ mod tests {
         let desc = AcceleratorDescriptor::opengemm().with_reference_timing();
         let dvfs = desc.timing.dvfs.expect("reference timing has DVFS");
         let mut s = Scheduler::new(Policy::Cost, &[desc], 1);
-        assert_eq!(s.load().predicted_mode(0, 0), FreqState::Cold);
+        assert_eq!(s.predicted_mode(0, 0), FreqState::Cold);
         let mut seen_boost = false;
         for _ in 0..4096 {
             s.commit(0, &m, 0);
-            if s.load().predicted_mode(0, 0) == FreqState::Boost {
+            if s.predicted_mode(0, 0) == FreqState::Boost {
                 seen_boost = true;
                 break;
             }
@@ -1064,8 +947,7 @@ mod tests {
         // a cooldown-length gap after the queue drains predicts cold again
         let drained = s.outstanding(0, 0);
         assert_eq!(
-            s.load()
-                .predicted_mode(0, drained + dvfs.cooldown_idle_cycles),
+            s.predicted_mode(0, drained + dvfs.cooldown_idle_cycles),
             FreqState::Cold
         );
     }
@@ -1081,30 +963,30 @@ mod tests {
         for _ in 0..8192 {
             s.commit(0, &m, 0);
             s.commit(1, &m, 0);
-            if s.load().predicted_mode(0, 0) == FreqState::Boost {
+            if s.predicted_mode(0, 0) == FreqState::Boost {
                 break;
             }
         }
-        assert_eq!(s.load().predicted_mode(0, 0), FreqState::Boost);
+        assert_eq!(s.predicted_mode(0, 0), FreqState::Boost);
         // until someone *commits* a boost launch the slot is unclaimed,
         // so the equally hot worker 1 may also predict boost; one more
         // commit on worker 0 takes the group's single slot
         s.commit(0, &m, 0);
-        assert_eq!(s.load().predicted_mode(0, 0), FreqState::Boost);
+        assert_eq!(s.predicted_mode(0, 0), FreqState::Boost);
         // worker 0 holds the group's one boost slot; worker 1's equally
         // hot mirror is clamped to warm
-        assert_eq!(s.load().predicted_mode(1, 0), FreqState::Warm);
-        // an uncapped tracker lets both boost
+        assert_eq!(s.predicted_mode(1, 0), FreqState::Warm);
+        // an uncapped scheduler lets both boost
         let desc = AcceleratorDescriptor::opengemm().with_reference_timing();
         let mut open = Scheduler::new(Policy::Cost, &[desc.clone(), desc], 1);
         for _ in 0..8192 {
             open.commit(0, &m, 0);
             open.commit(1, &m, 0);
-            if open.load().predicted_mode(1, 0) == FreqState::Boost {
+            if open.predicted_mode(1, 0) == FreqState::Boost {
                 break;
             }
         }
-        assert_eq!(open.load().predicted_mode(0, 0), FreqState::Boost);
-        assert_eq!(open.load().predicted_mode(1, 0), FreqState::Boost);
+        assert_eq!(open.predicted_mode(0, 0), FreqState::Boost);
+        assert_eq!(open.predicted_mode(1, 0), FreqState::Boost);
     }
 }

@@ -419,7 +419,7 @@ fn timed_serving_is_reproducible() {
 /// scale (the full 12,000-request `contention` stream):
 ///
 /// (a) `thermal` — which prices every candidate at the DVFS mode the
-///     tracker's shadow automaton predicts and pushes traffic-heavy
+///     scheduler's shadow automaton predicts and pushes traffic-heavy
 ///     dispatches out of contended busy windows — must hold the tail at
 ///     least as well as `cost`, whose mode-agnostic estimates chase
 ///     averaged costs across frequency states;
