@@ -4,14 +4,15 @@
 //! builds the worker pool, then hands the *serve loop proper* to
 //! `engine::run`: one scheduler and one cost refiner over the whole pool,
 //! walking the global `(arrival, id, slot)` order on the simulated clock.
-//! A dispatch executes on the calling thread where the loop commits it;
-//! nothing is spawned and no channel is opened. Its per-request outcomes
-//! (writes, cycles, latencies, prediction samples) define correct
-//! behaviour, and its reports are byte-identical across runs — the
-//! committed `BENCH_runtime.json` and `TUNED.json` are its output.
+//! A dispatch executes on the calling thread where the loop commits it,
+//! and its worker stamps its start and finish cycles there; nothing is
+//! spawned and no channel is opened. Its per-request outcomes (writes,
+//! cycles, latencies, prediction samples) define correct behaviour, and
+//! its reports are byte-identical across runs — the committed
+//! `BENCH_runtime.json` and `TUNED.json` are its output.
 //!
-//! `docs/ARCHITECTURE.md` § "The serve loop" states the pull order, why
-//! budget aborts are exact, and the schedule-independence argument any
+//! `docs/ARCHITECTURE.md` § "The serve loop" states the retirement order,
+//! why budget aborts are exact, and the schedule-independence argument any
 //! future parallel lane would have to be planned from (ROADMAP item 2).
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
@@ -22,10 +23,10 @@ use crate::metrics::nearest_rank;
 use crate::persist::CostSnapshotEntry;
 use crate::runtime::{ServeBudget, ServeConfig};
 use crate::scheduler::{CommitOutcome, Scheduler};
-use crate::worker::{Completion, Job, Worker};
+use crate::worker::{Completion, Worker};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::TrafficRequest;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A pool flattened for one serve, indexed the way the scheduler and the
@@ -54,16 +55,6 @@ pub(crate) struct Resolved {
     pub cost_seed: Vec<CostSnapshotEntry>,
 }
 
-/// Everything the serve loop reads, prepared by `Runtime::serve`'s first
-/// two steps (pool flattening; module resolution and store restore).
-#[derive(Clone, Copy)]
-pub(crate) struct EngineInput<'a> {
-    pub stream: &'a [TrafficRequest],
-    pub pool: &'a PoolShape,
-    pub resolved: &'a Resolved,
-    pub cfg: &'a ServeConfig,
-}
-
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
 /// (metrics, store flush).
 pub(crate) struct EngineOutput {
@@ -71,9 +62,6 @@ pub(crate) struct EngineOutput {
     pub completions: Vec<Completion>,
     /// Per-slot commit predictions.
     pub outcomes: Vec<CommitOutcome>,
-    /// Per-slot simulated finish cycle, as the loop computed it when it
-    /// pulled the completion (`start = max(previous finish, arrival)`).
-    pub finish: Vec<u64>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
     /// The refiner's final rows keyed by platform name
@@ -86,15 +74,15 @@ pub(crate) struct EngineOutput {
 /// metrics are already beyond a bound.
 struct BudgetTracker {
     budget: ServeBudget,
-    /// Latencies above `p99_bound` seen so far; each pulled completion's
+    /// Latencies above `p99_bound` seen so far; each executed dispatch's
     /// latency is final, so this count only grows.
     exceed_count: u64,
     /// How many over-bound latencies the nearest-rank p99 tolerates:
     /// `n - ceil(0.99 * n)`. One more proves p99 > bound.
     allowed_exceed: u64,
-    /// Running sum of setup writes across pulled completions.
+    /// Running sum of setup writes across executed dispatches.
     writes: u64,
-    /// Completions pulled so far.
+    /// Dispatches executed so far.
     completed: u64,
 }
 
@@ -111,7 +99,7 @@ impl BudgetTracker {
         }
     }
 
-    /// Folds one pulled completion in; `Err` the moment a bound is
+    /// Folds one executed dispatch in; `Err` the moment a bound is
     /// provably exceeded by the *final* metrics.
     fn admit(&mut self, latency: u64, setup_writes: u64) -> Result<(), ServeError> {
         self.completed += 1;
@@ -143,30 +131,27 @@ impl BudgetTracker {
 /// The serve loop: walks the dispatch order on the simulated clock
 /// against one scheduler seeded from the persisted cost rows, routing
 /// each request among its group's workers. A dispatch executes on its
-/// worker the moment it is committed — ahead of the simulated clock — but
-/// the loop *pulls* its completion (fixes its finish cycle, queues it for
-/// retirement, admits it to the budget) only once the clock proves the
-/// dispatch has started, so every decision is a function of simulated
-/// time alone, and so is the pull order (the clock, then ascending worker
-/// index).
+/// worker the moment it is committed — ahead of the simulated clock — and
+/// comes back with its start and finish cycles fixed. Its measured cycles
+/// retire into the refiner only once the clock (the batch head's arrival)
+/// has passed its finish, in `(finish, slot)` order, so every decision is
+/// a function of simulated time alone.
 ///
-/// With a bounded [`ServeBudget`], every pulled completion's (final)
-/// latency and setup writes are admitted to a [`BudgetTracker`], tail
-/// drain included, and the loop returns [`ServeError::BudgetExceeded`]
-/// the moment a bound is provably exceeded — the bounds are thereby
+/// With a bounded [`ServeBudget`], every executed dispatch's (final)
+/// latency and setup writes are admitted to a [`BudgetTracker`] at its
+/// commit, and the loop returns [`ServeError::BudgetExceeded`] at the
+/// first commit that proves a bound exceeded — the bounds are thereby
 /// *exact*: a budgeted run completes if and only if its final metrics are
 /// within budget.
 pub(crate) fn run(
-    input: EngineInput<'_>,
+    stream: &[TrafficRequest],
+    pool: &PoolShape,
+    resolved: &Resolved,
+    cfg: &ServeConfig,
     mut workers: Vec<Worker>,
 ) -> Result<EngineOutput, ServeError> {
-    let (stream, pool, cfg) = (input.stream, input.pool, input.cfg);
     let (groups, worker_descs) = (&pool.groups, &pool.worker_descs);
-    let (order, modules, group_idx) = (
-        &input.resolved.order,
-        &input.resolved.modules,
-        &input.resolved.group_idx,
-    );
+    let (order, modules, group_idx) = (&resolved.order, &resolved.modules, &resolved.group_idx);
     let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
     let mut budget = cfg
         .budget
@@ -177,22 +162,16 @@ pub(crate) fn run(
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
         .with_power_caps(pool.worker_group.clone(), pool.power_caps.clone());
-    scheduler.seed_refiner(&input.resolved.cost_seed);
+    scheduler.seed_refiner(&resolved.cost_seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
     let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
 
     let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
-    let mut finish = vec![0u64; stream.len()];
     let mut batched_requests = 0u64;
-    // per-worker dispatches executed but not yet pulled, oldest first;
-    // `finish_known[w]` is the simulated finish of the last pulled
-    // dispatch, so the head's start cycle is exact
-    let mut inflight: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers.len()];
-    let mut finish_known = vec![0u64; workers.len()];
-    // pulled completions whose finish is still in the future, retired in
-    // deterministic (finish, slot) order
+    // executed dispatches whose measured cycles have not retired yet,
+    // retired in deterministic (finish, slot) order
     let mut unretired: BTreeSet<(u64, usize)> = BTreeSet::new();
 
     // a slot has been dispatched exactly when it holds its completion
@@ -203,45 +182,19 @@ pub(crate) fn run(
         }
         // heads are taken at advancing positions of the arrival-sorted
         // order (batch coalescing skips ahead only for *members*), so
-        // this clock is monotone; past the last head it is unbounded,
-        // which makes the pull below the tail drain
-        let head = order.get(cursor).copied();
-        let now = head.map_or(u64::MAX, |head| stream[head].arrival);
-
-        // pull every completion the clock proves has *started* (its
-        // worker-queue predecessors all finished by now), in ascending
-        // worker index. A pulled completion's latency is final, so the
-        // budget verdict on it is exact.
-        for (queue, known) in inflight.iter_mut().zip(&mut finish_known) {
-            while let Some(&slot) = queue.front() {
-                let start = (*known).max(stream[slot].arrival);
-                if start > now {
-                    break;
-                }
-                let completion = completions[slot].as_ref().expect("executed at commit");
-                let end = start + completion.counters.cycles;
-                finish[slot] = end;
-                *known = end;
-                queue.pop_front();
-                if completion.sim_error.is_none() {
-                    unretired.insert((end, slot));
-                }
-                if let Some(tracker) = budget.as_mut() {
-                    tracker.admit(end - stream[slot].arrival, completion.emitted_writes)?;
-                }
-            }
-        }
-        let Some(head) = head else {
+        // this clock is monotone
+        let Some(&head) = order.get(cursor) else {
             break;
         };
+        let now = stream[head].arrival;
         // retire completed dispatches into the cost refiner, in
         // simulated completion order
-        while let Some(&(end, slot)) = unretired.first() {
-            if end > now {
+        while let Some(&(finish, slot)) = unretired.first() {
+            if finish > now {
                 break;
             }
             unretired.pop_first();
-            let completion = completions[slot].as_ref().expect("pulled above");
+            let completion = completions[slot].as_ref().expect("executed at commit");
             scheduler.observe(
                 completion.worker,
                 module_of(slot),
@@ -275,13 +228,16 @@ pub(crate) fn run(
                 }
             }
             outcomes[slot] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
-            inflight[worker].push_back(slot);
-            completions[slot] = Some(workers[worker].execute(&Job {
-                request: &stream[slot],
-                module: module_of(slot),
-                slot,
-                elide,
-            }));
+            let completion = workers[worker].execute(&stream[slot], module_of(slot), elide);
+            if completion.sim_error.is_none() {
+                unretired.insert((completion.finish, slot));
+            }
+            // the dispatch's latency is final, so the verdict on it is exact
+            if let Some(tracker) = budget.as_mut() {
+                let latency = completion.finish - stream[slot].arrival;
+                tracker.admit(latency, completion.emitted_writes)?;
+            }
+            completions[slot] = Some(completion);
             batch += 1;
         }
         batched_requests += (batch - 1) as u64;
@@ -293,7 +249,6 @@ pub(crate) fn run(
             .map(|c| c.expect("every request is dispatched"))
             .collect(),
         outcomes,
-        finish,
         batched_requests,
         cost_snapshot: scheduler.cost_snapshot(),
     })

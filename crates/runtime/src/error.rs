@@ -76,7 +76,7 @@ pub enum ServeError {
     ///
     /// [`ServeBudget`]: crate::runtime::ServeBudget
     BudgetExceeded {
-        /// Requests whose completions had been pulled when the run aborted.
+        /// Dispatches executed when the run aborted.
         completed: u64,
         /// The final p99 provably exceeds `ServeBudget::p99_bound`.
         p99_exceeded: bool,
@@ -147,8 +147,8 @@ impl fmt::Display for ServeError {
                 };
                 write!(
                     f,
-                    "serve aborted after {completed} completions: the {bound} of the \
-                     run's budget is provably exceeded"
+                    "serve aborted after {completed} dispatches executed: the {bound} of \
+                     the run's budget is provably exceeded"
                 )
             }
             ServeError::InvalidPowerCap {

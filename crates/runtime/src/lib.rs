@@ -183,7 +183,7 @@ pub use runtime::{
 // inert, kept for `benchmark/` only (see `ServeConfig::mode`)
 pub use runtime::ServeMode;
 pub use scheduler::{CommitOutcome, Scheduler, LOAD_SLACK_CYCLES};
-pub use worker::{Completion, Job, Worker};
+pub use worker::{Completion, Worker};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -13,18 +13,17 @@
 //!    horizon;
 //! 3. workers execute their dispatch sequences on persistent simulated
 //!    machines, eliding configuration writes already resident — each
-//!    dispatch on the calling thread, where the loop commits it;
-//! 4. as the simulated clock passes each dispatch's completion, its
+//!    dispatch on the calling thread, where the loop commits it, and
+//!    stamped by its worker with its simulated start and finish cycles;
+//! 4. as the simulated clock passes each dispatch's finish, its
 //!    *measured* cycles retire into the scheduler's online cost refiner,
 //!    sharpening the queue estimates later routing decisions use;
 //! 5. completions are folded into [`ServeMetrics`], with latencies taken
-//!    from the finish cycles the serve loop computed on that clock.
+//!    from the finish cycles their workers stamped.
 //!
-//! Scheduling interleaves with execution — the serve loop takes a
-//! worker's next completion exactly when the simulated clock proves that
-//! dispatch has started — and every decision point is a function of
-//! simulated time only, so two serves of the same stream produce
-//! bit-identical reports.
+//! Scheduling interleaves with execution, and every decision point is a
+//! function of simulated time only, so two serves of the same stream
+//! produce bit-identical reports.
 //!
 //! Pools may be heterogeneous: a [`PoolGroup`] can mix differently
 //! provisioned platform variants of one family (validated for
@@ -32,7 +31,7 @@
 //! the group's base platform and cost estimates re-anchored per variant.
 
 use crate::cache::{CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, EngineInput, EngineOutput, PoolShape, Resolved};
+use crate::engine::{self, EngineOutput, PoolShape, Resolved};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
@@ -263,20 +262,19 @@ pub fn measured_class_service_times(
 ///
 /// The p99 rule: with `n` stream requests, the nearest-rank p99 exceeds
 /// `bound` if and only if more than `n - ceil(0.99 * n)` latencies
-/// exceed `bound`. Every pulled completion's latency is final (the
-/// simulated clock has proved its start cycle), so the observed
-/// exceed-count only ever grows — crossing the threshold mid-run is
-/// conclusive. Setup writes are monotone in completed requests, so the
-/// write rule is a plain running-sum comparison. Both bounds are *exact*,
-/// not merely sound: every completion (including the drained tail) feeds
-/// the tracker, so a budgeted serve completes if and only if the full
-/// run's final p99 and setup-write totals are within the bounds.
+/// exceed `bound`. Every executed dispatch's latency is final (its worker
+/// fixed its finish cycle where it ran), so the observed exceed-count
+/// only ever grows — crossing the threshold mid-run is conclusive. Setup
+/// writes are monotone in executed dispatches, so the write rule is a
+/// plain running-sum comparison. Both bounds are *exact*, not merely
+/// sound: every dispatch feeds the tracker, so a budgeted serve completes
+/// if and only if the full run's final p99 and setup-write totals are
+/// within the bounds.
 ///
-/// The abort argument is stated against the serve loop's pull order,
-/// which is a function of the stream alone: which completions are pulled
-/// at a step is decided by the simulated clock (a dispatch is pulled once
-/// its start cycle is proven), and within a step workers are visited in
-/// ascending index. An all-`None` budget bounds nothing.
+/// The tracker admits each dispatch at its commit, in the serve loop's
+/// commit order, which is a function of the stream alone; a serve aborts
+/// at the first commit that proves a bound broken. An all-`None` budget
+/// bounds nothing.
 ///
 /// An aborted run flushes nothing to a warm-start store (the flush sits
 /// after the engine in [`Runtime::serve`], and the abort returns early),
@@ -288,7 +286,7 @@ pub struct ServeBudget {
     /// Abort once the final p99 latency provably exceeds this bound
     /// (`None` leaves the latency tail unbounded).
     pub p99_bound: Option<u64>,
-    /// Abort once cumulative setup writes across pulled completions
+    /// Abort once cumulative setup writes across executed dispatches
     /// exceed this bound (`None` leaves writes unbounded).
     pub max_setup_writes: Option<u64>,
 }
@@ -506,13 +504,7 @@ impl Runtime {
         // (see `crate::engine`). A budget abort returns here — before the
         // flush below — so a capped run can never persist partial EWMA
         // state.
-        let input = EngineInput {
-            stream,
-            pool: &pool,
-            resolved: &resolved,
-            cfg,
-        };
-        let engine_out = engine::run(input, workers)?;
+        let engine_out = engine::run(stream, &pool, &resolved, cfg, workers)?;
 
         // flush-on-finish: persist what this serve built or changed
         let warm_start = warm_start
@@ -676,9 +668,9 @@ impl PoolConfig {
     }
 }
 
-/// Folds the engine's per-slot completions, commit predictions and finish
-/// cycles into the report; `cache` and `warm_start` are this serve's
-/// cache delta and store provenance, passed through.
+/// Folds the engine's per-slot completions and commit predictions into
+/// the report; `cache` and `warm_start` are this serve's cache delta and
+/// store provenance, passed through.
 fn summarise(
     stream: &[TrafficRequest],
     policy: Policy,
@@ -691,15 +683,14 @@ fn summarise(
     let EngineOutput {
         completions,
         outcomes,
-        finish,
         batched_requests,
         ..
     } = engine_out;
 
-    let latencies: Vec<u64> = finish
+    let latencies: Vec<u64> = completions
         .iter()
         .zip(stream)
-        .map(|(finish, request)| finish - request.arrival)
+        .map(|(completion, request)| completion.finish - request.arrival)
         .collect();
 
     // per-worker totals, and the queue depth each request observed at its
@@ -721,16 +712,17 @@ fn summarise(
     let mut pending: Vec<VecDeque<u64>> = vec![VecDeque::new(); worker_descs.len()];
     let mut queue_depth = DepthHistogram::new();
     for &i in order {
-        let w = completions[i].worker;
+        let completion = &completions[i];
+        let w = completion.worker;
         let worker = &mut worker_metrics[w];
         worker.requests += 1;
-        worker.busy_cycles += completions[i].counters.cycles;
-        worker.finish = finish[i];
+        worker.busy_cycles += completion.counters.cycles;
+        worker.finish = completion.finish;
         while pending[w].front().is_some_and(|&f| f <= stream[i].arrival) {
             pending[w].pop_front();
         }
         queue_depth.record(pending[w].len() as u64);
-        pending[w].push_back(finish[i]);
+        pending[w].push_back(completion.finish);
     }
 
     // per-class latency distributions (the SLO view), keyed by
@@ -866,9 +858,18 @@ mod tests {
         // six shapes → six compiled modules, everything else cache hits
         assert_eq!(report.metrics.cache.misses, 6);
         assert_eq!(report.metrics.cache.hits, 194);
-        // completions come back in stream order
-        for (i, c) in report.completions.iter().enumerate() {
-            assert_eq!(c.slot, i);
+        // completions come back in stream order, each stamped by the
+        // timing rule: started once its request arrived, finished its
+        // measured cycles later, and that is its latency
+        for ((c, request), &latency) in report
+            .completions
+            .iter()
+            .zip(&stream)
+            .zip(&report.latencies)
+        {
+            assert!(c.start >= request.arrival);
+            assert_eq!(c.finish, c.start + c.counters.cycles);
+            assert_eq!(latency, c.finish - request.arrival);
         }
     }
 
@@ -1481,26 +1482,48 @@ mod tests {
     #[test]
     fn an_exceeded_budget_aborts_before_the_stream_ends() {
         // both bounds far below the full run's: the verdict comes before
-        // every completion has been admitted
+        // every dispatch has been admitted
         let stream = stream(200, 15);
         let full = Runtime::new(pool())
             .serve(&stream, &ServeConfig::default())
             .unwrap();
-        let err = Runtime::new(pool())
-            .serve(
-                &stream,
-                &ServeConfig {
-                    budget: Some(ServeBudget {
-                        p99_bound: Some(full.metrics.latency.p50),
-                        max_setup_writes: Some(full.metrics.setup_writes / 2),
-                    }),
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap_err();
+        let abort = |p99_bound, max_setup_writes| {
+            let cfg = ServeConfig {
+                budget: Some(ServeBudget {
+                    p99_bound,
+                    max_setup_writes,
+                }),
+                ..ServeConfig::default()
+            };
+            Runtime::new(pool()).serve(&stream, &cfg).unwrap_err()
+        };
+        let err = abort(
+            Some(full.metrics.latency.p50),
+            Some(full.metrics.setup_writes / 2),
+        );
         assert!(
             matches!(err, ServeError::BudgetExceeded { completed, .. } if completed < 200),
             "{err:?}"
+        );
+        // the abort lands on the commit that proves the bound broken:
+        // every latency exceeds 0 and the nearest-rank p99 of 200
+        // tolerates 200 - 198 = 2 of them, so the third dispatch ends it ...
+        assert_eq!(
+            abort(Some(0), None),
+            ServeError::BudgetExceeded {
+                completed: 3,
+                p99_exceeded: true,
+                writes_exceeded: false,
+            }
+        );
+        // ... and the first cold dispatch writes its configuration
+        assert_eq!(
+            abort(None, Some(0)),
+            ServeError::BudgetExceeded {
+                completed: 1,
+                p99_exceeded: false,
+                writes_exceeded: true,
+            }
         );
     }
 

@@ -13,6 +13,11 @@
 //! ([`CostRefiner`]), making the workers the runtime's measurement plane
 //! as well as its execution plane.
 //!
+//! A worker also owns the runtime's one timing rule over measured cycles:
+//! a dispatch starts at `max(previous finish, arrival)` and finishes its
+//! measured cycles later. [`Worker::execute`] stamps both on the
+//! [`Completion`], and the serve loop and the report read them from there.
+//!
 //! [`DispatchPlan::delta_program`]: crate::plan::DispatchPlan::delta_program
 //! [`CostRefiner`]: crate::cache::CostRefiner
 
@@ -22,34 +27,18 @@ use accfg_sim::{AccelSim, Counters, FreqState, Machine};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{check_result, fill_inputs, TrafficRequest};
 
-/// One dispatched unit of work. It borrows what it names: a dispatch
-/// executes where the serve loop commits it, so nothing is cloned to
-/// outlive the stream or the module cache.
-#[derive(Debug, Clone, Copy)]
-pub struct Job<'a> {
-    /// The request being served.
-    pub request: &'a TrafficRequest,
-    /// The compiled module to replay.
-    pub module: &'a CompiledModule,
-    /// Position of the request in the caller's stream slice (echoed back
-    /// in the completion).
-    pub slot: usize,
-    /// Whether the dispatch may elide writes already resident on the
-    /// worker (`false` under the cold [`Policy::Fifo`] baseline).
-    ///
-    /// [`Policy::Fifo`]: crate::policy::Policy::Fifo
-    pub elide: bool,
-}
-
-/// The outcome of one executed job.
+/// The outcome of one executed dispatch.
 #[derive(Debug, Clone)]
 pub struct Completion {
-    /// The job's stream slot.
-    pub slot: usize,
-    /// Id of the served request.
-    pub request_id: u64,
     /// Worker that executed it.
     pub worker: usize,
+    /// Simulated cycle the dispatch started at: `max(previous finish on
+    /// the worker, arrival)`.
+    pub start: u64,
+    /// Simulated cycle the dispatch finished at: `start` plus its measured
+    /// cycles, or `start` itself when it failed (a failed dispatch
+    /// carries no measured cycles).
+    pub finish: u64,
     /// Simulator counters for the dispatch (cycles, config bytes, ...).
     /// `counters.cycles` is the measured dispatch cost the online cost
     /// refiner learns from once this completion retires.
@@ -80,11 +69,10 @@ pub struct Worker {
     resident: RegMap,
     fuel: u64,
     /// The worker's simulated clock: the finish cycle of its last
-    /// dispatch under the serve loop's timing rule
-    /// (`start = max(previous finish, arrival)`). Dispatched programs
-    /// each count cycles from 0, so this is the only place the real
-    /// inter-dispatch idle gap is known — it is fed to the accelerator's
-    /// DVFS automaton so an idle worker cools back down.
+    /// dispatch that ran. Dispatched programs each count cycles from 0,
+    /// so this is the only place the real inter-dispatch idle gap is
+    /// known — it is fed to the accelerator's DVFS automaton so an idle
+    /// worker cools back down.
     clock: u64,
 }
 
@@ -121,15 +109,30 @@ impl Worker {
         self.machine.mem.capacity()
     }
 
-    /// Executes one job: fill inputs, build the delta program, run it, and
-    /// functionally check the result.
-    pub fn execute(&mut self, job: &Job<'_>) -> Completion {
-        let module = job.module;
+    /// Executes one dispatch of `module` for `request`: fill inputs, build
+    /// the delta program, run it, and functionally check the result.
+    /// `elide` says whether the dispatch may elide writes already resident
+    /// on the worker (`false` under the cold [`Policy::Fifo`] baseline).
+    ///
+    /// The dispatch starts when the worker's last dispatch has finished
+    /// and the request has arrived, and finishes its measured cycles
+    /// later; both cycles are stamped on the completion. A dispatch that
+    /// fails before it runs takes no time and leaves the worker's clock
+    /// where it was.
+    ///
+    /// [`Policy::Fifo`]: crate::policy::Policy::Fifo
+    pub fn execute(
+        &mut self,
+        request: &TrafficRequest,
+        module: &CompiledModule,
+        elide: bool,
+    ) -> Completion {
         let spec = module.key.spec;
+        let start = self.clock.max(request.arrival);
         let mut completion = Completion {
-            slot: job.slot,
-            request_id: job.request.id,
             worker: self.index,
+            start,
+            finish: start,
             counters: Counters::default(),
             emitted_writes: 0,
             cold_writes: module.plan.cold_writes,
@@ -149,17 +152,12 @@ impl Worker {
             ));
             return completion;
         }
-        if let Err(e) = fill_inputs(
-            &mut self.machine.mem,
-            &spec,
-            &module.layout,
-            job.request.seed,
-        ) {
+        if let Err(e) = fill_inputs(&mut self.machine.mem, &spec, &module.layout, request.seed) {
             completion.sim_error = Some(format!("input fill failed: {e}"));
             return completion;
         }
 
-        if !job.elide {
+        if !elide {
             // cold-baseline dispatch: forget the resident state so the
             // program reprograms its full configuration
             self.resident.clear();
@@ -167,18 +165,16 @@ impl Worker {
         let (program, emitted_writes) = module.plan.delta_program(&mut self.resident);
         completion.emitted_writes = emitted_writes;
 
-        // the dispatch starts when the queue has drained and the request
-        // has arrived — the same rule the serve loop pulls completions
-        // by — so the gap since the last finish is the worker's real
-        // simulated idle time, which cools the DVFS automaton
-        let start = self.clock.max(job.request.arrival);
+        // the gap since the last finish is the worker's real simulated
+        // idle time, which cools the DVFS automaton
         self.machine.accel.note_idle(start - self.clock);
 
         match self.machine.run(&program, self.fuel) {
             Ok(counters) => {
                 completion.counters = counters;
                 completion.freq = self.machine.accel.last_launch_state();
-                self.clock = start + counters.cycles;
+                completion.finish = start + counters.cycles;
+                self.clock = completion.finish;
                 // the program drained the accelerator; re-base its busy
                 // window so the next dispatch starts from a clean clock
                 self.machine.accel.reset_clock(counters.cycles);
@@ -197,8 +193,8 @@ impl Worker {
                 // correctness.
                 self.resident.clear();
                 self.machine.accel.reset_clock(u64::MAX);
-                // a failed dispatch carries no measured cycles, and the
-                // serve loop's finish accounting treats it the same way
+                // a failed dispatch carries no measured cycles: it
+                // finishes where it started
                 self.clock = start;
                 completion.sim_error = Some(e.to_string());
             }
@@ -234,28 +230,23 @@ mod tests {
         let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
 
-        let first = worker.execute(&Job {
-            request: &request(0, "opengemm", spec, 1),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
+        let first = worker.execute(&request(0, "opengemm", spec, 1), &module, true);
         assert!(first.sim_error.is_none(), "{:?}", first.sim_error);
         assert!(first.check_error.is_none(), "{:?}", first.check_error);
         assert_eq!(first.emitted_writes, module.plan.cold_writes);
 
-        let second = worker.execute(&Job {
-            request: &request(1, "opengemm", spec, 2),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
+        let second = worker.execute(&request(1, "opengemm", spec, 2), &module, true);
         assert!(second.check_error.is_none(), "{:?}", second.check_error);
         // same shape, same canonical addresses: only the launch remains —
         // the configuration is entirely resident
         assert_eq!(second.emitted_writes, 0);
         assert!(second.counters.cycles < first.counters.cycles);
         assert_eq!(second.counters.launches as i64, spec.invocations());
+        // both arrived at 0: the second starts where the first finished
+        assert_eq!((first.start, first.finish), (0, first.counters.cycles));
+        assert_eq!(second.start, first.finish);
+        assert_eq!(second.finish, second.start + second.counters.cycles);
+        assert_eq!(worker.clock, second.finish);
     }
 
     #[test]
@@ -266,14 +257,7 @@ mod tests {
         let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         let jobs: Vec<Completion> = (0..3)
-            .map(|i| {
-                worker.execute(&Job {
-                    request: &request(i, "opengemm", spec, i),
-                    module: &module,
-                    slot: 0,
-                    elide: true,
-                })
-            })
+            .map(|i| worker.execute(&request(i, "opengemm", spec, i), &module, true))
             .collect();
         for c in &jobs {
             assert!(c.check_error.is_none(), "{:?}", c.check_error);
@@ -293,12 +277,7 @@ mod tests {
         let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         for i in 0..2 {
-            let c = worker.execute(&Job {
-                request: &request(i, "opengemm", spec, i),
-                module: &module,
-                slot: 0,
-                elide: false,
-            });
+            let c = worker.execute(&request(i, "opengemm", spec, i), &module, false);
             // every non-eliding dispatch pays the full cold cost
             assert_eq!(c.emitted_writes, module.plan.cold_writes);
             assert!(c.check_error.is_none());
@@ -317,12 +296,11 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let c = worker.execute(&Job {
-                request: &request(i as u64, "gemmini", spec, 7 + i as u64),
+            let c = worker.execute(
+                &request(i as u64, "gemmini", spec, 7 + i as u64),
                 module,
-                slot: 0,
-                elide: true,
-            });
+                true,
+            );
             assert!(c.sim_error.is_none(), "{:?}", c.sim_error);
             assert!(c.check_error.is_none(), "{:?}", c.check_error);
         }
@@ -336,18 +314,14 @@ mod tests {
         let module = build_module(&desc, spec, OptLevel::All).unwrap();
         let mut worker = Worker::new(0, desc, 1 << 20, 10_000_000);
         let dispatch = |worker: &mut Worker, id: u64, arrival: u64| {
-            let c = worker.execute(&Job {
-                request: &TrafficRequest {
-                    id,
-                    accelerator: "opengemm".into(),
-                    spec,
-                    arrival,
-                    seed: id,
-                },
-                module: &module,
-                slot: 0,
-                elide: true,
-            });
+            let request = TrafficRequest {
+                id,
+                accelerator: "opengemm".into(),
+                spec,
+                arrival,
+                seed: id,
+            };
+            let c = worker.execute(&request, &module, true);
             assert!(c.sim_error.is_none(), "{:?}", c.sim_error);
         };
         // back-to-back dispatches accumulate heat across the program
@@ -377,23 +351,15 @@ mod tests {
         // the accelerator's store faults mid-run
         assert!(module.layout.c_addr > 0x2100);
         let mut worker = Worker::new(0, desc, 0x2100, 10_000_000);
-        let failed = worker.execute(&Job {
-            request: &request(0, "opengemm", spec, 1),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
+        let failed = worker.execute(&request(0, "opengemm", spec, 1), &module, true);
         assert!(failed.sim_error.is_some(), "store fault expected");
+        // a fault carries no measured cycles: it finishes where it started
+        assert_eq!((failed.start, failed.finish), (0, 0));
         // recovery: accelerator idle, resident dropped — the next dispatch
         // starts from a clean clock and pays exactly the cold cost
         assert!(!worker.machine.accel.is_busy(0));
         assert!(worker.resident.is_empty());
-        let retry = worker.execute(&Job {
-            request: &request(1, "opengemm", spec, 2),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
+        let retry = worker.execute(&request(1, "opengemm", spec, 2), &module, true);
         assert_eq!(retry.emitted_writes, module.plan.cold_writes);
     }
 
@@ -404,20 +370,21 @@ mod tests {
         let module = build_module(&gemmini, spec, OptLevel::Dedup).unwrap();
         let mut worker = Worker::new(3, AcceleratorDescriptor::opengemm(), 1 << 20, 10_000_000);
         let before = (worker.machine.mem.clone(), worker.resident.clone());
-        let misrouted = worker.execute(&Job {
-            request: &request(9, "gemmini", spec, 1),
-            module: &module,
-            slot: 4,
-            elide: true,
-        });
+        let late = TrafficRequest {
+            arrival: 500,
+            ..request(9, "gemmini", spec, 1)
+        };
+        let misrouted = worker.execute(&late, &module, true);
         assert_eq!(
             misrouted.sim_error.as_deref(),
             Some("module for `gemmini` dispatched to incompatible worker 3 (`opengemm`)")
         );
-        assert_eq!((misrouted.slot, misrouted.request_id), (4, 9));
         assert_eq!(misrouted.counters, Counters::default());
         assert_eq!(misrouted.emitted_writes, 0);
         assert!(before == (worker.machine.mem.clone(), worker.resident.clone()));
+        // stamped at its arrival, taking no time, and the clock — the
+        // DVFS automaton's idle gap — does not move
+        assert_eq!((misrouted.start, misrouted.finish), (500, 500));
         assert_eq!(worker.clock, 0);
     }
 
@@ -431,18 +398,8 @@ mod tests {
 
         let mut worker = Worker::new(0, desc.clone(), 1 << 20, 10_000_000);
         // warm the worker with a different seed first
-        worker.execute(&Job {
-            request: &request(0, "opengemm", spec, 11),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
-        let delta = worker.execute(&Job {
-            request: &request(1, "opengemm", spec, 22),
-            module: &module,
-            slot: 0,
-            elide: true,
-        });
+        worker.execute(&request(0, "opengemm", spec, 11), &module, true);
+        let delta = worker.execute(&request(1, "opengemm", spec, 22), &module, true);
         assert!(delta.check_error.is_none());
         let delta_c = worker
             .machine

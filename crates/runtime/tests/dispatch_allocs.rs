@@ -80,15 +80,15 @@
 //! ```
 //!
 //! (The one that went is the request's accelerator `String`, cloned into
-//! every `Job` so it could cross a channel; the `Arc` bump beside it never
-//! allocated. The budget is under one allocation a request wide, so that
-//! clone cannot come back inside it.)
+//! every dispatch so it could cross a channel; the `Arc` bump beside it
+//! never allocated. The budget is under one allocation a request wide, so
+//! that clone cannot come back inside it.)
 //!
 //! Run with `--nocapture` to see the three tables (CI does).
 
 use accfg::OptLevel;
 use accfg_runtime::{
-    build_module, CompiledModule, Job, Policy, PoolConfig, RegMap, Runtime, Scheduler, ServeConfig,
+    build_module, CompiledModule, Policy, PoolConfig, RegMap, Runtime, Scheduler, ServeConfig,
     Worker,
 };
 use accfg_sim::{AccelSim, Machine};
@@ -175,13 +175,7 @@ fn a_warm_dispatch_stays_within_its_allocation_budget() -> u64 {
                 arrival: 0,
                 seed,
             };
-            let job = Job {
-                request: &request,
-                module: &module,
-                slot: 0,
-                elide: true,
-            };
-            let (completion, allocs) = counted(|| worker.execute(&job));
+            let (completion, allocs) = counted(|| worker.execute(&request, &module, true));
             assert!(completion.sim_error.is_none() && completion.check_error.is_none());
             executed = allocs;
         }
@@ -291,7 +285,7 @@ fn warm_routing_allocates_nothing() {
 
 fn a_warm_serve_adds_nothing_per_dispatch(execute: u64) {
     const N: usize = 600;
-    // measured 3 869 over N further requests (4 469 with a `String` a `Job`)
+    // measured 3 869 over N further requests (4 469 with a `String` a dispatch)
     const BUDGET: u64 = 4_449;
     // `serve_bench`'s `mixed` stream and pool
     let stream = TrafficConfig {

@@ -2,21 +2,25 @@
 //!
 //! The runtime serves through one deterministic loop (`engine::run`). Its
 //! report carries per-request latencies, which it takes from the finish
-//! cycles the loop computes at pull time, and per-request completions —
-//! routing, cycles, emitted and cold writes. This suite recomputes the
-//! latencies outside the loop, each worker running the requests routed to
-//! it back to back in dispatch order, and pins them equal to the report's.
-//! It does so over every `serve_bench` stream × policy pair (at reduced
-//! request counts, `closed_loop_measured` calibrated as `serve_bench`
-//! calibrates it), with batching, on a pool whose two groups share a base
-//! platform name, and as properties over random streams, pool shapes,
-//! slack horizons and batch settings. Every dispatch must also simulate,
-//! check, and write no more than its cold configuration. Each case is one
-//! serve per policy on one runtime, so every module compiles once.
+//! cycles each worker stamps on a completion where the dispatch runs, and
+//! per-request completions — routing, cycles, emitted and cold writes.
+//! This suite recomputes the latencies outside the loop, each worker
+//! running the requests routed to it back to back in dispatch order, and
+//! pins them equal to the report's. It does so over every `serve_bench`
+//! stream × policy pair (at reduced request counts, `closed_loop_measured`
+//! calibrated as `serve_bench` calibrates it), with batching, on a pool
+//! whose two groups share a base platform name, on streams with failing
+//! dispatches (an input fill past the memory cap, a simulator fault), and
+//! as properties over random streams, pool shapes, slack horizons and
+//! batch settings. No dispatch may write more than its cold configuration,
+//! a failed one finishes where it started, and outside the failure cases
+//! every dispatch must simulate and check. Each case is one serve per
+//! policy on one runtime, so every module compiles once.
 
 use accfg_bench::streams::{self, uniform_pool};
 use configuration_wall::prelude::*;
 use configuration_wall::runtime::{Policy, PoolGroup, ServeReport};
+use configuration_wall::targets::ConfigStyle;
 use configuration_wall::workloads::{
     mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
 };
@@ -41,23 +45,24 @@ fn replayed_latencies(stream: &[TrafficRequest], report: &ServeReport) -> Vec<u6
 }
 
 /// Serves `stream` once under `cfg` on `rt`: the latencies the report
-/// takes from the finish cycles the serve loop computed equal a replay of
-/// its completions, every dispatch simulates and checks, and none writes
-/// more than its cold configuration.
-fn assert_latencies_replay(
+/// takes from the finish cycles its workers stamped equal a replay of its
+/// completions, every failed dispatch finishes where it started, and none
+/// writes more than its cold configuration.
+fn serve_and_replay(
     rt: &mut Runtime,
     stream: &[TrafficRequest],
     cfg: &ServeConfig,
     context: &str,
-) {
+) -> ServeReport {
     let report = rt.serve(stream, cfg).expect("serve succeeds");
     assert_eq!(
         report.latencies,
         replayed_latencies(stream, &report),
         "{context}: latencies diverge from a replay of the completions"
     );
-    let failures = report.metrics.sim_failures + report.metrics.check_failures;
-    assert_eq!(failures, 0, "{context}");
+    for c in report.completions.iter().filter(|c| c.sim_error.is_some()) {
+        assert_eq!(c.finish, c.start, "{context}: a failed dispatch took time");
+    }
     assert!(
         report
             .completions
@@ -65,6 +70,19 @@ fn assert_latencies_replay(
             .all(|c| c.emitted_writes <= c.cold_writes),
         "{context}: a dispatch wrote more than its cold configuration"
     );
+    report
+}
+
+/// [`serve_and_replay`], where every dispatch must also simulate and check.
+fn assert_latencies_replay(
+    rt: &mut Runtime,
+    stream: &[TrafficRequest],
+    cfg: &ServeConfig,
+    context: &str,
+) {
+    let report = serve_and_replay(rt, stream, cfg, context);
+    let failures = report.metrics.sim_failures + report.metrics.check_failures;
+    assert_eq!(failures, 0, "{context}");
 }
 
 /// Every policy over one stream on one runtime.
@@ -152,8 +170,72 @@ fn hetero_stream_matches() {
 fn contention_stream_matches() {
     // the reference timing models (contention + DVFS) make observed
     // cycles load-dependent — the hardest stream for the refiner, and
-    // for the loop's pull order
+    // for the loop's retirement order
     check_catalog_stream("contention");
+}
+
+/// Every policy over `stream` on a runtime over `pool`, where exactly
+/// `failing` dispatches fail in the simulator (and none in the check):
+/// the replay holds around them.
+fn check_failing_stream(name: &str, pool: PoolConfig, stream: &[TrafficRequest], failing: u64) {
+    let mut rt = Runtime::new(pool);
+    for policy in Policy::ALL {
+        let cfg = ServeConfig {
+            policy,
+            ..ServeConfig::default()
+        };
+        let context = format!("{name}/{}", policy.label());
+        let report = serve_and_replay(&mut rt, stream, &cfg, &context);
+        assert_eq!(report.metrics.sim_failures, failing, "{context}");
+        assert_eq!(report.metrics.check_failures, 0, "{context}");
+    }
+}
+
+#[test]
+fn a_failed_input_fill_replays() {
+    // gemmini 128-cubed lays B at 0x5000: under a 0x5000-byte memory cap
+    // every third request fails its fill, queued between dispatches that
+    // run on the same workers
+    let request = |id: u64, accelerator: &str, spec| TrafficRequest {
+        id,
+        accelerator: accelerator.into(),
+        spec,
+        arrival: 40 * id,
+        seed: id,
+    };
+    let stream: Vec<TrafficRequest> = (0..30)
+        .map(|id| match id % 3 {
+            0 => request(id, "gemmini", MatmulSpec::gemmini_paper(16).unwrap()),
+            1 => request(id, "gemmini", MatmulSpec::gemmini_paper(128).unwrap()),
+            _ => request(id, "opengemm", MatmulSpec::opengemm_paper(16).unwrap()),
+        })
+        .collect();
+    let pool = PoolConfig {
+        mem_bytes: 0x5000,
+        ..uniform_pool()
+    };
+    check_failing_stream("input fill past the cap", pool, &stream, 10);
+}
+
+#[test]
+fn a_simulator_fault_replays() {
+    // a RoCC launch command past the simulator's register file: every
+    // gemmini dispatch faults mid-run, beside opengemm ones that run
+    let mut faulting = AcceleratorDescriptor::gemmini();
+    faulting.style = ConfigStyle::RoccPairs { launch_funct: 14 };
+    faulting.accel.rocc_launch_funct = Some(14);
+    let stream = TrafficConfig {
+        classes: mixed_serving_classes(),
+        requests: 60,
+        mean_gap: 50,
+        seed: 18,
+    }
+    .open_loop_stream()
+    .expect("valid mix");
+    let gemmini = stream.iter().filter(|r| r.accelerator == "gemmini").count();
+    assert!(gemmini > 10);
+    let pool = PoolConfig::new(vec![faulting, AcceleratorDescriptor::opengemm()]);
+    check_failing_stream("simulator fault", pool, &stream, gemmini as u64);
 }
 
 #[test]
@@ -248,7 +330,7 @@ proptest! {
     }
 
     /// The same rule under bursty arrivals — deep queues make the loop's
-    /// completion-pull and retire order work hardest.
+    /// retire order work hardest.
     #[test]
     fn latencies_replay_on_random_bursty_streams(
         requests in 20usize..80,
