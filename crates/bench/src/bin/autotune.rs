@@ -18,15 +18,12 @@
 //!   --requests N        requests per evaluation serve (default 4000)
 //!   --out PATH          output table (default TUNED.json)
 //!   --refine-rounds N   local-refinement rounds after the grid (default 2)
-//!   --no-racing         full-length evaluations (same winner, more cycles)
-//!   --tune-streams A,B  seed streams to tune on (default mixed,bursty)
-//!   --held-out A,B      held-out streams to report (default contention,hetero)
 //! ```
 //!
-//! There is deliberately no `--store` flag: candidate serves are capped and
-//! may abort, and an aborted serve must never flush partial EWMA state to a
-//! warm-start store. The engine already guarantees aborted serves persist
-//! nothing; the tuner additionally never opens a store at all.
+//! The seed streams are [`SEED_STREAMS`], the held-out ones
+//! [`HELD_OUT_STREAMS`]. Candidate serves are capped and may abort; the
+//! tuner never opens a warm-start store, so an aborted serve cannot feed
+//! one.
 
 use accfg_bench::tune::{
     evaluate, knob_space, render_table, tune_stream, Eval, KnobConfig, Objective, StreamEntry,
@@ -40,24 +37,13 @@ use accfg_workloads::TrafficRequest;
 const DEFAULT_REQUESTS: usize = 4_000;
 /// The committed artifact name.
 const DEFAULT_OUT: &str = "TUNED.json";
-/// The default seed streams (tuned on).
-const DEFAULT_TUNE: &str = "mixed,bursty";
-/// The default held-out streams (reported only).
-const DEFAULT_HELD_OUT: &str = "contention,hetero";
-
-/// The catalog streams the tuner can run — the vocabulary `--tune-streams`
-/// and `--held-out` accept.
-fn tunable_streams() -> Vec<&'static str> {
-    let catalog = streams::catalog(1);
-    catalog
-        .iter()
-        .filter(|entry| entry.tunable)
-        .map(|entry| entry.name)
-        .collect()
-}
+/// The seed streams: tuned on.
+const SEED_STREAMS: [&str; 2] = ["mixed", "bursty"];
+/// The held-out streams: the transferred configuration is reported on them.
+const HELD_OUT_STREAMS: [&str; 2] = ["contention", "hetero"];
 
 fn resolve(name: &str, requests: usize) -> (Vec<TrafficRequest>, PoolConfig) {
-    streams::named_stream(name, requests).expect("parse_args admits only tunable streams")
+    streams::named_stream(name, requests).expect("the seed and held-out streams are tunable")
 }
 
 /// What the command line asked for.
@@ -66,67 +52,37 @@ struct Cli {
     requests: usize,
     /// `--out`.
     out_path: String,
-    /// `--refine-rounds`, `--no-racing`.
+    /// `--refine-rounds`.
     opts: TuneOptions,
-    /// `--tune-streams`: the seed streams, tuned on.
-    tune_streams: Vec<String>,
-    /// `--held-out`: the streams the transferred configuration is reported on.
-    held_out: Vec<String>,
 }
 
 /// Parses the arguments after the binary's name.
 ///
 /// # Errors
 /// Everything the command line alone can get wrong — a missing or
-/// malformed value, an unknown flag or stream, an invocation that would
-/// overwrite the committed table — as the line `main` prints before
-/// exiting with status 2.
+/// malformed value, an unknown flag, an invocation that would overwrite
+/// the committed table — as the line `main` prints before exiting with
+/// status 2.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut requests = DEFAULT_REQUESTS;
     let mut out_path = DEFAULT_OUT.to_string();
     let mut opts = TuneOptions::default();
-    let mut tune_names = DEFAULT_TUNE.to_string();
-    let mut held_out_names = DEFAULT_HELD_OUT.to_string();
     let args = &mut args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--requests" => requests = cli::number(args, &arg, "a positive count", 1)?,
             "--out" => out_path = cli::value(args, &arg, "a file path")?,
             "--refine-rounds" => opts.refine_rounds = cli::number(args, &arg, "a count", 0)?,
-            "--no-racing" => opts.racing = false,
-            "--tune-streams" => tune_names = cli::value(args, &arg, "a comma-separated list")?,
-            "--held-out" => held_out_names = cli::value(args, &arg, "a comma-separated list")?,
-            "--store" => {
-                return Err(
-                    "autotune does not support --store: candidate serves are capped and may \
-                     abort, and an aborted serve must not feed a warm-start store"
-                        .to_string(),
-                )
-            }
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (supported: --requests, --out, \
-                     --refine-rounds, --no-racing, --tune-streams, --held-out)"
+                    "unknown argument `{other}` (supported: --requests, --out, --refine-rounds)"
                 ))
             }
         }
     }
-    // an empty list is no stream at all, not the stream ``
-    let split = |names: &str| match names {
-        "" => Ok(Vec::new()),
-        _ => cli::selection("tunable stream", names, &tunable_streams()),
-    };
-    let (tune_streams, held_out) = (split(&tune_names)?, split(&held_out_names)?);
-    if tune_streams.is_empty() {
-        return Err("--tune-streams must name a stream".to_string());
-    }
     // Non-default invocations must not clobber the committed default table.
-    let defaults = TuneOptions::default();
-    let default_invocation = requests == DEFAULT_REQUESTS
-        && opts.racing == defaults.racing
-        && opts.refine_rounds == defaults.refine_rounds
-        && tune_names == DEFAULT_TUNE
-        && held_out_names == DEFAULT_HELD_OUT;
+    let default_invocation =
+        requests == DEFAULT_REQUESTS && opts.refine_rounds == TuneOptions::default().refine_rounds;
     if !default_invocation
         && std::path::Path::new(&out_path).file_name()
             == std::path::Path::new(DEFAULT_OUT).file_name()
@@ -140,8 +96,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         requests,
         out_path,
         opts,
-        tune_streams,
-        held_out,
     })
 }
 
@@ -157,14 +111,12 @@ fn main() {
         requests,
         out_path,
         opts,
-        tune_streams,
-        held_out,
     } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::refuse("autotune", &e));
 
     // Tune every seed stream independently.
     let mut entries: Vec<StreamEntry> = Vec::new();
     let mut seeds = Vec::new();
-    for name in &tune_streams {
+    for name in SEED_STREAMS {
         let (stream, pool) = resolve(name, requests);
         let thermal = pool
             .groups
@@ -172,10 +124,8 @@ fn main() {
             .any(|g| g.members.iter().any(|m| !m.timing.is_identity()));
         let space = knob_space(thermal);
         eprintln!(
-            "tuning `{name}`: {} candidates ({} requests per serve, racing {})",
-            space.len(),
-            requests,
-            if opts.racing { "on" } else { "off" }
+            "tuning `{name}`: {} candidates ({requests} requests per serve)",
+            space.len()
         );
         let result = tune_stream(name, &pool, &stream, &space, &opts);
         eprintln!(
@@ -189,7 +139,7 @@ fn main() {
             if result.improved { "improved" } else { "no dominating config" },
         );
         entries.push(StreamEntry {
-            name: (*name).to_string(),
+            name: name.to_string(),
             role: "seed",
             source: "search".to_string(),
             knobs: result.knobs,
@@ -243,7 +193,7 @@ fn main() {
     // Report the held-out streams under the transferred configuration.
     // A regression here means the tuner overfit its seed streams; since
     // every serve is deterministic this is a hard failure, not a sample.
-    for name in &held_out {
+    for name in HELD_OUT_STREAMS {
         let (stream, pool) = resolve(name, requests);
         let default = must_complete(evaluate(
             &pool,
@@ -262,7 +212,7 @@ fn main() {
             tuned.setup_writes
         );
         entries.push(StreamEntry {
-            name: (*name).to_string(),
+            name: name.to_string(),
             role: "held_out",
             source: transfer_source.clone(),
             knobs: transfer,
@@ -325,13 +275,7 @@ mod tests {
 
     #[test]
     fn every_flag_refuses_a_missing_value() {
-        for flag in [
-            "--requests",
-            "--out",
-            "--refine-rounds",
-            "--tune-streams",
-            "--held-out",
-        ] {
+        for flag in ["--requests", "--out", "--refine-rounds"] {
             let message = refusal(&["--out", "x.json", flag]).expect(flag);
             assert!(message.starts_with(&format!("{flag} takes ")), "{message}");
         }
@@ -339,62 +283,53 @@ mod tests {
 
     #[test]
     fn every_flag_refuses_a_malformed_value() {
+        let unknown = |flag: &str| {
+            format!("unknown argument `{flag}` (supported: --requests, --out, --refine-rounds)")
+        };
         for (flag, bad, says) in [
             (
                 "--requests",
                 "-1",
-                "--requests takes a positive count (got `-1`)",
+                "--requests takes a positive count (got `-1`)".to_string(),
             ),
             (
                 "--requests",
                 "0",
-                "--requests takes a positive count (got `0`)",
+                "--requests takes a positive count (got `0`)".to_string(),
             ),
             (
                 "--requests",
                 "many",
-                "--requests takes a positive count (got `many`)",
+                "--requests takes a positive count (got `many`)".to_string(),
             ),
             (
                 "--refine-rounds",
                 "-2",
-                "--refine-rounds takes a count (got `-2`)",
+                "--refine-rounds takes a count (got `-2`)".to_string(),
             ),
             (
                 "--refine-rounds",
                 "2.5",
-                "--refine-rounds takes a count (got `2.5`)",
+                "--refine-rounds takes a count (got `2.5`)".to_string(),
             ),
-            (
-                "--tune-streams",
-                "mixed,nope",
-                "unknown tunable stream `nope` (known: ",
-            ),
-            (
-                "--held-out",
-                "Mixed",
-                "unknown tunable stream `Mixed` (known: ",
-            ),
-            ("--tune-streams", ",", "unknown tunable stream `` (known: "),
-            ("--tune-streams", "", "--tune-streams must name a stream"),
-            ("--store", "s.store", "autotune does not support --store: "),
+            // flags the binary no longer has are unknown arguments
+            ("--no-racing", "x", unknown("--no-racing")),
+            ("--tune-streams", "mixed", unknown("--tune-streams")),
+            ("--held-out", "hetero", unknown("--held-out")),
+            ("--store", "s.store", unknown("--store")),
+            ("--frobnicate", "x", unknown("--frobnicate")),
         ] {
             let message = refusal(&["--out", "x.json", flag, bad]).expect(flag);
-            assert!(message.starts_with(says), "{flag} {bad}: {message}");
+            assert_eq!(message, says, "{flag} {bad}");
         }
-        let message = refusal(&["--frobnicate"]).unwrap();
-        assert!(message.starts_with("unknown argument `--frobnicate` (supported: "));
     }
 
     #[test]
     fn only_the_default_invocation_may_write_the_committed_table() {
         assert_eq!(refusal(&[]), None);
-        assert_eq!(refusal(&["--out", "elsewhere.json", "--no-racing"]), None);
         for line in [
             &["--requests", "600"][..],
-            &["--no-racing"],
             &["--refine-rounds", "0"],
-            &["--held-out", "contention"],
             &["--requests", "600", "--out", "elsewhere/TUNED.json"],
         ] {
             let message = refusal(line).unwrap();
@@ -406,10 +341,8 @@ mod tests {
                 "600",
                 "--out",
                 "x.json",
-                "--tune-streams",
-                "mixed",
-                "--held-out",
-                "",
+                "--refine-rounds",
+                "1",
             ]
             .map(String::from)
             .into_iter(),
@@ -417,7 +350,7 @@ mod tests {
         .ok()
         .unwrap();
         assert_eq!((cli.requests, cli.out_path.as_str()), (600, "x.json"));
-        assert_eq!(cli.tune_streams, ["mixed"]);
-        assert!(cli.held_out.is_empty() && cli.opts.racing);
+        assert_eq!(cli.opts.refine_rounds, 1);
+        assert!(cli.opts.racing);
     }
 }

@@ -6,21 +6,20 @@
 //! # Plan → catalog → rows
 //!
 //! The binary is one loop. The command line is parsed into a
-//! [`BenchPlan`] — requests, slack, cutoff override, policy filter,
-//! stream filter, tuned table — and nothing else carries a
-//! knob. `BenchPlan::catalog` filters the bench catalog
-//! ([`accfg_bench::streams::catalog`], the single definition of the seven
-//! streams and their pools, shared with `autotune`, `benchmark/` and the
-//! integration tests) by `--streams`; for each entry, `calibrate`
+//! [`BenchPlan`] — requests, policy filter, stream filter, tuned table —
+//! and nothing else carries a knob. `BenchPlan::catalog` filters the bench
+//! catalog ([`accfg_bench::streams::catalog`], the single definition of
+//! the seven streams and their pools, shared with `autotune`, `benchmark/`
+//! and the integration tests) by `--streams`; for each entry, `calibrate`
 //! resolves the request sequence (a no-op except for
 //! `closed_loop_measured`) and `run_stream` serves
 //! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
-//! a [`ServeConfig`] over `BenchPlan::base_config` — plus the `tuned` row,
-//! and prints the stream's table. Every serve is one run of the runtime's
-//! one serve loop, on the simulated clock, so the report is a function of
-//! the [`BenchPlan`] alone (CI regenerates the committed artifact and
-//! `cmp`s it);
-//! the host's requests/sec is `benchmark/run.sh`'s to measure.
+//! a [`ServeConfig::default`] with its policy and batch size — plus the
+//! `tuned` row, and prints the stream's table. Every serve is one run of
+//! the runtime's one serve loop, on the simulated clock, so the report is
+//! a function of the [`BenchPlan`] alone (CI regenerates the committed
+//! artifact and `cmp`s it); the host's requests/sec is
+//! `benchmark/run.sh`'s to measure.
 //!
 //! Every report row records the module-cache delta of its own serve, so
 //! runtime sharing is part of the report: one [`Runtime`] per pool
@@ -98,55 +97,34 @@
 //! reduced smoke run, `--out <path>` to write the report elsewhere (CI
 //! uses both to avoid clobbering the committed artifact),
 //! `--policies <a,b,...>` to exercise a subset of the policy labels
-//! without paying for all of them, `--streams <a,b,...>` to serve a
+//! without paying for all of them, and `--streams <a,b,...>` to serve a
 //! subset of the catalog the same way (CI's thermal smoke runs
-//! `--policies thermal --streams contention`), and `--slack <cycles>` to
-//! sweep the load-slack horizon without recompiling — the batch cutoff
-//! follows it ([`BatchCutoff::FollowSlack`]).
-//! `--batch-cutoff <cycles|none>` decouples the cutoff from the horizon:
-//! it overrides the queue-depth cutoff for every policy row (`none`
-//! disables the cap, i.e. uncapped coalescing) while `--slack` keeps
-//! governing the routing horizon alone.
+//! `--policies thermal --streams contention`).
 //!
-//! `--tuned <TUNED.json>` replays the `autotune` binary's winning knob
-//! configurations: every stream named in the table gains a `tuned` row —
-//! served on a fresh runtime built from the tuned pool knobs (power cap,
-//! DVFS variant) with the tuned `ServeConfig` knobs (policy, slack,
-//! cutoff, batch) — next to the stock policy rows, so the tuned-vs-default
-//! comparison lands in the same report. Like every non-default invocation
-//! it refuses to write the committed artifact.
-//!
-//! `--store <path>` switches the binary into the *warm-start* mode: the
-//! `contention` stream is served twice against the given persistent
-//! store — a cold pass into a fresh runtime that flushes its compiled
-//! modules and learned EWMA state, then a warm pass into another fresh
-//! runtime that restores them — and the report (a `warm_start` section
-//! with the cold and warm metric rows) quantifies what persistence
-//! saves: zero compile builds and converged cycle predictions from the
-//! first request. The store file survives the run, so a second
-//! invocation against the same path starts warm in its first pass —
-//! that is the cross-process warm start the CI smoke checks.
+//! `--tuned <TUNED.json>` is the one knob override: it replays the
+//! `autotune` binary's winning knob configurations. Every stream named in
+//! the table gains a `tuned` row — served on a fresh runtime built from
+//! the tuned pool knobs (power cap, DVFS variant) with the tuned
+//! `ServeConfig` knobs (policy, slack, cutoff, batch) — next to the stock
+//! policy rows, so the tuned-vs-default comparison lands in the same
+//! report. Sweeping a knob is `autotune`'s job. Like every non-default
+//! invocation `--tuned` refuses to write the committed artifact.
 
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
 use accfg_bench::tune::{parse_table, KnobConfig};
 use accfg_bench::{cli, json, markdown_table};
-use accfg_runtime::{BatchCutoff, Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
+use accfg_runtime::{Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
 use std::collections::HashMap;
 
 const DEFAULT_REQUESTS: usize = 12_000;
 const DEFAULT_OUT: &str = "BENCH_runtime.json";
 
-/// What the command line decided, held once: the catalog a run walks,
-/// the policy rows it serves and the configuration every serve starts
-/// from all derive from this struct, so a new switch is threaded through
-/// here rather than through every call.
+/// What the command line decided, held once: the catalog a run walks and
+/// the policy rows it serves derive from this struct, so a new switch is
+/// threaded through here rather than through every call.
 struct BenchPlan {
     /// `--requests`: requests per stream.
     requests: usize,
-    /// `--slack`: the load-slack horizon of every serve.
-    slack: u64,
-    /// `--batch-cutoff`; absent, the cutoff follows `slack`.
-    cutoff: BatchCutoff,
     /// `--policies`: the policy-row labels to serve (`None` = all).
     policy_filter: Option<Vec<String>>,
     /// `--streams`: the catalog names to serve (`None` = all).
@@ -160,13 +138,13 @@ fn passes(filter: &Option<Vec<String>>, name: &str) -> bool {
     filter.as_ref().is_none_or(|f| f.iter().any(|s| s == name))
 }
 
-/// The report's policy rows over `base`, in report order; `batch_rows`
-/// adds the two `+batch` variants.
-fn policy_rows(batch_rows: bool, base: &ServeConfig) -> Vec<(&'static str, ServeConfig)> {
+/// The report's policy rows, in report order; `batch_rows` adds the two
+/// `+batch` variants.
+fn policy_rows(batch_rows: bool) -> Vec<(&'static str, ServeConfig)> {
     let row = |policy, max_batch| ServeConfig {
         policy,
         max_batch,
-        ..base.clone()
+        ..ServeConfig::default()
     };
     let mut rows = vec![
         ("fifo", row(Policy::Fifo, 1)),
@@ -182,15 +160,6 @@ fn policy_rows(batch_rows: bool, base: &ServeConfig) -> Vec<(&'static str, Serve
 }
 
 impl BenchPlan {
-    /// The configuration every serve of the run starts from.
-    fn base_config(&self) -> ServeConfig {
-        ServeConfig {
-            load_slack: self.slack,
-            batch_cutoff: self.cutoff,
-            ..ServeConfig::default()
-        }
-    }
-
     /// The selected catalog entries, in report order.
     fn catalog(&self) -> Vec<BenchStream> {
         let mut catalog = streams::catalog(self.requests);
@@ -200,7 +169,7 @@ impl BenchPlan {
 
     /// The selected policy rows for a stream.
     fn policies(&self, batch_rows: bool) -> Vec<(&'static str, ServeConfig)> {
-        let mut rows = policy_rows(batch_rows, &self.base_config());
+        let mut rows = policy_rows(batch_rows);
         rows.retain(|(label, _)| passes(&self.policy_filter, label));
         rows
     }
@@ -220,11 +189,11 @@ type PolicyRow = (&'static str, ServeMetrics);
 /// static-estimate sequence on `runtime`, at the entry's place in the
 /// serve order, from which [`BenchStream::calibrated`] re-drives the
 /// client feedback.
-fn calibrate(plan: &BenchPlan, runtime: &mut Runtime, mut entry: BenchStream) -> BenchStream {
+fn calibrate(runtime: &mut Runtime, mut entry: BenchStream) -> BenchStream {
     if let Some(generator) = &entry.calibration {
         let cfg = ServeConfig {
             policy: streams::CALIBRATION_POLICY,
-            ..plan.base_config()
+            ..ServeConfig::default()
         };
         let calibration = runtime
             .serve(&entry.requests, &cfg)
@@ -428,96 +397,6 @@ fn metrics_member(label: &str, metrics: &ServeMetrics) -> String {
     format!("    \"{label}\": {}", body.trim_start())
 }
 
-/// The warm-start mode (`--store <path>`): serve the contention stream
-/// twice against one persistent store — cold pass flushes compiled
-/// modules + learned EWMA state, warm pass restores them — and report
-/// both metric rows under a `warm_start` section. Against a store file
-/// left by an earlier invocation even the "cold" pass starts warm;
-/// the cross-pass assertions only apply to a genuinely cold first pass.
-fn run_warm_start(plan: &BenchPlan, store_path: &str, out_path: &str) {
-    let stream = streams::contention_stream(plan.requests);
-    let cfg = ServeConfig {
-        policy: Policy::ConfigAffinity,
-        store: Some(std::path::PathBuf::from(store_path)),
-        ..plan.base_config()
-    };
-
-    let mut results: Vec<(&'static str, ServeMetrics)> = Vec::new();
-    for pass in ["cold", "warm"] {
-        // a fresh runtime per pass: nothing carries over in memory, so
-        // everything the warm pass knows came back through the store
-        let mut runtime = Runtime::new(streams::contention_pool());
-        let report = runtime.serve(&stream, &cfg).expect("serve succeeds");
-        let m = report.metrics;
-        assert_eq!(m.check_failures, 0, "{pass} pass: functional checks failed");
-        assert_eq!(m.sim_failures, 0, "{pass} pass: simulation failed");
-        let w = m
-            .warm_start
-            .expect("store-backed serves report warm-start provenance");
-        println!(
-            "{pass} pass: restored {} modules, seeded {} ewma rows, avoided {} \
-             compile builds ({} paid), anchor MAE {:.1}, ewma MAE {:.1}",
-            w.modules_restored,
-            w.ewma_entries_seeded,
-            w.builds_avoided,
-            m.cache.misses,
-            m.prediction.anchor_mae(),
-            m.prediction.ewma_mae(),
-        );
-        results.push((pass, m));
-    }
-
-    let cold = &results[0].1;
-    let warm = &results[1].1;
-    let warm_stats = warm.warm_start.expect("warm pass provenance");
-    assert!(
-        warm_stats.modules_restored > 0,
-        "warm pass restored no modules from {store_path}"
-    );
-    assert_eq!(
-        warm.cache.misses, 0,
-        "warm pass paid {} compile builds despite the store",
-        warm.cache.misses
-    );
-    if cold
-        .warm_start
-        .expect("cold pass provenance")
-        .modules_restored
-        == 0
-    {
-        // genuinely cold first pass: persistence must not make the
-        // charged-path predictions worse than relearning from scratch
-        assert!(
-            warm.prediction.ewma_abs_error <= cold.prediction.ewma_abs_error,
-            "warm ewma MAE {:.1} worse than cold {:.1}",
-            warm.prediction.ewma_mae(),
-            cold.prediction.ewma_mae()
-        );
-    }
-    println!(
-        "\nwarm start over {store_path}: {} modules + {} ewma rows restored, \
-         compile builds {} -> {}, ewma MAE {:.1} -> {:.1}",
-        warm_stats.modules_restored,
-        warm_stats.ewma_entries_seeded,
-        cold.cache.misses,
-        warm.cache.misses,
-        cold.prediction.ewma_mae(),
-        warm.prediction.ewma_mae(),
-    );
-
-    let members: Vec<String> = results
-        .iter()
-        .map(|(pass, m)| metrics_member(pass, m))
-        .collect();
-    let out = format!(
-        "{{\n  \"warm_start\": {{\n{}\n  }}\n}}\n",
-        members.join(",\n")
-    );
-    json::validate(&out).expect("benchmark report must be strict JSON");
-    std::fs::write(out_path, &out).expect("write benchmark report");
-    println!("raw metrics: {out_path} (validated as strict JSON)");
-}
-
 /// The catalog's stream names — the vocabulary `--streams` accepts.
 fn stream_names() -> Vec<&'static str> {
     let catalog = streams::catalog(1);
@@ -537,25 +416,19 @@ enum Flag {
     Out,
     Policies,
     Streams,
-    Slack,
-    BatchCutoff,
     Tuned,
-    Store,
 }
 
 /// Every flag with its spelling and what it takes: the one table
 /// [`parse_args`] looks an argument up in, and the one both refusals that
 /// list flags are rendered from — a flag is accepted and advertised
 /// together or not at all.
-const FLAGS: [(Flag, &str, &str); 8] = [
+const FLAGS: [(Flag, &str, &str); 5] = [
     (Flag::Requests, "--requests", "<n>"),
     (Flag::Out, "--out", "<path>"),
     (Flag::Policies, "--policies", "<a,b,...>"),
     (Flag::Streams, "--streams", "<a,b,...>"),
-    (Flag::Slack, "--slack", "<cycles>"),
-    (Flag::BatchCutoff, "--batch-cutoff", "<cycles|none>"),
     (Flag::Tuned, "--tuned", "<path>"),
-    (Flag::Store, "--store", "<path>"),
 ];
 
 /// What the command line asked for.
@@ -563,8 +436,6 @@ struct Cli {
     plan: BenchPlan,
     /// `--out`.
     out_path: String,
-    /// `--store`: run the warm-start passes over this file instead.
-    store_path: Option<String>,
 }
 
 /// Parses the arguments after the binary's name.
@@ -572,19 +443,16 @@ struct Cli {
 /// # Errors
 /// Everything the command line alone can get wrong — a missing or
 /// malformed value, an unknown flag, policy or stream, an unreadable or
-/// malformed `--tuned` table, a combination the binary does not serve —
-/// as the line [`refuse`] prints.
+/// malformed `--tuned` table, a non-canonical report aimed at the
+/// committed artifact — as the line [`refuse`] prints.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut plan = BenchPlan {
         requests: DEFAULT_REQUESTS,
-        slack: LOAD_SLACK_CYCLES,
-        cutoff: BatchCutoff::FollowSlack,
         policy_filter: None,
         stream_filter: None,
         tuned: None,
     };
     let mut out_path = String::from(DEFAULT_OUT);
-    let mut store_path: Option<String> = None;
     let args = &mut args;
     while let Some(arg) = args.next() {
         let Some(&(flag, ..)) = FLAGS.iter().find(|(_, name, _)| *name == arg) else {
@@ -599,19 +467,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         };
         match flag {
             Flag::Requests => plan.requests = cli::number(args, &arg, "a positive integer", 1)?,
-            Flag::Slack => plan.slack = cli::number(args, &arg, "a positive cycle count", 1)?,
             Flag::Out => out_path = cli::value(args, &arg, "a file path")?,
-            Flag::Store => store_path = Some(cli::value(args, &arg, "a file path")?),
-            Flag::BatchCutoff => {
-                let takes = "a positive cycle count or `none`";
-                let value = cli::value(args, &arg, takes)?;
-                plan.cutoff = if value == "none" {
-                    BatchCutoff::Uncapped
-                } else {
-                    let cycles = cli::number(&mut std::iter::once(value), &arg, takes, 1)?;
-                    BatchCutoff::Cycles(cycles)
-                };
-            }
             Flag::Tuned => {
                 let path = cli::value(args, &arg, "a tuned-table path")?;
                 let text = std::fs::read_to_string(&path)
@@ -620,7 +476,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
             Flag::Policies => {
                 let list = cli::value(args, &arg, "a comma-separated list")?;
-                let rows = policy_rows(true, &ServeConfig::default());
+                let rows = policy_rows(true);
                 let known: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
                 plan.policy_filter = Some(cli::selection("policy", &list, &known)?);
             }
@@ -630,16 +486,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
         }
     }
-    // a filtered, slack-swept, reduced, tuned or warm-start run produces
-    // a report that is not the committed artifact: refuse to overwrite it
-    // (by file name, so alternate spellings of the same path cannot slip
-    // past)
+    // a filtered, reduced or tuned run produces a report that is not the
+    // committed artifact: refuse to overwrite it (by file name, so
+    // alternate spellings of the same path cannot slip past)
     let canonical = plan.policy_filter.is_none()
         && plan.stream_filter.is_none()
-        && plan.slack == LOAD_SLACK_CYCLES
         && plan.requests == DEFAULT_REQUESTS
-        && store_path.is_none()
-        && plan.cutoff == BatchCutoff::FollowSlack
         && plan.tuned.is_none();
     if !canonical
         && std::path::Path::new(&out_path).file_name()
@@ -656,44 +508,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             others.join("/")
         ));
     }
-    let with_store = store_path.is_some();
-    let refusals = [
-        (
-            with_store && plan.policy_filter.is_some(),
-            "--store runs the warm-start passes under the affinity policy; \
-             it cannot be combined with --policies",
-        ),
-        (
-            with_store && plan.stream_filter.is_some(),
-            "--store always serves the contention stream for both passes; \
-             it cannot be combined with --streams",
-        ),
-        (
-            with_store && (plan.cutoff != BatchCutoff::FollowSlack || plan.tuned.is_some()),
-            "--store serves a fixed affinity configuration; it cannot be \
-             combined with --batch-cutoff or --tuned",
-        ),
-    ];
-    if let Some((_, why)) = refusals.iter().find(|(hit, _)| *hit) {
-        return Err(why.to_string());
-    }
-    Ok(Cli {
-        plan,
-        out_path,
-        store_path,
-    })
+    Ok(Cli { plan, out_path })
 }
 
 fn main() {
-    let Cli {
-        plan,
-        out_path,
-        store_path,
-    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
-    if let Some(store) = &store_path {
-        run_warm_start(&plan, store, &out_path);
-        return;
-    }
+    let Cli { plan, out_path } =
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
 
     // refuse a tuned row its stream's pool cannot serve now, not after
     // every stock row before it has run
@@ -708,8 +528,8 @@ fn main() {
 
     println!(
         "serve_bench: {} requests per stream, 2 workers/accelerator, \
-         slack horizon {} cycles\n",
-        plan.requests, plan.slack
+         slack horizon {LOAD_SLACK_CYCLES} cycles\n",
+        plan.requests
     );
 
     // one runtime per pool, created on first use and shared by every
@@ -722,7 +542,7 @@ fn main() {
         let runtime = runtimes
             .entry(entry.pool)
             .or_insert_with(|| Runtime::new(entry.pool.build()));
-        let entry = calibrate(&plan, runtime, entry);
+        let entry = calibrate(runtime, entry);
         let results = run_stream(&plan, runtime, &entry);
         if !results.is_empty() {
             let totals = streams::static_totals(&entry.requests);
@@ -834,32 +654,19 @@ mod tests {
                 "-1",
                 "--requests takes a positive integer (got `-1`)",
             ),
-            (
-                "--slack",
-                "1e3",
-                "--slack takes a positive cycle count (got `1e3`)",
-            ),
-            (
-                "--slack",
-                "0",
-                "--slack takes a positive cycle count (got `0`)",
-            ),
-            (
-                "--batch-cutoff",
-                "None",
-                "--batch-cutoff takes a positive cycle count or `none` (got `None`)",
-            ),
-            (
-                "--batch-cutoff",
-                "0",
-                "--batch-cutoff takes a positive cycle count or `none` (got `0`)",
-            ),
             // flags the binary no longer has are unknown arguments
             ("--mode", "x", "unknown argument `--mode` (supported: "),
             (
                 "--threads",
                 "2",
                 "unknown argument `--threads` (supported: ",
+            ),
+            ("--store", "s", "unknown argument `--store` (supported: "),
+            ("--slack", "128", "unknown argument `--slack` (supported: "),
+            (
+                "--batch-cutoff",
+                "none",
+                "unknown argument `--batch-cutoff` (supported: ",
             ),
             ("--policies", "lifo", "unknown policy `lifo` (known: "),
             (
@@ -909,25 +716,16 @@ mod tests {
         // a non-canonical report may not land on the committed artifact
         for line in [
             &["--requests", "600"][..],
-            &["--slack", "128"],
+            &["--policies", "cost"],
+            &["--streams", "mixed"],
             &["--requests", "600", "--out", "elsewhere/BENCH_runtime.json"],
         ] {
             let message = refusal(line).unwrap();
-            assert!(message.contains("--store write a non-canonical report; pass --out"));
-            assert!(!message.contains("--out/") && !message.contains("--mode"));
-        }
-        for (line, says) in [
-            (&["--store", "s", "--policies", "cost"][..], "--policies"),
-            (&["--store", "s", "--streams", "mixed"], "--streams"),
-            (
-                &["--store", "s", "--batch-cutoff", "none"],
-                "--batch-cutoff or --tuned",
-            ),
-        ] {
-            let message = refusal(&[&["--out", "x.json"], line].concat()).unwrap();
-            assert!(
-                message.ends_with(&format!("combined with {says}")),
-                "{message}"
+            assert_eq!(
+                message,
+                "--requests/--policies/--streams/--tuned write a non-canonical report; \
+                 pass --out with a file name other than BENCH_runtime.json so it \
+                 cannot clobber the committed artifact"
             );
         }
         assert_eq!(refusal(&[]), None);
@@ -935,10 +733,6 @@ mod tests {
             [
                 "--requests",
                 "300",
-                "--slack",
-                "128",
-                "--batch-cutoff",
-                "none",
                 "--policies",
                 "cost,thermal",
                 "--streams",
@@ -951,10 +745,10 @@ mod tests {
         )
         .ok()
         .unwrap();
-        assert_eq!((cli.plan.requests, cli.plan.slack), (300, 128));
-        assert!(cli.plan.cutoff == BatchCutoff::Uncapped);
+        assert_eq!(cli.plan.requests, 300);
         assert_eq!(cli.plan.policy_filter.unwrap(), ["cost", "thermal"]);
         assert_eq!(cli.plan.stream_filter.unwrap(), ["contention"]);
-        assert_eq!((cli.out_path.as_str(), cli.store_path), ("x.json", None));
+        assert!(cli.plan.tuned.is_none());
+        assert_eq!(cli.out_path, "x.json");
     }
 }

@@ -311,7 +311,8 @@ pub enum BatchCutoff {
     /// An explicit horizon in cycles, decoupled from `load_slack`.
     Cycles(u64),
     /// Coalesce up to `max_batch` unconditionally — the pre-cutoff
-    /// behaviour whose tail cost `serve_bench` documents.
+    /// behaviour whose tail cost `batch_cutoff_recovers_the_tail_and_keeps_the_writes`
+    /// in `tests/serving.rs` pins, and one of the cutoffs `autotune` races.
     Uncapped,
 }
 

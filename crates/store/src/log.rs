@@ -65,17 +65,16 @@
 //! [`LogStore::recovery`], and truncates image and file back to the last
 //! valid record; everything before the corruption survives. A second walk
 //! over the verified records collects one *slot* per record — the offsets
-//! of its key and value in the image, and its sequence number — and one
-//! stable sort by key bytes (a merge of the sorted runs the flushes
-//! appended), followed by a pass that keeps each key's last slot and
-//! drops keys whose last record is a tombstone, leaves the index a
-//! front-to-back last-write-wins replay would: one sorted `Vec` of slots,
-//! one per live key.
+//! of its key and value in the image — and one stable sort by key bytes
+//! (a merge of the sorted runs the flushes appended), followed by a pass
+//! that keeps each key's last slot and drops keys whose last record is a
+//! tombstone, leaves the index a front-to-back last-write-wins replay
+//! would: one sorted `Vec` of slots, one per live key.
 //!
 //! Neither keys nor values are ever copied out of the image:
-//! [`KeyValueStore::get`] and [`LogStore::key_seq`] binary-search the
-//! slots and `get` returns a slice of the image; since only verified
-//! records have slots, no unverified byte is reachable through the trait.
+//! [`KeyValueStore::get`] binary-searches the slots and returns a slice of
+//! the image; since only verified records have slots, no unverified byte
+//! is reachable through the trait.
 //! `put` / `remove` encode the new record at the end of the image, write
 //! exactly those bytes to the file, and only then insert, update or drop
 //! the key's slot — a key appended after open lives in the image like
@@ -83,11 +82,11 @@
 //! it with one `write_all`, then updates the slots of keys the index
 //! holds in place and merges the new keys in, in one pass. A failed
 //! write truncates the image (and the file, as far as it lets us) back
-//! and leaves the index and the clock as they were, so neither runs ahead
-//! of the file. The image is therefore always the file's valid content,
-//! superseded records and tombstones included: the store's heap footprint
-//! is the file size plus one slot per live key until
-//! [`LogStore::compact`] swaps in the rewritten image and its slots.
+//! and leaves the index as it was, so neither runs ahead of the file. The
+//! image is therefore always the file's valid content, superseded records
+//! and tombstones included: the store's heap footprint is the file size
+//! plus one slot per live key until [`LogStore::compact`] swaps in the
+//! rewritten image and its slots.
 //!
 //! Determinism contract: [`LogStore::put`] skips the append when the key
 //! already holds the identical value, so re-running an identical workload
@@ -96,11 +95,6 @@
 //! Compaction is explicit ([`LogStore::compact`]) and rewrites live entries
 //! in sorted key order — never triggered implicitly, so it cannot perturb
 //! that contract mid-run.
-//!
-//! Every applied record also advances a logical *sequence number* (the
-//! append age), and the store remembers each key's last-write sequence
-//! ([`LogStore::seq`], [`LogStore::key_seq`]) — an age without
-//! timestamps, which would break run-to-run determinism.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -220,8 +214,6 @@ struct Slot {
     value: usize,
     /// Where the value (and the record) ends.
     end: usize,
-    /// Sequence number of the write.
-    seq: u64,
 }
 
 impl Slot {
@@ -247,15 +239,8 @@ fn search(slots: &[Slot], image: &[u8], key: &[u8]) -> Result<usize, usize> {
 
 /// Appends one record to `out` — the payload written in place after a
 /// header that is patched once its checksum is known — and returns its
-/// slot, aged `seq`.
-fn encode_record(
-    out: &mut Vec<u8>,
-    format: Format,
-    op: u8,
-    key: &[u8],
-    value: &[u8],
-    seq: u64,
-) -> Slot {
+/// slot.
+fn encode_record(out: &mut Vec<u8>, format: Format, op: u8, key: &[u8], value: &[u8]) -> Slot {
     let payload_len = KEY_AT + key.len() + value.len();
     out.reserve(RECORD_HEADER + payload_len);
     let header = out.len();
@@ -272,7 +257,6 @@ fn encode_record(
         key: key_at,
         value: key_at + key.len(),
         end: out.len(),
-        seq,
     }
 }
 
@@ -322,7 +306,7 @@ fn verify(image: &[u8], format: Format) -> (usize, usize, Option<TailCorruption>
 
 /// The index a front-to-back, last-write-wins replay of the `records`
 /// verified records of `image` leaves: every live key's newest slot,
-/// sorted by key, the `n`th record aged `n`.
+/// sorted by key.
 ///
 /// # Errors
 ///
@@ -332,7 +316,7 @@ fn replay(image: &[u8], records: usize) -> Result<Vec<Slot>, StoreError> {
     let malformed = || StoreError::codec("record payload is self-inconsistent");
     let mut slots = Vec::with_capacity(records);
     let mut offset = MAGIC.len();
-    for seq in 1..=records as u64 {
+    for _ in 0..records {
         let (_, payload) = record_at(image, offset).map_err(|_| malformed())?;
         let (&op, rest) = payload.split_first().ok_or_else(malformed)?;
         let (key_len, rest) = rest.split_first_chunk::<4>().ok_or_else(malformed)?;
@@ -346,7 +330,6 @@ fn replay(image: &[u8], records: usize) -> Result<Vec<Slot>, StoreError> {
             key,
             value: key + key_len,
             end: offset,
-            seq,
         });
     }
     sort_runs(image, &mut slots);
@@ -430,8 +413,6 @@ pub struct LogStore {
     /// One slot per live key — its newest record — sorted by key.
     index: Vec<Slot>,
     recovery: Option<TailCorruption>,
-    /// Logical clock: one tick per applied record (replayed or appended).
-    seq: u64,
 }
 
 impl LogStore {
@@ -499,26 +480,12 @@ impl LogStore {
             image,
             index,
             recovery,
-            // every record, put or tombstone, ticked the clock once
-            seq: records as u64,
         })
     }
 
     /// Where `key` is, or would go, in the index.
     fn find(&self, key: &[u8]) -> Result<usize, usize> {
         search(&self.index, &self.image, key)
-    }
-
-    /// The logical clock: the number of records applied so far, counting
-    /// both replayed and freshly appended ones. Identical-value puts are
-    /// elided from the log and therefore do not tick it.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The sequence number of `key`'s last write, if the key is live.
-    pub fn key_seq(&self, key: &[u8]) -> Option<u64> {
-        self.find(key).ok().map(|i| self.index[i].seq)
     }
 
     /// The file backing this store.
@@ -546,15 +513,12 @@ impl LogStore {
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let tmp = self.path.with_extension("compact");
         let mut image = MAGIC.to_vec();
-        // ages renumbered exactly as a reopen-and-replay of the compacted
-        // file would: one put per live key, in sorted key order
         let index: Vec<Slot> = self
             .index
             .iter()
-            .zip(1..)
-            .map(|(slot, seq)| {
+            .map(|slot| {
                 let (key, value) = (slot.key(&self.image), slot.value(&self.image));
-                encode_record(&mut image, Format::V2, OP_PUT, key, value, seq)
+                encode_record(&mut image, Format::V2, OP_PUT, key, value)
             })
             .collect();
         let mut file = File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, &e))?;
@@ -569,7 +533,6 @@ impl LogStore {
             .map_err(|e| StoreError::io("open", &self.path, &e))?;
         self.format = Format::V2;
         self.image = image;
-        self.seq = index.len() as u64;
         self.index = index;
         self.recovery = None;
         sync_dir(&self.path)
@@ -578,8 +541,7 @@ impl LogStore {
     /// Writes the records encoded at the end of the image since `start`
     /// to the file. On a failed write the image is cut back to `start`
     /// (and the file too, as far as it lets us), so the image never runs
-    /// ahead of the file; callers touch the index and the clock only once
-    /// this succeeds.
+    /// ahead of the file; callers touch the index only once this succeeds.
     fn write_from(&mut self, start: usize) -> Result<(), StoreError> {
         if let Err(err) = self.file.write_all(&self.image[start..]) {
             self.image.truncate(start);
@@ -629,16 +591,8 @@ impl KeyValueStore for LogStore {
             return Ok(()); // identical value: keep the file byte-stable
         }
         let start = self.image.len();
-        let slot = encode_record(
-            &mut self.image,
-            self.format,
-            OP_PUT,
-            key,
-            value,
-            self.seq + 1,
-        );
+        let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value);
         self.write_from(start)?;
-        self.seq = slot.seq;
         match at {
             Ok(i) => self.index[i] = slot,
             Err(i) => self.index.insert(i, slot),
@@ -651,7 +605,6 @@ impl KeyValueStore for LogStore {
     /// merge. A failed write stores none of the batch.
     fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
         let start = self.image.len();
-        let mut seq = self.seq;
         // the batch's newest record per key, sorted by key
         let mut staged: Vec<Slot> = Vec::with_capacity(rows.len());
         for (key, value) in rows {
@@ -663,15 +616,13 @@ impl KeyValueStore for LogStore {
             if current.is_some_and(|slot| slot.value(&self.image) == value.as_slice()) {
                 continue; // identical value, stored or earlier in the batch
             }
-            seq += 1;
-            let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value, seq);
+            let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value);
             match at {
                 Ok(i) => staged[i] = slot,
                 Err(i) => staged.insert(i, slot),
             }
         }
         self.write_from(start)?;
-        self.seq = seq;
         self.merge(staged);
         Ok(())
     }
@@ -681,16 +632,8 @@ impl KeyValueStore for LogStore {
             return Ok(());
         };
         let start = self.image.len();
-        encode_record(
-            &mut self.image,
-            self.format,
-            OP_REMOVE,
-            key,
-            &[],
-            self.seq + 1,
-        );
+        encode_record(&mut self.image, self.format, OP_REMOVE, key, &[]);
         self.write_from(start)?;
-        self.seq += 1;
         self.index.remove(i);
         Ok(())
     }
@@ -853,30 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_ages_survive_reopen() {
-        let path = temp_path("seq_ages");
-        {
-            let mut store = LogStore::open(&path).unwrap();
-            store.put(b"old", b"1").unwrap(); // seq 1
-            store.put(b"mid", b"2").unwrap(); // seq 2
-            store.put(b"new", b"3").unwrap(); // seq 3
-            store.put(b"new", b"3").unwrap(); // elided: no tick
-            assert_eq!(store.seq(), 3);
-            assert_eq!(store.key_seq(b"old"), Some(1));
-            store.sync().unwrap();
-        }
-        // Reopen replays the same records, so the clock and ages match.
-        let mut store = LogStore::open(&path).unwrap();
-        assert_eq!(store.seq(), 3);
-        assert_eq!(store.key_seq(b"mid"), Some(2));
-        // A tombstone ticks the clock too.
-        store.remove(b"old").unwrap();
-        assert_eq!(store.seq(), 4);
-        assert_eq!(store.key_seq(b"old"), None);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn sync_never_rewrites_the_file() {
         let path = temp_path("sync_stable");
         let mut store = LogStore::open(&path).unwrap();
@@ -1017,11 +936,10 @@ mod tests {
         ];
         assert!(matches!(store.put_all(&batch), Err(StoreError::Io { .. })));
         for absent in [&b"a"[..], b"z"] {
-            assert_eq!((store.get(absent), store.key_seq(absent)), (None, None));
+            assert_eq!(store.get(absent), None);
         }
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(b"k"), Some(&b"old"[..]));
-        assert_eq!((store.seq(), store.key_seq(b"k")), (1, Some(1)));
         assert_eq!(store.image, before);
         assert_eq!(fs::read(&path).unwrap(), before);
 
@@ -1029,21 +947,21 @@ mod tests {
         store.file = append_handle;
         store.put_all(&batch).unwrap();
         assert_eq!(store.get(b"k"), Some(&b"newer"[..]));
-        assert_eq!((store.seq(), store.key_seq(b"z")), (4, Some(4)));
+        assert_eq!(store.get(b"z"), Some(&b"new key"[..]));
         store.put(b"k", b"new").unwrap();
         assert_eq!(store.image, fs::read(&path).unwrap());
         let reopened = LogStore::open(&path).unwrap();
         assert!(reopened.recovery().is_none());
         assert_eq!(reopened.get(b"k"), Some(&b"new"[..]));
         assert_eq!(reopened.keys_with_prefix(b""), [&b"a"[..], b"k", b"z"]);
-        assert_eq!(reopened.seq(), 5);
+        assert_eq!(reopened.image, store.image);
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn put_all_writes_what_a_put_per_row_writes() {
         // out of key order, a key twice, a stored value repeated, a value
-        // repeated inside the batch: the file, clock and ages must be those
+        // repeated inside the batch: the file and the index must be those
         // of one `put` per row, in order
         let rows: Vec<(Vec<u8>, Vec<u8>)> = [
             ("m", "1"),
@@ -1070,12 +988,10 @@ mod tests {
         stores[1].put_all(&rows).unwrap();
         assert_eq!(fs::read(&one_by_one).unwrap(), fs::read(&batched).unwrap());
         assert_eq!(stores[0].image, stores[1].image);
-        assert_eq!(stores[0].seq(), stores[1].seq());
         let keys = stores[0].keys_with_prefix(b"");
         assert_eq!(keys, stores[1].keys_with_prefix(b""));
         for key in &keys {
-            let [a, b] = &stores;
-            assert_eq!((a.get(key), a.key_seq(key)), (b.get(key), b.key_seq(key)));
+            assert_eq!(stores[0].get(key), stores[1].get(key));
         }
         fs::remove_file(&one_by_one).unwrap();
         fs::remove_file(&batched).unwrap();

@@ -1,12 +1,9 @@
 //! Model-based property for [`LogStore`]: random put / identical put /
 //! batched put / remove / sync / compact / reopen histories, over both
-//! file formats, checked step by step against [`MemStore`] plus a
-//! hand-kept clock — and against the file itself, which must at every step
-//! be byte-for-byte the image the store serves from. The batches pin the
-//! index's merge: last write wins, identical values are elided (also
-//! inside a batch), and ages are those of one `put` per row.
-
-use std::collections::BTreeMap;
+//! file formats, checked step by step against [`MemStore`] — and against
+//! the file itself, which must at every step be byte-for-byte the image
+//! the store serves from. The batches pin the index's merge: last write
+//! wins, and identical values are elided (also inside a batch).
 
 use proptest::prelude::*;
 
@@ -54,57 +51,21 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// The reference the log store is checked against: `MemStore` for the
-/// contents, plus the clock and per-key ages `MemStore` does not keep.
-#[derive(Default)]
-struct Model {
-    contents: MemStore,
-    ages: BTreeMap<Vec<u8>, u64>,
-    seq: u64,
-}
-
-impl Model {
-    fn put(&mut self, key: &[u8], value: &[u8]) {
-        if self.contents.get(key) == Some(value) {
-            return; // elided: no record, no tick
-        }
-        self.contents.put(key, value).expect("mem put");
-        self.seq += 1;
-        self.ages.insert(key.to_vec(), self.seq);
-    }
-
-    fn remove(&mut self, key: &[u8]) {
-        if self.ages.remove(key).is_some() {
-            self.contents.remove(key).expect("mem remove");
-            self.seq += 1;
+/// The rows of [`Step::PutAll`]`(mask)` at step `i` over `model`, sorted
+/// by key.
+fn batch(model: &MemStore, mask: usize, i: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rows = Vec::new();
+    for k in 0..KEYS {
+        let key = key_of(k);
+        let new = format!("batch-{i}-{k}-").repeat(1 + 2 * k).into_bytes();
+        match mask >> (2 * k) & 3 {
+            1 => rows.push((key, new)),
+            2 => rows.extend(model.get(&key).map(|same| (key, same.to_vec()))),
+            3 => rows.extend([(key.clone(), new.clone()), (key, new)]),
+            _ => {}
         }
     }
-
-    /// The rows of [`Step::PutAll`]`(mask)` at step `i`, sorted by key.
-    fn batch(&self, mask: usize, i: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut rows = Vec::new();
-        for k in 0..KEYS {
-            let key = key_of(k);
-            let new = format!("batch-{i}-{k}-").repeat(1 + 2 * k).into_bytes();
-            match mask >> (2 * k) & 3 {
-                1 => rows.push((key, new)),
-                2 => rows.extend(self.contents.get(&key).map(|same| (key, same.to_vec()))),
-                3 => rows.extend([(key.clone(), new.clone()), (key, new)]),
-                _ => {}
-            }
-        }
-        rows
-    }
-
-    /// What a compaction (or a replay of the compacted file) leaves: one
-    /// put per live key, in key order.
-    fn renumber(&mut self) {
-        self.seq = 0;
-        for age in self.ages.values_mut() {
-            self.seq += 1;
-            *age = self.seq;
-        }
-    }
+    rows
 }
 
 proptest! {
@@ -118,7 +79,7 @@ proptest! {
             let path = temp_path("model");
             std::fs::write(&path, magic).expect("write the magic");
             let mut store = LogStore::open(&path).expect("fresh store opens");
-            let mut model = Model::default();
+            let mut model = MemStore::default();
             let mut magic_now = magic;
             for (i, &step) in steps.iter().enumerate() {
                 match step {
@@ -126,30 +87,37 @@ proptest! {
                         // long enough to span several checksum blocks
                         let value = format!("value-{i}-").repeat(1 + 3 * (i % 5)).into_bytes();
                         store.put(&key_of(k), &value).expect("put");
-                        model.put(&key_of(k), &value);
+                        model.put(&key_of(k), &value).expect("mem put");
                     }
                     Step::PutSame(k) => {
-                        if let Some(value) = model.contents.get(&key_of(k)).map(<[u8]>::to_vec) {
-                            let before = store.seq();
+                        if let Some(value) = model.get(&key_of(k)).map(<[u8]>::to_vec) {
+                            let before = store.image.len();
                             store.put(&key_of(k), &value).expect("identical put");
-                            prop_assert_eq!(store.seq(), before, "an identical put ticked");
+                            prop_assert_eq!(store.image.len(), before, "an identical put appended");
                         }
                     }
                     Step::PutAll(mask) => {
-                        let rows = model.batch(mask, i);
+                        let rows = batch(&model, mask, i);
+                        let before = store.image.len();
                         store.put_all(&rows).expect("put_all");
+                        // one record (header, op, key length, key, value) per
+                        // row that changes its key's value, none for the rest
+                        let mut appended = 0;
                         for (key, value) in &rows {
-                            model.put(key, value);
+                            if model.get(key) != Some(value.as_slice()) {
+                                appended += 8 + 5 + key.len() + value.len();
+                            }
+                            model.put(key, value).expect("mem put");
                         }
+                        prop_assert_eq!(store.image.len() - before, appended, "a batch's appends");
                     }
                     Step::Remove(k) => {
                         store.remove(&key_of(k)).expect("remove");
-                        model.remove(&key_of(k));
+                        model.remove(&key_of(k)).expect("mem remove");
                     }
                     Step::Sync => store.sync().expect("sync"),
                     Step::Compact => {
                         store.compact().expect("compact");
-                        model.renumber();
                         magic_now = MAGIC;
                     }
                     Step::Reopen => {
@@ -159,22 +127,15 @@ proptest! {
                     }
                 }
                 let context = format!("after step {i} ({step:?})");
-                prop_assert_eq!(store.len(), model.contents.len(), "{}", context);
-                prop_assert_eq!(store.seq(), model.seq, "{}", context);
+                prop_assert_eq!(store.len(), model.len(), "{}", context);
                 for k in 0..KEYS {
                     let key = key_of(k);
-                    prop_assert_eq!(store.get(&key), model.contents.get(&key), "{}", context);
-                    prop_assert_eq!(
-                        store.key_seq(&key),
-                        model.ages.get(&key).copied(),
-                        "{}",
-                        context
-                    );
+                    prop_assert_eq!(store.get(&key), model.get(&key), "{}", context);
                 }
                 for prefix in [&b""[..], b"key/", b"key/3", b"l"] {
                     prop_assert_eq!(
                         store.keys_with_prefix(prefix),
-                        model.contents.keys_with_prefix(prefix),
+                        model.keys_with_prefix(prefix),
                         "{}",
                         context
                     );
@@ -187,11 +148,10 @@ proptest! {
             // a replay of the file gives the same view, record for record
             let replayed = LogStore::open(&path).expect("final reopen");
             prop_assert!(replayed.recovery().is_none());
-            prop_assert_eq!(replayed.seq(), store.seq());
+            prop_assert_eq!(replayed.len(), store.len());
             for k in 0..KEYS {
                 let key = key_of(k);
                 prop_assert_eq!(replayed.get(&key), store.get(&key));
-                prop_assert_eq!(replayed.key_seq(&key), store.key_seq(&key));
             }
             let _ = std::fs::remove_file(&path);
         }

@@ -34,7 +34,7 @@ fn store_of(records: usize) -> PathBuf {
     store.put_all(&rows).expect("put the rows");
     store.put(&key(0), b"overwritten").expect("overwrite a key");
     store.remove(&key(1)).expect("remove a key");
-    assert_eq!(store.seq(), records as u64);
+    assert_eq!(store.len(), records - 3);
     path
 }
 

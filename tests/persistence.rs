@@ -707,13 +707,15 @@ fn warm_start_outcome_depends_only_on_the_working_set() {
     let _ = std::fs::remove_file(&minimal);
 }
 
-/// The committed v1 store: what the last commit before the v2 checksum
-/// wrote for `serve_bench --requests 600 --store` (a cold and a warm pass
-/// of the contention stream under the affinity policy).
+/// The committed v1 store: what the last build before the v2 checksum
+/// wrote for two store-backed serves of `contention_stream(600)` under
+/// the affinity policy, each on a fresh runtime over the
+/// `contention_pool()` — a cold pass, then a warm one.
 const V1_FIXTURE: &[u8] = include_bytes!("fixtures/store_v1.log");
 
-/// A store's whole observable state: key → (age, value), and the clock.
-type StoreView = (BTreeMap<Vec<u8>, (u64, Vec<u8>)>, u64);
+/// A store's live entries (key → value), and how many records the file
+/// holds.
+type StoreView = (BTreeMap<Vec<u8>, Vec<u8>>, u64);
 
 /// An independent reader of the v1 format — byte-serial FNV-1a, every
 /// record checked, owned copies — standing in for the build that wrote
@@ -726,33 +728,30 @@ fn replay_v1(bytes: &[u8]) -> StoreView {
     };
     let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     assert_eq!(&bytes[..8], MAGIC_V1);
-    let (mut index, mut seq, mut offset) = (BTreeMap::new(), 0u64, 8);
+    let (mut index, mut records, mut offset) = (BTreeMap::new(), 0u64, 8);
     while offset < bytes.len() {
         let payload = &bytes[offset + 8..offset + 8 + word(offset) as usize];
         assert_eq!(fnv1a(payload), word(offset + 4), "record at {offset}");
         let key = payload[5..5 + word(offset + 9) as usize].to_vec();
-        seq += 1;
+        records += 1;
         match payload[0] {
-            0 => index.insert(key.clone(), (seq, payload[5 + key.len()..].to_vec())),
+            0 => index.insert(key.clone(), payload[5 + key.len()..].to_vec()),
             _ => index.remove(&key),
         };
         offset += 8 + payload.len();
     }
-    (index, seq)
+    (index, records)
 }
 
-/// Asserts `store` holds exactly `expected`: keys, values, ages, clock.
-fn assert_same_view(store: &LogStore, expected: &StoreView) {
-    let (index, seq) = expected;
+/// Asserts `store` holds exactly `expected`: its keys and their values.
+fn assert_same_entries(store: &LogStore, expected: &BTreeMap<Vec<u8>, Vec<u8>>) {
     assert_eq!(
         store.keys_with_prefix(b""),
-        index.keys().cloned().collect::<Vec<_>>()
+        expected.keys().cloned().collect::<Vec<_>>()
     );
-    for (key, (age, value)) in index {
+    for (key, value) in expected {
         assert_eq!(store.get(key), Some(&value[..]));
-        assert_eq!(store.key_seq(key), Some(*age));
     }
-    assert_eq!(store.seq(), *seq);
 }
 
 #[test]
@@ -766,10 +765,10 @@ fn a_v1_store_file_loads_stays_v1_and_compacts_to_v2() {
     std::fs::write(&path, V1_FIXTURE).expect("copy the fixture");
     let mut store = LogStore::open(&path).expect("a v1 file opens");
     assert!(store.recovery().is_none());
-    assert_same_view(&store, &expected);
+    assert_same_entries(&store, &expected.0);
 
     // identical puts are elided in a v1 file too
-    for (key, (_, value)) in &expected.0 {
+    for (key, value) in &expected.0 {
         store.put(key, value).expect("identical put");
     }
     store.sync().expect("sync");
@@ -787,21 +786,17 @@ fn a_v1_store_file_loads_stays_v1_and_compacts_to_v2() {
     assert_eq!(grown_view.1, 21);
     let mut store = LogStore::open(&path).expect("reopen");
     assert!(store.recovery().is_none());
-    assert_same_view(&store, &grown_view);
+    assert_same_entries(&store, &grown_view.0);
 
-    // compaction is the one way to v2: same live entries, ages renumbered
-    // in key order exactly as a replay of the new file numbers them
+    // compaction is the one way to v2: the same live entries
     store.compact().expect("compact");
     let compacted = std::fs::read(&path).expect("read");
     assert!(compacted.starts_with(MAGIC));
     assert!(compacted.len() < V1_FIXTURE.len());
     for store in [store, LogStore::open(&path).expect("reopen as v2")] {
         assert!(store.recovery().is_none());
-        assert_eq!(store.seq(), 13);
-        for (age, (key, (_, value))) in grown_view.0.iter().enumerate() {
-            assert_eq!(store.get(key), Some(&value[..]));
-            assert_eq!(store.key_seq(key), Some(age as u64 + 1));
-        }
+        assert_eq!(store.len(), 13);
+        assert_same_entries(&store, &grown_view.0);
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -838,7 +833,7 @@ fn a_v1_store_file_warm_starts_its_serve_and_stays_byte_stable() {
     assert!(a.starts_with(V1_FIXTURE));
     // the serve's refined cost rows went in as v1 records; the modules
     // it restored were not rewritten
-    let (index, seq) = replay_v1(&a);
+    let (index, records) = replay_v1(&a);
     assert_eq!(index.len(), 12);
-    assert!(seq > 18 && seq <= 24, "{seq}");
+    assert!(records > 18 && records <= 24, "{records}");
 }

@@ -616,7 +616,9 @@ fn temp_store(name: &str) -> std::path::PathBuf {
 /// modules and learned cost rows; a fresh runtime restoring them pays
 /// **zero** compile builds, seeds its refiner before the first request,
 /// and predicts at least as well as the cold run's full-stream EWMA —
-/// an order of magnitude inside the static anchors. A store-less serve
+/// an order of magnitude inside the static anchors; a third fresh runtime
+/// over the store the warm serve flushed restores every module again. A
+/// store-less serve
 /// of the same stream is bit-identical to the cold store-backed one
 /// (persistence observes the serve, it never perturbs it).
 #[test]
@@ -659,6 +661,19 @@ fn warm_start_restores_modules_and_cost_state() {
         warm.metrics.cache.misses, 0,
         "restored modules must satisfy every shape"
     );
+
+    // a third fresh runtime restores from what the warm serve flushed:
+    // restore stays per key, every module read back spares one build
+    let third = contention_runtime()
+        .serve(&stream, &cfg)
+        .expect("third serve succeeds");
+    let third_stats = third.metrics.warm_start.expect("store runs report stats");
+    assert_eq!(
+        (third_stats.modules_restored, third_stats.builds_avoided),
+        (6, 6)
+    );
+    assert_eq!(third.metrics.cache.misses, 0);
+    assert!(third_stats.ewma_entries_seeded > 0);
 
     // prediction bars: seeded EWMA state predicts no worse than the cold
     // run's full-stream learning, and lands an order of magnitude inside
