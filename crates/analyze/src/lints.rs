@@ -107,18 +107,6 @@ impl LintReport {
     pub fn count(&self, kind: LintKind) -> usize {
         self.sites.iter().filter(|s| s.kind == kind).count()
     }
-
-    /// Renders the report as a JSON object (counts + the bound).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"dead_writes\": {}, \"redundant_writes\": {}, \"clobbered_launches\": {}, \"static_writes\": {}, \"elidable_bound\": {}}}",
-            self.count(LintKind::DeadWrite),
-            self.count(LintKind::RedundantWrite),
-            self.count(LintKind::ClobberedLaunch),
-            self.static_writes,
-            self.elidable_bound,
-        )
-    }
 }
 
 /// Runs the reaching-state analysis and derives all lint findings.
@@ -240,15 +228,6 @@ mod tests {
         assert_eq!(
             report.sites[0].to_string(),
             "clobbered-launch: @f accelerator \"acc\" field \"x\""
-        );
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let m = Module::new();
-        assert_eq!(
-            lint_module(&m).to_json(),
-            "{\"dead_writes\": 0, \"redundant_writes\": 0, \"clobbered_launches\": 0, \"static_writes\": 0, \"elidable_bound\": 0}"
         );
     }
 }

@@ -10,12 +10,7 @@
 //!   [`CostRefiner`]'s learned EWMA state, keyed by
 //!   `(platform, module, bucket)`: the mode-agnostic warmth buckets
 //!   followed by one bucket row per DVFS frequency state, packed into
-//!   the value. Stores written before frequency-keyed refinement carry
-//!   only the agnostic buckets; [`load_costs`] detects the short value
-//!   and fills the keyed rows with unseen sentinels, so old store files
-//!   keep warm-starting new processes (the key encoding is unchanged,
-//!   preserving sort order and byte-equality elision for rows whose
-//!   learned state did not change).
+//!   the value.
 //!
 //! Cost rows are keyed by platform *name*, not the pool-local platform
 //! index: indices are assigned per serve call by first appearance, so they
@@ -46,7 +41,9 @@
 //! [`ServeError::AmbiguousVariantName`]: crate::ServeError::AmbiguousVariantName
 //! [`CostRefiner`]: crate::CostRefiner
 
-use crate::cache::{CacheKey, CompiledModule, CostModel, CostRow, ModuleCache, WARMTH_BUCKETS};
+use crate::cache::{
+    CacheKey, CompiledModule, CostModel, CostRow, ModuleCache, COST_ROWS, WARMTH_BUCKETS,
+};
 use crate::metrics::WarmStartStats;
 use crate::plan::{DispatchPlan, LaunchSpec, RegMap};
 use accfg::pipeline::OptLevel;
@@ -663,23 +660,15 @@ pub fn save_costs(
     put_sorted(store, entries.iter().map(cost_row).collect())
 }
 
-/// Decodes one cost value: the mode-agnostic row comes first in both
-/// formats; unseen sentinels (`-1`) fill the keyed rows when the value
-/// predates frequency-keyed refinement and carries only the agnostic row.
+/// Decodes one cost value: every row of a [`CostRow`], the mode-agnostic
+/// one first, and nothing after them.
 fn decode_cost_row(value: &[u8]) -> Result<CostRow, StoreError> {
     let mut r = ByteReader::new(value);
-    let mut buckets: CostRow = [[-1i64; WARMTH_BUCKETS]; crate::cache::COST_ROWS];
-    for slot in &mut buckets[crate::cache::COST_ROW_AGNOSTIC] {
+    let mut buckets: CostRow = [[0; WARMTH_BUCKETS]; COST_ROWS];
+    for slot in buckets.iter_mut().flatten() {
         *slot = r.i64()?;
     }
-    if !r.is_exhausted() {
-        for row in buckets.iter_mut().skip(1) {
-            for slot in row {
-                *slot = r.i64()?;
-            }
-        }
-        r.expect_exhausted("cost row")?;
-    }
+    r.expect_exhausted("cost row")?;
     Ok(buckets)
 }
 
@@ -865,7 +854,7 @@ impl WarmStart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{build_module, CostRefiner, COST_ROWS, COST_ROW_AGNOSTIC};
+    use crate::cache::{build_module, CostRefiner};
     use accfg_sim::FreqState;
     use accfg_store::MemStore;
 
@@ -1004,41 +993,29 @@ mod tests {
     }
 
     #[test]
-    fn old_format_cost_values_load_with_unseen_keyed_rows() {
-        // a store written before frequency-keyed refinement packs only
-        // the agnostic warmth buckets into each cost value; loading it
-        // must fill every keyed row with unseen sentinels rather than
-        // fail — old fleet stores keep warm-starting new binaries
+    fn a_cost_value_of_the_agnostic_row_alone_is_a_codec_error() {
+        // the shape written before frequency-keyed refinement: only the
+        // agnostic warmth buckets, with no keyed rows behind them
         let module = build_module(
             &AcceleratorDescriptor::opengemm(),
             MatmulSpec::opengemm_paper(16).unwrap(),
             OptLevel::All,
         )
         .unwrap();
-        let agnostic: [i64; WARMTH_BUCKETS] = std::array::from_fn(|b| (b as i64 + 2) << 8);
         let mut w = ByteWriter::new();
-        for &slot in &agnostic {
-            w.put_i64(slot);
+        for slot in 0..WARMTH_BUCKETS as i64 {
+            w.put_i64((slot + 2) << 8);
         }
         let mut store = MemStore::new();
         store
             .put(&cost_key_bytes("opengemm", &module.key), &w.finish())
             .unwrap();
 
-        let loaded = load_costs(&store).unwrap();
-        assert_eq!(loaded.len(), 1);
-        let (platform, key, buckets) = &loaded[0];
-        assert_eq!(platform, "opengemm");
-        assert_eq!(key, &module.key);
-        assert_eq!(buckets[COST_ROW_AGNOSTIC], agnostic);
-        for row in &buckets[COST_ROW_AGNOSTIC + 1..COST_ROWS] {
-            assert_eq!(row, &[-1i64; WARMTH_BUCKETS]);
-        }
-
-        // saving the loaded entry upgrades the value to the keyed format
-        save_costs(&mut store, &loaded).unwrap();
-        let reloaded = load_costs(&store).unwrap();
-        assert_eq!(reloaded, loaded);
+        assert!(matches!(load_costs(&store), Err(StoreError::Codec { .. })));
+        assert!(matches!(
+            load_cost_row(&store, "opengemm", &module.key),
+            Err(StoreError::Codec { .. })
+        ));
     }
 
     #[test]

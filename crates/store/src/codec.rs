@@ -4,8 +4,9 @@
 //! same logical value always encodes to the same bytes — the property the
 //! determinism contract (byte-identical store files for identical runs)
 //! rests on. There is no schema evolution here on purpose: the store is a
-//! cache of recomputable state, so an incompatible format bump may simply
-//! change the magic and start cold.
+//! cache of recomputable state, so an incompatible format bump changes
+//! the magic. A file of another format is refused with
+//! [`StoreError::BadMagic`], and deleting it starts cold.
 
 use crate::error::StoreError;
 
@@ -92,15 +93,10 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// `true` once every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Fails unless the reader consumed the whole buffer — trailing bytes
     /// mean the payload was written by a different codec.
     pub fn expect_exhausted(&self, what: &str) -> Result<(), StoreError> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(StoreError::codec(format!(

@@ -20,9 +20,10 @@ pub enum StoreError {
         /// The rendered OS error.
         message: String,
     },
-    /// The file exists but starts with neither store magic — it is not an
-    /// accfg store (or is a store from a format version this build does
-    /// not know).
+    /// The file exists but does not start with [`MAGIC`](crate::MAGIC) —
+    /// it is not an accfg store, or is one of a format this build does not
+    /// read (`ACFGSTR1` included). The file is left untouched; the store
+    /// is a cache, so deleting it starts cold.
     BadMagic {
         /// The offending file.
         path: String,

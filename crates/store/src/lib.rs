@@ -12,7 +12,9 @@
 //! - [`LogStore`] — the on-disk implementation: one file of
 //!   length-prefixed, checksummed records replayed last-write-wins on
 //!   open, with explicit [`LogStore::compact`] and torn-tail recovery
-//!   (see [`TailCorruption`]);
+//!   (see [`TailCorruption`]). There is one file format, named by
+//!   [`MAGIC`]; a file with any other header is refused with
+//!   [`StoreError::BadMagic`];
 //! - [`MemStore`] — an in-memory implementation for tests and scratch use;
 //! - [`ByteWriter`] / [`ByteReader`] — the fixed little-endian codec the
 //!   typed layers encode their payloads with.
@@ -31,7 +33,7 @@ mod mem;
 
 pub use codec::{ByteReader, ByteWriter};
 pub use error::{StoreError, TailCorruption};
-pub use log::{LogStore, MAGIC, MAGIC_V1};
+pub use log::{LogStore, MAGIC};
 pub use mem::MemStore;
 
 /// Byte-oriented key-value storage with sorted scans.

@@ -1,36 +1,31 @@
 //! The on-disk store: a single append-only log file, held in memory as
 //! one verified image.
 //!
-//! File layout (both format versions):
+//! File layout:
 //!
 //! ```text
 //! +----------+--------+--------+--------+ ...
 //! |  magic   | record | record | record | ...
 //! +----------+--------+--------+--------+ ...
 //!
-//! magic   := "ACFGSTR2" | "ACFGSTR1"
+//! magic   := "ACFGSTR2"
 //! record  := [payload_len: u32 LE] [checksum(payload): u32 LE] [payload]
 //! payload := [op: u8] [key_len: u32 LE] [key bytes] [value bytes]
 //! op      := 0 (put) | 1 (remove tombstone)
 //! ```
 //!
-//! The magic selects the record checksum for the *whole* file and for as
-//! long as the file lives: [`MAGIC`] (`ACFGSTR2`, what a new store is
-//! created with) uses the word-parallel sum defined below, [`MAGIC_V1`]
-//! (`ACFGSTR1`, every file written before the v2 format) uses 32-bit
-//! FNV-1a. A v1 file keeps opening and keeps *appending* v1 records, so
-//! the bytes an old deployment's file grows by do not depend on which
-//! build serves it; a file never mixes formats, and only
-//! [`LogStore::compact`] — which rewrites the file anyway — moves one to
-//! v2.
+//! There is one layout and one record checksum. [`MAGIC`] names them, and
+//! [`LogStore::open`] accepts no other header: a file that starts with
+//! anything else — `ACFGSTR1`, the byte-serial checksum format of earlier
+//! builds, included — is [`StoreError::BadMagic`] and is left untouched.
+//! The store is a cache of recomputable state, so deleting such a file
+//! starts the next serve cold.
 //!
-//! # The v2 checksum
+//! # The checksum
 //!
-//! FNV-1a is one multiply per *byte* on a single dependency chain
-//! (~0.7 GB/s), which made checksumming the file most of
-//! [`LogStore::open`]. The v2 sum reads the payload as little-endian
-//! `u64` words, the last one zero-padded, and sends word `j` to lane
-//! `j mod 4` of four independent 64-bit lanes:
+//! The sum reads the payload as little-endian `u64` words, the last one
+//! zero-padded, and sends word `j` to lane `j mod 4` of four independent
+//! 64-bit lanes:
 //!
 //! ```text
 //! lane[i] := rotl64((lane[i] ^ word) * LANE_MUL[i], 29)     lane[i] starts at LANE_SEED[i]
@@ -46,14 +41,13 @@
 //! separates a zero-padded tail from real trailing zeros; lanes have
 //! distinct multipliers and the fold is ordered, so moving a word to
 //! another position changes the sum. The definition is frozen by the
-//! known-answer test in this file — changing it orphans every v2 file.
+//! known-answer test in this file — changing it orphans every store file.
 //!
 //! It is meant to catch what a log on a local disk actually suffers: a
 //! torn append (the process or machine died mid-`write`), a truncated
-//! file, flipped or zeroed bytes. Like FNV-1a before it, it is **not** a
-//! MAC: it is unkeyed, 32 bits wide (a random corruption passes with
-//! probability 2⁻³²), and offers nothing against someone who can write
-//! the file.
+//! file, flipped or zeroed bytes. It is **not** a MAC: it is unkeyed, 32
+//! bits wide (a random corruption passes with probability 2⁻³²), and
+//! offers nothing against someone who can write the file.
 //!
 //! # Replay, the image and the index
 //!
@@ -103,13 +97,10 @@ use std::path::{Path, PathBuf};
 use crate::error::{StoreError, TailCorruption};
 use crate::KeyValueStore;
 
-/// First bytes of every store file this build creates; doubles as the
-/// format version (v2: word-parallel record checksum).
+/// First bytes of every store file: the one format this build reads and
+/// writes (the word-parallel record checksum). A file with any other
+/// header is refused.
 pub const MAGIC: &[u8; 8] = b"ACFGSTR2";
-
-/// First bytes of a v1 store file (FNV-1a record checksum). Such files
-/// still open, and keep appending v1 records until compacted.
-pub const MAGIC_V1: &[u8; 8] = b"ACFGSTR1";
 
 const OP_PUT: u8 = 0;
 const OP_REMOVE: u8 = 1;
@@ -119,41 +110,6 @@ const RECORD_HEADER: usize = 8;
 
 /// Bytes of a payload before its key: the op and the key length.
 const KEY_AT: usize = 1 + 4;
-
-/// A file's format version: which function checksums its records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    V1,
-    V2,
-}
-
-impl Format {
-    /// The format a file starting with `bytes` declares, if any.
-    fn of(bytes: &[u8]) -> Option<Self> {
-        match bytes.first_chunk::<8>()? {
-            MAGIC => Some(Format::V2),
-            MAGIC_V1 => Some(Format::V1),
-            _ => None,
-        }
-    }
-
-    fn checksum(self, payload: &[u8]) -> u32 {
-        match self {
-            Format::V1 => fnv1a(payload),
-            Format::V2 => lane_sum(payload),
-        }
-    }
-}
-
-/// 32-bit FNV-1a, the v1 record checksum.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
 
 const LANES: usize = 4;
 const LANE_SEED: [u64; LANES] = [
@@ -176,7 +132,7 @@ fn lane_step(lane: u64, word: u64, mul: u64) -> u64 {
     (lane ^ word).wrapping_mul(mul).rotate_left(29)
 }
 
-/// The v2 record checksum (defined in the module docs).
+/// The record checksum (defined in the module docs).
 fn lane_sum(payload: &[u8]) -> u32 {
     let mut lanes = LANE_SEED;
     let mut blocks = payload.chunks_exact(8 * LANES);
@@ -240,7 +196,7 @@ fn search(slots: &[Slot], image: &[u8], key: &[u8]) -> Result<usize, usize> {
 /// Appends one record to `out` — the payload written in place after a
 /// header that is patched once its checksum is known — and returns its
 /// slot.
-fn encode_record(out: &mut Vec<u8>, format: Format, op: u8, key: &[u8], value: &[u8]) -> Slot {
+fn encode_record(out: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) -> Slot {
     let payload_len = KEY_AT + key.len() + value.len();
     out.reserve(RECORD_HEADER + payload_len);
     let header = out.len();
@@ -251,7 +207,7 @@ fn encode_record(out: &mut Vec<u8>, format: Format, op: u8, key: &[u8], value: &
     let key_at = out.len();
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    let checksum = format.checksum(&out[header + RECORD_HEADER..]);
+    let checksum = lane_sum(&out[header + RECORD_HEADER..]);
     out[header + 4..header + RECORD_HEADER].copy_from_slice(&checksum.to_le_bytes());
     Slot {
         key: key_at,
@@ -275,12 +231,12 @@ fn record_at(image: &[u8], offset: usize) -> Result<(u32, &[u8]), &'static str> 
 /// Walks the records after `image`'s magic, verifying each checksum.
 /// Returns where the valid records end, how many there are, and the tail
 /// that does not verify, if any.
-fn verify(image: &[u8], format: Format) -> (usize, usize, Option<TailCorruption>) {
+fn verify(image: &[u8]) -> (usize, usize, Option<TailCorruption>) {
     let mut offset = MAGIC.len();
     let mut records = 0;
     while offset < image.len() {
         let verified = record_at(image, offset).and_then(|(checksum, payload)| {
-            if format.checksum(payload) == checksum {
+            if lane_sum(payload) == checksum {
                 Ok(payload.len())
             } else {
                 Err("record checksum mismatch")
@@ -406,8 +362,6 @@ fn sync_dir(path: &Path) -> Result<(), StoreError> {
 pub struct LogStore {
     path: PathBuf,
     file: File,
-    /// Which checksum this file's records carry (fixed by its magic).
-    format: Format,
     /// The file's verified content: magic, then every valid record.
     image: Vec<u8>,
     /// One slot per live key — its newest record — sorted by key.
@@ -416,15 +370,15 @@ pub struct LogStore {
 }
 
 impl LogStore {
-    /// Opens (creating if absent, as a v2 file) the store at `path`,
-    /// verifies every record's checksum and replays the log.
+    /// Opens (creating if absent) the store at `path`, verifies every
+    /// record's checksum and replays the log.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, on a file that starts with neither store
-    /// magic, or on a malformed record *body* (a record whose checksum
-    /// passes but whose payload is self-inconsistent — that is corruption
-    /// beyond a torn tail). A corrupt tail is not an error; see
+    /// Fails on I/O errors, on a file that does not start with [`MAGIC`]
+    /// (left untouched), or on a malformed record *body* (a record whose
+    /// checksum passes but whose payload is self-inconsistent — that is
+    /// corruption beyond a torn tail). A corrupt tail is not an error; see
     /// [`LogStore::recovery`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
@@ -435,32 +389,28 @@ impl LogStore {
         };
 
         let mut recovery = None;
-        let format = match Format::of(&image) {
-            Some(format) => format,
+        if !image.starts_with(MAGIC) {
             // an empty file is a clean create; a strict prefix of the
-            // magic (the versions differ only in its last byte) is a torn
-            // initial create — the process died mid-way through writing
-            // the header — not a foreign file: recover an empty store
-            None if image.len() < MAGIC.len() && MAGIC.starts_with(&image) => {
-                fs::write(&path, MAGIC).map_err(|e| StoreError::io("create", &path, &e))?;
-                if !image.is_empty() {
-                    recovery = Some(TailCorruption {
-                        offset: image.len() as u64,
-                        dropped_bytes: image.len() as u64,
-                        detail: "truncated store magic".to_string(),
-                    });
-                }
-                image = MAGIC.to_vec();
-                Format::V2
-            }
-            None => {
+            // magic is a torn initial create — the process died mid-way
+            // through writing the header — not a foreign file: recover an
+            // empty store
+            if image.len() >= MAGIC.len() || !MAGIC.starts_with(&image) {
                 return Err(StoreError::BadMagic {
                     path: path.display().to_string(),
-                })
+                });
             }
-        };
+            fs::write(&path, MAGIC).map_err(|e| StoreError::io("create", &path, &e))?;
+            if !image.is_empty() {
+                recovery = Some(TailCorruption {
+                    offset: image.len() as u64,
+                    dropped_bytes: image.len() as u64,
+                    detail: "truncated store magic".to_string(),
+                });
+            }
+            image = MAGIC.to_vec();
+        }
 
-        let (valid, records, tail) = verify(&image, format);
+        let (valid, records, tail) = verify(&image);
         recovery = recovery.or(tail);
         image.truncate(valid);
         let index = replay(&image, records)?;
@@ -476,7 +426,6 @@ impl LogStore {
         Ok(Self {
             path,
             file,
-            format,
             image,
             index,
             recovery,
@@ -498,12 +447,11 @@ impl LogStore {
         self.recovery.as_ref()
     }
 
-    /// Rewrites the log — as a v2 file, whatever it was — to hold exactly
-    /// the live entries, in sorted key order, dropping superseded records
-    /// and tombstones. Atomic and durable: writes and syncs a sibling
-    /// `.compact` file, renames it over the log, then syncs the directory
-    /// (on Unix), so a crash leaves either the old log or the whole new
-    /// one.
+    /// Rewrites the log to hold exactly the live entries, in sorted key
+    /// order, dropping superseded records and tombstones. Atomic and
+    /// durable: writes and syncs a sibling `.compact` file, renames it
+    /// over the log, then syncs the directory (on Unix), so a crash leaves
+    /// either the old log or the whole new one.
     ///
     /// # Errors
     ///
@@ -518,7 +466,7 @@ impl LogStore {
             .iter()
             .map(|slot| {
                 let (key, value) = (slot.key(&self.image), slot.value(&self.image));
-                encode_record(&mut image, Format::V2, OP_PUT, key, value)
+                encode_record(&mut image, OP_PUT, key, value)
             })
             .collect();
         let mut file = File::create(&tmp).map_err(|e| StoreError::io("create", &tmp, &e))?;
@@ -531,7 +479,6 @@ impl LogStore {
             .append(true)
             .open(&self.path)
             .map_err(|e| StoreError::io("open", &self.path, &e))?;
-        self.format = Format::V2;
         self.image = image;
         self.index = index;
         self.recovery = None;
@@ -591,7 +538,7 @@ impl KeyValueStore for LogStore {
             return Ok(()); // identical value: keep the file byte-stable
         }
         let start = self.image.len();
-        let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value);
+        let slot = encode_record(&mut self.image, OP_PUT, key, value);
         self.write_from(start)?;
         match at {
             Ok(i) => self.index[i] = slot,
@@ -616,7 +563,7 @@ impl KeyValueStore for LogStore {
             if current.is_some_and(|slot| slot.value(&self.image) == value.as_slice()) {
                 continue; // identical value, stored or earlier in the batch
             }
-            let slot = encode_record(&mut self.image, self.format, OP_PUT, key, value);
+            let slot = encode_record(&mut self.image, OP_PUT, key, value);
             match at {
                 Ok(i) => staged[i] = slot,
                 Err(i) => staged.insert(i, slot),
@@ -632,7 +579,7 @@ impl KeyValueStore for LogStore {
             return Ok(());
         };
         let start = self.image.len();
-        encode_record(&mut self.image, self.format, OP_REMOVE, key, &[]);
+        encode_record(&mut self.image, OP_REMOVE, key, &[]);
         self.write_from(start)?;
         self.index.remove(i);
         Ok(())
@@ -763,12 +710,31 @@ mod tests {
 
     #[test]
     fn bad_magic_is_an_error() {
+        // the retired v1 format: its magic alone, and its magic followed
+        // by one well-formed record under its byte-serial FNV-1a sum
+        let retired = b"ACFGSTR1";
+        let payload = [&[OP_PUT, 1, 0, 0, 0][..], b"k", b"v"].concat();
+        let sum = payload.iter().fold(0x811c_9dc5u32, |hash, &b| {
+            (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        });
+        let mut with_record = retired.to_vec();
+        with_record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        with_record.extend_from_slice(&sum.to_le_bytes());
+        with_record.extend_from_slice(&payload);
+
         let path = temp_path("magic");
-        fs::write(&path, b"definitely not a store file").unwrap();
-        assert!(matches!(
-            LogStore::open(&path),
-            Err(StoreError::BadMagic { .. })
-        ));
+        for bytes in [&b"definitely not a store file"[..], retired, &with_record] {
+            fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                LogStore::open(&path),
+                Err(StoreError::BadMagic { .. })
+            ));
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                bytes,
+                "a refused file was touched"
+            );
+        }
         fs::remove_file(&path).unwrap();
     }
 
@@ -832,7 +798,7 @@ mod tests {
     #[test]
     fn lane_sum_known_answers() {
         // computed independently from the definition in the module docs;
-        // a change here orphans every v2 file ever written
+        // a change here orphans every store file ever written
         for (len, sum) in [
             (0, 0xffe6_d867),
             (1, 0xf476_7be7),
@@ -845,8 +811,6 @@ mod tests {
         ] {
             assert_eq!(lane_sum(&pattern(len)), sum, "{len} bytes");
         }
-        // and the v1 function is still FNV-1a (its published test vector)
-        assert_eq!(fnv1a(b"foobar"), 0xbf9c_f968);
     }
 
     #[test]
@@ -995,47 +959,5 @@ mod tests {
         }
         fs::remove_file(&one_by_one).unwrap();
         fs::remove_file(&batched).unwrap();
-    }
-
-    #[test]
-    fn a_file_keeps_its_format_until_compacted() {
-        // a new file is v2 …
-        let path = temp_path("formats");
-        drop(LogStore::open(&path).unwrap());
-        assert_eq!(fs::read(&path).unwrap(), MAGIC);
-
-        // … a v1 file takes v1 appends, across reopens
-        fs::write(&path, MAGIC_V1).unwrap();
-        for round in 0..3u8 {
-            let mut store = LogStore::open(&path).unwrap();
-            assert!(store.recovery().is_none());
-            assert_eq!(store.len(), usize::from(round));
-            store.put(&[b'k', round], &[round; 40]).unwrap();
-        }
-        let bytes = fs::read(&path).unwrap();
-        assert!(bytes.starts_with(MAGIC_V1));
-        let mut offset = MAGIC_V1.len();
-        while offset < bytes.len() {
-            let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-            offset += RECORD_HEADER;
-            assert_eq!(sum, fnv1a(&bytes[offset..offset + len]));
-            offset += len;
-        }
-
-        // … and compaction is what moves it to v2, contents intact
-        let mut store = LogStore::open(&path).unwrap();
-        store.compact().unwrap();
-        store.put(b"after", b"compaction").unwrap();
-        assert!(fs::read(&path).unwrap().starts_with(MAGIC));
-        assert_eq!(store.image, fs::read(&path).unwrap());
-        let reopened = LogStore::open(&path).unwrap();
-        assert!(reopened.recovery().is_none());
-        assert_eq!(reopened.len(), 4);
-        for round in 0..3u8 {
-            assert_eq!(reopened.get(&[b'k', round]), Some(&[round; 40][..]));
-        }
-        assert_eq!(reopened.get(b"after"), Some(&b"compaction"[..]));
-        fs::remove_file(&path).unwrap();
     }
 }

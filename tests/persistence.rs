@@ -6,21 +6,21 @@
 //! the serving runtime uses them — per key, so a serve restores its
 //! stream's working set and nothing else, a corrupt record fails only
 //! the serve that resolves it, and a torn tail is a counted event. A
-//! committed v1-format store file (written by the last commit before the
-//! v2 record checksum) pins that old files keep loading, stay v1 under
-//! appends, and move to v2 only through `compact()`.
+//! committed store file written by an earlier build pins that such a
+//! file warm-starts its serve and stays byte-stable, and a file of the
+//! retired `ACFGSTR1` format is refused without being touched.
 
 use accfg_bench::streams::{
     contention_pool, contention_stream, hetero_pool, mixed_stream, shape_heavy_stream, uniform_pool,
 };
 use configuration_wall::core::pipeline::OptLevel;
-use configuration_wall::runtime::persist::{cost_key_bytes, module_key_bytes};
+use configuration_wall::runtime::persist::{cost_key_bytes, module_key_bytes, MODULE_PREFIX};
 use configuration_wall::runtime::{
     build_module, decode_module, encode_module, load_costs, load_modules, save_costs, save_modules,
     CacheKey, CostRow, CostSnapshotEntry, ModuleCache, Policy, PoolConfig, Runtime, ServeConfig,
     ServeError, ServeReport, COST_ROWS, COST_ROW_AGNOSTIC, WARMTH_BUCKETS,
 };
-use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError, MAGIC, MAGIC_V1};
+use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError};
 use configuration_wall::targets::AcceleratorDescriptor;
 use configuration_wall::workloads::{
     mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, TrafficClass,
@@ -253,52 +253,6 @@ fn unseen_bucket_sentinels_survive_the_round_trip() {
     save_costs(&mut store, &entries).expect("save");
     let loaded = load_costs(&store).expect("load");
     assert_eq!(loaded, entries);
-}
-
-/// A store file written before frequency-keyed refinement (values carry
-/// only the agnostic warmth buckets) still warm-starts a new process:
-/// the short value decodes with every keyed row filled by unseen
-/// sentinels, and the next flush upgrades it to the keyed format in
-/// place.
-#[test]
-fn old_format_cost_store_files_keep_loading() {
-    let classes = mixed_serving_classes();
-    let key = CacheKey {
-        accelerator: classes[0].accelerator.clone(),
-        spec: classes[0].spec,
-        opt: OptLevel::All,
-    };
-    let agnostic: [i64; WARMTH_BUCKETS] = std::array::from_fn(|b| (b as i64 + 1) * 256);
-    // hand-write the pre-keyed-refinement value: eight raw i64 words
-    let value: Vec<u8> = agnostic.iter().flat_map(|w| w.to_le_bytes()).collect();
-    let store_key = configuration_wall::runtime::persist::cost_key_bytes("gemmini", &key);
-
-    let path = temp_store("old_format_cost");
-    {
-        let mut store = LogStore::open(&path).expect("open store");
-        store.put(&store_key, &value).expect("put old-format row");
-    }
-    let reopened = LogStore::open(&path).expect("reopen store");
-    let loaded = load_costs(&reopened).expect("old format loads");
-    assert_eq!(loaded.len(), 1);
-    let (platform, loaded_key, buckets) = &loaded[0];
-    assert_eq!(platform, "gemmini");
-    assert_eq!(loaded_key, &key);
-    assert_eq!(buckets[COST_ROW_AGNOSTIC], agnostic);
-    for row in &buckets[COST_ROW_AGNOSTIC + 1..] {
-        assert_eq!(row, &[-1i64; WARMTH_BUCKETS]);
-    }
-    drop(reopened);
-
-    // flushing the loaded entry upgrades the value to the keyed format
-    {
-        let mut store = LogStore::open(&path).expect("reopen to upgrade");
-        save_costs(&mut store, &loaded).expect("save upgraded");
-    }
-    let upgraded = LogStore::open(&path).expect("reopen upgraded");
-    assert!(upgraded.recovery().is_none());
-    assert_eq!(load_costs(&upgraded).expect("load upgraded"), loaded);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Serves `stream` on a fresh uniform-pool runtime against the store at
@@ -707,133 +661,95 @@ fn warm_start_outcome_depends_only_on_the_working_set() {
     let _ = std::fs::remove_file(&minimal);
 }
 
-/// The committed v1 store: what the last build before the v2 checksum
-/// wrote for two store-backed serves of `contention_stream(600)` under
-/// the affinity policy, each on a fresh runtime over the
-/// `contention_pool()` — a cold pass, then a warm one.
-const V1_FIXTURE: &[u8] = include_bytes!("fixtures/store_v1.log");
+/// The committed store: what an earlier build wrote for two store-backed
+/// serves of `contention_stream(600)` under the affinity policy, each on
+/// a fresh runtime over the `contention_pool()` — a cold pass, then a
+/// warm one — compacted to its twelve live records.
+const FIXTURE: &[u8] = include_bytes!("fixtures/store.log");
 
-/// A store's live entries (key → value), and how many records the file
-/// holds.
-type StoreView = (BTreeMap<Vec<u8>, Vec<u8>>, u64);
-
-/// An independent reader of the v1 format — byte-serial FNV-1a, every
-/// record checked, owned copies — standing in for the build that wrote
-/// the fixture.
-fn replay_v1(bytes: &[u8]) -> StoreView {
-    let fnv1a = |payload: &[u8]| {
-        payload.iter().fold(0x811c_9dc5u32, |hash, &b| {
-            (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
-        })
-    };
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    assert_eq!(&bytes[..8], MAGIC_V1);
-    let (mut index, mut records, mut offset) = (BTreeMap::new(), 0u64, 8);
-    while offset < bytes.len() {
-        let payload = &bytes[offset + 8..offset + 8 + word(offset) as usize];
-        assert_eq!(fnv1a(payload), word(offset + 4), "record at {offset}");
-        let key = payload[5..5 + word(offset + 9) as usize].to_vec();
-        records += 1;
-        match payload[0] {
-            0 => index.insert(key.clone(), payload[5 + key.len()..].to_vec()),
-            _ => index.remove(&key),
-        };
-        offset += 8 + payload.len();
-    }
-    (index, records)
-}
-
-/// Asserts `store` holds exactly `expected`: its keys and their values.
-fn assert_same_entries(store: &LogStore, expected: &BTreeMap<Vec<u8>, Vec<u8>>) {
-    assert_eq!(
-        store.keys_with_prefix(b""),
-        expected.keys().cloned().collect::<Vec<_>>()
-    );
-    for (key, value) in expected {
-        assert_eq!(store.get(key), Some(&value[..]));
-    }
-}
-
-#[test]
-fn a_v1_store_file_loads_stays_v1_and_compacts_to_v2() {
-    let expected = replay_v1(V1_FIXTURE);
-    // what the writing build saw: six modules, their six cost rows, and
-    // the six cold-pass rows the warm pass superseded
-    assert_eq!((expected.0.len(), expected.1), (12, 18));
-
-    let path = temp_store("v1_fixture");
-    std::fs::write(&path, V1_FIXTURE).expect("copy the fixture");
-    let mut store = LogStore::open(&path).expect("a v1 file opens");
-    assert!(store.recovery().is_none());
-    assert_same_entries(&store, &expected.0);
-
-    // identical puts are elided in a v1 file too
-    for (key, value) in &expected.0 {
-        store.put(key, value).expect("identical put");
-    }
-    store.sync().expect("sync");
-    assert_eq!(std::fs::read(&path).expect("read"), V1_FIXTURE);
-
-    // an append keeps the file v1 — FNV-1a records behind the old magic —
-    // so the reference reader still accepts every byte of it
-    store.put(b"appended", b"by the new build").expect("append");
-    store.remove(b"appended").expect("tombstone");
-    store.put(b"appended", b"twice").expect("append");
-    drop(store);
-    let grown = std::fs::read(&path).expect("read");
-    assert!(grown.starts_with(V1_FIXTURE));
-    let grown_view = replay_v1(&grown);
-    assert_eq!(grown_view.1, 21);
-    let mut store = LogStore::open(&path).expect("reopen");
-    assert!(store.recovery().is_none());
-    assert_same_entries(&store, &grown_view.0);
-
-    // compaction is the one way to v2: the same live entries
-    store.compact().expect("compact");
-    let compacted = std::fs::read(&path).expect("read");
-    assert!(compacted.starts_with(MAGIC));
-    assert!(compacted.len() < V1_FIXTURE.len());
-    for store in [store, LogStore::open(&path).expect("reopen as v2")] {
-        assert!(store.recovery().is_none());
-        assert_eq!(store.len(), 13);
-        assert_same_entries(&store, &grown_view.0);
-    }
-    let _ = std::fs::remove_file(&path);
+/// Serves `contention_stream(600)` under the affinity policy on a fresh
+/// `contention_pool()` runtime against the store at `path`.
+fn serve_contention(path: &std::path::Path) -> Result<ServeReport, ServeError> {
+    Runtime::new(contention_pool()).serve(
+        &contention_stream(600),
+        &ServeConfig {
+            policy: Policy::ConfigAffinity,
+            store: Some(path.to_path_buf()),
+            ..ServeConfig::default()
+        },
+    )
 }
 
 /// Re-serving the fixture's own workload warm-starts from it (zero
-/// builds), leaves two copies byte-identical to each other, and only
-/// ever appends v1 records behind the committed bytes.
+/// builds), leaves two copies byte-identical to each other, only ever
+/// appends behind the committed bytes, and never rewrites a module it
+/// restored.
 #[test]
-fn a_v1_store_file_warm_starts_its_serve_and_stays_byte_stable() {
-    let stream = contention_stream(600);
+fn the_committed_store_file_warm_starts_its_serve_and_stays_byte_stable() {
+    let fixture = {
+        let path = temp_store("fixture");
+        std::fs::write(&path, FIXTURE).expect("copy the fixture");
+        let store = LogStore::open(&path).expect("the fixture opens");
+        assert!(store.recovery().is_none());
+        assert_eq!(store.len(), 12);
+        let entries: BTreeMap<Vec<u8>, Vec<u8>> = store
+            .keys_with_prefix(b"")
+            .into_iter()
+            .map(|key| (key.clone(), store.get(&key).expect("live").to_vec()))
+            .collect();
+        let _ = std::fs::remove_file(&path);
+        entries
+    };
     let reserve = |name: &str| {
         let path = temp_store(name);
-        std::fs::write(&path, V1_FIXTURE).expect("copy the fixture");
-        let report = Runtime::new(contention_pool())
-            .serve(
-                &stream,
-                &ServeConfig {
-                    policy: Policy::ConfigAffinity,
-                    store: Some(path.clone()),
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("serve succeeds");
+        std::fs::write(&path, FIXTURE).expect("copy the fixture");
+        let report = serve_contention(&path).expect("serve succeeds");
         let warm = report.metrics.warm_start.expect("store configured");
         assert_eq!((warm.modules_restored, report.metrics.cache.misses), (6, 0));
         assert_eq!(warm.ewma_entries_seeded, 6);
         assert_eq!(report.metrics.check_failures, 0);
+        let reopened = LogStore::open(&path).expect("reopen");
+        assert!(reopened.recovery().is_none());
+        assert_eq!(reopened.len(), 12);
+        let modules = reopened.keys_with_prefix(&[MODULE_PREFIX]);
+        assert_eq!(modules.len(), 6);
+        for key in &modules {
+            assert_eq!(
+                reopened.get(key),
+                Some(&fixture[key][..]),
+                "a module was rewritten"
+            );
+        }
+        drop(reopened);
         let bytes = std::fs::read(&path).expect("read");
         let _ = std::fs::remove_file(&path);
         bytes
     };
-    let (a, b) = (reserve("v1_reserve_a"), reserve("v1_reserve_b"));
+    let (a, b) = (reserve("fixture_reserve_a"), reserve("fixture_reserve_b"));
     assert_eq!(a, b, "identical re-serves diverged");
-    assert!(a.starts_with(V1_FIXTURE));
-    // the serve's refined cost rows went in as v1 records; the modules
-    // it restored were not rewritten
-    let (index, records) = replay_v1(&a);
-    assert_eq!(index.len(), 12);
-    assert!(records > 18 && records <= 24, "{records}");
+    assert!(a.starts_with(FIXTURE));
+}
+
+/// A file of the retired `ACFGSTR1` format — its magic and one record
+/// under that format's byte-serial FNV-1a sum — is refused at the store
+/// door: the serve returns `BadMagic` and the file keeps every byte.
+#[test]
+fn a_serve_over_a_retired_format_file_is_refused_and_leaves_it_untouched() {
+    let payload = [&[0u8, 1, 0, 0, 0][..], b"k", b"v"].concat();
+    let sum = payload.iter().fold(0x811c_9dc5u32, |hash, &b| {
+        (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    });
+    let mut bytes = b"ACFGSTR1".to_vec();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes.extend_from_slice(&payload);
+
+    let path = temp_store("retired_format");
+    std::fs::write(&path, &bytes).expect("write the file");
+    match serve_contention(&path) {
+        Err(ServeError::Store(StoreError::BadMagic { .. })) => {}
+        other => panic!("a retired-format store served: {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).expect("read"), bytes);
+    let _ = std::fs::remove_file(&path);
 }

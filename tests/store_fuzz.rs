@@ -9,10 +9,6 @@
 //! record wholly before `c` — and the recovered index must equal the
 //! fold of exactly those operations. Reopening a recovered store must be
 //! clean (the corrupt tail was truncated away) and yield the same index.
-//! Every property runs over both on-disk formats — a file created by this
-//! build (`ACFGSTR2`, word-parallel checksum) and one that starts from the
-//! v1 magic (`ACFGSTR1`, FNV-1a) — since recovery must not depend on which
-//! function verified the records.
 //! (The model-based property over whole put / remove / compact / reopen
 //! histories lives with the store's unit tests, where it can see the
 //! in-memory image.)
@@ -21,7 +17,7 @@
 //! 8-byte magic that was a strict prefix of it (a torn initial create)
 //! returned `BadMagic` instead of recovering an empty store.
 
-use configuration_wall::store::{KeyValueStore, LogStore, StoreError, MAGIC, MAGIC_V1};
+use configuration_wall::store::{KeyValueStore, LogStore, StoreError, MAGIC};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -40,9 +36,6 @@ fn temp_store(tag: &str) -> PathBuf {
 
 const KEYS: usize = 6;
 
-/// Both format versions, by the magic a file of each starts with.
-const FORMATS: [&[u8; 8]; 2] = [MAGIC, MAGIC_V1];
-
 fn key_of(k: usize) -> Vec<u8> {
     format!("key/{k}").into_bytes()
 }
@@ -51,17 +44,10 @@ fn key_of(k: usize) -> Vec<u8> {
 /// for a remove.
 type AppliedOp = (Vec<u8>, Option<Vec<u8>>);
 
-/// Applies the script to a fresh store of the format `magic` names,
-/// recording the file length after every applied record. Removes of
-/// absent keys are skipped (they would be elided and break the
-/// one-op-one-record bookkeeping).
-fn build_store(
-    path: &PathBuf,
-    magic: &[u8; 8],
-    ops: &[(usize, bool)],
-) -> (Vec<u64>, Vec<AppliedOp>) {
-    // a file holding only a magic is an empty store of that format
-    std::fs::write(path, magic).expect("write the magic");
+/// Applies the script to a fresh store, recording the file length after
+/// every applied record. Removes of absent keys are skipped (they would
+/// be elided and break the one-op-one-record bookkeeping).
+fn build_store(path: &PathBuf, ops: &[(usize, bool)]) -> (Vec<u64>, Vec<AppliedOp>) {
     let mut store = LogStore::open(path).expect("fresh store opens");
     assert!(store.recovery().is_none());
     let mut boundaries = vec![MAGIC.len() as u64];
@@ -128,42 +114,40 @@ proptest! {
         ops in prop::collection::vec((0usize..KEYS, any::<bool>()), 1..16),
         cut in any::<u64>(),
     ) {
-        for magic in FORMATS {
-            let path = temp_store("trunc");
-            let (boundaries, applied) = build_store(&path, magic, &ops);
-            let len = *boundaries.last().unwrap();
-            let cut = cut % (len + 1);
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..cut as usize]).unwrap();
+        let path = temp_store("trunc");
+        let (boundaries, applied) = build_store(&path, &ops);
+        let len = *boundaries.last().unwrap();
+        let cut = cut % (len + 1);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..cut as usize]).unwrap();
 
-            let store = LogStore::open(&path).expect("truncation never hard-fails");
-            if cut < magic.len() as u64 {
-                // a strict prefix of the magic is a torn initial create:
-                // recovered as an empty store (cut == 0 is a *clean* create)
-                prop_assert_eq!(store.recovery().is_some(), cut > 0);
-                prop_assert!(store.is_empty());
-            } else {
-                let records = intact_records(&boundaries, cut);
-                let clean = boundaries.contains(&cut);
-                prop_assert_eq!(store.recovery().is_none(), clean, "cut={}", cut);
-                assert_store_matches(&store, &expected_index(&applied, records), "after recovery");
-                // the corrupt tail was truncated away, and reported in full
-                prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), boundaries[records]);
-                prop_assert_eq!(
-                    store.recovery().map_or(0, |r| r.dropped_bytes),
-                    cut - boundaries[records]
-                );
-                // what survives is still a file of the format it was
-                prop_assert!(std::fs::read(&path).unwrap().starts_with(magic));
-            }
-            let expected: Vec<Vec<u8>> = store.keys_with_prefix(b"");
-            drop(store);
-            // a recovered store reopens clean, with the same contents
-            let reopened = LogStore::open(&path).expect("recovered store reopens");
-            prop_assert!(reopened.recovery().is_none());
-            prop_assert_eq!(reopened.keys_with_prefix(b""), expected);
-            let _ = std::fs::remove_file(&path);
+        let store = LogStore::open(&path).expect("truncation never hard-fails");
+        if cut < MAGIC.len() as u64 {
+            // a strict prefix of the magic is a torn initial create:
+            // recovered as an empty store (cut == 0 is a *clean* create)
+            prop_assert_eq!(store.recovery().is_some(), cut > 0);
+            prop_assert!(store.is_empty());
+        } else {
+            let records = intact_records(&boundaries, cut);
+            let clean = boundaries.contains(&cut);
+            prop_assert_eq!(store.recovery().is_none(), clean, "cut={}", cut);
+            assert_store_matches(&store, &expected_index(&applied, records), "after recovery");
+            // the corrupt tail was truncated away, and reported in full
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), boundaries[records]);
+            prop_assert_eq!(
+                store.recovery().map_or(0, |r| r.dropped_bytes),
+                cut - boundaries[records]
+            );
+            // what survives still starts with the magic
+            prop_assert!(std::fs::read(&path).unwrap().starts_with(MAGIC));
         }
+        let expected: Vec<Vec<u8>> = store.keys_with_prefix(b"");
+        drop(store);
+        // a recovered store reopens clean, with the same contents
+        let reopened = LogStore::open(&path).expect("recovered store reopens");
+        prop_assert!(reopened.recovery().is_none());
+        prop_assert_eq!(reopened.keys_with_prefix(b""), expected);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -172,53 +156,47 @@ proptest! {
         at in any::<u64>(),
         bit in 0u32..8,
     ) {
-        for magic in FORMATS {
-            let path = temp_store("flip");
-            let (boundaries, applied) = build_store(&path, magic, &ops);
-            let len = *boundaries.last().unwrap();
-            let at = at % len;
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[at as usize] ^= 1 << bit;
-            std::fs::write(&path, &bytes).unwrap();
+        let path = temp_store("flip");
+        let (boundaries, applied) = build_store(&path, &ops);
+        let len = *boundaries.last().unwrap();
+        let at = at % len;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at as usize] ^= 1 << bit;
+        std::fs::write(&path, &bytes).unwrap();
 
-            if at < magic.len() as u64 {
-                // a corrupted magic is a foreign file, not a torn tail (the
-                // two magics are two bits apart: one flip reaches neither)
-                prop_assert!(matches!(
-                    LogStore::open(&path),
-                    Err(StoreError::BadMagic { .. })
-                ));
-            } else {
-                // the record containing the flip (and everything after it) is
-                // lost; every record wholly before it survives
-                let store = LogStore::open(&path).expect("record corruption never hard-fails");
-                let records = intact_records(&boundaries, at);
-                let recovery = store.recovery().expect("the flip is noticed");
-                prop_assert_eq!(recovery.offset, boundaries[records]);
-                prop_assert_eq!(recovery.dropped_bytes, len - boundaries[records]);
-                assert_store_matches(&store, &expected_index(&applied, records), "after flip");
-                prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), boundaries[records]);
-                let expected: Vec<Vec<u8>> = store.keys_with_prefix(b"");
-                drop(store);
-                let reopened = LogStore::open(&path).expect("recovered store reopens");
-                prop_assert!(reopened.recovery().is_none());
-                prop_assert_eq!(reopened.keys_with_prefix(b""), expected);
-            }
-            let _ = std::fs::remove_file(&path);
+        if at < MAGIC.len() as u64 {
+            // a corrupted magic is a foreign file, not a torn tail
+            prop_assert!(matches!(
+                LogStore::open(&path),
+                Err(StoreError::BadMagic { .. })
+            ));
+        } else {
+            // the record containing the flip (and everything after it) is
+            // lost; every record wholly before it survives
+            let store = LogStore::open(&path).expect("record corruption never hard-fails");
+            let records = intact_records(&boundaries, at);
+            let recovery = store.recovery().expect("the flip is noticed");
+            prop_assert_eq!(recovery.offset, boundaries[records]);
+            prop_assert_eq!(recovery.dropped_bytes, len - boundaries[records]);
+            assert_store_matches(&store, &expected_index(&applied, records), "after flip");
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), boundaries[records]);
+            let expected: Vec<Vec<u8>> = store.keys_with_prefix(b"");
+            drop(store);
+            let reopened = LogStore::open(&path).expect("recovered store reopens");
+            prop_assert!(reopened.recovery().is_none());
+            prop_assert_eq!(reopened.keys_with_prefix(b""), expected);
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_magic_prefix_recovers_an_empty_store(cut in 1u64..8) {
         // the regression this harness caught: a torn initial create left
         // a strict prefix of the magic on disk and reopen hard-failed
-        // (the two magics share their first seven bytes, so these are
-        // the torn prefixes of either format)
         let path = temp_store("magic");
         drop(LogStore::open(&path).expect("fresh store opens"));
         let bytes = std::fs::read(&path).unwrap();
         prop_assert_eq!(bytes.as_slice(), MAGIC.as_slice());
-        prop_assert!(MAGIC_V1.starts_with(&bytes[..cut as usize]));
         std::fs::write(&path, &bytes[..cut as usize]).unwrap();
 
         let store = LogStore::open(&path).expect("torn magic must recover");
