@@ -1,9 +1,9 @@
 //! The deterministic serving-knob autotuner.
 //!
 //! Searches the serving knob space — routing policy, `load_slack`,
-//! `batch_cutoff`, `max_batch`, and (on timing-model pools) the thermal
-//! knobs `power_cap` and DVFS table variant — per stream, using capped-run
-//! racing plus local refinement around the incumbent (see `accfg_bench::tune`).
+//! `batch_cutoff` and `max_batch` — per stream, on the stream's catalog
+//! pool as built, using capped-run racing plus local refinement around
+//! the incumbent (see `accfg_bench::tune`).
 //! Tuning runs on the *seed* streams only; the winning configuration is
 //! then transferred unchanged to the *held-out* streams and reported there,
 //! the standard guard against overfitting a tuner to its own benchmark.
@@ -116,13 +116,9 @@ fn main() {
     // Tune every seed stream independently.
     let mut entries: Vec<StreamEntry> = Vec::new();
     let mut seeds = Vec::new();
+    let space = knob_space();
     for name in SEED_STREAMS {
         let (stream, pool) = resolve(name, requests);
-        let thermal = pool
-            .groups
-            .iter()
-            .any(|g| g.members.iter().any(|m| !m.timing.is_identity()));
-        let space = knob_space(thermal);
         eprintln!(
             "tuning `{name}`: {} candidates ({requests} requests per serve)",
             space.len()

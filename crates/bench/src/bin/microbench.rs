@@ -28,9 +28,8 @@
 //! [`TimingModel`]: accfg_sim::TimingModel
 
 use accfg::pipeline::OptLevel;
-use accfg_bench::tune::DvfsVariant;
 use accfg_bench::{markdown_table, measure};
-use accfg_sim::{Counters, HostModel};
+use accfg_sim::{Counters, DvfsParams, HostModel};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{gemmini_ws_ir, matmul_ir, MatmulSpec};
 
@@ -205,6 +204,39 @@ fn timing_model() {
     println!();
 }
 
+/// The reference DVFS table plus one-knob perturbations of it, in sweep
+/// order: ramp points moved both ways, and a cooldown window short enough
+/// to fire in the config-write gaps *between* launches of a single
+/// program.
+fn dvfs_tables(reference: DvfsParams) -> [(&'static str, DvfsParams); 4] {
+    [
+        ("reference", reference),
+        (
+            "eager-ramp",
+            DvfsParams {
+                warm_busy_cycles: reference.warm_busy_cycles / 4,
+                boost_busy_cycles: reference.boost_busy_cycles / 4,
+                ..reference
+            },
+        ),
+        (
+            "lazy-ramp",
+            DvfsParams {
+                warm_busy_cycles: reference.warm_busy_cycles * 4,
+                boost_busy_cycles: reference.boost_busy_cycles * 4,
+                ..reference
+            },
+        ),
+        (
+            "skittish-cooldown",
+            DvfsParams {
+                cooldown_idle_cycles: 4,
+                ..reference
+            },
+        ),
+    ]
+}
+
 fn dvfs_sensitivity() {
     println!("== dvfs_sensitivity: OpenGeMM 64³, swept boost/cooldown thresholds ==");
     let reference = AcceleratorDescriptor::opengemm()
@@ -212,18 +244,15 @@ fn dvfs_sensitivity() {
         .timing
         .dvfs
         .expect("reference timing carries a DVFS table");
-    // the reference table plus one-knob perturbations: ramp points moved
-    // both ways, and a cooldown window short enough to fire in the
-    // config-write gaps *between* launches of a single program
     let spec = MatmulSpec::opengemm_paper(64).expect("valid size");
-    let runs: Vec<(&str, Counters)> = DvfsVariant::ALL
-        .iter()
-        .map(|variant| {
+    let runs: Vec<(&str, Counters)> = dvfs_tables(reference)
+        .into_iter()
+        .map(|(label, table)| {
             let mut desc = AcceleratorDescriptor::opengemm().with_reference_timing();
-            desc.timing.dvfs = Some(variant.apply(reference));
+            desc.timing.dvfs = Some(table);
             let c = counters(&desc, &spec, OptLevel::All);
             assert_eq!(c, counters(&desc, &spec, OptLevel::All), "nondeterminism");
-            (variant.label(), c)
+            (label, c)
         })
         .collect();
     let launches = |c: &Counters| c.freq_launches.iter().sum::<u64>();
@@ -270,4 +299,32 @@ fn main() {
     pipeline_levels();
     timing_model();
     dvfs_sensitivity();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dvfs_variants_are_the_four_tables_microbench_sweeps() {
+        // every table written out in full, over OpenGeMM's reference table
+        let reference = AcceleratorDescriptor::opengemm()
+            .with_reference_timing()
+            .timing
+            .dvfs
+            .expect("reference timing carries a DVFS table");
+        let table = |warm, boost, cooldown| DvfsParams {
+            warm_busy_cycles: warm,
+            boost_busy_cycles: boost,
+            cooldown_idle_cycles: cooldown,
+            speed_pct: [40, 100, 160],
+        };
+        let expected = [
+            ("reference", table(1_024, 4_096, 8_192)),
+            ("eager-ramp", table(256, 1_024, 8_192)),
+            ("lazy-ramp", table(4_096, 16_384, 8_192)),
+            ("skittish-cooldown", table(1_024, 4_096, 4)),
+        ];
+        assert_eq!(dvfs_tables(reference), expected);
+    }
 }

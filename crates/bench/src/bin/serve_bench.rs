@@ -103,11 +103,10 @@
 //!
 //! `--tuned <TUNED.json>` is the one knob override: it replays the
 //! `autotune` binary's winning knob configurations. Every stream named in
-//! the table gains a `tuned` row — served on a fresh runtime built from
-//! the tuned pool knobs (power cap, DVFS variant) with the tuned
-//! `ServeConfig` knobs (policy, slack, cutoff, batch) — next to the stock
-//! policy rows, so the tuned-vs-default comparison lands in the same
-//! report. Sweeping a knob is `autotune`'s job. Like every non-default
+//! the table gains a `tuned` row — served on a fresh runtime over the
+//! stream's catalog pool with the tuned `ServeConfig` knobs (policy,
+//! slack, cutoff, batch) — next to the stock policy rows, so the
+//! tuned-vs-default comparison lands in the same report. Sweeping a knob is `autotune`'s job. Like every non-default
 //! invocation `--tuned` refuses to write the committed artifact.
 
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
@@ -233,10 +232,10 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
         serve_row(runtime, label, cfg);
     }
     if let Some(knobs) = plan.tuned(stream_name) {
-        // the tuned knobs span the pool too (power cap, DVFS variant), so
-        // the row gets its own runtime over the tuned pool — a policy
-        // filter never hides it: replaying the table is the row's point
-        let mut tuned_runtime = Runtime::new(knobs.apply_pool(&entry.pool.build()));
+        // a fresh runtime, so the row's cache delta is its own and not
+        // the stock rows' leftovers — a policy filter never hides it:
+        // replaying the table is the row's point
+        let mut tuned_runtime = Runtime::new(entry.pool.build());
         serve_row(&mut tuned_runtime, "tuned", &knobs.serve_config());
     }
     if results.is_empty() {
@@ -515,17 +514,6 @@ fn main() {
     let Cli { plan, out_path } =
         parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
 
-    // refuse a tuned row its stream's pool cannot serve now, not after
-    // every stock row before it has run
-    let catalog = plan.catalog();
-    for entry in &catalog {
-        if let Some(knobs) = plan.tuned(entry.name) {
-            if let Err(e) = knobs.check_pool(&entry.pool.build()) {
-                refuse(&format!("--tuned: stream `{}`: {e}", entry.name));
-            }
-        }
-    }
-
     println!(
         "serve_bench: {} requests per stream, 2 workers/accelerator, \
          slack horizon {LOAD_SLACK_CYCLES} cycles\n",
@@ -538,7 +526,7 @@ fn main() {
     let mut runtimes: HashMap<BenchPool, Runtime> = HashMap::new();
     // (stream name, static-analysis JSON object, per-policy rows)
     let mut sections: Vec<(&'static str, String, Vec<PolicyRow>)> = Vec::new();
-    for entry in catalog {
+    for entry in plan.catalog() {
         let runtime = runtimes
             .entry(entry.pool)
             .or_insert_with(|| Runtime::new(entry.pool.build()));

@@ -26,7 +26,7 @@ use accfg_runtime::Policy;
 /// no round-robin rows) — the search shape is the same, the evaluations
 /// are fewer, which is what an unoptimized test build wants.
 fn small_space() -> Vec<KnobConfig> {
-    knob_space(false)
+    knob_space()
         .into_iter()
         .filter(|k| {
             k.load_slack != 512 && k.batch_cutoff.is_some() && k.policy != Policy::FifoElide

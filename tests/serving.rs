@@ -1041,7 +1041,7 @@ proptest! {
 /// setup writes, strictly better on at least one. The default side is the
 /// Mixed4k affinity report (`ServeConfig::default()` *is* affinity at the
 /// default slack), the tuned side re-serves the same 4,000-request stream
-/// under the table's knobs on a fresh runtime over the tuned pool.
+/// under the table's knobs on a fresh runtime over the uniform pool.
 #[test]
 fn tuned_mixed_knobs_dominate_the_default_configuration() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/TUNED.json");
@@ -1055,7 +1055,7 @@ fn tuned_mixed_knobs_dominate_the_default_configuration() {
 
     let stream = streams::mixed_stream(4_000);
     let default = &mixed_4k().affinity.metrics;
-    let mut rt = Runtime::new(knobs.apply_pool(&streams::uniform_pool()));
+    let mut rt = Runtime::new(streams::uniform_pool());
     let tuned = rt
         .serve(&stream, &knobs.serve_config())
         .expect("tuned serve succeeds")
