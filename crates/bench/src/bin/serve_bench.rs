@@ -109,9 +109,10 @@
 //! tuned-vs-default comparison lands in the same report. Sweeping a knob is `autotune`'s job. Like every non-default
 //! invocation `--tuned` refuses to write the committed artifact.
 
+use accfg_bench::json::{self, Members};
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
 use accfg_bench::tune::{parse_table, KnobConfig};
-use accfg_bench::{cli, json, markdown_table};
+use accfg_bench::{cli, markdown_table};
 use accfg_runtime::{Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
 use std::collections::HashMap;
 
@@ -372,28 +373,13 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
 /// The `static_analysis` report object of a stream (see
 /// [`streams::static_totals`]).
 fn static_analysis_json(totals: &StaticTotals) -> String {
-    format!(
-        "{{\"dead_writes\": {}, \"redundant_writes\": {}, \
-         \"clobbered_launches\": {}, \"static_writes\": {}, \
-         \"elidable_bound\": {}}}",
-        totals.dead_writes,
-        totals.redundant_writes,
-        totals.clobbered_launches,
-        totals.static_writes,
-        totals.elidable_bound
-    )
-}
-
-/// One metrics row as a member of a second-level report object:
-/// `    "label": { … }`, without the trailing comma or newline.
-fn metrics_member(label: &str, metrics: &ServeMetrics) -> String {
-    let body = metrics
-        .to_json()
-        .lines()
-        .map(|l| format!("    {l}"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    format!("    \"{label}\": {}", body.trim_start())
+    Members::default()
+        .member("dead_writes", totals.dead_writes)
+        .member("redundant_writes", totals.redundant_writes)
+        .member("clobbered_launches", totals.clobbered_launches)
+        .member("static_writes", totals.static_writes)
+        .member("elidable_bound", totals.elidable_bound)
+        .inline("{", "}")
 }
 
 /// The catalog's stream names — the vocabulary `--streams` accepts.
@@ -568,21 +554,19 @@ fn main() {
         );
     }
 
-    let mut out = String::from("{\n");
-    for (si, (stream_name, static_analysis, results)) in sections.iter().enumerate() {
-        let stream_comma = if si + 1 == sections.len() { "" } else { "," };
-        out.push_str(&format!("  \"{stream_name}\": {{\n"));
+    let mut doc = Members::default();
+    for (stream_name, static_analysis, results) in &sections {
         // the static-analysis summary leads the stream object so every
         // per-policy section below keeps its exact bytes from earlier
         // report formats
-        out.push_str(&format!("    \"static_analysis\": {static_analysis},\n"));
-        let members: Vec<String> = results
-            .iter()
-            .map(|(label, m)| metrics_member(label, m))
-            .collect();
-        out.push_str(&format!("{}\n  }}{stream_comma}\n", members.join(",\n")));
+        let mut stream = Members::default();
+        stream.member("static_analysis", static_analysis);
+        for (label, m) in results {
+            stream.member(label, m.to_json());
+        }
+        doc.member(stream_name, stream.block("{", "}"));
     }
-    out.push_str("}\n");
+    let out = format!("{}\n", doc.block("{", "}"));
     json::validate(&out).expect("benchmark report must be strict JSON");
     std::fs::write(&out_path, &out).expect("write benchmark report");
     println!("\nraw metrics: {out_path} (validated as strict JSON)");

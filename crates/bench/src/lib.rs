@@ -8,7 +8,8 @@
 //! [`paper`] computes the paper's numbers-bearing artefacts as values,
 //! each with one renderer; the figure / table binaries print those
 //! renderers and [`measure`] is the one measured-kernel recipe under all of
-//! them.
+//! them. The JSON reports (`serve_bench`, `autotune`) are rendered and
+//! checked through [`json`], the runtime's JSON module.
 //!
 //! Binaries (run with `cargo run -p accfg-bench --bin <name>`):
 //!
@@ -32,10 +33,14 @@
 pub mod cli;
 pub mod corpus;
 pub mod csv;
-pub mod json;
 pub mod paper;
 pub mod streams;
 pub mod tune;
+
+/// The workspace's one JSON writer and strict reader, which live in
+/// `accfg-runtime` (the lowest crate that renders a report); the bench
+/// binaries, their tests and `benchmark/` reach it by this path.
+pub use accfg_runtime::json;
 
 use accfg::pipeline::{pipeline, OptLevel};
 use accfg_roofline::ConfigRoofline;

@@ -43,7 +43,7 @@
 //!
 //! [`ServeBudget`]: accfg_runtime::ServeBudget
 
-use crate::json::Json;
+use crate::json::{self, quote, Json, Members};
 use accfg_runtime::{Policy, PoolConfig, Runtime, ServeBudget, ServeConfig, ServeError};
 use accfg_workloads::TrafficRequest;
 
@@ -104,17 +104,13 @@ impl KnobConfig {
     /// The knobs as a single-line JSON object (the `knobs` value in
     /// `TUNED.json`).
     pub fn to_json(&self) -> String {
-        let cutoff = match self.batch_cutoff {
-            Some(c) => c.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"policy\": \"{}\", \"load_slack\": {}, \"batch_cutoff\": {}, \"max_batch\": {}}}",
-            self.policy.label(),
-            self.load_slack,
-            cutoff,
-            self.max_batch,
-        )
+        let cutoff = self.batch_cutoff.map_or("null".into(), |c| c.to_string());
+        Members::default()
+            .member("policy", quote(self.policy.label()))
+            .member("load_slack", self.load_slack)
+            .member("batch_cutoff", cutoff)
+            .member("max_batch", self.max_batch)
+            .inline("{", "}")
     }
 
     /// Parses [`KnobConfig::to_json`] back from a parsed [`Json`] value.
@@ -194,10 +190,10 @@ impl Objective {
 
     /// The objective as a single-line JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"p99\": {}, \"setup_writes\": {}}}",
-            self.p99, self.setup_writes
-        )
+        Members::default()
+            .member("p99", self.p99)
+            .member("setup_writes", self.setup_writes)
+            .inline("{", "}")
     }
 }
 
@@ -526,35 +522,45 @@ pub struct StreamEntry {
 /// byte-identical function of its inputs, which are themselves
 /// deterministic — so two autotune runs produce byte-identical files.
 pub fn render_table(requests: usize, opts: &TuneOptions, entries: &[StreamEntry]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"autotune\": {{\"requests\": {requests}, \"refine_rounds\": {}, \"racing\": {}}},\n",
-        opts.refine_rounds, opts.racing
-    ));
-    out.push_str("  \"streams\": {\n");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!("    \"{}\": {{\n", e.name));
-        out.push_str(&format!(
-            "      \"role\": \"{}\", \"source\": \"{}\",\n",
-            e.role, e.source
-        ));
-        out.push_str(&format!("      \"knobs\": {},\n", e.knobs.to_json()));
-        out.push_str(&format!("      \"default\": {},\n", e.default.to_json()));
-        out.push_str(&format!("      \"tuned\": {},\n", e.tuned.to_json()));
-        out.push_str(&format!(
-            "      \"delta\": {{\"p99\": {}, \"setup_writes\": {}}},\n",
-            e.default.p99 as i64 - e.tuned.p99 as i64,
-            e.default.setup_writes as i64 - e.tuned.setup_writes as i64
-        ));
-        out.push_str(&format!(
-            "      \"search\": {{\"evaluations\": {}, \"capped_aborts\": {}}}\n",
-            e.evaluations, e.aborts
-        ));
-        out.push_str(&format!("    }}{comma}\n"));
+    let mut streams = Members::default();
+    for e in entries {
+        let delta = Members::default()
+            .member("p99", e.default.p99 as i64 - e.tuned.p99 as i64)
+            .member(
+                "setup_writes",
+                e.default.setup_writes as i64 - e.tuned.setup_writes as i64,
+            )
+            .inline("{", "}");
+        let search = Members::default()
+            .member("evaluations", e.evaluations)
+            .member("capped_aborts", e.aborts)
+            .inline("{", "}");
+        let mut row = Members::default();
+        // role and source share the row's first line
+        row.item(
+            Members::default()
+                .member("role", quote(e.role))
+                .member("source", quote(&e.source))
+                .inline("", ""),
+        )
+        .member("knobs", e.knobs.to_json())
+        .member("default", e.default.to_json())
+        .member("tuned", e.tuned.to_json())
+        .member("delta", delta)
+        .member("search", search);
+        streams.member(&e.name, row.block("{", "}"));
     }
-    out.push_str("  }\n}\n");
-    crate::json::validate(&out).expect("tuned table must be strict JSON");
+    let autotune = Members::default()
+        .member("requests", requests)
+        .member("refine_rounds", opts.refine_rounds)
+        .member("racing", opts.racing)
+        .inline("{", "}");
+    let doc = Members::default()
+        .member("autotune", autotune)
+        .member("streams", streams.block("{", "}"))
+        .block("{", "}");
+    let out = format!("{doc}\n");
+    json::validate(&out).expect("tuned table must be strict JSON");
     out
 }
 
@@ -565,7 +571,7 @@ pub fn render_table(requests: usize, opts: &TuneOptions, entries: &[StreamEntry]
 /// Returns a message on malformed JSON or a malformed/missing `knobs`
 /// object.
 pub fn parse_table(text: &str) -> Result<Vec<(String, KnobConfig)>, String> {
-    let doc = crate::json::parse(text)?;
+    let doc = json::parse(text)?;
     let streams = doc
         .get("streams")
         .and_then(Json::entries)
@@ -636,8 +642,8 @@ mod tests {
             },
         ] {
             let text = knobs.to_json();
-            crate::json::validate(&text).unwrap();
-            let parsed = KnobConfig::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+            json::validate(&text).unwrap();
+            let parsed = KnobConfig::from_json(&json::parse(&text).unwrap()).unwrap();
             assert_eq!(parsed, knobs);
         }
     }
@@ -744,6 +750,13 @@ mod tests {
             (
                 "fractional slack",
                 table_with(r#""load_slack": 256"#, r#""load_slack": 256.5"#),
+            ),
+            (
+                "slack past 2^64",
+                table_with(
+                    r#""load_slack": 256"#,
+                    r#""load_slack": 18446744073709551616"#,
+                ),
             ),
             (
                 "null slack",

@@ -263,16 +263,6 @@ impl<'m> FuncBuilder<'m> {
         self.push(Opcode::RoccCmd, vec![rs1, rs2], vec![], attrs, vec![])
     }
 
-    /// `target.launch`.
-    pub fn target_launch(&mut self) -> OpId {
-        self.push(Opcode::TargetLaunch, vec![], vec![], AttrMap::new(), vec![])
-    }
-
-    /// `target.await_poll`.
-    pub fn target_await(&mut self) -> OpId {
-        self.push(Opcode::TargetAwait, vec![], vec![], AttrMap::new(), vec![])
-    }
-
     // --- foreign / structured -----------------------------------------------------
 
     /// `func.call` to an external symbol.

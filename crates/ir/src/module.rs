@@ -533,12 +533,6 @@ impl Module {
         self.ops[op.index()].attrs.insert(name.into(), attr);
     }
 
-    /// Removes an attribute from `op`, returning it if present.
-    pub fn remove_attr(&mut self, op: OpId, name: &str) -> Option<Attribute> {
-        self.touch();
-        self.ops[op.index()].attrs.remove(name)
-    }
-
     /// Replaces operand `index` of `op` with `value`.
     pub fn set_operand(&mut self, op: OpId, index: usize, value: ValueId) {
         self.touch();

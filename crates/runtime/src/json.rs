@@ -1,17 +1,76 @@
-//! A strict, dependency-free JSON syntax validator and value parser.
+//! Strict, dependency-free JSON: the one writer the reports are rendered
+//! through and the one reader that checks and parses them.
 //!
-//! The benchmark binaries hand-render their JSON reports (the workspace
-//! builds offline, with no serde), which makes it easy to ship a file
-//! with a trailing comma or an unescaped string that every downstream
-//! consumer chokes on. [`validate`] checks a byte string against the JSON
-//! grammar (RFC 8259) — objects, arrays, strings with escapes, numbers
-//! without leading zeros, `true`/`false`/`null`, no trailing commas, no
-//! trailing garbage — and reports the byte offset of the first violation.
-//! [`parse`] is the one grammar walker: it builds a [`Json`] value tree
-//! for the binaries that *consume* hand-rendered reports (`serve_bench
-//! --tuned` reading `autotune`'s table), rejects duplicate keys and lone
-//! surrogates, and caps nesting at [`MAX_DEPTH`] so no input can overflow
-//! the stack; [`validate`] is `parse` with the tree dropped.
+//! The workspace builds offline, with no serde. [`quote`] is the one
+//! string escape; [`Members`] closes an object's members or an array's
+//! items inline between two bracket strings or as a two-space-indented
+//! block, and the bracket text is the only layout choice, so the
+//! committed reports keep their exact bytes. [`parse`] is the one grammar
+//! walker (RFC 8259, no trailing commas or garbage): it builds a [`Json`]
+//! tree, unescaping each string in the walk that validates it, rejects
+//! duplicate keys and lone surrogates, caps nesting at [`MAX_DEPTH`] so no
+//! input can overflow the stack, and reports the byte offset of the first
+//! violation; [`validate`] is `parse` with the tree dropped.
+
+use std::fmt::{Display, Write as _};
+
+/// Quotes `s` (user input, e.g. a custom accelerator name) as a JSON
+/// string: `"` and `\` backslash-escaped, control characters as `\u00xx`,
+/// the rest verbatim. No raw newline survives, which is what lets
+/// [`Members::block`] re-indent a member line by line.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// An object's members (`"key": value`) or an array's items, each already
+/// rendered, in the order they were added.
+#[derive(Debug, Clone, Default)]
+pub struct Members(Vec<String>);
+
+impl Members {
+    /// Appends the member `"key": value`; `value` is rendered JSON (a
+    /// number, a [`quote`]d string, or a closed list).
+    pub fn member(&mut self, key: &str, value: impl Display) -> &mut Self {
+        self.0.push(format!("{}: {value}", quote(key)));
+        self
+    }
+
+    /// Appends `value` as it is: an array item, or a run of members
+    /// closed between empty brackets so they share one line of a block.
+    pub fn item(&mut self, value: impl Display) -> &mut Self {
+        self.0.push(value.to_string());
+        self
+    }
+
+    /// Closes the list on one line: `open`, the members separated by
+    /// `, `, `close`.
+    pub fn inline(&self, open: &str, close: &str) -> String {
+        format!("{open}{}{close}", self.0.join(", "))
+    }
+
+    /// Closes the list as a block: `open`, one member a line separated by
+    /// `,` and indented two spaces (every line of a multi-line member, so
+    /// a nested block moves in by its depth), then `close` on a line of
+    /// its own.
+    pub fn block(&self, open: &str, close: &str) -> String {
+        let indented = |m: &String| format!("\n  {}", m.replace('\n', "\n  "));
+        let lines: Vec<String> = self.0.iter().map(indented).collect();
+        format!("{open}{}\n{close}", lines.join(","))
+    }
+}
 
 /// Validates that `input` is exactly one well-formed JSON value: a
 /// [`parse`] whose tree is dropped, so the two can never disagree (it
@@ -33,8 +92,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (the grammar's integers fit f64 exactly up to 2^53,
-    /// far beyond any report's counters).
+    /// Any number (integers are exact below 2^53, far beyond any
+    /// report's counters; [`Json::as_u64`] refuses the rest).
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -69,11 +128,13 @@ impl Json {
         }
     }
 
-    /// The number as a non-negative integer (`None` on non-numbers,
-    /// negatives, and non-integers).
+    /// The number as a non-negative integer: `None` on non-numbers,
+    /// negatives, non-integers, and at or above 2^53, where the parsed
+    /// `f64` may no longer be the integer that was written
+    /// (`9007199254740993` reads as `…992`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < (1u64 << 53) as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -95,14 +156,14 @@ impl Json {
 /// than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after the top-level value"));
     }
     Ok(value)
@@ -115,7 +176,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Containers currently open around `pos`.
     depth: usize,
@@ -127,7 +188,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -146,46 +207,11 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
             Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => return Err(self.err("expected 4 hex digits after \\u")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(_) => self.pos += 1,
-            }
         }
     }
 
@@ -200,9 +226,8 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.pos;
                 self.number()?;
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("the number grammar is ASCII");
-                text.parse::<f64>()
+                self.text[start..self.pos]
+                    .parse::<f64>()
                     .map(Json::Num)
                     .map_err(|_| self.err("unrepresentable number"))
             }
@@ -279,13 +304,77 @@ impl Parser<'_> {
         }
     }
 
-    /// Validates a string with [`Parser::string`], then unescapes the
-    /// validated interior.
+    /// Parses one string, unescaping it in the walk that validates it.
     fn parse_string(&mut self) -> Result<String, String> {
         let start = self.pos;
-        self.string()?;
-        let interior = &self.bytes[start + 1..self.pos - 1];
-        unescape(interior).map_err(|what| format!("invalid JSON at byte {start}: {what}"))
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // copy the longest run of plain bytes as one chunk: it stops
+            // only at ASCII bytes, so it ends on a character boundary
+            let run = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.push(self.escape(start)?);
+                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
+            }
+        }
+    }
+
+    /// Decodes the escape after a backslash. `\uXXXX` escapes are decoded
+    /// with surrogate pairs combined; a lone surrogate is an error at
+    /// `string_at`, the opening quote of the string that holds it.
+    fn escape(&mut self, string_at: usize) -> Result<char, String> {
+        let simple = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let mut code = self.hex4()?;
+                let pair_follows = self.text.as_bytes()[self.pos..].starts_with(b"\\u");
+                if (0xD800..0xDC00).contains(&code) && pair_follows {
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    }
+                }
+                // a surrogate left unpaired is the one code with no char
+                return char::from_u32(code).ok_or_else(|| {
+                    format!("invalid JSON at byte {string_at}: unpaired surrogate escape")
+                });
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        };
+        self.pos += 1;
+        Ok(simple)
+    }
+
+    /// Reads exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        (0..4).try_fold(0, |code, _| {
+            let digit = self.peek().and_then(|c| char::from(c).to_digit(16));
+            let digit = digit.ok_or_else(|| self.err("expected 4 hex digits after \\u"))?;
+            self.pos += 1;
+            Ok(code * 16 + digit)
+        })
     }
 
     fn number(&mut self) -> Result<(), String> {
@@ -332,68 +421,10 @@ impl Parser<'_> {
     }
 }
 
-/// Unescapes a syntax-validated string interior. `\uXXXX` sequences are
-/// decoded (surrogate pairs combined); lone surrogates are an error —
-/// the strict stance, matching the validator's.
-fn unescape(bytes: &[u8]) -> Result<String, String> {
-    let mut out = String::with_capacity(bytes.len());
-    let mut i = 0usize;
-    let hex4 = |bytes: &[u8], at: usize| -> u32 {
-        // four hex digits, guaranteed by the validator
-        let text = std::str::from_utf8(&bytes[at..at + 4]).expect("hex digits are ASCII");
-        u32::from_str_radix(text, 16).expect("validated hex")
-    };
-    while i < bytes.len() {
-        if bytes[i] != b'\\' {
-            // copy the longest escape-free run as one UTF-8 chunk
-            let run = bytes[i..]
-                .iter()
-                .position(|&b| b == b'\\')
-                .map_or(bytes.len(), |n| i + n);
-            out.push_str(std::str::from_utf8(&bytes[i..run]).map_err(|_| "invalid UTF-8")?);
-            i = run;
-            continue;
-        }
-        i += 1;
-        match bytes[i] {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{0008}'),
-            b'f' => out.push('\u{000C}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let mut code = hex4(bytes, i + 1);
-                i += 4;
-                if (0xD800..0xDC00).contains(&code) {
-                    // a high surrogate must pair with a following \uXXXX low
-                    if bytes.get(i + 1) == Some(&b'\\') && bytes.get(i + 2) == Some(&b'u') {
-                        let low = hex4(bytes, i + 3);
-                        if !(0xDC00..0xE000).contains(&low) {
-                            return Err("unpaired surrogate escape".into());
-                        }
-                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                        i += 6;
-                    } else {
-                        return Err("unpaired surrogate escape".into());
-                    }
-                } else if (0xDC00..0xE000).contains(&code) {
-                    return Err("unpaired surrogate escape".into());
-                }
-                out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-            }
-            _ => unreachable!("escape validated by Parser::string"),
-        }
-        i += 1;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn accepts_well_formed_documents() {
@@ -471,7 +502,15 @@ mod tests {
             parse(r#""a \"q\" \n A 😀""#).unwrap(),
             Json::Str("a \"q\" \n A \u{1F600}".into())
         );
-        assert!(parse(r#""\uD800 lone""#).is_err());
+        // a surrogate pair decodes to the one character it encodes
+        assert_eq!(
+            parse(r#""\u0041\ud83d\uDE00\/""#).unwrap(),
+            Json::Str("A\u{1F600}/".into())
+        );
+        for lone in [r#""\uD800 lone""#, r#""\uDC00""#, r#""\uD800\u0041""#] {
+            let err = parse(lone).unwrap_err();
+            assert!(err.contains("byte 0: unpaired surrogate"), "{err}");
+        }
     }
 
     #[test]
@@ -513,5 +552,70 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("\"7\"").unwrap().as_u64(), None);
         assert_eq!(parse("\"x\"").unwrap().as_str(), Some("x"));
+        // an integer the f64 cannot hold is refused, never rounded: 2^53
+        // + 1 reads as 2^53, and 2^64 saturated to u64::MAX
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn quote_escapes_exactly_quotes_backslashes_and_controls() {
+        assert_eq!(
+            quote("a\"b\\c\nd\u{1f}/\u{2028}\u{1F600}"),
+            "\"a\\\"b\\\\c\\u000ad\\u001f/\u{2028}\u{1F600}\""
+        );
+    }
+
+    /// `parse(&quote(s))` gives back `s`.
+    fn round_trips(s: &str) {
+        assert_eq!(parse(&quote(s)), Ok(Json::Str(s.to_string())), "{s:?}");
+    }
+
+    #[test]
+    fn the_reader_reads_back_what_the_writer_quotes() {
+        for c in (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '/', '\u{2028}', '\u{1F600}'])
+        {
+            round_trips(&c.to_string());
+            round_trips(&format!("a{c}b{c}{c}"));
+        }
+        round_trips("");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn quoted_strings_parse_back_to_themselves(
+            s in "[\u{0}-\u{1f}\"\\\\/a-z\u{7f}\u{e9}\u{2028}\u{1F600}]{0,40}",
+            t in ".{0,40}",
+        ) {
+            round_trips(&s);
+            round_trips(&t);
+        }
+    }
+
+    #[test]
+    fn blocks_indent_every_line_of_a_nested_member() {
+        let mut inner = Members::default();
+        inner.member("a", 1).member("b", "[]");
+        let mut outer = Members::default();
+        outer
+            .member("x", inner.block("{", "}"))
+            .item(Members::default().member("c", true).inline("", ""))
+            .member("empty", Members::default().block("[", "]"))
+            .member("y", Members::default().item(2).item(3).inline("[ ", " ]"));
+        let text = outer.block("{", "}");
+        assert_eq!(
+            text,
+            "{\n  \"x\": {\n    \"a\": 1,\n    \"b\": []\n  },\n  \"c\": true,\n  \
+             \"empty\": [\n  ],\n  \"y\": [ 2, 3 ]\n}"
+        );
+        validate(&text).unwrap();
     }
 }

@@ -58,7 +58,8 @@
 //! - **metrics** ([`ServeMetrics`]): requests, simulated cycles, p50/p99
 //!   latency, configuration writes and bytes (vs. the cold cost), cache
 //!   hit rate, and observed-vs-predicted cycle error for both predictors
-//!   ([`PredictionStats`]).
+//!   ([`PredictionStats`]), rendered through [`json`], the workspace's one
+//!   JSON writer and strict reader.
 //!
 //! Everything is deterministic: routing happens at simulated-time decision
 //! points, cost observations retire on the simulated clock, and latencies
@@ -153,6 +154,7 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
+pub mod json;
 pub mod metrics;
 pub mod persist;
 pub mod plan;

@@ -1,31 +1,15 @@
 //! Serving metrics: throughput, latency percentiles, configuration-write
-//! accounting, and cache statistics — plus a dependency-free JSON
-//! rendering for `BENCH_runtime.json`.
+//! accounting, and cache statistics — plus their rendering as the
+//! per-policy objects of `BENCH_runtime.json`, written through
+//! [`crate::json`]'s writer.
 
 use crate::cache::CacheStats;
+use crate::json::{quote, Members};
 use accfg_workloads::MatmulSpec;
-use std::fmt::Write as _;
 
 /// The class label used in per-class metrics: `<accelerator>/<m>x<n>x<k>`.
 pub fn class_label(accelerator: &str, spec: &MatmulSpec) -> String {
     format!("{}/{}x{}x{}", accelerator, spec.m, spec.n, spec.k)
-}
-
-/// Escapes a string for embedding in the hand-rendered JSON report
-/// (custom accelerator names are arbitrary user input).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The 1-based nearest rank of the `p`-th percentile of `n` sorted
@@ -66,6 +50,17 @@ impl LatencyStats {
             max: *sorted.last().expect("nonempty"),
             mean: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64,
         }
+    }
+
+    /// The distribution as a one-line JSON object after the `leading`
+    /// members.
+    fn render(&self, leading: &mut Members) -> String {
+        leading
+            .member("p50", self.p50)
+            .member("p99", self.p99)
+            .member("max", self.max)
+            .member("mean", format!("{:.1}", self.mean))
+            .inline("{ ", " }")
     }
 }
 
@@ -170,6 +165,15 @@ impl PredictionStats {
         } else {
             self.ewma_abs_error as f64 / self.samples as f64
         }
+    }
+
+    /// The sample count and both errors as a one-line JSON object.
+    fn render(&self) -> String {
+        Members::default()
+            .member("samples", self.samples)
+            .member("anchor_mae", format!("{:.2}", self.anchor_mae()))
+            .member("ewma_mae", format!("{:.2}", self.ewma_mae()))
+            .inline("{ ", " }")
     }
 }
 
@@ -301,142 +305,115 @@ impl ServeMetrics {
 
     /// Renders the metrics as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"policy\": \"{}\",", escape_json(&self.policy));
-        let _ = writeln!(out, "  \"requests\": {},", self.requests);
-        let _ = writeln!(out, "  \"check_failures\": {},", self.check_failures);
-        let _ = writeln!(out, "  \"sim_failures\": {},", self.sim_failures);
-        let _ = writeln!(out, "  \"setup_writes\": {},", self.setup_writes);
-        let _ = writeln!(out, "  \"cold_setup_writes\": {},", self.cold_setup_writes);
-        let _ = writeln!(out, "  \"elision_rate\": {:.4},", self.elision_rate());
-        let _ = writeln!(out, "  \"config_bytes\": {},", self.config_bytes);
-        let _ = writeln!(out, "  \"launches\": {},", self.launches);
-        let _ = writeln!(out, "  \"sim_cycles\": {},", self.sim_cycles);
+        let mut doc = Members::default();
+        doc.member("policy", quote(&self.policy))
+            .member("requests", self.requests)
+            .member("check_failures", self.check_failures)
+            .member("sim_failures", self.sim_failures)
+            .member("setup_writes", self.setup_writes)
+            .member("cold_setup_writes", self.cold_setup_writes)
+            .member("elision_rate", format!("{:.4}", self.elision_rate()))
+            .member("config_bytes", self.config_bytes)
+            .member("launches", self.launches)
+            .member("sim_cycles", self.sim_cycles);
         // timing-model columns appear only when the pool's timing model
         // actually charged something, so identity-timing reports (the
         // four uniform serve_bench streams) stay byte-identical to the
         // pre-timing-model artifact
         if self.contention_cycles > 0 || self.freq_launches.iter().any(|&n| n > 0) {
-            let modes = ["cold", "warm", "boost"]
+            let mut launches = Members::default();
+            let mut modes = Members::default();
+            for ((label, n), p) in ["cold", "warm", "boost"]
                 .iter()
-                .zip(self.freq_prediction.iter())
-                .map(|(label, p)| {
-                    format!(
-                        "\"{label}\": {{ \"samples\": {}, \"anchor_mae\": {:.2}, \
-                         \"ewma_mae\": {:.2} }}",
-                        p.samples,
-                        p.anchor_mae(),
-                        p.ewma_mae()
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(
-                out,
-                "  \"timing\": {{ \"contention_cycles\": {}, \"freq_launches\": \
-                 {{ \"cold\": {}, \"warm\": {}, \"boost\": {} }}, \
-                 \"freq_prediction\": {{ {modes} }} }},",
-                self.contention_cycles,
-                self.freq_launches[0],
-                self.freq_launches[1],
-                self.freq_launches[2]
+                .zip(self.freq_launches)
+                .zip(&self.freq_prediction)
+            {
+                launches.member(label, n);
+                modes.member(label, p.render());
+            }
+            doc.member(
+                "timing",
+                Members::default()
+                    .member("contention_cycles", self.contention_cycles)
+                    .member("freq_launches", launches.inline("{ ", " }"))
+                    .member("freq_prediction", modes.inline("{ ", " }"))
+                    .inline("{ ", " }"),
             );
         }
-        let _ = writeln!(out, "  \"makespan\": {},", self.makespan);
-        let _ = writeln!(
-            out,
-            "  \"latency\": {{ \"p50\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.1} }},",
-            self.latency.p50, self.latency.p99, self.latency.max, self.latency.mean
-        );
-        out.push_str("  \"per_class\": {\n");
-        for (i, c) in self.per_class.iter().enumerate() {
-            let comma = if i + 1 == self.per_class.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{ \"requests\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.1} }}{comma}",
-                escape_json(&c.class),
-                c.requests,
-                c.latency.p50,
-                c.latency.p99,
-                c.latency.max,
-                c.latency.mean
+        let mut per_class = Members::default();
+        for c in &self.per_class {
+            per_class.member(
+                &c.class,
+                c.latency
+                    .render(Members::default().member("requests", c.requests)),
             );
         }
-        out.push_str("  },\n");
-        let _ = writeln!(
-            out,
-            "  \"queue_depth\": {{ \"counts\": [{}], \"max\": {} }},",
-            self.queue_depth
-                .counts
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.queue_depth.max
-        );
-        let _ = writeln!(
-            out,
-            "  \"prediction\": {{ \"samples\": {}, \"anchor_mae\": {:.2}, \"ewma_mae\": {:.2} }},",
-            self.prediction.samples,
-            self.prediction.anchor_mae(),
-            self.prediction.ewma_mae()
-        );
-        let _ = writeln!(
-            out,
-            "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate()
-        );
+        let mut counts = Members::default();
+        for c in &self.queue_depth.counts {
+            counts.item(c);
+        }
+        doc.member("makespan", self.makespan)
+            .member("latency", self.latency.render(&mut Members::default()))
+            .member("per_class", per_class.block("{", "}"))
+            .member(
+                "queue_depth",
+                Members::default()
+                    .member("counts", counts.inline("[", "]"))
+                    .member("max", self.queue_depth.max)
+                    .inline("{ ", " }"),
+            )
+            .member("prediction", self.prediction.render())
+            .member(
+                "cache",
+                Members::default()
+                    .member("hits", self.cache.hits)
+                    .member("misses", self.cache.misses)
+                    .member("hit_rate", format!("{:.4}", self.cache.hit_rate()))
+                    .inline("{ ", " }"),
+            );
         // the warm-start object appears only for runs that used a
         // persistent store, so store-less reports (every committed
         // serve_bench stream) stay byte-identical to the pre-store
         // artifact — same pattern as the conditional "timing" object
         if let Some(warm) = &self.warm_start {
-            let _ = write!(
-                out,
-                "  \"warm_start\": {{ \"modules_restored\": {}, \"ewma_entries_seeded\": {}, \
-                 \"builds_avoided\": {}",
-                warm.modules_restored, warm.ewma_entries_seeded, warm.builds_avoided
-            );
+            let mut members = Members::default();
+            members
+                .member("modules_restored", warm.modules_restored)
+                .member("ewma_entries_seeded", warm.ewma_entries_seeded)
+                .member("builds_avoided", warm.builds_avoided);
             // events, not provenance: members only when they happened
             for (name, count) in [
                 ("torn_tails_recovered", warm.torn_tails_recovered),
                 ("records_unfieldable", warm.records_unfieldable),
             ] {
                 if count > 0 {
-                    let _ = write!(out, ", \"{name}\": {count}");
+                    members.member(name, count);
                 }
             }
-            out.push_str(" },\n");
+            doc.member("warm_start", members.inline("{ ", " }"));
         }
-        let _ = writeln!(out, "  \"batched_requests\": {},", self.batched_requests);
-        out.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            let comma = if i + 1 == self.workers.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{ \"index\": {}, \"accelerator\": \"{}\", \"requests\": {}, \"busy_cycles\": {}, \"finish\": {} }}{comma}",
-                w.index,
-                escape_json(&w.accelerator),
-                w.requests,
-                w.busy_cycles,
-                w.finish
+        let mut workers = Members::default();
+        for w in &self.workers {
+            workers.item(
+                Members::default()
+                    .member("index", w.index)
+                    .member("accelerator", quote(&w.accelerator))
+                    .member("requests", w.requests)
+                    .member("busy_cycles", w.busy_cycles)
+                    .member("finish", w.finish)
+                    .inline("{ ", " }"),
             );
         }
-        out.push_str("  ]\n}");
-        out
+        doc.member("batched_requests", self.batched_requests)
+            .member("workers", workers.block("[", "]"));
+        doc.block("{", "}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Json};
 
     fn metrics() -> ServeMetrics {
         ServeMetrics {
@@ -519,14 +496,23 @@ mod tests {
 
     #[test]
     fn json_escapes_user_controlled_strings() {
+        let (policy, class, accelerator) = ("aff\"in\\ity", "my \"fast\"\naccel/8x8x8", "quo\"ted");
         let mut m = metrics();
-        m.policy = "aff\"in\\ity".into();
-        m.per_class[0].class = "my \"fast\"\naccel/8x8x8".into();
-        m.workers[0].accelerator = "quo\"ted".into();
+        m.policy = policy.into();
+        m.per_class[0].class = class.into();
+        m.workers[0].accelerator = accelerator.into();
         let j = m.to_json();
-        assert!(j.contains(r#""policy": "aff\"in\\ity""#), "{j}");
-        assert!(j.contains(r#""my \"fast\"\u000aaccel/8x8x8""#), "{j}");
-        assert!(j.contains(r#""accelerator": "quo\"ted""#), "{j}");
+        let doc = json::parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+        assert_eq!(doc.get("policy").and_then(Json::as_str), Some(policy));
+        let classes = doc.get("per_class").and_then(Json::entries).unwrap();
+        assert_eq!(classes[0].0, class);
+        let Some(Json::Arr(workers)) = doc.get("workers") else {
+            panic!("no workers array: {j}");
+        };
+        assert_eq!(
+            workers[0].get("accelerator").and_then(Json::as_str),
+            Some(accelerator)
+        );
     }
 
     #[test]
@@ -559,9 +545,18 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let j = metrics().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"policy\": \"affinity\""));
+        let doc = json::parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+        assert_eq!(doc.get("policy").and_then(Json::as_str), Some("affinity"));
+        assert_eq!(doc.get("requests").and_then(Json::as_u64), Some(100));
+        let cache = doc.get("cache").unwrap();
+        assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(5));
+        assert_eq!(cache.get("hit_rate"), Some(&Json::Num(0.95)));
+        let prediction = doc.get("prediction").unwrap();
+        assert_eq!(prediction.get("anchor_mae"), Some(&Json::Num(20.0)));
+        assert_eq!(prediction.get("ewma_mae"), Some(&Json::Num(5.0)));
+        let counts = doc.get("queue_depth").and_then(|q| q.get("counts"));
+        assert!(matches!(counts, Some(Json::Arr(c)) if c.len() == DEPTH_BUCKETS));
+        // the rendering's fixed precision and one-line objects
         assert!(j.contains("\"hit_rate\": 0.9500"));
         assert!(
             j.contains(

@@ -67,11 +67,6 @@ impl ByteWriter {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
     }
-
-    /// Appends raw bytes with no length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
 }
 
 /// Cursor over encoded bytes; every read is bounds-checked and yields
