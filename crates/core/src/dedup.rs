@@ -133,7 +133,7 @@ impl ReachingFields {
 pub struct Deduplicate;
 
 impl Pass for Deduplicate {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-dedup"
     }
 
@@ -174,7 +174,7 @@ impl Pass for Deduplicate {
 pub struct RemoveEmptySetups;
 
 impl Pass for RemoveEmptySetups {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-remove-empty-setups"
     }
 
@@ -226,7 +226,7 @@ impl Pass for RemoveEmptySetups {
 pub struct MergeSetups;
 
 impl Pass for MergeSetups {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-merge-setups"
     }
 

@@ -78,6 +78,11 @@ impl<V> FieldMap<V> {
         self.slot(field).replace(value)
     }
 
+    /// Empties `field`, returning what it held.
+    pub fn remove(&mut self, field: Symbol) -> Option<V> {
+        self.0.get_mut(field.index())?.take()
+    }
+
     /// What `field` holds, after writing `V::default()` if it held nothing.
     pub fn or_default(&mut self, field: Symbol) -> &mut V
     where

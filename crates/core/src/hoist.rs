@@ -21,7 +21,7 @@ use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueDef, Valu
 pub struct HoistSetupIntoBranch;
 
 impl Pass for HoistSetupIntoBranch {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-hoist-setup-into-branch"
     }
 
@@ -104,7 +104,7 @@ fn sink_into_branches(m: &mut Module, setup: OpId) {
 pub struct HoistInvariantSetupFields;
 
 impl Pass for HoistInvariantSetupFields {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-hoist-invariant-setup-fields"
     }
 

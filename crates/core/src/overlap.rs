@@ -19,8 +19,7 @@
 //! impure producer blocks the rewrite.
 
 use crate::dialect::{self, setup_fields, setup_input_state, setup_state};
-use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueId};
-use std::collections::{HashMap, HashSet};
+use accfg_ir::{BlockId, Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueId, ValueMap};
 
 /// Which accelerators an overlap pass may touch. Overlap is only sound on
 /// hardware with concurrent configuration support (staging registers), so
@@ -60,7 +59,7 @@ impl RotateLoops {
 }
 
 impl Pass for RotateLoops {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-rotate-loops"
     }
 
@@ -183,13 +182,16 @@ fn match_loop(m: &Module, for_op: OpId, filter: &AccelFilter) -> Option<LoopShap
 /// The pure ops inside the loop body that (transitively) produce the setup's
 /// field operands, in block order.
 fn setup_cone(m: &Module, body: BlockId, setup: OpId) -> Option<Vec<OpId>> {
-    let mut wanted: HashSet<ValueId> = setup_fields(m, setup).values().iter().copied().collect();
+    let mut wanted = ValueMap::with_capacity(m.value_count());
+    for &value in setup_fields(m, setup).values() {
+        wanted.insert(value, ());
+    }
     let mut cone = Vec::new();
     for &op in m.block_ops(body).iter().rev() {
         if op == setup {
             continue;
         }
-        let produces_wanted = m.op(op).results.iter().any(|r| wanted.contains(r));
+        let produces_wanted = m.op(op).results.iter().any(|&r| wanted.contains(r));
         if !produces_wanted {
             continue;
         }
@@ -197,7 +199,7 @@ fn setup_cone(m: &Module, body: BlockId, setup: OpId) -> Option<Vec<OpId>> {
             return None; // impure producer: rotation unsafe
         }
         for &operand in &m.op(op).operands {
-            wanted.insert(operand);
+            wanted.insert(operand, ());
         }
         cone.push(op);
     }
@@ -220,7 +222,7 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
     let init_state = m.op(for_op).operands[init_index];
 
     // --- prologue: prime the pipeline with the first iteration's setup -----
-    let mut mapping: HashMap<ValueId, ValueId> = HashMap::new();
+    let mut mapping = ValueMap::with_capacity(m.value_count());
     mapping.insert(iv, lb);
     mapping.insert(shape.state_arg, init_state);
     for &op in &cone {
@@ -243,7 +245,9 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
     m.insert_op(body, 0, add);
     let iv_next = m.op(add).results[0];
     // clone the cone with iv -> iv_next (other uses of iv stay untouched)
-    let mut next_mapping: HashMap<ValueId, ValueId> = HashMap::new();
+    // the prologue's map is done with: its storage serves the next one
+    let mut next_mapping = mapping;
+    next_mapping.clear();
     next_mapping.insert(iv, iv_next);
     for &op in &cone {
         let clone = m.clone_op(op, &mut next_mapping);
@@ -251,7 +255,7 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
     }
     let fields: Vec<(Symbol, ValueId)> = setup_fields(m, shape.setup)
         .iter()
-        .map(|(n, v)| (n, *next_mapping.get(&v).unwrap_or(&v)))
+        .map(|(n, v)| (n, next_mapping.get(v).copied().unwrap_or(v)))
         .collect();
     dialect::setup_set_fields(m, shape.setup, &fields);
 
@@ -304,7 +308,7 @@ impl OverlapInBlock {
 }
 
 impl Pass for OverlapInBlock {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-overlap-in-block"
     }
 
@@ -389,14 +393,14 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
     let mut movable_fields = Vec::new();
     let mut blocked_fields = Vec::new();
     let mut cone: Vec<OpId> = Vec::new();
-    let mut wanted: HashSet<ValueId> = HashSet::new();
+    let mut wanted = ValueMap::with_capacity(m.value_count());
     for (name, value) in setup_fields(m, setup).iter() {
         wanted.clear();
-        wanted.insert(value);
+        wanted.insert(value, ());
         let mut field_cone = Vec::new();
         let mut pure = true;
         for &op in between.iter().rev() {
-            let produces_wanted = m.op(op).results.iter().any(|r| wanted.contains(r));
+            let produces_wanted = m.op(op).results.iter().any(|&r| wanted.contains(r));
             if !produces_wanted {
                 continue;
             }
@@ -405,7 +409,7 @@ fn try_move_above_await(m: &mut Module, setup: OpId, filter: &AccelFilter, parti
                 break;
             }
             for &operand in &m.op(op).operands {
-                wanted.insert(operand);
+                wanted.insert(operand, ());
             }
             field_cone.push(op);
         }

@@ -13,18 +13,19 @@
 use crate::dialect::{
     self, make_setup, setup_input_state, setup_set_input_state, setup_state, StateEffect,
 };
+use crate::fieldmap::FieldMap;
 use accfg_ir::{BlockId, Module, OpId, Opcode, Pass, Symbol, Type, ValueId};
-use std::collections::HashMap;
 
-/// Per-accelerator live configuration state at a program point.
-type LiveStates = HashMap<Symbol, ValueId>;
+/// Per accelerator (by the symbol of its name), the live configuration
+/// state at a program point.
+type LiveStates = FieldMap<ValueId>;
 
 /// The state-tracing pass (step 2 of the pipeline in Figure 8).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceStates;
 
 impl Pass for TraceStates {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "accfg-trace-states"
     }
 
@@ -50,12 +51,12 @@ fn trace_block(m: &mut Module, block: BlockId, live: &mut LiveStates) -> bool {
             Opcode::AccfgSetup => {
                 let accel = dialect::accelerator(m, op);
                 if setup_input_state(m, op).is_none() {
-                    if let Some(&prev) = live.get(&accel) {
+                    if let Some(&prev) = live.get(accel) {
                         setup_set_input_state(m, op, Some(prev));
                         changed = true;
                     }
                 }
-                live.insert(accel, setup_state(m, op));
+                live.set(accel, setup_state(m, op));
             }
             Opcode::AccfgLaunch | Opcode::AccfgAwait => {}
             Opcode::For => {
@@ -103,7 +104,7 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     let pos = m.op_position(for_op).expect("loop is attached");
     let mut inits = Vec::new();
     for &accel in &accels {
-        let init = match live.get(&accel) {
+        let init = match live.get(accel) {
             Some(&s) => s,
             None => {
                 let empty = make_setup(m, accel, None, &[]);
@@ -126,7 +127,7 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     let mut args = Vec::new();
     for &accel in &accels {
         let arg = m.add_block_arg(body, m.state_type(accel));
-        body_live.insert(accel, arg);
+        body_live.set(accel, arg);
         args.push(arg);
     }
 
@@ -136,14 +137,14 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     let yield_op = m.terminator(body);
     let mut yield_operands = m.op(yield_op).operands.clone();
     for (accel, arg) in accels.iter().zip(args.iter()) {
-        yield_operands.push(*body_live.get(accel).copied().as_ref().unwrap_or(arg));
+        yield_operands.push(body_live.get(*accel).copied().unwrap_or(*arg));
     }
     m.set_operands(yield_op, yield_operands);
 
     // after the loop, the live state is the loop's new result
     for (i, accel) in accels.iter().enumerate() {
         let result = m.op(new_for).results[old_result_count + i];
-        live.insert(*accel, result);
+        live.set(*accel, result);
     }
     true
 }
@@ -181,10 +182,10 @@ fn trace_if(m: &mut Module, if_op: OpId, live: &mut LiveStates) -> bool {
     // through new if-results; everything else becomes unknown after the if
     let mut threaded = Vec::new();
     for accel in &accels {
-        match (branch_final[0].get(accel), branch_final[1].get(accel)) {
+        match (branch_final[0].get(*accel), branch_final[1].get(*accel)) {
             (Some(&a), Some(&b)) => threaded.push((*accel, a, b)),
             _ => {
-                live.remove(accel);
+                live.remove(*accel);
             }
         }
     }
@@ -207,7 +208,7 @@ fn trace_if(m: &mut Module, if_op: OpId, live: &mut LiveStates) -> bool {
     }
     for (i, (accel, _, _)) in threaded.iter().enumerate() {
         let result = m.op(new_if).results[old_result_count + i];
-        live.insert(*accel, result);
+        live.set(*accel, result);
     }
     true
 }

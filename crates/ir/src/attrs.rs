@@ -5,8 +5,9 @@
 //! preserves or clobbers accelerator configuration state.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// How an operation outside the `accfg` dialect interacts with accelerator
 /// configuration state (the paper's `#accfg.effects` attribute).
@@ -173,17 +174,158 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
+/// One attribute of a dictionary: its name and value.
+type Entry = (Cow<'static, str>, Attribute);
+
 /// An ordered attribute dictionary, keyed by attribute name.
 ///
 /// Ordering is deterministic (lexicographic) so printed IR is stable, which
 /// the printer/parser round-trip tests rely on. The names the dialects use
 /// are literals and are stored as such; only a name read from IR text owns
 /// its string.
-pub type AttrMap = BTreeMap<Cow<'static, str>, Attribute>;
+///
+/// Nearly every op that has attributes has exactly one (a constant's
+/// `value`, a compare's `predicate`, a function's `sym_name`), so a map of
+/// one holds its entry inline and allocates nothing; a second entry moves
+/// the entries into a vector kept sorted by name.
+#[derive(Clone, Default)]
+pub struct AttrMap(Entries);
+
+#[derive(Clone, Default)]
+enum Entries {
+    #[default]
+    None,
+    One(Entry),
+    /// Strictly ascending by name.
+    Many(Vec<Entry>),
+}
+
+impl AttrMap {
+    /// An empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// `true` if the dictionary holds no attribute.
+    pub fn is_empty(&self) -> bool {
+        self.entries().is_empty()
+    }
+
+    /// The attribute called `name`, if present.
+    pub fn get(&self, name: &str) -> Option<&Attribute> {
+        let entries = self.entries();
+        search(entries, name).ok().map(|at| &entries[at].1)
+    }
+
+    /// Sets attribute `name`, returning the value it replaced.
+    pub fn insert(&mut self, name: Cow<'static, str>, value: Attribute) -> Option<Attribute> {
+        let (entries, replaced) = match std::mem::take(&mut self.0) {
+            Entries::None => (Entries::One((name, value)), None),
+            Entries::One((held, old)) if held == name => (Entries::One((held, value)), Some(old)),
+            Entries::One(first) => {
+                let pair = if first.0 < name {
+                    vec![first, (name, value)]
+                } else {
+                    vec![(name, value), first]
+                };
+                (Entries::Many(pair), None)
+            }
+            Entries::Many(mut entries) => {
+                let replaced = match search(&entries, &name) {
+                    Ok(at) => Some(std::mem::replace(&mut entries[at].1, value)),
+                    Err(at) => {
+                        entries.insert(at, (name, value));
+                        None
+                    }
+                };
+                (Entries::Many(entries), replaced)
+            }
+        };
+        self.0 = entries;
+        replaced
+    }
+
+    /// Removes attribute `name`, returning its value if it was present.
+    pub fn remove(&mut self, name: &str) -> Option<Attribute> {
+        let at = search(self.entries(), name).ok()?;
+        match std::mem::take(&mut self.0) {
+            Entries::Many(mut entries) => {
+                let (_, value) = entries.remove(at);
+                self.0 = Entries::Many(entries);
+                Some(value)
+            }
+            Entries::One((_, value)) => Some(value),
+            Entries::None => None,
+        }
+    }
+
+    /// The attributes in lexicographic name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Attribute)> {
+        self.entries()
+            .iter()
+            .map(|(name, value)| (name.as_ref(), value))
+    }
+
+    fn entries(&self) -> &[Entry] {
+        match &self.0 {
+            Entries::None => &[],
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+}
+
+/// Where `name` is (`Ok`) or would go (`Err`) in name-sorted `entries`.
+fn search(entries: &[Entry], name: &str) -> Result<usize, usize> {
+    entries.binary_search_by(|(held, _)| held.as_ref().cmp(name))
+}
+
+/// Equal dictionaries hold the same names with equal values, however each
+/// stores them.
+impl PartialEq for AttrMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for AttrMap {}
+
+impl PartialOrd for AttrMap {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the (name, value) entries in name order, as a
+/// `BTreeMap` of the same entries orders.
+impl Ord for AttrMap {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.entries().cmp(other.entries())
+    }
+}
+
+impl Hash for AttrMap {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.entries().hash(state);
+    }
+}
+
+impl fmt::Debug for AttrMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn accessors() {
@@ -224,5 +366,59 @@ mod tests {
             Attribute::from(Effects::None),
             Attribute::Effects(Effects::None)
         );
+    }
+
+    /// The dictionary's reference semantics: the ordered map it replaced.
+    type Model = BTreeMap<Cow<'static, str>, Attribute>;
+
+    /// Names in and out of lexicographic order, literal and owned.
+    fn name(pick: u8) -> Cow<'static, str> {
+        match pick % 6 {
+            0 => Cow::Borrowed("value"),
+            1 => Cow::Borrowed("callee"),
+            2 => Cow::Owned("effects".to_string()),
+            3 => Cow::Borrowed("name"),
+            4 => Cow::Owned("value".to_string()),
+            _ => Cow::Borrowed("a"),
+        }
+    }
+
+    /// Applies `(insert?, name, value)` steps to both maps, checking every
+    /// return value on the way.
+    fn apply(steps: &[(bool, u8, i64)]) -> (AttrMap, Model) {
+        let (mut map, mut model) = (AttrMap::new(), Model::new());
+        for &(insert, pick, value) in steps {
+            let key = name(pick);
+            if insert {
+                let want = model.insert(key.clone(), Attribute::Int(value));
+                assert_eq!(map.insert(key, Attribute::Int(value)), want);
+            } else {
+                assert_eq!(map.remove(&key), model.remove(&key));
+            }
+            for probe in 0..6 {
+                let probe = name(probe);
+                assert_eq!(map.get(&probe), model.get(&probe), "get({probe})");
+            }
+            assert_eq!((map.len(), map.is_empty()), (model.len(), model.is_empty()));
+            assert!(map.iter().eq(model.iter().map(|(k, v)| (k.as_ref(), v))));
+        }
+        (map, model)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_dictionary_behaves_as_an_ordered_map(
+            a in prop::collection::vec((any::<bool>(), 0u8..6, 0i64..3), 0..12),
+            b in prop::collection::vec((any::<bool>(), 0u8..6, 0i64..3), 0..12),
+        ) {
+            let (map_a, model_a) = apply(&a);
+            let (map_b, model_b) = apply(&b);
+            prop_assert_eq!(map_a == map_b, model_a == model_b);
+            prop_assert_eq!(map_a.cmp(&map_b), model_a.cmp(&model_b));
+            prop_assert_eq!(map_a.partial_cmp(&map_b), model_a.partial_cmp(&model_b));
+            prop_assert_eq!(map_a.clone(), map_a);
+        }
     }
 }

@@ -56,6 +56,7 @@ pub mod printer;
 pub mod symbol;
 pub mod types;
 mod uses;
+mod value_map;
 
 pub use attrs::{AttrMap, Attribute, Effects};
 pub use builder::FuncBuilder;
@@ -66,6 +67,7 @@ pub use pass::{Changed, Pass, PassManager, PassValidator, PipelineError, Pipelin
 pub use printer::{print_func, print_module};
 pub use symbol::{Names, Symbol};
 pub use types::Type;
+pub use value_map::ValueMap;
 pub use verifier::{verify, VerifyError};
 
 pub mod verifier;

@@ -31,8 +31,8 @@ use crate::op::{OpData, Opcode};
 use crate::symbol::{Names, Symbol, SymbolTable};
 use crate::types::Type;
 use crate::uses::UseLists;
+use crate::value_map::ValueMap;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -616,7 +616,8 @@ impl Module {
 
     /// Collects every live op nested under `root` (inclusive), pre-order.
     pub fn walk_collect(&self, root: OpId) -> Vec<OpId> {
-        let mut out = Vec::new();
+        // the arena bounds any subtree: one allocation, never a regrowth
+        let mut out = Vec::with_capacity(self.ops.len());
         self.walk(root, &mut |op| out.push(op));
         out
     }
@@ -626,7 +627,7 @@ impl Module {
     /// A snapshot, for loops that mutate as they go; a loop that only reads
     /// walks in place with [`Module::walk`].
     pub fn walk_module(&self) -> Vec<OpId> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.ops.len());
         for &f in &self.funcs {
             self.walk(f, &mut |op| out.push(op));
         }
@@ -763,45 +764,55 @@ impl Module {
     /// cloned ops are added to `mapping` so intra-clone references stay
     /// consistent. Operands absent from the mapping are kept as-is (they are
     /// values defined outside the cloned subtree).
-    pub fn clone_op(&mut self, op: OpId, mapping: &mut HashMap<ValueId, ValueId>) -> OpId {
-        let data = self.ops[op.index()].clone();
+    pub fn clone_op(&mut self, op: OpId, mapping: &mut ValueMap<ValueId>) -> OpId {
+        let data = &self.ops[op.index()];
         let operands: Vec<ValueId> = data
             .operands
             .iter()
-            .map(|v| *mapping.get(v).unwrap_or(v))
+            .map(|&v| mapping.get(v).copied().unwrap_or(v))
             .collect();
         let result_types: Vec<Type> = data
             .results
             .iter()
             .map(|&r| self.values[r.index()].ty.clone())
             .collect();
+        let (opcode, attrs, fields) = (data.opcode, data.attrs.clone(), data.fields.clone());
+        let (accelerator, has_input_state) = (data.accelerator, data.has_input_state);
         // Clone regions first (they don't reference the new op's results).
-        let mut new_regions = Vec::with_capacity(data.regions.len());
-        for &r in &data.regions {
+        let region_count = data.regions.len();
+        let mut new_regions = Vec::with_capacity(region_count);
+        for ri in 0..region_count {
+            let r = self.ops[op.index()].regions[ri];
             let new_region = self.create_region();
-            let old_blocks = self.regions[r.index()].blocks.clone();
-            for old_block in old_blocks {
+            for bi in 0..self.regions[r.index()].blocks.len() {
+                let old_block = self.regions[r.index()].blocks[bi];
                 let new_block = self.create_block(new_region);
-                let old_args = self.blocks[old_block.index()].args.clone();
-                for old_arg in old_args {
+                for ai in 0..self.blocks[old_block.index()].args.len() {
+                    let old_arg = self.blocks[old_block.index()].args[ai];
                     let ty = self.values[old_arg.index()].ty.clone();
                     let new_arg = self.add_block_arg(new_block, ty);
                     mapping.insert(old_arg, new_arg);
                 }
-                let old_ops = self.blocks[old_block.index()].ops.clone();
-                for inner in old_ops {
+                // the source block is not the one being appended to, so it
+                // holds still while its ops are cloned
+                for oi in 0..self.blocks[old_block.index()].ops.len() {
+                    let inner = self.blocks[old_block.index()].ops[oi];
                     let new_inner = self.clone_op(inner, mapping);
                     self.append_op(new_block, new_inner);
                 }
             }
             new_regions.push(new_region);
         }
-        let new_op = self.create_op(data.opcode, operands, result_types, data.attrs, new_regions);
+        let new_op = self.create_op(opcode, operands, result_types, attrs, new_regions);
         let new = &mut self.ops[new_op.index()];
-        new.accelerator = data.accelerator;
-        new.fields = data.fields;
-        new.has_input_state = data.has_input_state;
-        for (&old_r, &new_r) in data.results.iter().zip(new.results.iter()) {
+        new.accelerator = accelerator;
+        new.fields = fields;
+        new.has_input_state = has_input_state;
+        for (&old_r, &new_r) in self.ops[op.index()]
+            .results
+            .iter()
+            .zip(&self.ops[new_op.index()].results)
+        {
             mapping.insert(old_r, new_r);
         }
         new_op
@@ -997,7 +1008,7 @@ mod tests {
         );
         m.append_op(block, for_op);
 
-        let mut mapping = HashMap::new();
+        let mut mapping = ValueMap::new();
         let clone = m.clone_op(for_op, &mut mapping);
         assert_ne!(clone, for_op);
         // outside operands kept:
@@ -1008,7 +1019,7 @@ mod tests {
         assert_ne!(new_iv, iv);
         let new_dbl = m.block(new_body).ops[0];
         assert_eq!(m.op(new_dbl).operands, vec![new_iv, new_iv]);
-        assert_eq!(mapping.get(&iv), Some(&new_iv));
+        assert_eq!(mapping.get(iv), Some(&new_iv));
     }
 
     #[test]
@@ -1118,7 +1129,8 @@ mod tests {
                         "rebuild_op"
                     }
                     7 => {
-                        let mut mapping = HashMap::from([(value(&m, b), value(&m, c))]);
+                        let mut mapping = ValueMap::new();
+                        mapping.insert(value(&m, b), value(&m, c));
                         let new = m.clone_op(op, &mut mapping);
                         m.append_op(block, new);
                         live.push(new);

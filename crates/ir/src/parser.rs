@@ -967,6 +967,26 @@ mod tests {
     }
 
     #[test]
+    fn attributes_written_out_of_order_print_in_name_order_and_round_trip() {
+        let text = r#"
+        func.func @f(%a: i64) {
+          opaque.op(%a) {name = "printf", effects = #accfg.effects<none>, callee = "x", name = "puts"}
+          func.return()
+        }
+        "#;
+        let m = parse_module(text).unwrap();
+        let printed = print_module(&m);
+        // sorted by name, and a repeated name keeps its last value
+        assert!(
+            printed.contains(
+                r#"opaque.op(%0) {callee = "x", effects = #accfg.effects<none>, name = "puts"}"#
+            ),
+            "{printed}"
+        );
+        assert_eq!(print_module(&parse_module(&printed).unwrap()), printed);
+    }
+
+    #[test]
     fn parses_accfg_cluster() {
         let text = r#"
         func.func @f() {

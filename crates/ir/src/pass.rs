@@ -51,7 +51,7 @@ impl From<bool> for Changed {
 /// A module-level transformation.
 pub trait Pass {
     /// A short kebab-case identifier (e.g. `"accfg-dedup"`).
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Runs the pass, reporting whether the IR changed.
     fn run(&self, module: &mut Module) -> Changed;
@@ -96,7 +96,7 @@ impl Error for PipelineError {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// For each executed pass: its name and whether it changed the IR.
-    pub passes: Vec<(String, bool)>,
+    pub passes: Vec<(&'static str, bool)>,
 }
 
 impl PipelineStats {
@@ -177,13 +177,13 @@ impl PassManager {
         })?;
         // what the next pass to touch the module will be validated against
         let mut snapshot = self.validator.as_ref().map(|_| module.clone());
-        let mut stats = PipelineStats::default();
+        let mut stats = PipelineStats {
+            passes: Vec::with_capacity(self.passes.len()),
+        };
         for pass in &self.passes {
             let stamp = module.stamp();
             let changed = pass.run(module);
-            stats
-                .passes
-                .push((pass.name().to_string(), changed.changed()));
+            stats.passes.push((pass.name(), changed.changed()));
             if module.stamp() == stamp {
                 // untouched, so still verified, and `validate(m, m)` holds
                 continue;
@@ -247,7 +247,7 @@ mod tests {
 
     struct NoOpPass;
     impl Pass for NoOpPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "no-op"
         }
         fn run(&self, _m: &mut Module) -> Changed {
@@ -257,7 +257,7 @@ mod tests {
 
     struct BreakingPass;
     impl Pass for BreakingPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "breaker"
         }
         fn run(&self, m: &mut Module) -> Changed {
@@ -299,7 +299,7 @@ mod tests {
 
     struct ConstFlipPass;
     impl Pass for ConstFlipPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "const-flip"
         }
         fn run(&self, m: &mut Module) -> Changed {
@@ -355,7 +355,7 @@ mod tests {
     /// nothing.
     struct LyingBreaker;
     impl Pass for LyingBreaker {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "lying-breaker"
         }
         fn run(&self, m: &mut Module) -> Changed {
@@ -368,7 +368,7 @@ mod tests {
     /// through no mutator of the module it was given.
     struct SwapPass;
     impl Pass for SwapPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "swap"
         }
         fn run(&self, m: &mut Module) -> Changed {
@@ -397,7 +397,7 @@ mod tests {
     /// Sets every constant to `self.0`.
     struct SetConst(i64);
     impl Pass for SetConst {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "set-const"
         }
         fn run(&self, m: &mut Module) -> Changed {

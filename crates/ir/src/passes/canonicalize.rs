@@ -26,7 +26,7 @@ use crate::passes::Dce;
 pub struct Canonicalize;
 
 impl Pass for Canonicalize {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "canonicalize"
     }
 

@@ -2,9 +2,8 @@
 
 use crate::module::{BlockId, Module, OpId};
 use crate::pass::{Changed, Pass};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Scoped value-numbering CSE over pure operations.
 ///
@@ -25,12 +24,63 @@ pub struct Cse;
 /// copied out of the module.
 #[derive(Default)]
 struct Available {
-    by_hash: HashMap<u64, OpId>,
+    by_hash: HashMap<u64, OpId, BuildHasherDefault<StructureHasher>>,
     inserted: Vec<u64>,
+    /// Block-copy buffers of the blocks not being visited, for the next
+    /// block to fill instead of allocating its own.
+    spare: Vec<Vec<OpId>>,
+}
+
+/// The multiply-rotate word hash of rustc's `FxHasher`: one multiply a word
+/// where std's keyed SipHash spends dozens of instructions.
+///
+/// It is not keyed, so IR text can be written to make two expressions
+/// collide. That is safe here: every hit is confirmed by
+/// [`same_expression`] before anything is shared, and a collision only
+/// keeps the later expression out of the table.
+#[derive(Default)]
+struct StructureHasher(u64);
+
+impl StructureHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for StructureHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; the table indexes by
+    /// the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl Pass for Cse {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "cse"
     }
 
@@ -48,7 +98,7 @@ impl Pass for Cse {
 /// Hash of everything [`same_expression`] compares.
 fn structure_hash(m: &Module, op: OpId) -> u64 {
     let data = m.op(op);
-    let mut h = DefaultHasher::new();
+    let mut h = StructureHasher::default();
     data.opcode.hash(&mut h);
     data.operands.hash(&mut h);
     data.attrs.hash(&mut h);
@@ -76,7 +126,10 @@ fn same_expression(m: &Module, a: OpId, b: OpId) -> bool {
 fn run_block(m: &mut Module, block: BlockId, available: &mut Available) -> Changed {
     let mut changed = Changed::No;
     let scope_start = available.inserted.len();
-    for op in m.block_ops(block).to_vec() {
+    let mut ops = available.spare.pop().unwrap_or_default();
+    ops.clear();
+    ops.extend_from_slice(m.block_ops(block));
+    for &op in &ops {
         if !m.is_alive(op) {
             continue;
         }
@@ -113,6 +166,7 @@ fn run_block(m: &mut Module, block: BlockId, available: &mut Available) -> Chang
     for hash in available.inserted.drain(scope_start..) {
         available.by_hash.remove(&hash);
     }
+    available.spare.push(ops);
     changed
 }
 

@@ -25,7 +25,7 @@ use crate::pass::{Changed, Pass};
 pub struct Dce;
 
 impl Pass for Dce {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "dce"
     }
 

@@ -14,7 +14,7 @@ use crate::pass::{Changed, Pass};
 pub struct Licm;
 
 impl Pass for Licm {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "licm"
     }
 

@@ -13,7 +13,7 @@
 
 use crate::module::{BlockId, Module, OpId, ValueId};
 use crate::op::Opcode;
-use std::collections::HashMap;
+use crate::value_map::ValueMap;
 use std::fmt::Write;
 
 /// Prints a whole module.
@@ -37,7 +37,7 @@ pub fn print_func(m: &Module, func: OpId) -> String {
 
 struct Printer<'m> {
     m: &'m Module,
-    names: HashMap<ValueId, String>,
+    names: ValueMap<String>,
     next_name: usize,
     out: String,
     indent: usize,
@@ -47,7 +47,7 @@ impl<'m> Printer<'m> {
     fn new(m: &'m Module) -> Self {
         Self {
             m,
-            names: HashMap::new(),
+            names: ValueMap::with_capacity(m.value_count()),
             next_name: 0,
             out: String::new(),
             indent: 0,
@@ -55,7 +55,7 @@ impl<'m> Printer<'m> {
     }
 
     fn name(&mut self, v: ValueId) -> String {
-        if let Some(n) = self.names.get(&v) {
+        if let Some(n) = self.names.get(v) {
             return n.clone();
         }
         let n = format!("%{}", self.next_name);

@@ -89,16 +89,18 @@ impl SymbolTable {
         if let Some(symbol) = self.get(name) {
             return (symbol, false);
         }
-        if self.by_name.is_empty() {
-            // an accelerator's setup names a few dozen fields: room for them
-            // up front saves rehashing every name at each doubling
-            self.by_name.reserve(48);
-        }
-        let symbol = Symbol::from_index(self.len());
-        let name: Arc<str> = name.into();
         // in place unless a `Names` handle (or a clone of the module) still
         // shares the table, which then keeps the names it was given
-        Arc::make_mut(&mut self.names.0).push(name.clone());
+        let names = Arc::make_mut(&mut self.names.0);
+        if self.by_name.is_empty() {
+            // an accelerator's setup names a few dozen fields: room for them
+            // up front saves rehashing and copying every name at each doubling
+            self.by_name.reserve(48);
+            names.reserve(48);
+        }
+        let symbol = Symbol::from_index(names.len());
+        let name: Arc<str> = name.into();
+        names.push(name.clone());
         self.by_name.insert(name, symbol);
         (symbol, true)
     }

@@ -166,9 +166,22 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
+/// A field past the register file is the one descriptor fault both the
+/// lowering and the plan catch; either way the build reports it alike.
 impl From<LowerError> for ServeError {
     fn from(e: LowerError) -> Self {
-        ServeError::Lower(e)
+        match e {
+            LowerError::RegisterOutOfRange {
+                accelerator,
+                field,
+                reg,
+            } => ServeError::RegisterOutOfRange {
+                accelerator,
+                field,
+                reg,
+            },
+            e => ServeError::Lower(e),
+        }
     }
 }
 

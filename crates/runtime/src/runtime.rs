@@ -44,7 +44,7 @@ use crate::worker::{Completion, Worker};
 use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
-use accfg_workloads::{TrafficClass, TrafficRequest};
+use accfg_workloads::{MatmulSpec, TrafficClass, TrafficRequest};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -726,23 +726,28 @@ fn summarise(
         pending[w].push_back(completion.finish);
     }
 
-    // per-class latency distributions (the SLO view), keyed by
-    // accelerator + shape, in sorted label order
-    let mut class_latencies: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for (i, request) in stream.iter().enumerate() {
+    // per-class latency distributions (the SLO view), grouped by
+    // accelerator + shape, each label formatted once, in sorted label
+    // order (a label spells its group exactly: the shape has no `/`)
+    type Class<'a> = (&'a str, i64, i64, i64);
+    let mut class_latencies: BTreeMap<Class, (&MatmulSpec, Vec<u64>)> = BTreeMap::new();
+    for (request, &latency) in stream.iter().zip(&latencies) {
+        let spec = &request.spec;
         class_latencies
-            .entry(class_label(&request.accelerator, &request.spec))
-            .or_default()
-            .push(latencies[i]);
+            .entry((&request.accelerator, spec.m, spec.n, spec.k))
+            .or_insert_with(|| (spec, Vec::new()))
+            .1
+            .push(latency);
     }
-    let per_class: Vec<ClassLatency> = class_latencies
+    let mut per_class: Vec<ClassLatency> = class_latencies
         .into_iter()
-        .map(|(class, lat)| ClassLatency {
-            class,
+        .map(|((accelerator, ..), (spec, lat))| ClassLatency {
+            class: class_label(accelerator, spec),
             requests: lat.len() as u64,
             latency: LatencyStats::from_latencies(&lat),
         })
         .collect();
+    per_class.sort_unstable_by(|a, b| a.class.cmp(&b.class));
 
     // observed-vs-predicted error, for both predictors on the same
     // dispatch sequence (simulation failures carry no valid cycles).

@@ -7,16 +7,19 @@
 //! 8x8x64 tiles (a two-deep loop nest, the expensive half of the
 //! `cold_shapes` grid), Gemmini 24x16x64 untiled (one straight-line setup),
 //! and then the benchmark's whole 1 152-shape `cold_shapes` grid. It prints
-//! the allocations of each stage and asserts that the pipeline, the two
-//! stages that handle launch records (`interpret`, `from_trace`) and the
-//! total stay under the figures measured when they were last rebuilt, plus
-//! 15 %.
+//! the allocations of each stage and asserts that `matmul_ir`, the
+//! pipeline, the two stages that handle launch records (`interpret`,
+//! `from_trace`) and the total stay under their budgets: for the two single
+//! modules the figures measured when the budgets were last set, plus 15 %;
+//! for the grid mean, fixed bounds (105, 120, 23, 5 and 280).
 //!
 //! Allocations per module: before the IR substrate was rebuilt (interned
 //! names, a maintained use-def index, stamp-gated re-verification, one
 //! reaching-fields solve per dedup), at that rebuild, with dense serve-time
-//! register files (`from_trace`, `cost`), and with launch records that are
-//! one symbol-indexed `FieldMap<i64>` each:
+//! register files (`from_trace`, `cost`), with launch records that are one
+//! symbol-indexed `FieldMap<i64>` each, and with the IR stages off the heap
+//! per op (one inline attribute, presized walks and name tables, value- and
+//! register-indexed maps, reused CSE buffers, static pass names):
 //!
 //! ```text
 //!                  matmul_ir pipeline compile interpret from_trace cost  sum
@@ -24,18 +27,25 @@
 //!   before the rebuild   276     2296      71       308         44   35 3030
 //!   at the rebuild       175      312      26       233         44   35  825
 //!   dense register files 175      312      26       233          1    0  747
-//!   → at this PR         176      312      26        24          5    0  543
+//!   one-record launches  176      312      26        24          5    0  543
+//!   → at this PR         150      192      19        24          5    0  390
 //! gemmini 24x16x64 untiled
 //!   before the rebuild   103      381      33        43         12   11  583
 //!   at the rebuild        65       73      14        37         12   11  212
 //!   dense register files  65       73      14        37          1    0  190
-//!   → at this PR          66       73      14         5          4    0  162
+//!   one-record launches   66       73      14         5          4    0  162
+//!   → at this PR          54       35       6         5          4    0  104
 //! cold_shapes grid mean
 //!   before the rebuild   187     1203      51       291         47   36 1815
 //!   at the rebuild       118      188      20       229         47   36  637
 //!   dense register files 118      188      20       229          1    0  556
-//!   → at this PR         119      188      20        21          4.5  0  353
+//!   one-record launches  119      188      20        21          4.5  0  353
+//!   → at this PR         100.5    108.5    11.9      20.8        4.5  0  246.2
 //! ```
+//!
+//! An `arith.constant` carries one attribute, held inline: the test also
+//! checks that building one allocates exactly what the same op without its
+//! `value` does.
 //!
 //! A launch record costs one allocation — the copy of the accelerator's
 //! register file — however many fields the file holds; the names the
@@ -46,6 +56,7 @@
 //! Run with `--nocapture` to see the table (CI does).
 
 use accfg::{interpret, pipeline, OptLevel};
+use accfg_ir::{AttrMap, FuncBuilder, Module, Opcode, Type};
 use accfg_runtime::{build_module, CostModel, DispatchPlan};
 use accfg_targets::{compile, AcceleratorDescriptor};
 use accfg_workloads::{matmul_ir, MatmulLayout, MatmulSpec};
@@ -111,6 +122,7 @@ impl Stages {
             per(self.sum())
         );
         [
+            ("matmul_ir", self.matmul_ir, budget.matmul_ir),
             ("the pipeline", self.pipeline, budget.pipeline),
             ("interpret", self.interpret, budget.interpret),
             ("from_trace", self.from_trace, budget.from_trace),
@@ -128,9 +140,9 @@ impl Stages {
     }
 }
 
-/// Allocations per module a row may make: the count measured when the
-/// budget was set, + 15 %.
+/// Allocations per module a row may make.
 struct Budget {
+    matmul_ir: u64,
     pipeline: u64,
     interpret: u64,
     from_trace: u64,
@@ -177,24 +189,26 @@ fn build_module_stays_within_its_allocation_budget() {
             "opengemm 24x16x64 / 8x8x64",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::new((24, 16, 64), (8, 8, 64)).expect("multiples of 8"),
-            // measured 312, 24, 5 and 543
+            // measured 150, 192, 24, 5 and 390, + 15 %
             Budget {
-                pipeline: 358,
+                matmul_ir: 172,
+                pipeline: 220,
                 interpret: 27,
                 from_trace: 5,
-                build: 624,
+                build: 448,
             },
         ),
         (
             "gemmini 24x16x64 untiled",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::new((24, 16, 64), (24, 16, 64)).expect("untiled shape"),
-            // measured 73, 5, 4 and 162
+            // measured 54, 35, 5, 4 and 104, + 15 %
             Budget {
-                pipeline: 83,
+                matmul_ir: 62,
+                pipeline: 40,
                 interpret: 5,
                 from_trace: 4,
-                build: 186,
+                build: 119,
             },
         ),
     ] {
@@ -215,14 +229,45 @@ fn build_module_stays_within_its_allocation_budget() {
     for (desc, spec) in &shapes {
         stages.add(desc, spec);
     }
-    // measured 188.0, 20.8, 4.5 and 352.7
+    // measured 100.5, 108.5, 20.8, 4.5 and 246.2
     let budget = Budget {
-        pipeline: 216,
+        matmul_ir: 105,
+        pipeline: 120,
         interpret: 23,
         from_trace: 5,
-        build: 405,
+        build: 280,
     };
     let modules = shapes.len() as u64;
     over_budget.extend(stages.report("cold_shapes grid mean (1152)", modules, &budget));
     assert!(over_budget.is_empty(), "{}", over_budget.join("\n"));
+
+    // one function holding one constant, built with and without the
+    // constant's `value`: the attribute is the only difference
+    let one_constant = |value: Option<i64>| {
+        counted(|| {
+            let mut m = Module::new();
+            let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+            match value {
+                Some(v) => drop(b.const_int(v, Type::I64)),
+                None => {
+                    let block = b.block();
+                    let op = b.module().create_op(
+                        Opcode::Constant,
+                        vec![],
+                        [Type::I64],
+                        AttrMap::new(),
+                        vec![],
+                    );
+                    b.module().append_op(block, op);
+                }
+            }
+            m
+        })
+        .1
+    };
+    assert_eq!(
+        one_constant(Some(7)),
+        one_constant(None),
+        "an arith.constant allocated for its `value` attribute"
+    );
 }

@@ -17,9 +17,8 @@
 
 use crate::descriptor::{AcceleratorDescriptor, ConfigStyle};
 use accfg::{accelerator as accfg_accel, setup_fields};
-use accfg_ir::{BlockId, CmpPredicate, Module, OpId, Opcode, ValueId};
-use accfg_sim::{AluOp, BranchCond, Program, ProgramBuilder, Reg};
-use std::collections::HashMap;
+use accfg_ir::{BlockId, CmpPredicate, Module, OpId, Opcode, ValueId, ValueMap};
+use accfg_sim::{regmap, AluOp, BranchCond, Program, ProgramBuilder, Reg};
 use std::error::Error;
 use std::fmt;
 
@@ -37,6 +36,17 @@ pub enum LowerError {
         accelerator: String,
         /// The missing field.
         field: String,
+    },
+    /// A setup writes a field the descriptor maps to a configuration
+    /// register the simulated accelerator does not have
+    /// (`reg >= regmap::COUNT`).
+    RegisterOutOfRange {
+        /// The accelerator named by the setup.
+        accelerator: String,
+        /// The offending field.
+        field: String,
+        /// The register index its descriptor entry names.
+        reg: u16,
     },
     /// The program drives an accelerator other than the target's.
     WrongAccelerator {
@@ -63,6 +73,16 @@ impl fmt::Display for LowerError {
             LowerError::UnknownField { accelerator, field } => {
                 write!(f, "accelerator `{accelerator}` has no field `{field}`")
             }
+            LowerError::RegisterOutOfRange {
+                accelerator,
+                field,
+                reg,
+            } => write!(
+                f,
+                "field `{field}` of `{accelerator}` maps to configuration register {reg}, \
+                 past the {}-register file",
+                regmap::COUNT
+            ),
             LowerError::WrongAccelerator { expected, found } => {
                 write!(
                     f,
@@ -107,8 +127,8 @@ pub fn compile(
         m,
         desc,
         pb: ProgramBuilder::new(),
-        vals: HashMap::new(),
-        shadow: HashMap::new(),
+        vals: ValueMap::with_capacity(m.value_count()),
+        shadow: [None; regmap::COUNT],
         zero: None,
     };
     for (&p, &a) in params.iter().zip(args.iter()) {
@@ -124,15 +144,15 @@ struct Lowerer<'a> {
     m: &'a Module,
     desc: &'a AcceleratorDescriptor,
     pb: ProgramBuilder,
-    vals: HashMap<ValueId, Reg>,
+    vals: ValueMap<Reg>,
     /// configuration register index → host register that last supplied it
-    shadow: HashMap<u16, Reg>,
+    shadow: [Option<Reg>; regmap::COUNT],
     zero: Option<Reg>,
 }
 
 impl<'a> Lowerer<'a> {
     fn reg_for(&mut self, v: ValueId) -> Reg {
-        if let Some(&r) = self.vals.get(&v) {
+        if let Some(&r) = self.vals.get(v) {
             return r;
         }
         let r = self.pb.reg();
@@ -363,56 +383,64 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
+    /// The configuration register `desc` maps the setup field called
+    /// `name` to, checked to be one the accelerator has.
+    fn config_register(&self, name: &str) -> Result<u16, LowerError> {
+        let spec = self
+            .desc
+            .field(name)
+            .ok_or_else(|| LowerError::UnknownField {
+                accelerator: self.desc.name.clone(),
+                field: name.to_string(),
+            })?;
+        if usize::from(spec.reg) >= regmap::COUNT {
+            return Err(LowerError::RegisterOutOfRange {
+                accelerator: self.desc.name.clone(),
+                field: name.to_string(),
+                reg: spec.reg,
+            });
+        }
+        Ok(spec.reg)
+    }
+
     fn lower_setup(&mut self, op: OpId) -> Result<(), LowerError> {
         self.check_accel(op)?;
         let fields = setup_fields(self.m, op).named();
         match self.desc.style {
             ConfigStyle::Csr => {
                 for (name, value) in fields {
-                    let spec = self
-                        .desc
-                        .field(name)
-                        .ok_or_else(|| LowerError::UnknownField {
-                            accelerator: self.desc.name.clone(),
-                            field: name.to_string(),
-                        })?;
+                    let reg = self.config_register(name)?;
                     let vr = self.reg_for(value);
-                    self.pb.csr_write(spec.reg, vr);
-                    self.shadow.insert(spec.reg, vr);
+                    self.pb.csr_write(reg, vr);
+                    self.shadow[usize::from(reg)] = Some(vr);
                 }
             }
             ConfigStyle::RoccPairs { launch_funct } => {
-                // group freshly-written registers into pairs
-                let mut written: HashMap<u16, Reg> = HashMap::new();
+                // group freshly-written registers into pairs, in pair order
+                let mut written = [None; regmap::COUNT];
                 for (name, value) in fields {
-                    let spec = self
-                        .desc
-                        .field(name)
-                        .ok_or_else(|| LowerError::UnknownField {
-                            accelerator: self.desc.name.clone(),
-                            field: name.to_string(),
-                        })?;
-                    let vr = self.reg_for(value);
-                    written.insert(spec.reg, vr);
+                    let reg = self.config_register(name)?;
+                    written[usize::from(reg)] = Some(self.reg_for(value));
                 }
-                let mut functs: Vec<u16> = written.keys().map(|r| r / 2).collect();
-                functs.sort_unstable();
-                functs.dedup();
-                for funct in functs {
+                for funct in 0..(regmap::COUNT / 2) as u16 {
+                    let pair = [funct * 2, funct * 2 + 1];
+                    if pair.iter().all(|&reg| written[usize::from(reg)].is_none()) {
+                        continue;
+                    }
                     // the launch-semantic pair is deferred to accfg.launch
                     if funct as u8 == launch_funct {
-                        for reg in [funct * 2, funct * 2 + 1] {
-                            if let Some(&r) = written.get(&reg) {
-                                self.shadow.insert(reg, r);
+                        for reg in pair {
+                            if let Some(r) = written[usize::from(reg)] {
+                                self.remember(reg, r);
                             }
                         }
                         continue;
                     }
-                    let rs1 = self.pair_half(&written, funct * 2);
-                    let rs2 = self.pair_half(&written, funct * 2 + 1);
+                    let rs1 = self.pair_half(&written, pair[0]);
+                    let rs2 = self.pair_half(&written, pair[1]);
                     self.pb.rocc(funct as u8, rs1, rs2);
-                    self.shadow.insert(funct * 2, rs1);
-                    self.shadow.insert(funct * 2 + 1, rs2);
+                    self.remember(pair[0], rs1);
+                    self.remember(pair[1], rs2);
                 }
             }
         }
@@ -421,12 +449,24 @@ impl<'a> Lowerer<'a> {
 
     /// The host register supplying one half of a RoCC pair: the freshly
     /// written value, the last value that reached this register, or zero.
-    fn pair_half(&mut self, written: &HashMap<u16, Reg>, reg: u16) -> Reg {
+    /// A register past the file (a launch command a descriptor placed
+    /// there) never held anything.
+    fn pair_half(&mut self, written: &[Option<Reg>; regmap::COUNT], reg: u16) -> Reg {
+        let reg = usize::from(reg);
         written
-            .get(&reg)
-            .or_else(|| self.shadow.get(&reg))
+            .get(reg)
             .copied()
+            .flatten()
+            .or_else(|| self.shadow.get(reg).copied().flatten())
             .unwrap_or_else(|| self.zero_reg())
+    }
+
+    /// Records that host register `r` last reached configuration register
+    /// `reg`; a register past the file keeps no record.
+    fn remember(&mut self, reg: u16, r: Reg) {
+        if let Some(slot) = self.shadow.get_mut(usize::from(reg)) {
+            *slot = Some(r);
+        }
     }
 
     fn lower_launch(&mut self, op: OpId) -> Result<(), LowerError> {
@@ -435,11 +475,11 @@ impl<'a> Lowerer<'a> {
             ConfigStyle::Csr => self.pb.launch(),
             ConfigStyle::RoccPairs { launch_funct } => {
                 let f = u16::from(launch_funct);
-                let rs1 = self.pair_half(&HashMap::new(), f * 2);
-                let rs2 = self.pair_half(&HashMap::new(), f * 2 + 1);
+                let rs1 = self.pair_half(&[None; regmap::COUNT], f * 2);
+                let rs2 = self.pair_half(&[None; regmap::COUNT], f * 2 + 1);
                 self.pb.rocc(launch_funct, rs1, rs2);
-                self.shadow.insert(f * 2, rs1);
-                self.shadow.insert(f * 2 + 1, rs2);
+                self.remember(f * 2, rs1);
+                self.remember(f * 2 + 1, rs2);
             }
         }
         Ok(())
@@ -688,6 +728,55 @@ mod tests {
         b.ret(vec![]);
         let e = compile(&m, "f", &desc, &[]).unwrap_err();
         assert!(matches!(e, LowerError::UnknownField { .. }), "{e}");
+    }
+
+    #[test]
+    fn a_field_past_the_register_file_is_reported() {
+        for desc in [
+            AcceleratorDescriptor::opengemm(),
+            AcceleratorDescriptor::gemmini(),
+        ] {
+            let m = single_tile_ir(&desc, 8);
+            for reg in [regmap::COUNT as u16, 40] {
+                let mut past = desc.clone();
+                let field = past
+                    .fields
+                    .iter_mut()
+                    .find(|f| f.reg == accfg_sim::regmap::A_ADDR)
+                    .unwrap();
+                field.reg = reg;
+                let name = field.name.clone();
+                let e = compile(&m, "kernel", &past, &[0x100, 0x200, 0x300]).unwrap_err();
+                assert_eq!(
+                    e,
+                    LowerError::RegisterOutOfRange {
+                        accelerator: desc.name.clone(),
+                        field: name,
+                        reg,
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_launch_command_past_the_register_file_lowers_with_zero_halves() {
+        // the machine faults on it at run time; the lowering has no
+        // register to remember its halves in, and needs none
+        let mut desc = AcceleratorDescriptor::gemmini();
+        let m = single_tile_ir(&desc, 8);
+        desc.style = ConfigStyle::RoccPairs { launch_funct: 14 };
+        let prog = compile(&m, "kernel", &desc, &[0x100, 0x200, 0x300]).unwrap();
+        let launches: Vec<&Inst> = prog
+            .insts()
+            .iter()
+            .filter(|i| matches!(i, Inst::RoccCmd { funct: 14, .. }))
+            .collect();
+        assert_eq!(launches.len(), 1);
+        let Inst::RoccCmd { rs1, rs2, .. } = launches[0] else {
+            unreachable!()
+        };
+        assert_eq!(rs1, rs2, "both halves read the zero register");
     }
 
     #[test]

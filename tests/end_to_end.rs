@@ -211,7 +211,7 @@ fn broken_pass_is_caught_with_a_named_launch_diff() {
 
     struct ConstSmashPass;
     impl Pass for ConstSmashPass {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "const-smash"
         }
         fn run(&self, m: &mut Module) -> Changed {
