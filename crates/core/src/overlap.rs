@@ -196,7 +196,7 @@ fn setup_cone(m: &Module, body: BlockId, setup: OpId) -> Option<Vec<OpId>> {
             continue;
         }
         if !m.op(op).opcode.is_pure() {
-            return None; // impure producer: rotation unsafe
+            return None; // impure producer: cannot be rotated
         }
         for &operand in &m.op(op).operands {
             wanted.insert(operand, ());

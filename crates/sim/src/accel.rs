@@ -451,11 +451,11 @@ impl AccelSim {
 /// [`execute_tile_elementwise`], which is the definition. A tile whose
 /// operands are row-major and lie in memory, with C overlapping none of
 /// A, B and D (every tile this repository's lowerings emit), is computed
-/// as dot products over packed operands instead: B is transposed and
-/// widened to i16 once per tile, each row of A once per row, and every C
-/// element is the product of two contiguous i16 rows. An i8 · i8 product
-/// is exact in 16 bits and the wrapping i32 sum does not depend on its
-/// order, so the bytes written are the definition's.
+/// from packed operands instead: B is transposed and widened to i16 once
+/// per tile, rows of A two at a time, and each pair of rows meets every
+/// packed column in one MAC kernel pass. An i8 · i8 product is exact in 16
+/// bits and the wrapping i32 sum does not depend on its order, so the
+/// bytes written are the definition's.
 ///
 /// # Errors
 /// Fails when any element access is out of bounds.
@@ -463,7 +463,9 @@ pub fn execute_tile(op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
     TileScratch::default().execute(op, mem)
 }
 
-/// Elements per step of [`dot`], and the multiple packed rows are padded to.
+mod kernel;
+
+/// The multiple packed rows are padded to.
 const LANES: usize = 16;
 
 /// The packed operands of one tile. An [`AccelSim`] keeps one across
@@ -473,11 +475,12 @@ struct TileScratch {
     /// Bᵀ as i16: column `j` of B is the `j`-th run of `k` rounded up to
     /// [`LANES`] elements.
     b_cols: Vec<i16>,
-    /// The current row of A as i16, zero from `k` to the padded length, so
-    /// whatever a column of `b_cols` holds past `k` contributes nothing.
-    a_row: Vec<i16>,
-    /// The current row of `A·B + D`.
-    acc_row: Vec<i32>,
+    /// The current pair of rows of A as i16, one padded column length
+    /// each, zero from `k` on, so whatever a column of `b_cols` holds past
+    /// `k` contributes nothing.
+    a_rows: Vec<i16>,
+    /// The current pair of rows of `A·B + D`, `n` elements each.
+    acc_rows: Vec<i32>,
 }
 
 impl TileScratch {
@@ -492,39 +495,41 @@ impl TileScratch {
         let (n, k, stride_b) = (op.n as usize, op.k as usize, op.stride_b as usize);
         let b = mem.bytes(op.b_addr, (k - 1) * stride_b + n)?;
         let padded_k = self.pack_b(b, n, k, stride_b);
-        self.a_row.clear();
-        self.a_row.resize(padded_k, 0);
-        self.acc_row.resize(n, 0);
-        // rows in order: a C stride may alias rows, and under ACCUMULATE
-        // row `i + 1` then reads what row `i` wrote
-        for i in 0..op.m {
-            let a_row = mem.bytes(strided_addr(op.a_addr, i, op.stride_a, 0), k)?;
-            for (wide, &a) in self.a_row.iter_mut().zip(a_row) {
-                *wide = a as i8 as i16;
-            }
-            for (acc, b_col) in self
-                .acc_row
-                .iter_mut()
-                .zip(self.b_cols.chunks_exact(padded_k))
-            {
-                *acc = dot(&self.a_row, b_col);
-            }
-            if op.d_addr != 0 {
-                let d_row = mem.bytes(strided_addr(op.d_addr, i, op.stride_d, 0), 4 * n)?;
-                for (acc, w) in self.acc_row.iter_mut().zip(d_row.chunks_exact(4)) {
-                    *acc = acc.wrapping_add(le_i32(w));
+        self.a_rows.clear();
+        self.a_rows.resize(2 * padded_k, 0);
+        self.acc_rows.resize(2 * n, 0);
+        // rows in pairs, a lone last row paired with itself
+        for i in (0..op.m).step_by(2) {
+            let pair = [i, (i + 1).min(op.m - 1)];
+            for (wide, row) in self.a_rows.chunks_exact_mut(padded_k).zip(pair) {
+                let a_row = mem.bytes(strided_addr(op.a_addr, row, op.stride_a, 0), k)?;
+                for (wide, &a) in wide.iter_mut().zip(a_row) {
+                    *wide = a as i8 as i16;
                 }
             }
-            let c_row = mem.bytes_mut(strided_addr(op.c_addr, i, op.stride_c, 0), 4 * n)?;
-            for (out, &sum) in c_row.chunks_exact_mut(4).zip(&self.acc_row) {
-                let mut v = sum;
-                if accumulate {
-                    v = v.wrapping_add(le_i32(out));
+            let (a0, a1) = self.a_rows.split_at(padded_k);
+            let (acc0, acc1) = self.acc_rows.split_at_mut(n);
+            kernel::two_rows([a0, a1], &self.b_cols, [acc0, acc1]);
+            // rows in order: a C stride may alias rows, and under
+            // ACCUMULATE row `i + 1` then reads what row `i` wrote
+            for (row, acc_row) in (i..=pair[1]).zip(self.acc_rows.chunks_exact_mut(n)) {
+                if op.d_addr != 0 {
+                    let d_row = mem.bytes(strided_addr(op.d_addr, row, op.stride_d, 0), 4 * n)?;
+                    for (acc, w) in acc_row.iter_mut().zip(d_row.chunks_exact(4)) {
+                        *acc = acc.wrapping_add(le_i32(w));
+                    }
                 }
-                if relu {
-                    v = v.max(0);
+                let c_row = mem.bytes_mut(strided_addr(op.c_addr, row, op.stride_c, 0), 4 * n)?;
+                for (out, &sum) in c_row.chunks_exact_mut(4).zip(&*acc_row) {
+                    let mut v = sum;
+                    if accumulate {
+                        v = v.wrapping_add(le_i32(out));
+                    }
+                    if relu {
+                        v = v.max(0);
+                    }
+                    out.copy_from_slice(&v.to_le_bytes());
                 }
-                out.copy_from_slice(&v.to_le_bytes());
             }
         }
         Ok(op.m * op.n * op.k)
@@ -551,41 +556,6 @@ impl TileScratch {
         }
         padded_k
     }
-}
-
-/// `Σ a[l] · b[l]`, wrapping, over two rows of one length that is a
-/// multiple of [`LANES`].
-///
-/// [`LANES`] independent partial sums over fixed-width chunks is the shape
-/// LLVM lowers to packed 16-bit multiply-adds (`pmaddwd` on baseline
-/// x86-64: eight products and four pair sums an instruction); the pair
-/// sums are formed in 32 bits, so two `(-128)²` products do not overflow.
-///
-/// The loops that run once per MAC (here) and once per packed element
-/// ([`TileScratch::pack_b`]) are `while` loops over indices: the debug-build
-/// suites run them too, and there an iterator adaptor's `next` is a call
-/// per element.
-#[inline]
-fn dot(a: &[i16], b: &[i16]) -> i32 {
-    let b = &b[..a.len()];
-    let mut lanes = [0i32; LANES];
-    let mut at = 0;
-    while at + LANES <= a.len() {
-        let (a, b) = (&a[at..at + LANES], &b[at..at + LANES]);
-        let mut l = 0;
-        while l < LANES {
-            lanes[l] = lanes[l].wrapping_add(a[l] as i32 * b[l] as i32);
-            l += 1;
-        }
-        at += LANES;
-    }
-    let mut sum = 0i32;
-    let mut l = 0;
-    while l < LANES {
-        sum = sum.wrapping_add(lanes[l]);
-        l += 1;
-    }
-    sum
 }
 
 /// [`execute_tile`] by its definition: one bounds-checked access per
@@ -1106,6 +1076,66 @@ mod tests {
         assert!(!row_sliceable(&op, &mem));
         assert!(row_sliceable(&TileOp { k: 0x40, ..op }, &mem));
         assert_eq!(execute_tile(&op, &mut mem), Ok(16 * 0x100));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register-blocked kernel is the portable `dot`, element by
+        /// element: odd `m` pairs its last row with itself, every `n mod 4`
+        /// leaves a column tail, `k` crosses eight- and sixteen-lane steps,
+        /// operands are full-range i8, and one row of A and one column of B
+        /// are all −128 (the 32 768 pair-sum corner).
+        #[test]
+        fn blocked_kernel_equals_the_portable_dot(
+            dims in (1u64..10, 1u64..14, 1u64..71),
+            corner in (any::<u64>(), any::<u64>()),
+            seed in any::<u64>(),
+        ) {
+            let (m, n, k) = dims;
+            let op = TileOp {
+                a_addr: SLOTS[0],
+                b_addr: SLOTS[1],
+                c_addr: SLOTS[2],
+                d_addr: 0,
+                m,
+                n,
+                k,
+                stride_a: k,
+                stride_b: n,
+                stride_c: 4 * n,
+                stride_d: 0,
+                flags: 0,
+            };
+            let mut image = noise(seed);
+            let (row, col) = (corner.0 % m, corner.1 % n);
+            for l in 0..k {
+                image.write_i8(op.a_addr + row * k + l, -128).unwrap();
+                image.write_i8(op.b_addr + l * n + col, -128).unwrap();
+            }
+            // `k` elements `step` bytes apart from `addr`, widened and
+            // zero-padded to whole lane groups
+            let widened = |addr: u64, step: u64| {
+                let mut v = vec![0i16; (k as usize).next_multiple_of(LANES)];
+                for (l, wide) in (0..k).zip(&mut v) {
+                    *wide = image.read_i8(addr + l * step).unwrap().into();
+                }
+                v
+            };
+            let (mut mem, mut expected) = (image.clone(), image.clone());
+            prop_assert_eq!(execute_tile(&op, &mut mem), Ok(m * n * k));
+            for i in 0..m {
+                let a_row = widened(op.a_addr + i * k, 1);
+                for j in 0..n {
+                    let want = kernel::dot(&a_row, &widened(op.b_addr + j, n));
+                    let at = op.c_addr + 4 * (i * n + j);
+                    prop_assert_eq!(mem.read_i32(at).unwrap(), want, "C[{}][{}] of {:?}", i, j, dims);
+                    expected.write_i32(at, want).unwrap();
+                }
+            }
+            // and nothing outside C moved
+            prop_assert!(mem == expected, "{:?}", dims);
+        }
     }
 
     proptest! {

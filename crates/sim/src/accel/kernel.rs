@@ -1,0 +1,171 @@
+//! The tile executor's MAC kernel: two rows of A against every packed
+//! column of B.
+//!
+//! On x86_64 the product is a register block of two rows × four columns
+//! written with SSE2 intrinsics, which every x86_64 CPU has; elsewhere it
+//! is `dot` per element, which is also the block's test reference. This
+//! module and its counterpart in `accfg-workloads` are the only library
+//! code in the workspace that uses `unsafe` or `core::arch` (CI greps for
+//! both).
+
+use super::LANES;
+
+/// `c[r][j] = Σ a[r][l] · b_col_j[l]`, wrapping, for the two rows of `a`
+/// and the `c[r].len()` columns of `b_cols`, each column as long as a row
+/// of `a`, which is a multiple of [`LANES`].
+#[inline]
+pub(super) fn two_rows(a: [&[i16]; 2], b_cols: &[i16], c: [&mut [i32]; 2]) {
+    debug_assert_eq!(a[0].len() % LANES, 0);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `sse2::two_rows` needs SSE2 and nothing else, and SSE2 is
+    // part of the x86_64 baseline: every CPU this build can run on has it.
+    unsafe {
+        sse2::two_rows(a, b_cols, c);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    portable(a, b_cols, c);
+}
+
+/// [`two_rows`] as one [`dot`] per element.
+#[cfg(not(target_arch = "x86_64"))]
+fn portable(a: [&[i16]; 2], b_cols: &[i16], c: [&mut [i32]; 2]) {
+    let [c0, c1] = c;
+    for ((c0, c1), b_col) in c0.iter_mut().zip(c1).zip(b_cols.chunks_exact(a[0].len())) {
+        *c0 = dot(a[0], b_col);
+        *c1 = dot(a[1], b_col);
+    }
+}
+
+/// `Σ a[l] · b[l]`, wrapping, over two rows of one length that is a
+/// multiple of [`LANES`]: [`LANES`] independent partial sums over
+/// fixed-width chunks, the shape LLVM lowers to packed 16-bit
+/// multiply-adds where the target has them.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[inline]
+pub(super) fn dot(a: &[i16], b: &[i16]) -> i32 {
+    let b = &b[..a.len()];
+    let mut lanes = [0i32; LANES];
+    let mut at = 0;
+    while at + LANES <= a.len() {
+        let (a, b) = (&a[at..at + LANES], &b[at..at + LANES]);
+        let mut l = 0;
+        while l < LANES {
+            lanes[l] = lanes[l].wrapping_add(a[l] as i32 * b[l] as i32);
+            l += 1;
+        }
+        at += LANES;
+    }
+    let mut sum = 0i32;
+    let mut l = 0;
+    while l < LANES {
+        sum = sum.wrapping_add(lanes[l]);
+        l += 1;
+    }
+    sum
+}
+
+/// The register block. Every step of eight lanes loads two rows of A and
+/// four columns of B once and runs eight `pmaddwd` (eight 16-bit
+/// products and four 32-bit pair sums each) into eight i32x4
+/// accumulators; a block ends in one transposed horizontal sum per row,
+/// which leaves the row's four C elements in one register. The last
+/// `n mod 4` columns take a two-row × one-column variant.
+///
+/// Bit-exact with `dot`: an i8 · i8 product is exact in 16 bits, two of
+/// them (at most 2 · (−128)² = 32 768) fit the 32-bit pair sum, and the
+/// wrapping i32 additions do not depend on their order.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
+        _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_si128, _mm_unpackhi_epi32,
+        _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64,
+    };
+
+    /// Eight lanes of one step.
+    type Step = [i16; 8];
+
+    /// [`super::two_rows`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn two_rows(a: [&[i16]; 2], b_cols: &[i16], c: [&mut [i32]; 2]) {
+        let a0 = a[0].as_chunks::<8>().0;
+        let steps = a0.len();
+        let a1 = &a[1].as_chunks::<8>().0[..steps];
+        let [c0, c1] = c;
+        let n = c0.len();
+        let c1 = &mut c1[..n];
+        let b_cols = b_cols[..n * 8 * steps].as_chunks::<8>().0;
+        let (c0_quads, c0_tail) = c0.as_chunks_mut::<4>();
+        let (c1_quads, c1_tail) = c1.as_chunks_mut::<4>();
+        let quads = b_cols.chunks_exact(4 * steps);
+        let tail = quads.remainder().chunks_exact(steps);
+        for ((out0, out1), quad) in c0_quads.iter_mut().zip(c1_quads).zip(quads) {
+            let (b01, b23) = quad.split_at(2 * steps);
+            let (b0, b1) = b01.split_at(steps);
+            let (b2, b3) = b23.split_at(steps);
+            let mut acc = [_mm_setzero_si128(); 8];
+            for s in 0..steps {
+                let (x0, x1) = (load(&a0[s]), load(&a1[s]));
+                let y = [load(&b0[s]), load(&b1[s]), load(&b2[s]), load(&b3[s])];
+                for q in 0..4 {
+                    acc[q] = _mm_add_epi32(acc[q], _mm_madd_epi16(x0, y[q]));
+                    acc[4 + q] = _mm_add_epi32(acc[4 + q], _mm_madd_epi16(x1, y[q]));
+                }
+            }
+            store(out0, sum4([acc[0], acc[1], acc[2], acc[3]]));
+            store(out1, sum4([acc[4], acc[5], acc[6], acc[7]]));
+        }
+        for ((out0, out1), b) in c0_tail.iter_mut().zip(c1_tail).zip(tail) {
+            let mut acc = [_mm_setzero_si128(); 2];
+            for s in 0..steps {
+                let y = load(&b[s]);
+                acc[0] = _mm_add_epi32(acc[0], _mm_madd_epi16(load(&a0[s]), y));
+                acc[1] = _mm_add_epi32(acc[1], _mm_madd_epi16(load(&a1[s]), y));
+            }
+            *out0 = sum(acc[0]);
+            *out1 = sum(acc[1]);
+        }
+    }
+
+    /// The four lanes of `v[q]` summed into lane `q` of the result: two
+    /// rounds of interleaving and adding, a transpose folded into the sum.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn sum4(v: [__m128i; 4]) -> __m128i {
+        // lanes 0 + 2 and 1 + 3 of v[0] and v[1], interleaved
+        let s01 = _mm_add_epi32(
+            _mm_unpacklo_epi32(v[0], v[1]),
+            _mm_unpackhi_epi32(v[0], v[1]),
+        );
+        let s23 = _mm_add_epi32(
+            _mm_unpacklo_epi32(v[2], v[3]),
+            _mm_unpackhi_epi32(v[2], v[3]),
+        );
+        _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
+    }
+
+    /// The four lanes of `v` summed.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn sum(v: __m128i) -> i32 {
+        let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b01_00_11_10>(v));
+        _mm_cvtsi128_si32(_mm_add_epi32(v, _mm_shuffle_epi32::<0b10_11_00_01>(v)))
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn load(step: &Step) -> __m128i {
+        // SAFETY: `step` is sixteen readable bytes, and `loadu` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(step.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn store(out: &mut [i32; 4], v: __m128i) {
+        // SAFETY: `out` is sixteen writable bytes, and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) }
+    }
+}

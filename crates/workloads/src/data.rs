@@ -63,36 +63,33 @@ pub fn fill_inputs(
 fn fill_nibbles(bytes: &mut [u8], rng: &mut SplitMix) {
     for run in bytes.chunks_mut(16) {
         let mut word = rng.next_u64();
-        // a `while`: in the debug-build suites an adaptor's `next` would be
-        // a call per byte
-        let mut i = 0;
-        while i < run.len() {
-            run[i] = (word as u8 & 0xF).wrapping_sub(8);
+        for byte in run {
+            *byte = (word as u8 & 0xF).wrapping_sub(8);
             word >>= 4;
-            i += 1;
         }
     }
 }
 
-/// Elements in a lane group: the unit [`dot`] steps by, and the multiple
-/// a packed row is padded to.
+mod kernel;
+
+/// Elements in a lane group: the multiple a packed row is padded to.
 const LANES: usize = 16;
 
-/// The reference `act(A · B)`, one row of C at a time, as dot products
+/// The reference `act(A · B)`, two rows of C at a time, as dot products
 /// over operands packed once.
 ///
-/// Bᵀ is widened to i16, each column zero-padded to whole lane groups; one
-/// row of A, widened the same way, sits behind the columns. Every element
+/// Bᵀ is widened to i16, each column zero-padded to whole lane groups; two
+/// rows of A, widened the same way, sit behind the columns. Every element
 /// of a row of C is then the dot product of two contiguous runs of lane
 /// groups. An i8 · i8 product is exact in 16 bits and the wrapping i32 sum
 /// does not depend on its order.
 struct Reference<'m> {
     a: &'m [u8],
-    /// `n` columns of Bᵀ, `groups` lane groups each, then the current row
-    /// of A (zero from `k` on, like every column).
+    /// `n` columns of Bᵀ, `groups` lane groups each, then the current pair
+    /// of rows of A (zero from `k` on, like every column).
     packed: Vec<[i16; LANES]>,
-    /// The current row of C.
-    row: Vec<i32>,
+    /// The current pair of rows of C.
+    rows: Vec<i32>,
     m: usize,
     n: usize,
     k: usize,
@@ -115,7 +112,7 @@ impl<'m> Reference<'m> {
             return Ok(None);
         };
         let groups = k.div_ceil(LANES);
-        let mut packed = vec![[0; LANES]; (n + 1) * groups];
+        let mut packed = vec![[0; LANES]; (n + 2) * groups];
         // a transpose, LANES rows of B at a time: the reads stay within
         // LANES cache lines and every column receives a whole lane group
         for g in 0..groups {
@@ -132,7 +129,7 @@ impl<'m> Reference<'m> {
         Ok(Some(Self {
             a,
             packed,
-            row: vec![0; n],
+            rows: vec![0; 2 * n],
             m,
             n,
             k,
@@ -141,53 +138,30 @@ impl<'m> Reference<'m> {
         }))
     }
 
-    /// Row `i` of C. (Inlined into the row loop of each caller, so the
-    /// check's loop is the one that vectorises.)
+    /// Rows `i` and `i + 1` of C, or row `i` alone when it is the last,
+    /// which the kernel then computes twice. (Inlined into the row loop of
+    /// each caller, so the kernel lands inside the check.)
     #[inline(always)]
-    fn row(&mut self, i: usize) -> &[i32] {
-        let (b_cols, a_row) = self.packed.split_at_mut(self.n * self.groups);
-        let a = &self.a[i * self.k..][..self.k];
-        for (wide, &a) in a_row.as_flattened_mut().iter_mut().zip(a) {
-            *wide = a as i8 as i16;
+    fn rows(&mut self, i: usize) -> &[i32] {
+        let (b_cols, a_rows) = self.packed.split_at_mut(self.n * self.groups);
+        let last = (i + 1).min(self.m - 1);
+        for (wide, row) in a_rows.chunks_exact_mut(self.groups).zip([i, last]) {
+            let a = &self.a[row * self.k..][..self.k];
+            for (wide, &a) in wide.as_flattened_mut().iter_mut().zip(a) {
+                *wide = a as i8 as i16;
+            }
         }
-        // the dot inlined into a loop that writes a slice: behind a closure
-        // or an early return LLVM leaves it scalar
-        for (c, b_col) in self.row.iter_mut().zip(b_cols.chunks_exact(self.groups)) {
-            *c = dot(a_row, b_col);
-        }
+        let (a0, a1) = a_rows.split_at(self.groups);
+        let (c0, c1) = self.rows.split_at_mut(self.n);
+        kernel::two_rows([a0, a1], b_cols, [c0, c1]);
+        let rows = &mut self.rows[..(last + 1 - i) * self.n];
         if self.relu {
-            for c in &mut self.row {
+            for c in rows.iter_mut() {
                 *c = (*c).max(0);
             }
         }
-        &self.row
+        rows
     }
-}
-
-/// `Σ a[l] · b[l]`, wrapping, over two runs of lane groups of one length.
-///
-/// [`LANES`] independent partial sums over fixed-width groups is the shape
-/// LLVM lowers to packed 16-bit multiply-adds (`pmaddwd` on baseline
-/// x86-64), whose pair sums are formed in 32 bits, so two `(-128)²`
-/// products do not overflow. The lanes are spelled out, not looped over:
-/// the debug-build suites run this loop too, and there a constant index
-/// into a lane group costs nothing where a lane counter costs a bounds
-/// check and an overflow check per MAC (release code is the same).
-#[inline]
-fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
-    let mut lanes = [0i32; LANES];
-    macro_rules! each_lane {
-        ($($l:literal)*) => {{
-            let mut g = 0;
-            while g < a.len() {
-                let (a, b) = (&a[g], &b[g]);
-                $(lanes[$l] = lanes[$l].wrapping_add((a[$l] as i32).wrapping_mul(b[$l] as i32));)*
-                g += 1;
-            }
-            0i32 $(.wrapping_add(lanes[$l]))*
-        }};
-    }
-    each_lane!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
 }
 
 /// Computes the reference `C = act(A · B)` from the matrices in memory.
@@ -197,6 +171,10 @@ fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
 ///
 /// # Errors
 /// Fails on out-of-bounds reads.
+// `#[inline]`: compiled where it is called, so in this crate's own code
+// `check_result` is the one caller of the kernel and the kernel is inlined
+// into it
+#[inline]
 pub fn reference_c(
     mem: &Memory,
     spec: &MatmulSpec,
@@ -207,8 +185,8 @@ pub fn reference_c(
         return Ok(vec![0; len]);
     };
     let mut c = Vec::with_capacity(len);
-    for i in 0..reference.m {
-        c.extend_from_slice(reference.row(i));
+    for i in (0..reference.m).step_by(2) {
+        c.extend_from_slice(reference.rows(i));
     }
     Ok(c)
 }
@@ -231,9 +209,9 @@ pub fn check_result(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> R
     let Some(mut reference) = reference else {
         return compare(std::iter::repeat(0), c, 0, spec.n);
     };
-    for i in 0..reference.m {
+    for i in (0..reference.m).step_by(2) {
         let start = i * reference.n;
-        compare(reference.row(i).iter().copied(), c, start, spec.n)?;
+        compare(reference.rows(i).iter().copied(), c, start, spec.n)?;
     }
     Ok(())
 }
@@ -613,6 +591,49 @@ mod tests {
                     check_result(&mem, &spec, &layout),
                     Err(format!("C[{i}][{j}] = {got}, expected {want}"))
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register-blocked kernel is the portable `dot`, element by
+        /// element: odd `m` pairs its last row with itself, every `n mod 4`
+        /// leaves a column tail, `k` crosses eight- and sixteen-lane steps,
+        /// operands are full-range i8, and one row of A and one column of B
+        /// are all −128 (the 32 768 pair-sum corner).
+        #[test]
+        fn blocked_reference_equals_the_portable_dot(
+            dims in (1i64..10, 1i64..14, 1i64..71),
+            corner in (any::<u64>(), any::<u64>()),
+            seed in any::<u64>(),
+        ) {
+            let (spec, layout, mut mem) = filled(dims, seed);
+            fill_full_range(&mut mem, &layout, seed);
+            let (m, n, k) = (dims.0 as usize, dims.1 as usize, dims.2 as usize);
+            let (row, col) = (corner.0 as usize % m, corner.1 as usize % n);
+            let (a_addr, b_addr) = (layout.a_addr as u64, layout.b_addr as u64);
+            for l in 0..k {
+                mem.write_i8(a_addr + (row * k + l) as u64, -128).unwrap();
+                mem.write_i8(b_addr + (l * n + col) as u64, -128).unwrap();
+            }
+            // `k` operands `step` bytes apart from `addr`, widened into
+            // zero-padded lane groups
+            let widened = |addr: u64, step: usize| {
+                let mut v = vec![[0i16; LANES]; k.div_ceil(LANES)];
+                for (l, wide) in v.as_flattened_mut()[..k].iter_mut().enumerate() {
+                    *wide = mem.read_i8(addr + (l * step) as u64).unwrap().into();
+                }
+                v
+            };
+            let reference = reference_c(&mem, &spec, &layout).unwrap();
+            for i in 0..m {
+                let a_row = widened(a_addr + (i * k) as u64, 1);
+                for j in 0..n {
+                    let want = kernel::dot(&a_row, &widened(b_addr + j as u64, n));
+                    prop_assert_eq!(reference[i * n + j], want, "C[{}][{}] of {:?}", i, j, dims);
+                }
             }
         }
     }
