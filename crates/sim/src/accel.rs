@@ -540,20 +540,7 @@ impl TileScratch {
     fn pack_b(&mut self, b: &[u8], n: usize, k: usize, stride_b: usize) -> usize {
         let padded_k = k.next_multiple_of(LANES);
         self.b_cols.resize(n * padded_k, 0);
-        // a transpose, LANES rows of B at a time: the reads stay within
-        // LANES cache lines and every column receives a contiguous run
-        for k0 in (0..k).step_by(LANES) {
-            let rows = &b[k0 * stride_b..];
-            let run = (k - k0).min(LANES);
-            for j in 0..n {
-                let b_col = &mut self.b_cols[j * padded_k + k0..][..run];
-                let mut t = 0;
-                while t < run {
-                    b_col[t] = rows[t * stride_b + j] as i8 as i16;
-                    t += 1;
-                }
-            }
-        }
+        kernel::pack_b(b, stride_b, k, &mut self.b_cols);
         padded_k
     }
 }
@@ -1135,6 +1122,44 @@ mod tests {
             }
             // and nothing outside C moved
             prop_assert!(mem == expected, "{:?}", dims);
+        }
+
+        /// The pack is its definition over the whole packed buffer, lanes
+        /// past `k` included: zero to three whole eight-column groups and
+        /// every `n mod 8`, whole and partial sixteen-row groups, padded
+        /// strides and the stride 0 that aliases every row, full-range
+        /// bytes with a column of −128 and one of 127 (the sign
+        /// extension), and B's last row ending on memory's last byte, so
+        /// any over-read panics.
+        #[test]
+        fn packed_b_is_b_transposed_and_widened(
+            dims in (1usize..25, 1usize..71),
+            pad in 0usize..11,
+            columns in (any::<usize>(), any::<usize>()),
+            seed in any::<u64>(),
+        ) {
+            let (n, k) = dims;
+            let stride_b = if pad == 10 { 0 } else { n + pad };
+            let (b_addr, len) = (5, (k - 1) * stride_b + n);
+            let mut mem = noise_of(b_addr + len, seed);
+            for t in 0..k {
+                let row = (b_addr + t * stride_b) as u64;
+                mem.write_i8(row + (columns.0 % n) as u64, -128).unwrap();
+                mem.write_i8(row + (columns.1 % n) as u64, 127).unwrap();
+            }
+            let b = mem.bytes(b_addr as u64, len).unwrap();
+            let padded_k = k.next_multiple_of(LANES);
+            // what an earlier launch left behind
+            let stale = || (0..n * padded_k).map(|l| (l as i16).wrapping_mul(0x2F1));
+            let mut scratch = TileScratch { b_cols: stale().collect(), ..TileScratch::default() };
+            prop_assert_eq!(scratch.pack_b(b, n, k, stride_b), padded_k);
+            let mut want: Vec<i16> = stale().collect();
+            for (j, col) in want.chunks_exact_mut(padded_k).enumerate() {
+                for (t, wide) in col[..k].iter_mut().enumerate() {
+                    *wide = b[t * stride_b + j] as i8 as i16;
+                }
+            }
+            prop_assert_eq!(scratch.b_cols, want, "n {} k {} stride {}", n, k, stride_b);
         }
     }
 

@@ -1,14 +1,53 @@
-//! The tile executor's MAC kernel: two rows of A against every packed
-//! column of B.
+//! The tile executor's kernels: B packed into widened columns, then two
+//! rows of A against every packed column.
 //!
-//! On x86_64 the product is a register block of two rows × four columns
-//! written with SSE2 intrinsics, which every x86_64 CPU has; elsewhere it
-//! is `dot` per element, which is also the block's test reference. This
-//! module and its counterpart in `accfg-workloads` are the only library
-//! code in the workspace that uses `unsafe` or `core::arch` (CI greps for
-//! both).
+//! On x86_64 both are written with SSE2 intrinsics, which every x86_64
+//! CPU has: the pack is a sixteen-row × eight-column byte transpose, the
+//! product a register block of two rows × four columns. Elsewhere the pack
+//! gathers an element at a time and the product is `dot` per element,
+//! which are also the tests' references. This module and its counterpart
+//! in `accfg-workloads` are the only library code in the workspace that
+//! uses `unsafe` or `core::arch` (CI greps for both).
 
 use super::LANES;
+
+/// Bᵀ widened to i16: lane `t < k` of column `j` of `b_cols` (columns
+/// `k` rounded up to [`LANES`] long) becomes `b[t * stride_b + j]`, for the
+/// `k` rows of B that start every `stride_b` bytes of `b`; lanes from `k`
+/// on keep what they held.
+///
+/// [`LANES`] rows at a time, so the reads stay within [`LANES`] cache
+/// lines and every column receives a contiguous run. On x86_64 a whole
+/// group of rows is transposed eight columns at a step; a partial group,
+/// the last `n mod 8` columns and every group elsewhere are gathered an
+/// element at a time.
+#[inline]
+pub(super) fn pack_b(b: &[u8], stride_b: usize, k: usize, b_cols: &mut [i16]) {
+    let padded_k = k.next_multiple_of(LANES);
+    for k0 in (0..k).step_by(LANES) {
+        let rows = &b[k0 * stride_b..];
+        let run = (k - k0).min(LANES);
+        #[cfg(target_arch = "x86_64")]
+        let transposed = if run == LANES {
+            // SAFETY: `sse2::transpose` needs SSE2 and nothing else, and
+            // SSE2 is part of the x86_64 baseline.
+            unsafe { sse2::transpose(rows, stride_b, k0, b_cols, padded_k) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let transposed = 0;
+        for (j, b_col) in b_cols
+            .chunks_exact_mut(padded_k)
+            .enumerate()
+            .skip(transposed)
+        {
+            for (t, wide) in b_col[k0..k0 + run].iter_mut().enumerate() {
+                *wide = rows[t * stride_b + j] as i8 as i16;
+            }
+        }
+    }
+}
 
 /// `c[r][j] = Σ a[r][l] · b_col_j[l]`, wrapping, for the two rows of `a`
 /// and the `c[r].len()` columns of `b_cols`, each column as long as a row
@@ -64,7 +103,15 @@ pub(super) fn dot(a: &[i16], b: &[i16]) -> i32 {
     sum
 }
 
-/// The register block. Every step of eight lanes loads two rows of A and
+/// The transpose and the register block.
+///
+/// A transpose step loads eight bytes of each of sixteen rows of B and
+/// interleaves them in four rounds (bytes, then pairs, quads and eights of
+/// them), which leaves one column of sixteen bytes per register; each
+/// column is sign-extended to i16 by interleaving it with itself and
+/// shifting every 16-bit lane right by eight, arithmetically.
+///
+/// The register block: every step of eight lanes loads two rows of A and
 /// four columns of B once and runs eight `pmaddwd` (eight 16-bit
 /// products and four 32-bit pair sums each) into eight i32x4
 /// accumulators; a block ends in one transposed horizontal sum per row,
@@ -77,13 +124,82 @@ pub(super) fn dot(a: &[i16], b: &[i16]) -> i32 {
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
-        _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_si128, _mm_unpackhi_epi32,
-        _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64,
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadl_epi64, _mm_loadu_si128,
+        _mm_madd_epi16, _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_storeu_si128,
+        _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8,
+        _mm_unpacklo_epi16, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8,
     };
 
     /// Eight lanes of one step.
     type Step = [i16; 8];
+
+    /// Lanes `k0..k0 + 16` of every whole group of eight columns of
+    /// `b_cols`, from the sixteen rows of B that start every `stride_b`
+    /// bytes of `rows`; returns the number of columns written.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn transpose(
+        rows: &[u8],
+        stride_b: usize,
+        k0: usize,
+        b_cols: &mut [i16],
+        padded_k: usize,
+    ) -> usize {
+        let mut j0 = 0;
+        for block in b_cols.chunks_exact_mut(8 * padded_k) {
+            let mut r = [_mm_setzero_si128(); 16];
+            for (t, r) in r.iter_mut().enumerate() {
+                *r = load8(
+                    rows[t * stride_b + j0..]
+                        .first_chunk()
+                        .expect("eight columns"),
+                );
+            }
+            // rows 2p and 2p + 1: a byte pair per column
+            let mut x = [_mm_setzero_si128(); 8];
+            for (p, x) in x.iter_mut().enumerate() {
+                *x = _mm_unpacklo_epi8(r[2 * p], r[2 * p + 1]);
+            }
+            // rows 4q..4q + 4 of columns 0..4 in y[q], of columns 4..8 in y[4 + q]
+            let mut y = [_mm_setzero_si128(); 8];
+            for q in 0..4 {
+                y[q] = _mm_unpacklo_epi16(x[2 * q], x[2 * q + 1]);
+                y[4 + q] = _mm_unpackhi_epi16(x[2 * q], x[2 * q + 1]);
+            }
+            // rows 8s..8s + 8 of columns 2c and 2c + 1 in z[2c + s]
+            let mut z = [_mm_setzero_si128(); 8];
+            for h in 0..2 {
+                for s in 0..2 {
+                    let (u, v) = (y[4 * h + 2 * s], y[4 * h + 2 * s + 1]);
+                    z[4 * h + s] = _mm_unpacklo_epi32(u, v);
+                    z[4 * h + 2 + s] = _mm_unpackhi_epi32(u, v);
+                }
+            }
+            for (c, pair) in block.chunks_exact_mut(2 * padded_k).enumerate() {
+                let (col0, col1) = pair.split_at_mut(padded_k);
+                widen(&mut col0[k0..], _mm_unpacklo_epi64(z[2 * c], z[2 * c + 1]));
+                widen(&mut col1[k0..], _mm_unpackhi_epi64(z[2 * c], z[2 * c + 1]));
+            }
+            j0 += 8;
+        }
+        j0
+    }
+
+    /// The sixteen bytes of `col` as i16 into the first sixteen lanes of
+    /// `out`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn widen(out: &mut [i16], col: __m128i) {
+        let (lo, hi) = out[..16].split_at_mut(8);
+        store8(
+            lo.try_into().expect("eight lanes"),
+            _mm_srai_epi16::<8>(_mm_unpacklo_epi8(col, col)),
+        );
+        store8(
+            hi.try_into().expect("eight lanes"),
+            _mm_srai_epi16::<8>(_mm_unpackhi_epi8(col, col)),
+        );
+    }
 
     /// [`super::two_rows`].
     #[target_feature(enable = "sse2")]
@@ -159,6 +275,22 @@ mod sse2 {
         // SAFETY: `step` is sixteen readable bytes, and `loadu` has no
         // alignment requirement.
         unsafe { _mm_loadu_si128(step.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn load8(row: &[u8; 8]) -> __m128i {
+        // SAFETY: `row` is eight readable bytes, `loadl` reads exactly
+        // eight and has no alignment requirement.
+        unsafe { _mm_loadl_epi64(row.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn store8(out: &mut Step, v: __m128i) {
+        // SAFETY: `out` is sixteen writable bytes, and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) }
     }
 
     #[target_feature(enable = "sse2")]

@@ -113,19 +113,7 @@ impl<'m> Reference<'m> {
         };
         let groups = k.div_ceil(LANES);
         let mut packed = vec![[0; LANES]; (n + 2) * groups];
-        // a transpose, LANES rows of B at a time: the reads stay within
-        // LANES cache lines and every column receives a whole lane group
-        for g in 0..groups {
-            let (k0, run) = (g * LANES, (k - g * LANES).min(LANES));
-            for j in 0..n {
-                let group = &mut packed[j * groups + g];
-                let mut t = 0;
-                while t < run {
-                    group[t] = b[(k0 + t) * n + j] as i8 as i16;
-                    t += 1;
-                }
-            }
-        }
+        kernel::pack_b(b, n, k, &mut packed[..n * groups]);
         Ok(Some(Self {
             a,
             packed,
@@ -635,6 +623,42 @@ mod tests {
                     prop_assert_eq!(reference[i * n + j], want, "C[{}][{}] of {:?}", i, j, dims);
                 }
             }
+        }
+
+        /// The pack is its definition over the whole packed buffer, the
+        /// two rows of A behind the columns included: zero to three whole
+        /// eight-column groups and every `n mod 8`, whole and partial
+        /// sixteen-row groups, full-range bytes with a column of −128 and
+        /// one of 127 (the sign extension), and B's last row ending on
+        /// memory's last byte, so any over-read panics.
+        #[test]
+        fn packed_b_is_b_transposed_and_widened(
+            dims in (1usize..25, 1usize..71),
+            columns in (any::<usize>(), any::<usize>()),
+            seed in any::<u64>(),
+        ) {
+            let (n, k) = dims;
+            let spec = MatmulSpec::new((1, n as i64, k as i64), (1, n as i64, k as i64)).unwrap();
+            // A, then B up to the last byte
+            let end = (k + k * n) as i64;
+            let layout = MatmulLayout { a_addr: 0, b_addr: k as i64, c_addr: end, end };
+            let mut mem = Memory::new(end as usize);
+            fill_full_range(&mut mem, &layout, seed);
+            for t in 0..k {
+                let row = (k + t * n) as u64;
+                mem.write_i8(row + (columns.0 % n) as u64, -128).unwrap();
+                mem.write_i8(row + (columns.1 % n) as u64, 127).unwrap();
+            }
+            let reference = Reference::new(&mem, &spec, &layout).unwrap().unwrap();
+            let b = mem.bytes(k as u64, k * n).unwrap();
+            let groups = k.div_ceil(LANES);
+            let mut want = vec![[0i16; LANES]; (n + 2) * groups];
+            for (j, col) in want.chunks_exact_mut(groups).take(n).enumerate() {
+                for (t, wide) in col.as_flattened_mut()[..k].iter_mut().enumerate() {
+                    *wide = b[t * n + j] as i8 as i16;
+                }
+            }
+            prop_assert_eq!(reference.packed, want, "n {} k {}", n, k);
         }
     }
 

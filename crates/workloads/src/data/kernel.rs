@@ -1,15 +1,50 @@
-//! The reference's MAC kernel: two rows of A against every packed column
-//! of Bᵀ.
+//! The reference's kernels: B packed into widened columns of Bᵀ, then two
+//! rows of A against every packed column.
 //!
-//! On x86_64 the product is a register block of two rows × four columns
-//! written with SSE2 intrinsics, which every x86_64 CPU has; elsewhere it
-//! is `dot` per element, which is also the block's test reference. This
-//! module and the tile executor's in `accfg-sim` are the only library code
-//! in the workspace that uses `unsafe` or `core::arch` (CI greps for both);
-//! the two are copies, so the check shares no code with the kernel it
-//! checks.
+//! On x86_64 both are written with SSE2 intrinsics, which every x86_64
+//! CPU has: the pack is a sixteen-row × eight-column byte transpose, the
+//! product a register block of two rows × four columns. Elsewhere the pack
+//! gathers an element at a time and the product is `dot` per element,
+//! which are also the tests' references. This module and the tile
+//! executor's in `accfg-sim` are the only library code in the workspace
+//! that uses `unsafe` or `core::arch` (CI greps for both); the two are
+//! copies, so the check shares no code with the kernel it checks.
 
 use super::LANES;
+
+/// Bᵀ widened to i16: lane `t < k` of column `j` of `b_cols` (columns of
+/// `k.div_ceil(LANES)` lane groups) becomes `b[t * n + j]`, for the `k`
+/// rows of `n` bytes of the row-major `b`; lanes from `k` on keep what
+/// they held.
+///
+/// A lane group of rows at a time, so the reads stay within [`LANES`]
+/// cache lines and every column receives a whole lane group. On x86_64 a
+/// whole group of rows is transposed eight columns at a step; a partial
+/// group, the last `n mod 8` columns and every group elsewhere are
+/// gathered an element at a time.
+#[inline]
+pub(super) fn pack_b(b: &[u8], n: usize, k: usize, b_cols: &mut [[i16; LANES]]) {
+    let groups = k.div_ceil(LANES);
+    for g in 0..groups {
+        let (k0, run) = (g * LANES, (k - g * LANES).min(LANES));
+        let rows = &b[k0 * n..];
+        #[cfg(target_arch = "x86_64")]
+        let transposed = if run == LANES {
+            // SAFETY: `sse2::transpose` needs SSE2 and nothing else, and
+            // SSE2 is part of the x86_64 baseline.
+            unsafe { sse2::transpose(rows, n, g, b_cols, groups) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let transposed = 0;
+        for (j, b_col) in b_cols.chunks_exact_mut(groups).enumerate().skip(transposed) {
+            for (t, wide) in b_col[g][..run].iter_mut().enumerate() {
+                *wide = rows[t * n + j] as i8 as i16;
+            }
+        }
+    }
+}
 
 /// `c[r][j] = Σ a[r][l] · b_col_j[l]`, wrapping, for the two rows of `a`
 /// and the `c[r].len()` columns of `b_cols`, each column as many lane
@@ -57,7 +92,15 @@ pub(super) fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
     each_lane!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
 }
 
-/// The register block. Every step of eight lanes loads two rows of A and
+/// The transpose and the register block.
+///
+/// A transpose step loads eight bytes of each of sixteen rows of B and
+/// interleaves them in four rounds (bytes, then pairs, quads and eights of
+/// them), which leaves one column of sixteen bytes per register; each
+/// column is sign-extended to i16 by interleaving it with itself and
+/// shifting every 16-bit lane right by eight, arithmetically.
+///
+/// The register block: every step of eight lanes loads two rows of A and
 /// four columns of B once and runs eight `pmaddwd` (eight 16-bit
 /// products and four 32-bit pair sums each) into eight i32x4
 /// accumulators; a block ends in one transposed horizontal sum per row,
@@ -71,13 +114,79 @@ pub(super) fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
 mod sse2 {
     use super::LANES;
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128, _mm_madd_epi16,
-        _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_si128, _mm_unpackhi_epi32,
-        _mm_unpackhi_epi64, _mm_unpacklo_epi32, _mm_unpacklo_epi64,
+        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadl_epi64, _mm_loadu_si128,
+        _mm_madd_epi16, _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_storeu_si128,
+        _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8,
+        _mm_unpacklo_epi16, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8,
     };
 
     /// Eight lanes of one step.
     type Step = [i16; 8];
+
+    /// Lane group `g` of every whole group of eight columns of `b_cols`
+    /// (columns of `groups` lane groups), from the sixteen rows of `n`
+    /// bytes at the start of `rows`; returns the number of columns
+    /// written.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn transpose(
+        rows: &[u8],
+        n: usize,
+        g: usize,
+        b_cols: &mut [[i16; LANES]],
+        groups: usize,
+    ) -> usize {
+        let mut j0 = 0;
+        for block in b_cols.chunks_exact_mut(8 * groups) {
+            let mut r = [_mm_setzero_si128(); 16];
+            for (t, r) in r.iter_mut().enumerate() {
+                *r = load8(rows[t * n + j0..].first_chunk().expect("eight columns"));
+            }
+            // rows 2p and 2p + 1: a byte pair per column
+            let mut x = [_mm_setzero_si128(); 8];
+            for (p, x) in x.iter_mut().enumerate() {
+                *x = _mm_unpacklo_epi8(r[2 * p], r[2 * p + 1]);
+            }
+            // rows 4q..4q + 4 of columns 0..4 in y[q], of columns 4..8 in y[4 + q]
+            let mut y = [_mm_setzero_si128(); 8];
+            for q in 0..4 {
+                y[q] = _mm_unpacklo_epi16(x[2 * q], x[2 * q + 1]);
+                y[4 + q] = _mm_unpackhi_epi16(x[2 * q], x[2 * q + 1]);
+            }
+            // rows 8s..8s + 8 of columns 2c and 2c + 1 in z[2c + s]
+            let mut z = [_mm_setzero_si128(); 8];
+            for h in 0..2 {
+                for s in 0..2 {
+                    let (u, v) = (y[4 * h + 2 * s], y[4 * h + 2 * s + 1]);
+                    z[4 * h + s] = _mm_unpacklo_epi32(u, v);
+                    z[4 * h + 2 + s] = _mm_unpackhi_epi32(u, v);
+                }
+            }
+            for (c, pair) in block.chunks_exact_mut(2 * groups).enumerate() {
+                let (col0, col1) = pair.split_at_mut(groups);
+                widen(&mut col0[g], _mm_unpacklo_epi64(z[2 * c], z[2 * c + 1]));
+                widen(&mut col1[g], _mm_unpackhi_epi64(z[2 * c], z[2 * c + 1]));
+            }
+            j0 += 8;
+        }
+        j0
+    }
+
+    /// The sixteen bytes of `col` as i16 into the first sixteen lanes of
+    /// `out`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn widen(out: &mut [i16], col: __m128i) {
+        let (lo, hi) = out[..16].split_at_mut(8);
+        store8(
+            lo.try_into().expect("eight lanes"),
+            _mm_srai_epi16::<8>(_mm_unpacklo_epi8(col, col)),
+        );
+        store8(
+            hi.try_into().expect("eight lanes"),
+            _mm_srai_epi16::<8>(_mm_unpackhi_epi8(col, col)),
+        );
+    }
 
     /// [`super::two_rows`].
     #[target_feature(enable = "sse2")]
@@ -153,6 +262,22 @@ mod sse2 {
         // SAFETY: `step` is sixteen readable bytes, and `loadu` has no
         // alignment requirement.
         unsafe { _mm_loadu_si128(step.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn load8(row: &[u8; 8]) -> __m128i {
+        // SAFETY: `row` is eight readable bytes, `loadl` reads exactly
+        // eight and has no alignment requirement.
+        unsafe { _mm_loadl_epi64(row.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn store8(out: &mut Step, v: __m128i) {
+        // SAFETY: `out` is sixteen writable bytes, and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) }
     }
 
     #[target_feature(enable = "sse2")]
