@@ -489,6 +489,18 @@ impl TileScratch {
         if !row_sliceable(op, mem) {
             return execute_tile_elementwise(op, mem);
         }
+        // the pack, the widening and the block compiled for AVX2 where the
+        // AVX2 block pays at this depth
+        kernel::widest(
+            op.k as usize,
+            #[inline(always)]
+            || self.execute_packed(op, mem),
+        )
+    }
+
+    /// [`Self::execute`] of a tile `row_sliceable` accepted.
+    #[inline(always)]
+    fn execute_packed(&mut self, op: &TileOp, mem: &mut Memory) -> Result<u64, LaunchError> {
         let relu = op.flags & flags::RELU != 0;
         let accumulate = op.flags & flags::ACCUMULATE != 0;
         // in range: `row_sliceable` placed every region inside `mem`
@@ -537,6 +549,9 @@ impl TileScratch {
 
     /// Fills `b_cols` from the `k` rows of `n` bytes that start every
     /// `stride_b` bytes of `b`, and returns the length of a packed column.
+    /// (Inlined into both bodies of `execute`, the AVX2 scope's and the
+    /// plain one, which LLVM left calling it out of line.)
+    #[inline(always)]
     fn pack_b(&mut self, b: &[u8], n: usize, k: usize, stride_b: usize) -> usize {
         let padded_k = k.next_multiple_of(LANES);
         self.b_cols.resize(n * padded_k, 0);

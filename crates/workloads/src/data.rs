@@ -187,6 +187,19 @@ pub fn reference_c(
 /// Returns a description of the first mismatching element, or a memory
 /// fault.
 pub fn check_result(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<(), String> {
+    // the pack, the widening and the block compiled for AVX2 where the
+    // AVX2 block pays at this depth
+    let depth = usize::try_from(spec.k).unwrap_or(0);
+    kernel::widest(
+        depth,
+        #[inline(always)]
+        || check_rows(mem, spec, layout),
+    )
+}
+
+/// [`check_result`]'s comparison, a reference row pair at a time.
+#[inline(always)]
+fn check_rows(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<(), String> {
     let reference = Reference::new(mem, spec, layout).map_err(|e| e.to_string())?;
     let c = mem
         .bytes(
