@@ -97,6 +97,27 @@ pub fn shape_heavy_stream(requests: usize) -> Vec<TrafficRequest> {
     .expect("valid shape-heavy mix")
 }
 
+/// The `cold_shapes` grid of the repository benchmark for the platform
+/// called `platform`, in the benchmark's order: every `m` and `n` in
+/// 8..=48 and `k` in 8..=128, in steps of 8 (576 shapes). Gemmini takes
+/// each shape untiled, OpenGeMM in 8 x 8 x k tiles.
+pub fn cold_shapes_grid(platform: &str) -> Vec<MatmulSpec> {
+    let mut shapes = Vec::new();
+    for m in (8..=48).step_by(8) {
+        for n in (8..=48).step_by(8) {
+            for k in (8..=128).step_by(8) {
+                let tile = if platform == "gemmini" {
+                    (m, n, k)
+                } else {
+                    (8, 8, k)
+                };
+                shapes.push(MatmulSpec::new((m, n, k), tile).expect("a grid shape"));
+            }
+        }
+    }
+    shapes
+}
+
 /// On/off arrivals that build deep queues — sticky routing's worst case.
 pub fn bursty_stream(requests: usize) -> Vec<TrafficRequest> {
     BurstyConfig {

@@ -33,10 +33,15 @@
 //! rewritten. The whole-store readers ([`load_modules`], [`load_costs`])
 //! are for tools and tests.
 //!
+//! Values use [`ByteWriter`]'s varints throughout, and a plan stores each
+//! launch's register file as its change from the launch before (`put_plan`):
+//! consecutive launches of one module hold mostly the same values.
+//!
 //! Determinism contract: save functions sort rows by encoded key before
-//! writing, and the codec is canonical, so identical runs drive identical
-//! `put` sequences — which [`accfg_store::LogStore`] turns into
-//! byte-identical files.
+//! writing, and the codec is canonical — the decoders refuse every byte
+//! string the encoders would not write, so `encode(decode(b)?) == b` —
+//! so identical runs drive identical `put` sequences, which
+//! [`accfg_store::LogStore`] turns into byte-identical files.
 //!
 //! [`ServeError::AmbiguousVariantName`]: crate::ServeError::AmbiguousVariantName
 //! [`CostRefiner`]: crate::CostRefiner
@@ -66,23 +71,23 @@ pub const COST_PREFIX: u8 = b'c';
 pub type CostSnapshotEntry = (String, CacheKey, CostRow);
 
 fn put_spec(w: &mut ByteWriter, spec: &MatmulSpec) {
-    w.put_i64(spec.m);
-    w.put_i64(spec.n);
-    w.put_i64(spec.k);
-    w.put_i64(spec.tile_m);
-    w.put_i64(spec.tile_k);
-    w.put_i64(spec.tile_n);
+    w.put_zigzag(spec.m);
+    w.put_zigzag(spec.n);
+    w.put_zigzag(spec.k);
+    w.put_zigzag(spec.tile_m);
+    w.put_zigzag(spec.tile_k);
+    w.put_zigzag(spec.tile_n);
     w.put_bool(spec.relu);
 }
 
 fn read_spec(r: &mut ByteReader) -> Result<MatmulSpec, StoreError> {
     Ok(MatmulSpec {
-        m: r.i64()?,
-        n: r.i64()?,
-        k: r.i64()?,
-        tile_m: r.i64()?,
-        tile_k: r.i64()?,
-        tile_n: r.i64()?,
+        m: r.zigzag()?,
+        n: r.zigzag()?,
+        k: r.zigzag()?,
+        tile_m: r.zigzag()?,
+        tile_k: r.zigzag()?,
+        tile_n: r.zigzag()?,
         relu: r.bool()?,
     })
 }
@@ -167,51 +172,31 @@ fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
     }
 }
 
-fn put_regmap(w: &mut ByteWriter, regs: &RegMap) {
-    w.put_u32(regs.len() as u32);
-    for (&reg, &value) in regs {
-        w.put_u16(reg);
-        w.put_i64(value);
-    }
-}
-
-/// Reads a register file as [`put_regmap`] writes one: registers strictly
-/// ascending, every one inside the simulated accelerator's file. Anything
-/// else — a register the worker's machine could not be told to write, one
-/// listed twice, one out of order — is not something `encode_module`
-/// produces and would not re-encode to itself, so it is a codec error here
-/// rather than a panic (or a silently different module) at dispatch.
-fn read_regmap(r: &mut ByteReader) -> Result<RegMap, StoreError> {
-    let count = r.u32()?;
-    let mut regs = RegMap::new();
-    let mut previous = None;
-    for _ in 0..count {
-        let reg = r.u16()?;
-        let value = r.i64()?;
-        if usize::from(reg) >= RegMap::SLOTS {
-            return Err(StoreError::codec(format!(
-                "configuration register {reg} is past the {}-register file",
-                RegMap::SLOTS
-            )));
-        }
-        if previous.is_some_and(|previous| previous >= reg) {
-            return Err(StoreError::codec(format!(
-                "configuration register {reg} is listed out of ascending order"
-            )));
-        }
-        previous = Some(reg);
-        regs.insert(reg, value);
-    }
-    Ok(regs)
-}
-
+/// Writes each launch's register file as its change from the one before
+/// (the first launch against a blank file): the held-register mask, the
+/// count of listed registers, then each listed register — one newly held
+/// or holding a new value — ascending, with its zigzagged value. A
+/// register the previous launch held and this one keeps at the same value
+/// is implied by the mask; one outside the mask is dropped.
 fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
     put_style(w, plan.style);
-    w.put_u32(plan.launches.len() as u32);
+    w.put_varint(plan.launches.len() as u64);
+    let mut previous = &RegMap::new();
     for launch in &plan.launches {
-        put_regmap(w, &launch.registers);
+        let regs = &launch.registers;
+        let changed = || {
+            regs.iter()
+                .filter(|&(reg, value)| previous.get(reg) != Some(value))
+        };
+        w.put_varint(u64::from(regs.mask()));
+        w.put_varint(changed().count() as u64);
+        for (&reg, &value) in changed() {
+            w.put_varint(u64::from(reg));
+            w.put_zigzag(value);
+        }
+        previous = regs;
     }
-    w.put_u64(plan.cold_writes);
+    w.put_varint(plan.cold_writes);
 }
 
 /// Reads an element count and rejects one the remaining bytes cannot hold
@@ -219,29 +204,102 @@ fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
 /// allocated for it: a record claiming `u32::MAX` instructions must be a
 /// codec error, not a 96 GiB allocation that aborts the process.
 fn read_count(r: &mut ByteReader, what: &str) -> Result<usize, StoreError> {
-    let count = r.u32()? as usize;
-    if count > r.remaining() {
+    let count = r.varint()?;
+    if count > r.remaining() as u64 {
         return Err(StoreError::codec(format!(
             "{what} count {count} exceeds the {} remaining bytes",
             r.remaining()
         )));
     }
-    Ok(count)
+    Ok(count as usize)
+}
+
+/// Reads one launch's register file as [`put_plan`] writes it, against
+/// the `previous` launch's. Everything `put_plan` never writes is refused,
+/// so an accepted launch re-encodes to exactly the bytes it was read from
+/// and holds only registers a worker's machine can be told to write: a
+/// mask bit past the file or inside a RoCC launch pair, a listed register
+/// past the file, out of ascending order, listed twice, outside the mask
+/// or repeating the value it would inherit, and a newly held register
+/// with no listed value.
+fn read_launch(
+    r: &mut ByteReader,
+    style: ConfigStyle,
+    previous: &RegMap,
+) -> Result<RegMap, StoreError> {
+    let mask: u32 = r.varint_to()?;
+    let past = mask & !(u32::MAX >> (32 - RegMap::SLOTS));
+    if past != 0 {
+        return Err(StoreError::codec(format!(
+            "configuration register {} is past the {}-register file",
+            past.trailing_zeros(),
+            RegMap::SLOTS
+        )));
+    }
+    if let ConfigStyle::RoccPairs { launch_funct } = style {
+        let pair = mask & 0b11 << (2 * u32::from(launch_funct));
+        if pair != 0 {
+            return Err(StoreError::codec(format!(
+                "configuration register {} is in the launch pair of funct {launch_funct}",
+                pair.trailing_zeros()
+            )));
+        }
+    }
+    let mut regs = previous.clone();
+    regs.keep(mask);
+    let mut listed = 0u32;
+    for _ in 0..read_count(r, "listed register")? {
+        let reg: u16 = r.varint_to()?;
+        if usize::from(reg) >= RegMap::SLOTS {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is past the {}-register file",
+                RegMap::SLOTS
+            )));
+        }
+        let bit = 1 << reg;
+        if listed & !(bit - 1) != 0 {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is listed out of ascending order"
+            )));
+        }
+        if mask & bit == 0 {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is listed but not held"
+            )));
+        }
+        let value = r.zigzag()?;
+        if previous.get(&reg) == Some(&value) {
+            return Err(StoreError::codec(format!(
+                "configuration register {reg} is listed with the value it inherits"
+            )));
+        }
+        listed |= bit;
+        regs.insert(reg, value);
+    }
+    let unset = mask & !previous.mask() & !listed;
+    if unset != 0 {
+        return Err(StoreError::codec(format!(
+            "configuration register {} is newly held with no listed value",
+            unset.trailing_zeros()
+        )));
+    }
+    Ok(regs)
 }
 
 fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
     let style = read_style(r)?;
     let count = read_count(r, "launch")?;
-    let mut launches = Vec::with_capacity(count);
+    let mut launches: Vec<LaunchSpec> = Vec::with_capacity(count);
     for _ in 0..count {
-        launches.push(LaunchSpec {
-            registers: read_regmap(r)?,
-        });
+        let blank = RegMap::new();
+        let previous = launches.last().map_or(&blank, |launch| &launch.registers);
+        let registers = read_launch(r, style, previous)?;
+        launches.push(LaunchSpec { registers });
     }
     Ok(DispatchPlan {
         style,
         launches,
-        cold_writes: r.u64()?,
+        cold_writes: r.varint()?,
     })
 }
 
@@ -320,22 +378,22 @@ fn put_inst(w: &mut ByteWriter, inst: &Inst) {
     match *inst {
         Inst::Li { rd, imm } => {
             w.put_u8(0);
-            w.put_u32(rd.0);
-            w.put_i64(imm);
+            w.put_varint(u64::from(rd.0));
+            w.put_zigzag(imm);
         }
         Inst::Alu { op, rd, rs1, rs2 } => {
             w.put_u8(1);
             put_alu_op(w, op);
-            w.put_u32(rd.0);
-            w.put_u32(rs1.0);
-            w.put_u32(rs2.0);
+            w.put_varint(u64::from(rd.0));
+            w.put_varint(u64::from(rs1.0));
+            w.put_varint(u64::from(rs2.0));
         }
         Inst::AluI { op, rd, rs1, imm } => {
             w.put_u8(2);
             put_alu_op(w, op);
-            w.put_u32(rd.0);
-            w.put_u32(rs1.0);
-            w.put_i64(imm);
+            w.put_varint(u64::from(rd.0));
+            w.put_varint(u64::from(rs1.0));
+            w.put_zigzag(imm);
         }
         Inst::Ld {
             rd,
@@ -344,9 +402,9 @@ fn put_inst(w: &mut ByteWriter, inst: &Inst) {
             width,
         } => {
             w.put_u8(3);
-            w.put_u32(rd.0);
-            w.put_u32(base.0);
-            w.put_i64(offset);
+            w.put_varint(u64::from(rd.0));
+            w.put_varint(u64::from(base.0));
+            w.put_zigzag(offset);
             put_width(w, width);
         }
         Inst::St {
@@ -356,9 +414,9 @@ fn put_inst(w: &mut ByteWriter, inst: &Inst) {
             width,
         } => {
             w.put_u8(4);
-            w.put_u32(rs.0);
-            w.put_u32(base.0);
-            w.put_i64(offset);
+            w.put_varint(u64::from(rs.0));
+            w.put_varint(u64::from(base.0));
+            w.put_zigzag(offset);
             put_width(w, width);
         }
         Inst::Branch {
@@ -369,24 +427,24 @@ fn put_inst(w: &mut ByteWriter, inst: &Inst) {
         } => {
             w.put_u8(5);
             put_cond(w, cond);
-            w.put_u32(rs1.0);
-            w.put_u32(rs2.0);
-            w.put_u32(target.index());
+            w.put_varint(u64::from(rs1.0));
+            w.put_varint(u64::from(rs2.0));
+            w.put_varint(u64::from(target.index()));
         }
         Inst::Jump { target } => {
             w.put_u8(6);
-            w.put_u32(target.index());
+            w.put_varint(u64::from(target.index()));
         }
         Inst::CsrWrite { csr, rs } => {
             w.put_u8(7);
-            w.put_u16(csr);
-            w.put_u32(rs.0);
+            w.put_varint(u64::from(csr));
+            w.put_varint(u64::from(rs.0));
         }
         Inst::RoccCmd { funct, rs1, rs2 } => {
             w.put_u8(8);
             w.put_u8(funct);
-            w.put_u32(rs1.0);
-            w.put_u32(rs2.0);
+            w.put_varint(u64::from(rs1.0));
+            w.put_varint(u64::from(rs2.0));
         }
         Inst::Launch => w.put_u8(9),
         Inst::AwaitIdle => w.put_u8(10),
@@ -397,50 +455,50 @@ fn put_inst(w: &mut ByteWriter, inst: &Inst) {
 fn read_inst(r: &mut ByteReader) -> Result<Inst, StoreError> {
     Ok(match r.u8()? {
         0 => Inst::Li {
-            rd: Reg(r.u32()?),
-            imm: r.i64()?,
+            rd: Reg(r.varint_to()?),
+            imm: r.zigzag()?,
         },
         1 => Inst::Alu {
             op: read_alu_op(r)?,
-            rd: Reg(r.u32()?),
-            rs1: Reg(r.u32()?),
-            rs2: Reg(r.u32()?),
+            rd: Reg(r.varint_to()?),
+            rs1: Reg(r.varint_to()?),
+            rs2: Reg(r.varint_to()?),
         },
         2 => Inst::AluI {
             op: read_alu_op(r)?,
-            rd: Reg(r.u32()?),
-            rs1: Reg(r.u32()?),
-            imm: r.i64()?,
+            rd: Reg(r.varint_to()?),
+            rs1: Reg(r.varint_to()?),
+            imm: r.zigzag()?,
         },
         3 => Inst::Ld {
-            rd: Reg(r.u32()?),
-            base: Reg(r.u32()?),
-            offset: r.i64()?,
+            rd: Reg(r.varint_to()?),
+            base: Reg(r.varint_to()?),
+            offset: r.zigzag()?,
             width: read_width(r)?,
         },
         4 => Inst::St {
-            rs: Reg(r.u32()?),
-            base: Reg(r.u32()?),
-            offset: r.i64()?,
+            rs: Reg(r.varint_to()?),
+            base: Reg(r.varint_to()?),
+            offset: r.zigzag()?,
             width: read_width(r)?,
         },
         5 => Inst::Branch {
             cond: read_cond(r)?,
-            rs1: Reg(r.u32()?),
-            rs2: Reg(r.u32()?),
-            target: Label::from_index(r.u32()?),
+            rs1: Reg(r.varint_to()?),
+            rs2: Reg(r.varint_to()?),
+            target: Label::from_index(r.varint_to()?),
         },
         6 => Inst::Jump {
-            target: Label::from_index(r.u32()?),
+            target: Label::from_index(r.varint_to()?),
         },
         7 => Inst::CsrWrite {
-            csr: r.u16()?,
-            rs: Reg(r.u32()?),
+            csr: r.varint_to()?,
+            rs: Reg(r.varint_to()?),
         },
         8 => Inst::RoccCmd {
             funct: r.u8()?,
-            rs1: Reg(r.u32()?),
-            rs2: Reg(r.u32()?),
+            rs1: Reg(r.varint_to()?),
+            rs2: Reg(r.varint_to()?),
         },
         9 => Inst::Launch,
         10 => Inst::AwaitIdle,
@@ -450,19 +508,19 @@ fn read_inst(r: &mut ByteReader) -> Result<Inst, StoreError> {
 }
 
 fn put_program(w: &mut ByteWriter, program: &Program) {
-    w.put_usize(program.reg_count());
-    w.put_u32(program.insts().len() as u32);
+    w.put_varint(program.reg_count() as u64);
+    w.put_varint(program.insts().len() as u64);
     for inst in program.insts() {
         put_inst(w, inst);
     }
-    w.put_u32(program.label_targets().len() as u32);
+    w.put_varint(program.label_targets().len() as u64);
     for &target in program.label_targets() {
-        w.put_usize(target);
+        w.put_varint(target as u64);
     }
 }
 
 fn read_program(r: &mut ByteReader) -> Result<Program, StoreError> {
-    let reg_count = r.usize()?;
+    let reg_count = r.varint_to()?;
     let inst_count = read_count(r, "instruction")?;
     let mut insts = Vec::with_capacity(inst_count);
     for _ in 0..inst_count {
@@ -471,25 +529,41 @@ fn read_program(r: &mut ByteReader) -> Result<Program, StoreError> {
     let label_count = read_count(r, "label-target")?;
     let mut label_targets = Vec::with_capacity(label_count);
     for _ in 0..label_count {
-        label_targets.push(r.usize()?);
+        label_targets.push(r.varint_to()?);
     }
     Program::from_parts(insts, label_targets, reg_count)
         .ok_or_else(|| StoreError::codec("program parts are self-inconsistent"))
 }
 
 fn put_cost_model(w: &mut ByteWriter, cost: &CostModel) {
-    w.put_u64(cost.cold_writes);
-    w.put_u64(cost.cold_cycles);
-    w.put_u64(cost.warm_writes);
-    w.put_u64(cost.warm_cycles);
+    w.put_varint(cost.cold_writes);
+    w.put_varint(cost.cold_cycles);
+    w.put_varint(cost.warm_writes);
+    w.put_varint(cost.warm_cycles);
 }
 
 fn read_cost_model(r: &mut ByteReader) -> Result<CostModel, StoreError> {
     Ok(CostModel {
-        cold_writes: r.u64()?,
-        cold_cycles: r.u64()?,
-        warm_writes: r.u64()?,
-        warm_cycles: r.u64()?,
+        cold_writes: r.varint()?,
+        cold_cycles: r.varint()?,
+        warm_writes: r.varint()?,
+        warm_cycles: r.varint()?,
+    })
+}
+
+fn put_layout(w: &mut ByteWriter, layout: &MatmulLayout) {
+    w.put_zigzag(layout.a_addr);
+    w.put_zigzag(layout.b_addr);
+    w.put_zigzag(layout.c_addr);
+    w.put_zigzag(layout.end);
+}
+
+fn read_layout(r: &mut ByteReader) -> Result<MatmulLayout, StoreError> {
+    Ok(MatmulLayout {
+        a_addr: r.zigzag()?,
+        b_addr: r.zigzag()?,
+        c_addr: r.zigzag()?,
+        end: r.zigzag()?,
     })
 }
 
@@ -497,14 +571,11 @@ fn read_cost_model(r: &mut ByteReader) -> Result<CostModel, StoreError> {
 pub fn encode_module(module: &CompiledModule) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_cache_key(&mut w, &module.key);
-    w.put_i64(module.layout.a_addr);
-    w.put_i64(module.layout.b_addr);
-    w.put_i64(module.layout.c_addr);
-    w.put_i64(module.layout.end);
+    put_layout(&mut w, &module.layout);
     put_program(&mut w, &module.program);
     put_plan(&mut w, &module.plan);
     put_cost_model(&mut w, &module.cost);
-    w.put_usize(module.ir_setup_writes);
+    w.put_varint(module.ir_setup_writes as u64);
     w.finish()
 }
 
@@ -515,16 +586,11 @@ pub fn encode_module(module: &CompiledModule) -> Vec<u8> {
 pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
     let mut r = ByteReader::new(bytes);
     let key = read_cache_key(&mut r)?;
-    let layout = MatmulLayout {
-        a_addr: r.i64()?,
-        b_addr: r.i64()?,
-        c_addr: r.i64()?,
-        end: r.i64()?,
-    };
+    let layout = read_layout(&mut r)?;
     let program = read_program(&mut r)?;
     let plan = read_plan(&mut r)?;
     let cost = read_cost_model(&mut r)?;
-    let ir_setup_writes = r.usize()?;
+    let ir_setup_writes = r.varint_to()?;
     r.expect_exhausted("compiled module")?;
     Ok(CompiledModule {
         key,
@@ -642,7 +708,7 @@ fn cost_row(entry: &CostSnapshotEntry) -> (Vec<u8>, Vec<u8>) {
     let mut w = ByteWriter::new();
     for row in buckets {
         for &slot in row {
-            w.put_i64(slot);
+            w.put_zigzag(slot);
         }
     }
     (cost_key_bytes(platform, key), w.finish())
@@ -666,7 +732,7 @@ fn decode_cost_row(value: &[u8]) -> Result<CostRow, StoreError> {
     let mut r = ByteReader::new(value);
     let mut buckets: CostRow = [[0; WARMTH_BUCKETS]; COST_ROWS];
     for slot in buckets.iter_mut().flatten() {
-        *slot = r.i64()?;
+        *slot = r.zigzag()?;
     }
     r.expect_exhausted("cost row")?;
     Ok(buckets)
@@ -878,16 +944,50 @@ mod tests {
         }
     }
 
+    fn varint(v: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_varint(v);
+        w.finish()
+    }
+
+    fn encoded_len(put: impl FnOnce(&mut ByteWriter)) -> usize {
+        let mut w = ByteWriter::new();
+        put(&mut w);
+        w.finish().len()
+    }
+
+    /// `bytes` with the varint at `at` — which must read `was` — replaced
+    /// by the encoding of `with`.
+    fn splice_varint(bytes: &[u8], at: usize, was: u64, with: u64) -> Vec<u8> {
+        let mut r = ByteReader::new(&bytes[at..]);
+        assert_eq!(r.varint().unwrap(), was, "varint at {at}");
+        let end = bytes.len() - r.remaining();
+        [&bytes[..at], &varint(with), &bytes[end..]].concat()
+    }
+
+    /// Byte offset of the plan inside `encode_module(module)`: the key,
+    /// the layout and the program come first.
+    fn plan_offset(module: &CompiledModule) -> usize {
+        encoded_len(|w| {
+            put_cache_key(w, &module.key);
+            put_layout(w, &module.layout);
+            put_program(w, &module.program);
+        })
+    }
+
+    /// Byte offset of the plan's first launch: its style and launch count
+    /// come first.
+    fn first_launch_offset(module: &CompiledModule) -> usize {
+        plan_offset(module)
+            + encoded_len(|w| put_style(w, module.plan.style))
+            + varint(module.plan.launches.len() as u64).len()
+    }
+
     #[test]
     fn hostile_element_counts_are_codec_errors_not_allocations() {
         // anyone who can write the store file can recompute its checksum,
         // so a count field is outside input: patched to u32::MAX it must
         // be rejected before `Vec::with_capacity` sees it
-        let len = |put: &dyn Fn(&mut ByteWriter)| {
-            let mut w = ByteWriter::new();
-            put(&mut w);
-            w.finish().len()
-        };
         for (desc, spec) in [
             (
                 AcceleratorDescriptor::opengemm(),
@@ -900,23 +1000,41 @@ mod tests {
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
             let bytes = encode_module(&module);
-            // key, four layout words, then the program: reg_count, insts…
-            let program_at = len(&|w| put_cache_key(w, &module.key)) + 4 * 8;
-            let plan_at = program_at + len(&|w| put_program(w, &module.program));
-            let labels = module.program.label_targets().len();
+            let program = &module.program;
+            // key, layout, then the program: reg_count, insts…
+            let program_at = encoded_len(|w| {
+                put_cache_key(w, &module.key);
+                put_layout(w, &module.layout);
+            });
+            let labels = program.label_targets();
+            let labels_len = encoded_len(|w| {
+                w.put_varint(labels.len() as u64);
+                labels.iter().for_each(|&t| w.put_varint(t as u64));
+            });
+            let first = &module.plan.launches[0].registers;
             for (what, at, count) in [
-                ("instruction", program_at + 8, module.program.insts().len()),
-                ("label-target", plan_at - 8 * labels - 4, labels),
+                (
+                    "instruction",
+                    program_at + varint(program.reg_count() as u64).len(),
+                    program.insts().len(),
+                ),
+                (
+                    "label-target",
+                    plan_offset(&module) - labels_len,
+                    labels.len(),
+                ),
                 (
                     "launch",
-                    plan_at + len(&|w| put_style(w, module.plan.style)),
+                    plan_offset(&module) + encoded_len(|w| put_style(w, module.plan.style)),
                     module.plan.launches.len(),
                 ),
+                (
+                    "listed register",
+                    first_launch_offset(&module) + varint(u64::from(first.mask())).len(),
+                    first.len(),
+                ),
             ] {
-                let field: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
-                assert_eq!(u32::from_le_bytes(field) as usize, count, "{what} offset");
-                let mut patched = bytes.clone();
-                patched[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let patched = splice_varint(&bytes, at, count as u64, u64::from(u32::MAX));
                 match decode_module(&patched) {
                     Err(StoreError::Codec { detail }) => {
                         assert!(detail.contains(what), "{detail}")
@@ -1004,7 +1122,7 @@ mod tests {
         .unwrap();
         let mut w = ByteWriter::new();
         for slot in 0..WARMTH_BUCKETS as i64 {
-            w.put_i64((slot + 2) << 8);
+            w.put_zigzag((slot + 2) << 8);
         }
         let mut store = MemStore::new();
         store
@@ -1034,38 +1152,29 @@ mod tests {
         ));
     }
 
-    /// Byte offset of the plan inside `encode_module(module)`: the key,
-    /// four layout words and the program come first.
-    fn plan_offset(module: &CompiledModule) -> usize {
-        let mut w = ByteWriter::new();
-        put_cache_key(&mut w, &module.key);
-        put_program(&mut w, &module.program);
-        w.finish().len() + 4 * 8
-    }
-
-    /// `encode_module(module)` with the `index`-th register of the plan's
-    /// first launch renamed to `reg`.
+    /// `encode_module(module)` with the `index`-th listed register of the
+    /// plan's first launch renamed to `reg` (the first launch is written
+    /// against a blank file, so it lists every register it holds).
     fn with_plan_register(module: &CompiledModule, index: usize, reg: u16) -> Vec<u8> {
-        let style_len = match module.plan.style {
-            ConfigStyle::Csr => 1,
-            ConfigStyle::RoccPairs { .. } => 2,
-        };
-        // style, launch count, the first launch's register count, then
-        // (u16 register, i64 value) entries
-        let at = plan_offset(module) + style_len + 4 + 4 + index * (2 + 8);
-        let mut bytes = encode_module(module);
-        let (&was, _) = module.plan.launches[0]
-            .registers
+        let bytes = encode_module(module);
+        let first = &module.plan.launches[0].registers;
+        let mut r = ByteReader::new(&bytes[first_launch_offset(module)..]);
+        assert_eq!(r.varint().unwrap(), u64::from(first.mask()), "mask offset");
+        assert_eq!(r.varint().unwrap(), first.len() as u64, "count offset");
+        for _ in 0..index {
+            r.varint().unwrap();
+            r.zigzag().unwrap();
+        }
+        let (&was, _) = first
             .iter()
             .nth(index)
             .expect("the first launch programs that many registers");
-        assert_eq!(bytes[at..at + 2], was.to_le_bytes(), "register offset");
-        bytes[at..at + 2].copy_from_slice(&reg.to_le_bytes());
-        bytes
+        let at = bytes.len() - r.remaining();
+        splice_varint(&bytes, at, u64::from(was), u64::from(reg))
     }
 
-    fn codec_detail(bytes: &[u8]) -> String {
-        match decode_module(bytes) {
+    fn codec_detail<T: std::fmt::Debug>(result: Result<T, StoreError>) -> String {
+        match result {
             Err(StoreError::Codec { detail }) => detail,
             other => panic!("hostile plan decoded to {other:?}"),
         }
@@ -1101,13 +1210,14 @@ mod tests {
             );
             // past the file — the first index that is, and the last u16
             for reg in [RegMap::SLOTS as u16, 40, u16::MAX] {
-                let detail = codec_detail(&with_plan_register(&module, held - 1, reg));
+                let detail =
+                    codec_detail(decode_module(&with_plan_register(&module, held - 1, reg)));
                 assert!(detail.contains("past the 28-register file"), "{detail}");
             }
-            // listed twice, and out of order: `put_regmap` writes neither,
+            // listed twice, and out of order: `put_plan` writes neither,
             // and neither would re-encode to the bytes it was decoded from
             for (index, reg) in [(1, registers[0]), (1, registers[2]), (0, registers[1])] {
-                let detail = codec_detail(&with_plan_register(&module, index, reg));
+                let detail = codec_detail(decode_module(&with_plan_register(&module, index, reg)));
                 assert!(detail.contains("out of ascending order"), "{detail}");
             }
         }
@@ -1124,27 +1234,195 @@ mod tests {
         assert_eq!(bytes[funct_at], 13);
         for funct in [14, 255] {
             bytes[funct_at] = funct;
-            let detail = codec_detail(&bytes);
+            let detail = codec_detail(decode_module(&bytes));
             assert!(detail.contains("launch funct"), "{detail}");
         }
     }
 
+    /// One launch as `put_plan` lays it out: the held mask and the listed
+    /// `(register, value)` entries, written as given.
+    type RawLaunch<'a> = (u32, &'a [(u16, i64)]);
+
+    /// Decodes a plan written field by field, so a test can write what
+    /// `put_plan` never would.
+    fn read_raw_plan(
+        style: ConfigStyle,
+        launches: &[RawLaunch],
+    ) -> Result<DispatchPlan, StoreError> {
+        let mut w = ByteWriter::new();
+        put_style(&mut w, style);
+        w.put_varint(launches.len() as u64);
+        for &(mask, listed) in launches {
+            w.put_varint(u64::from(mask));
+            w.put_varint(listed.len() as u64);
+            for &(reg, value) in listed {
+                w.put_varint(u64::from(reg));
+                w.put_zigzag(value);
+            }
+        }
+        w.put_varint(0);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        let plan = read_plan(&mut r)?;
+        r.expect_exhausted("plan")?;
+        Ok(plan)
+    }
+
     #[test]
-    fn a_hostile_plan_record_fails_only_the_serve_that_resolves_it() {
+    fn a_plan_that_would_not_re_encode_to_itself_is_a_codec_error() {
+        let csr = ConfigStyle::Csr;
+        let bits = |regs: &[u16]| regs.iter().fold(0u32, |mask, &reg| mask | 1 << reg);
+        // the well-formed shape first: held masks that grow, shrink and
+        // re-hold a register dropped earlier (listed again, same value)
+        let plan = read_raw_plan(
+            csr,
+            &[
+                (bits(&[1, 2]), &[(1, 5), (2, 0)]),
+                (bits(&[1, 2, 3]), &[(2, -7), (3, 0)]),
+                (bits(&[2]), &[]),
+                (bits(&[1, 2]), &[(1, 5)]),
+            ],
+        )
+        .unwrap();
+        let files: Vec<RegMap> = plan.launches.into_iter().map(|l| l.registers).collect();
+        assert_eq!(
+            files,
+            [
+                RegMap::from([(1, 5), (2, 0)]),
+                RegMap::from([(1, 5), (2, -7), (3, 0)]),
+                RegMap::from([(2, -7)]),
+                RegMap::from([(1, 5), (2, -7)]),
+            ]
+        );
+
+        for (style, launches, expected) in [
+            (csr, vec![(1 << 28, &[(28, 1)][..])], "register 28 is past"),
+            (csr, vec![(1 << 31, &[][..])], "register 31 is past"),
+            (
+                csr,
+                vec![(bits(&[1]), &[(1, 5), (2, 3)][..])],
+                "listed but not held",
+            ),
+            (
+                csr,
+                vec![(bits(&[1, 2]), &[(2, 3), (1, 5)][..])],
+                "out of ascending order",
+            ),
+            (
+                csr,
+                vec![(bits(&[1, 2]), &[(1, 3), (1, 3)][..])],
+                "out of ascending order",
+            ),
+            (
+                csr,
+                vec![(bits(&[1, 2]), &[(1, 5)][..])],
+                "register 2 is newly held",
+            ),
+            (
+                csr,
+                vec![(bits(&[1]), &[(1, 5)][..]), (bits(&[1]), &[(1, 5)][..])],
+                "value it inherits",
+            ),
+            (
+                csr,
+                vec![(bits(&[1]), &[(1, 5)][..]), (bits(&[1, 4]), &[][..])],
+                "register 4 is newly held",
+            ),
+            (
+                ConfigStyle::RoccPairs { launch_funct: 13 },
+                vec![(bits(&[1, 26]), &[(1, 5), (26, 1)][..])],
+                "register 26 is in the launch pair of funct 13",
+            ),
+            (
+                ConfigStyle::RoccPairs { launch_funct: 3 },
+                vec![(bits(&[7]), &[(7, 0)][..])],
+                "register 7 is in the launch pair of funct 3",
+            ),
+        ] {
+            let detail = codec_detail(read_raw_plan(style, &launches));
+            assert!(detail.contains(expected), "{expected}: {detail}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Any plan of 1–8 launches — held masks that grow and shrink,
+        /// values that repeat, change and hit the ends of `i64` — encodes
+        /// to bytes that decode to the same plan and re-encode to
+        /// themselves, in both configuration styles.
+        #[test]
+        fn plan_deltas_round_trip_canonically(
+            launches in proptest::collection::vec(
+                proptest::collection::vec((0u16..RegMap::SLOTS as u16, -2i64..3), 0..RegMap::SLOTS + 8),
+                1..9,
+            ),
+            rocc in proptest::arbitrary::any::<bool>(),
+            cold_writes in 0u64..1 << 40,
+        ) {
+            // the launch command owns the last pair of a RoCC file
+            let (style, regs) = if rocc {
+                (ConfigStyle::RoccPairs { launch_funct: 13 }, RegMap::SLOTS as u16 - 2)
+            } else {
+                (ConfigStyle::Csr, RegMap::SLOTS as u16)
+            };
+            let plan = DispatchPlan {
+                style,
+                launches: launches
+                    .iter()
+                    .map(|pairs| LaunchSpec {
+                        registers: pairs
+                            .iter()
+                            .map(|&(reg, value)| {
+                                let value = match value {
+                                    -2 => i64::MIN,
+                                    2 => i64::MAX,
+                                    small => small,
+                                };
+                                (reg % regs, value)
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+                cold_writes,
+            };
+            let mut w = ByteWriter::new();
+            put_plan(&mut w, &plan);
+            let bytes = w.finish();
+            let mut r = ByteReader::new(&bytes);
+            let decoded = read_plan(&mut r).expect("an encoded plan decodes");
+            proptest::prop_assert!(r.expect_exhausted("plan").is_ok());
+            let mut again = ByteWriter::new();
+            put_plan(&mut again, &decoded);
+            proptest::prop_assert_eq!(&decoded, &plan);
+            proptest::prop_assert_eq!(again.finish(), bytes);
+        }
+    }
+
+    /// Populates a store by serving `victim` and `bystander` on a pool of
+    /// `desc`, plants `hostile(victim's module)` under the victim's key,
+    /// and checks a serve that never resolves the victim is unaffected
+    /// while one that does fails with a codec error naming `expected`.
+    fn a_planted_record_fails_only_its_serve(
+        desc: AcceleratorDescriptor,
+        (victim, bystander): (MatmulSpec, MatmulSpec),
+        hostile: impl Fn(&CompiledModule) -> Vec<u8>,
+        expected: &str,
+    ) {
         use crate::runtime::{PoolConfig, Runtime, ServeConfig};
         use crate::ServeError;
         use accfg_workloads::TrafficRequest;
 
         let path = std::env::temp_dir().join(format!(
-            "accfg-runtime-hostile-plan-{}.store",
+            "accfg-runtime-hostile-plan-{}-{}.store",
+            desc.name,
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let desc = AcceleratorDescriptor::opengemm();
-        let request = |id: u64, size: i64| TrafficRequest {
+        let request = |id: u64, spec: MatmulSpec| TrafficRequest {
             id,
             accelerator: desc.name.clone(),
-            spec: MatmulSpec::opengemm_paper(size).unwrap(),
+            spec,
             arrival: 100 * id,
             seed: id,
         };
@@ -1157,7 +1435,7 @@ mod tests {
                 },
             )
         };
-        let (victim, bystander) = (request(0, 16), request(1, 24));
+        let (victim, bystander) = (request(0, victim), request(1, bystander));
         serve(&[victim.clone(), bystander.clone()]).expect("populating serve");
 
         // plant the hostile record through the store: the checksum is
@@ -1168,7 +1446,7 @@ mod tests {
             let mut store = LogStore::open(&path).expect("open");
             assert_eq!(store.get(&key), Some(&encode_module(&module)[..]));
             store
-                .put(&key, &with_plan_register(&module, 0, 40))
+                .put(&key, &hostile(&module))
                 .expect("plant the record");
             store.sync().expect("sync");
         }
@@ -1178,10 +1456,47 @@ mod tests {
         assert_eq!(unaffected.metrics.sim_failures, 0);
         match serve(&[bystander, victim]) {
             Err(ServeError::Store(StoreError::Codec { detail })) => {
-                assert!(detail.contains("register 40"), "{detail}")
+                assert!(detail.contains(expected), "{detail}")
             }
             other => panic!("resolving the hostile record gave {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_hostile_plan_record_fails_only_the_serve_that_resolves_it() {
+        a_planted_record_fails_only_its_serve(
+            AcceleratorDescriptor::opengemm(),
+            (
+                MatmulSpec::opengemm_paper(16).unwrap(),
+                MatmulSpec::opengemm_paper(24).unwrap(),
+            ),
+            |module| with_plan_register(module, 0, 40),
+            "register 40",
+        );
+    }
+
+    #[test]
+    fn a_plan_holding_the_rocc_launch_pair_fails_only_the_serve_that_resolves_it() {
+        // `from_trace` refuses a field in the launch command's pair
+        // (`LaunchPairField`); a stored plan holding register 26 under
+        // launch funct 13 is refused at the store door the same way
+        a_planted_record_fails_only_its_serve(
+            AcceleratorDescriptor::gemmini(),
+            (
+                MatmulSpec::gemmini_paper(16).unwrap(),
+                MatmulSpec::gemmini_paper(32).unwrap(),
+            ),
+            |module| {
+                assert_eq!(
+                    module.plan.style,
+                    ConfigStyle::RoccPairs { launch_funct: 13 }
+                );
+                let mut hostile = module.clone();
+                hostile.plan.launches[0].registers.insert(26, 1);
+                encode_module(&hostile)
+            },
+            "register 26 is in the launch pair of funct 13",
+        );
     }
 }

@@ -126,6 +126,21 @@ impl RegMap {
         self.held |= 1 << slot;
     }
 
+    /// The held set: bit `r` for register `r`.
+    pub(crate) fn mask(&self) -> u32 {
+        self.held
+    }
+
+    /// Forgets every register outside `mask`.
+    pub(crate) fn keep(&mut self, mask: u32) {
+        let mut dropped = self.held & !mask;
+        while dropped != 0 {
+            self.values[dropped.trailing_zeros() as usize] = 0;
+            dropped &= dropped - 1;
+        }
+        self.held &= mask;
+    }
+
     /// The held registers, ascending.
     pub fn iter(&self) -> Iter<'_> {
         Iter {

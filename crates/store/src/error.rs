@@ -22,8 +22,8 @@ pub enum StoreError {
     },
     /// The file exists but does not start with [`MAGIC`](crate::MAGIC) —
     /// it is not an accfg store, or is one of a format this build does not
-    /// read (`ACFGSTR1` included). The file is left untouched; the store
-    /// is a cache, so deleting it starts cold.
+    /// read (`ACFGSTR1` and every other retired format included). The file
+    /// is left untouched; the store is a cache, so deleting it starts cold.
     BadMagic {
         /// The offending file.
         path: String,

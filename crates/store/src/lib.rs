@@ -16,7 +16,7 @@
 //!   [`MAGIC`]; a file with any other header is refused with
 //!   [`StoreError::BadMagic`];
 //! - [`MemStore`] — an in-memory implementation for tests and scratch use;
-//! - [`ByteWriter`] / [`ByteReader`] — the fixed little-endian codec the
+//! - [`ByteWriter`] / [`ByteReader`] — the canonical varint codec the
 //!   typed layers encode their payloads with.
 //!
 //! Everything here is deliberately deterministic: encoding is canonical,

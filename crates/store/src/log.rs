@@ -8,18 +8,21 @@
 //! |  magic   | record | record | record | ...
 //! +----------+--------+--------+--------+ ...
 //!
-//! magic   := "ACFGSTR2"
+//! magic   := "ACFGSTR3"
 //! record  := [payload_len: u32 LE] [checksum(payload): u32 LE] [payload]
 //! payload := [op: u8] [key_len: u32 LE] [key bytes] [value bytes]
 //! op      := 0 (put) | 1 (remove tombstone)
 //! ```
 //!
-//! There is one layout and one record checksum. [`MAGIC`] names them, and
+//! There is one layout, one record checksum and one encoding of the keys
+//! and values the typed layers put (the varint codec of
+//! [`ByteWriter`](crate::ByteWriter)). [`MAGIC`] names them, and
 //! [`LogStore::open`] accepts no other header: a file that starts with
 //! anything else — `ACFGSTR1`, the byte-serial checksum format of earlier
-//! builds, included — is [`StoreError::BadMagic`] and is left untouched.
-//! The store is a cache of recomputable state, so deleting such a file
-//! starts the next serve cold.
+//! builds, and the fixed-width value codec that followed it, included —
+//! is [`StoreError::BadMagic`] and is left untouched. The store is a
+//! cache of recomputable state, so deleting such a file starts the next
+//! serve cold.
 //!
 //! # The checksum
 //!
@@ -98,9 +101,9 @@ use crate::error::{StoreError, TailCorruption};
 use crate::KeyValueStore;
 
 /// First bytes of every store file: the one format this build reads and
-/// writes (the word-parallel record checksum). A file with any other
-/// header is refused.
-pub const MAGIC: &[u8; 8] = b"ACFGSTR2";
+/// writes (the word-parallel record checksum, varint-coded values). A
+/// file with any other header is refused.
+pub const MAGIC: &[u8; 8] = b"ACFGSTR3";
 
 const OP_PUT: u8 = 0;
 const OP_REMOVE: u8 = 1;

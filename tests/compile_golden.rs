@@ -4,13 +4,19 @@
 //! this pins the rest of what the repository compiles: every shape of the
 //! benchmark's `cold_shapes` grid (6 x 6 x 16 on both platforms) at every
 //! [`OptLevel`], and the `paper_sweep` Gemmini weight-stationary points.
-//! For each, one FNV-1a digest over the printed IR after the pipeline and
-//! one over `encode_module(build_module(..))` — the bytes a store would
-//! hold. The constants were recorded from the commit *before* the IR
-//! substrate was rebuilt (interned names, use-def index, mutation stamp,
-//! memoised dedup), so any pass output that moves shows up here as a
-//! digest, with its platform and level named.
+//! For each, one FNV-1a digest over the printed IR after the pipeline, one
+//! over `encode_module(build_module(..))` — the bytes a store would hold —
+//! and one over the built module's `Debug` rendering. The printed-IR
+//! constants were recorded from the commit *before* the IR substrate was
+//! rebuilt (interned names, use-def index, mutation stamp, memoised
+//! dedup), so any pass output that moves shows up here as a digest, with
+//! its platform and level named. The `Debug` column does not depend on
+//! the store codec: it pins the compiled module itself (program, plan,
+//! layout, anchors) across a change of the encoded bytes. The encoded
+//! column was re-recorded, alone, when the store moved to varints and
+//! per-launch register deltas (`ACFGSTR3`).
 
+use accfg_bench::streams::cold_shapes_grid;
 use configuration_wall::core::pipeline::{pipeline, OptLevel};
 use configuration_wall::ir::print_module;
 use configuration_wall::runtime::{build_module, encode_module};
@@ -35,31 +41,13 @@ impl Fnv {
     }
 }
 
-/// The `cold_shapes` grid for one platform, in the benchmark's order:
-/// Gemmini takes each shape untiled, OpenGeMM in 8 x 8 x k tiles.
-fn grid(platform: &str) -> Vec<MatmulSpec> {
-    let mut shapes = Vec::new();
-    for m in (8..=48).step_by(8) {
-        for n in (8..=48).step_by(8) {
-            for k in (8..=128).step_by(8) {
-                let tile = if platform == "gemmini" {
-                    (m, n, k)
-                } else {
-                    (8, 8, k)
-                };
-                shapes.push(MatmulSpec::new((m, n, k), tile).expect("a grid shape"));
-            }
-        }
-    }
-    assert_eq!(shapes.len(), 6 * 6 * 16);
-    shapes
-}
-
-/// (digest of the printed IR, digest of the encoded module) over the
-/// grid of `desc` at `level`.
-fn grid_digests(desc: &AcceleratorDescriptor, level: OptLevel) -> (u64, u64) {
-    let (mut printed, mut encoded) = (Fnv::new(), Fnv::new());
-    for spec in grid(&desc.name) {
+/// (digest of the printed IR, digest of the encoded module, digest of the
+/// module's `Debug` rendering) over the grid of `desc` at `level`.
+fn grid_digests(desc: &AcceleratorDescriptor, level: OptLevel) -> (u64, u64, u64) {
+    let (mut printed, mut encoded, mut debug) = (Fnv::new(), Fnv::new(), Fnv::new());
+    let grid = cold_shapes_grid(&desc.name);
+    assert_eq!(grid.len(), 6 * 6 * 16);
+    for spec in grid {
         let mut module = matmul_ir(desc, &spec);
         pipeline(level, desc.overlap_filter())
             .run(&mut module)
@@ -67,24 +55,30 @@ fn grid_digests(desc: &AcceleratorDescriptor, level: OptLevel) -> (u64, u64) {
         printed.item(print_module(&module).as_bytes());
         let built = build_module(desc, spec, level).expect("a grid shape builds");
         encoded.item(&encode_module(&built));
+        debug.item(format!("{built:?}").as_bytes());
     }
-    (printed.0, encoded.0)
+    (printed.0, encoded.0, debug.0)
 }
 
-fn check_grid(desc: &AcceleratorDescriptor, expected: [(u64, u64); 4]) {
-    let actual: Vec<(u64, u64)> = OptLevel::ALL_LEVELS
+fn check_grid(desc: &AcceleratorDescriptor, expected: [(u64, u64, u64); 4]) {
+    let actual: Vec<(u64, u64, u64)> = OptLevel::ALL_LEVELS
         .iter()
         .map(|&level| grid_digests(desc, level))
         .collect();
-    let render = |d: &[(u64, u64)]| {
+    let render = |d: &[(u64, u64, u64)]| {
         d.iter()
             .zip(OptLevel::ALL_LEVELS)
-            .map(|((p, e), level)| format!("    ({p:#018x}, {e:#018x}), // {}\n", level.label()))
+            .map(|((p, e, g), level)| {
+                format!(
+                    "    ({p:#018x}, {e:#018x}, {g:#018x}), // {}\n",
+                    level.label()
+                )
+            })
             .collect::<String>()
     };
     assert!(
         actual == expected,
-        "{} grid digests (printed IR, encoded module) moved.\nexpected:\n{}actual:\n{}",
+        "{} grid digests (printed IR, encoded module, Debug) moved.\nexpected:\n{}actual:\n{}",
         desc.name,
         render(&expected),
         render(&actual)
@@ -96,10 +90,26 @@ fn gemmini_grid_compiles_to_the_recorded_bytes() {
     check_grid(
         &AcceleratorDescriptor::gemmini(),
         [
-            (0xde29_3638_8d36_0b09, 0x4357_eac2_fd94_2e58), // base
-            (0xde29_3638_8d36_0b09, 0x2560_13e2_8a49_31d2), // dedup
-            (0xde29_3638_8d36_0b09, 0xcc1c_0860_abfa_bf34), // overlap
-            (0xde29_3638_8d36_0b09, 0xab9c_3bda_5c21_11ca), // all
+            (
+                0xde29_3638_8d36_0b09,
+                0x8e43_4155_eb6c_7421,
+                0xa29a_540b_13c6_c9a2,
+            ), // base
+            (
+                0xde29_3638_8d36_0b09,
+                0x86cf_9878_55bd_98c7,
+                0x67e0_c043_292f_e23c,
+            ), // dedup
+            (
+                0xde29_3638_8d36_0b09,
+                0x07f7_d655_81e4_aef9,
+                0x111f_69ea_35a7_a1ba,
+            ), // overlap
+            (
+                0xde29_3638_8d36_0b09,
+                0x0d7f_1e46_f595_97db,
+                0xbf10_663a_24b5_5cc6,
+            ), // all
         ],
     );
 }
@@ -109,10 +119,26 @@ fn opengemm_grid_compiles_to_the_recorded_bytes() {
     check_grid(
         &AcceleratorDescriptor::opengemm(),
         [
-            (0x70f5_fa04_bdf6_adff, 0x09d7_512d_41e8_f34b), // base
-            (0xcff6_9f0a_e402_d642, 0x65e2_6ce8_6018_17fd), // dedup
-            (0x0198_1cec_2fe1_05a2, 0x7b16_df51_8cc0_0dfb), // overlap
-            (0xa760_88c3_9c10_538a, 0x3cb3_4dcd_e54b_6d79), // all
+            (
+                0x70f5_fa04_bdf6_adff,
+                0x0159_fbca_3724_4a5b,
+                0xf3a1_d964_6283_dae3,
+            ), // base
+            (
+                0xcff6_9f0a_e402_d642,
+                0x0ff7_4a4d_8dab_a45b,
+                0x65be_4742_afa5_7925,
+            ), // dedup
+            (
+                0x0198_1cec_2fe1_05a2,
+                0x243b_9f6c_24b4_e1b7,
+                0xbf9f_1097_8aa3_8c24,
+            ), // overlap
+            (
+                0xa760_88c3_9c10_538a,
+                0xbc7e_36d4_09ad_8ff6,
+                0x7bf8_d272_49f4_b87d,
+            ), // all
         ],
     );
 }

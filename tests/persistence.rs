@@ -7,8 +7,8 @@
 //! stream's working set and nothing else, a corrupt record fails only
 //! the serve that resolves it, and a torn tail is a counted event. A
 //! committed store file written by an earlier build pins that such a
-//! file warm-starts its serve and stays byte-stable, and a file of the
-//! retired `ACFGSTR1` format is refused without being touched.
+//! file warm-starts its serve and stays byte-stable, and a file of either
+//! retired format is refused without being touched.
 
 use accfg_bench::streams::{
     contention_pool, contention_stream, hetero_pool, mixed_stream, shape_heavy_stream, uniform_pool,
@@ -743,13 +743,36 @@ fn a_serve_over_a_retired_format_file_is_refused_and_leaves_it_untouched() {
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes.extend_from_slice(&payload);
+    assert_a_serve_refuses_untouched("retired_format", &bytes);
+}
 
-    let path = temp_store("retired_format");
-    std::fs::write(&path, &bytes).expect("write the file");
+/// Serves the contention workload over a store file holding `bytes` and
+/// checks the serve fails with `BadMagic` and the file keeps every byte.
+fn assert_a_serve_refuses_untouched(name: &str, bytes: &[u8]) {
+    let path = temp_store(name);
+    std::fs::write(&path, bytes).expect("write the file");
     match serve_contention(&path) {
         Err(ServeError::Store(StoreError::BadMagic { .. })) => {}
         other => panic!("a retired-format store served: {other:?}"),
     }
     assert_eq!(std::fs::read(&path).expect("read"), bytes);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A file of the retired `ACFGSTR2` format — the fixed-width value codec
+/// under today's record layout and checksum, so its magic and a record
+/// this build wrote — is refused at the store door: the serve returns
+/// `BadMagic` and the file keeps every byte.
+#[test]
+fn a_serve_over_a_v2_format_file_is_refused_and_leaves_it_untouched() {
+    let path = temp_store("v2_source");
+    {
+        let mut store = LogStore::open(&path).expect("create");
+        store.put(b"k", b"v").expect("put");
+        store.sync().expect("sync");
+    }
+    let mut bytes = std::fs::read(&path).expect("read");
+    let _ = std::fs::remove_file(&path);
+    bytes[..8].copy_from_slice(b"ACFGSTR2");
+    assert_a_serve_refuses_untouched("v2_format", &bytes);
 }

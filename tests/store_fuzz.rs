@@ -16,8 +16,24 @@
 //! This harness shook out a real recovery bug: a file shorter than the
 //! 8-byte magic that was a strict prefix of it (a torn initial create)
 //! returned `BadMagic` instead of recovering an empty store.
+//!
+//! One layer up, the typed values a record carries are fuzzed for
+//! canonicality: every truncation and single-byte flip of an encoded
+//! module or cost row either fails to decode with `StoreError::Codec` or
+//! decodes to a value that re-encodes to exactly those bytes — never a
+//! panic, never a second encoding of one value (the flush's byte-neutral
+//! skip of restored modules relies on the second).
 
-use configuration_wall::store::{KeyValueStore, LogStore, StoreError, MAGIC};
+use accfg_bench::streams::cold_shapes_grid;
+use configuration_wall::core::pipeline::OptLevel;
+use configuration_wall::runtime::persist::cost_key_bytes;
+use configuration_wall::runtime::{
+    build_module, decode_module, encode_module, load_cost_row, save_costs, CacheKey, CostRow,
+    COST_ROWS, WARMTH_BUCKETS,
+};
+use configuration_wall::store::{KeyValueStore, LogStore, MemStore, StoreError, MAGIC};
+use configuration_wall::targets::AcceleratorDescriptor;
+use configuration_wall::workloads::mixed_serving_classes;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -205,5 +221,107 @@ proptest! {
         drop(store);
         prop_assert!(LogStore::open(&path).expect("reopen").recovery().is_none());
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Every truncation of `bytes`, and `bytes` with each byte xored by each
+/// of a few masks (a low bit, a varint's continuation bit, all bits).
+fn mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+    let flips = (0..bytes.len()).flat_map(move |at| {
+        [0x01, 0x80, 0xFF].map(|mask| {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= mask;
+            flipped
+        })
+    });
+    cuts.chain(flips)
+}
+
+/// Asserts `decoded` is a codec error, or a value `encode` turns back
+/// into exactly `bytes`.
+fn assert_canonical<T: std::fmt::Debug>(
+    bytes: &[u8],
+    decoded: Result<T, StoreError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+    context: &str,
+) {
+    match decoded {
+        Err(StoreError::Codec { .. }) => {}
+        Ok(value) => assert_eq!(encode(&value), bytes, "{context}: a second encoding"),
+        Err(other) => panic!("{context}: {other:?}"),
+    }
+}
+
+#[test]
+fn mutated_module_records_fail_to_decode_or_re_encode_to_themselves() {
+    // every 47th shape of both platforms' cold_shapes grids (a stride
+    // prime to the grid's 16 depths and 6 widths, so it walks k, n and m),
+    // and the mixed stream's classes, at every level
+    let mut modules = Vec::new();
+    for desc in [
+        AcceleratorDescriptor::gemmini(),
+        AcceleratorDescriptor::opengemm(),
+    ] {
+        for spec in cold_shapes_grid(&desc.name).into_iter().step_by(47) {
+            modules.push((desc.clone(), spec));
+        }
+    }
+    for class in mixed_serving_classes() {
+        let desc = match class.accelerator.as_str() {
+            "gemmini" => AcceleratorDescriptor::gemmini(),
+            _ => AcceleratorDescriptor::opengemm(),
+        };
+        modules.push((desc, class.spec));
+    }
+    for (desc, spec) in modules {
+        for level in OptLevel::ALL_LEVELS {
+            let module = build_module(&desc, spec, level).expect("a grid shape builds");
+            let bytes = encode_module(&module);
+            assert_eq!(decode_module(&bytes).as_ref(), Ok(&module));
+            let context = format!("{} {spec:?} {}", desc.name, level.label());
+            for mutated in mutations(&bytes) {
+                assert_canonical(&mutated, decode_module(&mutated), encode_module, &context);
+            }
+        }
+    }
+}
+
+#[test]
+fn mutated_cost_rows_fail_to_decode_or_re_encode_to_themselves() {
+    let key = CacheKey {
+        accelerator: "opengemm".into(),
+        spec: cold_shapes_grid("opengemm")[0],
+        opt: OptLevel::All,
+    };
+    // the value `save_costs` files for `row`
+    let encode = |row: &CostRow| {
+        let mut store = MemStore::new();
+        save_costs(&mut store, &[("opengemm".into(), key.clone(), *row)]).expect("save");
+        let keys = store.keys_with_prefix(b"");
+        store.get(&keys[0]).expect("saved").to_vec()
+    };
+    let decode = |value: &[u8]| {
+        let mut store = MemStore::new();
+        store
+            .put(&cost_key_bytes("opengemm", &key), value)
+            .expect("put");
+        load_cost_row(&store, "opengemm", &key).map(|row| row.expect("filed"))
+    };
+    // unseen buckets, small and large estimates, and the ends of i64
+    let mut row: CostRow = [[-1; WARMTH_BUCKETS]; COST_ROWS];
+    for (i, slot) in row.iter_mut().flatten().enumerate() {
+        *slot = match i % 5 {
+            0 => -1,
+            1 => (i as i64 + 2) << 8,
+            2 => 900 << 16,
+            3 => i64::MAX,
+            _ => i64::MIN,
+        };
+    }
+    let bytes = encode(&row);
+    assert_eq!(decode(&bytes), Ok(row));
+    for mutated in mutations(&bytes) {
+        assert_canonical(&mutated, decode(&mutated), encode, "cost row");
     }
 }
