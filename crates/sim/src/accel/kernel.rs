@@ -10,8 +10,10 @@
 //! under the same rule, so the AVX2 block inlines into it. Elsewhere the
 //! pack gathers an element at a time and the product is `dot` per element,
 //! which are also the tests' references. This module and its counterpart
-//! in `accfg-workloads` are the only library code in the workspace that
-//! uses `unsafe` or `core::arch` (CI greps for both).
+//! in `accfg-workloads` (the reference's copy of both kernels, beside the
+//! SSE2 operand fill and result compare of a dispatch) are the only
+//! library code in the workspace that uses `unsafe` or `core::arch` (CI
+//! greps for both).
 
 use super::LANES;
 

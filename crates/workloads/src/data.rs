@@ -54,20 +54,9 @@ pub fn fill_inputs(
     let (a_len, b_len) = (count(spec.m, spec.k), count(spec.k, spec.n));
     mem.bytes(layout.b_addr as u64, b_len)?;
     let mut rng = SplitMix::new(seed);
-    fill_nibbles(mem.bytes_mut(layout.a_addr as u64, a_len)?, &mut rng);
-    fill_nibbles(mem.bytes_mut(layout.b_addr as u64, b_len)?, &mut rng);
+    kernel::fill_nibbles(mem.bytes_mut(layout.a_addr as u64, a_len)?, &mut rng);
+    kernel::fill_nibbles(mem.bytes_mut(layout.b_addr as u64, b_len)?, &mut rng);
     Ok(())
-}
-
-/// Sixteen bytes of `[-8, 7]` from each draw of `rng`, the last run short.
-fn fill_nibbles(bytes: &mut [u8], rng: &mut SplitMix) {
-    for run in bytes.chunks_mut(16) {
-        let mut word = rng.next_u64();
-        for byte in run {
-            *byte = (word as u8 & 0xF).wrapping_sub(8);
-            word >>= 4;
-        }
-    }
 }
 
 mod kernel;
@@ -179,9 +168,9 @@ pub fn reference_c(
     Ok(c)
 }
 
-/// Compares the C region in memory against the reference result, element
-/// by element, a reference row at a time: the reference is never held
-/// whole.
+/// Compares the C region in memory against the reference result, a pair
+/// of reference rows at a time (four words a step on x86_64): the
+/// reference is never held whole.
 ///
 /// # Errors
 /// Returns a description of the first mismatching element, or a memory
@@ -208,26 +197,26 @@ fn check_rows(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<
         )
         .map_err(|e| e.to_string())?;
     let Some(mut reference) = reference else {
-        return compare(std::iter::repeat(0), c, 0, spec.n);
+        let zero = c.as_chunks::<4>().0.iter().position(|&word| word != [0; 4]);
+        return zero.map_or(Ok(()), |idx| Err(mismatch(c, idx, 0, spec.n)));
     };
     for i in (0..reference.m).step_by(2) {
         let start = i * reference.n;
-        compare(reference.rows(i).iter().copied(), c, start, spec.n)?;
+        let want = reference.rows(i);
+        if let Some(at) = kernel::first_mismatch(want, &c[4 * start..]) {
+            return Err(mismatch(c, start + at, want[at], spec.n));
+        }
     }
     Ok(())
 }
 
-/// `want` against the words of the `n`-column matrix `c` from element
-/// `start` on, until either runs out.
-fn compare(want: impl Iterator<Item = i32>, c: &[u8], start: usize, n: i64) -> Result<(), String> {
-    for (idx, (want, word)) in (start..).zip(want.zip(c[4 * start..].chunks_exact(4))) {
-        let got = i32::from_le_bytes(word.try_into().expect("4 bytes"));
-        if got != want {
-            let (i, j) = (idx as i64 / n, idx as i64 % n);
-            return Err(format!("C[{i}][{j}] = {got}, expected {want}"));
-        }
-    }
-    Ok(())
+/// The message for element `idx` of the `n`-column matrix `c`, which is
+/// not `want`.
+#[cold]
+fn mismatch(c: &[u8], idx: usize, want: i32, n: i64) -> String {
+    let got = i32::from_le_bytes(c[4 * idx..][..4].try_into().expect("4 bytes"));
+    let (i, j) = (idx as i64 / n, idx as i64 % n);
+    format!("C[{i}][{j}] = {got}, expected {want}")
 }
 
 #[cfg(test)]
@@ -272,19 +261,51 @@ mod tests {
         );
     }
 
+    /// The bytes of `v` as the i8 operands they hold.
+    fn as_i8(v: &[u8]) -> Vec<i8> {
+        v.iter().map(|&b| b as i8).collect()
+    }
+
     #[test]
     fn b_continues_the_stream_of_a() {
-        // A is 21 bytes: one full draw and a short tail
+        // A of 1..=80 bytes, every partial last run, B of k, 3k or 5k
+        let dims = (1..=5).flat_map(|m| (1..=16).flat_map(move |k| [1, 3, 5].map(|n| (m, n, k))));
         for seed in [0, 7, u64::MAX] {
-            let (_, layout, mem) = filled((3, 5, 7), seed);
-            let mut rng = SplitMix::new(seed);
-            let (a, b) = (nibble_stream(&mut rng, 21), nibble_stream(&mut rng, 35));
-            let read = |addr: i64, len: usize| -> Vec<i8> {
-                let bytes = mem.bytes(addr as u64, len).unwrap();
-                bytes.iter().map(|&b| b as i8).collect()
-            };
-            assert_eq!(read(layout.a_addr, 21), a);
-            assert_eq!(read(layout.b_addr, 35), b);
+            for (m, n, k) in dims.clone() {
+                let (_, layout, mem) = filled((m, n, k), seed);
+                let (a_len, b_len) = ((m * k) as usize, (k * n) as usize);
+                let mut rng = SplitMix::new(seed);
+                let (a, b) = (
+                    nibble_stream(&mut rng, a_len),
+                    nibble_stream(&mut rng, b_len),
+                );
+                let read = |addr: i64, len: usize| as_i8(mem.bytes(addr as u64, len).unwrap());
+                assert_eq!(read(layout.a_addr, a_len), a, "{:?}", (m, n, k));
+                assert_eq!(read(layout.b_addr, b_len), b, "{:?}", (m, n, k));
+            }
+        }
+    }
+
+    #[test]
+    fn fill_is_the_nibble_stream_at_every_length() {
+        // every partial last run, either side of up to five whole ones;
+        // the second fill continues the generator as B continues A's
+        let seeds = (0..64u64).map(|s| s.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ s);
+        for seed in seeds.chain([u64::MAX]) {
+            for len in 0..=80 {
+                let (mut rng, mut definition) = (SplitMix::new(seed), SplitMix::new(seed));
+                let (mut a, mut b) = (vec![0x55; len], vec![0x55; (len * 7 + 3) % 81]);
+                kernel::fill_nibbles(&mut a, &mut rng);
+                kernel::fill_nibbles(&mut b, &mut rng);
+                assert_eq!(
+                    as_i8(&a),
+                    nibble_stream(&mut definition, len),
+                    "{len} {seed}"
+                );
+                let b_definition = nibble_stream(&mut definition, b.len());
+                assert_eq!(as_i8(&b), b_definition, "{len} {seed}");
+                assert_eq!(rng.next_u64(), definition.next_u64(), "{len} {seed}");
+            }
         }
     }
 
@@ -592,6 +613,58 @@ mod tests {
                     check_result(&mem, &spec, &layout),
                     Err(format!("C[{i}][{j}] = {got}, expected {want}"))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn check_names_every_corrupted_position() {
+        // every word of C in turn: each lane of a four-word step, every
+        // `n mod 4` tail, both rows of a pair and the lone last row of an
+        // odd `m`; at one lane group and past it (the AVX2 scope's compare)
+        for (m, n, k) in
+            (1..=5).flat_map(|m| (1..=13).flat_map(move |n| [3, 20].map(|k| (m, n, k))))
+        {
+            let (spec, layout, mut mem) = filled((m, n, k), (m * 100 + n * 10 + k) as u64);
+            let reference = reference_c(&mem, &spec, &layout).unwrap();
+            write_c(&mut mem, &layout, &reference);
+            assert_eq!(
+                check_result(&mem, &spec, &layout),
+                Ok(()),
+                "{:?}",
+                (m, n, k)
+            );
+            for (idx, &want) in reference.iter().enumerate() {
+                let word = layout.c_addr as u64 + 4 * idx as u64;
+                // a difference in the word's lowest byte, and in its highest
+                for got in [want ^ 1, want ^ i32::MIN] {
+                    mem.write_i32(word, got).unwrap();
+                    let (i, j) = (idx as i64 / n, idx as i64 % n);
+                    assert_eq!(
+                        check_result(&mem, &spec, &layout),
+                        Err(format!("C[{i}][{j}] = {got}, expected {want}")),
+                        "{:?}",
+                        (m, n, k)
+                    );
+                }
+                mem.write_i32(word, want).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn first_mismatch_reads_the_shorter_input() {
+        for len in 0..=13 {
+            let want: Vec<i32> = (0..len as i32).map(|v| v * -0x0101_0101).collect();
+            let c: Vec<u8> = want.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(kernel::first_mismatch(&want, &c), None);
+            for cut in 0..len {
+                // a word past the shorter input is not compared
+                let mut longer = want.clone();
+                longer[cut] ^= 0x100;
+                assert_eq!(kernel::first_mismatch(&longer[..cut], &c), None);
+                assert_eq!(kernel::first_mismatch(&longer, &c[..4 * cut + 3]), None);
+                assert_eq!(kernel::first_mismatch(&longer, &c), Some(cut));
             }
         }
     }

@@ -1,20 +1,27 @@
-//! The reference's kernels: B packed into widened columns of Bᵀ, then two
-//! rows of A against every packed column.
+//! The reference's kernels, and the two element loops of a dispatch
+//! around them: B packed into widened columns of Bᵀ, then two rows of A
+//! against every packed column; the operand fill; and the compare of C
+//! against the reference.
 //!
-//! On x86_64 both are written with intrinsics. The pack is a sixteen-row ×
-//! eight-column SSE2 byte transpose, which every x86_64 CPU can run. The
-//! product is a register block of two rows × four columns: in AVX2, a
-//! whole lane group a step, where [`avx2_pays`] (the CPU has AVX2 and the
-//! depth spans more than one lane group), and in SSE2, eight lanes a step,
-//! everywhere else. [`widest`] runs the caller's body compiled for AVX2
-//! under the same rule, so the AVX2 block inlines into it. Elsewhere the
-//! pack gathers an element at a time and the product is `dot` per element,
-//! which are also the tests' references. This module and the tile
-//! executor's in `accfg-sim` are the only library code in the workspace
-//! that uses `unsafe` or `core::arch` (CI greps for both); the two are
-//! copies, so the check shares no code with the kernel it checks.
+//! On x86_64 all four are written with intrinsics. The pack is a
+//! sixteen-row × eight-column SSE2 byte transpose, which every x86_64 CPU
+//! can run. The product is a register block of two rows × four columns:
+//! in AVX2, a whole lane group a step, where [`avx2_pays`] (the CPU has
+//! AVX2 and the depth spans more than one lane group), and in SSE2, eight
+//! lanes a step, everywhere else. [`widest`] runs the caller's body
+//! compiled for AVX2 under the same rule, so the AVX2 block inlines into
+//! it. The fill expands one draw into sixteen operand bytes a step, and
+//! the compare tests four words of C a step, both SSE2. Off x86_64 each
+//! works an element at a time — the pack gathers, the product is `dot`
+//! per element (also the tests' reference), the fill shifts nibbles out
+//! of each draw, the compare tests one word — and on x86_64 so do the
+//! fill's short last run and the compare's last `len mod 4` words. This
+//! module and the tile executor's in `accfg-sim` are the only library
+//! code in the workspace that uses `unsafe` or `core::arch` (CI greps for
+//! both); the two kernels are copies, so the check shares no code with
+//! the kernel it checks.
 
-use super::LANES;
+use super::{SplitMix, LANES};
 
 /// Bᵀ widened to i16: lane `t < k` of column `j` of `b_cols` (columns of
 /// `k.div_ceil(LANES)` lane groups) becomes `b[t * n + j]`, for the `k`
@@ -101,6 +108,70 @@ pub(super) fn widest<R>(depth: usize, body: impl FnOnce() -> R) -> R {
     body()
 }
 
+/// Fills `bytes` with operands in `[-8, 7]`, sixteen from each draw of
+/// `rng`: byte `i` of a run is nibble `i` of the draw, less 8, and the
+/// last run, when `bytes.len()` is not a multiple of sixteen, takes the
+/// low nibbles of a draw of its own.
+///
+/// On x86_64 a whole run is one SSE2 expansion of the draw; the short
+/// last run and every run elsewhere are shifted out a nibble at a time.
+#[inline]
+pub(super) fn fill_nibbles(bytes: &mut [u8], rng: &mut SplitMix) {
+    let (runs, last) = bytes.as_chunks_mut::<16>();
+    for run in runs {
+        let draw = rng.next_u64();
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `sse2::nibbles` needs SSE2 and nothing else, and SSE2 is
+        // part of the x86_64 baseline.
+        unsafe {
+            sse2::nibbles(run, draw)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        nibbles(run, draw);
+    }
+    if !last.is_empty() {
+        nibbles(last, rng.next_u64());
+    }
+}
+
+/// Byte `i` of `run` (at most sixteen bytes) is nibble `i` of `draw`,
+/// less 8.
+fn nibbles(run: &mut [u8], mut draw: u64) {
+    for byte in run {
+        *byte = (draw as u8 & 0xF).wrapping_sub(8);
+        draw >>= 4;
+    }
+}
+
+/// The index of the first word of `c`, read as little-endian i32s, that
+/// differs from the element of `want` at its index, over the shorter of
+/// the two; `None` when they agree.
+///
+/// On x86_64 the whole steps of four words are compared in SSE2 and a
+/// difference among them is then located a word at a time; the last
+/// `len mod 4` words, and every word elsewhere, one at a time.
+#[inline]
+pub(super) fn first_mismatch(want: &[i32], c: &[u8]) -> Option<usize> {
+    let len = want.len().min(c.len() / 4);
+    let (want, c) = (&want[..len], &c[..4 * len]);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `sse2::first_mismatch` needs SSE2 and nothing else, and SSE2
+    // is part of the x86_64 baseline.
+    let found = unsafe { sse2::first_mismatch(want, c) };
+    #[cfg(not(target_arch = "x86_64"))]
+    let found = each_word(want, c);
+    found
+}
+
+/// [`first_mismatch`] a word at a time, over `want` and the words of `c`
+/// until either runs out.
+fn each_word(want: &[i32], c: &[u8]) -> Option<usize> {
+    let words = c.as_chunks::<4>().0;
+    want.iter()
+        .zip(words)
+        .position(|(&want, word)| i32::from_le_bytes(*word) != want)
+}
+
 /// [`two_rows`] as one [`dot`] per element.
 #[cfg(not(target_arch = "x86_64"))]
 fn portable(a: [&[[i16; LANES]]; 2], b_cols: &[[i16; LANES]], c: [&mut [i32]; 2]) {
@@ -150,14 +221,29 @@ pub(super) fn dot(a: &[[i16; LANES]], b: &[[i16; LANES]]) -> i32 {
 /// Bit-exact with `dot`: an i8 · i8 product is exact in 16 bits, two of
 /// them (at most 2 · (−128)² = 32 768) fit the 32-bit pair sum, and the
 /// wrapping i32 additions do not depend on their order.
+///
+/// The fill moves a draw into the low half of a register; byte `j` holds
+/// nibbles `2j` (low) and `2j + 1` (high). Masking takes the low nibbles,
+/// a 16-bit shift right by four and the same mask the high ones, and
+/// interleaving the two bytewise puts nibble `i` in byte `i`: the bytes
+/// of the element loop, less 8 by one bytewise subtraction.
+///
+/// The compare folds the difference of each four words of C and of the
+/// reference into one accumulator, an xor and an or a step, with no test
+/// inside the loop: C almost always matches. One 32-bit equality of the
+/// accumulator with zero and its byte mask then tell whether any word
+/// differed, and only then are the words walked one at a time to find the
+/// first.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
     use super::LANES;
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadl_epi64, _mm_loadu_si128,
-        _mm_madd_epi16, _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16, _mm_storeu_si128,
-        _mm_unpackhi_epi16, _mm_unpackhi_epi32, _mm_unpackhi_epi64, _mm_unpackhi_epi8,
-        _mm_unpacklo_epi16, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_unpacklo_epi8,
+        __m128i, _mm_add_epi32, _mm_and_si128, _mm_cmpeq_epi32, _mm_cvtsi128_si32,
+        _mm_cvtsi64_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_madd_epi16, _mm_movemask_epi8,
+        _mm_or_si128, _mm_set1_epi8, _mm_setzero_si128, _mm_shuffle_epi32, _mm_srai_epi16,
+        _mm_srli_epi16, _mm_storeu_si128, _mm_sub_epi8, _mm_unpackhi_epi16, _mm_unpackhi_epi32,
+        _mm_unpackhi_epi64, _mm_unpackhi_epi8, _mm_unpacklo_epi16, _mm_unpacklo_epi32,
+        _mm_unpacklo_epi64, _mm_unpacklo_epi8, _mm_xor_si128,
     };
 
     /// Eight lanes of one step.
@@ -269,6 +355,46 @@ mod sse2 {
             *out0 = sum(acc[0]);
             *out1 = sum(acc[1]);
         }
+    }
+
+    /// [`super::nibbles`] for a whole run.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn nibbles(run: &mut [u8; 16], draw: u64) {
+        let draw = _mm_cvtsi64_si128(draw as i64);
+        let mask = _mm_set1_epi8(0xF);
+        let low = _mm_and_si128(draw, mask);
+        let high = _mm_and_si128(_mm_srli_epi16::<4>(draw), mask);
+        let run_of = _mm_sub_epi8(_mm_unpacklo_epi8(low, high), _mm_set1_epi8(8));
+        // SAFETY: `run` is sixteen writable bytes, and `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_si128(run.as_mut_ptr().cast(), run_of) }
+    }
+
+    /// [`super::first_mismatch`] over `want` and the `want.len()` words of
+    /// `c`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn first_mismatch(want: &[i32], c: &[u8]) -> Option<usize> {
+        let quads = want.as_chunks::<4>().0;
+        let words = c.as_chunks::<16>().0;
+        let mut differ = _mm_setzero_si128();
+        for (want, words) in quads.iter().zip(words) {
+            // SAFETY: `want` and `words` are sixteen readable bytes each,
+            // and `loadu` has no alignment requirement.
+            let (want, words) = unsafe {
+                (
+                    _mm_loadu_si128(want.as_ptr().cast()),
+                    _mm_loadu_si128(words.as_ptr().cast()),
+                )
+            };
+            differ = _mm_or_si128(differ, _mm_xor_si128(want, words));
+        }
+        if _mm_movemask_epi8(_mm_cmpeq_epi32(differ, _mm_setzero_si128())) != 0xFFFF {
+            return super::each_word(want, c);
+        }
+        let done = 4 * quads.len();
+        Some(done + super::each_word(&want[done..], &c[4 * done..])?)
     }
 
     /// The four lanes of `v[q]` summed into lane `q` of the result: two
