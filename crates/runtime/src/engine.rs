@@ -13,7 +13,7 @@
 //!
 //! `docs/ARCHITECTURE.md` § "The serve loop" states the retirement order,
 //! why budget aborts are exact, and the schedule-independence argument any
-//! future parallel lane would have to be planned from (ROADMAP item 2).
+//! future parallel lane would have to be planned from (ROADMAP, "Parked").
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
 

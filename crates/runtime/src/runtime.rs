@@ -340,7 +340,7 @@ impl From<Option<u64>> for BatchCutoff {
 ///
 /// It survives because the repository benchmark (`benchmark/`)
 /// constructs both variants. The follow-up is a change to that harness
-/// (ROADMAP item 2): it stops constructing the type, retires the
+/// (ROADMAP item 6(b)): it stops constructing the type, retires the
 /// `runtime.engine.oracle_req_per_s`, `par2_req_per_s` and
 /// `handoff_us_per_req` metrics that time it, and deletes the type and
 /// the field.

@@ -9,11 +9,10 @@
 //! everywhere else. [`widest`] runs the caller's body compiled for AVX2
 //! under the same rule, so the AVX2 block inlines into it. Elsewhere the
 //! pack gathers an element at a time and the product is `dot` per element,
-//! which are also the tests' references. This module and its counterpart
-//! in `accfg-workloads` (the reference's copy of both kernels, beside the
-//! SSE2 operand fill and result compare of a dispatch) are the only
-//! library code in the workspace that uses `unsafe` or `core::arch` (CI
-//! greps for both).
+//! which are also the tests' references. This module and the SSE2
+//! operand fill of a dispatch in `accfg-workloads` are the only library
+//! code in the workspace that uses `unsafe` or `core::arch` (CI greps for
+//! both).
 
 use super::LANES;
 
@@ -81,8 +80,8 @@ pub(super) fn two_rows(a: [&[i16]; 2], b_cols: &[i16], c: [&mut [i32]; 2]) {
 /// Whether the AVX2 block runs at `depth`, the length of a row of A: on a
 /// CPU with AVX2, and only past one lane group. At one lane group the
 /// AVX2 block saves one step per block and its wider reduction gives that
-/// back (at depth 16 the check measured ~10 % slower with it, the
-/// executor no faster), so such a tile keeps SSE2.
+/// back (at depth 16 the executor measured no faster with it), so such a
+/// tile keeps SSE2.
 #[inline]
 pub(super) fn avx2_pays(depth: usize) -> bool {
     #[cfg(target_arch = "x86_64")]

@@ -1,4 +1,40 @@
-//! Test-data generation and reference results for matmul workloads.
+//! Test-data generation, reference results and the functional check for
+//! matmul workloads.
+//!
+//! # The check
+//!
+//! [`check_result`] checks the C a dispatch wrote against `act(A · B)`
+//! without computing the product. It is Freivalds' check (R. Freivalds,
+//! "Probabilistic machines can use less running time", IFIP Congress
+//! 1977): draw a vector `r` of `n` entries, each in `[1, 2³²]`, and compare
+//! `A · (B · r)` with `C · r` row by row, in i64 arithmetic that wraps
+//! (mod 2⁶⁴). That costs O(m·k + k·n + m·n) where the product costs
+//! O(m·n·k), and it shares no step with the tile executor that wrote C.
+//! `r` comes from a [`SplitMix`] seeded by a fixed key and the spec's
+//! dimensions, so every verdict, and every report, repeats exactly.
+//!
+//! **Shape rule.** The check is exact while no element of `A · B` can wrap
+//! its i32: an i8 product is at most 2¹⁴ in magnitude, so `k · 2¹⁴ < 2³¹`,
+//! or `k ≤ 131 071`. Then an element of C that differs from the product
+//! differs by some `e` with `0 < |e| < 2³²`, and two guarantees hold:
+//!
+//! - **every single-word corruption is caught, deterministically:** `e`
+//!   has at most 31 factors of two and `r[j]` at most 32, so `e · r[j]` is
+//!   not 0 mod 2⁶⁴;
+//! - **any other corruption passes with probability at most 2⁻³² over the
+//!   key:** fix every entry of `r` but one, `r[j]`, whose column holds an
+//!   error `e` in a failing row. The row passes only where `e · r[j]` meets
+//!   one value mod 2⁶⁴, which fixes `r[j]` mod 2³³ at least, and one value
+//!   of the 2³² that `r[j]` takes at most does that.
+//!
+//! Working mod 2³² would not be sound: it must draw odd entries to catch
+//! a single error of 2³¹, and then a row with two errors of 2³¹ passes
+//! every time.
+//!
+//! `relu` specs (the clamp is not linear) and deeper `k` take the scalar
+//! definition instead, row by row; that is the only other path.
+//! The definition is also the verdict on a C that Freivalds' check rejects:
+//! it names the row-major first element that differs.
 
 use crate::spec::{MatmulLayout, MatmulSpec};
 use accfg_sim::{MemError, Memory};
@@ -61,150 +97,151 @@ pub fn fill_inputs(
 
 mod kernel;
 
-/// Elements in a lane group: the multiple a packed row is padded to.
-const LANES: usize = 16;
+/// The deepest `k` at which no element of `A · B` wraps its i32, so that
+/// [`check_result`] may use Freivalds' check: `k · 2¹⁴ < 2³¹`.
+const FREIVALDS_DEPTH: usize = (1 << 17) - 1;
 
-/// The reference `act(A · B)`, two rows of C at a time, as dot products
-/// over operands packed once.
-///
-/// Bᵀ is widened to i16, each column zero-padded to whole lane groups; two
-/// rows of A, widened the same way, sit behind the columns. Every element
-/// of a row of C is then the dot product of two contiguous runs of lane
-/// groups. An i8 · i8 product is exact in 16 bits and the wrapping i32 sum
-/// does not depend on its order.
-struct Reference<'m> {
-    a: &'m [u8],
-    /// `n` columns of Bᵀ, `groups` lane groups each, then the current pair
-    /// of rows of A (zero from `k` on, like every column).
-    packed: Vec<[i16; LANES]>,
-    /// The current pair of rows of C.
-    rows: Vec<i32>,
-    m: usize,
-    n: usize,
-    k: usize,
-    groups: usize,
-    relu: bool,
+/// The key [`check_result`] seeds its vector from, beside the spec's
+/// dimensions.
+const KEY: u64 = 0xF4E1_7A1D_5C0D_E3B9;
+
+/// A and B of a product, viewed in memory, and its dimensions `(m, n, k)`:
+/// `None` when the product is empty (a dimension that is not positive),
+/// which makes C all zeros.
+type Operands<'m> = (&'m [u8], &'m [u8], Option<(usize, usize, usize)>);
+
+fn operands<'m>(
+    mem: &'m Memory,
+    spec: &MatmulSpec,
+    layout: &MatmulLayout,
+) -> Result<Operands<'m>, MemError> {
+    let a = mem.bytes(layout.a_addr as u64, count(spec.m, spec.k))?;
+    let b = mem.bytes(layout.b_addr as u64, count(spec.k, spec.n))?;
+    let dim = |d: i64| usize::try_from(d).ok().filter(|&d| d > 0);
+    let dims = match (dim(spec.m), dim(spec.n), dim(spec.k)) {
+        (Some(m), Some(n), Some(k)) => Some((m, n, k)),
+        _ => None,
+    };
+    Ok((a, b, dims))
 }
 
-impl<'m> Reference<'m> {
-    /// Views A and B in `mem` and packs B; `None` when the product is
-    /// empty (a dimension that is not positive), which makes C all zeros.
-    fn new(
-        mem: &'m Memory,
-        spec: &MatmulSpec,
-        layout: &MatmulLayout,
-    ) -> Result<Option<Self>, MemError> {
-        let a = mem.bytes(layout.a_addr as u64, count(spec.m, spec.k))?;
-        let b = mem.bytes(layout.b_addr as u64, count(spec.k, spec.n))?;
-        let dim = |d: i64| usize::try_from(d).ok().filter(|&d| d > 0);
-        let (Some(m), Some(n), Some(k)) = (dim(spec.m), dim(spec.n), dim(spec.k)) else {
-            return Ok(None);
-        };
-        let groups = k.div_ceil(LANES);
-        let mut packed = vec![[0; LANES]; (n + 2) * groups];
-        kernel::pack_b(b, n, k, &mut packed[..n * groups]);
-        Ok(Some(Self {
-            a,
-            packed,
-            rows: vec![0; 2 * n],
-            m,
-            n,
-            k,
-            groups,
-            relu: spec.relu,
-        }))
+/// One row of `act(A · B)` into `out`, by the definition: element `j` is
+/// the wrapping i32 sum of `a_row[l] · B[l][j]` over the rows of `n =
+/// out.len()` bytes of `b`.
+fn definition_row(a_row: &[u8], b: &[u8], relu: bool, out: &mut [i32]) {
+    out.fill(0);
+    for (&a, b_row) in a_row.iter().zip(b.chunks_exact(out.len())) {
+        for (c, &b) in out.iter_mut().zip(b_row) {
+            *c = c.wrapping_add(i32::from(a as i8) * i32::from(b as i8));
+        }
     }
-
-    /// Rows `i` and `i + 1` of C, or row `i` alone when it is the last,
-    /// which the kernel then computes twice. (Inlined into the row loop of
-    /// each caller, so the kernel lands inside the check.)
-    #[inline(always)]
-    fn rows(&mut self, i: usize) -> &[i32] {
-        let (b_cols, a_rows) = self.packed.split_at_mut(self.n * self.groups);
-        let last = (i + 1).min(self.m - 1);
-        for (wide, row) in a_rows.chunks_exact_mut(self.groups).zip([i, last]) {
-            let a = &self.a[row * self.k..][..self.k];
-            for (wide, &a) in wide.as_flattened_mut().iter_mut().zip(a) {
-                *wide = a as i8 as i16;
-            }
+    if relu {
+        for c in out {
+            *c = (*c).max(0);
         }
-        let (a0, a1) = a_rows.split_at(self.groups);
-        let (c0, c1) = self.rows.split_at_mut(self.n);
-        kernel::two_rows([a0, a1], b_cols, [c0, c1]);
-        let rows = &mut self.rows[..(last + 1 - i) * self.n];
-        if self.relu {
-            for c in rows.iter_mut() {
-                *c = (*c).max(0);
-            }
-        }
-        rows
     }
 }
 
-/// Computes the reference `C = act(A · B)` from the matrices in memory.
-///
-/// Independent of the simulator's datapath: it shares [`Memory`]'s
-/// region views with it and nothing else.
+/// Computes the reference `C = act(A · B)` from the matrices in memory, by
+/// the definition.
 ///
 /// # Errors
 /// Fails on out-of-bounds reads.
-// `#[inline]`: compiled where it is called, so in this crate's own code
-// `check_result` is the one caller of the kernel and the kernel is inlined
-// into it
-#[inline]
 pub fn reference_c(
     mem: &Memory,
     spec: &MatmulSpec,
     layout: &MatmulLayout,
 ) -> Result<Vec<i32>, MemError> {
-    let len = count(spec.m, spec.n);
-    let Some(mut reference) = Reference::new(mem, spec, layout)? else {
-        return Ok(vec![0; len]);
-    };
-    let mut c = Vec::with_capacity(len);
-    for i in (0..reference.m).step_by(2) {
-        c.extend_from_slice(reference.rows(i));
+    let (a, b, dims) = operands(mem, spec, layout)?;
+    let mut c = vec![0; count(spec.m, spec.n)];
+    if let Some((_, n, k)) = dims {
+        for (a_row, out) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            definition_row(a_row, b, spec.relu, out);
+        }
     }
     Ok(c)
 }
 
-/// Compares the C region in memory against the reference result, a pair
-/// of reference rows at a time (four words a step on x86_64): the
-/// reference is never held whole.
+/// Checks the C region in memory against `act(A · B)` without computing
+/// the product: Freivalds' check where the module doc's shape rule allows
+/// it, the definition elsewhere.
 ///
 /// # Errors
-/// Returns a description of the first mismatching element, or a memory
-/// fault.
+/// Returns a description of the row-major first mismatching element, or a
+/// memory fault.
 pub fn check_result(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<(), String> {
-    // the pack, the widening and the block compiled for AVX2 where the
-    // AVX2 block pays at this depth
-    let depth = usize::try_from(spec.k).unwrap_or(0);
-    kernel::widest(
-        depth,
-        #[inline(always)]
-        || check_rows(mem, spec, layout),
-    )
-}
-
-/// [`check_result`]'s comparison, a reference row pair at a time.
-#[inline(always)]
-fn check_rows(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout) -> Result<(), String> {
-    let reference = Reference::new(mem, spec, layout).map_err(|e| e.to_string())?;
+    let (a, b, dims) = operands(mem, spec, layout).map_err(|e| e.to_string())?;
     let c = mem
         .bytes(
             layout.c_addr as u64,
             count(spec.m, spec.n).saturating_mul(4),
         )
         .map_err(|e| e.to_string())?;
-    let Some(mut reference) = reference else {
+    let Some((m, n, k)) = dims else {
         let zero = c.as_chunks::<4>().0.iter().position(|&word| word != [0; 4]);
         return zero.map_or(Ok(()), |idx| Err(mismatch(c, idx, 0, spec.n)));
     };
-    for i in (0..reference.m).step_by(2) {
-        let start = i * reference.n;
-        let want = reference.rows(i);
-        if let Some(at) = kernel::first_mismatch(want, &c[4 * start..]) {
-            return Err(mismatch(c, start + at, want[at], spec.n));
+    let key = KEY ^ (m as u64) ^ (n as u64).rotate_left(21) ^ (k as u64).rotate_left(42);
+    if spec.relu || k > FREIVALDS_DEPTH || !freivalds((a, b, c), (n, k), key) {
+        return by_definition((a, b, c), (n, k), spec.relu);
+    }
+    Ok(())
+}
+
+/// Whether `A · (B · r) = C · r` in wrapping i64, row by row, for A of
+/// rows of `k` bytes, B of `k` rows of `n` bytes and C of rows of `n`
+/// little-endian i32 words; `r` is `n` draws in `[1, 2³²]` from a
+/// [`SplitMix`] seeded by `key`.
+fn freivalds((a, b, c): (&[u8], &[u8], &[u8]), (n, k): (usize, usize), key: u64) -> bool {
+    let mut rng = SplitMix::new(key);
+    let mut vectors = vec![0i64; n + k];
+    let (r, br) = vectors.split_at_mut(n);
+    for r in r.iter_mut() {
+        *r = entry(rng.next_u64());
+    }
+    for (br, b_row) in br.iter_mut().zip(b.chunks_exact(n)) {
+        *br = dot(b_row, r);
+    }
+    a.chunks_exact(k)
+        .zip(c.chunks_exact(4 * n))
+        .all(|(a_row, c_row)| {
+            let words = c_row.as_chunks::<4>().0.iter();
+            let cr = words.zip(&*r).fold(0i64, |sum, (word, &r)| {
+                sum.wrapping_add(i64::from(i32::from_le_bytes(*word)).wrapping_mul(r))
+            });
+            dot(a_row, br) == cr
+        })
+}
+
+/// An entry of Freivalds' vector from a draw: its high half, plus one, so
+/// in `[1, 2³²]`.
+fn entry(draw: u64) -> i64 {
+    (draw >> 32) as i64 + 1
+}
+
+/// `Σ x[l] · y[l]`, wrapping, of i8 operands `x` and i64 `y`.
+fn dot(x: &[u8], y: &[i64]) -> i64 {
+    x.iter().zip(y).fold(0, |sum, (&x, &y)| {
+        sum.wrapping_add(i64::from(x as i8).wrapping_mul(y))
+    })
+}
+
+/// [`check_result`] by the definition, a row at a time: the verdict for
+/// `relu` specs, for depths past [`FREIVALDS_DEPTH`] and on every row
+/// Freivalds' check rejects, which it names exactly.
+#[cold]
+fn by_definition(
+    (a, b, c): (&[u8], &[u8], &[u8]),
+    (n, k): (usize, usize),
+    relu: bool,
+) -> Result<(), String> {
+    let mut want = vec![0; n];
+    for (i, (a_row, c_row)) in a.chunks_exact(k).zip(c.chunks_exact(4 * n)).enumerate() {
+        definition_row(a_row, b, relu, &mut want);
+        let words = c_row.as_chunks::<4>().0;
+        let differs = |(&want, word): (&i32, &[u8; 4])| i32::from_le_bytes(*word) != want;
+        if let Some(j) = want.iter().zip(words).position(differs) {
+            return Err(mismatch(c, i * n + j, want[j], n as i64));
         }
     }
     Ok(())
@@ -440,6 +477,42 @@ mod tests {
         }
     }
 
+    /// What `check_result` must say of a C holding `c` where the product
+    /// is `want`: the row-major first element that differs, or nothing.
+    fn verdict(c: &[i32], want: &[i32], n: i64) -> Result<(), String> {
+        let Some(idx) = c.iter().zip(want).position(|(c, want)| c != want) else {
+            return Ok(());
+        };
+        let (i, j) = (idx as i64 / n, idx as i64 % n);
+        Err(format!("C[{i}][{j}] = {}, expected {}", c[idx], want[idx]))
+    }
+
+    /// `check_result` accepts the definition's C and names a corruption
+    /// of its first, a middle and its last word, in the lowest bit and in
+    /// the sign bit; C is left holding the definition.
+    fn accepts_and_names_a_corrupted_word(
+        mem: &mut Memory,
+        spec: &MatmulSpec,
+        layout: &MatmulLayout,
+    ) {
+        let want = definition_c(mem, spec, layout);
+        write_c(mem, layout, &want);
+        assert_eq!(check_result(mem, spec, layout), Ok(()), "{spec:?}");
+        for idx in [0, want.len() / 2, want.len() - 1] {
+            for flip in [1, i32::MIN] {
+                let mut c = want.clone();
+                c[idx] ^= flip;
+                write_c(mem, layout, &c);
+                assert_eq!(
+                    check_result(mem, spec, layout),
+                    verdict(&c, &want, spec.n),
+                    "{spec:?}"
+                );
+            }
+        }
+        write_c(mem, layout, &want);
+    }
+
     #[test]
     fn extreme_operands_at_every_depth() {
         // m and n are multiples of nothing; (A, B) as (even, odd) elements
@@ -459,21 +532,15 @@ mod tests {
                 }
                 for relu in [false, true] {
                     spec.relu = relu;
-                    let reference = reference_c(&mem, &spec, &layout).unwrap();
-                    assert_eq!(reference, definition_c(&mem, &spec, &layout), "k = {k}");
-                    if (a, b, k, relu) == ([-128, -128], [-128, -128], 2, false) {
-                        // one pair of products, and it does not fit in 16 bits
-                        assert_eq!(reference, vec![32768; 35]);
-                    }
+                    accepts_and_names_a_corrupted_word(&mut mem, &spec, &layout);
                 }
             }
         }
     }
 
     #[test]
-    fn the_padded_layout_at_its_corners() {
-        // depths either side of one, two and three lane groups; one column,
-        // two, and one past a lane group's worth
+    fn full_range_operands_at_small_corners() {
+        // depths 1 to 33, one column, two and seventeen, one row and five
         for k in [1, 15, 16, 17, 31, 32, 33] {
             for n in [1, 2, 17] {
                 for m in [1, 5] {
@@ -481,12 +548,7 @@ mod tests {
                     fill_full_range(&mut mem, &layout, (m * n * k) as u64);
                     for relu in [false, true] {
                         spec.relu = relu;
-                        assert_eq!(
-                            reference_c(&mem, &spec, &layout).unwrap(),
-                            definition_c(&mem, &spec, &layout),
-                            "(m, n, k) = {:?}, relu {relu}",
-                            (m, n, k)
-                        );
+                        accepts_and_names_a_corrupted_word(&mut mem, &spec, &layout);
                     }
                 }
             }
@@ -498,11 +560,119 @@ mod tests {
         // a 64 x 512 x 64 strip of the 512-cubed sweep point, and a
         // tile row's worth of its 8-wide OpenGeMM tiles
         for dims in [(64, 64, 512), (8, 8, 512)] {
-            let (spec, layout, mem) = filled(dims, 0x512);
-            assert_eq!(
-                reference_c(&mem, &spec, &layout).unwrap(),
-                definition_c(&mem, &spec, &layout)
-            );
+            let (spec, layout, mut mem) = filled(dims, 0x512);
+            accepts_and_names_a_corrupted_word(&mut mem, &spec, &layout);
+        }
+    }
+
+    #[test]
+    fn structured_corruptions_are_named_at_their_first_word() {
+        // square and not, one row and many, narrow rows and wide
+        for dims in [(4, 6, 9), (6, 6, 6), (1, 5, 3), (9, 2, 40), (32, 32, 32)] {
+            let (spec, layout, mut mem) = filled(dims, dims.0 as u64 * 7 + 1);
+            let want = definition_c(&mem, &spec, &layout);
+            let (m, n) = (dims.0 as usize, dims.1 as usize);
+            let mut corruptions: Vec<(String, Vec<i32>)> = Vec::new();
+            // two words of one row off by 2³¹ each (+ or − by the word's
+            // sign): a row sum mod 2³² with odd entries misses every pair
+            for i in 0..m {
+                for j1 in 0..n {
+                    for j2 in j1 + 1..n {
+                        let mut c = want.clone();
+                        c[i * n + j1] ^= i32::MIN;
+                        c[i * n + j2] ^= i32::MIN;
+                        corruptions.push((format!("sign bits {i} {j1} {j2}"), c));
+                    }
+                }
+            }
+            for i in 0..m.saturating_sub(1) {
+                let mut c = want.clone();
+                let (row, next) = c.split_at_mut((i + 1) * n);
+                row[i * n..].swap_with_slice(&mut next[..n]);
+                corruptions.push((format!("rows {i} and {} swapped", i + 1), c));
+            }
+            if m == n {
+                let c = (0..m * n).map(|idx| want[idx % n * n + idx / n]).collect();
+                corruptions.push(("transposed".into(), c));
+            }
+            let mut c = want.clone();
+            c[(m - 1) * n..].fill(0);
+            corruptions.push(("last row zeroed".into(), c));
+            for (what, c) in corruptions {
+                write_c(&mut mem, &layout, &c);
+                assert_eq!(
+                    check_result(&mem, &spec, &layout),
+                    verdict(&c, &want, spec.n),
+                    "{what} of {dims:?}"
+                );
+            }
+        }
+    }
+
+    /// Freivalds' check alone, under `key`, of the C in `mem`.
+    fn freivalds_in(mem: &Memory, spec: &MatmulSpec, layout: &MatmulLayout, key: u64) -> bool {
+        let (a, b, dims) = operands(mem, spec, layout).unwrap();
+        let (m, n, k) = dims.unwrap();
+        let c = mem.bytes(layout.c_addr as u64, 4 * m * n).unwrap();
+        freivalds((a, b, c), (n, k), key)
+    }
+
+    #[test]
+    fn two_sign_flips_in_one_row_fail_under_every_key() {
+        // the probabilistic guarantee at its narrowest: the two errors of
+        // 2³¹ cancel only where two entries of r are equal (mod 2³³)
+        let (spec, layout, mut mem) = filled((3, 5, 7), 41);
+        let mut c = definition_c(&mem, &spec, &layout);
+        c[5] ^= i32::MIN;
+        c[9] ^= i32::MIN;
+        write_c(&mut mem, &layout, &c);
+        for key in 0..4096 {
+            assert!(!freivalds_in(&mem, &spec, &layout, KEY ^ key), "key {key}");
+        }
+    }
+
+    #[test]
+    fn no_single_word_error_vanishes_mod_2_64() {
+        // the deterministic guarantee: 0 < |e| < 2³² times an entry of r,
+        // which is never 0 and at most 2³², is never 0 mod 2⁶⁴
+        assert_eq!((entry(0), entry(u64::MAX)), (1, 1 << 32));
+        let errors = [1, 3, 1 << 31, 3 << 30, (1 << 32) - 1];
+        let entries = [0, 1, 1 << 32, u64::MAX >> 1, u64::MAX].map(entry);
+        for e in errors.into_iter().flat_map(|e: i64| [e, -e]) {
+            for r in entries {
+                assert_ne!(e.wrapping_mul(r), 0, "{e} · {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_relu_spec_is_checked_by_the_definition() {
+        // the unclamped product satisfies Freivalds' equation, and is wrong
+        let (mut spec, layout, mut mem) = filled((6, 5, 12), 3);
+        let product = definition_c(&mem, &spec, &layout);
+        spec.relu = true;
+        let clamped = definition_c(&mem, &spec, &layout);
+        assert_ne!(product, clamped);
+        write_c(&mut mem, &layout, &product);
+        assert_eq!(
+            check_result(&mem, &spec, &layout),
+            verdict(&product, &clamped, spec.n)
+        );
+        accepts_and_names_a_corrupted_word(&mut mem, &spec, &layout);
+    }
+
+    #[test]
+    fn a_product_past_the_shape_rule_is_checked_by_the_definition() {
+        // all −128: each element is k · 2¹⁴, which wraps its i32 first at
+        // k = 2¹⁷ (to i32::MIN), one past the deepest Freivalds' check takes
+        for k in [FREIVALDS_DEPTH as i64, FREIVALDS_DEPTH as i64 + 1] {
+            let (spec, layout, mut mem) = filled((2, 3, k), 0);
+            mem.bytes_mut(0, layout.c_addr as usize).unwrap().fill(0x80);
+            assert_eq!(definition_c(&mem, &spec, &layout)[0], (k << 14) as i32);
+            accepts_and_names_a_corrupted_word(&mut mem, &spec, &layout);
+            // a product that wrapped fails Freivalds' equation even correct
+            let exact = k <= FREIVALDS_DEPTH as i64;
+            assert_eq!(freivalds_in(&mem, &spec, &layout, KEY), exact, "k = {k}");
         }
     }
 
@@ -528,8 +698,8 @@ mod tests {
     }
 
     #[test]
-    fn check_names_a_corrupted_last_column_past_a_lane_group() {
-        // k = 17: every column's last operand is alone in its lane group
+    fn check_names_a_corrupted_last_column() {
+        // the last word of every row in turn
         let (spec, layout, mut mem) = filled((4, 6, 17), 17);
         let reference = reference_c(&mem, &spec, &layout).unwrap();
         for i in 0..4 {
@@ -652,103 +822,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn first_mismatch_reads_the_shorter_input() {
-        for len in 0..=13 {
-            let want: Vec<i32> = (0..len as i32).map(|v| v * -0x0101_0101).collect();
-            let c: Vec<u8> = want.iter().flat_map(|v| v.to_le_bytes()).collect();
-            assert_eq!(kernel::first_mismatch(&want, &c), None);
-            for cut in 0..len {
-                // a word past the shorter input is not compared
-                let mut longer = want.clone();
-                longer[cut] ^= 0x100;
-                assert_eq!(kernel::first_mismatch(&longer[..cut], &c), None);
-                assert_eq!(kernel::first_mismatch(&longer, &c[..4 * cut + 3]), None);
-                assert_eq!(kernel::first_mismatch(&longer, &c), Some(cut));
-            }
-        }
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The register-blocked kernel is the portable `dot`, element by
-        /// element: odd `m` pairs its last row with itself, every `n mod 4`
-        /// leaves a column tail, `k` crosses eight- and sixteen-lane steps,
-        /// operands are full-range i8, and one row of A and one column of B
-        /// are all −128 (the 32 768 pair-sum corner).
+        /// Freivalds' check accepts a correct C on its own, so a correct
+        /// dispatch never costs the definition's scan.
         #[test]
-        fn blocked_reference_equals_the_portable_dot(
-            dims in (1i64..10, 1i64..14, 1i64..71),
-            corner in (any::<u64>(), any::<u64>()),
+        fn freivalds_accepts_every_correct_product(
+            dims in (1i64..40, 1i64..40, 1i64..70),
+            full_range in any::<bool>(),
             seed in any::<u64>(),
         ) {
             let (spec, layout, mut mem) = filled(dims, seed);
-            fill_full_range(&mut mem, &layout, seed);
-            let (m, n, k) = (dims.0 as usize, dims.1 as usize, dims.2 as usize);
-            let (row, col) = (corner.0 as usize % m, corner.1 as usize % n);
-            let (a_addr, b_addr) = (layout.a_addr as u64, layout.b_addr as u64);
-            for l in 0..k {
-                mem.write_i8(a_addr + (row * k + l) as u64, -128).unwrap();
-                mem.write_i8(b_addr + (l * n + col) as u64, -128).unwrap();
+            if full_range {
+                fill_full_range(&mut mem, &layout, seed);
             }
-            // `k` operands `step` bytes apart from `addr`, widened into
-            // zero-padded lane groups
-            let widened = |addr: u64, step: usize| {
-                let mut v = vec![[0i16; LANES]; k.div_ceil(LANES)];
-                for (l, wide) in v.as_flattened_mut()[..k].iter_mut().enumerate() {
-                    *wide = mem.read_i8(addr + (l * step) as u64).unwrap().into();
-                }
-                v
-            };
-            let reference = reference_c(&mem, &spec, &layout).unwrap();
-            for i in 0..m {
-                let a_row = widened(a_addr + (i * k) as u64, 1);
-                for j in 0..n {
-                    let want = kernel::dot(&a_row, &widened(b_addr + j as u64, n));
-                    prop_assert_eq!(reference[i * n + j], want, "C[{}][{}] of {:?}", i, j, dims);
-                }
-            }
+            let want = definition_c(&mem, &spec, &layout);
+            write_c(&mut mem, &layout, &want);
+            prop_assert!(freivalds_in(&mem, &spec, &layout, seed), "{:?}", dims);
         }
 
-        /// The pack is its definition over the whole packed buffer, the
-        /// two rows of A behind the columns included: zero to three whole
-        /// eight-column groups and every `n mod 8`, whole and partial
-        /// sixteen-row groups, full-range bytes with a column of −128 and
-        /// one of 127 (the sign extension), and B's last row ending on
-        /// memory's last byte, so any over-read panics.
-        #[test]
-        fn packed_b_is_b_transposed_and_widened(
-            dims in (1usize..25, 1usize..71),
-            columns in (any::<usize>(), any::<usize>()),
-            seed in any::<u64>(),
-        ) {
-            let (n, k) = dims;
-            let spec = MatmulSpec::new((1, n as i64, k as i64), (1, n as i64, k as i64)).unwrap();
-            // A, then B up to the last byte
-            let end = (k + k * n) as i64;
-            let layout = MatmulLayout { a_addr: 0, b_addr: k as i64, c_addr: end, end };
-            let mut mem = Memory::new(end as usize);
-            fill_full_range(&mut mem, &layout, seed);
-            for t in 0..k {
-                let row = (k + t * n) as u64;
-                mem.write_i8(row + (columns.0 % n) as u64, -128).unwrap();
-                mem.write_i8(row + (columns.1 % n) as u64, 127).unwrap();
-            }
-            let reference = Reference::new(&mem, &spec, &layout).unwrap().unwrap();
-            let b = mem.bytes(k as u64, k * n).unwrap();
-            let groups = k.div_ceil(LANES);
-            let mut want = vec![[0i16; LANES]; (n + 2) * groups];
-            for (j, col) in want.chunks_exact_mut(groups).take(n).enumerate() {
-                for (t, wide) in col.as_flattened_mut()[..k].iter_mut().enumerate() {
-                    *wide = b[t * n + j] as i8 as i16;
-                }
-            }
-            prop_assert_eq!(reference.packed, want, "n {} k {}", n, k);
-        }
-    }
-
-    proptest! {
         #[test]
         fn reference_equals_the_definition(
             // across lane groups and 64
