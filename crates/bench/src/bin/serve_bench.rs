@@ -6,16 +6,16 @@
 //! # Plan → catalog → rows
 //!
 //! The binary is one loop. The command line is parsed into a
-//! [`BenchPlan`] — requests, policy filter, stream filter, tuned table —
-//! and nothing else carries a knob. `BenchPlan::catalog` filters the bench
+//! [`BenchPlan`] — requests, policy filter, stream filter — and nothing
+//! else carries a knob. `BenchPlan::catalog` filters the bench
 //! catalog ([`accfg_bench::streams::catalog`], the single definition of
-//! the seven streams and their pools, shared with `autotune`, `benchmark/`
-//! and the integration tests) by `--streams`; for each entry, `calibrate`
+//! the seven streams and their pools, shared with `benchmark/` and the
+//! integration tests) by `--streams`; for each entry, `calibrate`
 //! resolves the request sequence (a no-op except for
 //! `closed_loop_measured`) and `run_stream` serves
 //! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
-//! a [`ServeConfig::default`] with its policy and batch size — plus the
-//! `tuned` row, and prints the stream's table. Every serve is one run of
+//! a [`ServeConfig::default`] with its policy and batch size — and prints
+//! the stream's table. Every serve is one run of
 //! the runtime's one serve loop, on the simulated clock, so the report is
 //! a function of the [`BenchPlan`] alone (CI regenerates the committed
 //! artifact and `cmp`s it); the host's requests/sec is
@@ -100,18 +100,9 @@
 //! without paying for all of them, and `--streams <a,b,...>` to serve a
 //! subset of the catalog the same way (CI's thermal smoke runs
 //! `--policies thermal --streams contention`).
-//!
-//! `--tuned <TUNED.json>` is the one knob override: it replays the
-//! `autotune` binary's winning knob configurations. Every stream named in
-//! the table gains a `tuned` row — served on a fresh runtime over the
-//! stream's catalog pool with the tuned `ServeConfig` knobs (policy,
-//! slack, cutoff, batch) — next to the stock policy rows, so the
-//! tuned-vs-default comparison lands in the same report. Sweeping a knob is `autotune`'s job. Like every non-default
-//! invocation `--tuned` refuses to write the committed artifact.
 
 use accfg_bench::json::{self, Members};
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
-use accfg_bench::tune::{parse_table, KnobConfig};
 use accfg_bench::{cli, markdown_table};
 use accfg_runtime::{Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
 use std::collections::HashMap;
@@ -129,8 +120,6 @@ struct BenchPlan {
     policy_filter: Option<Vec<String>>,
     /// `--streams`: the catalog names to serve (`None` = all).
     stream_filter: Option<Vec<String>>,
-    /// `--tuned`: every stream named in the table gains a `tuned` row.
-    tuned: Option<Vec<(String, KnobConfig)>>,
 }
 
 /// Whether a `--policies` / `--streams` filter (when given) keeps `name`.
@@ -173,12 +162,6 @@ impl BenchPlan {
         rows.retain(|(label, _)| passes(&self.policy_filter, label));
         rows
     }
-
-    /// The tuned knobs for a stream, if `--tuned` names it.
-    fn tuned(&self, stream: &str) -> Option<KnobConfig> {
-        let table = self.tuned.as_ref()?;
-        table.iter().find(|(n, _)| n == stream).map(|(_, k)| *k)
-    }
 }
 
 /// One policy's measurements over a stream: label and the serve metrics.
@@ -209,16 +192,17 @@ fn calibrate(runtime: &mut Runtime, mut entry: BenchStream) -> BenchStream {
     entry
 }
 
-/// Serves every selected policy row (plus the `tuned` row, if `--tuned`
-/// names the stream) over one catalog entry on its pool's `runtime`,
-/// prints the stream's table and headline, and returns the
+/// Serves every selected policy row over one catalog entry on its pool's
+/// `runtime`, prints the stream's table and headline, and returns the
 /// rows — empty when no selected policy applies, so the caller drops the
 /// stream's report section.
 fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> Vec<PolicyRow> {
     let stream_name = entry.name;
     let mut results: Vec<PolicyRow> = Vec::new();
-    let mut serve_row = |runtime: &mut Runtime, label: &'static str, cfg: &ServeConfig| {
-        let report = runtime.serve(&entry.requests, cfg).expect("serve succeeds");
+    for (label, cfg) in plan.policies(entry.batch_rows) {
+        let report = runtime
+            .serve(&entry.requests, &cfg)
+            .expect("serve succeeds");
         assert_eq!(
             report.metrics.check_failures, 0,
             "{stream_name}/{label}: functional checks failed"
@@ -228,16 +212,6 @@ fn run_stream(plan: &BenchPlan, runtime: &mut Runtime, entry: &BenchStream) -> V
             "{stream_name}/{label}: simulation failed"
         );
         results.push((label, report.metrics));
-    };
-    for (label, cfg) in &plan.policies(entry.batch_rows) {
-        serve_row(runtime, label, cfg);
-    }
-    if let Some(knobs) = plan.tuned(stream_name) {
-        // a fresh runtime, so the row's cache delta is its own and not
-        // the stock rows' leftovers — a policy filter never hides it:
-        // replaying the table is the row's point
-        let mut tuned_runtime = Runtime::new(entry.pool.build());
-        serve_row(&mut tuned_runtime, "tuned", &knobs.serve_config());
     }
     if results.is_empty() {
         // e.g. --policies affinity+batch on a stream that runs no batch
@@ -388,8 +362,8 @@ fn stream_names() -> Vec<&'static str> {
     catalog.iter().map(|entry| entry.name).collect()
 }
 
-/// Refuses the command line or an input file: one line on stderr and a
-/// failing exit status, not a panic.
+/// Refuses the command line: one line on stderr and a failing exit
+/// status, not a panic.
 fn refuse(message: &str) -> ! {
     cli::refuse("serve_bench", message)
 }
@@ -401,19 +375,17 @@ enum Flag {
     Out,
     Policies,
     Streams,
-    Tuned,
 }
 
 /// Every flag with its spelling and what it takes: the one table
 /// [`parse_args`] looks an argument up in, and the one both refusals that
 /// list flags are rendered from — a flag is accepted and advertised
 /// together or not at all.
-const FLAGS: [(Flag, &str, &str); 5] = [
+const FLAGS: [(Flag, &str, &str); 4] = [
     (Flag::Requests, "--requests", "<n>"),
     (Flag::Out, "--out", "<path>"),
     (Flag::Policies, "--policies", "<a,b,...>"),
     (Flag::Streams, "--streams", "<a,b,...>"),
-    (Flag::Tuned, "--tuned", "<path>"),
 ];
 
 /// What the command line asked for.
@@ -427,15 +399,14 @@ struct Cli {
 ///
 /// # Errors
 /// Everything the command line alone can get wrong — a missing or
-/// malformed value, an unknown flag, policy or stream, an unreadable or
-/// malformed `--tuned` table, a non-canonical report aimed at the
-/// committed artifact — as the line [`refuse`] prints.
+/// malformed value, an unknown flag, policy or stream, a non-canonical
+/// report aimed at the committed artifact — as the line [`refuse`]
+/// prints.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut plan = BenchPlan {
         requests: DEFAULT_REQUESTS,
         policy_filter: None,
         stream_filter: None,
-        tuned: None,
     };
     let mut out_path = String::from(DEFAULT_OUT);
     let args = &mut args;
@@ -451,14 +422,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             ));
         };
         match flag {
-            Flag::Requests => plan.requests = cli::number(args, &arg, "a positive integer", 1)?,
+            Flag::Requests => plan.requests = cli::positive(args, &arg)?,
             Flag::Out => out_path = cli::value(args, &arg, "a file path")?,
-            Flag::Tuned => {
-                let path = cli::value(args, &arg, "a tuned-table path")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("--tuned: cannot read {path}: {e}"))?;
-                plan.tuned = Some(parse_table(&text).map_err(|e| format!("--tuned: {path}: {e}"))?);
-            }
             Flag::Policies => {
                 let list = cli::value(args, &arg, "a comma-separated list")?;
                 let rows = policy_rows(true);
@@ -471,13 +436,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             }
         }
     }
-    // a filtered, reduced or tuned run produces a report that is not the
+    // a filtered or reduced run produces a report that is not the
     // committed artifact: refuse to overwrite it (by file name, so
     // alternate spellings of the same path cannot slip past)
     let canonical = plan.policy_filter.is_none()
         && plan.stream_filter.is_none()
-        && plan.requests == DEFAULT_REQUESTS
-        && plan.tuned.is_none();
+        && plan.requests == DEFAULT_REQUESTS;
     if !canonical
         && std::path::Path::new(&out_path).file_name()
             == std::path::Path::new(DEFAULT_OUT).file_name()
@@ -648,8 +612,8 @@ mod tests {
             ),
             (
                 "--tuned",
-                "/nonexistent/tuned.json",
-                "--tuned: cannot read /nonexistent/tuned.json: ",
+                "t.json",
+                "unknown argument `--tuned` (supported: ",
             ),
         ] {
             let message = refusal(&["--out", "x.json", flag, bad]).expect(flag);
@@ -670,20 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn a_malformed_tuned_table_is_refused_with_its_path() {
-        let path =
-            std::env::temp_dir().join(format!("serve_bench_cli_{}.json", std::process::id()));
-        std::fs::write(&path, "{ not a table").unwrap();
-        let shown = path.display().to_string();
-        let message = refusal(&["--out", "x.json", "--tuned", &shown]).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(
-            message.starts_with(&format!("--tuned: {shown}: ")),
-            "{message}"
-        );
-    }
-
-    #[test]
     fn refused_combinations_are_errors_and_the_rest_parses() {
         // a non-canonical report may not land on the committed artifact
         for line in [
@@ -695,7 +645,7 @@ mod tests {
             let message = refusal(line).unwrap();
             assert_eq!(
                 message,
-                "--requests/--policies/--streams/--tuned write a non-canonical report; \
+                "--requests/--policies/--streams write a non-canonical report; \
                  pass --out with a file name other than BENCH_runtime.json so it \
                  cannot clobber the committed artifact"
             );
@@ -720,7 +670,6 @@ mod tests {
         assert_eq!(cli.plan.requests, 300);
         assert_eq!(cli.plan.policy_filter.unwrap(), ["cost", "thermal"]);
         assert_eq!(cli.plan.stream_filter.unwrap(), ["contention"]);
-        assert!(cli.plan.tuned.is_none());
         assert_eq!(cli.out_path, "x.json");
     }
 }

@@ -1,8 +1,6 @@
-//! The argument conventions `serve_bench` and `autotune` share: a flag's
+//! The argument conventions of `serve_bench`'s command line: a flag's
 //! value is the next argument, and anything the command line gets wrong
 //! is an `Err` holding the one line [`refuse`] prints — never a panic.
-
-use std::str::FromStr;
 
 /// The value of `flag`: the next argument.
 ///
@@ -16,20 +14,16 @@ pub fn value(
     args.next().ok_or_else(|| format!("{flag} takes {takes}"))
 }
 
-/// The value of `flag` as a number no smaller than `min`.
+/// The value of `flag` as a positive integer.
 ///
 /// # Errors
-/// The value is missing, is not a `T`, or is below `min`.
-pub fn number<T: FromStr + PartialOrd>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-    takes: &str,
-    min: T,
-) -> Result<T, String> {
+/// The value is missing, is not a `usize`, or is zero.
+pub fn positive(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    let takes = "a positive integer";
     let text = value(args, flag, takes)?;
     text.parse()
         .ok()
-        .filter(|n| *n >= min)
+        .filter(|&n| n > 0)
         .ok_or_else(|| format!("{flag} takes {takes} (got `{text}`)"))
 }
 
@@ -49,8 +43,8 @@ pub fn selection(what: &str, list: &str, known: &[&str]) -> Result<Vec<String>, 
     }
 }
 
-/// Refuses the command line or an input file: one line on stderr and exit
-/// status 2, before anything is served.
+/// Refuses the command line: one line on stderr and exit status 2, before
+/// anything is served.
 pub fn refuse(binary: &str, message: &str) -> ! {
     eprintln!("{binary}: {message}");
     std::process::exit(2);
@@ -79,23 +73,15 @@ mod tests {
     }
 
     #[test]
-    fn a_number_is_parsed_and_bounded() {
-        let takes = "a positive integer";
+    fn a_positive_integer_is_parsed_and_bounded() {
+        assert_eq!(positive(&mut args(&["12"]), "--requests"), Ok(12));
         assert_eq!(
-            number(&mut args(&["12"]), "--requests", takes, 1usize),
-            Ok(12)
-        );
-        assert_eq!(
-            number(&mut args(&["0"]), "--rounds", "a count", 0usize),
-            Ok(0)
-        );
-        assert_eq!(
-            number(&mut args(&[]), "--requests", takes, 1usize),
+            positive(&mut args(&[]), "--requests"),
             Err("--requests takes a positive integer".into())
         );
         for bad in ["x", "-1", "0", "1.5", "", "99999999999999999999999"] {
             assert_eq!(
-                number(&mut args(&[bad]), "--requests", takes, 1usize),
+                positive(&mut args(&[bad]), "--requests"),
                 Err(format!("--requests takes a positive integer (got `{bad}`)"))
             );
         }

@@ -8,8 +8,8 @@
 //! [`paper`] computes the paper's numbers-bearing artefacts as values,
 //! each with one renderer; the figure / table binaries print those
 //! renderers and [`measure`] is the one measured-kernel recipe under all of
-//! them. The JSON reports (`serve_bench`, `autotune`) are rendered and
-//! checked through [`json`], the runtime's JSON module.
+//! them. The JSON report of `serve_bench` is rendered and checked through
+//! [`json`], the runtime's JSON module.
 //!
 //! Binaries (run with `cargo run -p accfg-bench --bin <name>`):
 //!
@@ -26,7 +26,6 @@
 //! | `make_experiments` | composes the renderers above into `EXPERIMENTS.md` (committed; CI `cmp`s a fresh run against it) |
 //! | `serve_bench` | the serving-runtime characterization (`BENCH_runtime.json`) |
 //! | `microbench` | deterministic simulated-cycle micro-benchmarks |
-//! | `autotune` | the deterministic serving-knob autotuner (`TUNED.json`) |
 
 #![warn(missing_docs)]
 
@@ -35,7 +34,6 @@ pub mod corpus;
 pub mod csv;
 pub mod paper;
 pub mod streams;
-pub mod tune;
 
 /// The workspace's one JSON writer and strict reader, which live in
 /// `accfg-runtime` (the lowest crate that renders a report); the bench

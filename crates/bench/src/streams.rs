@@ -1,15 +1,14 @@
 //! The bench catalog: the one definition of every canonical stream and
-//! pool, shared by `serve_bench`, `autotune`, `benchmark/`, and the
-//! integration tests (`tests/serving.rs` and `tests/persistence.rs` take
-//! their fixtures from here instead of re-typing seeds and gaps).
+//! pool, shared by `serve_bench`, `benchmark/`, and the integration tests
+//! (`tests/serving.rs` and `tests/persistence.rs` take their fixtures
+//! from here instead of re-typing seeds and gaps).
 //!
 //! [`catalog`] lists the seven streams in report order, each with the pool
 //! that serves it; everything else here is a piece of it. Every builder is
 //! deterministic — fixed seeds, fixed gaps — so "the `mixed` stream at
 //! 4000 requests" is the same byte-identical request sequence whether
-//! `autotune` tunes on it, `serve_bench` reports it, `benchmark/` times
-//! it, or a test pins a bar on it. That is also what makes `autotune`'s
-//! tuned-config table directly consumable by `serve_bench --tuned`.
+//! `serve_bench` reports it, `benchmark/` times it, or a test pins a bar
+//! on it.
 
 use accfg_analyze::{lint_module, LintKind};
 use accfg_runtime::{measured_class_service_times, Policy, PoolConfig, ServeReport};
@@ -176,7 +175,7 @@ pub const CALIBRATION_POLICY: Policy = Policy::FifoElide;
 /// One entry of the bench catalog.
 #[derive(Debug, Clone)]
 pub struct BenchStream {
-    /// The stream's name in reports, `--streams`, and `TUNED.json`.
+    /// The stream's name in reports and `--streams`.
     pub name: &'static str,
     /// The pool that serves it.
     pub pool: BenchPool,
@@ -184,10 +183,6 @@ pub struct BenchStream {
     /// canonical mix: batching changes placement, not the
     /// routing-vs-balance story the other streams characterize.
     pub batch_rows: bool,
-    /// Whether `autotune` may race knob configurations over it. Open-loop
-    /// arrivals are fixed by the seed; closed-loop arrivals encode a
-    /// service-time feedback that a different configuration would change.
-    pub tunable: bool,
     /// The request sequence — for an entry with a `calibration`, the
     /// static-estimate sequence its calibration serve runs over.
     pub requests: Vec<TrafficRequest>,
@@ -232,7 +227,6 @@ pub fn catalog(requests: usize) -> Vec<BenchStream> {
         name,
         pool,
         batch_rows: false,
-        tunable: true,
         requests,
         calibration: None,
     };
@@ -245,28 +239,14 @@ pub fn catalog(requests: usize) -> Vec<BenchStream> {
         },
         entry("shape_heavy", Uniform, shape_heavy_stream(requests)),
         entry("bursty", Uniform, bursty_stream(requests)),
+        entry("closed_loop", Uniform, static_estimate()),
         BenchStream {
-            tunable: false,
-            ..entry("closed_loop", Uniform, static_estimate())
-        },
-        BenchStream {
-            tunable: false,
             calibration: Some(closed_loop.clone()),
             ..entry("closed_loop_measured", Uniform, static_estimate())
         },
         entry("hetero", Hetero, hetero_stream(requests)),
         entry("contention", Contention, contention_stream(requests)),
     ]
-}
-
-/// Resolves a tunable stream name to its request stream and serving pool:
-/// a lookup in [`catalog`] (`None` for unknown names and for the
-/// closed-loop streams, which the autotuner does not handle).
-pub fn named_stream(name: &str, requests: usize) -> Option<(Vec<TrafficRequest>, PoolConfig)> {
-    catalog(requests)
-        .into_iter()
-        .find(|entry| entry.name == name && entry.tunable)
-        .map(|entry| (entry.requests, entry.pool.build()))
 }
 
 /// A stream's static-analysis totals: `accfg-analyze`'s config-write
@@ -329,7 +309,7 @@ mod tests {
     use accfg_runtime::{Runtime, ServeConfig};
 
     #[test]
-    fn catalog_names_are_unique_and_named_stream_is_a_lookup() {
+    fn catalog_names_are_unique_and_in_report_order() {
         let catalog = catalog(40);
         let names: Vec<&str> = catalog.iter().map(|entry| entry.name).collect();
         assert_eq!(
@@ -351,28 +331,7 @@ mod tests {
                 entry.calibration.is_some(),
                 entry.name == "closed_loop_measured"
             );
-            match named_stream(entry.name, 40) {
-                Some((requests, pool)) => {
-                    assert!(entry.tunable, "{}", entry.name);
-                    assert_eq!(requests, entry.requests, "{}", entry.name);
-                    // PoolConfig is not PartialEq; its Debug form is total
-                    assert_eq!(format!("{pool:?}"), format!("{:?}", entry.pool.build()));
-                }
-                None => assert!(!entry.tunable, "{}", entry.name),
-            }
         }
-        let tunable: Vec<&str> = catalog
-            .iter()
-            .filter(|entry| entry.tunable)
-            .map(|entry| entry.name)
-            .collect();
-        assert_eq!(
-            tunable,
-            ["mixed", "shape_heavy", "bursty", "hetero", "contention"]
-        );
-        assert!(named_stream("closed_loop", 40).is_none());
-        assert!(named_stream("closed_loop_measured", 40).is_none());
-        assert!(named_stream("warmup", 40).is_none());
     }
 
     #[test]

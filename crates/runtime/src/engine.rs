@@ -9,19 +9,19 @@
 //! spawned and no channel is opened. Its per-request outcomes (writes,
 //! cycles, latencies, prediction samples) define correct behaviour, and
 //! its reports are byte-identical across runs — the committed
-//! `BENCH_runtime.json` and `TUNED.json` are its output.
+//! `BENCH_runtime.json` is its output. Every stream is served to its end:
+//! a failed dispatch is reported in its completion, never by stopping the
+//! loop.
 //!
-//! `docs/ARCHITECTURE.md` § "The serve loop" states the retirement order,
-//! why budget aborts are exact, and the schedule-independence argument any
-//! future parallel lane would have to be planned from (ROADMAP, "Parked").
+//! `docs/ARCHITECTURE.md` § "The serve loop" states the retirement order
+//! and the schedule-independence argument any future parallel lane would
+//! have to be planned from (ROADMAP, "Parked").
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
 
 use crate::cache::CompiledModule;
-use crate::error::ServeError;
-use crate::metrics::nearest_rank;
 use crate::persist::CostSnapshotEntry;
-use crate::runtime::{ServeBudget, ServeConfig};
+use crate::runtime::ServeConfig;
 use crate::scheduler::{CommitOutcome, Scheduler};
 use crate::worker::{Completion, Worker};
 use accfg_targets::AcceleratorDescriptor;
@@ -69,65 +69,6 @@ pub(crate) struct EngineOutput {
     pub cost_snapshot: Vec<CostSnapshotEntry>,
 }
 
-/// Tracks a [`ServeBudget`]'s running totals against the full stream
-/// length, deciding — exactly, thanks to determinism — when the final
-/// metrics are already beyond a bound.
-struct BudgetTracker {
-    budget: ServeBudget,
-    /// Latencies above `p99_bound` seen so far; each executed dispatch's
-    /// latency is final, so this count only grows.
-    exceed_count: u64,
-    /// How many over-bound latencies the nearest-rank p99 tolerates:
-    /// `n - ceil(0.99 * n)`. One more proves p99 > bound.
-    allowed_exceed: u64,
-    /// Running sum of setup writes across executed dispatches.
-    writes: u64,
-    /// Dispatches executed so far.
-    completed: u64,
-}
-
-impl BudgetTracker {
-    fn new(budget: ServeBudget, stream_len: usize) -> Self {
-        // the p99 rank `LatencyStats::from_latencies` reports
-        let rank = nearest_rank(stream_len, 0.99);
-        Self {
-            budget,
-            exceed_count: 0,
-            allowed_exceed: (stream_len - rank) as u64,
-            writes: 0,
-            completed: 0,
-        }
-    }
-
-    /// Folds one executed dispatch in; `Err` the moment a bound is
-    /// provably exceeded by the *final* metrics.
-    fn admit(&mut self, latency: u64, setup_writes: u64) -> Result<(), ServeError> {
-        self.completed += 1;
-        self.writes += setup_writes;
-        if let Some(bound) = self.budget.p99_bound {
-            if latency > bound {
-                self.exceed_count += 1;
-            }
-        }
-        let p99_exceeded = self
-            .budget
-            .p99_bound
-            .is_some_and(|_| self.exceed_count > self.allowed_exceed);
-        let writes_exceeded = self
-            .budget
-            .max_setup_writes
-            .is_some_and(|max| self.writes > max);
-        if p99_exceeded || writes_exceeded {
-            return Err(ServeError::BudgetExceeded {
-                completed: self.completed,
-                p99_exceeded,
-                writes_exceeded,
-            });
-        }
-        Ok(())
-    }
-}
-
 /// The serve loop: walks the dispatch order on the simulated clock
 /// against one scheduler seeded from the persisted cost rows, routing
 /// each request among its group's workers. A dispatch executes on its
@@ -135,29 +76,18 @@ impl BudgetTracker {
 /// comes back with its start and finish cycles fixed. Its measured cycles
 /// retire into the refiner only once the clock (the batch head's arrival)
 /// has passed its finish, in `(finish, slot)` order, so every decision is
-/// a function of simulated time alone.
-///
-/// With a bounded [`ServeBudget`], every executed dispatch's (final)
-/// latency and setup writes are admitted to a [`BudgetTracker`] at its
-/// commit, and the loop returns [`ServeError::BudgetExceeded`] at the
-/// first commit that proves a bound exceeded — the bounds are thereby
-/// *exact*: a budgeted run completes if and only if its final metrics are
-/// within budget.
+/// a function of simulated time alone. The loop cannot fail: it returns
+/// once every request of `stream` has been dispatched.
 pub(crate) fn run(
     stream: &[TrafficRequest],
     pool: &PoolShape,
     resolved: &Resolved,
     cfg: &ServeConfig,
     mut workers: Vec<Worker>,
-) -> Result<EngineOutput, ServeError> {
+) -> EngineOutput {
     let (groups, worker_descs) = (&pool.groups, &pool.worker_descs);
     let (order, modules, group_idx) = (&resolved.order, &resolved.modules, &resolved.group_idx);
     let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
-    let mut budget = cfg
-        .budget
-        .filter(|b| !b.is_unbounded())
-        .map(|b| BudgetTracker::new(b, stream.len()));
-
     let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
@@ -232,17 +162,12 @@ pub(crate) fn run(
             if completion.sim_error.is_none() {
                 unretired.insert((completion.finish, slot));
             }
-            // the dispatch's latency is final, so the verdict on it is exact
-            if let Some(tracker) = budget.as_mut() {
-                let latency = completion.finish - stream[slot].arrival;
-                tracker.admit(latency, completion.emitted_writes)?;
-            }
             completions[slot] = Some(completion);
             batch += 1;
         }
         batched_requests += (batch - 1) as u64;
     }
-    Ok(EngineOutput {
+    EngineOutput {
         // (collected in place: an `Option<Completion>` is a `Completion` wide)
         completions: completions
             .into_iter()
@@ -251,27 +176,5 @@ pub(crate) fn run(
         outcomes,
         batched_requests,
         cost_snapshot: scheduler.cost_snapshot(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::metrics::LatencyStats;
-
-    #[test]
-    fn the_budget_tolerates_exactly_what_the_reported_p99_does() {
-        // over sorted latencies 1..=n the reported p99 *is* its rank, so a
-        // budget may see exactly `n - p99` latencies above the bound
-        let budget = ServeBudget {
-            p99_bound: Some(0),
-            max_setup_writes: None,
-        };
-        for n in 0..=300usize {
-            let latencies: Vec<u64> = (1..=n as u64).collect();
-            let p99 = LatencyStats::from_latencies(&latencies).p99;
-            let tracker = BudgetTracker::new(budget, n);
-            assert_eq!(tracker.allowed_exceed, n as u64 - p99, "n = {n}");
-        }
     }
 }

@@ -66,23 +66,6 @@ pub enum ServeError {
         /// The shared descriptor name.
         name: String,
     },
-    /// A budgeted serve was cut short: the running latency/write totals
-    /// proved the final metrics would exceed a [`ServeBudget`] bound, so
-    /// the engine aborted the run instead of finishing it. Not a fault —
-    /// this is the expected outcome of a capped tuning run whose
-    /// candidate is provably worse than the incumbent. An aborted serve
-    /// flushes **nothing** to a warm-start store: partial EWMA state from
-    /// a truncated stream would poison later runs.
-    ///
-    /// [`ServeBudget`]: crate::runtime::ServeBudget
-    BudgetExceeded {
-        /// Dispatches executed when the run aborted.
-        completed: u64,
-        /// The final p99 provably exceeds `ServeBudget::p99_bound`.
-        p99_exceeded: bool,
-        /// Cumulative setup writes exceeded `ServeBudget::max_setup_writes`.
-        writes_exceeded: bool,
-    },
     /// A pool group's boost power cap is out of range: a cap of 0 would
     /// forbid boosting entirely (omit the cap or don't use reference
     /// timing instead) and a cap above the group's worker count caps
@@ -135,22 +118,6 @@ impl fmt::Display for ServeError {
                 "two differently provisioned worker platforms share the name `{name}`; \
                  variants must carry distinct names"
             ),
-            ServeError::BudgetExceeded {
-                completed,
-                p99_exceeded,
-                writes_exceeded,
-            } => {
-                let bound = match (p99_exceeded, writes_exceeded) {
-                    (true, true) => "p99 and setup-write bounds",
-                    (true, false) => "p99 bound",
-                    _ => "setup-write bound",
-                };
-                write!(
-                    f,
-                    "serve aborted after {completed} dispatches executed: the {bound} of \
-                     the run's budget is provably exceeded"
-                )
-            }
             ServeError::InvalidPowerCap {
                 family,
                 cap,

@@ -170,9 +170,10 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 /// Deepest container nesting [`parse`] accepts. The parser recurses once
-/// per level, so an unbounded document (200 000 `[`s in a file handed to
-/// `serve_bench --tuned`) would overflow the stack and abort the process;
-/// the reports nest 4 deep.
+/// per level, so an unbounded document (200 000 `[`s in a result file
+/// handed to `accfg-benchmark compare`, the repository benchmark's
+/// reader of files it did not write) would overflow the stack and abort
+/// the process; the reports nest 4 deep.
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {

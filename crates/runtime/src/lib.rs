@@ -180,7 +180,7 @@ pub use plan::{delta_writes, DispatchPlan, LaunchSpec, RegMap, WriteCmd};
 pub use policy::Policy;
 pub use runtime::{
     measured_class_service_times, BatchCutoff, PoolConfig, PoolGroup, PredictionSample, Runtime,
-    ServeBudget, ServeConfig, ServeReport,
+    ServeConfig, ServeReport,
 };
 // inert, kept for `benchmark/` only (see `ServeConfig::mode`)
 pub use runtime::ServeMode;

@@ -14,7 +14,7 @@ pub fn class_label(accelerator: &str, spec: &MatmulSpec) -> String {
 
 /// The 1-based nearest rank of the `p`-th percentile of `n` sorted
 /// samples: `ceil(p · n)` clamped to `1..=n` (0 when there are none).
-pub(crate) fn nearest_rank(n: usize, p: f64) -> usize {
+fn nearest_rank(n: usize, p: f64) -> usize {
     ((n as f64 * p).ceil() as usize).clamp(1.min(n), n)
 }
 

@@ -110,13 +110,6 @@ impl Policy {
         Policy::Thermal,
     ];
 
-    /// The policy whose [`Policy::label`] is `label` (`None` for anything
-    /// else — report-only row labels like `tuned` or `affinity+batch`
-    /// are not policies).
-    pub fn from_label(label: &str) -> Option<Policy> {
-        Policy::ALL.into_iter().find(|p| p.label() == label)
-    }
-
     /// Short lowercase label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -244,12 +237,6 @@ mod tests {
         assert_eq!(Policy::ConfigAffinity.label(), "affinity");
         assert_eq!(Policy::Cost.label(), "cost");
         assert_eq!(Policy::Thermal.label(), "thermal");
-        // every label names its policy
-        for policy in Policy::ALL {
-            assert_eq!(Policy::from_label(policy.label()), Some(policy));
-        }
-        assert_eq!(Policy::from_label("tuned"), None);
-        assert_eq!(Policy::from_label("affinity+batch"), None);
     }
 
     #[test]

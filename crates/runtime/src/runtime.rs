@@ -250,54 +250,6 @@ pub fn measured_class_service_times(
         .collect()
 }
 
-/// Early-termination bounds for a *capped* serve run, in the style of
-/// LeapsAndBounds racing: the engine tracks the running latency
-/// distribution and cumulative setup writes, and aborts the serve with
-/// [`ServeError::BudgetExceeded`] the moment either final metric is
-/// *provably* beyond its bound — no matter how the rest of the stream
-/// plays out. Because the serve is deterministic, an abort is exact
-/// evidence (not a noisy sample) that the full run would have violated
-/// the bound, which is what lets an autotuner race candidate
-/// configurations against an incumbent without ever finishing a loser.
-///
-/// The p99 rule: with `n` stream requests, the nearest-rank p99 exceeds
-/// `bound` if and only if more than `n - ceil(0.99 * n)` latencies
-/// exceed `bound`. Every executed dispatch's latency is final (its worker
-/// fixed its finish cycle where it ran), so the observed exceed-count
-/// only ever grows — crossing the threshold mid-run is conclusive. Setup
-/// writes are monotone in executed dispatches, so the write rule is a
-/// plain running-sum comparison. Both bounds are *exact*, not merely
-/// sound: every dispatch feeds the tracker, so a budgeted serve completes
-/// if and only if the full run's final p99 and setup-write totals are
-/// within the bounds.
-///
-/// The tracker admits each dispatch at its commit, in the serve loop's
-/// commit order, which is a function of the stream alone; a serve aborts
-/// at the first commit that proves a bound broken. An all-`None` budget
-/// bounds nothing.
-///
-/// An aborted run flushes nothing to a warm-start store (the flush sits
-/// after the engine in [`Runtime::serve`], and the abort returns early),
-/// so capped tuning runs cannot poison persisted EWMA state.
-///
-/// [`ServeError::BudgetExceeded`]: crate::error::ServeError::BudgetExceeded
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeBudget {
-    /// Abort once the final p99 latency provably exceeds this bound
-    /// (`None` leaves the latency tail unbounded).
-    pub p99_bound: Option<u64>,
-    /// Abort once cumulative setup writes across executed dispatches
-    /// exceed this bound (`None` leaves writes unbounded).
-    pub max_setup_writes: Option<u64>,
-}
-
-impl ServeBudget {
-    /// `true` if no bound is set — the budget can never trigger.
-    pub fn is_unbounded(&self) -> bool {
-        self.p99_bound.is_none() && self.max_setup_writes.is_none()
-    }
-}
-
 /// Where batch coalescing stops: the queue-depth horizon (the target
 /// worker's estimated outstanding cycles, measured at the candidate's
 /// arrival) past which a request gets a fresh routing decision instead of
@@ -308,11 +260,9 @@ pub enum BatchCutoff {
     /// and batching share one horizon, so setting `load_slack` moves both.
     #[default]
     FollowSlack,
-    /// An explicit horizon in cycles, decoupled from `load_slack`.
-    Cycles(u64),
     /// Coalesce up to `max_batch` unconditionally — the pre-cutoff
     /// behaviour whose tail cost `batch_cutoff_recovers_the_tail_and_keeps_the_writes`
-    /// in `tests/serving.rs` pins, and one of the cutoffs `autotune` races.
+    /// in `tests/serving.rs` pins.
     Uncapped,
 }
 
@@ -321,16 +271,8 @@ impl BatchCutoff {
     pub fn resolve(self, load_slack: u64) -> Option<u64> {
         match self {
             BatchCutoff::FollowSlack => Some(load_slack),
-            BatchCutoff::Cycles(cycles) => Some(cycles),
             BatchCutoff::Uncapped => None,
         }
-    }
-}
-
-impl From<Option<u64>> for BatchCutoff {
-    /// An already-resolved horizon: `Some` is explicit, `None` uncapped.
-    fn from(cutoff: Option<u64>) -> Self {
-        cutoff.map_or(BatchCutoff::Uncapped, BatchCutoff::Cycles)
     }
 }
 
@@ -370,12 +312,11 @@ pub struct ServeConfig {
     /// worker's queue may run ahead of its group's best candidate before
     /// policy scoring prefers balance over resident-state overlap.
     /// Defaults to [`LOAD_SLACK_CYCLES`] (256, the PR 2 sweep's choice).
-    /// The batch cutoff follows it unless `batch_cutoff` says otherwise.
+    /// The batch cutoff follows it unless `batch_cutoff` is uncapped.
     pub load_slack: u64,
     /// Queue-depth-aware batch cutoff: stop coalescing further requests
     /// into a batch once the target worker's estimated outstanding cycles
-    /// reach the horizon — by default `load_slack` itself (see
-    /// [`BatchCutoff`] for the explicit and uncapped overrides).
+    /// reach `load_slack` — or never, under [`BatchCutoff::Uncapped`].
     pub batch_cutoff: BatchCutoff,
     /// Online cost refinement: feed each retired dispatch's measured
     /// cycles into a per-`(module, warmth bucket)` EWMA and let it sharpen
@@ -397,15 +338,6 @@ pub struct ServeConfig {
     /// Inert: read by nothing, every value runs the one serve loop. Kept
     /// only because the repository benchmark (`benchmark/`) still sets it.
     pub mode: ServeMode,
-    /// Early-termination bounds for capped tuning runs (see
-    /// [`ServeBudget`]). `None` (the default) serves the full stream
-    /// unconditionally; a bounded `Some` aborts with
-    /// [`ServeError::BudgetExceeded`] as soon as a bound is provably
-    /// violated.
-    ///
-    /// [`ServeError::BudgetExceeded`]:
-    ///     crate::error::ServeError::BudgetExceeded
-    pub budget: Option<ServeBudget>,
 }
 
 impl Default for ServeConfig {
@@ -419,7 +351,6 @@ impl Default for ServeConfig {
             refine_cost: true,
             store: None,
             mode: ServeMode::Deterministic,
-            budget: None,
         }
     }
 }
@@ -480,12 +411,10 @@ impl Runtime {
     ///
     /// # Errors
     /// Fails on an empty pool, a request for an unknown accelerator, or a
-    /// module compilation failure. Per-request simulator or functional
-    /// failures do *not* abort the run — they are reported in the metrics
-    /// and completions. A serve with a [`ServeBudget`] additionally fails
-    /// with [`ServeError::BudgetExceeded`] when a bound is provably
-    /// violated mid-run; nothing is flushed to the warm-start store in
-    /// that case.
+    /// module compilation failure, or when the warm-start store cannot
+    /// be opened, read or written. Once the serve loop starts, every
+    /// request is served: per-request simulator or functional failures
+    /// are reported in the metrics and completions.
     pub fn serve(
         &mut self,
         stream: &[TrafficRequest],
@@ -502,12 +431,11 @@ impl Runtime {
         let workers = self.pool.workers(&pool, &resolved);
 
         // The serve loop proper: scheduling interleaved with execution
-        // (see `crate::engine`). A budget abort returns here — before the
-        // flush below — so a capped run can never persist partial EWMA
-        // state.
-        let engine_out = engine::run(stream, &pool, &resolved, cfg, workers)?;
+        // (see `crate::engine`), run to the end of the stream.
+        let engine_out = engine::run(stream, &pool, &resolved, cfg, workers);
 
-        // flush-on-finish: persist what this serve built or changed
+        // flush-on-finish: persist what this serve built or changed,
+        // EWMA rows learned over the whole stream included
         let warm_start = warm_start
             .map(|warm| warm.flush(&self.cache, &engine_out.cost_snapshot))
             .transpose()?;
@@ -830,8 +758,6 @@ fn summarise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist;
-    use accfg_store::LogStore;
     use accfg_workloads::{mixed_serving_classes, TrafficClass, TrafficConfig};
 
     fn pool() -> PoolConfig {
@@ -1367,10 +1293,7 @@ mod tests {
     #[test]
     fn batch_cutoff_follows_load_slack_unless_overridden() {
         assert_eq!(BatchCutoff::default().resolve(512), Some(512));
-        assert_eq!(BatchCutoff::Cycles(64).resolve(512), Some(64));
         assert_eq!(BatchCutoff::Uncapped.resolve(512), None);
-        assert_eq!(BatchCutoff::from(Some(64)), BatchCutoff::Cycles(64));
-        assert_eq!(BatchCutoff::from(None), BatchCutoff::Uncapped);
 
         // one worker per platform at a 50-cycle gap: queues run deep, so
         // where the cutoff sits decides how far batches grow
@@ -1389,148 +1312,11 @@ mod tests {
                 )
                 .unwrap()
         };
-        // setting `load_slack` alone moves both horizons: the report is
-        // the one the removed `with_load_slack(512)` builder produced
-        // (slack 512, cutoff 512) ...
-        let followed = serve(512, BatchCutoff::FollowSlack);
-        let spelled_out = serve(512, BatchCutoff::Cycles(512));
-        assert_eq!(followed.metrics, spelled_out.metrics);
-        assert_eq!(followed.latencies, spelled_out.latencies);
-        // ... and not the one a cutoff left at the default horizon gives
-        let stale = serve(512, BatchCutoff::Cycles(LOAD_SLACK_CYCLES));
-        assert!(followed.metrics.batched_requests > stale.metrics.batched_requests);
-
         // an uncapped cutoff is an explicit ablation choice: changing the
         // slack must not re-enable the cap
         let uncapped = serve(64, BatchCutoff::Uncapped);
-        let never_reached = serve(64, BatchCutoff::Cycles(u64::MAX));
-        assert_eq!(uncapped.metrics, never_reached.metrics);
         let capped = serve(64, BatchCutoff::FollowSlack);
         assert!(uncapped.metrics.batched_requests > capped.metrics.batched_requests);
-    }
-
-    #[test]
-    fn budget_p99_bound_is_exact() {
-        // fresh runtimes per serve: the module cache persists across
-        // serves, so reusing one would skew the reports' cache deltas
-        let stream = stream(300, 8);
-        let full = Runtime::new(pool())
-            .serve(&stream, &ServeConfig::default())
-            .unwrap();
-        let p99 = full.metrics.latency.p99;
-        // bounded at the true p99, the bound is never provably exceeded
-        // and the budgeted run reproduces the full run exactly
-        let ok = Runtime::new(pool())
-            .serve(
-                &stream,
-                &ServeConfig {
-                    budget: Some(ServeBudget {
-                        p99_bound: Some(p99),
-                        max_setup_writes: None,
-                    }),
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(ok.metrics, full.metrics);
-        // one cycle tighter, the true distribution must cross the bound
-        let err = Runtime::new(pool())
-            .serve(
-                &stream,
-                &ServeConfig {
-                    budget: Some(ServeBudget {
-                        p99_bound: Some(p99 - 1),
-                        max_setup_writes: None,
-                    }),
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::BudgetExceeded {
-                p99_exceeded: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn budget_write_bound_is_exact() {
-        let stream = stream(300, 8);
-        let full = Runtime::new(pool())
-            .serve(&stream, &ServeConfig::default())
-            .unwrap();
-        let writes = full.metrics.setup_writes;
-        let budget = |max| ServeConfig {
-            budget: Some(ServeBudget {
-                p99_bound: None,
-                max_setup_writes: Some(max),
-            }),
-            ..ServeConfig::default()
-        };
-        let ok = Runtime::new(pool())
-            .serve(&stream, &budget(writes))
-            .unwrap();
-        assert_eq!(ok.metrics, full.metrics);
-        let err = Runtime::new(pool())
-            .serve(&stream, &budget(writes - 1))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::BudgetExceeded {
-                writes_exceeded: true,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn an_exceeded_budget_aborts_before_the_stream_ends() {
-        // both bounds far below the full run's: the verdict comes before
-        // every dispatch has been admitted
-        let stream = stream(200, 15);
-        let full = Runtime::new(pool())
-            .serve(&stream, &ServeConfig::default())
-            .unwrap();
-        let abort = |p99_bound, max_setup_writes| {
-            let cfg = ServeConfig {
-                budget: Some(ServeBudget {
-                    p99_bound,
-                    max_setup_writes,
-                }),
-                ..ServeConfig::default()
-            };
-            Runtime::new(pool()).serve(&stream, &cfg).unwrap_err()
-        };
-        let err = abort(
-            Some(full.metrics.latency.p50),
-            Some(full.metrics.setup_writes / 2),
-        );
-        assert!(
-            matches!(err, ServeError::BudgetExceeded { completed, .. } if completed < 200),
-            "{err:?}"
-        );
-        // the abort lands on the commit that proves the bound broken:
-        // every latency exceeds 0 and the nearest-rank p99 of 200
-        // tolerates 200 - 198 = 2 of them, so the third dispatch ends it ...
-        assert_eq!(
-            abort(Some(0), None),
-            ServeError::BudgetExceeded {
-                completed: 3,
-                p99_exceeded: true,
-                writes_exceeded: false,
-            }
-        );
-        // ... and the first cold dispatch writes its configuration
-        assert_eq!(
-            abort(None, Some(0)),
-            ServeError::BudgetExceeded {
-                completed: 1,
-                p99_exceeded: false,
-                writes_exceeded: true,
-            }
-        );
     }
 
     #[test]
@@ -1554,45 +1340,6 @@ mod tests {
                 "{threads}"
             );
         }
-    }
-
-    #[test]
-    fn aborted_budgeted_serve_flushes_nothing_to_the_store() {
-        let dir = std::env::temp_dir().join("accfg-runtime-budget-store");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("aborted.store");
-        let _ = std::fs::remove_file(&path);
-        let stream = stream(200, 7);
-        let mut rt = Runtime::new(pool());
-        // an impossible p99 bound aborts almost immediately, after the
-        // store has been opened and modules compiled
-        let err = rt
-            .serve(
-                &stream,
-                &ServeConfig {
-                    store: Some(path.clone()),
-                    budget: Some(ServeBudget {
-                        p99_bound: Some(0),
-                        max_setup_writes: None,
-                    }),
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, ServeError::BudgetExceeded { .. }));
-        // the aborted run opened (and possibly created) the store but
-        // flushed neither modules nor partial EWMA state into it
-        let store = LogStore::open(&path).unwrap();
-        let gemmini = AcceleratorDescriptor::gemmini();
-        let opengemm = AcceleratorDescriptor::opengemm();
-        let restored = persist::load_modules(&store, &[&gemmini, &opengemm]).unwrap();
-        assert!(restored.is_empty(), "aborted run persisted modules");
-        assert!(
-            persist::load_costs(&store).unwrap().is_empty(),
-            "aborted run persisted partial EWMA state"
-        );
-        drop(store);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -82,10 +82,10 @@ use std::collections::HashMap;
 ///
 /// The horizon is per-run configuration, not a constant: set it with
 /// [`ServeConfig::load_slack`] (or [`Scheduler::with_slack`] when
-/// driving the scheduler directly); `autotune` searches it with the other
-/// serving knobs, and `serve_bench --tuned` replays what it picked. This
-/// value (256, chosen by the PR 2 sweep: 96–256 near-equivalent, 384+
-/// degrades) is the default everywhere.
+/// driving the scheduler directly). This value (256, chosen by the PR 2
+/// sweep: 96–256 near-equivalent, 384+ degrades) is the default
+/// everywhere; a search over it and the other serving knobs found no
+/// setting that beat it on held-out traffic seeds (ROADMAP item 7).
 ///
 /// [`ServeConfig::load_slack`]: crate::runtime::ServeConfig::load_slack
 pub const LOAD_SLACK_CYCLES: u64 = 256;
