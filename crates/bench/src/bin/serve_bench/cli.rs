@@ -1,6 +1,7 @@
 //! The argument conventions of `serve_bench`'s command line: a flag's
 //! value is the next argument, and anything the command line gets wrong
 //! is an `Err` holding the one line [`refuse`] prints — never a panic.
+//! Private to the binary, its one user.
 
 /// The value of `flag`: the next argument.
 ///
@@ -43,10 +44,10 @@ pub fn selection(what: &str, list: &str, known: &[&str]) -> Result<Vec<String>, 
     }
 }
 
-/// Refuses the command line: one line on stderr and exit status 2, before
-/// anything is served.
-pub fn refuse(binary: &str, message: &str) -> ! {
-    eprintln!("{binary}: {message}");
+/// Refuses the command line: one `serve_bench: …` line on stderr and exit
+/// status 2, before anything is served.
+pub fn refuse(message: &str) -> ! {
+    eprintln!("serve_bench: {message}");
     std::process::exit(2);
 }
 

@@ -102,10 +102,12 @@
 //! `--policies thermal --streams contention`).
 
 use accfg_bench::json::{self, Members};
+use accfg_bench::markdown_table;
 use accfg_bench::streams::{self, BenchPool, BenchStream, StaticTotals};
-use accfg_bench::{cli, markdown_table};
 use accfg_runtime::{Policy, Runtime, ServeConfig, ServeMetrics, LOAD_SLACK_CYCLES};
 use std::collections::HashMap;
+
+mod cli;
 
 const DEFAULT_REQUESTS: usize = 12_000;
 const DEFAULT_OUT: &str = "BENCH_runtime.json";
@@ -362,12 +364,6 @@ fn stream_names() -> Vec<&'static str> {
     catalog.iter().map(|entry| entry.name).collect()
 }
 
-/// Refuses the command line: one line on stderr and a failing exit
-/// status, not a panic.
-fn refuse(message: &str) -> ! {
-    cli::refuse("serve_bench", message)
-}
-
 /// A flag of the command line.
 #[derive(Clone, Copy)]
 enum Flag {
@@ -400,7 +396,7 @@ struct Cli {
 /// # Errors
 /// Everything the command line alone can get wrong — a missing or
 /// malformed value, an unknown flag, policy or stream, a non-canonical
-/// report aimed at the committed artifact — as the line [`refuse`]
+/// report aimed at the committed artifact — as the line [`cli::refuse`]
 /// prints.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut plan = BenchPlan {
@@ -462,7 +458,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
 
 fn main() {
     let Cli { plan, out_path } =
-        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| refuse(&e));
+        parse_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::refuse(&e));
 
     println!(
         "serve_bench: {} requests per stream, 2 workers/accelerator, \

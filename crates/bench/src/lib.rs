@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod corpus;
 pub mod csv;
 pub mod paper;

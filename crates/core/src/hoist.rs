@@ -12,8 +12,8 @@
 use crate::dialect::{
     self, make_setup, setup_fields, setup_input_state, setup_set_fields, setup_state,
 };
-use accfg_ir::analysis::value_visible_at;
-use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueDef, ValueId};
+use accfg_ir::analysis::{value_visible_at, values_visible_at};
+use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueDef, ValueId, ValueMap};
 
 /// Sinks setups into the branches of the `scf.if` producing their input
 /// state.
@@ -117,17 +117,45 @@ impl Pass for HoistInvariantSetupFields {
             .filter(|&op| m.op(op).opcode == Opcode::For)
             .collect();
         loops.reverse();
+        if loops.is_empty() {
+            return changed;
+        }
+        let mut scan = FieldScan {
+            fields: Vec::with_capacity(m.symbol_count()),
+            candidates: Vec::with_capacity(m.symbol_count()),
+            visible: ValueMap::with_capacity(m.value_count()),
+        };
         for for_op in loops {
             if !m.is_alive(for_op) {
                 continue;
             }
-            changed = changed.or(hoist_from_loop(m, for_op));
+            changed = changed.or(hoist_from_loop(m, for_op, &mut scan));
         }
         changed
     }
 }
 
-fn hoist_from_loop(m: &mut Module, for_op: OpId) -> Changed {
+/// What the scan of one loop's setups knows of a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Unseen,
+    /// Every setup so far writes it with this invariant value.
+    Candidate(ValueId),
+    /// Written with a loop-variant value, or with two different values.
+    Conflicted,
+}
+
+/// Buffers of the field scans, kept from loop to loop.
+struct FieldScan {
+    /// By field symbol.
+    fields: Vec<Field>,
+    /// The candidates, in the order they were first written.
+    candidates: Vec<(Symbol, ValueId)>,
+    /// The values visible in front of the loop.
+    visible: ValueMap<()>,
+}
+
+fn hoist_from_loop(m: &mut Module, for_op: OpId, scan: &mut FieldScan) -> Changed {
     if dialect::subtree_has_clobber(m, for_op) {
         return Changed::No;
     }
@@ -142,45 +170,49 @@ fn hoist_from_loop(m: &mut Module, for_op: OpId) -> Changed {
             _ => None,
         };
         if let Some(accel) = accel {
-            changed = changed.or(hoist_accel_fields(m, for_op, arg_index, accel));
+            changed = changed.or(hoist_accel_fields(m, for_op, arg_index, accel, scan));
         }
     }
     changed
 }
 
-fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: Symbol) -> Changed {
+fn hoist_accel_fields(
+    m: &mut Module,
+    for_op: OpId,
+    arg_index: usize,
+    accel: Symbol,
+    scan: &mut FieldScan,
+) -> Changed {
     let setups = dialect::setups_for(m, for_op, accel);
     if setups.is_empty() {
         return Changed::No;
     }
     // candidate fields: written by some setup with a loop-invariant value
     // that is visible before the loop, and never written with a *different*
-    // value by any setup in the body
-    let mut candidates: Vec<(Symbol, ValueId)> = Vec::new();
-    let mut conflicted: Vec<Symbol> = Vec::new();
+    // value by any setup in the body. A value visible in front of the loop
+    // is defined outside it, so visibility is the whole invariance test.
+    let fields = &mut scan.fields;
+    fields.clear();
+    fields.resize(m.symbol_count(), Field::Unseen);
+    let candidates = &mut scan.candidates;
+    candidates.clear();
+    values_visible_at(m, for_op, &mut scan.visible);
     for &s in &setups {
         for (name, value) in setup_fields(m, s).iter() {
-            if conflicted.contains(&name) {
-                continue;
-            }
-            match candidates.iter().find(|(n, _)| *n == name) {
-                Some((_, existing)) if *existing == value => {}
-                Some(_) => {
-                    candidates.retain(|(n, _)| *n != name);
-                    conflicted.push(name);
+            let field = &mut fields[name.index()];
+            match *field {
+                Field::Conflicted => {}
+                Field::Candidate(existing) if existing == value => {}
+                Field::Candidate(_) => *field = Field::Conflicted,
+                Field::Unseen if scan.visible.contains(value) => {
+                    *field = Field::Candidate(value);
+                    candidates.push((name, value));
                 }
-                None => {
-                    let invariant =
-                        !m.is_defined_inside(value, for_op) && value_visible_at(m, value, for_op);
-                    if invariant {
-                        candidates.push((name, value));
-                    } else {
-                        conflicted.push(name);
-                    }
-                }
+                Field::Unseen => *field = Field::Conflicted,
             }
         }
     }
+    candidates.retain(|&(name, _)| matches!(fields[name.index()], Field::Candidate(_)));
     if candidates.is_empty() {
         return Changed::No;
     }
@@ -188,13 +220,13 @@ fn hoist_accel_fields(m: &mut Module, for_op: OpId, arg_index: usize, accel: Sym
     // build the pre-loop setup, splicing it into the loop's init chain
     let init_operand_index = 3 + (arg_index - 1);
     let init = m.op(for_op).operands[init_operand_index];
-    let pre = make_setup(m, accel, Some(init), &candidates);
+    let pre = make_setup(m, accel, Some(init), candidates);
     m.move_op_before(pre, for_op);
     m.set_operand(for_op, init_operand_index, setup_state(m, pre));
 
     // strip the hoisted fields from every in-loop writer
     for &s in &setups {
-        let hoisted = |n: Symbol| candidates.iter().any(|&(c, _)| c == n);
+        let hoisted = |n: Symbol| matches!(fields[n.index()], Field::Candidate(_));
         if setup_fields(m, s).iter().any(|(n, _)| hoisted(n)) {
             let remaining: Vec<(Symbol, ValueId)> = setup_fields(m, s)
                 .iter()

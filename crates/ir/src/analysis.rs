@@ -1,6 +1,7 @@
 //! Lightweight analyses over the structured IR.
 
 use crate::module::{BlockId, Module, OpId, ValueDef, ValueId};
+use crate::value_map::ValueMap;
 
 /// The chain of blocks enclosing `op`, innermost first, each paired with the
 /// op at that level: `op` itself, then the ancestor op that contains it.
@@ -61,6 +62,25 @@ pub fn value_visible_at(m: &Module, value: ValueId, op: OpId) -> bool {
     }
 }
 
+/// Marks in `visible` every value visible at `op` — exactly the values
+/// [`value_visible_at`] accepts there — after forgetting what it held: the
+/// arguments of each block enclosing `op`, and the results of the ops that
+/// precede `op` (or its ancestor) in that block. One walk up the tree then
+/// answers any number of questions about `op`, each without a scan.
+pub fn values_visible_at(m: &Module, op: OpId, visible: &mut ValueMap<()>) {
+    visible.clear();
+    for (block, at) in enclosing_blocks(m, op) {
+        for &arg in &m.block(block).args {
+            visible.insert(arg, ());
+        }
+        for &earlier in m.block_ops(block).iter().take_while(|&&o| o != at) {
+            for &r in &m.op(earlier).results {
+                visible.insert(r, ());
+            }
+        }
+    }
+}
+
 /// All ops of the given opcode nested under `root` (inclusive), pre-order.
 pub fn ops_with_opcode(m: &Module, root: OpId, opcode: crate::Opcode) -> Vec<OpId> {
     m.walk_collect(root)
@@ -115,6 +135,46 @@ mod tests {
         });
         let ret = b.ret(vec![]);
         assert!(!value_visible_at(&m, inner_val.unwrap(), ret));
+    }
+
+    #[test]
+    fn the_visible_set_answers_as_each_query_does() {
+        let mut m = Module::new();
+        let (mut b, args) = FuncBuilder::new_func(&mut m, "f", vec![Type::I64, Type::I1]);
+        let zero = b.const_index(0);
+        let four = b.const_index(4);
+        let one = b.const_index(1);
+        b.build_for(zero, four, one, vec![], |b, i, _| {
+            let x = b.addi(i, one);
+            b.build_if(
+                args[1],
+                |b| vec![b.addi(x, x)],
+                |b| {
+                    b.build_for(zero, x, one, vec![], |b, j, _| {
+                        b.muli(j, x);
+                        vec![]
+                    });
+                    vec![b.muli(x, four)]
+                },
+            );
+            b.addi(x, i);
+            vec![]
+        });
+        b.addi(args[0], args[0]);
+        b.ret(vec![]);
+        let func = m.func_by_name("f").unwrap();
+        let mut visible = ValueMap::new();
+        for op in m.walk_collect(func) {
+            values_visible_at(&m, op, &mut visible);
+            for v in 0..m.value_count() {
+                let v = ValueId(v as u32);
+                assert_eq!(
+                    visible.contains(v),
+                    value_visible_at(&m, v, op),
+                    "{v} at {op}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::module::{BlockId, Module, OpId, ValueId};
 use crate::op::{CmpPredicate, Opcode};
 use crate::symbol::Symbol;
 use crate::types::Type;
+use crate::value_list::ValueList;
 
 /// Builds a function body by appending ops at an insertion point.
 ///
@@ -75,7 +76,7 @@ impl<'m> FuncBuilder<'m> {
     fn push(
         &mut self,
         opcode: Opcode,
-        operands: Vec<ValueId>,
+        operands: impl Into<ValueList>,
         result_types: impl IntoIterator<Item = Type>,
         attrs: AttrMap,
         regions: Vec<crate::module::RegionId>,
@@ -110,7 +111,7 @@ impl<'m> FuncBuilder<'m> {
     pub fn binary(&mut self, opcode: Opcode, lhs: ValueId, rhs: ValueId) -> ValueId {
         debug_assert!(opcode.is_binary_arith(), "{opcode} is not binary arith");
         let ty = self.module.value_type(lhs).clone();
-        let op = self.push(opcode, vec![lhs, rhs], [ty], AttrMap::new(), vec![]);
+        let op = self.push(opcode, [lhs, rhs], [ty], AttrMap::new(), vec![]);
         self.one_result(op)
     }
 
@@ -168,20 +169,14 @@ impl<'m> FuncBuilder<'m> {
     pub fn cmpi(&mut self, pred: CmpPredicate, lhs: ValueId, rhs: ValueId) -> ValueId {
         let mut attrs = AttrMap::new();
         attrs.insert("predicate".into(), Attribute::Str(pred.name().into()));
-        let op = self.push(Opcode::CmpI, vec![lhs, rhs], [Type::I1], attrs, vec![]);
+        let op = self.push(Opcode::CmpI, [lhs, rhs], [Type::I1], attrs, vec![]);
         self.one_result(op)
     }
 
     /// `arith.select`.
     pub fn select(&mut self, cond: ValueId, t: ValueId, f: ValueId) -> ValueId {
         let ty = self.module.value_type(t).clone();
-        let op = self.push(
-            Opcode::Select,
-            vec![cond, t, f],
-            [ty],
-            AttrMap::new(),
-            vec![],
-        );
+        let op = self.push(Opcode::Select, [cond, t, f], [ty], AttrMap::new(), vec![]);
         self.one_result(op)
     }
 
@@ -210,9 +205,10 @@ impl<'m> FuncBuilder<'m> {
     ) -> ValueId {
         let accel = self.module.intern(accelerator);
         let names = fields.iter().map(|(n, _)| self.module.intern(n)).collect();
-        let mut operands = Vec::with_capacity(fields.len() + 1);
-        operands.extend(input_state);
-        operands.extend(fields.iter().map(|(_, v)| *v));
+        let operands: ValueList = input_state
+            .into_iter()
+            .chain(fields.iter().map(|(_, v)| *v))
+            .collect();
         let state = self.module.state_type(accel);
         let op = self.accfg_op(Opcode::AccfgSetup, accel, operands, Some(state));
         self.module.set_setup_fields(op, names);
@@ -225,7 +221,7 @@ impl<'m> FuncBuilder<'m> {
         &mut self,
         opcode: Opcode,
         accel: Symbol,
-        operands: Vec<ValueId>,
+        operands: impl Into<ValueList>,
         result_type: Option<Type>,
     ) -> OpId {
         let op = self.push(opcode, operands, result_type, AttrMap::new(), vec![]);
@@ -237,14 +233,14 @@ impl<'m> FuncBuilder<'m> {
     pub fn launch(&mut self, accelerator: &str, state: ValueId) -> ValueId {
         let accel = self.module.intern(accelerator);
         let token = self.module.token_type(accel);
-        let op = self.accfg_op(Opcode::AccfgLaunch, accel, vec![state], Some(token));
+        let op = self.accfg_op(Opcode::AccfgLaunch, accel, [state], Some(token));
         self.one_result(op)
     }
 
     /// `accfg.await` on a token.
     pub fn await_token(&mut self, accelerator: &str, token: ValueId) -> OpId {
         let accel = self.module.intern(accelerator);
-        self.accfg_op(Opcode::AccfgAwait, accel, vec![token], None)
+        self.accfg_op(Opcode::AccfgAwait, accel, [token], None)
     }
 
     // --- target ------------------------------------------------------------------
@@ -253,14 +249,14 @@ impl<'m> FuncBuilder<'m> {
     pub fn csr_write(&mut self, csr: i64, value: ValueId) -> OpId {
         let mut attrs = AttrMap::new();
         attrs.insert("csr".into(), Attribute::Int(csr));
-        self.push(Opcode::CsrWrite, vec![value], vec![], attrs, vec![])
+        self.push(Opcode::CsrWrite, [value], [], attrs, vec![])
     }
 
     /// `target.rocc_cmd` with the given funct and two payload registers.
     pub fn rocc_cmd(&mut self, funct: i64, rs1: ValueId, rs2: ValueId) -> OpId {
         let mut attrs = AttrMap::new();
         attrs.insert("funct".into(), Attribute::Int(funct));
-        self.push(Opcode::RoccCmd, vec![rs1, rs2], vec![], attrs, vec![])
+        self.push(Opcode::RoccCmd, [rs1, rs2], [], attrs, vec![])
     }
 
     // --- foreign / structured -----------------------------------------------------
@@ -275,7 +271,7 @@ impl<'m> FuncBuilder<'m> {
         let mut attrs = AttrMap::new();
         attrs.insert("callee".into(), Attribute::Str(callee.into()));
         let op = self.push(Opcode::Call, operands, result_types, attrs, vec![]);
-        self.module.op(op).results.clone()
+        self.module.op(op).results.to_vec()
     }
 
     /// An opaque foreign op with optional accfg effects annotation.
@@ -292,7 +288,7 @@ impl<'m> FuncBuilder<'m> {
             attrs.insert("effects".into(), Attribute::Effects(e));
         }
         let op = self.push(Opcode::Opaque, operands, result_types, attrs, vec![]);
-        self.module.op(op).results.clone()
+        self.module.op(op).results.to_vec()
     }
 
     /// `func.return`.
@@ -340,7 +336,7 @@ impl<'m> FuncBuilder<'m> {
             .iter()
             .map(|&v| self.module.value_type(v).clone())
             .collect();
-        let mut operands = vec![lb, ub, step];
+        let mut operands = ValueList::from([lb, ub, step]);
         operands.extend(inits);
         let op = self.push(
             Opcode::For,
@@ -349,7 +345,7 @@ impl<'m> FuncBuilder<'m> {
             AttrMap::new(),
             vec![region],
         );
-        self.module.op(op).results.clone()
+        self.module.op(op).results.to_vec()
     }
 
     /// Builds an `scf.if` with both branches; each closure returns its yields
@@ -386,12 +382,12 @@ impl<'m> FuncBuilder<'m> {
 
         let op = self.push(
             Opcode::If,
-            vec![cond],
+            [cond],
             result_types,
             AttrMap::new(),
             vec![then_region, else_region],
         );
-        self.module.op(op).results.clone()
+        self.module.op(op).results.to_vec()
     }
 }
 

@@ -18,10 +18,11 @@
 //!   arena at all times, and each value's uses are in ascending
 //!   (op, operand index) order — the order the scan it replaced produced,
 //!   so no pass output depends on which of the two answered;
-//! - a **mutation stamp** ([`Module::stamp`]): every mutator moves it to a
-//!   value no module has held before, so "the stamp did not move" proves
-//!   "the IR did not change" and the pass manager can skip re-verifying a
-//!   module a pass left alone.
+//! - a **mutation stamp** ([`Module::stamp`]): after any mutator, the next
+//!   read returns a value no module has held before, so "the stamp did not
+//!   move" proves "the IR did not change" and the pass manager can skip
+//!   re-verifying a module a pass left alone. A mutator only marks the
+//!   stamp stale; the fresh value is drawn when the stamp is next read.
 //!
 //! All three rely on every mutation going through a `&mut self` method of
 //! [`Module`]; there is no mutable access to the stored data.
@@ -31,6 +32,7 @@ use crate::op::{OpData, Opcode};
 use crate::symbol::{Names, Symbol, SymbolTable};
 use crate::types::Type;
 use crate::uses::UseLists;
+use crate::value_list::ValueList;
 use crate::value_map::ValueMap;
 use std::borrow::Cow;
 use std::fmt;
@@ -139,6 +141,50 @@ pub struct Use {
 /// numbers and publishes no other data.
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
+/// What a stamp holds from a mutation until it is next read. The counter
+/// never gets this far.
+const STALE: u64 = u64::MAX;
+
+/// A module's mutation stamp: 0 while the module is new and empty, a value
+/// drawn from [`NEXT_STAMP`] once read, [`STALE`] between a mutation and the
+/// next read. A mutator makes one plain store; only a read that finds the
+/// stamp stale draws from the shared counter, so a pass that mutates a
+/// hundred times draws once, when the pass manager looks. Every access is
+/// `Relaxed`, as the counter's: a stamp is only ever compared, and
+/// publishes no other data.
+#[derive(Debug, Default)]
+struct Stamp(AtomicU64);
+
+impl Stamp {
+    fn mark_stale(&mut self) {
+        *self.0.get_mut() = STALE;
+    }
+
+    fn read(&self) -> u64 {
+        let held = self.0.load(Ordering::Relaxed);
+        if held != STALE {
+            return held;
+        }
+        let fresh = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        // two readers racing on a shared module agree on the first draw
+        match self
+            .0
+            .compare_exchange(STALE, fresh, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => fresh,
+            Err(drawn) => drawn,
+        }
+    }
+}
+
+/// A clone is the state it was cloned from: it carries that state's stamp,
+/// drawn first if it was stale.
+impl Clone for Stamp {
+    fn clone(&self) -> Self {
+        Stamp(AtomicU64::new(self.read()))
+    }
+}
+
 /// The IR module: the arena that owns all IR entities plus the list of
 /// top-level functions.
 ///
@@ -166,7 +212,7 @@ pub struct Module {
     symbols: SymbolTable,
     /// Per value: the operands of live ops that read it, ascending.
     uses: UseLists,
-    stamp: u64,
+    stamp: Stamp,
 }
 
 impl Module {
@@ -193,6 +239,12 @@ impl Module {
     /// Number of values ever created (the bound of [`ValueId::index`]).
     pub fn value_count(&self) -> usize {
         self.values.len()
+    }
+
+    /// Number of operations ever created, erased ones included (the bound
+    /// of [`OpId::index`]).
+    pub(crate) fn op_count(&self) -> usize {
+        self.ops.len()
     }
 
     /// The data of an op.
@@ -251,16 +303,16 @@ impl Module {
     /// The mutation stamp: equal before and after a stretch of code only if
     /// that code changed nothing in the module.
     ///
-    /// Every mutator draws a fresh stamp from one process-wide counter, so
-    /// the guarantee also covers a wholesale `*module = other`: two modules
-    /// share a stamp only if one is an unmodified clone of the other (or
-    /// both are new and empty).
+    /// The first read after a mutation draws a fresh stamp from one
+    /// process-wide counter, so the guarantee also covers a wholesale
+    /// `*module = other`: two modules share a stamp only if one is an
+    /// unmodified clone of the other (or both are new and empty).
     pub fn stamp(&self) -> u64 {
-        self.stamp
+        self.stamp.read()
     }
 
     fn touch(&mut self) {
-        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        self.stamp.mark_stale();
     }
 
     // --- names -------------------------------------------------------------
@@ -358,12 +410,18 @@ impl Module {
     pub fn create_op(
         &mut self,
         opcode: Opcode,
-        operands: Vec<ValueId>,
+        operands: impl Into<ValueList>,
         result_types: impl IntoIterator<Item = Type>,
         attrs: AttrMap,
         regions: Vec<RegionId>,
     ) -> OpId {
         self.touch();
+        if self.ops.capacity() == 0 {
+            // room for a tiled kernel as its generator emits it, so that
+            // building one does not re-grow the arena op by op
+            self.ops.reserve(64);
+            self.values.reserve(96);
+        }
         let op = OpId(self.ops.len() as u32);
         let results = result_types
             .into_iter()
@@ -378,7 +436,7 @@ impl Module {
         }
         self.ops.push(OpData {
             opcode,
-            operands,
+            operands: operands.into(),
             results,
             attrs,
             regions,
@@ -455,7 +513,10 @@ impl Module {
     pub fn detach_op(&mut self, op: OpId) {
         if let Some(block) = self.ops[op.index()].parent.take() {
             self.touch();
-            self.blocks[block.index()].ops.retain(|&o| o != op);
+            let ops = &mut self.blocks[block.index()].ops;
+            // an attached op is listed once, in the block its parent names
+            let index = ops.iter().position(|&o| o == op).expect("listed");
+            ops.remove(index);
         }
     }
 
@@ -467,6 +528,55 @@ impl Module {
         self.detach_op(op);
         let index = self.op_position(before).expect("`before` must be attached");
         self.insert_op(block, index, op);
+    }
+
+    /// Moves `ops` so they sit, in the given order, immediately before
+    /// `before` in `before`'s block: what calling [`Module::move_op_before`]
+    /// on each in turn does, with one pass over each source block and one
+    /// over the destination instead of two per op.
+    ///
+    /// `ops` must be distinct, and none may enclose `before`.
+    ///
+    /// # Panics
+    /// Panics if `before` is detached or among `ops`.
+    pub(crate) fn move_ops_before(&mut self, ops: &[OpId], before: OpId) {
+        let block = self.ops[before.index()]
+            .parent
+            .expect("`before` must be attached");
+        if ops.is_empty() {
+            return;
+        }
+        self.touch();
+        // a run of ops from one block leaves it in one pass, at the run's end
+        let mut taken_from = None;
+        for &op in ops {
+            let Some(source) = self.ops[op.index()].parent.take() else {
+                continue;
+            };
+            if let Some(block) = taken_from.filter(|&b| b != source) {
+                self.drop_detached(block);
+            }
+            taken_from = Some(source);
+        }
+        if let Some(block) = taken_from {
+            self.drop_detached(block);
+        }
+        let index = self.op_position(before).expect("`before` must be attached");
+        for &op in ops {
+            self.ops[op.index()].parent = Some(block);
+        }
+        self.blocks[block.index()]
+            .ops
+            .splice(index..index, ops.iter().copied());
+    }
+
+    /// Drops from `block` the ops whose parent was taken: an attached op's
+    /// parent is the block that lists it.
+    fn drop_detached(&mut self, block: BlockId) {
+        let arena = &self.ops;
+        self.blocks[block.index()]
+            .ops
+            .retain(|o| arena[o.index()].parent.is_some());
     }
 
     /// Moves `op` so it sits immediately after `after` in `after`'s block.
@@ -548,10 +658,10 @@ impl Module {
     }
 
     /// Replaces the full operand list of `op`.
-    pub fn set_operands(&mut self, op: OpId, operands: Vec<ValueId>) {
+    pub fn set_operands(&mut self, op: OpId, operands: impl Into<ValueList>) {
         self.touch();
         self.unindex_operands(op);
-        self.ops[op.index()].operands = operands;
+        self.ops[op.index()].operands = operands.into();
         self.index_operands(op);
     }
 
@@ -717,7 +827,7 @@ impl Module {
     pub fn rebuild_op(
         &mut self,
         op: OpId,
-        new_operands: Vec<ValueId>,
+        new_operands: impl Into<ValueList>,
         extra_result_types: Vec<Type>,
     ) -> OpId {
         let old = &mut self.ops[op.index()];
@@ -766,7 +876,7 @@ impl Module {
     /// values defined outside the cloned subtree).
     pub fn clone_op(&mut self, op: OpId, mapping: &mut ValueMap<ValueId>) -> OpId {
         let data = &self.ops[op.index()];
-        let operands: Vec<ValueId> = data
+        let operands: ValueList = data
             .operands
             .iter()
             .map(|&v| mapping.get(v).copied().unwrap_or(v))
@@ -1075,14 +1185,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// After any sequence of mutators — well-formed IR or not — the
-        /// use-def index equals the linear scan it replaced, and every
-        /// mutator moved the stamp.
+        /// use-def index equals the linear scan it replaced, every mutator
+        /// moved the stamp, and moving ops as a batch leaves every block
+        /// as moving them one by one does.
         #[test]
         fn use_index_equals_the_scan_after_any_mutator_sequence(
-            actions in prop::collection::vec((0u8..11, any::<u16>(), any::<u16>(), any::<u16>()), 1..80)
+            actions in prop::collection::vec((0u8..12, any::<u16>(), any::<u16>(), any::<u16>()), 1..80)
         ) {
             let mut m = Module::new();
-            let (_, block) = test_func(&mut m);
+            let (func, block) = test_func(&mut m);
             let (_, seed) = int_const(&mut m, block, 0);
             let mut live: Vec<OpId> = m.block(block).ops.clone();
             for &(kind, a, b, c) in &actions {
@@ -1108,7 +1219,7 @@ mod tests {
                         "set_operand"
                     }
                     3 => {
-                        let operands = (0..b % 4).map(|i| value(&m, c.wrapping_add(i))).collect();
+                        let operands: ValueList = (0..b % 4).map(|i| value(&m, c.wrapping_add(i))).collect();
                         m.set_operands(op, operands);
                         "set_operands"
                     }
@@ -1150,6 +1261,28 @@ mod tests {
                         }
                         "move_op_before"
                     }
+                    10 => {
+                        // distinct ops from any block, none enclosing `before`
+                        let before = live[usize::from(b) % live.len()];
+                        let all = m.walk_module();
+                        let mut moved: Vec<OpId> = (0..c % 5)
+                            .map(|i| all[usize::from(a.wrapping_add(i * 7)) % all.len()])
+                            .filter(|&o| o != func && o != before && !m.is_ancestor(o, before))
+                            .collect();
+                        moved.sort_unstable();
+                        moved.dedup();
+                        let turn = usize::from(c) % moved.len().max(1);
+                        moved.rotate_left(turn);
+                        let mut one_by_one = m.clone();
+                        for &o in &moved {
+                            one_by_one.move_op_before(o, before);
+                        }
+                        m.move_ops_before(&moved, before);
+                        prop_assert_eq!(&m.blocks.iter().map(|b| &b.ops).collect::<Vec<_>>(),
+                            &one_by_one.blocks.iter().map(|b| &b.ops).collect::<Vec<_>>());
+                        prop_assert!(m.ops.iter().zip(&one_by_one.ops).all(|(x, y)| x.parent == y.parent));
+                        "move_ops_before"
+                    }
                     _ => {
                         // reads leave the stamp alone
                         let _ = (m.uses_of(seed), m.walk_module(), m.live_op_count());
@@ -1158,7 +1291,8 @@ mod tests {
                     }
                 };
                 prop_assert!(
-                    m.stamp() != stamp || what == "replace_all_uses" || what == "move_op_before",
+                    m.stamp() != stamp
+                        || ["replace_all_uses", "move_op_before", "move_ops_before"].contains(&what),
                     "{what} left the stamp where it was"
                 );
                 assert_index_matches_scan(&m, what);

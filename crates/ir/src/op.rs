@@ -1,8 +1,9 @@
 //! Operation definitions: opcodes and per-operation storage.
 
 use crate::attrs::AttrMap;
-use crate::module::{BlockId, RegionId, ValueId};
+use crate::module::{BlockId, RegionId};
 use crate::symbol::Symbol;
+use crate::value_list::ValueList;
 use std::fmt;
 
 /// Every operation kind known to the IR.
@@ -295,9 +296,9 @@ pub struct OpData {
     /// What kind of operation this is.
     pub opcode: Opcode,
     /// SSA operands, in order.
-    pub operands: Vec<ValueId>,
+    pub operands: ValueList,
     /// SSA results, in order.
-    pub results: Vec<ValueId>,
+    pub results: ValueList,
     /// Attribute dictionary.
     pub attrs: AttrMap,
     /// Nested regions (empty for most ops).

@@ -549,7 +549,7 @@ impl Parser {
                 names.len()
             ));
         }
-        for (name, value) in names.into_iter().zip(results) {
+        for (name, value) in names.into_iter().zip(results.iter().copied()) {
             self.values.insert(name, value);
         }
         Ok(op)

@@ -9,7 +9,7 @@
 //! still checked; a pass that changed nothing costs no check.
 
 use crate::module::Module;
-use crate::verifier::{verify, VerifyError};
+use crate::verifier::{Verifier, VerifyError};
 use std::error::Error;
 use std::fmt;
 
@@ -163,6 +163,12 @@ impl PassManager {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
+    /// The scheduled passes, in order, for a caller that runs (or
+    /// measures) them one at a time.
+    pub fn passes(&self) -> impl Iterator<Item = &dyn Pass> {
+        self.passes.iter().map(|p| &**p)
+    }
+
     /// Runs every pass once, in order.
     ///
     /// # Errors
@@ -171,7 +177,8 @@ impl PassManager {
     /// verification (or the installed validator) fails after a pass that
     /// touched the module.
     pub fn run(&self, module: &mut Module) -> Result<PipelineStats, PipelineError> {
-        verify(module).map_err(|error| PipelineError {
+        let mut verifier = Verifier::default();
+        verifier.verify(module).map_err(|error| PipelineError {
             pass: "<input>".into(),
             error,
         })?;
@@ -188,7 +195,7 @@ impl PassManager {
                 // untouched, so still verified, and `validate(m, m)` holds
                 continue;
             }
-            verify(module).map_err(|error| PipelineError {
+            verifier.verify(module).map_err(|error| PipelineError {
                 pass: pass.name().to_string(),
                 error,
             })?;

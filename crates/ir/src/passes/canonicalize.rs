@@ -1,8 +1,8 @@
 //! Constant folding and algebraic canonicalization.
 
-use super::{constant_value, eval_binary};
+use super::{constant_value, eval_binary, Sweep};
 use crate::attrs::{AttrMap, Attribute};
-use crate::module::{Module, OpId};
+use crate::module::{Module, OpId, ValueId};
 use crate::op::{CmpPredicate, Opcode};
 use crate::pass::{Changed, Pass};
 use crate::passes::Dce;
@@ -30,26 +30,57 @@ impl Pass for Canonicalize {
         "canonicalize"
     }
 
+    /// Sweeps the module in pre-order, folding as it goes, until a sweep
+    /// folds nothing. Whether an op folds depends only on its opcode, its
+    /// attributes and its operands (and whether those are constants, which
+    /// never change), so a further sweep can fold only an op whose operands
+    /// were replaced after the sweep had passed it. Operands are replaced
+    /// in one place, `FoldSweep::replace_all_uses`, which notes when it
+    /// rewrites an op already passed; without such a note, the sweep that
+    /// would follow is known to fold nothing and is not run. In SSA form
+    /// every use follows its definition, so in verified IR one sweep does.
     fn run(&self, m: &mut Module) -> Changed {
         let mut changed = Changed::No;
         loop {
             let mut local = Changed::No;
-            for op in m.walk_module() {
-                if !m.is_alive(op) {
-                    continue;
+            let mut sweep = FoldSweep {
+                ops: Sweep::new(m.walk_module()),
+                revisit: false,
+            };
+            while let Some(op) = sweep.ops.next() {
+                if m.is_alive(op) {
+                    local = local.or(try_fold(m, op, &mut sweep));
                 }
-                local = local.or(try_fold(m, op));
             }
             if !local.changed() {
                 break;
             }
             changed = Changed::Yes;
+            if !sweep.revisit {
+                break;
+            }
         }
         changed.or(Dce.run(m))
     }
 }
 
-fn make_constant(m: &mut Module, before: OpId, value: i64, ty: crate::Type) -> crate::ValueId {
+/// One pre-order sweep, and whether it has rewritten an operand of an op
+/// it had already passed.
+struct FoldSweep {
+    ops: Sweep,
+    revisit: bool,
+}
+
+impl FoldSweep {
+    fn replace_all_uses(&mut self, m: &mut Module, old: ValueId, new: ValueId) {
+        if old != new && !self.revisit {
+            self.revisit = m.uses_of(old).iter().any(|u| self.ops.has_passed(m, u.op));
+        }
+        m.replace_all_uses(old, new);
+    }
+}
+
+fn make_constant(m: &mut Module, before: OpId, value: i64, ty: crate::Type) -> ValueId {
     let mut attrs = AttrMap::new();
     attrs.insert("value".into(), Attribute::Int(value));
     let c = m.create_op(Opcode::Constant, vec![], [ty], attrs, vec![]);
@@ -57,28 +88,28 @@ fn make_constant(m: &mut Module, before: OpId, value: i64, ty: crate::Type) -> c
     m.op(c).results[0]
 }
 
-fn replace_with_value(m: &mut Module, op: OpId, value: crate::ValueId) -> Changed {
+fn replace_with_value(m: &mut Module, sweep: &mut FoldSweep, op: OpId, value: ValueId) -> Changed {
     let result = m.op(op).results[0];
     if result == value {
         return Changed::No;
     }
-    m.replace_all_uses(result, value);
+    sweep.replace_all_uses(m, result, value);
     m.erase_op(op);
     Changed::Yes
 }
 
-fn try_fold(m: &mut Module, op: OpId) -> Changed {
+fn try_fold(m: &mut Module, op: OpId, sweep: &mut FoldSweep) -> Changed {
     let opcode = m.op(op).opcode;
     match opcode {
-        o if o.is_binary_arith() => fold_binary(m, op, o),
-        Opcode::CmpI => fold_cmp(m, op),
-        Opcode::Select => fold_select(m, op),
-        Opcode::If => fold_if(m, op),
+        o if o.is_binary_arith() => fold_binary(m, sweep, op, o),
+        Opcode::CmpI => fold_cmp(m, sweep, op),
+        Opcode::Select => fold_select(m, sweep, op),
+        Opcode::If => fold_if(m, sweep, op),
         _ => Changed::No,
     }
 }
 
-fn fold_binary(m: &mut Module, op: OpId, opcode: Opcode) -> Changed {
+fn fold_binary(m: &mut Module, sweep: &mut FoldSweep, op: OpId, opcode: Opcode) -> Changed {
     let lhs = m.op(op).operands[0];
     let rhs = m.op(op).operands[1];
     let (cl, cr) = (constant_value(m, lhs), constant_value(m, rhs));
@@ -88,13 +119,13 @@ fn fold_binary(m: &mut Module, op: OpId, opcode: Opcode) -> Changed {
         if let Some(v) = eval_binary(opcode, a, b) {
             let ty = m.value_type(m.op(op).results[0]).clone();
             let c = make_constant(m, op, v, ty);
-            return replace_with_value(m, op, c);
+            return replace_with_value(m, sweep, op, c);
         }
     }
 
     // identities
     match (opcode, cl, cr) {
-        (Opcode::AddI, Some(0), _) => return replace_with_value(m, op, rhs),
+        (Opcode::AddI, Some(0), _) => return replace_with_value(m, sweep, op, rhs),
         (Opcode::AddI, _, Some(0))
         | (Opcode::SubI, _, Some(0))
         | (Opcode::OrI, _, Some(0))
@@ -102,9 +133,9 @@ fn fold_binary(m: &mut Module, op: OpId, opcode: Opcode) -> Changed {
         | (Opcode::ShLI, _, Some(0))
         | (Opcode::ShRUI, _, Some(0))
         | (Opcode::MulI, _, Some(1))
-        | (Opcode::DivUI, _, Some(1)) => return replace_with_value(m, op, lhs),
+        | (Opcode::DivUI, _, Some(1)) => return replace_with_value(m, sweep, op, lhs),
         (Opcode::OrI, Some(0), _) | (Opcode::XOrI, Some(0), _) | (Opcode::MulI, Some(1), _) => {
-            return replace_with_value(m, op, rhs)
+            return replace_with_value(m, sweep, op, rhs)
         }
         (Opcode::MulI, Some(0), _)
         | (Opcode::MulI, _, Some(0))
@@ -112,14 +143,14 @@ fn fold_binary(m: &mut Module, op: OpId, opcode: Opcode) -> Changed {
         | (Opcode::AndI, _, Some(0)) => {
             let ty = m.value_type(m.op(op).results[0]).clone();
             let c = make_constant(m, op, 0, ty);
-            return replace_with_value(m, op, c);
+            return replace_with_value(m, sweep, op, c);
         }
         _ => {}
     }
     Changed::No
 }
 
-fn fold_cmp(m: &mut Module, op: OpId) -> Changed {
+fn fold_cmp(m: &mut Module, sweep: &mut FoldSweep, op: OpId) -> Changed {
     let lhs = m.op(op).operands[0];
     let rhs = m.op(op).operands[1];
     if let (Some(a), Some(b)) = (constant_value(m, lhs), constant_value(m, rhs)) {
@@ -129,13 +160,13 @@ fn fold_cmp(m: &mut Module, op: OpId) -> Changed {
         if let Some(p) = pred {
             let v = i64::from(p.eval(a, b));
             let c = make_constant(m, op, v, crate::Type::I1);
-            return replace_with_value(m, op, c);
+            return replace_with_value(m, sweep, op, c);
         }
     }
     Changed::No
 }
 
-fn fold_select(m: &mut Module, op: OpId) -> Changed {
+fn fold_select(m: &mut Module, sweep: &mut FoldSweep, op: OpId) -> Changed {
     let cond = m.op(op).operands[0];
     if let Some(c) = constant_value(m, cond) {
         let chosen = if c != 0 {
@@ -143,14 +174,14 @@ fn fold_select(m: &mut Module, op: OpId) -> Changed {
         } else {
             m.op(op).operands[2]
         };
-        return replace_with_value(m, op, chosen);
+        return replace_with_value(m, sweep, op, chosen);
     }
     Changed::No
 }
 
 /// Inlines `scf.if` with a constant condition: the live branch's ops move in
 /// front of the `scf.if`, results are replaced by the branch's yields.
-fn fold_if(m: &mut Module, op: OpId) -> Changed {
+fn fold_if(m: &mut Module, sweep: &mut FoldSweep, op: OpId) -> Changed {
     let cond = m.op(op).operands[0];
     let Some(c) = constant_value(m, cond) else {
         return Changed::No;
@@ -170,7 +201,7 @@ fn fold_if(m: &mut Module, op: OpId) -> Changed {
     // yield must be erased first so RAUW of results doesn't touch it
     m.erase_op(*yield_op);
     for (&r, &y) in results.iter().zip(yields.iter()) {
-        m.replace_all_uses(r, y);
+        sweep.replace_all_uses(m, r, y);
     }
     m.erase_op(op);
     Changed::Yes
@@ -282,6 +313,27 @@ mod tests {
         assert!(!text.contains("scf.if"), "{text}");
         assert!(text.contains("{value = 10}"), "{text}");
         assert!(!text.contains("{value = 20}"), "{text}");
+    }
+
+    /// A foldable op placed after its user (unverified IR): folding it
+    /// rewrites an op the sweep has passed, which must be swept again.
+    #[test]
+    fn a_user_rewritten_after_its_visit_is_swept_again() {
+        let mut m = Module::new();
+        let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+        let one = b.const_int(1, Type::I64);
+        let two = b.const_int(2, Type::I64);
+        let sum = b.addi(one, two);
+        let user = b.addi(sum, one);
+        b.setup("acc", &[("v", user)]);
+        b.ret(vec![]);
+        let def = |v| crate::passes::defining_op(&m, v).unwrap();
+        let (sum_op, user_op) = (def(sum), def(user));
+        m.move_op_before(user_op, sum_op);
+        assert!(Canonicalize.run(&mut m).changed());
+        let text = print_module(&m);
+        assert!(!text.contains("arith.addi"), "{text}");
+        assert!(text.contains("{value = 4}"), "{text}");
     }
 
     #[test]

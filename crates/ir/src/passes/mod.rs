@@ -19,6 +19,51 @@ pub use licm::Licm;
 use crate::module::{Module, OpId, ValueDef, ValueId};
 use crate::op::Opcode;
 
+/// A sweep over a snapshot of ops that can tell which of them it has
+/// passed. The set of passed ops, by op index, is built when first asked
+/// about and then kept up with, so a sweep that never asks allocates
+/// nothing beyond its snapshot.
+pub(crate) struct Sweep {
+    order: Vec<OpId>,
+    /// How many ops of `order` [`Sweep::next`] has handed out.
+    passed: usize,
+    /// How many ops of `order` are set in `marks`.
+    marked: usize,
+    marks: Vec<bool>,
+}
+
+impl Sweep {
+    pub(crate) fn new(order: Vec<OpId>) -> Self {
+        Self {
+            order,
+            passed: 0,
+            marked: 0,
+            marks: Vec::new(),
+        }
+    }
+
+    /// The next op of the snapshot, which counts as passed from now on.
+    pub(crate) fn next(&mut self) -> Option<OpId> {
+        let op = *self.order.get(self.passed)?;
+        self.passed += 1;
+        Some(op)
+    }
+
+    /// `true` if `op` was handed out by [`Sweep::next`]. An op created
+    /// after the snapshot was taken never was.
+    pub(crate) fn has_passed(&mut self, m: &Module, op: OpId) -> bool {
+        if self.marks.is_empty() {
+            // every op of the snapshot existed when it was taken
+            self.marks.resize(m.op_count(), false);
+        }
+        for &o in &self.order[self.marked..self.passed] {
+            self.marks[o.index()] = true;
+        }
+        self.marked = self.passed;
+        self.marks.get(op.index()).copied().unwrap_or(false)
+    }
+}
+
 /// Returns the defining op of `value` if it is an op result.
 pub(crate) fn defining_op(m: &Module, value: ValueId) -> Option<OpId> {
     match m.value(value).def {

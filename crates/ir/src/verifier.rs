@@ -37,10 +37,36 @@ impl Error for VerifyError {}
 /// Returns the first violated invariant: SSA visibility, terminator
 /// placement, operand/result arity, or type mismatches.
 pub fn verify(m: &Module) -> Result<(), VerifyError> {
-    // which values are in scope at the op being checked, by value index:
-    // set where a value is defined, cleared where its block ends, so one
-    // map serves every function
-    let mut visible = vec![false; m.value_count()];
+    Verifier::default().verify(m)
+}
+
+/// A verifier that keeps its scope buffer from one module to the next, for
+/// a caller that verifies again and again (the pass manager checks after
+/// every pass that touched the module). Each run checks exactly what
+/// [`verify`] checks.
+#[derive(Debug, Default)]
+pub struct Verifier {
+    /// Which values are in scope at the op being checked, by value index:
+    /// set where a value is defined, cleared where its block ends, so one
+    /// map serves every function.
+    visible: Vec<bool>,
+}
+
+impl Verifier {
+    /// Verifies the whole module, as [`verify`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    pub fn verify(&mut self, m: &Module) -> Result<(), VerifyError> {
+        // a failed run returns with values still marked
+        self.visible.clear();
+        self.visible.resize(m.value_count(), false);
+        verify_funcs(m, &mut self.visible)
+    }
+}
+
+fn verify_funcs(m: &Module, visible: &mut [bool]) -> Result<(), VerifyError> {
     for &f in m.funcs() {
         if !m.is_alive(f) {
             return Err(VerifyError {
@@ -61,7 +87,7 @@ pub fn verify(m: &Module) -> Result<(), VerifyError> {
                 message: "func.func must have exactly one region".into(),
             });
         }
-        verify_region_block(m, f, 0, &mut visible)?;
+        verify_region_block(m, f, 0, visible)?;
     }
     Ok(())
 }
@@ -146,15 +172,16 @@ fn accelerator_of(m: &Module, op: OpId) -> Result<&str, VerifyError> {
 fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
     let data = m.op(op);
     let opcode = data.opcode;
-    let operand_ty = |i: usize| m.value_type(data.operands[i]);
-    let result_ty = |i: usize| m.value_type(data.results[i]);
+    let (operands, results) = (data.operands.as_slice(), data.results.as_slice());
+    let operand_ty = |i: usize| m.value_type(operands[i]);
+    let result_ty = |i: usize| m.value_type(results[i]);
 
     if !opcode.has_regions() && !data.regions.is_empty() {
         return Err(err(op, format!("{opcode} must not have regions")));
     }
 
     if opcode.is_binary_arith() {
-        if data.operands.len() != 2 || data.results.len() != 1 {
+        if operands.len() != 2 || results.len() != 1 {
             return Err(err(op, format!("{opcode} must have 2 operands, 1 result")));
         }
         let (l, r, res) = (operand_ty(0), operand_ty(1), result_ty(0));
@@ -186,12 +213,12 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             match m.op(parent).opcode {
                 Opcode::For | Opcode::If => {
                     let expected = &m.op(parent).results;
-                    if data.operands.len() != expected.len() {
+                    if operands.len() != expected.len() {
                         return Err(err(
                             op,
                             format!(
                                 "scf.yield has {} operands but parent has {} results",
-                                data.operands.len(),
+                                operands.len(),
                                 expected.len()
                             ),
                         ));
@@ -216,7 +243,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::Constant => {
-            if !data.operands.is_empty() || data.results.len() != 1 {
+            if !operands.is_empty() || results.len() != 1 {
                 return Err(err(op, "arith.constant must have 0 operands, 1 result"));
             }
             if m.int_attr(op, "value").is_none() {
@@ -238,7 +265,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
         | Opcode::ShLI
         | Opcode::ShRUI => unreachable!("binary arith handled above"),
         Opcode::CmpI => {
-            if data.operands.len() != 2 || data.results.len() != 1 {
+            if operands.len() != 2 || results.len() != 1 {
                 return Err(err(op, "arith.cmpi must have 2 operands, 1 result"));
             }
             if operand_ty(0) != operand_ty(1) {
@@ -254,7 +281,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::Select => {
-            if data.operands.len() != 3 || data.results.len() != 1 {
+            if operands.len() != 3 || results.len() != 1 {
                 return Err(err(op, "arith.select must have 3 operands, 1 result"));
             }
             if operand_ty(0) != &Type::I1 {
@@ -266,7 +293,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::For => {
-            if data.operands.len() < 3 {
+            if operands.len() < 3 {
                 return Err(err(op, "scf.for needs lb, ub, step operands"));
             }
             for i in 0..3 {
@@ -274,8 +301,8 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
                     return Err(err(op, "scf.for bounds must be index-typed"));
                 }
             }
-            let inits = &data.operands[3..];
-            if data.results.len() != inits.len() {
+            let inits = &operands[3..];
+            if results.len() != inits.len() {
                 return Err(err(op, "scf.for results must match iter_args count"));
             }
             let body = m.body_block(op, 0);
@@ -297,7 +324,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::If => {
-            if data.operands.len() != 1 || operand_ty(0) != &Type::I1 {
+            if operands.len() != 1 || operand_ty(0) != &Type::I1 {
                 return Err(err(op, "scf.if takes a single i1 condition"));
             }
             if data.regions.len() != 2 {
@@ -308,7 +335,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
         Opcode::AccfgSetup => {
             let accel = accelerator_of(m, op)?;
             let is_state = |ty: &Type| matches!(ty, Type::State(a) if **a == *accel);
-            if data.results.len() != 1 || !is_state(result_ty(0)) {
+            if results.len() != 1 || !is_state(result_ty(0)) {
                 return Err(err(
                     op,
                     "accfg.setup result must be the accelerator's state type",
@@ -317,12 +344,12 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             let has_input = data.has_input_state;
             let field_count = data.fields.len();
             let expected = field_count + usize::from(has_input);
-            if data.operands.len() != expected {
+            if operands.len() != expected {
                 return Err(err(
                     op,
                     format!(
                         "accfg.setup has {} operands but expected {expected} ({} fields{})",
-                        data.operands.len(),
+                        operands.len(),
                         field_count,
                         if has_input { " + input state" } else { "" }
                     ),
@@ -332,8 +359,8 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
                 return Err(err(op, "accfg.setup input state type mismatch"));
             }
             let start = usize::from(has_input);
-            for i in start..data.operands.len() {
-                if !operand_ty(i).is_integer_like() {
+            for &field in &operands[start..] {
+                if !m.value_type(field).is_integer_like() {
                     return Err(err(op, "accfg.setup field values must be integer-like"));
                 }
             }
@@ -341,28 +368,26 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
         }
         Opcode::AccfgLaunch => {
             let accel = accelerator_of(m, op)?;
-            if data.operands.len() != 1 || !matches!(operand_ty(0), Type::State(a) if **a == *accel)
-            {
+            if operands.len() != 1 || !matches!(operand_ty(0), Type::State(a) if **a == *accel) {
                 return Err(err(op, "accfg.launch must take the accelerator's state"));
             }
-            if data.results.len() != 1 || !matches!(result_ty(0), Type::Token(a) if **a == *accel) {
+            if results.len() != 1 || !matches!(result_ty(0), Type::Token(a) if **a == *accel) {
                 return Err(err(op, "accfg.launch must produce the accelerator's token"));
             }
             Ok(())
         }
         Opcode::AccfgAwait => {
             let accel = accelerator_of(m, op)?;
-            if data.operands.len() != 1 || !matches!(operand_ty(0), Type::Token(a) if **a == *accel)
-            {
+            if operands.len() != 1 || !matches!(operand_ty(0), Type::Token(a) if **a == *accel) {
                 return Err(err(op, "accfg.await must take the accelerator's token"));
             }
-            if !data.results.is_empty() {
+            if !results.is_empty() {
                 return Err(err(op, "accfg.await has no results"));
             }
             Ok(())
         }
         Opcode::CsrWrite => {
-            if data.operands.len() != 1 || !data.results.is_empty() {
+            if operands.len() != 1 || !results.is_empty() {
                 return Err(err(op, "target.csr_write takes 1 operand, no results"));
             }
             if m.int_attr(op, "csr").is_none() {
@@ -371,7 +396,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::RoccCmd => {
-            if data.operands.len() != 2 || !data.results.is_empty() {
+            if operands.len() != 2 || !results.is_empty() {
                 return Err(err(op, "target.rocc_cmd takes 2 operands, no results"));
             }
             if m.int_attr(op, "funct").is_none() {
@@ -380,7 +405,7 @@ fn verify_op(m: &Module, op: OpId, block: BlockId) -> Result<(), VerifyError> {
             Ok(())
         }
         Opcode::TargetLaunch | Opcode::TargetAwait => {
-            if !data.results.is_empty() {
+            if !results.is_empty() {
                 return Err(err(op, format!("{opcode} has no results")));
             }
             Ok(())
@@ -442,6 +467,12 @@ mod tests {
 
     #[test]
     fn use_before_def_fails() {
+        let e = verify(&used_before_defined()).unwrap_err();
+        assert!(e.message.contains("not visible"), "{e}");
+    }
+
+    /// `%1 = addi(%0, %0)` placed before `%0 = constant`.
+    fn used_before_defined() -> Module {
         let mut m = Module::new();
         let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
         let a = b.const_int(1, Type::I64);
@@ -457,7 +488,21 @@ mod tests {
             _ => unreachable!(),
         };
         m.move_op_before(add_op, const_op);
-        let e = verify(&m).unwrap_err();
+        m
+    }
+
+    #[test]
+    fn a_reused_verifier_forgets_what_a_failed_run_left_in_scope() {
+        // fails at its last op, with %0 still marked in scope
+        let mut unterminated = Module::new();
+        let (mut b, _) = FuncBuilder::new_func(&mut unterminated, "f", vec![]);
+        let a = b.const_int(1, Type::I64);
+        b.addi(a, a);
+        let mut verifier = Verifier::default();
+        let e = verifier.verify(&unterminated).unwrap_err();
+        assert!(e.message.contains("terminator"), "{e}");
+        // the same ids, with %0 used before it is defined
+        let e = verifier.verify(&used_before_defined()).unwrap_err();
         assert!(e.message.contains("not visible"), "{e}");
     }
 

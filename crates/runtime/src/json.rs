@@ -140,11 +140,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// `true` exactly on `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
 }
 
 /// Parses `input` as exactly one well-formed JSON value, built into a
@@ -480,7 +475,7 @@ mod tests {
         let parsed = parse(doc).unwrap();
         let mixed = parsed.get("streams").and_then(|s| s.get("mixed")).unwrap();
         assert_eq!(mixed.get("p99").and_then(Json::as_u64), Some(1079));
-        assert!(mixed.get("cutoff").unwrap().is_null());
+        assert_eq!(mixed.get("cutoff").unwrap(), &Json::Null);
         assert_eq!(
             mixed.get("labels").unwrap(),
             &Json::Arr(vec![Json::Str("a".into()), Json::Str("b".into())])

@@ -9,17 +9,21 @@
 //! and then the benchmark's whole 1 152-shape `cold_shapes` grid. It prints
 //! the allocations of each stage and asserts that `matmul_ir`, the
 //! pipeline, the two stages that handle launch records (`interpret`,
-//! `from_trace`) and the total stay under their budgets: for the two single
-//! modules the figures measured when the budgets were last set, plus 15 %;
-//! for the grid mean, fixed bounds (105, 120, 23, 5 and 280).
+//! `from_trace`) and the total stay under their budgets: the figures
+//! measured when the budgets were last set, plus 15 %, for the two single
+//! modules and the grid mean alike.
 //!
 //! Allocations per module: before the IR substrate was rebuilt (interned
 //! names, a maintained use-def index, stamp-gated re-verification, one
 //! reaching-fields solve per dedup), at that rebuild, with dense serve-time
 //! register files (`from_trace`, `cost`), with launch records that are one
-//! symbol-indexed `FieldMap<i64>` each, and with the IR stages off the heap
+//! symbol-indexed `FieldMap<i64>` each, with the IR stages off the heap
 //! per op (one inline attribute, presized walks and name tables, value- and
-//! register-indexed maps, reused CSE buffers, static pass names):
+//! register-indexed maps, reused CSE buffers, static pass names), and with
+//! up to three operand or result ids held inline, an arena presized on its
+//! first op, one verifier buffer per pipeline, symbol-indexed field states
+//! in the field hoist, batched loop-invariant moves and sweeps that build
+//! their visited sets only when a fold or an erasure asks:
 //!
 //! ```text
 //!                  matmul_ir pipeline compile interpret from_trace cost  sum
@@ -28,20 +32,27 @@
 //!   at the rebuild       175      312      26       233         44   35  825
 //!   dense register files 175      312      26       233          1    0  747
 //!   one-record launches  176      312      26        24          5    0  543
-//!   → at this PR         150      192      19        24          5    0  390
+//!   IR off the heap      150      192      19        24          5    0  390
+//!   → at this PR          63      126      15        24          5    0  233
 //! gemmini 24x16x64 untiled
 //!   before the rebuild   103      381      33        43         12   11  583
 //!   at the rebuild        65       73      14        37         12   11  212
 //!   dense register files  65       73      14        37          1    0  190
 //!   one-record launches   66       73      14         5          4    0  162
-//!   → at this PR          54       35       6         5          4    0  104
+//!   IR off the heap       54       35       6         5          4    0  104
+//!   → at this PR          38       33       6         5          4    0   86
 //! cold_shapes grid mean
 //!   before the rebuild   187     1203      51       291         47   36 1815
 //!   at the rebuild       118      188      20       229         47   36  637
 //!   dense register files 118      188      20       229          1    0  556
 //!   one-record launches  119      188      20        21          4.5  0  353
-//!   → at this PR         100.5    108.5    11.9      20.8        4.5  0  246.2
+//!   IR off the heap      100.5    108.5    11.9      20.8        4.5  0  246.2
+//!   → at this PR          49.8     75.9    10.2      20.8        4.5  0  161.2
 //! ```
+//!
+//! The OpenGeMM module's pipeline is also printed pass by pass, with the
+//! verifier's runs and the pass manager's own allocations; the rows must
+//! add up to its pipeline column.
 //!
 //! An `arith.constant` carries one attribute, held inline: the test also
 //! checks that building one allocates exactly what the same op without its
@@ -56,7 +67,7 @@
 //! Run with `--nocapture` to see the table (CI does).
 
 use accfg::{interpret, pipeline, OptLevel};
-use accfg_ir::{AttrMap, FuncBuilder, Module, Opcode, Type};
+use accfg_ir::{AttrMap, FuncBuilder, Module, Opcode, Type, Verifier};
 use accfg_runtime::{build_module, CostModel, DispatchPlan};
 use accfg_targets::{compile, AcceleratorDescriptor};
 use accfg_workloads::{matmul_ir, MatmulLayout, MatmulSpec};
@@ -106,6 +117,39 @@ impl Stages {
         let plan = plan.expect("the trace plans");
         self.from_trace += allocs;
         self.cost += counted(|| CostModel::estimate(desc, spec, &plan)).1;
+    }
+
+    /// Takes one module through the pipeline a pass at a time, as
+    /// `PassManager::run` does (verifying the input and after every pass
+    /// that touched the module, with one verifier), and prints each pass's
+    /// allocations. With the verifier's, the pass manager's own and the one
+    /// of its statistics, they add up to the pipeline column.
+    fn report_passes(label: &str, desc: &AcceleratorDescriptor, spec: &MatmulSpec) -> u64 {
+        let (pm, building) = counted(|| pipeline(OptLevel::All, desc.overlap_filter()));
+        let mut module = matmul_ir(desc, spec);
+        let mut verifier = Verifier::default();
+        let (verified, mut verifying) = counted(|| verifier.verify(&module));
+        verified.expect("the input verifies");
+        println!("{label}, the pipeline by pass");
+        let mut total = 0;
+        for pass in pm.passes() {
+            let stamp = module.stamp();
+            let allocs = counted(|| pass.run(&mut module)).1;
+            println!("  {:<40} {allocs:>4}", pass.name());
+            total += allocs;
+            if module.stamp() != stamp {
+                let (verified, allocs) = counted(|| verifier.verify(&module));
+                verified.expect("the pass leaves the module verified");
+                verifying += allocs;
+            }
+        }
+        println!(
+            "  {:<40} {verifying:>4}",
+            "verifier (input + passes that touched)"
+        );
+        println!("  {:<40} {building:>4}", "building the pass manager");
+        println!("  {:<40} {:>4}", "the run's statistics", 1);
+        total + verifying + building + 1
     }
 
     /// Prints the per-module row and returns what is over budget.
@@ -189,32 +233,39 @@ fn build_module_stays_within_its_allocation_budget() {
             "opengemm 24x16x64 / 8x8x64",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::new((24, 16, 64), (8, 8, 64)).expect("multiples of 8"),
-            // measured 150, 192, 24, 5 and 390, + 15 %
+            // measured 63, 126, 24, 5 and 233, + 15 %
             Budget {
-                matmul_ir: 172,
-                pipeline: 220,
+                matmul_ir: 72,
+                pipeline: 144,
                 interpret: 27,
                 from_trace: 5,
-                build: 448,
+                build: 267,
             },
         ),
         (
             "gemmini 24x16x64 untiled",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::new((24, 16, 64), (24, 16, 64)).expect("untiled shape"),
-            // measured 54, 35, 5, 4 and 104, + 15 %
+            // measured 38, 33, 5, 4 and 86, + 15 %
             Budget {
-                matmul_ir: 62,
-                pipeline: 40,
+                matmul_ir: 43,
+                pipeline: 37,
                 interpret: 5,
                 from_trace: 4,
-                build: 119,
+                build: 98,
             },
         ),
     ] {
         let mut stages = Stages::default();
         stages.add(&desc, &spec);
         over_budget.extend(stages.report(label, 1, &budget));
+        if label.starts_with("opengemm") {
+            let by_pass = Stages::report_passes(label, &desc, &spec);
+            assert_eq!(
+                by_pass, stages.pipeline,
+                "{label}: the passes miss some of the pipeline"
+            );
+        }
         if !cfg!(debug_assertions) && !cfg!(feature = "validate") {
             // no validator installed: one build is exactly its stages plus
             // the `CompiledModule`'s own key (the accelerator name)
@@ -229,13 +280,13 @@ fn build_module_stays_within_its_allocation_budget() {
     for (desc, spec) in &shapes {
         stages.add(desc, spec);
     }
-    // measured 100.5, 108.5, 20.8, 4.5 and 246.2
+    // measured 49.8, 75.9, 20.8, 4.5 and 161.2, + 15 %
     let budget = Budget {
-        matmul_ir: 105,
-        pipeline: 120,
+        matmul_ir: 57,
+        pipeline: 87,
         interpret: 23,
         from_trace: 5,
-        build: 280,
+        build: 185,
     };
     let modules = shapes.len() as u64;
     over_budget.extend(stages.report("cold_shapes grid mean (1152)", modules, &budget));
