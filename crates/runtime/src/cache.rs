@@ -156,19 +156,19 @@ impl CostModel {
     pub fn estimate(desc: &AcceleratorDescriptor, spec: &MatmulSpec, plan: &DispatchPlan) -> Self {
         let host = &desc.host;
         let accel = &desc.accel;
-        let per_write = match plan.style {
+        let per_write = match plan.style() {
             // materialize the value, then write the register
             ConfigStyle::Csr => host.li + host.csr_write,
             // materialize both halves, then issue the pair command
             ConfigStyle::RoccPairs { .. } => 2 * host.li + host.rocc,
         };
         let per_launch = accel.launch_overhead
-            + match plan.style {
+            + match plan.style() {
                 ConfigStyle::Csr => host.launch,
                 // the launch-semantic RoCC command carries a zero pair
                 ConfigStyle::RoccPairs { .. } => 2 * host.li + host.rocc,
             };
-        let launches = plan.launches.len() as u64;
+        let launches = plan.launches().len() as u64;
         let anchor_rate = desc.timing.anchor_macs_per_cycle(accel.macs_per_cycle);
         let compute = ((spec.m * spec.n * spec.k) as u64) / anchor_rate;
         let base = launches * per_launch + compute + host.poll;
@@ -176,8 +176,8 @@ impl CostModel {
         plan.apply_writes(&mut warm_state);
         let warm_writes = plan.writes_against(&warm_state);
         Self {
-            cold_writes: plan.cold_writes,
-            cold_cycles: plan.cold_writes * per_write + base,
+            cold_writes: plan.cold_writes(),
+            cold_cycles: plan.cold_writes() * per_write + base,
             warm_writes,
             warm_cycles: warm_writes * per_write + base,
         }
@@ -538,8 +538,8 @@ mod tests {
             ),
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
-            assert_eq!(module.plan.launches.len() as i64, spec.invocations());
-            assert!(module.plan.cold_writes > 0);
+            assert_eq!(module.plan.launches().len() as i64, spec.invocations());
+            assert!(module.plan.cold_writes() > 0);
             assert!(!module.program.is_empty());
         }
     }
@@ -558,7 +558,7 @@ mod tests {
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
             let cost = module.cost;
-            assert_eq!(cost.cold_writes, module.plan.cold_writes);
+            assert_eq!(cost.cold_writes, module.plan.cold_writes());
             assert!(cost.cold_cycles > 0);
             assert!(cost.warm_cycles > 0);
             // eliding resident state can only shrink a dispatch
@@ -566,7 +566,7 @@ mod tests {
             assert!(cost.warm_cycles <= cost.cold_cycles, "{cost:?}");
             // the steady-state warm repeat of a tiled module still pays
             // its per-tile writes, launches, and compute
-            assert!(cost.warm_cycles >= module.plan.launches.len() as u64);
+            assert!(cost.warm_cycles >= module.plan.launches().len() as u64);
         }
     }
 
@@ -769,7 +769,7 @@ mod tests {
         let spec = MatmulSpec::opengemm_paper(16).unwrap();
         for opt in [OptLevel::Base, OptLevel::All] {
             let module = build_module(&desc, spec, opt).unwrap();
-            for launch in &module.plan.launches {
+            for launch in module.plan.launches() {
                 assert!(launch.registers.len() >= 10, "{:?}", launch.registers);
             }
         }

@@ -179,10 +179,10 @@ fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
 /// register the previous launch held and this one keeps at the same value
 /// is implied by the mask; one outside the mask is dropped.
 fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
-    put_style(w, plan.style);
-    w.put_varint(plan.launches.len() as u64);
+    put_style(w, plan.style());
+    w.put_varint(plan.launches().len() as u64);
     let mut previous = &RegMap::new();
-    for launch in &plan.launches {
+    for launch in plan.launches() {
         let regs = &launch.registers;
         let changed = || {
             regs.iter()
@@ -196,7 +196,7 @@ fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
         }
         previous = regs;
     }
-    w.put_varint(plan.cold_writes);
+    w.put_varint(plan.cold_writes());
 }
 
 /// Reads an element count and rejects one the remaining bytes cannot hold
@@ -296,11 +296,16 @@ fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
         let registers = read_launch(r, style, previous)?;
         launches.push(LaunchSpec { registers });
     }
-    Ok(DispatchPlan {
-        style,
-        launches,
-        cold_writes: r.varint()?,
-    })
+    let stored = r.varint()?;
+    let plan = DispatchPlan::new(style, launches);
+    // no build writes any other count, and a cold quote is read from it
+    if stored != plan.cold_writes() {
+        return Err(StoreError::codec(format!(
+            "stored cold-write count {stored} is not the plan's blank-file count {}",
+            plan.cold_writes()
+        )));
+    }
+    Ok(plan)
 }
 
 fn put_alu_op(w: &mut ByteWriter, op: AluOp) {
@@ -979,8 +984,39 @@ mod tests {
     /// come first.
     fn first_launch_offset(module: &CompiledModule) -> usize {
         plan_offset(module)
-            + encoded_len(|w| put_style(w, module.plan.style))
-            + varint(module.plan.launches.len() as u64).len()
+            + encoded_len(|w| put_style(w, module.plan.style()))
+            + varint(module.plan.launches().len() as u64).len()
+    }
+
+    #[test]
+    fn a_cold_write_count_no_build_writes_is_a_codec_error() {
+        // the decoder recomputes the plan's blank-file write count: a
+        // record carrying any other would skew every cold quote read from it
+        for (desc, spec) in [
+            (
+                AcceleratorDescriptor::opengemm(),
+                MatmulSpec::opengemm_paper(16).unwrap(),
+            ),
+            (
+                AcceleratorDescriptor::gemmini(),
+                MatmulSpec::gemmini_paper(32).unwrap(),
+            ),
+        ] {
+            let module = build_module(&desc, spec, OptLevel::All).unwrap();
+            let bytes = encode_module(&module);
+            assert_eq!(decode_module(&bytes).unwrap(), module);
+            // the count is the plan's last field
+            let cold = module.plan.cold_writes();
+            let at = plan_offset(&module) + encoded_len(|w| put_plan(w, &module.plan))
+                - varint(cold).len();
+            for wrong in [cold + 7, cold - 1, 0] {
+                let detail = codec_detail(decode_module(&splice_varint(&bytes, at, cold, wrong)));
+                assert!(
+                    detail.contains(&format!("cold-write count {wrong} is not")),
+                    "{detail}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1011,7 +1047,7 @@ mod tests {
                 w.put_varint(labels.len() as u64);
                 labels.iter().for_each(|&t| w.put_varint(t as u64));
             });
-            let first = &module.plan.launches[0].registers;
+            let first = &module.plan.launches()[0].registers;
             for (what, at, count) in [
                 (
                     "instruction",
@@ -1025,8 +1061,8 @@ mod tests {
                 ),
                 (
                     "launch",
-                    plan_offset(&module) + encoded_len(|w| put_style(w, module.plan.style)),
-                    module.plan.launches.len(),
+                    plan_offset(&module) + encoded_len(|w| put_style(w, module.plan.style())),
+                    module.plan.launches().len(),
                 ),
                 (
                     "listed register",
@@ -1157,7 +1193,7 @@ mod tests {
     /// against a blank file, so it lists every register it holds).
     fn with_plan_register(module: &CompiledModule, index: usize, reg: u16) -> Vec<u8> {
         let bytes = encode_module(module);
-        let first = &module.plan.launches[0].registers;
+        let first = &module.plan.launches()[0].registers;
         let mut r = ByteReader::new(&bytes[first_launch_offset(module)..]);
         assert_eq!(r.varint().unwrap(), u64::from(first.mask()), "mask offset");
         assert_eq!(r.varint().unwrap(), first.len() as u64, "count offset");
@@ -1196,9 +1232,9 @@ mod tests {
             ),
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
-            let held = module.plan.launches[0].registers.len();
+            let held = module.plan.launches()[0].registers.len();
             assert!(held >= 3);
-            let registers: Vec<u16> = module.plan.launches[0]
+            let registers: Vec<u16> = module.plan.launches()[0]
                 .registers
                 .iter()
                 .map(|(&reg, _)| reg)
@@ -1248,6 +1284,7 @@ mod tests {
     fn read_raw_plan(
         style: ConfigStyle,
         launches: &[RawLaunch],
+        cold_writes: u64,
     ) -> Result<DispatchPlan, StoreError> {
         let mut w = ByteWriter::new();
         put_style(&mut w, style);
@@ -1260,7 +1297,7 @@ mod tests {
                 w.put_zigzag(value);
             }
         }
-        w.put_varint(0);
+        w.put_varint(cold_writes);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         let plan = read_plan(&mut r)?;
@@ -1282,9 +1319,15 @@ mod tests {
                 (bits(&[2]), &[]),
                 (bits(&[1, 2]), &[(1, 5)]),
             ],
+            // 2 onto the blank file, then 2 and 3; register 1 persists
+            4,
         )
         .unwrap();
-        let files: Vec<RegMap> = plan.launches.into_iter().map(|l| l.registers).collect();
+        let files: Vec<RegMap> = plan
+            .launches()
+            .iter()
+            .map(|l| l.registers.clone())
+            .collect();
         assert_eq!(
             files,
             [
@@ -1339,7 +1382,7 @@ mod tests {
                 "register 7 is in the launch pair of funct 3",
             ),
         ] {
-            let detail = codec_detail(read_raw_plan(style, &launches));
+            let detail = codec_detail(read_raw_plan(style, &launches, 0));
             assert!(detail.contains(expected), "{expected}: {detail}");
         }
     }
@@ -1358,7 +1401,6 @@ mod tests {
                 1..9,
             ),
             rocc in proptest::arbitrary::any::<bool>(),
-            cold_writes in 0u64..1 << 40,
         ) {
             // the launch command owns the last pair of a RoCC file
             let (style, regs) = if rocc {
@@ -1366,9 +1408,9 @@ mod tests {
             } else {
                 (ConfigStyle::Csr, RegMap::SLOTS as u16)
             };
-            let plan = DispatchPlan {
+            let plan = DispatchPlan::new(
                 style,
-                launches: launches
+                launches
                     .iter()
                     .map(|pairs| LaunchSpec {
                         registers: pairs
@@ -1384,8 +1426,7 @@ mod tests {
                             .collect(),
                     })
                     .collect(),
-                cold_writes,
-            };
+            );
             let mut w = ByteWriter::new();
             put_plan(&mut w, &plan);
             let bytes = w.finish();
@@ -1489,11 +1530,13 @@ mod tests {
             ),
             |module| {
                 assert_eq!(
-                    module.plan.style,
+                    module.plan.style(),
                     ConfigStyle::RoccPairs { launch_funct: 13 }
                 );
+                let mut launches = module.plan.launches().to_vec();
+                launches[0].registers.insert(26, 1);
                 let mut hostile = module.clone();
-                hostile.plan.launches[0].registers.insert(26, 1);
+                hostile.plan = DispatchPlan::new(module.plan.style(), launches);
                 encode_module(&hostile)
             },
             "register 26 is in the launch pair of funct 13",

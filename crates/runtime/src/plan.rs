@@ -19,6 +19,15 @@
 //! the property test at the bottom of this file holds the walk to it
 //! launch by launch.
 //!
+//! Registers persist, so most of a dispatch does not depend on the worker
+//! it lands on: once a launch has fixed a register, every later write to
+//! it is the plan's. [`DispatchPlan`]'s one constructor splits the
+//! launches into *segments* — a launch that names a register the dispatch
+//! has not fixed yet starts one — and records what each segment's later
+//! launches write; pricing a dispatch walks the first launch of each
+//! segment and adds the rest as a constant. Every generated module is one
+//! segment.
+//!
 //! RoCC-style targets write configuration in register *pairs*; a pair is
 //! rewritten whenever either half differs, which is why pair-granular
 //! interfaces save fewer writes (Section 6.1) — the delta machinery here
@@ -63,8 +72,8 @@ static REGS: [u16; SLOTS] = {
 /// over `(&register, &value)`, equality as a mapping. A register that was
 /// never written is absent, not zero: a dispatch onto a blank file writes
 /// every register its launches name, zeros included. Copying one is 232
-/// bytes and no heap, which is what lets the scheduler score every
-/// candidate worker of every request against a scratch copy.
+/// bytes and no heap, so a plan of several segments scores a candidate
+/// worker against a scratch copy.
 ///
 /// Registers past the file do not exist: [`RegMap::get`] answers `None`
 /// for them and [`RegMap::insert`] panics, so every door a register index
@@ -139,6 +148,32 @@ impl RegMap {
             dropped &= dropped - 1;
         }
         self.held &= mask;
+    }
+
+    /// The slots whose values differ from `other`'s, as a mask (an unheld
+    /// slot reads 0 on both sides).
+    fn differs(&self, other: &RegMap) -> u32 {
+        let mut differs = 0u32;
+        for slot in 0..SLOTS {
+            differs |= u32::from(self.values[slot] != other.values[slot]) << slot;
+        }
+        differs
+    }
+
+    /// Holds `launch`'s value in every slot of `mask` (0 where `launch`
+    /// holds nothing). Branch-free: a loop over the mask's set bits, whose
+    /// trip count changes from launch to launch, measured slower on a
+    /// serve than this select over every slot.
+    fn settle(&mut self, launch: &RegMap, mask: u32) {
+        for slot in 0..SLOTS {
+            let set = mask >> slot & 1 == 1;
+            self.values[slot] = if set {
+                launch.values[slot]
+            } else {
+                self.values[slot]
+            };
+        }
+        self.held |= mask;
     }
 
     /// The held registers, ascending.
@@ -221,16 +256,57 @@ pub struct LaunchSpec {
 }
 
 /// Everything the dispatcher needs to replay a compiled request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Built only by [`DispatchPlan::from_trace`] and the store decoder, both
+/// through one constructor that precomputes the plan's segments; the
+/// fields are read through accessors so no plan outlives a change to its
+/// launches.
+#[derive(Clone, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// The target's configuration style (write granularity and launch
     /// mechanism).
-    pub style: ConfigStyle,
+    style: ConfigStyle,
     /// Per-launch register files, in program order.
-    pub launches: Vec<LaunchSpec>,
-    /// Register writes a dispatch onto a *blank* register file performs —
-    /// the cost the module cache quotes for a cold worker.
-    pub cold_writes: u64,
+    launches: Vec<LaunchSpec>,
+    /// Register writes a dispatch onto a *blank* register file performs.
+    cold_writes: u64,
+    /// The launches split at every launch a dispatch must walk against the
+    /// worker's file: the segments before the last, in order — none in a
+    /// generated module, so a plan of one segment owns no heap for them.
+    earlier: Box<[Segment]>,
+    /// The last segment (all zeros, and never walked, in a plan of no
+    /// launches).
+    last: Segment,
+}
+
+/// A run of launches one [`delta_walk`] prices: the walk runs on the
+/// `first` launch against whatever the worker holds, and every later
+/// launch names only registers the dispatch has fixed by then, so what it
+/// writes is a property of the plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Segment {
+    /// The launch the walk runs on.
+    first: u32,
+    /// The segment's last launch.
+    last: u32,
+    /// Writes the launches after `first` emit, on every worker.
+    writes: u32,
+    /// The slots the launches after `first` write. They leave every one
+    /// at `launches[last]`'s value — 0 for a RoCC half that launch does
+    /// not program, which is what a pair rewrite drives it to.
+    settled: u32,
+}
+
+// `Debug` shows what was built or decoded, not the segments derived from
+// it: the rendering the compile-golden digests pin
+impl fmt::Debug for DispatchPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DispatchPlan")
+            .field("style", &self.style)
+            .field("launches", &self.launches)
+            .field("cold_writes", &self.cold_writes)
+            .finish()
+    }
 }
 
 /// One emitted configuration write.
@@ -309,13 +385,85 @@ impl DispatchPlan {
             }
             launches.push(LaunchSpec { registers });
         }
+        Ok(Self::new(desc.style, launches))
+    }
+
+    /// The one constructor: a plan of `launches` under `style`, its
+    /// segments and its blank-file write count computed here.
+    ///
+    /// A launch starts a segment when it names a register the launches
+    /// before it have not *fixed* — set to a value every starting file
+    /// ends up holding. Under CSR that is any register no earlier launch
+    /// named, so a segment starts wherever the held mask grows. A RoCC
+    /// pair whose named half is not fixed may or may not be rewritten, so
+    /// its other half is not fixed afterwards unless the launch programs
+    /// it; a pair rewrite the plan alone decides fixes both halves, the
+    /// one it drives to 0 included. A launch also starts a segment when
+    /// its writes would leave a slot an earlier launch of the segment
+    /// wrote at anything but this launch's value, so one launch supplies
+    /// every value a segment leaves. Within a dispatch held bits only
+    /// grow, so a fixed register stays held.
+    ///
+    /// The caller vouches for the registers: `from_trace` and the store
+    /// decoder refuse a RoCC launch pair before they get here.
+    pub(crate) fn new(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Self {
+        // every register `fixed` holds, it holds at the value any file
+        // walked through the launches so far holds there
+        let mut fixed = RegMap::new();
+        let mut earlier = Vec::new();
+        let mut last = Segment::default();
+        // (2^32 launches would be a terabyte of register files)
+        for (index, launch) in (0u32..).zip(&launches) {
+            let regs = &launch.registers;
+            let unfixed = regs.held & !fixed.held;
+            let written = written_slots(&fixed, regs, style);
+            fixed.settle(regs, written);
+            if index > 0 && unfixed == 0 && fixed.differs(regs) & (last.settled | written) == 0 {
+                last.last = index;
+                last.writes += write_count(written, style) as u32;
+                last.settled |= written;
+                continue;
+            }
+            if let ConfigStyle::RoccPairs { .. } = style {
+                let pairs = (unfixed | unfixed >> 1) & 0x5555_5555;
+                fixed.keep(!((pairs | pairs << 1) & !regs.held));
+            }
+            if index > 0 {
+                earlier.push(last);
+            }
+            last = Segment {
+                first: index,
+                last: index,
+                writes: 0,
+                settled: 0,
+            };
+        }
         let mut plan = Self {
-            style: desc.style,
+            style,
             launches,
             cold_writes: 0,
+            earlier: earlier.into_boxed_slice(),
+            last,
         };
         plan.cold_writes = plan.apply_writes(&mut RegMap::new());
-        Ok(plan)
+        plan
+    }
+
+    /// The target's configuration style (write granularity and launch
+    /// mechanism).
+    pub fn style(&self) -> ConfigStyle {
+        self.style
+    }
+
+    /// Per-launch register files, in program order.
+    pub fn launches(&self) -> &[LaunchSpec] {
+        &self.launches
+    }
+
+    /// Register writes a dispatch onto a *blank* register file performs —
+    /// the cost the module cache quotes for a cold worker.
+    pub fn cold_writes(&self) -> u64 {
+        self.cold_writes
     }
 
     /// `true` if this plan can be replayed on a worker running `desc`:
@@ -333,20 +481,53 @@ impl DispatchPlan {
     /// The register writes a dispatch would emit against `resident`,
     /// without mutating it — the affinity scheduler's scoring function,
     /// run once per candidate worker per request (the scratch copy lives
-    /// on the stack).
+    /// on the stack). A plan of one segment — every generated module —
+    /// costs one stale mask of its first launch against `resident` and no
+    /// copy; any other advances a copy one walk per segment, as
+    /// [`DispatchPlan::apply_writes`] does.
     pub fn writes_against(&self, resident: &RegMap) -> u64 {
-        self.apply_writes(&mut resident.clone())
+        match self.launches.first() {
+            // one segment: nothing after its walk reads the file it leaves
+            Some(first) if self.earlier.is_empty() => {
+                let written = written_slots(resident, &first.registers, self.style);
+                write_count(written, self.style) + u64::from(self.last.writes)
+            }
+            _ => self.apply_writes(&mut resident.clone()),
+        }
     }
 
     /// Counts the register writes a dispatch emits against `resident`
     /// while advancing `resident` to the plan's final launch state — the
     /// scheduler's shadow-commit step, and the write count the cost model
     /// maps to a warmth bucket.
+    ///
+    /// Equal, count and file, to walking every launch in turn, at the
+    /// cost of one walk per segment: the walk prices a segment's first
+    /// launch against `resident`, the segment's later launches add the
+    /// writes the constructor counted, and the slots they write take
+    /// their last launch's values. That holds because within a dispatch
+    /// held bits only grow, and a pair rewrite holds the half it drives
+    /// to 0: a register the dispatch has fixed stays at a value the plan
+    /// alone decides.
     pub fn apply_writes(&self, resident: &mut RegMap) -> u64 {
-        self.launches
+        if self.launches.is_empty() {
+            return 0;
+        }
+        let earlier: u64 = self
+            .earlier
             .iter()
-            .map(|launch| delta_walk(resident, &launch.registers, self.style, |_| {}))
-            .sum()
+            .map(|segment| self.apply_segment(segment, resident))
+            .sum();
+        earlier + self.apply_segment(&self.last, resident)
+    }
+
+    /// [`DispatchPlan::apply_writes`] over one segment.
+    fn apply_segment(&self, segment: &Segment, resident: &mut RegMap) -> u64 {
+        let first = &self.launches[segment.first as usize].registers;
+        let writes = delta_walk(resident, first, self.style, |_| {});
+        let last = &self.launches[segment.last as usize].registers;
+        resident.settle(last, segment.settled);
+        writes + u64::from(segment.writes)
     }
 
     /// Builds the executable delta program that moves `resident` to this
@@ -356,8 +537,9 @@ impl DispatchPlan {
     ///
     /// This is the single place dispatch programs are assembled: pool
     /// workers replay it per request. The program is sized before it is
-    /// filled — a counting walk over a scratch copy of `resident` costs
-    /// less than one reallocation — so a dispatch allocates once.
+    /// filled — from [`DispatchPlan::writes_against`], one walk per
+    /// segment — so a dispatch allocates once; the program itself walks
+    /// every launch, since every write must be emitted.
     ///
     /// Debug and `validate`-feature builds additionally run
     /// [`DispatchPlan::verify_delta_reconstruction`] over the assembled
@@ -539,47 +721,58 @@ fn delta_walk(
     style: ConfigStyle,
     mut emit: impl FnMut(WriteCmd),
 ) -> u64 {
-    let mut differs = 0u32;
-    for slot in 0..SLOTS {
-        differs |= u32::from(resident.values[slot] != launch.values[slot]) << slot;
-    }
-    let stale = launch.held & (differs | !resident.held);
+    let written = written_slots(resident, launch, style);
     match style {
         ConfigStyle::Csr => {
-            let mut rest = stale;
+            let mut rest = written;
             while rest != 0 {
                 let slot = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let value = launch.values[slot];
-                resident.values[slot] = value;
                 emit(WriteCmd::Csr {
                     reg: slot as u16,
-                    value,
+                    value: launch.values[slot],
                 });
             }
-            resident.held |= stale;
-            u64::from(stale.count_ones())
         }
         ConfigStyle::RoccPairs { .. } => {
             // bit `2f` marks pair `f`
-            let pairs = (stale | stale >> 1) & 0x5555_5555;
-            let mut rest = pairs;
+            let mut rest = written & 0x5555_5555;
             while rest != 0 {
                 let slot = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
                 // an unprogrammed half reads 0 here: `RegMap`'s invariant
-                let (lo, hi) = (launch.values[slot], launch.values[slot + 1]);
-                resident.values[slot] = lo;
-                resident.values[slot + 1] = hi;
                 emit(WriteCmd::Rocc {
                     funct: (slot / 2) as u8,
-                    lo,
-                    hi,
+                    lo: launch.values[slot],
+                    hi: launch.values[slot + 1],
                 });
             }
-            resident.held |= pairs | pairs << 1;
-            u64::from(pairs.count_ones())
         }
+    }
+    resident.settle(launch, written);
+    write_count(written, style)
+}
+
+/// The slots [`delta_walk`] writes moving `resident` to `launch`'s file:
+/// the stale registers under CSR, both halves of every pair with a stale
+/// half under RoCC.
+fn written_slots(resident: &RegMap, launch: &RegMap, style: ConfigStyle) -> u32 {
+    let stale = launch.held & (resident.differs(launch) | !resident.held);
+    match style {
+        ConfigStyle::Csr => stale,
+        ConfigStyle::RoccPairs { .. } => {
+            let pairs = (stale | stale >> 1) & 0x5555_5555;
+            pairs | pairs << 1
+        }
+    }
+}
+
+/// The writes that set the slots of `written`: one per register under
+/// CSR, one per pair under RoCC.
+fn write_count(written: u32, style: ConfigStyle) -> u64 {
+    match style {
+        ConfigStyle::Csr => u64::from(written.count_ones()),
+        ConfigStyle::RoccPairs { .. } => u64::from(written.count_ones() / 2),
     }
 }
 
@@ -687,16 +880,11 @@ mod tests {
 
     #[test]
     fn plans_execute_only_on_matching_config_styles() {
-        let csr_plan = DispatchPlan {
-            style: ConfigStyle::Csr,
-            launches: vec![launch(&[(0, 1)])],
-            cold_writes: 1,
-        };
-        let rocc_plan = DispatchPlan {
-            style: ConfigStyle::RoccPairs { launch_funct: 13 },
-            launches: vec![launch(&[(0, 1)])],
-            cold_writes: 1,
-        };
+        let csr_plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1)])]);
+        let rocc_plan = DispatchPlan::new(
+            ConfigStyle::RoccPairs { launch_funct: 13 },
+            vec![launch(&[(0, 1)])],
+        );
         let gemmini = AcceleratorDescriptor::gemmini();
         let turbo = AcceleratorDescriptor::gemmini_turbo();
         let opengemm = AcceleratorDescriptor::opengemm();
@@ -712,11 +900,10 @@ mod tests {
 
     #[test]
     fn cold_writes_and_scoring_agree() {
-        let plan = DispatchPlan {
-            style: ConfigStyle::Csr,
-            launches: vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
-            cold_writes: 0,
-        };
+        let plan = DispatchPlan::new(
+            ConfigStyle::Csr,
+            vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
+        );
         // cold: 2 writes for the first launch + 1 for the second
         assert_eq!(plan.writes_against(&RegMap::new()), 3);
         // a resident file matching launch 0 exactly skips its writes
@@ -730,11 +917,10 @@ mod tests {
 
     #[test]
     fn delta_program_write_count_matches_scoring() {
-        let plan = DispatchPlan {
-            style: ConfigStyle::Csr,
-            launches: vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
-            cold_writes: 0,
-        };
+        let plan = DispatchPlan::new(
+            ConfigStyle::Csr,
+            vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
+        );
         let mut resident = RegMap::new();
         let quoted = plan.writes_against(&resident);
         let (program, cold) = plan.delta_program(&mut resident);
@@ -751,16 +937,14 @@ mod tests {
     #[test]
     fn delta_reconstruction_proof_accepts_emitted_programs() {
         let plans = [
-            DispatchPlan {
-                style: ConfigStyle::Csr,
-                launches: vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
-                cold_writes: 0,
-            },
-            DispatchPlan {
-                style: ConfigStyle::RoccPairs { launch_funct: 13 },
-                launches: vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
-                cold_writes: 0,
-            },
+            DispatchPlan::new(
+                ConfigStyle::Csr,
+                vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
+            ),
+            DispatchPlan::new(
+                ConfigStyle::RoccPairs { launch_funct: 13 },
+                vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
+            ),
         ];
         for plan in &plans {
             // cold and warm assemblies both reconstruct exactly
@@ -784,11 +968,7 @@ mod tests {
 
     #[test]
     fn delta_reconstruction_proof_catches_a_dropped_write() {
-        let plan = DispatchPlan {
-            style: ConfigStyle::Csr,
-            launches: vec![launch(&[(0, 1), (1, 2)])],
-            cold_writes: 0,
-        };
+        let plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1), (1, 2)])]);
         // hand-assembled dispatch that forgets register 1
         let mut pb = ProgramBuilder::new();
         let r = pb.reg();
@@ -820,20 +1000,18 @@ mod tests {
         // the guarantee behind Policy::ConfigAffinity vs. the cold FIFO
         // baseline, exercised over both styles and awkward resident files
         let plans = [
-            DispatchPlan {
-                style: ConfigStyle::Csr,
-                launches: vec![
+            DispatchPlan::new(
+                ConfigStyle::Csr,
+                vec![
                     launch(&[(0, 1), (1, 2), (4, 0)]),
                     launch(&[(0, 3), (1, 2), (4, 5)]),
                     launch(&[(0, 1), (1, 2), (4, 0)]),
                 ],
-                cold_writes: 0,
-            },
-            DispatchPlan {
-                style: ConfigStyle::RoccPairs { launch_funct: 13 },
-                launches: vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
-                cold_writes: 0,
-            },
+            ),
+            DispatchPlan::new(
+                ConfigStyle::RoccPairs { launch_funct: 13 },
+                vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
+            ),
         ];
         let residents = [
             RegMap::new(),
@@ -931,19 +1109,18 @@ mod tests {
             let mut ordered = file(&resident);
             let mut dense: RegMap = ordered.iter().map(|(&reg, &value)| (reg, value)).collect();
             let start = dense.clone();
-            let plan = DispatchPlan {
+            let plan = DispatchPlan::new(
                 style,
-                launches: launches
+                launches
                     .iter()
                     .map(|pairs| LaunchSpec {
                         registers: file(pairs).into_iter().collect(),
                     })
                     .collect(),
-                cold_writes: 0,
-            };
+            );
 
             let mut total = 0u64;
-            for (pairs, spec) in launches.iter().zip(&plan.launches) {
+            for (pairs, spec) in launches.iter().zip(plan.launches()) {
                 let expected = reference_delta_writes(&mut ordered, &file(pairs), style);
                 let counted = delta_walk(&mut dense.clone(), &spec.registers, style, |_| {});
                 let cmds = delta_writes(&mut dense, spec, style);
@@ -967,6 +1144,137 @@ mod tests {
             prop_assert_eq!(writes, total);
             prop_assert_eq!(&programmed, &dense);
             plan.verify_delta_reconstruction(&program, &start).unwrap();
+        }
+    }
+
+    /// Walks every launch of `plan` in turn: what a dispatch is, and what
+    /// the segmented consumers must equal.
+    fn per_launch(plan: &DispatchPlan, resident: &mut RegMap) -> u64 {
+        plan.launches()
+            .iter()
+            .map(|launch| delta_walk(resident, &launch.registers, plan.style(), |_| {}))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Plans shaped like traces — every register held from some launch
+        /// on, so held masks grow mid-plan and the halves of a RoCC pair
+        /// can be first held at different launches — priced by segment
+        /// against blank files, partly held ones and the plan's own: the
+        /// count and the file afterwards equal the per-launch walk's, and
+        /// a plan whose mask never grows is one segment.
+        #[test]
+        fn a_segmented_dispatch_equals_the_per_launch_walk(
+            first_held in prop::collection::vec(0usize..12, SLOTS..SLOTS + 1),
+            values in prop::collection::vec(
+                prop::collection::vec(-1i64..2, SLOTS..SLOTS + 1),
+                1..8,
+            ),
+            partial in prop::collection::vec((0u16..SLOTS as u16, -1i64..2), 0..SLOTS),
+            resident_kind in 0usize..4,
+            rocc in any::<bool>(),
+        ) {
+            // the launch command owns the last pair of a RoCC file
+            let (style, regs) = if rocc {
+                (ConfigStyle::RoccPairs { launch_funct: 13 }, SLOTS - 2)
+            } else {
+                (ConfigStyle::Csr, SLOTS)
+            };
+            // most registers are held from launch 0; the rest from a later
+            // launch, or never
+            let first = |slot: usize| first_held[slot].saturating_sub(6);
+            let launches: Vec<LaunchSpec> = values
+                .iter()
+                .enumerate()
+                .map(|(index, row)| LaunchSpec {
+                    registers: (0..regs)
+                        .filter(|&slot| first(slot) <= index)
+                        .map(|slot| (slot as u16, row[slot]))
+                        .collect(),
+                })
+                .collect();
+            let plan = DispatchPlan::new(style, launches);
+            if plan.launches().iter().all(|l| l.registers.mask() == plan.launches()[0].registers.mask()) {
+                prop_assert!(plan.earlier.is_empty(), "{:?}", plan.earlier);
+            }
+
+            let mut cold = RegMap::new();
+            prop_assert_eq!(plan.cold_writes(), per_launch(&plan, &mut cold));
+            let resident = match resident_kind {
+                0 => RegMap::new(),
+                1 => partial.iter().map(|&(reg, value)| (reg % regs as u16, value)).collect(),
+                // the plan's own final file, and one launch's
+                2 => cold,
+                _ => plan.launches()[partial.len() % plan.launches().len()].registers.clone(),
+            };
+            let mut walked = resident.clone();
+            let expected = per_launch(&plan, &mut walked);
+            prop_assert_eq!(plan.writes_against(&resident), expected);
+            let mut applied = resident.clone();
+            prop_assert_eq!(plan.apply_writes(&mut applied), expected);
+            prop_assert_eq!(&applied, &walked);
+            // (debug builds also run the reconstruction proof in here)
+            let mut programmed = resident.clone();
+            prop_assert_eq!(plan.delta_program(&mut programmed).1, expected);
+            prop_assert_eq!(&programmed, &walked);
+        }
+    }
+
+    #[test]
+    fn segments_start_where_the_dispatch_must_look_at_the_worker() {
+        let rocc = ConfigStyle::RoccPairs { launch_funct: 13 };
+        let starts = |style, launches: &[&[(u16, i64)]]| {
+            let plan = DispatchPlan::new(style, launches.iter().map(|regs| launch(regs)).collect());
+            let mut starts: Vec<u32> = plan.earlier.iter().map(|s| s.first).collect();
+            starts.push(plan.last.first);
+            starts
+        };
+        // a held mask that never grows is one segment, in either style
+        for style in [ConfigStyle::Csr, rocc] {
+            assert_eq!(starts(style, &[&[(0, 1), (4, 2)], &[(0, 3), (4, 2)]]), [0]);
+        }
+        // a register first held at launch 1 starts a segment there
+        assert_eq!(
+            starts(
+                ConfigStyle::Csr,
+                &[&[(0, 1)], &[(0, 1), (2, 5)], &[(0, 2), (2, 5)]]
+            ),
+            [0, 1]
+        );
+        // the halves of a pair first held apart: whether launch 1 rewrites
+        // pair 0 depends on the worker's register 0, and so does whether
+        // register 1 still holds 3 when launch 2 asks for it
+        assert_eq!(starts(rocc, &[&[(1, 3)], &[(0, 5)], &[(1, 3)]]), [0, 1, 2]);
+        // launch 2 drops register 2, which launch 1 left at 6: one segment
+        // takes its final values from one launch, so launch 2 starts another
+        for style in [ConfigStyle::Csr, rocc] {
+            assert_eq!(
+                starts(style, &[&[(0, 1), (2, 5)], &[(0, 1), (2, 6)], &[(0, 2)]]),
+                [0, 2]
+            );
+        }
+    }
+
+    #[test]
+    fn every_serving_module_is_one_segment() {
+        use accfg::pipeline::OptLevel;
+        for class in accfg_workloads::mixed_serving_classes() {
+            let desc = match class.accelerator.as_str() {
+                "gemmini" => AcceleratorDescriptor::gemmini(),
+                _ => AcceleratorDescriptor::opengemm(),
+            };
+            for level in OptLevel::ALL_LEVELS {
+                let module = crate::cache::build_module(&desc, class.spec, level).unwrap();
+                assert!(
+                    module.plan.earlier.is_empty(),
+                    "{} {:?} at {level:?}: {:?}",
+                    desc.name,
+                    class.spec,
+                    module.plan.earlier
+                );
+            }
         }
     }
 

@@ -311,7 +311,7 @@ mod tests {
         let mut s = Scheduler::new(Policy::Cost, &workers, 1);
         // the turbo variant's predicted dispatch is cheaper by more than
         // the slack horizon for this compute-heavy shape
-        let cold = heavy.plan.cold_writes;
+        let cold = heavy.plan.cold_writes();
         let slow = s.price(0, &heavy, cold, None);
         let fast = s.price(1, &heavy, cold, None);
         assert!(

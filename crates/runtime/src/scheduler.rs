@@ -447,7 +447,7 @@ impl Scheduler {
             module.plan.apply_writes(&mut self.shadows[worker])
         } else {
             // the cold baseline reprograms everything, every time
-            module.plan.cold_writes
+            module.plan.cold_writes()
         };
         let anchors = self.anchors(worker, module);
         // the module's learned rows are fetched once; the mode-agnostic
@@ -705,7 +705,7 @@ mod tests {
         // dispatch-count load undercharge batched workers
         let m = single_tile_module(8);
         let mut s = Scheduler::new(Policy::ConfigAffinity, &uniform(2), 1);
-        let cold = m.cost.predict(m.plan.cold_writes);
+        let cold = m.cost.predict(m.plan.cold_writes());
         let mut shadow = RegMap::new();
         m.plan.apply_writes(&mut shadow);
         let warm = m.cost.predict(m.plan.writes_against(&shadow));
@@ -745,7 +745,7 @@ mod tests {
         let m = single_tile_module(8);
         let mut s = Scheduler::new(Policy::FifoElide, &uniform(2), 1);
         let first = s.commit(0, &m, 0);
-        assert_eq!(first.writes, m.plan.cold_writes);
+        assert_eq!(first.writes, m.plan.cold_writes());
         assert_eq!(s.outstanding(0, 0), first.predicted_cycles);
         // the shadow advanced, so a repeat is scored (and charged) warm
         let second = s.commit(0, &m, 0);
@@ -756,7 +756,7 @@ mod tests {
         let mut cold = Scheduler::new(Policy::Fifo, &uniform(1), 1);
         for _ in 0..2 {
             let outcome = cold.commit(0, &m, 0);
-            assert_eq!(outcome.writes, m.plan.cold_writes);
+            assert_eq!(outcome.writes, m.plan.cold_writes());
             assert_eq!(outcome.predicted_cycles, m.cost.cold_cycles);
         }
         assert_eq!(cold.outstanding(0, 0), 2 * m.cost.cold_cycles);
@@ -822,7 +822,7 @@ mod tests {
         let mut s = Scheduler::new(Policy::ConfigAffinity, &uniform(1), 1);
         s.commit(0, &m, 0);
         // the shadow now holds the last launch's register file
-        let last = &m.plan.launches.last().unwrap().registers;
+        let last = &m.plan.launches().last().unwrap().registers;
         for (reg, value) in last {
             assert_eq!(s.shadow(0).get(reg), Some(value), "reg {reg}");
         }
@@ -881,11 +881,11 @@ mod tests {
             AcceleratorDescriptor::opengemm_lite(),
         ];
         let mut s = Scheduler::new(Policy::Cost, &workers, 1);
-        let bucket = m.cost.bucket(m.plan.cold_writes);
+        let bucket = m.cost.bucket(m.plan.cold_writes());
         s.observe(0, &m, bucket, FreqState::Cold, 100);
         s.observe(1, &m, bucket, FreqState::Cold, 900);
-        assert_eq!(s.price(0, &m, m.plan.cold_writes, None), 100);
-        assert_eq!(s.price(1, &m, m.plan.cold_writes, None), 900);
+        assert_eq!(s.price(0, &m, m.plan.cold_writes(), None), 100);
+        assert_eq!(s.price(1, &m, m.plan.cold_writes(), None), 900);
     }
 
     #[test]
@@ -894,10 +894,10 @@ mod tests {
         // keyed estimates; the agnostic charge is the drifting mix
         let m = single_tile_module(8);
         let mut s = Scheduler::new(Policy::Thermal, &uniform(1), 1);
-        let bucket = m.cost.bucket(m.plan.cold_writes);
+        let bucket = m.cost.bucket(m.plan.cold_writes());
         s.observe(0, &m, bucket, FreqState::Boost, 100);
         s.observe(0, &m, bucket, FreqState::Cold, 900);
-        let writes = m.plan.cold_writes;
+        let writes = m.plan.cold_writes();
         assert_eq!(s.price(0, &m, writes, Some(FreqState::Boost)), 100);
         assert_eq!(s.price(0, &m, writes, Some(FreqState::Cold)), 900);
         // an unobserved mode falls back to the agnostic EWMA

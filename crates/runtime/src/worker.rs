@@ -135,7 +135,7 @@ impl Worker {
             finish: start,
             counters: Counters::default(),
             emitted_writes: 0,
-            cold_writes: module.plan.cold_writes,
+            cold_writes: module.plan.cold_writes(),
             freq: FreqState::Cold,
             check_error: None,
             sim_error: None,
@@ -233,7 +233,7 @@ mod tests {
         let first = worker.execute(&request(0, "opengemm", spec, 1), &module, true);
         assert!(first.sim_error.is_none(), "{:?}", first.sim_error);
         assert!(first.check_error.is_none(), "{:?}", first.check_error);
-        assert_eq!(first.emitted_writes, module.plan.cold_writes);
+        assert_eq!(first.emitted_writes, module.plan.cold_writes());
 
         let second = worker.execute(&request(1, "opengemm", spec, 2), &module, true);
         assert!(second.check_error.is_none(), "{:?}", second.check_error);
@@ -262,7 +262,7 @@ mod tests {
         for c in &jobs {
             assert!(c.check_error.is_none(), "{:?}", c.check_error);
         }
-        assert_eq!(jobs[0].emitted_writes, module.plan.cold_writes);
+        assert_eq!(jobs[0].emitted_writes, module.plan.cold_writes());
         // warm repeats still rewrite the per-tile fields of each launch,
         // but the shape-invariant configuration stays resident
         assert!(jobs[1].emitted_writes < jobs[0].emitted_writes);
@@ -279,7 +279,7 @@ mod tests {
         for i in 0..2 {
             let c = worker.execute(&request(i, "opengemm", spec, i), &module, false);
             // every non-eliding dispatch pays the full cold cost
-            assert_eq!(c.emitted_writes, module.plan.cold_writes);
+            assert_eq!(c.emitted_writes, module.plan.cold_writes());
             assert!(c.check_error.is_none());
         }
     }
@@ -360,7 +360,7 @@ mod tests {
         assert!(!worker.machine.accel.is_busy(0));
         assert!(worker.resident.is_empty());
         let retry = worker.execute(&request(1, "opengemm", spec, 2), &module, true);
-        assert_eq!(retry.emitted_writes, module.plan.cold_writes);
+        assert_eq!(retry.emitted_writes, module.plan.cold_writes());
     }
 
     #[test]

@@ -3,18 +3,26 @@
 //! shared host does not.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation the process makes.
+/// Counts every allocation and reallocation a thread makes, per thread.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and without a destructor, so reading it from
+    // inside the allocator never allocates or re-enters it
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// upholds the `GlobalAlloc` contract; the counter is a per-thread statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: the caller's obligations are `System::alloc`'s own.
         unsafe { System.alloc(layout) }
     }
@@ -25,7 +33,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -34,10 +42,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made while `f` runs (a binary that includes this module has
-/// one test, so no other thread allocates meanwhile).
+/// Allocations the calling thread makes while `f` runs. Other threads are
+/// not counted: the test harness runs a test on a thread of its own, and
+/// a process-wide count once read 4 allocations in the routing window of
+/// `dispatch_allocs`, all made by another thread of the process. What is
+/// measured here — a build, a dispatch, a serve, a store open — runs on
+/// the calling thread and spawns nothing, so no allocation of its own
+/// goes uncounted.
 pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }

@@ -42,8 +42,8 @@
 //! `commit` — under `affinity`, `cost` and `thermal` (the last on the
 //! reference-timing descriptors, so its DVFS and contention terms are
 //! live). After a warm-up that has seen every module on every worker, 600
-//! further requests must allocate **nothing**: scoring a candidate copies
-//! the shadow register file to the stack, the completion-minimising
+//! further requests must allocate **nothing**: scoring a candidate reads
+//! the shadow register file in place, the completion-minimising
 //! policies keep their candidate list between decisions, and the refiner
 //! clones a key only to insert a module's first row.
 //!
@@ -102,19 +102,40 @@ use accfg_workloads::{
     check_result, fill_inputs, mixed_serving_classes, MatmulSpec, TrafficConfig, TrafficRequest,
 };
 use common::counted;
+use std::sync::Barrier;
 
 mod common;
 
 const MEM_BYTES: usize = 1 << 20;
 const FUEL: u64 = 10_000_000;
 
-/// One test: the counting allocator is process-wide, so the three budgets
-/// run one after the other, never on two test threads.
+/// One test: the serve's budget is stated against what a warm dispatch
+/// allocates, so the three budgets run one after the other.
 #[test]
 fn a_warm_request_stays_within_its_allocation_budgets() {
+    another_threads_allocations_are_not_counted();
     let execute = a_warm_dispatch_stays_within_its_allocation_budget();
     warm_routing_allocates_nothing();
     a_warm_serve_adds_nothing_per_dispatch(execute);
+}
+
+/// The counter reads the calling thread only: an allocation another
+/// thread makes inside a counted window — forced there by a barrier — is
+/// not in the count.
+fn another_threads_allocations_are_not_counted() {
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            barrier.wait();
+            drop(std::hint::black_box(vec![0u8; 64]));
+            barrier.wait();
+        });
+        let ((), allocs) = counted(|| {
+            barrier.wait();
+            barrier.wait();
+        });
+        assert_eq!(allocs, 0, "another thread's allocation was counted");
+    });
 }
 
 /// Returns what a warm `Worker::execute` allocates (the larger of the two
