@@ -14,7 +14,7 @@ use accfg_ir::PassManager;
 
 /// Which accfg optimizations to apply — the four configurations evaluated in
 /// Figure 12 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OptLevel {
     /// Generic cleanups only; no configuration-aware optimization.
     Base,

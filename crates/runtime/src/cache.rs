@@ -25,6 +25,10 @@ use std::sync::Arc;
 const PLAN_FUEL: u64 = 50_000_000;
 
 /// The cache key: everything that determines the compiled artifact.
+///
+/// The key names a module at the cache, the store and the scheduler's
+/// by-module calls; inside one serve the loop names it by a dense id
+/// instead (`engine::Resolved`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Accelerator (descriptor) name.
@@ -199,6 +203,11 @@ impl CostModel {
 /// the affinity slack horizon, the batch cutoff, and the `cost` policy's
 /// completion estimates — sharpen as the run warms up.
 ///
+/// A module is named by the dense id its [`Scheduler`] gave it (`0..n`
+/// within one serve), so finding a module's row is two vector indexings:
+/// the refiner never sees a [`CacheKey`]. The scheduler maps ids back to
+/// keys where rows cross the store.
+///
 /// Heterogeneous pools run one module on *differently provisioned*
 /// platform variants (same configuration interface, different geometry
 /// and speed), so observations are kept per platform: `platform` is the
@@ -225,14 +234,22 @@ impl CostModel {
 /// [`Scheduler`]: crate::scheduler::Scheduler
 #[derive(Debug, Clone, Default)]
 pub struct CostRefiner {
-    /// Per-module, per-platform fixed-point EWMA cycles (outer index:
-    /// platform; inner: agnostic + per-mode rows), `UNSEEN` where no
-    /// dispatch of that warmth has retired yet.
-    ewma: HashMap<CacheKey, Vec<CostRow>>,
+    /// Per platform, per module id: the position in `rows` of that
+    /// `(module, platform)`'s learned row, [`NO_ROW`] where nothing has
+    /// been observed or seeded.
+    index: Vec<Vec<u32>>,
+    /// Fixed-point EWMA cycles (agnostic + per-mode rows), one
+    /// [`CostRow`] per observed `(module, platform)`, in order of first
+    /// observation; `UNSEEN` where no dispatch of that warmth has retired.
+    rows: Vec<CostRow>,
 }
 
 /// Sentinel for a bucket with no observations (cycles are nonnegative).
 const UNSEEN: i64 = -1;
+
+/// [`CostRefiner`]'s index entry for a `(module, platform)` without a
+/// row: past the end of any row list, so looking it up finds nothing.
+const NO_ROW: u32 = u32::MAX;
 
 impl CostRefiner {
     /// A refiner with no observations: every prediction falls back to the
@@ -241,48 +258,56 @@ impl CostRefiner {
         Self::default()
     }
 
+    /// The row of module `id` on `platform`, created unseen on first use.
+    fn row_mut(&mut self, id: usize, platform: usize) -> &mut CostRow {
+        if self.index.len() <= platform {
+            self.index.resize_with(platform + 1, Vec::new);
+        }
+        let index = &mut self.index[platform];
+        if index.len() <= id {
+            index.resize(id + 1, NO_ROW);
+        }
+        if index[id] == NO_ROW {
+            index[id] = u32::try_from(self.rows.len()).expect("fewer rows than u32::MAX");
+            self.rows.push([[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
+        }
+        &mut self.rows[index[id] as usize]
+    }
+
     /// Folds one measured dispatch (`cycles`, landing in `bucket`, run on
-    /// platform variant `platform` in frequency state `mode`) into the
-    /// module's estimates: the mode-agnostic row first (exactly the
+    /// platform variant `platform` in frequency state `mode`) into module
+    /// `id`'s estimates: the mode-agnostic row first (exactly the
     /// un-keyed refiner's update), then `mode`'s keyed row. The first
     /// observation of a slot seeds the EWMA exactly; later ones move it
-    /// by α = 1/8 of the residual. The key is cloned only by a module's
-    /// first observation, which inserts its rows.
+    /// by α = 1/8 of the residual. Only a `(module, platform)`'s first
+    /// observation allocates (its row).
     pub fn observe(
         &mut self,
-        key: &CacheKey,
+        id: usize,
         platform: usize,
         bucket: usize,
         mode: FreqState,
         cycles: u64,
     ) {
-        let fold = |platforms: &mut Vec<CostRow>| {
-            if platforms.len() <= platform {
-                platforms.resize(platform + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
+        let rows = self.row_mut(id, platform);
+        let bucket = bucket.min(WARMTH_BUCKETS - 1);
+        let observed = (cycles as i64) << EWMA_FRAC_BITS;
+        for row in [COST_ROW_AGNOSTIC, mode_row(mode)] {
+            let slot = &mut rows[row][bucket];
+            if *slot == UNSEEN {
+                *slot = observed;
+            } else {
+                *slot += (observed - *slot) >> EWMA_ALPHA_SHIFT;
             }
-            let bucket = bucket.min(WARMTH_BUCKETS - 1);
-            let observed = (cycles as i64) << EWMA_FRAC_BITS;
-            for row in [COST_ROW_AGNOSTIC, mode_row(mode)] {
-                let slot = &mut platforms[platform][row][bucket];
-                if *slot == UNSEEN {
-                    *slot = observed;
-                } else {
-                    *slot += (observed - *slot) >> EWMA_ALPHA_SHIFT;
-                }
-            }
-        };
-        if let Some(platforms) = self.ewma.get_mut(key) {
-            fold(platforms);
-            return;
         }
-        fold(self.ewma.entry(key.clone()).or_default());
     }
 
-    /// The learned rows of the module keyed by `key` on `platform`, if it
-    /// has any: the one map probe a caller pricing several slots of one
-    /// module pays ([`CostRefiner::quote`] reads them out).
-    pub fn row(&self, key: &CacheKey, platform: usize) -> Option<&CostRow> {
-        self.ewma.get(key)?.get(platform)
+    /// The learned rows of module `id` on `platform`, if it has any: what
+    /// [`CostRefiner::quote`] reads out, fetched once by a caller pricing
+    /// several slots of one module.
+    pub fn row(&self, id: usize, platform: usize) -> Option<&CostRow> {
+        let &position = self.index.get(platform)?.get(id)?;
+        self.rows.get(position as usize)
     }
 
     /// What `row` quotes for `bucket`: the mode-agnostic estimate
@@ -298,44 +323,35 @@ impl CostRefiner {
             .or_else(|| slot(COST_ROW_AGNOSTIC))
     }
 
-    /// Number of modules with at least one observed bucket.
+    /// Number of modules with a row on at least one platform.
     pub fn modules_observed(&self) -> usize {
-        self.ewma.len()
+        let ids = self.index.iter().map(Vec::len).max().unwrap_or(0);
+        (0..ids)
+            .filter(|&id| (0..self.index.len()).any(|platform| self.row(id, platform).is_some()))
+            .count()
     }
 
-    /// The refiner's learned state as `(module, platform, rows)` entries —
-    /// raw fixed-point EWMA values (agnostic + per-mode rows), one entry
-    /// per platform that has at least one observed slot. Entries come out
-    /// in arbitrary (hash-map) order; the persistence layer sorts them by
-    /// encoded key, which is what makes identical runs write
-    /// byte-identical store files.
-    pub fn snapshot(&self) -> Vec<(CacheKey, usize, CostRow)> {
-        self.ewma
-            .iter()
-            .flat_map(|(key, platforms)| {
-                platforms
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, rows)| {
-                        rows.iter()
-                            .any(|buckets| buckets.iter().any(|&slot| slot != UNSEEN))
-                    })
-                    .map(move |(platform, rows)| (key.clone(), platform, *rows))
+    /// The refiner's learned state as `(module id, platform, rows)`
+    /// entries — raw fixed-point EWMA values (agnostic + per-mode rows),
+    /// one entry per `(module, platform)` with at least one observed
+    /// slot, platform by platform in id order.
+    pub fn snapshot(&self) -> Vec<(usize, usize, CostRow)> {
+        (0..self.index.len())
+            .flat_map(|platform| {
+                (0..self.index[platform].len())
+                    .filter_map(move |id| Some((id, platform, *self.row(id, platform)?)))
             })
+            .filter(|(.., rows)| rows.iter().flatten().any(|&slot| slot != UNSEEN))
             .collect()
     }
 
     /// Restores one snapshot entry: installs `rows` (raw fixed-point EWMA
-    /// values, `-1` for unseen) as the module's estimates on `platform`,
+    /// values, `-1` for unseen) as module `id`'s estimates on `platform`,
     /// replacing whatever was there. Restoring a snapshot and then taking
     /// one yields the identical entries back — the round-trip identity the
     /// persistence tests pin.
-    pub fn seed(&mut self, key: CacheKey, platform: usize, rows: CostRow) {
-        let platforms = self.ewma.entry(key).or_default();
-        if platforms.len() <= platform {
-            platforms.resize(platform + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
-        }
-        platforms[platform] = rows;
+    pub fn seed(&mut self, id: usize, platform: usize, rows: CostRow) {
+        *self.row_mut(id, platform) = rows;
     }
 }
 
@@ -647,18 +663,18 @@ mod tests {
         assert_eq!(flat.bucket(0), WARMTH_BUCKETS - 1);
     }
 
-    /// What `refiner` quotes for `bucket` of the module keyed by `key` on
-    /// `platform` (mode-agnostic, or keyed by `mode`): its row's
+    /// What `refiner` quotes for `bucket` of module `id` on `platform`
+    /// (mode-agnostic, or keyed by `mode`): its row's
     /// [`CostRefiner::quote`], `None` before the module's first
     /// observation there.
     fn quoted(
         refiner: &CostRefiner,
-        key: &CacheKey,
+        id: usize,
         platform: usize,
         bucket: usize,
         mode: Option<FreqState>,
     ) -> Option<u64> {
-        CostRefiner::quote(refiner.row(key, platform)?, bucket, mode)
+        CostRefiner::quote(refiner.row(id, platform)?, bucket, mode)
     }
 
     fn opengemm_16() -> CompiledModule {
@@ -673,25 +689,25 @@ mod tests {
     #[test]
     fn refiner_seeds_then_tracks_observations() {
         let module = opengemm_16();
-        let key = &module.key;
+        let id = 0;
         let mut refiner = CostRefiner::new();
         let cold_bucket = module.cost.bucket(module.cost.cold_writes);
         // unseen: no row, nothing quoted (the scheduler charges the anchors)
-        assert_eq!(refiner.row(key, 0), None);
-        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), None);
+        assert_eq!(refiner.row(id, 0), None);
+        assert_eq!(quoted(&refiner, id, 0, cold_bucket, None), None);
         assert_eq!(refiner.modules_observed(), 0);
         // the first observation seeds the bucket exactly
-        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 400);
-        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(400));
+        refiner.observe(id, 0, cold_bucket, FreqState::Cold, 400);
+        assert_eq!(quoted(&refiner, id, 0, cold_bucket, None), Some(400));
         assert_eq!(refiner.modules_observed(), 1);
         // repeated identical observations keep the estimate fixed
-        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 400);
-        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(400));
+        refiner.observe(id, 0, cold_bucket, FreqState::Cold, 400);
+        assert_eq!(quoted(&refiner, id, 0, cold_bucket, None), Some(400));
         // a shifted observation moves the estimate toward it by α = 1/8
-        refiner.observe(key, 0, cold_bucket, FreqState::Cold, 480);
-        assert_eq!(quoted(&refiner, key, 0, cold_bucket, None), Some(410));
+        refiner.observe(id, 0, cold_bucket, FreqState::Cold, 480);
+        assert_eq!(quoted(&refiner, id, 0, cold_bucket, None), Some(410));
         // other buckets are untouched
-        assert_eq!(quoted(&refiner, key, 0, 0, None), None);
+        assert_eq!(quoted(&refiner, id, 0, 0, None), None);
     }
 
     #[test]
@@ -699,25 +715,23 @@ mod tests {
         // a heterogeneous pool runs one module on differently provisioned
         // variants: an observation on one platform must not leak into
         // another's estimates
-        let module = opengemm_16();
-        let key = &module.key;
+        let id = 0;
         let mut refiner = CostRefiner::new();
-        refiner.observe(key, 1, 0, FreqState::Cold, 777);
-        assert_eq!(quoted(&refiner, key, 1, 0, None), Some(777));
-        assert_eq!(quoted(&refiner, key, 0, 0, None), None);
+        refiner.observe(id, 1, 0, FreqState::Cold, 777);
+        assert_eq!(quoted(&refiner, id, 1, 0, None), Some(777));
+        assert_eq!(quoted(&refiner, id, 0, 0, None), None);
         // one module, two platforms: still one observed module
         assert_eq!(refiner.modules_observed(), 1);
     }
 
     #[test]
     fn refiner_converges_to_a_steady_observation() {
-        let module = opengemm_16();
         let mut refiner = CostRefiner::new();
-        refiner.observe(&module.key, 0, 0, FreqState::Cold, 1000);
+        refiner.observe(0, 0, 0, FreqState::Cold, 1000);
         for _ in 0..64 {
-            refiner.observe(&module.key, 0, 0, FreqState::Cold, 200);
+            refiner.observe(0, 0, 0, FreqState::Cold, 200);
         }
-        let estimate = quoted(&refiner, &module.key, 0, 0, None).unwrap();
+        let estimate = quoted(&refiner, 0, 0, 0, None).unwrap();
         assert!(
             estimate.abs_diff(200) <= 2,
             "estimate {estimate} far from 200"
@@ -727,38 +741,35 @@ mod tests {
     #[test]
     fn frequency_keyed_rows_separate_the_modes() {
         let module = opengemm_16();
-        let key = &module.key;
+        let id = 3;
         let mut refiner = CostRefiner::new();
         // a bucket fed a mix of boosted (fast) and cold (slow) launches:
         // the agnostic row tracks the mixture, the keyed rows stay pure
-        refiner.observe(key, 0, 0, FreqState::Boost, 100);
-        refiner.observe(key, 0, 0, FreqState::Cold, 900);
+        refiner.observe(id, 0, 0, FreqState::Boost, 100);
+        refiner.observe(id, 0, 0, FreqState::Cold, 900);
         let boost = Some(FreqState::Boost);
-        assert_eq!(quoted(&refiner, key, 0, 0, boost), Some(100));
-        assert_eq!(
-            quoted(&refiner, key, 0, 0, Some(FreqState::Cold)),
-            Some(900)
-        );
+        assert_eq!(quoted(&refiner, id, 0, 0, boost), Some(100));
+        assert_eq!(quoted(&refiner, id, 0, 0, Some(FreqState::Cold)), Some(900));
         // the agnostic row saw both and drifted off either cluster
-        let mixed = quoted(&refiner, key, 0, 0, None).unwrap();
+        let mixed = quoted(&refiner, id, 0, 0, None).unwrap();
         assert!(mixed > 100 && mixed < 900, "agnostic estimate {mixed}");
         // an unobserved mode falls back to the agnostic row…
         assert_eq!(
-            quoted(&refiner, key, 0, 0, Some(FreqState::Warm)),
+            quoted(&refiner, id, 0, 0, Some(FreqState::Warm)),
             Some(mixed)
         );
         // …and an unobserved bucket quotes nothing in any mode
         let cold_bucket = module.cost.bucket(module.cost.cold_writes);
-        assert_eq!(quoted(&refiner, key, 0, cold_bucket, boost), None);
+        assert_eq!(quoted(&refiner, id, 0, cold_bucket, boost), None);
         // keyed observations round-trip through snapshot/seed
         let rows = refiner.snapshot();
         assert_eq!(rows.len(), 1);
         let mut restored = CostRefiner::new();
-        for (key, platform, row) in rows {
-            restored.seed(key, platform, row);
+        for (id, platform, row) in rows {
+            restored.seed(id, platform, row);
         }
-        assert_eq!(quoted(&restored, key, 0, 0, boost), Some(100));
-        assert_eq!(quoted(&restored, key, 0, 0, None), Some(mixed));
+        assert_eq!(quoted(&restored, id, 0, 0, boost), Some(100));
+        assert_eq!(quoted(&restored, id, 0, 0, None), Some(mixed));
     }
 
     #[test]

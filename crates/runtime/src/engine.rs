@@ -19,14 +19,15 @@
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
 
-use crate::cache::CompiledModule;
+use crate::cache::{CompiledModule, CostRow};
 use crate::persist::CostSnapshotEntry;
 use crate::runtime::ServeConfig;
 use crate::scheduler::{CommitOutcome, Scheduler};
 use crate::worker::{Completion, Worker};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::TrafficRequest;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A pool flattened for one serve, indexed the way the scheduler and the
@@ -43,16 +44,24 @@ pub(crate) struct PoolShape {
 }
 
 /// A stream resolved against the pool and the module cache.
+///
+/// The serve's distinct modules are numbered `0..n` in first-use order
+/// (the order of `order`), and everything the loop keeps per module —
+/// the scheduler's refiner rows and anchors, the batch compare — is
+/// indexed by that id. Ids live for one serve; the `CacheKey` stays at
+/// the module cache and the store.
 pub(crate) struct Resolved {
     /// Dispatch order: stream slots sorted by `(arrival, id, slot)`.
     pub order: Vec<usize>,
-    /// Per-slot compiled module, resolved for every slot in `order`.
-    pub modules: Vec<Option<Arc<CompiledModule>>>,
+    /// Per-slot module id.
+    pub ids: Vec<usize>,
+    /// The compiled modules, by id.
+    pub modules: Vec<Arc<CompiledModule>>,
     /// Per-slot pool-group index.
     pub group_idx: Vec<usize>,
-    /// Persisted cost rows to seed the refiner with: every one belongs to
-    /// a module in `modules` and names a platform of the pool.
-    pub cost_seed: Vec<CostSnapshotEntry>,
+    /// Persisted cost rows to seed the refiner with, as `(module id,
+    /// platform name, rows)`: every one names a platform of the pool.
+    pub cost_seed: Vec<(usize, String, CostRow)>,
 }
 
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
@@ -64,7 +73,7 @@ pub(crate) struct EngineOutput {
     pub outcomes: Vec<CommitOutcome>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
-    /// The refiner's final rows keyed by platform name
+    /// The refiner's final rows keyed by platform name and `CacheKey`
     /// ([`Scheduler::cost_snapshot`]).
     pub cost_snapshot: Vec<CostSnapshotEntry>,
 }
@@ -86,13 +95,18 @@ pub(crate) fn run(
     mut workers: Vec<Worker>,
 ) -> EngineOutput {
     let (groups, worker_descs) = (&pool.groups, &pool.worker_descs);
-    let (order, modules, group_idx) = (&resolved.order, &resolved.modules, &resolved.group_idx);
-    let module_of = |slot: usize| modules[slot].as_ref().expect("resolved by the prologue");
+    let (order, ids, modules) = (&resolved.order, &resolved.ids, &resolved.modules);
+    let group_idx = &resolved.group_idx;
     let mut scheduler = Scheduler::new(cfg.policy, worker_descs, groups.len())
         .with_refinement(cfg.refine_cost)
         .with_slack(cfg.load_slack)
         .with_power_caps(pool.worker_group.clone(), pool.power_caps.clone());
-    scheduler.seed_refiner(&resolved.cost_seed);
+    // the scheduler numbers modules in the order it is told of them: the
+    // prologue's order
+    for module in modules {
+        scheduler.add_module(&module.key.accelerator);
+    }
+    scheduler.seed_ids(&resolved.cost_seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
     let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
@@ -101,8 +115,9 @@ pub(crate) fn run(
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
     let mut batched_requests = 0u64;
     // executed dispatches whose measured cycles have not retired yet,
-    // retired in deterministic (finish, slot) order
-    let mut unretired: BTreeSet<(u64, usize)> = BTreeSet::new();
+    // retired in deterministic (finish, slot) order: the pairs are
+    // unique, so a min-heap pops them in exactly that order
+    let mut unretired: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
 
     // a slot has been dispatched exactly when it holds its completion
     let mut cursor = 0usize;
@@ -119,15 +134,15 @@ pub(crate) fn run(
         let now = stream[head].arrival;
         // retire completed dispatches into the cost refiner, in
         // simulated completion order
-        while let Some(&(finish, slot)) = unretired.first() {
+        while let Some(&Reverse((finish, slot))) = unretired.peek() {
             if finish > now {
                 break;
             }
-            unretired.pop_first();
+            unretired.pop();
             let completion = completions[slot].as_ref().expect("executed at commit");
-            scheduler.observe(
+            scheduler.observe_id(
                 completion.worker,
-                module_of(slot),
+                ids[slot],
                 outcomes[slot].bucket,
                 completion.freq,
                 completion.counters.cycles,
@@ -140,15 +155,16 @@ pub(crate) fn run(
         // batch cutoff: once the worker's estimated outstanding cycles
         // reach the horizon, further requests are better served by a
         // fresh routing decision than by joining the queue
-        let g = group_idx[head];
-        let worker = scheduler.choose(g, &groups[g], module_of(head), now);
+        let (g, id) = (group_idx[head], ids[head]);
+        let module = &*modules[id];
+        let worker = scheduler.choose_id(g, &groups[g], id, module, now);
         let mut batch = 0usize;
         for &slot in &order[cursor..] {
             if completions[slot].is_some() || group_idx[slot] != g {
                 continue;
             }
             if batch > 0 {
-                if batch >= max_batch || module_of(slot).key != module_of(head).key {
+                if batch >= max_batch || ids[slot] != id {
                     break;
                 }
                 if let Some(cutoff) = batch_cutoff {
@@ -157,10 +173,10 @@ pub(crate) fn run(
                     }
                 }
             }
-            outcomes[slot] = scheduler.commit(worker, module_of(slot), stream[slot].arrival);
-            let completion = workers[worker].execute(&stream[slot], module_of(slot), elide);
+            outcomes[slot] = scheduler.commit_id(worker, id, module, stream[slot].arrival);
+            let completion = workers[worker].execute(&stream[slot], module, elide);
             if completion.sim_error.is_none() {
-                unretired.insert((completion.finish, slot));
+                unretired.push(Reverse((completion.finish, slot)));
             }
             completions[slot] = Some(completion);
             batch += 1;
@@ -175,6 +191,6 @@ pub(crate) fn run(
             .collect(),
         outcomes,
         batched_requests,
-        cost_snapshot: scheduler.cost_snapshot(),
+        cost_snapshot: scheduler.cost_snapshot_by(|id| &modules[id].key),
     }
 }

@@ -857,7 +857,8 @@ impl WarmStart {
     }
 
     /// The stored cost rows of the distinct `modules` on the distinct
-    /// `platforms` (repeats in either are skipped); every row found
+    /// `platforms` (repeats of a platform are skipped), each as `(the
+    /// module's position in modules, platform, row)`; every row found
     /// seeds the serve's refiner.
     ///
     /// # Errors
@@ -866,17 +867,13 @@ impl WarmStart {
         &mut self,
         platforms: impl IntoIterator<Item = &'a str>,
         modules: impl IntoIterator<Item = &'a CompiledModule>,
-    ) -> Result<Vec<CostSnapshotEntry>, StoreError> {
+    ) -> Result<Vec<(usize, String, CostRow)>, StoreError> {
         let platforms: BTreeSet<&str> = platforms.into_iter().collect();
-        let mut seen = HashSet::new();
         let mut rows = Vec::new();
-        for module in modules {
-            if !seen.insert(&module.key) {
-                continue;
-            }
+        for (position, module) in modules.into_iter().enumerate() {
             for &platform in &platforms {
                 if let Some(row) = load_cost_row(&self.store, platform, &module.key)? {
-                    rows.push((platform.to_string(), module.key.clone(), row));
+                    rows.push((position, platform.to_string(), row));
                 }
             }
         }
@@ -1127,13 +1124,16 @@ mod tests {
         )
         .unwrap();
         let mut refiner = CostRefiner::new();
-        refiner.observe(&module.key, 0, 0, FreqState::Cold, 500);
-        refiner.observe(&module.key, 1, WARMTH_BUCKETS - 1, FreqState::Boost, 900);
+        refiner.observe(0, 0, 0, FreqState::Cold, 500);
+        refiner.observe(0, 1, WARMTH_BUCKETS - 1, FreqState::Boost, 900);
 
+        // the refiner names the module by id; the store by its key
         let entries: Vec<CostSnapshotEntry> = refiner
             .snapshot()
             .into_iter()
-            .map(|(key, platform, buckets)| (format!("variant{platform}"), key, buckets))
+            .map(|(_, platform, buckets)| {
+                (format!("variant{platform}"), module.key.clone(), buckets)
+            })
             .collect();
         assert_eq!(entries.len(), 2);
 

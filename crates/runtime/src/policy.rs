@@ -148,16 +148,18 @@ fn pressure(gap: u64, slack: u64) -> u64 {
 /// otherwise).
 pub(crate) type Scored = (u64, u64, u64, u64, usize);
 
-/// Prices a dispatch of `module` to `worker` at serve-loop cycle `now`
-/// under `policy`: the worker's outstanding cycles plus what the policy
-/// charges the dispatch itself (see the module docs). Reads the
-/// scheduler, never writes it. `writes_for` walks the plan against the
-/// shadow state and `price` probes the refiner, so this is the routing
-/// hot path — once per candidate per decision.
+/// Prices a dispatch of `module` (numbered `id`) to `worker` at
+/// serve-loop cycle `now` under `policy`: the worker's outstanding cycles
+/// plus what the policy charges the dispatch itself (see the module
+/// docs). Reads the scheduler, never writes it. `writes_for` walks the
+/// plan against the shadow state and `price` indexes the refiner's rows
+/// by `id`, so this is the routing hot path — once per candidate per
+/// decision.
 pub(crate) fn score(
     policy: Policy,
     s: &Scheduler,
     worker: usize,
+    id: usize,
     module: &CompiledModule,
     now: u64,
 ) -> Scored {
@@ -166,10 +168,10 @@ pub(crate) fn score(
     let (dispatch, chill) = match policy {
         // (the round-robin pair never gets here)
         Policy::Fifo | Policy::FifoElide | Policy::ConfigAffinity => (0, 0),
-        Policy::Cost => (s.price(worker, module, writes, None), 0),
+        Policy::Cost => (s.price(worker, id, module, writes, None), 0),
         Policy::Thermal => {
             let mode = s.predicted_mode(worker, now);
-            let dispatch = s.price(worker, module, writes, Some(mode));
+            let dispatch = s.price(worker, id, module, writes, Some(mode));
             // a busy worker's configuration traffic lands inside its
             // busy window and runs at leftover bandwidth
             let desc = s.descriptor(worker);
@@ -312,8 +314,8 @@ mod tests {
         // the turbo variant's predicted dispatch is cheaper by more than
         // the slack horizon for this compute-heavy shape
         let cold = heavy.plan.cold_writes();
-        let slow = s.price(0, &heavy, cold, None);
-        let fast = s.price(1, &heavy, cold, None);
+        let slow = s.module_price(0, &heavy, cold, None);
+        let fast = s.module_price(1, &heavy, cold, None);
         assert!(
             slow > fast + LOAD_SLACK_CYCLES,
             "variant gap too small: {slow} vs {fast}"
@@ -398,8 +400,8 @@ mod tests {
             let contention = desc.timing.contention.expect("reference timing");
             let penalty = contention.host_penalty(w0 * desc.accel.csr_payload_bytes);
             assert!(penalty > 0, "config traffic must contend");
-            let d0 = s.price(0, &probe, w0, None);
-            let d1 = s.price(1, &probe, w1, None);
+            let d0 = s.module_price(0, &probe, w0, None);
+            let d1 = s.module_price(1, &probe, w1, None);
             s.set_ready(0, LOAD_SLACK_CYCLES - 1 + d1 - d0);
             s
         };

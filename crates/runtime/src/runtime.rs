@@ -45,6 +45,7 @@ use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{MatmulSpec, TrafficClass, TrafficRequest};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -455,9 +456,13 @@ impl Runtime {
     }
 
     /// Resolves every request's pool group and compiled module in
-    /// dispatch order — through the cache, on a miss through the store,
-    /// and only then by compiling, so a module this runtime already holds
-    /// wins over a stored one — then fetches the working set's persisted
+    /// dispatch order, numbering the serve's distinct modules by first
+    /// use. A module is named by its group's base platform and the spec,
+    /// so groups sharing a base name share its id; a serve-local ordered
+    /// table finds a repeat, and only a module's first request probes the
+    /// cache — through the cache, on a miss through the store, and only
+    /// then by compiling, so a module this runtime already holds wins
+    /// over a stored one. Then it fetches the working set's persisted
     /// cost rows.
     fn resolve(
         &mut self,
@@ -470,21 +475,42 @@ impl Runtime {
         let mut order: Vec<usize> = (0..stream.len()).collect();
         order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
 
-        let mut modules: Vec<Option<Arc<CompiledModule>>> = vec![None; stream.len()];
+        let groups = &self.pool.groups;
+        // a group's base name, as the index of the first group with it
+        let base_of: Vec<usize> = groups
+            .iter()
+            .map(|g| {
+                let name = &g.members[0].name;
+                let first = groups.iter().position(|h| h.members[0].name == *name);
+                first.expect("a group finds itself")
+            })
+            .collect();
+        let mut numbered: BTreeMap<(usize, MatmulSpec), usize> = BTreeMap::new();
+        let mut modules: Vec<Arc<CompiledModule>> = Vec::new();
+        let mut ids = vec![0usize; stream.len()];
         let mut group_idx = vec![0usize; stream.len()];
         for &i in &order {
             let request = &stream[i];
-            let g = self
-                .pool
-                .groups
+            let g = groups
                 .iter()
                 .position(|g| g.family == request.accelerator)
                 .ok_or_else(|| ServeError::UnknownAccelerator(request.accelerator.clone()))?;
-            let base = &self.pool.groups[g].members[0];
-            if let Some(warm) = warm_start.as_deref_mut() {
-                warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
-            }
-            modules[i] = Some(self.cache.get_or_build(base, request.spec, cfg.opt)?);
+            ids[i] = match numbered.entry((base_of[g], request.spec)) {
+                // cached since its first request: the hit a probe would
+                // have counted
+                Entry::Occupied(id) => {
+                    self.cache.stats.hits += 1;
+                    *id.get()
+                }
+                Entry::Vacant(slot) => {
+                    let base = &groups[g].members[0];
+                    if let Some(warm) = warm_start.as_deref_mut() {
+                        warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
+                    }
+                    modules.push(self.cache.get_or_build(base, request.spec, cfg.opt)?);
+                    *slot.insert(modules.len() - 1)
+                }
+            };
             group_idx[i] = g;
         }
 
@@ -494,12 +520,13 @@ impl Runtime {
         let cost_seed = match warm_start {
             Some(warm) if cfg.refine_cost => warm.cost_rows(
                 worker_descs.iter().map(|desc| desc.name.as_str()),
-                modules.iter().filter_map(|module| module.as_deref()),
+                modules.iter().map(|module| &**module),
             )?,
             _ => Vec::new(),
         };
         Ok(Resolved {
             order,
+            ids,
             modules,
             group_idx,
             cost_seed,
@@ -580,11 +607,10 @@ impl PoolConfig {
     /// its size. A group the stream never addresses gets empty memories.
     fn workers(&self, pool: &PoolShape, resolved: &Resolved) -> Vec<Worker> {
         let mut need = vec![0usize; pool.groups.len()];
-        for (module, &g) in resolved.modules.iter().zip(&resolved.group_idx) {
-            if let Some(module) = module {
-                // a (stored) layout ending below zero needs nothing it can get
-                need[g] = need[g].max(usize::try_from(module.layout.end).unwrap_or(0));
-            }
+        for (&id, &g) in resolved.ids.iter().zip(&resolved.group_idx) {
+            // a (stored) layout ending below zero needs nothing it can get
+            let end = usize::try_from(resolved.modules[id].layout.end).unwrap_or(0);
+            need[g] = need[g].max(end);
         }
         pool.worker_descs
             .iter()

@@ -36,6 +36,23 @@
 //! the index↔name mapping persisted rows cross
 //! ([`Scheduler::seed_refiner`], [`Scheduler::cost_snapshot`]).
 //!
+//! Modules are named by dense ids, `0..n` in the order the scheduler
+//! first met them, and every per-module table — refiner rows, variant
+//! anchors, each module's home platform — is a vector indexed by one. The
+//! serve loop numbers a serve's modules once, when it resolves them, and
+//! routes by id; no request hashes or clones a key. [`Scheduler::choose`],
+//! [`Scheduler::commit`] and [`Scheduler::observe`] take the module
+//! itself: a thin adapter that names it through the scheduler's
+//! `CacheKey` registry (a sorted table, extended on first sight) and then
+//! takes the id path. They are what a caller stepping the scheduler by
+//! hand drives — `benchmark/`'s replay among them — and the tests pin
+//! them to the serve loop's decisions. A module's own-platform anchors
+//! are its build-time `cost`, picked by comparing platform indices;
+//! anchors re-estimated for another platform are filled in at the two
+//! `&mut` points that need them ([`Scheduler::choose`],
+//! [`Scheduler::commit`]), so scoring reads the scheduler by `&` with no
+//! interior mutability.
+//!
 //! Predictions start from analytic anchors and are *refined online*: as
 //! the serve loop retires completed dispatches it feeds their measured
 //! cycles back through [`Scheduler::observe`], and the
@@ -62,8 +79,7 @@ use crate::plan::RegMap;
 use crate::policy::{self, Policy, Scored};
 use accfg_sim::{DvfsParams, DvfsState, FreqState, FREQ_STATES};
 use accfg_targets::AcceleratorDescriptor;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// The default load-slack horizon: how many estimated outstanding
 /// *cycles* a worker's queue may run ahead of its group's best candidate
@@ -129,6 +145,29 @@ fn quote(row: Option<&CostRow>, anchors: &CostModel, writes: u64, mode: Option<F
         .unwrap_or_else(|| anchors.predict(writes))
 }
 
+/// A module's home platform when no worker of the pool runs the platform
+/// it was compiled for: every platform index differs from it.
+const NO_PLATFORM: usize = usize::MAX;
+
+/// The by-module adapter's names: the [`CacheKey`] of every module it has
+/// numbered, by id, the ids in [`registry_order`] for the lookup, and the
+/// id it named last.
+#[derive(Debug, Default)]
+struct Registry {
+    keys: Vec<CacheKey>,
+    by_key: Vec<usize>,
+    last: usize,
+}
+
+/// The order the registry keeps its keys in: by shape and opt level
+/// first, which tell a serve's modules apart, and by platform name last,
+/// which most of them share.
+fn registry_order(a: &CacheKey, b: &CacheKey) -> Ordering {
+    (a.spec, a.opt)
+        .cmp(&(b.spec, b.opt))
+        .then_with(|| a.accelerator.cmp(&b.accelerator))
+}
+
 /// Scheduler state across one serve run: the routing policy and its
 /// private routing state, plus the policy-agnostic accounting every
 /// policy's commits flow through — shadow resident register files,
@@ -150,11 +189,17 @@ pub struct Scheduler {
     variants: Vec<AcceleratorDescriptor>,
     /// Per-worker index into `variants`.
     worker_platform: Vec<usize>,
-    /// Memoized re-estimated anchors for modules running on a platform
-    /// other than the one they were compiled for (inner index: platform).
-    /// A pure cache — values are a function of `(module, platform)` — so
-    /// interior mutability cannot leak nondeterminism into scoring.
-    variant_anchors: RefCell<HashMap<CacheKey, Vec<Option<CostModel>>>>,
+    /// Per module id, the index into `variants` of the platform the module
+    /// was compiled for ([`NO_PLATFORM`] if the pool runs none): where its
+    /// build-time anchors apply.
+    home: Vec<usize>,
+    /// Per platform, per module id: the module's anchors re-estimated over
+    /// that platform's descriptor, for platforms other than its home.
+    /// Filled by `choose` and `commit` before anything reads them; a
+    /// function of `(module, platform)` alone.
+    variant_anchors: Vec<Vec<Option<CostModel>>>,
+    /// `CacheKey` → id for the by-module calls and the persisted rows.
+    registry: Registry,
     /// Whether observations (and persisted rows) enter the refiner; with
     /// it off the refiner stays empty and every quote is the anchors'.
     refine: bool,
@@ -223,7 +268,9 @@ impl Scheduler {
             shadows: vec![RegMap::new(); workers.len()],
             ready: vec![0; workers.len()],
             worker_platform,
-            variant_anchors: RefCell::new(HashMap::new()),
+            home: Vec::new(),
+            variant_anchors: vec![Vec::new(); variants.len()],
+            registry: Registry::default(),
             refine: true,
             refiner: CostRefiner::new(),
             slack: LOAD_SLACK_CYCLES,
@@ -285,40 +332,80 @@ impl Scheduler {
         &self.variants[self.worker_platform[worker]]
     }
 
-    /// The cost anchors for a dispatch of `module` on `worker`'s
+    /// Numbers a module compiled for the platform named `compiled_for` by
+    /// the next id, and returns it. The serve loop numbers its resolved
+    /// modules in order before routing; the by-module calls number a
+    /// module on first sight.
+    pub(crate) fn add_module(&mut self, compiled_for: &str) -> usize {
+        let home = self.platform_named(compiled_for).unwrap_or(NO_PLATFORM);
+        self.home.push(home);
+        self.home.len() - 1
+    }
+
+    /// The index of the pool's platform variant named `name`.
+    fn platform_named(&self, name: &str) -> Option<usize> {
+        self.variants.iter().position(|v| v.name == name)
+    }
+
+    /// The id of the module keyed by `key`, numbering it if the scheduler
+    /// has not met it: the by-module calls' one lookup. A module's calls
+    /// come in runs (`choose` then `commit`, often the retirement of what
+    /// was just committed), so the id named last is tried first, then a
+    /// binary search over the keys in order.
+    fn id_of(&mut self, key: &CacheKey) -> usize {
+        let registry = &self.registry;
+        if registry.keys.get(registry.last) == Some(key) {
+            return registry.last;
+        }
+        let id = match (registry.by_key)
+            .binary_search_by(|&id| registry_order(&registry.keys[id], key))
+        {
+            Ok(at) => registry.by_key[at],
+            Err(at) => {
+                let id = self.add_module(&key.accelerator);
+                debug_assert_eq!(id, self.registry.keys.len(), "one numbering per scheduler");
+                self.registry.keys.push(key.clone());
+                self.registry.by_key.insert(at, id);
+                id
+            }
+        };
+        self.registry.last = id;
+        id
+    }
+
+    /// Re-estimates module `id`'s anchors on `worker`'s platform unless
+    /// that is the module's home or they are held already: what lets
+    /// [`Scheduler::anchors`] read by `&`.
+    fn admit(&mut self, worker: usize, id: usize, module: &CompiledModule) {
+        let platform = self.worker_platform[worker];
+        if platform == self.home[id] {
+            return;
+        }
+        let held = &mut self.variant_anchors[platform];
+        if held.len() <= id {
+            held.resize(id + 1, None);
+        }
+        if held[id].is_none() {
+            let desc = &self.variants[platform];
+            held[id] = Some(CostModel::estimate(desc, &module.key.spec, &module.plan));
+        }
+    }
+
+    /// The cost anchors for a dispatch of module `id` on `worker`'s
     /// platform: the module's own build-time anchors where the worker
-    /// runs the platform the module was compiled for, a re-estimate over
-    /// the worker's descriptor otherwise (heterogeneous pools run one
-    /// compiled plan on differently provisioned variants). Re-estimates
-    /// are memoized per `(module, platform)` — this is a hot path of the
-    /// `cost` policy's scoring.
+    /// runs the platform the module was compiled for, the re-estimate
+    /// `admit` made over the worker's descriptor otherwise (heterogeneous
+    /// pools run one compiled plan on differently provisioned variants).
     ///
     /// The runtime guarantees a descriptor name identifies one
     /// provisioning per pool (`ServeError::AmbiguousVariantName`), so
     /// matching the module's compile platform by name is sound.
-    pub(crate) fn anchors(&self, worker: usize, module: &CompiledModule) -> CostModel {
+    pub(crate) fn anchors(&self, worker: usize, id: usize, module: &CompiledModule) -> CostModel {
         let platform = self.worker_platform[worker];
-        let desc = &self.variants[platform];
-        if desc.name == module.key.accelerator {
+        if platform == self.home[id] {
             return module.cost;
         }
-        if let Some(anchors) = self
-            .variant_anchors
-            .borrow()
-            .get(&module.key)
-            .and_then(|per_platform| per_platform.get(platform))
-            .and_then(|slot| *slot)
-        {
-            return anchors;
-        }
-        let anchors = CostModel::estimate(desc, &module.key.spec, &module.plan);
-        let mut cache = self.variant_anchors.borrow_mut();
-        let per_platform = cache.entry(module.key.clone()).or_default();
-        if per_platform.len() <= platform {
-            per_platform.resize(platform + 1, None);
-        }
-        per_platform[platform] = Some(anchors);
-        anchors
+        self.variant_anchors[platform][id].expect("admitted by choose or commit")
     }
 
     /// The configuration writes a dispatch of `module` would emit against
@@ -328,19 +415,20 @@ impl Scheduler {
         module.plan.writes_against(&self.shadows[worker])
     }
 
-    /// Predicted execution cycles of a dispatch of `module` emitting
+    /// Predicted execution cycles of a dispatch of module `id` emitting
     /// `writes` on `worker`: mode-agnostic (`mode` = `None`, what `cost`
     /// charges) or given that its launches run at `mode` (what `thermal`
     /// charges) — see [`quote`].
     pub(crate) fn price(
         &self,
         worker: usize,
+        id: usize,
         module: &CompiledModule,
         writes: u64,
         mode: Option<FreqState>,
     ) -> u64 {
-        let row = self.refiner.row(&module.key, self.worker_platform[worker]);
-        quote(row, &self.anchors(worker, module), writes, mode)
+        let row = self.refiner.row(id, self.worker_platform[worker]);
+        quote(row, &self.anchors(worker, id, module), writes, mode)
     }
 
     /// `worker`'s shadow DVFS automaton advanced to the launch of a
@@ -394,7 +482,8 @@ impl Scheduler {
     /// for a dispatch of `module` arriving at serve-loop cycle `now`: the
     /// next in `group`'s round-robin turn under `fifo` / `fifo+elide`,
     /// otherwise the candidate `policy::score` prices earliest within the
-    /// slack horizon.
+    /// slack horizon. The by-module form of the serve loop's
+    /// `choose_id`.
     ///
     /// # Panics
     /// Panics if `candidates` is empty.
@@ -405,11 +494,27 @@ impl Scheduler {
         module: &CompiledModule,
         now: u64,
     ) -> usize {
+        let id = self.id_of(&module.key);
+        self.choose_id(group, candidates, id, module, now)
+    }
+
+    /// [`Scheduler::choose`] for module `id`.
+    pub(crate) fn choose_id(
+        &mut self,
+        group: usize,
+        candidates: &[usize],
+        id: usize,
+        module: &CompiledModule,
+        now: u64,
+    ) -> usize {
         assert!(!candidates.is_empty(), "scheduling against an empty group");
         if matches!(self.policy, Policy::Fifo | Policy::FifoElide) {
             let turn = self.round_robin[group] % candidates.len();
             self.round_robin[group] += 1;
             return candidates[turn];
+        }
+        for &w in candidates {
+            self.admit(w, id, module);
         }
         // the scratch list is lent out so scoring can read `self` whole
         let mut scored = std::mem::take(&mut self.scored);
@@ -417,7 +522,7 @@ impl Scheduler {
         scored.extend(
             candidates
                 .iter()
-                .map(|&w| policy::score(self.policy, self, w, module, now)),
+                .map(|&w| policy::score(self.policy, self, w, id, module, now)),
         );
         let pick = policy::earliest_within_slack(&scored, self.slack);
         self.scored = scored;
@@ -439,8 +544,21 @@ impl Scheduler {
     ///
     /// Queue accounting runs under *every* policy — the round-robin
     /// policies never read it for routing, but the batch cutoff and the
-    /// prediction-error metrics do.
+    /// prediction-error metrics do. The by-module form of the serve
+    /// loop's `commit_id`.
     pub fn commit(&mut self, worker: usize, module: &CompiledModule, now: u64) -> CommitOutcome {
+        let id = self.id_of(&module.key);
+        self.commit_id(worker, id, module, now)
+    }
+
+    /// [`Scheduler::commit`] for module `id`.
+    pub(crate) fn commit_id(
+        &mut self,
+        worker: usize,
+        id: usize,
+        module: &CompiledModule,
+        now: u64,
+    ) -> CommitOutcome {
         let writes = if self.policy.elides() {
             // the dispatch's cost follows the writes it actually emits
             // against this worker's resident state
@@ -449,10 +567,11 @@ impl Scheduler {
             // the cold baseline reprograms everything, every time
             module.plan.cold_writes()
         };
-        let anchors = self.anchors(worker, module);
+        self.admit(worker, id, module);
+        let anchors = self.anchors(worker, id, module);
         // the module's learned rows are fetched once; the mode-agnostic
         // charge and the three keyed quotes are all read out of them
-        let row = self.refiner.row(&module.key, self.worker_platform[worker]);
+        let row = self.refiner.row(id, self.worker_platform[worker]);
         let predicted_cycles = quote(row, &anchors, writes, None);
         // (`FreqState::ALL` is in index order)
         let keyed_cycles = FreqState::ALL.map(|mode| quote(row, &anchors, writes, Some(mode)));
@@ -484,7 +603,8 @@ impl Scheduler {
     /// frequency `mode`) back into the cost refiner, keyed by the
     /// worker's platform. The observation updates both the mode-agnostic
     /// row and the frequency-keyed row for `mode`. A no-op when
-    /// refinement is disabled.
+    /// refinement is disabled. The by-module form of the serve loop's
+    /// `observe_id`.
     pub fn observe(
         &mut self,
         worker: usize,
@@ -493,50 +613,87 @@ impl Scheduler {
         mode: FreqState,
         cycles: u64,
     ) {
+        let id = self.id_of(&module.key);
+        self.observe_id(worker, id, bucket, mode, cycles);
+    }
+
+    /// [`Scheduler::observe`] for module `id`.
+    pub(crate) fn observe_id(
+        &mut self,
+        worker: usize,
+        id: usize,
+        bucket: usize,
+        mode: FreqState,
+        cycles: u64,
+    ) {
         if self.refine {
-            self.refiner.observe(
-                &module.key,
-                self.worker_platform[worker],
-                bucket,
-                mode,
-                cycles,
-            );
+            let platform = self.worker_platform[worker];
+            self.refiner.observe(id, platform, bucket, mode, cycles);
         }
     }
 
-    /// The cost refiner's current estimates (for tests and diagnostics).
+    /// The cost refiner's current estimates, by module id (for tests and
+    /// diagnostics).
     pub fn refiner(&self) -> &CostRefiner {
         &self.refiner
     }
 
-    /// Seeds the refiner from persisted rows keyed by platform *name*,
-    /// resolving each name to this pool's platform index. Rows naming
-    /// platforms this pool does not field are skipped (a fleet-wide store
-    /// safely warm-starts a subset pool); with refinement disabled nothing
-    /// is seeded, matching [`Scheduler::observe`]. Returns the number of
-    /// rows seeded.
+    /// Seeds the refiner from persisted rows keyed by platform *name* and
+    /// [`CacheKey`], resolving each name to this pool's platform index and
+    /// each key to its module id (numbering modules not yet met). Rows
+    /// naming platforms this pool does not field are skipped (a fleet-wide
+    /// store safely warm-starts a subset pool); with refinement disabled
+    /// nothing is seeded, matching [`Scheduler::observe`]. Returns the
+    /// number of rows seeded.
     pub fn seed_refiner(&mut self, entries: &[CostSnapshotEntry]) -> u64 {
         if !self.refine {
             return 0;
         }
         let mut seeded = 0;
-        for (platform_name, key, buckets) in entries {
-            if let Some(platform) = self.variants.iter().position(|v| v.name == *platform_name) {
-                self.refiner.seed(key.clone(), platform, *buckets);
+        for (platform_name, key, rows) in entries {
+            if let Some(platform) = self.platform_named(platform_name) {
+                let id = self.id_of(key);
+                self.refiner.seed(id, platform, *rows);
                 seeded += 1;
             }
         }
         seeded
     }
 
-    /// The refiner's rows keyed by platform *name* — the mirror of
-    /// [`Scheduler::seed_refiner`], ready for
+    /// [`Scheduler::seed_refiner`] for rows already named by module id:
+    /// `(id, platform name, rows)`.
+    pub(crate) fn seed_ids(&mut self, entries: &[(usize, String, CostRow)]) {
+        if !self.refine {
+            return;
+        }
+        for (id, platform_name, rows) in entries {
+            if let Some(platform) = self.platform_named(platform_name) {
+                self.refiner.seed(*id, platform, *rows);
+            }
+        }
+    }
+
+    /// The refiner's rows keyed by platform *name* and [`CacheKey`] — the
+    /// mirror of [`Scheduler::seed_refiner`], ready for
     /// [`crate::persist::WarmStart::flush`].
     pub fn cost_snapshot(&self) -> Vec<CostSnapshotEntry> {
+        self.cost_snapshot_by(|id| &self.registry.keys[id])
+    }
+
+    /// [`Scheduler::cost_snapshot`], naming module `id` by `key_of(id)`:
+    /// the serve loop's modules are numbered by the loop, not by the
+    /// registry.
+    pub(crate) fn cost_snapshot_by<'k>(
+        &self,
+        key_of: impl Fn(usize) -> &'k CacheKey,
+    ) -> Vec<CostSnapshotEntry> {
         self.refiner
             .snapshot()
             .into_iter()
-            .map(|(key, platform, rows)| (self.variants[platform].name.clone(), key, rows))
+            .map(|(id, platform, rows)| {
+                let platform_name = self.variants[platform].name.clone();
+                (platform_name, key_of(id).clone(), rows)
+            })
             .collect()
     }
 
@@ -550,6 +707,30 @@ impl Scheduler {
     #[cfg(test)]
     pub(crate) fn set_ready(&mut self, worker: usize, ready: u64) {
         self.ready[worker] = ready;
+    }
+
+    /// [`Scheduler::anchors`] by module, numbering and admitting it first
+    /// (tests only — the serve loop reads them by id).
+    #[cfg(test)]
+    pub(crate) fn module_anchors(&mut self, worker: usize, module: &CompiledModule) -> CostModel {
+        let id = self.id_of(&module.key);
+        self.admit(worker, id, module);
+        self.anchors(worker, id, module)
+    }
+
+    /// [`Scheduler::price`] by module, numbering and admitting it first
+    /// (tests only — the serve loop prices by id).
+    #[cfg(test)]
+    pub(crate) fn module_price(
+        &mut self,
+        worker: usize,
+        module: &CompiledModule,
+        writes: u64,
+        mode: Option<FreqState>,
+    ) -> u64 {
+        let id = self.id_of(&module.key);
+        self.admit(worker, id, module);
+        self.price(worker, id, module, writes, mode)
     }
 }
 
@@ -858,8 +1039,8 @@ mod tests {
             AcceleratorDescriptor::gemmini_turbo(),
         ];
         let mut s = Scheduler::new(Policy::Cost, &workers, 1);
-        assert_eq!(s.anchors(0, &heavy), heavy.cost);
-        let turbo = s.anchors(1, &heavy);
+        assert_eq!(s.module_anchors(0, &heavy), heavy.cost);
+        let turbo = s.module_anchors(1, &heavy);
         assert!(turbo.cold_cycles < heavy.cost.cold_cycles);
         // write structure is platform-independent: same plan, same writes
         assert_eq!(turbo.cold_writes, heavy.cost.cold_writes);
@@ -884,8 +1065,8 @@ mod tests {
         let bucket = m.cost.bucket(m.plan.cold_writes());
         s.observe(0, &m, bucket, FreqState::Cold, 100);
         s.observe(1, &m, bucket, FreqState::Cold, 900);
-        assert_eq!(s.price(0, &m, m.plan.cold_writes(), None), 100);
-        assert_eq!(s.price(1, &m, m.plan.cold_writes(), None), 900);
+        assert_eq!(s.module_price(0, &m, m.plan.cold_writes(), None), 100);
+        assert_eq!(s.module_price(1, &m, m.plan.cold_writes(), None), 900);
     }
 
     #[test]
@@ -898,11 +1079,14 @@ mod tests {
         s.observe(0, &m, bucket, FreqState::Boost, 100);
         s.observe(0, &m, bucket, FreqState::Cold, 900);
         let writes = m.plan.cold_writes();
-        assert_eq!(s.price(0, &m, writes, Some(FreqState::Boost)), 100);
-        assert_eq!(s.price(0, &m, writes, Some(FreqState::Cold)), 900);
+        assert_eq!(s.module_price(0, &m, writes, Some(FreqState::Boost)), 100);
+        assert_eq!(s.module_price(0, &m, writes, Some(FreqState::Cold)), 900);
         // an unobserved mode falls back to the agnostic EWMA
-        let agnostic = s.price(0, &m, writes, None);
-        assert_eq!(s.price(0, &m, writes, Some(FreqState::Warm)), agnostic);
+        let agnostic = s.module_price(0, &m, writes, None);
+        assert_eq!(
+            s.module_price(0, &m, writes, Some(FreqState::Warm)),
+            agnostic
+        );
         assert!((100..=900).contains(&agnostic));
         // and a commit of that shape reads the same four quotes
         let outcome = s.commit(0, &m, 0);

@@ -44,8 +44,10 @@
 //! live). After a warm-up that has seen every module on every worker, 600
 //! further requests must allocate **nothing**: scoring a candidate reads
 //! the shadow register file in place, the completion-minimising
-//! policies keep their candidate list between decisions, and the refiner
-//! clones a key only to insert a module's first row.
+//! policies keep their candidate list between decisions, and the
+//! by-module calls clone a module's key only when they first number it
+//! (the refiner allocates a row only on a `(module, platform)`'s first
+//! observation).
 //!
 //! Allocations over those 600 requests, same two commits:
 //!
@@ -67,27 +69,30 @@
 //! served at `n` = 600 and at `2n` requests, and the difference — what `n`
 //! more requests cost, the per-serve setup cancelled — is divided by `n`.
 //! It must stay within the measured figure + 15 % (release builds), so the
-//! engine adds nothing per dispatch beyond its worker's stages and the
-//! resolve probe's cache key (a `String`, the accelerator's name). The
-//! latency fold formats each class label once per serve, not once per
-//! request, and the loop's queues and the report's vectors grow by
-//! doubling, which leaves about 0.01 a request in the quotient: 3.01 = 2
-//! (`Worker::execute`) + 1 (the key) + 0.01 (growth).
+//! engine adds nothing per dispatch beyond its worker's stages. The
+//! resolve step probes the module cache once per distinct module, not
+//! once per request, so no request builds a cache key. The latency fold
+//! formats each class label once per serve, not once per request, and
+//! the loop's queues and the report's vectors grow by doubling, which
+//! leaves about 0.01 a request in the quotient: 2.01 = 2
+//! (`Worker::execute`) + 0.01 (growth).
 //!
 //! Allocations per further request, the commit before the one-lane engine
 //! → at it → once the class labels were formatted once per serve → once
-//! the check was Freivalds':
+//! the check was Freivalds' → once modules were numbered once per serve:
 //!
 //! ```text
 //!                     serve(2n) - serve(n), per request   of which Worker::execute
-//! mixed / affinity              7.45 → 6.45 → 4.01 → 3.01                  3 → 2
+//! mixed / affinity       7.45 → 6.45 → 4.01 → 3.01 → 2.01                  3 → 2
 //! ```
 //!
 //! (The first one that went is the request's accelerator `String`, cloned
 //! into every dispatch so it could cross a channel; the `Arc` bump beside
 //! it never allocated. The next ~2.45 were the class label, a `String`
-//! that `format!` grew once or twice a request. The budget is under one
-//! allocation a request wide, so neither can come back inside it.)
+//! that `format!` grew once or twice a request. The last was the resolve
+//! probe's cache key, whose accelerator `String` was cloned for every
+//! request. The budget is under one allocation a request wide, so none
+//! of them can come back inside it.)
 //!
 //! Run with `--nocapture` to see the three tables (CI does).
 
@@ -311,10 +316,11 @@ fn warm_routing_allocates_nothing() {
 
 fn a_warm_serve_adds_nothing_per_dispatch(execute: u64) {
     const N: usize = 600;
-    // measured 1 806 over N further requests (2 406 with two buffers in
-    // the check, 3 869 with a class label formatted a request besides,
-    // 4 469 with a `String` a dispatch besides that)
-    const BUDGET: u64 = 2_077;
+    // measured 1 206 over N further requests (1 806 with a cache key
+    // built a request, 2 406 with two buffers in the check besides, 3 869
+    // with a class label formatted a request besides that, 4 469 with a
+    // `String` a dispatch besides that)
+    const BUDGET: u64 = 1_387;
     // `serve_bench`'s `mixed` stream and pool
     let stream = TrafficConfig {
         classes: mixed_serving_classes(),

@@ -21,7 +21,7 @@ impl Error for SpecError {}
 /// A tiled matrix-multiplication workload `C[m×n] = A[m×k] · B[k×n]`
 /// (i8 inputs, i32 outputs), split into `tile_m × tile_k × tile_n` macro
 /// operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatmulSpec {
     /// Output rows.
     pub m: i64,

@@ -19,7 +19,10 @@
 
 use accfg_bench::streams::{self, uniform_pool};
 use configuration_wall::prelude::*;
-use configuration_wall::runtime::{Policy, PoolGroup, ServeReport};
+use configuration_wall::runtime::{
+    load_costs, CommitOutcome, Completion, ModuleCache, Policy, PoolGroup, Scheduler, ServeReport,
+};
+use configuration_wall::store::LogStore;
 use configuration_wall::targets::ConfigStyle;
 use configuration_wall::workloads::{
     mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
@@ -174,6 +177,140 @@ fn contention_stream_matches() {
     check_catalog_stream("contention");
 }
 
+/// Steps a [`Scheduler`] by hand through the dispatch order of a serve
+/// of `stream` on `pool` under `cfg` (unbatched), the way `benchmark/`'s
+/// replay does, through the by-module calls the serve loop no longer
+/// takes: retire every completion the head's arrival has passed, in
+/// `(finish, slot)` order, `choose`, then `commit` to the worker the
+/// report used. The modules come from a cache of the test's own, so the
+/// scheduler names them by `CacheKey` where the loop numbers them. Every
+/// choice must be the report's, and every commit's writes and predicted
+/// cycles those its completion and prediction sample record.
+fn assert_by_module_calls_route_as_the_loop(
+    pool: &PoolConfig,
+    stream: &[TrafficRequest],
+    cfg: &ServeConfig,
+    report: &ServeReport,
+    context: &str,
+) {
+    assert_eq!(cfg.max_batch, 1, "the replay steps one request a decision");
+    let worker_descs: Vec<AcceleratorDescriptor> =
+        pool.groups.iter().flat_map(|g| g.members.clone()).collect();
+    let (mut groups, mut worker_group) = (Vec::new(), Vec::new());
+    for (g, group) in pool.groups.iter().enumerate() {
+        let first = worker_group.len();
+        worker_group.extend(std::iter::repeat_n(g, group.members.len()));
+        groups.push((first..worker_group.len()).collect::<Vec<usize>>());
+    }
+    let caps = pool.groups.iter().map(|g| g.power_cap).collect();
+    let mut scheduler = Scheduler::new(cfg.policy, &worker_descs, groups.len())
+        .with_refinement(cfg.refine_cost)
+        .with_slack(cfg.load_slack)
+        .with_power_caps(worker_group, caps);
+
+    let mut cache = ModuleCache::new();
+    let mut order: Vec<usize> = (0..stream.len()).collect();
+    order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
+    let mut placed = Vec::with_capacity(stream.len());
+    for request in stream {
+        let g = (pool.groups.iter())
+            .position(|g| g.family == request.accelerator)
+            .expect("the pool serves the request");
+        let module = cache
+            .get_or_build(&pool.groups[g].members[0], request.spec, cfg.opt)
+            .expect("the module builds");
+        placed.push((g, module));
+    }
+    let mut outcomes = vec![CommitOutcome::default(); stream.len()];
+    let mut unretired: std::collections::BTreeSet<(u64, usize)> = Default::default();
+    for head in order {
+        let now = stream[head].arrival;
+        while let Some(&(finish, slot)) = unretired.first() {
+            if finish > now {
+                break;
+            }
+            unretired.pop_first();
+            let completion: &Completion = &report.completions[slot];
+            let bucket = outcomes[slot].bucket;
+            let cycles = completion.counters.cycles;
+            scheduler.observe(
+                completion.worker,
+                &placed[slot].1,
+                bucket,
+                completion.freq,
+                cycles,
+            );
+        }
+        let (g, module) = &placed[head];
+        let completion = &report.completions[head];
+        let chosen = scheduler.choose(*g, &groups[*g], module, now);
+        assert_eq!(
+            chosen, completion.worker,
+            "{context}: request {head} routed elsewhere"
+        );
+        outcomes[head] = scheduler.commit(chosen, module, now);
+        let outcome = &outcomes[head];
+        let sample = &report.predictions[head];
+        assert_eq!(
+            (
+                outcome.writes,
+                outcome.anchor_cycles,
+                outcome.predicted_cycles
+            ),
+            (completion.emitted_writes, sample.anchor, sample.ewma),
+            "{context}: request {head}'s commit"
+        );
+        if completion.sim_error.is_none() {
+            unretired.insert((completion.finish, head));
+        }
+    }
+}
+
+#[test]
+fn by_module_scheduler_calls_route_as_the_loop() {
+    for name in ["mixed", "contention", "hetero"] {
+        let entry = streams::catalog(200)
+            .into_iter()
+            .find(|entry| entry.name == name)
+            .expect("the catalog carries the stream");
+        let pool = entry.pool.build();
+        let mut rt = Runtime::new(pool.clone());
+        for policy in Policy::ALL {
+            let cfg = ServeConfig {
+                policy,
+                ..ServeConfig::default()
+            };
+            let context = format!("{name}/{}", policy.label());
+            let report = rt.serve(&entry.requests, &cfg).expect("serve succeeds");
+            assert_by_module_calls_route_as_the_loop(
+                &pool,
+                &entry.requests,
+                &cfg,
+                &report,
+                &context,
+            );
+        }
+    }
+    // two groups sharing a base name share its modules: one id in the
+    // loop, one key for the by-module calls. (Under the reference timing
+    // a measured dispatch differs from its anchors, so rows kept apart
+    // would quote differently.)
+    let (mut pool, stream) = shared_base_pool_and_stream();
+    for desc in pool.groups.iter_mut().flat_map(|g| g.members.iter_mut()) {
+        *desc = desc.clone().with_reference_timing();
+    }
+    let mut rt = Runtime::new(pool.clone());
+    for policy in Policy::ALL {
+        let cfg = ServeConfig {
+            policy,
+            ..ServeConfig::default()
+        };
+        let context = format!("shared base name/{}", policy.label());
+        let report = rt.serve(&stream, &cfg).expect("serve succeeds");
+        assert_by_module_calls_route_as_the_loop(&pool, &stream, &cfg, &report, &context);
+    }
+}
+
 /// Every policy over `stream` on a runtime over `pool`, where exactly
 /// `failing` dispatches fail in the simulator (and none in the check):
 /// the replay holds around them.
@@ -239,11 +376,93 @@ fn a_simulator_fault_replays() {
 }
 
 #[test]
-fn groups_sharing_a_base_name_share_a_shard() {
-    // two groups fielding the same base platform share refiner rows
-    // (module keys name the base), so they are served by one scheduler —
-    // as every group is, the loop having a single shard; the third group
-    // shares nothing with them
+fn a_fuel_fault_resets_its_worker_and_teaches_the_refiner_nothing() {
+    // a per-dispatch budget of 36 instructions: a gemmini 16-cubed
+    // dispatch runs in it, a 128-cubed one runs out of fuel after its
+    // configuration writes — a simulator fault on every dispatch of one
+    // module, interleaved with dispatches that run on the same workers
+    let request = |id: u64, size| TrafficRequest {
+        id,
+        accelerator: "gemmini".into(),
+        spec: MatmulSpec::gemmini_paper(size).unwrap(),
+        arrival: 60 * id,
+        seed: id,
+    };
+    let stream: Vec<TrafficRequest> = (0..40)
+        .map(|id| request(id, if id % 3 == 1 { 128 } else { 16 }))
+        .collect();
+    let faulting = stream.iter().filter(|r| r.spec.m == 128).count() as u64;
+    let pool = || PoolConfig {
+        fuel: 36,
+        ..uniform_pool()
+    };
+    check_failing_stream("out of fuel", pool(), &stream, faulting);
+
+    for policy in Policy::ALL {
+        let path = std::env::temp_dir().join(format!(
+            "accfg_differential_fuel_{}_{}.store",
+            policy.label(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServeConfig {
+            policy,
+            store: Some(path.clone()),
+            ..ServeConfig::default()
+        };
+        let context = format!("out of fuel/{}", policy.label());
+        let report = serve_and_replay(&mut Runtime::new(pool()), &stream, &cfg, &context);
+        assert!(
+            report.completions.iter().all(|c| c
+                .sim_error
+                .as_ref()
+                .is_none_or(|e| e.contains("out of fuel"))),
+            "{context}: every fault is the fuel budget's"
+        );
+        // ARCHITECTURE.md § "Failure handling": a fault clears the
+        // worker's resident state, so the next dispatch there that runs
+        // reprograms everything — and no more than that
+        let mut faulted = vec![false; report.metrics.workers.len()];
+        let mut order: Vec<usize> = (0..stream.len()).collect();
+        order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
+        let mut after_fault = 0;
+        for i in order {
+            let c = &report.completions[i];
+            if c.sim_error.is_some() {
+                assert!(
+                    c.emitted_writes > 0,
+                    "{context}: request {i} faulted before writing"
+                );
+                faulted[c.worker] = true;
+            } else if std::mem::take(&mut faulted[c.worker]) {
+                assert_eq!(
+                    c.emitted_writes, c.cold_writes,
+                    "{context}: request {i}, the first to run on worker {} after a fault",
+                    c.worker
+                );
+                after_fault += 1;
+            }
+        }
+        assert!(after_fault > 0, "{context}: no dispatch ran after a fault");
+        let metrics = &report.metrics;
+        assert!(
+            metrics.setup_writes <= metrics.cold_setup_writes,
+            "{context}"
+        );
+        // the faulting module's samples are never retired: its cost rows
+        // never reach the store, while the module that runs has its row
+        let rows = load_costs(&LogStore::open(&path).expect("the serve's store opens"))
+            .expect("the stored rows decode");
+        let sizes: Vec<i64> = rows.iter().map(|(_, key, _)| key.spec.m).collect();
+        assert_eq!(sizes, [16], "{context}: stored cost rows by size");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A pool of three groups, two of them fielding the same base platform,
+/// and a `mixed` stream whose gemmini requests alternate between those
+/// two.
+fn shared_base_pool_and_stream() -> (PoolConfig, Vec<TrafficRequest>) {
     let group = |family: &str, desc: AcceleratorDescriptor| PoolGroup {
         family: family.into(),
         members: vec![desc.clone(), desc],
@@ -270,6 +489,16 @@ fn groups_sharing_a_base_name_share_a_shard() {
             request.accelerator = if i % 2 == 0 { "a".into() } else { "b".into() };
         }
     }
+    (pool, stream)
+}
+
+#[test]
+fn groups_sharing_a_base_name_share_a_shard() {
+    // two groups fielding the same base platform share their modules and
+    // refiner rows (a module is named by its base platform), so they are
+    // served by one scheduler — as every group is, the loop having a
+    // single shard; the third group shares nothing with them
+    let (pool, stream) = shared_base_pool_and_stream();
     check_stream("shared base name", Runtime::new(pool), &stream, 1);
 }
 
