@@ -17,7 +17,7 @@ use accfg::pipeline::{pipeline, OptLevel};
 use accfg_sim::{FreqState, Program, FREQ_STATES};
 use accfg_targets::{compile, AcceleratorDescriptor, ConfigStyle};
 use accfg_workloads::{matmul_ir, MatmulLayout, MatmulSpec};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Interpreter fuel for plan extraction (largest served shapes are a few
@@ -242,6 +242,10 @@ pub struct CostRefiner {
     /// [`CostRow`] per observed `(module, platform)`, in order of first
     /// observation; `UNSEEN` where no dispatch of that warmth has retired.
     rows: Vec<CostRow>,
+    /// By position in `rows`, the value [`CostRefiner::seed`] last
+    /// installed there — all `UNSEEN` for a row no seed created — as far
+    /// as the last seeded position: empty in a refiner never seeded.
+    seeded: Vec<CostRow>,
 }
 
 /// Sentinel for a bucket with no observations (cycles are nonnegative).
@@ -352,6 +356,26 @@ impl CostRefiner {
     /// persistence tests pin.
     pub fn seed(&mut self, id: usize, platform: usize, rows: CostRow) {
         *self.row_mut(id, platform) = rows;
+        let position = self.index[platform][id] as usize;
+        if self.seeded.len() <= position {
+            self.seeded
+                .resize(position + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
+        }
+        self.seeded[position] = rows;
+    }
+
+    /// Whether module `id`'s row on `platform` still holds exactly what
+    /// [`CostRefiner::seed`] last installed there: nothing observed since
+    /// has moved it. `false` for a missing row and for an observed row no
+    /// seed created.
+    pub(crate) fn holds_seed(&self, id: usize, platform: usize) -> bool {
+        let Some(&position) = self.index.get(platform).and_then(|index| index.get(id)) else {
+            return false;
+        };
+        let position = position as usize;
+        self.seeded
+            .get(position)
+            .is_some_and(|seeded| self.rows.get(position) == Some(seeded))
     }
 }
 
@@ -419,11 +443,6 @@ impl ModuleCache {
         self.entries.is_empty()
     }
 
-    /// `true` if a module is cached under `key` (no counter moves).
-    pub fn contains(&self, key: &CacheKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
     /// Returns the compiled module for `(desc, spec, opt)`, building it on
     /// first use.
     ///
@@ -450,6 +469,30 @@ impl ModuleCache {
         Ok(entry)
     }
 
+    /// The module cached under `key`, counting a hit; else the one
+    /// `restore` finds for it, installed under `key` and counted as the
+    /// hit a lookup of the installed module would count; else `None` with
+    /// no counter moved, for the caller to build. `key` is hashed once and
+    /// becomes the entry's key, so nothing is cloned.
+    ///
+    /// # Errors
+    /// Whatever `restore` returns; the cache is then unchanged.
+    pub(crate) fn get_or_restore<E>(
+        &mut self,
+        key: CacheKey,
+        restore: impl FnOnce(&CacheKey) -> Result<Option<CompiledModule>, E>,
+    ) -> Result<Option<Arc<CompiledModule>>, E> {
+        let module = match self.entries.entry(key) {
+            Entry::Occupied(entry) => Arc::clone(entry.get()),
+            Entry::Vacant(slot) => match restore(slot.key())? {
+                Some(module) => Arc::clone(slot.insert(Arc::new(module))),
+                None => return Ok(None),
+            },
+        };
+        self.stats.hits += 1;
+        Ok(Some(module))
+    }
+
     /// Every cached module, in arbitrary (hash-map) order; the persistence
     /// layer sorts by encoded key before writing.
     pub fn snapshot(&self) -> Vec<Arc<CompiledModule>> {
@@ -462,8 +505,8 @@ impl ModuleCache {
     /// a restored one.
     pub fn restore(&mut self, module: CompiledModule) -> bool {
         match self.entries.entry(module.key.clone()) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(slot) => {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
                 slot.insert(Arc::new(module));
                 true
             }
@@ -514,6 +557,32 @@ pub fn build_module(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_seeded_row_holds_its_seed_until_an_observation_moves_it() {
+        let mut refiner = CostRefiner::new();
+        // learned elsewhere: 300 cycles in agnostic bucket 0
+        let mut seeded = [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS];
+        seeded[COST_ROW_AGNOSTIC][0] = 300 << EWMA_FRAC_BITS;
+        refiner.seed(1, 0, seeded);
+        assert!(refiner.holds_seed(1, 0));
+        assert!(!refiner.holds_seed(0, 0), "a missing row holds nothing");
+        assert!(!refiner.holds_seed(1, 1), "a missing platform neither");
+        // observing the value it holds leaves the EWMA where it was
+        refiner.observe(1, 0, 0, FreqState::Cold, 300);
+        assert!(!refiner.holds_seed(1, 0), "the cold-mode row moved");
+        refiner.seed(1, 0, *refiner.row(1, 0).expect("seeded"));
+        refiner.observe(1, 0, 0, FreqState::Cold, 300);
+        assert!(
+            refiner.holds_seed(1, 0),
+            "an observation that moves nothing"
+        );
+        refiner.observe(1, 0, 0, FreqState::Cold, 900);
+        assert!(!refiner.holds_seed(1, 0));
+        // a row only observations created never held a seed
+        refiner.observe(0, 0, 0, FreqState::Cold, 300);
+        assert!(!refiner.holds_seed(0, 0));
+    }
 
     #[test]
     fn repeated_shapes_hit_the_cache() {

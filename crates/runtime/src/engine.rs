@@ -73,8 +73,10 @@ pub(crate) struct EngineOutput {
     pub outcomes: Vec<CommitOutcome>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
-    /// The refiner's final rows keyed by platform name and `CacheKey`
-    /// ([`Scheduler::cost_snapshot`]).
+    /// The refiner's final rows that moved off their seeded value, keyed
+    /// by platform name and `CacheKey` — what the store flush writes
+    /// ([`Scheduler::cost_snapshot`] less the unchanged rows). Empty
+    /// when the serve has no store: nothing would read it.
     pub cost_snapshot: Vec<CostSnapshotEntry>,
 }
 
@@ -191,6 +193,9 @@ pub(crate) fn run(
             .collect(),
         outcomes,
         batched_requests,
-        cost_snapshot: scheduler.cost_snapshot_by(|id| &modules[id].key),
+        cost_snapshot: match cfg.store {
+            Some(_) => scheduler.cost_changes_by(|id| &modules[id].key),
+            None => Vec::new(),
+        },
     }
 }

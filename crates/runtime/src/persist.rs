@@ -33,6 +33,15 @@
 //! rewritten. The whole-store readers ([`load_modules`], [`load_costs`])
 //! are for tools and tests.
 //!
+//! Per piece of that working set ([`WarmStart`] has the detail): a
+//! restored module is one cache probe that also installs it, one store
+//! lookup and one decode, its decoded key compared with the requested
+//! one rather than re-encoded; a seeded cost row is one lookup on each
+//! platform that can run its module, not on every pool platform; a cost
+//! row reaches the flush only if it moved off its seeded value. The
+//! flush's closing `sync` makes the file durable — and, the first time
+//! after [`LogStore::open`] created it, its name in the directory too.
+//!
 //! Values use [`ByteWriter`]'s varints throughout, and a plan stores each
 //! launch's register file as its change from the launch before (`put_plan`):
 //! consecutive launches of one module hold mostly the same values.
@@ -56,8 +65,8 @@ use accfg_sim::{AluOp, BranchCond, Inst, Label, Program, Reg, Width};
 use accfg_store::{ByteReader, ByteWriter, KeyValueStore, LogStore, StoreError};
 use accfg_targets::{AcceleratorDescriptor, ConfigStyle};
 use accfg_workloads::{MatmulLayout, MatmulSpec};
-use std::collections::{BTreeSet, HashSet};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Key-namespace prefix for compiled-module records.
 pub const MODULE_PREFIX: u8 = b'm';
@@ -641,27 +650,27 @@ fn fields(desc: &AcceleratorDescriptor, module: &CompiledModule) -> bool {
     desc.name == module.key.accelerator && module.plan.executable_on(desc)
 }
 
-/// Decodes the module record stored under `store_key`, rejecting one
-/// whose own key encodes differently.
-fn decode_filed_module(store_key: &[u8], value: &[u8]) -> Result<CompiledModule, StoreError> {
-    let module = decode_module(value)?;
-    if module_key_bytes(&module.key) != store_key {
-        return Err(StoreError::codec("module filed under the wrong key"));
-    }
-    Ok(module)
+fn filed_under_the_wrong_key() -> StoreError {
+    StoreError::codec("module filed under the wrong key")
 }
 
 /// Decodes the record filed under `key`, if the store holds one —
-/// whether or not the base resolving it can field it.
+/// whether or not the base resolving it can field it — rejecting one
+/// whose own key is another. The key encoding is canonical and
+/// injective, so comparing the decoded key with `key` is comparing their
+/// encodings, without encoding the decoded one.
 fn stored_module(
     store: &dyn KeyValueStore,
     key: &CacheKey,
 ) -> Result<Option<CompiledModule>, StoreError> {
-    let store_key = module_key_bytes(key);
-    store
-        .get(&store_key)
-        .map(|value| decode_filed_module(&store_key, value))
-        .transpose()
+    let Some(value) = store.get(&module_key_bytes(key)) else {
+        return Ok(None);
+    };
+    let module = decode_module(value)?;
+    if module.key != *key {
+        return Err(filed_under_the_wrong_key());
+    }
+    Ok(Some(module))
 }
 
 /// Loads the one module filed under `key`, if the store holds it and
@@ -700,7 +709,12 @@ pub fn load_modules(
         let value = store
             .get(&key)
             .ok_or_else(|| StoreError::codec("module key vanished during scan"))?;
-        let module = decode_filed_module(&key, value)?;
+        // no `CacheKey` to compare with here: the scanned store key is
+        // compared with the decoded key's encoding
+        let module = decode_module(value)?;
+        if module_key_bytes(&module.key) != key {
+            return Err(filed_under_the_wrong_key());
+        }
         if descriptors.iter().any(|desc| fields(desc, &module)) {
             modules.push(module);
         }
@@ -784,7 +798,7 @@ pub fn load_costs(store: &dyn KeyValueStore) -> Result<Vec<CostSnapshotEntry>, S
 }
 
 /// The store side of one store-backed serve: the opened [`LogStore`], the
-/// keys this serve decoded from it, and the provenance it reports.
+/// modules this serve decoded from it, and the provenance it reports.
 ///
 /// Restore is per key, on first resolve: [`WarmStart::restore_module`]
 /// reads only keys the stream names and the module cache misses, and
@@ -793,12 +807,27 @@ pub fn load_costs(store: &dyn KeyValueStore) -> Result<Vec<CostSnapshotEntry>, S
 /// stream never names are neither decoded nor rewritten; a corrupt one
 /// among them stays on disk unnoticed, while a corrupt record the stream
 /// does resolve is a typed [`StoreError::Codec`].
+///
+/// What each piece costs a serve:
+///
+/// - a restored module: one store key encoded and looked up, one decode,
+///   and one hash of its [`CacheKey`] — the lookup that misses the module
+///   cache is the one that installs the decoded module and hands it back,
+///   and the decoded key is compared with the requested one, not
+///   re-encoded;
+/// - a seeded cost row: one lookup per platform that can run the module
+///   (the members of the pool groups sharing its base), never one per
+///   pool platform;
+/// - a flushed cost row: only a row that no longer holds the value it was
+///   seeded with reaches the flush at all — the others are already the
+///   bytes on disk, which the log would elide anyway.
 #[derive(Debug)]
 pub struct WarmStart {
     store: LogStore,
-    /// Module keys decoded from `store` during this serve: their records
-    /// are already byte-identical to what a flush would write.
-    restored: HashSet<CacheKey>,
+    /// The modules decoded from `store` during this serve, as the cache
+    /// holds them: their records are already byte-identical to what a
+    /// flush would write.
+    restored: Vec<Arc<CompiledModule>>,
     /// Cost rows [`WarmStart::cost_rows`] handed out for seeding.
     seeded: u64,
     /// Stored modules the resolving base could not field (then rebuilt).
@@ -816,17 +845,18 @@ impl WarmStart {
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         Ok(Self {
             store: LogStore::open(path)?,
-            restored: HashSet::new(),
+            restored: Vec::new(),
             seeded: 0,
             unfieldable: 0,
         })
     }
 
-    /// Installs the stored module for `(desc, spec, opt)` into `cache` if
-    /// the cache misses it and the store holds one `desc` can field; one
-    /// it cannot field is counted and the caller's build replaces it. A
-    /// module the cache already holds is never looked up: a fresh build
-    /// wins over a stored record.
+    /// The module for `(desc, spec, opt)`: the one `cache` holds (a
+    /// fresh build wins over a stored record, which is then never looked
+    /// up), else the stored one if `desc` can field it, installed into
+    /// `cache`. Either way the cache counts the hit. `None` — no counter
+    /// moved — leaves the build to the caller: the store holds no record,
+    /// or one `desc` cannot field, which is counted.
     ///
     /// # Errors
     /// See [`load_module`].
@@ -836,42 +866,47 @@ impl WarmStart {
         desc: &AcceleratorDescriptor,
         spec: MatmulSpec,
         opt: OptLevel,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Option<Arc<CompiledModule>>, StoreError> {
         let key = CacheKey {
             accelerator: desc.name.clone(),
             spec,
             opt,
         };
-        if cache.contains(&key) {
-            return Ok(());
-        }
-        match stored_module(&self.store, &key)? {
+        let mut decoded = false;
+        let module = cache.get_or_restore(key, |key| match stored_module(&self.store, key)? {
             Some(module) if fields(desc, &module) => {
-                cache.restore(module);
-                self.restored.insert(key);
+                decoded = true;
+                Ok(Some(module))
             }
-            Some(_) => self.unfieldable += 1,
-            None => {}
+            Some(_) => {
+                self.unfieldable += 1;
+                Ok(None)
+            }
+            None => Ok(None),
+        })?;
+        if decoded {
+            let module = module.as_ref().expect("a decoded module is installed");
+            self.restored.push(Arc::clone(module));
         }
-        Ok(())
+        Ok(module)
     }
 
-    /// The stored cost rows of the distinct `modules` on the distinct
-    /// `platforms` (repeats of a platform are skipped), each as `(the
+    /// The stored cost rows of the distinct `modules`, each paired with
+    /// the distinct names of the platforms that can run it, as `(the
     /// module's position in modules, platform, row)`; every row found
-    /// seeds the serve's refiner.
+    /// seeds the serve's refiner. A stored row of a module on any other
+    /// platform is never looked up: no worker of this pool can observe
+    /// it, and the flush leaves it on disk as it is.
     ///
     /// # Errors
     /// See [`load_cost_row`].
     pub fn cost_rows<'a>(
         &mut self,
-        platforms: impl IntoIterator<Item = &'a str>,
-        modules: impl IntoIterator<Item = &'a CompiledModule>,
+        modules: impl IntoIterator<Item = (&'a CompiledModule, &'a [&'a str])>,
     ) -> Result<Vec<(usize, String, CostRow)>, StoreError> {
-        let platforms: BTreeSet<&str> = platforms.into_iter().collect();
         let mut rows = Vec::new();
-        for (position, module) in modules.into_iter().enumerate() {
-            for &platform in &platforms {
+        for (position, (module, platforms)) in modules.into_iter().enumerate() {
+            for &platform in platforms {
                 if let Some(row) = load_cost_row(&self.store, platform, &module.key)? {
                     rows.push((position, platform.to_string(), row));
                 }
@@ -883,29 +918,39 @@ impl WarmStart {
 
     /// Flush-on-finish: persists what the serve built or changed — the
     /// cached modules that were not decoded from this store, and the
-    /// refiner's `snapshot` (seeded from [`WarmStart::cost_rows`], so it
-    /// holds only rows the serve could touch) — syncs, and returns the
-    /// serve's provenance. Writes are
-    /// sorted and identical values elided at the log layer, so an
-    /// identical re-run leaves the file byte-for-byte unchanged; skipping
-    /// the decoded modules is byte-neutral because
-    /// `encode_module(&decode_module(b)?) == b`.
+    /// cost rows in `changed` (the refiner's rows that no longer hold
+    /// what [`WarmStart::cost_rows`] seeded them with) — syncs, and
+    /// returns the serve's provenance. Writes are sorted and identical
+    /// values elided at the log layer, so an identical re-run leaves the
+    /// file byte-for-byte unchanged; skipping the decoded modules is
+    /// byte-neutral because `encode_module(&decode_module(b)?) == b`, and
+    /// skipping the unchanged rows because each holds the value decoded
+    /// from the row it would overwrite.
     ///
     /// # Errors
     /// Propagates store I/O failures.
     pub fn flush(
         mut self,
         cache: &ModuleCache,
-        snapshot: &[CostSnapshotEntry],
+        changed: &[CostSnapshotEntry],
     ) -> Result<WarmStartStats, StoreError> {
+        // a restored module is known by its address: the cache holds the
+        // very `Arc` restore handed out
+        let address = |module: &Arc<CompiledModule>| Arc::as_ptr(module);
+        self.restored.sort_unstable_by_key(address);
+        let restored = &self.restored;
         let built = cache
             .snapshot()
             .iter()
-            .filter(|module| !self.restored.contains(&module.key))
+            .filter(|&module| {
+                restored
+                    .binary_search_by_key(&address(module), address)
+                    .is_err()
+            })
             .map(|module| module_row(module))
             .collect();
         put_sorted(&mut self.store, built)?;
-        save_costs(&mut self.store, snapshot)?;
+        save_costs(&mut self.store, changed)?;
         self.store.sync()?;
         // every decoded module spared exactly one build
         let restored = self.restored.len() as u64;

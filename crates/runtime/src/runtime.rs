@@ -428,7 +428,7 @@ impl Runtime {
         // the stream resolves them, cost rows once the working set is
         // known (see `WarmStart`).
         let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
-        let resolved = self.resolve(stream, cfg, &pool.worker_descs, warm_start.as_mut())?;
+        let resolved = self.resolve(stream, cfg, warm_start.as_mut())?;
         let workers = self.pool.workers(&pool, &resolved);
 
         // The serve loop proper: scheduling interleaved with execution
@@ -462,13 +462,13 @@ impl Runtime {
     /// table finds a repeat, and only a module's first request probes the
     /// cache — through the cache, on a miss through the store, and only
     /// then by compiling, so a module this runtime already holds wins
-    /// over a stored one. Then it fetches the working set's persisted
+    /// over a stored one; a restored module comes back from the probe
+    /// that installed it. Then it fetches the working set's persisted
     /// cost rows.
     fn resolve(
         &mut self,
         stream: &[TrafficRequest],
         cfg: &ServeConfig,
-        worker_descs: &[AcceleratorDescriptor],
         mut warm_start: Option<&mut WarmStart>,
     ) -> Result<Resolved, ServeError> {
         // dispatch order: by arrival, ties by id then slot
@@ -487,6 +487,8 @@ impl Runtime {
             .collect();
         let mut numbered: BTreeMap<(usize, MatmulSpec), usize> = BTreeMap::new();
         let mut modules: Vec<Arc<CompiledModule>> = Vec::new();
+        // per module id, its base (as `base_of` names it)
+        let mut module_base: Vec<usize> = Vec::new();
         let mut ids = vec![0usize; stream.len()];
         let mut group_idx = vec![0usize; stream.len()];
         for &i in &order {
@@ -504,24 +506,41 @@ impl Runtime {
                 }
                 Entry::Vacant(slot) => {
                     let base = &groups[g].members[0];
-                    if let Some(warm) = warm_start.as_deref_mut() {
-                        warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?;
-                    }
-                    modules.push(self.cache.get_or_build(base, request.spec, cfg.opt)?);
+                    let restored = match warm_start.as_deref_mut() {
+                        Some(warm) => {
+                            warm.restore_module(&mut self.cache, base, request.spec, cfg.opt)?
+                        }
+                        None => None,
+                    };
+                    modules.push(match restored {
+                        Some(module) => module,
+                        None => self.cache.get_or_build(base, request.spec, cfg.opt)?,
+                    });
+                    module_base.push(base_of[g]);
                     *slot.insert(modules.len() - 1)
                 }
             };
             group_idx[i] = g;
         }
 
-        // the persisted cost rows of the working set: the stream's
-        // modules on the pool's platforms (with refinement off nothing
-        // would be seeded, so nothing is read)
+        // the persisted cost rows of the working set: each module's rows
+        // on the platforms that can run it — the members of the groups
+        // sharing its base, named once per base (with refinement off
+        // nothing would be seeded, so nothing is read)
         let cost_seed = match warm_start {
-            Some(warm) if cfg.refine_cost => warm.cost_rows(
-                worker_descs.iter().map(|desc| desc.name.as_str()),
-                modules.iter().map(|module| &**module),
-            )?,
+            Some(warm) if cfg.refine_cost => {
+                let mut runs_on: Vec<Vec<&str>> = vec![Vec::new(); groups.len()];
+                for (g, group) in groups.iter().enumerate() {
+                    let names = &mut runs_on[base_of[g]];
+                    for member in &group.members {
+                        if !names.contains(&member.name.as_str()) {
+                            names.push(&member.name);
+                        }
+                    }
+                }
+                let platforms = module_base.iter().map(|&base| &runs_on[base][..]);
+                warm.cost_rows(modules.iter().map(|module| &**module).zip(platforms))?
+            }
             _ => Vec::new(),
         };
         Ok(Resolved {
@@ -1096,11 +1115,35 @@ mod tests {
     fn worker_memories(pool: PoolConfig, stream: &[TrafficRequest]) -> Vec<usize> {
         let mut rt = Runtime::new(pool);
         let shape = rt.pool.flatten().unwrap();
-        let resolved = rt
-            .resolve(stream, &ServeConfig::default(), &shape.worker_descs, None)
-            .unwrap();
+        let resolved = rt.resolve(stream, &ServeConfig::default(), None).unwrap();
         let workers = rt.pool.workers(&shape, &resolved);
         workers.iter().map(Worker::mem_bytes).collect()
+    }
+
+    #[test]
+    fn a_serve_without_a_store_takes_no_cost_snapshot() {
+        // the snapshot is the store flush's input alone: a store-less
+        // serve would clone a key and a platform name per refiner row for
+        // nothing. The loop never opens the store, so any path stands in
+        let stream = stream(200, 3);
+        let mut rt = Runtime::new(pool());
+        let shape = rt.pool.flatten().unwrap();
+        let snapshot_rows = |rt: &mut Runtime, store: Option<PathBuf>| {
+            let cfg = ServeConfig {
+                store,
+                ..ServeConfig::default()
+            };
+            let resolved = rt.resolve(&stream, &cfg, None).unwrap();
+            let workers = rt.pool.workers(&shape, &resolved);
+            engine::run(&stream, &shape, &resolved, &cfg, workers)
+                .cost_snapshot
+                .len()
+        };
+        assert_eq!(snapshot_rows(&mut rt, None), 0);
+        // nothing was seeded, so every learned row is a change: one per
+        // module, on the platform that ran it
+        let rows = snapshot_rows(&mut rt, Some(PathBuf::from("never-opened.store")));
+        assert_eq!(rows, 6);
     }
 
     #[test]

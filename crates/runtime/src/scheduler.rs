@@ -674,22 +674,35 @@ impl Scheduler {
     }
 
     /// The refiner's rows keyed by platform *name* and [`CacheKey`] — the
-    /// mirror of [`Scheduler::seed_refiner`], ready for
-    /// [`crate::persist::WarmStart::flush`].
+    /// mirror of [`Scheduler::seed_refiner`].
     pub fn cost_snapshot(&self) -> Vec<CostSnapshotEntry> {
-        self.cost_snapshot_by(|id| &self.registry.keys[id])
+        self.named_rows(self.refiner.snapshot(), |id| &self.registry.keys[id])
     }
 
-    /// [`Scheduler::cost_snapshot`], naming module `id` by `key_of(id)`:
-    /// the serve loop's modules are numbered by the loop, not by the
-    /// registry.
-    pub(crate) fn cost_snapshot_by<'k>(
+    /// The refiner's rows a store flush has to write
+    /// ([`crate::persist::WarmStart::flush`]): [`Scheduler::cost_snapshot`]
+    /// without the rows that still hold exactly their seeded value — they
+    /// are the stored bytes already — naming module `id` by `key_of(id)`
+    /// (the serve loop numbers its modules itself, not through the
+    /// registry). The dropped rows are never cloned, and the rest are
+    /// named into a list of exactly their number.
+    pub(crate) fn cost_changes_by<'k>(
         &self,
         key_of: impl Fn(usize) -> &'k CacheKey,
     ) -> Vec<CostSnapshotEntry> {
-        self.refiner
-            .snapshot()
-            .into_iter()
+        let mut rows = self.refiner.snapshot();
+        rows.retain(|&(id, platform, _)| !self.refiner.holds_seed(id, platform));
+        self.named_rows(rows, key_of)
+    }
+
+    /// `(id, platform, rows)` entries keyed by platform name and the key
+    /// `key_of` gives each id.
+    fn named_rows<'k>(
+        &self,
+        rows: Vec<(usize, usize, CostRow)>,
+        key_of: impl Fn(usize) -> &'k CacheKey,
+    ) -> Vec<CostSnapshotEntry> {
+        rows.into_iter()
             .map(|(id, platform, rows)| {
                 let platform_name = self.variants[platform].name.clone();
                 (platform_name, key_of(id).clone(), rows)

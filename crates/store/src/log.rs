@@ -370,11 +370,17 @@ pub struct LogStore {
     /// One slot per live key — its newest record — sorted by key.
     index: Vec<Slot>,
     recovery: Option<TailCorruption>,
+    /// `open` wrote the file's header, so its name in the directory is
+    /// not durable until the directory is synced: the first successful
+    /// [`KeyValueStore::sync`] does that, then clears this.
+    created: bool,
 }
 
 impl LogStore {
     /// Opens (creating if absent) the store at `path`, verifies every
-    /// record's checksum and replays the log.
+    /// record's checksum and replays the log. A file this call creates
+    /// (or whose torn header it rewrites) is durable, name included, once
+    /// the first [`KeyValueStore::sync`] after it returns.
     ///
     /// # Errors
     ///
@@ -392,7 +398,8 @@ impl LogStore {
         };
 
         let mut recovery = None;
-        if !image.starts_with(MAGIC) {
+        let created = !image.starts_with(MAGIC);
+        if created {
             // an empty file is a clean create; a strict prefix of the
             // magic is a torn initial create — the process died mid-way
             // through writing the header — not a foreign file: recover an
@@ -432,6 +439,7 @@ impl LogStore {
             image,
             index,
             recovery,
+            created,
         })
     }
 
@@ -485,7 +493,9 @@ impl LogStore {
         self.image = image;
         self.index = index;
         self.recovery = None;
-        sync_dir(&self.path)
+        sync_dir(&self.path)?;
+        self.created = false;
+        Ok(())
     }
 
     /// Writes the records encoded at the end of the image since `start`
@@ -603,10 +613,17 @@ impl KeyValueStore for LogStore {
         self.index.len()
     }
 
+    /// Syncs the file — and, the first time after `open` created it, its
+    /// directory, without which POSIX does not make the new name durable.
     fn sync(&mut self) -> Result<(), StoreError> {
         self.file
             .sync_all()
-            .map_err(|e| StoreError::io("sync", &self.path, &e))
+            .map_err(|e| StoreError::io("sync", &self.path, &e))?;
+        if self.created {
+            sync_dir(&self.path)?;
+            self.created = false;
+        }
+        Ok(())
     }
 }
 
@@ -761,6 +778,30 @@ mod tests {
 
         let store = LogStore::open(&path).unwrap();
         assert_eq!(store.get(b"hot"), Some(&[9u8][..]));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_created_file_syncs_its_directory_once() {
+        let path = temp_path("created");
+        let mut store = LogStore::open(&path).unwrap();
+        assert!(store.created, "open wrote the header");
+        store.put(b"k", b"v").unwrap();
+        assert!(store.created, "a write syncs nothing");
+        store.sync().unwrap();
+        assert!(!store.created, "the first sync synced the directory");
+        store.sync().unwrap();
+        assert!(!store.created);
+        drop(store);
+        let reopened = LogStore::open(&path).unwrap();
+        assert!(!reopened.created, "an existing file was not created");
+        assert_eq!(reopened.get(b"k"), Some(&b"v"[..]));
+        drop(reopened);
+        // a header torn mid-create is written again, and synced again
+        fs::write(&path, &MAGIC[..3]).unwrap();
+        let torn = LogStore::open(&path).unwrap();
+        assert!(torn.recovery().is_some());
+        assert!(torn.created);
         fs::remove_file(&path).unwrap();
     }
 

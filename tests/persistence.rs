@@ -598,6 +598,64 @@ fn orphaned_cost_rows_are_never_loaded_and_survive_the_flush() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A stored cost row of a module on a platform that cannot run it — a
+/// Gemmini module's row on `opengemm`, in a store a uniform pool reads —
+/// is never looked up: not seeded, not counted in `ewma_entries_seeded`,
+/// and left on disk byte for byte by the flush.
+#[test]
+fn a_cost_row_on_a_platform_that_cannot_run_its_module_is_never_seeded() {
+    let path = temp_store("foreign_platform_row");
+    let stream = mixed_stream(200);
+    serve_with_store(&stream, &path).expect("populating serve");
+    let module = stream
+        .iter()
+        .find(|request| request.accelerator == "gemmini")
+        .map(|request| CacheKey {
+            accelerator: request.accelerator.clone(),
+            spec: request.spec,
+            opt: OptLevel::All,
+        })
+        .expect("the mixed stream serves Gemmini");
+    // the rows a warm serve of the stream can seed: each module's on its
+    // own platform, the only one of the pool that can run it
+    let runnable = {
+        let store = LogStore::open(&path).expect("open");
+        let rows = load_costs(&store).expect("cost rows decode");
+        assert!(rows
+            .iter()
+            .all(|(platform, key, _)| *platform == key.accelerator));
+        rows.len() as u64
+    };
+    assert_eq!(runnable, 6, "the populating serve ran every module");
+
+    let foreign = cost_key_bytes("opengemm", &module);
+    let mut planted: CostRow = [[-1; WARMTH_BUCKETS]; COST_ROWS];
+    planted[COST_ROW_AGNOSTIC][0] = 12_345 << 8;
+    {
+        let mut store = LogStore::open(&path).expect("open");
+        assert_eq!(store.get(&foreign), None);
+        save_costs(&mut store, &[("opengemm".to_string(), module, planted)]).expect("plant");
+        store.sync().expect("sync");
+    }
+    let value = LogStore::open(&path)
+        .expect("open")
+        .get(&foreign)
+        .expect("planted")
+        .to_vec();
+
+    let report = serve_with_store(&stream, &path).expect("warm serve");
+    let warm = report.metrics.warm_start.expect("store configured");
+    assert_eq!(warm.modules_restored, 6);
+    assert_eq!(warm.ewma_entries_seeded, runnable, "{warm:?}");
+    assert_eq!(report.metrics.check_failures, 0);
+    assert_eq!(
+        LogStore::open(&path).expect("open").get(&foreign),
+        Some(&value[..]),
+        "the flush left the planted row as it was"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn warm_start_outcome_depends_only_on_the_working_set() {
     // irrelevance: what a store holds beyond the records a stream
@@ -659,6 +717,54 @@ fn warm_start_outcome_depends_only_on_the_working_set() {
     assert_eq!(over_full.metrics.cache.misses, 0);
     let _ = std::fs::remove_file(&full);
     let _ = std::fs::remove_file(&minimal);
+}
+
+/// FNV-1a, 64-bit: the digest the flush-bytes test pins files with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// The bytes a store-backed serve writes are pinned: a fixed
+/// `shape_heavy` prefix served cold into a fresh store, then warm over a
+/// copy of that store. Both digests were recorded before the warm flush
+/// learned to skip the cost rows still holding their seeded value, so a
+/// flush that writes, drops or reorders one more byte fails here.
+#[test]
+fn a_store_backed_serve_writes_pinned_bytes_cold_and_warm() {
+    const COLD_FILE: u64 = 0xCFED_17E0_D339_CE2E;
+    const WARM_APPENDED: u64 = 0xA1CA_22F8_DAA7_B10F;
+    let pool = uniform_pool();
+    let prefix = &shape_heavy_stream(300)[..120];
+    let cold = temp_store("pinned_cold");
+    let report = serve_cost(&pool, prefix, &cold);
+    assert_eq!(report.metrics.cache.misses, 16);
+    let cold_bytes = std::fs::read(&cold).expect("read the cold store");
+
+    let warm = temp_store("pinned_warm");
+    std::fs::copy(&cold, &warm).expect("copy the cold store");
+    let report = serve_cost(&pool, prefix, &warm);
+    let stats = report.metrics.warm_start.expect("store configured");
+    assert_eq!(
+        (stats.modules_restored, report.metrics.cache.misses),
+        (16, 0)
+    );
+    let warm_bytes = std::fs::read(&warm).expect("read the warm store");
+    assert!(warm_bytes.starts_with(&cold_bytes));
+    let appended = &warm_bytes[cold_bytes.len()..];
+    println!(
+        "cold file {} bytes, fnv1a {:#018X}; warm flush appended {} bytes, fnv1a {:#018X}",
+        cold_bytes.len(),
+        fnv1a(&cold_bytes),
+        appended.len(),
+        fnv1a(appended)
+    );
+    assert!(!appended.is_empty(), "the warm serve relearned rows");
+    assert_eq!(fnv1a(&cold_bytes), COLD_FILE, "the cold serve's file moved");
+    assert_eq!(fnv1a(appended), WARM_APPENDED, "the warm flush moved");
+    let _ = std::fs::remove_file(&cold);
+    let _ = std::fs::remove_file(&warm);
 }
 
 /// The committed store: what an earlier build wrote for two store-backed
