@@ -153,12 +153,9 @@ impl Pass for Deduplicate {
                 continue;
             };
             let known = reaching.known_fields(input);
-            let redundant = |&(name, value): &(Symbol, ValueId)| known.get(name) == Some(&value);
-            let fields = setup_fields(m, op);
-            if fields.iter().any(|f| redundant(&f)) {
-                let retained: Vec<(Symbol, ValueId)> =
-                    fields.iter().filter(|f| !redundant(f)).collect();
-                setup_set_fields(m, op, &retained);
+            let redundant = |name: Symbol, value: ValueId| known.get(name) == Some(&value);
+            if setup_fields(m, op).iter().any(|(n, v)| redundant(n, v)) {
+                m.retain_setup_fields(op, |n, v| !redundant(n, v));
                 changed = Changed::Yes;
             }
         }

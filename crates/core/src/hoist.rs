@@ -9,9 +9,7 @@
 //!   LICM, with the paper's extra "constant throughout the whole body"
 //!   constraint.
 
-use crate::dialect::{
-    self, make_setup, setup_fields, setup_input_state, setup_set_fields, setup_state,
-};
+use crate::dialect::{self, make_setup, setup_fields, setup_input_state, setup_state};
 use accfg_ir::analysis::{value_visible_at, values_visible_at};
 use accfg_ir::{Changed, Module, OpId, Opcode, Pass, Symbol, Type, ValueDef, ValueId, ValueMap};
 
@@ -228,11 +226,7 @@ fn hoist_accel_fields(
     for &s in &setups {
         let hoisted = |n: Symbol| matches!(fields[n.index()], Field::Candidate(_));
         if setup_fields(m, s).iter().any(|(n, _)| hoisted(n)) {
-            let remaining: Vec<(Symbol, ValueId)> = setup_fields(m, s)
-                .iter()
-                .filter(|&(n, _)| !hoisted(n))
-                .collect();
-            setup_set_fields(m, s, &remaining);
+            m.retain_setup_fields(s, |n, _| !hoisted(n));
         }
     }
     Changed::Yes

@@ -51,6 +51,18 @@ impl LaunchRecord {
         self.registers.get(self.names.symbol(field)?).copied()
     }
 
+    /// The names the record's symbols are of: records for which
+    /// [`Names::same_table`] holds number their fields alike.
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
+    /// The fields held at launch time, in symbol order, each as the symbol
+    /// the interpreted module gave its name, with its value.
+    pub fn values(&self) -> impl Iterator<Item = (Symbol, i64)> + '_ {
+        self.registers.iter().map(|(field, &value)| (field, value))
+    }
+
     /// The fields held at launch time, in symbol order: each as the symbol
     /// the interpreted module gave its name (every record of one trace
     /// numbers its fields alike), the name, and the value.
@@ -160,6 +172,7 @@ pub fn interpret(
         regs: ConfigState::new(),
         trace: ExecTrace::default(),
         fuel,
+        carried: Vec::new(),
     };
     let block = m.body_block(func, 0);
     let params = &m.block(block).args;
@@ -185,6 +198,8 @@ struct Interp<'m> {
     regs: ConfigState<i64>,
     trace: ExecTrace,
     fuel: u64,
+    /// The values [`Interp::carry`] is moving, read before any is written.
+    carried: Vec<i64>,
 }
 
 impl<'m> Interp<'m> {
@@ -196,30 +211,33 @@ impl<'m> Interp<'m> {
         self.env[v.index()] = value;
     }
 
-    /// Runs every op in `block`; returns the yield/return operand values.
-    fn run_block(&mut self, block: accfg_ir::BlockId) -> Result<Vec<i64>, InterpError> {
-        let mut terminator_values = Vec::new();
+    /// Assigns the values of `from` to `to`, pairwise and all at once (a
+    /// loop may yield its arguments in another order).
+    fn carry(&mut self, from: &[ValueId], to: &[ValueId]) {
+        let env = &self.env;
+        self.carried.clear();
+        self.carried.extend(from.iter().map(|&v| env[v.index()]));
+        for (&target, &value) in to.iter().zip(&self.carried) {
+            self.env[target.index()] = value;
+        }
+    }
+
+    /// Runs every op in `block`. What it yields or returns stays in the
+    /// values of the terminator's operands, for the caller to
+    /// [`carry`](Interp::carry) (see [`terminator_values`]).
+    fn run_block(&mut self, block: accfg_ir::BlockId) -> Result<(), InterpError> {
         let m = self.m;
         for &op in m.block_ops(block) {
             if self.fuel == 0 {
                 return Err(InterpError::OutOfFuel);
             }
             self.fuel -= 1;
-            let opcode = self.m.op(op).opcode;
-            match opcode {
-                Opcode::Yield | Opcode::Return => {
-                    terminator_values = self
-                        .m
-                        .op(op)
-                        .operands
-                        .iter()
-                        .map(|&v| self.get(v))
-                        .collect();
-                }
+            match m.op(op).opcode {
+                Opcode::Yield | Opcode::Return => {}
                 _ => self.run_op(op)?,
             }
         }
-        Ok(terminator_values)
+        Ok(())
     }
 
     fn run_op(&mut self, op: OpId) -> Result<(), InterpError> {
@@ -279,17 +297,16 @@ impl<'m> Interp<'m> {
                 let lb = self.get(data.operands[0]);
                 let ub = self.get(data.operands[1]);
                 let step = self.get(data.operands[2]).max(1);
-                let inits: Vec<i64> = data.operands[3..].iter().map(|&v| self.get(v)).collect();
                 let body = m.body_block(op, 0);
                 let args = &m.block(body).args;
-                let mut iters = inits;
+                // the iteration state lives in the body's arguments: the
+                // inits, then each iteration's yields, and last the results
+                self.carry(&data.operands[3..], &args[1..]);
                 let mut iv = lb;
                 while iv < ub {
                     self.set(args[0], iv);
-                    for (&a, &v) in args[1..].iter().zip(iters.iter()) {
-                        self.set(a, v);
-                    }
-                    iters = self.run_block(body)?;
+                    self.run_block(body)?;
+                    self.carry(terminator_values(m, body), &args[1..]);
                     // an induction variable that cannot take another step
                     // has passed every representable bound
                     match iv.checked_add(step) {
@@ -297,17 +314,13 @@ impl<'m> Interp<'m> {
                         None => break,
                     }
                 }
-                for (&r, &v) in data.results.iter().zip(iters.iter()) {
-                    self.set(r, v);
-                }
+                self.carry(&args[1..], &data.results);
             }
             Opcode::If => {
                 let cond = self.get(data.operands[0]);
                 let block = m.body_block(op, if cond != 0 { 0 } else { 1 });
-                let yields = self.run_block(block)?;
-                for (&r, &v) in data.results.iter().zip(yields.iter()) {
-                    self.set(r, v);
-                }
+                self.run_block(block)?;
+                self.carry(terminator_values(m, block), &data.results);
             }
             Opcode::Call | Opcode::Opaque => {
                 match dialect::state_effect(m, op) {
@@ -329,6 +342,16 @@ impl<'m> Interp<'m> {
         }
         Ok(())
     }
+}
+
+/// The operands of the last `scf.yield` or `func.return` of `block`: what
+/// running it yields.
+fn terminator_values(m: &Module, block: accfg_ir::BlockId) -> &[ValueId] {
+    m.block_ops(block)
+        .iter()
+        .rev()
+        .find(|&&op| matches!(m.op(op).opcode, Opcode::Yield | Opcode::Return))
+        .map_or(&[], |&op| &m.op(op).operands)
 }
 
 #[cfg(test)]

@@ -237,8 +237,8 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
     // %iv_next = iv + step, placed at the top of the body
     let add = m.create_op(
         Opcode::AddI,
-        vec![iv, step],
-        vec![Type::Index],
+        [iv, step],
+        [Type::Index],
         Default::default(),
         vec![],
     );
@@ -260,7 +260,7 @@ fn rotate(m: &mut Module, for_op: OpId, filter: &AccelFilter) -> bool {
     dialect::setup_set_fields(m, shape.setup, &fields);
 
     // --- reorder: launch the previous state first, await after the setup ---
-    m.set_operands(shape.launch, vec![shape.state_arg]);
+    m.set_operands(shape.launch, [shape.state_arg]);
     let first = m.block(body).ops[0];
     if first != shape.launch {
         m.move_op_before(shape.launch, first);

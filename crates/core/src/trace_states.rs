@@ -99,10 +99,11 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
         return changed;
     }
     // ensure a live state exists before the loop for each threaded accel
-    // (the `%state = accfg.setup to ()` of Figure 9)
+    // (the `%state = accfg.setup to ()` of Figure 9), each the init of the
+    // accel's new iter-arg
     let block = m.op(for_op).parent.expect("loop is attached");
     let pos = m.op_position(for_op).expect("loop is attached");
-    let mut inits = Vec::new();
+    let mut operands = m.op(for_op).operands.clone();
     for &accel in &accels {
         let init = match live.get(accel) {
             Some(&s) => s,
@@ -112,23 +113,20 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
                 setup_state(m, empty)
             }
         };
-        inits.push(init);
+        operands.push(init);
     }
 
     // rebuild the loop with one extra iter-arg per accelerator
-    let mut operands = m.op(for_op).operands.clone();
-    operands.extend(inits.iter().copied());
     let extra_types: Vec<Type> = accels.iter().map(|&a| m.state_type(a)).collect();
     let old_result_count = m.op(for_op).results.len();
     let new_for = m.rebuild_op(for_op, operands, extra_types);
 
     let body = m.body_block(new_for, 0);
     let mut body_live = live.clone();
-    let mut args = Vec::new();
+    let first_arg = m.block(body).args.len();
     for &accel in &accels {
         let arg = m.add_block_arg(body, m.state_type(accel));
         body_live.set(accel, arg);
-        args.push(arg);
     }
 
     trace_block(m, body, &mut body_live);
@@ -136,8 +134,8 @@ fn trace_for(m: &mut Module, for_op: OpId, live: &mut LiveStates) -> bool {
     // yield the body's final state for each accel (at minimum the block arg)
     let yield_op = m.terminator(body);
     let mut yield_operands = m.op(yield_op).operands.clone();
-    for (accel, arg) in accels.iter().zip(args.iter()) {
-        yield_operands.push(body_live.get(*accel).copied().unwrap_or(*arg));
+    for (accel, &arg) in accels.iter().zip(&m.block(body).args[first_arg..]) {
+        yield_operands.push(body_live.get(*accel).copied().unwrap_or(arg));
     }
     m.set_operands(yield_op, yield_operands);
 

@@ -203,7 +203,7 @@ impl<'m> FuncBuilder<'m> {
         input_state: Option<ValueId>,
         fields: &[(&str, ValueId)],
     ) -> ValueId {
-        let accel = self.module.intern(accelerator);
+        let accel = self.module.intern_accelerator(accelerator);
         let names = fields.iter().map(|(n, _)| self.module.intern(n)).collect();
         let operands: ValueList = input_state
             .into_iter()
@@ -231,7 +231,7 @@ impl<'m> FuncBuilder<'m> {
 
     /// `accfg.launch`, producing a token.
     pub fn launch(&mut self, accelerator: &str, state: ValueId) -> ValueId {
-        let accel = self.module.intern(accelerator);
+        let accel = self.module.intern_accelerator(accelerator);
         let token = self.module.token_type(accel);
         let op = self.accfg_op(Opcode::AccfgLaunch, accel, [state], Some(token));
         self.one_result(op)
@@ -239,7 +239,7 @@ impl<'m> FuncBuilder<'m> {
 
     /// `accfg.await` on a token.
     pub fn await_token(&mut self, accelerator: &str, token: ValueId) -> OpId {
-        let accel = self.module.intern(accelerator);
+        let accel = self.module.intern_accelerator(accelerator);
         self.accfg_op(Opcode::AccfgAwait, accel, [token], None)
     }
 

@@ -327,6 +327,17 @@ impl Module {
         symbol
     }
 
+    /// Interns an accelerator's name, as [`Module::intern`] does; the
+    /// accelerator's state and token types ([`Module::state_type`],
+    /// [`Module::token_type`]) then share one copy of it.
+    pub fn intern_accelerator(&mut self, name: &str) -> Symbol {
+        let (symbol, added) = self.symbols.intern_accelerator(name);
+        if added {
+            self.touch();
+        }
+        symbol
+    }
+
     /// The symbol of `name` if some op of this module has interned it.
     pub fn symbol(&self, name: &str) -> Option<Symbol> {
         self.symbols.get(name)
@@ -352,14 +363,17 @@ impl Module {
         self.symbols.names().clone()
     }
 
-    /// `!accfg.state<"accelerator">`, sharing the interned name.
+    /// `!accfg.state<"accelerator">`, sharing the name of an accelerator
+    /// interned with [`Module::intern_accelerator`] (building one then
+    /// allocates nothing).
     pub fn state_type(&self, accelerator: Symbol) -> Type {
-        Type::State(self.symbols.name(accelerator).clone())
+        Type::State(self.symbols.type_name(accelerator))
     }
 
-    /// `!accfg.token<"accelerator">`, sharing the interned name.
+    /// `!accfg.token<"accelerator">`, sharing the name as
+    /// [`Module::state_type`] does.
     pub fn token_type(&self, accelerator: Symbol) -> Type {
-        Type::Token(self.symbols.name(accelerator).clone())
+        Type::Token(self.symbols.type_name(accelerator))
     }
 
     // --- construction ------------------------------------------------------
@@ -421,6 +435,7 @@ impl Module {
             // building one does not re-grow the arena op by op
             self.ops.reserve(64);
             self.values.reserve(96);
+            self.uses.reserve_values(96);
         }
         let op = OpId(self.ops.len() as u32);
         let results = result_types
@@ -470,6 +485,48 @@ impl Module {
     pub fn set_setup_fields(&mut self, setup: OpId, fields: Vec<Symbol>) {
         self.touch();
         self.ops[setup.index()].fields = fields;
+    }
+
+    /// Keeps the fields of an `accfg.setup` for which `keep(field, value)`
+    /// holds, in order, and drops the rest: what setting the kept fields
+    /// with [`Module::set_setup_fields`] and [`Module::set_operands`]
+    /// comes to, in place. Each kept operand moves down to its new position
+    /// in its value's use list; nothing is allocated.
+    pub fn retain_setup_fields(
+        &mut self,
+        setup: OpId,
+        mut keep: impl FnMut(Symbol, ValueId) -> bool,
+    ) {
+        self.touch();
+        let Module { ops, uses, .. } = self;
+        let data = &mut ops[setup.index()];
+        let first = usize::from(data.has_input_state);
+        let mut kept = 0;
+        for field in 0..data.fields.len() {
+            let (name, value) = (data.fields[field], data.operands[first + field]);
+            let site = |field: usize| Use {
+                op: setup,
+                operand_index: first + field,
+            };
+            if !keep(name, value) {
+                if data.alive {
+                    uses.remove(value, site(field));
+                }
+                continue;
+            }
+            if kept != field {
+                data.fields[kept] = name;
+                data.operands[first + kept] = value;
+                // the uses this op made below `field` were moved down or
+                // dropped already, so the moved one keeps its place
+                if data.alive {
+                    uses.retarget(value, site(field), site(kept));
+                }
+            }
+            kept += 1;
+        }
+        data.fields.truncate(kept);
+        data.operands.truncate(first + kept);
     }
 
     /// Says whether operand 0 of an `accfg.setup` is an input state (the
@@ -658,11 +715,89 @@ impl Module {
     }
 
     /// Replaces the full operand list of `op`.
+    ///
+    /// Only the operands that moved are re-indexed: the list is split into
+    /// the prefix and the suffix it shares with the old one and the middle
+    /// between them. The middle's old uses are dropped and its new ones
+    /// recorded; each suffix use keeps its place in its value's list and
+    /// has its operand index shifted by the change in length. So an input
+    /// state prepended to a setup shifts every field one up, dropping the
+    /// first operand shifts them down, and a list of the same length
+    /// touches only the positions whose value changed.
     pub fn set_operands(&mut self, op: OpId, operands: impl Into<ValueList>) {
         self.touch();
+        let operands = operands.into();
+        if !self.ops[op.index()].alive {
+            self.ops[op.index()].operands = operands;
+            return;
+        }
+        let old = std::mem::replace(&mut self.ops[op.index()].operands, operands);
+        let new = &self.ops[op.index()].operands;
+        let prefix = old
+            .iter()
+            .zip(new.iter())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let suffix = old[prefix..]
+            .iter()
+            .rev()
+            .zip(new[prefix..].iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let (old_end, new_end) = (old.len() - suffix, new.len() - suffix);
+        let site = |operand_index| Use { op, operand_index };
+        let same_length = old.len() == new.len();
+        for i in prefix..old_end {
+            if !(same_length && old[i] == new[i]) {
+                self.uses.remove(old[i], site(i));
+            }
+        }
+        // a use moves to where no use of its value on this op is yet: up
+        // from the highest, down from the lowest
+        if new.len() > old.len() {
+            for i in (old_end..old.len()).rev() {
+                self.uses
+                    .retarget(old[i], site(i), site(i + new_end - old_end));
+            }
+        } else if new.len() < old.len() {
+            for i in old_end..old.len() {
+                self.uses
+                    .retarget(old[i], site(i), site(i + new_end - old_end));
+            }
+        }
+        for i in prefix..new_end {
+            let value = self.ops[op.index()].operands[i];
+            if !(same_length && old[i] == value) {
+                self.uses.insert(value, site(i));
+            }
+        }
+    }
+
+    /// Turns `op` into `arith.constant {value}` of type `ty` where it
+    /// stands: the op keeps its id, its place and its result value (and so
+    /// every use of it), and drops its operands and attributes. What
+    /// folding an op to a new constant and replacing its result with the
+    /// constant's comes to, without a new op, a move and a rewrite of
+    /// every use.
+    ///
+    /// `op` must have one result and no regions.
+    pub(crate) fn fold_to_constant(&mut self, op: OpId, value: i64, ty: Type) {
+        debug_assert!(
+            self.ops[op.index()].results.len() == 1 && self.ops[op.index()].regions.is_empty(),
+            "only a one-result op without regions folds to a constant"
+        );
+        self.touch();
         self.unindex_operands(op);
-        self.ops[op.index()].operands = operands.into();
-        self.index_operands(op);
+        let result = self.ops[op.index()].results[0];
+        self.values[result.index()].ty = ty;
+        let data = &mut self.ops[op.index()];
+        data.opcode = Opcode::Constant;
+        data.operands.clear();
+        data.attrs = AttrMap::new();
+        data.attrs.insert("value".into(), Attribute::Int(value));
+        data.accelerator = None;
+        data.fields.clear();
+        data.has_input_state = false;
     }
 
     // --- use-def -------------------------------------------------------------
@@ -710,15 +845,26 @@ impl Module {
     // --- traversal -------------------------------------------------------------
 
     /// Pre-order walk over every live op nested under `root` (inclusive).
-    pub fn walk(&self, root: OpId, visit: &mut dyn FnMut(OpId)) {
-        if !self.ops[root.index()].alive {
-            return;
+    pub fn walk<F: FnMut(OpId) + ?Sized>(&self, root: OpId, visit: &mut F) {
+        if self.ops[root.index()].alive {
+            visit(root);
+            self.walk_regions(root, visit);
         }
-        visit(root);
-        for &r in &self.ops[root.index()].regions {
+    }
+
+    /// Pre-order walk over the live ops nested in the regions of `parent`.
+    /// An op without regions is visited in the loop, without a call.
+    fn walk_regions<F: FnMut(OpId) + ?Sized>(&self, parent: OpId, visit: &mut F) {
+        for &r in &self.ops[parent.index()].regions {
             for &b in &self.regions[r.index()].blocks {
                 for &op in &self.blocks[b.index()].ops {
-                    self.walk(op, visit);
+                    let data = &self.ops[op.index()];
+                    if data.alive {
+                        visit(op);
+                        if !data.regions.is_empty() {
+                            self.walk_regions(op, visit);
+                        }
+                    }
                 }
             }
         }
@@ -840,11 +986,14 @@ impl Module {
         let old_results = std::mem::take(&mut old.results);
         let parent = old.parent;
 
-        let mut result_types: Vec<Type> = old_results
-            .iter()
-            .map(|&r| self.values[r.index()].ty.clone())
-            .collect();
-        result_types.extend(extra_result_types);
+        // in the caller's vector: an op without results reuses it whole
+        let mut result_types = extra_result_types;
+        result_types.splice(
+            0..0,
+            old_results
+                .iter()
+                .map(|&r| self.values[r.index()].ty.clone()),
+        );
         let new_op = self.create_op(opcode, new_operands, result_types, attrs, regions);
         let new = &mut self.ops[new_op.index()];
         new.accelerator = accelerator;
@@ -881,11 +1030,15 @@ impl Module {
             .iter()
             .map(|&v| mapping.get(v).copied().unwrap_or(v))
             .collect();
-        let result_types: Vec<Type> = data
+        // nearly every op has one result: its type travels without a vector
+        let mut result_types = data
             .results
             .iter()
-            .map(|&r| self.values[r.index()].ty.clone())
-            .collect();
+            .map(|&r| self.values[r.index()].ty.clone());
+        let first_type = result_types.next();
+        let result_types = first_type
+            .into_iter()
+            .chain(result_types.collect::<Vec<_>>());
         let (opcode, attrs, fields) = (data.opcode, data.attrs.clone(), data.fields.clone());
         let (accelerator, has_input_state) = (data.accelerator, data.has_input_state);
         // Clone regions first (they don't reference the new op's results).
@@ -1187,10 +1340,15 @@ mod tests {
         /// After any sequence of mutators — well-formed IR or not — the
         /// use-def index equals the linear scan it replaced, every mutator
         /// moved the stamp, and moving ops as a batch leaves every block
-        /// as moving them one by one does.
+        /// as moving them one by one does. Operand lists are replaced
+        /// whole (arbitrary lists, long enough to leave the inline
+        /// storage), with an operand prepended, with the first dropped
+        /// and with some positions changed in place — each of the cases
+        /// `set_operands` re-indexes without a full sweep — and ops fold
+        /// to constants in place. A setup's fields are thinned in place.
         #[test]
         fn use_index_equals_the_scan_after_any_mutator_sequence(
-            actions in prop::collection::vec((0u8..12, any::<u16>(), any::<u16>(), any::<u16>()), 1..80)
+            actions in prop::collection::vec((0u8..17, any::<u16>(), any::<u16>(), any::<u16>()), 1..80)
         ) {
             let mut m = Module::new();
             let (func, block) = test_func(&mut m);
@@ -1219,9 +1377,55 @@ mod tests {
                         "set_operand"
                     }
                     3 => {
-                        let operands: ValueList = (0..b % 4).map(|i| value(&m, c.wrapping_add(i))).collect();
+                        let operands: ValueList = (0..b % 7).map(|i| value(&m, c.wrapping_add(i))).collect();
                         m.set_operands(op, operands);
                         "set_operands"
+                    }
+                    11 => {
+                        let mut operands = ValueList::new();
+                        operands.push(value(&m, b));
+                        operands.extend(m.op(op).operands.iter().copied());
+                        m.set_operands(op, operands);
+                        "set_operands (one prepended)"
+                    }
+                    12 if !m.op(op).operands.is_empty() => {
+                        let operands = ValueList::from(&m.op(op).operands[1..]);
+                        m.set_operands(op, operands);
+                        "set_operands (first dropped)"
+                    }
+                    13 => {
+                        let mut operands = m.op(op).operands.clone();
+                        let len = operands.len();
+                        for i in 0..usize::from(b % 3).min(len) {
+                            let at = (usize::from(c) + 5 * i) % len;
+                            operands[at] = value(&m, a.wrapping_add(c).wrapping_add(i as u16));
+                        }
+                        m.set_operands(op, operands);
+                        "set_operands (same length)"
+                    }
+                    14 if m.op(op).results.len() == 1 && m.op(op).regions.is_empty() => {
+                        m.fold_to_constant(op, i64::from(b), Type::I64);
+                        prop_assert!(m.op(op).operands.is_empty());
+                        prop_assert_eq!(m.int_attr(op, "value"), Some(i64::from(b)));
+                        "fold_to_constant"
+                    }
+                    15 => {
+                        // name every operand past the first as a field,
+                        // then keep the fields whose bit of `c` is set
+                        let input = !m.op(op).operands.is_empty() && b % 2 == 1;
+                        let fields = m.op(op).operands.len() - usize::from(input);
+                        let names = (0..fields).map(|i| m.intern(&format!("f{i}"))).collect();
+                        m.set_setup_fields(op, names);
+                        m.set_has_input_state(op, input);
+                        let mut bit = 0;
+                        m.retain_setup_fields(op, |_, _| {
+                            bit += 1;
+                            c >> (bit % 16) & 1 == 1
+                        });
+                        let kept = (1..=fields).filter(|&bit| c >> (bit % 16) & 1 == 1).count();
+                        prop_assert_eq!(m.op(op).fields.len(), kept);
+                        prop_assert_eq!(m.op(op).operands.len(), kept + usize::from(input));
+                        "retain_setup_fields"
                     }
                     4 => {
                         m.replace_all_uses(value(&m, b), value(&m, c));
@@ -1298,6 +1502,65 @@ mod tests {
                 assert_index_matches_scan(&m, what);
             }
         }
+    }
+
+    /// Interning is a scan up to 32 names and a keyed map beyond: across
+    /// the threshold every name keeps the symbol it was first given, a
+    /// lookup agrees with interning, and a clone numbers names alike.
+    #[test]
+    fn names_keep_their_symbols_across_the_scan_threshold() {
+        let mut m = Module::new();
+        let names: Vec<String> = (0..64).map(|i| format!("field_{i}")).collect();
+        let symbols: Vec<Symbol> = names.iter().map(|n| m.intern(n)).collect();
+        assert_eq!(m.symbol_count(), 64);
+        for (i, (name, &symbol)) in names.iter().zip(&symbols).enumerate() {
+            assert_eq!(symbol.index(), i);
+            assert_eq!(m.intern(name), symbol, "{name} re-interned");
+            assert_eq!(m.symbol(name), Some(symbol), "{name} looked up");
+            assert_eq!(m.name(symbol), name);
+        }
+        assert_eq!(m.symbol_count(), 64);
+        // a name that only shares a prefix or a length is not found
+        assert_eq!(m.symbol("field_"), None);
+        assert_eq!(m.symbol("field_64"), None);
+        assert_eq!(m.symbol("fielb_1"), None);
+        let mut clone = m.clone();
+        for (name, &symbol) in names.iter().zip(&symbols) {
+            assert_eq!(clone.symbol(name), Some(symbol));
+            assert_eq!(clone.intern(name), symbol);
+        }
+        let fresh = clone.intern("fresh");
+        assert_eq!(fresh.index(), 64);
+        assert_eq!((m.symbol("fresh"), m.symbol_count()), (None, 64));
+        // handles taken before the clone interned keep their table
+        assert_eq!(m.names().symbol("field_40"), Some(symbols[40]));
+        assert_eq!(clone.names().name(fresh), "fresh");
+    }
+
+    /// A setup naming more fields than the scan covers parses, interns and
+    /// prints back unchanged, and its accelerator's types share a name.
+    #[test]
+    fn a_setup_of_many_fields_prints_back_unchanged() {
+        let fields: Vec<String> = (0..40).map(|i| format!("\"f{i}\" = %x")).collect();
+        let text = format!(
+            "func.func @f() {{\n  %x = arith.constant() {{value = 64}} : index\n  \
+             %s = accfg.setup \"gemm\" to ({}) : !accfg.state<\"gemm\">\n  \
+             func.return()\n}}\n",
+            fields.join(", ")
+        );
+        let m = crate::parse_module(&text).unwrap();
+        assert_eq!(m.symbol_count(), 41);
+        let printed = crate::print_module(&m);
+        assert_eq!(
+            crate::print_module(&crate::parse_module(&printed).unwrap()),
+            printed
+        );
+        for i in 0..40 {
+            assert!(printed.contains(&format!("\"f{i}\" = %0")), "{printed}");
+        }
+        let gemm = m.symbol("gemm").unwrap();
+        assert_eq!(m.state_type(gemm), Type::state("gemm"));
+        assert_eq!(m.token_type(gemm), Type::token("gemm"));
     }
 
     #[test]

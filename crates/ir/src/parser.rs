@@ -738,7 +738,7 @@ impl Parser {
         let op = self
             .module
             .create_op(opcode, operands, result_types, attrs, vec![]);
-        let accel = self.module.intern(accel);
+        let accel = self.module.intern_accelerator(accel);
         self.module.set_accelerator(op, accel);
         self.module.append_op(block, op);
         op

@@ -141,6 +141,11 @@ impl PassManager {
 
     /// Appends a pass to the pipeline.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
+        if self.passes.capacity() == 0 {
+            // room for the longest preset pipeline, so that building one
+            // does not regrow the list pass by pass
+            self.passes.reserve(16);
+        }
         self.passes.push(Box::new(pass));
         self
     }

@@ -1,11 +1,11 @@
 //! Constant folding and algebraic canonicalization.
 
 use super::{constant_value, eval_binary, Sweep};
-use crate::attrs::{AttrMap, Attribute};
 use crate::module::{Module, OpId, ValueId};
 use crate::op::{CmpPredicate, Opcode};
 use crate::pass::{Changed, Pass};
 use crate::passes::Dce;
+use crate::types::Type;
 
 /// Folds constant expressions and applies algebraic identities, then cleans
 /// up with [`Dce`].
@@ -34,11 +34,12 @@ impl Pass for Canonicalize {
     /// folds nothing. Whether an op folds depends only on its opcode, its
     /// attributes and its operands (and whether those are constants, which
     /// never change), so a further sweep can fold only an op whose operands
-    /// were replaced after the sweep had passed it. Operands are replaced
-    /// in one place, `FoldSweep::replace_all_uses`, which notes when it
-    /// rewrites an op already passed; without such a note, the sweep that
-    /// would follow is known to fold nothing and is not run. In SSA form
-    /// every use follows its definition, so in verified IR one sweep does.
+    /// were replaced, or became constants, after the sweep had passed it.
+    /// Both go through `FoldSweep::rewriting_users_of` (an op folds to a
+    /// constant in place, under its users), which notes when it rewrites
+    /// an op already passed; without such a note, the sweep that would
+    /// follow is known to fold nothing and is not run. In SSA form every
+    /// use follows its definition, so in verified IR one sweep does.
     fn run(&self, m: &mut Module) -> Changed {
         let mut changed = Changed::No;
         loop {
@@ -72,20 +73,37 @@ struct FoldSweep {
 }
 
 impl FoldSweep {
+    /// Notes that the users of `value` are about to read something else:
+    /// one the sweep has passed must be swept again.
+    fn rewriting_users_of(&mut self, m: &mut Module, value: ValueId) {
+        if !self.revisit {
+            self.revisit = m
+                .uses_of(value)
+                .iter()
+                .any(|u| self.ops.has_passed(m, u.op));
+        }
+    }
+
     fn replace_all_uses(&mut self, m: &mut Module, old: ValueId, new: ValueId) {
-        if old != new && !self.revisit {
-            self.revisit = m.uses_of(old).iter().any(|u| self.ops.has_passed(m, u.op));
+        if old != new {
+            self.rewriting_users_of(m, old);
         }
         m.replace_all_uses(old, new);
     }
 }
 
-fn make_constant(m: &mut Module, before: OpId, value: i64, ty: crate::Type) -> ValueId {
-    let mut attrs = AttrMap::new();
-    attrs.insert("value".into(), Attribute::Int(value));
-    let c = m.create_op(Opcode::Constant, vec![], [ty], attrs, vec![]);
-    m.move_op_before(c, before);
-    m.op(c).results[0]
+/// Folds `op` to the constant `value` of type `ty` where it stands: its
+/// result, now a constant's, keeps its uses.
+fn fold_to_constant(
+    m: &mut Module,
+    sweep: &mut FoldSweep,
+    op: OpId,
+    value: i64,
+    ty: Type,
+) -> Changed {
+    sweep.rewriting_users_of(m, m.op(op).results[0]);
+    m.fold_to_constant(op, value, ty);
+    Changed::Yes
 }
 
 fn replace_with_value(m: &mut Module, sweep: &mut FoldSweep, op: OpId, value: ValueId) -> Changed {
@@ -118,8 +136,7 @@ fn fold_binary(m: &mut Module, sweep: &mut FoldSweep, op: OpId, opcode: Opcode) 
     if let (Some(a), Some(b)) = (cl, cr) {
         if let Some(v) = eval_binary(opcode, a, b) {
             let ty = m.value_type(m.op(op).results[0]).clone();
-            let c = make_constant(m, op, v, ty);
-            return replace_with_value(m, sweep, op, c);
+            return fold_to_constant(m, sweep, op, v, ty);
         }
     }
 
@@ -142,8 +159,7 @@ fn fold_binary(m: &mut Module, sweep: &mut FoldSweep, op: OpId, opcode: Opcode) 
         | (Opcode::AndI, Some(0), _)
         | (Opcode::AndI, _, Some(0)) => {
             let ty = m.value_type(m.op(op).results[0]).clone();
-            let c = make_constant(m, op, 0, ty);
-            return replace_with_value(m, sweep, op, c);
+            return fold_to_constant(m, sweep, op, 0, ty);
         }
         _ => {}
     }
@@ -158,9 +174,7 @@ fn fold_cmp(m: &mut Module, sweep: &mut FoldSweep, op: OpId) -> Changed {
             .str_attr(op, "predicate")
             .and_then(CmpPredicate::from_name);
         if let Some(p) = pred {
-            let v = i64::from(p.eval(a, b));
-            let c = make_constant(m, op, v, crate::Type::I1);
-            return replace_with_value(m, sweep, op, c);
+            return fold_to_constant(m, sweep, op, i64::from(p.eval(a, b)), Type::I1);
         }
     }
     Changed::No

@@ -22,13 +22,13 @@ pub struct Cse;
 /// in insertion order so that leaving a region can retract what it added.
 /// A key maps to the op that first computed the expression; nothing is
 /// copied out of the module.
-#[derive(Default)]
 struct Available {
     by_hash: HashMap<u64, OpId, BuildHasherDefault<StructureHasher>>,
     inserted: Vec<u64>,
-    /// Block-copy buffers of the blocks not being visited, for the next
-    /// block to fill instead of allocating its own.
-    spare: Vec<Vec<OpId>>,
+    /// The ops of the blocks being visited, outermost first: each block
+    /// copies its ops onto the end and takes them off when it is done, so
+    /// a block may restructure itself while its ops are visited.
+    ops: Vec<OpId>,
 }
 
 /// The multiply-rotate word hash of rustc's `FxHasher`: one multiply a word
@@ -86,7 +86,14 @@ impl Pass for Cse {
 
     fn run(&self, m: &mut Module) -> Changed {
         let mut changed = Changed::No;
-        let mut available = Available::default();
+        // every expression the table can hold is an op of the arena: room
+        // for all of them up front, so it never rehashes as it fills
+        let ops = m.op_count();
+        let mut available = Available {
+            by_hash: HashMap::with_capacity_and_hasher(ops, Default::default()),
+            inserted: Vec::with_capacity(ops),
+            ops: Vec::with_capacity(ops),
+        };
         for fi in 0..m.funcs().len() {
             let block = m.body_block(m.funcs()[fi], 0);
             changed = changed.or(run_block(m, block, &mut available));
@@ -126,10 +133,10 @@ fn same_expression(m: &Module, a: OpId, b: OpId) -> bool {
 fn run_block(m: &mut Module, block: BlockId, available: &mut Available) -> Changed {
     let mut changed = Changed::No;
     let scope_start = available.inserted.len();
-    let mut ops = available.spare.pop().unwrap_or_default();
-    ops.clear();
-    ops.extend_from_slice(m.block_ops(block));
-    for &op in &ops {
+    let start = available.ops.len();
+    available.ops.extend_from_slice(m.block_ops(block));
+    for i in start..available.ops.len() {
+        let op = available.ops[i];
         if !m.is_alive(op) {
             continue;
         }
@@ -163,10 +170,16 @@ fn run_block(m: &mut Module, block: BlockId, available: &mut Available) -> Chang
             }
         }
     }
-    for hash in available.inserted.drain(scope_start..) {
-        available.by_hash.remove(&hash);
+    available.ops.truncate(start);
+    if scope_start == 0 {
+        // everything the table holds was added in this scope
+        available.by_hash.clear();
+        available.inserted.clear();
+    } else {
+        for hash in available.inserted.drain(scope_start..) {
+            available.by_hash.remove(&hash);
+        }
     }
-    available.spare.push(ops);
     changed
 }
 

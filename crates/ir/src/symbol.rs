@@ -43,7 +43,45 @@ impl Symbol {
 /// two handles for which [`Names::same_table`] holds number every name
 /// alike, and whatever is keyed by their symbols compares by symbol.
 #[derive(Debug, Clone, Default)]
-pub struct Names(Arc<Vec<Arc<str>>>);
+pub struct Names(Arc<NameText>);
+
+/// Every name of a table in one string: interning a name appends it
+/// rather than allocating it on its own.
+#[derive(Debug, Clone, Default)]
+struct NameText {
+    text: String,
+    /// By symbol, where its name ends in `text` (it starts where the
+    /// previous one ends).
+    ends: Vec<u32>,
+}
+
+impl NameText {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, index: usize) -> &str {
+        let start = index.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.text[start as usize..self.ends[index] as usize]
+    }
+
+    /// The index of `name`, by a scan (each compare checks the length
+    /// first).
+    fn position(&self, name: &str) -> Option<usize> {
+        let mut start = 0;
+        self.ends.iter().position(|&end| {
+            let held = &self.text.as_bytes()[start as usize..end as usize];
+            start = end;
+            held == name.as_bytes()
+        })
+    }
+
+    fn push(&mut self, name: &str) {
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("a symbol table's names fit in 4 GiB");
+        self.ends.push(end);
+    }
+}
 
 impl Names {
     /// The string behind `symbol`.
@@ -51,14 +89,14 @@ impl Names {
     /// # Panics
     /// Panics if the symbol is not one of this table's.
     pub fn name(&self, symbol: Symbol) -> &str {
-        &self.0[symbol.index()]
+        self.0.get(symbol.index())
     }
 
     /// The symbol of `name` in this table, by a scan: handles are for the
-    /// printing and comparing edges, the module's own lookup is hashed.
+    /// printing and comparing edges, the module's own lookup is hashed
+    /// once its table is large.
     pub fn symbol(&self, name: &str) -> Option<Symbol> {
-        let index = self.0.iter().position(|held| **held == *name)?;
-        Some(Symbol::from_index(index))
+        self.0.position(name).map(Symbol::from_index)
     }
 
     /// `true` if both handles share one table, so equal symbols are equal
@@ -68,11 +106,20 @@ impl Names {
     }
 }
 
+/// Up to this many names, a lookup scans the table: a few dozen length
+/// compares cost less than hashing the name once with the keyed hasher.
+const SCAN_LIMIT: usize = 32;
+
 /// The names a module has interned, in interning order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SymbolTable {
     names: Names,
-    by_name: HashMap<Arc<str>, Symbol>,
+    /// Every name, once there are more than [`SCAN_LIMIT`]; empty before.
+    /// Keyed by std's keyed hasher: the names may come from IR text.
+    by_name: HashMap<Box<str>, Symbol>,
+    /// The accelerator names, each as the one string its state and token
+    /// types share.
+    accelerators: Vec<(Symbol, Arc<str>)>,
 }
 
 impl SymbolTable {
@@ -81,7 +128,10 @@ impl SymbolTable {
     }
 
     pub(crate) fn get(&self, name: &str) -> Option<Symbol> {
-        self.by_name.get(name).copied()
+        if self.len() > SCAN_LIMIT {
+            return self.by_name.get(name).copied();
+        }
+        self.names.symbol(name)
     }
 
     /// The symbol of `name`, and whether this call added it.
@@ -92,23 +142,54 @@ impl SymbolTable {
         // in place unless a `Names` handle (or a clone of the module) still
         // shares the table, which then keeps the names it was given
         let names = Arc::make_mut(&mut self.names.0);
-        if self.by_name.is_empty() {
-            // an accelerator's setup names a few dozen fields: room for them
-            // up front saves rehashing and copying every name at each doubling
-            self.by_name.reserve(48);
-            names.reserve(48);
+        if names.len() == 0 {
+            // an accelerator's setup names a few dozen fields of a dozen or
+            // so bytes: room for them up front saves regrowing at each
+            // doubling
+            names.ends.reserve(SCAN_LIMIT);
+            names.text.reserve(16 * SCAN_LIMIT);
         }
         let symbol = Symbol::from_index(names.len());
-        let name: Arc<str> = name.into();
-        names.push(name.clone());
-        self.by_name.insert(name, symbol);
+        match names.len() {
+            SCAN_LIMIT => {
+                // the table outgrows its scan: key every name, once
+                self.by_name.reserve(2 * SCAN_LIMIT);
+                self.by_name.extend(
+                    (0..SCAN_LIMIT)
+                        .map(|index| (names.get(index).into(), Symbol::from_index(index))),
+                );
+                self.by_name.insert(name.into(), symbol);
+            }
+            len if len > SCAN_LIMIT => {
+                self.by_name.insert(name.into(), symbol);
+            }
+            _ => {}
+        }
+        names.push(name);
         (symbol, true)
     }
 
-    /// The shared string behind `symbol`: state and token types of the
-    /// accelerator it names clone this, so building one allocates nothing.
-    pub(crate) fn name(&self, symbol: Symbol) -> &Arc<str> {
-        &self.names.0[symbol.index()]
+    /// Interns `name` as an accelerator's: as [`SymbolTable::intern`], and
+    /// the name gets the string its types share.
+    pub(crate) fn intern_accelerator(&mut self, name: &str) -> (Symbol, bool) {
+        let (symbol, added) = self.intern(name);
+        if !self.accelerators.iter().any(|&(held, _)| held == symbol) {
+            self.accelerators.push((symbol, name.into()));
+        }
+        (symbol, added)
+    }
+
+    /// The string the types of the accelerator `symbol` share: its own if
+    /// it was interned as an accelerator's, else a copy of its name.
+    pub(crate) fn type_name(&self, symbol: Symbol) -> Arc<str> {
+        match self.accelerators.iter().find(|&&(held, _)| held == symbol) {
+            Some((_, shared)) => shared.clone(),
+            None => self.names.name(symbol).into(),
+        }
+    }
+
+    pub(crate) fn name(&self, symbol: Symbol) -> &str {
+        self.names.name(symbol)
     }
 
     pub(crate) fn names(&self) -> &Names {

@@ -44,6 +44,11 @@ impl UseLists {
         self.spans.push(Span::default());
     }
 
+    /// Makes room for `additional` more values.
+    pub(crate) fn reserve_values(&mut self, additional: usize) {
+        self.spans.reserve(additional);
+    }
+
     /// The uses of `value`, ascending.
     pub(crate) fn of(&self, value: ValueId) -> &[Use] {
         &self.pool[self.spans[value.index()].live()]
@@ -91,6 +96,24 @@ impl UseLists {
             .expect("use-def index out of step with the operands");
         list.copy_within(at + 1.., at);
         span.len -= 1;
+    }
+
+    /// Replaces the use `from` of `value` with `to`, in its place: the
+    /// caller moves it only where it stays in order, past no other use of
+    /// `value`.
+    ///
+    /// # Panics
+    /// Panics if `from` is not among the uses of `value`.
+    pub(crate) fn retarget(&mut self, value: ValueId, from: Use, to: Use) {
+        let list = &mut self.pool[self.spans[value.index()].live()];
+        let at = list
+            .binary_search(&from)
+            .expect("use-def index out of step with the operands");
+        list[at] = to;
+        debug_assert!(
+            (at == 0 || list[at - 1] < to) && list.get(at + 1).is_none_or(|&next| to < next),
+            "a retargeted use left its value's list out of order"
+        );
     }
 
     /// Removes and returns the greatest use of `value`, if it has any.

@@ -57,6 +57,15 @@ impl ValueList {
         }
     }
 
+    /// Keeps the first `len` values (all of them if there are fewer). A
+    /// list on the heap stays there.
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.0 {
+            Repr::Inline { len: held, .. } => *held = (*held).min(len.min(INLINE) as u8),
+            Repr::Heap(values) => values.truncate(len),
+        }
+    }
+
     /// Removes every value (and gives back any heap storage).
     pub fn clear(&mut self) {
         *self = Self::new();

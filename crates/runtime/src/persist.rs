@@ -120,6 +120,27 @@ fn read_opt(r: &mut ByteReader) -> Result<OptLevel, StoreError> {
     }
 }
 
+/// The bytes [`put_spec`] writes.
+fn spec_len(spec: &MatmulSpec) -> usize {
+    [
+        spec.m,
+        spec.n,
+        spec.k,
+        spec.tile_m,
+        spec.tile_k,
+        spec.tile_n,
+    ]
+    .into_iter()
+    .map(ByteWriter::zigzag_len)
+    .sum::<usize>()
+        + 1
+}
+
+/// The bytes [`put_cache_key`] writes.
+fn cache_key_len(key: &CacheKey) -> usize {
+    ByteWriter::str_len(&key.accelerator) + spec_len(&key.spec) + 1
+}
+
 fn put_cache_key(w: &mut ByteWriter, key: &CacheKey) {
     w.put_str(&key.accelerator);
     put_spec(w, &key.spec);
@@ -137,20 +158,26 @@ fn read_cache_key(r: &mut ByteReader) -> Result<CacheKey, StoreError> {
 /// The store key a module is filed under: `m` + canonical `(family,
 /// shape, opt)` encoding.
 pub fn module_key_bytes(key: &CacheKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let len = 1 + cache_key_len(key);
+    let mut w = ByteWriter::with_capacity(len);
     w.put_u8(MODULE_PREFIX);
     put_cache_key(&mut w, key);
-    w.finish()
+    let bytes = w.finish();
+    debug_assert_eq!(bytes.len(), len, "a module key's length was mispredicted");
+    bytes
 }
 
 /// The store key a cost row is filed under: `c` + platform name +
 /// canonical module key encoding.
 pub fn cost_key_bytes(platform: &str, key: &CacheKey) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let len = 1 + ByteWriter::str_len(platform) + cache_key_len(key);
+    let mut w = ByteWriter::with_capacity(len);
     w.put_u8(COST_PREFIX);
     w.put_str(platform);
     put_cache_key(&mut w, key);
-    w.finish()
+    let bytes = w.finish();
+    debug_assert_eq!(bytes.len(), len, "a cost key's length was mispredicted");
+    bytes
 }
 
 fn put_style(w: &mut ByteWriter, style: ConfigStyle) {
@@ -581,9 +608,30 @@ fn read_layout(r: &mut ByteReader) -> Result<MatmulLayout, StoreError> {
     })
 }
 
+/// The room [`encode_module`] reserves for `module`'s value: the key's
+/// exact length, and for the rest a size from the module's counts — the
+/// widest a layout can encode, and per instruction, label target and
+/// launch more than any module of the `cold_shapes` grid takes (its
+/// values average 477 bytes on OpenGeMM and 138 on Gemmini, and all of
+/// them fit). A value past it grows its buffer; the bytes do not change.
+fn encoded_size(module: &CompiledModule) -> usize {
+    let program = &module.program;
+    cache_key_len(&module.key)
+        + 4 * 10
+        + 3 * 10
+        + 4 * program.insts().len()
+        + 2 * program.label_targets().len()
+        + 2
+        + 10
+        + 24 * module.plan.launches().len()
+        + 10
+        + 4 * 10
+        + 10
+}
+
 /// Serializes one compiled module to its canonical store value.
 pub fn encode_module(module: &CompiledModule) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::with_capacity(encoded_size(module));
     put_cache_key(&mut w, &module.key);
     put_layout(&mut w, &module.layout);
     put_program(&mut w, &module.program);
@@ -989,6 +1037,48 @@ mod tests {
                 assert_eq!(decoded, module);
             }
         }
+    }
+
+    /// Keys are written at their exact length and module values within
+    /// the room reserved for them: over a sample of the `cold_shapes` grid
+    /// (6 x 6 x 16 shapes, Gemmini untiled and OpenGeMM in 8 x 8 x k
+    /// tiles), no encoder regrows its buffer.
+    #[test]
+    fn keys_and_values_fit_the_room_they_reserve() {
+        let (gemmini, opengemm) = (
+            AcceleratorDescriptor::gemmini(),
+            AcceleratorDescriptor::opengemm(),
+        );
+        let mut sampled = 0;
+        for (i, (m, n, k)) in (8..=48)
+            .step_by(8)
+            .flat_map(|m| (8..=48).step_by(8).map(move |n| (m, n)))
+            .flat_map(|(m, n)| (8..=128).step_by(8).map(move |k| (m, n, k)))
+            .enumerate()
+        {
+            // every seventh shape, so each of m, n and k takes every value
+            if i % 7 != 0 {
+                continue;
+            }
+            for (desc, tile) in [(&gemmini, (m, n, k)), (&opengemm, (8, 8, k))] {
+                let spec = MatmulSpec::new((m, n, k), tile).unwrap();
+                let module = build_module(desc, spec, OptLevel::All).unwrap();
+                let value = encode_module(&module);
+                assert!(
+                    value.len() <= encoded_size(&module),
+                    "{} {spec:?}: {} bytes past the {} reserved",
+                    desc.name,
+                    value.len(),
+                    encoded_size(&module)
+                );
+                let key = module_key_bytes(&module.key);
+                assert_eq!(key.capacity(), key.len());
+                let cost_key = cost_key_bytes(&desc.name, &module.key);
+                assert_eq!(cost_key.capacity(), cost_key.len());
+                sampled += 1;
+            }
+        }
+        assert_eq!(sampled, 2 * 576_usize.div_ceil(7));
     }
 
     fn varint(v: u64) -> Vec<u8> {

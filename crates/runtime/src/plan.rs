@@ -366,18 +366,24 @@ impl DispatchPlan {
     /// (those registers belong to the launch command).
     pub fn from_trace(trace: &ExecTrace, desc: &AcceleratorDescriptor) -> Result<Self, ServeError> {
         // A field's register is looked up once per trace, not once per
-        // launch that holds it: the records of one trace number their fields
-        // alike, and the name kept beside the register says when one does not.
-        let mut register_of = FieldMap::<(&str, u16)>::new();
+        // launch that holds it: the records of one trace share their names,
+        // and so number their fields alike.
+        let mut register_of = FieldMap::<u16>::new();
+        let mut numbered_by = None;
         let mut launches = Vec::with_capacity(trace.launches.len());
         for record in &trace.launches {
+            let names = record.names();
+            if numbered_by.is_none_or(|held| !names.same_table(held)) {
+                register_of.clear();
+                numbered_by = Some(names);
+            }
             let mut registers = RegMap::new();
-            for (field, name, value) in record.fields() {
+            for (field, value) in record.values() {
                 let reg = match register_of.get(field) {
-                    Some(&(held, reg)) if held == name => reg,
-                    _ => {
-                        let reg = config_register(desc, name)?;
-                        register_of.set(field, (name, reg));
+                    Some(&reg) => reg,
+                    None => {
+                        let reg = config_register(desc, names.name(field))?;
+                        register_of.set(field, reg);
                         reg
                     }
                 };

@@ -19,11 +19,16 @@
 //! register files (`from_trace`, `cost`), with launch records that are one
 //! symbol-indexed `FieldMap<i64>` each, with the IR stages off the heap
 //! per op (one inline attribute, presized walks and name tables, value- and
-//! register-indexed maps, reused CSE buffers, static pass names), and with
-//! up to three operand or result ids held inline, an arena presized on its
+//! register-indexed maps, reused CSE buffers, static pass names), with up
+//! to three operand or result ids held inline, an arena presized on its
 //! first op, one verifier buffer per pipeline, symbol-indexed field states
 //! in the field hoist, batched loop-invariant moves and sweeps that build
-//! their visited sets only when a fold or an erasure asks:
+//! their visited sets only when a fold or an erasure asks (inline op
+//! lists), and with a module's names in one string, ops folded to
+//! constants in place, setups thinned in place, loop state carried through
+//! the interpreter's value environment, lowered loops read where they
+//! stand, CSE sized to the arena with one block stack, and the use index
+//! and pass list presized:
 //!
 //! ```text
 //!                  matmul_ir pipeline compile interpret from_trace cost  sum
@@ -33,21 +38,24 @@
 //!   dense register files 175      312      26       233          1    0  747
 //!   one-record launches  176      312      26        24          5    0  543
 //!   IR off the heap      150      192      19        24          5    0  390
-//!   → at this PR          63      126      15        24          5    0  233
+//!   inline op lists       63      126      15        24          5    0  233
+//!   → at this PR          37       78       8        12          5    0  140
 //! gemmini 24x16x64 untiled
 //!   before the rebuild   103      381      33        43         12   11  583
 //!   at the rebuild        65       73      14        37         12   11  212
 //!   dense register files  65       73      14        37          1    0  190
 //!   one-record launches   66       73      14         5          4    0  162
 //!   IR off the heap       54       35       6         5          4    0  104
-//!   → at this PR          38       33       6         5          4    0   86
+//!   inline op lists       38       33       6         5          4    0   86
+//!   → at this PR          26       27       5         5          4    0   67
 //! cold_shapes grid mean
 //!   before the rebuild   187     1203      51       291         47   36 1815
 //!   at the rebuild       118      188      20       229         47   36  637
 //!   dense register files 118      188      20       229          1    0  556
 //!   one-record launches  119      188      20        21          4.5  0  353
 //!   IR off the heap      100.5    108.5    11.9      20.8        4.5  0  246.2
-//!   → at this PR          49.8     75.9    10.2      20.8        4.5  0  161.2
+//!   inline op lists       49.8     75.9    10.2      20.8        4.5  0  161.2
+//!   → at this PR          30.8     50.3     6.7      11.9        4.5  0  104.3
 //! ```
 //!
 //! The OpenGeMM module's pipeline is also printed pass by pass, with the
@@ -233,26 +241,26 @@ fn build_module_stays_within_its_allocation_budget() {
             "opengemm 24x16x64 / 8x8x64",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::new((24, 16, 64), (8, 8, 64)).expect("multiples of 8"),
-            // measured 63, 126, 24, 5 and 233, + 15 %
+            // measured 37, 78, 12, 5 and 140, + 15 %
             Budget {
-                matmul_ir: 72,
-                pipeline: 144,
-                interpret: 27,
+                matmul_ir: 42,
+                pipeline: 89,
+                interpret: 13,
                 from_trace: 5,
-                build: 267,
+                build: 161,
             },
         ),
         (
             "gemmini 24x16x64 untiled",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::new((24, 16, 64), (24, 16, 64)).expect("untiled shape"),
-            // measured 38, 33, 5, 4 and 86, + 15 %
+            // measured 26, 27, 5, 4 and 67, + 15 %
             Budget {
-                matmul_ir: 43,
-                pipeline: 37,
+                matmul_ir: 29,
+                pipeline: 31,
                 interpret: 5,
                 from_trace: 4,
-                build: 98,
+                build: 77,
             },
         ),
     ] {
@@ -280,13 +288,13 @@ fn build_module_stays_within_its_allocation_budget() {
     for (desc, spec) in &shapes {
         stages.add(desc, spec);
     }
-    // measured 49.8, 75.9, 20.8, 4.5 and 161.2, + 15 %
+    // measured 30.8, 50.3, 11.9, 4.5 and 104.3, + 15 %
     let budget = Budget {
-        matmul_ir: 57,
-        pipeline: 87,
-        interpret: 23,
+        matmul_ir: 35,
+        pipeline: 57,
+        interpret: 13,
         from_trace: 5,
-        build: 185,
+        build: 119,
     };
     let modules = shapes.len() as u64;
     over_budget.extend(stages.report("cold_shapes grid mean (1152)", modules, &budget));

@@ -28,26 +28,29 @@
 //!   less one of `n`, divided by `n` — everything above plus the module's
 //!   dispatch (two allocations, `dispatch_allocs`).
 //!
-//! Allocations (release build, `n` = 48), the commit before one store
+//! Allocations (release build, `n` = 48): the commit before one store
 //! probe per module, cost rows only where the module can run and a flush
-//! of the moved rows → at it:
+//! of the moved rows → at it → with store keys written at their exact
+//! length (`ByteWriter::with_capacity`):
 //!
 //! ```text
-//!                                 before → after
-//! resolve, per restored module     13.69 →  8.69
-//! seed, per seeded row              7.15 →  4.10
-//! flush, per cost row               6.69 → -0.06
-//! serve, per module                35.96 → 19.17
+//!                                 before → one probe → sized keys
+//! resolve, per restored module     13.69 →      8.69 →       6.69
+//! seed, per seeded row              7.15 →      4.10 →       2.10
+//! flush, per cost row               6.69 →     -0.06 →      -0.06
+//! serve, per module                35.96 →     19.17 →      15.17
 //! ```
 //!
 //! (Resolve lost the second cache key — its accelerator `String` — the
 //! key clone `ModuleCache::restore` made for the map, and the re-encoding
 //! of the decoded key to compare it with the store key, three buffer
 //! growths; the `HashSet` of restored keys became a `Vec` of the cache's
-//! `Arc`s. What is left is the probe's key, the store key's three
-//! growths, the decode and the `Arc`. A seeded row lost the lookup on the
-//! other platform: an encoded store key, three buffer growths; it keeps
-//! its own lookup's three and its platform-name `String`. None of the
+//! `Arc`s. What is left is the probe's key, the store key, the decode and
+//! the `Arc`: the store key was three growths of an empty buffer before
+//! keys were sized. A seeded row lost the lookup on the other platform:
+//! an encoded store key, three buffer growths; it keeps its own lookup's
+//! key, one allocation since keys are sized, and its platform-name
+//! `String`. None of the
 //! warm serve's rows moved off their seeded value, so none is cloned,
 //! encoded or sorted any more: the residual is the rounding of buffers
 //! that grow by doubling in the differenced serves.) Each figure is
@@ -149,12 +152,12 @@ fn the_store_path_stays_within_its_allocation_budgets() {
     let _ = std::fs::remove_file(&golden);
 
     println!("{:<32} {:>8} {:>8}", "allocations", "measured", "budget");
-    // measured 8.69, 4.10, -0.06 and 19.17
+    // measured 6.69, 2.10, -0.06 and 15.17
     for (label, measured, budget) in [
-        ("resolve, per restored module", ledger.resolve, 10.0),
-        ("seed, per seeded row", ledger.seed, 4.7),
+        ("resolve, per restored module", ledger.resolve, 7.7),
+        ("seed, per seeded row", ledger.seed, 2.5),
         ("flush, per cost row", ledger.flush, 0.5),
-        ("serve, per module", ledger.serve, 22.0),
+        ("serve, per module", ledger.serve, 17.5),
     ] {
         println!("{label:<32} {measured:>8.2} {budget:>8.1}");
         if !cfg!(debug_assertions) && !cfg!(feature = "validate") {

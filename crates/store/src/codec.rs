@@ -29,6 +29,30 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `bytes` bytes: a caller that knows
+    /// (or bounds) the length of what it writes allocates once.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// The bytes [`ByteWriter::put_varint`] writes for `v`.
+    pub fn varint_len(v: u64) -> usize {
+        // one byte per started group of seven bits, and one for zero
+        (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+    }
+
+    /// The bytes [`ByteWriter::put_zigzag`] writes for `v`.
+    pub fn zigzag_len(v: i64) -> usize {
+        Self::varint_len(((v << 1) ^ (v >> 63)) as u64)
+    }
+
+    /// The bytes [`ByteWriter::put_str`] writes for `v`.
+    pub fn str_len(v: &str) -> usize {
+        Self::varint_len(v.len() as u64) + v.len()
+    }
+
     /// Consumes the writer, yielding the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -236,6 +260,35 @@ mod tests {
         assert_eq!(r.varint_to::<usize>().unwrap(), 123);
         assert_eq!(r.str().unwrap(), "gemmini");
         assert!(r.expect_exhausted("primitives").is_ok());
+    }
+
+    #[test]
+    fn lengths_are_what_the_writer_writes() {
+        let mut values: Vec<u64> = (0..64)
+            .flat_map(|bit| [1u64 << bit, (1 << bit) - 1])
+            .collect();
+        values.extend([u64::MAX, 0x7f, 0x80, 0x3fff, 0x4000]);
+        for v in values {
+            assert_eq!(
+                ByteWriter::varint_len(v),
+                varint_bytes(v).len(),
+                "varint {v}"
+            );
+            for signed in [v as i64, (v as i64).wrapping_neg()] {
+                let mut w = ByteWriter::new();
+                w.put_zigzag(signed);
+                assert_eq!(
+                    ByteWriter::zigzag_len(signed),
+                    w.finish().len(),
+                    "zigzag {signed}"
+                );
+            }
+        }
+        for text in ["", "gemmini", &"x".repeat(200)] {
+            let mut w = ByteWriter::new();
+            w.put_str(text);
+            assert_eq!(ByteWriter::str_len(text), w.finish().len());
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn compile(
         .func_by_name(func_name)
         .ok_or_else(|| LowerError::NoSuchFunc(func_name.to_string()))?;
     let body = m.body_block(func, 0);
-    let params = m.block(body).args.clone();
+    let params = &m.block(body).args;
     if params.len() != args.len() {
         return Err(LowerError::ArgCount {
             expected: params.len(),
@@ -284,12 +284,12 @@ impl<'a> Lowerer<'a> {
 
     fn lower_for(&mut self, op: OpId) -> Result<(), LowerError> {
         let m = self.m;
-        let data = m.op(op).clone();
+        let data = m.op(op);
         let lb = self.reg_for(data.operands[0]);
         let ub = self.reg_for(data.operands[1]);
         let step = self.reg_for(data.operands[2]);
         let body = m.body_block(op, 0);
-        let args = m.block(body).args.clone();
+        let args = &m.block(body).args;
         let iv = self.reg_for(args[0]);
         self.mov(iv, lb);
         // integer iter args get registers initialized from inits;
@@ -311,7 +311,7 @@ impl<'a> Lowerer<'a> {
         // yield: two-phase move into the iteration registers
         let yield_op = m.terminator(body);
         let mut temps = Vec::new();
-        let yield_operands = m.op(yield_op).operands.clone();
+        let yield_operands = &m.op(yield_op).operands;
         for (&y, &arg) in yield_operands.iter().zip(args[1..].iter()) {
             if m.value_type(arg).is_integer_like() {
                 let yr = self.reg_for(y);
@@ -340,7 +340,7 @@ impl<'a> Lowerer<'a> {
 
     fn lower_if(&mut self, op: OpId) -> Result<(), LowerError> {
         let m = self.m;
-        let data = m.op(op).clone();
+        let data = m.op(op);
         let cond = self.reg_for(data.operands[0]);
         let zero = self.zero_reg();
         // integer results get registers written by both branches
@@ -356,7 +356,7 @@ impl<'a> Lowerer<'a> {
             let block = m.body_block(op, region);
             self.lower_block(block)?;
             let yield_op = m.terminator(block);
-            let yields = m.op(yield_op).operands.clone();
+            let yields = &m.op(yield_op).operands;
             for (&y, rr) in yields.iter().zip(result_regs.iter()) {
                 if let Some(rd) = rr {
                     let yr = self.reg_for(y);

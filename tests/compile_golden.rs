@@ -167,3 +167,70 @@ fn gemmini_ws_sweep_points_print_the_recorded_ir() {
         printed.0
     );
 }
+
+/// How many modules of `desc`'s `cold_shapes` grid each pass of the
+/// `OptLevel::All` pipeline rewrites (reports `Changed`), pass by pass in
+/// pipeline order. Pins which passes do work on the grid, so that a change
+/// meant to leave every pass's output alone can be checked pass by pass,
+/// not only by the digests of the end result.
+fn grid_pass_activity(desc: &AcceleratorDescriptor) -> Vec<(&'static str, usize)> {
+    let pm = pipeline(OptLevel::All, desc.overlap_filter());
+    let mut activity: Vec<(&'static str, usize)> =
+        pm.passes().map(|pass| (pass.name(), 0)).collect();
+    for spec in cold_shapes_grid(&desc.name) {
+        let mut module = matmul_ir(desc, &spec);
+        let stats = pm.run(&mut module).expect("the pipeline verifies");
+        for (counted, (name, changed)) in activity.iter_mut().zip(stats.passes) {
+            assert_eq!(counted.0, name);
+            counted.1 += usize::from(changed);
+        }
+    }
+    activity
+}
+
+#[test]
+fn grid_passes_rewrite_the_recorded_modules() {
+    let opengemm = [
+        ("canonicalize", 576),
+        ("cse", 576),
+        ("licm", 560),
+        ("accfg-trace-states", 560),
+        ("accfg-hoist-setup-into-branch", 0),
+        ("accfg-hoist-invariant-setup-fields", 560),
+        ("accfg-dedup", 0),
+        ("accfg-remove-empty-setups", 560),
+        ("accfg-merge-setups", 0),
+        ("accfg-rotate-loops", 560),
+        ("accfg-overlap-in-block", 0),
+        ("canonicalize", 560),
+        ("cse", 0),
+        ("dce", 0),
+    ];
+    let gemmini = [
+        ("canonicalize", 0),
+        ("cse", 576),
+        ("licm", 0),
+        ("accfg-trace-states", 0),
+        ("accfg-hoist-setup-into-branch", 0),
+        ("accfg-hoist-invariant-setup-fields", 0),
+        ("accfg-dedup", 0),
+        ("accfg-remove-empty-setups", 0),
+        ("accfg-merge-setups", 0),
+        ("accfg-rotate-loops", 0),
+        ("accfg-overlap-in-block", 0),
+        ("canonicalize", 0),
+        ("cse", 0),
+        ("dce", 0),
+    ];
+    for (desc, expected) in [
+        (AcceleratorDescriptor::opengemm(), opengemm),
+        (AcceleratorDescriptor::gemmini(), gemmini),
+    ] {
+        assert_eq!(
+            grid_pass_activity(&desc),
+            expected,
+            "{}: modules each pass rewrote",
+            desc.name
+        );
+    }
+}
