@@ -9,10 +9,8 @@
 //! [`BenchPlan`] — requests, policy filter, stream filter — and nothing
 //! else carries a knob. `BenchPlan::catalog` filters the bench
 //! catalog ([`accfg_bench::streams::catalog`], the single definition of
-//! the seven streams and their pools, shared with `benchmark/` and the
-//! integration tests) by `--streams`; for each entry, `calibrate`
-//! resolves the request sequence (a no-op except for
-//! `closed_loop_measured`) and `run_stream` serves
+//! the six streams and their pools, shared with `benchmark/` and the
+//! integration tests) by `--streams`; for each entry, `run_stream` serves
 //! `BenchPlan::policies` — the policy rows filtered by `--policies`, each
 //! a [`ServeConfig::default`] with its policy and batch size — and prints
 //! the stream's table. Every serve is one run of
@@ -24,9 +22,7 @@
 //! Every report row records the module-cache delta of its own serve, so
 //! runtime sharing is part of the report: one [`Runtime`] per pool
 //! ([`BenchPool`]), created on first use and reused by every later
-//! stream of that pool in catalog order — including the calibration
-//! serve of `closed_loop_measured`, which runs on the uniform runtime at
-//! that stream's place in the order.
+//! stream of that pool in catalog order.
 //!
 //! # Policy rows
 //!
@@ -62,13 +58,10 @@
 //!   partition keeps every worker warm, so the routing term dominates;
 //! - `bursty` — on/off arrivals that build deep queues, the worst case
 //!   for sticky routing's tail latency;
-//! - `closed_loop` — a fixed client population, self-limiting arrivals
-//!   driven by a static per-request service estimate;
-//! - `closed_loop_measured` — the same population, but each client's
-//!   feedback uses the *measured* mean service time of its request's
-//!   class (from a `fifo+elide` calibration serve of the static stream —
-//!   [`BenchStream::calibrated`]), so heavy shapes hold their clients
-//!   proportionally longer;
+//! - `closed_loop` — a fixed client population whose arrivals are
+//!   pre-generated from a static per-request service estimate, not from
+//!   completions: nothing bounds the queue, which grows with the
+//!   stream's length;
 //! - `hetero` — the mixed-platform mix served by a *heterogeneous* pool:
 //!   each family pairs its base platform with a differently provisioned
 //!   variant (`gemmini`+`gemmini-turbo`, `opengemm`+`opengemm-lite`),
@@ -168,31 +161,6 @@ impl BenchPlan {
 
 /// One policy's measurements over a stream: label and the serve metrics.
 type PolicyRow = (&'static str, ServeMetrics);
-
-/// Resolves a catalog entry into the stream its rows serve. Only
-/// `closed_loop_measured` needs work: one calibration serve of its
-/// static-estimate sequence on `runtime`, at the entry's place in the
-/// serve order, from which [`BenchStream::calibrated`] re-drives the
-/// client feedback.
-fn calibrate(runtime: &mut Runtime, mut entry: BenchStream) -> BenchStream {
-    if let Some(generator) = &entry.calibration {
-        let cfg = ServeConfig {
-            policy: streams::CALIBRATION_POLICY,
-            ..ServeConfig::default()
-        };
-        let calibration = runtime
-            .serve(&entry.requests, &cfg)
-            .expect("calibration serve succeeds");
-        let (service_times, requests) = entry.calibrated(&calibration);
-        println!(
-            "closed-loop calibration: measured per-class service times {service_times:?} \
-             (static estimate was {})\n",
-            generator.service_estimate
-        );
-        entry.requests = requests;
-    }
-    entry
-}
 
 /// Serves every selected policy row over one catalog entry on its pool's
 /// `runtime`, prints the stream's table and headline, and returns the
@@ -476,7 +444,6 @@ fn main() {
         let runtime = runtimes
             .entry(entry.pool)
             .or_insert_with(|| Runtime::new(entry.pool.build()));
-        let entry = calibrate(runtime, entry);
         let results = run_stream(&plan, runtime, &entry);
         if !results.is_empty() {
             let totals = streams::static_totals(&entry.requests);
@@ -539,7 +506,7 @@ mod tests {
     #[test]
     fn streams_flag_accepts_exactly_the_catalog_names() {
         let catalog = streams::catalog(8);
-        assert_eq!(catalog.len(), 7);
+        assert_eq!(catalog.len(), 6);
         let known = stream_names();
         for entry in &catalog {
             assert_eq!(
@@ -548,7 +515,7 @@ mod tests {
             );
         }
         let all = known.join(",");
-        assert_eq!(cli::selection("stream", &all, &known).unwrap().len(), 7);
+        assert_eq!(cli::selection("stream", &all, &known).unwrap().len(), 6);
         for bad in ["warmup", "mixed,warmup", "Mixed", ""] {
             let rejected = cli::selection("stream", bad, &known);
             assert!(rejected.is_err(), "--streams {bad:?} must be rejected");

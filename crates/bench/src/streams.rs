@@ -3,7 +3,7 @@
 //! (`tests/serving.rs` and `tests/persistence.rs` take their fixtures
 //! from here instead of re-typing seeds and gaps).
 //!
-//! [`catalog`] lists the seven streams in report order, each with the pool
+//! [`catalog`] lists the six streams in report order, each with the pool
 //! that serves it; everything else here is a piece of it. Every builder is
 //! deterministic — fixed seeds, fixed gaps — so "the `mixed` stream at
 //! 4000 requests" is the same byte-identical request sequence whether
@@ -11,7 +11,7 @@
 //! on it.
 
 use accfg_analyze::{lint_module, LintKind};
-use accfg_runtime::{measured_class_service_times, Policy, PoolConfig, ServeReport};
+use accfg_runtime::PoolConfig;
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{
     matmul_ir, mixed_platform_classes, mixed_serving_classes, shape_heavy_classes, BurstyConfig,
@@ -131,8 +131,9 @@ pub fn bursty_stream(requests: usize) -> Vec<TrafficRequest> {
     .expect("valid bursty mix")
 }
 
-/// The closed-loop generator configuration (static service estimate).
-pub fn closed_loop_config(requests: usize) -> ClosedLoopConfig {
+/// Twelve clients whose arrivals are pre-generated from a static service
+/// estimate (see [`ClosedLoopConfig`]): nothing bounds the queue.
+pub fn closed_loop_stream(requests: usize) -> Vec<TrafficRequest> {
     ClosedLoopConfig {
         classes: mixed_serving_classes(),
         requests,
@@ -141,6 +142,8 @@ pub fn closed_loop_config(requests: usize) -> ClosedLoopConfig {
         service_estimate: 250,
         seed: 0xC105ED,
     }
+    .stream()
+    .expect("valid closed-loop mix")
 }
 
 /// The mixed-platform mix the heterogeneous pool serves.
@@ -167,11 +170,6 @@ pub fn contention_stream(requests: usize) -> Vec<TrafficRequest> {
     .expect("valid contention mix")
 }
 
-/// The policy of the calibration serve [`BenchStream::calibrated`]
-/// measures service times from: elision without routing, so the
-/// measurement is routing-neutral.
-pub const CALIBRATION_POLICY: Policy = Policy::FifoElide;
-
 /// One entry of the bench catalog.
 #[derive(Debug, Clone)]
 pub struct BenchStream {
@@ -183,44 +181,11 @@ pub struct BenchStream {
     /// canonical mix: batching changes placement, not the
     /// routing-vs-balance story the other streams characterize.
     pub batch_rows: bool,
-    /// The request sequence — for an entry with a `calibration`, the
-    /// static-estimate sequence its calibration serve runs over.
+    /// The request sequence.
     pub requests: Vec<TrafficRequest>,
-    /// `closed_loop_measured` only: the generator [`calibrated`] re-drives
-    /// with measured service times.
-    ///
-    /// [`calibrated`]: BenchStream::calibrated
-    pub calibration: Option<ClosedLoopConfig>,
 }
 
-impl BenchStream {
-    /// Closed-loop fidelity: the sequence the stream's policy rows serve,
-    /// with each client's feedback re-driven by the *measured* mean
-    /// service time of its request's class. `calibration` is a
-    /// [`CALIBRATION_POLICY`] serve of [`BenchStream::requests`]. Returns
-    /// the per-class service times alongside the sequence.
-    ///
-    /// # Panics
-    /// If the entry carries no `calibration` generator.
-    pub fn calibrated(&self, calibration: &ServeReport) -> (Vec<u64>, Vec<TrafficRequest>) {
-        let generator = self
-            .calibration
-            .as_ref()
-            .expect("only a stream with a calibration generator is calibrated");
-        let service_times = measured_class_service_times(
-            &generator.classes,
-            &self.requests,
-            calibration,
-            generator.service_estimate,
-        );
-        let requests = generator
-            .stream_with_service_times(&service_times)
-            .expect("valid measured closed-loop mix");
-        (service_times, requests)
-    }
-}
-
-/// The bench catalog: the seven streams in report order.
+/// The bench catalog: the six streams in report order.
 pub fn catalog(requests: usize) -> Vec<BenchStream> {
     use BenchPool::{Contention, Hetero, Uniform};
     let entry = |name, pool, requests| BenchStream {
@@ -228,10 +193,7 @@ pub fn catalog(requests: usize) -> Vec<BenchStream> {
         pool,
         batch_rows: false,
         requests,
-        calibration: None,
     };
-    let closed_loop = closed_loop_config(requests);
-    let static_estimate = || closed_loop.stream().expect("valid closed-loop mix");
     vec![
         BenchStream {
             batch_rows: true,
@@ -239,11 +201,7 @@ pub fn catalog(requests: usize) -> Vec<BenchStream> {
         },
         entry("shape_heavy", Uniform, shape_heavy_stream(requests)),
         entry("bursty", Uniform, bursty_stream(requests)),
-        entry("closed_loop", Uniform, static_estimate()),
-        BenchStream {
-            calibration: Some(closed_loop.clone()),
-            ..entry("closed_loop_measured", Uniform, static_estimate())
-        },
+        entry("closed_loop", Uniform, closed_loop_stream(requests)),
         entry("hetero", Hetero, hetero_stream(requests)),
         entry("contention", Contention, contention_stream(requests)),
     ]
@@ -306,7 +264,6 @@ pub fn static_totals(stream: &[TrafficRequest]) -> StaticTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accfg_runtime::{Runtime, ServeConfig};
 
     #[test]
     fn catalog_names_are_unique_and_in_report_order() {
@@ -319,7 +276,6 @@ mod tests {
                 "shape_heavy",
                 "bursty",
                 "closed_loop",
-                "closed_loop_measured",
                 "hetero",
                 "contention"
             ]
@@ -327,50 +283,7 @@ mod tests {
         for entry in &catalog {
             assert_eq!(entry.requests.len(), 40, "{}", entry.name);
             assert_eq!(entry.batch_rows, entry.name == "mixed");
-            assert_eq!(
-                entry.calibration.is_some(),
-                entry.name == "closed_loop_measured"
-            );
         }
-    }
-
-    #[test]
-    fn calibrated_equals_the_written_out_recipe() {
-        // the reference: the recipe exactly as serve_bench and the
-        // integration tests each spelled it before the catalog
-        let cfg = closed_loop_config(300);
-        let calibration_stream = cfg.stream().expect("valid closed-loop mix");
-        let calibration = Runtime::new(uniform_pool())
-            .serve(
-                &calibration_stream,
-                &ServeConfig {
-                    policy: Policy::FifoElide,
-                    ..ServeConfig::default()
-                },
-            )
-            .expect("calibration serve succeeds");
-        let service_times = measured_class_service_times(
-            &cfg.classes,
-            &calibration_stream,
-            &calibration,
-            cfg.service_estimate,
-        );
-        let reference = cfg
-            .stream_with_service_times(&service_times)
-            .expect("valid measured closed-loop mix");
-
-        let catalog = catalog(300);
-        let entry = catalog
-            .iter()
-            .find(|entry| entry.name == "closed_loop_measured")
-            .expect("the catalog carries the measured closed loop");
-        assert_eq!(entry.requests, calibration_stream);
-        assert_eq!(CALIBRATION_POLICY, Policy::FifoElide);
-        let (measured, requests) = entry.calibrated(&calibration);
-        assert_eq!(measured, service_times);
-        assert_eq!(requests, reference);
-        // and the calibration did something: measured feedback moved arrivals
-        assert_ne!(requests, entry.requests);
     }
 
     #[test]

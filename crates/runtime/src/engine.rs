@@ -111,7 +111,6 @@ pub(crate) fn run(
     scheduler.seed_ids(&resolved.cost_seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
-    let batch_cutoff = cfg.batch_cutoff.resolve(cfg.load_slack);
 
     let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
     let mut outcomes = vec![CommitOutcome::default(); stream.len()];
@@ -155,8 +154,8 @@ pub(crate) fn run(
         // adjacent in this group's arrival order (requests bound for
         // other accelerator groups never interpose), stopping at the
         // batch cutoff: once the worker's estimated outstanding cycles
-        // reach the horizon, further requests are better served by a
-        // fresh routing decision than by joining the queue
+        // reach the slack horizon, further requests are better served by
+        // a fresh routing decision than by joining the queue
         let (g, id) = (group_idx[head], ids[head]);
         let module = &*modules[id];
         let worker = scheduler.choose_id(g, &groups[g], id, module, now);
@@ -165,15 +164,12 @@ pub(crate) fn run(
             if completions[slot].is_some() || group_idx[slot] != g {
                 continue;
             }
-            if batch > 0 {
-                if batch >= max_batch || ids[slot] != id {
-                    break;
-                }
-                if let Some(cutoff) = batch_cutoff {
-                    if scheduler.outstanding(worker, stream[slot].arrival) >= cutoff {
-                        break;
-                    }
-                }
+            if batch > 0
+                && (batch >= max_batch
+                    || ids[slot] != id
+                    || scheduler.outstanding(worker, stream[slot].arrival) >= cfg.load_slack)
+            {
+                break;
             }
             outcomes[slot] = scheduler.commit_id(worker, id, module, stream[slot].arrival);
             let completion = workers[worker].execute(&stream[slot], module, elide);

@@ -36,7 +36,7 @@
 //!   estimates learn the stream's true costs without any build-time
 //!   profiling runs (`refine_cost` in [`ServeConfig`]);
 //! - **same-config batching with a queue-depth-aware cutoff**
-//!   (`max_batch` / `batch_cutoff` in [`ServeConfig`]): same-module
+//!   (`max_batch` / `load_slack` in [`ServeConfig`]): same-module
 //!   requests adjacent in their group's arrival order coalesce onto one
 //!   worker, until the target's estimated outstanding cycles reach the
 //!   slack horizon — amortizing configuration without building the deep
@@ -92,7 +92,7 @@
 //! ```
 //!
 //! A minimal serve over a hand-built three-shape mix (the skeleton of
-//! `examples/serving.rs`), batching enabled with the default cutoff —
+//! `examples/serving.rs`), batching enabled (it stops at the slack horizon) —
 //! note the warm repeats land as cache hits and the refined estimates
 //! end up strictly closer to the observed cycles than the anchors:
 //!
@@ -178,10 +178,7 @@ pub use persist::{
 };
 pub use plan::{delta_writes, DispatchPlan, LaunchSpec, RegMap, WriteCmd};
 pub use policy::Policy;
-pub use runtime::{
-    measured_class_service_times, BatchCutoff, PoolConfig, PoolGroup, PredictionSample, Runtime,
-    ServeConfig, ServeReport,
-};
+pub use runtime::{PoolConfig, PoolGroup, PredictionSample, Runtime, ServeConfig, ServeReport};
 // inert, kept for `benchmark/` only (see `ServeConfig::mode`)
 pub use runtime::ServeMode;
 pub use scheduler::{CommitOutcome, Scheduler, LOAD_SLACK_CYCLES};

@@ -44,7 +44,7 @@ use crate::worker::{Completion, Worker};
 use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
-use accfg_workloads::{MatmulSpec, TrafficClass, TrafficRequest};
+use accfg_workloads::{MatmulSpec, TrafficRequest};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -216,67 +216,6 @@ impl PoolConfig {
     }
 }
 
-/// Mean measured service time (execution cycles) per traffic class, from
-/// a completed serve run — the numbers a closed-loop generator needs to
-/// drive its feedback with observed behaviour instead of a static
-/// estimate ([`ClosedLoopConfig::stream_with_service_times`]).
-///
-/// Returns one entry per class, aligned with `classes`; requests whose
-/// simulation failed are excluded, and a class with no measured requests
-/// falls back to `fallback`. Deterministic: a pure fold over the report.
-///
-/// [`ClosedLoopConfig::stream_with_service_times`]:
-///     accfg_workloads::ClosedLoopConfig::stream_with_service_times
-pub fn measured_class_service_times(
-    classes: &[TrafficClass],
-    stream: &[TrafficRequest],
-    report: &ServeReport,
-    fallback: u64,
-) -> Vec<u64> {
-    classes
-        .iter()
-        .map(|class| {
-            let (mut sum, mut samples) = (0u64, 0u64);
-            for (request, completion) in stream.iter().zip(&report.completions) {
-                if completion.sim_error.is_none()
-                    && request.accelerator == class.accelerator
-                    && request.spec == class.spec
-                {
-                    sum += completion.counters.cycles;
-                    samples += 1;
-                }
-            }
-            sum.checked_div(samples).unwrap_or(fallback)
-        })
-        .collect()
-}
-
-/// Where batch coalescing stops: the queue-depth horizon (the target
-/// worker's estimated outstanding cycles, measured at the candidate's
-/// arrival) past which a request gets a fresh routing decision instead of
-/// joining the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchCutoff {
-    /// The cutoff *is* [`ServeConfig::load_slack`] (the default): routing
-    /// and batching share one horizon, so setting `load_slack` moves both.
-    #[default]
-    FollowSlack,
-    /// Coalesce up to `max_batch` unconditionally — the pre-cutoff
-    /// behaviour whose tail cost `batch_cutoff_recovers_the_tail_and_keeps_the_writes`
-    /// in `tests/serving.rs` pins.
-    Uncapped,
-}
-
-impl BatchCutoff {
-    /// The horizon in cycles under `load_slack` (`None` = uncapped).
-    pub fn resolve(self, load_slack: u64) -> Option<u64> {
-        match self {
-            BatchCutoff::FollowSlack => Some(load_slack),
-            BatchCutoff::Uncapped => None,
-        }
-    }
-}
-
 /// A compatibility shim with no effect: every value runs the one serve
 /// loop — [`ServeConfig::mode`] is read by nothing — so reports served
 /// under any two values are identical.
@@ -313,12 +252,9 @@ pub struct ServeConfig {
     /// worker's queue may run ahead of its group's best candidate before
     /// policy scoring prefers balance over resident-state overlap.
     /// Defaults to [`LOAD_SLACK_CYCLES`] (256, the PR 2 sweep's choice).
-    /// The batch cutoff follows it unless `batch_cutoff` is uncapped.
+    /// It is also the batch cutoff: a batch stops coalescing once the
+    /// target worker's estimated outstanding cycles reach it.
     pub load_slack: u64,
-    /// Queue-depth-aware batch cutoff: stop coalescing further requests
-    /// into a batch once the target worker's estimated outstanding cycles
-    /// reach `load_slack` — or never, under [`BatchCutoff::Uncapped`].
-    pub batch_cutoff: BatchCutoff,
     /// Online cost refinement: feed each retired dispatch's measured
     /// cycles into a per-`(module, warmth bucket)` EWMA and let it sharpen
     /// the scheduler's queue estimates. `false` pins the estimates to the
@@ -348,7 +284,6 @@ impl Default for ServeConfig {
             opt: OptLevel::All,
             max_batch: 1,
             load_slack: LOAD_SLACK_CYCLES,
-            batch_cutoff: BatchCutoff::FollowSlack,
             refine_cost: true,
             store: None,
             mode: ServeMode::Deterministic,
@@ -803,7 +738,7 @@ fn summarise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accfg_workloads::{mixed_serving_classes, TrafficClass, TrafficConfig};
+    use accfg_workloads::{mixed_serving_classes, TrafficConfig};
 
     fn pool() -> PoolConfig {
         PoolConfig::new(vec![
@@ -1322,70 +1257,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn measured_service_times_average_per_class() {
-        let stream = stream(300, 12);
-        let mut rt = Runtime::new(pool());
-        let report = rt.serve(&stream, &ServeConfig::default()).unwrap();
-        let classes = mixed_serving_classes();
-        let times = measured_class_service_times(&classes, &stream, &report, 250);
-        assert_eq!(times.len(), classes.len());
-        // every class occurs in a 300-request mixed stream, so nothing
-        // falls back, and heavier shapes measure longer service
-        for (class, &t) in classes.iter().zip(&times) {
-            assert!(t > 0, "{}: zero service time", class.accelerator);
-            assert_ne!(t, 250, "{} fell back", class.accelerator);
-            // the mean is reproduced by hand for this class
-            let (mut sum, mut n) = (0u64, 0u64);
-            for (r, c) in stream.iter().zip(&report.completions) {
-                if r.accelerator == class.accelerator && r.spec == class.spec {
-                    sum += c.counters.cycles;
-                    n += 1;
-                }
-            }
-            assert_eq!(t, sum / n);
-        }
-        // an absent class falls back
-        let absent = TrafficClass {
-            accelerator: "gemmini".into(),
-            spec: accfg_workloads::MatmulSpec::gemmini_paper(128).unwrap(),
-            weight: 1,
-        };
-        assert_eq!(
-            measured_class_service_times(&[absent], &stream, &report, 250),
-            vec![250]
-        );
-    }
-
-    #[test]
-    fn batch_cutoff_follows_load_slack_unless_overridden() {
-        assert_eq!(BatchCutoff::default().resolve(512), Some(512));
-        assert_eq!(BatchCutoff::Uncapped.resolve(512), None);
-
-        // one worker per platform at a 50-cycle gap: queues run deep, so
-        // where the cutoff sits decides how far batches grow
-        let stream = stream(400, 11);
-        let serve = |load_slack, batch_cutoff| {
-            Runtime::new(pool())
-                .serve(
-                    &stream,
-                    &ServeConfig {
-                        policy: Policy::FifoElide,
-                        max_batch: 8,
-                        load_slack,
-                        batch_cutoff,
-                        ..ServeConfig::default()
-                    },
-                )
-                .unwrap()
-        };
-        // an uncapped cutoff is an explicit ablation choice: changing the
-        // slack must not re-enable the cap
-        let uncapped = serve(64, BatchCutoff::Uncapped);
-        let capped = serve(64, BatchCutoff::FollowSlack);
-        assert!(uncapped.metrics.batched_requests > capped.metrics.batched_requests);
     }
 
     #[test]

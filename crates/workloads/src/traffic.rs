@@ -79,12 +79,12 @@ fn total_weight(classes: &[TrafficClass]) -> Result<u64, SpecError> {
     Ok(total)
 }
 
-/// Draws one class index by weight.
-fn pick_class_index(classes: &[TrafficClass], total: u64, rng: &mut SplitMix) -> usize {
+/// Draws one class by weight.
+fn pick_class<'a>(classes: &'a [TrafficClass], total: u64, rng: &mut SplitMix) -> &'a TrafficClass {
     let mut pick = rng.next_u64() % total;
     classes
         .iter()
-        .position(|c| {
+        .find(|c| {
             let w = u64::from(c.weight);
             if pick < w {
                 true
@@ -94,11 +94,6 @@ fn pick_class_index(classes: &[TrafficClass], total: u64, rng: &mut SplitMix) ->
             }
         })
         .expect("weighted pick is in range")
-}
-
-/// Draws one class by weight.
-fn pick_class<'a>(classes: &'a [TrafficClass], total: u64, rng: &mut SplitMix) -> &'a TrafficClass {
-    &classes[pick_class_index(classes, total, rng)]
 }
 
 impl TrafficConfig {
@@ -186,21 +181,15 @@ impl BurstyConfig {
 }
 
 /// Parameters of a closed-loop arrival process: a fixed population of
-/// `clients`, each issuing its next request one (estimated) service time
-/// plus a think gap after issuing the previous one. Arrival rate is
-/// self-limiting — load cannot outrun the population — which is the
-/// regime an RPC fan-in tier serves.
+/// `clients`, each issuing its next request one estimated service time
+/// plus a think gap after issuing the previous one.
 ///
-/// The feedback loop is driven by an estimated service time rather than
-/// live completions so the stream stays a pure, pre-computable function
-/// of its inputs (the serving runtime replays latencies deterministically
-/// either way). [`ClosedLoopConfig::stream`] uses the single static
-/// `service_estimate` for every class;
-/// [`ClosedLoopConfig::stream_with_service_times`] takes *per-class*
-/// service times — typically measured from a calibration serve of the
-/// same mix (`accfg_runtime::measured_class_service_times`) — so the
-/// feedback reflects that heavy shapes hold their client longer, which is
-/// what makes the overload regime faithful.
+/// The loop is not closed on the serve: arrivals are pre-generated from
+/// the static `service_estimate`, not from completions, so the stream is
+/// a pure, pre-computable function of its inputs. The population bounds
+/// the *issue* rate, not the queue: when requests take longer than the
+/// estimate, nothing holds a client back, and the queue grows with the
+/// stream's length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClosedLoopConfig {
     /// The shape classes and their weights.
@@ -220,46 +209,17 @@ pub struct ClosedLoopConfig {
 }
 
 impl ClosedLoopConfig {
-    /// Generates the stream with the uniform static `service_estimate`
-    /// driving every client's feedback, sorted by arrival (ids follow
-    /// arrival order, ties broken by client index).
+    /// Generates the stream with the static `service_estimate` driving
+    /// every client's feedback, sorted by arrival (ids follow arrival
+    /// order, ties broken by client index).
     ///
     /// # Errors
     /// Fails if no class has a positive weight or `clients` is zero.
     pub fn stream(&self) -> Result<Vec<TrafficRequest>, SpecError> {
-        self.stream_with_service_times(&vec![self.service_estimate; self.classes.len()])
-    }
-
-    /// Generates the stream with *per-class* service times driving the
-    /// feedback: after issuing a request of class `i`, the client's next
-    /// issue waits `per_class[i]` cycles (plus its think gap) instead of
-    /// the uniform `service_estimate`. Feeding back the *measured* mean
-    /// service time of each class — the numbers the serving runtime's
-    /// cost refiner already tracks, exposed as
-    /// `accfg_runtime::measured_class_service_times` — keeps the stream a
-    /// deterministic pure function of its inputs while making the
-    /// self-limiting feedback faithful to what each shape actually costs.
-    ///
-    /// # Errors
-    /// Fails if no class has a positive weight, `clients` is zero, or
-    /// `per_class` is not one service time per class.
-    pub fn stream_with_service_times(
-        &self,
-        per_class: &[u64],
-    ) -> Result<Vec<TrafficRequest>, SpecError> {
         let total = total_weight(&self.classes)?;
         if self.clients == 0 {
             return Err(SpecError {
                 message: "closed-loop traffic needs at least one client".into(),
-            });
-        }
-        if per_class.len() != self.classes.len() {
-            return Err(SpecError {
-                message: format!(
-                    "closed-loop feedback needs one service time per class ({} classes, {} times)",
-                    self.classes.len(),
-                    per_class.len()
-                ),
             });
         }
         let mut rng = SplitMix::new(self.seed);
@@ -275,8 +235,7 @@ impl ClosedLoopConfig {
                 .min_by_key(|&c| (next_issue[c], c))
                 .expect("at least one client");
             let arrival = next_issue[client];
-            let class_idx = pick_class_index(&self.classes, total, &mut rng);
-            let class = &self.classes[class_idx];
+            let class = pick_class(&self.classes, total, &mut rng);
             issued.push(TrafficRequest {
                 id: 0, // assigned after the arrival sort
                 accelerator: class.accelerator.clone(),
@@ -285,7 +244,7 @@ impl ClosedLoopConfig {
                 seed: rng.next_u64(),
             });
             let think = rng.next_u64() % (2 * self.think_time + 1);
-            next_issue[client] = arrival + per_class[class_idx] + think;
+            next_issue[client] = arrival + self.service_estimate + think;
         }
         // the event loop issues in nondecreasing time; the stable sort
         // keeps its tie order
@@ -537,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_stream_is_deterministic_and_self_limiting() {
+    fn closed_loop_stream_is_deterministic_and_bounds_the_issue_rate() {
         let a = closed(1_000, 5, |_| {}).unwrap();
         let b = closed(1_000, 5, |_| {}).unwrap();
         assert_eq!(a, b);
@@ -547,8 +506,8 @@ mod tests {
         for (i, r) in a.iter().enumerate() {
             assert_eq!(r.id, i as u64);
         }
-        // the population bounds concurrency: no window of clients+1
-        // consecutive requests fits inside one service time
+        // the population bounds the issue rate: no window of clients+1
+        // consecutive requests fits inside one estimated service time
         let clients = 8usize;
         for w in a.windows(clients + 1) {
             assert!(w[clients].arrival >= w[0].arrival + 200 - 1);
@@ -558,63 +517,6 @@ mod tests {
     #[test]
     fn closed_loop_rejects_zero_clients() {
         assert!(closed(10, 1, |c| c.clients = 0).is_err());
-    }
-
-    #[test]
-    fn closed_loop_per_class_feedback_matches_uniform_when_constant() {
-        // per-class times all equal to the static estimate reproduce
-        // stream() byte for byte — the uniform case is a special case
-        let cfg = ClosedLoopConfig {
-            classes: mixed_serving_classes(),
-            requests: 600,
-            clients: 8,
-            think_time: 100,
-            service_estimate: 200,
-            seed: 21,
-        };
-        let uniform = cfg.stream().unwrap();
-        let constant = cfg
-            .stream_with_service_times(&vec![200; cfg.classes.len()])
-            .unwrap();
-        assert_eq!(uniform, constant);
-    }
-
-    #[test]
-    fn closed_loop_per_class_feedback_slows_heavy_clients() {
-        // giving one class a much longer service time must stretch the
-        // stream: clients stuck on heavy requests issue later, so the
-        // final arrival moves out while the stream stays deterministic
-        let cfg = ClosedLoopConfig {
-            classes: mixed_serving_classes(),
-            requests: 800,
-            clients: 8,
-            think_time: 100,
-            service_estimate: 200,
-            seed: 22,
-        };
-        let mut slow = vec![200u64; cfg.classes.len()];
-        slow[2] = 5_000; // the heavy gemmini/64x64x64 class
-        let a = cfg.stream_with_service_times(&slow).unwrap();
-        let b = cfg.stream_with_service_times(&slow).unwrap();
-        assert_eq!(a, b);
-        let uniform = cfg.stream().unwrap();
-        assert!(a.last().unwrap().arrival > uniform.last().unwrap().arrival);
-        for pair in a.windows(2) {
-            assert!(pair[0].arrival <= pair[1].arrival);
-        }
-    }
-
-    #[test]
-    fn closed_loop_rejects_mismatched_service_times() {
-        let cfg = ClosedLoopConfig {
-            classes: mixed_serving_classes(),
-            requests: 10,
-            clients: 2,
-            think_time: 100,
-            service_estimate: 200,
-            seed: 1,
-        };
-        assert!(cfg.stream_with_service_times(&[200, 200]).is_err());
     }
 
     #[test]

@@ -7,15 +7,14 @@
 //! This suite recomputes the latencies outside the loop, each worker
 //! running the requests routed to it back to back in dispatch order, and
 //! pins them equal to the report's. It does so over every `serve_bench`
-//! stream × policy pair (at reduced request counts, `closed_loop_measured`
-//! calibrated as `serve_bench` calibrates it), with batching, on a pool
-//! whose two groups share a base platform name, on streams with failing
-//! dispatches (an input fill past the memory cap, a simulator fault), and
-//! as properties over random streams, pool shapes, slack horizons and
-//! batch settings. No dispatch may write more than its cold configuration,
-//! a failed one finishes where it started, and outside the failure cases
-//! every dispatch must simulate and check. Each case is one serve per
-//! policy on one runtime, so every module compiles once.
+//! stream × policy pair (at reduced request counts), with batching, on a
+//! pool whose two groups share a base platform name, on streams with
+//! failing dispatches (an input fill past the memory cap, a simulator
+//! fault), and as properties over random streams, pool shapes, slack
+//! horizons and batch settings. No dispatch may write more than its cold
+//! configuration, a failed one finishes where it started, and outside the
+//! failure cases every dispatch must simulate and check. Each case is one
+//! serve per policy on one runtime, so every module compiles once.
 
 use accfg_bench::streams::{self, uniform_pool};
 use configuration_wall::prelude::*;
@@ -101,30 +100,13 @@ fn check_stream(name: &str, mut rt: Runtime, stream: &[TrafficRequest], max_batc
 }
 
 /// Every policy over the named catalog stream at 200 requests, on a
-/// runtime over its catalog pool; a stream with a calibration generator
-/// is first calibrated exactly as `serve_bench` calibrates it.
+/// runtime over its catalog pool.
 fn check_catalog_stream(name: &str) {
     let entry = streams::catalog(200)
         .into_iter()
         .find(|entry| entry.name == name)
         .expect("the catalog carries the stream");
-    let mut rt = Runtime::new(entry.pool.build());
-    let stream = match entry.calibration {
-        Some(_) => {
-            let calibration = rt
-                .serve(
-                    &entry.requests,
-                    &ServeConfig {
-                        policy: streams::CALIBRATION_POLICY,
-                        ..ServeConfig::default()
-                    },
-                )
-                .expect("calibration serve succeeds");
-            entry.calibrated(&calibration).1
-        }
-        None => entry.requests,
-    };
-    check_stream(name, rt, &stream, 1);
+    check_stream(name, Runtime::new(entry.pool.build()), &entry.requests, 1);
 }
 
 #[test]
@@ -157,11 +139,6 @@ fn bursty_stream_matches() {
 #[test]
 fn closed_loop_stream_matches() {
     check_catalog_stream("closed_loop");
-}
-
-#[test]
-fn closed_loop_measured_stream_matches() {
-    check_catalog_stream("closed_loop_measured");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use accfg_bench::streams::{self, contention_stream};
 use configuration_wall::prelude::*;
-use configuration_wall::runtime::{BatchCutoff, Policy, ServeReport};
+use configuration_wall::runtime::{Policy, ServeReport};
 use configuration_wall::workloads::{
     mixed_platform_classes, mixed_serving_classes, BurstyConfig, TrafficClass, TrafficRequest,
 };
@@ -45,23 +45,21 @@ fn serve(rt: &mut Runtime, stream: &[TrafficRequest], policy: Policy) -> ServeRe
 /// at 4,000 requests), computed once and shared by the three tests
 /// that pin bars on it. Every serve is deterministic — the shared fixture
 /// only deduplicates work, it cannot change any report. None of the
-/// consuming tests read module-cache statistics, so serving all seven
+/// consuming tests read module-cache statistics, so serving all six
 /// configurations off one runtime is safe.
 struct Mixed4k {
     fifo: ServeReport,
     elide: ServeReport,
     affinity: ServeReport,
     cost: ServeReport,
-    /// fifo+elide with `max_batch: 8` and the default cutoff.
+    /// fifo+elide with `max_batch: 8`.
     batched: ServeReport,
-    /// fifo+elide with `max_batch: 8` and the cutoff disabled.
-    uncapped: ServeReport,
     /// The `refine_cost: false` ablation under the default policy.
     unrefined: ServeReport,
 }
 
 impl Mixed4k {
-    /// Serves the seven configurations over `stream`, one runtime for all.
+    /// Serves the six configurations over `stream`, one runtime for all.
     fn serve(stream: &[TrafficRequest]) -> Self {
         let mut rt = runtime();
         let mut with = |cfg: ServeConfig| rt.serve(stream, &cfg).expect("serve succeeds");
@@ -69,19 +67,16 @@ impl Mixed4k {
             policy,
             ..ServeConfig::default()
         };
-        let batch = |batch_cutoff| ServeConfig {
-            policy: Policy::FifoElide,
-            max_batch: 8,
-            batch_cutoff,
-            ..ServeConfig::default()
-        };
         Mixed4k {
             fifo: with(policy(Policy::Fifo)),
             elide: with(policy(Policy::FifoElide)),
             affinity: with(policy(Policy::ConfigAffinity)),
             cost: with(policy(Policy::Cost)),
-            batched: with(batch(BatchCutoff::FollowSlack)),
-            uncapped: with(batch(BatchCutoff::Uncapped)),
+            batched: with(ServeConfig {
+                policy: Policy::FifoElide,
+                max_batch: 8,
+                ..ServeConfig::default()
+            }),
             unrefined: with(ServeConfig {
                 refine_cost: false,
                 ..ServeConfig::default()
@@ -240,13 +235,12 @@ fn bursty_serving_is_reproducible() {
     assert_eq!(metrics_a.queue_depth.total(), 1_500);
 }
 
-/// The batching acceptance bound: with the queue-depth-aware batch
-/// cutoff, `fifo+elide+batch` keeps its write savings (≥ 50% vs the cold
-/// FIFO baseline) *without* the tail-latency price uncapped coalescing
-/// paid — p99 within 1.10× of unbatched round-robin-with-elision. The
-/// cutoff stops a batch as soon as the target worker's estimated
-/// outstanding cycles reach the slack horizon, so deep queues can no
-/// longer build behind a popular shape.
+/// The batching acceptance bound: `fifo+elide+batch` keeps its write
+/// savings (≥ 50% vs the cold FIFO baseline) *without* a tail-latency
+/// price — p99 within 1.10× of unbatched round-robin-with-elision. The
+/// batch cutoff stops a batch as soon as the target worker's estimated
+/// outstanding cycles reach the slack horizon, so deep queues cannot
+/// build behind a popular shape.
 #[test]
 fn batch_cutoff_recovers_the_tail_and_keeps_the_writes() {
     let fx = mixed_4k();
@@ -261,10 +255,6 @@ fn batch_cutoff_recovers_the_tail_and_keeps_the_writes() {
     );
     let savings = batched.metrics.write_savings_vs(&fifo.metrics);
     assert!(savings >= 0.50, "write savings {:.1}%", 100.0 * savings);
-
-    // ablation: the same batching with the cutoff disabled writes no
-    // less, so the cutoff costs nothing on the write side
-    assert!(fx.uncapped.metrics.batched_requests >= batched.metrics.batched_requests);
 }
 
 /// The online-refinement acceptance bound: on the canonical mixed stream
