@@ -43,6 +43,15 @@ pub enum ServeError {
         /// The offending field.
         field: String,
     },
+    /// A launch of the trace holds a different register set from the first:
+    /// a dispatch plan's later launches must write the same on every
+    /// worker, which only a plan of one held set guarantees.
+    HeldSetChanges {
+        /// The accelerator.
+        accelerator: String,
+        /// The first launch whose held set differs from launch 0's.
+        launch: usize,
+    },
     /// The pool was configured without workers.
     EmptyPool,
     /// A heterogeneous group mixes platform variants whose configuration
@@ -106,6 +115,14 @@ impl fmt::Display for ServeError {
             ServeError::LaunchPairField { accelerator, field } => write!(
                 f,
                 "field `{field}` of `{accelerator}` maps into the launch-semantic register pair"
+            ),
+            ServeError::HeldSetChanges {
+                accelerator,
+                launch,
+            } => write!(
+                f,
+                "launch {launch} of a plan for `{accelerator}` holds a different register \
+                 set from launch 0"
             ),
             ServeError::EmptyPool => write!(f, "pool has no workers"),
             ServeError::IncompatiblePool { family, member } => write!(

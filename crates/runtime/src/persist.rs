@@ -212,8 +212,9 @@ fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
 /// (the first launch against a blank file): the held-register mask, the
 /// count of listed registers, then each listed register — one newly held
 /// or holding a new value — ascending, with its zigzagged value. A
-/// register the previous launch held and this one keeps at the same value
-/// is implied by the mask; one outside the mask is dropped.
+/// register the previous launch held at the same value is implied by the
+/// mask. Every launch of a plan holds the first's set, so every mask
+/// after the first repeats it.
 fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
     put_style(w, plan.style());
     w.put_varint(plan.launches().len() as u64);
@@ -250,20 +251,28 @@ fn read_count(r: &mut ByteReader, what: &str) -> Result<usize, StoreError> {
     Ok(count as usize)
 }
 
-/// Reads one launch's register file as [`put_plan`] writes it, against
-/// the `previous` launch's. Everything `put_plan` never writes is refused,
-/// so an accepted launch re-encodes to exactly the bytes it was read from
-/// and holds only registers a worker's machine can be told to write: a
-/// mask bit past the file or inside a RoCC launch pair, a listed register
-/// past the file, out of ascending order, listed twice, outside the mask
-/// or repeating the value it would inherit, and a newly held register
-/// with no listed value.
+/// Reads launch `index`'s register file as [`put_plan`] writes it,
+/// against the `previous` launch's (a blank file for launch 0).
+/// Everything `put_plan` never writes is refused, so an accepted launch
+/// re-encodes to exactly the bytes it was read from and holds only
+/// registers a worker's machine can be told to write: a mask bit past the
+/// file or inside a RoCC launch pair, a mask after the first that differs
+/// from it, a listed register past the file, out of ascending order,
+/// listed twice, outside the mask or repeating the value it would
+/// inherit, and a newly held register with no listed value.
 fn read_launch(
     r: &mut ByteReader,
     style: ConfigStyle,
+    index: usize,
     previous: &RegMap,
 ) -> Result<RegMap, StoreError> {
     let mask: u32 = r.varint_to()?;
+    if index > 0 && mask != previous.mask() {
+        return Err(StoreError::codec(format!(
+            "launch {index} holds registers {mask:#x}, not launch 0's {:#x}",
+            previous.mask()
+        )));
+    }
     let past = mask & !(u32::MAX >> (32 - RegMap::SLOTS));
     if past != 0 {
         return Err(StoreError::codec(format!(
@@ -282,7 +291,6 @@ fn read_launch(
         }
     }
     let mut regs = previous.clone();
-    regs.keep(mask);
     let mut listed = 0u32;
     for _ in 0..read_count(r, "listed register")? {
         let reg: u16 = r.varint_to()?;
@@ -326,14 +334,17 @@ fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
     let style = read_style(r)?;
     let count = read_count(r, "launch")?;
     let mut launches: Vec<LaunchSpec> = Vec::with_capacity(count);
-    for _ in 0..count {
+    for index in 0..count {
         let blank = RegMap::new();
         let previous = launches.last().map_or(&blank, |launch| &launch.registers);
-        let registers = read_launch(r, style, previous)?;
+        let registers = read_launch(r, style, index, previous)?;
         launches.push(LaunchSpec { registers });
     }
     let stored = r.varint()?;
-    let plan = DispatchPlan::new(style, launches);
+    // `read_launch` has refused every mask that differs from launch 0's;
+    // should the constructor disagree, the record is still a codec error
+    let plan = DispatchPlan::new(style, launches)
+        .map_err(|launch| StoreError::codec(format!("launch {launch} changes the held set")))?;
     // no build writes any other count, and a cold quote is read from it
     if stored != plan.cold_writes() {
         return Err(StoreError::codec(format!(
@@ -1444,18 +1455,18 @@ mod tests {
     fn a_plan_that_would_not_re_encode_to_itself_is_a_codec_error() {
         let csr = ConfigStyle::Csr;
         let bits = |regs: &[u16]| regs.iter().fold(0u32, |mask, &reg| mask | 1 << reg);
-        // the well-formed shape first: held masks that grow, shrink and
-        // re-hold a register dropped earlier (listed again, same value)
+        // the well-formed shape first: one held set, values that change,
+        // change back and stay put
         let plan = read_raw_plan(
             csr,
             &[
-                (bits(&[1, 2]), &[(1, 5), (2, 0)]),
-                (bits(&[1, 2, 3]), &[(2, -7), (3, 0)]),
-                (bits(&[2]), &[]),
-                (bits(&[1, 2]), &[(1, 5)]),
+                (bits(&[1, 2, 3]), &[(1, 5), (2, 0), (3, 0)]),
+                (bits(&[1, 2, 3]), &[(2, -7)]),
+                (bits(&[1, 2, 3]), &[]),
+                (bits(&[1, 2, 3]), &[(1, 6), (2, 0)]),
             ],
-            // 2 onto the blank file, then 2 and 3; register 1 persists
-            4,
+            // 3 onto the blank file, then 1, none and 2
+            6,
         )
         .unwrap();
         let files: Vec<RegMap> = plan
@@ -1466,10 +1477,10 @@ mod tests {
         assert_eq!(
             files,
             [
-                RegMap::from([(1, 5), (2, 0)]),
+                RegMap::from([(1, 5), (2, 0), (3, 0)]),
                 RegMap::from([(1, 5), (2, -7), (3, 0)]),
-                RegMap::from([(2, -7)]),
-                RegMap::from([(1, 5), (2, -7)]),
+                RegMap::from([(1, 5), (2, -7), (3, 0)]),
+                RegMap::from([(1, 6), (2, 0), (3, 0)]),
             ]
         );
 
@@ -1501,10 +1512,30 @@ mod tests {
                 vec![(bits(&[1]), &[(1, 5)][..]), (bits(&[1]), &[(1, 5)][..])],
                 "value it inherits",
             ),
+            // a held set that grows, shrinks, or re-holds a register
+            // dropped earlier: refused where the mask is read
             (
                 csr,
-                vec![(bits(&[1]), &[(1, 5)][..]), (bits(&[1, 4]), &[][..])],
-                "register 4 is newly held",
+                vec![(bits(&[1]), &[(1, 5)][..]), (bits(&[1, 4]), &[(4, 0)][..])],
+                "launch 1 holds registers 0x12, not launch 0's 0x2",
+            ),
+            (
+                csr,
+                vec![
+                    (bits(&[1, 2]), &[(1, 5), (2, 0)][..]),
+                    (bits(&[1, 2]), &[(2, -7)][..]),
+                    (bits(&[2]), &[][..]),
+                ],
+                "launch 2 holds registers 0x4, not launch 0's 0x6",
+            ),
+            (
+                csr,
+                vec![
+                    (bits(&[1, 2]), &[(1, 5), (2, 0)][..]),
+                    (bits(&[2]), &[][..]),
+                    (bits(&[1, 2]), &[(1, 5)][..]),
+                ],
+                "launch 1 holds registers 0x4, not launch 0's 0x6",
             ),
             (
                 ConfigStyle::RoccPairs { launch_funct: 13 },
@@ -1525,14 +1556,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Any plan of 1–8 launches — held masks that grow and shrink,
-        /// values that repeat, change and hit the ends of `i64` — encodes
-        /// to bytes that decode to the same plan and re-encode to
-        /// themselves, in both configuration styles.
+        /// Any plan of 1–8 launches over one held set — any set, the
+        /// empty one included, with values that repeat, change and hit the
+        /// ends of `i64` — encodes to bytes that decode to the same plan
+        /// and re-encode to themselves, in both configuration styles.
         #[test]
         fn plan_deltas_round_trip_canonically(
-            launches in proptest::collection::vec(
-                proptest::collection::vec((0u16..RegMap::SLOTS as u16, -2i64..3), 0..RegMap::SLOTS + 8),
+            held in proptest::collection::vec(0u16..RegMap::SLOTS as u16, 0..RegMap::SLOTS + 8),
+            values in proptest::collection::vec(
+                proptest::collection::vec(-2i64..3, RegMap::SLOTS..RegMap::SLOTS + 1),
                 1..9,
             ),
             rocc in proptest::arbitrary::any::<bool>(),
@@ -1545,23 +1577,25 @@ mod tests {
             };
             let plan = DispatchPlan::new(
                 style,
-                launches
+                values
                     .iter()
-                    .map(|pairs| LaunchSpec {
-                        registers: pairs
+                    .map(|row| LaunchSpec {
+                        registers: held
                             .iter()
-                            .map(|&(reg, value)| {
-                                let value = match value {
+                            .map(|&reg| {
+                                let reg = reg % regs;
+                                let value = match row[usize::from(reg)] {
                                     -2 => i64::MIN,
                                     2 => i64::MAX,
                                     small => small,
                                 };
-                                (reg % regs, value)
+                                (reg, value)
                             })
                             .collect(),
                     })
                     .collect(),
-            );
+            )
+            .unwrap();
             let mut w = ByteWriter::new();
             put_plan(&mut w, &plan);
             let bytes = w.finish();
@@ -1588,11 +1622,15 @@ mod tests {
         use crate::runtime::{PoolConfig, Runtime, ServeConfig};
         use crate::ServeError;
         use accfg_workloads::TrafficRequest;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
+        // one file per call: the tests calling this run in parallel
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
-            "accfg-runtime-hostile-plan-{}-{}.store",
+            "accfg-runtime-hostile-plan-{}-{}-{}.store",
             desc.name,
-            std::process::id()
+            std::process::id(),
+            CALLS.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_file(&path);
         let request = |id: u64, spec: MatmulSpec| TrafficRequest {
@@ -1669,12 +1707,64 @@ mod tests {
                     ConfigStyle::RoccPairs { launch_funct: 13 }
                 );
                 let mut launches = module.plan.launches().to_vec();
-                launches[0].registers.insert(26, 1);
+                for launch in &mut launches {
+                    launch.registers.insert(26, 1);
+                }
                 let mut hostile = module.clone();
-                hostile.plan = DispatchPlan::new(module.plan.style(), launches);
+                hostile.plan = DispatchPlan::new(module.plan.style(), launches).unwrap();
                 encode_module(&hostile)
             },
             "register 26 is in the launch pair of funct 13",
         );
+    }
+
+    /// `encode_module(module)` with launch `index`'s held mask replaced by
+    /// `mask`.
+    fn with_launch_mask(module: &CompiledModule, index: usize, mask: u32) -> Vec<u8> {
+        let bytes = encode_module(module);
+        let mut r = ByteReader::new(&bytes[first_launch_offset(module)..]);
+        for launch in &module.plan.launches()[..index] {
+            assert_eq!(r.varint().unwrap(), u64::from(launch.registers.mask()));
+            for _ in 0..r.varint().unwrap() {
+                r.varint().unwrap();
+                r.zigzag().unwrap();
+            }
+        }
+        let was = module.plan.launches()[index].registers.mask();
+        splice_varint(
+            &bytes,
+            bytes.len() - r.remaining(),
+            u64::from(was),
+            u64::from(mask),
+        )
+    }
+
+    #[test]
+    fn a_plan_whose_held_set_changes_fails_only_the_serve_that_resolves_it() {
+        // `from_trace` refuses such a trace (`HeldSetChanges`); a stored
+        // plan whose second launch drops a register, or holds one more, is
+        // refused at the store door where its mask is read
+        for grows in [false, true] {
+            a_planted_record_fails_only_its_serve(
+                AcceleratorDescriptor::opengemm(),
+                (
+                    MatmulSpec::opengemm_paper(16).unwrap(),
+                    MatmulSpec::opengemm_paper(24).unwrap(),
+                ),
+                |module| {
+                    let launches = module.plan.launches();
+                    assert!(launches.len() > 1, "{} launches", launches.len());
+                    let mask = launches[1].registers.mask();
+                    // register 27 lies past every OpenGeMM field
+                    let changed = if grows {
+                        mask | 1 << 27
+                    } else {
+                        mask & (mask - 1)
+                    };
+                    with_launch_mask(module, 1, changed)
+                },
+                "launch 1 holds registers",
+            );
+        }
     }
 }

@@ -20,13 +20,12 @@
 //! launch by launch.
 //!
 //! Registers persist, so most of a dispatch does not depend on the worker
-//! it lands on: once a launch has fixed a register, every later write to
-//! it is the plan's. [`DispatchPlan`]'s one constructor splits the
-//! launches into *segments* — a launch that names a register the dispatch
-//! has not fixed yet starts one — and records what each segment's later
-//! launches write; pricing a dispatch walks the first launch of each
-//! segment and adds the rest as a constant. Every generated module is one
-//! segment.
+//! it lands on. Every launch of a plan holds the same register set —
+//! [`DispatchPlan`]'s one constructor refuses any other plan — so once the
+//! first launch has run, the worker holds every register a later launch
+//! names at the previous launch's value, and what launches 1.. write is
+//! the plan's alone. Pricing a dispatch walks its first launch against
+//! the worker's file and adds those later writes as a constant.
 //!
 //! RoCC-style targets write configuration in register *pairs*; a pair is
 //! rewritten whenever either half differs, which is why pair-granular
@@ -72,8 +71,7 @@ static REGS: [u16; SLOTS] = {
 /// over `(&register, &value)`, equality as a mapping. A register that was
 /// never written is absent, not zero: a dispatch onto a blank file writes
 /// every register its launches name, zeros included. Copying one is 232
-/// bytes and no heap, so a plan of several segments scores a candidate
-/// worker against a scratch copy.
+/// bytes and no heap.
 ///
 /// Registers past the file do not exist: [`RegMap::get`] answers `None`
 /// for them and [`RegMap::insert`] panics, so every door a register index
@@ -138,16 +136,6 @@ impl RegMap {
     /// The held set: bit `r` for register `r`.
     pub(crate) fn mask(&self) -> u32 {
         self.held
-    }
-
-    /// Forgets every register outside `mask`.
-    pub(crate) fn keep(&mut self, mask: u32) {
-        let mut dropped = self.held & !mask;
-        while dropped != 0 {
-            self.values[dropped.trailing_zeros() as usize] = 0;
-            dropped &= dropped - 1;
-        }
-        self.held &= mask;
     }
 
     /// The slots whose values differ from `other`'s, as a mask (an unheld
@@ -258,46 +246,35 @@ pub struct LaunchSpec {
 /// Everything the dispatcher needs to replay a compiled request.
 ///
 /// Built only by [`DispatchPlan::from_trace`] and the store decoder, both
-/// through one constructor that precomputes the plan's segments; the
-/// fields are read through accessors so no plan outlives a change to its
-/// launches.
+/// through one constructor that refuses a plan whose held set changes and
+/// precomputes what the launches after the first write; the fields are
+/// read through accessors so no plan outlives a change to its launches.
 #[derive(Clone, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// The target's configuration style (write granularity and launch
     /// mechanism).
     style: ConfigStyle,
-    /// Per-launch register files, in program order.
+    /// Per-launch register files, in program order, every one holding the
+    /// first's register set.
     launches: Vec<LaunchSpec>,
     /// Register writes a dispatch onto a *blank* register file performs.
     cold_writes: u64,
-    /// The launches split at every launch a dispatch must walk against the
-    /// worker's file: the segments before the last, in order — none in a
-    /// generated module, so a plan of one segment owns no heap for them.
-    earlier: Box<[Segment]>,
-    /// The last segment (all zeros, and never walked, in a plan of no
-    /// launches).
-    last: Segment,
-}
-
-/// A run of launches one [`delta_walk`] prices: the walk runs on the
-/// `first` launch against whatever the worker holds, and every later
-/// launch names only registers the dispatch has fixed by then, so what it
-/// writes is a property of the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Segment {
-    /// The launch the walk runs on.
-    first: u32,
-    /// The segment's last launch.
-    last: u32,
-    /// Writes the launches after `first` emit, on every worker.
-    writes: u32,
-    /// The slots the launches after `first` write. They leave every one
-    /// at `launches[last]`'s value — 0 for a RoCC half that launch does
-    /// not program, which is what a pair rewrite drives it to.
+    /// Writes launches 1.. emit, on every worker.
+    later_writes: u64,
+    /// The slots launches 1.. write. They leave every one at the last
+    /// launch's value — 0 for a RoCC half no launch programs, which is
+    /// what a pair rewrite drives it to.
     settled: u32,
 }
 
-// `Debug` shows what was built or decoded, not the segments derived from
+/// The file of a plan with no launches: held nothing, so walking it
+/// writes nothing.
+static BLANK: RegMap = RegMap {
+    values: [0; SLOTS],
+    held: 0,
+};
+
+// `Debug` shows what was built or decoded, not the constants derived from
 // it: the rendering the compile-golden digests pin
 impl fmt::Debug for DispatchPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -362,8 +339,9 @@ impl DispatchPlan {
     /// # Errors
     /// Fails if the trace references a field the descriptor does not
     /// declare, if a field maps to a register the simulated accelerator
-    /// does not have, or if a field maps into a RoCC launch-semantic pair
-    /// (those registers belong to the launch command).
+    /// does not have, if a field maps into a RoCC launch-semantic pair
+    /// (those registers belong to the launch command), or if a launch
+    /// holds a different register set from the first.
     pub fn from_trace(trace: &ExecTrace, desc: &AcceleratorDescriptor) -> Result<Self, ServeError> {
         // A field's register is looked up once per trace, not once per
         // launch that holds it: the records of one trace share their names,
@@ -391,68 +369,50 @@ impl DispatchPlan {
             }
             launches.push(LaunchSpec { registers });
         }
-        Ok(Self::new(desc.style, launches))
+        Self::new(desc.style, launches).map_err(|launch| ServeError::HeldSetChanges {
+            accelerator: desc.name.clone(),
+            launch,
+        })
     }
 
-    /// The one constructor: a plan of `launches` under `style`, its
-    /// segments and its blank-file write count computed here.
+    /// The one constructor: a plan of `launches` under `style`, with what
+    /// its later launches write and its blank-file write count.
     ///
-    /// A launch starts a segment when it names a register the launches
-    /// before it have not *fixed* — set to a value every starting file
-    /// ends up holding. Under CSR that is any register no earlier launch
-    /// named, so a segment starts wherever the held mask grows. A RoCC
-    /// pair whose named half is not fixed may or may not be rewritten, so
-    /// its other half is not fixed afterwards unless the launch programs
-    /// it; a pair rewrite the plan alone decides fixes both halves, the
-    /// one it drives to 0 included. A launch also starts a segment when
-    /// its writes would leave a slot an earlier launch of the segment
-    /// wrote at anything but this launch's value, so one launch supplies
-    /// every value a segment leaves. Within a dispatch held bits only
-    /// grow, so a fixed register stays held.
+    /// Every launch must hold the first launch's register set. Then every
+    /// worker enters launch `i > 0` holding each register it names at
+    /// launch `i - 1`'s value (a RoCC half no launch programs is never
+    /// what makes a pair stale), so launch `i` writes what it would onto
+    /// launch `i - 1`'s own file, on every worker. Generated modules meet
+    /// this by construction: the generator writes the same fields in
+    /// every invocation, a launch observes the whole file, and the passes
+    /// remove only writes whose value is already held.
     ///
     /// The caller vouches for the registers: `from_trace` and the store
     /// decoder refuse a RoCC launch pair before they get here.
-    pub(crate) fn new(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Self {
-        // every register `fixed` holds, it holds at the value any file
-        // walked through the launches so far holds there
-        let mut fixed = RegMap::new();
-        let mut earlier = Vec::new();
-        let mut last = Segment::default();
-        // (2^32 launches would be a terabyte of register files)
-        for (index, launch) in (0u32..).zip(&launches) {
-            let regs = &launch.registers;
-            let unfixed = regs.held & !fixed.held;
-            let written = written_slots(&fixed, regs, style);
-            fixed.settle(regs, written);
-            if index > 0 && unfixed == 0 && fixed.differs(regs) & (last.settled | written) == 0 {
-                last.last = index;
-                last.writes += write_count(written, style) as u32;
-                last.settled |= written;
-                continue;
+    ///
+    /// # Errors
+    /// The index of the first launch whose held set is not the first's.
+    pub(crate) fn new(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Result<Self, usize> {
+        let mut later_writes = 0;
+        let mut settled = 0;
+        for (index, pair) in launches.windows(2).enumerate() {
+            let (before, launch) = (&pair[0].registers, &pair[1].registers);
+            if launch.held != before.held {
+                return Err(index + 1);
             }
-            if let ConfigStyle::RoccPairs { .. } = style {
-                let pairs = (unfixed | unfixed >> 1) & 0x5555_5555;
-                fixed.keep(!((pairs | pairs << 1) & !regs.held));
-            }
-            if index > 0 {
-                earlier.push(last);
-            }
-            last = Segment {
-                first: index,
-                last: index,
-                writes: 0,
-                settled: 0,
-            };
+            let written = written_slots(before, launch, style);
+            later_writes += write_count(written, style);
+            settled |= written;
         }
         let mut plan = Self {
             style,
             launches,
             cold_writes: 0,
-            earlier: earlier.into_boxed_slice(),
-            last,
+            later_writes,
+            settled,
         };
         plan.cold_writes = plan.apply_writes(&mut RegMap::new());
-        plan
+        Ok(plan)
     }
 
     /// The target's configuration style (write granularity and launch
@@ -486,20 +446,12 @@ impl DispatchPlan {
 
     /// The register writes a dispatch would emit against `resident`,
     /// without mutating it — the affinity scheduler's scoring function,
-    /// run once per candidate worker per request (the scratch copy lives
-    /// on the stack). A plan of one segment — every generated module —
-    /// costs one stale mask of its first launch against `resident` and no
-    /// copy; any other advances a copy one walk per segment, as
-    /// [`DispatchPlan::apply_writes`] does.
+    /// run once per candidate worker per request: one stale mask of the
+    /// first launch against `resident`, plus what the later launches
+    /// write on every worker.
     pub fn writes_against(&self, resident: &RegMap) -> u64 {
-        match self.launches.first() {
-            // one segment: nothing after its walk reads the file it leaves
-            Some(first) if self.earlier.is_empty() => {
-                let written = written_slots(resident, &first.registers, self.style);
-                write_count(written, self.style) + u64::from(self.last.writes)
-            }
-            _ => self.apply_writes(&mut resident.clone()),
-        }
+        let written = written_slots(resident, self.first(), self.style);
+        write_count(written, self.style) + self.later_writes
     }
 
     /// Counts the register writes a dispatch emits against `resident`
@@ -508,32 +460,20 @@ impl DispatchPlan {
     /// maps to a warmth bucket.
     ///
     /// Equal, count and file, to walking every launch in turn, at the
-    /// cost of one walk per segment: the walk prices a segment's first
-    /// launch against `resident`, the segment's later launches add the
-    /// writes the constructor counted, and the slots they write take
-    /// their last launch's values. That holds because within a dispatch
-    /// held bits only grow, and a pair rewrite holds the half it drives
-    /// to 0: a register the dispatch has fixed stays at a value the plan
-    /// alone decides.
+    /// cost of one walk: the walk prices the first launch against
+    /// `resident`, the later launches add the writes the constructor
+    /// counted, and the slots they write take the last launch's values.
     pub fn apply_writes(&self, resident: &mut RegMap) -> u64 {
-        if self.launches.is_empty() {
-            return 0;
-        }
-        let earlier: u64 = self
-            .earlier
-            .iter()
-            .map(|segment| self.apply_segment(segment, resident))
-            .sum();
-        earlier + self.apply_segment(&self.last, resident)
+        let writes = delta_walk(resident, self.first(), self.style, |_| {});
+        let last = self.launches.last().map_or(&BLANK, |l| &l.registers);
+        resident.settle(last, self.settled);
+        writes + self.later_writes
     }
 
-    /// [`DispatchPlan::apply_writes`] over one segment.
-    fn apply_segment(&self, segment: &Segment, resident: &mut RegMap) -> u64 {
-        let first = &self.launches[segment.first as usize].registers;
-        let writes = delta_walk(resident, first, self.style, |_| {});
-        let last = &self.launches[segment.last as usize].registers;
-        resident.settle(last, segment.settled);
-        writes + u64::from(segment.writes)
+    /// The first launch's register file (a blank one in a plan of no
+    /// launches).
+    fn first(&self) -> &RegMap {
+        self.launches.first().map_or(&BLANK, |l| &l.registers)
     }
 
     /// Builds the executable delta program that moves `resident` to this
@@ -543,9 +483,9 @@ impl DispatchPlan {
     ///
     /// This is the single place dispatch programs are assembled: pool
     /// workers replay it per request. The program is sized before it is
-    /// filled — from [`DispatchPlan::writes_against`], one walk per
-    /// segment — so a dispatch allocates once; the program itself walks
-    /// every launch, since every write must be emitted.
+    /// filled — from [`DispatchPlan::writes_against`], one stale mask —
+    /// so a dispatch allocates once; the program itself walks every
+    /// launch, since every write must be emitted.
     ///
     /// Debug and `validate`-feature builds additionally run
     /// [`DispatchPlan::verify_delta_reconstruction`] over the assembled
@@ -886,11 +826,12 @@ mod tests {
 
     #[test]
     fn plans_execute_only_on_matching_config_styles() {
-        let csr_plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1)])]);
+        let csr_plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1)])]).unwrap();
         let rocc_plan = DispatchPlan::new(
             ConfigStyle::RoccPairs { launch_funct: 13 },
             vec![launch(&[(0, 1)])],
-        );
+        )
+        .unwrap();
         let gemmini = AcceleratorDescriptor::gemmini();
         let turbo = AcceleratorDescriptor::gemmini_turbo();
         let opengemm = AcceleratorDescriptor::opengemm();
@@ -909,7 +850,8 @@ mod tests {
         let plan = DispatchPlan::new(
             ConfigStyle::Csr,
             vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
-        );
+        )
+        .unwrap();
         // cold: 2 writes for the first launch + 1 for the second
         assert_eq!(plan.writes_against(&RegMap::new()), 3);
         // a resident file matching launch 0 exactly skips its writes
@@ -926,7 +868,8 @@ mod tests {
         let plan = DispatchPlan::new(
             ConfigStyle::Csr,
             vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
-        );
+        )
+        .unwrap();
         let mut resident = RegMap::new();
         let quoted = plan.writes_against(&resident);
         let (program, cold) = plan.delta_program(&mut resident);
@@ -947,11 +890,16 @@ mod tests {
                 ConfigStyle::Csr,
                 vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
             ),
+            // pair 2's high half is never programmed: a rewrite drives it to 0
             DispatchPlan::new(
                 ConfigStyle::RoccPairs { launch_funct: 13 },
-                vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
+                vec![
+                    launch(&[(0, 1), (3, 2), (4, 0)]),
+                    launch(&[(0, 1), (3, 9), (4, 5)]),
+                ],
             ),
-        ];
+        ]
+        .map(Result::unwrap);
         for plan in &plans {
             // cold and warm assemblies both reconstruct exactly
             let mut resident = RegMap::new();
@@ -974,7 +922,7 @@ mod tests {
 
     #[test]
     fn delta_reconstruction_proof_catches_a_dropped_write() {
-        let plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1), (1, 2)])]);
+        let plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1), (1, 2)])]).unwrap();
         // hand-assembled dispatch that forgets register 1
         let mut pb = ProgramBuilder::new();
         let r = pb.reg();
@@ -1016,9 +964,13 @@ mod tests {
             ),
             DispatchPlan::new(
                 ConfigStyle::RoccPairs { launch_funct: 13 },
-                vec![launch(&[(0, 1), (3, 2)]), launch(&[(0, 1), (3, 9), (4, 5)])],
+                vec![
+                    launch(&[(0, 1), (3, 2), (4, 0)]),
+                    launch(&[(0, 1), (3, 9), (4, 5)]),
+                ],
             ),
-        ];
+        ]
+        .map(Result::unwrap);
         let residents = [
             RegMap::new(),
             RegMap::from([(0, 1), (1, 2)]),
@@ -1092,7 +1044,8 @@ mod tests {
         /// Launch by launch, from any resident file: the same writes in
         /// the same order, the same count from the counting walk, and the
         /// same file afterwards (held set included) as the ordered-map
-        /// definition — and the plan-level consumers agree with the sum.
+        /// definition — and, over the same launches held to the first's
+        /// register set, the plan-level consumers agree with the sum.
         #[test]
         fn the_dense_walk_equals_its_definition(
             resident in prop::collection::vec((0u16..SLOTS as u16, -2i64..3), 0..SLOTS + 8),
@@ -1112,24 +1065,17 @@ mod tests {
             let file = |pairs: &[(u16, i64)]| -> OrderedFile {
                 pairs.iter().map(|&(reg, value)| (reg % regs, value)).collect()
             };
-            let mut ordered = file(&resident);
-            let mut dense: RegMap = ordered.iter().map(|(&reg, &value)| (reg, value)).collect();
-            let start = dense.clone();
-            let plan = DispatchPlan::new(
-                style,
-                launches
-                    .iter()
-                    .map(|pairs| LaunchSpec {
-                        registers: file(pairs).into_iter().collect(),
-                    })
-                    .collect(),
-            );
+            let start: RegMap = file(&resident).into_iter().collect();
 
-            let mut total = 0u64;
-            for (pairs, spec) in launches.iter().zip(plan.launches()) {
+            let mut ordered = file(&resident);
+            let mut dense = start.clone();
+            for pairs in &launches {
+                let spec = LaunchSpec {
+                    registers: file(pairs).into_iter().collect(),
+                };
                 let expected = reference_delta_writes(&mut ordered, &file(pairs), style);
                 let counted = delta_walk(&mut dense.clone(), &spec.registers, style, |_| {});
-                let cmds = delta_writes(&mut dense, spec, style);
+                let cmds = delta_writes(&mut dense, &spec, style);
                 prop_assert_eq!(&cmds, &expected);
                 prop_assert_eq!(counted, expected.len() as u64);
                 prop_assert_eq!(dense.len(), ordered.len());
@@ -1137,24 +1083,51 @@ mod tests {
                     as_pairs(&dense),
                     ordered.iter().map(|(&reg, &value)| (reg, value)).collect::<Vec<_>>()
                 );
-                total += counted;
             }
 
+            // the plan: every launch on the first's registers, a register
+            // it does not name keeping the first launch's value
+            let first = file(&launches[0]);
+            let held: Vec<OrderedFile> = launches
+                .iter()
+                .map(|pairs| {
+                    let own = file(pairs);
+                    first
+                        .iter()
+                        .map(|(&reg, &value)| (reg, own.get(&reg).copied().unwrap_or(value)))
+                        .collect()
+                })
+                .collect();
+            let mut ordered = file(&resident);
+            let total: u64 = held
+                .iter()
+                .map(|launch| reference_delta_writes(&mut ordered, launch, style).len() as u64)
+                .sum();
+            let after: RegMap = ordered.into_iter().collect();
+            let plan = DispatchPlan::new(
+                style,
+                held.iter()
+                    .map(|launch| LaunchSpec {
+                        registers: launch.iter().map(|(&reg, &value)| (reg, value)).collect(),
+                    })
+                    .collect(),
+            )
+            .unwrap();
             prop_assert_eq!(plan.writes_against(&start), total);
             let mut applied = start.clone();
             prop_assert_eq!(plan.apply_writes(&mut applied), total);
-            prop_assert_eq!(&applied, &dense);
+            prop_assert_eq!(&applied, &after);
             // (debug builds also run the reconstruction proof in here)
             let mut programmed = start.clone();
             let (program, writes) = plan.delta_program(&mut programmed);
             prop_assert_eq!(writes, total);
-            prop_assert_eq!(&programmed, &dense);
+            prop_assert_eq!(&programmed, &after);
             plan.verify_delta_reconstruction(&program, &start).unwrap();
         }
     }
 
     /// Walks every launch of `plan` in turn: what a dispatch is, and what
-    /// the segmented consumers must equal.
+    /// the first launch's walk plus the plan's constants must equal.
     fn per_launch(plan: &DispatchPlan, resident: &mut RegMap) -> u64 {
         plan.launches()
             .iter()
@@ -1165,15 +1138,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Plans shaped like traces — every register held from some launch
-        /// on, so held masks grow mid-plan and the halves of a RoCC pair
-        /// can be first held at different launches — priced by segment
-        /// against blank files, partly held ones and the plan's own: the
-        /// count and the file afterwards equal the per-launch walk's, and
-        /// a plan whose mask never grows is one segment.
+        /// Plans of one held set — most registers, and under RoCC pairs
+        /// with one half never programmed — whose values change from
+        /// launch to launch, priced against blank files, partly held ones
+        /// and the plan's own: the count and the file afterwards equal the
+        /// per-launch walk's.
         #[test]
-        fn a_segmented_dispatch_equals_the_per_launch_walk(
-            first_held in prop::collection::vec(0usize..12, SLOTS..SLOTS + 1),
+        fn a_dispatch_equals_the_per_launch_walk(
+            held in prop::collection::vec(0usize..4, SLOTS..SLOTS + 1),
             values in prop::collection::vec(
                 prop::collection::vec(-1i64..2, SLOTS..SLOTS + 1),
                 1..8,
@@ -1188,23 +1160,16 @@ mod tests {
             } else {
                 (ConfigStyle::Csr, SLOTS)
             };
-            // most registers are held from launch 0; the rest from a later
-            // launch, or never
-            let first = |slot: usize| first_held[slot].saturating_sub(6);
             let launches: Vec<LaunchSpec> = values
                 .iter()
-                .enumerate()
-                .map(|(index, row)| LaunchSpec {
+                .map(|row| LaunchSpec {
                     registers: (0..regs)
-                        .filter(|&slot| first(slot) <= index)
+                        .filter(|&slot| held[slot] > 0)
                         .map(|slot| (slot as u16, row[slot]))
                         .collect(),
                 })
                 .collect();
-            let plan = DispatchPlan::new(style, launches);
-            if plan.launches().iter().all(|l| l.registers.mask() == plan.launches()[0].registers.mask()) {
-                prop_assert!(plan.earlier.is_empty(), "{:?}", plan.earlier);
-            }
+            let plan = DispatchPlan::new(style, launches).unwrap();
 
             let mut cold = RegMap::new();
             prop_assert_eq!(plan.cold_writes(), per_launch(&plan, &mut cold));
@@ -1229,58 +1194,70 @@ mod tests {
     }
 
     #[test]
-    fn segments_start_where_the_dispatch_must_look_at_the_worker() {
+    fn a_plan_whose_held_set_changes_is_refused_at_the_launch_that_changes_it() {
         let rocc = ConfigStyle::RoccPairs { launch_funct: 13 };
-        let starts = |style, launches: &[&[(u16, i64)]]| {
-            let plan = DispatchPlan::new(style, launches.iter().map(|regs| launch(regs)).collect());
-            let mut starts: Vec<u32> = plan.earlier.iter().map(|s| s.first).collect();
-            starts.push(plan.last.first);
-            starts
+        let new = |style, launches: &[&[(u16, i64)]]| {
+            DispatchPlan::new(style, launches.iter().map(|regs| launch(regs)).collect())
+                .map(|plan| plan.launches().len())
         };
-        // a held mask that never grows is one segment, in either style
         for style in [ConfigStyle::Csr, rocc] {
-            assert_eq!(starts(style, &[&[(0, 1), (4, 2)], &[(0, 3), (4, 2)]]), [0]);
-        }
-        // a register first held at launch 1 starts a segment there
-        assert_eq!(
-            starts(
-                ConfigStyle::Csr,
-                &[&[(0, 1)], &[(0, 1), (2, 5)], &[(0, 2), (2, 5)]]
-            ),
-            [0, 1]
-        );
-        // the halves of a pair first held apart: whether launch 1 rewrites
-        // pair 0 depends on the worker's register 0, and so does whether
-        // register 1 still holds 3 when launch 2 asks for it
-        assert_eq!(starts(rocc, &[&[(1, 3)], &[(0, 5)], &[(1, 3)]]), [0, 1, 2]);
-        // launch 2 drops register 2, which launch 1 left at 6: one segment
-        // takes its final values from one launch, so launch 2 starts another
-        for style in [ConfigStyle::Csr, rocc] {
+            // one held set, values changing: accepted, whatever the length
+            assert_eq!(new(style, &[]), Ok(0));
+            assert_eq!(new(style, &[&[(0, 1), (4, 2)], &[(0, 3), (4, 2)]]), Ok(2));
+            // a register first held at launch 1
             assert_eq!(
-                starts(style, &[&[(0, 1), (2, 5)], &[(0, 1), (2, 6)], &[(0, 2)]]),
-                [0, 2]
+                new(style, &[&[(0, 1)], &[(0, 1), (2, 5)], &[(0, 2), (2, 5)]]),
+                Err(1)
+            );
+            // the halves of a pair first held apart
+            assert_eq!(new(style, &[&[(1, 3)], &[(0, 5)], &[(1, 3)]]), Err(1));
+            // launch 2 drops register 2, which launch 1 left at 6
+            assert_eq!(
+                new(style, &[&[(0, 1), (2, 5)], &[(0, 1), (2, 6)], &[(0, 2)]]),
+                Err(2)
             );
         }
     }
 
     #[test]
-    fn every_serving_module_is_one_segment() {
-        use accfg::pipeline::OptLevel;
-        for class in accfg_workloads::mixed_serving_classes() {
-            let desc = match class.accelerator.as_str() {
-                "gemmini" => AcceleratorDescriptor::gemmini(),
-                _ => AcceleratorDescriptor::opengemm(),
-            };
-            for level in OptLevel::ALL_LEVELS {
-                let module = crate::cache::build_module(&desc, class.spec, level).unwrap();
-                assert!(
-                    module.plan.earlier.is_empty(),
-                    "{} {:?} at {level:?}: {:?}",
-                    desc.name,
-                    class.spec,
-                    module.plan.earlier
-                );
+    fn from_trace_refuses_a_trace_whose_held_set_changes() {
+        use accfg::interp::interpret;
+        use accfg_ir::{FuncBuilder, Module};
+        // `M` held from launch 0, `K` first held at launch `grows_at`
+        let trace = |grows_at: usize| {
+            let mut m = Module::new();
+            let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+            let (eight, sixty_four) = (b.const_index(8), b.const_index(64));
+            let mut state = b.setup("opengemm", &[("M", eight)]);
+            for index in 0..3 {
+                if index == grows_at {
+                    state = b.setup_from("opengemm", state, &[("K", sixty_four)]);
+                }
+                let token = b.launch("opengemm", state);
+                b.await_token("opengemm", token);
             }
+            b.ret(vec![]);
+            interpret(&m, "f", &[], 1_000).unwrap()
+        };
+        let desc = AcceleratorDescriptor::opengemm();
+        let plan = DispatchPlan::from_trace(&trace(0), &desc).unwrap();
+        assert_eq!(plan.launches().len(), 3);
+        for launch in [1, 2] {
+            let err = DispatchPlan::from_trace(&trace(launch), &desc).unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::HeldSetChanges {
+                    accelerator: "opengemm".into(),
+                    launch,
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "launch {launch} of a plan for `opengemm` holds a different register \
+                     set from launch 0"
+                )
+            );
         }
     }
 

@@ -15,13 +15,20 @@
 //! layout, anchors) across a change of the encoded bytes. The encoded
 //! column was re-recorded, alone, when the store moved to varints and
 //! per-launch register deltas (`ACFGSTR3`).
+//!
+//! The same walk, and the bench catalog's classes, pin the invariant a
+//! dispatch plan is built on: every launch of a module holds one register
+//! set, its platform's.
 
 use accfg_bench::streams::cold_shapes_grid;
 use configuration_wall::core::pipeline::{pipeline, OptLevel};
 use configuration_wall::ir::print_module;
-use configuration_wall::runtime::{build_module, encode_module};
+use configuration_wall::runtime::{build_module, encode_module, DispatchPlan};
 use configuration_wall::targets::AcceleratorDescriptor;
-use configuration_wall::workloads::{gemmini_ws_ir, matmul_ir, MatmulSpec};
+use configuration_wall::workloads::{
+    gemmini_ws_ir, matmul_ir, mixed_platform_classes, mixed_serving_classes, shape_heavy_classes,
+    MatmulSpec,
+};
 
 /// FNV-1a, folded over byte strings with their length so that moving a
 /// byte between two neighbouring items changes the digest.
@@ -54,10 +61,38 @@ fn grid_digests(desc: &AcceleratorDescriptor, level: OptLevel) -> (u64, u64, u64
             .expect("the pipeline verifies");
         printed.item(print_module(&module).as_bytes());
         let built = build_module(desc, spec, level).expect("a grid shape builds");
+        assert_one_held_set(desc, &built.plan, || format!("{spec:?} at {level:?}"));
         encoded.item(&encode_module(&built));
         debug.item(format!("{built:?}").as_bytes());
     }
     (printed.0, encoded.0, debug.0)
+}
+
+/// Asserts every launch of `plan`, built for `desc`, holds the registers
+/// of `desc`'s whole field table — Gemmini 0..=11, OpenGeMM 0..=23. The
+/// generator writes the same fields in every invocation, a launch observes
+/// the whole file, and the passes remove only writes whose value is
+/// already held, so no launch holds fewer: the one held set per plan that
+/// `DispatchPlan` requires.
+fn assert_one_held_set(
+    desc: &AcceleratorDescriptor,
+    plan: &DispatchPlan,
+    what: impl Fn() -> String,
+) {
+    let last = match desc.name.as_str() {
+        "gemmini" => 11,
+        "opengemm" => 23,
+        other => panic!("no held set recorded for `{other}`"),
+    };
+    for (index, launch) in plan.launches().iter().enumerate() {
+        assert!(
+            launch.registers.iter().map(|(&reg, _)| reg).eq(0..=last),
+            "{} {}: launch {index} holds {:?}",
+            desc.name,
+            what(),
+            launch.registers
+        );
+    }
 }
 
 fn check_grid(desc: &AcceleratorDescriptor, expected: [(u64, u64, u64); 4]) {
@@ -141,6 +176,40 @@ fn opengemm_grid_compiles_to_the_recorded_bytes() {
             ), // all
         ],
     );
+}
+
+/// The catalog streams' classes and the paper sizes, on their platform at
+/// every level: one held set a module, the platform's (the grid walk
+/// checks the rest).
+#[test]
+fn every_catalog_module_holds_its_platforms_one_register_set() {
+    let paper = [16, 32, 64, 128].into_iter().flat_map(|size| {
+        [
+            ("gemmini", MatmulSpec::gemmini_paper(size)),
+            ("opengemm", MatmulSpec::opengemm_paper(size)),
+        ]
+    });
+    let classes = mixed_serving_classes()
+        .into_iter()
+        .chain(mixed_platform_classes())
+        .chain(shape_heavy_classes())
+        .map(|class| (class.accelerator, class.spec));
+    let mut shapes: Vec<(String, MatmulSpec)> = paper
+        .map(|(platform, spec)| (platform.to_string(), spec.expect("a paper size")))
+        .chain(classes)
+        .collect();
+    shapes.sort_by_key(|(platform, spec)| (platform.clone(), format!("{spec:?}")));
+    shapes.dedup();
+    for (platform, spec) in shapes {
+        let desc = match platform.as_str() {
+            "gemmini" => AcceleratorDescriptor::gemmini(),
+            _ => AcceleratorDescriptor::opengemm(),
+        };
+        for level in OptLevel::ALL_LEVELS {
+            let built = build_module(&desc, spec, level).expect("a catalog class builds");
+            assert_one_held_set(&desc, &built.plan, || format!("{spec:?} at {level:?}"));
+        }
+    }
 }
 
 /// The Figure 10 sweep's modules: `gemmini_ws_ir` as generated (the C
