@@ -172,7 +172,7 @@ impl CostModel {
                 // the launch-semantic RoCC command carries a zero pair
                 ConfigStyle::RoccPairs { .. } => 2 * host.li + host.rocc,
             };
-        let launches = plan.launches().len() as u64;
+        let launches = plan.launch_count() as u64;
         let anchor_rate = desc.timing.anchor_macs_per_cycle(accel.macs_per_cycle);
         let compute = ((spec.m * spec.n * spec.k) as u64) / anchor_rate;
         let base = launches * per_launch + compute + host.poll;
@@ -623,7 +623,7 @@ mod tests {
             ),
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
-            assert_eq!(module.plan.launches().len() as i64, spec.invocations());
+            assert_eq!(module.plan.launch_count() as i64, spec.invocations());
             assert!(module.plan.cold_writes() > 0);
             assert!(!module.program.is_empty());
         }
@@ -651,7 +651,7 @@ mod tests {
             assert!(cost.warm_cycles <= cost.cold_cycles, "{cost:?}");
             // the steady-state warm repeat of a tiled module still pays
             // its per-tile writes, launches, and compute
-            assert!(cost.warm_cycles >= module.plan.launches().len() as u64);
+            assert!(cost.warm_cycles >= module.plan.launch_count() as u64);
         }
     }
 

@@ -42,9 +42,11 @@
 //! flush's closing `sync` makes the file durable — and, the first time
 //! after [`LogStore::open`] created it, its name in the directory too.
 //!
-//! Values use [`ByteWriter`]'s varints throughout, and a plan stores each
-//! launch's register file as its change from the launch before (`put_plan`):
-//! consecutive launches of one module hold mostly the same values.
+//! Values use [`ByteWriter`]'s varints throughout, and a plan is stored as
+//! it is held: each launch's register file as its change from the launch
+//! before (`put_plan`), since consecutive launches of one module hold
+//! mostly the same values, and read back into that form directly
+//! (`read_launch`), with no file a launch.
 //!
 //! Determinism contract: save functions sort rows by encoded key before
 //! writing, and the codec is canonical — the decoders refuse every byte
@@ -59,7 +61,7 @@ use crate::cache::{
     CacheKey, CompiledModule, CostModel, CostRow, ModuleCache, COST_ROWS, WARMTH_BUCKETS,
 };
 use crate::metrics::WarmStartStats;
-use crate::plan::{DispatchPlan, LaunchSpec, RegMap};
+use crate::plan::{Change, DispatchPlan, RegMap};
 use accfg::pipeline::OptLevel;
 use accfg_sim::{AluOp, BranchCond, Inst, Label, Program, Reg, Width};
 use accfg_store::{ByteReader, ByteWriter, KeyValueStore, LogStore, StoreError};
@@ -208,32 +210,43 @@ fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
     }
 }
 
-/// Writes each launch's register file as its change from the one before
-/// (the first launch against a blank file): the held-register mask, the
-/// count of listed registers, then each listed register — one newly held
-/// or holding a new value — ascending, with its zigzagged value. A
-/// register the previous launch held at the same value is implied by the
-/// mask. Every launch of a plan holds the first's set, so every mask
-/// after the first repeats it.
+/// Writes the plan as it holds it: each launch's register file as its
+/// change from the one before (the first launch against a blank file) —
+/// the held-register mask, the count of listed registers, then each
+/// listed register — one newly held or holding a new value — ascending,
+/// with its zigzagged value. A register the previous launch held at the
+/// same value is implied by the mask. So launch 0 lists every register it
+/// holds, and each later launch lists its run, as the plan holds it,
+/// behind launch 0's mask: every launch of a plan holds the first's set.
 fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
     put_style(w, plan.style());
-    w.put_varint(plan.launches().len() as u64);
-    let mut previous = &RegMap::new();
-    for launch in plan.launches() {
-        let regs = &launch.registers;
-        let changed = || {
-            regs.iter()
-                .filter(|&(reg, value)| previous.get(reg) != Some(value))
-        };
-        w.put_varint(u64::from(regs.mask()));
-        w.put_varint(changed().count() as u64);
-        for (&reg, &value) in changed() {
-            w.put_varint(u64::from(reg));
-            w.put_zigzag(value);
-        }
-        previous = regs;
+    w.put_varint(plan.launch_count() as u64);
+    let first = plan.first();
+    if plan.launch_count() > 0 {
+        let listed = first.iter().map(|(&reg, &value)| (reg, value));
+        put_launch(w, first.mask(), first.len(), listed);
+    }
+    for run in plan.runs() {
+        let listed = run.iter().map(|change| (change.reg, change.value));
+        put_launch(w, first.mask(), run.len(), listed);
     }
     w.put_varint(plan.cold_writes());
+}
+
+/// One launch as [`put_plan`] lays it out: the held mask, then the
+/// `count` entries of `listed`.
+fn put_launch(
+    w: &mut ByteWriter,
+    mask: u32,
+    count: usize,
+    listed: impl Iterator<Item = (u16, i64)>,
+) {
+    w.put_varint(u64::from(mask));
+    w.put_varint(count as u64);
+    for (reg, value) in listed {
+        w.put_varint(u64::from(reg));
+        w.put_zigzag(value);
+    }
 }
 
 /// Reads an element count and rejects one the remaining bytes cannot hold
@@ -251,10 +264,12 @@ fn read_count(r: &mut ByteReader, what: &str) -> Result<usize, StoreError> {
     Ok(count as usize)
 }
 
-/// Reads launch `index`'s register file as [`put_plan`] writes it,
-/// against the `previous` launch's (a blank file for launch 0).
-/// Everything `put_plan` never writes is refused, so an accepted launch
-/// re-encodes to exactly the bytes it was read from and holds only
+/// Reads launch `index`'s register file as [`put_plan`] writes it into
+/// `file`, which holds the previous launch's (a blank file for launch 0),
+/// and appends each register a later launch lists to `changes`: the
+/// launch's run, read straight into the plan, checked against one running
+/// file. Everything `put_plan` never writes is refused, so an accepted
+/// launch re-encodes to exactly the bytes it was read from and holds only
 /// registers a worker's machine can be told to write: a mask bit past the
 /// file or inside a RoCC launch pair, a mask after the first that differs
 /// from it, a listed register past the file, out of ascending order,
@@ -263,14 +278,15 @@ fn read_count(r: &mut ByteReader, what: &str) -> Result<usize, StoreError> {
 fn read_launch(
     r: &mut ByteReader,
     style: ConfigStyle,
-    index: usize,
-    previous: &RegMap,
-) -> Result<RegMap, StoreError> {
+    index: u32,
+    file: &mut RegMap,
+    changes: &mut Vec<Change>,
+) -> Result<(), StoreError> {
     let mask: u32 = r.varint_to()?;
-    if index > 0 && mask != previous.mask() {
+    let held = file.mask();
+    if index > 0 && mask != held {
         return Err(StoreError::codec(format!(
-            "launch {index} holds registers {mask:#x}, not launch 0's {:#x}",
-            previous.mask()
+            "launch {index} holds registers {mask:#x}, not launch 0's {held:#x}"
         )));
     }
     let past = mask & !(u32::MAX >> (32 - RegMap::SLOTS));
@@ -290,7 +306,6 @@ fn read_launch(
             )));
         }
     }
-    let mut regs = previous.clone();
     let mut listed = 0u32;
     for _ in 0..read_count(r, "listed register")? {
         let reg: u16 = r.varint_to()?;
@@ -312,38 +327,58 @@ fn read_launch(
             )));
         }
         let value = r.zigzag()?;
-        if previous.get(&reg) == Some(&value) {
+        // no register listed before this one is `reg`: `file` still holds
+        // the previous launch's value there
+        if file.get(&reg) == Some(&value) {
             return Err(StoreError::codec(format!(
                 "configuration register {reg} is listed with the value it inherits"
             )));
         }
         listed |= bit;
-        regs.insert(reg, value);
+        file.insert(reg, value);
+        if index > 0 {
+            changes.push(Change {
+                launch: index,
+                reg,
+                value,
+            });
+        }
     }
-    let unset = mask & !previous.mask() & !listed;
+    let unset = mask & !held & !listed;
     if unset != 0 {
         return Err(StoreError::codec(format!(
             "configuration register {} is newly held with no listed value",
             unset.trailing_zeros()
         )));
     }
-    Ok(regs)
+    Ok(())
 }
 
 fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
     let style = read_style(r)?;
     let count = read_count(r, "launch")?;
-    let mut launches: Vec<LaunchSpec> = Vec::with_capacity(count);
-    for index in 0..count {
-        let blank = RegMap::new();
-        let previous = launches.last().map_or(&blank, |launch| &launch.registers);
-        let registers = read_launch(r, style, index, previous)?;
-        launches.push(LaunchSpec { registers });
+    let launches = u32::try_from(count)
+        .map_err(|_| StoreError::codec(format!("launch count {count} exceeds u32")))?;
+    let mut first = RegMap::new();
+    let mut changes = Vec::new();
+    if launches > 0 {
+        read_launch(r, style, 0, &mut first, &mut changes)?;
+        // a later launch lists each register at most once, in at least two
+        // bytes; the constructor gives back the room the runs do not use
+        changes.reserve_exact(
+            (count - 1)
+                .saturating_mul(first.len())
+                .min(r.remaining() / 2),
+        );
+        let mut file = first.clone();
+        for index in 1..launches {
+            read_launch(r, style, index, &mut file, &mut changes)?;
+        }
     }
     let stored = r.varint()?;
-    // `read_launch` has refused every mask that differs from launch 0's;
-    // should the constructor disagree, the record is still a codec error
-    let plan = DispatchPlan::new(style, launches)
+    // `read_launch` has refused every run the constructor would; should
+    // the constructor disagree, the record is still a codec error
+    let plan = DispatchPlan::new(style, launches, first, changes)
         .map_err(|launch| StoreError::codec(format!("launch {launch} changes the held set")))?;
     // no build writes any other count, and a cold quote is read from it
     if stored != plan.cold_writes() {
@@ -634,7 +669,7 @@ fn encoded_size(module: &CompiledModule) -> usize {
         + 2 * program.label_targets().len()
         + 2
         + 10
-        + 24 * module.plan.launches().len()
+        + 24 * module.plan.launch_count()
         + 10
         + 4 * 10
         + 10
@@ -1027,6 +1062,7 @@ impl WarmStart {
 mod tests {
     use super::*;
     use crate::cache::{build_module, CostRefiner};
+    use crate::plan::LaunchSpec;
     use accfg_sim::FreqState;
     use accfg_store::MemStore;
 
@@ -1128,7 +1164,7 @@ mod tests {
     fn first_launch_offset(module: &CompiledModule) -> usize {
         plan_offset(module)
             + encoded_len(|w| put_style(w, module.plan.style()))
-            + varint(module.plan.launches().len() as u64).len()
+            + varint(module.plan.launch_count() as u64).len()
     }
 
     #[test]
@@ -1190,7 +1226,7 @@ mod tests {
                 w.put_varint(labels.len() as u64);
                 labels.iter().for_each(|&t| w.put_varint(t as u64));
             });
-            let first = &module.plan.launches()[0].registers;
+            let first = module.plan.first();
             for (what, at, count) in [
                 (
                     "instruction",
@@ -1205,7 +1241,7 @@ mod tests {
                 (
                     "launch",
                     plan_offset(&module) + encoded_len(|w| put_style(w, module.plan.style())),
-                    module.plan.launches().len(),
+                    module.plan.launch_count(),
                 ),
                 (
                     "listed register",
@@ -1339,7 +1375,7 @@ mod tests {
     /// against a blank file, so it lists every register it holds).
     fn with_plan_register(module: &CompiledModule, index: usize, reg: u16) -> Vec<u8> {
         let bytes = encode_module(module);
-        let first = &module.plan.launches()[0].registers;
+        let first = module.plan.first();
         let mut r = ByteReader::new(&bytes[first_launch_offset(module)..]);
         assert_eq!(r.varint().unwrap(), u64::from(first.mask()), "mask offset");
         assert_eq!(r.varint().unwrap(), first.len() as u64, "count offset");
@@ -1353,6 +1389,15 @@ mod tests {
             .expect("the first launch programs that many registers");
         let at = bytes.len() - r.remaining();
         splice_varint(&bytes, at, u64::from(was), u64::from(reg))
+    }
+
+    /// The plan of `launches`' files, through the path `from_trace` takes.
+    fn plan_of(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Result<DispatchPlan, usize> {
+        DispatchPlan::from_files(
+            style,
+            launches.into_iter().map(|launch| Ok(launch.registers)),
+            |launch| launch,
+        )
     }
 
     fn codec_detail<T: std::fmt::Debug>(result: Result<T, StoreError>) -> String {
@@ -1378,13 +1423,9 @@ mod tests {
             ),
         ] {
             let module = build_module(&desc, spec, OptLevel::All).unwrap();
-            let held = module.plan.launches()[0].registers.len();
+            let held = module.plan.first().len();
             assert!(held >= 3);
-            let registers: Vec<u16> = module.plan.launches()[0]
-                .registers
-                .iter()
-                .map(|(&reg, _)| reg)
-                .collect();
+            let registers: Vec<u16> = module.plan.first().iter().map(|(&reg, _)| reg).collect();
             // renamed to itself the record is the record
             assert_eq!(
                 decode_module(&with_plan_register(&module, 1, registers[1])).unwrap(),
@@ -1469,11 +1510,7 @@ mod tests {
             6,
         )
         .unwrap();
-        let files: Vec<RegMap> = plan
-            .launches()
-            .iter()
-            .map(|l| l.registers.clone())
-            .collect();
+        let files: Vec<RegMap> = plan.launches().map(|l| l.registers).collect();
         assert_eq!(
             files,
             [
@@ -1575,7 +1612,7 @@ mod tests {
             } else {
                 (ConfigStyle::Csr, RegMap::SLOTS as u16)
             };
-            let plan = DispatchPlan::new(
+            let plan = plan_of(
                 style,
                 values
                     .iter()
@@ -1706,12 +1743,12 @@ mod tests {
                     module.plan.style(),
                     ConfigStyle::RoccPairs { launch_funct: 13 }
                 );
-                let mut launches = module.plan.launches().to_vec();
-                for launch in &mut launches {
+                let launches = module.plan.launches().map(|mut launch| {
                     launch.registers.insert(26, 1);
-                }
+                    launch
+                });
                 let mut hostile = module.clone();
-                hostile.plan = DispatchPlan::new(module.plan.style(), launches).unwrap();
+                hostile.plan = plan_of(module.plan.style(), launches.collect()).unwrap();
                 encode_module(&hostile)
             },
             "register 26 is in the launch pair of funct 13",
@@ -1723,14 +1760,14 @@ mod tests {
     fn with_launch_mask(module: &CompiledModule, index: usize, mask: u32) -> Vec<u8> {
         let bytes = encode_module(module);
         let mut r = ByteReader::new(&bytes[first_launch_offset(module)..]);
-        for launch in &module.plan.launches()[..index] {
+        for launch in module.plan.launches().take(index) {
             assert_eq!(r.varint().unwrap(), u64::from(launch.registers.mask()));
             for _ in 0..r.varint().unwrap() {
                 r.varint().unwrap();
                 r.zigzag().unwrap();
             }
         }
-        let was = module.plan.launches()[index].registers.mask();
+        let was = module.plan.launches().nth(index).unwrap().registers.mask();
         splice_varint(
             &bytes,
             bytes.len() - r.remaining(),
@@ -1752,7 +1789,7 @@ mod tests {
                     MatmulSpec::opengemm_paper(24).unwrap(),
                 ),
                 |module| {
-                    let launches = module.plan.launches();
+                    let launches: Vec<LaunchSpec> = module.plan.launches().collect();
                     assert!(launches.len() > 1, "{} launches", launches.len());
                     let mask = launches[1].registers.mask();
                     // register 27 lies past every OpenGeMM field

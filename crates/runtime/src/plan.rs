@@ -27,6 +27,13 @@
 //! the plan's alone. Pricing a dispatch walks its first launch against
 //! the worker's file and adds those later writes as a constant.
 //!
+//! A plan holds what changes, as the store encodes it: launch 0's file,
+//! then each later launch as the registers whose value differs from the
+//! launch before — on the `cold_shapes` grid 2.2 of a launch's 24 — in
+//! one boxed slice of 16-byte entries. A plan costs one [`RegMap`] plus
+//! 16 bytes a changed register, not a [`RegMap`] a launch; a launch's
+//! file is rebuilt, when a walk needs it, in one scratch file.
+//!
 //! RoCC-style targets write configuration in register *pairs*; a pair is
 //! rewritten whenever either half differs, which is why pair-granular
 //! interfaces save fewer writes (Section 6.1) — the delta machinery here
@@ -243,7 +250,32 @@ pub struct LaunchSpec {
     pub registers: RegMap,
 }
 
+/// One register a later launch of a plan changes: the launch, the
+/// register and the value it holds from that launch on. Sixteen bytes —
+/// the launch index sits where a `(register, value)` pair pads — so a
+/// plan's runs need no separate table of where each launch's run ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Change {
+    /// The launch: 1 or later.
+    pub(crate) launch: u32,
+    /// Register index.
+    pub(crate) reg: u16,
+    /// The value the launch gives the register.
+    pub(crate) value: i64,
+}
+
+const _: () = assert!(std::mem::size_of::<Change>() == 16);
+
 /// Everything the dispatcher needs to replay a compiled request.
+///
+/// Held as what changes, the form the store encodes: launch 0's register
+/// file, then for each later launch its *run* — the registers whose value
+/// differs from the launch before, ascending, with their new values. Every
+/// launch holds launch 0's register set, so a later launch's file is
+/// launch 0's updated by the runs up to its own, and a plan costs one
+/// [`RegMap`] (232 bytes) plus 16 bytes a changed register, not 232
+/// bytes a launch. [`DispatchPlan::launches`] rebuilds the files on
+/// demand; a dispatch rebuilds them one at a time in one scratch file.
 ///
 /// Built only by [`DispatchPlan::from_trace`] and the store decoder, both
 /// through one constructor that refuses a plan whose held set changes and
@@ -254,9 +286,14 @@ pub struct DispatchPlan {
     /// The target's configuration style (write granularity and launch
     /// mechanism).
     style: ConfigStyle,
-    /// Per-launch register files, in program order, every one holding the
-    /// first's register set.
-    launches: Vec<LaunchSpec>,
+    /// Launch 0's register file; blank in a plan of no launches.
+    first: RegMap,
+    /// Launches in the plan.
+    launches: u32,
+    /// The runs of launches 1.., in launch order — a launch that changes
+    /// nothing has none — then the value the last launch leaves in each
+    /// `settled` slot, ascending and tagged one past the last launch.
+    changes: Box<[Change]>,
     /// Register writes a dispatch onto a *blank* register file performs.
     cold_writes: u64,
     /// Writes launches 1.. emit, on every worker.
@@ -267,20 +304,20 @@ pub struct DispatchPlan {
     settled: u32,
 }
 
-/// The file of a plan with no launches: held nothing, so walking it
-/// writes nothing.
-static BLANK: RegMap = RegMap {
-    values: [0; SLOTS],
-    held: 0,
-};
-
-// `Debug` shows what was built or decoded, not the constants derived from
-// it: the rendering the compile-golden digests pin
+// `Debug` shows what was built or decoded, as the launch files it stands
+// for — not the held form or the constants derived from it: the rendering
+// the compile-golden digests pin
 impl fmt::Debug for DispatchPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Launches<'a>(&'a DispatchPlan);
+        impl fmt::Debug for Launches<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.launches()).finish()
+            }
+        }
         f.debug_struct("DispatchPlan")
             .field("style", &self.style)
-            .field("launches", &self.launches)
+            .field("launches", &Launches(self))
             .field("cold_writes", &self.cold_writes)
             .finish()
     }
@@ -341,18 +378,25 @@ impl DispatchPlan {
     /// declare, if a field maps to a register the simulated accelerator
     /// does not have, if a field maps into a RoCC launch-semantic pair
     /// (those registers belong to the launch command), or if a launch
-    /// holds a different register set from the first.
+    /// holds a different register set from the first — whichever a launch
+    /// shows first.
     pub fn from_trace(trace: &ExecTrace, desc: &AcceleratorDescriptor) -> Result<Self, ServeError> {
         // A field's register is looked up once per trace, not once per
         // launch that holds it: the records of one trace share their names,
         // and so number their fields alike.
         let mut register_of = FieldMap::<u16>::new();
         let mut numbered_by = None;
-        let mut launches = Vec::with_capacity(trace.launches.len());
-        for record in &trace.launches {
+        let files = trace.launches.iter().map(|record| {
             let names = record.names();
             if numbered_by.is_none_or(|held| !names.same_table(held)) {
                 register_of.clear();
+                // room for every field the record holds, so the memo
+                // allocates once
+                let fields = record
+                    .values()
+                    .last()
+                    .map_or(0, |(field, _)| field.index() + 1);
+                register_of.reserve(fields);
                 numbered_by = Some(names);
             }
             let mut registers = RegMap::new();
@@ -367,46 +411,128 @@ impl DispatchPlan {
                 };
                 registers.insert(reg, value);
             }
-            launches.push(LaunchSpec { registers });
-        }
-        Self::new(desc.style, launches).map_err(|launch| ServeError::HeldSetChanges {
+            Ok(registers)
+        });
+        Self::from_files(desc.style, files, |launch| ServeError::HeldSetChanges {
             accelerator: desc.name.clone(),
             launch,
         })
     }
 
-    /// The one constructor: a plan of `launches` under `style`, with what
-    /// its later launches write and its blank-file write count.
+    /// The plan of the launch files `files` yields, in program order: each
+    /// later file is reduced to its run as it arrives, so no file outlives
+    /// the next. The runs are sized before they are filled — at most every
+    /// register launch 0 holds, a later launch — and the constructor gives
+    /// back what they did not use.
     ///
-    /// Every launch must hold the first launch's register set. Then every
-    /// worker enters launch `i > 0` holding each register it names at
-    /// launch `i - 1`'s value (a RoCC half no launch programs is never
-    /// what makes a pair stale), so launch `i` writes what it would onto
-    /// launch `i - 1`'s own file, on every worker. Generated modules meet
-    /// this by construction: the generator writes the same fields in
-    /// every invocation, a launch observes the whole file, and the passes
-    /// remove only writes whose value is already held.
+    /// # Errors
+    /// The first error `files` yields, or `held_set_changes(i)` for the
+    /// first launch `i` whose held set is not launch 0's, whichever comes
+    /// first.
+    pub(crate) fn from_files<E>(
+        style: ConfigStyle,
+        files: impl ExactSizeIterator<Item = Result<RegMap, E>>,
+        held_set_changes: impl Fn(usize) -> E,
+    ) -> Result<Self, E> {
+        let launches = u32::try_from(files.len()).expect("a plan's launches number under 2^32");
+        let mut files = files.enumerate();
+        let Some((_, first)) = files.next() else {
+            return Self::new(style, 0, RegMap::new(), Vec::new()).map_err(held_set_changes);
+        };
+        let first = first?;
+        let mut changes = Vec::with_capacity((launches as usize - 1) * first.len());
+        let mut before = first.clone();
+        for (launch, file) in files {
+            let file = file?;
+            if file.held != first.held {
+                return Err(held_set_changes(launch));
+            }
+            let tag = launch as u32;
+            changes.extend(slots(before.differs(&file)).map(|slot| Change {
+                launch: tag,
+                reg: slot as u16,
+                value: file.values[slot],
+            }));
+            before = file;
+        }
+        Self::new(style, launches, first, changes).map_err(held_set_changes)
+    }
+
+    /// The one constructor: a plan of `launches` launches under `style`,
+    /// launch 0's file `first` and the runs of launches 1.. in `changes`,
+    /// with what its later launches write and its blank-file write count.
+    ///
+    /// Every launch holds the first launch's register set: a run can
+    /// change a register's value, not whether it is held, so a change of a
+    /// register `first` does not hold is refused. Then every worker enters
+    /// launch `i > 0` holding each register it names at launch `i - 1`'s
+    /// value (a RoCC half no launch programs is never what makes a pair
+    /// stale), so launch `i` writes what it would onto launch `i - 1`'s own
+    /// file, on every worker. Generated modules meet this by construction:
+    /// the generator writes the same fields in every invocation, a launch
+    /// observes the whole file, and the passes remove only writes whose
+    /// value is already held.
+    ///
+    /// The form is canonical, so equal launches make equal plans (and one
+    /// encoding): a run lists only registers whose value changes, each
+    /// once, ascending, and the runs come in launch order. `changes` gains
+    /// the settled slots' final values and is boxed, giving back the room
+    /// it did not use.
     ///
     /// The caller vouches for the registers: `from_trace` and the store
     /// decoder refuse a RoCC launch pair before they get here.
     ///
     /// # Errors
-    /// The index of the first launch whose held set is not the first's.
-    pub(crate) fn new(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Result<Self, usize> {
-        let mut later_writes = 0;
-        let mut settled = 0;
-        for (index, pair) in launches.windows(2).enumerate() {
-            let (before, launch) = (&pair[0].registers, &pair[1].registers);
-            if launch.held != before.held {
-                return Err(index + 1);
+    /// The index of the first launch whose run is not canonical: it names
+    /// a register `first` does not hold, lists one out of order, twice or
+    /// at the value it already holds, or the launch is out of order or
+    /// past the plan.
+    pub(crate) fn new(
+        style: ConfigStyle,
+        launches: u32,
+        first: RegMap,
+        mut changes: Vec<Change>,
+    ) -> Result<Self, usize> {
+        debug_assert!(
+            launches > 0 || first.is_empty(),
+            "a plan of no launches holds nothing"
+        );
+        // launch `before`'s file, moved run by run to the last launch's
+        let mut file = first.clone();
+        let (mut later_writes, mut settled, mut before) = (0, 0, 0);
+        for run in changes.chunk_by(|a, b| a.launch == b.launch) {
+            let launch = run[0].launch;
+            if launch <= before || launch >= launches {
+                return Err(launch as usize);
             }
-            let written = written_slots(before, launch, style);
+            before = launch;
+            let mut changed = 0u32;
+            for change in run {
+                let bit = first.held & 1u32.checked_shl(u32::from(change.reg)).unwrap_or(0);
+                let slot = usize::from(change.reg);
+                if bit == 0 || changed >= bit || file.values[slot] == change.value {
+                    return Err(launch as usize);
+                }
+                changed |= bit;
+                file.values[slot] = change.value;
+            }
+            // the slots a run writes: the held file had every other value
+            // already
+            let written = widen(changed, style);
             later_writes += write_count(written, style);
             settled |= written;
         }
+        changes.reserve_exact(settled.count_ones() as usize);
+        changes.extend(slots(settled).map(|slot| Change {
+            launch: launches,
+            reg: slot as u16,
+            value: file.values[slot],
+        }));
         let mut plan = Self {
             style,
+            first,
             launches,
+            changes: changes.into_boxed_slice(),
             cold_writes: 0,
             later_writes,
             settled,
@@ -421,9 +547,27 @@ impl DispatchPlan {
         self.style
     }
 
-    /// Per-launch register files, in program order.
-    pub fn launches(&self) -> &[LaunchSpec] {
-        &self.launches
+    /// Launches in the plan.
+    pub fn launch_count(&self) -> usize {
+        self.launches as usize
+    }
+
+    /// Every launch's register file, in program order, each rebuilt from
+    /// launch 0's and the runs up to its own — for tests, tools and
+    /// `Debug`; a dispatch walks the held form.
+    pub fn launches(&self) -> impl Iterator<Item = LaunchSpec> + '_ {
+        let mut file = self.first.clone();
+        let mut runs = self.runs();
+        (0..self.launches).map(move |launch| {
+            if launch > 0 {
+                for change in runs.next().into_iter().flatten() {
+                    file.values[usize::from(change.reg)] = change.value;
+                }
+            }
+            LaunchSpec {
+                registers: file.clone(),
+            }
+        })
     }
 
     /// Register writes a dispatch onto a *blank* register file performs —
@@ -450,7 +594,7 @@ impl DispatchPlan {
     /// first launch against `resident`, plus what the later launches
     /// write on every worker.
     pub fn writes_against(&self, resident: &RegMap) -> u64 {
-        let written = written_slots(resident, self.first(), self.style);
+        let written = written_slots(resident, &self.first, self.style);
         write_count(written, self.style) + self.later_writes
     }
 
@@ -462,18 +606,59 @@ impl DispatchPlan {
     /// Equal, count and file, to walking every launch in turn, at the
     /// cost of one walk: the walk prices the first launch against
     /// `resident`, the later launches add the writes the constructor
-    /// counted, and the slots they write take the last launch's values.
+    /// counted, and the slots they write take the last launch's values,
+    /// which the plan keeps.
     pub fn apply_writes(&self, resident: &mut RegMap) -> u64 {
-        let writes = delta_walk(resident, self.first(), self.style, |_| {});
-        let last = self.launches.last().map_or(&BLANK, |l| &l.registers);
-        resident.settle(last, self.settled);
+        let writes = delta_walk(resident, &self.first, self.style, |_| {});
+        for change in self.split().1 {
+            resident.insert(change.reg, change.value);
+        }
         writes + self.later_writes
     }
 
-    /// The first launch's register file (a blank one in a plan of no
-    /// launches).
-    fn first(&self) -> &RegMap {
-        self.launches.first().map_or(&BLANK, |l| &l.registers)
+    /// Launch 0's register file (a blank one in a plan of no launches).
+    pub(crate) fn first(&self) -> &RegMap {
+        &self.first
+    }
+
+    /// Each later launch's run, in launch order: the registers it changes,
+    /// ascending, with their new values — empty for a launch that changes
+    /// nothing.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &[Change]> + '_ {
+        let mut rest = self.split().0;
+        (1..self.launches).map(move |launch| {
+            let len = rest.iter().take_while(|c| c.launch == launch).count();
+            let (run, after) = rest.split_at(len);
+            rest = after;
+            run
+        })
+    }
+
+    /// `changes` cut in two: the runs of launches 1.., and the values the
+    /// last launch leaves in the settled slots.
+    fn split(&self) -> (&[Change], &[Change]) {
+        self.changes
+            .split_at(self.changes.len() - self.settled.count_ones() as usize)
+    }
+
+    /// Calls `visit` with every launch's register file, in program order:
+    /// launch 0's as held, each later one rebuilt by its run in one
+    /// scratch copy of it.
+    fn each_launch(&self, mut visit: impl FnMut(&RegMap)) {
+        if self.launches == 0 {
+            return;
+        }
+        visit(&self.first);
+        if self.launches == 1 {
+            return;
+        }
+        let mut file = self.first.clone();
+        for run in self.runs() {
+            for change in run {
+                file.values[usize::from(change.reg)] = change.value;
+            }
+            visit(&file);
+        }
     }
 
     /// Builds the executable delta program that moves `resident` to this
@@ -485,7 +670,9 @@ impl DispatchPlan {
     /// workers replay it per request. The program is sized before it is
     /// filled — from [`DispatchPlan::writes_against`], one stale mask —
     /// so a dispatch allocates once; the program itself walks every
-    /// launch, since every write must be emitted.
+    /// launch, since every write must be emitted: launch 0 against
+    /// `resident`, each later launch from one scratch copy of launch 0's
+    /// file, updated by its run.
     ///
     /// Debug and `validate`-feature builds additionally run
     /// [`DispatchPlan::verify_delta_reconstruction`] over the assembled
@@ -502,10 +689,10 @@ impl DispatchPlan {
         };
         let writes = self.writes_against(resident);
         let mut pb = ProgramBuilder::with_capacity(
-            writes as usize * per_write + self.launches.len() * per_launch + 2,
+            writes as usize * per_write + self.launch_count() * per_launch + 2,
         );
-        for launch in &self.launches {
-            delta_walk(resident, &launch.registers, self.style, |cmd| match cmd {
+        self.each_launch(|launch| {
+            delta_walk(resident, launch, self.style, |cmd| match cmd {
                 WriteCmd::Csr { reg, value } => {
                     let r = pb.reg();
                     pb.li(r, value);
@@ -533,7 +720,7 @@ impl DispatchPlan {
                     pb.rocc(launch_funct, r1, r2);
                 }
             }
-        }
+        });
         pb.await_idle();
         pb.halt();
         let program = pb.finish();
@@ -547,7 +734,7 @@ impl DispatchPlan {
     /// Proof check for delta dispatch: symbolically replays `program`'s
     /// instruction stream from the `start` register file and asserts that
     /// at every launch command the reconstructed file carries exactly the
-    /// values this plan's corresponding [`LaunchSpec`] requires — the
+    /// values this plan's corresponding launch file requires — the
     /// runtime-level analogue of the compiler's translation validation,
     /// checking the *emitted instructions* rather than the emitter's own
     /// bookkeeping.
@@ -577,13 +764,14 @@ impl DispatchPlan {
             regs.insert(reg, value);
             Ok(())
         };
+        let mut launches = self.launches();
         let mut next_launch = 0usize;
-        let check_launch = |regs: &RegMap, next_launch: &mut usize| -> Result<(), String> {
-            let Some(launch) = self.launches.get(*next_launch) else {
+        let mut check_launch = |regs: &RegMap, next_launch: &mut usize| -> Result<(), String> {
+            let Some(launch) = launches.next() else {
                 return Err(format!(
                     "program issues launch #{} but the plan has only {}",
                     *next_launch,
-                    self.launches.len()
+                    self.launch_count()
                 ));
             };
             for (&reg, &expected) in &launch.registers {
@@ -636,14 +824,26 @@ impl DispatchPlan {
                 }
             }
         }
-        if next_launch != self.launches.len() {
+        if next_launch != self.launch_count() {
             return Err(format!(
                 "program issues {next_launch} launches, plan requires {}",
-                self.launches.len()
+                self.launch_count()
             ));
         }
         Ok(())
     }
+}
+
+/// The slots of `mask`, ascending.
+fn slots(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let slot = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            slot
+        })
+    })
 }
 
 /// The one delta walk: moves `resident` to `launch`'s register file under
@@ -703,7 +903,15 @@ fn delta_walk(
 /// the stale registers under CSR, both halves of every pair with a stale
 /// half under RoCC.
 fn written_slots(resident: &RegMap, launch: &RegMap, style: ConfigStyle) -> u32 {
-    let stale = launch.held & (resident.differs(launch) | !resident.held);
+    widen(
+        launch.held & (resident.differs(launch) | !resident.held),
+        style,
+    )
+}
+
+/// The slots writing the `stale` registers sets: those registers under
+/// CSR, both halves of every pair with a stale half under RoCC.
+fn widen(stale: u32, style: ConfigStyle) -> u32 {
     match style {
         ConfigStyle::Csr => stale,
         ConfigStyle::RoccPairs { .. } => {
@@ -752,6 +960,15 @@ mod tests {
         LaunchSpec {
             registers: regs.iter().copied().collect(),
         }
+    }
+
+    /// The plan of `launches`' files, through the path `from_trace` takes.
+    fn plan_of(style: ConfigStyle, launches: Vec<LaunchSpec>) -> Result<DispatchPlan, usize> {
+        DispatchPlan::from_files(
+            style,
+            launches.into_iter().map(|launch| Ok(launch.registers)),
+            |launch| launch,
+        )
     }
 
     #[test]
@@ -826,8 +1043,8 @@ mod tests {
 
     #[test]
     fn plans_execute_only_on_matching_config_styles() {
-        let csr_plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1)])]).unwrap();
-        let rocc_plan = DispatchPlan::new(
+        let csr_plan = plan_of(ConfigStyle::Csr, vec![launch(&[(0, 1)])]).unwrap();
+        let rocc_plan = plan_of(
             ConfigStyle::RoccPairs { launch_funct: 13 },
             vec![launch(&[(0, 1)])],
         )
@@ -847,7 +1064,7 @@ mod tests {
 
     #[test]
     fn cold_writes_and_scoring_agree() {
-        let plan = DispatchPlan::new(
+        let plan = plan_of(
             ConfigStyle::Csr,
             vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
         )
@@ -865,7 +1082,7 @@ mod tests {
 
     #[test]
     fn delta_program_write_count_matches_scoring() {
-        let plan = DispatchPlan::new(
+        let plan = plan_of(
             ConfigStyle::Csr,
             vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
         )
@@ -886,12 +1103,12 @@ mod tests {
     #[test]
     fn delta_reconstruction_proof_accepts_emitted_programs() {
         let plans = [
-            DispatchPlan::new(
+            plan_of(
                 ConfigStyle::Csr,
                 vec![launch(&[(0, 1), (1, 2)]), launch(&[(0, 3), (1, 2)])],
             ),
             // pair 2's high half is never programmed: a rewrite drives it to 0
-            DispatchPlan::new(
+            plan_of(
                 ConfigStyle::RoccPairs { launch_funct: 13 },
                 vec![
                     launch(&[(0, 1), (3, 2), (4, 0)]),
@@ -922,7 +1139,7 @@ mod tests {
 
     #[test]
     fn delta_reconstruction_proof_catches_a_dropped_write() {
-        let plan = DispatchPlan::new(ConfigStyle::Csr, vec![launch(&[(0, 1), (1, 2)])]).unwrap();
+        let plan = plan_of(ConfigStyle::Csr, vec![launch(&[(0, 1), (1, 2)])]).unwrap();
         // hand-assembled dispatch that forgets register 1
         let mut pb = ProgramBuilder::new();
         let r = pb.reg();
@@ -954,7 +1171,7 @@ mod tests {
         // the guarantee behind Policy::ConfigAffinity vs. the cold FIFO
         // baseline, exercised over both styles and awkward resident files
         let plans = [
-            DispatchPlan::new(
+            plan_of(
                 ConfigStyle::Csr,
                 vec![
                     launch(&[(0, 1), (1, 2), (4, 0)]),
@@ -962,7 +1179,7 @@ mod tests {
                     launch(&[(0, 1), (1, 2), (4, 0)]),
                 ],
             ),
-            DispatchPlan::new(
+            plan_of(
                 ConfigStyle::RoccPairs { launch_funct: 13 },
                 vec![
                     launch(&[(0, 1), (3, 2), (4, 0)]),
@@ -1104,15 +1321,15 @@ mod tests {
                 .map(|launch| reference_delta_writes(&mut ordered, launch, style).len() as u64)
                 .sum();
             let after: RegMap = ordered.into_iter().collect();
-            let plan = DispatchPlan::new(
-                style,
-                held.iter()
-                    .map(|launch| LaunchSpec {
-                        registers: launch.iter().map(|(&reg, &value)| (reg, value)).collect(),
-                    })
-                    .collect(),
-            )
-            .unwrap();
+            let files: Vec<LaunchSpec> = held
+                .iter()
+                .map(|launch| LaunchSpec {
+                    registers: launch.iter().map(|(&reg, &value)| (reg, value)).collect(),
+                })
+                .collect();
+            let plan = plan_of(style, files.clone()).unwrap();
+            // the held form stands for exactly those files
+            prop_assert!(plan.launches().eq(files));
             prop_assert_eq!(plan.writes_against(&start), total);
             let mut applied = start.clone();
             prop_assert_eq!(plan.apply_writes(&mut applied), total);
@@ -1130,7 +1347,6 @@ mod tests {
     /// the first launch's walk plus the plan's constants must equal.
     fn per_launch(plan: &DispatchPlan, resident: &mut RegMap) -> u64 {
         plan.launches()
-            .iter()
             .map(|launch| delta_walk(resident, &launch.registers, plan.style(), |_| {}))
             .sum()
     }
@@ -1169,7 +1385,7 @@ mod tests {
                         .collect(),
                 })
                 .collect();
-            let plan = DispatchPlan::new(style, launches).unwrap();
+            let plan = plan_of(style, launches).unwrap();
 
             let mut cold = RegMap::new();
             prop_assert_eq!(plan.cold_writes(), per_launch(&plan, &mut cold));
@@ -1178,7 +1394,10 @@ mod tests {
                 1 => partial.iter().map(|&(reg, value)| (reg % regs as u16, value)).collect(),
                 // the plan's own final file, and one launch's
                 2 => cold,
-                _ => plan.launches()[partial.len() % plan.launches().len()].registers.clone(),
+                _ => {
+                    let index = partial.len() % plan.launch_count();
+                    plan.launches().nth(index).unwrap().registers
+                }
             };
             let mut walked = resident.clone();
             let expected = per_launch(&plan, &mut walked);
@@ -1197,8 +1416,8 @@ mod tests {
     fn a_plan_whose_held_set_changes_is_refused_at_the_launch_that_changes_it() {
         let rocc = ConfigStyle::RoccPairs { launch_funct: 13 };
         let new = |style, launches: &[&[(u16, i64)]]| {
-            DispatchPlan::new(style, launches.iter().map(|regs| launch(regs)).collect())
-                .map(|plan| plan.launches().len())
+            plan_of(style, launches.iter().map(|regs| launch(regs)).collect())
+                .map(|plan| plan.launch_count())
         };
         for style in [ConfigStyle::Csr, rocc] {
             // one held set, values changing: accepted, whatever the length
@@ -1216,6 +1435,42 @@ mod tests {
                 new(style, &[&[(0, 1), (2, 5)], &[(0, 1), (2, 6)], &[(0, 2)]]),
                 Err(2)
             );
+        }
+    }
+
+    #[test]
+    fn the_constructor_refuses_a_held_form_that_is_not_canonical() {
+        let first = RegMap::from([(1, 5), (2, 0), (4, 7)]);
+        let change = |launch, reg, value| Change { launch, reg, value };
+        let new = |changes: &[Change]| {
+            DispatchPlan::new(ConfigStyle::Csr, 3, first.clone(), changes.to_vec())
+                .map(|plan| plan.launches().map(|l| l.registers).collect::<Vec<_>>())
+        };
+        // canonical: launch 1 changes two registers, launch 2 none
+        assert_eq!(
+            new(&[change(1, 1, 6), change(1, 4, 8)]),
+            Ok(vec![
+                first.clone(),
+                RegMap::from([(1, 6), (2, 0), (4, 8)]),
+                RegMap::from([(1, 6), (2, 0), (4, 8)]),
+            ])
+        );
+        for (changes, launch) in [
+            // a register launch 0 does not hold: the held set would change
+            (&[change(1, 3, 1)][..], 1),
+            (&[change(2, 28, 1)][..], 2),
+            // out of ascending order, and twice
+            (&[change(1, 4, 8), change(1, 1, 6)][..], 1),
+            (&[change(2, 1, 6), change(2, 1, 7)][..], 2),
+            // the value the register already holds
+            (&[change(1, 2, 0)][..], 1),
+            (&[change(1, 1, 6), change(2, 1, 6)][..], 2),
+            // launch 0, a launch out of order, and one past the plan
+            (&[change(0, 1, 6)][..], 0),
+            (&[change(2, 1, 6), change(1, 4, 8)][..], 1),
+            (&[change(3, 1, 6)][..], 3),
+        ] {
+            assert_eq!(new(changes), Err(launch), "{changes:?}");
         }
     }
 
@@ -1241,7 +1496,7 @@ mod tests {
         };
         let desc = AcceleratorDescriptor::opengemm();
         let plan = DispatchPlan::from_trace(&trace(0), &desc).unwrap();
-        assert_eq!(plan.launches().len(), 3);
+        assert_eq!(plan.launch_count(), 3);
         for launch in [1, 2] {
             let err = DispatchPlan::from_trace(&trace(launch), &desc).unwrap_err();
             assert_eq!(
@@ -1259,6 +1514,81 @@ mod tests {
                 )
             );
         }
+    }
+
+    /// The pair commands `program` issues before each launch command.
+    fn rocc_writes_by_launch(program: &Program, launch_funct: u8) -> Vec<Vec<WriteCmd>> {
+        use accfg_sim::Inst;
+        let mut env = BTreeMap::new();
+        let (mut launches, mut writes) = (Vec::new(), Vec::new());
+        for inst in program.insts() {
+            match *inst {
+                Inst::Li { rd, imm } => {
+                    env.insert(rd.0, imm);
+                }
+                Inst::RoccCmd { funct, .. } if funct == launch_funct => {
+                    launches.push(std::mem::take(&mut writes));
+                }
+                Inst::RoccCmd { funct, rs1, rs2 } => writes.push(WriteCmd::Rocc {
+                    funct,
+                    lo: env[&rs1.0],
+                    hi: env[&rs2.0],
+                }),
+                _ => {}
+            }
+        }
+        launches
+    }
+
+    #[test]
+    fn a_later_launch_that_changes_half_a_pair_writes_the_whole_pair() {
+        let style = ConfigStyle::RoccPairs { launch_funct: 13 };
+        // pair 1 held whole, pair 2's high half never programmed: launch 1
+        // changes register 3 alone, launch 2 register 4 alone
+        let plan = plan_of(
+            style,
+            vec![
+                launch(&[(2, 5), (3, 6), (4, 1)]),
+                launch(&[(2, 5), (3, 7), (4, 1)]),
+                launch(&[(2, 5), (3, 7), (4, 8)]),
+            ],
+        )
+        .unwrap();
+        // the plan holds the changed halves alone
+        let runs: Vec<Vec<(u16, i64)>> = plan
+            .runs()
+            .map(|run| run.iter().map(|c| (c.reg, c.value)).collect())
+            .collect();
+        assert_eq!(runs, [vec![(3, 7)], vec![(4, 8)]]);
+        // a dispatch still writes each changed half's whole pair, its fresh
+        // half included and an unprogrammed half as 0, cold and warm alike
+        let rocc = |funct, lo, hi| WriteCmd::Rocc { funct, lo, hi };
+        let mut resident = RegMap::new();
+        let (cold, writes) = plan.delta_program(&mut resident);
+        assert_eq!(writes, 4);
+        assert_eq!(
+            rocc_writes_by_launch(&cold, 13),
+            [
+                vec![rocc(1, 5, 6), rocc(2, 1, 0)],
+                vec![rocc(1, 5, 7)],
+                vec![rocc(2, 8, 0)]
+            ]
+        );
+        assert_eq!(resident, RegMap::from([(2, 5), (3, 7), (4, 8), (5, 0)]));
+        let (warm, writes) = plan.delta_program(&mut resident);
+        assert_eq!(writes, 4);
+        assert_eq!(
+            rocc_writes_by_launch(&warm, 13),
+            [
+                vec![rocc(1, 5, 6), rocc(2, 1, 0)],
+                vec![rocc(1, 5, 7)],
+                vec![rocc(2, 8, 0)]
+            ]
+        );
+        // the shadow commit agrees, count and file
+        let mut applied = RegMap::new();
+        assert_eq!(plan.apply_writes(&mut applied), 4);
+        assert_eq!(applied, resident);
     }
 
     #[test]

@@ -1016,8 +1016,8 @@ mod tests {
         let mut s = Scheduler::new(Policy::ConfigAffinity, &uniform(1), 1);
         s.commit(0, &m, 0);
         // the shadow now holds the last launch's register file
-        let last = &m.plan.launches().last().unwrap().registers;
-        for (reg, value) in last {
+        let last = m.plan.launches().last().unwrap().registers;
+        for (reg, value) in &last {
             assert_eq!(s.shadow(0).get(reg), Some(value), "reg {reg}");
         }
     }

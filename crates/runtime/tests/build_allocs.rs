@@ -28,7 +28,9 @@
 //! constants in place, setups thinned in place, loop state carried through
 //! the interpreter's value environment, lowered loops read where they
 //! stand, CSE sized to the arena with one block stack, and the use index
-//! and pass list presized:
+//! and pass list presized, and with plans that hold launch 0's register
+//! file and each later launch's changed registers instead of a file a
+//! launch:
 //!
 //! ```text
 //!                  matmul_ir pipeline compile interpret from_trace cost  sum
@@ -39,7 +41,8 @@
 //!   one-record launches  176      312      26        24          5    0  543
 //!   IR off the heap      150      192      19        24          5    0  390
 //!   inline op lists       63      126      15        24          5    0  233
-//!   → at this PR          37       78       8        12          5    0  140
+//!   names in one string   37       78       8        12          5    0  140
+//!   → held plan deltas    37       78       8        12          3    0  138
 //! gemmini 24x16x64 untiled
 //!   before the rebuild   103      381      33        43         12   11  583
 //!   at the rebuild        65       73      14        37         12   11  212
@@ -47,7 +50,8 @@
 //!   one-record launches   66       73      14         5          4    0  162
 //!   IR off the heap       54       35       6         5          4    0  104
 //!   inline op lists       38       33       6         5          4    0   86
-//!   → at this PR          26       27       5         5          4    0   67
+//!   names in one string   26       27       5         5          4    0   67
+//!   → held plan deltas    26       27       5         5          1    0   64
 //! cold_shapes grid mean
 //!   before the rebuild   187     1203      51       291         47   36 1815
 //!   at the rebuild       118      188      20       229         47   36  637
@@ -55,7 +59,8 @@
 //!   one-record launches  119      188      20        21          4.5  0  353
 //!   IR off the heap      100.5    108.5    11.9      20.8        4.5  0  246.2
 //!   inline op lists       49.8     75.9    10.2      20.8        4.5  0  161.2
-//!   → at this PR          30.8     50.3     6.7      11.9        4.5  0  104.3
+//!   names in one string   30.8     50.3     6.7      11.9        4.5  0  104.3
+//!   → held plan deltas    30.8     50.3     6.7      11.9        2.0  0  101.8
 //! ```
 //!
 //! The OpenGeMM module's pipeline is also printed pass by pass, with the
@@ -69,8 +74,28 @@
 //! A launch record costs one allocation — the copy of the accelerator's
 //! register file — however many fields the file holds; the names the
 //! record spells them with are the module's own table, shared. `from_trace`
-//! is the plan's launch list plus the growth of its field → register memo,
-//! which learns how far the trace's symbols reach only as it meets them.
+//! is its field → register memo, sized once from the first record's
+//! fields (it grew as it met them, three or four times), and, in a plan of
+//! more than one launch, the later launches' changed registers: room for
+//! every held register a launch, given back once they are filled (it was
+//! one list of whole launch files).
+//!
+//! The test then builds the whole grid again, each module behind an `Arc`
+//! as the module cache holds it, and counts the heap bytes the modules
+//! hold and, alone, what their plans hold (`common::held_bytes`: bytes
+//! allocated and not freed on the calling thread). Each row is asserted
+//! at the measured figure + 15 %:
+//!
+//! ```text
+//! MiB the grid holds     launch files → held plan deltas
+//!   compiled modules             3.71 → 2.51
+//!   their plans                  1.74 → 0.55
+//! ```
+//!
+//! A plan held 232 bytes of register file a launch, 7 632 launches over
+//! the grid; it now holds launch 0's file and 16 bytes a register a later
+//! launch changes (14 160 over the grid's 6 480 later launches), plus the
+//! value the last launch leaves in each register the later launches write.
 //!
 //! Run with `--nocapture` to see the table (CI does).
 
@@ -79,7 +104,8 @@ use accfg_ir::{AttrMap, FuncBuilder, Module, Opcode, Type, Verifier};
 use accfg_runtime::{build_module, CostModel, DispatchPlan};
 use accfg_targets::{compile, AcceleratorDescriptor};
 use accfg_workloads::{matmul_ir, MatmulLayout, MatmulSpec};
-use common::counted;
+use common::{counted, held_bytes};
+use std::sync::Arc;
 
 mod common;
 
@@ -222,6 +248,47 @@ fn grid() -> Vec<(AcceleratorDescriptor, MatmulSpec)> {
     shapes
 }
 
+/// Builds every grid module as the module cache holds one — behind an
+/// `Arc` — and prints the heap bytes they hold, whole and their plans
+/// alone (each plan's own bytes with what it points to: a clone of every
+/// plan into one vector holds exactly that). Returns what is over budget.
+fn report_held_bytes(shapes: &[(AcceleratorDescriptor, MatmulSpec)]) -> Vec<String> {
+    let mut modules = Vec::with_capacity(shapes.len());
+    let ((), module_bytes) = held_bytes(|| {
+        modules.extend(shapes.iter().map(|(desc, spec)| {
+            Arc::new(build_module(desc, *spec, OptLevel::All).expect("a grid shape builds"))
+        }))
+    });
+    let (plans, plan_bytes) = held_bytes(|| {
+        modules
+            .iter()
+            .map(|module| module.plan.clone())
+            .collect::<Vec<DispatchPlan>>()
+    });
+    drop(plans);
+    let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
+    println!(
+        "{:<28} {:>9} {:>8}",
+        "bytes the grid holds", "MiB", "budget"
+    );
+    // measured 2.51 and 0.55 MiB, + 15 %
+    [
+        ("compiled modules", module_bytes, 2.89),
+        ("their plans", plan_bytes, 0.63),
+    ]
+    .into_iter()
+    .filter_map(|(what, bytes, budget)| {
+        println!("  {what:<26} {:>9.2} {budget:>8.2}", mib(bytes));
+        (mib(bytes) > budget).then(|| {
+            format!(
+                "the grid's {what} hold {:.2} MiB, budget {budget}",
+                mib(bytes)
+            )
+        })
+    })
+    .collect()
+}
+
 #[test]
 fn build_module_stays_within_its_allocation_budget() {
     println!(
@@ -241,26 +308,26 @@ fn build_module_stays_within_its_allocation_budget() {
             "opengemm 24x16x64 / 8x8x64",
             AcceleratorDescriptor::opengemm(),
             MatmulSpec::new((24, 16, 64), (8, 8, 64)).expect("multiples of 8"),
-            // measured 37, 78, 12, 5 and 140, + 15 %
+            // measured 37, 78, 12, 3 and 138, + 15 %
             Budget {
                 matmul_ir: 42,
                 pipeline: 89,
                 interpret: 13,
-                from_trace: 5,
-                build: 161,
+                from_trace: 3,
+                build: 158,
             },
         ),
         (
             "gemmini 24x16x64 untiled",
             AcceleratorDescriptor::gemmini(),
             MatmulSpec::new((24, 16, 64), (24, 16, 64)).expect("untiled shape"),
-            // measured 26, 27, 5, 4 and 67, + 15 %
+            // measured 26, 27, 5, 1 and 64, + 15 %
             Budget {
                 matmul_ir: 29,
                 pipeline: 31,
                 interpret: 5,
-                from_trace: 4,
-                build: 77,
+                from_trace: 1,
+                build: 73,
             },
         ),
     ] {
@@ -288,16 +355,17 @@ fn build_module_stays_within_its_allocation_budget() {
     for (desc, spec) in &shapes {
         stages.add(desc, spec);
     }
-    // measured 30.8, 50.3, 11.9, 4.5 and 104.3, + 15 %
+    // measured 30.8, 50.3, 11.9, 2.0 and 101.8, + 15 %
     let budget = Budget {
         matmul_ir: 35,
         pipeline: 57,
         interpret: 13,
-        from_trace: 5,
-        build: 119,
+        from_trace: 2,
+        build: 117,
     };
     let modules = shapes.len() as u64;
     over_budget.extend(stages.report("cold_shapes grid mean (1152)", modules, &budget));
+    over_budget.extend(report_held_bytes(&shapes));
     assert!(over_budget.is_empty(), "{}", over_budget.join("\n"));
 
     // one function holding one constant, built with and without the

@@ -18,12 +18,14 @@
 //!
 //! The same walk, and the bench catalog's classes, pin the invariant a
 //! dispatch plan is built on: every launch of a module holds one register
-//! set, its platform's.
+//! set, its platform's. The walk also decodes every encoded module and
+//! requires the module it was encoded from: the store door builds a
+//! plan's held deltas the way `from_trace` does, on every stored shape.
 
 use accfg_bench::streams::cold_shapes_grid;
 use configuration_wall::core::pipeline::{pipeline, OptLevel};
 use configuration_wall::ir::print_module;
-use configuration_wall::runtime::{build_module, encode_module, DispatchPlan};
+use configuration_wall::runtime::{build_module, decode_module, encode_module, DispatchPlan};
 use configuration_wall::targets::AcceleratorDescriptor;
 use configuration_wall::workloads::{
     gemmini_ws_ir, matmul_ir, mixed_platform_classes, mixed_serving_classes, shape_heavy_classes,
@@ -62,7 +64,14 @@ fn grid_digests(desc: &AcceleratorDescriptor, level: OptLevel) -> (u64, u64, u64
         printed.item(print_module(&module).as_bytes());
         let built = build_module(desc, spec, level).expect("a grid shape builds");
         assert_one_held_set(desc, &built.plan, || format!("{spec:?} at {level:?}"));
-        encoded.item(&encode_module(&built));
+        let bytes = encode_module(&built);
+        // the store's door gives back what was built, plan deltas and all
+        assert!(
+            decode_module(&bytes).as_ref() == Ok(&built),
+            "{} {spec:?} at {level:?}: the stored module decodes to another",
+            desc.name
+        );
+        encoded.item(&bytes);
         debug.item(format!("{built:?}").as_bytes());
     }
     (printed.0, encoded.0, debug.0)
@@ -84,7 +93,7 @@ fn assert_one_held_set(
         "opengemm" => 23,
         other => panic!("no held set recorded for `{other}`"),
     };
-    for (index, launch) in plan.launches().iter().enumerate() {
+    for (index, launch) in plan.launches().enumerate() {
         assert!(
             launch.registers.iter().map(|(&reg, _)| reg).eq(0..=last),
             "{} {}: launch {index} holds {:?}",

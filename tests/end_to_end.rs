@@ -298,7 +298,7 @@ fn a_trace_spliced_from_two_modules_plans_every_field_by_its_name() {
     let plan = DispatchPlan::from_trace(&trace, &desc).unwrap();
     let held = |launch: usize, field: &str| {
         let reg = desc.field(field).unwrap().reg;
-        plan.launches()[launch].registers.get(&reg).copied()
+        plan.launches().nth(launch)?.registers.get(&reg).copied()
     };
     assert_eq!((held(0, "M"), held(0, "K")), (Some(8), Some(64)));
     assert_eq!((held(1, "M"), held(1, "K")), (Some(16), Some(32)));
