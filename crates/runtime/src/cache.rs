@@ -338,15 +338,42 @@ impl CostRefiner {
     /// The refiner's learned state as `(module id, platform, rows)`
     /// entries — raw fixed-point EWMA values (agnostic + per-mode rows),
     /// one entry per `(module, platform)` with at least one observed
-    /// slot, platform by platform in id order.
-    pub fn snapshot(&self) -> Vec<(usize, usize, CostRow)> {
-        (0..self.index.len())
-            .flat_map(|platform| {
-                (0..self.index[platform].len())
-                    .filter_map(move |id| Some((id, platform, *self.row(id, platform)?)))
+    /// slot, platform by platform in id order — borrowed, not copied.
+    pub fn learned(&self) -> impl Iterator<Item = (usize, usize, &CostRow)> + '_ {
+        self.index
+            .iter()
+            .enumerate()
+            .flat_map(move |(platform, index)| {
+                index.iter().enumerate().filter_map(move |(id, &position)| {
+                    Some((id, platform, self.rows.get(position as usize)?))
+                })
             })
             .filter(|(.., rows)| rows.iter().flatten().any(|&slot| slot != UNSEEN))
+    }
+
+    /// [`CostRefiner::learned`], copied out.
+    pub fn snapshot(&self) -> Vec<(usize, usize, CostRow)> {
+        self.learned()
+            .map(|(id, platform, rows)| (id, platform, *rows))
             .collect()
+    }
+
+    /// The learned rows that no longer hold exactly what
+    /// [`CostRefiner::seed`] installed there — observed since, or never
+    /// seeded: what a store has to be told.
+    pub(crate) fn moved(&self) -> impl Iterator<Item = (usize, usize, &CostRow)> + '_ {
+        self.learned()
+            .filter(|&(id, platform, _)| !self.holds_seed(id, platform))
+    }
+
+    /// Makes room for `seeds` more seeded rows at once, so seeding a
+    /// fresh refiner sizes its row and seed lists exactly instead of
+    /// growing them by doubling.
+    pub(crate) fn reserve_seeds(&mut self, seeds: usize) {
+        self.rows.reserve_exact(seeds);
+        let positions = self.rows.len() + seeds;
+        self.seeded
+            .reserve_exact(positions.saturating_sub(self.seeded.len()));
     }
 
     /// Restores one snapshot entry: installs `rows` (raw fixed-point EWMA

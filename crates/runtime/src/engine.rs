@@ -20,7 +20,6 @@
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
 
 use crate::cache::{CompiledModule, CostRow};
-use crate::persist::CostSnapshotEntry;
 use crate::runtime::ServeConfig;
 use crate::scheduler::{CommitOutcome, Scheduler};
 use crate::worker::{Completion, Worker};
@@ -59,10 +58,12 @@ pub(crate) struct Resolved {
     pub modules: Vec<Arc<CompiledModule>>,
     /// Per-slot pool-group index.
     pub group_idx: Vec<usize>,
-    /// Persisted cost rows to seed the refiner with, as `(module id,
-    /// platform name, rows)`: every one names a platform of the pool.
-    pub cost_seed: Vec<(usize, String, CostRow)>,
 }
+
+/// Persisted cost rows to seed a serve's refiner with, as `(module id,
+/// platform, rows)`: the platform numbered as the serve's scheduler
+/// numbers the pool's (by first appearance over the workers).
+pub(crate) type CostSeed = Vec<(usize, usize, CostRow)>;
 
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
 /// (metrics, store flush).
@@ -73,11 +74,11 @@ pub(crate) struct EngineOutput {
     pub outcomes: Vec<CommitOutcome>,
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
-    /// The refiner's final rows that moved off their seeded value, keyed
-    /// by platform name and `CacheKey` — what the store flush writes
-    /// ([`Scheduler::cost_snapshot`] less the unchanged rows). Empty
-    /// when the serve has no store: nothing would read it.
-    pub cost_snapshot: Vec<CostSnapshotEntry>,
+    /// The store records of the refiner's final rows that moved off
+    /// their seeded value — what the store flush writes
+    /// ([`Scheduler::moved_cost_records`]). Empty when the serve has no
+    /// store: nothing would read it.
+    pub cost_records: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
 /// The serve loop: walks the dispatch order on the simulated clock
@@ -88,11 +89,13 @@ pub(crate) struct EngineOutput {
 /// retire into the refiner only once the clock (the batch head's arrival)
 /// has passed its finish, in `(finish, slot)` order, so every decision is
 /// a function of simulated time alone. The loop cannot fail: it returns
-/// once every request of `stream` has been dispatched.
+/// once every request of `stream` has been dispatched. `cost_seed` is
+/// consumed by the seeding, before the first dispatch.
 pub(crate) fn run(
     stream: &[TrafficRequest],
     pool: &PoolShape,
     resolved: &Resolved,
+    cost_seed: CostSeed,
     cfg: &ServeConfig,
     mut workers: Vec<Worker>,
 ) -> EngineOutput {
@@ -108,7 +111,7 @@ pub(crate) fn run(
     for module in modules {
         scheduler.add_module(&module.key.accelerator);
     }
-    scheduler.seed_ids(&resolved.cost_seed);
+    scheduler.seed_ids(cost_seed);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
 
@@ -189,8 +192,8 @@ pub(crate) fn run(
             .collect(),
         outcomes,
         batched_requests,
-        cost_snapshot: match cfg.store {
-            Some(_) => scheduler.cost_changes_by(|id| &modules[id].key),
+        cost_records: match cfg.store {
+            Some(_) => scheduler.moved_cost_records(|id| &modules[id].key),
             None => Vec::new(),
         },
     }

@@ -816,15 +816,26 @@ pub fn load_modules(
     Ok(modules)
 }
 
-fn cost_row(entry: &CostSnapshotEntry) -> (Vec<u8>, Vec<u8>) {
-    let (platform, key, buckets) = entry;
-    let mut w = ByteWriter::new();
-    for row in buckets {
-        for &slot in row {
-            w.put_zigzag(slot);
-        }
+/// Encodes one cost value — every row of a [`CostRow`], the
+/// mode-agnostic one first — into a buffer of exactly its length.
+fn encode_cost_row(buckets: &CostRow) -> Vec<u8> {
+    let slots = || buckets.iter().flatten().copied();
+    let len = slots().map(ByteWriter::zigzag_len).sum();
+    let mut w = ByteWriter::with_capacity(len);
+    for slot in slots() {
+        w.put_zigzag(slot);
     }
-    (cost_key_bytes(platform, key), w.finish())
+    let bytes = w.finish();
+    debug_assert_eq!(bytes.len(), len, "a cost row's length was mispredicted");
+    bytes
+}
+
+/// The store record — key and value — of `module`'s cost row `buckets`
+/// on the platform named `platform`: what [`save_costs`] files for an
+/// entry, and what a store-backed serve's flush writes for a refiner row
+/// that moved ([`WarmStart::flush`]). The one encoder of a cost record.
+pub fn cost_record(platform: &str, module: &CacheKey, buckets: &CostRow) -> (Vec<u8>, Vec<u8>) {
+    (cost_key_bytes(platform, module), encode_cost_row(buckets))
 }
 
 /// Persists cost-refiner rows (platform-name keyed), sorted by encoded
@@ -836,7 +847,10 @@ pub fn save_costs(
     store: &mut dyn KeyValueStore,
     entries: &[CostSnapshotEntry],
 ) -> Result<u64, StoreError> {
-    put_sorted(store, entries.iter().map(cost_row).collect())
+    let records = entries
+        .iter()
+        .map(|(platform, key, buckets)| cost_record(platform, key, buckets));
+    put_sorted(store, records.collect())
 }
 
 /// Decodes one cost value: every row of a [`CostRow`], the mode-agnostic
@@ -911,10 +925,11 @@ pub fn load_costs(store: &dyn KeyValueStore) -> Result<Vec<CostSnapshotEntry>, S
 ///   re-encoded;
 /// - a seeded cost row: one lookup per platform that can run the module
 ///   (the members of the pool groups sharing its base), never one per
-///   pool platform;
+///   pool platform, and the row names its platform by index;
 /// - a flushed cost row: only a row that no longer holds the value it was
 ///   seeded with reaches the flush at all — the others are already the
-///   bytes on disk, which the log would elide anyway.
+///   bytes on disk, which the log would elide anyway — and it arrives as
+///   its store record, encoded where the refiner holds it.
 #[derive(Debug)]
 pub struct WarmStart {
     store: LogStore,
@@ -986,9 +1001,10 @@ impl WarmStart {
     }
 
     /// The stored cost rows of the distinct `modules`, each paired with
-    /// the distinct names of the platforms that can run it, as `(the
-    /// module's position in modules, platform, row)`; every row found
-    /// seeds the serve's refiner. A stored row of a module on any other
+    /// the distinct platforms that can run it as indices into
+    /// `platforms` (the pool's platform names), as `(the module's
+    /// position in modules, platform index, row)`; every row found seeds
+    /// the serve's refiner. A stored row of a module on any other
     /// platform is never looked up: no worker of this pool can observe
     /// it, and the flush leaves it on disk as it is.
     ///
@@ -996,13 +1012,14 @@ impl WarmStart {
     /// See [`load_cost_row`].
     pub fn cost_rows<'a>(
         &mut self,
-        modules: impl IntoIterator<Item = (&'a CompiledModule, &'a [&'a str])>,
-    ) -> Result<Vec<(usize, String, CostRow)>, StoreError> {
+        platforms: &[&str],
+        modules: impl IntoIterator<Item = (&'a CompiledModule, &'a [usize])>,
+    ) -> Result<Vec<(usize, usize, CostRow)>, StoreError> {
         let mut rows = Vec::new();
-        for (position, (module, platforms)) in modules.into_iter().enumerate() {
-            for &platform in platforms {
-                if let Some(row) = load_cost_row(&self.store, platform, &module.key)? {
-                    rows.push((position, platform.to_string(), row));
+        for (position, (module, runs_on)) in modules.into_iter().enumerate() {
+            for &platform in runs_on {
+                if let Some(row) = load_cost_row(&self.store, platforms[platform], &module.key)? {
+                    rows.push((position, platform, row));
                 }
             }
         }
@@ -1011,22 +1028,22 @@ impl WarmStart {
     }
 
     /// Flush-on-finish: persists what the serve built or changed — the
-    /// cached modules that were not decoded from this store, and the
-    /// cost rows in `changed` (the refiner's rows that no longer hold
-    /// what [`WarmStart::cost_rows`] seeded them with) — syncs, and
-    /// returns the serve's provenance. Writes are sorted and identical
-    /// values elided at the log layer, so an identical re-run leaves the
-    /// file byte-for-byte unchanged; skipping the decoded modules is
-    /// byte-neutral because `encode_module(&decode_module(b)?) == b`, and
-    /// skipping the unchanged rows because each holds the value decoded
-    /// from the row it would overwrite.
+    /// cached modules that were not decoded from this store, and
+    /// `cost_records`, the [`cost_record`]s of the refiner's rows that no
+    /// longer hold what [`WarmStart::cost_rows`] seeded them with — syncs,
+    /// and returns the serve's provenance. Writes are sorted and
+    /// identical values elided at the log layer, so an identical re-run
+    /// leaves the file byte-for-byte unchanged; skipping the decoded
+    /// modules is byte-neutral because `encode_module(&decode_module(b)?)
+    /// == b`, and skipping the unchanged rows because each holds the value
+    /// decoded from the row it would overwrite.
     ///
     /// # Errors
     /// Propagates store I/O failures.
     pub fn flush(
         mut self,
         cache: &ModuleCache,
-        changed: &[CostSnapshotEntry],
+        cost_records: Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<WarmStartStats, StoreError> {
         // a restored module is known by its address: the cache holds the
         // very `Arc` restore handed out
@@ -1044,7 +1061,7 @@ impl WarmStart {
             .map(|module| module_row(module))
             .collect();
         put_sorted(&mut self.store, built)?;
-        save_costs(&mut self.store, changed)?;
+        put_sorted(&mut self.store, cost_records)?;
         self.store.sync()?;
         // every decoded module spared exactly one build
         let restored = self.restored.len() as u64;

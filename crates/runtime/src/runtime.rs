@@ -31,7 +31,7 @@
 //! the group's base platform and cost estimates re-anchored per variant.
 
 use crate::cache::{CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, EngineOutput, PoolShape, Resolved};
+use crate::engine::{self, CostSeed, EngineOutput, PoolShape, Resolved};
 use crate::error::ServeError;
 use crate::metrics::{
     class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
@@ -39,7 +39,7 @@ use crate::metrics::{
 };
 use crate::persist::WarmStart;
 use crate::policy::Policy;
-use crate::scheduler::LOAD_SLACK_CYCLES;
+use crate::scheduler::{number_platforms, LOAD_SLACK_CYCLES};
 use crate::worker::{Completion, Worker};
 use accfg::pipeline::OptLevel;
 use accfg_sim::FREQ_STATES;
@@ -363,17 +363,18 @@ impl Runtime {
         // the stream resolves them, cost rows once the working set is
         // known (see `WarmStart`).
         let mut warm_start = cfg.store.as_deref().map(WarmStart::open).transpose()?;
-        let resolved = self.resolve(stream, cfg, warm_start.as_mut())?;
+        let (resolved, cost_seed) = self.resolve(stream, &pool, cfg, warm_start.as_mut())?;
         let workers = self.pool.workers(&pool, &resolved);
 
         // The serve loop proper: scheduling interleaved with execution
         // (see `crate::engine`), run to the end of the stream.
-        let engine_out = engine::run(stream, &pool, &resolved, cfg, workers);
+        let mut engine_out = engine::run(stream, &pool, &resolved, cost_seed, cfg, workers);
 
         // flush-on-finish: persist what this serve built or changed,
         // EWMA rows learned over the whole stream included
+        let cost_records = std::mem::take(&mut engine_out.cost_records);
         let warm_start = warm_start
-            .map(|warm| warm.flush(&self.cache, &engine_out.cost_snapshot))
+            .map(|warm| warm.flush(&self.cache, cost_records))
             .transpose()?;
         let cache = CacheStats {
             hits: self.cache.stats.hits - cache_before.hits,
@@ -399,13 +400,15 @@ impl Runtime {
     /// then by compiling, so a module this runtime already holds wins
     /// over a stored one; a restored module comes back from the probe
     /// that installed it. Then it fetches the working set's persisted
-    /// cost rows.
+    /// cost rows, which it returns beside the resolved stream: the serve
+    /// loop consumes them when it seeds its refiner.
     fn resolve(
         &mut self,
         stream: &[TrafficRequest],
+        pool: &PoolShape,
         cfg: &ServeConfig,
         mut warm_start: Option<&mut WarmStart>,
-    ) -> Result<Resolved, ServeError> {
+    ) -> Result<(Resolved, CostSeed), ServeError> {
         // dispatch order: by arrival, ties by id then slot
         let mut order: Vec<usize> = (0..stream.len()).collect();
         order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
@@ -460,31 +463,33 @@ impl Runtime {
 
         // the persisted cost rows of the working set: each module's rows
         // on the platforms that can run it — the members of the groups
-        // sharing its base, named once per base (with refinement off
-        // nothing would be seeded, so nothing is read)
+        // sharing its base, listed once per base (with refinement off
+        // nothing would be seeded, so nothing is read), each platform
+        // named by the index the serve's scheduler gives it
         let cost_seed = match warm_start {
             Some(warm) if cfg.refine_cost => {
-                let mut runs_on: Vec<Vec<&str>> = vec![Vec::new(); groups.len()];
-                for (g, group) in groups.iter().enumerate() {
-                    let names = &mut runs_on[base_of[g]];
-                    for member in &group.members {
-                        if !names.contains(&member.name.as_str()) {
-                            names.push(&member.name);
-                        }
+                let names = pool.worker_descs.iter().map(|desc| desc.name.as_str());
+                let (platforms, worker_platform) = number_platforms(names);
+                let mut runs_on: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+                for (&g, &platform) in pool.worker_group.iter().zip(&worker_platform) {
+                    let on = &mut runs_on[base_of[g]];
+                    if !on.contains(&platform) {
+                        on.push(platform);
                     }
                 }
-                let platforms = module_base.iter().map(|&base| &runs_on[base][..]);
-                warm.cost_rows(modules.iter().map(|module| &**module).zip(platforms))?
+                let modules_on = module_base.iter().map(|&base| &runs_on[base][..]);
+                let modules = modules.iter().map(|module| &**module);
+                warm.cost_rows(&platforms, modules.zip(modules_on))?
             }
             _ => Vec::new(),
         };
-        Ok(Resolved {
+        let resolved = Resolved {
             order,
             ids,
             modules,
             group_idx,
-            cost_seed,
-        })
+        };
+        Ok((resolved, cost_seed))
     }
 }
 
@@ -1050,34 +1055,37 @@ mod tests {
     fn worker_memories(pool: PoolConfig, stream: &[TrafficRequest]) -> Vec<usize> {
         let mut rt = Runtime::new(pool);
         let shape = rt.pool.flatten().unwrap();
-        let resolved = rt.resolve(stream, &ServeConfig::default(), None).unwrap();
+        let (resolved, _) = rt
+            .resolve(stream, &shape, &ServeConfig::default(), None)
+            .unwrap();
         let workers = rt.pool.workers(&shape, &resolved);
         workers.iter().map(Worker::mem_bytes).collect()
     }
 
     #[test]
     fn a_serve_without_a_store_takes_no_cost_snapshot() {
-        // the snapshot is the store flush's input alone: a store-less
-        // serve would clone a key and a platform name per refiner row for
-        // nothing. The loop never opens the store, so any path stands in
+        // the cost records are the store flush's input alone: a
+        // store-less serve would encode a key and a row per refiner row
+        // for nothing. The loop never opens the store, so any path stands
+        // in
         let stream = stream(200, 3);
         let mut rt = Runtime::new(pool());
         let shape = rt.pool.flatten().unwrap();
-        let snapshot_rows = |rt: &mut Runtime, store: Option<PathBuf>| {
+        let flushed_records = |rt: &mut Runtime, store: Option<PathBuf>| {
             let cfg = ServeConfig {
                 store,
                 ..ServeConfig::default()
             };
-            let resolved = rt.resolve(&stream, &cfg, None).unwrap();
+            let (resolved, cost_seed) = rt.resolve(&stream, &shape, &cfg, None).unwrap();
             let workers = rt.pool.workers(&shape, &resolved);
-            engine::run(&stream, &shape, &resolved, &cfg, workers)
-                .cost_snapshot
+            engine::run(&stream, &shape, &resolved, cost_seed, &cfg, workers)
+                .cost_records
                 .len()
         };
-        assert_eq!(snapshot_rows(&mut rt, None), 0);
+        assert_eq!(flushed_records(&mut rt, None), 0);
         // nothing was seeded, so every learned row is a change: one per
         // module, on the platform that ran it
-        let rows = snapshot_rows(&mut rt, Some(PathBuf::from("never-opened.store")));
+        let rows = flushed_records(&mut rt, Some(PathBuf::from("never-opened.store")));
         assert_eq!(rows, 6);
     }
 

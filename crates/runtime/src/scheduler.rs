@@ -34,7 +34,9 @@
 //! both queue accounting and the `cost` policy's scores reflect what a
 //! dispatch actually costs *on that worker*. It is also the one owner of
 //! the index↔name mapping persisted rows cross
-//! ([`Scheduler::seed_refiner`], [`Scheduler::cost_snapshot`]).
+//! ([`Scheduler::seed_refiner`], [`Scheduler::cost_snapshot`]); a serve
+//! seeds by index, its resolve step numbering the platforms through the
+//! scheduler's own rule (`number_platforms`) over the same worker list.
 //!
 //! Modules are named by dense ids, `0..n` in the order the scheduler
 //! first met them, and every per-module table — refiner rows, variant
@@ -74,7 +76,7 @@
 //! [`CostRefiner`]: crate::cache::CostRefiner
 
 use crate::cache::{CacheKey, CompiledModule, CostModel, CostRefiner, CostRow};
-use crate::persist::CostSnapshotEntry;
+use crate::persist::{cost_record, CostSnapshotEntry};
 use crate::plan::RegMap;
 use crate::policy::{self, Policy, Scored};
 use accfg_sim::{DvfsParams, DvfsState, FreqState, FREQ_STATES};
@@ -168,6 +170,26 @@ fn registry_order(a: &CacheKey, b: &CacheKey) -> Ordering {
         .then_with(|| a.accelerator.cmp(&b.accelerator))
 }
 
+/// Numbers a pool's platforms as a [`Scheduler`] over its workers does:
+/// each distinct name by its first appearance in `workers`. Returns the
+/// distinct names in that order and each worker's platform index.
+pub(crate) fn number_platforms<'a>(
+    workers: impl IntoIterator<Item = &'a str>,
+) -> (Vec<&'a str>, Vec<usize>) {
+    let mut names: Vec<&str> = Vec::new();
+    let worker_platform = workers
+        .into_iter()
+        .map(|name| match names.iter().position(|&known| known == name) {
+            Some(platform) => platform,
+            None => {
+                names.push(name);
+                names.len() - 1
+            }
+        })
+        .collect();
+    (names, worker_platform)
+}
+
 /// Scheduler state across one serve run: the routing policy and its
 /// private routing state, plus the policy-agnostic accounting every
 /// policy's commits flow through — shadow resident register files,
@@ -240,25 +262,18 @@ impl Scheduler {
     /// [`ServeError::AmbiguousVariantName`]:
     ///     crate::error::ServeError::AmbiguousVariantName
     pub fn new(policy: Policy, workers: &[AcceleratorDescriptor], groups: usize) -> Self {
+        let (_, worker_platform) = number_platforms(workers.iter().map(|desc| desc.name.as_str()));
         let mut variants: Vec<AcceleratorDescriptor> = Vec::new();
-        let mut worker_platform = Vec::with_capacity(workers.len());
-        for desc in workers {
-            let platform = match variants.iter().position(|v| v.name == desc.name) {
-                Some(platform) => {
-                    assert!(
-                        variants[platform] == *desc,
-                        "two differently provisioned worker platforms share the name `{}`; \
-                         variants must carry distinct names",
-                        desc.name
-                    );
-                    platform
-                }
-                None => {
-                    variants.push(desc.clone());
-                    variants.len() - 1
-                }
-            };
-            worker_platform.push(platform);
+        for (desc, &platform) in workers.iter().zip(&worker_platform) {
+            match variants.get(platform) {
+                Some(variant) => assert!(
+                    variant == desc,
+                    "two differently provisioned worker platforms share the name `{}`; \
+                     variants must carry distinct names",
+                    desc.name
+                ),
+                None => variants.push(desc.clone()),
+            }
         }
         let dvfs = variants.iter().map(|v| v.timing.dvfs).collect();
         Self {
@@ -573,8 +588,12 @@ impl Scheduler {
         // charge and the three keyed quotes are all read out of them
         let row = self.refiner.row(id, self.worker_platform[worker]);
         let predicted_cycles = quote(row, &anchors, writes, None);
-        // (`FreqState::ALL` is in index order)
-        let keyed_cycles = FreqState::ALL.map(|mode| quote(row, &anchors, writes, Some(mode)));
+        // (`FreqState::ALL` is in index order; a loop, not `array::map`,
+        // whose generic body LLVM may leave out of line in a hot path)
+        let mut keyed_cycles = [0; FREQ_STATES];
+        for (cycles, mode) in keyed_cycles.iter_mut().zip(FreqState::ALL) {
+            *cycles = quote(row, &anchors, writes, Some(mode));
+        }
         // advance the shadow DVFS automaton with the predicted busy
         // window, mirroring the worker-side sequence (cool over the idle
         // gap, read the launch state, account the busy cycles)
@@ -660,54 +679,55 @@ impl Scheduler {
         seeded
     }
 
-    /// [`Scheduler::seed_refiner`] for rows already named by module id:
-    /// `(id, platform name, rows)`.
-    pub(crate) fn seed_ids(&mut self, entries: &[(usize, String, CostRow)]) {
+    /// [`Scheduler::seed_refiner`] for rows already named by module id
+    /// and platform index: `(id, platform, rows)`, the platforms numbered
+    /// as this scheduler numbers them (by first appearance over the
+    /// workers). The rows are seeded at once — the refiner's lists sized
+    /// for them exactly — and `entries` is freed on return, before a
+    /// dispatch is routed.
+    pub(crate) fn seed_ids(&mut self, entries: Vec<(usize, usize, CostRow)>) {
         if !self.refine {
             return;
         }
-        for (id, platform_name, rows) in entries {
-            if let Some(platform) = self.platform_named(platform_name) {
-                self.refiner.seed(*id, platform, *rows);
-            }
+        self.refiner.reserve_seeds(entries.len());
+        for (id, platform, rows) in entries {
+            debug_assert!(
+                platform < self.variants.len(),
+                "platform {platform} not in the pool"
+            );
+            self.refiner.seed(id, platform, rows);
         }
     }
 
     /// The refiner's rows keyed by platform *name* and [`CacheKey`] — the
     /// mirror of [`Scheduler::seed_refiner`].
     pub fn cost_snapshot(&self) -> Vec<CostSnapshotEntry> {
-        self.named_rows(self.refiner.snapshot(), |id| &self.registry.keys[id])
-    }
-
-    /// The refiner's rows a store flush has to write
-    /// ([`crate::persist::WarmStart::flush`]): [`Scheduler::cost_snapshot`]
-    /// without the rows that still hold exactly their seeded value — they
-    /// are the stored bytes already — naming module `id` by `key_of(id)`
-    /// (the serve loop numbers its modules itself, not through the
-    /// registry). The dropped rows are never cloned, and the rest are
-    /// named into a list of exactly their number.
-    pub(crate) fn cost_changes_by<'k>(
-        &self,
-        key_of: impl Fn(usize) -> &'k CacheKey,
-    ) -> Vec<CostSnapshotEntry> {
-        let mut rows = self.refiner.snapshot();
-        rows.retain(|&(id, platform, _)| !self.refiner.holds_seed(id, platform));
-        self.named_rows(rows, key_of)
-    }
-
-    /// `(id, platform, rows)` entries keyed by platform name and the key
-    /// `key_of` gives each id.
-    fn named_rows<'k>(
-        &self,
-        rows: Vec<(usize, usize, CostRow)>,
-        key_of: impl Fn(usize) -> &'k CacheKey,
-    ) -> Vec<CostSnapshotEntry> {
-        rows.into_iter()
+        self.refiner
+            .learned()
             .map(|(id, platform, rows)| {
                 let platform_name = self.variants[platform].name.clone();
-                (platform_name, key_of(id).clone(), rows)
+                (platform_name, self.registry.keys[id].clone(), *rows)
             })
             .collect()
+    }
+
+    /// The store records a flush has to write for the refiner
+    /// ([`crate::persist::WarmStart::flush`]): one [`cost_record`] for
+    /// each row of [`Scheduler::cost_snapshot`] that no longer holds
+    /// exactly its seeded value — the others are the stored bytes
+    /// already — naming module `id` by `key_of(id)` (the serve loop
+    /// numbers its modules itself, not through the registry). Each row is
+    /// encoded where the refiner holds it, into a list of exactly their
+    /// number: no row, key or platform name is copied on the way.
+    pub(crate) fn moved_cost_records<'k>(
+        &self,
+        key_of: impl Fn(usize) -> &'k CacheKey,
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut records = Vec::with_capacity(self.refiner.moved().count());
+        records.extend(self.refiner.moved().map(|(id, platform, rows)| {
+            cost_record(&self.variants[platform].name, key_of(id), rows)
+        }));
+        records
     }
 
     /// The shadow resident state of `worker` (for tests and diagnostics).
@@ -1186,5 +1206,89 @@ mod tests {
         }
         assert_eq!(open.predicted_mode(0, 0), FreqState::Boost);
         assert_eq!(open.predicted_mode(1, 0), FreqState::Boost);
+    }
+
+    #[test]
+    fn the_flush_records_are_what_saving_the_moved_snapshot_writes() {
+        use crate::cache::{ModuleCache, COST_ROWS, WARMTH_BUCKETS};
+        use crate::persist::{save_costs, WarmStart};
+        use accfg_store::{KeyValueStore, LogStore};
+
+        // two platforms; rows seeded and left alone, seeded and left
+        // alone by an observation that lands exactly on the seed, seeded
+        // and moved, and never seeded, on each
+        let workers = [
+            AcceleratorDescriptor::opengemm(),
+            AcceleratorDescriptor::gemmini(),
+        ];
+        let mut s = Scheduler::new(Policy::ConfigAffinity, &workers, 1);
+        let [m8, m16, m24, m32] = [8, 16, 24, 32].map(single_tile_module);
+        let row = |cycles: i64| {
+            let mut row: CostRow = [[-1; WARMTH_BUCKETS]; COST_ROWS];
+            row[0][0] = cycles << 8;
+            row[1 + FreqState::Cold.index()][0] = cycles << 8;
+            row
+        };
+        let seeds: Vec<CostSnapshotEntry> = [
+            ("opengemm", &m8, 300),
+            ("gemmini", &m8, 310),
+            ("opengemm", &m16, 500),
+            ("gemmini", &m16, 510),
+            ("opengemm", &m24, 700),
+        ]
+        .into_iter()
+        .map(|(platform, module, cycles)| (platform.into(), module.key.clone(), row(cycles)))
+        .collect();
+        assert_eq!(s.seed_refiner(&seeds), 5);
+        // m8 on both platforms: left alone; m16 on opengemm: observed at
+        // exactly its estimate; m16 on gemmini and m24 on opengemm: moved
+        s.observe(0, &m16, 0, FreqState::Cold, 500);
+        s.observe(1, &m16, 0, FreqState::Cold, 900);
+        s.observe(0, &m24, 0, FreqState::Warm, 100);
+        // never seeded: m24 on gemmini, m32 on both
+        s.observe(1, &m24, 2, FreqState::Boost, 1_000);
+        s.observe(0, &m32, 1, FreqState::Cold, 40);
+        s.observe(1, &m32, 7, FreqState::Cold, 4_000);
+
+        // what a flush wrote before it streamed the rows: the snapshot
+        // less the rows that hold their seed, saved
+        let mut changed = s.refiner().snapshot();
+        changed.retain(|&(id, platform, _)| !s.refiner().holds_seed(id, platform));
+        let changed: Vec<CostSnapshotEntry> = changed
+            .into_iter()
+            .map(|(id, platform, rows)| {
+                let name = s.variants[platform].name.clone();
+                (name, s.registry.keys[id].clone(), rows)
+            })
+            .collect();
+        assert_eq!(changed.len(), 5, "two moved and three unseeded rows");
+        assert_eq!(s.cost_snapshot().len(), 8);
+
+        let path = |which: &str| {
+            std::env::temp_dir().join(format!(
+                "accfg-runtime-flush-records-{which}-{}.store",
+                std::process::id()
+            ))
+        };
+        let (saved, streamed) = (path("saved"), path("streamed"));
+        for file in [&saved, &streamed] {
+            let _ = std::fs::remove_file(file);
+        }
+        let mut store = LogStore::open(&saved).unwrap();
+        assert_eq!(save_costs(&mut store, &changed).unwrap(), 5);
+        store.sync().unwrap();
+        drop(store);
+        let records = s.moved_cost_records(|id| &s.registry.keys[id]);
+        assert_eq!(records.len(), 5);
+        let stats = WarmStart::open(&streamed)
+            .unwrap()
+            .flush(&ModuleCache::new(), records)
+            .unwrap();
+        assert_eq!(stats.modules_restored, 0);
+        let bytes = |file: &std::path::Path| std::fs::read(file).unwrap();
+        assert_eq!(bytes(&streamed), bytes(&saved));
+        for file in [&saved, &streamed] {
+            std::fs::remove_file(file).unwrap();
+        }
     }
 }

@@ -1,12 +1,13 @@
 //! The counting global allocator the allocation-budget tests share: heap
-//! allocations — and the bytes they leave live — repeat exactly on one
-//! toolchain, which wall time on a shared host does not.
+//! allocations — and the bytes they leave live, and the most bytes live
+//! at once — repeat exactly on one toolchain, which wall time on a shared
+//! host does not.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts every allocation and reallocation a thread makes, and the heap
-/// bytes it holds, per thread.
+/// Counts every allocation and reallocation a thread makes, the heap
+/// bytes it holds and the most it has held, per thread.
 struct Counting;
 
 thread_local! {
@@ -14,6 +15,7 @@ thread_local! {
     // inside the allocator never allocates or re-enters it
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one() {
@@ -21,7 +23,11 @@ fn count_one() {
 }
 
 fn grow_live(bytes: isize) {
-    LIVE_BYTES.with(|n| n.set(n.get() + bytes as i64));
+    let live = LIVE_BYTES.with(|n| {
+        n.set(n.get() + bytes as i64);
+        n.get()
+    });
+    PEAK_LIVE_BYTES.with(|peak| peak.set(peak.get().max(live)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -77,5 +83,22 @@ pub fn held_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (
         out,
         u64::try_from(held).expect("`f` freed more than it allocated"),
+    )
+}
+
+/// The most heap bytes the calling thread held at once while `f` ran,
+/// above what it held when `f` started: `f`'s peak working set, the
+/// figure the benchmark's `peak_heap_mb` reads process-wide. Requested
+/// sizes, as [`held_bytes`] counts them; a reallocation counts its new
+/// size less its old, never both at once.
+#[allow(dead_code)] // only `restore_allocs` measures a peak
+pub fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let start = LIVE_BYTES.with(Cell::get);
+    let outer = PEAK_LIVE_BYTES.with(|peak| peak.replace(start));
+    let out = f();
+    let peak = PEAK_LIVE_BYTES.with(|peak| peak.replace(outer.max(peak.get())));
+    (
+        out,
+        u64::try_from(peak - start).expect("the peak is at least the start"),
     )
 }

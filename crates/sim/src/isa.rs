@@ -396,6 +396,14 @@ impl Program {
         self.max_reg as usize + 1
     }
 
+    /// Gives back the instruction list's spare capacity, for a program
+    /// kept long after it was built. [`ProgramBuilder::finish`] does not:
+    /// a program run once and dropped would pay a reallocation for
+    /// nothing.
+    pub fn shrink_to_fit(&mut self) {
+        self.insts.shrink_to_fit();
+    }
+
     /// Instruction count (static, not dynamic).
     pub fn len(&self) -> usize {
         self.insts.len()

@@ -565,6 +565,13 @@ impl KeyValueStore for LogStore {
     /// merge. A failed write stores none of the batch.
     fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
         let start = self.image.len();
+        // room for the whole batch's records at once — the image grows
+        // by their bytes (rows elided below included), not by doubling
+        let batch = rows
+            .iter()
+            .map(|(key, value)| RECORD_HEADER + KEY_AT + key.len() + value.len())
+            .sum();
+        self.image.reserve_exact(batch);
         // the batch's newest record per key, sorted by key
         let mut staged: Vec<Slot> = Vec::with_capacity(rows.len());
         for (key, value) in rows {

@@ -137,7 +137,11 @@ pub fn compile(
     }
     l.lower_block(body)?;
     l.pb.halt();
-    Ok(l.pb.finish())
+    // a compiled program is kept (a cached module holds it for its life):
+    // at its length, not at what its builder grew to
+    let mut program = l.pb.finish();
+    program.shrink_to_fit();
+    Ok(program)
 }
 
 struct Lowerer<'a> {
