@@ -242,10 +242,10 @@ pub struct CostRefiner {
     /// [`CostRow`] per observed `(module, platform)`, in order of first
     /// observation; `UNSEEN` where no dispatch of that warmth has retired.
     rows: Vec<CostRow>,
-    /// By position in `rows`, the value [`CostRefiner::seed`] last
-    /// installed there — all `UNSEEN` for a row no seed created — as far
-    /// as the last seeded position: empty in a refiner never seeded.
-    seeded: Vec<CostRow>,
+    /// By position in `rows`, whether the row still holds what
+    /// [`CostRefiner::seed`] last installed there: set by a seed, cleared
+    /// by an observation that changes one of its slots.
+    seeded: Vec<bool>,
 }
 
 /// Sentinel for a bucket with no observations (cycles are nonnegative).
@@ -262,8 +262,20 @@ impl CostRefiner {
         Self::default()
     }
 
-    /// The row of module `id` on `platform`, created unseen on first use.
-    fn row_mut(&mut self, id: usize, platform: usize) -> &mut CostRow {
+    /// A refiner with room for `rows` rows of modules `0..modules` on
+    /// platforms `0..platforms`, so creating that many — seeded or first
+    /// observed — never regrows its lists or its index.
+    pub(crate) fn with_capacity(platforms: usize, modules: usize, rows: usize) -> Self {
+        Self {
+            index: vec![vec![NO_ROW; modules]; platforms],
+            rows: Vec::with_capacity(rows),
+            seeded: Vec::with_capacity(rows),
+        }
+    }
+
+    /// The position in `rows` of module `id`'s row on `platform`, the
+    /// row created unseen (and holding no seed) on first use.
+    fn position(&mut self, id: usize, platform: usize) -> usize {
         if self.index.len() <= platform {
             self.index.resize_with(platform + 1, Vec::new);
         }
@@ -274,8 +286,9 @@ impl CostRefiner {
         if index[id] == NO_ROW {
             index[id] = u32::try_from(self.rows.len()).expect("fewer rows than u32::MAX");
             self.rows.push([[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
+            self.seeded.push(false);
         }
-        &mut self.rows[index[id] as usize]
+        index[id] as usize
     }
 
     /// Folds one measured dispatch (`cycles`, landing in `bucket`, run on
@@ -283,8 +296,11 @@ impl CostRefiner {
     /// `id`'s estimates: the mode-agnostic row first (exactly the
     /// un-keyed refiner's update), then `mode`'s keyed row. The first
     /// observation of a slot seeds the EWMA exactly; later ones move it
-    /// by α = 1/8 of the residual. Only a `(module, platform)`'s first
-    /// observation allocates (its row).
+    /// by α = 1/8 of the residual. An observation that changes a slot
+    /// moves the row off its seed (see [`CostRefiner::seed`]); one that
+    /// changes nothing leaves it there. Only a `(module, platform)`'s
+    /// first observation allocates (its row), and not even that in a
+    /// refiner with room for it.
     pub fn observe(
         &mut self,
         id: usize,
@@ -293,16 +309,23 @@ impl CostRefiner {
         mode: FreqState,
         cycles: u64,
     ) {
-        let rows = self.row_mut(id, platform);
+        let position = self.position(id, platform);
+        let rows = &mut self.rows[position];
         let bucket = bucket.min(WARMTH_BUCKETS - 1);
         let observed = (cycles as i64) << EWMA_FRAC_BITS;
+        let mut moved = false;
         for row in [COST_ROW_AGNOSTIC, mode_row(mode)] {
             let slot = &mut rows[row][bucket];
-            if *slot == UNSEEN {
+            let was = *slot;
+            if was == UNSEEN {
                 *slot = observed;
             } else {
-                *slot += (observed - *slot) >> EWMA_ALPHA_SHIFT;
+                *slot += (observed - was) >> EWMA_ALPHA_SHIFT;
             }
+            moved |= *slot != was;
+        }
+        if moved {
+            self.seeded[position] = false;
         }
     }
 
@@ -358,22 +381,11 @@ impl CostRefiner {
             .collect()
     }
 
-    /// The learned rows that no longer hold exactly what
-    /// [`CostRefiner::seed`] installed there — observed since, or never
-    /// seeded: what a store has to be told.
+    /// The learned rows that no longer hold their seed — moved by an
+    /// observation since, or never seeded: what a store has to be told.
     pub(crate) fn moved(&self) -> impl Iterator<Item = (usize, usize, &CostRow)> + '_ {
         self.learned()
             .filter(|&(id, platform, _)| !self.holds_seed(id, platform))
-    }
-
-    /// Makes room for `seeds` more seeded rows at once, so seeding a
-    /// fresh refiner sizes its row and seed lists exactly instead of
-    /// growing them by doubling.
-    pub(crate) fn reserve_seeds(&mut self, seeds: usize) {
-        self.rows.reserve_exact(seeds);
-        let positions = self.rows.len() + seeds;
-        self.seeded
-            .reserve_exact(positions.saturating_sub(self.seeded.len()));
     }
 
     /// Restores one snapshot entry: installs `rows` (raw fixed-point EWMA
@@ -382,27 +394,22 @@ impl CostRefiner {
     /// one yields the identical entries back — the round-trip identity the
     /// persistence tests pin.
     pub fn seed(&mut self, id: usize, platform: usize, rows: CostRow) {
-        *self.row_mut(id, platform) = rows;
-        let position = self.index[platform][id] as usize;
-        if self.seeded.len() <= position {
-            self.seeded
-                .resize(position + 1, [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS]);
-        }
-        self.seeded[position] = rows;
+        let position = self.position(id, platform);
+        self.rows[position] = rows;
+        self.seeded[position] = true;
     }
 
-    /// Whether module `id`'s row on `platform` still holds exactly what
+    /// Whether module `id`'s row on `platform` still holds what
     /// [`CostRefiner::seed`] last installed there: nothing observed since
-    /// has moved it. `false` for a missing row and for an observed row no
-    /// seed created.
+    /// has moved it — one flag a row, set by the seed and cleared by the
+    /// first observation that changes a slot, so a row that moved away
+    /// and back reads as moved. `false` for a missing row and for an
+    /// observed row no seed created.
     pub(crate) fn holds_seed(&self, id: usize, platform: usize) -> bool {
         let Some(&position) = self.index.get(platform).and_then(|index| index.get(id)) else {
             return false;
         };
-        let position = position as usize;
-        self.seeded
-            .get(position)
-            .is_some_and(|seeded| self.rows.get(position) == Some(seeded))
+        self.seeded.get(position as usize).copied().unwrap_or(false)
     }
 }
 
@@ -606,6 +613,21 @@ mod tests {
         );
         refiner.observe(1, 0, 0, FreqState::Cold, 900);
         assert!(!refiner.holds_seed(1, 0));
+        // a row that moves away from its seed and back reads as moved:
+        // the flag is cleared by the move, not recomputed from the values
+        let mut away = [[UNSEEN; WARMTH_BUCKETS]; COST_ROWS];
+        away[COST_ROW_AGNOSTIC][0] = 800 << EWMA_FRAC_BITS;
+        refiner.seed(2, 0, away);
+        refiner.observe(2, 0, 0, FreqState::Cold, 0);
+        assert_eq!(
+            refiner.row(2, 0).expect("seeded")[COST_ROW_AGNOSTIC][0],
+            700 << EWMA_FRAC_BITS
+        );
+        // (the cold-mode slot is unseen in the seed: reset it by hand)
+        let position = refiner.index[0][2] as usize;
+        refiner.rows[position] = away;
+        assert_eq!(refiner.row(2, 0), Some(&away), "back at its seed");
+        assert!(!refiner.holds_seed(2, 0), "moved away and back");
         // a row only observations created never held a seed
         refiner.observe(0, 0, 0, FreqState::Cold, 300);
         assert!(!refiner.holds_seed(0, 0));

@@ -19,10 +19,12 @@
 //!
 //! [`Runtime::serve`]: crate::runtime::Runtime::serve
 
-use crate::cache::{CompiledModule, CostRow};
-use crate::runtime::ServeConfig;
-use crate::scheduler::{CommitOutcome, Scheduler};
+use crate::cache::{CompiledModule, CostRefiner};
+use crate::metrics::PredictionStats;
+use crate::runtime::{PredictionSample, ServeConfig};
+use crate::scheduler::Scheduler;
 use crate::worker::{Completion, Worker};
+use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::TrafficRequest;
 use std::cmp::Reverse;
@@ -60,18 +62,19 @@ pub(crate) struct Resolved {
     pub group_idx: Vec<usize>,
 }
 
-/// Persisted cost rows to seed a serve's refiner with, as `(module id,
-/// platform, rows)`: the platform numbered as the serve's scheduler
-/// numbers the pool's (by first appearance over the workers).
-pub(crate) type CostSeed = Vec<(usize, usize, CostRow)>;
-
 /// What the serve loop produced, consumed by `Runtime::serve`'s epilogue
 /// (metrics, store flush).
 pub(crate) struct EngineOutput {
     /// Per-slot completions, in stream order.
     pub completions: Vec<Completion>,
-    /// Per-slot commit predictions.
-    pub outcomes: Vec<CommitOutcome>,
+    /// Per-slot cycle predictions beside the cycles observed, in stream
+    /// order: written at commit, where the dispatch has just run.
+    pub predictions: Vec<PredictionSample>,
+    /// Both predictors' errors over the dispatches that ran.
+    pub prediction: PredictionStats,
+    /// The same, per frequency state the dispatch's last launch ran at,
+    /// the ewma column the frequency-keyed estimate for that state.
+    pub freq_prediction: [PredictionStats; FREQ_STATES],
     /// Requests that rode along in a batch (batch size minus one, summed).
     pub batched_requests: u64,
     /// The store records of the refiner's final rows that moved off
@@ -89,13 +92,16 @@ pub(crate) struct EngineOutput {
 /// retire into the refiner only once the clock (the batch head's arrival)
 /// has passed its finish, in `(finish, slot)` order, so every decision is
 /// a function of simulated time alone. The loop cannot fail: it returns
-/// once every request of `stream` has been dispatched. `cost_seed` is
-/// consumed by the seeding, before the first dispatch.
+/// once every request of `stream` has been dispatched. `refiner` — the
+/// persisted cost rows by `(module id, platform)`, the platform numbered
+/// as the serve's scheduler numbers the pool's (by first appearance over
+/// the workers); empty without a store — becomes the scheduler's before
+/// the first dispatch.
 pub(crate) fn run(
     stream: &[TrafficRequest],
     pool: &PoolShape,
     resolved: &Resolved,
-    cost_seed: CostSeed,
+    refiner: CostRefiner,
     cfg: &ServeConfig,
     mut workers: Vec<Worker>,
 ) -> EngineOutput {
@@ -111,17 +117,20 @@ pub(crate) fn run(
     for module in modules {
         scheduler.add_module(&module.key.accelerator);
     }
-    scheduler.seed_ids(cost_seed);
+    scheduler.adopt_refiner(refiner);
     let elide = scheduler.elides();
     let max_batch = cfg.max_batch.max(1);
 
     let mut completions: Vec<Option<Completion>> = (0..stream.len()).map(|_| None).collect();
-    let mut outcomes = vec![CommitOutcome::default(); stream.len()];
+    let mut predictions = vec![PredictionSample::default(); stream.len()];
+    let mut prediction = PredictionStats::default();
+    let mut freq_prediction = [PredictionStats::default(); FREQ_STATES];
     let mut batched_requests = 0u64;
-    // executed dispatches whose measured cycles have not retired yet,
-    // retired in deterministic (finish, slot) order: the pairs are
-    // unique, so a min-heap pops them in exactly that order
-    let mut unretired: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    // executed dispatches whose measured cycles have not retired yet, with
+    // the warmth bucket they retire into, retired in deterministic
+    // (finish, slot) order: the pairs are unique, so a min-heap pops them
+    // in exactly that order
+    let mut unretired: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
 
     // a slot has been dispatched exactly when it holds its completion
     let mut cursor = 0usize;
@@ -138,7 +147,7 @@ pub(crate) fn run(
         let now = stream[head].arrival;
         // retire completed dispatches into the cost refiner, in
         // simulated completion order
-        while let Some(&Reverse((finish, slot))) = unretired.peek() {
+        while let Some(&Reverse((finish, slot, bucket))) = unretired.peek() {
             if finish > now {
                 break;
             }
@@ -147,7 +156,7 @@ pub(crate) fn run(
             scheduler.observe_id(
                 completion.worker,
                 ids[slot],
-                outcomes[slot].bucket,
+                bucket,
                 completion.freq,
                 completion.counters.cycles,
             );
@@ -174,10 +183,26 @@ pub(crate) fn run(
             {
                 break;
             }
-            outcomes[slot] = scheduler.commit_id(worker, id, module, stream[slot].arrival);
+            let outcome = scheduler.commit_id(worker, id, module, stream[slot].arrival);
             let completion = workers[worker].execute(&stream[slot], module, elide);
+            // observed-vs-predicted error, for both predictors on the
+            // same dispatch (a failed simulation carries no valid cycles)
+            let sample = &mut predictions[slot];
+            sample.anchor = outcome.anchor_cycles;
+            sample.ewma = outcome.predicted_cycles;
             if completion.sim_error.is_none() {
-                unretired.push(Reverse((completion.finish, slot)));
+                let observed = completion.counters.cycles;
+                sample.observed = observed;
+                let keyed = outcome.keyed_cycles[completion.freq.index()];
+                for (stats, ewma) in [
+                    (&mut prediction, outcome.predicted_cycles),
+                    (&mut freq_prediction[completion.freq.index()], keyed),
+                ] {
+                    stats.samples += 1;
+                    stats.anchor_abs_error += outcome.anchor_cycles.abs_diff(observed);
+                    stats.ewma_abs_error += ewma.abs_diff(observed);
+                }
+                unretired.push(Reverse((completion.finish, slot, outcome.bucket)));
             }
             completions[slot] = Some(completion);
             batch += 1;
@@ -190,7 +215,9 @@ pub(crate) fn run(
             .into_iter()
             .map(|c| c.expect("every request is dispatched"))
             .collect(),
-        outcomes,
+        predictions,
+        prediction,
+        freq_prediction,
         batched_requests,
         cost_records: match cfg.store {
             Some(_) => scheduler.moved_cost_records(|id| &modules[id].key),

@@ -55,10 +55,10 @@
 //! [`accfg_store::LogStore`] turns into byte-identical files.
 //!
 //! [`ServeError::AmbiguousVariantName`]: crate::ServeError::AmbiguousVariantName
-//! [`CostRefiner`]: crate::CostRefiner
 
 use crate::cache::{
-    CacheKey, CompiledModule, CostModel, CostRow, ModuleCache, COST_ROWS, WARMTH_BUCKETS,
+    CacheKey, CompiledModule, CostModel, CostRefiner, CostRow, ModuleCache, COST_ROWS,
+    WARMTH_BUCKETS,
 };
 use crate::metrics::WarmStartStats;
 use crate::plan::{Change, DispatchPlan, RegMap};
@@ -675,15 +675,20 @@ fn encoded_size(module: &CompiledModule) -> usize {
         + 10
 }
 
+/// Writes `module`'s canonical store value.
+fn put_module(w: &mut ByteWriter, module: &CompiledModule) {
+    put_cache_key(w, &module.key);
+    put_layout(w, &module.layout);
+    put_program(w, &module.program);
+    put_plan(w, &module.plan);
+    put_cost_model(w, &module.cost);
+    w.put_varint(module.ir_setup_writes as u64);
+}
+
 /// Serializes one compiled module to its canonical store value.
 pub fn encode_module(module: &CompiledModule) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(encoded_size(module));
-    put_cache_key(&mut w, &module.key);
-    put_layout(&mut w, &module.layout);
-    put_program(&mut w, &module.program);
-    put_plan(&mut w, &module.plan);
-    put_cost_model(&mut w, &module.cost);
-    w.put_varint(module.ir_setup_writes as u64);
+    put_module(&mut w, module);
     w.finish()
 }
 
@@ -710,20 +715,55 @@ pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
     })
 }
 
-/// Writes `rows` as one batch, in encoded-key order, so identical inputs
-/// drive identical writes whatever order they were collected in. Returns
-/// the number of rows written (including unchanged ones the store elides).
-fn put_sorted(
+/// Writes `modules` as one batch in encoded-key order, so identical
+/// inputs drive identical writes whatever order they come in. Only the
+/// keys are collected and sorted: each value is encoded into one reused
+/// buffer as the store takes the batch, and the batch's room is stated
+/// from the keys' lengths and each value's [`encoded_size`]. That room is
+/// an upper bound, not the batch's length: over the 1 152 `cold_shapes`
+/// grid modules it is about 1.57× the values' encoded bytes (some 200 KB
+/// above their 354 KB), and a [`LogStore`](accfg_store::LogStore) keeps
+/// the unused part as image capacity until it is dropped. Returns the
+/// number of modules written (including unchanged ones the store elides).
+fn put_modules<'m>(
     store: &mut dyn KeyValueStore,
-    mut rows: Vec<(Vec<u8>, Vec<u8>)>,
+    modules: impl IntoIterator<Item = &'m CompiledModule>,
 ) -> Result<u64, StoreError> {
-    rows.sort();
-    store.put_all(&rows)?;
-    Ok(rows.len() as u64)
+    let mut keyed: Vec<(Vec<u8>, &CompiledModule)> = modules
+        .into_iter()
+        .map(|module| (module_key_bytes(&module.key), module))
+        .collect();
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let sizes = || keyed.iter().map(|(_, module)| encoded_size(module));
+    let bytes = keyed.iter().map(|(key, _)| key.len()).sum::<usize>() + sizes().sum::<usize>();
+    let mut value = ByteWriter::with_capacity(sizes().max().unwrap_or(0));
+    store.put_all(keyed.len(), bytes, &mut |sink| {
+        for (key, module) in &keyed {
+            value.clear();
+            put_module(&mut value, module);
+            sink(key, value.as_bytes())?;
+        }
+        Ok(())
+    })?;
+    Ok(keyed.len() as u64)
 }
 
-fn module_row(module: &CompiledModule) -> (Vec<u8>, Vec<u8>) {
-    (module_key_bytes(&module.key), encode_module(module))
+/// Writes the store `records` as one batch in key order (see
+/// [`put_modules`]), their room stated exactly. Returns the number of
+/// records written (including unchanged ones the store elides).
+fn put_records(
+    store: &mut dyn KeyValueStore,
+    mut records: Vec<(Vec<u8>, Vec<u8>)>,
+) -> Result<u64, StoreError> {
+    records.sort_unstable();
+    let bytes = records
+        .iter()
+        .map(|(key, value)| key.len() + value.len())
+        .sum();
+    store.put_all(records.len(), bytes, &mut |sink| {
+        records.iter().try_for_each(|(key, value)| sink(key, value))
+    })?;
+    Ok(records.len() as u64)
 }
 
 /// Persists every cached module, sorted by encoded key so identical
@@ -733,8 +773,7 @@ fn module_row(module: &CompiledModule) -> (Vec<u8>, Vec<u8>) {
 /// # Errors
 /// Propagates store I/O failures.
 pub fn save_modules(store: &mut dyn KeyValueStore, cache: &ModuleCache) -> Result<u64, StoreError> {
-    let rows = cache.snapshot().iter().map(|m| module_row(m)).collect();
-    put_sorted(store, rows)
+    put_modules(store, cache.snapshot().iter().map(|module| &**module))
 }
 
 /// Whether a pool whose family base is `desc` can field `module`: the
@@ -850,7 +889,7 @@ pub fn save_costs(
     let records = entries
         .iter()
         .map(|(platform, key, buckets)| cost_record(platform, key, buckets));
-    put_sorted(store, records.collect())
+    put_records(store, records.collect())
 }
 
 /// Decodes one cost value: every row of a [`CostRow`], the mode-agnostic
@@ -1000,43 +1039,60 @@ impl WarmStart {
         Ok(module)
     }
 
-    /// The stored cost rows of the distinct `modules`, each paired with
-    /// the distinct platforms that can run it as indices into
-    /// `platforms` (the pool's platform names), as `(the module's
-    /// position in modules, platform index, row)`; every row found seeds
-    /// the serve's refiner. A stored row of a module on any other
-    /// platform is never looked up: no worker of this pool can observe
-    /// it, and the flush leaves it on disk as it is.
+    /// The serve's refiner, seeded with the stored cost rows of the
+    /// distinct `modules`, each paired with the distinct platforms that
+    /// can run it as indices into `platforms` (the pool's platform
+    /// names): a row found is decoded straight into the refiner, as the
+    /// row of module id = the module's position in `modules` on that
+    /// platform index. The refiner's rows are reserved once, one for each
+    /// `(module, platform)` pair of the working set, and its index once,
+    /// so neither seeding nor a later first observation of a pair regrows
+    /// them, and no list of the seeds is built on the way. A stored row of a module on any
+    /// other platform is never looked up: no worker of this pool can
+    /// observe it, and the flush leaves it on disk as it is.
     ///
     /// # Errors
     /// See [`load_cost_row`].
-    pub fn cost_rows<'a>(
+    pub fn cost_rows<'a, I>(
         &mut self,
         platforms: &[&str],
-        modules: impl IntoIterator<Item = (&'a CompiledModule, &'a [usize])>,
-    ) -> Result<Vec<(usize, usize, CostRow)>, StoreError> {
-        let mut rows = Vec::new();
-        for (position, (module, runs_on)) in modules.into_iter().enumerate() {
+        modules: I,
+    ) -> Result<CostRefiner, StoreError>
+    where
+        I: IntoIterator<Item = (&'a CompiledModule, &'a [usize])>,
+        I::IntoIter: Clone,
+    {
+        let modules = modules.into_iter();
+        let (ids, pairs) = modules.clone().fold((0, 0), |(ids, pairs), (_, runs_on)| {
+            (ids + 1, pairs + runs_on.len())
+        });
+        let mut refiner = CostRefiner::with_capacity(platforms.len(), ids, pairs);
+        for (id, (module, runs_on)) in modules.enumerate() {
             for &platform in runs_on {
                 if let Some(row) = load_cost_row(&self.store, platforms[platform], &module.key)? {
-                    rows.push((position, platform, row));
+                    refiner.seed(id, platform, row);
+                    self.seeded += 1;
                 }
             }
         }
-        self.seeded = rows.len() as u64;
-        Ok(rows)
+        Ok(refiner)
     }
 
     /// Flush-on-finish: persists what the serve built or changed — the
     /// cached modules that were not decoded from this store, and
-    /// `cost_records`, the [`cost_record`]s of the refiner's rows that no
-    /// longer hold what [`WarmStart::cost_rows`] seeded them with — syncs,
-    /// and returns the serve's provenance. Writes are sorted and
-    /// identical values elided at the log layer, so an identical re-run
-    /// leaves the file byte-for-byte unchanged; skipping the decoded
-    /// modules is byte-neutral because `encode_module(&decode_module(b)?)
-    /// == b`, and skipping the unchanged rows because each holds the value
-    /// decoded from the row it would overwrite.
+    /// `cost_records`, the [`cost_record`]s of the refiner's rows that
+    /// no longer hold what [`WarmStart::cost_rows`] seeded them with —
+    /// syncs, and returns the serve's provenance. Each namespace is one
+    /// [`KeyValueStore::put_all`] batch in key order, modules first; a
+    /// module is encoded into one reused buffer as the store takes it,
+    /// so no list of encoded modules is built beside the log image.
+    /// Identical values are elided at the log layer, so an identical
+    /// re-run leaves the file byte-for-byte unchanged; skipping the
+    /// decoded modules is byte-neutral because
+    /// `encode_module(&decode_module(b)?) == b`, and skipping the rows
+    /// that hold their seed because each holds the value decoded from the
+    /// row it would overwrite (a row that moved and came back is re-put,
+    /// and elided there).
     ///
     /// # Errors
     /// Propagates store I/O failures.
@@ -1050,18 +1106,14 @@ impl WarmStart {
         let address = |module: &Arc<CompiledModule>| Arc::as_ptr(module);
         self.restored.sort_unstable_by_key(address);
         let restored = &self.restored;
-        let built = cache
-            .snapshot()
-            .iter()
-            .filter(|&module| {
-                restored
-                    .binary_search_by_key(&address(module), address)
-                    .is_err()
-            })
-            .map(|module| module_row(module))
-            .collect();
-        put_sorted(&mut self.store, built)?;
-        put_sorted(&mut self.store, cost_records)?;
+        let cached = cache.snapshot();
+        let built = cached.iter().filter(|&module| {
+            restored
+                .binary_search_by_key(&address(module), address)
+                .is_err()
+        });
+        put_modules(&mut self.store, built.map(|module| &**module))?;
+        put_records(&mut self.store, cost_records)?;
         self.store.sync()?;
         // every decoded module spared exactly one build
         let restored = self.restored.len() as u64;
@@ -1078,7 +1130,7 @@ impl WarmStart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{build_module, CostRefiner};
+    use crate::cache::build_module;
     use crate::plan::LaunchSpec;
     use accfg_sim::FreqState;
     use accfg_store::MemStore;

@@ -30,19 +30,18 @@
 //! plan-compatibility at serve time), with modules compiled once against
 //! the group's base platform and cost estimates re-anchored per variant.
 
-use crate::cache::{CacheStats, CompiledModule, ModuleCache};
-use crate::engine::{self, CostSeed, EngineOutput, PoolShape, Resolved};
+use crate::cache::{CacheStats, CompiledModule, CostRefiner, ModuleCache};
+use crate::engine::{self, EngineOutput, PoolShape, Resolved};
 use crate::error::ServeError;
 use crate::metrics::{
-    class_label, ClassLatency, DepthHistogram, LatencyStats, PredictionStats, ServeMetrics,
-    WarmStartStats, WorkerMetrics,
+    class_label, ClassLatency, DepthHistogram, LatencyStats, ServeMetrics, WarmStartStats,
+    WorkerMetrics,
 };
 use crate::persist::WarmStart;
 use crate::policy::Policy;
 use crate::scheduler::{number_platforms, LOAD_SLACK_CYCLES};
 use crate::worker::{Completion, Worker};
 use accfg::pipeline::OptLevel;
-use accfg_sim::FREQ_STATES;
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{MatmulSpec, TrafficRequest};
 use std::collections::btree_map::Entry;
@@ -399,16 +398,16 @@ impl Runtime {
     /// cache — through the cache, on a miss through the store, and only
     /// then by compiling, so a module this runtime already holds wins
     /// over a stored one; a restored module comes back from the probe
-    /// that installed it. Then it fetches the working set's persisted
-    /// cost rows, which it returns beside the resolved stream: the serve
-    /// loop consumes them when it seeds its refiner.
+    /// that installed it. Then it decodes the working set's persisted
+    /// cost rows into a refiner, which it returns beside the resolved
+    /// stream: the serve loop's scheduler adopts it.
     fn resolve(
         &mut self,
         stream: &[TrafficRequest],
         pool: &PoolShape,
         cfg: &ServeConfig,
         mut warm_start: Option<&mut WarmStart>,
-    ) -> Result<(Resolved, CostSeed), ServeError> {
+    ) -> Result<(Resolved, CostRefiner), ServeError> {
         // dispatch order: by arrival, ties by id then slot
         let mut order: Vec<usize> = (0..stream.len()).collect();
         order.sort_by_key(|&i| (stream[i].arrival, stream[i].id, i));
@@ -461,11 +460,12 @@ impl Runtime {
             group_idx[i] = g;
         }
 
-        // the persisted cost rows of the working set: each module's rows
-        // on the platforms that can run it — the members of the groups
-        // sharing its base, listed once per base (with refinement off
-        // nothing would be seeded, so nothing is read), each platform
-        // named by the index the serve's scheduler gives it
+        // the refiner seeded with the persisted cost rows of the working
+        // set: each module's rows on the platforms that can run it — the
+        // members of the groups sharing its base, listed once per base
+        // (with refinement off nothing would be seeded, so nothing is
+        // read), each platform named by the index the serve's scheduler
+        // gives it
         let cost_seed = match warm_start {
             Some(warm) if cfg.refine_cost => {
                 let names = pool.worker_descs.iter().map(|desc| desc.name.as_str());
@@ -481,7 +481,7 @@ impl Runtime {
                 let modules = modules.iter().map(|module| &**module);
                 warm.cost_rows(&platforms, modules.zip(modules_on))?
             }
-            _ => Vec::new(),
+            _ => CostRefiner::new(),
         };
         let resolved = Resolved {
             order,
@@ -582,9 +582,10 @@ impl PoolConfig {
     }
 }
 
-/// Folds the engine's per-slot completions and commit predictions into
-/// the report; `cache` and `warm_start` are this serve's cache delta and
-/// store provenance, passed through.
+/// Folds the engine's per-slot completions into the report beside the
+/// predictions and their errors, which the loop wrote at commit; `cache`
+/// and `warm_start` are this serve's cache delta and store provenance,
+/// passed through.
 fn summarise(
     stream: &[TrafficRequest],
     policy: Policy,
@@ -596,7 +597,9 @@ fn summarise(
 ) -> ServeReport {
     let EngineOutput {
         completions,
-        outcomes,
+        predictions,
+        prediction,
+        freq_prediction,
         batched_requests,
         ..
     } = engine_out;
@@ -661,42 +664,6 @@ fn summarise(
         })
         .collect();
     per_class.sort_unstable_by(|a, b| a.class.cmp(&b.class));
-
-    // observed-vs-predicted error, for both predictors on the same
-    // dispatch sequence (simulation failures carry no valid cycles).
-    // Each sample also lands in the per-frequency-mode breakdown,
-    // where the ewma column is the *frequency-keyed* estimate for the
-    // mode the dispatch actually ran in — summed across modes it is
-    // the keyed estimator's MAE, next to `prediction`'s mode-agnostic
-    // one.
-    let mut prediction = PredictionStats::default();
-    let mut freq_prediction = [PredictionStats::default(); FREQ_STATES];
-    let predictions: Vec<PredictionSample> = completions
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let sample = PredictionSample {
-                anchor: outcomes[i].anchor_cycles,
-                ewma: outcomes[i].predicted_cycles,
-                observed: if c.sim_error.is_none() {
-                    c.counters.cycles
-                } else {
-                    0
-                },
-            };
-            if c.sim_error.is_none() {
-                prediction.samples += 1;
-                prediction.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
-                prediction.ewma_abs_error += sample.ewma.abs_diff(sample.observed);
-                let keyed = &mut freq_prediction[c.freq.index()];
-                keyed.samples += 1;
-                keyed.anchor_abs_error += sample.anchor.abs_diff(sample.observed);
-                keyed.ewma_abs_error +=
-                    outcomes[i].keyed_cycles[c.freq.index()].abs_diff(sample.observed);
-            }
-            sample
-        })
-        .collect();
 
     let metrics = ServeMetrics {
         policy: policy.label().to_string(),

@@ -679,23 +679,16 @@ impl Scheduler {
         seeded
     }
 
-    /// [`Scheduler::seed_refiner`] for rows already named by module id
-    /// and platform index: `(id, platform, rows)`, the platforms numbered
-    /// as this scheduler numbers them (by first appearance over the
-    /// workers). The rows are seeded at once — the refiner's lists sized
-    /// for them exactly — and `entries` is freed on return, before a
-    /// dispatch is routed.
-    pub(crate) fn seed_ids(&mut self, entries: Vec<(usize, usize, CostRow)>) {
-        if !self.refine {
-            return;
-        }
-        self.refiner.reserve_seeds(entries.len());
-        for (id, platform, rows) in entries {
-            debug_assert!(
-                platform < self.variants.len(),
-                "platform {platform} not in the pool"
-            );
-            self.refiner.seed(id, platform, rows);
+    /// Makes `refiner` — seeded by module id and platform index
+    /// ([`WarmStart::cost_rows`]), the platforms numbered as this
+    /// scheduler numbers them (by first appearance over the workers) —
+    /// this scheduler's own, so its rows are never copied. With
+    /// refinement disabled it is dropped, matching [`Scheduler::observe`].
+    ///
+    /// [`WarmStart::cost_rows`]: crate::persist::WarmStart::cost_rows
+    pub(crate) fn adopt_refiner(&mut self, refiner: CostRefiner) {
+        if self.refine {
+            self.refiner = refiner;
         }
     }
 
@@ -1216,13 +1209,13 @@ mod tests {
 
         // two platforms; rows seeded and left alone, seeded and left
         // alone by an observation that lands exactly on the seed, seeded
-        // and moved, and never seeded, on each
+        // and moved, seeded and moved away and back, and never seeded
         let workers = [
             AcceleratorDescriptor::opengemm(),
             AcceleratorDescriptor::gemmini(),
         ];
         let mut s = Scheduler::new(Policy::ConfigAffinity, &workers, 1);
-        let [m8, m16, m24, m32] = [8, 16, 24, 32].map(single_tile_module);
+        let [m8, m16, m24, m32, m40] = [8, 16, 24, 32, 40].map(single_tile_module);
         let row = |cycles: i64| {
             let mut row: CostRow = [[-1; WARMTH_BUCKETS]; COST_ROWS];
             row[0][0] = cycles << 8;
@@ -1235,16 +1228,28 @@ mod tests {
             ("opengemm", &m16, 500),
             ("gemmini", &m16, 510),
             ("opengemm", &m24, 700),
+            ("opengemm", &m40, 600),
         ]
         .into_iter()
         .map(|(platform, module, cycles)| (platform.into(), module.key.clone(), row(cycles)))
         .collect();
-        assert_eq!(s.seed_refiner(&seeds), 5);
+        assert_eq!(s.seed_refiner(&seeds), 6);
         // m8 on both platforms: left alone; m16 on opengemm: observed at
         // exactly its estimate; m16 on gemmini and m24 on opengemm: moved
         s.observe(0, &m16, 0, FreqState::Cold, 500);
         s.observe(1, &m16, 0, FreqState::Cold, 900);
         s.observe(0, &m24, 0, FreqState::Warm, 100);
+        // m40 on opengemm: 600 → 610 → 600 cycles, back at its seed
+        let back = s.registry.keys.iter().position(|key| *key == m40.key);
+        let back = back.expect("seeded");
+        s.observe(0, &m40, 0, FreqState::Cold, 680);
+        assert_eq!(s.refiner().row(back, 0), Some(&row(610)));
+        s.observe(0, &m40, 0, FreqState::Cold, 530);
+        assert_eq!(
+            s.refiner().row(back, 0),
+            Some(&row(600)),
+            "back at its seed"
+        );
         // never seeded: m24 on gemmini, m32 on both
         s.observe(1, &m24, 2, FreqState::Boost, 1_000);
         s.observe(0, &m32, 1, FreqState::Cold, 40);
@@ -1261,33 +1266,49 @@ mod tests {
                 (name, s.registry.keys[id].clone(), rows)
             })
             .collect();
-        assert_eq!(changed.len(), 5, "two moved and three unseeded rows");
-        assert_eq!(s.cost_snapshot().len(), 8);
+        assert_eq!(
+            changed.len(),
+            6,
+            "two moved, one moved and back, three unseeded rows"
+        );
+        assert_eq!(s.cost_snapshot().len(), 9);
+        // and less the row that moved back too: what comparing each row
+        // with its seed value would have written
+        let mut differ = changed.clone();
+        differ.retain(|(_, key, _)| *key != m40.key);
+        assert_eq!(differ.len(), 5);
 
+        // each store starts out holding the seeds, as a warm serve's does
         let path = |which: &str| {
             std::env::temp_dir().join(format!(
                 "accfg-runtime-flush-records-{which}-{}.store",
                 std::process::id()
             ))
         };
-        let (saved, streamed) = (path("saved"), path("streamed"));
-        for file in [&saved, &streamed] {
+        let files = ["saved", "differ", "streamed"].map(path);
+        for file in &files {
             let _ = std::fs::remove_file(file);
+            let mut store = LogStore::open(file).unwrap();
+            assert_eq!(save_costs(&mut store, &seeds).unwrap(), 6);
+            store.sync().unwrap();
         }
-        let mut store = LogStore::open(&saved).unwrap();
-        assert_eq!(save_costs(&mut store, &changed).unwrap(), 5);
-        store.sync().unwrap();
-        drop(store);
+        for (file, entries) in files.iter().zip([&changed, &differ]) {
+            let mut store = LogStore::open(file).unwrap();
+            save_costs(&mut store, entries).unwrap();
+            store.sync().unwrap();
+        }
         let records = s.moved_cost_records(|id| &s.registry.keys[id]);
-        assert_eq!(records.len(), 5);
-        let stats = WarmStart::open(&streamed)
+        assert_eq!(records.len(), 6, "the row back at its seed is re-put");
+        let stats = WarmStart::open(&files[2])
             .unwrap()
             .flush(&ModuleCache::new(), records)
             .unwrap();
         assert_eq!(stats.modules_restored, 0);
+        // the re-put row is elided at the log: all three files agree
         let bytes = |file: &std::path::Path| std::fs::read(file).unwrap();
-        assert_eq!(bytes(&streamed), bytes(&saved));
-        for file in [&saved, &streamed] {
+        assert_eq!(bytes(&files[2]), bytes(&files[0]));
+        assert_eq!(bytes(&files[2]), bytes(&files[1]));
+        for file in &files {
             std::fs::remove_file(file).unwrap();
         }
     }

@@ -53,10 +53,11 @@ pub struct Completion {
     /// frequency-keyed cost refiner files this completion's measured
     /// cycles under.
     pub freq: FreqState,
-    /// Functional-check failure, if any.
-    pub check_error: Option<String>,
+    /// Functional-check failure, if any — boxed at its length: a
+    /// completion is kept per request, and a failure is rare.
+    pub check_error: Option<Box<str>>,
     /// Simulator failure, if any (the functional check is skipped then).
-    pub sim_error: Option<String>,
+    pub sim_error: Option<Box<str>>,
 }
 
 /// A pool worker: persistent machine plus resident-state tracking.
@@ -146,14 +147,15 @@ impl Worker {
         // failed dispatch, with this worker's memory and resident state
         // as they were, never run (one comparison a dispatch)
         if !module.plan.executable_on(&self.desc) {
-            completion.sim_error = Some(format!(
+            let error = format!(
                 "module for `{}` dispatched to incompatible worker {} (`{}`)",
                 module.key.accelerator, self.index, self.desc.name
-            ));
+            );
+            completion.sim_error = Some(error.into());
             return completion;
         }
         if let Err(e) = fill_inputs(&mut self.machine.mem, &spec, &module.layout, request.seed) {
-            completion.sim_error = Some(format!("input fill failed: {e}"));
+            completion.sim_error = Some(format!("input fill failed: {e}").into());
             return completion;
         }
 
@@ -179,7 +181,7 @@ impl Worker {
                 // window so the next dispatch starts from a clean clock
                 self.machine.accel.reset_clock(counters.cycles);
                 if let Err(e) = check_result(&self.machine.mem, &spec, &module.layout) {
-                    completion.check_error = Some(e);
+                    completion.check_error = Some(e.into());
                 }
             }
             Err(e) => {
@@ -196,7 +198,7 @@ impl Worker {
                 // a failed dispatch carries no measured cycles: it
                 // finishes where it started
                 self.clock = start;
-                completion.sim_error = Some(e.to_string());
+                completion.sim_error = Some(e.to_string().into());
             }
         }
         completion

@@ -91,7 +91,7 @@ pub fn held_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// figure the benchmark's `peak_heap_mb` reads process-wide. Requested
 /// sizes, as [`held_bytes`] counts them; a reallocation counts its new
 /// size less its old, never both at once.
-#[allow(dead_code)] // only `restore_allocs` measures a peak
+#[allow(dead_code)] // `build_allocs` measures no peak
 pub fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = LIVE_BYTES.with(Cell::get);
     let outer = PEAK_LIVE_BYTES.with(|peak| peak.replace(start));

@@ -94,7 +94,24 @@
 //! request. The budget is under one allocation a request wide, so none
 //! of them can come back inside it.)
 //!
-//! Run with `--nocapture` to see the three tables (CI does).
+//! **Peak.** The most heap one store-less serve of a 12 000-request
+//! `mixed` stream holds at once on the warmed `Runtime`
+//! (`common::peak_bytes`): what grows with the stream — the loop's
+//! per-request state and the report — must stay within the measured
+//! figure + 15 % (release builds):
+//!
+//! ```text
+//! peak KiB                          two passes → predictions at commit
+//!   mixed serve, 12 000 requests        3 948.6 → 3 151.0
+//! ```
+//!
+//! (The loop kept a `CommitOutcome` a request for `summarise` to turn
+//! into the prediction samples and errors in a second pass, and a
+//! completion held its two error slots as `String`s; now the loop writes
+//! each sample and both error sums where the dispatch commits, and a
+//! completion holds `Option<Box<str>>`s.)
+//!
+//! Run with `--nocapture` to see the four tables (CI does).
 
 use accfg::OptLevel;
 use accfg_runtime::{
@@ -106,7 +123,7 @@ use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{
     check_result, fill_inputs, mixed_serving_classes, MatmulSpec, TrafficConfig, TrafficRequest,
 };
-use common::counted;
+use common::{counted, peak_bytes};
 use std::sync::Barrier;
 
 mod common;
@@ -122,6 +139,7 @@ fn a_warm_request_stays_within_its_allocation_budgets() {
     let execute = a_warm_dispatch_stays_within_its_allocation_budget();
     warm_routing_allocates_nothing();
     a_warm_serve_adds_nothing_per_dispatch(execute);
+    a_long_serve_peaks_within_its_budget();
 }
 
 /// The counter reads the calling thread only: an allocation another
@@ -367,6 +385,55 @@ fn a_warm_serve_adds_nothing_per_dispatch(execute: u64) {
         assert!(
             further <= BUDGET,
             "{N} further requests allocated {further} times, budget {BUDGET}"
+        );
+    }
+}
+
+/// The most heap a store-less serve of the 12 000-request `mixed` stream
+/// holds at once on a warmed `Runtime`: the loop's per-request state and
+/// the report it returns, which grow with the stream.
+fn a_long_serve_peaks_within_its_budget() {
+    const REQUESTS: usize = 12_000;
+    // measured 3 151.0 KiB (3 948.6 while the loop kept a `CommitOutcome`
+    // a request for a second pass in `summarise` and a completion held
+    // its errors as `String`s)
+    const BUDGET_KIB: f64 = 3_624.0;
+    let stream = TrafficConfig {
+        classes: mixed_serving_classes(),
+        requests: REQUESTS,
+        mean_gap: 200,
+        seed: 0xC0FFEE,
+    }
+    .open_loop_stream()
+    .expect("a valid mix");
+    let mut runtime = Runtime::new(
+        PoolConfig::new(vec![
+            AcceleratorDescriptor::gemmini(),
+            AcceleratorDescriptor::opengemm(),
+        ])
+        .with_workers_per_accelerator(2),
+    );
+    let cfg = ServeConfig {
+        policy: Policy::ConfigAffinity,
+        ..ServeConfig::default()
+    };
+    // the first serve compiles the six modules; the measured one hits
+    runtime.serve(&stream, &cfg).expect("the stream serves");
+    let (report, peak) = peak_bytes(|| runtime.serve(&stream, &cfg));
+    let metrics = report.expect("the stream serves").metrics;
+    assert_eq!(metrics.sim_failures + metrics.check_failures, 0);
+    assert_eq!(metrics.cache.misses, 0, "the cache is warm");
+    let kib = peak as f64 / 1024.0;
+    println!();
+    println!("{:<32} {:>8} {:>8}", "peak KiB", "measured", "budget");
+    println!(
+        "{:<32} {kib:>8.1} {BUDGET_KIB:>8.0}",
+        format!("mixed serve, {REQUESTS} requests")
+    );
+    if !cfg!(debug_assertions) && !cfg!(feature = "validate") {
+        assert!(
+            kib <= BUDGET_KIB,
+            "a {REQUESTS}-request serve peaked at {kib:.1} KiB, budget {BUDGET_KIB}"
         );
     }
 }

@@ -34,14 +34,15 @@
 //! of the moved rows → at it → with store keys written at their exact
 //! length (`ByteWriter::with_capacity`) → with seeded rows named by
 //! platform index and the flush encoding moved rows where the refiner
-//! holds them:
+//! holds them → with the rows seeded into the refiner the scheduler
+//! adopts and the flush's modules streamed to the store:
 //!
 //! ```text
-//!                                 before → one probe → sized keys → held once
-//! resolve, per restored module     13.69 →      8.69 →       6.69 →      6.65
-//! seed, per seeded row              7.15 →      4.10 →       2.10 →      1.10
-//! flush, per cost row               6.69 →     -0.06 →      -0.06 →     -0.10
-//! serve, per module                35.96 →     19.17 →      15.17 →     14.08
+//!                                 before → one probe → sized keys → held once → in place
+//! resolve, per restored module     13.69 →      8.69 →       6.69 →      6.65 →     6.65
+//! seed, per seeded row              7.15 →      4.10 →       2.10 →      1.10 →     1.10
+//! flush, per cost row               6.69 →     -0.06 →      -0.06 →     -0.10 →    -0.19
+//! serve, per module                35.96 →     19.17 →      15.17 →     14.08 →    14.02
 //! ```
 //!
 //! (Resolve lost the second cache key — its accelerator `String` — the
@@ -72,10 +73,19 @@
 //! asserted at the measured figure + 15 %:
 //!
 //! ```text
-//! peak KiB                  copied rows → held once
-//!   cold store-backed serve       464.8 → 379.4
-//!   restore serve                 513.9 → 431.9
+//! peak KiB                  copied rows → held once → seeded in place
+//!   cold store-backed serve       464.8 →     379.4 →           366.7
+//!   restore serve                 513.9 →     431.9 →           403.7
 //! ```
+//!
+//! (The last column: `WarmStart::cost_rows` decodes the rows straight
+//! into the refiner the scheduler adopts, the refiner keeps one flag a
+//! row instead of a copy of its seed, and the flush hands each module to
+//! the store as it encodes it, with no list of encoded modules. The
+//! seeded refiner's own bytes are asserted too: a `CostRow` and a flag a
+//! row, reserved once, and its index — 12 768 bytes for 48 rows, where
+//! the refiner seeded from a list held 33 376, its row and seed lists
+//! grown by doubling, beside the list's own 17 408.)
 //!
 //! A serve held each program at its builder's capacity (1.6× its
 //! instructions over the grid), the refiner's rows twice more at the
@@ -89,7 +99,7 @@ use accfg_runtime::persist::WarmStart;
 use accfg_runtime::{CompiledModule, ModuleCache, PoolConfig, Runtime, ServeConfig};
 use accfg_targets::AcceleratorDescriptor;
 use accfg_workloads::{MatmulSpec, TrafficRequest};
-use common::{counted, peak_bytes};
+use common::{counted, held_bytes, peak_bytes};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -169,7 +179,7 @@ fn the_store_path_stays_within_its_allocation_budgets() {
     assert_eq!(populate.metrics.cache.misses, 2 * N as u64);
     let restore_peak = restore_peak(&golden, &stream);
 
-    let (resolve, seed) = restore_and_seed(&golden, &stream[..N]);
+    let (resolve, seed, refiner_bytes) = restore_and_seed(&golden, &stream[..N]);
     let (cost_rows, serve) = serves(&golden, &stream);
     let ledger = Ledger {
         resolve,
@@ -181,10 +191,11 @@ fn the_store_path_stays_within_its_allocation_budgets() {
 
     let budgets_hold = !cfg!(debug_assertions) && !cfg!(feature = "validate");
     println!("{:<32} {:>8} {:>8}", "peak KiB", "measured", "budget");
-    // measured 379.4 and 431.9
+    // measured 366.7 and 403.7 (379.4 and 431.9 with a seed list, a
+    // copy of each seed and a list of encoded modules at the flush)
     for (label, bytes, budget) in [
-        ("cold store-backed serve", cold_peak, 436.0),
-        ("restore serve", restore_peak, 497.0),
+        ("cold store-backed serve", cold_peak, 422.0),
+        ("restore serve", restore_peak, 465.0),
     ] {
         let kib = bytes as f64 / 1024.0;
         println!("{label:<32} {kib:>8.1} {budget:>8.0}");
@@ -192,8 +203,22 @@ fn the_store_path_stays_within_its_allocation_budgets() {
             assert!(kib <= budget, "{label}: peak {kib:.1} KiB, budget {budget}");
         }
     }
+    // the seeded refiner: a `CostRow` and a flag a row, reserved once
+    // for the working set's pairs, beside its index — a `u32` a module
+    // id a platform (two), and the list of the two
+    let index = 2 * (N * 4 + std::mem::size_of::<Vec<u32>>());
+    let refiner_budget = (N * 264 + index) as u64;
+    println!("{:<32} {:>8} {:>8}", "bytes", "measured", "budget");
+    println!(
+        "{:<32} {refiner_bytes:>8} {refiner_budget:>8}",
+        format!("refiner, {N} seeded rows")
+    );
+    assert!(
+        refiner_bytes <= refiner_budget,
+        "the refiner holds {refiner_bytes} bytes for {N} seeded rows, budget {refiner_budget}"
+    );
     println!("{:<32} {:>8} {:>8}", "allocations", "measured", "budget");
-    // measured 6.65, 1.10, -0.10 and 14.08
+    // measured 6.65, 1.10, -0.19 and 14.02
     for (label, measured, budget) in [
         ("resolve, per restored module", ledger.resolve, 7.7),
         ("seed, per seeded row", ledger.seed, 1.3),
@@ -227,8 +252,9 @@ fn restore_peak(golden: &Path, stream: &[TrafficRequest]) -> u64 {
 }
 
 /// Allocations per restored module and per seeded cost row, through the
-/// store calls a serve's resolve step makes for `stream`.
-fn restore_and_seed(golden: &Path, stream: &[TrafficRequest]) -> (f64, f64) {
+/// store calls a serve's resolve step makes for `stream`, and the heap
+/// bytes the seeded refiner holds.
+fn restore_and_seed(golden: &Path, stream: &[TrafficRequest]) -> (f64, f64, u64) {
     let copy = fresh_copy(golden, "restore");
     let bases = [
         AcceleratorDescriptor::gemmini(),
@@ -264,21 +290,25 @@ fn restore_and_seed(golden: &Path, stream: &[TrafficRequest]) -> (f64, f64) {
             [platform.expect("a grid platform")]
         })
         .collect();
-    let (rows, seed) = counted(|| {
-        let runs_on = runs_on.iter().map(|platform| &platform[..]);
-        warm.cost_rows(
-            &platforms,
-            modules.iter().map(|module| &**module).zip(runs_on),
-        )
-        .expect("the rows decode")
+    let ((refiner, held), seed) = counted(|| {
+        held_bytes(|| {
+            let runs_on = runs_on.iter().map(|platform| &platform[..]);
+            warm.cost_rows(
+                &platforms,
+                modules.iter().map(|module| &**module).zip(runs_on),
+            )
+            .expect("the rows decode")
+        })
     });
-    assert_eq!(rows.len(), stream.len(), "a row per module");
+    let rows = refiner.learned().count();
+    assert_eq!(rows, stream.len(), "a row per module");
     let stats = warm.flush(&cache, Vec::new()).expect("flush");
     assert_eq!(stats.modules_restored, stream.len() as u64);
     let _ = std::fs::remove_file(&copy);
     (
         restore as f64 / stream.len() as f64,
-        seed as f64 / rows.len() as f64,
+        seed as f64 / rows as f64,
+        held,
     )
 }
 

@@ -58,6 +58,17 @@ impl ByteWriter {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops the bytes written so far and keeps their room: one writer
+    /// encodes value after value into one buffer.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends one byte.
     #[inline]
     pub fn put_u8(&mut self, v: u8) {

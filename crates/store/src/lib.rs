@@ -36,6 +36,13 @@ pub use error::{StoreError, TailCorruption};
 pub use log::{LogStore, MAGIC};
 pub use mem::MemStore;
 
+/// Takes one `(key, value)` row of a [`KeyValueStore::put_all`] batch.
+pub type Sink<'a> = dyn FnMut(&[u8], &[u8]) -> Result<(), StoreError> + 'a;
+
+/// Hands a [`KeyValueStore::put_all`] batch's rows, in any order, to the
+/// sink it is called with.
+pub type Producer<'a> = dyn FnMut(&mut Sink<'_>) -> Result<(), StoreError> + 'a;
+
 /// Byte-oriented key-value storage with sorted scans.
 ///
 /// Implementations must keep scans in ascending byte order and treat
@@ -52,22 +59,34 @@ pub trait KeyValueStore {
     /// Fails only on I/O errors in durable implementations.
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError>;
 
-    /// Stores every `(key, value)` row of `rows`, leaving the store as
-    /// [`put`](KeyValueStore::put) of each row, in order, would: a later
-    /// row for a key replaces an earlier one, and a row whose value the
-    /// key already holds — stored, or set by an earlier row of the batch —
-    /// is elided. Rows may come in any order; a batch sorted by key is the
-    /// one an implementation can file in one pass.
+    /// Stores the batch of `(key, value)` rows `produce` hands its sink,
+    /// leaving the store as [`put`](KeyValueStore::put) of each row, in
+    /// order, would: a later row for a key replaces an earlier one, and a
+    /// row whose value the key already holds — stored, or set by an
+    /// earlier row of the batch — is elided. Rows may come in any order; a
+    /// batch sorted by key is the one an implementation can file in one
+    /// pass. The producer states the batch up front — at most `rows` rows
+    /// holding at most `bytes` key and value bytes — so an implementation
+    /// can make room for it once; a batch past either figure is stored
+    /// all the same. A row's slices need only live until the sink
+    /// returns, so a producer can encode every value into one buffer.
     ///
-    /// The default loops `put`, so a failure may leave a prefix of the
-    /// batch stored. [`LogStore`] appends the whole batch in one write and
-    /// on a failure stores none of it.
+    /// The default loops `put`, so a failure — of a `put` or of `produce`
+    /// itself — may leave a prefix of the batch stored. [`LogStore`]
+    /// appends the whole batch in one write, and if either fails stores
+    /// none of it.
     ///
     /// # Errors
-    /// Fails only on I/O errors in durable implementations.
-    fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
-        rows.iter()
-            .try_for_each(|(key, value)| self.put(key, value))
+    /// An error `produce` returns, or an I/O error of a durable
+    /// implementation.
+    fn put_all(
+        &mut self,
+        rows: usize,
+        bytes: usize,
+        produce: &mut Producer<'_>,
+    ) -> Result<(), StoreError> {
+        let _ = (rows, bytes);
+        produce(&mut |key, value| self.put(key, value))
     }
 
     /// Removes `key`; removing an absent key is a no-op.

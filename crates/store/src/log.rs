@@ -75,11 +75,14 @@
 //! `put` / `remove` encode the new record at the end of the image, write
 //! exactly those bytes to the file, and only then insert, update or drop
 //! the key's slot — a key appended after open lives in the image like
-//! every other. [`KeyValueStore::put_all`] encodes a whole batch, writes
-//! it with one `write_all`, then updates the slots of keys the index
-//! holds in place and merges the new keys in, in one pass. A failed
-//! write truncates the image (and the file, as far as it lets us) back
-//! and leaves the index as it was, so neither runs ahead of the file. The
+//! every other. [`KeyValueStore::put_all`] encodes a whole batch as its
+//! producer hands the rows over — into room reserved once from the row
+//! and byte counts the producer states — writes it with one `write_all`,
+//! then updates the slots of keys the index holds in place and merges the
+//! new keys in, in one pass. A failed write truncates the image (and the
+//! file, as far as it lets us) back and leaves the index as it was, so
+//! neither runs ahead of the file; a producer that fails mid-batch has
+//! written nothing yet, and the image is cut back the same way. The
 //! image is therefore always the file's valid content, superseded records
 //! and tombstones included: the store's heap footprint is the file size
 //! plus one slot per live key until [`LogStore::compact`] swaps in the
@@ -98,7 +101,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::error::{StoreError, TailCorruption};
-use crate::KeyValueStore;
+use crate::{KeyValueStore, Producer};
 
 /// First bytes of every store file: the one format this build reads and
 /// writes (the word-parallel record checksum, varint-coded values). A
@@ -560,34 +563,45 @@ impl KeyValueStore for LogStore {
         Ok(())
     }
 
-    /// Encodes the batch's records at the end of the image, writes them
-    /// with one `write_all`, then files their slots into the index in one
-    /// merge. A failed write stores none of the batch.
-    fn put_all(&mut self, rows: &[(Vec<u8>, Vec<u8>)]) -> Result<(), StoreError> {
+    /// Encodes the rows `produce` hands its sink at the end of the image
+    /// — reserved once, for `rows` records of `bytes` key and value bytes
+    /// — writes them with one `write_all`, then files their slots into
+    /// the index in one merge. An error of `produce` or of the write
+    /// stores none of the batch: the image is cut back and the index is
+    /// left as it was.
+    fn put_all(
+        &mut self,
+        rows: usize,
+        bytes: usize,
+        produce: &mut Producer<'_>,
+    ) -> Result<(), StoreError> {
         let start = self.image.len();
         // room for the whole batch's records at once — the image grows
         // by their bytes (rows elided below included), not by doubling
-        let batch = rows
-            .iter()
-            .map(|(key, value)| RECORD_HEADER + KEY_AT + key.len() + value.len())
-            .sum();
-        self.image.reserve_exact(batch);
+        self.image
+            .reserve_exact(rows * (RECORD_HEADER + KEY_AT) + bytes);
         // the batch's newest record per key, sorted by key
-        let mut staged: Vec<Slot> = Vec::with_capacity(rows.len());
-        for (key, value) in rows {
-            let at = search(&staged, &self.image, key);
+        let mut staged: Vec<Slot> = Vec::with_capacity(rows);
+        let (image, index) = (&mut self.image, &self.index);
+        let produced = produce(&mut |key, value| {
+            let at = search(&staged, image, key);
             let current = match at {
                 Ok(i) => Some(staged[i]),
-                Err(_) => self.find(key).ok().map(|i| self.index[i]),
+                Err(_) => search(index, image, key).ok().map(|i| index[i]),
             };
-            if current.is_some_and(|slot| slot.value(&self.image) == value.as_slice()) {
-                continue; // identical value, stored or earlier in the batch
+            if current.is_some_and(|slot| slot.value(image) == value) {
+                return Ok(()); // identical value, stored or earlier in the batch
             }
-            let slot = encode_record(&mut self.image, OP_PUT, key, value);
+            let slot = encode_record(image, OP_PUT, key, value);
             match at {
                 Ok(i) => staged[i] = slot,
                 Err(i) => staged.insert(i, slot),
             }
+            Ok(())
+        });
+        if let Err(err) = produced {
+            self.image.truncate(start);
+            return Err(err);
         }
         self.write_from(start)?;
         self.merge(staged);
@@ -647,6 +661,21 @@ mod tests {
         let path = dir.join(format!("{name}_{}.log", std::process::id()));
         let _ = fs::remove_file(&path);
         path
+    }
+
+    /// `rows` as one [`KeyValueStore::put_all`] batch, its size stated
+    /// exactly.
+    pub(super) fn put_rows(
+        store: &mut dyn KeyValueStore,
+        rows: &[(Vec<u8>, Vec<u8>)],
+    ) -> Result<(), StoreError> {
+        let bytes = rows
+            .iter()
+            .map(|(key, value)| key.len() + value.len())
+            .sum();
+        store.put_all(rows.len(), bytes, &mut |sink| {
+            rows.iter().try_for_each(|(key, value)| sink(key, value))
+        })
     }
 
     #[test]
@@ -949,7 +978,10 @@ mod tests {
             (b"k".to_vec(), b"newer".to_vec()),
             (b"z".to_vec(), b"new key".to_vec()),
         ];
-        assert!(matches!(store.put_all(&batch), Err(StoreError::Io { .. })));
+        assert!(matches!(
+            put_rows(&mut store, &batch),
+            Err(StoreError::Io { .. })
+        ));
         for absent in [&b"a"[..], b"z"] {
             assert_eq!(store.get(absent), None);
         }
@@ -960,7 +992,7 @@ mod tests {
 
         // the store is still usable once writes go through again
         store.file = append_handle;
-        store.put_all(&batch).unwrap();
+        put_rows(&mut store, &batch).unwrap();
         assert_eq!(store.get(b"k"), Some(&b"newer"[..]));
         assert_eq!(store.get(b"z"), Some(&b"new key"[..]));
         store.put(b"k", b"new").unwrap();
@@ -1000,7 +1032,7 @@ mod tests {
         for (key, value) in &rows {
             stores[0].put(key, value).unwrap();
         }
-        stores[1].put_all(&rows).unwrap();
+        put_rows(&mut stores[1], &rows).unwrap();
         assert_eq!(fs::read(&one_by_one).unwrap(), fs::read(&batched).unwrap());
         assert_eq!(stores[0].image, stores[1].image);
         let keys = stores[0].keys_with_prefix(b"");
@@ -1010,5 +1042,50 @@ mod tests {
         }
         fs::remove_file(&one_by_one).unwrap();
         fs::remove_file(&batched).unwrap();
+    }
+
+    #[test]
+    fn a_producer_error_mid_batch_stores_none_of_it() {
+        let path = temp_path("producer_error");
+        let mut store = LogStore::open(&path).unwrap();
+        store.put(b"k", b"old").unwrap();
+        store.put(b"q", b"kept").unwrap();
+        let (image, file) = (store.image.clone(), fs::read(&path).unwrap());
+        let index: Vec<(usize, usize, usize)> = store
+            .index
+            .iter()
+            .map(|slot| (slot.key, slot.value, slot.end))
+            .collect();
+
+        // two rows reach the sink — a new key and a changed one — before
+        // the producer fails
+        let failed = store.put_all(3, 64, &mut |sink| {
+            sink(b"a", b"new key")?;
+            sink(b"k", b"new")?;
+            Err(StoreError::codec("the producer gave up"))
+        });
+        assert!(
+            matches!(failed, Err(StoreError::Codec { .. })),
+            "{failed:?}"
+        );
+        assert_eq!(store.image, image, "the image was cut back");
+        assert_eq!(fs::read(&path).unwrap(), file, "nothing reached the file");
+        let after: Vec<(usize, usize, usize)> = store
+            .index
+            .iter()
+            .map(|slot| (slot.key, slot.value, slot.end))
+            .collect();
+        assert_eq!(after, index, "the index is as it was");
+        assert_eq!(store.get(b"a"), None);
+        assert_eq!(store.get(b"k"), Some(&b"old"[..]));
+
+        // and the store takes the next batch where the last one left off
+        put_rows(&mut store, &[(b"k".to_vec(), b"new".to_vec())]).unwrap();
+        assert_eq!(store.image, fs::read(&path).unwrap());
+        let reopened = LogStore::open(&path).unwrap();
+        assert!(reopened.recovery().is_none());
+        assert_eq!(reopened.get(b"k"), Some(&b"new"[..]));
+        assert_eq!(reopened.keys_with_prefix(b""), [&b"k"[..], b"q"]);
+        fs::remove_file(&path).unwrap();
     }
 }

@@ -31,7 +31,15 @@ fn store_of(records: usize) -> PathBuf {
         .map(|i| (key(i), vec![i as u8; 64 + i % 1200]))
         .collect();
     let mut store = LogStore::open(&path).expect("a fresh store opens");
-    store.put_all(&rows).expect("put the rows");
+    let bytes = rows
+        .iter()
+        .map(|(key, value)| key.len() + value.len())
+        .sum();
+    store
+        .put_all(rows.len(), bytes, &mut |sink| {
+            rows.iter().try_for_each(|(key, value)| sink(key, value))
+        })
+        .expect("put the rows");
     store.put(&key(0), b"overwritten").expect("overwrite a key");
     store.remove(&key(1)).expect("remove a key");
     assert_eq!(store.len(), records - 3);
