@@ -64,7 +64,9 @@ use crate::metrics::WarmStartStats;
 use crate::plan::{Change, DispatchPlan, RegMap};
 use accfg::pipeline::OptLevel;
 use accfg_sim::{AluOp, BranchCond, Inst, Label, Program, Reg, Width};
-use accfg_store::{ByteReader, ByteWriter, KeyValueStore, LogStore, StoreError};
+use accfg_store::{
+    ByteCounter, ByteReader, ByteWriter, Encoder, KeyValueStore, LogStore, StoreError,
+};
 use accfg_targets::{AcceleratorDescriptor, ConfigStyle};
 use accfg_workloads::{MatmulLayout, MatmulSpec};
 use std::path::Path;
@@ -81,7 +83,7 @@ pub const COST_PREFIX: u8 = b'c';
 /// buckets).
 pub type CostSnapshotEntry = (String, CacheKey, CostRow);
 
-fn put_spec(w: &mut ByteWriter, spec: &MatmulSpec) {
+fn put_spec(w: &mut impl Encoder, spec: &MatmulSpec) {
     w.put_zigzag(spec.m);
     w.put_zigzag(spec.n);
     w.put_zigzag(spec.k);
@@ -103,7 +105,7 @@ fn read_spec(r: &mut ByteReader) -> Result<MatmulSpec, StoreError> {
     })
 }
 
-fn put_opt(w: &mut ByteWriter, opt: OptLevel) {
+fn put_opt(w: &mut impl Encoder, opt: OptLevel) {
     w.put_u8(match opt {
         OptLevel::Base => 0,
         OptLevel::Dedup => 1,
@@ -122,28 +124,7 @@ fn read_opt(r: &mut ByteReader) -> Result<OptLevel, StoreError> {
     }
 }
 
-/// The bytes [`put_spec`] writes.
-fn spec_len(spec: &MatmulSpec) -> usize {
-    [
-        spec.m,
-        spec.n,
-        spec.k,
-        spec.tile_m,
-        spec.tile_k,
-        spec.tile_n,
-    ]
-    .into_iter()
-    .map(ByteWriter::zigzag_len)
-    .sum::<usize>()
-        + 1
-}
-
-/// The bytes [`put_cache_key`] writes.
-fn cache_key_len(key: &CacheKey) -> usize {
-    ByteWriter::str_len(&key.accelerator) + spec_len(&key.spec) + 1
-}
-
-fn put_cache_key(w: &mut ByteWriter, key: &CacheKey) {
+fn put_cache_key(w: &mut impl Encoder, key: &CacheKey) {
     w.put_str(&key.accelerator);
     put_spec(w, &key.spec);
     put_opt(w, key.opt);
@@ -157,32 +138,39 @@ fn read_cache_key(r: &mut ByteReader) -> Result<CacheKey, StoreError> {
     })
 }
 
+/// Runs the encoder statements `$put` over a [`ByteCounter`], then over
+/// a [`ByteWriter`] of exactly the length counted, and yields the
+/// writer's bytes: a buffer at its length with no formula for it.
+macro_rules! encode_exact {
+    ($w:ident => $put:expr) => {{
+        let mut $w = ByteCounter::new();
+        $put;
+        let mut $w = ByteWriter::with_capacity($w.bytes());
+        $put;
+        $w.finish()
+    }};
+}
+
 /// The store key a module is filed under: `m` + canonical `(family,
 /// shape, opt)` encoding.
 pub fn module_key_bytes(key: &CacheKey) -> Vec<u8> {
-    let len = 1 + cache_key_len(key);
-    let mut w = ByteWriter::with_capacity(len);
-    w.put_u8(MODULE_PREFIX);
-    put_cache_key(&mut w, key);
-    let bytes = w.finish();
-    debug_assert_eq!(bytes.len(), len, "a module key's length was mispredicted");
-    bytes
+    encode_exact!(w => {
+        w.put_u8(MODULE_PREFIX);
+        put_cache_key(&mut w, key);
+    })
 }
 
 /// The store key a cost row is filed under: `c` + platform name +
 /// canonical module key encoding.
 pub fn cost_key_bytes(platform: &str, key: &CacheKey) -> Vec<u8> {
-    let len = 1 + ByteWriter::str_len(platform) + cache_key_len(key);
-    let mut w = ByteWriter::with_capacity(len);
-    w.put_u8(COST_PREFIX);
-    w.put_str(platform);
-    put_cache_key(&mut w, key);
-    let bytes = w.finish();
-    debug_assert_eq!(bytes.len(), len, "a cost key's length was mispredicted");
-    bytes
+    encode_exact!(w => {
+        w.put_u8(COST_PREFIX);
+        w.put_str(platform);
+        put_cache_key(&mut w, key);
+    })
 }
 
-fn put_style(w: &mut ByteWriter, style: ConfigStyle) {
+fn put_style(w: &mut impl Encoder, style: ConfigStyle) {
     match style {
         ConfigStyle::Csr => w.put_u8(0),
         ConfigStyle::RoccPairs { launch_funct } => {
@@ -218,7 +206,7 @@ fn read_style(r: &mut ByteReader) -> Result<ConfigStyle, StoreError> {
 /// same value is implied by the mask. So launch 0 lists every register it
 /// holds, and each later launch lists its run, as the plan holds it,
 /// behind launch 0's mask: every launch of a plan holds the first's set.
-fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
+fn put_plan(w: &mut impl Encoder, plan: &DispatchPlan) {
     put_style(w, plan.style());
     w.put_varint(plan.launch_count() as u64);
     let first = plan.first();
@@ -236,7 +224,7 @@ fn put_plan(w: &mut ByteWriter, plan: &DispatchPlan) {
 /// One launch as [`put_plan`] lays it out: the held mask, then the
 /// `count` entries of `listed`.
 fn put_launch(
-    w: &mut ByteWriter,
+    w: &mut impl Encoder,
     mask: u32,
     count: usize,
     listed: impl Iterator<Item = (u16, i64)>,
@@ -390,7 +378,7 @@ fn read_plan(r: &mut ByteReader) -> Result<DispatchPlan, StoreError> {
     Ok(plan)
 }
 
-fn put_alu_op(w: &mut ByteWriter, op: AluOp) {
+fn put_alu_op(w: &mut impl Encoder, op: AluOp) {
     w.put_u8(match op {
         AluOp::Add => 0,
         AluOp::Sub => 1,
@@ -425,7 +413,7 @@ fn read_alu_op(r: &mut ByteReader) -> Result<AluOp, StoreError> {
     })
 }
 
-fn put_width(w: &mut ByteWriter, width: Width) {
+fn put_width(w: &mut impl Encoder, width: Width) {
     w.put_u8(match width {
         Width::Byte => 0,
         Width::Word => 1,
@@ -442,7 +430,7 @@ fn read_width(r: &mut ByteReader) -> Result<Width, StoreError> {
     })
 }
 
-fn put_cond(w: &mut ByteWriter, cond: BranchCond) {
+fn put_cond(w: &mut impl Encoder, cond: BranchCond) {
     w.put_u8(match cond {
         BranchCond::Eq => 0,
         BranchCond::Ne => 1,
@@ -461,7 +449,7 @@ fn read_cond(r: &mut ByteReader) -> Result<BranchCond, StoreError> {
     })
 }
 
-fn put_inst(w: &mut ByteWriter, inst: &Inst) {
+fn put_inst(w: &mut impl Encoder, inst: &Inst) {
     match *inst {
         Inst::Li { rd, imm } => {
             w.put_u8(0);
@@ -594,7 +582,7 @@ fn read_inst(r: &mut ByteReader) -> Result<Inst, StoreError> {
     })
 }
 
-fn put_program(w: &mut ByteWriter, program: &Program) {
+fn put_program(w: &mut impl Encoder, program: &Program) {
     w.put_varint(program.reg_count() as u64);
     w.put_varint(program.insts().len() as u64);
     for inst in program.insts() {
@@ -622,7 +610,7 @@ fn read_program(r: &mut ByteReader) -> Result<Program, StoreError> {
         .ok_or_else(|| StoreError::codec("program parts are self-inconsistent"))
 }
 
-fn put_cost_model(w: &mut ByteWriter, cost: &CostModel) {
+fn put_cost_model(w: &mut impl Encoder, cost: &CostModel) {
     w.put_varint(cost.cold_writes);
     w.put_varint(cost.cold_cycles);
     w.put_varint(cost.warm_writes);
@@ -638,7 +626,7 @@ fn read_cost_model(r: &mut ByteReader) -> Result<CostModel, StoreError> {
     })
 }
 
-fn put_layout(w: &mut ByteWriter, layout: &MatmulLayout) {
+fn put_layout(w: &mut impl Encoder, layout: &MatmulLayout) {
     w.put_zigzag(layout.a_addr);
     w.put_zigzag(layout.b_addr);
     w.put_zigzag(layout.c_addr);
@@ -654,29 +642,8 @@ fn read_layout(r: &mut ByteReader) -> Result<MatmulLayout, StoreError> {
     })
 }
 
-/// The room [`encode_module`] reserves for `module`'s value: the key's
-/// exact length, and for the rest a size from the module's counts — the
-/// widest a layout can encode, and per instruction, label target and
-/// launch more than any module of the `cold_shapes` grid takes (its
-/// values average 477 bytes on OpenGeMM and 138 on Gemmini, and all of
-/// them fit). A value past it grows its buffer; the bytes do not change.
-fn encoded_size(module: &CompiledModule) -> usize {
-    let program = &module.program;
-    cache_key_len(&module.key)
-        + 4 * 10
-        + 3 * 10
-        + 4 * program.insts().len()
-        + 2 * program.label_targets().len()
-        + 2
-        + 10
-        + 24 * module.plan.launch_count()
-        + 10
-        + 4 * 10
-        + 10
-}
-
 /// Writes `module`'s canonical store value.
-fn put_module(w: &mut ByteWriter, module: &CompiledModule) {
+fn put_module(w: &mut impl Encoder, module: &CompiledModule) {
     put_cache_key(w, &module.key);
     put_layout(w, &module.layout);
     put_program(w, &module.program);
@@ -685,11 +652,10 @@ fn put_module(w: &mut ByteWriter, module: &CompiledModule) {
     w.put_varint(module.ir_setup_writes as u64);
 }
 
-/// Serializes one compiled module to its canonical store value.
+/// Serializes one compiled module to its canonical store value, in a
+/// buffer of exactly its length.
 pub fn encode_module(module: &CompiledModule) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(encoded_size(module));
-    put_module(&mut w, module);
-    w.finish()
+    encode_exact!(w => put_module(&mut w, module))
 }
 
 /// Deserializes a compiled module written by [`encode_module`].
@@ -718,13 +684,12 @@ pub fn decode_module(bytes: &[u8]) -> Result<CompiledModule, StoreError> {
 /// Writes `modules` as one batch in encoded-key order, so identical
 /// inputs drive identical writes whatever order they come in. Only the
 /// keys are collected and sorted: each value is encoded into one reused
-/// buffer as the store takes the batch, and the batch's room is stated
-/// from the keys' lengths and each value's [`encoded_size`]. That room is
-/// an upper bound, not the batch's length: over the 1 152 `cold_shapes`
-/// grid modules it is about 1.57× the values' encoded bytes (some 200 KB
-/// above their 354 KB), and a [`LogStore`](accfg_store::LogStore) keeps
-/// the unused part as image capacity until it is dropped. Returns the
-/// number of modules written (including unchanged ones the store elides).
+/// buffer as the store takes the batch. The batch's room is stated
+/// exactly — the keys' lengths, and each value's as [`put_module`]
+/// counts it over a [`ByteCounter`], which writes nothing — so a
+/// [`LogStore`] reserves what the batch writes, and the reused buffer is
+/// the widest value's length. Returns the number of modules written
+/// (including unchanged ones the store elides).
 fn put_modules<'m>(
     store: &mut dyn KeyValueStore,
     modules: impl IntoIterator<Item = &'m CompiledModule>,
@@ -734,9 +699,14 @@ fn put_modules<'m>(
         .map(|module| (module_key_bytes(&module.key), module))
         .collect();
     keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let sizes = || keyed.iter().map(|(_, module)| encoded_size(module));
-    let bytes = keyed.iter().map(|(key, _)| key.len()).sum::<usize>() + sizes().sum::<usize>();
-    let mut value = ByteWriter::with_capacity(sizes().max().unwrap_or(0));
+    let (mut bytes, mut widest) = (0, 0);
+    for (key, module) in &keyed {
+        let mut value = ByteCounter::new();
+        put_module(&mut value, module);
+        bytes += key.len() + value.bytes();
+        widest = widest.max(value.bytes());
+    }
+    let mut value = ByteWriter::with_capacity(widest);
     store.put_all(keyed.len(), bytes, &mut |sink| {
         for (key, module) in &keyed {
             value.clear();
@@ -858,15 +828,9 @@ pub fn load_modules(
 /// Encodes one cost value — every row of a [`CostRow`], the
 /// mode-agnostic one first — into a buffer of exactly its length.
 fn encode_cost_row(buckets: &CostRow) -> Vec<u8> {
-    let slots = || buckets.iter().flatten().copied();
-    let len = slots().map(ByteWriter::zigzag_len).sum();
-    let mut w = ByteWriter::with_capacity(len);
-    for slot in slots() {
+    encode_exact!(w => for &slot in buckets.iter().flatten() {
         w.put_zigzag(slot);
-    }
-    let bytes = w.finish();
-    debug_assert_eq!(bytes.len(), len, "a cost row's length was mispredicted");
-    bytes
+    })
 }
 
 /// The store record — key and value — of `module`'s cost row `buckets`
@@ -1155,17 +1119,65 @@ mod tests {
         }
     }
 
-    /// Keys are written at their exact length and module values within
-    /// the room reserved for them: over a sample of the `cold_shapes` grid
-    /// (6 x 6 x 16 shapes, Gemmini untiled and OpenGeMM in 8 x 8 x k
-    /// tiles), no encoder regrows its buffer.
+    /// A store that records, for each batch, the rows and bytes its
+    /// producer states and the rows and key and value bytes the producer
+    /// then hands the sink.
+    #[derive(Default)]
+    struct Recording {
+        batches: Vec<[usize; 4]>,
+    }
+
+    impl KeyValueStore for Recording {
+        fn get(&self, _: &[u8]) -> Option<&[u8]> {
+            None
+        }
+
+        fn put(&mut self, _: &[u8], _: &[u8]) -> Result<(), StoreError> {
+            unreachable!("a flush puts in batches")
+        }
+
+        fn put_all(
+            &mut self,
+            rows: usize,
+            bytes: usize,
+            produce: &mut accfg_store::Producer<'_>,
+        ) -> Result<(), StoreError> {
+            let (mut handed_rows, mut handed_bytes) = (0, 0);
+            produce(&mut |key, value| {
+                handed_rows += 1;
+                handed_bytes += key.len() + value.len();
+                Ok(())
+            })?;
+            self.batches.push([rows, bytes, handed_rows, handed_bytes]);
+            Ok(())
+        }
+
+        fn remove(&mut self, _: &[u8]) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn keys_with_prefix(&self, _: &[u8]) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+
+        fn len(&self) -> usize {
+            0
+        }
+    }
+
+    /// The flush states each module batch exactly — the rows and the key
+    /// and value bytes its producer then hands the sink — and keys and
+    /// values are encoded at their exact length, over a sample of the
+    /// `cold_shapes` grid (6 x 6 x 16 shapes, Gemmini untiled and
+    /// OpenGeMM in 8 x 8 x k tiles): a batch alone per module, and all
+    /// of them as one.
     #[test]
-    fn keys_and_values_fit_the_room_they_reserve() {
+    fn a_module_batch_states_exactly_the_bytes_it_writes() {
         let (gemmini, opengemm) = (
             AcceleratorDescriptor::gemmini(),
             AcceleratorDescriptor::opengemm(),
         );
-        let mut sampled = 0;
+        let mut modules = Vec::new();
         for (i, (m, n, k)) in (8..=48)
             .step_by(8)
             .flat_map(|m| (8..=48).step_by(8).map(move |n| (m, n)))
@@ -1178,23 +1190,30 @@ mod tests {
             }
             for (desc, tile) in [(&gemmini, (m, n, k)), (&opengemm, (8, 8, k))] {
                 let spec = MatmulSpec::new((m, n, k), tile).unwrap();
-                let module = build_module(desc, spec, OptLevel::All).unwrap();
-                let value = encode_module(&module);
-                assert!(
-                    value.len() <= encoded_size(&module),
-                    "{} {spec:?}: {} bytes past the {} reserved",
-                    desc.name,
-                    value.len(),
-                    encoded_size(&module)
-                );
-                let key = module_key_bytes(&module.key);
-                assert_eq!(key.capacity(), key.len());
-                let cost_key = cost_key_bytes(&desc.name, &module.key);
-                assert_eq!(cost_key.capacity(), cost_key.len());
-                sampled += 1;
+                modules.push(build_module(desc, spec, OptLevel::All).unwrap());
             }
         }
-        assert_eq!(sampled, 2 * 576_usize.div_ceil(7));
+        assert_eq!(modules.len(), 2 * 576_usize.div_ceil(7));
+        let mut store = Recording::default();
+        for module in &modules {
+            let value = encode_module(module);
+            assert_eq!(value.capacity(), value.len());
+            let key = module_key_bytes(&module.key);
+            assert_eq!(key.capacity(), key.len());
+            let cost_key = cost_key_bytes(&module.key.accelerator, &module.key);
+            assert_eq!(cost_key.capacity(), cost_key.len());
+            assert_eq!(put_modules(&mut store, [module]).unwrap(), 1);
+            assert_eq!(
+                store.batches.pop(),
+                Some([1, key.len() + value.len(), 1, key.len() + value.len()]),
+                "{:?}",
+                module.key
+            );
+        }
+        put_modules(&mut store, &modules).unwrap();
+        let [rows, bytes, handed_rows, handed_bytes] = store.batches[0];
+        assert_eq!((rows, bytes), (handed_rows, handed_bytes));
+        assert_eq!(rows, modules.len());
     }
 
     fn varint(v: u64) -> Vec<u8> {
@@ -1203,10 +1222,10 @@ mod tests {
         w.finish()
     }
 
-    fn encoded_len(put: impl FnOnce(&mut ByteWriter)) -> usize {
-        let mut w = ByteWriter::new();
-        put(&mut w);
-        w.finish().len()
+    fn encoded_len(put: impl FnOnce(&mut ByteCounter)) -> usize {
+        let mut n = ByteCounter::new();
+        put(&mut n);
+        n.bytes()
     }
 
     /// `bytes` with the varint at `at` — which must read `was` — replaced
@@ -1234,6 +1253,75 @@ mod tests {
         plan_offset(module)
             + encoded_len(|w| put_style(w, module.plan.style()))
             + varint(module.plan.launch_count() as u64).len()
+    }
+
+    #[test]
+    fn a_host_register_past_u16_is_a_codec_error() {
+        // an instruction naming the last register a `Reg` holds decodes
+        // and re-encodes to itself; one past it is refused
+        let encodings: [fn(&mut ByteWriter, u64); 4] = [
+            |w, reg| {
+                w.put_u8(0);
+                w.put_varint(reg);
+                w.put_zigzag(-1);
+            },
+            |w, reg| {
+                w.put_u8(1);
+                put_alu_op(w, AluOp::Add);
+                w.put_varint(0);
+                w.put_varint(1);
+                w.put_varint(reg);
+            },
+            |w, reg| {
+                w.put_u8(7);
+                w.put_varint(3);
+                w.put_varint(reg);
+            },
+            |w, reg| {
+                w.put_u8(8);
+                w.put_u8(4);
+                w.put_varint(reg);
+                w.put_varint(0);
+            },
+        ];
+        for put in encodings {
+            let bytes = |reg: u64| {
+                let mut w = ByteWriter::new();
+                put(&mut w, reg);
+                w.finish()
+            };
+            let top = bytes(u64::from(u16::MAX));
+            let inst = read_inst(&mut ByteReader::new(&top)).unwrap();
+            let mut again = ByteWriter::new();
+            put_inst(&mut again, &inst);
+            assert_eq!(again.finish(), top, "{inst:?}");
+            let detail = codec_detail(read_inst(&mut ByteReader::new(&bytes(1 << 16))));
+            assert!(detail.contains("u16"), "{inst:?}: {detail}");
+        }
+
+        // a program claiming more registers than a `Reg` names: the
+        // machine would size its register file from the count
+        let module = build_module(
+            &AcceleratorDescriptor::gemmini(),
+            MatmulSpec::gemmini_paper(32).unwrap(),
+            OptLevel::All,
+        )
+        .unwrap();
+        let bytes = encode_module(&module);
+        let at = encoded_len(|w| {
+            put_cache_key(w, &module.key);
+            put_layout(w, &module.layout);
+        });
+        let was = module.program.reg_count() as u64;
+        let widest = splice_varint(&bytes, at, was, Reg::LIMIT as u64);
+        assert_eq!(
+            decode_module(&widest).unwrap().program.reg_count(),
+            Reg::LIMIT
+        );
+        for count in [Reg::LIMIT as u64 + 1, 1 << 32] {
+            let detail = codec_detail(decode_module(&splice_varint(&bytes, at, was, count)));
+            assert!(detail.contains("self-inconsistent"), "{count}: {detail}");
+        }
     }
 
     #[test]

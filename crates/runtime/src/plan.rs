@@ -672,7 +672,10 @@ impl DispatchPlan {
     /// so a dispatch allocates once; the program itself walks every
     /// launch, since every write must be emitted: launch 0 against
     /// `resident`, each later launch from one scratch copy of launch 0's
-    /// file, updated by its run.
+    /// file, updated by its run. Every value passes through the same two
+    /// host registers — each write loads them right before its command
+    /// reads them — so a program's register file is two registers
+    /// however many launches the plan holds.
     ///
     /// Debug and `validate`-feature builds additionally run
     /// [`DispatchPlan::verify_delta_reconstruction`] over the assembled
@@ -691,16 +694,14 @@ impl DispatchPlan {
         let mut pb = ProgramBuilder::with_capacity(
             writes as usize * per_write + self.launch_count() * per_launch + 2,
         );
+        let (r1, r2) = (pb.reg(), pb.reg());
         self.each_launch(|launch| {
             delta_walk(resident, launch, self.style, |cmd| match cmd {
                 WriteCmd::Csr { reg, value } => {
-                    let r = pb.reg();
-                    pb.li(r, value);
-                    pb.csr_write(reg, r);
+                    pb.li(r1, value);
+                    pb.csr_write(reg, r1);
                 }
                 WriteCmd::Rocc { funct, lo, hi } => {
-                    let r1 = pb.reg();
-                    let r2 = pb.reg();
                     pb.li(r1, lo);
                     pb.li(r2, hi);
                     pb.rocc(funct, r1, r2);
@@ -713,8 +714,6 @@ impl DispatchPlan {
                     // with a zero payload: DispatchPlan::from_trace rejects
                     // any field mapping into this pair, so no resident state
                     // can ever live there
-                    let r1 = pb.reg();
-                    let r2 = pb.reg();
                     pb.li(r1, 0);
                     pb.li(r2, 0);
                     pb.rocc(launch_funct, r1, r2);
@@ -753,7 +752,7 @@ impl DispatchPlan {
             ConfigStyle::RoccPairs { launch_funct } => Some(launch_funct),
             ConfigStyle::Csr => None,
         };
-        let mut env: BTreeMap<u32, i64> = BTreeMap::new();
+        let mut env: BTreeMap<u16, i64> = BTreeMap::new();
         let mut regs = start.clone();
         let write = |regs: &mut RegMap, reg: u16, value: i64| {
             if usize::from(reg) >= SLOTS {
@@ -1134,6 +1133,36 @@ mod tests {
                     .verify_delta_reconstruction(&warm_program, &RegMap::new())
                     .is_err());
             }
+        }
+    }
+
+    #[test]
+    fn a_plan_of_more_launches_than_half_the_register_file_dispatches_on_two_registers() {
+        // every launch rewrites registers 0 and 1 (pair 0): a program that
+        // took fresh registers a write would need more than a `u16` names
+        let launches = 32_769;
+        for style in [
+            ConfigStyle::Csr,
+            ConfigStyle::RoccPairs { launch_funct: 13 },
+        ] {
+            let plan = plan_of(
+                style,
+                (0..launches)
+                    .map(|i| launch(&[(0, i), (1, -i), (4, 7)]))
+                    .collect(),
+            )
+            .unwrap();
+            assert_eq!(plan.launch_count(), launches as usize);
+            let mut resident = RegMap::new();
+            let start = resident.clone();
+            let (program, writes) = plan.delta_program(&mut resident);
+            assert!(
+                program.reg_count() <= 2,
+                "{} registers",
+                program.reg_count()
+            );
+            assert!(writes > launches as u64, "{style:?}: {writes} writes");
+            plan.verify_delta_reconstruction(&program, &start).unwrap();
         }
     }
 

@@ -73,9 +73,9 @@
 //! asserted at the measured figure + 15 %:
 //!
 //! ```text
-//! peak KiB                  copied rows → held once → seeded in place
-//!   cold store-backed serve       464.8 →     379.4 →           366.7
-//!   restore serve                 513.9 →     431.9 →           403.7
+//! peak KiB                  copied rows → held once → seeded in place → 16-byte instructions
+//!   cold store-backed serve       464.8 →     379.4 →           366.7 →                 337.5
+//!   restore serve                 513.9 →     431.9 →           403.7 →                 372.9
 //! ```
 //!
 //! (The last column: `WarmStart::cost_rows` decodes the rows straight
@@ -85,7 +85,10 @@
 //! seeded refiner's own bytes are asserted too: a `CostRow` and a flag a
 //! row, reserved once, and its index — 12 768 bytes for 48 rows, where
 //! the refiner seeded from a list held 33 376, its row and seed lists
-//! grown by doubling, beside the list's own 17 408.)
+//! grown by doubling, beside the list's own 17 408. The last column: an
+//! instruction is 16 bytes, not 24, with a `u16` register index, and the
+//! flush reserves the exact bytes of its module batch where it reserved
+//! an upper bound.)
 //!
 //! A serve held each program at its builder's capacity (1.6× its
 //! instructions over the grid), the refiner's rows twice more at the
@@ -191,11 +194,11 @@ fn the_store_path_stays_within_its_allocation_budgets() {
 
     let budgets_hold = !cfg!(debug_assertions) && !cfg!(feature = "validate");
     println!("{:<32} {:>8} {:>8}", "peak KiB", "measured", "budget");
-    // measured 366.7 and 403.7 (379.4 and 431.9 with a seed list, a
-    // copy of each seed and a list of encoded modules at the flush)
+    // measured 337.5 and 372.9 (366.7 and 403.7 with 24-byte
+    // instructions and a flush reserving an upper bound)
     for (label, bytes, budget) in [
-        ("cold store-backed serve", cold_peak, 422.0),
-        ("restore serve", restore_peak, 465.0),
+        ("cold store-backed serve", cold_peak, 388.0),
+        ("restore serve", restore_peak, 429.0),
     ] {
         let kib = bytes as f64 / 1024.0;
         println!("{label:<32} {kib:>8.1} {budget:>8.0}");

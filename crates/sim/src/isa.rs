@@ -1,10 +1,13 @@
 //! The virtual host ISA.
 //!
-//! A RISC-V-flavoured instruction set with an unbounded virtual register
-//! file, plus the accelerator-interface instructions the paper's platforms
-//! use: memory-mapped/CSR configuration writes (OpenGeMM-style), RoCC custom
-//! instructions carrying 16 configuration bytes (Gemmini-style), explicit
-//! launches, and status polling.
+//! A RISC-V-flavoured instruction set with a virtual register file of up
+//! to [`Reg::LIMIT`] (65 536) registers, plus the accelerator-interface
+//! instructions the paper's platforms use: memory-mapped/CSR configuration
+//! writes (OpenGeMM-style), RoCC custom instructions carrying 16
+//! configuration bytes (Gemmini-style), explicit launches, and status
+//! polling. A register index is a `u16`, so every [`Inst`] is 16 bytes:
+//! the widest (`li`, `addi`, loads and stores) are a tag, two register
+//! indices and a 64-bit immediate.
 //!
 //! Register allocation is intentionally not modeled: the paper's metrics are
 //! instruction-class counts and cycles, and the tiled kernels it measures
@@ -14,7 +17,14 @@ use std::fmt;
 
 /// A virtual register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Reg(pub u32);
+pub struct Reg(pub u16);
+
+impl Reg {
+    /// The most registers a program can use: one for every index a `u16`
+    /// names. [`ProgramBuilder::try_reg`] and [`Program::from_parts`]
+    /// refuse more.
+    pub const LIMIT: usize = 1 << 16;
+}
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -290,6 +300,10 @@ pub enum Inst {
     Halt,
 }
 
+// a cached module holds its program for its whole life, so an
+// instruction stays at a tag, two `u16` registers and a 64-bit immediate
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
 impl Inst {
     /// `true` for the instructions that transfer configuration bytes or
     /// control to the accelerator (the paper's "setup instructions").
@@ -325,7 +339,7 @@ pub struct Program {
     insts: Vec<Inst>,
     /// label index → instruction index
     label_targets: Vec<usize>,
-    max_reg: u32,
+    max_reg: u16,
 }
 
 impl Program {
@@ -337,13 +351,14 @@ impl Program {
     /// branch or jump references must exist in `label_targets`, every
     /// target must land inside the program (one past the end is legal — a
     /// label bound after the final instruction), `reg_count` must be at
-    /// least 1 and cover every register the instructions touch.
+    /// least 1, at most [`Reg::LIMIT`], and cover every register the
+    /// instructions touch.
     pub fn from_parts(
         insts: Vec<Inst>,
         label_targets: Vec<usize>,
         reg_count: usize,
     ) -> Option<Self> {
-        let max_reg = u32::try_from(reg_count.checked_sub(1)?).ok()?;
+        let max_reg = u16::try_from(reg_count.checked_sub(1)?).ok()?;
         if label_targets.iter().any(|&t| t > insts.len()) {
             return None;
         }
@@ -489,6 +504,7 @@ impl Program {
 pub struct ProgramBuilder {
     insts: Vec<Inst>,
     label_targets: Vec<Option<usize>>,
+    /// registers handed out so far, at most [`Reg::LIMIT`]
     next_reg: u32,
 }
 
@@ -508,10 +524,21 @@ impl ProgramBuilder {
     }
 
     /// Allocates a fresh virtual register.
+    ///
+    /// # Panics
+    /// Panics once [`Reg::LIMIT`] registers are allocated; a caller whose
+    /// register count depends on its input uses [`ProgramBuilder::try_reg`].
     pub fn reg(&mut self) -> Reg {
-        let r = Reg(self.next_reg);
+        self.try_reg()
+            .unwrap_or_else(|| panic!("more than {} registers", Reg::LIMIT))
+    }
+
+    /// Allocates a fresh virtual register, or `None` once [`Reg::LIMIT`]
+    /// registers are allocated.
+    pub fn try_reg(&mut self) -> Option<Reg> {
+        let r = Reg(u16::try_from(self.next_reg).ok()?);
         self.next_reg += 1;
-        r
+        Some(r)
     }
 
     /// Creates an unbound label.
@@ -625,7 +652,8 @@ impl ProgramBuilder {
         Program {
             insts: self.insts,
             label_targets,
-            max_reg: self.next_reg.max(1) - 1,
+            max_reg: u16::try_from(self.next_reg.max(1) - 1)
+                .expect("`try_reg` hands out no index past `u16::MAX`"),
         }
     }
 }
@@ -760,5 +788,32 @@ mod tests {
         assert!(Program::from_parts(wide, vec![], 6).is_some());
         // A zero-register program is impossible (reg_count >= 1).
         assert!(Program::from_parts(vec![Inst::Halt], vec![], 0).is_none());
+    }
+
+    #[test]
+    fn from_parts_refuses_a_register_file_past_the_limit() {
+        // a stored record may claim any count; the machine sizes its
+        // register file from it, so a count past `u16` is refused
+        let top = vec![Inst::Li {
+            rd: Reg(u16::MAX),
+            imm: 0,
+        }];
+        let program = Program::from_parts(top.clone(), vec![], Reg::LIMIT).unwrap();
+        assert_eq!(program.reg_count(), Reg::LIMIT);
+        for count in [Reg::LIMIT + 1, 1 << 32, usize::MAX] {
+            assert!(Program::from_parts(top.clone(), vec![], count).is_none());
+        }
+    }
+
+    #[test]
+    fn the_builder_refuses_a_register_past_the_limit() {
+        let mut p = ProgramBuilder::new();
+        for i in 0..Reg::LIMIT {
+            assert_eq!(p.try_reg(), Some(Reg(i as u16)));
+        }
+        assert_eq!(p.try_reg(), None);
+        assert_eq!(p.try_reg(), None);
+        p.halt();
+        assert_eq!(p.finish().reg_count(), Reg::LIMIT);
     }
 }

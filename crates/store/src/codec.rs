@@ -17,6 +17,38 @@
 
 use crate::error::StoreError;
 
+/// What an encoder writes into: a [`ByteWriter`] keeps the bytes, a
+/// [`ByteCounter`] only counts them. An encoder written once over
+/// `impl Encoder` both states the exact length of what it writes and
+/// writes it, so no length formula sits beside it to drift.
+pub trait Encoder {
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8);
+
+    /// Appends raw bytes.
+    fn put_bytes(&mut self, v: &[u8]);
+
+    /// Appends an unsigned integer as a canonical varint (1–10 bytes).
+    fn put_varint(&mut self, v: u64);
+
+    /// Appends a `bool` as one byte (0 or 1).
+    fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    /// Appends a signed integer zigzagged into a canonical varint.
+    #[inline]
+    fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Appends a varint-length-prefixed UTF-8 string.
+    fn put_str(&mut self, v: &str) {
+        self.put_varint(v.len() as u64);
+        self.put_bytes(v.as_bytes());
+    }
+}
+
 /// Append-only byte sink: single bytes and canonical varints.
 #[derive(Debug, Default, Clone)]
 pub struct ByteWriter {
@@ -30,27 +62,12 @@ impl ByteWriter {
     }
 
     /// An empty writer with room for `bytes` bytes: a caller that knows
-    /// (or bounds) the length of what it writes allocates once.
+    /// the length of what it writes — a [`ByteCounter`] over the same
+    /// encoder states it — allocates once.
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
             buf: Vec::with_capacity(bytes),
         }
-    }
-
-    /// The bytes [`ByteWriter::put_varint`] writes for `v`.
-    pub fn varint_len(v: u64) -> usize {
-        // one byte per started group of seven bits, and one for zero
-        (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
-    }
-
-    /// The bytes [`ByteWriter::put_zigzag`] writes for `v`.
-    pub fn zigzag_len(v: i64) -> usize {
-        Self::varint_len(((v << 1) ^ (v >> 63)) as u64)
-    }
-
-    /// The bytes [`ByteWriter::put_str`] writes for `v`.
-    pub fn str_len(v: &str) -> usize {
-        Self::varint_len(v.len() as u64) + v.len()
     }
 
     /// Consumes the writer, yielding the encoded bytes.
@@ -68,38 +85,66 @@ impl ByteWriter {
     pub fn clear(&mut self) {
         self.buf.clear();
     }
+}
 
-    /// Appends one byte.
+impl Encoder for ByteWriter {
     #[inline]
-    pub fn put_u8(&mut self, v: u8) {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Appends a `bool` as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
-    /// Appends an unsigned integer as a canonical varint (1–10 bytes).
     #[inline]
-    pub fn put_varint(&mut self, mut v: u64) {
+    fn put_varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
             v >>= 7;
         }
         self.buf.push(v as u8);
     }
+}
 
-    /// Appends a signed integer zigzagged into a canonical varint.
-    #[inline]
-    pub fn put_zigzag(&mut self, v: i64) {
-        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+/// An [`Encoder`] that writes nothing and counts the bytes a
+/// [`ByteWriter`] would hold after the same calls.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ByteCounter {
+    bytes: usize,
+}
+
+impl ByteCounter {
+    /// A counter at zero.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Appends a varint-length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_varint(v.len() as u64);
-        self.buf.extend_from_slice(v.as_bytes());
+    /// The bytes counted so far.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+impl Encoder for ByteCounter {
+    #[inline]
+    fn put_u8(&mut self, _: u8) {
+        self.bytes += 1;
+    }
+
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.bytes += v.len();
+    }
+
+    #[inline]
+    fn put_varint(&mut self, v: u64) {
+        // one byte per started group of seven bits; most values (register
+        // indices, tags, small immediates) are one byte
+        self.bytes += if v < 0x80 {
+            1
+        } else {
+            (64 - v.leading_zeros() as usize).div_ceil(7)
+        };
     }
 }
 
@@ -274,31 +319,32 @@ mod tests {
     }
 
     #[test]
-    fn lengths_are_what_the_writer_writes() {
+    fn a_counter_counts_what_the_writer_writes() {
         let mut values: Vec<u64> = (0..64)
             .flat_map(|bit| [1u64 << bit, (1 << bit) - 1])
             .collect();
         values.extend([u64::MAX, 0x7f, 0x80, 0x3fff, 0x4000]);
+        let counted = |put: &dyn Fn(&mut dyn Encoder)| {
+            let (mut w, mut n) = (ByteWriter::new(), ByteCounter::new());
+            put(&mut w);
+            put(&mut n);
+            (w.finish().len(), n.bytes())
+        };
         for v in values {
-            assert_eq!(
-                ByteWriter::varint_len(v),
-                varint_bytes(v).len(),
-                "varint {v}"
-            );
+            let (written, counted_bytes) = counted(&|w| w.put_varint(v));
+            assert_eq!(counted_bytes, written, "varint {v}");
             for signed in [v as i64, (v as i64).wrapping_neg()] {
-                let mut w = ByteWriter::new();
-                w.put_zigzag(signed);
-                assert_eq!(
-                    ByteWriter::zigzag_len(signed),
-                    w.finish().len(),
-                    "zigzag {signed}"
-                );
+                let (written, counted_bytes) = counted(&|w| w.put_zigzag(signed));
+                assert_eq!(counted_bytes, written, "zigzag {signed}");
             }
         }
         for text in ["", "gemmini", &"x".repeat(200)] {
-            let mut w = ByteWriter::new();
-            w.put_str(text);
-            assert_eq!(ByteWriter::str_len(text), w.finish().len());
+            let (written, counted_bytes) = counted(&|w| {
+                w.put_str(text);
+                w.put_bool(true);
+                w.put_u8(9);
+            });
+            assert_eq!(counted_bytes, written, "{text:?}");
         }
     }
 

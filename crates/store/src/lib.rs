@@ -17,7 +17,8 @@
 //!   [`StoreError::BadMagic`];
 //! - [`MemStore`] — an in-memory implementation for tests and scratch use;
 //! - [`ByteWriter`] / [`ByteReader`] — the canonical varint codec the
-//!   typed layers encode their payloads with.
+//!   typed layers encode their payloads with, and [`ByteCounter`], the
+//!   [`Encoder`] that counts what a writer would hold.
 //!
 //! Everything here is deliberately deterministic: encoding is canonical,
 //! scans are sorted, rewriting an identical value is a no-op append. Two
@@ -31,7 +32,7 @@ mod error;
 mod log;
 mod mem;
 
-pub use codec::{ByteReader, ByteWriter};
+pub use codec::{ByteCounter, ByteReader, ByteWriter, Encoder};
 pub use error::{StoreError, TailCorruption};
 pub use log::{LogStore, MAGIC};
 pub use mem::MemStore;

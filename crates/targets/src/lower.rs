@@ -64,6 +64,9 @@ pub enum LowerError {
         /// Values provided.
         provided: usize,
     },
+    /// The program needs more host registers than a [`Reg`] can name
+    /// ([`Reg::LIMIT`]).
+    TooManyRegisters,
 }
 
 impl fmt::Display for LowerError {
@@ -92,6 +95,9 @@ impl fmt::Display for LowerError {
             LowerError::NoSuchFunc(name) => write!(f, "no function named `{name}`"),
             LowerError::ArgCount { expected, provided } => {
                 write!(f, "function expects {expected} arguments, got {provided}")
+            }
+            LowerError::TooManyRegisters => {
+                write!(f, "program needs more than {} host registers", Reg::LIMIT)
             }
         }
     }
@@ -132,7 +138,7 @@ pub fn compile(
         zero: None,
     };
     for (&p, &a) in params.iter().zip(args.iter()) {
-        let r = l.reg_for(p);
+        let r = l.reg_for(p)?;
         l.pb.li(r, a);
     }
     l.lower_block(body)?;
@@ -155,23 +161,28 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn reg_for(&mut self, v: ValueId) -> Reg {
-        if let Some(&r) = self.vals.get(v) {
-            return r;
-        }
-        let r = self.pb.reg();
-        self.vals.insert(v, r);
-        r
+    /// A fresh host register, or the error once the file is full.
+    fn fresh(&mut self) -> Result<Reg, LowerError> {
+        self.pb.try_reg().ok_or(LowerError::TooManyRegisters)
     }
 
-    fn zero_reg(&mut self) -> Reg {
+    fn reg_for(&mut self, v: ValueId) -> Result<Reg, LowerError> {
+        if let Some(&r) = self.vals.get(v) {
+            return Ok(r);
+        }
+        let r = self.fresh()?;
+        self.vals.insert(v, r);
+        Ok(r)
+    }
+
+    fn zero_reg(&mut self) -> Result<Reg, LowerError> {
         match self.zero {
-            Some(r) => r,
+            Some(r) => Ok(r),
             None => {
-                let r = self.pb.reg();
+                let r = self.fresh()?;
                 self.pb.li(r, 0);
                 self.zero = Some(r);
-                r
+                Ok(r)
             }
         }
     }
@@ -196,13 +207,13 @@ impl<'a> Lowerer<'a> {
         match opcode {
             Opcode::Constant => {
                 let v = m.int_attr(op, "value").expect("verified constant");
-                let rd = self.reg_for(data.results[0]);
+                let rd = self.reg_for(data.results[0])?;
                 self.pb.li(rd, v);
             }
             o if o.is_binary_arith() => {
-                let rs1 = self.reg_for(data.operands[0]);
-                let rs2 = self.reg_for(data.operands[1]);
-                let rd = self.reg_for(data.results[0]);
+                let rs1 = self.reg_for(data.operands[0])?;
+                let rs2 = self.reg_for(data.operands[1])?;
+                let rd = self.reg_for(data.results[0])?;
                 let alu = match o {
                     Opcode::AddI => AluOp::Add,
                     Opcode::SubI => AluOp::Sub,
@@ -218,13 +229,13 @@ impl<'a> Lowerer<'a> {
                 };
                 self.pb.alu(alu, rd, rs1, rs2);
             }
-            Opcode::CmpI => self.lower_cmp(op),
+            Opcode::CmpI => self.lower_cmp(op)?,
             Opcode::Select => {
-                let cond = self.reg_for(data.operands[0]);
-                let t = self.reg_for(data.operands[1]);
-                let f = self.reg_for(data.operands[2]);
-                let rd = self.reg_for(data.results[0]);
-                let zero = self.zero_reg();
+                let cond = self.reg_for(data.operands[0])?;
+                let t = self.reg_for(data.operands[1])?;
+                let f = self.reg_for(data.operands[2])?;
+                let rd = self.reg_for(data.results[0])?;
+                let zero = self.zero_reg()?;
                 let skip = self.pb.new_label();
                 self.mov(rd, f);
                 self.pb.branch(BranchCond::Eq, cond, zero, skip);
@@ -246,11 +257,11 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn lower_cmp(&mut self, op: OpId) {
+    fn lower_cmp(&mut self, op: OpId) -> Result<(), LowerError> {
         let data = self.m.op(op);
-        let a = self.reg_for(data.operands[0]);
-        let b = self.reg_for(data.operands[1]);
-        let rd = self.reg_for(data.results[0]);
+        let a = self.reg_for(data.operands[0])?;
+        let b = self.reg_for(data.operands[1])?;
+        let rd = self.reg_for(data.results[0])?;
         let pred = self
             .m
             .str_attr(op, "predicate")
@@ -258,13 +269,13 @@ impl<'a> Lowerer<'a> {
             .expect("verified predicate");
         match pred {
             CmpPredicate::Eq => {
-                let t = self.pb.reg();
+                let t = self.fresh()?;
                 self.pb.alu(AluOp::Xor, t, a, b);
                 self.pb.alui(AluOp::Sltu, rd, t, 1);
             }
             CmpPredicate::Ne => {
-                let t = self.pb.reg();
-                let zero = self.zero_reg();
+                let t = self.fresh()?;
+                let zero = self.zero_reg()?;
                 self.pb.alu(AluOp::Xor, t, a, b);
                 self.pb.alu(AluOp::Sltu, rd, zero, t);
             }
@@ -284,25 +295,26 @@ impl<'a> Lowerer<'a> {
                 self.pb.alui(AluOp::Xor, rd, rd, 1);
             }
         }
+        Ok(())
     }
 
     fn lower_for(&mut self, op: OpId) -> Result<(), LowerError> {
         let m = self.m;
         let data = m.op(op);
-        let lb = self.reg_for(data.operands[0]);
-        let ub = self.reg_for(data.operands[1]);
-        let step = self.reg_for(data.operands[2]);
+        let lb = self.reg_for(data.operands[0])?;
+        let ub = self.reg_for(data.operands[1])?;
+        let step = self.reg_for(data.operands[2])?;
         let body = m.body_block(op, 0);
         let args = &m.block(body).args;
-        let iv = self.reg_for(args[0]);
+        let iv = self.reg_for(args[0])?;
         self.mov(iv, lb);
         // integer iter args get registers initialized from inits;
         // state/token iter args are compile-time bookkeeping only
         let mut int_args = Vec::new();
         for (&arg, &init) in args[1..].iter().zip(data.operands[3..].iter()) {
             if m.value_type(arg).is_integer_like() {
-                let ar = self.reg_for(arg);
-                let ir = self.reg_for(init);
+                let ar = self.reg_for(arg)?;
+                let ir = self.reg_for(init)?;
                 self.mov(ar, ir);
                 int_args.push(ar);
             }
@@ -318,8 +330,8 @@ impl<'a> Lowerer<'a> {
         let yield_operands = &m.op(yield_op).operands;
         for (&y, &arg) in yield_operands.iter().zip(args[1..].iter()) {
             if m.value_type(arg).is_integer_like() {
-                let yr = self.reg_for(y);
-                let t = self.pb.reg();
+                let yr = self.reg_for(y)?;
+                let t = self.fresh()?;
                 self.mov(t, yr);
                 temps.push(t);
             }
@@ -345,14 +357,19 @@ impl<'a> Lowerer<'a> {
     fn lower_if(&mut self, op: OpId) -> Result<(), LowerError> {
         let m = self.m;
         let data = m.op(op);
-        let cond = self.reg_for(data.operands[0]);
-        let zero = self.zero_reg();
+        let cond = self.reg_for(data.operands[0])?;
+        let zero = self.zero_reg()?;
         // integer results get registers written by both branches
-        let result_regs: Vec<Option<Reg>> = data
+        let result_regs = data
             .results
             .iter()
-            .map(|&r| m.value_type(r).is_integer_like().then(|| self.reg_for(r)))
-            .collect();
+            .map(|&r| {
+                m.value_type(r)
+                    .is_integer_like()
+                    .then(|| self.reg_for(r))
+                    .transpose()
+            })
+            .collect::<Result<Vec<Option<Reg>>, _>>()?;
         let else_l = self.pb.new_label();
         let end_l = self.pb.new_label();
         self.pb.branch(BranchCond::Eq, cond, zero, else_l);
@@ -363,7 +380,7 @@ impl<'a> Lowerer<'a> {
             let yields = &m.op(yield_op).operands;
             for (&y, rr) in yields.iter().zip(result_regs.iter()) {
                 if let Some(rd) = rr {
-                    let yr = self.reg_for(y);
+                    let yr = self.reg_for(y)?;
                     self.mov(*rd, yr);
                 }
             }
@@ -414,7 +431,7 @@ impl<'a> Lowerer<'a> {
             ConfigStyle::Csr => {
                 for (name, value) in fields {
                     let reg = self.config_register(name)?;
-                    let vr = self.reg_for(value);
+                    let vr = self.reg_for(value)?;
                     self.pb.csr_write(reg, vr);
                     self.shadow[usize::from(reg)] = Some(vr);
                 }
@@ -424,7 +441,7 @@ impl<'a> Lowerer<'a> {
                 let mut written = [None; regmap::COUNT];
                 for (name, value) in fields {
                     let reg = self.config_register(name)?;
-                    written[usize::from(reg)] = Some(self.reg_for(value));
+                    written[usize::from(reg)] = Some(self.reg_for(value)?);
                 }
                 for funct in 0..(regmap::COUNT / 2) as u16 {
                     let pair = [funct * 2, funct * 2 + 1];
@@ -440,8 +457,8 @@ impl<'a> Lowerer<'a> {
                         }
                         continue;
                     }
-                    let rs1 = self.pair_half(&written, pair[0]);
-                    let rs2 = self.pair_half(&written, pair[1]);
+                    let rs1 = self.pair_half(&written, pair[0])?;
+                    let rs2 = self.pair_half(&written, pair[1])?;
                     self.pb.rocc(funct as u8, rs1, rs2);
                     self.remember(pair[0], rs1);
                     self.remember(pair[1], rs2);
@@ -455,14 +472,21 @@ impl<'a> Lowerer<'a> {
     /// written value, the last value that reached this register, or zero.
     /// A register past the file (a launch command a descriptor placed
     /// there) never held anything.
-    fn pair_half(&mut self, written: &[Option<Reg>; regmap::COUNT], reg: u16) -> Reg {
+    fn pair_half(
+        &mut self,
+        written: &[Option<Reg>; regmap::COUNT],
+        reg: u16,
+    ) -> Result<Reg, LowerError> {
         let reg = usize::from(reg);
-        written
+        match written
             .get(reg)
             .copied()
             .flatten()
             .or_else(|| self.shadow.get(reg).copied().flatten())
-            .unwrap_or_else(|| self.zero_reg())
+        {
+            Some(r) => Ok(r),
+            None => self.zero_reg(),
+        }
     }
 
     /// Records that host register `r` last reached configuration register
@@ -479,8 +503,8 @@ impl<'a> Lowerer<'a> {
             ConfigStyle::Csr => self.pb.launch(),
             ConfigStyle::RoccPairs { launch_funct } => {
                 let f = u16::from(launch_funct);
-                let rs1 = self.pair_half(&[None; regmap::COUNT], f * 2);
-                let rs2 = self.pair_half(&[None; regmap::COUNT], f * 2 + 1);
+                let rs1 = self.pair_half(&[None; regmap::COUNT], f * 2)?;
+                let rs2 = self.pair_half(&[None; regmap::COUNT], f * 2 + 1)?;
                 self.pb.rocc(launch_funct, rs1, rs2);
                 self.remember(f * 2, rs1);
                 self.remember(f * 2 + 1, rs2);
@@ -781,6 +805,22 @@ mod tests {
             unreachable!()
         };
         assert_eq!(rs1, rs2, "both halves read the zero register");
+    }
+
+    #[test]
+    fn a_program_past_the_register_file_is_reported() {
+        // one host register a constant: the 65 537th has none to take
+        let desc = AcceleratorDescriptor::opengemm();
+        let mut m = Module::new();
+        let (mut b, _) = FuncBuilder::new_func(&mut m, "f", vec![]);
+        for i in 0..=Reg::LIMIT as i64 {
+            b.const_index(i);
+        }
+        b.ret(vec![]);
+        assert!(m.value_count() > Reg::LIMIT);
+        let e = compile(&m, "f", &desc, &[]).unwrap_err();
+        assert_eq!(e, LowerError::TooManyRegisters);
+        assert!(e.to_string().contains("65536"), "{e}");
     }
 
     #[test]
